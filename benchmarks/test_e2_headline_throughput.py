@@ -116,7 +116,8 @@ def test_e2_throughput(benchmark):
 
     # Floor so regressions are caught; with columnar block execution the
     # batched path clears this on any machine that runs the suite at all.
-    # (CI additionally enforces 80% of the committed BENCH_E2.json.)
+    # (CI additionally holds the batched/scalar ratio to 80% of the one
+    # in the committed BENCH_E2.json.)
     assert pps > 40_000
 
 

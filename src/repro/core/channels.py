@@ -64,7 +64,8 @@ class ChannelStats:
 class Channel:
     """A FIFO with optional capacity; overflow drops the newest item."""
 
-    __slots__ = ("capacity", "name", "fault_capacity", "_queue", "stats")
+    __slots__ = ("capacity", "name", "fault_capacity", "_queue", "stats",
+                 "control_queued")
 
     def __init__(self, capacity: Optional[int] = None, name: str = "") -> None:
         if capacity is not None and capacity <= 0:
@@ -76,6 +77,9 @@ class Channel:
         self.fault_capacity: Optional[int] = None
         self._queue: Deque[Any] = deque()
         self.stats = ChannelStats()
+        #: control tokens currently in the queue; while it is 0 a popped
+        #: block is one run of data tuples and needs no scan to split
+        self.control_queued = 0
 
     def _effective_capacity(self) -> Optional[int]:
         capacity = self.capacity
@@ -102,9 +106,26 @@ class Channel:
         self.stats.pushed += 1
         if type(item) is not tuple:
             self.stats.control_pushed += 1
+            self.control_queued += 1
         if len(self._queue) > self.stats.max_depth:
             self.stats.max_depth = len(self._queue)
         return True
+
+    def push_rows(self, rows: List[tuple]) -> int:
+        """:meth:`push_many` for a materialized block of *data tuples*
+        (what ``emit_many`` carries): with no control token to count,
+        an unbounded channel takes the block without looking at it.
+        (:meth:`push_many`'s own unbounded path counts the tokens of a
+        mixed block, then appends through here.)"""
+        if self.capacity is not None or self.fault_capacity is not None:
+            return self.push_many(rows)
+        queue = self._queue
+        queue.extend(rows)
+        stats = self.stats
+        stats.pushed += len(rows)
+        if len(queue) > stats.max_depth:
+            stats.max_depth = len(queue)
+        return len(rows)
 
     def push_many(self, items: Iterable[Any]) -> int:
         """Append a block of items; returns how many were accepted.
@@ -125,15 +146,13 @@ class Channel:
             # install one.  A generator input gets the general loop --
             # its body may set ``fault_capacity`` between items (fault
             # injectors do), and per-push semantics must see that.
-            queue.extend(items)
-            accepted = len(items)
-            stats.pushed += accepted
+            control = 0
             for item in items:
                 if type(item) is not tuple:
-                    stats.control_pushed += 1
-            if len(queue) > stats.max_depth:
-                stats.max_depth = len(queue)
-            return accepted
+                    control += 1
+            stats.control_pushed += control
+            self.control_queued += control
+            return self.push_rows(items)
         accepted = 0
         dropped = 0
         control = 0
@@ -154,6 +173,7 @@ class Channel:
         stats.pushed += accepted
         stats.dropped += dropped
         stats.control_pushed += control
+        self.control_queued += control
         if len(queue) > stats.max_depth:
             stats.max_depth = len(queue)
         return accepted
@@ -162,6 +182,8 @@ class Channel:
         """Remove and return the oldest item; raises IndexError when empty."""
         item = self._queue.popleft()
         self.stats.popped += 1
+        if type(item) is not tuple:
+            self.control_queued -= 1
         return item
 
     def pop_many(self, limit: Optional[int] = None) -> List[Any]:
@@ -170,8 +192,12 @@ class Channel:
         if limit is None or limit >= len(queue):
             items = list(queue)
             queue.clear()
+            self.control_queued = 0
         else:
             items = [queue.popleft() for _ in range(limit)]
+            if self.control_queued:
+                self.control_queued -= sum(
+                    1 for item in items if type(item) is not tuple)
         self.stats.popped += len(items)
         return items
 
@@ -183,6 +209,7 @@ class Channel:
         items = list(self._queue)
         self.stats.popped += len(items)
         self._queue.clear()
+        self.control_queued = 0
         return items
 
     def __len__(self) -> int:

@@ -85,15 +85,20 @@ class QueryNode:
     def emit_many(self, rows: Sequence[tuple]) -> None:
         """Emit a block of output tuples (the batched fast path).
 
-        Only called from batch paths, which the RTS disables while a
-        lineage trace is in flight -- so unlike :meth:`emit` there is
-        no tracer tagging here.
+        With a lineage tracer attached the block goes out row by row
+        through :meth:`emit`, so every row is tagged with the trace in
+        flight exactly as a scalar emit would tag it.
         """
         if not rows:
             return
+        manager = self.manager
+        if manager is not None and manager.tracer is not None:
+            for row in rows:
+                self.emit(row)
+            return
         self.stats.tuples_out += len(rows)
         for channel in self.subscribers:
-            channel.push_many(rows)
+            channel.push_rows(rows)
 
     def emit_punctuation(self, punctuation: Punctuation) -> None:
         if not punctuation:
@@ -144,7 +149,9 @@ class QueryNode:
 
         Overrides must preserve scalar semantics exactly: same outputs
         in the same order, same statistics (the differential harness in
-        tests/test_batch_differential.py holds them to it).
+        tests/test_batch_differential.py holds them to it).  ``rows``
+        may be the very block the scheduler popped (and journaled):
+        read it, never mutate it.
         """
         on_tuple = self.on_tuple
         for row in rows:

@@ -697,8 +697,10 @@ class RuntimeSystem:
         Per-channel FIFO order is preserved exactly: a popped block is
         split into runs of data tuples (handed to ``dispatch_batch`` on
         operators declaring ``accepts_batch``) with control tokens
-        dispatched singly at their original positions.  Only called
-        with no tracer and no armed faults (see :meth:`pump`).
+        dispatched singly at their original positions; a block the
+        channel knows holds no control token is handed over whole.
+        Only called with no tracer and no armed faults (see
+        :meth:`pump`).
         """
         supervisor = self.supervisor
         processed = 0
@@ -716,11 +718,15 @@ class RuntimeSystem:
                 drain_began = perf_counter() if profiler is not None else 0.0
                 for input_index, channel in enumerate(node.inputs):
                     while channel:
+                        pure = not channel.control_queued
                         items = channel.pop_many()
                         if supervisor is not None:
                             supervisor.journal_items(node, items, input_index)
                         try:
-                            if batched:
+                            if batched and pure:
+                                # No control token inside: one run.
+                                node.dispatch_batch(items, input_index)
+                            elif batched:
                                 dispatch_batch = node.dispatch_batch
                                 run: List[tuple] = []
                                 for item in items:

@@ -370,6 +370,88 @@ class ExprCompiler:
         exec(code, self._env)
         return self._env[name]
 
+    # -- aggregate kernels --------------------------------------------------
+    #
+    # The generic loops in repro.operators.aggregates walk the aggregate
+    # list per tuple and compare names; a plan's list is fixed, so the
+    # loop unrolls into one straight-line function per entry point with
+    # the argument expressions inlined.  Statement order follows the
+    # generic loops exactly (one aggregate after another, argument
+    # evaluated before its slot is touched), so a DiscardTuple or an
+    # error raised half-way leaves the same partial update behind.
+
+    def aggregate_kernels(
+        self,
+        aggregates: Sequence[AggCall],
+        slot_maps: Optional[Sequence[SlotMap]] = (None,),
+    ) -> Optional[Tuple[Optional[Callable], Optional[Callable], Callable]]:
+        """Generated ``(update, update_weighted, combine)`` for a plan.
+
+        ``update(s, t)`` folds input tuple ``t`` into state list ``s``,
+        ``update_weighted(s, t, w)`` does so with Horvitz-Thompson
+        weight ``w``, ``combine(s, p)`` folds the partial encoding
+        ``p``.  ``slot_maps=None`` means the input carries partials,
+        not the aggregates' arguments: the two update kernels are then
+        ``None``.  Returns ``None`` in interpreted mode, whose
+        interpreter is the generic loop.
+        """
+        if self.mode == "interpreted":
+            return None
+        update: List[str] = []
+        weighted: List[str] = []
+        combine: List[str] = []
+        cursor = 0
+        for index, agg in enumerate(aggregates):
+            name = agg.name
+            state = f"s[{index}]"
+            partial = f"p[{cursor}]"
+            cursor += 2 if name == "AVG" else 1
+            if name in ("COUNT", "SUM"):
+                combine.append(f"{state} += {partial}")
+            elif name in ("MIN", "MAX"):
+                better = "<" if name == "MIN" else ">"
+                combine += [
+                    f"v = {partial}",
+                    f"if {state} is None or (v is not None and v {better} {state}):",
+                    f"    {state} = v",
+                ]
+            elif name == "AVG":
+                combine += [f"a = {state}", f"a[0] += {partial}",
+                            f"a[1] += p[{cursor - 1}]"]
+            else:
+                raise CodegenError(f"cannot compile aggregate {name!r}")
+            if name == "COUNT":
+                update.append(f"{state} += 1")
+                weighted.append(f"{state} += w")
+                continue
+            if slot_maps is None:
+                continue
+            arg = self._compile(agg.arg, slot_maps, 1)
+            if name == "SUM":
+                update.append(f"{state} += {arg}")
+                weighted.append(f"{state} += {arg} * w")
+            elif name == "AVG":
+                update += [f"v = {arg}", f"a = {state}", "a[0] += v", "a[1] += 1"]
+                weighted += [f"v = {arg}", f"a = {state}", "a[0] += v * w",
+                             "a[1] += w"]
+            else:  # order statistics fold unweighted either way
+                fold = [f"v = {arg}",
+                        f"if {state} is None or v {better} {state}:",
+                        f"    {state} = v"]
+                update += fold
+                weighted += fold
+
+        def link(args: str, body: List[str]) -> Callable:
+            name = f"_g{self._counter}"
+            self._counter += 1
+            lines = "".join(f"    {line}\n" for line in body or ["pass"])
+            return self._finalize_source(name, f"def {name}({args}):\n{lines}")
+
+        if slot_maps is None:
+            return None, None, link("s, p", combine)
+        return (link("s, t", update), link("s, t, w", weighted),
+                link("s, p", combine))
+
     def _finalize_batch(self, pred_src: str, action: str) -> Callable:
         name = f"_g{self._counter}"
         self._counter += 1

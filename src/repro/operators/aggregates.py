@@ -41,6 +41,28 @@ class AggregateOps:
         self.layout = partial_layout(aggregates)
         self.partial_width = sum(self.layout)
 
+    @classmethod
+    def for_plan(cls, compiler, aggregates: Sequence[AggCall],
+                 slot_maps) -> "AggregateOps":
+        """The ops of one plan's aggregate list, built by its compiler.
+
+        In compiled mode ``update`` / ``update_weighted`` / ``combine``
+        are the straight-line kernels generated for exactly this list
+        (``ExprCompiler.aggregate_kernels``); the interpreted mode
+        keeps the generic loops below as its interpreter, over
+        tree-walking argument functions.  ``slot_maps=None`` says the
+        input carries partials: only ``combine`` is usable then.
+        """
+        kernels = compiler.aggregate_kernels(aggregates, slot_maps)
+        if kernels is None:
+            return cls(aggregates, [
+                None if slot_maps is None or agg.arg is None
+                else compiler.scalar_fn(agg.arg, slot_maps)
+                for agg in aggregates])
+        ops = cls(aggregates, [None] * len(aggregates))
+        ops.update, ops.update_weighted, ops.combine = kernels
+        return ops
+
     # -- per-tuple accumulation ------------------------------------------
     def new_state(self) -> list:
         state = []

@@ -44,21 +44,17 @@ class AggregationNode(QueryNode):
             self._sample_rate = None
             self._sample_rng = None
         self._predicate = compiler.predicate_fn(plan.predicates, slot_maps)
-        arg_fns = []
         if self.from_partials:
             self._key_width = len(analyzed.group_exprs)
             self._key_fn = None
-            arg_fns = [None] * len(plan.aggregates)
         else:
             self._key_width = len(plan.group_exprs)
             self._key_fn = compiler.tuple_fn(plan.group_exprs, slot_maps)
             self._batch_key = compiler.batch_key_fn(
                 plan.predicates, plan.group_exprs, slot_maps)
-            arg_fns = [
-                compiler.scalar_fn(agg.arg, slot_maps) if agg.arg is not None else None
-                for agg in plan.aggregates
-            ]
-        self.aggregate_ops = AggregateOps(plan.aggregates, arg_fns)
+        self.aggregate_ops = AggregateOps.for_plan(
+            compiler, plan.aggregates,
+            None if self.from_partials else slot_maps)
         self._post_select = compiler.post_tuple_fn(plan.post_select_exprs)
         self._having = compiler.post_predicate_fn(plan.having)
         self._window_index = plan.window_key_index

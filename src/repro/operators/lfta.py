@@ -97,11 +97,8 @@ class LftaNode(QueryNode):
             self._key_fn = compiler.tuple_fn(plan.group_exprs, (None, None))
             self._batch_key = compiler.batch_key_fn(
                 plan.predicates, plan.group_exprs, (None, None))
-            arg_fns = [
-                compiler.scalar_fn(agg.arg, (None, None)) if agg.arg is not None else None
-                for agg in plan.aggregates
-            ]
-            self.aggregate_ops = AggregateOps(plan.aggregates, arg_fns)
+            self.aggregate_ops = AggregateOps.for_plan(
+                compiler, plan.aggregates, (None, None))
             self.table = DirectMappedTable(table_size)
             self._window_index = plan.window_key_index
             self._window_band = plan.window_key_band

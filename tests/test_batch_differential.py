@@ -110,6 +110,41 @@ class TestCorpusDifferential:
         assert not diffs, "\n".join(diffs)
         assert batched.rts.batches_fed > 0
 
+    def test_tie_heavy_merge_is_byte_identical(self):
+        """Integer-second merge values: thousands of ties, duplicates
+        inside every run, second boundaries where one link runs ahead
+        and the other's run lands on its held ties.  The scalar arm
+        feeds the merge blocks of one, the batched arm whole runs."""
+        def build(gs):
+            gs.add_queries("""
+                DEFINE query_name raw0; Select time, destIP, len From eth0.tcp;
+                DEFINE query_name raw1; Select time, destIP, len From eth1.tcp;
+                DEFINE query_name raw2; Select time, destIP, len From eth2.tcp;
+                DEFINE query_name link;
+                Merge raw0.time : raw1.time : raw2.time From raw0, raw1, raw2;
+                DEFINE query_name volume;
+                Select tb, count(*), sum(len) From link Group by time/2 as tb;
+            """)
+            return {name: gs.subscribe(name) for name in ("link", "volume")}
+
+        def feed(gs):
+            packets = []
+            for index, pps in enumerate((170.0, 130.0, 90.0)):
+                workload = ZipfFlowWorkload(
+                    num_flows=40, alpha=1.0,
+                    seed=derive_seed(SEED, f"ties.eth{index}"))
+                packets += workload.packets(int(pps * 6), pps=pps,
+                                            start=0.003 * index,
+                                            interface=f"eth{index}")
+            packets.sort(key=lambda p: p.timestamp)
+            gs.feed(packets, pump_every=96)
+
+        diffs, batched = run_differential(build, feed=feed)
+        assert not diffs, "\n".join(diffs)
+        assert batched.rts.batches_fed > 0
+        link = batched.stats()["link"]
+        assert link["tuples_out"] == link["tuples_in"] == 2340
+
     def test_shedding_and_sampling_are_byte_identical(self):
         """Both RNG consumers (shed gate, DEFINE sample) draw in the
         same order on both paths."""

@@ -290,6 +290,47 @@ class TestMultiplePcaps:
         assert times == sorted(times)
 
 
+    def test_trace_sample_follows_packets_through_a_merge(self, tmp_path,
+                                                         capsys):
+        """The merge emits in blocks; with a tracer attached every
+        emitted row must still be tagged, so a sampled packet's spans
+        reach the merge, its emit and the aggregation behind it."""
+        import json
+        east = [tcp_packet(ts=i * 0.4, interface="x") for i in range(8)]
+        west = [tcp_packet(ts=i * 0.4 + 0.1, interface="x", sport=4321)
+                for i in range(8)]
+        for name, packets in (("east", east), ("west", west)):
+            write_pcap(str(tmp_path / f"{name}.pcap"), packets)
+        spans = tmp_path / "spans.json"
+        code, out, _ = run_cli(
+            [
+                "--pcap", f"{tmp_path / 'east.pcap'}:eth0",
+                "--pcap", f"{tmp_path / 'west.pcap'}:eth1",
+                "--query", """
+                    DEFINE query_name e0; Select time, destIP From eth0.tcp;
+                    DEFINE query_name e1; Select time, destIP From eth1.tcp;
+                    DEFINE query_name m;
+                    Merge e0.time : e1.time From e0, e1;
+                    DEFINE query_name c;
+                    Select tb, count(*) From m Group by time/2 as tb
+                """,
+                "--subscribe", "c",
+                "--trace-sample", "1.0", "--trace-out", str(spans),
+            ],
+            capsys)
+        assert code == 0
+        traces = json.loads(spans.read_text())["traces"]
+        assert len(traces) == 16
+        chains = [[(event["stage"], event["node"]) for event in events]
+                  for events in traces.values()]
+        assert all(("hfta", "m") in hops for hops in chains)
+        # A row that leaves the merge while a traced item is in flight
+        # joins that item's trace (held rows leave under a later one).
+        through = [hops for hops in chains if ("emit", "m") in hops]
+        assert len(through) >= 8
+        assert all(("hfta", "c") in hops for hops in through)
+
+
 class TestAlertFlags:
     QUERY = ("DEFINE query_name q; Select tb, count(*) as hits "
              "From tcp Group by time/5 as tb")

@@ -299,6 +299,48 @@ class TestBatchScalarEquivalence:
             assert batched.stats == scalar.stats
             assert batched_out == scalar_out
 
+    @pytest.mark.parametrize("capacity", [None, 3])
+    def test_push_rows_is_push_many_for_data_blocks(self, capacity):
+        """emit_many's entry point: same contents, same ledger."""
+        rows_channel = Channel(capacity=capacity)
+        many_channel = Channel(capacity=capacity)
+        for block in ([(1,), (2,)], [], [(3,), (4,), (5,)]):
+            assert rows_channel.push_rows(block) == many_channel.push_many(block)
+            assert rows_channel.stats == many_channel.stats
+        rows_channel.fault_capacity = many_channel.fault_capacity = 1
+        assert rows_channel.push_rows([(6,)]) == many_channel.push_many([(6,)])
+        assert rows_channel.stats == many_channel.stats
+        assert rows_channel.drain() == many_channel.drain()
+
+    def test_control_queued_follows_every_push_and_pop(self):
+        """The scheduler trusts ``control_queued == 0`` to mean a popped
+        block is one run of data tuples, so no entry or exit may miss."""
+        import random
+
+        rng = random.Random(99)
+        for trial in range(30):
+            channel = Channel(capacity=rng.choice([None, 4]))
+            for _ in range(40):
+                block = self._mixed_sequence(rng, rng.randrange(0, 6))
+                action = rng.randrange(7)
+                if action == 0:
+                    for item in block:
+                        channel.push(item)
+                elif action == 1:
+                    channel.push_many(block)
+                elif action == 2:
+                    channel.push_many(iter(block))
+                elif action == 3:
+                    channel.push_rows([i for i in block if type(i) is tuple])
+                elif action == 4 and channel:
+                    channel.pop()
+                elif action == 5:
+                    channel.pop_many(rng.choice([None, 1, 3]))
+                elif rng.random() < 0.2:
+                    channel.drain()
+                assert channel.control_queued == sum(
+                    1 for item in channel if type(item) is not tuple)
+
     def test_capacity_boundary_exact(self):
         """Blocks that land exactly on the bound drop the same suffix."""
         for capacity in (1, 2, 3, 4):

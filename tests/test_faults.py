@@ -67,6 +67,33 @@ class TestOperatorQuarantine:
         assert list(report["quarantined"]) == ["bad"]
         assert gs.rts.nodes_quarantined == 1
 
+    def test_fault_on_a_merge_counts_every_tuple(self):
+        """The injector wraps the instance's ``on_tuple``; the merge's
+        scalar entry is the block of one, and must still go through it
+        once per tuple so ``at_tuple`` means the Nth tuple."""
+        gs = Gigascope()
+        gs.add_queries("""
+            DEFINE query_name a; Select time, srcIP From eth0.tcp;
+            DEFINE query_name b; Select time, srcIP From eth1.tcp;
+            DEFINE query_name m; Merge a.time : b.time From a, b;
+        """)
+        gs.subscribe("m")
+        gs.start()
+        fault = OperatorFault("m", at_tuple=137)
+        gs.inject_faults([fault])
+        workload = ZipfFlowWorkload(num_flows=50, alpha=1.0, seed=3)
+        feed = list(workload.packets(300, pps=500.0, interface="eth0"))
+        feed += workload.packets(300, pps=500.0, start=0.001,
+                                 interface="eth1")
+        feed.sort(key=lambda packet: packet.timestamp)
+        gs.feed(feed)
+        gs.flush()
+        assert fault.triggered == 1
+        merge = gs.stats()["m"]
+        assert "quarantined" in merge
+        # Quarantined on its 137th tuple: 136 got in before it.
+        assert merge["tuples_in"] == 137
+
     def test_failing_lfta_quarantined_on_packet_path(self):
         gs, subs = build_engine("good", "bad")
         lfta_name = next(n for n, _ in gs.rts.iter_nodes()

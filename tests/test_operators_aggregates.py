@@ -98,3 +98,137 @@ class TestPartialCombine:
         combined_final = ops.final_values(combined)
         assert direct_final[:4] == combined_final[:4]
         assert direct_final[4] == pytest.approx(combined_final[4])
+
+
+class TestGeneratedKernels:
+    """The per-plan straight-line kernels (``AggregateOps.for_plan`` over
+    ``ExprCompiler.aggregate_kernels``) against the generic loops."""
+
+    QUERY = ("DEFINE query_name q; "
+             "Select tb, count(*), sum(len), min(len), max(len), avg(len), "
+             "min(destPort), sum(destPort) "
+             "From tcp Group by time/10 as tb")
+
+    @staticmethod
+    def rows(count=40, seed=5):
+        import random
+        rng = random.Random(seed)
+        width = 19  # tcp protocol schema
+        out = []
+        for _ in range(count):
+            row = [rng.randrange(1, 2000) for _ in range(width)]
+            out.append(tuple(row))
+        return out
+
+    def both(self, compile_plan, mode="compiled"):
+        """(generated-or-interpreted ops, generic ops, compiler)."""
+        _analyzed, plan, compiler = compile_plan(self.QUERY, mode=mode)
+        lfta = plan.lftas[0]
+        built = AggregateOps.for_plan(compiler, lfta.aggregates, (None, None))
+        generic = AggregateOps(lfta.aggregates, [
+            compiler.scalar_fn(agg.arg, (None, None))
+            if agg.arg is not None else None for agg in lfta.aggregates])
+        return built, generic, compiler
+
+    def test_every_aggregate_name_is_covered(self, compile_plan):
+        built, _generic, _compiler = self.both(compile_plan)
+        assert {agg.name for agg in built.aggregates} == {
+            "COUNT", "SUM", "MIN", "MAX", "AVG"}
+
+    def test_kernels_are_generated_sources(self, compile_plan):
+        built, generic, compiler = self.both(compile_plan)
+        for kernel in (built.update, built.update_weighted, built.combine):
+            assert kernel.__name__.startswith("_g")
+            assert any(source.startswith(f"def {kernel.__name__}(")
+                       for source in compiler.generated_sources)
+        # Straight-line: no loop, no name dispatch.
+        update_source = next(
+            source for source in compiler.generated_sources
+            if source.startswith(f"def {built.update.__name__}("))
+        assert "for " not in update_source and "COUNT" not in update_source
+        assert "s[0] += 1" in update_source
+        # The plain constructor keeps the generic loops.
+        assert generic.update.__func__ is AggregateOps.update
+
+    def test_interpreted_mode_keeps_the_generic_loop(self, compile_plan):
+        built, generic, compiler = self.both(compile_plan, mode="interpreted")
+        assert compiler.aggregate_kernels(built.aggregates, (None, None)) is None
+        assert built.update.__func__ is AggregateOps.update
+        assert built.combine.__func__ is AggregateOps.combine
+        compiled, _, _ = self.both(compile_plan)
+        a, b = built.new_state(), compiled.new_state()
+        for row in self.rows():
+            built.update(a, row)
+            compiled.update(b, row)
+        assert a == b
+
+    @pytest.mark.parametrize("weight", [1.0, 2.5, 1 / 0.3])
+    def test_update_matches_generic(self, compile_plan, weight):
+        built, generic, _ = self.both(compile_plan)
+        states = [ops.new_state() for ops in (built, generic, built, generic)]
+        assert states[0][2] is None and states[0][3] is None  # MIN/MAX unset
+        for step, row in enumerate(self.rows()):
+            built.update(states[0], row)
+            generic.update(states[1], row)
+            built.update_weighted(states[2], row, weight)
+            generic.update_weighted(states[3], row, weight)
+            assert states[0] == states[1], step
+            assert states[2] == states[3], step
+        assert built.partials(states[0]) == generic.partials(states[1])
+        assert built.final_values(states[2]) == generic.final_values(states[3])
+
+    def test_combine_matches_generic(self, compile_plan):
+        built, generic, _ = self.both(compile_plan)
+        rows = self.rows(60)
+        partials = []
+        for start in range(0, 60, 7):
+            chunk = generic.new_state()
+            for row in rows[start:start + 7]:
+                generic.update(chunk, row)
+            partials.append(generic.partials(chunk))
+        # An untouched group's partial carries None for MIN/MAX: it must
+        # neither raise nor clobber a value already combined.
+        empty = generic.partials(generic.new_state())
+        assert None in empty
+        sequences = [partials, [empty] + partials, partials[:3] + [empty]
+                     + partials[3:], [empty, empty]]
+        for sequence in sequences:
+            a, b = built.new_state(), generic.new_state()
+            for partial in sequence:
+                built.combine(a, partial)
+                generic.combine(b, partial)
+                assert a == b
+        # AVG folds its two partial slots (sum, count), not one.
+        width = built.partial_width
+        assert width == len(built.aggregates) + 1
+        state = built.new_state()
+        built.combine(state, tuple(range(1, width + 1)))
+        avg_index = [agg.name for agg in built.aggregates].index("AVG")
+        assert state[avg_index] == [5.0, 6]
+
+    def test_superaggregate_plan_generates_only_combine(self, compile_plan):
+        _analyzed, plan, compiler = compile_plan(self.QUERY)
+        ops = AggregateOps.for_plan(compiler, plan.hfta.aggregates, None)
+        assert ops.update is None and ops.update_weighted is None
+        assert ops.combine.__name__.startswith("_g")
+
+    def test_partial_update_on_discard_matches_generic(self, compile_plan):
+        """A partial function with no result raises mid-kernel; the
+        slots before it are already folded on both paths."""
+        from repro.gsql.codegen import DiscardTuple
+        # An inline one-prefix table: no row's destIP (< 2000) is in it.
+        _analyzed, plan, compiler = compile_plan(
+            "DEFINE query_name q; Select tb, count(*), "
+            "sum(getlpmid(destIP, '10.0.0.0/8 1')) From tcp "
+            "Group by time/10 as tb")
+        lfta = plan.lftas[0]
+        built = AggregateOps.for_plan(compiler, lfta.aggregates, (None, None))
+        generic = AggregateOps(lfta.aggregates, [
+            compiler.scalar_fn(agg.arg, (None, None))
+            if agg.arg is not None else None for agg in lfta.aggregates])
+        a, b = built.new_state(), generic.new_state()
+        row = self.rows(1)[0]
+        for ops, state in ((built, a), (generic, b)):
+            with pytest.raises(DiscardTuple):
+                ops.update(state, row)
+        assert a == b == [1, 0]
