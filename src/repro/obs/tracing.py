@@ -18,8 +18,9 @@ A traced packet produces a chain of span events::
 
 each stamped with the virtual-time clock of the component that recorded
 it.  Derived tuples are followed through channels by object identity
-(the tuple object pushed by ``emit`` is the one popped at ``pump``),
-and operator activations triggered while a traced item is being
+(the tuple object pushed by ``emit`` is the one popped at ``pump``; a
+tag keeps its tuple alive, so a later tuple allocated at a freed one's
+address can never inherit its trace), and operator activations triggered while a traced item is being
 processed are attributed to that trace -- causal attribution, the same
 convention distributed tracers use.  Dump everything with
 :meth:`Tracer.to_json` for offline inspection.
@@ -67,9 +68,9 @@ class Tracer:
         self.started = 0       # traces begun
         self.truncated = 0     # traces refused because max_traces was hit
         self._seq = 0
-        #: id(tuple object) -> trace id, for following tuples through
-        #: channels; bounded, oldest entries evicted
-        self._tagged: Dict[int, int] = {}
+        #: id(tuple object) -> (trace id, the object), for following
+        #: tuples through channels; bounded, oldest entries evicted
+        self._tagged: Dict[int, tuple] = {}
         #: the trace whose item is currently being processed, if any
         self.current: Optional[int] = None
 
@@ -114,10 +115,11 @@ class Tracer:
             # evict the oldest quarter (dicts preserve insertion order)
             for key in list(tagged)[: self.max_tagged // 4]:
                 del tagged[key]
-        tagged[id(obj)] = trace
+        tagged[id(obj)] = (trace, obj)
 
     def lookup(self, obj: Any) -> Optional[int]:
-        return self._tagged.get(id(obj))
+        entry = self._tagged.get(id(obj))
+        return entry[0] if entry is not None and entry[1] is obj else None
 
     # -- inspection --------------------------------------------------------
     def spans(self, trace: int) -> List[Dict[str, Any]]:

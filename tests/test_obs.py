@@ -352,6 +352,17 @@ class TestTracer:
         assert [e["stage"] for e in events] == ["feed", "lfta"]
         assert events[0]["interface"] == "eth0"
 
+    def test_tag_does_not_pass_to_a_tuple_reusing_the_address(self):
+        """Tags are keyed by ``id()``; a consumed tuple's address must
+        not hand its trace to the next tuple allocated there."""
+        tracer = Tracer(1.0)
+        row = tuple([0.5, 80])
+        tracer.tag(row, 7)
+        assert tracer.lookup(row) == 7
+        del row
+        later = [tuple([float(i), i]) for i in range(64)]
+        assert all(tracer.lookup(other) is None for other in later)
+
 
 class TestTelemetryMetrics:
     """The telemetry plane's metric families: registered once, fully
