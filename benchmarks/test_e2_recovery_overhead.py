@@ -76,14 +76,14 @@ def test_e2_recovery_checkpoint_overhead():
 
 
 def test_e2_recovery_throughput_after_restart():
-    # An armed fault forces the scalar path, so pre- and post-crash
-    # windows are measured on the same execution path.
+    # The armed fault cuts one block at the failing tuple; everything
+    # before and after it runs at the default block size.
     packets = make_packets()
     chunk_size = 5_000
     chunks = [packets[i:i + chunk_size]
               for i in range(0, len(packets), chunk_size)]
 
-    gs = build_engine(batch_size=1)
+    gs = build_engine()
     supervisor = gs.enable_recovery(checkpoint_interval=1.0)
     gs.inject_faults([OperatorFault("both", at_tuple=15_000, times=1)])
 

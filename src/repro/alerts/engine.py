@@ -82,8 +82,6 @@ class TriggerNode(QueryNode):
     raised alert are evicted outright.
     """
 
-    accepts_batch = False
-
     def __init__(self, spec: TriggerSpec, schema: StreamSchema) -> None:
         super().__init__(f"alert_{spec.name}", alert_schema(spec.name))
         self.spec = spec

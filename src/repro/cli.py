@@ -117,9 +117,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(overflow drops data tuples, never "
                              "punctuation; drops are accounted)")
     parser.add_argument("--batch-size", type=int, metavar="N",
-                        help="packets per block on the vectorized data "
-                             "path (1 disables batching; default from "
-                             "GS_BATCH/GS_BATCH_SIZE, else 256)")
+                        help="packets per block on the data path (1 runs "
+                             "blocks of one; default from GS_BATCH_SIZE, "
+                             "else 256)")
     parser.add_argument("--shards", type=int, metavar="N",
                         help="hash-partition packets by flow key across N "
                              "worker processes, each running an independent "

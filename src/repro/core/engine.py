@@ -39,19 +39,19 @@ from repro.core.stream_manager import (
 
 
 def resolve_batch_size(batch_size: Optional[int] = None) -> int:
-    """The effective packet batch size (DESIGN section 10).
+    """The effective block length in packets (DESIGN section 10).
 
-    Explicit argument wins; otherwise ``GS_BATCH=0`` disables batching
-    (pure scalar execution, the differential-test switch) and
-    ``GS_BATCH_SIZE`` overrides the default block size.  A malformed or
-    non-positive ``GS_BATCH_SIZE`` raises ``ValueError`` -- silently
-    falling back to the default would run a different execution path
-    than the operator asked for (the CLI turns this into a usage error).
+    Explicit argument wins; otherwise ``GS_BATCH_SIZE`` overrides the
+    default.  A block holds at least one packet: a non-positive
+    ``batch_size`` or a malformed or non-positive ``GS_BATCH_SIZE``
+    raises ``ValueError`` naming the offender -- silently running some
+    other block length than the operator asked for would hide the typo
+    (the CLI turns this into a usage error).
     """
     if batch_size is not None:
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
         return batch_size
-    if os.environ.get("GS_BATCH", "1") in ("0", "false", "no"):
-        return 1
     raw = os.environ.get("GS_BATCH_SIZE")
     if raw is None:
         return DEFAULT_BATCH_SIZE
@@ -229,7 +229,8 @@ class Gigascope:
         if plan.hfta is not None:
             hfta_plan = plan.hfta
             if hfta_plan.kind == "selection":
-                node: QueryNode = SelectionNode(hfta_plan, analyzed, compiler)
+                node: QueryNode = SelectionNode(hfta_plan, analyzed, compiler,
+                                                seed=self.seed)
             elif hfta_plan.kind == "aggregation":
                 node = AggregationNode(hfta_plan, analyzed, compiler,
                                        seed=self.seed)

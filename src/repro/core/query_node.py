@@ -42,11 +42,6 @@ class NodeStats:
 class QueryNode:
     """Base class for every operator the stream manager runs."""
 
-    #: True for operators whose :meth:`on_tuple_batch` is worth calling
-    #: with a block of tuples (the batched data path, DESIGN section 10).
-    #: Operators that leave it False are fed one item at a time.
-    accepts_batch = False
-
     def __init__(self, name: str, output_schema: StreamSchema) -> None:
         self.name = name
         self.output_schema = output_schema
@@ -83,16 +78,16 @@ class QueryNode:
             channel.push(row)
 
     def emit_many(self, rows: Sequence[tuple]) -> None:
-        """Emit a block of output tuples (the batched fast path).
+        """Emit a block of output tuples.
 
-        With a lineage tracer attached the block goes out row by row
-        through :meth:`emit`, so every row is tagged with the trace in
-        flight exactly as a scalar emit would tag it.
+        While a lineage trace is in flight the block goes out row by
+        row through :meth:`emit`, so every row is tagged with it.
         """
         if not rows:
             return
         manager = self.manager
-        if manager is not None and manager.tracer is not None:
+        if (manager is not None and manager.tracer is not None
+                and manager.tracer.current is not None):
             for row in rows:
                 self.emit(row)
             return
@@ -118,10 +113,10 @@ class QueryNode:
         return len(self.inputs) - 1
 
     def dispatch(self, item: Any, input_index: int) -> None:
-        """Route one channel item to the right handler."""
+        """Route one channel item to the right handler; a data tuple
+        is a block of one."""
         if type(item) is tuple:
-            self.stats.tuples_in += 1
-            self.on_tuple(item, input_index)
+            self.dispatch_batch((item,), input_index)
         elif isinstance(item, Punctuation):
             self.stats.punctuations_in += 1
             self.on_punctuation(item, input_index)
@@ -131,10 +126,9 @@ class QueryNode:
             raise TypeError(f"{self.name}: unknown stream item {item!r}")
 
     def dispatch_batch(self, rows: List[tuple], input_index: int) -> None:
-        """Route a block of *data tuples* to the batch handler.
-
-        The scheduler only calls this on nodes with ``accepts_batch``
-        and only with runs of plain tuples (control items are always
+        """Route a block of *data tuples* to the block handler -- the
+        one entry every data tuple takes.  The scheduler only calls
+        this with runs of plain tuples (control items are always
         dispatched singly, in stream order).
         """
         self.stats.tuples_in += len(rows)
@@ -145,13 +139,15 @@ class QueryNode:
         raise NotImplementedError
 
     def on_tuple_batch(self, rows: List[tuple], input_index: int) -> None:
-        """Process a run of tuples; default loops :meth:`on_tuple`.
+        """Process a run of tuples.  The default loops :meth:`on_tuple`:
+        the adapter for per-row operators (join, sinks, triggers, and
+        user-written nodes, which only implement ``on_tuple``).
 
-        Overrides must preserve scalar semantics exactly: same outputs
-        in the same order, same statistics (the differential harness in
-        tests/test_batch_differential.py holds them to it).  ``rows``
-        may be the very block the scheduler popped (and journaled):
-        read it, never mutate it.
+        Overrides must not depend on how the stream was cut into runs:
+        same outputs in the same order, same statistics at every block
+        size (tests/test_golden_scenarios.py holds them to it).
+        ``rows`` may be the very block the scheduler popped (and
+        journaled): read it, never mutate it.
         """
         on_tuple = self.on_tuple
         for row in rows:

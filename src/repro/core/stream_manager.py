@@ -6,12 +6,20 @@ or query node needs to subscribe to the output of a query, it submits
 the query name to the registry and receives a query handle in return."
 
 Process model: LFTAs (and other packet consumers, e.g. the defrag
-operator) are *linked into* the run-time system -- ``feed_packet``
-calls them directly with no queue in between, which is why the LFTA set
-is fixed once the RTS starts ("all queries which generate LFTAs must be
-submitted in a batch"; changing them requires a stop/restart).  HFTAs
-are separate query nodes connected by channels and driven by
+operator) are *linked into* the run-time system -- ``feed`` hands them
+packet blocks directly with no queue in between, which is why the LFTA
+set is fixed once the RTS starts ("all queries which generate LFTAs
+must be submitted in a batch"; changing them requires a stop/restart).
+HFTAs are separate query nodes connected by channels and driven by
 :meth:`RuntimeSystem.pump`.
+
+There is one tuple path (DESIGN section 10): packets move in blocks of
+up to ``batch_size`` from ``feed`` through the LFTAs, and ``pump``
+drains every channel a block at a time.  A single packet
+(``feed_packet``) is a block of one.  What used to force a per-item
+twin of each loop is a *cut point* instead: a block ends at a heartbeat
+crossing, a pump boundary, a lineage-sampled packet or tagged tuple,
+and the tuple an armed ``OperatorFault`` is about to fail on.
 
 The manager is also the heartbeat source: it injects ordering-update
 tokens periodically in stream time, and on demand when a blocked
@@ -32,7 +40,7 @@ from repro.net.packet import CapturedPacket
 from repro.obs.collectors import engine_snapshot, install_engine_metrics
 from repro.obs.registry import MetricsRegistry
 
-#: default number of packets per batch on the vectorized path
+#: default number of packets per block
 DEFAULT_BATCH_SIZE = 256
 
 
@@ -84,8 +92,7 @@ class RuntimeSystem:
                  batch_size: int = DEFAULT_BATCH_SIZE) -> None:
         self.heartbeat_interval = heartbeat_interval
         self.on_demand_heartbeats = on_demand_heartbeats
-        #: packets per block on the vectorized path (DESIGN section 10);
-        #: <= 1 disables batching entirely (pure scalar execution)
+        #: packets per block (DESIGN section 10), >= 1
         self.batch_size = batch_size
         self.batches_fed = 0
         #: per-interface dispatch plans, rebuilt lazily after any change
@@ -207,31 +214,17 @@ class RuntimeSystem:
         ``Subscription.ended`` becomes True instead of dangling forever).
         """
         node = self.node(name)
-        self._batch_plans.clear()
-        if node in self._all_consumers:
-            if self._started:
-                raise RegistryError(
-                    "LFTAs are linked into the RTS; stop() before "
-                    "removing one"
-                )
-            for consumers in self._packet_consumers.values():
-                if node in consumers:
-                    consumers.remove(node)
-            self._all_consumers.remove(node)
+        if node in self._all_consumers and self._started:
+            raise RegistryError(
+                "LFTAs are linked into the RTS; stop() before "
+                "removing one"
+            )
         if node.subscribers and not force:
             raise RegistryError(
                 f"{name!r} still has {len(node.subscribers)} subscriber(s); "
                 "remove the dependents first"
             )
-        if node in self._hfta_order:
-            self._hfta_order.remove(node)
-        for producer, channel in node.input_links:
-            if channel in producer.subscribers:
-                producer.subscribers.remove(channel)
-        # End the stream for whoever is still listening (application
-        # subscriptions): the removed query will never produce again.
-        for channel in node.subscribers:
-            channel.push(FLUSH)
+        self._detach(node)
         # Detach from the manager so stray on-demand heartbeat requests
         # from the removed node no longer mutate this RTS.
         node.manager = None
@@ -245,8 +238,14 @@ class RuntimeSystem:
 
     # -- fault injection & containment (repro.faults) -----------------------
     def install_fault(self, fault) -> None:
-        """Arm a fault injector's runtime hooks (see :mod:`repro.faults`)."""
+        """Arm a fault injector's runtime hooks (see :mod:`repro.faults`).
+
+        The cached dispatch plans go: an injector that wraps a node's
+        block entry after the first ``feed()`` must not be bypassed by
+        an ``accept_batch`` looked up before the wrap.
+        """
         self.faults.append(fault)
+        self._batch_plans.clear()
 
     def _quarantine(self, node: QueryNode, error: Exception) -> None:
         """Contain a failing node instead of unwinding the whole cycle.
@@ -261,6 +260,13 @@ class RuntimeSystem:
         node.quarantined = f"{type(error).__name__}: {error}"
         self.quarantined[node.name] = node.quarantined
         self.nodes_quarantined += 1
+        self._detach(node)
+
+    def _detach(self, node: QueryNode) -> None:
+        """Take a node off the packet path and the HFTA schedule, stop
+        its producers filling its input channels, and end its output
+        streams: whoever still listens (dependents, application
+        subscriptions) gets FLUSH, since it will never produce again."""
         self._batch_plans.clear()
         if node in self._hfta_order:
             self._hfta_order.remove(node)
@@ -269,11 +275,9 @@ class RuntimeSystem:
                 if node in consumers:
                     consumers.remove(node)
             self._all_consumers.remove(node)
-        # Producers stop filling the dead node's input channels.
         for producer, channel in node.input_links:
             if channel in producer.subscribers:
                 producer.subscribers.remove(channel)
-        # The failed query will never produce again: end its streams.
         for channel in node.subscribers:
             channel.push(FLUSH)
 
@@ -316,105 +320,69 @@ class RuntimeSystem:
     def _plan_for(self, interface: str) -> tuple:
         """The cached dispatch plan for one interface.
 
-        ``(scalar_entries, batch_entries, share_views)`` where
+        ``(entries, share_views)`` where ``entries`` holds ``(node,
+        accept_batch_or_None, wants_view)`` for the interface's *own*
+        consumers (``"any"`` consumers are handed the whole block
+        separately) and ``share_views`` says to build one shared
+        :class:`PacketView` per packet: more than one consumer sees the
+        packet -- own plus ``"any"`` -- and at least one wants it.
 
-        * ``scalar_entries`` -- ``(node, wants_view)`` pairs in scalar
-          dispatch order: interface consumers, then ``"any"`` consumers
-          (for ``interface == "any"`` just the any-consumers);
-        * ``batch_entries`` -- ``(node, accept_batch_or_None, wants_view)``
-          for the interface's *own* consumers only (batched dispatch
-          hands any-consumers the whole batch separately);
-        * ``share_views`` -- build one shared :class:`PacketView` per
-          packet (more than one consumer and at least one wants it).
-
-        Only node identities and static flags are cached; per-packet
-        handlers (``accept_packet``) are looked up at call time so a
-        fault injector's instance-level wrap is never bypassed.
+        ``accept_batch`` is cached as looked up, so anything that
+        rebinds it on a node (a fault injector's wrap) must clear
+        ``_batch_plans``; :meth:`install_fault` does.
         """
         plan = self._batch_plans.get(interface)
         if plan is None:
             own = [node for node in self._packet_consumers.get(interface, ())
                    if node.quarantined is None]
-            anys: List[QueryNode] = []
+            seen_by = list(own)
             if interface != "any":
-                anys = [node for node in self._packet_consumers.get("any", ())
-                        if node.quarantined is None]
-            combined = own + anys
-            scalar_entries = tuple(
-                (node, getattr(node, "accepts_view", False))
-                for node in combined)
-            batch_entries = tuple(
+                seen_by += [node
+                            for node in self._packet_consumers.get("any", ())
+                            if node.quarantined is None]
+            entries = tuple(
                 (node, getattr(node, "accept_batch", None),
                  getattr(node, "accepts_view", False))
                 for node in own)
-            share = len(combined) > 1 and any(w for _, w in scalar_entries)
-            plan = (scalar_entries, batch_entries, share)
+            share = len(seen_by) > 1 and any(
+                getattr(node, "accepts_view", False) for node in seen_by)
+            plan = (entries, share)
             self._batch_plans[interface] = plan
         return plan
 
-    def feed_packet(self, packet: CapturedPacket) -> None:
-        """Hand one captured packet to every consumer on its interface."""
-        if not self._started:
-            raise RegistryError("RTS not started; call start() first")
+    def _admit(self, packet: CapturedPacket) -> Optional[CapturedPacket]:
+        """Run the armed injectors' per-packet hooks (clock skew, ring
+        loss) while a block is being built; None means dropped before
+        it reached the host path -- the injector's ledger has the count
+        too."""
         for fault in self.faults:
             packet = fault.on_packet(packet, self)
             if packet is None:
-                # Dropped by an injected fault before it reached the
-                # host path; the injector's ledger has the count too.
                 self.fault_dropped += 1
-                return
-        self.packets_fed += 1
-        self.bytes_fed += packet.caplen
-        if packet.timestamp > self._stream_time:
-            self._stream_time = packet.timestamp
-        if self.supervisor is not None:
-            # Journal-before-dispatch: the journal must cover the very
-            # packet a consumer crashes on (DESIGN section 11).
-            self.supervisor.journal_packet(packet)
-        tracer = self.tracer
-        trace = None
-        if tracer is not None:
-            trace = tracer.wants(packet)
-            if trace is not None and not tracer.begin(
-                    trace, packet, "feed", packet.timestamp):
-                trace = None
-        # Consumers bound to the "any" pseudo-interface see every packet
-        # regardless of where it arrived (FROM any.tcp); the cached plan
-        # already appends them.
-        scalar_entries, _, share = self._plan_for(packet.interface)
-        view = None
-        if share:
-            # Several LFTAs share one header parse per packet -- the
-            # zero-extra-transfer property of linking them into the RTS.
-            view = PacketView(packet)
-        for node, wants_view in scalar_entries:
-            if node.quarantined is not None:
-                continue
-            if trace is not None:
-                tracer.event(trace, "lfta", node.name, packet.timestamp)
-                tracer.current = trace
-            try:
-                if view is not None and wants_view:
-                    node.accept_packet(packet, view)
-                else:
-                    node.accept_packet(packet)
-            except Exception as error:
-                self._contain(node, error)
-        if trace is not None:
-            tracer.current = None
-        if (
-            self.heartbeat_interval is not None
-            and self._stream_time >= self._last_heartbeat + self.heartbeat_interval
-        ):
+                return None
+        return packet
+
+    def feed_packet(self, packet: CapturedPacket) -> None:
+        """Hand one captured packet to every consumer on its interface:
+        a block of one, with no pump."""
+        if not self._started:
+            raise RegistryError("RTS not started; call start() first")
+        packet = self._admit(packet)
+        if packet is None:
+            return
+        self._feed_batch([packet])
+        interval = self.heartbeat_interval
+        if (interval is not None
+                and self._stream_time >= self._last_heartbeat + interval):
             self._send_heartbeats(self._stream_time)
 
     def _feed_batch(self, packets: List[CapturedPacket]) -> None:
-        """Dispatch one block of packets (the vectorized capture path).
+        """Dispatch one block of packets to the consumers linked in.
 
-        The caller (:meth:`feed`) guarantees no fault injector is armed
-        and no buffered packet is lineage-sampled, and cuts blocks at
-        heartbeat crossings -- so per-node packet order, RNG draw order,
-        and counter arithmetic are exactly the scalar path's.
+        The caller cuts blocks at heartbeat crossings and pump
+        boundaries and hands a lineage-sampled packet over alone, so
+        per-node packet order, RNG draw order and counter arithmetic do
+        not depend on the block size.
         """
         stream_time = self._stream_time
         total_bytes = 0
@@ -427,23 +395,34 @@ class RuntimeSystem:
         self._stream_time = stream_time
         self.batches_fed += 1
         if self.supervisor is not None:
+            # Journal-before-dispatch: the journal must cover the very
+            # packet a consumer crashes on (DESIGN section 11).
             self.supervisor.journal_packets(packets)
+        tracer = self.tracer
+        trace = None
+        if tracer is not None and len(packets) == 1:
+            trace = tracer.wants(packets[0])
+            if trace is not None and not tracer.begin(
+                    trace, packets[0], "feed", packets[0].timestamp):
+                trace = None
         # Split into per-interface runs, preserving arrival order within
         # each; an "any" consumer sees every packet, so it gets the whole
         # block (its global arrival order) in one call.
         runs: Dict[str, List[CapturedPacket]] = {}
         run_views: Dict[str, Optional[List[Optional[PacketView]]]] = {}
         share_flags: Dict[str, bool] = {}
-        any_entries = self._plan_for("any")[1]
+        any_entries = self._plan_for("any")[0]
         full_views: Optional[List[Optional[PacketView]]] = (
             [] if any(wants for _, _, wants in any_entries) else None)
         for packet in packets:
             interface = packet.interface
             share = share_flags.get(interface)
             if share is None:
-                share_flags[interface] = share = self._plan_for(interface)[2]
+                share_flags[interface] = share = self._plan_for(interface)[1]
                 runs[interface] = []
                 run_views[interface] = [] if share else None
+            # Several LFTAs share one header parse per packet -- the
+            # zero-extra-transfer property of linking them into the RTS.
             view = PacketView(packet) if share else None
             runs[interface].append(packet)
             aligned = run_views[interface]
@@ -455,17 +434,26 @@ class RuntimeSystem:
             if interface == "any":
                 # Covered by the full-block any-consumer dispatch below.
                 continue
-            entries = self._plan_for(interface)[1]
-            views = run_views[interface]
-            self._dispatch_run(entries, run, views)
+            entries = self._plan_for(interface)[0]
+            self._dispatch_run(entries, run, run_views[interface], trace)
         if any_entries:
-            self._dispatch_run(any_entries, packets, full_views)
+            self._dispatch_run(any_entries, packets, full_views, trace)
 
-    def _dispatch_run(self, entries, packets, views) -> None:
-        """One ordered packet run to one interface's consumers."""
+    def _dispatch_run(self, entries, packets, views, trace=None) -> None:
+        """One ordered packet run to one interface's consumers.
+
+        Consumers without ``accept_batch`` (user-written packet
+        operators: defrag, sessionize, TCP reassembly) take the run one
+        ``accept_packet`` at a time.  ``trace`` is the lineage trace of
+        a sampled packet fed alone.
+        """
+        tracer = self.tracer
         for node, accept_batch, wants_view in entries:
             if node.quarantined is not None:
                 continue
+            if trace is not None:
+                tracer.event(trace, "lfta", node.name, packets[0].timestamp)
+                tracer.current = trace
             try:
                 if accept_batch is not None:
                     accept_batch(packets, views if wants_view else None)
@@ -483,66 +471,62 @@ class RuntimeSystem:
                 # the same immutable run); a recovered node already
                 # re-processed the whole journaled block, tail included.
                 self._contain(node, error)
+        if trace is not None:
+            tracer.current = None
 
     def feed(self, packets: Iterable[CapturedPacket], pump_every: int = 256) -> None:
-        """Feed a packet iterable, pumping HFTAs periodically.
+        """Feed a packet iterable in blocks, pumping HFTAs periodically.
 
-        With ``batch_size > 1`` packets move in blocks through
-        :meth:`_feed_batch`; blocks are cut at heartbeat crossings and
-        pump boundaries so heartbeats, pump cycles (and therefore
-        controller/fault windows) fire after exactly the same packet as
-        scalar execution.  Armed faults force the scalar path (their
-        hooks wrap the per-packet entry points); a lineage-sampled
-        packet is fed scalar after flushing the pending block.
+        A block ends at ``batch_size`` packets and at every cut point:
+        a heartbeat crossing, a pump boundary, and a lineage-sampled
+        packet (which travels alone so its trace can be tagged) -- so
+        heartbeats and pump cycles (and therefore controller and fault
+        windows) fire after exactly the same packet whatever the block
+        size.  Armed injectors see every packet as the block is built.
         """
-        batch_size = self.batch_size
-        if batch_size <= 1 or self.faults:
-            count = 0
-            for packet in packets:
-                self.feed_packet(packet)
-                count += 1
-                if count % pump_every == 0:
-                    self.pump()
-            self.pump()
-            return
         if not self._started:
             raise RegistryError("RTS not started; call start() first")
+        faults = self.faults
         tracer = self.tracer
         interval = self.heartbeat_interval
+        batch_size = self.batch_size
         buffer: List[CapturedPacket] = []
         count = 0
         stream_time = self._stream_time
         threshold = (self._last_heartbeat + interval
                      if interval is not None else math.inf)
+        sampled = False
         for packet in packets:
             count += 1
-            if tracer is not None and tracer.wants(packet) is not None:
+            if faults:
+                packet = self._admit(packet)
+            if packet is not None:
+                if tracer is not None:
+                    sampled = tracer.wants(packet) is not None
+                    if sampled and buffer:
+                        self._feed_batch(buffer)
+                        buffer = []
+                buffer.append(packet)
+                if packet.timestamp > stream_time:
+                    stream_time = packet.timestamp
+                if (stream_time >= threshold or sampled
+                        or len(buffer) >= batch_size):
+                    self._feed_batch(buffer)
+                    buffer = []
+                    if stream_time >= threshold:
+                        self._send_heartbeats(self._stream_time)
+                        threshold = self._last_heartbeat + interval
+            if count % pump_every == 0:
                 if buffer:
                     self._feed_batch(buffer)
                     buffer = []
-                self.feed_packet(packet)  # scalar: tags/propagates the trace
-                stream_time = self._stream_time
+                self.pump()
                 if interval is not None:
+                    # An on-demand heartbeat served by the pump moves
+                    # the next periodic one.
                     threshold = self._last_heartbeat + interval
-                if count % pump_every == 0:
-                    self.pump()
-                continue
-            buffer.append(packet)
-            if packet.timestamp > stream_time:
-                stream_time = packet.timestamp
-            crossed = stream_time >= threshold
-            if crossed or len(buffer) >= batch_size or count % pump_every == 0:
-                self._feed_batch(buffer)
-                buffer = []
-                if crossed:
-                    self._send_heartbeats(self._stream_time)
-                    threshold = self._last_heartbeat + interval
-                if count % pump_every == 0:
-                    self.pump()
         if buffer:
             self._feed_batch(buffer)
-            if interval is not None and stream_time >= threshold:
-                self._send_heartbeats(self._stream_time)
         self.pump()
 
     def advance_time(self, stream_time: float) -> None:
@@ -616,18 +600,6 @@ class RuntimeSystem:
         profiler = telemetry.profiler if telemetry is not None else None
         if profiler is not None and not profiler.begin_cycle():
             profiler = None
-        # The batched drain needs per-item tracer lookups disabled and
-        # must not bypass a fault injector's per-tuple wraps, so either
-        # one forces the scalar drain.
-        if self.batch_size > 1 and tracer is None and not self.faults:
-            processed = self._pump_batched(profiler)
-            if supervisor is not None:
-                supervisor.on_pump_end(self._stream_time)
-            if self.replicator is not None:
-                # The same quiescent boundary the supervisor checkpoints
-                # at is where replication frames are cut.
-                self.replicator.on_pump_end(self._stream_time)
-            return processed
         processed = 0
         while True:
             if self._heartbeat_wanted:
@@ -642,32 +614,36 @@ class RuntimeSystem:
                 drain_began = perf_counter() if profiler is not None else 0.0
                 for input_index, channel in enumerate(node.inputs):
                     while channel:
-                        item = channel.pop()
+                        # A block the channel knows holds no control
+                        # token is one run of data tuples; with a tracer
+                        # attached any of them may be a tagged item.
+                        whole = tracer is None and not channel.control_queued
+                        items = channel.pop_many(self._cut_limit(node))
                         if supervisor is not None:
-                            supervisor.journal_item(node, item, input_index)
-                        if tracer is not None:
-                            trace = tracer.lookup(item)
-                            if trace is not None:
-                                # A node with no output channels is a
-                                # terminal consumer: a sink.
-                                tracer.event(
-                                    trace,
-                                    "hfta" if node.subscribers else "sink",
-                                    node.name, self._stream_time)
-                            tracer.current = trace
+                            supervisor.journal_items(node, items, input_index)
+                        progress = True
                         try:
-                            node.dispatch(item, input_index)
+                            if whole:
+                                node.dispatch_batch(items, input_index)
+                            else:
+                                self._deliver(node, items, input_index)
                         except Exception as error:
                             # A failing node is contained -- recovered by
-                            # the supervisor, or quarantined (counted,
-                            # detached, downstream flushed) -- instead of
-                            # unwinding pump() and starving its siblings.
-                            if not self._contain(node, error):
+                            # the supervisor (the whole journaled block,
+                            # tail included, was replayed), or suspended
+                            # or quarantined (counted, detached,
+                            # downstream flushed; the rest of the popped
+                            # block waits in the journal / dies with the
+                            # node) -- instead of unwinding pump() and
+                            # starving its siblings.
+                            contained = self._contain(node, error)
+                            if tracer is not None:
+                                tracer.current = None
+                            if not contained or node.quarantined is not None:
+                                # Everything popped but the item that raised.
+                                processed += len(items) - 1
                                 break
-                            if node.quarantined is not None:
-                                break  # suspended: resumes after backoff
-                        processed += 1
-                        progress = True
+                        processed += len(items)
                     if node.quarantined is not None:
                         break
                 if profiler is not None:
@@ -677,8 +653,6 @@ class RuntimeSystem:
                     profiler.add(node.name, perf_counter() - drain_began)
             if not progress and not self._heartbeat_wanted:
                 break
-        if tracer is not None:
-            tracer.current = None
         if self._pump_cycle_hist is not None and processed:
             self._pump_cycle_hist.observe(
                 processed * self.cost_model.hfta_tuple_us)
@@ -688,83 +662,55 @@ class RuntimeSystem:
             # describes the computation.
             supervisor.on_pump_end(self._stream_time)
         if self.replicator is not None:
+            # The same quiescent boundary the supervisor checkpoints
+            # at is where replication frames are cut.
             self.replicator.on_pump_end(self._stream_time)
         return processed
 
-    def _pump_batched(self, profiler=None) -> int:
-        """The scalar drain loop moving items in blocks (DESIGN sec 10).
+    def _cut_limit(self, node: QueryNode) -> Optional[int]:
+        """How many items the next block popped for ``node`` may hold:
+        up to the nearest armed injector's cut (an ``OperatorFault``
+        about to fire on it), so a block never extends past an injected
+        failure.  None when nothing is armed against the node."""
+        limit = None
+        for fault in self.faults:
+            cut = fault.cut_for(node)
+            if cut is not None and (limit is None or cut < limit):
+                limit = cut
+        return limit
 
-        Per-channel FIFO order is preserved exactly: a popped block is
-        split into runs of data tuples (handed to ``dispatch_batch`` on
-        operators declaring ``accepts_batch``) with control tokens
-        dispatched singly at their original positions; a block the
-        channel knows holds no control token is handed over whole.
-        Only called with no tracer and no armed faults (see
-        :meth:`pump`).
+    def _deliver(self, node: QueryNode, items: List[Any],
+                 input_index: int) -> None:
+        """One popped block to one node, cut where it has to be.
+
+        Per-channel FIFO order is preserved exactly: runs of data
+        tuples go to ``dispatch_batch``, control tokens are dispatched
+        singly at their original positions, and an item the lineage
+        tracer knows travels as a run of one with ``tracer.current``
+        set, so what the node emits while handling it joins the trace.
         """
-        supervisor = self.supervisor
-        processed = 0
-        while True:
-            if self._heartbeat_wanted:
-                self._heartbeat_wanted = False
-                if not math.isinf(self._stream_time):
-                    self._send_heartbeats(self._stream_time)
-            progress = False
-            # _quarantine edits _hfta_order, so iterate a snapshot.
-            for node in list(self._hfta_order):
-                if node.quarantined is not None:
-                    continue
-                batched = node.accepts_batch
-                drain_began = perf_counter() if profiler is not None else 0.0
-                for input_index, channel in enumerate(node.inputs):
-                    while channel:
-                        pure = not channel.control_queued
-                        items = channel.pop_many()
-                        if supervisor is not None:
-                            supervisor.journal_items(node, items, input_index)
-                        try:
-                            if batched and pure:
-                                # No control token inside: one run.
-                                node.dispatch_batch(items, input_index)
-                            elif batched:
-                                dispatch_batch = node.dispatch_batch
-                                run: List[tuple] = []
-                                for item in items:
-                                    if type(item) is tuple:
-                                        run.append(item)
-                                    else:
-                                        if run:
-                                            dispatch_batch(run, input_index)
-                                            run = []
-                                        node.dispatch(item, input_index)
-                                if run:
-                                    dispatch_batch(run, input_index)
-                            else:
-                                dispatch = node.dispatch
-                                for item in items:
-                                    dispatch(item, input_index)
-                        except Exception as error:
-                            # Same containment as the scalar drain; on
-                            # recovery the whole journaled block (tail
-                            # included) was replayed, on quarantine or
-                            # suspension the rest of the popped block
-                            # waits in the journal / dies with the node.
-                            if not self._contain(node, error):
-                                break
-                            if node.quarantined is not None:
-                                break  # suspended: resumes after backoff
-                        processed += len(items)
-                        progress = True
-                    if node.quarantined is not None:
-                        break
-                if profiler is not None:
-                    profiler.add(node.name, perf_counter() - drain_began)
-            if not progress and not self._heartbeat_wanted:
-                break
-        if self._pump_cycle_hist is not None and processed:
-            self._pump_cycle_hist.observe(
-                processed * self.cost_model.hfta_tuple_us)
-        return processed
+        tracer = self.tracer
+        dispatch_batch = node.dispatch_batch
+        run: List[tuple] = []
+        for item in items:
+            trace = tracer.lookup(item) if tracer is not None else None
+            if trace is None and type(item) is tuple:
+                run.append(item)
+                continue
+            if run:
+                dispatch_batch(run, input_index)
+                run = []
+            if trace is not None:
+                # A node with no output channels is a terminal
+                # consumer: a sink.
+                tracer.event(trace, "hfta" if node.subscribers else "sink",
+                             node.name, self._stream_time)
+                tracer.current = trace
+            node.dispatch(item, input_index)
+            if trace is not None:
+                tracer.current = None
+        if run:
+            dispatch_batch(run, input_index)
 
     # -- shard-worker checkpoint support (DESIGN section 15) -----------------
     def counters_state(self) -> Dict[str, Any]:

@@ -226,8 +226,8 @@ def _e4_scenario(seed: int) -> Dict[str, Any]:
 # the clean path -- is the same; the only difference is the crash and
 # the restore/replay that repairs it.  ``verify_recovery`` diffs the
 # two arms: recovery is correct exactly when they are byte-identical.
-# batch_size=1 keeps both arms on the scalar path (the crash arm is
-# forced scalar by the armed fault anyway; the clean arm must match).
+# Both run at the engine's default block size, so the crash lands
+# inside a block on the path production runs.
 
 _RECOVERY_CRASH_ENV = "GS_RECOVERY_CRASH"
 
@@ -252,7 +252,7 @@ def _recovery_agg_scenario(seed: int) -> Dict[str, Any]:
     from repro.workloads.flows import ZipfFlowWorkload
 
     gs = Gigascope(seed=seed, lfta_table_size=64, channel_capacity=256,
-                   heartbeat_interval=0.5, batch_size=1)
+                   heartbeat_interval=0.5)
     gs.add_query("""
         DEFINE query_name flows;
         Select tb, srcIP, srcPort, count(*), sum(len)
@@ -279,7 +279,7 @@ def _recovery_join_scenario(seed: int) -> Dict[str, Any]:
     from repro.net.build import build_tcp_frame, capture
 
     gs = Gigascope(seed=seed, channel_capacity=512,
-                   heartbeat_interval=0.5, batch_size=1)
+                   heartbeat_interval=0.5)
     gs.add_query("""
         DEFINE query_name j;
         Select B.time, B.destPort From eth0.tcp B, eth1.tcp C
@@ -320,7 +320,7 @@ def _recovery_tcp_scenario(seed: int) -> Dict[str, Any]:
     from repro.net.tcp import FLAG_ACK, FLAG_SYN
     from repro.operators.tcp_reassembly import TcpReassemblyNode
 
-    gs = Gigascope(seed=seed, heartbeat_interval=0.5, batch_size=1)
+    gs = Gigascope(seed=seed, heartbeat_interval=0.5)
     gs.add_node(TcpReassemblyNode("tcpre0"), interface="eth0")
     subs = {"tcpre0": gs.subscribe("tcpre0")}
     _LAST_SUPERVISOR["supervisor"] = gs.enable_recovery(
@@ -364,8 +364,7 @@ def _recovery_tcp_scenario(seed: int) -> Dict[str, Any]:
 # and EpochTicks both travel through the trigger's input channels), so
 # the emitted alert stream must be byte-identical across hash seeds
 # (verify) and across a crash/restore of the trigger node itself
-# (verify-recovery, crashing ``alert_<trigger>``).  batch_size=1 for
-# the same reason as the recovery scenarios.
+# (verify-recovery, crashing ``alert_<trigger>``).
 
 @scenario("alerts_syn_flood")
 def _alerts_syn_flood_scenario(seed: int) -> Dict[str, Any]:
@@ -373,8 +372,7 @@ def _alerts_syn_flood_scenario(seed: int) -> Dict[str, Any]:
     from repro.core.engine import Gigascope
     from repro.workloads.scenarios import syn_flood
 
-    gs = Gigascope(seed=seed, heartbeat_interval=0.5, batch_size=1,
-                   channel_capacity=512)
+    gs = Gigascope(seed=seed, heartbeat_interval=0.5, channel_capacity=512)
     gs.add_query("""
         DEFINE query_name syn_watch;
         Select tb, destIP, count(*) as syns
@@ -411,8 +409,7 @@ def _alerts_port_scan_scenario(seed: int) -> Dict[str, Any]:
     from repro.core.engine import Gigascope
     from repro.workloads.scenarios import port_scan
 
-    gs = Gigascope(seed=seed, heartbeat_interval=0.5, batch_size=1,
-                   channel_capacity=512)
+    gs = Gigascope(seed=seed, heartbeat_interval=0.5, channel_capacity=512)
     gs.add_query("""
         DEFINE query_name scan_watch;
         Select tb, srcIP, count(*) as probes
@@ -453,6 +450,18 @@ ALERT_SCENARIOS = ("alerts_syn_flood", "alerts_port_scan")
 # the ``gs_telemetry_profile_wall*`` metric family, which
 # :func:`strip_wall_clock_metrics` removes before diffing.
 
+def _drop_metric_families(snapshot: Dict[str, Any],
+                          prefix: str) -> Dict[str, Any]:
+    """Remove the metric families named ``prefix*`` from a snapshot."""
+    metrics = snapshot.get("metrics")
+    if isinstance(metrics, dict) and isinstance(metrics.get("metrics"), list):
+        metrics["metrics"] = [
+            family for family in metrics["metrics"]
+            if not str(family.get("name", "")).startswith(prefix)
+        ]
+    return snapshot
+
+
 def strip_wall_clock_metrics(snapshot: Dict[str, Any]) -> Dict[str, Any]:
     """Drop wall-clock profiler families from a scenario snapshot.
 
@@ -460,14 +469,7 @@ def strip_wall_clock_metrics(snapshot: Dict[str, Any]) -> Dict[str, Any]:
     and so differs between any two runs *by nature*; every other
     telemetry surface is virtual-time-deterministic and must not.
     """
-    metrics = snapshot.get("metrics")
-    if isinstance(metrics, dict) and isinstance(metrics.get("metrics"), list):
-        metrics["metrics"] = [
-            family for family in metrics["metrics"]
-            if not str(family.get("name", "")).startswith(
-                "gs_telemetry_profile_wall")
-        ]
-    return snapshot
+    return _drop_metric_families(snapshot, "gs_telemetry_profile_wall")
 
 
 def _telemetry_engine(seed: int, subscribe_streams: Tuple[str, ...]):
@@ -481,8 +483,7 @@ def _telemetry_engine(seed: int, subscribe_streams: Tuple[str, ...]):
     """
     from repro.core.engine import Gigascope
 
-    gs = Gigascope(seed=seed, heartbeat_interval=0.5, batch_size=1,
-                   channel_capacity=256)
+    gs = Gigascope(seed=seed, heartbeat_interval=0.5, channel_capacity=256)
     gs.enable_telemetry(interval=0.5)
     gs.add_query("""
         DEFINE query_name pkts;
@@ -827,17 +828,11 @@ def _subprocess_snapshot(name: str, seed: int, hash_seed: str,
 def strip_batch_metrics(snapshot: Dict[str, Any]) -> Dict[str, Any]:
     """Drop ``gs_batch*`` metric families from a scenario snapshot.
 
-    The batch-path counters (blocks fed, configured block size) differ
-    between scalar and batched execution *by construction*; everything
-    else in the snapshot must not.
+    The block counters (blocks fed, configured block size) differ
+    between block sizes *by construction*; everything else in the
+    snapshot must not.
     """
-    metrics = snapshot.get("metrics")
-    if isinstance(metrics, dict) and isinstance(metrics.get("metrics"), list):
-        metrics["metrics"] = [
-            family for family in metrics["metrics"]
-            if not str(family.get("name", "")).startswith("gs_batch")
-        ]
-    return snapshot
+    return _drop_metric_families(snapshot, "gs_batch")
 
 
 def strip_recovery_artifacts(snapshot: Dict[str, Any]) -> Dict[str, Any]:
@@ -850,12 +845,7 @@ def strip_recovery_artifacts(snapshot: Dict[str, Any]) -> Dict[str, Any]:
     instrument, absent from the clean arm).  Everything else -- rows,
     drop ledger, statistics, metrics -- must be byte-identical.
     """
-    metrics = snapshot.get("metrics")
-    if isinstance(metrics, dict) and isinstance(metrics.get("metrics"), list):
-        metrics["metrics"] = [
-            family for family in metrics["metrics"]
-            if not str(family.get("name", "")).startswith("gs_recovery")
-        ]
+    _drop_metric_families(snapshot, "gs_recovery")
     drops = snapshot.get("drops")
     if isinstance(drops, dict):
         drops.pop("faults", None)
@@ -898,36 +888,37 @@ def verify_batch_equivalence(scenario_name: str, seed: int = 0,
                              batch_size: Optional[int] = None,
                              columnar: Optional[bool] = None,
                              hash_seed: str = "0") -> ReplayReport:
-    """Run a scenario scalar (``GS_BATCH=0``) and batched (``GS_BATCH=1``)
-    in subprocesses and diff the snapshots after stripping the
-    ``gs_batch*`` counters: the vectorized path must be byte-identical
-    in rows, drop ledger, statistics, and every other metric.
+    """Run a scenario in blocks of one (``GS_BATCH_SIZE=1``) and at
+    ``batch_size`` (None: the engine default) in subprocesses and diff
+    the snapshots after stripping the ``gs_batch*`` counters: where the
+    stream is cut into blocks must not show in rows, drop ledger,
+    statistics, or any other metric.
 
-    ``columnar`` forces the batched arm's columnar block decode on or
+    ``columnar`` forces the second arm's columnar block decode on or
     off (``GS_COLUMNAR``); None leaves the engine default.  Both arms
-    run under the same ``hash_seed`` so the diff isolates the
-    execution path -- CI sweeps it to cross the batch differential
-    with the hash-seed matrix.
+    run under the same ``hash_seed`` so the diff isolates the block
+    size -- CI sweeps it to cross the differential with the hash-seed
+    matrix.
     """
-    scalar_env = {"GS_BATCH": "0"}
-    batched_env = {"GS_BATCH": "1"}
-    batched_label = "GS_BATCH=1"
+    blocked_env: Dict[str, str] = {}
+    blocked_label = "the default block size"
     if batch_size is not None:
-        batched_env["GS_BATCH_SIZE"] = str(batch_size)
+        blocked_env["GS_BATCH_SIZE"] = str(batch_size)
+        blocked_label = f"GS_BATCH_SIZE={batch_size}"
     if columnar is not None:
-        batched_env["GS_COLUMNAR"] = "1" if columnar else "0"
-        batched_label += f" GS_COLUMNAR={batched_env['GS_COLUMNAR']}"
-    scalar = strip_batch_metrics(
-        _subprocess_snapshot(scenario_name, seed, hash_seed, scalar_env))
-    batched = strip_batch_metrics(
-        _subprocess_snapshot(scenario_name, seed, hash_seed, batched_env))
+        blocked_env["GS_COLUMNAR"] = "1" if columnar else "0"
+        blocked_label += f" GS_COLUMNAR={blocked_env['GS_COLUMNAR']}"
+    ones = strip_batch_metrics(_subprocess_snapshot(
+        scenario_name, seed, hash_seed, {"GS_BATCH_SIZE": "1"}))
+    blocked = strip_batch_metrics(
+        _subprocess_snapshot(scenario_name, seed, hash_seed, blocked_env))
     diffs: List[str] = []
-    _diff_paths(scalar, batched, "$", diffs)
+    _diff_paths(ones, blocked, "$", diffs)
     return ReplayReport(
         scenario=scenario_name, seed=seed,
-        hash_seeds=("GS_BATCH=0", batched_label),
-        ok=not diffs, diffs=diffs, snapshots=(scalar, batched),
-        axis="execution path",
+        hash_seeds=("GS_BATCH_SIZE=1", blocked_label),
+        ok=not diffs, diffs=diffs, snapshots=(ones, blocked),
+        axis="block size",
     )
 
 
@@ -1163,7 +1154,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "verify", help="run a scenario under two PYTHONHASHSEEDs and diff")
     batch_cmd = commands.add_parser(
         "verify-batch",
-        help="run a scenario scalar (GS_BATCH=0) and batched and diff")
+        help="run a scenario in blocks of one and at the default (or "
+             "--batch-size) block size and diff")
     recovery_cmd = commands.add_parser(
         "verify-recovery",
         help="run a recovery scenario clean and crashed+recovered and diff")
@@ -1236,10 +1228,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                          metavar=("A", "B"))
     recovery_cmd.set_defaults(scenario="recovery_agg")
     batch_cmd.add_argument("--batch-size", type=int, default=None,
-                           help="block size for the batched run "
+                           help="block size for the second arm "
                                 "(default: engine default)")
     batch_cmd.add_argument("--columnar", choices=("on", "off"), default=None,
-                           help="force the batched arm's columnar block "
+                           help="force the second arm's columnar block "
                                 "decode on or off (default: engine default)")
     batch_cmd.add_argument("--hash-seed", default="0", metavar="S",
                            help="PYTHONHASHSEED for both arms (default 0)")
@@ -1252,51 +1244,37 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "verify-recovery":
         reports = verify_recovery(args.scenario, args.seed,
                                   hash_seeds=tuple(args.hash_seeds))
-        for report in reports:
-            print(report.describe())
-        return 0 if all(report.ok for report in reports) else 1
-    if args.command == "verify-alerts":
+    elif args.command == "verify-alerts":
         reports = verify_alerts(args.seed,
                                 hash_seeds=tuple(args.hash_seeds),
                                 scenarios=tuple(args.scenarios))
-        for report in reports:
-            print(report.describe())
-        return 0 if all(report.ok for report in reports) else 1
-    if args.command == "verify-telemetry":
+    elif args.command == "verify-telemetry":
         reports = verify_telemetry(args.seed,
                                    hash_seeds=tuple(args.hash_seeds))
-        for report in reports:
-            print(report.describe())
-        return 0 if all(report.ok for report in reports) else 1
-    if args.command == "verify-shard":
+    elif args.command == "verify-shard":
         reports = []
         for name in args.scenarios:
             reports.extend(verify_shard(
                 name, args.seed, shards=args.shards,
                 hash_seeds=tuple(args.hash_seeds),
                 crash=(None if args.crash == "none" else args.crash)))
-        for report in reports:
-            print(report.describe())
-        return 0 if all(report.ok for report in reports) else 1
-    if args.command == "verify-failover":
+    elif args.command == "verify-failover":
         reports = verify_failover(
             args.seed, hash_seeds=tuple(args.hash_seeds),
             cadence=args.cadence, crashes=tuple(args.crashes),
             shards=args.shards, shard_crash=args.shard_crash)
-        for report in reports:
-            print(report.describe())
-        return 0 if all(report.ok for report in reports) else 1
-    if args.command == "verify-batch":
-        report = verify_batch_equivalence(
+    elif args.command == "verify-batch":
+        reports = [verify_batch_equivalence(
             args.scenario, args.seed, batch_size=args.batch_size,
             columnar=(None if args.columnar is None
                       else args.columnar == "on"),
-            hash_seed=args.hash_seed)
+            hash_seed=args.hash_seed)]
     else:
-        report = verify_replay(args.scenario, args.seed,
-                               hash_seeds=tuple(args.hash_seeds))
-    print(report.describe())
-    return 0 if report.ok else 1
+        reports = [verify_replay(args.scenario, args.seed,
+                                 hash_seeds=tuple(args.hash_seeds))]
+    for report in reports:
+        print(report.describe())
+    return 0 if all(report.ok for report in reports) else 1
 
 
 if __name__ == "__main__":

@@ -2,13 +2,17 @@
 
 Each injector implements a small hook surface the runtime consults:
 
-* ``on_packet(packet, rts)`` -- called by ``RuntimeSystem.feed_packet``
-  before dispatch; may transform the packet (clock skew), drop it
-  (ring-loss burst armed without a NIC), or pass it through.
+* ``on_packet(packet, rts)`` -- called by ``RuntimeSystem.feed`` on
+  every packet while a block is being built; may transform the packet
+  (clock skew), drop it (ring-loss burst armed without a NIC), or pass
+  it through.
 * ``on_cycle(stream_time, rts)`` -- called once per pump cycle; used by
   the channel-overflow storm to squeeze and release capacities.
 * ``silences_heartbeat(stream_time)`` -- consulted by the heartbeat
   source.
+* ``cut_for(node)`` -- consulted by the pump drain before it pops a
+  block for ``node``: how many items the block may hold, so it never
+  extends past the tuple an injector is about to fail on.
 * ``drops_packet(stream_time)`` -- consulted by a :class:`~repro.nic.
   nic.Nic` the injector was armed on (card-side ring loss).
 
@@ -56,6 +60,10 @@ class FaultInjector:
 
     def silences_heartbeat(self, stream_time: float) -> bool:
         return False
+
+    def cut_for(self, node) -> Optional[int]:
+        """The longest block the drain may pop for ``node`` (None: any)."""
+        return None
 
     def drops_packet(self, stream_time: float) -> bool:
         """Card-side hook: should the NIC ring-drop this arrival?"""
@@ -233,10 +241,14 @@ class HeartbeatSilence(FaultInjector):
 class OperatorFault(FaultInjector):
     """A named query node raises on its Nth input item.
 
-    Wraps the node's handlers so the ``at_tuple``-th tuple (or packet,
-    for an LFTA) raises ``RuntimeError``.  The RTS quarantines the node
-    -- counts it, detaches it, flushes its downstream -- and keeps every
-    sibling running; see ``RuntimeSystem._quarantine``.
+    Wraps the node's block entries -- ``dispatch_batch`` for tuples,
+    ``accept_batch`` for packets (``accept_packet`` on a per-packet
+    user consumer such as defrag) -- so the ``at_tuple``-th item raises
+    ``RuntimeError``: the items before it in the block are delivered,
+    the Nth is counted in and raises, and the pump drain never pops a
+    block that extends past it (:meth:`cut_for`).  The RTS quarantines
+    the node -- counts it, detaches it, flushes its downstream -- and
+    keeps every sibling running; see ``RuntimeSystem._quarantine``.
 
     ``times`` bounds how often the fault fires (default: forever once
     tripped).  A transient crash -- ``times=1`` -- is what the recovery
@@ -261,32 +273,67 @@ class OperatorFault(FaultInjector):
         self.triggered = 0
         self._count = 0
 
+    def _until_cut(self) -> Optional[int]:
+        """Items from now up to and including the next one that
+        raises; None once the fault is spent."""
+        if self.times is not None and self.triggered >= self.times:
+            return None
+        return max(1, self.at_tuple - self._count)
+
+    def cut_for(self, node) -> Optional[int]:
+        return self._until_cut() if node.name == self.node else None
+
+    def _prefix(self, arriving: int) -> Optional[int]:
+        """Count a block of ``arriving`` items in: None lets the whole
+        block through, otherwise it is the number of items ahead of the
+        one that raises."""
+        cut = self._until_cut()
+        if cut is None or cut > arriving:
+            self._count += arriving
+            return None
+        self._count += cut
+        return cut - 1
+
+    def _fire(self) -> None:
+        self.triggered += 1
+        raise RuntimeError(self.message)
+
     def arm(self, rts, nics=()) -> None:
         super().arm(rts, nics)
         node = rts.node(self.node)
+        dispatch_batch = node.dispatch_batch
 
-        def check(self=self):
-            self._count += 1
-            if self._count >= self.at_tuple and (
-                    self.times is None or self.triggered < self.times):
-                self.triggered += 1
-                raise RuntimeError(self.message)
+        def failing_dispatch_batch(rows, input_index):
+            before = self._prefix(len(rows))
+            if before is None:
+                return dispatch_batch(rows, input_index)
+            if before:
+                dispatch_batch(rows[:before], input_index)
+            # The failing tuple had reached the node: it counts as input.
+            node.stats.tuples_in += 1
+            self._fire()
 
-        original_on_tuple = node.on_tuple
+        node.dispatch_batch = failing_dispatch_batch
+        accept_batch = getattr(node, "accept_batch", None)
+        accept_packet = getattr(node, "accept_packet", None)
+        if accept_batch is not None:
+            def failing_accept_batch(packets, views=None):
+                before = self._prefix(len(packets))
+                if before is None:
+                    return accept_batch(packets, views)
+                if before:
+                    accept_batch(packets[:before], views and views[:before])
+                self._fire()
 
-        def failing_on_tuple(row, input_index):
-            check()
-            original_on_tuple(row, input_index)
-
-        node.on_tuple = failing_on_tuple
-        accept = getattr(node, "accept_packet", None)
-        if accept is not None:
+            node.accept_batch = failing_accept_batch
+        elif accept_packet is not None:
             def failing_accept(packet, view=None):
-                check()
+                if self._prefix(1) is not None:
+                    self._fire()
                 if view is not None:
-                    accept(packet, view)
+                    accept_packet(packet, view)
                 else:
-                    accept(packet)
+                    accept_packet(packet)
 
             node.accept_packet = failing_accept
 

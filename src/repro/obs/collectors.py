@@ -112,14 +112,14 @@ def install_engine_metrics(registry: MetricsRegistry, rts) -> None:
         "packets dropped pre-dispatch by injected faults")
     stream_time = registry.gauge(
         "gs_stream_time_seconds", "latest observed stream time")
-    # Batch-path instrumentation keeps the distinctive gs_batch prefix:
-    # the scalar/batched differential harness strips gs_batch* before
-    # diffing snapshots (these counters differ by construction).
+    # Block instrumentation keeps the distinctive gs_batch prefix: the
+    # block-size differential harness strips gs_batch* before diffing
+    # snapshots (these counters differ by construction).
     batches = registry.counter(
         "gs_batch_blocks_fed_total",
-        "packet blocks dispatched on the vectorized path")
+        "packet blocks dispatched to the LFTAs")
     batch_size_gauge = registry.gauge(
-        "gs_batch_size", "configured packets per block (<=1 means scalar)")
+        "gs_batch_size", "configured packets per block")
     columnar_blocks = registry.counter(
         "gs_batch_columnar_blocks_total",
         "packet blocks decoded into columnar form by LFTAs")

@@ -139,8 +139,6 @@ class TelemetryStreamNode(QueryNode):
     downstream windowed meta-queries close their epochs promptly.
     """
 
-    accepts_batch = False
-
     def __init__(self, stream: str) -> None:
         super().__init__(stream, telemetry_schema(stream))
 

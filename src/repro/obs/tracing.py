@@ -20,9 +20,10 @@ each stamped with the virtual-time clock of the component that recorded
 it.  Derived tuples are followed through channels by object identity
 (the tuple object pushed by ``emit`` is the one popped at ``pump``; a
 tag keeps its tuple alive, so a later tuple allocated at a freed one's
-address can never inherit its trace), and operator activations triggered while a traced item is being
-processed are attributed to that trace -- causal attribution, the same
-convention distributed tracers use.  Dump everything with
+address can never inherit its trace), and operator activations
+triggered while a traced item is being processed are attributed to
+that trace -- causal attribution, the same convention distributed
+tracers use.  Dump everything with
 :meth:`Tracer.to_json` for offline inspection.
 """
 

@@ -43,13 +43,11 @@ class AggregationNode(QueryNode):
         else:
             self._sample_rate = None
             self._sample_rng = None
-        self._predicate = compiler.predicate_fn(plan.predicates, slot_maps)
         if self.from_partials:
             self._key_width = len(analyzed.group_exprs)
-            self._key_fn = None
+            self._predicate = compiler.predicate_fn(plan.predicates, slot_maps)
         else:
             self._key_width = len(plan.group_exprs)
-            self._key_fn = compiler.tuple_fn(plan.group_exprs, slot_maps)
             self._batch_key = compiler.batch_key_fn(
                 plan.predicates, plan.group_exprs, slot_maps)
         self.aggregate_ops = AggregateOps.for_plan(
@@ -103,46 +101,15 @@ class AggregationNode(QueryNode):
         return len(self._groups)
 
     def on_tuple(self, row: tuple, input_index: int) -> None:
-        if (self._sample_rate is not None
-                and self._sample_rng.random() >= self._sample_rate):
-            self.stats.discarded += 1
-            return
-        if not self._predicate(row):
-            self.stats.discarded += 1
-            return
-        if self.from_partials:
-            key = row[: self._key_width]
-            partial_slots = row[self._key_width :]
-        else:
-            key = self._key_fn(row)
-            if key is None:
-                self.stats.discarded += 1
-                return
-            partial_slots = None
-        if self._window_index >= 0:
-            window_value = key[self._window_index]
-            if self._high_water is None or window_value > self._high_water:
-                self._high_water = window_value
-                self._flush_below(window_value - self._window_band)
-        state = self._groups.get(key)
-        if state is None:
-            state = self.aggregate_ops.new_state()
-            self._groups[key] = state
-        if self.from_partials:
-            self.aggregate_ops.combine(state, partial_slots)
-        else:
-            self.aggregate_ops.update(state, row)
-
-    #: batched dispatch from pump() is worthwhile here (DESIGN section 10)
-    accepts_batch = True
+        self.on_tuple_batch((row,), input_index)
 
     def on_tuple_batch(self, rows, input_index: int) -> None:
-        """The scalar :meth:`on_tuple` pipeline with lookups hoisted.
+        """Sample gate, predicate/keying, then the group-table update.
 
-        Predicate/keying run through one fused generated function (or
-        the per-row scalar chain in partials mode, where the key is a
-        plain slice); the group-table update loop matches the scalar
-        order exactly, so window flushes fire at the same rows.
+        Predicate and keying run through one fused generated function
+        (or the per-row predicate in partials mode, where the key is a
+        plain slice); groups are updated in row order, so a window
+        flush fires at the same row however the stream was cut.
         """
         if self._sample_rate is not None:
             rate = self._sample_rate

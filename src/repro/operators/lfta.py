@@ -1,16 +1,25 @@
 """The low-level FTA node (paper Section 3).
 
 LFTAs accept only Protocol input and are linked into the run-time
-system: the RTS hands each captured packet directly to every LFTA bound
-to that interface, with no intermediate channel.  An LFTA performs
-preliminary filtering, projection, and (optionally) partial aggregation
-over a small direct-mapped hash table, greatly reducing the data
-traffic to the HFTAs.
+system: the RTS hands each block of captured packets directly to every
+LFTA bound to that interface (:meth:`LftaNode.accept_batch`), with no
+intermediate channel.  An LFTA performs preliminary filtering,
+projection, and (optionally) partial aggregation over a small
+direct-mapped hash table, greatly reducing the data traffic to the
+HFTAs.
+
+``accept_batch`` is the only packet entry; one packet is a block of one
+(:meth:`LftaNode.accept_packet`).  Inside it a block is decoded either
+column-wise (built-in ip/tcp/udp protocols under compiled codegen,
+DESIGN section 14) or row by row (every other protocol, and
+``interpreted`` mode) -- the two decodes are held byte-identical by
+``tests/test_columnar.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from itertools import compress, repeat
+from typing import List, Optional
 
 from repro.core.heartbeat import Punctuation
 from repro.determinism import rng_for
@@ -66,7 +75,6 @@ class LftaNode(QueryNode):
         # the ~2.5KB RNG tuple while no shedding draw has happened yet
         # (replication re-ships this node's state every delta frame).
         self._shed_rng_initial = self._shed_rng.getstate()
-        self._predicate = compiler.predicate_fn(plan.predicates, (None, None))
         needed = self._needed_attr_indices(analyzed)
         self._interpret = self.protocol.sparse_interpreter(needed)
         self._clock_bounds = self.protocol.clock_bounds
@@ -80,7 +88,6 @@ class LftaNode(QueryNode):
         self.columnar_blocks = 0
 
         if plan.mode == "projection":
-            self._project = compiler.tuple_fn(plan.project_exprs, (None, None))
             self._batch_select = compiler.batch_select_fn(
                 plan.predicates, plan.project_exprs, (None, None))
             self._transforms = output_bound_transforms(
@@ -94,7 +101,6 @@ class LftaNode(QueryNode):
                 if self._columnar_select is not None:
                     self._columnar_decode = self.protocol.columnar_decoder
         elif plan.mode == "partial_aggregation":
-            self._key_fn = compiler.tuple_fn(plan.group_exprs, (None, None))
             self._batch_key = compiler.batch_key_fn(
                 plan.predicates, plan.group_exprs, (None, None))
             self.aggregate_ops = AggregateOps.for_plan(
@@ -153,72 +159,45 @@ class LftaNode(QueryNode):
 
     # -- packet path (called by the RTS, no channel in between) -----------
     def accept_packet(self, packet: CapturedPacket, view=None) -> None:
-        self.packets_seen += 1
-        weight = 1.0
-        if self.shed_rate < 1.0:
-            if self._shed_rng.random() >= self.shed_rate:
-                self.shed_packets += 1
-                return
-            weight = 1.0 / self.shed_rate
-        for row in self._interpret(packet, view):
-            self.stats.tuples_in += 1
-            if (self._sample_rate is not None
-                    and self._sample_rng.random() >= self._sample_rate):
-                self.sampled_out += 1
-                continue
-            if not self._predicate(row):
-                self.stats.discarded += 1
-                continue
-            if self.mode == "projection":
-                out = self._project(row)
-                if out is None:
-                    self.stats.discarded += 1
-                else:
-                    self.emit(out)
-            else:
-                self._aggregate(row, weight)
+        """A block of one (journal replay and the NIC-resident runtime
+        hand packets over singly)."""
+        self.accept_batch([packet], None if view is None else [view])
 
     def accept_batch(self, packets, views=None) -> None:
-        """Vectorized packet path (DESIGN section 10).
+        """One block of packets through the LFTA (DESIGN section 10).
 
-        Byte-identical to calling :meth:`accept_packet` per packet: the
-        shed and sample gates draw from the same RNGs in the same
-        per-packet / per-row order, the fused select/key function runs
-        the predicate conjuncts in scalar order, and every counter is
-        advanced by the same amounts.  The RTS only calls this when no
-        fault is armed and no lineage trace is in flight.
+        The result does not depend on how the packet stream was cut
+        into blocks, nor on which decode runs: the shed gate draws once
+        per packet in arrival order *before* decoding, both decodes keep
+        exactly the guard-passing packets in order (so ``tuples_in``
+        and the per-row sample draws line up), the fused select/key
+        function runs the predicate conjuncts in order per row, and
+        every counter advances by the per-packet amounts.
         """
-        if self._columnar_decode is not None:
-            self._accept_batch_columnar(packets)
-            return
         self.packets_seen += len(packets)
-        interpret = self._interpret
-        rows: List[tuple] = []
-        extend = rows.extend
         weight = 1.0
         if self.shed_rate < 1.0:
             rate = self.shed_rate
             rng = self._shed_rng.random
             weight = 1.0 / rate
-            shed = 0
-            if views is None:
-                for packet in packets:
-                    if rng() >= rate:
-                        shed += 1
-                    else:
-                        extend(interpret(packet, None))
-            else:
-                for packet, view in zip(packets, views):
-                    if rng() >= rate:
-                        shed += 1
-                    else:
-                        extend(interpret(packet, view))
-            self.shed_packets += shed
-        elif views is None:
-            for packet in packets:
-                extend(interpret(packet, None))
+            keep = [rng() < rate for _ in packets]
+            self.shed_packets += keep.count(False)
+            packets = list(compress(packets, keep))
+            if views is not None:
+                views = list(compress(views, keep))
+        block = None
+        if self._columnar_decode is not None:
+            # Columnar block execution (DESIGN section 14): rows are
+            # indices into the decoded block.
+            block = self._columnar_decode(packets)
+            self.columnar_blocks += 1
+            rows = range(block.n)
         else:
-            for packet, view in zip(packets, views):
+            rows = []
+            extend = rows.extend
+            interpret = self._interpret
+            for packet, view in zip(
+                    packets, repeat(None) if views is None else views):
                 extend(interpret(packet, view))
         self.stats.tuples_in += len(rows)
         if self._sample_rate is not None and rows:
@@ -231,76 +210,29 @@ class LftaNode(QueryNode):
             return
         if self.mode == "projection":
             out: List[tuple] = []
-            dropped = self._batch_select(rows, out.append)
-            if dropped:
-                self.stats.discarded += dropped
+            if block is not None:
+                dropped = self._columnar_select(block, rows, out.append)
+            else:
+                dropped = self._batch_select(rows, out.append)
+            self.stats.discarded += dropped
             self.emit_many(out)
+        elif block is not None:
+            dropped, keys, key_rows = self._columnar_key(block, rows)
+            self.stats.discarded += dropped
+            if keys:
+                self._aggregate_columnar(keys, key_rows, weight)
         else:
             pairs: List[tuple] = []
-            dropped = self._batch_key(rows, pairs.append)
-            if dropped:
-                self.stats.discarded += dropped
+            self.stats.discarded += self._batch_key(rows, pairs.append)
             if pairs:
                 self._aggregate_batch(pairs, weight)
-
-    def _accept_batch_columnar(self, packets) -> None:
-        """Columnar block execution (DESIGN section 14).
-
-        Byte-identical to :meth:`accept_batch`'s row path: the shed RNG
-        draws once per packet in arrival order *before* decoding, the
-        decoder keeps exactly the guard-passing packets in order (so
-        ``tuples_in`` and the per-row sample RNG draws line up), and the
-        fused columnar kernel preserves conjunct order and discard
-        accounting.
-        """
-        self.packets_seen += len(packets)
-        weight = 1.0
-        if self.shed_rate < 1.0:
-            rate = self.shed_rate
-            rng = self._shed_rng.random
-            weight = 1.0 / rate
-            kept = []
-            keep = kept.append
-            shed = 0
-            for packet in packets:
-                if rng() >= rate:
-                    shed += 1
-                else:
-                    keep(packet)
-            self.shed_packets += shed
-            packets = kept
-        block = self._columnar_decode(packets)
-        self.columnar_blocks += 1
-        n = block.n
-        self.stats.tuples_in += n
-        if self._sample_rate is not None and n:
-            rate = self._sample_rate
-            rng = self._sample_rng.random
-            rows = [i for i in range(n) if rng() < rate]
-            self.sampled_out += n - len(rows)
-        else:
-            rows = range(n)
-        if not rows:
-            return
-        if self.mode == "projection":
-            out: List[tuple] = []
-            dropped = self._columnar_select(block, rows, out.append)
-            if dropped:
-                self.stats.discarded += dropped
-            self.emit_many(out)
-        else:
-            dropped, keys, srows = self._columnar_key(block, rows)
-            if dropped:
-                self.stats.discarded += dropped
-            if keys:
-                self._aggregate_columnar(keys, srows, weight)
 
     def _aggregate_columnar(self, keys, rows, weight: float) -> None:
         """Aggregate one decoded block's surviving rows.
 
-        Windowed plans keep the per-row scalar-order loop: the window
-        high-water check must interleave flush/eject emission exactly
-        as scalar execution would.  Windowless plans upsert the whole
+        Windowed plans keep the per-row loop: the window high-water
+        check must interleave flush/eject emission in row order.
+        Windowless plans upsert the whole
         key slice through :meth:`DirectMappedTable.upsert_slices`; the
         generator is consumer-driven, so each row's ejection is emitted
         and its state updated before the next key touches the table.
@@ -324,7 +256,8 @@ class LftaNode(QueryNode):
             position += 1
 
     def _aggregate_batch(self, pairs, weight: float) -> None:
-        """The scalar :meth:`_aggregate` loop with lookups hoisted."""
+        """Upsert ``(key, row)`` pairs in row order: a key past the
+        window high-water mark flushes the closed groups first."""
         window_index = self._window_index
         band = self._window_band
         upsert = self.table.upsert
@@ -346,24 +279,6 @@ class LftaNode(QueryNode):
                 update_weighted(state, row, weight)
             else:
                 update(state, row)
-
-    def _aggregate(self, row: tuple, weight: float = 1.0) -> None:
-        key = self._key_fn(row)
-        if key is None:
-            self.stats.discarded += 1
-            return
-        if self._window_index >= 0:
-            window_value = key[self._window_index]
-            if self._high_water is None or window_value > self._high_water:
-                self._high_water = window_value
-                self._flush_below(window_value - self._window_band)
-        state, ejected = self.table.upsert(key, self.aggregate_ops.new_state)
-        if ejected is not None:
-            self._emit_group(*ejected)
-        if weight == 1.0:
-            self.aggregate_ops.update(state, row)
-        else:
-            self.aggregate_ops.update_weighted(state, row, weight)
 
     def _flush_below(self, low_water) -> None:
         """Close every group whose window key is below ``low_water``."""

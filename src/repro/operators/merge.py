@@ -101,15 +101,14 @@ class MergeNode(QueryNode):
     def buffered(self) -> int:
         return sum(len(buffer) for buffer in self._buffers)
 
-    #: A channel block of tuples from one input is a sorted run and is
-    #: spliced as one (see the module docstring for the release rule
-    #: and the tie key that keeps it equal to tuple-at-a-time arrival).
-    accepts_batch = True
-
     def on_tuple(self, row: tuple, input_index: int) -> None:
         self.on_tuple_batch((row,), input_index)
 
     def on_tuple_batch(self, rows: Sequence[tuple], input_index: int) -> None:
+        # A channel block of tuples from one input is a sorted run and
+        # is spliced as one (see the module docstring for the release
+        # rule and the tie key that keeps it equal to tuple-at-a-time
+        # arrival).
         if self._banded:
             # Within-band inversions leave in arrival order when each
             # row drains alone; one drain per run would sort them.  And

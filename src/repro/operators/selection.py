@@ -1,7 +1,8 @@
 """The HFTA selection/projection operator.
 
-Stateless: evaluates the residual predicates (the ones too expensive
-for the LFTA, e.g. regex matching) and builds the output tuple.
+Stateless but for a ``DEFINE sample`` gate's RNG: evaluates the
+residual predicates (the ones too expensive for the LFTA, e.g. regex
+matching) and builds the output tuple.
 Punctuation passes through, translated onto the output attributes that
 carry a monotone function of the promised input attribute.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 from repro.core.heartbeat import Punctuation
 from repro.core.query_node import QueryNode
+from repro.determinism import rng_for
 from repro.gsql.codegen import ExprCompiler
 from repro.gsql.planner import HftaPlan
 from repro.gsql.semantic import AnalyzedQuery
@@ -20,19 +22,18 @@ class SelectionNode(QueryNode):
     """Selection and projection over one input stream."""
 
     def __init__(self, plan: HftaPlan, analyzed: AnalyzedQuery,
-                 compiler: ExprCompiler) -> None:
+                 compiler: ExprCompiler, seed: int = 0) -> None:
         super().__init__(plan.name, plan.output_schema)
         self.plan = plan
         slot_maps = tuple(plan.slot_maps)
         if plan.sample_rate is not None:
-            import random
+            # Seeded registry stream, not hash(name): str hash() is
+            # process-randomized and breaks deterministic replay.
             self._sample_rate = plan.sample_rate
-            self._sample_rng = random.Random(hash(plan.name) & 0xFFFFFFFF)
+            self._sample_rng = rng_for(seed, "hfta.sample", plan.name)
         else:
             self._sample_rate = None
             self._sample_rng = None
-        self._predicate = compiler.predicate_fn(plan.predicates, slot_maps)
-        self._project = compiler.tuple_fn(plan.select_exprs, slot_maps)
         self._batch_select = compiler.batch_select_fn(
             plan.predicates, plan.select_exprs, slot_maps)
         self._transforms = output_bound_transforms(
@@ -40,8 +41,8 @@ class SelectionNode(QueryNode):
             functions=compiler.functions,
         )
 
-    #: batched dispatch from pump() is worthwhile here (DESIGN section 10)
-    accepts_batch = True
+    def on_tuple(self, row: tuple, input_index: int) -> None:
+        self.on_tuple_batch((row,), input_index)
 
     def on_tuple_batch(self, rows, input_index: int) -> None:
         if self._sample_rate is not None:
@@ -56,21 +57,19 @@ class SelectionNode(QueryNode):
             self.stats.discarded += dropped
         self.emit_many(out)
 
-    def on_tuple(self, row: tuple, input_index: int) -> None:
-        if (self._sample_rate is not None
-                and self._sample_rng.random() >= self._sample_rate):
-            self.stats.discarded += 1
-            return
-        if not self._predicate(row):
-            self.stats.discarded += 1
-            return
-        out = self._project(row)
-        if out is None:
-            self.stats.discarded += 1
-            return
-        self.emit(out)
-
     def on_punctuation(self, punctuation: Punctuation, input_index: int) -> None:
         out = apply_transforms(self._transforms, 0, punctuation.bounds)
         if out:
             self.emit_punctuation(Punctuation(out))
+
+    # -- checkpoint/restore (DESIGN section 11) ----------------------------
+    def snapshot_state(self) -> dict:
+        state = super().snapshot_state()
+        if self._sample_rng is not None:
+            state["sample_rng"] = self._sample_rng.getstate()
+        return state
+
+    def restore_state(self, state: dict) -> None:
+        super().restore_state(state)
+        if self._sample_rng is not None:
+            self._sample_rng.setstate(state["sample_rng"])

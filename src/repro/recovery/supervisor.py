@@ -156,20 +156,11 @@ class RecoverySupervisor:
     # by type at replay time, which is rare), and the item journals
     # store whole dispatched blocks, one append per block.
 
-    def journal_packet(self, packet) -> None:
-        self._packet_journal.append(packet)
-
     def journal_packets(self, packets) -> None:
         self._packet_journal.extend(packets)
 
     def journal_heartbeat(self, stream_time: float) -> None:
         self._packet_journal.append(stream_time)
-
-    def journal_item(self, node, item, input_index: int) -> None:
-        journal = self._item_journals.get(node.name)
-        if journal is None:
-            journal = self._item_journals[node.name] = []
-        journal.append(((item,), input_index))
 
     def journal_items(self, node, items, input_index: int) -> None:
         journal = self._item_journals.get(node.name)

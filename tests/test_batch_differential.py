@@ -1,17 +1,17 @@
-"""Differential tests: the batched data path vs the scalar one.
+"""Differential tests: one tuple path, any block size.
 
-DESIGN section 10's contract is that vectorized execution is purely a
-mechanical optimization -- for every query and every fault scenario,
-sink rows, the drop ledger, and per-node statistics must be
-byte-identical to scalar execution.  These tests run the full GSQL
-corpus and the E13-style fault injectors through both paths in-process
-and diff the canonical snapshots (the ``gs_batch*`` metric families
-differ by construction and are stripped first).
+DESIGN section 10's contract is that how the packet stream is cut into
+blocks is unobservable -- for every query and every fault scenario,
+sink rows, the drop ledger, and per-node statistics are byte-identical
+at every block size.  These tests run the full GSQL corpus, the
+E13-style fault injectors and the lineage tracer in-process at blocks
+of 1, 7 and 256 and diff the canonical snapshots (the ``gs_batch*``
+metric families differ by construction and are stripped first).
 
-Every run is a named entry of :data:`CASES`, so the golden digest
-table (``tests/golden_scenarios.json``, see
-``tests/test_golden_scenarios.py``) freezes exactly the snapshots the
-differential compares.
+Every run is a named entry of :data:`CASES`; the golden digest table
+(``tests/golden_scenarios.json``, see ``tests/test_golden_scenarios.py``)
+holds each case's snapshot as the deleted tuple-at-a-time engine
+produced it, so "equal to blocks of one" here means "equal to scalar".
 """
 
 from typing import Callable, Dict, NamedTuple, Optional
@@ -167,13 +167,6 @@ def feed_cut_chain(gs):
             pump_every=96)
 
 
-def _recovering(fault):
-    def setup(gs):
-        gs.enable_recovery(checkpoint_interval=0.2)
-        gs.inject_faults([fault])
-    return setup
-
-
 FAULTS = {
     "operator_fault": lambda: [OperatorFault("q", at_tuple=40)],
     "ring_burst": lambda: [RingLossBurst(at=0.1, duration=0.25,
@@ -207,15 +200,22 @@ for _name, _make in FAULTS.items():
     CASES[f"fault/{_name}"] = Case(with_setup(
         single_query(GROUP_BY),
         lambda gs, make=_make: gs.inject_faults(make())))
+
+
+def _cut_setup(at, recover):
+    def setup(gs):
+        if recover:
+            gs.enable_recovery(checkpoint_interval=0.2)
+        gs.inject_faults([OperatorFault("q", at_tuple=at,
+                                        times=1 if recover else None)])
+    return setup
+
+
 for _name, _at in CUT_POINTS.items():
-    CASES[f"cut/quarantine/{_name}"] = Case(with_setup(
-        cut_chain,
-        lambda gs, at=_at: gs.inject_faults(
-            [OperatorFault("q", at_tuple=at)])), feed_cut_chain)
-    CASES[f"cut/recover/{_name}"] = Case(with_setup(
-        cut_chain,
-        lambda gs, at=_at: _recovering(
-            OperatorFault("q", at_tuple=at, times=1))(gs)), feed_cut_chain)
+    CASES[f"cut/quarantine/{_name}"] = Case(
+        with_setup(cut_chain, _cut_setup(_at, recover=False)), feed_cut_chain)
+    CASES[f"cut/recover/{_name}"] = Case(
+        with_setup(cut_chain, _cut_setup(_at, recover=True)), feed_cut_chain)
 
 
 def run_case(name, batch_size):
@@ -249,56 +249,18 @@ def run_case(name, batch_size):
     return snapshot, gs
 
 
-def run_differential(name, batch_size=64):
-    """Run a case scalar and batched; return (diffs, batched engine).
+BLOCK_SIZES = (7, 256)
 
-    Both runs share seeds, so any diff is a batching bug.
-    """
-    scalar, _ = run_case(name, 1)
-    batched, engine = run_case(name, batch_size)
+
+def run_differential(name, batch_size):
+    """Run a case in blocks of one and of ``batch_size``; returns
+    (diffs, the second engine).  Both runs share seeds, so any diff
+    means the result depends on where the stream was cut."""
+    reference, _ = run_case(name, 1)
+    blocked, engine = run_case(name, batch_size)
     diffs = []
-    _diff_paths(scalar, batched, "$", diffs)
+    _diff_paths(reference, blocked, "$", diffs)
     return diffs, engine
-
-
-class TestCorpusDifferential:
-    """Every runnable corpus query, scalar vs batched."""
-
-    @pytest.mark.parametrize(
-        "name", [name for name in CASES if name.startswith("corpus/")])
-    def test_query_is_byte_identical(self, name):
-        diffs, batched = run_differential(name)
-        assert not diffs, "\n".join(diffs)
-        # The batched run must actually have taken the vectorized path.
-        assert batched.rts.batches_fed > 0
-
-    def test_composition_chain_is_byte_identical(self):
-        diffs, batched = run_differential("merge_chain")
-        assert not diffs, "\n".join(diffs)
-        assert batched.rts.batches_fed > 0
-
-    def test_tie_heavy_merge_is_byte_identical(self):
-        """Integer-second merge values: thousands of ties, duplicates
-        inside every run, second boundaries where one link runs ahead
-        and the other's run lands on its held ties.  The scalar arm
-        feeds the merge blocks of one, the batched arm whole runs."""
-        diffs, batched = run_differential("tie_heavy_merge")
-        assert not diffs, "\n".join(diffs)
-        assert batched.rts.batches_fed > 0
-        link = batched.stats()["link"]
-        assert link["tuples_out"] == link["tuples_in"] == 2340
-
-    def test_shedding_and_sampling_are_byte_identical(self):
-        """Both RNG consumers (shed gate, DEFINE sample) draw in the
-        same order on both paths."""
-        diffs, batched = run_differential("shedding_and_sampling")
-        assert not diffs, "\n".join(diffs)
-        assert batched.rts.batches_fed > 0
-
-    @pytest.mark.parametrize("batch_size", [2, 7, 64, 4096])
-    def test_batch_size_does_not_matter(self, batch_size):
-        diffs, _ = run_differential("group_by", batch_size=batch_size)
-        assert not diffs, "\n".join(diffs)
 
 
 def _lftas(gs):
@@ -306,76 +268,67 @@ def _lftas(gs):
             if hasattr(node, "columnar_blocks")]
 
 
-class TestColumnarDifferential:
-    """DESIGN section 14: the columnar block path is byte-identical to
-    scalar, and the row-based batched path (columnar off) stays so."""
+@pytest.mark.parametrize("batch_size", BLOCK_SIZES)
+class TestBlockSizeDifferential:
+    """Every case at every block size against blocks of one (the golden
+    table pins blocks of one to the frozen scalar outputs)."""
 
-    def test_columnar_path_is_byte_identical_and_engaged(self):
-        diffs, batched = run_differential("columnar/on")
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_case_is_byte_identical(self, name, batch_size):
+        diffs, blocked = run_differential(name, batch_size)
         assert not diffs, "\n".join(diffs)
-        assert batched.rts.batches_fed > 0
-        assert sum(node.columnar_blocks for node in _lftas(batched)) > 0
+        # Faults, tracer or neither: packets moved in blocks.
+        rts = blocked.rts
+        assert 0 < rts.batches_fed < rts.packets_fed
 
-    def test_row_based_batch_path_is_byte_identical(self):
-        """columnar=False keeps the pre-columnar per-row batch loop."""
-        diffs, batched = run_differential("columnar/off")
-        assert not diffs, "\n".join(diffs)
-        assert batched.rts.batches_fed > 0
-        assert all(node.columnar_blocks == 0 for node in _lftas(batched))
+    def test_tie_heavy_merge_passes_every_row(self, batch_size):
+        """Integer-second merge values: thousands of ties, duplicates
+        inside every run, second boundaries where one link runs ahead
+        and the other's run lands on its held ties."""
+        _, engine = run_case("tie_heavy_merge", batch_size)
+        link = engine.stats()["link"]
+        assert link["tuples_out"] == link["tuples_in"] == 2340
 
-    def test_projection_query_columnar_engaged(self):
-        diffs, batched = run_differential("columnar/projection")
-        assert not diffs, "\n".join(diffs)
-        assert sum(node.columnar_blocks for node in _lftas(batched)) > 0
+    def test_columnar_decode_engaged(self, batch_size):
+        for name in ("columnar/on", "columnar/projection"):
+            _, engine = run_case(name, batch_size)
+            assert sum(node.columnar_blocks for node in _lftas(engine)) > 0
 
-    def test_gs_columnar_env_disables(self, monkeypatch):
-        monkeypatch.setenv("GS_COLUMNAR", "0")
-        gs = Gigascope(seed=SEED, batch_size=64)
-        assert gs.columnar is False
-        monkeypatch.setenv("GS_COLUMNAR", "1")
-        assert Gigascope(seed=SEED).columnar is True
-        monkeypatch.delenv("GS_COLUMNAR")
-        assert Gigascope(seed=SEED).columnar is True
-
-
-class TestFaultDifferential:
-    """E13-style fault scenarios through both paths.
-
-    Armed faults force the scalar fallback, so these assert that the
-    fallback really is byte-identical *and* that batching never leaks
-    around an injected failure.
-    """
-
-    @pytest.mark.parametrize("fault", sorted(FAULTS))
-    def test_faulted_run_is_byte_identical(self, fault):
-        diffs, batched = run_differential(f"fault/{fault}")
-        assert not diffs, "\n".join(diffs)
-        # Armed faults disable the vectorized path entirely.
-        assert batched.rts.batches_fed == 0
-
-    def test_tracing_run_is_byte_identical(self):
-        """An active tracer forces sampled packets down the scalar path;
-        rows and statistics still match the fully scalar run."""
-        diffs, _ = run_differential("tracer")
-        assert not diffs, "\n".join(diffs)
+    def test_row_decode_when_columnar_off(self, batch_size):
+        _, engine = run_case("columnar/off", batch_size)
+        assert all(node.columnar_blocks == 0 for node in _lftas(engine))
 
     @pytest.mark.parametrize("position", sorted(CUT_POINTS))
-    def test_operator_fault_position_in_block(self, position):
+    def test_operator_fault_position_in_block(self, position, batch_size):
         """The quarantined node stopped on exactly the Nth tuple."""
         at = CUT_POINTS[position]
-        diffs, batched = run_differential(f"cut/quarantine/{position}")
-        assert not diffs, "\n".join(diffs)
-        q = batched.stats()["q"]
+        _, engine = run_case(f"cut/quarantine/{position}", batch_size)
+        q = engine.stats()["q"]
         assert q["tuples_in"] == at
         # Nothing past the failing tuple left the channel: the rest of
         # that pump's 96 tuples died queued.
-        stopped = batched.rts.node("q").inputs[0]
+        stopped = engine.rts.node("q").inputs[0]
         assert stopped.stats.popped == at + q["punctuations_in"]
         assert len(stopped) == 192 - at
 
     @pytest.mark.parametrize("position", sorted(CUT_POINTS))
-    def test_operator_fault_recovered_in_block(self, position):
-        diffs, batched = run_differential(f"cut/recover/{position}")
-        assert not diffs, "\n".join(diffs)
-        assert batched.recovery_report()["restarts_total"] == 1
-        assert batched.stats()["q"]["tuples_in"] == 480
+    def test_operator_fault_recovered_in_block(self, position, batch_size):
+        _, engine = run_case(f"cut/recover/{position}", batch_size)
+        assert engine.recovery_report()["restarts_total"] == 1
+        assert engine.stats()["q"]["tuples_in"] == 480
+
+
+@pytest.mark.parametrize("batch_size", [2, 64, 4096])
+def test_batch_size_does_not_matter(batch_size):
+    diffs, _ = run_differential("group_by", batch_size)
+    assert not diffs, "\n".join(diffs)
+
+
+def test_gs_columnar_env_disables(monkeypatch):
+    monkeypatch.setenv("GS_COLUMNAR", "0")
+    gs = Gigascope(seed=SEED, batch_size=64)
+    assert gs.columnar is False
+    monkeypatch.setenv("GS_COLUMNAR", "1")
+    assert Gigascope(seed=SEED).columnar is True
+    monkeypatch.delenv("GS_COLUMNAR")
+    assert Gigascope(seed=SEED).columnar is True

@@ -233,6 +233,16 @@ class TestBatchKnobs:
                   "--batch-size", "-4"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("size", [0, -4])
+    def test_library_refuses_a_block_of_no_packets(self, size):
+        """There is no scalar mode for 0 to mean: a block holds >= 1."""
+        from repro import Gigascope
+        from repro.shard import ShardedGigascope
+        with pytest.raises(ValueError, match=f"batch_size.*{size}"):
+            Gigascope(batch_size=size)
+        with pytest.raises(ValueError, match="batch_size"):
+            ShardedGigascope(2, batch_size=size)
+
     @pytest.mark.parametrize("raw", ["banana", "-3", "0", "2.5", ""])
     def test_malformed_env_batch_size_exits_2(self, trace, capsys,
                                               monkeypatch, raw):

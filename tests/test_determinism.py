@@ -142,6 +142,47 @@ class TestVerifyReplay:
         assert diffs == ["$.a[1]: 2 != 9"]
 
 
+HFTA_SAMPLE_SCRIPT = """
+import sys
+from repro import Gigascope
+from repro.workloads.flows import ZipfFlowWorkload
+
+gs = Gigascope(seed=int(sys.argv[1]))
+gs.add_queries('''
+    DEFINE query_name raw; Select time, srcIP, len From tcp;
+    DEFINE { query_name thin; sample 0.5; } Select time, len From raw;
+''')
+sub = gs.subscribe("thin")
+gs.start()
+gs.feed(ZipfFlowWorkload(num_flows=50, seed=3).packets(2000, pps=1000.0))
+gs.flush()
+print(repr(sub.poll()))
+"""
+
+
+class TestHftaSampling:
+    """``DEFINE sample`` on a query with no LFTA (it reads another
+    query) is gated in the HFTA selection; that gate's RNG must come
+    from the engine seed, never from ``hash(name)``."""
+
+    @staticmethod
+    def _rows(engine_seed, hash_seed):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC_ROOT)
+        out = subprocess.run(
+            [sys.executable, "-c", HFTA_SAMPLE_SCRIPT, str(engine_seed)],
+            env=env, capture_output=True, text=True, check=True)
+        return out.stdout
+
+    def test_sampled_rows_do_not_move_with_the_hash_seed(self):
+        first = self._rows(5, "1")
+        assert first == self._rows(5, "2")
+        kept = first.count("), (") + 1
+        assert 800 < kept < 1200  # about half of 2000
+
+    def test_sampled_rows_follow_the_engine_seed(self):
+        assert self._rows(5, "1") != self._rows(6, "1")
+
+
 class TestModuleEntry:
     def test_run_prints_json_and_verify_passes(self):
         env = dict(os.environ, PYTHONPATH=SRC_ROOT, PYTHONHASHSEED="3")

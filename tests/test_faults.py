@@ -68,9 +68,9 @@ class TestOperatorQuarantine:
         assert gs.rts.nodes_quarantined == 1
 
     def test_fault_on_a_merge_counts_every_tuple(self):
-        """The injector wraps the instance's ``on_tuple``; the merge's
-        scalar entry is the block of one, and must still go through it
-        once per tuple so ``at_tuple`` means the Nth tuple."""
+        """The injector wraps the instance's ``dispatch_batch`` and
+        counts every row of every run, so ``at_tuple`` means the Nth
+        tuple however the merge's input was cut into runs."""
         gs = Gigascope()
         gs.add_queries("""
             DEFINE query_name a; Select time, srcIP From eth0.tcp;
@@ -93,6 +93,24 @@ class TestOperatorQuarantine:
         assert "quarantined" in merge
         # Quarantined on its 137th tuple: 136 got in before it.
         assert merge["tuples_in"] == 137
+
+    def test_fault_armed_after_the_first_feed_is_not_bypassed(self):
+        """``feed()`` caches each LFTA's ``accept_batch`` per interface;
+        arming a fault later rebinds it on the node, so the cached plan
+        has to go."""
+        gs, subs = build_engine("good", "bad")
+        lfta_name = next(n for n, _ in gs.rts.iter_nodes()
+                         if n.startswith("_fta_bad"))
+        stream = packets()
+        gs.feed(stream[:20])
+        fault = OperatorFault(lfta_name, at_tuple=10)
+        gs.inject_faults([fault])
+        gs.feed(stream[20:])
+        gs.flush()
+        assert fault.triggered == 1
+        assert lfta_name in gs.rts.quarantined
+        # 20 packets before the fault was armed, 9 more before it fired.
+        assert gs.stats()[lfta_name]["packets_seen"] == 29
 
     def test_failing_lfta_quarantined_on_packet_path(self):
         gs, subs = build_engine("good", "bad")

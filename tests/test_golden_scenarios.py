@@ -1,7 +1,8 @@
 """The scalar engine's outputs, frozen.
 
 ``tests/golden_scenarios.json`` holds one sha256 per run, recorded from
-scalar (tuple-at-a-time) execution: every ``repro.determinism``
+scalar (tuple-at-a-time) execution -- ``GS_BATCH=0`` at commit ff26bbf,
+the last one that had a scalar twin of every loop: every ``repro.determinism``
 scenario (the recovery/alert/telemetry ones in both their clean and
 their crash arm) and every :data:`tests.test_batch_differential.CASES`
 entry -- the GSQL corpus, the five fault injectors, an ``OperatorFault``
@@ -10,7 +11,8 @@ supervisor, and two traced runs whose snapshot carries the tracer's
 span dump.  The engine must reproduce each digest at every block size
 and under every ``PYTHONHASHSEED``.
 
-Regenerate (only when an output is *meant* to change)::
+Regenerate (only when an output is *meant* to change; the reference
+arm is now blocks of one)::
 
     PYTHONPATH=src python -m tests.test_golden_scenarios --write
 """
@@ -42,19 +44,13 @@ def _sha(snapshot) -> str:
 
 
 def compute_digests(block_size: int) -> dict:
-    """Every golden run at one block size, in this process.
-
-    ``block_size`` 0 is the scalar reference (``GS_BATCH=0``).
-    """
+    """Every golden run at one block size, in this process."""
     from repro.determinism import (SCENARIOS, run_scenario,
                                    strip_batch_metrics,
                                    strip_recovery_artifacts)
     from tests.test_batch_differential import CASES, run_case
 
-    if block_size:
-        os.environ["GS_BATCH_SIZE"] = str(block_size)
-    else:
-        os.environ["GS_BATCH"] = "0"
+    os.environ["GS_BATCH_SIZE"] = str(block_size)
     for name in ("GS_SHARDS", "GS_FAILOVER", "GS_COLUMNAR"):
         os.environ.pop(name, None)
     digests = {}
@@ -72,7 +68,7 @@ def compute_digests(block_size: int) -> dict:
         else:
             digests[f"scenario/{name}"] = _sha(snapshot)
     for name in CASES:
-        digests[f"case/{name}"] = _sha(run_case(name, block_size or 1)[0])
+        digests[f"case/{name}"] = _sha(run_case(name, block_size)[0])
     return digests
 
 
@@ -125,14 +121,14 @@ def main(argv) -> int:
     if argv != ["--write"]:
         print(__doc__, file=sys.stderr)
         return 2
-    first, second = subprocess_digests(0).values()
+    first, second = subprocess_digests(1).values()
     unstable = sorted(name for name in first if first[name] != second[name])
     if unstable:
         print(f"PYTHONHASHSEED-dependent, refusing to write: {unstable}",
               file=sys.stderr)
         return 1
     GOLDEN.write_text(json.dumps({
-        "reference": "scalar execution (GS_BATCH=0), seed 0, identical "
+        "reference": "blocks of one (GS_BATCH_SIZE=1), seed 0, identical "
                      "under PYTHONHASHSEED=1 and 2",
         "regenerate": "PYTHONPATH=src python -m tests.test_golden_scenarios "
                       "--write",

@@ -61,13 +61,17 @@ class TestSplitAggregationProperty:
         t_slot = tcp.index_of("time")
         p_slot = tcp.index_of("destPort")
         l_slot = tcp.index_of("len")
+        rows = []
         for t, key, value in events:
             row = [0] * width
             row[t_slot] = t
             row[p_slot] = key
             row[l_slot] = value
-            lfta.stats.tuples_in += 1
-            lfta._aggregate(tuple(row))
+            rows.append(tuple(row))
+        lfta.stats.tuples_in += len(rows)
+        pairs = []
+        assert lfta._batch_key(rows, pairs.append) == 0
+        lfta._aggregate_batch(pairs, 1.0)
         lfta.flush()
         lfta.emit_flush()
         for item in channel.drain():

@@ -326,7 +326,7 @@ def _run(crash=None, times=1, max_restarts=3, checkpoint_interval=0.4,
          count=1500, seed=11):
     """One engine run; ``crash`` arms a transient OperatorFault."""
     gs = Gigascope(seed=seed, lfta_table_size=32, channel_capacity=256,
-                   heartbeat_interval=0.25, batch_size=1)
+                   heartbeat_interval=0.25)
     gs.add_query(AGG_QUERY)
     sub = gs.subscribe("flows")
     supervisor = gs.enable_recovery(checkpoint_interval=checkpoint_interval,
@@ -358,8 +358,7 @@ class TestInlineRecovery:
     def test_lfta_crash_recovers_from_packet_journal(self):
         clean_gs, clean_sub, _ = _run()
         lfta_gs = Gigascope(seed=11, lfta_table_size=32,
-                            channel_capacity=256, heartbeat_interval=0.25,
-                            batch_size=1)
+                            channel_capacity=256, heartbeat_interval=0.25)
         lfta_gs.add_query(AGG_QUERY)
         sub = lfta_gs.subscribe("flows")
         supervisor = lfta_gs.enable_recovery(checkpoint_interval=0.4)
@@ -387,7 +386,7 @@ class TestInlineRecovery:
         assert "gs_recovery_checkpoints_total" in exposition
 
     def test_no_supervisor_means_quarantine_unchanged(self):
-        gs = Gigascope(seed=11, batch_size=1)
+        gs = Gigascope(seed=11)
         gs.add_query(AGG_QUERY)
         sub = gs.subscribe("flows")
         gs.start()
@@ -434,7 +433,7 @@ class TestBackoffAndBudget:
         assert list(gs.rts.quarantined) == ["flows"]
 
     def test_bad_supervisor_parameters_rejected(self):
-        gs = Gigascope(batch_size=1)
+        gs = Gigascope()
         for kwargs in ({"checkpoint_interval": 0},
                        {"max_restarts": -1},
                        {"backoff_base": 0.0},
@@ -449,8 +448,7 @@ class TestSinkExactlyOnce:
 
         def run(crash):
             gs = Gigascope(seed=11, lfta_table_size=32,
-                           channel_capacity=256, heartbeat_interval=0.25,
-                           batch_size=1)
+                           channel_capacity=256, heartbeat_interval=0.25)
             gs.add_query(AGG_QUERY)
             buffer = io.StringIO()
             sink = attach_sink(gs, "flows", CsvSink, buffer)

@@ -107,6 +107,14 @@ def _make_selection():
     return SelectionNode(plan.hfta, analyzed, compiler)
 
 
+def _make_sampled_selection():
+    from repro.operators.selection import SelectionNode
+    analyzed, plan, compiler = _compile(
+        "DEFINE { query_name sel; sample 0.5; } "
+        "Select time, destPort From sa", streams=_derived_streams())
+    return SelectionNode(plan.hfta, analyzed, compiler, seed=7)
+
+
 def _make_aggregation():
     from repro.operators.aggregation import AggregationNode
     analyzed, plan, compiler = _compile(
@@ -244,6 +252,15 @@ def _cases():
             "suffix": lambda node: [node.dispatch((float(t), 80), 0)
                                     for t in range(10, 20)],
         },
+        # Not a class of its own: the DEFINE-sample gate's RNG is the
+        # only state a selection has, and only a sampled one has it.
+        "sampled_selection": {
+            "make": _make_sampled_selection,
+            "prefix": lambda node: [node.dispatch((float(t), 80), 0)
+                                    for t in range(40)],
+            "suffix": lambda node: [node.dispatch((float(t), 80), 0)
+                                    for t in range(40, 80)],
+        },
         AggregationNode: {
             "make": _make_aggregation,
             "prefix": lambda node: [
@@ -342,8 +359,12 @@ def _sink_round_trip(sink_cls):
             == encode_snapshot(original.snapshot_state()))
 
 
+def _case_name(case):
+    return case if isinstance(case, str) else case.__name__
+
+
 def _case_ids():
-    return sorted(_cases(), key=lambda cls: cls.__name__)
+    return sorted(_cases(), key=_case_name)
 
 
 class TestSnapshotContract:
@@ -361,10 +382,10 @@ class TestSnapshotContract:
             f"case: {missing}; add a case to tests/test_snapshot_contract"
             f".py (or an explicit exemption with a reason)")
 
-    @pytest.mark.parametrize("node_cls", _case_ids(),
-                             ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("node_cls", _case_ids(), ids=_case_name)
     def test_round_trip_preserves_behavior(self, node_cls):
         case = _cases()[node_cls]
+        name = _case_name(node_cls)
         original = case["make"]()
         out_a = original.subscribe()
         case["prefix"](original)
@@ -376,7 +397,7 @@ class TestSnapshotContract:
         restored.restore_state(decode_snapshot(blob))
         # The restored state must re-encode to the same bytes at once...
         assert encode_snapshot(restored.snapshot_state()) == blob, \
-            f"{node_cls.__name__}: snapshot does not re-encode stably"
+            f"{name}: snapshot does not re-encode stably"
 
         # ...and behave identically from here on.
         case["suffix"](original)
@@ -384,10 +405,10 @@ class TestSnapshotContract:
         rows_a = [repr(item) for item in out_a.drain()]
         rows_b = [repr(item) for item in out_b.drain()]
         assert rows_b == rows_a, \
-            f"{node_cls.__name__}: restored node diverged after restore"
+            f"{name}: restored node diverged after restore"
         assert (encode_snapshot(restored.snapshot_state())
                 == encode_snapshot(original.snapshot_state())), \
-            f"{node_cls.__name__}: snapshots diverged after more input"
+            f"{name}: snapshots diverged after more input"
 
     def test_csv_sink_round_trip(self):
         from repro.sinks import CsvSink

@@ -222,7 +222,7 @@ class TestOperatorStreamInvariants:
     def test_quarantine_mid_cycle_keeps_rows_gap_free(self):
         # PR 3 path: the operator dies permanently mid-cycle.  It must
         # keep appearing in _gs_operator (flagged) with frozen counters.
-        gs = make_engine(batch_size=1)
+        gs = make_engine()
         gs.enable_telemetry(interval=0.5)
         gs.add_query(FLOWS_QUERY)
         ops = gs.subscribe("_gs_operator")
@@ -242,7 +242,7 @@ class TestOperatorStreamInvariants:
         # PR 5 path: transient crash, supervisor restores + replays
         # inline; the next sample must show clean-run counters.
         def run(crash):
-            gs = make_engine(batch_size=1)
+            gs = make_engine()
             gs.enable_telemetry(interval=0.5)
             gs.add_query(FLOWS_QUERY)
             ops = gs.subscribe("_gs_operator")
