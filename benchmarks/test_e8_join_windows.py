@@ -11,6 +11,10 @@ volume grows quadratically with the window, so the sweep counts emitted
 pairs rather than collecting them), and check the ordering-imputation
 claim: an equality join emits monotone output, a band join banded
 output.
+
+The keyed arm adds an equality conjunct to the same packets: the join
+indexes its window on it, so an arrival examines its key's bucket, not
+the window -- while the state it holds is the window either way.
 """
 
 import time
@@ -24,13 +28,18 @@ RATE_PPS = 100
 DURATION_S = 40.0
 
 
+PORTS = 64
+
+
 def run_join(width, rate_pps=RATE_PPS, duration_s=DURATION_S,
-             collect=False):
+             collect=False, keyed=False):
     gs = Gigascope(heartbeat_interval=1.0)
     if width == 0:
         where = "B.time = C.time"
     else:
         where = (f"B.time >= C.time - {width} and B.time <= C.time + {width}")
+    if keyed:
+        where += " and B.srcPort = C.srcPort"
     gs.add_query(f"""
         DEFINE query_name j;
         Select B.time, B.srcIP, C.srcIP
@@ -40,20 +49,35 @@ def run_join(width, rate_pps=RATE_PPS, duration_s=DURATION_S,
     sub = gs.subscribe("j") if collect else None
     gs.start()
     node = gs.rts.node("j")
+    # Exact candidates examined per arrival, counted from outside: no
+    # stats() key (the golden digests hash stats()).
+    probes = {"arrivals": 0, "candidates": 0}
+    probe = node._window_candidates
+
+    def counted(*args):
+        found = probe(*args)
+        probes["arrivals"] += 1
+        probes["candidates"] += len(found)
+        return found
+
+    node._window_candidates = counted
     peak = 0
     count = int(rate_pps * duration_s)
     start = time.perf_counter()
     for i in range(count):
         ts = i / rate_pps
         interface = "eth0" if i % 2 else "eth1"
-        gs.feed_packet(tcp_packet(ts=ts, sport=i % 50_000, interface=interface))
+        # consecutive packets (one per link) share a source port
+        gs.feed_packet(tcp_packet(ts=ts, sport=1024 + (i // 2) % PORTS,
+                                  interface=interface))
         if i % 128 == 0:
             gs.pump()
             peak = max(peak, node.buffered)
     gs.flush()
     elapsed = time.perf_counter() - start
     rows = sub.poll() if collect else None
-    return rows, node.pairs_emitted, peak, elapsed, gs
+    per_arrival = probes["candidates"] / max(probes["arrivals"], 1)
+    return rows, node.pairs_emitted, peak, elapsed, gs, per_arrival
 
 
 def test_e8_state_scales_with_window():
@@ -64,7 +88,7 @@ def test_e8_state_scales_with_window():
     peaks = {}
     pairs = {}
     for width in (0, 1, 2, 4):
-        _, emitted, peak, elapsed, _ = run_join(width)
+        _, emitted, peak, elapsed, _, _ = run_join(width)
         peaks[width] = peak
         pairs[width] = emitted
         print(f"{width:>10}{emitted:>13}{peak:>14}{elapsed:>9.2f}")
@@ -75,18 +99,35 @@ def test_e8_state_scales_with_window():
     assert peaks[4] < RATE_PPS * DURATION_S / 4
 
 
+def test_e8_keys_cut_candidates_not_state():
+    """An equality conjunct shrinks what each arrival examines; the
+    index never holds more than the window."""
+    print(f"\nE8c keyed vs keyless probe ({PORTS} source ports): "
+          "candidates examined per arriving tuple")
+    print(f"{'window (s)':>10}{'keyless':>10}{'keyed':>9}"
+          f"{'peak buffered':>15}{'keyless pairs':>15}{'keyed pairs':>13}")
+    for width in (1, 2, 4):
+        _, pairs, peak, _, _, scanned = run_join(width)
+        _, keyed_pairs, keyed_peak, _, _, probed = run_join(width, keyed=True)
+        print(f"{width:>10}{scanned:>10.2f}{probed:>9.2f}{peak:>15}"
+              f"{pairs:>15}{keyed_pairs:>13}")
+        assert keyed_peak == peak
+        assert probed <= scanned
+        assert 0 < keyed_pairs < pairs
+
+
 def test_e8_output_ordering_matches_imputation():
     """Equality join output is monotone; band join output is banded by
     the window width -- the Section 2.1 imputation, observed."""
-    rows_eq, _, _, _, gs_eq = run_join(0, rate_pps=100, duration_s=20,
-                                       collect=True)
+    rows_eq, _, _, _, gs_eq, _ = run_join(0, rate_pps=100, duration_s=20,
+                                          collect=True)
     ordering_eq = gs_eq.schema_of("j").attributes[0].ordering
     times = [r[0] for r in rows_eq]
     assert ordering_eq.is_increasing and ordering_eq.effective_band == 0
     assert times == sorted(times)
 
-    rows_band, _, _, _, gs_band = run_join(2, rate_pps=100, duration_s=20,
-                                           collect=True)
+    rows_band, _, _, _, gs_band, _ = run_join(2, rate_pps=100, duration_s=20,
+                                              collect=True)
     ordering_band = gs_band.schema_of("j").attributes[0].ordering
     assert ordering_band.effective_band == 4  # banded_increasing(2*2)
     times = [r[0] for r in rows_band]

@@ -22,6 +22,11 @@ from repro.gsql.planner import LftaPlan, QueryPlan
 #: microseconds per abstract operation on the modeled 733 MHz host
 DEFAULT_US_PER_OPERATION = 0.02
 
+#: rows assumed to sit in a join window when an arrival probes it (the
+#: plan knows the window's width, not the rate); a keyed probe is taken
+#: to find one of them in its bucket
+NOMINAL_WINDOW_ROWS = 16.0
+
 
 def expr_operations(expr: Expr, functions: FunctionRegistry) -> float:
     """Abstract operation count to evaluate ``expr`` once."""
@@ -130,7 +135,14 @@ def estimate_plan_cost(plan: QueryPlan, functions: FunctionRegistry,
                 detail["update"] = 2.0 * len(hfta.aggregates)
             detail["hash"] = 3.0
         elif hfta.kind == "join":
-            detail["probe"] = 4.0
+            # "predicates" above prices one candidate; bisection is 2.0.
+            if hfta.join_keys:
+                # hash the key columns, bisect that one bucket
+                detail["keyed_probe"] = 3.0 + 0.5 * len(hfta.join_keys) + 2.0
+            else:
+                # bisect the window; the predicate runs on every row in it
+                detail["window_scan"] = (
+                    2.0 + (NOMINAL_WINDOW_ROWS - 1.0) * detail["predicates"])
             detail["projection"] = sum(
                 expr_operations(expr, functions) for expr in hfta.select_exprs
             )

@@ -133,6 +133,9 @@ class HftaPlan:
     join_slots: Optional[Tuple[Tuple[int, int], Tuple[int, int]]] = None
     #: re-sort join output on its window column (DEFINE join_output sorted)
     join_sorted_output: bool = False
+    #: (left column, right column) of every ``colL = colR`` conjunct the
+    #: join indexes its window on; empty = the whole window is one bucket
+    join_keys: List[Tuple[Column, Column]] = field(default_factory=list)
     # merge: (input_index, slot) per input
     merge_slots: List[Tuple[int, int]] = field(default_factory=list)
     #: Bernoulli sampling rate for stream-input queries with no LFTA
@@ -164,10 +167,19 @@ class QueryPlan:
                 f"snaplen={lfta.hints.snaplen} pushed={len(lfta.hints.pushed)}"
             )
         if self.hfta is not None:
-            lines.append(
-                f"  HFTA {self.hfta.name} [{self.hfta.kind}] "
-                f"inputs={self.hfta.inputs}"
-            )
+            hfta = self.hfta
+            line = f"  HFTA {hfta.name} [{hfta.kind}] inputs={hfta.inputs}"
+            if hfta.kind == "join":
+                window = hfta.join_window
+                keys = ", ".join(f"{left}={right}"
+                                 for left, right in hfta.join_keys)
+                # "+ 0" prints a negated zero offset as 0, not -0
+                line += (
+                    f" window=[{window.low + 0:g},{window.high + 0:g}]"
+                    f" keys={'[' + keys + ']' if keys else 'none (window scan)'}"
+                    f" residual={len(hfta.predicates) - len(hfta.join_keys)}"
+                )
+            lines.append(line)
         return "\n".join(lines)
 
 
@@ -521,6 +533,7 @@ class _Planner:
             join_window=window,
             join_slots=(slot_of(window.left), slot_of(window.right)),
             join_sorted_output=analyzed.join_sorted_output,
+            join_keys=_join_keys(hfta_preds, analyzed),
         )
         return QueryPlan(self.name, analyzed, lftas, hfta, analyzed.output_schema)
 
@@ -576,6 +589,40 @@ def _single_source(expr: Expr, analyzed: AnalyzedQuery) -> Optional[int]:
     if len(sources) == 1:
         return sources.pop()
     return None
+
+
+def _join_keys(conjuncts: Sequence[Expr],
+               analyzed: AnalyzedQuery) -> List[Tuple[Column, Column]]:
+    """The ``colL = colR`` conjuncts a join can index its window on.
+
+    Only bare columns bound to opposite sources qualify: reading a slot
+    cannot raise, so building a row's key can never discard a tuple the
+    predicate would have seen (an expression or a partial function call
+    could).  The window's own equality (``B.ts = C.ts``) is left to the
+    window.  Pairs come back oriented (source 0 column, source 1 column).
+    """
+    window = analyzed.join_window
+    keys = []
+    for conjunct in conjuncts:
+        if not (isinstance(conjunct, BinaryOp) and conjunct.op == "="
+                and isinstance(conjunct.left, Column)
+                and isinstance(conjunct.right, Column)):
+            continue
+        left_column, right_column = conjunct.left, conjunct.right
+        left = analyzed.binding_of(left_column)
+        right = analyzed.binding_of(right_column)
+        if left is None or right is None:
+            continue
+        if left.source_index > right.source_index:
+            left, right = right, left
+            left_column, right_column = right_column, left_column
+        if left.source_index == right.source_index:
+            continue
+        if (left.attr_index == window.left.attr_index
+                and right.attr_index == window.right.attr_index):
+            continue
+        keys.append((left_column, right_column))
+    return keys
 
 
 def _pushable(conjunct: Expr, analyzed: AnalyzedQuery) -> Optional[PushedPredicate]:

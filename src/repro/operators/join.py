@@ -4,17 +4,30 @@
 from each table which can be used to define a join window.  For
 example, B.ts = C.ts, or B.ts >= C.ts - 1 and B.ts <= C.ts + 1."
 
-The implementation is a symmetric band join: each side buffers its
-tuples, probes the other side's buffer on arrival, and purges using
+The implementation is a symmetric hash band join: each side buffers
+its tuples, probes the other side's buffer on arrival, and purges using
 low-water marks advanced by tuples and by punctuation.  The window
 ``left.ts - right.ts in [low, high]`` bounds the state exactly.
+
+Beside its arrival-ordered buffer each side keeps the same rows in
+buckets keyed on the plan's equality conjuncts (``HftaPlan.join_keys``),
+so an arrival bisects the one bucket that can match instead of the whole
+window.  The index changes which candidates are *examined*, never which
+pairs are emitted: every candidate still passes through the full
+compiled predicate, and ``a == b`` implies ``hash(a) == hash(b)`` for
+every GSQL value type, so only rows an equality conjunct would have
+rejected are skipped.  A join without equality conjuncts has the single
+key ``()`` -- one bucket holding the whole window.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_left, bisect_right
-from typing import List, Optional
+from collections import Counter
+from itertools import islice
+from typing import Dict, List, Tuple
 
 from repro.core.heartbeat import Punctuation
 from repro.core.query_node import QueryNode
@@ -45,9 +58,22 @@ class JoinNode(QueryNode):
         (_, self._left_slot), (_, self._right_slot) = plan.join_slots
         self._buffers: List[List[tuple]] = [[], []]
         # Parallel ordered-value arrays; monotone inputs append in sorted
-        # order, so probes and purges bisect instead of scanning.
+        # order, so purges bisect instead of scanning.
         self._values: List[List] = [[], []]
+        # Per side, a row's values of the plan's key columns.
+        self._key_fns = [
+            compiler.tuple_fn([pair[side] for pair in plan.join_keys], slot_maps)
+            for side in (0, 1)
+        ]
+        # The same rows per side, bucketed: key -> (ordered values, rows),
+        # each bucket in arrival order.  Derived from the buffers (never
+        # snapshotted), purged with them, so it holds the window and no
+        # more; an emptied bucket is deleted.
+        self._index: List[Dict[tuple, Tuple[list, list]]] = [{}, {}]
         self._low_water = [-math.inf, -math.inf]
+        # Set whenever a low-water mark moves: output bounds depend on
+        # nothing else, so punctuation is only recomputed when it is.
+        self._bounds_stale = True
         self._done = [False, False]
         self._bands = [
             plan.input_schemas[0].attributes[self._left_slot].ordering.effective_band,
@@ -94,12 +120,11 @@ class JoinNode(QueryNode):
     def on_tuple(self, row: tuple, input_index: int) -> None:
         side = input_index
         other = 1 - side
-        slot = self._left_slot if side == 0 else self._right_slot
-        other_slot = self._right_slot if side == 0 else self._left_slot
-        value = row[slot]
+        value = row[self._left_slot if side == 0 else self._right_slot]
         advance = value - self._bands[side]
         if advance > self._low_water[side]:
             self._low_water[side] = advance
+            self._bounds_stale = True
             self._purge(other)
         # Probe the other side's buffer for the window of joinable values.
         # left - right in [low, high]:
@@ -109,7 +134,8 @@ class JoinNode(QueryNode):
             lo_value, hi_value = value - self.high, value - self.low
         else:
             lo_value, hi_value = value + self.low, value + self.high
-        for candidate in self._window_candidates(other, other_slot,
+        key = self._key_fns[side](row)
+        for candidate in self._window_candidates(other, key,
                                                  lo_value, hi_value):
             if side == 0:
                 self._try_emit(row, candidate)
@@ -119,25 +145,46 @@ class JoinNode(QueryNode):
             self._buffers[side].append(row)
             if self._bands[side] == 0:
                 self._values[side].append(value)
+            self._index_row(side, key, value, row)
             if (len(self._buffers[side]) > BLOCK_SUSPECT_DEPTH
                     and not self._buffers[other]):
                 self.request_heartbeat()
-        self._release_sorted()
-        self._emit_output_punctuation()
+        if self._reorder:
+            self._release_sorted()
+        if self._bounds_stale:
+            self._emit_output_punctuation()
 
-    def _window_candidates(self, side: int, slot: int, lo_value, hi_value):
-        """Buffered tuples of ``side`` with ordered value in [lo, hi].
+    def _window_candidates(self, side: int, key: tuple, lo_value, hi_value):
+        """Buffered tuples of ``side`` under ``key`` with ordered value
+        in [lo, hi], in arrival order.
 
-        A monotone input keeps its buffer sorted, so the window is found
-        by bisection; banded inputs fall back to a linear scan.
+        A monotone input keeps every bucket sorted, so the window is
+        found by bisection; banded inputs fall back to a linear scan.
         """
-        buffer = self._buffers[side]
+        bucket = self._index[side].get(key)
+        if bucket is None:
+            return ()
+        values, rows = bucket
         if self._bands[side] == 0:
-            values = self._values[side]
-            start = bisect_left(values, lo_value)
-            stop = bisect_right(values, hi_value)
-            return buffer[start:stop]
-        return [row for row in buffer if lo_value <= row[slot] <= hi_value]
+            return rows[bisect_left(values, lo_value):
+                        bisect_right(values, hi_value)]
+        return [row for value, row in zip(values, rows)
+                if lo_value <= value <= hi_value]
+
+    def _index_row(self, side: int, key: tuple, value, row: tuple) -> None:
+        bucket = self._index[side].get(key)
+        if bucket is None:
+            self._index[side][key] = bucket = ([], [])
+        bucket[0].append(value)
+        bucket[1].append(row)
+
+    def _reindex(self, side: int) -> None:
+        """Rebuild ``side``'s buckets from its buffer."""
+        self._index[side] = {}
+        slot = self._left_slot if side == 0 else self._right_slot
+        key_of = self._key_fns[side]
+        for row in self._buffers[side]:
+            self._index_row(side, key_of(row), row[slot], row)
 
     def _try_emit(self, left: tuple, right: tuple) -> None:
         if not self._predicate(left, right):
@@ -148,7 +195,6 @@ class JoinNode(QueryNode):
             return
         self.pairs_emitted += 1
         if self.sorted_output:
-            import heapq
             heapq.heappush(
                 self._reorder,
                 (out[self._sort_slot], self._reorder_seq, out),
@@ -163,7 +209,6 @@ class JoinNode(QueryNode):
         """Emit reordered pairs whose sort key is below the watermark."""
         if not self.sorted_output or not self._reorder:
             return
-        import heapq
         if final:
             bound = math.inf
         else:
@@ -199,12 +244,24 @@ class JoinNode(QueryNode):
             values = self._values[side]
             cut = bisect_left(values, threshold)
             if cut:
+                # The cut prefix is, per key, a prefix of that bucket.
+                index = self._index[side]
+                cut_keys = Counter(map(self._key_fns[side],
+                                       islice(buffer, cut)))
+                for key, gone in cut_keys.items():
+                    bucket_values, bucket_rows = index[key]
+                    if gone == len(bucket_rows):
+                        del index[key]
+                    else:
+                        del bucket_values[:gone]
+                        del bucket_rows[:gone]
                 self._buffers[side] = buffer[cut:]
                 self._values[side] = values[cut:]
             return
         kept = [row for row in buffer if row[slot] >= threshold]
         if len(kept) != len(buffer):
             self._buffers[side] = kept
+            self._reindex(side)
 
     def on_punctuation(self, punctuation: Punctuation, input_index: int) -> None:
         slot = self._left_slot if input_index == 0 else self._right_slot
@@ -218,6 +275,7 @@ class JoinNode(QueryNode):
             self._emit_output_punctuation()
 
     def _emit_output_punctuation(self) -> None:
+        self._bounds_stale = False
         if not self._out_transforms:
             return
         bounds = {}
@@ -263,7 +321,11 @@ class JoinNode(QueryNode):
         super().restore_state(state)
         self._buffers = [list(state["buffers"][0]), list(state["buffers"][1])]
         self._values = [list(state["values"][0]), list(state["values"][1])]
+        # The buckets are derived state: not on the wire, rebuilt here.
+        self._reindex(0)
+        self._reindex(1)
         self._low_water = list(state["low_water"])
+        self._bounds_stale = True
         self._done = list(state["done"])
         self._last_bounds = dict(state["last_bounds"])
         # Heap invariant survives the round trip: entries come back in
@@ -276,13 +338,12 @@ class JoinNode(QueryNode):
     def on_flush(self, input_index: int) -> None:
         self._done[input_index] = True
         self._low_water[input_index] = math.inf
+        self._bounds_stale = True
         self._purge(1 - input_index)
-        self._buffers[input_index] = (
-            self._buffers[input_index] if not all(self._done) else []
-        )
         if all(self._done) and not self.flushed:
             self.flushed = True
             self._buffers = [[], []]
             self._values = [[], []]
+            self._index = [{}, {}]
             self._release_sorted(final=True)
             self.emit_flush()

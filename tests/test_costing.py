@@ -56,6 +56,21 @@ class TestPlanEstimates:
         assert "hash_update" in lfta.detail
         assert "combine" in estimate.hfta_stage.detail
 
+    def test_join_probe_keyed_or_window_scan(self, functions, compile_plan):
+        """The join term follows the plan: a keyed probe hashes and
+        bisects one bucket, a keyless one pays the predicate per window
+        row -- so adding an equality conjunct makes the estimate fall."""
+        join = ("DEFINE query_name q; Select B.time "
+                "From eth0.tcp B, eth1.tcp C "
+                "Where B.time >= C.time - 1 and B.time <= C.time + 1")
+        _, keyless, _ = compile_plan(join)
+        _, keyed, _ = compile_plan(join + " and B.srcPort = C.srcPort")
+        keyless_cost = estimate_plan_cost(keyless, functions)
+        keyed_cost = estimate_plan_cost(keyed, functions)
+        assert "window_scan" in keyless_cost.hfta_stage.detail
+        assert "keyed_probe" in keyed_cost.hfta_stage.detail
+        assert keyed_cost.hfta_us_per_tuple < keyless_cost.hfta_us_per_tuple
+
     def test_describe_readable(self, functions, compile_plan):
         _, plan, _ = compile_plan(
             "DEFINE query_name q; Select tb, count(*) From tcp "

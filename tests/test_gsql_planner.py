@@ -192,6 +192,66 @@ class TestJoinPlans:
         assert result.hfta.slot_maps[1] is None
 
 
+class TestJoinKeys:
+    """Which conjuncts the join indexes its window on."""
+
+    def keys_of(self, where, registry, functions):
+        base = plan("DEFINE query_name b; "
+                    "Select time, srcIP, destIP, srcPort, destPort From tcp",
+                    registry, functions)
+        streams = {"sa": base.output_schema, "sb": base.output_schema}
+        result = plan(
+            "DEFINE query_name q; Select A.time From sa A, sb B "
+            f"Where A.time >= B.time and A.time <= B.time + 1 and {where}",
+            registry, functions, streams)
+        return [(str(left), str(right)) for left, right in result.hfta.join_keys]
+
+    def test_bare_column_equalities_across_sources(self, registry, functions):
+        assert self.keys_of(
+            "A.srcIP = B.destIP and A.srcPort = B.destPort",
+            registry, functions) == [("A.srcIP", "B.destIP"),
+                                     ("A.srcPort", "B.destPort")]
+
+    def test_pairs_are_oriented_left_source_first(self, registry, functions):
+        assert self.keys_of("B.destIP = A.srcIP", registry, functions) == [
+            ("A.srcIP", "B.destIP")]
+
+    @pytest.mark.parametrize("where", [
+        "A.srcIP = A.destIP",                    # one source
+        "A.srcPort + 1 = B.destPort",            # an expression
+        "A.srcPort = B.destPort + 0",
+        "getlpmid(A.srcIP, 'x') = B.destPort",   # partial: may discard
+        "A.srcIP <> B.destIP",
+        "A.srcPort <= B.destPort",
+        "A.srcPort = 80",
+        "(A.srcIP = B.destIP or A.srcPort = B.destPort)",
+    ])
+    def test_everything_else_stays_residual(self, where, registry, functions,
+                                            tmp_path):
+        table = tmp_path / "prefixes"
+        table.write_text("10.0.0.0/8 1\n")
+        assert self.keys_of(where.replace("'x'", f"'{table}'"),
+                            registry, functions) == []
+
+    def test_window_conjuncts_are_not_keys(self, registry, functions):
+        result = plan(
+            "DEFINE query_name q; Select B.time From eth0.tcp B, eth1.tcp C "
+            "Where B.time = C.time and B.destPort = C.destPort",
+            registry, functions)
+        assert [(str(l), str(r)) for l, r in result.hfta.join_keys] == [
+            ("B.destPort", "C.destPort")]
+        # both still reach the emit test
+        assert len(result.hfta.predicates) == 2
+
+    def test_single_source_conjuncts_never_reach_the_join(self, registry,
+                                                          functions):
+        result = plan(
+            "DEFINE query_name q; Select B.time From eth0.tcp B, eth1.tcp C "
+            "Where B.time = C.time and B.destPort = B.srcPort",
+            registry, functions)
+        assert result.hfta.join_keys == []
+
+
 class TestMergePlans:
     def test_merge_of_streams(self, registry, functions):
         base = plan("DEFINE query_name s0; Select time, destIP From tcp",
@@ -216,3 +276,18 @@ class TestDescribe:
         text = result.describe()
         assert "LFTA" in text and "HFTA" in text
         assert "partial_aggregation" in text
+        assert "window=" not in text
+
+    def test_describe_says_what_a_join_probes(self, registry, functions):
+        keyed = plan(
+            "DEFINE query_name q; Select B.time From eth0.tcp B, eth1.tcp C "
+            "Where B.time >= C.time and B.time <= C.time + 1 "
+            "and B.srcIP = C.destIP and C.srcPort = B.destPort "
+            "and B.len < C.len", registry, functions)
+        assert ("window=[0,1] keys=[B.srcIP=C.destIP, B.destPort=C.srcPort] "
+                "residual=3") in keyed.describe()
+        keyless = plan(
+            "DEFINE query_name q; Select B.time From eth0.tcp B, eth1.tcp C "
+            "Where B.time = C.time", registry, functions)
+        assert ("window=[0,0] keys=none (window scan) residual=1"
+                in keyless.describe())

@@ -13,6 +13,7 @@ silently rot as the operator zoo grows.
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import io
 import pkgutil
@@ -21,6 +22,12 @@ import pytest
 
 from repro.recovery.wire import decode_snapshot, encode_snapshot
 from tests.conftest import tcp_packet
+
+
+#: sha256 of the snapshot ``test_join_index_is_not_on_the_wire`` takes,
+#: as encoded at f96f3e2: the last commit whose join scanned its window
+NESTED_LOOP_JOIN_SNAPSHOT = (
+    "987ed898d21282bd69e7266caf37c55244e2b77157bb72833843be2641a905aa")
 
 
 def _all_node_classes():
@@ -127,7 +134,7 @@ def _make_join():
     from repro.operators.join import JoinNode
     analyzed, plan, compiler = _compile(
         "DEFINE query_name j; Select A.time, A.destPort, B.destPort "
-        "From sa A, sb B Where A.time = B.time",
+        "From sa A, sb B Where A.time = B.time and A.destPort = B.destPort",
         streams=_derived_streams())
     return JoinNode(plan.hfta, analyzed, compiler)
 
@@ -409,6 +416,29 @@ class TestSnapshotContract:
         assert (encode_snapshot(restored.snapshot_state())
                 == encode_snapshot(original.snapshot_state())), \
             f"{name}: snapshots diverged after more input"
+
+    def test_join_index_is_not_on_the_wire(self):
+        """The keyed join's buckets are derived state: the snapshot is
+        the bytes the nested-loop join (the commit before the index)
+        wrote for the same input, and a restore rebuilds buckets that
+        answer every probe like the live node's."""
+        from repro.operators.join import JoinNode
+        case = _cases()[JoinNode]
+        original = case["make"]()
+        assert original.plan.join_keys
+        case["prefix"](original)
+        for i in range(12):   # several rows per key inside the open window
+            original.dispatch((9, 80 + i % 3), i % 2)
+        blob = encode_snapshot(original.snapshot_state())
+        assert hashlib.sha256(blob).hexdigest() == NESTED_LOOP_JOIN_SNAPSHOT
+        restored = case["make"]()
+        restored.restore_state(decode_snapshot(blob))
+        assert original.buffered and restored.buffered == original.buffered
+        for side in (0, 1):
+            for key in list(original._index[side]) + [(81,), (9999,)]:
+                for window in ((0, 9), (3, 3), (7, 100)):
+                    assert (restored._window_candidates(side, key, *window)
+                            == original._window_candidates(side, key, *window))
 
     def test_csv_sink_round_trip(self):
         from repro.sinks import CsvSink
