@@ -29,6 +29,18 @@ TABLE_SIZES = [64, 256, 1024, 4096]
 ALPHAS = [0.0, 0.8, 1.2]
 PACKETS = 30_000
 
+#: The EXPERIMENTS.md E4 table, cell for cell.  The workload is seeded
+#: and slots are placed by ``stable_hash``, so these are exact: a change
+#: here means group placement moved, and with it every golden digest
+#: (DESIGN section 18) -- regenerate both or neither.
+COMMITTED = {
+    64: [29792, 26776, 14417],
+    256: [29103, 23274, 10156],
+    1024: [26447, 17831, 5851],
+    4096: [18888, 11655, 4139],
+}
+COMMITTED_COLLISION_RATES = {0.0: 0.962, 1.2: 0.330}
+
 
 def run(table_size, packets):
     gs = Gigascope(lfta_table_size=table_size)
@@ -75,6 +87,7 @@ def test_e4_reduction_vs_table_size_and_skew(streams):
         table[size] = row
         print(f"{size:>10}" + "".join(f"{v:>13}" for v in row))
 
+    assert table == COMMITTED
     for column, alpha in enumerate(ALPHAS):
         # Bigger tables always reduce at least as well (fewer partials).
         per_size = [table[size][column] for size in TABLE_SIZES]
@@ -108,3 +121,5 @@ def test_e4_collision_rate_drops_with_skew(streams):
     print(f"\nE4 collision rate at 256 slots: uniform={rates[0.0]:.3f}, "
           f"zipf(1.2)={rates[1.2]:.3f}")
     assert rates[1.2] < rates[0.0]
+    assert {alpha: round(rate, 3) for alpha, rate in rates.items()} \
+        == COMMITTED_COLLISION_RATES

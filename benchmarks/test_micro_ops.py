@@ -130,6 +130,36 @@ def test_bench_batch_select_chained(benchmark, selection_rows):
     assert benchmark(run) == len(rows)
 
 
+@pytest.fixture(scope="module")
+def flow_keys():
+    """5-tuple-per-window group keys, the shape ``flows_highcard``
+    places: all integer, so the plan gets the ``%d`` format."""
+    rng = random.Random(5)
+    return [(rng.randrange(100), rng.randrange(1 << 32), rng.randrange(1 << 32),
+             rng.randrange(1 << 16), rng.randrange(1 << 16), 6)
+            for _ in range(10_000)]
+
+
+def test_bench_key_hash_generated(benchmark, flow_keys):
+    """Slot placement through the per-plan format (DESIGN section 18).
+    CI gates the ratio of this to ``_stable`` below, measured in the
+    same run; the numbers must be the same numbers."""
+    from repro.determinism import int_key_format, stable_hash, stable_slots
+
+    fmt = int_key_format(6)
+    slots, error = benchmark(stable_slots, flow_keys, 4096, fmt)
+    assert error is None
+    assert slots == [stable_hash(key) % 4096 for key in flow_keys]
+
+
+def test_bench_key_hash_stable(benchmark, flow_keys):
+    """The same placement through ``stable_hash``'s ``repr`` walk."""
+    from repro.determinism import stable_slots
+
+    slots, error = benchmark(stable_slots, flow_keys, 4096, None)
+    assert error is None and len(slots) == len(flow_keys)
+
+
 def test_bench_channel_push_scalar(benchmark):
     from repro.core.channels import Channel
 

@@ -25,8 +25,10 @@ and every generated entry point catches it and discards the tuple --
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
+from repro.determinism import int_key_format
 from repro.gsql.ast_nodes import (
     AggCall,
     BinaryOp,
@@ -122,7 +124,7 @@ class ExprCompiler:
         if self.mode == "interpreted":
             return self._interp_tuple_fn(exprs, slot_maps, arity)
         parts = [self._compile(e, slot_maps, arity) for e in exprs]
-        body = "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
+        body = _tuple_src(parts)
         return self._finalize(body, arity, on_discard="None")
 
     def predicate_fn(
@@ -187,7 +189,7 @@ class ExprCompiler:
             "(" + self._compile(c, slot_maps, 1) + ")" for c in conjuncts
         )
         parts = [self._compile(e, slot_maps, 1) for e in exprs]
-        build = "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
+        build = _tuple_src(parts)
         return self._finalize_batch(pred_src, f"append({build})")
 
     def batch_key_fn(
@@ -195,12 +197,14 @@ class ExprCompiler:
         conjuncts: Sequence[Expr],
         group_exprs: Sequence[Expr],
         slot_maps: Sequence[SlotMap] = (None,),
-    ) -> Callable[[Sequence[tuple], Callable[[tuple], None]], int]:
-        """One fused ``f(rows, append) -> discarded`` for aggregation.
+    ) -> Callable[[Sequence[tuple]], Tuple[int, List[tuple], List[tuple]]]:
+        """One fused ``f(rows) -> (discarded, keys, rows_out)`` for
+        aggregation -- the row-decoded twin of :meth:`columnar_key_fn`.
 
-        ``append`` receives ``(key, row)`` pairs for rows that pass the
-        predicate and build a key; the aggregate update stays in the
-        operator (it mutates shared group state).
+        ``keys`` are the group keys of the rows that pass the predicate
+        and build a key, ``rows_out`` those rows; the aggregation
+        kernel (:meth:`lfta_aggregate_fn` / :meth:`hfta_aggregate_fn`)
+        takes the pair of lists from either.
         """
         if self.mode == "interpreted":
             predicate = self.predicate_fn(conjuncts, slot_maps)
@@ -209,9 +213,26 @@ class ExprCompiler:
         pred_src = " and ".join(
             "(" + self._compile(c, slot_maps, 1) + ")" for c in conjuncts
         )
+        guard = [f"if not ({pred_src}):",
+                 "    d += 1",
+                 "    continue"] if pred_src else []
         parts = [self._compile(e, slot_maps, 1) for e in group_exprs]
-        key = "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
-        return self._finalize_batch(pred_src, f"append(({key}, t))")
+        return self._link("rows", [
+            "d = 0",
+            "keys = []",
+            "out = []",
+            "_ka = keys.append",
+            "_oa = out.append",
+            "for t in rows:",
+            "    try:",
+        ] + _indent(guard + [f"_k = {_tuple_src(parts)}"], 2) + [
+            "    except DiscardTuple:",
+            "        d += 1",
+            "        continue",
+            "    _ka(_k)",
+            "    _oa(t)",
+            "return d, keys, out",
+        ])
 
     # -- columnar (block) entry points --------------------------------------
     #
@@ -245,7 +266,7 @@ class ExprCompiler:
             self._compile_columnar(e, slot_maps, "_o{slot}[j]", build_slots)
             for e in exprs
         ]
-        build = "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
+        build = _tuple_src(parts)
         gathers = "".join(
             f"    _o{slot} = B.gather({slot}, rows)\n"
             for slot in sorted(build_slots)
@@ -291,13 +312,13 @@ class ExprCompiler:
             self._compile_columnar(e, slot_maps, "_o{slot}[j]", gather_slots)
             for e in group_exprs
         ]
-        key = "(" + ", ".join(key_parts) + ("," if len(key_parts) == 1 else "") + ")"
+        key = _tuple_src(key_parts)
         row_set = set(row_slots)
         row_parts = [
             (f"_o{slot}[j]" if slot in row_set else "None")
             for slot in range(width)
         ]
-        row = "(" + ", ".join(row_parts) + ("," if width == 1 else "") + ")"
+        row = _tuple_src(row_parts)
         gathers = "".join(
             f"    _o{slot} = B.gather({slot}, rows)\n"
             for slot in sorted(gather_slots)
@@ -374,83 +395,300 @@ class ExprCompiler:
     #
     # The generic loops in repro.operators.aggregates walk the aggregate
     # list per tuple and compare names; a plan's list is fixed, so the
-    # loop unrolls into one straight-line function per entry point with
-    # the argument expressions inlined.  Statement order follows the
-    # generic loops exactly (one aggregate after another, argument
-    # evaluated before its slot is touched), so a DiscardTuple or an
-    # error raised half-way leaves the same partial update behind.
+    # loop unrolls into straight-line statements with the argument
+    # expressions inlined (_aggregate_source).  Those statements are
+    # linked twice: as the stand-alone AggregateOps methods
+    # (aggregate_kernels) and inside the per-plan block kernels that run
+    # a whole block's probe/fold/eject loop (lfta_aggregate_fn,
+    # hfta_aggregate_fn; DESIGN section 18).  Every argument is
+    # evaluated before any state is touched, so a DiscardTuple discards
+    # the tuple whole; an error raised by a fold leaves the slots before
+    # it folded, exactly as the generic loop does.
+
+    def key_hash_format(self, group_exprs: Sequence[Expr]) -> Optional[bytes]:
+        """The ``%d`` format that hashes this plan's group keys
+        (:func:`repro.determinism.int_key_format`), or ``None`` when
+        :func:`~repro.determinism.stable_hash` must render them.
+
+        Decided from static types, never from the codegen mode, so
+        compiled and interpreted runs place groups identically: every
+        group expression must have an integer GSQL type (UINT, INT,
+        ULLONG, IP, IP6 -- not BOOL, whose values print as
+        ``True``/``False``) and read no query parameter (a ``$param``
+        is typed UINT but carries whatever the caller binds).
+        """
+        types = self.analyzed.types
+        for expr in group_exprs:
+            gsql_type = types.get(id(expr))
+            if gsql_type is None or gsql_type.python_type is not int:
+                return None
+            if any(isinstance(node, Param) for node in expr.walk()):
+                return None
+        return int_key_format(len(group_exprs))
+
+    def _aggregate_source(
+        self,
+        aggregates: Sequence[AggCall],
+        slot_maps: Optional[Sequence[SlotMap]],
+        partial_base: Optional[int] = None,
+    ) -> "_AggregateSource":
+        """The statements ``aggregates`` unroll into (see
+        :class:`_AggregateSource`).
+
+        ``slot_maps=None`` means the input carries partials, not the
+        aggregates' arguments: ``args`` and the folds are then empty.
+        ``partial_base`` says where ``combine`` reads the partial
+        encoding: ``None`` for a sequence ``p``, else from slot
+        ``partial_base`` of the input tuple ``t``.
+
+        In interpreted mode the statements call the generic
+        ``AggregateOps`` interpreter bound off ``node.aggregate_ops``
+        instead: the block kernels are the same loop in both modes.
+        """
+        if self.mode == "interpreted":
+            encoded = "p" if partial_base is None else f"t[{partial_base}:]"
+            return _AggregateSource(
+                bind=["ops = node.aggregate_ops", "_args = ops.args",
+                      "_new = ops.new_state", "_fold = ops.fold",
+                      "_foldw = ops.fold_weighted", "_combine = ops.combine",
+                      "_partials = ops.partials"],
+                args=[] if slot_maps is None else ["v = _args(t)"],
+                new_state="_new()",
+                fold=["_fold(s, v)"],
+                fold_weighted=["_foldw(s, v, w)"],
+                combine=[f"_combine(s, {encoded})"],
+                partials="_partials({s})",
+                final_values="ops.final_values({s})",
+            )
+        args: List[str] = []
+        initial: List[str] = []
+        fold: List[str] = []
+        weighted: List[str] = []
+        combine: List[str] = []
+        partials: List[str] = []
+        finals: List[str] = []
+        cursor = 0
+        for index, agg in enumerate(aggregates):
+            name = agg.name
+            state = f"s[{index}]"
+            slot = "{s}[%d]" % index
+            value = f"v{index}"
+            width = 2 if name == "AVG" else 1
+            if partial_base is None:
+                encoded = [f"p[{cursor + i}]" for i in range(width)]
+            else:
+                encoded = [f"t[{partial_base + cursor + i}]"
+                           for i in range(width)]
+            cursor += width
+            if name != "COUNT" and slot_maps is not None:
+                args.append(f"{value} = {self._compile(agg.arg, slot_maps, 1)}")
+            if name in ("COUNT", "SUM"):
+                initial.append("0")
+                partials.append(slot)
+                finals.append(slot)
+                combine.append(f"{state} += {encoded[0]}")
+                if name == "COUNT":
+                    fold.append(f"{state} += 1")
+                    weighted.append(f"{state} += w")
+                else:
+                    fold.append(f"{state} += {value}")
+                    weighted.append(f"{state} += {value} * w")
+            elif name in ("MIN", "MAX"):
+                better = "<" if name == "MIN" else ">"
+                initial.append("None")
+                partials.append(slot)
+                finals.append(slot)
+                combine += [
+                    f"c = {encoded[0]}",
+                    f"if {state} is None or (c is not None and c {better} {state}):",
+                    f"    {state} = c",
+                ]
+                # order statistics fold unweighted either way
+                order = [f"if {state} is None or {value} {better} {state}:",
+                         f"    {state} = {value}"]
+                fold += order
+                weighted += order
+            elif name == "AVG":
+                initial.append("[0.0, 0]")
+                partials += [slot + "[0]", slot + "[1]"]
+                finals.append(f"({slot}[0] / {slot}[1] if {slot}[1] else 0.0)")
+                combine += [f"a = {state}", f"a[0] += {encoded[0]}",
+                            f"a[1] += {encoded[1]}"]
+                fold += [f"a = {state}", f"a[0] += {value}", "a[1] += 1"]
+                weighted += [f"a = {state}", f"a[0] += {value} * w",
+                             "a[1] += w"]
+            else:
+                raise CodegenError(f"cannot compile aggregate {name!r}")
+        if slot_maps is None:
+            fold, weighted = [], []
+        return _AggregateSource(
+            bind=[], args=args, new_state="[" + ", ".join(initial) + "]",
+            fold=fold, fold_weighted=weighted, combine=combine,
+            partials=_tuple_src(partials), final_values=_tuple_src(finals))
+
+    def _link(self, signature: str, body: Sequence[str]) -> Callable:
+        """Compile ``def _gN(signature):`` over ``body`` lines."""
+        name = f"_g{self._counter}"
+        self._counter += 1
+        return self._finalize_source(
+            name, f"def {name}({signature}):\n" + "".join(
+                line + "\n" for line in _indent(body or ["pass"])))
 
     def aggregate_kernels(
         self,
         aggregates: Sequence[AggCall],
         slot_maps: Optional[Sequence[SlotMap]] = (None,),
-    ) -> Optional[Tuple[Optional[Callable], Optional[Callable], Callable]]:
-        """Generated ``(update, update_weighted, combine)`` for a plan.
+    ) -> Optional[Tuple[Callable, Optional[Callable], Optional[Callable],
+                        Callable, Callable, Callable]]:
+        """Generated ``(new_state, update, update_weighted, combine,
+        partials, final_values)`` for a plan.
 
+        ``new_state()`` is the list literal of an untouched group,
         ``update(s, t)`` folds input tuple ``t`` into state list ``s``,
         ``update_weighted(s, t, w)`` does so with Horvitz-Thompson
         weight ``w``, ``combine(s, p)`` folds the partial encoding
-        ``p``.  ``slot_maps=None`` means the input carries partials,
-        not the aggregates' arguments: the two update kernels are then
+        ``p``, ``partials(s)`` / ``final_values(s)`` are the tuple
+        displays of the encoding and of the finished values.
+        ``slot_maps=None`` means the input carries partials, not the
+        aggregates' arguments: the two update kernels are then
         ``None``.  Returns ``None`` in interpreted mode, whose
         interpreter is the generic loop.
         """
         if self.mode == "interpreted":
             return None
-        update: List[str] = []
-        weighted: List[str] = []
-        combine: List[str] = []
-        cursor = 0
-        for index, agg in enumerate(aggregates):
-            name = agg.name
-            state = f"s[{index}]"
-            partial = f"p[{cursor}]"
-            cursor += 2 if name == "AVG" else 1
-            if name in ("COUNT", "SUM"):
-                combine.append(f"{state} += {partial}")
-            elif name in ("MIN", "MAX"):
-                better = "<" if name == "MIN" else ">"
-                combine += [
-                    f"v = {partial}",
-                    f"if {state} is None or (v is not None and v {better} {state}):",
-                    f"    {state} = v",
-                ]
-            elif name == "AVG":
-                combine += [f"a = {state}", f"a[0] += {partial}",
-                            f"a[1] += p[{cursor - 1}]"]
-            else:
-                raise CodegenError(f"cannot compile aggregate {name!r}")
-            if name == "COUNT":
-                update.append(f"{state} += 1")
-                weighted.append(f"{state} += w")
-                continue
-            if slot_maps is None:
-                continue
-            arg = self._compile(agg.arg, slot_maps, 1)
-            if name == "SUM":
-                update.append(f"{state} += {arg}")
-                weighted.append(f"{state} += {arg} * w")
-            elif name == "AVG":
-                update += [f"v = {arg}", f"a = {state}", "a[0] += v", "a[1] += 1"]
-                weighted += [f"v = {arg}", f"a = {state}", "a[0] += v * w",
-                             "a[1] += w"]
-            else:  # order statistics fold unweighted either way
-                fold = [f"v = {arg}",
-                        f"if {state} is None or v {better} {state}:",
-                        f"    {state} = v"]
-                update += fold
-                weighted += fold
+        src = self._aggregate_source(aggregates, slot_maps)
+        update = weighted = None
+        if slot_maps is not None:
+            update = self._link("s, t", src.args + src.fold)
+            weighted = self._link("s, t, w", src.args + src.fold_weighted)
+        return (self._link("", [f"return {src.new_state}"]),
+                update, weighted,
+                self._link("s, p", src.combine),
+                self._link("s", ["return " + src.partials.format(s="s")]),
+                self._link("s", ["return " + src.final_values.format(s="s")]))
 
-        def link(args: str, body: List[str]) -> Callable:
-            name = f"_g{self._counter}"
-            self._counter += 1
-            lines = "".join(f"    {line}\n" for line in body or ["pass"])
-            return self._finalize_source(name, f"def {name}({args}):\n{lines}")
+    # The block kernels are linked against the operator that runs them:
+    # they read and write the node's own attributes (``node.table``,
+    # ``node._groups``, ``node._high_water``, ``node._window_index`` /
+    # ``_window_band``, ``node.stats``) and call back into it for what
+    # stays per window, not per row (``node._flush_below``,
+    # ``node.emit_many``).
 
-        if slot_maps is None:
-            return None, None, link("s, p", combine)
-        return (link("s, t", update), link("s, t, w", weighted),
-                link("s, p", combine))
+    def lfta_aggregate_fn(
+        self,
+        aggregates: Sequence[AggCall],
+        slot_maps: Sequence[SlotMap],
+        windowed: bool,
+    ) -> Callable:
+        """The LFTA's ``f(node, keys, rows, w)``: one block of group
+        keys and their rows through the direct-mapped table.
+
+        Slot indices for the whole block first, then per row: the
+        aggregate arguments (no result => the row is discarded, nothing
+        touched), the window high-water check (``windowed`` plans only),
+        the probe, and the fold with weight ``w`` (1.0 = unweighted).
+        An ejected group's ``key + partials`` row joins a block-local
+        list that is emitted before any window flush and at block end,
+        so the output order is the row-at-a-time order; the table's
+        counters move once per block.  An exception at row *k* leaves
+        table, counters and output as *k* row-at-a-time steps would.
+        """
+        src = self._aggregate_source(aggregates, slot_maps)
+        setup = [
+            "table = node.table",
+            "slots, indices, error = table.open_block(keys)",
+            "weighted = w != 1.0",
+            "out = []",
+            "eject = out.append",
+            "lookups = occupied = collisions = discarded = 0",
+        ] + src.bind
+        loop = _guarded_args(src)
+        if windowed:
+            setup += _WINDOW_SETUP
+            loop += _window_check([
+                "if out:",
+                "    closed, out = out, []",
+                "    eject = out.append",
+                "    node.emit_many(closed)",
+            ])
+        loop += [
+            "lookups += 1",
+            "e = slots[i]",
+            "if e is not None and e[0] == k:",
+            "    s = e[1]",
+            "else:",
+            f"    s = {src.new_state}",
+            "    slots[i] = (k, s)",
+            "    if e is None:",
+            "        occupied += 1",
+            "    else:",
+            "        collisions += 1",
+            "        q = e[1]",
+            "        eject(e[0] + " + src.partials.format(s="q") + ")",
+            "if weighted:",
+        ] + _indent(src.fold_weighted or ["pass"]) + [
+            "else:",
+        ] + _indent(src.fold or ["pass"])
+        return self._link("node, keys, rows, w", setup + [
+            "try:",
+            "    for i, k, t in zip(indices, keys, rows):",
+        ] + _indent(loop, 2) + [
+            "finally:",
+            "    table.close_block(lookups, occupied, collisions)",
+            "    node.stats.discarded += discarded",
+            "    node.emit_many(out)",
+            "if error is not None:",
+            "    raise error",
+        ])
+
+    def hfta_aggregate_fn(
+        self,
+        aggregates: Sequence[AggCall],
+        slot_maps: Optional[Sequence[SlotMap]],
+        windowed: bool,
+        key_width: int,
+        filtered: bool = False,
+    ) -> Callable:
+        """The HFTA's ``f(node, keys, rows)``: one block into the
+        group dict.
+
+        With ``slot_maps`` the rows are raw tuples, ``keys`` their group
+        keys (:meth:`batch_key_fn`), and each row's arguments are
+        evaluated, then folded.  With ``slot_maps=None`` the rows are
+        partial aggregates (``keys`` is unused): the key is the first
+        ``key_width`` slots and the rest is combined into the group --
+        after ``node._predicate`` when the plan is ``filtered``.
+        """
+        partials = slot_maps is None
+        src = self._aggregate_source(
+            aggregates, slot_maps, key_width if partials else None)
+        setup = ["groups = node._groups", "discarded = 0"] + src.bind
+        if partials:
+            header = "for t in rows:"
+            loop = [f"k = t[:{key_width}]"]
+            if filtered:
+                setup.append("predicate = node._predicate")
+                loop = ["if not predicate(t):",
+                        "    discarded += 1",
+                        "    continue"] + loop
+        else:
+            header = "for k, t in zip(keys, rows):"
+            loop = _guarded_args(src)
+        if windowed:
+            setup += _WINDOW_SETUP
+            loop += _window_check()
+        loop += [
+            "s = groups.get(k)",
+            "if s is None:",
+            f"    s = groups[k] = {src.new_state}",
+        ] + (src.combine if partials else src.fold)
+        return self._link("node, keys, rows", setup + [
+            "try:",
+            "    " + header,
+        ] + _indent(loop, 2) + [
+            "finally:",
+            "    node.stats.discarded += discarded",
+        ])
 
     def _finalize_batch(self, pred_src: str, action: str) -> Callable:
         name = f"_g{self._counter}"
@@ -485,7 +723,7 @@ class ExprCompiler:
                     return None
             return build
         parts = [self._compile(e, (None,), "post") for e in exprs]
-        body = "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
+        body = _tuple_src(parts)
         return self._finalize(body, "post", on_discard="None")
 
     def post_predicate_fn(self, expr: Optional[Expr]) -> Callable[[tuple, tuple], bool]:
@@ -712,6 +950,62 @@ class ExprCompiler:
         return check
 
 
+
+class _AggregateSource(NamedTuple):
+    """One plan's aggregate list as source text, for the stand-alone
+    kernels and the block kernels alike.  Statements read the state
+    list ``s``, the input tuple ``t`` and the weight ``w``."""
+
+    #: names the statements below need bound first (interpreted mode)
+    bind: List[str]
+    #: evaluate every aggregate argument; may raise DiscardTuple
+    args: List[str]
+    #: expression: the state of an untouched group
+    new_state: str
+    #: fold the evaluated arguments into ``s`` (plain / weighted by ``w``)
+    fold: List[str]
+    fold_weighted: List[str]
+    #: fold one partial encoding into ``s``
+    combine: List[str]
+    #: expression templates over the state variable ``{s}``
+    partials: str
+    final_values: str
+
+
+def _indent(lines: Sequence[str], levels: int = 1) -> List[str]:
+    return ["    " * levels + line for line in lines]
+
+
+def _guarded_args(src: _AggregateSource) -> List[str]:
+    """Evaluate the aggregate arguments; no result discards the row."""
+    if not src.args:
+        return []
+    return ["try:"] + _indent(src.args) + [
+        "except DiscardTuple:",
+        "    discarded += 1",
+        "    continue",
+    ]
+
+
+_WINDOW_SETUP = [
+    "index = node._window_index",
+    "band = node._window_band",
+    "high = node._high_water",
+]
+
+
+def _window_check(before_flush: Sequence[str] = ()) -> List[str]:
+    """A key past the window high-water mark closes the groups below
+    it -- after ``before_flush``, what must leave the node first."""
+    return [
+        "x = k[index]",
+        "if high is None or x > high:",
+        "    high = node._high_water = x",
+    ] + _indent(before_flush) + [
+        "    node._flush_below(x - band)",
+    ]
+
+
 def _chained_batch_select(predicate, project):
     """Interpreted-mode batch select: loop the scalar call chain."""
     def run(rows, append):
@@ -731,8 +1025,10 @@ def _chained_batch_select(predicate, project):
 
 def _chained_batch_key(predicate, key_fn):
     """Interpreted-mode batch keying: loop the scalar call chain."""
-    def run(rows, append):
+    def run(rows):
         d = 0
+        keys = []
+        out = []
         for t in rows:
             if not predicate(t):
                 d += 1
@@ -741,9 +1037,15 @@ def _chained_batch_key(predicate, key_fn):
             if key is None:
                 d += 1
                 continue
-            append((key, t))
-        return d
+            keys.append(key)
+            out.append(t)
+        return d, keys, out
     return run
+
+
+def _tuple_src(parts: Sequence[str]) -> str:
+    """Source of the tuple display over ``parts`` (any length)."""
+    return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
 
 
 def _apply_binop(expr: BinaryOp, left: Any, right: Any, is_float_division) -> Any:

@@ -11,6 +11,12 @@ HFTA later *combines*.  For each GSQL aggregate this module defines
 
 COUNT combines by summing counts; SUM by summing; MIN/MAX by min/max;
 AVG carries a (sum, count) pair across the split.
+
+The loops below are the definition, and the ``interpreted`` mode's
+interpreter.  Compiled plans replace every method with a straight-line
+kernel generated for their aggregate list, and the engine's block
+loops inline the same statements (``ExprCompiler.aggregate_kernels``,
+``lfta_aggregate_fn`` / ``hfta_aggregate_fn``; DESIGN section 18).
 """
 
 from __future__ import annotations
@@ -46,12 +52,13 @@ class AggregateOps:
                  slot_maps) -> "AggregateOps":
         """The ops of one plan's aggregate list, built by its compiler.
 
-        In compiled mode ``update`` / ``update_weighted`` / ``combine``
-        are the straight-line kernels generated for exactly this list
+        In compiled mode every method is the straight-line kernel
+        generated for exactly this list
         (``ExprCompiler.aggregate_kernels``); the interpreted mode
         keeps the generic loops below as its interpreter, over
         tree-walking argument functions.  ``slot_maps=None`` says the
-        input carries partials: only ``combine`` is usable then.
+        input carries partials: ``update``/``update_weighted`` are not
+        usable then.
         """
         kernels = compiler.aggregate_kernels(aggregates, slot_maps)
         if kernels is None:
@@ -60,10 +67,17 @@ class AggregateOps:
                 else compiler.scalar_fn(agg.arg, slot_maps)
                 for agg in aggregates])
         ops = cls(aggregates, [None] * len(aggregates))
-        ops.update, ops.update_weighted, ops.combine = kernels
+        (ops.new_state, ops.update, ops.update_weighted, ops.combine,
+         ops.partials, ops.final_values) = kernels
         return ops
 
     # -- per-tuple accumulation ------------------------------------------
+    #
+    # Arguments before state: every aggregate's argument is evaluated
+    # before any slot is touched, so a partial function with no result
+    # (``DiscardTuple``) discards the tuple whole -- no half-folded
+    # state, and in the block kernels no table slot and no ejection.
+
     def new_state(self) -> list:
         state = []
         for agg in self.aggregates:
@@ -77,15 +91,27 @@ class AggregateOps:
                 state.append(None)
         return state
 
+    def args(self, row: tuple) -> list:
+        """One argument value per aggregate (``None`` for COUNT(*))."""
+        return [None if arg_fn is None else arg_fn(row)
+                for arg_fn in self.arg_fns]
+
     def update(self, state: list, row: tuple) -> None:
         """Fold one raw input tuple into ``state``."""
+        self.fold(state, self.args(row))
+
+    def update_weighted(self, state: list, row: tuple, weight: float) -> None:
+        """Fold one sampled tuple with a Horvitz-Thompson weight."""
+        self.fold_weighted(state, self.args(row), weight)
+
+    def fold(self, state: list, values: Sequence[Any]) -> None:
+        """Fold one tuple's argument values (:meth:`args`) into ``state``."""
         for index, agg in enumerate(self.aggregates):
-            arg_fn = self.arg_fns[index]
             name = agg.name
             if name == "COUNT":
                 state[index] += 1
                 continue
-            value = arg_fn(row)
+            value = values[index]
             if name == "SUM":
                 state[index] += value
             elif name == "MIN":
@@ -99,8 +125,9 @@ class AggregateOps:
                 pair[0] += value
                 pair[1] += 1
 
-    def update_weighted(self, state: list, row: tuple, weight: float) -> None:
-        """Fold one sampled tuple with a Horvitz-Thompson weight.
+    def fold_weighted(self, state: list, values: Sequence[Any],
+                      weight: float) -> None:
+        """:meth:`fold` with a Horvitz-Thompson weight.
 
         Used by the overload control plane: when an LFTA keeps a packet
         with probability ``p``, the kept tuple carries ``weight = 1/p``
@@ -111,12 +138,11 @@ class AggregateOps:
         sample extremum is the best available estimate).
         """
         for index, agg in enumerate(self.aggregates):
-            arg_fn = self.arg_fns[index]
             name = agg.name
             if name == "COUNT":
                 state[index] += weight
                 continue
-            value = arg_fn(row)
+            value = values[index]
             if name == "SUM":
                 state[index] += value * weight
             elif name == "MIN":

@@ -44,15 +44,20 @@ class AggregationNode(QueryNode):
             self._sample_rate = None
             self._sample_rng = None
         if self.from_partials:
-            self._key_width = len(analyzed.group_exprs)
+            key_width = len(analyzed.group_exprs)
             self._predicate = compiler.predicate_fn(plan.predicates, slot_maps)
         else:
-            self._key_width = len(plan.group_exprs)
+            key_width = len(plan.group_exprs)
             self._batch_key = compiler.batch_key_fn(
                 plan.predicates, plan.group_exprs, slot_maps)
+        argument_maps = None if self.from_partials else slot_maps
         self.aggregate_ops = AggregateOps.for_plan(
-            compiler, plan.aggregates,
-            None if self.from_partials else slot_maps)
+            compiler, plan.aggregates, argument_maps)
+        # The one group-table loop (DESIGN section 18), generated per
+        # plan: folds raw tuples or combines LFTA partials.
+        self._aggregate = compiler.hfta_aggregate_fn(
+            plan.aggregates, argument_maps, plan.window_key_index >= 0,
+            key_width, filtered=bool(plan.predicates))
         self._post_select = compiler.post_tuple_fn(plan.post_select_exprs)
         self._having = compiler.post_predicate_fn(plan.having)
         self._window_index = plan.window_key_index
@@ -106,10 +111,11 @@ class AggregationNode(QueryNode):
     def on_tuple_batch(self, rows, input_index: int) -> None:
         """Sample gate, predicate/keying, then the group-table update.
 
-        Predicate and keying run through one fused generated function
-        (or the per-row predicate in partials mode, where the key is a
-        plain slice); groups are updated in row order, so a window
-        flush fires at the same row however the stream was cut.
+        Raw tuples are filtered and keyed by one fused generated
+        function; partial aggregates carry their key as a plain slice.
+        Either way the generated kernel updates the groups in row
+        order, so a window flush fires at the same row however the
+        stream was cut.
         """
         if self._sample_rate is not None:
             rate = self._sample_rate
@@ -117,78 +123,61 @@ class AggregationNode(QueryNode):
             kept = [row for row in rows if rng() < rate]
             self.stats.discarded += len(rows) - len(kept)
             rows = kept
-        pairs = []
-        if self.from_partials:
-            predicate = self._predicate
-            key_width = self._key_width
-            append = pairs.append
-            dropped = 0
-            for row in rows:
-                if not predicate(row):
-                    dropped += 1
-                    continue
-                append((row[:key_width], row))
-        else:
-            dropped = self._batch_key(rows, pairs.append)
-        if dropped:
+        keys = None
+        if not self.from_partials:
+            dropped, keys, rows = self._batch_key(rows)
             self.stats.discarded += dropped
-        if not pairs:
-            return
-        window_index = self._window_index
-        band = self._window_band
-        groups = self._groups
-        new_state = self.aggregate_ops.new_state
-        combine = self.aggregate_ops.combine
-        update = self.aggregate_ops.update
-        from_partials = self.from_partials
-        key_width = self._key_width
-        for key, row in pairs:
-            if window_index >= 0:
-                window_value = key[window_index]
-                high_water = self._high_water
-                if high_water is None or window_value > high_water:
-                    self._high_water = window_value
-                    self._flush_below(window_value - band)
-            state = groups.get(key)
-            if state is None:
-                state = new_state()
-                groups[key] = state
-            if from_partials:
-                combine(state, row[key_width:])
-            else:
-                update(state, row)
+        self._aggregate(self, keys, rows)
 
     def _flush_below(self, low_water) -> None:
         index = self._window_index
         closed = [key for key in self._groups if key[index] < low_water]
-        # Full-key order, window first: the emitted sequence becomes the
-        # global (window, key) sort however arrivals were batched, so a
-        # sharded run's combined output matches the single-process run
-        # byte-for-byte (DESIGN section 15).  Dict insertion order --
-        # the old tie-break -- differs per shard by construction.
-        closed.sort(key=lambda key: (key[index], key))
-        for key in closed:
-            self._emit_group(key, self._groups.pop(key))
+        self._sort_closing(closed)
+        self._emit_groups(closed)
         if self._window_out_slot >= 0:
             self.emit_punctuation(Punctuation({self._window_out_slot: low_water}))
 
-    def _emit_group(self, key: tuple, state: list) -> None:
-        if self._emit_partials:
-            # Superaggregate-producer mode: ship the combinable state;
-            # HAVING/post-select belong to the combiner of the partials.
-            self.groups_emitted += 1
-            self.emit(key + self.aggregate_ops.partials(state))
-            return
-        values = self.aggregate_ops.final_values(state)
-        if not self._having(key, values):
-            self.stats.discarded += 1
-            return
-        out = self._post_select(key, values)
-        if out is None:
-            self.stats.discarded += 1
-            return
-        self.groups_emitted += 1
-        self.emit(out)
+    def _sort_closing(self, keys: list) -> None:
+        """Full-key order, window first: the emitted sequence becomes the
+        global (window, key) sort however arrivals were batched, so a
+        sharded run's combined output matches the single-process run
+        byte-for-byte (DESIGN section 15).  Dict insertion order --
+        the old tie-break -- differs per shard by construction.
+        """
+        index = self._window_index
+        if index == 0:
+            keys.sort()  # the window key leads: tuple order is that order
+        else:
+            keys.sort(key=lambda key: (key[index], key))
+
+    def _emit_groups(self, keys) -> None:
+        """Close the groups of ``keys``, in that order, and emit what
+        survives HAVING and the post-select as one block."""
+        pop = self._groups.pop
+        out = []
+        try:
+            if self._emit_partials:
+                # Superaggregate-producer mode: ship the combinable state;
+                # HAVING/post-select belong to the combiner of the partials.
+                partials = self.aggregate_ops.partials
+                for key in keys:
+                    out.append(key + partials(pop(key)))
+            else:
+                final_values = self.aggregate_ops.final_values
+                having = self._having
+                post_select = self._post_select
+                for key in keys:
+                    values = final_values(pop(key))
+                    if having(key, values):
+                        row = post_select(key, values)
+                        if row is not None:
+                            out.append(row)
+                            continue
+                    self.stats.discarded += 1
+        finally:
+            # also on an error: the groups closed before it have left
+            self.groups_emitted += len(out)
+            self.emit_many(out)
 
     def on_punctuation(self, punctuation: Punctuation, input_index: int) -> None:
         if self._key_bound is None or self._window_index < 0:
@@ -223,7 +212,5 @@ class AggregationNode(QueryNode):
         """Emit every remaining group (explicit flush / end of stream)."""
         keys = list(self._groups)
         if self._window_index >= 0:
-            index = self._window_index
-            keys.sort(key=lambda key: (key[index], key))
-        for key in keys:
-            self._emit_group(key, self._groups.pop(key))
+            self._sort_closing(keys)
+        self._emit_groups(keys)

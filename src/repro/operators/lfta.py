@@ -14,6 +14,17 @@ column-wise (built-in ip/tcp/udp protocols under compiled codegen,
 DESIGN section 14) or row by row (every other protocol, and
 ``interpreted`` mode) -- the two decodes are held byte-identical by
 ``tests/test_columnar.py``.
+
+Partial aggregation is one loop whichever decode ran: both hand the
+surviving rows and their group keys to the plan's generated kernel
+(``ExprCompiler.lfta_aggregate_fn``, DESIGN section 18), which places
+the whole block's keys, then per row evaluates the aggregate arguments,
+checks the window high-water mark, probes the direct-mapped table and
+folds -- ejected groups leave as one block ahead of any window flush.
+What stays here is what happens per window, not per row: closing the
+groups below a bound (:meth:`LftaNode._flush_below`) and the end-of-
+stream flush, each one ``emit_many``.  ``tests/test_lfta_block_kernel.py``
+holds the kernel to the row-at-a-time loop it replaced.
 """
 
 from __future__ import annotations
@@ -105,7 +116,12 @@ class LftaNode(QueryNode):
                 plan.predicates, plan.group_exprs, (None, None))
             self.aggregate_ops = AggregateOps.for_plan(
                 compiler, plan.aggregates, (None, None))
-            self.table = DirectMappedTable(table_size)
+            # The one aggregation loop (DESIGN section 18): generated
+            # per plan, fed (keys, rows) by either decode.
+            self._aggregate = compiler.lfta_aggregate_fn(
+                plan.aggregates, (None, None), plan.window_key_index >= 0)
+            self.table = DirectMappedTable(
+                table_size, compiler.key_hash_format(plan.group_exprs))
             self._window_index = plan.window_key_index
             self._window_band = plan.window_key_band
             self._high_water = None
@@ -216,82 +232,29 @@ class LftaNode(QueryNode):
                 dropped = self._batch_select(rows, out.append)
             self.stats.discarded += dropped
             self.emit_many(out)
-        elif block is not None:
-            dropped, keys, key_rows = self._columnar_key(block, rows)
+        else:
+            if block is not None:
+                dropped, keys, key_rows = self._columnar_key(block, rows)
+            else:
+                dropped, keys, key_rows = self._batch_key(rows)
             self.stats.discarded += dropped
             if keys:
-                self._aggregate_columnar(keys, key_rows, weight)
-        else:
-            pairs: List[tuple] = []
-            self.stats.discarded += self._batch_key(rows, pairs.append)
-            if pairs:
-                self._aggregate_batch(pairs, weight)
-
-    def _aggregate_columnar(self, keys, rows, weight: float) -> None:
-        """Aggregate one decoded block's surviving rows.
-
-        Windowed plans keep the per-row loop: the window high-water
-        check must interleave flush/eject emission in row order.
-        Windowless plans upsert the whole
-        key slice through :meth:`DirectMappedTable.upsert_slices`; the
-        generator is consumer-driven, so each row's ejection is emitted
-        and its state updated before the next key touches the table.
-        """
-        if self._window_index >= 0:
-            self._aggregate_batch(list(zip(keys, rows)), weight)
-            return
-        update = self.aggregate_ops.update
-        update_weighted = self.aggregate_ops.update_weighted
-        weighted = weight != 1.0
-        emit_group = self._emit_group
-        position = 0
-        for state, ejected in self.table.upsert_slices(
-                keys, self.aggregate_ops.new_state):
-            if ejected is not None:
-                emit_group(*ejected)
-            if weighted:
-                update_weighted(state, rows[position], weight)
-            else:
-                update(state, rows[position])
-            position += 1
-
-    def _aggregate_batch(self, pairs, weight: float) -> None:
-        """Upsert ``(key, row)`` pairs in row order: a key past the
-        window high-water mark flushes the closed groups first."""
-        window_index = self._window_index
-        band = self._window_band
-        upsert = self.table.upsert
-        new_state = self.aggregate_ops.new_state
-        update = self.aggregate_ops.update
-        update_weighted = self.aggregate_ops.update_weighted
-        weighted = weight != 1.0
-        for key, row in pairs:
-            if window_index >= 0:
-                window_value = key[window_index]
-                high_water = self._high_water
-                if high_water is None or window_value > high_water:
-                    self._high_water = window_value
-                    self._flush_below(window_value - band)
-            state, ejected = upsert(key, new_state)
-            if ejected is not None:
-                self._emit_group(*ejected)
-            if weighted:
-                update_weighted(state, row, weight)
-            else:
-                update(state, row)
+                self._aggregate(self, keys, key_rows, weight)
 
     def _flush_below(self, low_water) -> None:
         """Close every group whose window key is below ``low_water``."""
         index = self._window_index
         closed = self.table.evict_if(lambda key: key[index] < low_water)
         closed.sort(key=lambda entry: entry[0][index])
-        for key, state in closed:
-            self._emit_group(key, state)
+        self._emit_groups(closed)
         if closed or self._high_water is not None:
             self.emit_punctuation(Punctuation({index: low_water}))
 
-    def _emit_group(self, key: tuple, state: list) -> None:
-        self.emit(key + self.aggregate_ops.partials(state))
+    def _emit_groups(self, groups) -> None:
+        """Closed ``(key, state)`` groups leave as one block of
+        ``key + partials`` rows."""
+        partials = self.aggregate_ops.partials
+        self.emit_many([key + partials(state) for key, state in groups])
 
     # -- heartbeats from the RTS -------------------------------------------
     def on_heartbeat(self, stream_time: float) -> None:
@@ -351,8 +314,7 @@ class LftaNode(QueryNode):
             groups = self.table.evict_all()
             if index >= 0:
                 groups.sort(key=lambda entry: entry[0][index])
-            for key, state in groups:
-                self._emit_group(key, state)
+            self._emit_groups(groups)
 
     # LFTAs have no channel inputs; the RTS drives them directly.
     def on_tuple(self, row: tuple, input_index: int) -> None:

@@ -9,13 +9,26 @@ early data reduction."
 The table is an array of slots; each group hashes to exactly one slot
 and a collision *ejects* the resident group as a partial aggregate.
 Benchmark E4 sweeps the table size against workload locality.
+
+Two ways in.  The per-key methods (:meth:`DirectMappedTable.upsert`
+and friends) are the table's definition and what its unit tests and
+the tracing wraps hold on to.  The engine goes through
+:meth:`DirectMappedTable.open_block` / :meth:`~DirectMappedTable.close_block`:
+the LFTA's generated aggregation kernel (DESIGN section 18) gets the
+slot array and every key's slot index for a whole block, probes and
+replaces entries inline, and hands the counter deltas back once.  Both
+place a key in the same slot -- ``stable_hash(key) % size`` -- and a
+plan whose group key is statically all-integer computes that number
+through a ``%d`` format instead of ``repr`` (``key_format``; see
+:func:`repro.determinism.int_key_format`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import (Any, Callable, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
-from repro.determinism import stable_hash
+from repro.determinism import key_hasher, stable_slots
 
 
 class DirectMappedTable:
@@ -25,14 +38,20 @@ class DirectMappedTable:
     builtin ``hash()``: slot choice decides which groups collide and
     get ejected, so with a process-randomized hash two runs of the same
     workload emit different partials (and different E4 numbers).
+    ``key_format`` is the plan's :func:`~repro.determinism.int_key_format`
+    when its keys are all-integer: the same number, computed faster.
     """
 
-    __slots__ = ("size", "_slots", "occupied", "collisions", "lookups")
+    __slots__ = ("size", "_slots", "occupied", "collisions", "lookups",
+                 "_key_format", "_hash")
 
-    def __init__(self, size: int = 4096) -> None:
+    def __init__(self, size: int = 4096,
+                 key_format: Optional[bytes] = None) -> None:
         if size <= 0:
             raise ValueError("table size must be positive")
         self.size = size
+        self._key_format = key_format
+        self._hash = key_hasher(key_format)
         self._slots: List[Optional[Tuple[Any, Any]]] = [None] * size
         self.occupied = 0
         self.collisions = 0
@@ -41,7 +60,7 @@ class DirectMappedTable:
     def find(self, key: Any) -> Optional[Any]:
         """The state for ``key`` if resident, else None."""
         self.lookups += 1
-        entry = self._slots[stable_hash(key) % self.size]
+        entry = self._slots[self._hash(key) % self.size]
         if entry is not None and entry[0] == key:
             return entry[1]
         return None
@@ -49,7 +68,7 @@ class DirectMappedTable:
     def insert(self, key: Any, state: Any) -> Optional[Tuple[Any, Any]]:
         """Install ``key``; returns the ejected ``(key, state)`` if any."""
         self.lookups += 1
-        index = stable_hash(key) % self.size
+        index = self._hash(key) % self.size
         ejected = self._slots[index]
         if ejected is not None and ejected[0] == key:
             self._slots[index] = (key, state)
@@ -69,7 +88,7 @@ class DirectMappedTable:
         new key displaced (or None).
         """
         self.lookups += 1
-        index = stable_hash(key) % self.size
+        index = self._hash(key) % self.size
         entry = self._slots[index]
         if entry is not None and entry[0] == key:
             return entry[1], None
@@ -84,8 +103,7 @@ class DirectMappedTable:
     def upsert_slices(self, keys: Iterable[Any],
                       make_state: Callable[[], Any]
                       ) -> Iterator[Tuple[Any, Optional[Tuple[Any, Any]]]]:
-        """Upsert a block of group keys -- a key slice cut from the
-        columnar path's gathered key columns (DESIGN section 14).
+        """Upsert a block of group keys, lazily.
 
         A generator yielding ``(state, ejected)`` per key, in order.
         Consumption drives the table mutation: each key's lookup,
@@ -95,12 +113,12 @@ class DirectMappedTable:
         :meth:`upsert` calls.
         """
         size = self.size
+        hash_key = self._hash
         for key in keys:
             # self._slots is re-read per key: an evict between pulls
-            # (not the columnar consumer's pattern, but legal) must not
-            # leave this generator mutating a stale slot array.
+            # must not leave this generator mutating a stale slot array.
             self.lookups += 1
-            index = stable_hash(key) % size
+            index = hash_key(key) % size
             slots = self._slots
             entry = slots[index]
             if entry is not None and entry[0] == key:
@@ -113,6 +131,29 @@ class DirectMappedTable:
             else:
                 self.collisions += 1
             yield state, entry
+
+    # -- block access (the generated LFTA kernel, DESIGN section 18) ------
+    def open_block(self, keys: Sequence[Any]
+                   ) -> Tuple[list, List[int], Optional[TypeError]]:
+        """``(slot array, slot index per key, hash error)`` for a block.
+
+        The caller probes ``slots[index]`` and installs ``(key, state)``
+        entries itself, in key order, and reports what it did through
+        :meth:`close_block`.  ``error`` is the ``TypeError`` of the
+        first key :func:`~repro.determinism.stable_hash` does not
+        cover; the index list stops before it (see
+        :func:`~repro.determinism.stable_slots`).  The slot array stays
+        valid across :meth:`evict_if`, which clears slots in place.
+        """
+        indices, error = stable_slots(keys, self.size, self._key_format)
+        return self._slots, indices, error
+
+    def close_block(self, lookups: int, occupied: int, collisions: int) -> None:
+        """Add a block's counter deltas: probes made, empty slots
+        filled, resident groups ejected."""
+        self.lookups += lookups
+        self.occupied += occupied
+        self.collisions += collisions
 
     def evict_all(self) -> List[Tuple[Any, Any]]:
         """Remove and return every resident group (epoch flush)."""

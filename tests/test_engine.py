@@ -154,6 +154,33 @@ class TestAggregation:
         peer_ids = {row[0] for row in rows}
         assert peer_ids <= {7018, 7019}
 
+    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+    @pytest.mark.parametrize("level", ["lfta", "hfta"])
+    def test_partial_function_in_aggregate_argument_discards(self, mode, level):
+        """Section 2.2: no result => the tuple is discarded.  It used to
+        quarantine the aggregating node with ``DiscardTuple: ``."""
+        gs = Gigascope(mode=mode)
+        aggregate = ("Select tb, count(*), "
+                     "sum(getlpmid(destIP, '192.168.0.0/16 5')) From {} "
+                     "Group by time/60 as tb")
+        if level == "lfta":
+            gs.add_query("DEFINE query_name q; " + aggregate.format("tcp"))
+            aggregator = "_fta_q_0"
+        else:
+            # Reading a stream puts the whole aggregation on the HFTA.
+            gs.add_query("DEFINE query_name base; Select time, destIP From tcp")
+            gs.add_query("DEFINE query_name q; " + aggregate.format("base"))
+            aggregator = "q"
+        sub = gs.subscribe("q")
+        gs.start()
+        gs.feed([tcp_packet(ts=1.0, dst="192.168.1.1"),
+                 tcp_packet(ts=2.0, dst="10.9.9.9"),
+                 tcp_packet(ts=3.0, dst="192.168.1.2")])
+        gs.flush()
+        assert sub.poll() == [(0, 2, 10)]
+        assert gs.overload_report()["quarantined"] == {}
+        assert gs.stats()[aggregator]["discarded"] == 1
+
 
 class TestComposition:
     def test_query_over_query(self):

@@ -212,23 +212,27 @@ class TestGeneratedKernels:
         assert ops.update is None and ops.update_weighted is None
         assert ops.combine.__name__.startswith("_g")
 
-    def test_partial_update_on_discard_matches_generic(self, compile_plan):
-        """A partial function with no result raises mid-kernel; the
-        slots before it are already folded on both paths."""
+    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+    def test_discard_in_an_argument_touches_no_state(self, compile_plan, mode):
+        """Arguments before state: a partial function with no result
+        raises before any slot is folded -- ``count(*)``, which comes
+        first in the list, must not have been bumped."""
         from repro.gsql.codegen import DiscardTuple
         # An inline one-prefix table: no row's destIP (< 2000) is in it.
         _analyzed, plan, compiler = compile_plan(
             "DEFINE query_name q; Select tb, count(*), "
-            "sum(getlpmid(destIP, '10.0.0.0/8 1')) From tcp "
-            "Group by time/10 as tb")
+            "sum(getlpmid(destIP, '10.0.0.0/8 1')), max(len) From tcp "
+            "Group by time/10 as tb", mode=mode)
         lfta = plan.lftas[0]
         built = AggregateOps.for_plan(compiler, lfta.aggregates, (None, None))
         generic = AggregateOps(lfta.aggregates, [
             compiler.scalar_fn(agg.arg, (None, None))
             if agg.arg is not None else None for agg in lfta.aggregates])
-        a, b = built.new_state(), generic.new_state()
         row = self.rows(1)[0]
-        for ops, state in ((built, a), (generic, b)):
-            with pytest.raises(DiscardTuple):
-                ops.update(state, row)
-        assert a == b == [1, 0]
+        for ops in (built, generic):
+            for fold in (ops.update,
+                         lambda s, t: ops.update_weighted(s, t, 2.5)):
+                state = ops.new_state()
+                with pytest.raises(DiscardTuple):
+                    fold(state, row)
+                assert state == [0, 0, None]

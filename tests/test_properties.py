@@ -69,9 +69,9 @@ class TestSplitAggregationProperty:
             row[l_slot] = value
             rows.append(tuple(row))
         lfta.stats.tuples_in += len(rows)
-        pairs = []
-        assert lfta._batch_key(rows, pairs.append) == 0
-        lfta._aggregate_batch(pairs, 1.0)
+        dropped, keys, keyed_rows = lfta._batch_key(rows)
+        assert dropped == 0
+        lfta._aggregate(lfta, keys, keyed_rows, 1.0)
         lfta.flush()
         lfta.emit_flush()
         for item in channel.drain():
