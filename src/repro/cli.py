@@ -147,10 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write every replication frame to PATH as "
                              "length-prefixed GSCK bytes (implies "
                              "--standby)")
-    parser.add_argument("--no-columnar", action="store_true",
-                        help="decode blocks row-by-row instead of into "
-                             "columnar blocks on the LFTA hot path "
-                             "(default from GS_COLUMNAR, else columnar)")
     parser.add_argument("--telemetry", action="store_true",
                         help="publish engine internals as queryable _gs_* "
                              "streams (_gs_channel, _gs_operator, _gs_shed, "
@@ -378,8 +374,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             engine = ShardedGigascope(
                 shards, mode=args.mode,
                 channel_capacity=args.channel_capacity,
-                seed=args.seed, batch_size=args.batch_size,
-                columnar=False if args.no_columnar else None)
+                seed=args.seed, batch_size=args.batch_size)
         elif standby:
             from repro.replication import (DEFAULT_CADENCE,
                                            ReplicatedGigascope)
@@ -390,14 +385,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 log_path=args.replicate_log,
                 mode=args.mode,
                 channel_capacity=args.channel_capacity,
-                seed=args.seed, batch_size=args.batch_size,
-                columnar=False if args.no_columnar else None)
+                seed=args.seed, batch_size=args.batch_size)
         else:
             engine = Gigascope(mode=args.mode,
                                channel_capacity=args.channel_capacity,
                                seed=args.seed,
-                               batch_size=args.batch_size,
-                               columnar=False if args.no_columnar else None)
+                               batch_size=args.batch_size)
     except ValueError as error:
         # A malformed GS_BATCH_SIZE in the environment is a usage
         # error (exit 2), same as a bad --batch-size on the command

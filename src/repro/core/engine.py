@@ -66,18 +66,6 @@ def resolve_batch_size(batch_size: Optional[int] = None) -> int:
     return value
 
 
-def resolve_columnar(columnar: Optional[bool] = None) -> bool:
-    """Whether LFTAs may use columnar block execution (DESIGN section 14).
-
-    Explicit argument wins; ``GS_COLUMNAR=0`` (or ``false``/``no``)
-    forces the row-based batch path -- the columnar differential-test
-    switch.  Default on.
-    """
-    if columnar is not None:
-        return bool(columnar)
-    return os.environ.get("GS_COLUMNAR", "1") not in ("0", "false", "no")
-
-
 def resolve_shards(shards: Optional[int] = None) -> int:
     """How many worker processes to shard across (DESIGN section 15).
 
@@ -138,7 +126,6 @@ class Gigascope:
         metrics: bool = True,
         seed: int = 0,
         batch_size: Optional[int] = None,
-        columnar: Optional[bool] = None,
     ) -> None:
         self.mode = mode
         #: root of the seeded RNG registry (repro.determinism): every
@@ -154,9 +141,6 @@ class Gigascope:
         self.channel_capacity = channel_capacity
         self.schema_registry = schema_registry or builtin_registry()
         self.functions = functions or builtin_functions()
-        #: columnar block execution for eligible LFTAs (DESIGN section
-        #: 14); GS_COLUMNAR=0 forces the row-based batch path
-        self.columnar = resolve_columnar(columnar)
         self.rts = RuntimeSystem(heartbeat_interval=heartbeat_interval,
                                  on_demand_heartbeats=on_demand_heartbeats,
                                  metrics=metrics,
@@ -220,8 +204,7 @@ class Gigascope:
         nodes: List[QueryNode] = []
         for lfta_plan in plan.lftas:
             lfta = LftaNode(lfta_plan, analyzed, compiler,
-                            table_size=self.lfta_table_size, seed=self.seed,
-                            columnar=self.columnar)
+                            table_size=self.lfta_table_size, seed=self.seed)
             self.rts.register_node(lfta, packet_interface=lfta_plan.interface)
             self._streams[lfta.name] = lfta_plan.output_schema
             nodes.append(lfta)
@@ -507,7 +490,11 @@ class Gigascope:
         from repro.gsql.costing import estimate_plan_cost
         plan = self._instances[name].plan
         estimate = estimate_plan_cost(plan, self.functions)
-        return plan.describe() + "\n" + estimate.describe()
+        text = plan.describe()
+        if self.mode == "interpreted" and plan.lftas:
+            text += ("\n  (interpreted codegen: every LFTA decodes through "
+                     "the row adapter)")
+        return text + "\n" + estimate.describe()
 
     def schema_of(self, name: str) -> StreamSchema:
         return self._streams[name]

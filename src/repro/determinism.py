@@ -946,7 +946,6 @@ def verify_recovery(scenario_name: str, seed: int = 0,
 
 def verify_batch_equivalence(scenario_name: str, seed: int = 0,
                              batch_size: Optional[int] = None,
-                             columnar: Optional[bool] = None,
                              hash_seed: str = "0") -> ReplayReport:
     """Run a scenario in blocks of one (``GS_BATCH_SIZE=1``) and at
     ``batch_size`` (None: the engine default) in subprocesses and diff
@@ -954,20 +953,15 @@ def verify_batch_equivalence(scenario_name: str, seed: int = 0,
     stream is cut into blocks must not show in rows, drop ledger,
     statistics, or any other metric.
 
-    ``columnar`` forces the second arm's columnar block decode on or
-    off (``GS_COLUMNAR``); None leaves the engine default.  Both arms
-    run under the same ``hash_seed`` so the diff isolates the block
-    size -- CI sweeps it to cross the differential with the hash-seed
-    matrix.
+    Both arms run under the same ``hash_seed`` so the diff isolates
+    the block size -- CI sweeps it to cross the differential with the
+    hash-seed matrix.
     """
     blocked_env: Dict[str, str] = {}
     blocked_label = "the default block size"
     if batch_size is not None:
         blocked_env["GS_BATCH_SIZE"] = str(batch_size)
         blocked_label = f"GS_BATCH_SIZE={batch_size}"
-    if columnar is not None:
-        blocked_env["GS_COLUMNAR"] = "1" if columnar else "0"
-        blocked_label += f" GS_COLUMNAR={blocked_env['GS_COLUMNAR']}"
     ones = strip_batch_metrics(_subprocess_snapshot(
         scenario_name, seed, hash_seed, {"GS_BATCH_SIZE": "1"}))
     blocked = strip_batch_metrics(
@@ -1290,9 +1284,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     batch_cmd.add_argument("--batch-size", type=int, default=None,
                            help="block size for the second arm "
                                 "(default: engine default)")
-    batch_cmd.add_argument("--columnar", choices=("on", "off"), default=None,
-                           help="force the second arm's columnar block "
-                                "decode on or off (default: engine default)")
     batch_cmd.add_argument("--hash-seed", default="0", metavar="S",
                            help="PYTHONHASHSEED for both arms (default 0)")
     args = parser.parse_args(argv)
@@ -1326,8 +1317,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.command == "verify-batch":
         reports = [verify_batch_equivalence(
             args.scenario, args.seed, batch_size=args.batch_size,
-            columnar=(None if args.columnar is None
-                      else args.columnar == "on"),
             hash_seed=args.hash_seed)]
     else:
         reports = [verify_replay(args.scenario, args.seed,

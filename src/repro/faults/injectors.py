@@ -317,11 +317,13 @@ class OperatorFault(FaultInjector):
         accept_batch = getattr(node, "accept_batch", None)
         accept_packet = getattr(node, "accept_packet", None)
         if accept_batch is not None:
-            def failing_accept_batch(packets, views=None):
+            def failing_accept_batch(packets, views=None, block=None):
                 before = self._prefix(len(packets))
                 if before is None:
-                    return accept_batch(packets, views)
+                    return accept_batch(packets, views, block)
                 if before:
+                    # A prefix is a different list: the node decodes it
+                    # itself rather than use the run's shared block.
                     accept_batch(packets[:before], views and views[:before])
                 self._fire()
 

@@ -237,8 +237,10 @@ class ExprCompiler:
     # -- columnar (block) entry points --------------------------------------
     #
     # The batched entry points above still loop tuple-at-a-time over a
-    # list of row tuples.  The columnar variants run over a decoded
-    # ColumnarBlock (repro.net.columnar) instead: predicate conjuncts
+    # list of row tuples (the row adapter's output).  The columnar
+    # variants run over a ColumnarBlock instead -- decoded by the plan's
+    # generated block decoder (block_decoder_fn), or handed over by the
+    # RTS when LFTAs on one interface share a decode: predicate conjuncts
     # are evaluated column-wise over a shrinking survivor index list
     # (short-circuiting across conjuncts exactly like the scalar `and`
     # chain), and only the final survivors' output columns are gathered
@@ -248,6 +250,26 @@ class ExprCompiler:
     # expressions are pure so regrouping the evaluation order per
     # conjunct is unobservable.
 
+    def block_decoder_fn(self, protocol, needed: Sequence[int]
+                         ) -> Optional[Callable]:
+        """The generated block decoder ``f(packets) -> ColumnarBlock``
+        covering attribute positions ``needed`` of ``protocol``
+        (:mod:`repro.net.columnar`: the protocol guard plus one struct
+        over only the bytes those attributes and the guard read).
+
+        None in interpreted mode and for a protocol without a layout
+        -- the caller keeps the row adapter.  The decoder is cached per
+        ``(protocol, field set)`` across compilers; its source is
+        recorded here like every other kernel's.
+        """
+        if self.mode == "interpreted":
+            return None
+        decoder = protocol.block_decoder(needed)
+        if decoder is None:
+            return None
+        self.generated_sources.append(decoder.source)
+        return decoder.decode
+
     def columnar_select_fn(
         self,
         conjuncts: Sequence[Expr],
@@ -256,8 +278,9 @@ class ExprCompiler:
     ) -> Optional[Callable]:
         """One fused ``f(block, rows, append) -> discarded`` for select
         plans over a ColumnarBlock; ``rows`` is the initial survivor
-        index list.  Returns None in interpreted mode (no columnar
-        fallback chain -- the caller keeps the row-based path)."""
+        index list.  Returns None in interpreted mode (there is no
+        chained fallback over blocks -- the caller keeps the row
+        adapter)."""
         if self.mode == "interpreted":
             return None
         filter_src = self._columnar_filter_src(conjuncts, slot_maps)

@@ -104,6 +104,25 @@ class LftaPlan:
     #: Bernoulli sampling rate (DEFINE sample p); None = keep everything
     sample_rate: Optional[float] = None
 
+    def needed_fields(self, analyzed: AnalyzedQuery) -> List[int]:
+        """Sorted protocol attribute positions this LFTA reads: what
+        its block decoder (or row adapter) has to produce."""
+        exprs = self.predicates + self.project_exprs + self.group_exprs
+        exprs += [agg.arg for agg in self.aggregates if agg.arg is not None]
+        return column_slots(analyzed, exprs)
+
+
+def column_slots(analyzed: AnalyzedQuery, exprs: Sequence[Expr]) -> List[int]:
+    """Sorted attribute positions the expressions read."""
+    indices = set()
+    for expr in exprs:
+        for node in expr.walk():
+            if isinstance(node, Column):
+                bound = analyzed.binding_of(node)
+                if bound is not None:
+                    indices.add(bound.attr_index)
+    return sorted(indices)
+
 
 @dataclass
 class HftaPlan:
@@ -161,10 +180,19 @@ class QueryPlan:
         """A human-readable plan summary (for EXPLAIN-style output)."""
         lines = [f"plan {self.name}:"]
         for lfta in self.lftas:
+            needed = lfta.needed_fields(self.analyzed)
+            decoder = lfta.protocol.block_decoder(needed)
+            if decoder is None:
+                front_end = "decode=row-adapter"
+            else:
+                names = ",".join(lfta.protocol.attributes[index].name
+                                 for index in needed)
+                front_end = f"decode=[{names}] struct={decoder.struct_size}B"
             lines.append(
                 f"  LFTA {lfta.name} on {lfta.interface}.{lfta.protocol.name} "
                 f"[{lfta.mode}] preds={len(lfta.predicates)} "
-                f"snaplen={lfta.hints.snaplen} pushed={len(lfta.hints.pushed)}"
+                f"snaplen={lfta.hints.snaplen} pushed={len(lfta.hints.pushed)} "
+                f"{front_end}"
             )
         if self.hfta is not None:
             hfta = self.hfta

@@ -16,7 +16,7 @@ source stream, including the ordering properties."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.gsql.lexer import (
     EOF,
@@ -40,7 +40,7 @@ from repro.gsql.types import (
     parse_type,
 )
 from repro.net.bgp import BGPUpdate
-from repro.net.columnar import decoder_for as columnar_decoder_for
+from repro.net.columnar import Decoder, decode_block, generated_decoder, has_layout
 from repro.net.ethernet import ETHERTYPE_IPV4, EthernetHeader
 from repro.net.icmp import ICMPHeader
 from repro.net.ip import IPv4Header, PROTO_ICMP, PROTO_TCP, PROTO_UDP
@@ -241,15 +241,22 @@ class ProtocolSchema(_BaseSchema):
         expander: Optional[Callable[[CapturedPacket], List[tuple]]] = None,
         clock_fields: Optional[Dict[str, Callable[[float], object]]] = None,
         guard: Optional[Callable[[PacketView], bool]] = None,
-        columnar_decoder: Optional[Callable] = None,
+        layout: Optional[str] = None,
     ) -> None:
         super().__init__(name, attributes)
         self._expander = expander
-        #: whole-block columnar decoder (DESIGN section 14): decodes a
-        #: packet block into a ColumnarBlock whose rows are exactly the
-        #: packets the guard admits.  Only the built-in ip/tcp/udp
-        #: protocols ship one; None keeps the row-based path.
-        self.columnar_decoder = columnar_decoder
+        #: the protocol's family in :mod:`repro.net.columnar`'s layout
+        #: table (built-in ip/tcp/udp only), from which per-plan block
+        #: decoders are generated (:meth:`block_decoder`); None keeps
+        #: the row adapter.
+        if layout is not None and not has_layout(layout):
+            raise SchemaError(f"no block-decoder layout named {layout!r}")
+        self._layout = layout
+        #: the one per-block decode entry ``f(packets, decode)`` every
+        #: consumer of this protocol copies at build time and runs its
+        #: generated decoder through (DESIGN section 14); None for a
+        #: protocol without a layout.
+        self.columnar_decoder = decode_block if layout is not None else None
         #: membership test: does this packet belong to the protocol at
         #: all?  Checked before any field is interpreted, so a query
         #: that only touches capture metadata (e.g. ``time``) still
@@ -283,6 +290,18 @@ class ProtocolSchema(_BaseSchema):
             index: bound_fn(stream_time)
             for index, bound_fn in self.clock_fields.items()
         }
+
+    def block_decoder(self, needed_indices: Iterable[int]) -> Optional[Decoder]:
+        """The generated block decoder covering ``needed_indices``: its
+        rows are exactly the packets the guard admits, and it unpacks
+        only the header bytes those attributes (and the guard) read.
+        None for a protocol without a layout."""
+        if self._layout is None:
+            return None
+        return generated_decoder(
+            self._layout,
+            tuple(attribute.name.lower() for attribute in self.attributes),
+            frozenset(needed_indices))
 
     def sparse_interpreter(
         self, needed_indices: Sequence[int]
@@ -419,7 +438,7 @@ _IP_ATTRIBUTES = [
 def _make_ip_protocol() -> ProtocolSchema:
     return ProtocolSchema("ip", _IP_ATTRIBUTES, _ip_fields(),
                           guard=lambda v: v.ip is not None,
-                          columnar_decoder=columnar_decoder_for("ip"))
+                          layout="ip")
 
 
 def _make_tcp_protocol() -> ProtocolSchema:
@@ -446,7 +465,7 @@ def _make_tcp_protocol() -> ProtocolSchema:
     ]
     return ProtocolSchema("tcp", attributes, fields,
                           guard=lambda v: v.ip is not None and v.tcp is not None,
-                          columnar_decoder=columnar_decoder_for("tcp"))
+                          layout="tcp")
 
 
 def _make_udp_protocol() -> ProtocolSchema:
@@ -467,7 +486,7 @@ def _make_udp_protocol() -> ProtocolSchema:
     ]
     return ProtocolSchema("udp", attributes, fields,
                           guard=lambda v: v.ip is not None and v.udp is not None,
-                          columnar_decoder=columnar_decoder_for("udp"))
+                          layout="udp")
 
 
 _ETHERNET_ATTRIBUTES = [

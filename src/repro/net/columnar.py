@@ -1,87 +1,82 @@
-"""Columnar packet blocks for the LFTA hot path (DESIGN section 14).
+"""The generated capture front end: per-plan block decoders (DESIGN section 14).
 
-The batched data path (DESIGN section 10) moves *blocks* of packets,
-but each block is still a list of per-packet objects and every field
-read goes through a :class:`~repro.gsql.schema.PacketView` property
-chain and a per-header parser object.  This module is the next rung of
-the MonetDB/X100 ladder: decode a whole block's header fields into
-parallel arrays with one combined ``struct`` unpack per packet, so the
-generated query kernels loop over plain Python lists.
+The paper's compiler derives from each LFTA's plan *which bytes* of a
+frame matter and links the LFTAs into the run-time system so several of
+them read one captured packet.  This module is that front end for the
+eth/IPv4/TCP/UDP family: one declarative layout table, and one code
+generator that turns ``(protocol, needed attributes)`` into a block
+decoder -- a single loop that applies the protocol guard to every
+packet of a block and unpacks, with one ``struct`` whose pad bytes skip
+everything else, only the header fields the guard and the plan read.
+Nothing here is written by hand per protocol.
 
-Byte-identity contract
-----------------------
+Guard contract
+--------------
 
-For the built-in ``ip``/``tcp``/``udp`` protocols a row *exists* if and
-only if the protocol guard passes (``v.ip``/``v.tcp``/``v.udp`` not
-None), and under the guard every field function is total -- none can
-return ``None`` (capture metadata always exists; IP fields exist when
-the IP header parsed; TCP/UDP fields, including the possibly-empty
-``data`` payload, exist when the L4 header parsed).  The decoders below
-reproduce the guard exactly -- the same truncation, IHL, fragment, and
-data-offset checks as :meth:`PacketView._parse` plus the header
-``parse`` classmethods -- so a block decode keeps exactly the packets
-the row-at-a-time interpreter would, in the same order.  Protocols
-outside this family (DDL-declared views, expander protocols, ipv6,
-icmp, ethernet) have no decoder here and stay on the row-based path.
+For ``ip``/``tcp``/``udp`` a row *exists* if and only if the protocol
+guard passes (``v.ip``/``v.tcp``/``v.udp`` not None), and under the
+guard every field function is total -- none can return ``None``.  A
+generated decoder makes exactly the checks of
+:meth:`~repro.gsql.schema.PacketView._parse` plus the header ``parse``
+classmethods, one definition per layer (:func:`_generate`): frame long
+enough for the fixed headers, ethertype IPv4, IHL >= 5 and inside the
+capture, fragment offset 0 for an L4 protocol (an MF first fragment
+still parses), IP protocol number, TCP data offset >= 20 and inside the
+capture.  IHL == 5 is the fast path (one unpack); IP options take a
+second unpack of the L4 fields at the shifted offset.  So a block
+decode keeps exactly the packets the row-at-a-time interpreter would,
+in the same order, whatever subset of fields it was generated for.
+Protocols outside the family (DDL-declared views, the expanders, ipv6,
+icmp, ethernet) have no layout and stay on the row adapter.
 
 Lazy decode
 -----------
 
-Decoding fills only three parallel arrays -- the combined unpack tuple,
-the packet reference, and the payload offset (an ``array('l')``) -- per
-surviving row.  Actual field columns are materialized on first use:
-eagerly for the columns the predicate conjuncts touch (``col``), and
-only for the post-filter survivors for everything else (``gather``).
-A field no query expression touches is never decoded at all.
+Decoding fills three parallel arrays per surviving row -- the unpack
+tuple, the packet reference, and (only when the plan reads ``data``)
+the payload offset.  Field columns are materialized on first use:
+eagerly for the columns the predicate conjuncts touch (``col``), for
+the post-filter survivors only for everything else (``gather``).  The
+per-decoder column specs map an attribute index to its position in
+*that* decoder's unpack tuple, so LFTAs handed one shared block (the
+union of their fields, decoded once by the RTS) read it by the same
+attribute indices as a block they decoded themselves.
 """
 
 from __future__ import annotations
 
 import struct
 from array import array
-from typing import Callable, Dict, List, Optional, Sequence
+from functools import lru_cache
+from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from repro.net.packet import CapturedPacket
-
-#: eth(12 skipped MAC bytes + ethertype) + IPv4 fixed header
-_ETH_IP = struct.Struct("!12xHBBHHHBBHII")
-#: the same, with the 20-byte TCP fixed header appended (IHL == 5 fast path)
-_ETH_IP_TCP = struct.Struct("!12xHBBHHHBBHIIHHIIBBHHH")
-#: the same, with the 8-byte UDP header appended (IHL == 5 fast path)
-_ETH_IP_UDP = struct.Struct("!12xHBBHHHBBHIIHHHH")
-_TCP_FIXED = struct.Struct("!HHIIBBHHH")
-_UDP_FIXED = struct.Struct("!HHHH")
-
-# Combined-unpack tuple positions (shared by all three decoders):
-#   0 ethertype   1 ver_ihl   2 tos        3 total_length  4 identification
-#   5 flags_frag  6 ttl       7 protocol   8 checksum      9 src  10 dst
-# TCP suffix:  11 src_port  12 dst_port  13 seq  14 ack  15 offset_reserved
-#              16 flags     17 window    18 checksum  19 urgent
-# UDP suffix:  11 src_port  12 dst_port  13 length  14 checksum
-
-_ETHERTYPE_IPV4 = 0x0800
-_PROTO_TCP = 6
-_PROTO_UDP = 17
 
 
 class ColumnarBlock:
     """One decoded packet block: parallel arrays plus lazy field columns.
 
     ``n`` rows survived the protocol guard.  ``vals[i]`` is row *i*'s
-    combined header unpack, ``pkts[i]`` the originating packet, and
-    ``pay[i]`` the payload offset into its data.  ``columns`` caches
-    materialized field columns by attribute index.
+    header unpack, ``pkts[i]`` the originating packet, and ``pay[i]``
+    the payload offset into its data (empty unless the decoder covers
+    ``data``).  ``columns`` caches materialized field columns by
+    attribute index.  ``packets`` is the very list that was decoded:
+    a consumer handed this block uses it only for that list (identity,
+    not equality -- DESIGN section 14, "sharing").
     """
 
-    __slots__ = ("n", "vals", "pkts", "pay", "columns", "_specs")
+    __slots__ = ("n", "vals", "pkts", "pay", "columns", "packets", "_specs")
 
     def __init__(self, vals: list, pkts: list, pay: array,
-                 specs: Dict[int, tuple]) -> None:
+                 specs: Dict[int, tuple],
+                 packets: Sequence[CapturedPacket]) -> None:
         self.n = len(vals)
         self.vals = vals
         self.pkts = pkts
         self.pay = pay
         self.columns: Dict[int, list] = {}
+        self.packets = packets
         self._specs = specs
 
     def col(self, index: int) -> list:
@@ -105,13 +100,17 @@ class ColumnarBlock:
         return self._materialize(index, rows)
 
     def _materialize(self, index: int, rows: Optional[Sequence[int]]) -> list:
-        kind, j = self._specs[index]
+        kind, j, shift, mask = self._specs[index]
         vals = self.vals
         pkts = self.pkts
-        if kind == "v":  # a straight pick out of the combined unpack
+        if kind == "pick":  # a header field as unpacked
             if rows is None:
                 return [v[j] for v in vals]
             return [vals[i][j] for i in rows]
+        if kind == "bits":  # a bit field inside an unpacked header field
+            if rows is None:
+                return [(v[j] >> shift) & mask for v in vals]
+            return [(vals[i][j] >> shift) & mask for i in rows]
         if kind == "time":
             if rows is None:
                 return [int(p.timestamp) for p in pkts]
@@ -133,184 +132,313 @@ class ColumnarBlock:
             if rows is None:
                 return [p.data[o:] for p, o in zip(pkts, pay)]
             return [pkts[i].data[pay[i]:] for i in rows]
-        if kind == "ipversion":
-            if rows is None:
-                return [v[1] >> 4 for v in vals]
-            return [vals[i][1] >> 4 for i in rows]
-        if kind == "frag_offset":
-            if rows is None:
-                return [v[5] & 0x1FFF for v in vals]
-            return [vals[i][5] & 0x1FFF for i in rows]
-        if kind == "more_fragments":
-            if rows is None:
-                return [(v[5] >> 13) & 1 for v in vals]
-            return [(vals[i][5] >> 13) & 1 for i in rows]
         raise KeyError(f"unknown column kind {kind!r}")
 
 
-# Field specs by attribute index, mirroring the built-in protocol
-# schemas in repro.gsql.schema (attribute order is part of the schema
-# contract; tests pin the correspondence).
-_IP_SPECS: Dict[int, tuple] = {
-    0: ("time", 0),
-    1: ("timestamp", 0),
-    2: ("ipversion", 0),
-    3: ("v", 7),        # protocol
-    4: ("v", 9),        # srcIP
-    5: ("v", 10),       # destIP
-    6: ("len", 0),
-    7: ("caplen", 0),
-    8: ("v", 6),        # ttl
-    9: ("v", 4),        # id
-    10: ("frag_offset", 0),
-    11: ("more_fragments", 0),
+# -- the layout table ----------------------------------------------------------
+#
+# Header fields by layer: name -> (byte offset inside the layer, struct
+# code).  Only fields an attribute or a guard reads are listed; the
+# generator pads over everything else.  The eth and ip layers sit at
+# frame offsets 0 and 14; the L4 layer starts at 14 + IHL * 4.
+
+_ETH_LEN = 14
+_IP_MIN = 20
+
+_HEADER_FIELDS: Dict[str, Dict[str, Tuple[int, str]]] = {
+    "eth": {"ethertype": (12, "H")},
+    "ip": {
+        "ver_ihl": (0, "B"), "id": (4, "H"), "flags_frag": (6, "H"),
+        "ttl": (8, "B"), "protocol": (9, "B"), "src": (12, "I"),
+        "dst": (16, "I"),
+    },
+    "tcp": {
+        "src_port": (0, "H"), "dst_port": (2, "H"), "seq": (4, "I"),
+        "ack": (8, "I"), "offset_reserved": (12, "B"), "flags": (13, "B"),
+        "window": (14, "H"),
+    },
+    "udp": {"src_port": (0, "H"), "dst_port": (2, "H"), "length": (4, "H")},
 }
 
-_TCP_SPECS: Dict[int, tuple] = dict(_IP_SPECS)
-_TCP_SPECS.update({
-    12: ("v", 11),      # srcPort
-    13: ("v", 12),      # destPort
-    14: ("v", 16),      # tcpflags
-    15: ("v", 13),      # seqno
-    16: ("v", 14),      # ackno
-    17: ("v", 17),      # tcpwindow
-    18: ("data", 0),
-})
-
-_UDP_SPECS: Dict[int, tuple] = dict(_IP_SPECS)
-_UDP_SPECS.update({
-    12: ("v", 11),      # srcPort
-    13: ("v", 12),      # destPort
-    14: ("v", 13),      # udplen
-    15: ("data", 0),
-})
+_ETHERTYPE_IPV4 = 0x0800
+_FRAG_OFFSET_MASK = 0x1FFF
 
 
-def _decode_tcp(packets: Sequence[CapturedPacket]) -> ColumnarBlock:
-    """Guard + decode for the ``tcp`` protocol, one combined unpack.
+class _Attribute(NamedTuple):
+    """Where one schema attribute comes from.
 
-    A row exists iff eth/IPv4/TCP all parse and the packet is not a
-    fragment -- the exact PacketView conditions: >= 14 bytes of frame,
-    ethertype IPv4, >= IHL*4 bytes of IP header with IHL >= 5,
-    fragment offset 0 (an MF first fragment still parses L4), protocol
-    TCP, and a data offset >= 20 that fits the capture.
+    ``layer`` ``"meta"`` is capture metadata (``field`` names the kind:
+    time, timestamp, len, caplen, data) and costs no header bytes;
+    ``"ip"`` and ``"l4"`` name a header field, optionally narrowed to
+    the bit field ``(value >> shift) & mask``.
     """
-    vals: list = []
-    pay = array("l")
-    pkts: list = []
-    unpack54 = _ETH_IP_TCP.unpack_from
-    unpack_tcp = _TCP_FIXED.unpack_from
-    va = vals.append
-    pa = pkts.append
-    oa = pay.append
-    for p in packets:
-        d = p.data
-        n = len(d)
-        if n < 54:  # eth(14) + min IP(20) + min TCP(20): guard must fail
-            continue
-        v = unpack54(d)
-        if v[0] != _ETHERTYPE_IPV4 or v[7] != _PROTO_TCP or v[5] & 0x1FFF:
-            continue
-        ihl = v[1] & 0x0F
-        if ihl == 5:
-            doff = (v[15] >> 4) * 4
-            if doff < 20 or n - 34 < doff:
-                continue
-            o = 34 + doff
-        else:
-            if ihl < 5:
-                continue
-            l4 = 14 + ihl * 4
-            if n < l4 or n - l4 < 20:
-                continue
-            t = unpack_tcp(d, l4)
-            doff = (t[4] >> 4) * 4
-            if doff < 20 or n - l4 < doff:
-                continue
-            v = v[:11] + t
-            o = l4 + doff
-        va(v)
-        pa(p)
-        oa(o)
-    return ColumnarBlock(vals, pkts, pay, _TCP_SPECS)
+
+    layer: str
+    field: str
+    shift: int = 0
+    mask: int = 0
 
 
-def _decode_udp(packets: Sequence[CapturedPacket]) -> ColumnarBlock:
-    """Guard + decode for the ``udp`` protocol (see :func:`_decode_tcp`)."""
-    vals: list = []
-    pay = array("l")
-    pkts: list = []
-    unpack42 = _ETH_IP_UDP.unpack_from
-    unpack_udp = _UDP_FIXED.unpack_from
-    va = vals.append
-    pa = pkts.append
-    oa = pay.append
-    for p in packets:
-        d = p.data
-        n = len(d)
-        if n < 42:  # eth(14) + min IP(20) + UDP(8)
-            continue
-        v = unpack42(d)
-        if v[0] != _ETHERTYPE_IPV4 or v[7] != _PROTO_UDP or v[5] & 0x1FFF:
-            continue
-        ihl = v[1] & 0x0F
-        if ihl == 5:
-            o = 42
-        else:
-            if ihl < 5:
-                continue
-            l4 = 14 + ihl * 4
-            if n < l4 or n - l4 < 8:
-                continue
-            v = v[:11] + unpack_udp(d, l4)
-            o = l4 + 8
-        va(v)
-        pa(p)
-        oa(o)
-    return ColumnarBlock(vals, pkts, pay, _UDP_SPECS)
-
-
-def _decode_ip(packets: Sequence[CapturedPacket]) -> ColumnarBlock:
-    """Guard + decode for the ``ip`` protocol: any parsed IPv4 header
-    (fragments included -- the guard does not require an L4 layer)."""
-    vals: list = []
-    pay = array("l")
-    pkts: list = []
-    unpack34 = _ETH_IP.unpack_from
-    va = vals.append
-    pa = pkts.append
-    for p in packets:
-        d = p.data
-        n = len(d)
-        if n < 34:  # eth(14) + min IP(20)
-            continue
-        v = unpack34(d)
-        if v[0] != _ETHERTYPE_IPV4:
-            continue
-        ihl = v[1] & 0x0F
-        if ihl < 5 or n - 14 < ihl * 4:
-            continue
-        va(v)
-        pa(p)
-    return ColumnarBlock(vals, pkts, pay, _IP_SPECS)
-
-
-BlockDecoder = Callable[[Sequence[CapturedPacket]], ColumnarBlock]
-
-_DECODERS: Dict[str, BlockDecoder] = {
-    "ip": _decode_ip,
-    "tcp": _decode_tcp,
-    "udp": _decode_udp,
+#: attribute name (lower case, as the schemas spell it) -> its source
+_ATTRIBUTES: Dict[str, _Attribute] = {
+    "time": _Attribute("meta", "time"),
+    "timestamp": _Attribute("meta", "timestamp"),
+    "len": _Attribute("meta", "len"),
+    "caplen": _Attribute("meta", "caplen"),
+    "data": _Attribute("meta", "data"),
+    "ipversion": _Attribute("ip", "ver_ihl", 4, 0x0F),
+    "protocol": _Attribute("ip", "protocol"),
+    "srcip": _Attribute("ip", "src"),
+    "destip": _Attribute("ip", "dst"),
+    "ttl": _Attribute("ip", "ttl"),
+    "id": _Attribute("ip", "id"),
+    "frag_offset": _Attribute("ip", "flags_frag", 0, _FRAG_OFFSET_MASK),
+    "more_fragments": _Attribute("ip", "flags_frag", 13, 1),
+    "srcport": _Attribute("l4", "src_port"),
+    "destport": _Attribute("l4", "dst_port"),
+    "tcpflags": _Attribute("l4", "flags"),
+    "seqno": _Attribute("l4", "seq"),
+    "ackno": _Attribute("l4", "ack"),
+    "tcpwindow": _Attribute("l4", "window"),
+    "udplen": _Attribute("l4", "length"),
 }
 
 
-def decoder_for(protocol_name: str) -> Optional[BlockDecoder]:
-    """The block decoder for a built-in protocol, or None.
+class _Family(NamedTuple):
+    """One protocol's guard: its L4 header layer (None: any parsed IPv4
+    header, fragments included), IP protocol number, and the fixed L4
+    header bytes that must be inside the capture."""
 
-    Only protocols whose guard/field semantics are replicated above are
-    eligible; everything else falls back to the row-based interpreter.
+    l4: Optional[str]
+    ip_protocol: int
+    l4_len: int
+
+
+_FAMILIES: Dict[str, _Family] = {
+    "ip": _Family(None, 0, 0),
+    "tcp": _Family("tcp", 6, 20),
+    "udp": _Family("udp", 17, 8),
+}
+
+def _struct_format(fields: Sequence[Tuple[int, str]]) -> str:
+    """The network-order format reading ``fields`` (ascending
+    ``(offset, code)`` pairs) and padding over the bytes between."""
+    parts = ["!"]
+    at = 0
+    for offset, code in fields:
+        gap = offset - at
+        if gap:
+            parts.append("x" if gap == 1 else f"{gap}x")
+        parts.append(code)
+        at = offset + struct.calcsize("!" + code)
+    return "".join(parts)
+
+
+class Decoder(NamedTuple):
+    """One generated block decoder and what it was generated from."""
+
+    #: ``decode(packets) -> ColumnarBlock``
+    decode: Callable[[Sequence[CapturedPacket]], ColumnarBlock]
+    source: str
+    #: the fast-path (IHL == 5) struct; its size is how far into a
+    #: frame the decoder's one unpack reads
+    struct_format: str
+    #: the L4-only struct of the IP-options path ("" when none)
+    l4_format: str
+
+    @property
+    def struct_size(self) -> int:
+        return struct.calcsize(self.struct_format)
+
+    @property
+    def reach(self) -> int:
+        """The last frame byte any unpack of this decoder can touch,
+        plus one: the fast-path struct, or the L4 struct behind the
+        longest IPv4 header."""
+        return max(self.struct_size,
+                   _ETH_LEN + 60 + struct.calcsize(self.l4_format or "!"))
+
+
+@lru_cache(maxsize=256)
+def generated_decoder(protocol: str, attributes: Tuple[str, ...],
+                      needed: FrozenSet[int]) -> Decoder:
+    """The block decoder of ``protocol`` (``ip``/``tcp``/``udp``)
+    covering the attribute positions ``needed`` of a schema whose
+    attribute names, lower case and in order, are ``attributes``.
+
+    Pure in its arguments, so one ``compile()`` serves every LFTA and
+    every shared-decode union with the same field set.
     """
-    return _DECODERS.get(protocol_name.lower())
+    source, env, fmt, l4_fmt = _generate(protocol, attributes, needed)
+    exec(compile(source, f"<decoder:{protocol}>", "exec"), env)
+    return Decoder(env["decode"], source, fmt, l4_fmt)
+
+
+def _generate(protocol: str, attributes: Sequence[str],
+              needed: FrozenSet[int]):
+    """Source, environment and struct formats of one block decoder."""
+    family = _FAMILIES[protocol]
+    sources = {index: _ATTRIBUTES[attributes[index]] for index in needed}
+    wants_pay = any(src.field == "data" for src in sources.values())
+
+    # Which header fields the one unpack must cover: the guard's, then
+    # the plan's.
+    ip_fields = {"ver_ihl"}
+    l4_fields = set()
+    if family.l4 is not None:
+        ip_fields |= {"flags_frag", "protocol"}
+        if family.l4 == "tcp":
+            l4_fields.add("offset_reserved")
+    for src in sources.values():
+        if src.layer == "ip":
+            ip_fields.add(src.field)
+        elif src.layer == "l4":
+            if family.l4 is None or src.field not in _HEADER_FIELDS[family.l4]:
+                raise ValueError(
+                    f"protocol {protocol!r} has no header field "
+                    f"{src.field!r}")
+            l4_fields.add(src.field)
+
+    def placed(layer: str, names, base: int) -> List[Tuple[int, str, str]]:
+        """``(frame offset, struct code, field)`` in frame order."""
+        table = _HEADER_FIELDS[layer]
+        return sorted((base + table[name][0], table[name][1], name)
+                      for name in names)
+
+    # eth field names and ip field names do not collide, so one
+    # name -> tuple-position map serves both fixed layers.
+    head = placed("eth", ["ethertype"], 0) + placed("ip", ip_fields, _ETH_LEN)
+    tail = placed(family.l4, l4_fields, 0) if family.l4 else []
+    l4_at = _ETH_LEN + _IP_MIN
+    fmt = _struct_format([(offset, code) for offset, code, _ in head]
+                         + [(l4_at + offset, code) for offset, code, _ in tail])
+    l4_fmt = _struct_format([(o, c) for o, c, _ in tail]) if tail else ""
+    at = {name: j for j, (_, _, name) in enumerate(head)}
+    l4_pos = {name: j for j, (_, _, name) in enumerate(tail)}
+
+    specs: Dict[int, tuple] = {}
+    for index, src in sources.items():
+        if src.layer == "meta":
+            specs[index] = (src.field, 0, 0, 0)
+        else:
+            j = (at[src.field] if src.layer == "ip"
+                 else len(head) + l4_pos[src.field])
+            specs[index] = ("bits" if src.mask else "pick", j,
+                            src.shift, src.mask)
+
+    # -- the guard, one definition per layer ------------------------------
+    def fixed_guard() -> List[str]:
+        """The fixed headers fit the capture, the frame is IPv4, and
+        for an L4 protocol it carries that protocol and is not a later
+        fragment."""
+        tests = [f"v[{at['ethertype']}] != {_ETHERTYPE_IPV4}"]
+        if family.l4 is not None:
+            tests += [f"v[{at['protocol']}] != {family.ip_protocol}",
+                      f"v[{at['flags_frag']}] & {_FRAG_OFFSET_MASK}"]
+        return [
+            f"if n < {l4_at + family.l4_len}:",
+            "    continue",
+            "v = unpack(d)",
+            "if " + " or ".join(tests) + ":",
+            "    continue",
+        ]
+
+    def l4_guard(values: str, shift: int, start) -> List[str]:
+        """The L4 header starting at frame offset ``start`` (a number
+        or a variable name) ends inside the capture;
+        ``values[shift + j]`` is its field *j*.  Records the payload
+        offset when the plan reads ``data`` (nothing after this guard
+        can reject the packet)."""
+        def past(offset) -> str:
+            if isinstance(start, int) and isinstance(offset, int):
+                return str(start + offset)
+            return f"{start} + {offset}"
+        lines = []
+        end = past(family.l4_len)
+        if family.l4 == "tcp":
+            lines = [
+                f"doff = ({values}[{shift + l4_pos['offset_reserved']}]"
+                " >> 4) * 4",
+                f"if doff < {family.l4_len} or n - {start} < doff:",
+                "    continue",
+            ]
+            end = past("doff")
+        if wants_pay:
+            lines.append(f"oa({end})")
+        return lines
+
+    body = fixed_guard()
+    ihl = f"v[{at['ver_ihl']}] & 15"
+    if family.l4 is None:
+        body += [f"ihl = {ihl}",
+                 f"if ihl < 5 or n - {_ETH_LEN} < ihl * 4:",
+                 "    continue"]
+    else:
+        options = [
+            f"ihl = {ihl}",
+            "if ihl < 5:",
+            "    continue",
+            f"l4 = {_ETH_LEN} + ihl * 4",
+            f"if n < l4 or n - l4 < {family.l4_len}:",
+            "    continue",
+        ]
+        if tail:
+            options.append("t = unpack_l4(d, l4)")
+        options += l4_guard("t", 0, "l4")
+        if tail:
+            options.append(f"v = v[:{len(head)}] + t")
+        fast = l4_guard("v", len(head), l4_at)
+        if fast:
+            body += [f"if {ihl} == 5:"] + _indent(fast) + ["else:"]
+        else:
+            body.append(f"if {ihl} != 5:")
+        body += _indent(options)
+    body += ["va(v)", "pa(p)"]
+    lines = [
+        "def decode(packets):",
+        "    vals = []",
+        "    pkts = []",
+        "    pay = array('l')",
+        "    va = vals.append",
+        "    pa = pkts.append",
+        "    oa = pay.append",
+        "    for p in packets:",
+        "        d = p.data",
+        "        n = len(d)",
+    ] + _indent(body, 2) + [
+        "    return ColumnarBlock(vals, pkts, pay, specs, packets)",
+    ]
+    env = {
+        "unpack": struct.Struct(fmt).unpack_from,
+        "unpack_l4": struct.Struct(l4_fmt or "!").unpack_from,
+        "array": array,
+        "ColumnarBlock": ColumnarBlock,
+        "specs": specs,
+    }
+    return "\n".join(lines) + "\n", env, fmt, l4_fmt
+
+
+def _indent(lines: Sequence[str], levels: int = 1) -> List[str]:
+    pad = "    " * levels
+    return [pad + line for line in lines]
+
+
+def has_layout(protocol: str) -> bool:
+    """Whether ``protocol`` belongs to the family generated here."""
+    return protocol in _FAMILIES
+
+
+def decode_block(packets: Sequence[CapturedPacket],
+                 decode: Callable) -> ColumnarBlock:
+    """The one per-block decode entry (``ProtocolSchema.columnar_decoder``).
+
+    Every block decode of a run -- the RTS's shared decode and an
+    LFTA's own -- goes through the schema attribute holding this
+    function, so whoever replaces that attribute (the benchmark's
+    outside-in ``net.decode`` span) sees each block decode exactly once.
+    ``decode`` is the generated decoder to run.
+    """
+    return decode(packets)
 
 
 # -- columnar row-block serialization (DESIGN section 15) --------------------

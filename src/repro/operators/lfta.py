@@ -9,13 +9,23 @@ direct-mapped hash table, greatly reducing the data traffic to the
 HFTAs.
 
 ``accept_batch`` is the only packet entry; one packet is a block of one
-(:meth:`LftaNode.accept_packet`).  Inside it a block is decoded either
-column-wise (built-in ip/tcp/udp protocols under compiled codegen,
-DESIGN section 14) or row by row (every other protocol, and
-``interpreted`` mode) -- the two decodes are held byte-identical by
-``tests/test_columnar.py``.
+(:meth:`LftaNode.accept_packet`).  Inside it a block is decoded once,
+one of two ways fixed when the node is built (DESIGN section 14):
 
-Partial aggregation is one loop whichever decode ran: both hand the
+* a built-in ip/tcp/udp protocol under compiled codegen gets a
+  *generated block decoder* covering exactly the attributes this plan
+  reads (``ExprCompiler.block_decoder_fn``).  The RTS may hand the block
+  over already decoded -- LFTAs on one interface share one decode of the
+  union of their fields -- and the node uses it only when it is about to
+  decode that very list (``block.packets is packets``); whenever its own
+  list differs (the shed gate kept a subset, an injected fault delivered
+  a prefix, journal replay or the NIC runtime handed packets over
+  directly) it runs its own decoder on its own list, through the same
+  call site;
+* every other protocol, and ``interpreted`` mode, goes through the
+  generic row adapter (``ProtocolSchema.sparse_interpreter``).
+
+Partial aggregation is one loop whichever front end ran: both hand the
 surviving rows and their group keys to the plan's generated kernel
 (``ExprCompiler.lfta_aggregate_fn``, DESIGN section 18), which places
 the whole block's keys, then per row evaluates the aggregate arguments,
@@ -35,9 +45,8 @@ from typing import List, Optional
 from repro.core.heartbeat import Punctuation
 from repro.determinism import rng_for
 from repro.core.query_node import QueryNode
-from repro.gsql.ast_nodes import Column
 from repro.gsql.codegen import DiscardTuple, ExprCompiler
-from repro.gsql.planner import LftaPlan
+from repro.gsql.planner import LftaPlan, column_slots
 from repro.gsql.semantic import AnalyzedQuery
 from repro.net.packet import CapturedPacket
 from repro.operators.aggregates import AggregateOps
@@ -57,7 +66,6 @@ class LftaNode(QueryNode):
         compiler: ExprCompiler,
         table_size: int = DEFAULT_TABLE_SIZE,
         seed: int = 0,
-        columnar: bool = True,
     ) -> None:
         super().__init__(plan.name, plan.output_schema)
         self.plan = plan
@@ -86,38 +94,51 @@ class LftaNode(QueryNode):
         # the ~2.5KB RNG tuple while no shedding draw has happened yet
         # (replication re-ships this node's state every delta frame).
         self._shed_rng_initial = self._shed_rng.getstate()
-        needed = self._needed_attr_indices(analyzed)
-        self._interpret = self.protocol.sparse_interpreter(needed)
         self._clock_bounds = self.protocol.clock_bounds
-        # Columnar block execution (DESIGN section 14): available only
-        # for protocols with a block decoder (built-in ip/tcp/udp) and
-        # compiled codegen; everything else keeps the row-based path.
-        wants_columnar = columnar and self.protocol.columnar_decoder is not None
-        self._columnar_decode = None
-        self._columnar_select = None
-        self._columnar_key = None
+        # The front end (DESIGN section 14): a generated block decoder
+        # where the protocol has a layout and codegen is compiled, the
+        # row adapter everywhere else.
+        needed = plan.needed_fields(analyzed)
+        self._decoder = compiler.block_decoder_fn(self.protocol, needed)
+        #: attribute positions a shared decode must cover for this node
+        #: (read by the RTS when it groups an interface's LFTAs); None
+        #: on the row adapter
+        self.decode_fields: Optional[List[int]] = (
+            needed if self._decoder is not None else None)
         self.columnar_blocks = 0
+        if self._decoder is not None:
+            self._decode_block = self.protocol.columnar_decoder
+            # The block decoder reads raw bytes; a shared PacketView
+            # would go untouched, so tell the RTS not to build one.
+            self.accepts_view = False
+        else:
+            self._interpret = self.protocol.sparse_interpreter(needed)
 
         if plan.mode == "projection":
-            self._batch_select = compiler.batch_select_fn(
+            select_fn = (compiler.batch_select_fn if self._decoder is None
+                         else compiler.columnar_select_fn)
+            self._select = select_fn(
                 plan.predicates, plan.project_exprs, (None, None))
             self._transforms = output_bound_transforms(
                 plan.project_exprs, analyzed, plan.output_schema, (None, None),
                 functions=compiler.functions,
             )
             self.table: Optional[DirectMappedTable] = None
-            if wants_columnar:
-                self._columnar_select = compiler.columnar_select_fn(
-                    plan.predicates, plan.project_exprs, (None, None))
-                if self._columnar_select is not None:
-                    self._columnar_decode = self.protocol.columnar_decoder
         elif plan.mode == "partial_aggregation":
-            self._batch_key = compiler.batch_key_fn(
-                plan.predicates, plan.group_exprs, (None, None))
+            if self._decoder is None:
+                self._key = compiler.batch_key_fn(
+                    plan.predicates, plan.group_exprs, (None, None))
+            else:
+                arg_slots = column_slots(
+                    analyzed,
+                    [agg.arg for agg in plan.aggregates if agg.arg is not None])
+                self._key = compiler.columnar_key_fn(
+                    plan.predicates, plan.group_exprs, arg_slots,
+                    len(self.protocol.attributes), (None, None))
             self.aggregate_ops = AggregateOps.for_plan(
                 compiler, plan.aggregates, (None, None))
             # The one aggregation loop (DESIGN section 18): generated
-            # per plan, fed (keys, rows) by either decode.
+            # per plan, fed (keys, rows) by either front end.
             self._aggregate = compiler.lfta_aggregate_fn(
                 plan.aggregates, (None, None), plan.window_key_index >= 0)
             self.table = DirectMappedTable(
@@ -129,41 +150,9 @@ class LftaNode(QueryNode):
                 plan.group_exprs, plan.window_key_index, analyzed, (None, None),
                 functions=compiler.functions,
             )
-            if wants_columnar:
-                arg_slots = self._column_slots(
-                    analyzed,
-                    [agg.arg for agg in plan.aggregates if agg.arg is not None])
-                self._columnar_key = compiler.columnar_key_fn(
-                    plan.predicates, plan.group_exprs, arg_slots,
-                    len(self.protocol.attributes), (None, None))
-                if self._columnar_key is not None:
-                    self._columnar_decode = self.protocol.columnar_decoder
         else:
             raise ValueError(f"unknown LFTA mode {plan.mode!r}")
         self.mode = plan.mode
-        if self._columnar_decode is not None:
-            # The block decoder reads raw bytes; a shared PacketView
-            # would go untouched, so tell the RTS not to build one.
-            self.accepts_view = False
-
-    def _needed_attr_indices(self, analyzed: AnalyzedQuery) -> List[int]:
-        exprs = list(self.plan.predicates)
-        exprs.extend(self.plan.project_exprs)
-        exprs.extend(self.plan.group_exprs)
-        exprs.extend(agg.arg for agg in self.plan.aggregates if agg.arg is not None)
-        return self._column_slots(analyzed, exprs)
-
-    @staticmethod
-    def _column_slots(analyzed: AnalyzedQuery, exprs) -> List[int]:
-        """Sorted attribute positions the expressions read."""
-        indices = set()
-        for expr in exprs:
-            for node in expr.walk():
-                if isinstance(node, Column):
-                    bound = analyzed.binding_of(node)
-                    if bound is not None:
-                        indices.add(bound.attr_index)
-        return sorted(indices)
 
     #: the RTS may pass a shared, pre-parsed PacketView
     accepts_view = True
@@ -179,16 +168,21 @@ class LftaNode(QueryNode):
         hand packets over singly)."""
         self.accept_batch([packet], None if view is None else [view])
 
-    def accept_batch(self, packets, views=None) -> None:
+    def accept_batch(self, packets, views=None, block=None) -> None:
         """One block of packets through the LFTA (DESIGN section 10).
 
+        ``block`` is the RTS's shared decode of ``packets`` when this
+        node's interface has one; it is used only if it decoded the
+        very list this node is about to decode.
+
         The result does not depend on how the packet stream was cut
-        into blocks, nor on which decode runs: the shed gate draws once
-        per packet in arrival order *before* decoding, both decodes keep
-        exactly the guard-passing packets in order (so ``tuples_in``
-        and the per-row sample draws line up), the fused select/key
-        function runs the predicate conjuncts in order per row, and
-        every counter advances by the per-packet amounts.
+        into blocks, nor on which front end runs, nor on who decoded:
+        the shed gate draws once per packet in arrival order *before*
+        decoding, every decode keeps exactly the guard-passing packets
+        in order (so ``tuples_in`` and the per-row sample draws line
+        up), the fused select/key function runs the predicate conjuncts
+        in order per row, and every counter advances by the per-packet
+        amounts.
         """
         self.packets_seen += len(packets)
         weight = 1.0
@@ -201,14 +195,14 @@ class LftaNode(QueryNode):
             packets = list(compress(packets, keep))
             if views is not None:
                 views = list(compress(views, keep))
-        block = None
-        if self._columnar_decode is not None:
-            # Columnar block execution (DESIGN section 14): rows are
-            # indices into the decoded block.
-            block = self._columnar_decode(packets)
+        if self._decoder is not None:
+            # Rows are indices into the decoded block.
+            if block is None or block.packets is not packets:
+                block = self._decode_block(packets, self._decoder)
             self.columnar_blocks += 1
             rows = range(block.n)
         else:
+            block = None
             rows = []
             extend = rows.extend
             interpret = self._interpret
@@ -227,16 +221,16 @@ class LftaNode(QueryNode):
         if self.mode == "projection":
             out: List[tuple] = []
             if block is not None:
-                dropped = self._columnar_select(block, rows, out.append)
+                dropped = self._select(block, rows, out.append)
             else:
-                dropped = self._batch_select(rows, out.append)
+                dropped = self._select(rows, out.append)
             self.stats.discarded += dropped
             self.emit_many(out)
         else:
             if block is not None:
-                dropped, keys, key_rows = self._columnar_key(block, rows)
+                dropped, keys, key_rows = self._key(block, rows)
             else:
-                dropped, keys, key_rows = self._batch_key(rows)
+                dropped, keys, key_rows = self._key(rows)
             self.stats.discarded += dropped
             if keys:
                 self._aggregate(self, keys, key_rows, weight)

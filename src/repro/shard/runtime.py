@@ -34,7 +34,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.control.signals import ChannelSignal, PressureSample
 from repro.core.channels import Channel, ChannelStats
-from repro.core.engine import Gigascope, resolve_batch_size, resolve_columnar
+from repro.core.engine import Gigascope, resolve_batch_size
 from repro.core.heartbeat import FLUSH
 from repro.core.stream_manager import RegistryError, Subscription
 from repro.obs.collectors import node_snapshot
@@ -115,7 +115,6 @@ class ShardedGigascope:
         metrics: bool = True,
         seed: int = 0,
         batch_size: Optional[int] = None,
-        columnar: Optional[bool] = None,
         barrier_interval: float = 1.0,
         max_restarts: int = 1,
         standby: Optional[int] = None,
@@ -144,7 +143,6 @@ class ShardedGigascope:
             lfta_table_size=lfta_table_size,
             channel_capacity=channel_capacity, seed=seed,
             batch_size=resolve_batch_size(batch_size),
-            columnar=resolve_columnar(columnar),
         )
         #: plan/schema oracle and combine-node factory; never fed packets
         self.template = Gigascope(metrics=False, **self._engine_kwargs)

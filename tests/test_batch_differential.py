@@ -74,12 +74,13 @@ class Case(NamedTuple):
     """One differential run: ``build(gs)`` registers queries/faults and
     returns the subscription dict, ``feed(gs)`` (default:
     :func:`make_packets`, a pump every 96 packets) drives the engine,
-    ``columnar`` pins the LFTA block representation (None: engine
-    default, i.e. columnar for builtin ip/tcp/udp LFTAs)."""
+    ``mode`` is the codegen mode (``interpreted`` puts every LFTA on
+    the row adapter; compiled ip/tcp/udp LFTAs decode blocks with their
+    generated decoder)."""
 
     build: Callable
     feed: Optional[Callable] = None
-    columnar: Optional[bool] = None
+    mode: str = "compiled"
 
 
 def single_query(text):
@@ -186,11 +187,12 @@ CASES.update({
     "tie_heavy_merge": Case(tie_heavy_merge, feed_tie_heavy),
     "shedding_and_sampling": Case(shedding_and_sampling),
     "group_by": Case(single_query(GROUP_BY_SUM)),
-    "columnar/on": Case(single_query(GROUP_BY_SUM), columnar=True),
-    "columnar/off": Case(single_query(GROUP_BY_SUM), columnar=False),
+    "columnar/on": Case(single_query(GROUP_BY_SUM)),
+    # The same query through the row adapter: the two front ends are
+    # byte-identical by contract, so the digests are the same string.
+    "columnar/off": Case(single_query(GROUP_BY_SUM), mode="interpreted"),
     "columnar/projection": Case(single_query(
-        "Select time, srcIP, destPort From tcp Where destPort = 80"),
-        columnar=True),
+        "Select time, srcIP, destPort From tcp Where destPort = 80")),
     "tracer": Case(with_setup(single_query(GROUP_BY),
                               lambda gs: gs.enable_tracing(0.05))),
     "trace_merge": Case(with_setup(merge_chain,
@@ -230,7 +232,7 @@ def run_case(name, batch_size):
     case = CASES[name]
     gs = Gigascope(seed=SEED, batch_size=batch_size, lfta_table_size=64,
                    channel_capacity=256, heartbeat_interval=0.5,
-                   columnar=case.columnar)
+                   mode=case.mode)
     subs = case.build(gs)
     gs.start()
     if case.feed is not None:
@@ -294,7 +296,7 @@ class TestBlockSizeDifferential:
             _, engine = run_case(name, batch_size)
             assert sum(node.columnar_blocks for node in _lftas(engine)) > 0
 
-    def test_row_decode_when_columnar_off(self, batch_size):
+    def test_row_adapter_when_interpreted(self, batch_size):
         _, engine = run_case("columnar/off", batch_size)
         assert all(node.columnar_blocks == 0 for node in _lftas(engine))
 
@@ -322,13 +324,3 @@ class TestBlockSizeDifferential:
 def test_batch_size_does_not_matter(batch_size):
     diffs, _ = run_differential("group_by", batch_size)
     assert not diffs, "\n".join(diffs)
-
-
-def test_gs_columnar_env_disables(monkeypatch):
-    monkeypatch.setenv("GS_COLUMNAR", "0")
-    gs = Gigascope(seed=SEED, batch_size=64)
-    assert gs.columnar is False
-    monkeypatch.setenv("GS_COLUMNAR", "1")
-    assert Gigascope(seed=SEED).columnar is True
-    monkeypatch.delenv("GS_COLUMNAR")
-    assert Gigascope(seed=SEED).columnar is True

@@ -262,15 +262,6 @@ class TestBatchKnobs:
         assert code == 0
         assert "# q" in out
 
-    def test_no_columnar_matches_columnar_output(self, trace, capsys):
-        code_col, out_col, _ = run_cli(
-            ["--pcap", trace, "--query", self.QUERY], capsys)
-        code_row, out_row, _ = run_cli(
-            ["--pcap", trace, "--query", self.QUERY, "--no-columnar"],
-            capsys)
-        assert code_col == code_row == 0
-        assert out_col == out_row
-
 
 class TestMultiplePcaps:
     def test_two_traces_two_interfaces(self, tmp_path, capsys):

@@ -345,6 +345,17 @@ class TestModes:
                      "Where destPort = 80")
         source = gs.generated_code("q")
         assert "def _g" in source
+        # the front end is generated like every other kernel
+        assert "def decode(packets):" in source
+        assert "decode=[time,destPort] struct=47B" in gs.explain("q")
+
+    def test_interpreted_mode_generates_no_decoder(self):
+        gs = Gigascope(mode="interpreted")
+        gs.add_query("DEFINE query_name q; Select time From tcp "
+                     "Where destPort = 80")
+        assert "def decode" not in gs.generated_code("q")
+        assert "row adapter" in gs.explain("q")
+        assert gs.rts.node("q").decode_fields is None
 
 
 class TestUserNodes:

@@ -51,7 +51,7 @@ def compute_digests(block_size: int) -> dict:
     from tests.test_batch_differential import CASES, run_case
 
     os.environ["GS_BATCH_SIZE"] = str(block_size)
-    for name in ("GS_SHARDS", "GS_FAILOVER", "GS_COLUMNAR"):
+    for name in ("GS_SHARDS", "GS_FAILOVER"):
         os.environ.pop(name, None)
     digests = {}
     for name in sorted(SCENARIOS):

@@ -291,3 +291,51 @@ class TestDescribe:
             "Where B.time = C.time", registry, functions)
         assert ("window=[0,0] keys=none (window scan) residual=1"
                 in keyless.describe())
+
+    def test_describe_shows_the_front_end(self, registry, functions):
+        http = plan(
+            "DEFINE query_name q; Select tb, count(*) From tcp "
+            "Where destPort = 80 and str_match_regex(data, 'HTTP') "
+            "Group by time/5 as tb", registry, functions)
+        assert "decode=[time,destPort,data] struct=47B" in http.describe()
+        headers = plan("DEFINE query_name q; Select time, destIP From udp",
+                       registry, functions)
+        assert ("snaplen=128 pushed=0 decode=[time,destIP] struct=34B"
+                in headers.describe())
+        for protocol in ("icmp", "tcp6", "netflow"):
+            field = "time_end" if protocol == "netflow" else "time"
+            text = plan(f"DEFINE query_name q; Select {field} From {protocol}",
+                        registry, functions).describe()
+            assert "decode=row-adapter" in text
+
+
+class TestFrontEndStaysInsideTheSnapLength:
+    """The planner tells the NIC how many bytes to keep; the generated
+    decoder must not unpack past them, on either IHL path, or a
+    header-only plan would see no rows behind a snapping card."""
+
+    @pytest.mark.parametrize("protocol", ["ip", "tcp", "udp"])
+    def test_no_unpack_reads_past_a_header_only_snaplen(
+            self, protocol, registry, functions):
+        schema = registry.get(protocol)
+        for attribute in schema.attributes:
+            if attribute.name == "data":
+                continue
+            result = plan(
+                f"DEFINE query_name q; Select {attribute.name} "
+                f"From {protocol}", registry, functions)
+            lfta = result.lftas[0]
+            assert lfta.hints.snaplen == SNAPLEN_HEADERS
+            decoder = schema.block_decoder(lfta.needed_fields(result.analyzed))
+            # the fast-path struct, and the L4 struct behind a
+            # 60-byte IPv4 header
+            assert decoder.struct_size <= decoder.reach <= SNAPLEN_HEADERS
+
+    def test_every_header_field_at_once(self, registry, functions):
+        schema = registry.get("tcp")
+        everything = [index for index, attribute in
+                      enumerate(schema.attributes) if attribute.name != "data"]
+        decoder = schema.block_decoder(everything)
+        assert decoder.struct_size == 14 + 20 + 16  # through tcpwindow
+        assert decoder.reach == 14 + 60 + 16 <= SNAPLEN_HEADERS
+

@@ -425,7 +425,7 @@ def observe_hfta(node):
 
 # -- the LFTA corpus -------------------------------------------------------------
 
-#: (label, query, codegen mode, stream, columnar decode expected)
+#: (label, query, codegen mode, stream, generated block decoder expected)
 LFTA_CONFIGS = [
     ("tcp windowed columnar",
      "Select tb, srcIP, destPort, count(*), sum(len) From tcp "
@@ -471,7 +471,7 @@ def run_lfta_corpus(seeds=range(2), table_sizes=TABLE_SIZES,
                     for shed_rate in ((1.0, 0.6)[turn % 2],):
                         reference, node = lfta_pair(
                             text, mode, table_size=table_size, seed=seed)
-                        assert (node._columnar_decode is not None) == columnar
+                        assert (node._decoder is not None) == columnar
                         assert reference.table._key_format is None
                         for each in (reference, node):
                             each.set_shed_rate(shed_rate)

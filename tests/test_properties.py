@@ -69,7 +69,9 @@ class TestSplitAggregationProperty:
             row[l_slot] = value
             rows.append(tuple(row))
         lfta.stats.tuples_in += len(rows)
-        dropped, keys, keyed_rows = lfta._batch_key(rows)
+        lfta_plan = plan.lftas[0]
+        dropped, keys, keyed_rows = compiler.batch_key_fn(
+            lfta_plan.predicates, lfta_plan.group_exprs, (None, None))(rows)
         assert dropped == 0
         lfta._aggregate(lfta, keys, keyed_rows, 1.0)
         lfta.flush()
