@@ -160,6 +160,64 @@ def test_bench_key_hash_stable(benchmark, flow_keys):
     assert error is None and len(slots) == len(flow_keys)
 
 
+@pytest.fixture(scope="module")
+def syn_blocks():
+    """Blocks of TCP packets of which 3 % are bare SYNs: what
+    ``join_rtt``'s ``syn`` LFTA sees, 97 % dying on its one conjunct."""
+    from repro.net.build import build_tcp_frame
+
+    rng = random.Random(9)
+    packets = [CapturedPacket(
+        timestamp=i * 0.001,
+        data=build_tcp_frame(rng.randrange(1 << 32), rng.randrange(1 << 32),
+                             rng.randrange(1 << 16), 80,
+                             flags=0x02 if rng.random() < 0.03 else 0x10))
+        for i in range(4096)]
+    return [packets[i:i + 256] for i in range(0, len(packets), 256)]
+
+
+def _syn_front_end(pushed: bool):
+    """``syn``'s decode + select, with its conjunct inside the decode
+    loop (the lean form: what the node picks for this input) or left in
+    the select kernel behind the plain decoder."""
+    functions = builtin_functions()
+    analyzed = analyze(parse_query(
+        "DEFINE query_name syn; Select time, timestamp, srcIP, destIP, "
+        "srcPort, destPort From tcp Where tcpflags & 18 = 2"),
+        builtin_registry(), functions)
+    lfta = plan_query(analyzed, functions).lftas[0]
+    compiler = ExprCompiler(analyzed, functions, None, "compiled")
+    needed = lfta.needed_fields(analyzed)
+    prefix = lfta.predicates[:lfta.prefix] if pushed else []
+    assert len(prefix) == pushed
+    decode = compiler.block_decoder_fn(
+        lfta.protocol, needed, compiler.prefilter(prefix), lean=pushed)
+    select = compiler.columnar_select_fn(
+        lfta.predicates[len(prefix):], lfta.project_exprs, (None, None))
+
+    def run(blocks):
+        out = []
+        for packets in blocks:
+            block = decode(packets)
+            select(block, range(block.n), out.append)
+        return out
+    return run
+
+
+def test_bench_prefilter_pushed(benchmark, syn_blocks):
+    """The prefix tested inside the generated decode loop (DESIGN
+    section 14).  CI gates the ratio of ``_unpushed`` below to this,
+    measured in the same run; the rows must be the same rows."""
+    rows = benchmark(_syn_front_end(True), syn_blocks)
+    assert rows == _syn_front_end(False)(syn_blocks)
+    assert 0 < len(rows) < 0.06 * sum(map(len, syn_blocks))
+
+
+def test_bench_prefilter_unpushed(benchmark, syn_blocks):
+    """Decode every guard-passer into a row, then filter column-wise."""
+    assert benchmark(_syn_front_end(False), syn_blocks)
+
+
 def test_bench_channel_push_scalar(benchmark):
     from repro.core.channels import Channel
 

@@ -494,6 +494,10 @@ class Gigascope:
         if self.mode == "interpreted" and plan.lftas:
             text += ("\n  (interpreted codegen: every LFTA decodes through "
                      "the row adapter)")
+        for lfta in plan.lftas:
+            group = self.rts.describe_decode_group(lfta.name)
+            if group is not None:
+                text += f"\n  {lfta.name} shares its decode: {group}"
         return text + "\n" + estimate.describe()
 
     def schema_of(self, name: str) -> StreamSchema:

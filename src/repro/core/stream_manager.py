@@ -31,13 +31,14 @@ from __future__ import annotations
 import math
 from itertools import islice
 from time import perf_counter
-from typing import (Any, Dict, Iterable, Iterator, List, NamedTuple, Optional,
-                    Tuple)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Tuple)
 
 from repro.core.channels import Channel
 from repro.core.heartbeat import FLUSH, FlushToken, Punctuation
 from repro.core.query_node import QueryNode
 from repro.gsql.schema import PacketView
+from repro.net.columnar import describe_formats
 from repro.net.packet import CapturedPacket
 from repro.obs.collectors import engine_snapshot, install_engine_metrics
 from repro.obs.registry import MetricsRegistry
@@ -49,8 +50,9 @@ DEFAULT_BATCH_SIZE = 256
 class _DispatchPlan(NamedTuple):
     """One interface's cached dispatch plan (``RuntimeSystem._plan_for``)."""
 
-    #: ``(node, accept_batch or None, wants_view, decode group or -1)``
-    #: per consumer bound to the interface itself
+    #: ``(node, accept_batch or None, wants_view, decode group or -1,
+    #: position among the group's members)`` per consumer bound to the
+    #: interface itself
     entries: tuple
     #: build one shared :class:`PacketView` per packet of a run: more
     #: than one consumer sees the packet -- own plus ``"any"`` -- and at
@@ -58,9 +60,32 @@ class _DispatchPlan(NamedTuple):
     share_views: bool
     #: some consumer bound to the interface itself wants views
     wants_view: bool
-    #: ``(decode entry, generated decoder, member nodes)`` per decode
-    #: group: LFTAs of one protocol that share the decode of a run
+    #: one :class:`_DecodeGroup` per set of LFTAs of one protocol that
+    #: share the decode of a run
     decoders: tuple
+
+
+class _DecodeGroup(NamedTuple):
+    """LFTAs of one protocol on one interface, decoded for together."""
+
+    #: the protocol's ``columnar_decoder`` entry, ``f(packets, decode)``
+    decode_block: Callable
+    #: the generated decoder over the union of the members' fields, with
+    #: every member's pushed prefix tested in its loop
+    decoder: Any
+    #: its lean form; None when there is none
+    lean: Any
+    members: tuple
+
+    def describe(self) -> str:
+        """For EXPLAIN: who shares the decode and which tests it runs."""
+        names = ",".join(node.name for node in self.members)
+        tests = "; ".join(self.decoder.prefilters) or "none"
+        text = (f"decode group [{names}] struct={self.decoder.struct_size}B "
+                f"prefilters=[{tests}]")
+        if self.lean is not None:
+            text += f" lean=[{describe_formats(self.lean.lean_formats)}]"
+        return text
 
 
 class RegistryError(RuntimeError):
@@ -366,25 +391,43 @@ class RuntimeSystem:
                 if getattr(node, "decode_fields", None) is not None:
                     families.setdefault(node.protocol, []).append(node)
             decoders = []
-            group_of: Dict[QueryNode, int] = {}
+            #: node -> (its decode group, its position among the members)
+            group_of: Dict[QueryNode, Tuple[int, int]] = {}
             for protocol, members in families.items():
                 if len(members) > 1:
                     union = set().union(*(node.decode_fields
                                           for node in members))
-                    group_of.update(dict.fromkeys(members, len(decoders)))
-                    decoders.append((protocol.columnar_decoder,
-                                     protocol.block_decoder(union).decode,
-                                     tuple(members)))
+                    prefilters = [node.prefilter for node in members]
+                    for slot, node in enumerate(members):
+                        group_of[node] = (len(decoders), slot)
+                    decoders.append(_DecodeGroup(
+                        protocol.columnar_decoder,
+                        protocol.block_decoder(union, prefilters),
+                        protocol.block_decoder(union, prefilters, lean=True),
+                        tuple(members)))
             entries = tuple(
                 (node, getattr(node, "accept_batch", None),
-                 getattr(node, "accepts_view", False), group_of.get(node, -1))
+                 getattr(node, "accepts_view", False),
+                 *group_of.get(node, (-1, 0)))
                 for node in own)
-            wants_view = any(wants for _, _, wants, _ in entries)
+            wants_view = any(entry[2] for entry in entries)
             share = len(seen_by) > 1 and any(
                 getattr(node, "accepts_view", False) for node in seen_by)
             plan = _DispatchPlan(entries, share, wants_view, tuple(decoders))
             self._batch_plans[interface] = plan
         return plan
+
+    def describe_decode_group(self, name: str) -> Optional[str]:
+        """For EXPLAIN: the decode group the LFTA ``name`` is a member
+        of right now, or None when it decodes for itself."""
+        node = self._nodes.get(name)
+        interface = getattr(node, "interface", None)
+        if interface is None:
+            return None
+        for group in self._plan_for(interface).decoders:
+            if node in group.members:
+                return group.describe()
+        return None
 
     def _admit(self, packet: CapturedPacket) -> Optional[CapturedPacket]:
         """Run the armed injectors' per-packet hooks (clock skew, ring
@@ -493,16 +536,21 @@ class RuntimeSystem:
         this run -- a recovered node has already replayed it from the
         journal.  Consumers outside the group are unaffected.  A group
         whose every member is shedding gets no shared block: each will
-        decode only what its gate keeps.
+        decode only what its gate keeps.  The lean form runs when every
+        member would pick its own (``LftaNode.prefers_lean``); the two
+        return the same block.
         """
         blocks: list = []
         failed: list = []
-        for decode_block, decoder, members in decoders:
+        for decode_block, decoder, lean, members in decoders:
             block = None
             if any(node.shed_rate >= 1.0 and node.quarantined is None
                    for node in members):
+                if lean is not None and all(
+                        node.prefers_lean for node in members):
+                    decoder = lean
                 try:
-                    block = decode_block(packets, decoder)
+                    block = decode_block(packets, decoder.decode)
                 except Exception as error:
                     for node in members:
                         if node.quarantined is None:
@@ -515,9 +563,10 @@ class RuntimeSystem:
                       trace=None) -> None:
         """One ordered packet run to one interface's consumers.
 
-        The members of a decode group get the run's shared block
-        alongside the packets; each uses it only if it is about to
-        decode that very list (``LftaNode.accept_batch``).  Consumers
+        The members of a decode group get the run's shared block and
+        their own rows of it alongside the packets; each uses them only
+        if it is about to decode that very list
+        (``LftaNode.accept_batch``).  Consumers
         without ``accept_batch`` (user-written packet operators:
         defrag, sessionize, TCP reassembly) take the run one
         ``accept_packet`` at a time.  ``trace`` is the lineage trace of
@@ -528,7 +577,7 @@ class RuntimeSystem:
         failed: list = []
         if plan.decoders:
             blocks, failed = self._decode_shared(plan.decoders, packets)
-        for node, accept_batch, wants_view, group in plan.entries:
+        for node, accept_batch, wants_view, group, slot in plan.entries:
             if node.quarantined is not None or node in failed:
                 continue
             if trace is not None:
@@ -536,7 +585,10 @@ class RuntimeSystem:
                 tracer.current = trace
             try:
                 if group >= 0:
-                    accept_batch(packets, None, blocks[group])
+                    block = blocks[group]
+                    rows = (None if block is None or block.rows is None
+                            else block.rows[slot])
+                    accept_batch(packets, None, block, rows)
                 elif accept_batch is not None:
                     accept_batch(packets, views if wants_view else None)
                 elif wants_view and views is not None:

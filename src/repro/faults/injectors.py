@@ -317,10 +317,11 @@ class OperatorFault(FaultInjector):
         accept_batch = getattr(node, "accept_batch", None)
         accept_packet = getattr(node, "accept_packet", None)
         if accept_batch is not None:
-            def failing_accept_batch(packets, views=None, block=None):
+            def failing_accept_batch(packets, views=None, block=None,
+                                     rows=None):
                 before = self._prefix(len(packets))
                 if before is None:
-                    return accept_batch(packets, views, block)
+                    return accept_batch(packets, views, block, rows)
                 if before:
                     # A prefix is a different list: the node decodes it
                     # itself rather than use the run's shared block.

@@ -42,6 +42,8 @@ from repro.gsql.ast_nodes import (
 from repro.gsql.functions import FunctionRegistry, FunctionSpec
 from repro.gsql.semantic import AggRef, AnalyzedQuery, KeyRef
 from repro.gsql.types import BOOL, FLOAT, GSQLType
+from repro.gsql.unparse import conjunction_to_gsql
+from repro.net.columnar import Prefilter
 
 
 class DiscardTuple(Exception):
@@ -102,9 +104,11 @@ class ExprCompiler:
         self.generated_sources: List[str] = []
         self._env: Dict[str, Any] = {"P": self.params, "DiscardTuple": DiscardTuple}
         self._counter = 0
-        #: when set, column references compile to columnar array reads
-        #: instead of tuple indexing: (template, used-slot set)
-        self._column_ref: Optional[Tuple[str, set]] = None
+        #: when set, column references compile to something other than
+        #: tuple indexing: (slot -> source, used-slot set)
+        self._column_ref: Optional[Tuple[Callable[[int], str], set]] = None
+        #: the name generated code reads the parameter dict under
+        self._params_ref = "P"
         self._handle_cache: Dict[Tuple[str, Any], str] = {}
         missing = [name for name in analyzed.params if name not in self.params]
         if missing:
@@ -250,25 +254,64 @@ class ExprCompiler:
     # expressions are pure so regrouping the evaluation order per
     # conjunct is unobservable.
 
-    def block_decoder_fn(self, protocol, needed: Sequence[int]
-                         ) -> Optional[Callable]:
+    def block_decoder_fn(self, protocol, needed: Sequence[int],
+                         pushed: Optional[Prefilter] = None,
+                         lean: bool = False) -> Optional[Callable]:
         """The generated block decoder ``f(packets) -> ColumnarBlock``
         covering attribute positions ``needed`` of ``protocol``
         (:mod:`repro.net.columnar`: the protocol guard plus one struct
-        over only the bytes those attributes and the guard read).
+        over only the bytes those attributes and the guard read), with
+        the prefix ``pushed`` (:meth:`prefilter`) tested inside its
+        loop: a packet it kills never becomes a row.  ``lean`` asks for
+        the form that unpacks the fields only survivors need after the
+        test.
 
-        None in interpreted mode and for a protocol without a layout
-        -- the caller keeps the row adapter.  The decoder is cached per
-        ``(protocol, field set)`` across compilers; its source is
-        recorded here like every other kernel's.
+        None in interpreted mode, for a protocol without a layout --
+        the caller keeps the row adapter -- and for a lean form that
+        does not exist.  The compiled loop is cached by source across
+        compilers and bound to this compiler's parameter dict; its
+        source is recorded here like every other kernel's.
         """
         if self.mode == "interpreted":
             return None
-        decoder = protocol.block_decoder(needed)
+        decoder = protocol.block_decoder(
+            needed, () if pushed is None else (pushed,), lean)
         if decoder is None:
             return None
         self.generated_sources.append(decoder.source)
         return decoder.decode
+
+    def prefilter(self, conjuncts: Sequence[Expr]) -> Optional[Prefilter]:
+        """``conjuncts`` (a plan's pushed prefix, ``LftaPlan.prefix``)
+        as a block-decoder generator takes them; None when empty, and
+        in interpreted mode, which has no block decoder to take them.
+
+        The generator decides where each attribute sits in its unpack
+        tuple and calls ``render`` back with that, so the same prefix
+        serves this plan's own decoder, its lean form and a decode
+        group's shared one.  ``$params`` compile to reads of this
+        compiler's dict, so ``set_param`` bites on the next block.
+        """
+        if not conjuncts or self.mode == "interpreted":
+            return None
+
+        def render(columns, params: str) -> str:
+            self._params_ref = params
+            try:
+                return " and ".join(
+                    self._compile_columnar(
+                        conjunct, (None,), columns.__getitem__, set())
+                    for conjunct in conjuncts)
+            finally:
+                self._params_ref = "P"
+
+        nodes = [node for conjunct in conjuncts for node in conjunct.walk()]
+        slots = frozenset(self.analyzed.binding_of(node).attr_index
+                          for node in nodes if isinstance(node, Column))
+        reads_params = any(isinstance(node, Param) for node in nodes)
+        return Prefilter(slots, render,
+                         self.params if reads_params else None,
+                         conjunction_to_gsql(conjuncts))
 
     def columnar_select_fn(
         self,
@@ -286,7 +329,7 @@ class ExprCompiler:
         filter_src = self._columnar_filter_src(conjuncts, slot_maps)
         build_slots: set = set()
         parts = [
-            self._compile_columnar(e, slot_maps, "_o{slot}[j]", build_slots)
+            self._compile_columnar(e, slot_maps, "_o{}[j]".format, build_slots)
             for e in exprs
         ]
         build = _tuple_src(parts)
@@ -332,7 +375,7 @@ class ExprCompiler:
         filter_src = self._columnar_filter_src(conjuncts, slot_maps)
         gather_slots: set = set(row_slots)
         key_parts = [
-            self._compile_columnar(e, slot_maps, "_o{slot}[j]", gather_slots)
+            self._compile_columnar(e, slot_maps, "_o{}[j]".format, gather_slots)
             for e in group_exprs
         ]
         key = _tuple_src(key_parts)
@@ -377,7 +420,8 @@ class ExprCompiler:
         declared: set = set()
         for conjunct in conjuncts:
             used: set = set()
-            src = self._compile_columnar(conjunct, slot_maps, "_c{slot}[i]", used)
+            src = self._compile_columnar(
+                conjunct, slot_maps, "_c{}[i]".format, used)
             for slot in sorted(used - declared):
                 lines.append(f"    _c{slot} = B.col({slot})\n")
             declared |= used
@@ -398,11 +442,12 @@ class ExprCompiler:
 
     def _compile_columnar(
         self, expr: Expr, slot_maps: Sequence[SlotMap],
-        template: str, used: set,
+        ref: Callable[[int], str], used: set,
     ) -> str:
-        """Compile ``expr`` with column references rewritten to columnar
-        array reads (``template`` formats the slot); collects slots."""
-        self._column_ref = (template, used)
+        """Compile ``expr`` with each column reference rewritten to
+        ``ref(slot)`` (a columnar array read, a position in a decoder's
+        unpack tuple); collects slots."""
+        self._column_ref = (ref, used)
         try:
             return self._compile(expr, slot_maps, 1)
         finally:
@@ -792,7 +837,7 @@ class ExprCompiler:
                 return repr(expr.value.encode("latin-1"))
             return repr(expr.value)
         if isinstance(expr, Param):
-            return f"P[{expr.name!r}]"
+            return f"{self._params_ref}[{expr.name!r}]"
         if isinstance(expr, KeyRef):
             return f"k[{expr.index}]"
         if isinstance(expr, AggRef):
@@ -825,9 +870,9 @@ class ExprCompiler:
         slot_map = slot_maps[bound.source_index] if bound.source_index < len(slot_maps) else None
         slot = bound.attr_index if slot_map is None else slot_map[bound.attr_index]
         if self._column_ref is not None:
-            template, used = self._column_ref
+            ref, used = self._column_ref
             used.add(slot)
-            return template.format(slot=slot)
+            return ref(slot)
         names = _ARG_NAMES[arity]
         var = names[bound.source_index] if arity == 2 else names[0]
         return f"{var}[{slot}]"

@@ -43,6 +43,8 @@ from repro.gsql.semantic import (
 )
 from repro.gsql.schema import Attribute, ProtocolSchema, StreamSchema
 from repro.gsql.types import FLOAT, ULLONG
+from repro.gsql.unparse import conjunction_to_gsql
+from repro.net.columnar import HEADER_REACH, describe_formats
 
 # Fields a commodity NIC's BPF engine can test (paper: "Other NICs allow
 # us to specify a bpf preliminary filter").
@@ -50,8 +52,10 @@ PUSHABLE_FIELDS = frozenset(
     {"protocol", "srcport", "destport", "srcip", "destip", "ipversion"}
 )
 
-# Snap lengths: headers-only when the payload is never touched.
-SNAPLEN_HEADERS = 128
+# Snap lengths: headers-only when the payload is never touched -- as
+# many bytes as the longest header stack a block decoder's guard can ask
+# for, so a snapping NIC drops no frame the unsnapped run keeps.
+SNAPLEN_HEADERS = HEADER_REACH
 SNAPLEN_FULL = 65535
 
 PAYLOAD_FIELD = "data"
@@ -103,6 +107,12 @@ class LftaPlan:
     field_map: Dict[int, int] = field(default_factory=dict)
     #: Bernoulli sampling rate (DEFINE sample p); None = keep everything
     sample_rate: Optional[float] = None
+    #: how many leading ``predicates`` a generated block decoder tests
+    #: inside its own loop, so a packet they kill never becomes a row
+    #: (:func:`_mark_prefix`); the row adapter ignores it
+    prefix: int = 0
+    #: why ``prefix`` is 0, for EXPLAIN
+    prefix_note: str = ""
 
     def needed_fields(self, analyzed: AnalyzedQuery) -> List[int]:
         """Sorted protocol attribute positions this LFTA reads: what
@@ -188,6 +198,15 @@ class QueryPlan:
                 names = ",".join(lfta.protocol.attributes[index].name
                                  for index in needed)
                 front_end = f"decode=[{names}] struct={decoder.struct_size}B"
+            prefix = lfta.predicates[:lfta.prefix]
+            if prefix:
+                front_end += f" prefilter=[{conjunction_to_gsql(prefix)}]"
+                lean = lfta.protocol.lean_formats(
+                    needed, column_slots(self.analyzed, prefix))
+                if lean:
+                    front_end += f" lean=[{describe_formats(lean)}]"
+            else:
+                front_end += f" prefilter=none ({lfta.prefix_note})"
             lines.append(
                 f"  LFTA {lfta.name} on {lfta.interface}.{lfta.protocol.name} "
                 f"[{lfta.mode}] preds={len(lfta.predicates)} "
@@ -223,6 +242,8 @@ def plan_query(analyzed: AnalyzedQuery, functions: FunctionRegistry,
             plan.lftas[0].sample_rate = analyzed.sample_rate
         elif plan.hfta is not None:
             plan.hfta.sample_rate = analyzed.sample_rate
+    for lfta in plan.lftas:
+        _mark_prefix(lfta, analyzed)
     return plan
 
 
@@ -651,6 +672,70 @@ def _join_keys(conjuncts: Sequence[Expr],
             continue
         keys.append((left_column, right_column))
     return keys
+
+
+#: operators a pushed prefix may use: total over the integers and
+#: floats that header fields, capture metadata and literals carry
+#: (``/`` and ``%`` can divide by zero)
+_TOTAL_OPS = frozenset({"=", "<>", "<", "<=", ">", ">=", "+", "-", "*",
+                        "&", "|", "^", "AND", "OR"})
+
+
+def _mark_prefix(lfta: LftaPlan, analyzed: AnalyzedQuery) -> None:
+    """Mark the leading run of ``lfta``'s conjuncts that its generated
+    block decoder can test inside the decode loop, before a row exists
+    (DESIGN section 14).
+
+    Only a *leading* run: conjuncts short-circuit in order, so one that
+    sits behind a conjunct the loop cannot take (a function call may
+    discard the tuple or raise) must keep seeing exactly the rows that
+    conjunct passes.  A sampled plan pushes nothing: its draw has to
+    see every guard-passing packet first.
+    """
+    readable = lfta.protocol.prefix_fields()
+    if not readable:
+        lfta.prefix_note = "row adapter"
+    elif lfta.sample_rate is not None:
+        lfta.prefix_note = "sampled"
+    elif not lfta.predicates:
+        lfta.prefix_note = "no predicate"
+    else:
+        for conjunct in lfta.predicates:
+            obstacle = _prefix_obstacle(conjunct, analyzed, readable)
+            if obstacle is not None:
+                if not lfta.prefix:
+                    lfta.prefix_note = f"first conjunct {obstacle}"
+                break
+            lfta.prefix += 1
+
+
+def _prefix_obstacle(conjunct: Expr, analyzed: AnalyzedQuery,
+                     readable) -> Optional[str]:
+    """What keeps ``conjunct`` out of the decode loop, or None: it must
+    read only ``readable`` attributes through operators that cannot
+    raise."""
+    for node in conjunct.walk():
+        if isinstance(node, (FuncCall, AggCall)):
+            return f"calls {node.name}"
+        if isinstance(node, Column):
+            bound = analyzed.binding_of(node)
+            if bound is None or bound.attr_index not in readable:
+                return f"reads {node.name}"
+        elif isinstance(node, BinaryOp):
+            if node.op in ("<<", ">>"):
+                count = node.right
+                if not (isinstance(count, Literal)
+                        and type(count.value) is int
+                        and 0 <= count.value <= 64):
+                    return "shifts by other than a small literal"
+            elif node.op not in _TOTAL_OPS:
+                return f"uses {node.op}"
+        elif isinstance(node, Literal):
+            if not isinstance(node.value, (int, float)):
+                return "compares a string"
+        elif not isinstance(node, (Param, UnaryOp)):
+            return f"holds {type(node).__name__}"
+    return None
 
 
 def _pushable(conjunct: Expr, analyzed: AnalyzedQuery) -> Optional[PushedPredicate]:

@@ -16,7 +16,8 @@ source stream, including the ordering properties."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from repro.gsql.lexer import (
     EOF,
@@ -40,7 +41,9 @@ from repro.gsql.types import (
     parse_type,
 )
 from repro.net.bgp import BGPUpdate
-from repro.net.columnar import Decoder, decode_block, generated_decoder, has_layout
+from repro.net.columnar import (Decoder, Prefilter, decode_block,
+                                generated_decoder, has_layout, lean_formats,
+                                prefix_readable)
 from repro.net.ethernet import ETHERTYPE_IPV4, EthernetHeader
 from repro.net.icmp import ICMPHeader
 from repro.net.ip import IPv4Header, PROTO_ICMP, PROTO_TCP, PROTO_UDP
@@ -291,17 +294,46 @@ class ProtocolSchema(_BaseSchema):
             for index, bound_fn in self.clock_fields.items()
         }
 
-    def block_decoder(self, needed_indices: Iterable[int]) -> Optional[Decoder]:
-        """The generated block decoder covering ``needed_indices``: its
-        rows are exactly the packets the guard admits, and it unpacks
-        only the header bytes those attributes (and the guard) read.
-        None for a protocol without a layout."""
+    def block_decoder(self, needed_indices: Iterable[int],
+                      prefilters: Sequence[Optional[Prefilter]] = (),
+                      lean: bool = False) -> Optional[Decoder]:
+        """The generated block decoder covering ``needed_indices``: it
+        unpacks only the header bytes those attributes (and the guard)
+        read, and its rows are exactly the packets the guard admits --
+        or, with ``prefilters`` (one entry per consumer: its pushed
+        prefix, or None), those some consumer keeps.  ``lean`` asks for
+        the two-struct form.  None for a protocol without a layout and
+        for a lean form that does not exist."""
         if self._layout is None:
             return None
         return generated_decoder(
-            self._layout,
-            tuple(attribute.name.lower() for attribute in self.attributes),
-            frozenset(needed_indices))
+            self._layout, self._layout_names(),
+            frozenset(needed_indices), prefilters, lean)
+
+    def _layout_names(self) -> Tuple[str, ...]:
+        """Attribute names as :mod:`repro.net.columnar` spells them."""
+        return tuple(attribute.name.lower() for attribute in self.attributes)
+
+    def lean_formats(self, needed_indices: Iterable[int],
+                     prefix_slots: Iterable[int]) -> Tuple[str, ...]:
+        """The two struct formats of the lean decoder of
+        ``needed_indices`` whose pushed prefixes read ``prefix_slots``
+        (before the test, for survivors); empty when there is none."""
+        if self._layout is None:
+            return ()
+        return lean_formats(
+            self._layout, self._layout_names(),
+            frozenset(needed_indices), frozenset(prefix_slots))
+
+    def prefix_fields(self) -> FrozenSet[int]:
+        """Attribute positions a pushed prefix may read: the layout's
+        header fields and scalar capture metadata (empty without a
+        layout)."""
+        if self._layout is None:
+            return frozenset()
+        return frozenset(
+            index for index, name in enumerate(self._layout_names())
+            if prefix_readable(name))
 
     def sparse_interpreter(
         self, needed_indices: Sequence[int]

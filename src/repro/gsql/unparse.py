@@ -78,6 +78,11 @@ def expr_to_gsql(expr: Expr, parent_precedence: int = 0) -> str:
     raise TypeError(f"cannot unparse {expr!r}")
 
 
+def conjunction_to_gsql(conjuncts) -> str:
+    """Render predicate conjuncts as one ``AND`` chain."""
+    return " AND ".join(expr_to_gsql(c, _PRECEDENCE["AND"]) for c in conjuncts)
+
+
 def _select_item(item: SelectItem) -> str:
     text = expr_to_gsql(item.expr)
     return f"{text} AS {item.alias}" if item.alias else text

@@ -4,18 +4,31 @@ The paper's compiler derives from each LFTA's plan *which bytes* of a
 frame matter and links the LFTAs into the run-time system so several of
 them read one captured packet.  This module is that front end for the
 eth/IPv4/TCP/UDP family: one declarative layout table, and one code
-generator that turns ``(protocol, needed attributes)`` into a block
-decoder -- a single loop that applies the protocol guard to every
-packet of a block and unpacks, with one ``struct`` whose pad bytes skip
-everything else, only the header fields the guard and the plan read.
-Nothing here is written by hand per protocol.
+generator that turns ``(protocol, needed attributes, pushed prefixes)``
+into a block decoder -- a single loop that applies the protocol guard
+to every packet of a block, unpacks, with one ``struct`` whose pad
+bytes skip everything else, only the header fields the guard and the
+plan read, tests the plan's pushed prefix on the unpacked values, and
+appends a row for the survivors only.  Nothing here is written by hand
+per protocol.
 
-Guard contract
---------------
+Guard, then prefix
+------------------
 
-For ``ip``/``tcp``/``udp`` a row *exists* if and only if the protocol
-guard passes (``v.ip``/``v.tcp``/``v.udp`` not None), and under the
-guard every field function is total -- none can return ``None``.  A
+For ``ip``/``tcp``/``udp`` a packet is a *tuple* if and only if the
+protocol guard passes (``v.ip``/``v.tcp``/``v.udp`` not None), and
+under the guard every field function is total -- none can return
+``None``.  A tuple becomes a *row* of the block iff, in addition, some
+consumer's pushed prefix keeps it (:class:`Prefilter`: the leading
+predicate conjuncts that are total over header fields and scalar
+capture metadata); with nothing pushed, every tuple is a row.  The
+block reports both counts -- ``passed`` tuples, ``n`` rows -- so the
+consumer's ``tuples_in`` and ``discarded`` are those of decoding every
+tuple and filtering afterwards.  When the prefix leaves two or more
+header fields that only survivors need, the generator also emits a
+*lean* form: a first struct over the guard's and the prefix's fields,
+the rest unpacked after the test and the tuple re-assembled in the
+same layout, so both forms return equal blocks.  A
 generated decoder makes exactly the checks of
 :meth:`~repro.gsql.schema.PacketView._parse` plus the header ``parse``
 classmethods, one definition per layer (:func:`_generate`): frame long
@@ -35,8 +48,9 @@ Lazy decode
 Decoding fills three parallel arrays per surviving row -- the unpack
 tuple, the packet reference, and (only when the plan reads ``data``)
 the payload offset.  Field columns are materialized on first use:
-eagerly for the columns the predicate conjuncts touch (``col``), for
-the post-filter survivors only for everything else (``gather``).  The
+eagerly for the columns the conjuncts left to the kernel touch
+(``col``), for the post-filter survivors only for everything else
+(``gather``).  The
 per-decoder column specs map an attribute index to its position in
 *that* decoder's unpack tuple, so LFTAs handed one shared block (the
 union of their fields, decoded once by the RTS) read it by the same
@@ -48,8 +62,8 @@ from __future__ import annotations
 import struct
 from array import array
 from functools import lru_cache
-from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, FrozenSet, List, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from repro.net.packet import CapturedPacket
 
@@ -57,21 +71,32 @@ from repro.net.packet import CapturedPacket
 class ColumnarBlock:
     """One decoded packet block: parallel arrays plus lazy field columns.
 
-    ``n`` rows survived the protocol guard.  ``vals[i]`` is row *i*'s
-    header unpack, ``pkts[i]`` the originating packet, and ``pay[i]``
-    the payload offset into its data (empty unless the decoder covers
-    ``data``).  ``columns`` caches materialized field columns by
-    attribute index.  ``packets`` is the very list that was decoded:
-    a consumer handed this block uses it only for that list (identity,
-    not equality -- DESIGN section 14, "sharing").
+    ``passed`` packets passed the protocol guard and ``n`` of them
+    became rows: all of them, unless the decoder's consumers pushed a
+    prefix into its loop, in which case a row exists only for a packet
+    some consumer keeps.  ``vals[i]`` is row *i*'s header unpack,
+    ``pkts[i]`` the originating packet, and ``pay[i]`` the payload
+    offset into its data (empty unless the decoder covers ``data``).
+    ``rows`` is None when every consumer keeps every row; otherwise it
+    holds, per consumer in the order the decoder was generated for, the
+    ascending indices of the rows that consumer keeps (None: all of
+    them).  ``columns`` caches materialized field columns by attribute
+    index.  ``packets`` is the very list that was decoded: a consumer
+    handed this block uses it only for that list (identity, not
+    equality -- DESIGN section 14, "sharing").
     """
 
-    __slots__ = ("n", "vals", "pkts", "pay", "columns", "packets", "_specs")
+    __slots__ = ("n", "passed", "rows", "vals", "pkts", "pay", "columns",
+                 "packets", "_specs")
 
     def __init__(self, vals: list, pkts: list, pay: array,
                  specs: Dict[int, tuple],
-                 packets: Sequence[CapturedPacket]) -> None:
+                 packets: Sequence[CapturedPacket],
+                 passed: Optional[int] = None,
+                 rows: Optional[tuple] = None) -> None:
         self.n = len(vals)
+        self.passed = self.n if passed is None else passed
+        self.rows = rows
         self.vals = vals
         self.pkts = pkts
         self.pay = pay
@@ -144,6 +169,7 @@ class ColumnarBlock:
 
 _ETH_LEN = 14
 _IP_MIN = 20
+_IP_MAX = 60
 
 _HEADER_FIELDS: Dict[str, Dict[str, Tuple[int, str]]] = {
     "eth": {"ethertype": (12, "H")},
@@ -206,32 +232,58 @@ _ATTRIBUTES: Dict[str, _Attribute] = {
 
 class _Family(NamedTuple):
     """One protocol's guard: its L4 header layer (None: any parsed IPv4
-    header, fragments included), IP protocol number, and the fixed L4
-    header bytes that must be inside the capture."""
+    header, fragments included), IP protocol number, the fixed L4
+    header bytes that must be inside the capture, and the most the
+    header's own length field can ask for."""
 
     l4: Optional[str]
     ip_protocol: int
     l4_len: int
+    l4_max: int
 
 
 _FAMILIES: Dict[str, _Family] = {
-    "ip": _Family(None, 0, 0),
-    "tcp": _Family("tcp", 6, 20),
-    "udp": _Family("udp", 17, 8),
+    "ip": _Family(None, 0, 0, 0),
+    "tcp": _Family("tcp", 6, 20, 60),
+    "udp": _Family("udp", 17, 8, 8),
 }
 
-def _struct_format(fields: Sequence[Tuple[int, str]]) -> str:
+#: the captured bytes a guard of the family can ask for: behind the
+#: longest IPv4 header, the longest L4 header (a TCP frame with full
+#: options).  A header-only snap length must not be shorter.
+HEADER_REACH = _ETH_LEN + _IP_MAX + max(
+    family.l4_max for family in _FAMILIES.values())
+
+
+def _struct_format(fields: Sequence[Tuple[int, str, str]]) -> str:
     """The network-order format reading ``fields`` (ascending
-    ``(offset, code)`` pairs) and padding over the bytes between."""
+    ``(offset, code, name)``) and padding over the bytes between."""
     parts = ["!"]
     at = 0
-    for offset, code in fields:
+    for offset, code, _ in fields:
         gap = offset - at
         if gap:
             parts.append("x" if gap == 1 else f"{gap}x")
         parts.append(code)
         at = offset + struct.calcsize("!" + code)
     return "".join(parts)
+
+
+class Prefilter(NamedTuple):
+    """One consumer's pushed prefix, as the generator takes it: the
+    leading predicate conjuncts that are total over header fields and
+    scalar capture metadata (``LftaPlan.prefix``)."""
+
+    #: attribute positions the conjuncts read
+    slots: FrozenSet[int]
+    #: ``render(columns, params) -> source`` of the conjunction, reading
+    #: attribute position *i* as ``columns[i]`` and the consumer's
+    #: query-parameter dict under the name ``params``
+    render: Callable[[Mapping[int, str], str], str]
+    #: that parameter dict (None: the conjuncts read no ``$param``)
+    params: Optional[dict]
+    #: the conjuncts as GSQL, for EXPLAIN
+    text: str
 
 
 class Decoder(NamedTuple):
@@ -245,6 +297,11 @@ class Decoder(NamedTuple):
     struct_format: str
     #: the L4-only struct of the IP-options path ("" when none)
     l4_format: str
+    #: the pushed prefixes as GSQL, one per distinct test
+    prefilters: Tuple[str, ...] = ()
+    #: lean form only: the struct unpacked before the prefix test (guard
+    #: and prefix fields) and the one unpacked for survivors (the rest)
+    lean_formats: Tuple[str, ...] = ()
 
     @property
     def struct_size(self) -> int:
@@ -256,39 +313,77 @@ class Decoder(NamedTuple):
         plus one: the fast-path struct, or the L4 struct behind the
         longest IPv4 header."""
         return max(self.struct_size,
-                   _ETH_LEN + 60 + struct.calcsize(self.l4_format or "!"))
+                   _ETH_LEN + _IP_MAX + struct.calcsize(self.l4_format or "!"))
 
 
 @lru_cache(maxsize=256)
+def _compiled(source: str, protocol: str):
+    return compile(source, f"<decoder:{protocol}>", "exec")
+
+
 def generated_decoder(protocol: str, attributes: Tuple[str, ...],
-                      needed: FrozenSet[int]) -> Decoder:
+                      needed: FrozenSet[int],
+                      prefilters: Sequence[Optional[Prefilter]] = (),
+                      lean: bool = False) -> Optional[Decoder]:
     """The block decoder of ``protocol`` (``ip``/``tcp``/``udp``)
     covering the attribute positions ``needed`` of a schema whose
     attribute names, lower case and in order, are ``attributes``.
 
-    Pure in its arguments, so one ``compile()`` serves every LFTA and
-    every shared-decode union with the same field set.
+    ``prefilters`` names the decoder's consumers, one entry each: the
+    prefix that consumer pushed into the loop, or None when it keeps
+    every guard-passing packet.  A row then exists iff the guard passes
+    and some consumer keeps it (:func:`_generate`).  ``lean`` asks for
+    the two-struct form, and the answer is None when there is none:
+    some consumer keeps everything, or fewer than two header fields are
+    left for survivors only.
+
+    The code object is cached by generated source, so ``setup_s`` pays
+    one ``compile()`` per distinct loop; what the loop reads -- structs,
+    column specs, the consumers' parameter dicts -- is bound per call,
+    so no two callers share a closure.
     """
-    source, env, fmt, l4_fmt = _generate(protocol, attributes, needed)
-    exec(compile(source, f"<decoder:{protocol}>", "exec"), env)
-    return Decoder(env["decode"], source, fmt, l4_fmt)
+    generated = _generate(protocol, attributes, needed, prefilters, lean)
+    if generated is None:
+        return None
+    source, env, described = generated
+    exec(_compiled(source, protocol), env)
+    return Decoder(env["decode"], source, *described)
 
 
-def _generate(protocol: str, attributes: Sequence[str],
-              needed: FrozenSet[int]):
-    """Source, environment and struct formats of one block decoder."""
+class _View(NamedTuple):
+    """Where header fields sit in one unpack tuple: ``var[pos[field]]``."""
+
+    var: str
+    pos: Dict[str, int]
+
+    def ref(self, field: str) -> str:
+        return f"{self.var}[{self.pos[field]}]"
+
+
+#: how a pushed prefix reads scalar capture metadata inside the loop
+#: (``p`` the packet, ``n`` its captured length)
+_META_SOURCES = {"time": "int(p.timestamp)", "timestamp": "p.timestamp",
+                 "len": "p.orig_len", "caplen": "n"}
+
+
+def _place(protocol: str, attributes: Sequence[str],
+           needed: FrozenSet[int]):
+    """Which header fields a decoder of ``needed`` unpacks, placed:
+    ``(family, attribute sources, head, tail, guard fields)`` with
+    ``head`` the eth and ip fields as ``(frame offset, struct code,
+    field)`` in frame order, ``tail`` the L4 fields by offset inside
+    their header, and the names the guard itself reads."""
     family = _FAMILIES[protocol]
     sources = {index: _ATTRIBUTES[attributes[index]] for index in needed}
-    wants_pay = any(src.field == "data" for src in sources.values())
 
-    # Which header fields the one unpack must cover: the guard's, then
-    # the plan's.
+    # The guard's fields, then the plan's.
     ip_fields = {"ver_ihl"}
     l4_fields = set()
     if family.l4 is not None:
         ip_fields |= {"flags_frag", "protocol"}
         if family.l4 == "tcp":
             l4_fields.add("offset_reserved")
+    guard_fields = {"ethertype"} | ip_fields | l4_fields
     for src in sources.values():
         if src.layer == "ip":
             ip_fields.add(src.field)
@@ -300,55 +395,188 @@ def _generate(protocol: str, attributes: Sequence[str],
             l4_fields.add(src.field)
 
     def placed(layer: str, names, base: int) -> List[Tuple[int, str, str]]:
-        """``(frame offset, struct code, field)`` in frame order."""
         table = _HEADER_FIELDS[layer]
         return sorted((base + table[name][0], table[name][1], name)
                       for name in names)
 
-    # eth field names and ip field names do not collide, so one
-    # name -> tuple-position map serves both fixed layers.
     head = placed("eth", ["ethertype"], 0) + placed("ip", ip_fields, _ETH_LEN)
     tail = placed(family.l4, l4_fields, 0) if family.l4 else []
+    return family, sources, head, tail, guard_fields
+
+
+def _fast_path(head, tail) -> List[Tuple[int, str, str]]:
+    """Every placed field at its IHL == 5 frame offset."""
+    return head + [(_ETH_LEN + _IP_MIN + offset, code, name)
+                   for offset, code, name in tail]
+
+
+def _lean_split(fast, guard_fields, sources, slots):
+    """The two structs of a lean form whose prefixes read the attribute
+    positions ``slots``: the fields the guard and the prefixes read,
+    and the rest, which only survivors need -- or None when the rest is
+    fewer than two fields (a second unpack would cost more than it
+    saves)."""
+    early = guard_fields | {sources[index].field for index in slots
+                            if sources[index].layer != "meta"}
+    first = [entry for entry in fast if entry[2] in early]
+    second = [entry for entry in fast if entry[2] not in early]
+    return (first, second) if len(second) >= 2 else None
+
+
+def describe_formats(formats: Sequence[str]) -> str:
+    """``fmt NB + fmt MB``: struct formats with their sizes, for EXPLAIN."""
+    return " + ".join(f"{fmt} {struct.calcsize(fmt)}B" for fmt in formats)
+
+
+def lean_formats(protocol: str, attributes: Sequence[str],
+                 needed: FrozenSet[int],
+                 slots: FrozenSet[int]) -> Tuple[str, ...]:
+    """The struct formats ``(before the test, for survivors)`` of the
+    lean decoder of ``needed`` whose prefixes read ``slots``; empty
+    when that decoder has no lean form."""
+    _, sources, head, tail, guard_fields = _place(protocol, attributes, needed)
+    split = _lean_split(_fast_path(head, tail), guard_fields, sources, slots)
+    return tuple(map(_struct_format, split or ()))
+
+
+def _generate(protocol: str, attributes: Sequence[str],
+              needed: FrozenSet[int],
+              prefilters: Sequence[Optional[Prefilter]] = (),
+              lean: bool = False):
+    """Source, environment and description (the :class:`Decoder` fields
+    after ``source``) of one block decoder; None for a lean form that
+    does not exist.
+
+    Guard, then prefix: after the guard the loop evaluates each
+    consumer's pushed prefix on the unpacked values -- identical
+    sources once -- and appends the row only when some consumer keeps
+    it.  The block reports the guard-passers (``passed``: survivors
+    plus the rows every consumer killed) and, when consumers differ,
+    one row-index list per consumer.  With nothing pushed the source is
+    the plain guard-and-append loop.
+    """
+    family, sources, head, tail, guard_fields = _place(
+        protocol, attributes, needed)
+    wants_pay = any(src.field == "data" for src in sources.values())
     l4_at = _ETH_LEN + _IP_MIN
-    fmt = _struct_format([(offset, code) for offset, code, _ in head]
-                         + [(l4_at + offset, code) for offset, code, _ in tail])
-    l4_fmt = _struct_format([(o, c) for o, c, _ in tail]) if tail else ""
-    at = {name: j for j, (_, _, name) in enumerate(head)}
-    l4_pos = {name: j for j, (_, _, name) in enumerate(tail)}
+    fast = _fast_path(head, tail)
+    fmt = _struct_format(fast)
+    l4_fmt = _struct_format(tail) if tail else ""
+    # Field names do not collide across the eth, ip and L4 layers, so
+    # one name -> tuple-position map serves a whole unpack.
+    full = _View("v", {name: j for j, (_, _, name) in enumerate(fast)})
+    shifted = _View("t", {name: j for j, (_, _, name) in enumerate(tail)})
 
     specs: Dict[int, tuple] = {}
     for index, src in sources.items():
         if src.layer == "meta":
             specs[index] = (src.field, 0, 0, 0)
         else:
-            j = (at[src.field] if src.layer == "ip"
-                 else len(head) + l4_pos[src.field])
-            specs[index] = ("bits" if src.mask else "pick", j,
-                            src.shift, src.mask)
+            specs[index] = ("bits" if src.mask else "pick",
+                            full.pos[src.field], src.shift, src.mask)
+    env = {
+        "unpack": struct.Struct(fmt).unpack_from,
+        "unpack_l4": struct.Struct(l4_fmt or "!").unpack_from,
+        "array": array,
+        "ColumnarBlock": ColumnarBlock,
+        "specs": specs,
+    }
+
+    # -- the pushed prefixes ----------------------------------------------
+    def columns(view: _View) -> Dict[int, str]:
+        """How a prefix reads each attribute off ``view``'s tuple."""
+        out = {}
+        for index, src in sources.items():
+            if src.layer == "meta":
+                if src.field in _META_SOURCES:
+                    out[index] = _META_SOURCES[src.field]
+            elif src.field in view.pos:
+                out[index] = (
+                    f"(({view.ref(src.field)} >> {src.shift}) & {src.mask})"
+                    if src.mask else view.ref(src.field))
+        return out
+
+    # Each consumer's parameter dict gets its own name in the loop.
+    param_names: Dict[int, str] = {}
+    for member in prefilters:
+        if member is not None and member.params is not None:
+            name = param_names.setdefault(
+                id(member.params), f"P{len(param_names) or ''}")
+            env[name] = member.params
+
+    def rendered(member: Prefilter, reads: Dict[int, str]) -> str:
+        return member.render(
+            reads, param_names.get(id(member.params), "P"))
+
+    #: per consumer, which test it rides on (None: it keeps everything);
+    #: ``tests`` holds the first consumer of each distinct test
+    test_of: List[Optional[int]] = []
+    tests: List[Prefilter] = []
+    seen: Dict[str, int] = {}
+    reads = columns(full)
+    for member in prefilters:
+        if member is None:
+            test_of.append(None)
+            continue
+        if not member.slots <= reads.keys():
+            raise ValueError(
+                f"prefilter [{member.text}] reads attributes outside the "
+                "decoder's header fields and capture metadata")
+        text = rendered(member, reads)
+        if text not in seen:
+            seen[text] = len(tests)
+            tests.append(member)
+        test_of.append(seen[text])
+    keeps_all = None in test_of
+    #: consumers differ: each gets its own row-index list
+    listed = bool(tests) and (keeps_all or len(tests) > 1)
+
+    def accept(view: _View) -> List[str]:
+        """Test the prefixes against ``view``; a packet no consumer
+        keeps is counted and goes no further."""
+        reads = columns(view)
+        texts = [rendered(member, reads) for member in tests]
+        if not listed:
+            return [f"if not ({texts[0]}):", "    killed += 1", "    continue"]
+        lines = [] if keeps_all else ["hit = False"]
+        for j, text in enumerate(texts):
+            lines += [f"if {text}:", f"    r{j}(i)"]
+            if not keeps_all:
+                lines.append("    hit = True")
+        if not keeps_all:
+            lines += ["if not hit:", "    killed += 1", "    continue"]
+        return lines
 
     # -- the guard, one definition per layer ------------------------------
-    def fixed_guard() -> List[str]:
+    def fixed_guard(view: _View, unpack: str) -> List[str]:
         """The fixed headers fit the capture, the frame is IPv4, and
         for an L4 protocol it carries that protocol and is not a later
         fragment."""
-        tests = [f"v[{at['ethertype']}] != {_ETHERTYPE_IPV4}"]
+        checks = [f"{view.ref('ethertype')} != {_ETHERTYPE_IPV4}"]
         if family.l4 is not None:
-            tests += [f"v[{at['protocol']}] != {family.ip_protocol}",
-                      f"v[{at['flags_frag']}] & {_FRAG_OFFSET_MASK}"]
+            checks += [f"{view.ref('protocol')} != {family.ip_protocol}",
+                       f"{view.ref('flags_frag')} & {_FRAG_OFFSET_MASK}"]
         return [
             f"if n < {l4_at + family.l4_len}:",
             "    continue",
-            "v = unpack(d)",
-            "if " + " or ".join(tests) + ":",
+            f"{view.var} = {unpack}(d)",
+            "if " + " or ".join(checks) + ":",
             "    continue",
         ]
 
-    def l4_guard(values: str, shift: int, start) -> List[str]:
+    def ip_guard(view: _View) -> List[str]:
+        """A protocol without an L4 layer: the IPv4 header, options
+        included, ends inside the capture."""
+        return [f"ihl = {view.ref('ver_ihl')} & 15",
+                f"if ihl < 5 or n - {_ETH_LEN} < ihl * 4:",
+                "    continue"]
+
+    def l4_guard(view: _View, start) -> List[str]:
         """The L4 header starting at frame offset ``start`` (a number
-        or a variable name) ends inside the capture;
-        ``values[shift + j]`` is its field *j*.  Records the payload
-        offset when the plan reads ``data`` (nothing after this guard
-        can reject the packet)."""
+        or a variable name) ends inside the capture; ``view`` holds its
+        fields.  Notes the payload offset when the plan reads ``data``:
+        appended here when nothing after this guard can reject the
+        packet, kept in ``o`` for the row append when a prefix can."""
         def past(offset) -> str:
             if isinstance(start, int) and isinstance(offset, int):
                 return str(start + offset)
@@ -357,25 +585,20 @@ def _generate(protocol: str, attributes: Sequence[str],
         end = past(family.l4_len)
         if family.l4 == "tcp":
             lines = [
-                f"doff = ({values}[{shift + l4_pos['offset_reserved']}]"
-                " >> 4) * 4",
+                f"doff = ({view.ref('offset_reserved')} >> 4) * 4",
                 f"if doff < {family.l4_len} or n - {start} < doff:",
                 "    continue",
             ]
             end = past("doff")
         if wants_pay:
-            lines.append(f"oa({end})")
+            lines.append(f"o = {end}" if tests else f"oa({end})")
         return lines
 
-    body = fixed_guard()
-    ihl = f"v[{at['ver_ihl']}] & 15"
-    if family.l4 is None:
-        body += [f"ihl = {ihl}",
-                 f"if ihl < 5 or n - {_ETH_LEN} < ihl * 4:",
-                 "    continue"]
-    else:
-        options = [
-            f"ihl = {ihl}",
+    def options_path() -> List[str]:
+        """IHL > 5: the L4 fields sit at a shifted offset and take a
+        second unpack; ``v`` is re-assembled in the fast-path layout."""
+        lines = [
+            f"ihl = {full.ref('ver_ihl')} & 15",
             "if ihl < 5:",
             "    continue",
             f"l4 = {_ETH_LEN} + ihl * 4",
@@ -383,39 +606,89 @@ def _generate(protocol: str, attributes: Sequence[str],
             "    continue",
         ]
         if tail:
-            options.append("t = unpack_l4(d, l4)")
-        options += l4_guard("t", 0, "l4")
+            lines.append("t = unpack_l4(d, l4)")
+        lines += l4_guard(shifted, "l4")
         if tail:
-            options.append(f"v = v[:{len(head)}] + t")
-        fast = l4_guard("v", len(head), l4_at)
-        if fast:
-            body += [f"if {ihl} == 5:"] + _indent(fast) + ["else:"]
+            lines.append(f"v = v[:{len(head)}] + t")
+        return lines
+
+    described = (fmt, l4_fmt, tuple(member.text for member in tests))
+    if not lean:
+        body = fixed_guard(full, "unpack")
+        if family.l4 is None:
+            body += ip_guard(full)
         else:
-            body.append(f"if {ihl} != 5:")
-        body += _indent(options)
+            quick = l4_guard(full, l4_at)
+            ihl = f"{full.ref('ver_ihl')} & 15"
+            if quick:
+                body += [f"if {ihl} == 5:"] + _indent(quick) + ["else:"]
+            else:
+                body.append(f"if {ihl} != 5:")
+            body += _indent(options_path())
+        if tests:
+            body += accept(full)
+    else:
+        # The first struct covers what the guard and the prefixes read;
+        # the rest is unpacked after the test, for survivors only.
+        if not tests or keeps_all:
+            return None
+        split = _lean_split(
+            fast, guard_fields, sources,
+            frozenset().union(*(member.slots for member in tests)))
+        if split is None:
+            return None
+        first, second = split
+        formats = (_struct_format(first), _struct_format(second))
+        env["unpack_a"] = struct.Struct(formats[0]).unpack_from
+        env["unpack_b"] = struct.Struct(formats[1]).unpack_from
+        before = _View("a", {name: j for j, (_, _, name) in enumerate(first)})
+        after = _View("b", {name: j for j, (_, _, name) in enumerate(second)})
+        survivor = accept(before) + [
+            "b = unpack_b(d)",
+            "v = (" + ", ".join(
+                (before if name in before.pos else after).ref(name)
+                for _, _, name in fast) + ")",
+        ]
+        body = fixed_guard(before, "unpack_a")
+        if family.l4 is None:
+            body += ip_guard(before) + survivor
+        else:
+            body += (
+                [f"if {before.ref('ver_ihl')} & 15 == 5:"]
+                + _indent(l4_guard(before, l4_at) + survivor)
+                + ["else:"]
+                + _indent(["v = unpack(d)"] + options_path() + accept(full)))
+        described += (formats,)
     body += ["va(v)", "pa(p)"]
-    lines = [
-        "def decode(packets):",
-        "    vals = []",
-        "    pkts = []",
-        "    pay = array('l')",
-        "    va = vals.append",
-        "    pa = pkts.append",
-        "    oa = pay.append",
-        "    for p in packets:",
-        "        d = p.data",
-        "        n = len(d)",
-    ] + _indent(body, 2) + [
-        "    return ColumnarBlock(vals, pkts, pay, specs, packets)",
+    setup = [
+        "vals = []",
+        "pkts = []",
+        "pay = array('l')",
+        "va = vals.append",
+        "pa = pkts.append",
+        "oa = pay.append",
     ]
-    env = {
-        "unpack": struct.Struct(fmt).unpack_from,
-        "unpack_l4": struct.Struct(l4_fmt or "!").unpack_from,
-        "array": array,
-        "ColumnarBlock": ColumnarBlock,
-        "specs": specs,
-    }
-    return "\n".join(lines) + "\n", env, fmt, l4_fmt
+    result = "vals, pkts, pay, specs, packets"
+    if tests:
+        if wants_pay:
+            body.append("oa(o)")
+        setup.append("killed = 0")
+        result += ", killed + len(vals)"
+    if listed:
+        body.append("i += 1")
+        setup.append("i = 0")
+        for j in range(len(tests)):
+            setup += [f"rows{j} = []", f"r{j} = rows{j}.append"]
+        result += ", (" + ", ".join(
+            "None" if j is None else f"rows{j}" for j in test_of) + ")"
+    lines = ["def decode(packets):"] + _indent(setup + [
+        "for p in packets:",
+        "    d = p.data",
+        "    n = len(d)",
+    ]) + _indent(body, 2) + [
+        f"    return ColumnarBlock({result})",
+    ]
+    return "\n".join(lines) + "\n", env, described
 
 
 def _indent(lines: Sequence[str], levels: int = 1) -> List[str]:
@@ -426,6 +699,15 @@ def _indent(lines: Sequence[str], levels: int = 1) -> List[str]:
 def has_layout(protocol: str) -> bool:
     """Whether ``protocol`` belongs to the family generated here."""
     return protocol in _FAMILIES
+
+
+def prefix_readable(attribute: str) -> bool:
+    """Whether a pushed prefix may read ``attribute``: a header field
+    or scalar capture metadata, which the loop has in hand after one
+    unpack -- not ``data``, which is sliced for survivors only."""
+    source = _ATTRIBUTES.get(attribute)
+    return source is not None and (
+        source.layer != "meta" or source.field in _META_SOURCES)
 
 
 def decode_block(packets: Sequence[CapturedPacket],

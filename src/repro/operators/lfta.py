@@ -14,9 +14,15 @@ one of two ways fixed when the node is built (DESIGN section 14):
 
 * a built-in ip/tcp/udp protocol under compiled codegen gets a
   *generated block decoder* covering exactly the attributes this plan
-  reads (``ExprCompiler.block_decoder_fn``).  The RTS may hand the block
+  reads (``ExprCompiler.block_decoder_fn``), with the plan's pushed
+  prefix (``LftaPlan.prefix``: the leading conjuncts that are total
+  over header fields) tested inside its loop -- a packet they kill is
+  counted into ``tuples_in`` and ``discarded`` but never becomes a row
+  -- and, when most tuples die there, its lean form
+  (:attr:`LftaNode.prefers_lean`).  The RTS may hand the block
   over already decoded -- LFTAs on one interface share one decode of the
-  union of their fields -- and the node uses it only when it is about to
+  union of their fields, with each member's own rows of it -- and the
+  node uses it only when it is about to
   decode that very list (``block.packets is packets``); whenever its own
   list differs (the shed gate kept a subset, an injected fault delivered
   a prefix, journal replay or the NIC runtime handed packets over
@@ -99,18 +105,30 @@ class LftaNode(QueryNode):
         # where the protocol has a layout and codegen is compiled, the
         # row adapter everywhere else.
         needed = plan.needed_fields(analyzed)
-        self._decoder = compiler.block_decoder_fn(self.protocol, needed)
+        #: the conjuncts this node's decoder tests in its own loop, as a
+        #: shared decoder must be generated with them (None: this node
+        #: keeps every guard-passing packet, or is on the row adapter)
+        self.prefilter = compiler.prefilter(plan.predicates[:plan.prefix])
+        self._decoder = compiler.block_decoder_fn(
+            self.protocol, needed, self.prefilter)
         #: attribute positions a shared decode must cover for this node
         #: (read by the RTS when it groups an interface's LFTAs); None
         #: on the row adapter
         self.decode_fields: Optional[List[int]] = (
             needed if self._decoder is not None else None)
+        self._lean_decoder = None
         self.columnar_blocks = 0
+        #: what the select/key kernel still has to test
+        predicates = plan.predicates
         if self._decoder is not None:
             self._decode_block = self.protocol.columnar_decoder
             # The block decoder reads raw bytes; a shared PacketView
             # would go untouched, so tell the RTS not to build one.
             self.accepts_view = False
+            if self.prefilter is not None:
+                self._lean_decoder = compiler.block_decoder_fn(
+                    self.protocol, needed, self.prefilter, lean=True)
+                predicates = predicates[plan.prefix:]
         else:
             self._interpret = self.protocol.sparse_interpreter(needed)
 
@@ -118,7 +136,7 @@ class LftaNode(QueryNode):
             select_fn = (compiler.batch_select_fn if self._decoder is None
                          else compiler.columnar_select_fn)
             self._select = select_fn(
-                plan.predicates, plan.project_exprs, (None, None))
+                predicates, plan.project_exprs, (None, None))
             self._transforms = output_bound_transforms(
                 plan.project_exprs, analyzed, plan.output_schema, (None, None),
                 functions=compiler.functions,
@@ -127,13 +145,13 @@ class LftaNode(QueryNode):
         elif plan.mode == "partial_aggregation":
             if self._decoder is None:
                 self._key = compiler.batch_key_fn(
-                    plan.predicates, plan.group_exprs, (None, None))
+                    predicates, plan.group_exprs, (None, None))
             else:
                 arg_slots = column_slots(
                     analyzed,
                     [agg.arg for agg in plan.aggregates if agg.arg is not None])
                 self._key = compiler.columnar_key_fn(
-                    plan.predicates, plan.group_exprs, arg_slots,
+                    predicates, plan.group_exprs, arg_slots,
                     len(self.protocol.attributes), (None, None))
             self.aggregate_ops = AggregateOps.for_plan(
                 compiler, plan.aggregates, (None, None))
@@ -168,21 +186,38 @@ class LftaNode(QueryNode):
         hand packets over singly)."""
         self.accept_batch([packet], None if view is None else [view])
 
-    def accept_batch(self, packets, views=None, block=None) -> None:
+    @property
+    def prefers_lean(self) -> bool:
+        """Whether the next block should go through the lean decoder:
+        most tuples so far died in this node, so unpacking the fields
+        only survivors need after the prefix test saves more than the
+        second unpack costs.  Read off the checkpointed counters -- a
+        property of the input, restored with the node -- and
+        unobservable in the output: both forms decode the same block.
+        """
+        stats = self.stats
+        return (self._lean_decoder is not None
+                and 2 * stats.discarded > stats.tuples_in)
+
+    def accept_batch(self, packets, views=None, block=None, rows=None) -> None:
         """One block of packets through the LFTA (DESIGN section 10).
 
         ``block`` is the RTS's shared decode of ``packets`` when this
-        node's interface has one; it is used only if it decoded the
-        very list this node is about to decode.
+        node's interface has one, and ``rows`` the indices of the rows
+        in it that passed this node's pushed prefix (None: all of
+        them); they are used only if the block decoded the very list
+        this node is about to decode.
 
         The result does not depend on how the packet stream was cut
         into blocks, nor on which front end runs, nor on who decoded:
         the shed gate draws once per packet in arrival order *before*
-        decoding, every decode keeps exactly the guard-passing packets
-        in order (so ``tuples_in`` and the per-row sample draws line
-        up), the fused select/key function runs the predicate conjuncts
-        in order per row, and every counter advances by the per-packet
-        amounts.
+        decoding; every decode sees exactly the guard-passing packets,
+        in order, counts them into ``tuples_in`` and hands on the rows
+        that pass the pushed prefix (all of them for a sampled plan, so
+        the per-row sample draws line up), counting the others
+        ``discarded``; the fused select/key function runs the remaining
+        conjuncts in order per row; and every counter advances by the
+        per-packet amounts.
         """
         self.packets_seen += len(packets)
         weight = 1.0
@@ -195,12 +230,19 @@ class LftaNode(QueryNode):
             packets = list(compress(packets, keep))
             if views is not None:
                 views = list(compress(views, keep))
+        stats = self.stats
         if self._decoder is not None:
             # Rows are indices into the decoded block.
             if block is None or block.packets is not packets:
-                block = self._decode_block(packets, self._decoder)
+                block = self._decode_block(
+                    packets, self._lean_decoder if self.prefers_lean
+                    else self._decoder)
+                rows = None
             self.columnar_blocks += 1
-            rows = range(block.n)
+            if rows is None:
+                rows = range(block.n)
+            stats.tuples_in += block.passed
+            stats.discarded += block.passed - len(rows)
         else:
             block = None
             rows = []
@@ -209,7 +251,7 @@ class LftaNode(QueryNode):
             for packet, view in zip(
                     packets, repeat(None) if views is None else views):
                 extend(interpret(packet, view))
-        self.stats.tuples_in += len(rows)
+            stats.tuples_in += len(rows)
         if self._sample_rate is not None and rows:
             rate = self._sample_rate
             rng = self._sample_rng.random
@@ -224,14 +266,14 @@ class LftaNode(QueryNode):
                 dropped = self._select(block, rows, out.append)
             else:
                 dropped = self._select(rows, out.append)
-            self.stats.discarded += dropped
+            stats.discarded += dropped
             self.emit_many(out)
         else:
             if block is not None:
                 dropped, keys, key_rows = self._key(block, rows)
             else:
                 dropped, keys, key_rows = self._key(rows)
-            self.stats.discarded += dropped
+            stats.discarded += dropped
             if keys:
                 self._aggregate(self, keys, key_rows, weight)
 

@@ -286,10 +286,15 @@ class TestLayout:
         assert REGISTRY.get("ip").block_decoder([0]).struct_format == "!12xHB"
 
     def test_same_field_set_is_generated_once(self):
+        """One ``compile()`` per distinct loop, across registries; what
+        the loop reads is bound per decoder, so no two share a closure
+        (tests/test_prefilter.py: two parameter dicts, one source)."""
         tcp = REGISTRY.get("tcp")
-        assert tcp.block_decoder([13, 0]) is tcp.block_decoder((0, 13))
+        one, other = tcp.block_decoder([13, 0]), tcp.block_decoder((0, 13))
+        assert one.decode.__code__ is other.decode.__code__
+        assert one.decode is not other.decode
         assert builtin_registry().get("tcp").block_decoder([0, 13]) \
-            is tcp.block_decoder([0, 13])
+            .decode.__code__ is one.decode.__code__
 
     def test_decode_block_runs_the_decoder_it_is_given(self):
         tcp = REGISTRY.get("tcp")

@@ -300,8 +300,8 @@ class TestDescribe:
         assert "decode=[time,destPort,data] struct=47B" in http.describe()
         headers = plan("DEFINE query_name q; Select time, destIP From udp",
                        registry, functions)
-        assert ("snaplen=128 pushed=0 decode=[time,destIP] struct=34B"
-                in headers.describe())
+        assert ("snaplen=134 pushed=0 decode=[time,destIP] struct=34B "
+                "prefilter=none (no predicate)" in headers.describe())
         for protocol in ("icmp", "tcp6", "netflow"):
             field = "time_end" if protocol == "netflow" else "time"
             text = plan(f"DEFINE query_name q; Select {field} From {protocol}",

@@ -89,8 +89,10 @@ def engine(queries, prepare=None, batch_size=64, **kwargs):
 
 
 def count_decodes(calls):
-    """A ``prepare`` hook recording ``(decoder, packets)`` of every
-    block decode the engine makes, shared or own."""
+    """A ``prepare`` hook recording ``(loop, packets)`` of every block
+    decode the engine makes, shared or own.  ``loop`` is the generated
+    decoder's code object: compiled once per distinct source, bound
+    afresh for every consumer, so it is what names a decoder here."""
     def prepare(gs):
         registry = gs.schema_registry
         for name in registry.names():
@@ -100,7 +102,7 @@ def count_decodes(calls):
                 continue
 
             def counted(packets, decode, entry=entry):
-                calls.append((decode, packets))
+                calls.append((decode.__code__, packets))
                 return entry(packets, decode)
             schema.columnar_decoder = counted
     return prepare
@@ -147,9 +149,21 @@ def shed(name, rate=0.5):
     return setup
 
 
+#: the LFTA node each query runs as
+NODES = {"proj": "proj", "agg": "_fta_agg_0", "syns": "syns", "gets": "gets"}
+
+
+def own_decoder(gs, query):
+    return gs.rts.node(NODES[query])._decoder.__code__
+
+
 def union_decoder(gs, *queries):
+    """The loop a decode group of ``queries``' LFTAs shares: the union
+    of their fields, each member's pushed prefix tested inside it."""
     tcp = gs.schema_registry.get("tcp")
-    return tcp.block_decoder(set().union(*(FIELDS[q] for q in queries))).decode
+    return tcp.block_decoder(
+        set().union(*(FIELDS[q] for q in queries)),
+        [gs.rts.node(NODES[q]).prefilter for q in queries]).decode.__code__
 
 
 class TestSameAsRunningAlone:
@@ -208,14 +222,14 @@ class TestDecodeOncePerBlock:
         assert not gs.rts._plan_for("eth0").decoders
         assert len(calls) == 2 * gs.rts.batches_fed
         assert {decode for decode, _ in calls} == {
-            gs.rts.node("proj")._decoder, gs.rts.node("dgrams")._decoder}
+            own_decoder(gs, "proj"), gs.rts.node("dgrams")._decoder.__code__}
 
     def test_the_shedding_lfta_alone_decodes_again(self):
         calls = []
         gs, _, _ = run([PROJECTION, AGGREGATION, PAYLOAD], traffic(),
                        setup=shed("gets"), prepare=count_decodes(calls))
         union = union_decoder(gs, "proj", "agg", "gets")
-        own = gs.rts.node("gets")._decoder
+        own = own_decoder(gs, "gets")
         assert own is not union
         by_decoder = {}
         for decode, packets in calls:
@@ -242,9 +256,11 @@ class TestDecodeOncePerBlock:
     def test_generated_union_source_is_lean(self):
         gs, _ = engine([PROJECTION, AGGREGATION])
         gs.feed(traffic(10))
-        (_, decoder, members), = gs.rts._plan_for("eth0").decoders
-        assert decoder is union_decoder(gs, "proj", "agg")
-        assert [node.name for node in members] == ["proj", "_fta_agg_0"]
+        group, = gs.rts._plan_for("eth0").decoders
+        assert group.decoder.decode.__code__ is union_decoder(
+            gs, "proj", "agg")
+        assert [node.name for node in group.members] == [
+            "proj", "_fta_agg_0"]
         # time, srcIP, destIP, len, destPort + the guard's fields
         tcp = gs.schema_registry.get("tcp")
         assert tcp.block_decoder({0, 4, 5, 6, 13}).struct_format \
@@ -287,7 +303,7 @@ class TestUnionFollowsThePlan:
         switch = decoders.index(narrow)
         # the block the fault lands in is still decoded for all three
         # (plus the faulted node's own decode of its prefix) ...
-        assert set(decoders[:switch]) == {wide, gs.rts.node("gets")._decoder}
+        assert set(decoders[:switch]) == {wide, own_decoder(gs, "gets")}
         # ... and every block after it for the two survivors only
         assert set(decoders[switch:]) == {narrow}
 
@@ -316,7 +332,7 @@ class TestFaultOnOneSibling:
             [PROJECTION, AGGREGATION, PAYLOAD], traffic(), setup=setup)
         assert not shared.rts.quarantined
         assert shared.recovery_report()["restarts_total"] == 1
-        assert len(shared.rts._plan_for("eth0").decoders[0][2]) == 3
+        assert len(shared.rts._plan_for("eth0").decoders[0].members) == 3
 
 
 class TestSharedDecodeFailureIsContained:
@@ -390,7 +406,7 @@ class TestEthAndAnyConsumers:
         gs, mid, end = run(self.QUERIES, packets,
                            prepare=count_decodes(calls))
         tcp = gs.schema_registry.get("tcp")
-        everywhere = tcp.block_decoder({0, 1, 6, 13}).decode
+        everywhere = tcp.block_decoder({0, 1, 6, 13}).decode.__code__
         runs = {everywhere: [], union_decoder(gs, "proj", "agg"): []}
         for decode, run_ in calls:
             runs[decode].extend(run_)
