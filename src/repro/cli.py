@@ -324,8 +324,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                or args.replicate_log is not None)
     if standby and shards:
         parser.error("--standby cannot be combined with --shards (the "
-                     "warm-standby pair is single-process; the sharded "
-                     "runtime has its own per-shard standby path)")
+                     "warm-standby pair replicates one single-process "
+                     "engine; a sharded run already respawns a dead "
+                     "worker from the parent's fold of its state "
+                     "frames, and has no second parent to promote)")
     if standby:
         # The warm-standby pair mirrors the bare query engine; the
         # single-process control planes below are not replicated to
@@ -594,7 +596,8 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"delta={report['frames_delta']} "
               f"bytes={report['bytes_total']} "
               f"nodes={report['nodes_shipped']} "
-              f"skipped={report['skipped_unquiescent']}", file=sys.stderr)
+              f"skipped={report['skipped_unquiescent']} "
+              f"deliver_errors={report['deliver_errors']}", file=sys.stderr)
         print(f"#  standby: applied_seq={report['applied_seq']} "
               f"frames_applied={report['frames_applied']} "
               f"apply_errors={report['apply_errors']}", file=sys.stderr)

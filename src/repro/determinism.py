@@ -50,14 +50,13 @@ meta-alert outputs computed from them) must be byte-identical across
 meta-query node.  ``verify-shard`` is the sharded runtime's: the
 hash-partitioned multi-process run (``repro.shard``) must match the
 single-process run byte-for-byte, per hash seed, including an arm
-where one worker is killed mid-stream and respawned from its shard
-snapshot.  ``verify-failover`` is the replication plane's (DESIGN
-section 16): a primary killed at a snapshot epoch, after a delta
-frame, mid-frame (torn write), or mid-delta-interval must -- after the
-warm standby is promoted, replays its journal tail, and resumes the
-feed from the recorded cursor -- produce output byte-identical to the
-uninterrupted run, per hash seed, plus a shard-standby arm where the
-crashed worker respawns from the parent's delta fold.
+where one worker is killed mid-stream and respawned from the parent's
+fold of its state frames.  ``verify-failover`` is the replication
+plane's (DESIGN section 16): a primary killed at a snapshot epoch,
+after a delta frame, mid-frame (torn write), or mid-delta-interval
+must -- after the warm standby is promoted, replays its journal tail,
+and resumes the feed from the recorded cursor -- produce output
+byte-identical to the uninterrupted run, per hash seed.
 """
 
 from __future__ import annotations
@@ -732,9 +731,10 @@ _FAILOVER_CADENCE_ENV = "GS_FAILOVER_CADENCE"
 #: standby must refuse the torn frame and promote from the one before)
 FAILOVER_CRASHES = ("packet:700", "frame:0", "frame:2", "frame:2:torn")
 
-#: the most recent verify_failover reports, kept for post-mortem
-#: artifact dumps (CI writes the arm snapshots on a verify failure)
-_LAST_FAILOVER: List["ReplayReport"] = []
+#: the most recent replicated pair a failover scenario built in this
+#: process, kept for post-mortem artifact dumps (CI writes its frame
+#: log on a verify failure, as it does the supervisor's above)
+_LAST_FAILOVER: Dict[str, Any] = {}
 
 
 def _failover_engine(seed: int, **kwargs):
@@ -742,8 +742,9 @@ def _failover_engine(seed: int, **kwargs):
         from repro.replication import ReplicatedGigascope
         cadence = float(os.environ.get(_FAILOVER_CADENCE_ENV, "0.5"))
         crash = os.environ.get(_FAILOVER_CRASH_ENV) or None
-        return ReplicatedGigascope(cadence=cadence, crash=crash,
-                                   seed=seed, metrics=False, **kwargs)
+        pair = _LAST_FAILOVER["pair"] = ReplicatedGigascope(
+            cadence=cadence, crash=crash, seed=seed, metrics=False, **kwargs)
+        return pair
     from repro.core.engine import Gigascope
     return Gigascope(seed=seed, metrics=False, **kwargs)
 
@@ -781,37 +782,6 @@ def _failover_agg_scenario(seed: int) -> Dict[str, Any]:
     if hasattr(gs, "replication_report"):
         snapshot["failover"] = gs.replication_report()
     return snapshot
-
-
-@scenario("failover_shard")
-def _failover_shard_scenario(seed: int) -> Dict[str, Any]:
-    """The shard_flows workload with shard 1 wired as a standby: its
-    worker ships delta frames, and a GS_SHARD_CRASH kill respawns it
-    from the parent's warm fold instead of a full snapshot."""
-    from repro.workloads.flows import ZipfFlowWorkload
-
-    shards = int(os.environ.get("GS_SHARDS", "0") or "0")
-    if shards:
-        from repro.shard import ShardedGigascope
-        gs = ShardedGigascope(shards, seed=seed, metrics=False,
-                              barrier_interval=0.25, standby=1,
-                              heartbeat_interval=0.5)
-    else:
-        from repro.core.engine import Gigascope
-        gs = Gigascope(seed=seed, metrics=False, heartbeat_interval=0.5)
-    gs.add_query("""
-        DEFINE query_name flows;
-        Select tb, srcIP, srcPort, count(*), sum(len)
-        From tcp
-        Group by time/5 as tb, srcIP, srcPort
-    """)
-    sub = gs.subscribe("flows")
-    gs.start()
-    workload = ZipfFlowWorkload(num_flows=400, alpha=1.1,
-                                seed=derive_seed(seed, "workload.zipf"))
-    gs.feed(list(workload.packets(4000, pps=2000.0)), pump_every=128)
-    gs.flush()
-    return {"rows": {"flows": [repr(row) for row in sub.poll()]}}
 
 
 def resolve_scenario(name: str) -> Callable[[int], Dict[str, Any]]:
@@ -1041,10 +1011,11 @@ def verify_shard(scenario_name: str, seed: int = 0, shards: int = 4,
     Per ``PYTHONHASHSEED``: (a) the single-process run (``GS_SHARDS=0``)
     and the ``shards``-way sharded run must produce byte-identical sink
     rows, and (b) so must a sharded run whose worker ``crash`` names
-    ("SHARD:PACKET_INDEX") is killed mid-stream and respawned from its
-    shard snapshot.  Finally the sharded arms from the two hash seeds
-    are diffed against each other, pinning the flow partitioner itself
-    (not just each arm's engine) as hash-seed independent.
+    ("SHARD:PACKET_INDEX") is killed mid-stream and respawned from the
+    parent's fold of its state frames.  Finally the sharded arms from
+    the two hash seeds are diffed against each other, pinning the flow
+    partitioner itself (not just each arm's engine) as hash-seed
+    independent.
     """
     reports: List[ReplayReport] = []
     sharded_arms: List[Dict[str, Any]] = []
@@ -1104,9 +1075,8 @@ def _strip_failover(snapshot: Dict[str, Any]) -> Dict[str, Any]:
 def verify_failover(seed: int = 0,
                     hash_seeds: Tuple[str, ...] = ("1", "2"),
                     cadence: float = 0.5,
-                    crashes: Tuple[str, ...] = FAILOVER_CRASHES,
-                    shards: int = 4,
-                    shard_crash: str = "1:600") -> List[ReplayReport]:
+                    crashes: Tuple[str, ...] = FAILOVER_CRASHES
+                    ) -> List[ReplayReport]:
     """The replication plane's acceptance gate.
 
     Per ``PYTHONHASHSEED``: (a) the replicated pair running clean must
@@ -1115,12 +1085,9 @@ def verify_failover(seed: int = 0,
     each crash point -- mid-delta-interval, at the snapshot epoch,
     after a delta frame, and a torn mid-frame write -- the promoted
     standby's output must match the uninterrupted run byte-for-byte,
-    and the metadata must show the promotion actually happened; (c) a
-    sharded run whose standby shard is killed mid-stream and respawned
-    from the parent's delta fold must match the single-process run.
+    and the metadata must show the promotion actually happened.
     """
     reports: List[ReplayReport] = []
-    _LAST_FAILOVER.clear()
     for hash_seed in hash_seeds:
         plain = _subprocess_snapshot("failover_agg", seed, hash_seed,
                                      {_FAILOVER_ENV: "0"})
@@ -1160,22 +1127,6 @@ def verify_failover(seed: int = 0,
                 ok=not diffs, diffs=diffs, snapshots=(plain, crashed),
                 axis="warm-standby failover",
             ))
-        single = _subprocess_snapshot("failover_shard", seed, hash_seed,
-                                      {"GS_SHARDS": "0"})
-        sharded = _subprocess_snapshot(
-            "failover_shard", seed, hash_seed,
-            {"GS_SHARDS": str(shards), "GS_SHARD_CRASH": shard_crash})
-        diffs = []
-        _diff_paths(single, sharded, "$", diffs)
-        reports.append(ReplayReport(
-            scenario="failover_shard", seed=seed,
-            hash_seeds=(f"GS_SHARDS=0 (PYTHONHASHSEED={hash_seed})",
-                        f"GS_SHARDS={shards} standby crash@{shard_crash} "
-                        f"(PYTHONHASHSEED={hash_seed})"),
-            ok=not diffs, diffs=diffs, snapshots=(single, sharded),
-            axis="shard standby failover",
-        ))
-    _LAST_FAILOVER.extend(reports)
     return reports
 
 
@@ -1254,8 +1205,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="verify warm-standby failover: the promoted standby's "
              "output must be byte-identical to the uninterrupted run, "
              "per hash seed, across snapshot/delta/torn-frame/"
-             "mid-interval crash points, plus a shard-standby arm "
-             "respawned from the parent's delta fold")
+             "mid-interval crash points")
     failover_cmd.add_argument("--seed", type=int, default=0)
     failover_cmd.add_argument("--hash-seeds", nargs=2, default=("1", "2"),
                               metavar=("A", "B"))
@@ -1268,11 +1218,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                               help="crash specs (packet:K | frame:N | "
                                    "frame:N:torn) for the failover arms "
                                    f"(default: {' '.join(FAILOVER_CRASHES)})")
-    failover_cmd.add_argument("--shards", type=int, default=4)
-    failover_cmd.add_argument("--shard-crash", default="1:600",
-                              metavar="SHARD:PACKET_INDEX",
-                              help="standby worker to kill in the "
-                                   "shard arm (default 1:600)")
     for sub in (run_cmd, verify_cmd, batch_cmd, recovery_cmd):
         sub.add_argument("--scenario", default="mixed",
                          help=f"one of {sorted(SCENARIOS)} or module:callable")
@@ -1312,8 +1257,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.command == "verify-failover":
         reports = verify_failover(
             args.seed, hash_seeds=tuple(args.hash_seeds),
-            cadence=args.cadence, crashes=tuple(args.crashes),
-            shards=args.shards, shard_crash=args.shard_crash)
+            cadence=args.cadence, crashes=tuple(args.crashes))
     elif args.command == "verify-batch":
         reports = [verify_batch_equivalence(
             args.scenario, args.seed, batch_size=args.batch_size,

@@ -371,13 +371,13 @@ def install_replication_metrics(registry: MetricsRegistry, pair) -> None:
         "(exactly-once output)")
 
     def collect() -> None:
-        shipper, replica = pair.shipper, pair.replica
+        shipped, replica = pair.shipper.report(), pair.replica
         frames.clear()
-        frames.labels(kind="full").set(shipper.frames_full)
-        frames.labels(kind="delta").set(shipper.frames_delta)
-        frame_bytes.set(shipper.bytes_total)
-        nodes_shipped.set(shipper.nodes_shipped)
-        skipped.set(shipper.skipped_unquiescent)
+        frames.labels(kind="full").set(shipped["frames_full"])
+        frames.labels(kind="delta").set(shipped["frames_delta"])
+        frame_bytes.set(shipped["bytes_total"])
+        nodes_shipped.set(shipped["nodes_shipped"])
+        skipped.set(shipped["skipped_unquiescent"])
         last_seq.set(replica.applied_seq)
         if not math.isinf(replica.applied_time):
             last_time.set(replica.applied_time)

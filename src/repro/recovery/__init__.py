@@ -2,6 +2,8 @@
 
 * :mod:`repro.recovery.wire` -- the versioned, ``stable_hash``-checksummed
   snapshot wire format every stateful operator serializes into.
+* :mod:`repro.recovery.statelog` -- the state log: the one cut, fold and
+  apply behind checkpoints, shard respawn and replication frames.
 * :mod:`repro.recovery.supervisor` -- crash-consistent periodic
   checkpoints, input journaling, bounded-retry restart with journal
   replay and exactly-once re-emission.

@@ -7,11 +7,10 @@ long-running link monitor needs.  The supervisor upgrades that into
 bounded-retry restart (DESIGN section 11):
 
 * **Checkpoints.**  Periodically in virtual time, and only at pump
-  boundaries where every channel is quiescent, the supervisor snapshots
-  each node's state (:meth:`QueryNode.snapshot_state`) into the
-  versioned, checksummed wire format of :mod:`repro.recovery.wire`.
-  Encoding happens immediately, so the stored bytes are isolated from
-  later mutation of the live state.
+  boundaries where every channel is quiescent, the supervisor cuts a
+  state-log frame (:mod:`repro.recovery.statelog`) and folds it
+  in-process: ``checkpoints`` is the fold, every live node's latest
+  encoded state.
 
 * **Journals.**  Between checkpoints, the RTS journals its inputs
   *before* dispatching them: captured packets and heartbeat times on
@@ -42,8 +41,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.channels import all_quiescent
-from repro.recovery.wire import SnapshotError, decode_snapshot, encode_snapshot
+from repro.recovery.statelog import FrameError, StateLog
 
 
 class _Suspension:
@@ -126,9 +124,10 @@ class RecoverySupervisor:
         self.max_restarts = max_restarts
         self.backoff_base = backoff_base
         self.backoff_factor = backoff_factor
-        #: node name -> encoded snapshot bytes from the last checkpoint
-        self.checkpoints: Dict[str, bytes] = {}
-        self.checkpoint_time = -math.inf
+        #: the fold of every checkpoint frame cut so far
+        self.log = StateLog()
+        #: node name -> encoded snapshot bytes as of the last checkpoint
+        self.checkpoints: Dict[str, bytes] = self.log.nodes
         self.checkpoints_taken = 0
         self.checkpoint_bytes = 0
         #: node name -> restart attempts consumed so far
@@ -184,38 +183,22 @@ class RecoverySupervisor:
         # orphan the replay data the suspended node needs to resume.
         if self._suspended or math.isinf(stream_time):
             return False
-        if math.isinf(self.checkpoint_time):
+        if math.isinf(self.log.time):
             return True
-        return stream_time >= self.checkpoint_time + self.checkpoint_interval
+        return stream_time >= self.log.time + self.checkpoint_interval
 
     def take_checkpoint(self, stream_time: float) -> bool:
         """Snapshot every live node and truncate the journals."""
         rts = self.rts
-        # Quiescence covers the node-to-node channels only: an item in
-        # flight there is state the checkpoint would miss.  Application
-        # subscription channels are delivery, not computation -- they
-        # drain at the subscriber's leisure -- and the emit gate keeps
-        # replay from re-pushing into them.
-        internal = (channel for node in rts._nodes.values()
-                    for _producer, channel in node.input_links)
-        if not all_quiescent(internal):
+        # A node the supervisor gave up on is left out of every cut.
+        frame = self.log.cut(rts, stream_time,
+                             rts.packets_fed + rts.fault_dropped,
+                             live_only=True)
+        if frame is None:
             return False
-        blobs: Dict[str, bytes] = {}
-        total = 0
-        for name, node in rts.iter_nodes():
-            if node.quarantined is not None:
-                continue
-            blob = encode_snapshot({
-                "node": name,
-                "type": type(node).__name__,
-                "state": node.snapshot_state(),
-            })
-            blobs[name] = blob
-            total += len(blob)
-        self.checkpoints = blobs
-        self.checkpoint_time = stream_time
+        self.log.fold(frame)
         self.checkpoints_taken += 1
-        self.checkpoint_bytes = total
+        self.checkpoint_bytes = sum(map(len, self.checkpoints.values()))
         self._packet_journal.clear()
         self._item_journals.clear()
         return True
@@ -259,9 +242,8 @@ class RecoverySupervisor:
         """Restore the last checkpoint and replay the journal gap."""
         crash_marks = node.recovery_marks()
         try:
-            payload = decode_snapshot(self.checkpoints[node.name])
-            node.restore_state(payload["state"])
-        except (SnapshotError, KeyError, ValueError, TypeError) as error:
+            self.log.restore(self.rts, names=[node.name])
+        except FrameError as error:
             return False, error
         node.begin_replay(crash_marks)
         gate = _EmitGate(

@@ -2,17 +2,15 @@
 
 PR 5's checkpoints are local and stop-the-world at pump boundaries: a
 process loss still forfeits everything since the last snapshot.  This
-package extends the GSCK wire format (:mod:`repro.recovery.wire`) into
-an incremental, checksummed, seq-numbered **replication log** -- a full
-snapshot epoch followed by per-cadence delta frames cut at the same
-quiescent pump boundaries the recovery supervisor uses -- streamed
-continuously from a primary engine to a warm standby that applies each
-frame into live operator state through the existing ``snapshot_state``
-/ ``restore_state`` contract.
+package streams the state log (:mod:`repro.recovery.statelog`: a full
+snapshot epoch followed by per-cadence delta frames, cut at the same
+quiescent pump boundaries and by the same cutter the recovery
+supervisor uses) continuously from a primary engine to a warm standby
+that folds each frame into live operator state.  The frame codec and
+its typed error family (corrupt / stale-version / out-of-order frames
+are refused by name, never applied partially) are the state log's,
+re-exported here.
 
-* :mod:`repro.replication.log` -- the frame codec and its typed error
-  family (corrupt / stale-version / out-of-order frames are refused by
-  name, never applied partially).
 * :mod:`repro.replication.shipper` -- the primary-side
   :class:`ReplicationShipper`, hooked on the RTS as ``rts.replicator``
   and invoked at every pump boundary.
@@ -25,13 +23,13 @@ frame into live operator state through the existing ``snapshot_state``
   verify-failover``).
 """
 
-from repro.replication.log import (
+from repro.recovery.statelog import (
     REPLICATION_VERSION,
     FrameCorruptError,
     FrameError,
     FrameSequenceError,
     FrameVersionError,
-    ReplicationError,
+    StateLogError as ReplicationError,
     decode_frame,
     encode_frame,
 )

@@ -39,12 +39,11 @@ from __future__ import annotations
 
 import math
 import os
-import struct
 from time import perf_counter
 from typing import Any, Dict, List, Optional
 
 from repro.core.engine import Gigascope
-from repro.replication.log import ReplicationError
+from repro.recovery.statelog import FrameError, StateLogError, append_frame
 from repro.replication.replica import StandbyReplica
 from repro.replication.shipper import ReplicationShipper
 
@@ -150,7 +149,7 @@ class FailoverSubscription:
         self._inner = inner
         self.skip = self.delivered - regenerated
         if self.skip < 0:
-            raise ReplicationError(
+            raise StateLogError(
                 f"subscription {self.name!r}: standby ahead of delivery "
                 f"({regenerated} regenerated vs {self.delivered} "
                 f"delivered)")
@@ -252,19 +251,18 @@ class ReplicatedGigascope:
 
     # -- the replication stream ---------------------------------------------
     def _deliver(self, frame: bytes) -> None:
-        seq = self.shipper.seq - 1  # the frame just cut
+        seq = self.shipper.log.seq + 1  # the frame being delivered
         crash = self._crash
         if (crash is not None and crash["kind"] == "frame"
                 and crash["torn"] and seq == crash["at"]):
             # A crash mid-frame: the log ends in a truncated write.
             frame = frame[: max(1, len(frame) // 2)]
-        self.log_frames.append(frame)
         if self._log_file is not None:
-            self._log_file.write(struct.pack(">I", len(frame)))
-            self._log_file.write(frame)
+            append_frame(self._log_file, frame)
+        self.log_frames.append(frame)
         try:
             self.replica.apply(frame)
-        except ReplicationError as error:
+        except FrameError as error:
             # A refused frame is recorded, never half-applied; the
             # standby stays at the previous frame.
             self.apply_errors.append(str(error))

@@ -1,105 +1,64 @@
 """The warm-standby applier (DESIGN section 16).
 
 A :class:`StandbyReplica` wraps a live, started engine whose query set
-matches the primary's, and applies replication frames into its
-operator state through the ``snapshot_state``/``restore_state``
-contract -- keeping the standby *warm*: at any moment its state equals
-the primary's as of the last applied frame, and promotion is just
-"resume the feed from the frame's cursor".
+matches the primary's, and folds state-log frames
+(:class:`repro.recovery.statelog.StateLog`) *into* its operator state
+-- keeping the standby *warm*: at any moment its state equals the
+primary's as of the last applied frame, and promotion is just "resume
+the feed from the frame's cursor".
 
-Apply is **all-or-nothing**.  Every check -- frame checksum, layout
-version, sequence order, node-name resolution, per-node blob decode --
-happens before the first ``restore_state`` call, so a refused frame
-(typed :class:`~repro.replication.log.FrameError`, naming the frame)
-leaves the standby exactly where the previous frame left it.
+Apply is **all-or-nothing**, by the state log's fold and apply rules: a
+refused frame (typed :class:`~repro.recovery.statelog.FrameError`,
+naming the frame) leaves the standby exactly where the previous frame
+left it.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict
 
-from repro.recovery.wire import SnapshotError, decode_snapshot
-from repro.replication.log import (
-    FrameCorruptError,
-    FrameSequenceError,
-    decode_frame,
-)
+from repro.recovery.statelog import FrameError, StateLog
 
 
 class StandbyReplica:
-    """Applies a replication log into a live engine's operator state."""
+    """Applies a state log into a live engine's operator state."""
 
     def __init__(self, engine) -> None:
         self.engine = engine
-        self.applied_seq = -1
-        self.applied_time = -math.inf
-        #: journal-tail replay point: packets the primary had been
-        #: handed as of the last applied frame
-        self.cursor = 0
-        self.frames_applied = 0
+        self.log = StateLog()
         self.apply_errors = 0
+
+    @property
+    def applied_seq(self) -> int:
+        return self.log.seq
+
+    @property
+    def applied_time(self) -> float:
+        return self.log.time
+
+    @property
+    def cursor(self) -> int:
+        """Journal-tail replay point: packets the primary had been
+        handed as of the last applied frame."""
+        return self.log.cursor
 
     def apply(self, blob: bytes) -> Dict[str, Any]:
         """Validate and apply one frame; returns the decoded frame.
 
-        Raises a typed :class:`~repro.replication.log.FrameError` --
+        Raises a typed :class:`~repro.recovery.statelog.FrameError` --
         and leaves the standby untouched -- on any refusal.
         """
-        expected = self.applied_seq + 1
         try:
-            frame = decode_frame(blob, expect=expected)
-            if frame["seq"] != expected:
-                raise FrameSequenceError(
-                    frame["seq"], f"out of order: expected seq {expected}")
-            if frame["kind"] == "full" and self.applied_seq >= 0:
-                raise FrameSequenceError(
-                    frame["seq"], "full epoch after frames were applied")
-            if frame["kind"] == "delta" and self.applied_seq < 0:
-                raise FrameSequenceError(
-                    frame["seq"], "delta before any full epoch")
-            states = self._decode_states(frame)
-        except Exception:
+            return self.log.fold(blob, into=self.engine.rts)
+        except FrameError:
             self.apply_errors += 1
             raise
-        # Everything decoded and validated; only now touch live state.
-        rts = self.engine.rts
-        for name, state in states.items():
-            rts.node(name).restore_state(state)
-        rts.restore_counters(frame["counters"])
-        self.applied_seq = frame["seq"]
-        self.applied_time = frame["time"]
-        self.cursor = frame["cursor"]
-        self.frames_applied += 1
-        return frame
-
-    def _decode_states(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        label = frame["seq"]
-        rts = self.engine.rts
-        known = dict(rts.iter_nodes())
-        states: Dict[str, Any] = {}
-        for name, node_blob in frame["nodes"].items():
-            if name not in known:
-                raise FrameCorruptError(
-                    label, f"unknown node {name!r} (standby query set "
-                           f"does not match the primary)")
-            try:
-                states[name] = decode_snapshot(node_blob)
-            except SnapshotError as error:
-                raise FrameCorruptError(
-                    label, f"node {name!r}: {error}") from error
-        if frame["kind"] == "full":
-            missing = sorted(set(known) - set(states))
-            if missing:
-                raise FrameCorruptError(
-                    label, f"full epoch missing node(s) {missing}")
-        return states
 
     def report(self) -> Dict[str, Any]:
         return {
             "applied_seq": self.applied_seq,
             "applied_time": self.applied_time,
             "cursor": self.cursor,
-            "frames_applied": self.frames_applied,
+            "frames_applied": self.applied_seq + 1,
             "apply_errors": self.apply_errors,
         }

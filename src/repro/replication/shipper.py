@@ -3,34 +3,30 @@
 Installed on the primary's RTS as ``rts.replicator``; the RTS calls
 :meth:`ReplicationShipper.on_pump_end` at every pump boundary, exactly
 where the recovery supervisor cuts its checkpoints.  When the cadence
-is due **and** every node-to-node channel is quiescent (the same
-crash-consistency gate as :meth:`repro.recovery.supervisor.
-RecoverySupervisor.take_checkpoint`), the shipper cuts a frame:
-
-* frame 0 is the **full** epoch -- every node's encoded state;
-* later frames are **deltas** -- only the nodes whose freshly encoded
-  state bytes differ from what the previous frame shipped (the
-  node-granular incremental framing the DBSP paper motivates: most
-  frames carry the handful of hot operators, not the whole engine).
+is due the shipper cuts the next frame of its state log
+(:meth:`repro.recovery.statelog.StateLog.cut` -- the node-granular
+incremental framing the DBSP paper motivates: most frames carry the
+handful of hot operators, not the whole engine).
 
 Frames go to a ``deliver(frame_bytes)`` callable -- in-process that is
 the standby's applier, on disk a log file, over a pipe a standby
-process.  Delivery failures never unwind the pump: the shipper's job
-ends at handing the frame over.
+process.  Delivery failures never unwind the pump: a frame is folded
+into the shipper's own log only after ``deliver`` returns, so one that
+was not delivered is cut again at the next quiescent boundary under
+the same ``seq`` (with the union of the changes) and the standby never
+sees a gap.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Optional
 
-from repro.core.channels import all_quiescent
-from repro.recovery.wire import encode_snapshot
-from repro.replication.log import encode_frame
+from repro.recovery.statelog import StateLog
 
 
 class ReplicationShipper:
-    """Cuts replication frames from a live RTS at quiescent boundaries."""
+    """Ships state-log frames from a live RTS on a virtual-time cadence."""
 
     def __init__(self, rts, cadence: float,
                  deliver: Callable[[bytes], None]) -> None:
@@ -42,78 +38,54 @@ class ReplicationShipper:
         #: at every pump boundary
         self.cadence = cadence
         self.deliver = deliver
-        #: node name -> encoded state bytes shipped by the last frame
-        self._shipped: Dict[str, bytes] = {}
-        self.seq = 0
-        self.frames_full = 0
-        self.frames_delta = 0
+        #: the fold of every frame delivered so far
+        self.log = StateLog()
         self.bytes_total = 0
         self.nodes_shipped = 0
         #: pump boundaries skipped because a channel held in-flight items
         self.skipped_unquiescent = 0
-        self.last_frame_time = -math.inf
-        self._next_cut = None
+        #: cuts whose ``deliver`` raised (re-cut at the next boundary)
+        self.deliver_errors = 0
+        self.last_deliver_error: Optional[str] = None
 
     # -- RTS hook ------------------------------------------------------------
     def on_pump_end(self, stream_time: float) -> None:
         """Maybe cut and deliver a frame at this pump boundary."""
-        if math.isinf(stream_time):
+        # The first pump with a real stream clock opens the epoch; the
+        # cadence then runs from the last frame that was delivered.
+        if (math.isinf(stream_time)
+                or stream_time < self.log.time + self.cadence):
             return
-        if self._next_cut is None:
-            # The first pump with a real stream clock opens the epoch.
-            self._next_cut = stream_time
-        if stream_time < self._next_cut:
-            return
-        internal = (channel
-                    for node in self.rts._nodes.values()
-                    for _producer, channel in node.input_links)
-        if not all_quiescent(internal):
-            # An item in flight is state the frame would miss; the next
-            # boundary will be quiescent (the pump drains to a fixpoint
-            # unless a node was suspended mid-drain).
+        rts = self.rts
+        # The cursor is how many packets the primary has been handed so
+        # far: the dispatch counter plus the ones injected faults
+        # dropped pre-dispatch (both consumed an input-stream position).
+        frame = self.log.cut(rts, stream_time,
+                             rts.packets_fed + rts.fault_dropped)
+        if frame is None:
+            # The next boundary will be quiescent (the pump drains to a
+            # fixpoint unless a node was suspended mid-drain).
             self.skipped_unquiescent += 1
             return
-        self.deliver(self._cut(stream_time))
-        self._next_cut = stream_time + self.cadence
-
-    # -- frame construction --------------------------------------------------
-    def _cut(self, stream_time: float) -> bytes:
-        rts = self.rts
-        changed: Dict[str, bytes] = {}
-        for name, node in rts.iter_nodes():
-            blob = encode_snapshot(node.snapshot_state())
-            if self._shipped.get(name) != blob:
-                changed[name] = blob
-                self._shipped[name] = blob
-        kind = "full" if self.seq == 0 else "delta"
-        frame = encode_frame(
-            kind=kind,
-            seq=self.seq,
-            time=stream_time,
-            # How many packets the primary has been handed so far: the
-            # dispatch counter plus the ones injected faults dropped
-            # pre-dispatch (both consumed an input-stream position).
-            cursor=rts.packets_fed + rts.fault_dropped,
-            counters=rts.counters_state(),
-            nodes=changed,
-        )
-        self.seq += 1
-        if kind == "full":
-            self.frames_full += 1
-        else:
-            self.frames_delta += 1
+        try:
+            self.deliver(frame)
+        except Exception as error:
+            self.deliver_errors += 1
+            self.last_deliver_error = f"{type(error).__name__}: {error}"
+            return
+        self.nodes_shipped += len(self.log.fold(frame)["nodes"])
         self.bytes_total += len(frame)
-        self.nodes_shipped += len(changed)
-        self.last_frame_time = stream_time
-        return frame
 
     def report(self) -> Dict[str, Any]:
         return {
             "cadence": self.cadence,
-            "frames_full": self.frames_full,
-            "frames_delta": self.frames_delta,
+            # frame 0 is the full epoch, every later one a delta
+            "frames_full": min(self.log.seq + 1, 1),
+            "frames_delta": max(self.log.seq, 0),
             "bytes_total": self.bytes_total,
             "nodes_shipped": self.nodes_shipped,
             "skipped_unquiescent": self.skipped_unquiescent,
-            "last_frame_time": self.last_frame_time,
+            "deliver_errors": self.deliver_errors,
+            "last_deliver_error": self.last_deliver_error,
+            "last_frame_time": self.log.time,
         }

@@ -18,8 +18,9 @@ performs; shard-then-seq order fixes every remaining tie.  Output of
 non-aggregation subscriptions is concatenated in shard order.
 
 Failure policy (per shard): a worker that dies before its ``end`` frame
-is respawned from its last ``snap`` checkpoint (deterministic frame
-regeneration + parent-side seq dedup keeps delivery exactly-once); a
+is respawned from the parent's fold of its ``state`` frames
+(:mod:`repro.recovery.statelog`; deterministic frame regeneration +
+parent-side seq dedup keeps delivery exactly-once); a
 shard that exhausts ``max_restarts`` is quarantined with its undone
 packets counted into the drop ledger, and every sibling shard keeps
 running.
@@ -39,16 +40,9 @@ from repro.core.heartbeat import FLUSH
 from repro.core.stream_manager import RegistryError, Subscription
 from repro.obs.collectors import node_snapshot
 from repro.operators.aggregation import AggregationNode
+from repro.recovery.statelog import StateLog
 from repro.shard.partition import assign_shards
-from repro.recovery.wire import decode_snapshot, encode_snapshot
-from repro.shard.transport import (
-    DELTA,
-    END,
-    ROWS,
-    SNAP,
-    decode_frame,
-    unpack_rows,
-)
+from repro.shard.transport import END, ROWS, STATE, decode_frame, unpack_rows
 from repro.shard.worker import CRASH_ENV, run_worker
 
 
@@ -77,22 +71,20 @@ class _MergeSink:
 class _ShardState:
     """One worker process's lifecycle bookkeeping."""
 
-    __slots__ = ("index", "process", "conn", "last_seq", "snapshot",
-                 "snap_packets", "restarts", "ended", "eof", "folded")
+    __slots__ = ("index", "process", "conn", "last_seq", "log",
+                 "restarts", "ended", "eof")
 
     def __init__(self, index: int, process, conn) -> None:
         self.index = index
         self.process = process
         self.conn = conn
         self.last_seq = 0
-        self.snapshot: Optional[bytes] = None
-        self.snap_packets = 0
+        #: the fold of this worker process's state frames: what a
+        #: replacement is restored from, and how far the shard got
+        self.log = StateLog()
         self.restarts = 0
         self.ended = False
         self.eof = False
-        #: a standby shard's warm replica: the decoded snapshot payload
-        #: kept current by folding each delta frame into it
-        self.folded: Optional[Dict[str, Any]] = None
 
 
 def _worker_entry(recv, conn, spec, shard, packets, resume, crash_at):
@@ -117,21 +109,13 @@ class ShardedGigascope:
         batch_size: Optional[int] = None,
         barrier_interval: float = 1.0,
         max_restarts: int = 1,
-        standby: Optional[int] = None,
     ) -> None:
         if shards <= 0:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        if standby is not None and not 0 <= standby < shards:
-            raise ValueError(f"standby names shard {standby}, but there "
-                             f"are only {shards}")
         self.shards = shards
         self.seed = seed
-        #: shard index replicated incrementally (DESIGN section 16):
-        #: its worker ships delta frames after the first full snap, the
-        #: parent keeps a warm fold, and a crash respawns from the fold
-        self.standby = standby
         #: virtual-time spacing of the global barrier grid every shard
-        #: cuts rows/snapshot frames at
+        #: cuts rows/state frames at
         self.barrier_interval = barrier_interval
         #: respawn budget per shard before quarantine
         self.max_restarts = max_restarts
@@ -280,7 +264,6 @@ class ShardedGigascope:
             "nshards": self.shards,
             "barrier_interval": self.barrier_interval,
             "pump_every": pump_every,
-            "standby": self.standby,
         }
         crash = self._parse_crash() if self._crash_armed else None
         self._crash_armed = False
@@ -390,31 +373,13 @@ class ShardedGigascope:
                             state.index, seq, arrival + offset, row))
                 else:
                     sink.per_shard.setdefault(state.index, []).extend(rows)
-        elif kind == SNAP:
-            state.snapshot = payload["blob"]
-            state.snap_packets = payload["packets_done"]
+        elif kind == STATE:
+            # Unchanged nodes keep their last-shipped blob, so the fold
+            # stays byte-equivalent to a full snapshot of the worker.
+            frame = state.log.fold(payload)
             self.shard_snapshots[state.index] += 1
-            if state.index == self.standby:
-                # The full epoch (re)primes the warm fold; any earlier
-                # fold is superseded by this complete state.
-                state.folded = decode_snapshot(payload["blob"])
-        elif kind == DELTA:
-            # Incremental standby checkpoint: fold the changed nodes
-            # into the warm replica of this shard's state.  The fold
-            # stays byte-equivalent to a full snap by construction --
-            # unchanged nodes keep their last-shipped state.
-            folded = state.folded
-            if folded is None:
-                raise RegistryError(
-                    f"shard {state.index} shipped a delta frame before "
-                    f"any full snap")
-            folded["seq"] = seq
-            folded["packets_done"] = payload["packets_done"]
-            folded["next_barrier"] = payload["next_barrier"]
-            folded["counters"] = payload["counters"]
-            folded["nodes"].update(payload["nodes"])
-            state.snap_packets = payload["packets_done"]
-            self.shard_delta_frames[state.index] += 1
+            if frame["kind"] == "delta":
+                self.shard_delta_frames[state.index] += 1
         elif kind == END:
             state.ended = True
             self.shard_packets[state.index] += payload["packets"]
@@ -448,25 +413,22 @@ class ShardedGigascope:
         reason = f"worker exited with code {exitcode} before its end frame"
         if state.restarts < self.max_restarts:
             self.shard_restarts[state.index] += 1
-            # A standby shard respawns from the parent's warm fold --
-            # the full epoch plus every applied delta -- re-encoded in
-            # the same GSCK layout a full snap uses, so the worker's
-            # resume path cannot tell the difference.
-            resume = (encode_snapshot(state.folded)
-                      if state.folded is not None else state.snapshot)
+            # The fold -- the full epoch plus every delta -- re-emitted
+            # as the one full frame that opens the replacement's log; a
+            # worker that died before its first barrier starts over.
+            resume = state.log.full_frame() if state.log.seq >= 0 else None
             replacement = self._spawn(ctx, state.index, spec, packets,
                                       resume, None)
             replacement.restarts = state.restarts + 1
             replacement.last_seq = state.last_seq
-            replacement.snapshot = state.snapshot
-            replacement.snap_packets = state.snap_packets
-            replacement.folded = state.folded
+            if resume is not None:
+                replacement.log.fold(resume)
             return replacement
         # Quarantine: siblings keep running; the undone packets are
         # counted, not silently lost (accountable loss, Section 1).
         assigned = assign_shards(packets, self.shards).count(state.index)
         self.shard_dropped_packets[state.index] += (
-            assigned - state.snap_packets)
+            assigned - state.log.cursor)
         self.quarantined[state.index] = reason
         return None
 
@@ -529,7 +491,6 @@ class ShardedGigascope:
                 "restarts": list(self.shard_restarts),
                 "snapshots": list(self.shard_snapshots),
                 "delta_frames": list(self.shard_delta_frames),
-                "standby": self.standby,
                 "channel_dropped": list(self.shard_channel_dropped),
                 "dropped_packets": list(self.shard_dropped_packets),
                 "quarantined": {str(shard): reason for shard, reason

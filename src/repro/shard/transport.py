@@ -8,22 +8,19 @@ stale frame fails loudly instead of decoding into garbage):
 * ``rows`` -- one barrier's worth of subscription output, columnar-
   transposed (:func:`repro.net.columnar.rows_to_columns`) so a frame of
   N same-schema rows encodes each column once instead of N tuples.
-* ``snap`` -- a shard checkpoint: the worker engine's full GSCK
-  snapshot blob plus the packet cursor, cut at a barrier.  The parent
-  keeps only the latest; a respawned worker restores from it.
-* ``delta`` -- a standby shard's incremental checkpoint (DESIGN
-  section 16): only the nodes whose encoded state changed since the
-  previous frame, plus the cursor and RTS counters.  The parent folds
-  each delta into a warm replica of the shard's state and respawns a
-  crashed standby shard from the fold instead of a full ``snap``.
+* ``state`` -- one state-log frame (:mod:`repro.recovery.statelog`) cut
+  at a barrier: the worker engine's full state the first time, then
+  only the nodes whose encoded state changed, with the packet cursor
+  and the barrier position.  The parent folds them and respawns a
+  crashed worker from the fold.
 * ``end`` -- the worker's final statistics payload (per-node counters,
   per-channel overflow ledgers, packet totals).
 
 Every frame carries a sequence number, monotone per worker run *and*
-across restarts (a restored worker resumes its counter from the
-snapshot), so the parent drops replayed duplicates with a single
-``seq <= last_seen`` check and exactly-once delivery survives the
-process boundary.
+across restarts (a restored worker resumes its counter from the state
+frame it was restored from), so the parent drops replayed duplicates
+with a single ``seq <= last_seen`` check and exactly-once delivery
+survives the process boundary.
 """
 
 from __future__ import annotations
@@ -35,17 +32,16 @@ from repro.recovery.wire import decode_snapshot, encode_snapshot
 
 #: frame kinds
 ROWS = "rows"
-SNAP = "snap"
-DELTA = "delta"
+STATE = "state"
 END = "end"
 
 
-def encode_frame(kind: str, seq: int, payload: Dict[str, Any]) -> bytes:
+def encode_frame(kind: str, seq: int, payload: Any) -> bytes:
     """Frame one worker->parent message as GSCK bytes."""
     return encode_snapshot({"kind": kind, "seq": seq, "payload": payload})
 
 
-def decode_frame(blob: bytes) -> Tuple[str, int, Dict[str, Any]]:
+def decode_frame(blob: bytes) -> Tuple[str, int, Any]:
     """Validate and split a frame into ``(kind, seq, payload)``."""
     frame = decode_snapshot(blob)
     return frame["kind"], frame["seq"], frame["payload"]

@@ -14,15 +14,16 @@ packet list and compiled queries for free) by
 3. feeds the partition in chunks cut at a *global barrier grid* --
    multiples of ``barrier_interval`` in virtual time, the same
    thresholds on every shard -- draining its subscriptions into a
-   ``rows`` frame and cutting a GSCK engine snapshot into a ``snap``
-   frame at each crossing,
+   ``rows`` frame and cutting a state-log frame
+   (:mod:`repro.recovery.statelog`) into a ``state`` frame at each
+   crossing,
 4. flushes, ships the final rows, and ends with its statistics ledger.
 
 Everything the worker does is a deterministic function of (queries,
-partition, seed, resume point): a worker respawned from its last
-``snap`` frame regenerates byte-identical frames from that barrier on,
-which is what lets the parent dedup by sequence number and keep the
-exactly-once contract across a worker crash.
+partition, seed, resume point): a worker respawned from the parent's
+fold of its ``state`` frames regenerates byte-identical frames from
+that barrier on, which is what lets the parent dedup by sequence
+number and keep the exactly-once contract across a worker crash.
 """
 
 from __future__ import annotations
@@ -33,16 +34,9 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.engine import Gigascope
 from repro.obs.collectors import channel_snapshot, engine_snapshot
-from repro.recovery.wire import decode_snapshot, encode_snapshot
+from repro.recovery.statelog import StateLog
 from repro.shard.partition import partition_filter
-from repro.shard.transport import (
-    DELTA,
-    END,
-    ROWS,
-    SNAP,
-    encode_frame,
-    pack_rows,
-)
+from repro.shard.transport import END, ROWS, STATE, encode_frame, pack_rows
 
 #: env var arming a mid-run worker crash: ``"SHARD:PACKET_INDEX"``
 #: (the worker dies with os._exit just before feeding that packet of
@@ -68,55 +62,20 @@ def _build_engine(spec: Dict[str, Any]):
     return gs, subs
 
 
-def _snapshot_worker(gs, seq: int, packets_done: int,
-                     next_barrier: float) -> bytes:
-    """One shard checkpoint: engine state + resume cursor, as GSCK bytes."""
-    return encode_snapshot({
-        "seq": seq,
-        "packets_done": packets_done,
-        "next_barrier": next_barrier,
-        "counters": gs.rts.counters_state(),
-        "nodes": {name: node.snapshot_state()
-                  for name, node in gs.rts.iter_nodes()},
-    })
-
-
-def _cut_barrier(conn, gs, subs, seq: int, packets_done: int,
-                 next_barrier: float,
-                 shipped: Optional[Dict[str, bytes]] = None) -> int:
-    """Drain + ship rows, then cut and ship the shard checkpoint.
-
-    ``shipped`` (standby shards only) caches each node's last encoded
-    state: once primed by a full ``snap``, later barriers ship a
-    ``delta`` frame carrying only the nodes whose bytes changed, and
-    the parent folds it into its warm replica of this shard.
-    """
+def _cut_barrier(conn, gs, subs, log: StateLog, seq: int,
+                 packets_done: int, next_barrier: float) -> int:
+    """Drain + ship rows, then cut and ship the shard's state frame."""
     rows = {name: sub.poll() for name, sub in subs.items()}
     seq += 1
     conn.send_bytes(encode_frame(ROWS, seq, pack_rows(rows)))
     seq += 1
-    if shipped is None or not shipped:
-        conn.send_bytes(encode_frame(SNAP, seq, {
-            "blob": _snapshot_worker(gs, seq, packets_done, next_barrier),
-            "packets_done": packets_done,
-        }))
-        if shipped is not None:
-            for name, node in gs.rts.iter_nodes():
-                shipped[name] = encode_snapshot(node.snapshot_state())
-    else:
-        changed: Dict[str, Any] = {}
-        for name, node in gs.rts.iter_nodes():
-            state = node.snapshot_state()
-            blob = encode_snapshot(state)
-            if shipped.get(name) != blob:
-                changed[name] = state
-                shipped[name] = blob
-        conn.send_bytes(encode_frame(DELTA, seq, {
-            "packets_done": packets_done,
-            "next_barrier": next_barrier,
-            "counters": gs.rts.counters_state(),
-            "nodes": changed,
-        }))
+    # ``extra`` is what a respawned worker needs besides engine state:
+    # this frame's transport seq and the barrier it was cut at.
+    frame = log.cut(gs.rts, gs.rts.stream_time, packets_done,
+                    extra={"seq": seq, "next_barrier": next_barrier})
+    if frame is not None:
+        conn.send_bytes(encode_frame(STATE, seq, frame))
+        log.fold(frame)
     return seq
 
 
@@ -132,21 +91,18 @@ def run_worker(conn, spec: Dict[str, Any], shard: int,
     seq = 0
     offset = 0
     next_barrier: Optional[float] = None
+    # The fold of what this shard has shipped.  A respawned worker
+    # continues the log it was restored from: its next frame is a
+    # delta against exactly that state.
+    log = StateLog()
     if resume_blob is not None:
-        state = decode_snapshot(resume_blob)
-        for name, node_state in state["nodes"].items():
-            gs.rts.node(name).restore_state(node_state)
-        gs.rts.restore_counters(state["counters"])
-        seq = state["seq"]
-        offset = state["packets_done"]
-        next_barrier = state["next_barrier"]
+        log.fold(resume_blob)
+        log.restore(gs.rts)
+        seq = log.extra["seq"]
+        offset = log.cursor
+        next_barrier = log.extra["next_barrier"]
     interval = spec["barrier_interval"]
     pump_every = spec["pump_every"]
-    # A standby shard ships incremental delta frames after its first
-    # full snap; a respawned one starts cold and re-ships a full snap
-    # (the parent's seq dedup drops it if it was already consumed).
-    shipped: Optional[Dict[str, bytes]] = (
-        {} if spec.get("standby") == shard else None)
     buffer: List = []
     for index in range(offset, len(kept)):
         packet = kept[index]
@@ -170,9 +126,8 @@ def run_worker(conn, spec: Dict[str, Any], shard: int,
             # The stored cursor must be the *advanced* barrier: a
             # restored worker re-examines this very packet and must not
             # cut (and re-number) a second barrier here.
-            seq = _cut_barrier(conn, gs, subs, seq,
-                               packets_done=index, next_barrier=advanced,
-                               shipped=shipped)
+            seq = _cut_barrier(conn, gs, subs, log, seq,
+                               packets_done=index, next_barrier=advanced)
             next_barrier = advanced
         buffer.append(packet)
     if buffer:

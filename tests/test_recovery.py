@@ -426,6 +426,19 @@ class TestBackoffAndBudget:
         sub.poll()
         assert sub.ended  # FLUSH propagated, no hang
 
+    def test_quarantined_node_leaves_the_checkpoints(self):
+        # An LFTA has no input channel to hold leftovers, so checkpoints
+        # go on after its quarantine: the cut leaves the node out and
+        # the fold drops its stale blob.
+        gs, _sub, supervisor = _run(crash=("_fta_flows_0", 300), times=None,
+                                    max_restarts=1)
+        assert list(gs.rts.quarantined) == ["_fta_flows_0"]
+        assert sorted(supervisor.checkpoints) == ["flows"]
+        report = supervisor.report()
+        assert report["checkpoint_nodes"] == 1
+        assert report["checkpoint_bytes"] == len(
+            supervisor.checkpoints["flows"])
+
     def test_zero_budget_is_immediate_quarantine(self):
         gs, _sub, supervisor = _run(crash=("flows", 80), max_restarts=0)
         assert supervisor.restarts_total == 0

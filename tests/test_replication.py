@@ -2,13 +2,16 @@
 
 Four contracts under test:
 
-* the frame codec and applier refuse damage **typed and total**: a
-  corruption corpus -- truncation at every byte boundary, bit flips in
-  the payload vs the header, stale versions (both the GSCK wire
+* the state log's one codec, fold and apply
+  (:mod:`repro.recovery.statelog`) refuse damage **typed and total**:
+  a corruption corpus -- truncation at every byte boundary, bit flips
+  in the payload vs the header, stale versions (both the GSCK wire
   version and the inner frame-layout version), out-of-order sequence
   numbers -- each raising a :class:`FrameError` subclass that names
   the offending frame, with the standby's operator state byte-for-byte
-  untouched afterwards (never applied partially);
+  untouched afterwards (never applied partially).  The corpus runs
+  over the frames each of the three writers cuts: the replication
+  shipper, the recovery supervisor, and a shard worker;
 * steady-state replication is invisible: a replicated run's output is
   byte-identical to a plain engine's;
 * promotion is exact: after a hard crash (mid delta-interval, at a
@@ -26,7 +29,8 @@ import pytest
 
 from repro.core.engine import Gigascope
 from repro.determinism import derive_seed
-from repro.recovery.wire import MAGIC, encode_snapshot
+from repro.recovery.statelog import StateLog
+from repro.recovery.wire import MAGIC, decode_snapshot, encode_snapshot
 from repro.replication import (
     DEFAULT_CADENCE,
     FrameCorruptError,
@@ -36,6 +40,7 @@ from repro.replication import (
     REPLICATION_VERSION,
     ReplicatedGigascope,
     ReplicationError,
+    ReplicationShipper,
     StandbyReplica,
     decode_frame,
     encode_frame,
@@ -97,11 +102,64 @@ def engine_states(engine):
             for name, node in engine.rts.iter_nodes()}
 
 
-@pytest.fixture(scope="module")
-def shipped_frames():
-    """The frame log of one clean replicated run (full + deltas)."""
+def shipper_frames():
+    """The frame log of one clean replicated run."""
     _, gs = run_replicated(zipf_packets(), cadence=0.5)
-    frames = gs.log_frames
+    return gs.log_frames
+
+
+def supervisor_frames():
+    """Every checkpoint frame the recovery supervisor cut and folded."""
+    gs = Gigascope(seed=7, heartbeat_interval=0.5, metrics=False)
+    gs.add_query(FLOWS_QUERY)
+    supervisor = gs.enable_recovery(checkpoint_interval=0.5)
+    frames, fold = [], supervisor.log.fold
+
+    def recording_fold(blob):
+        frames.append(blob)
+        return fold(blob)
+
+    supervisor.log.fold = recording_fold
+    gs.start()
+    gs.feed(zipf_packets(), pump_every=128)
+    gs.flush()
+    assert len(frames) == supervisor.checkpoints_taken
+    return frames
+
+
+def worker_frames():
+    """The state frames one shard worker ships over its pipe."""
+    from repro.shard import transport
+    from repro.shard.worker import run_worker
+
+    class Pipe:
+        def __init__(self):
+            self.sent = []
+
+        def send_bytes(self, blob):
+            self.sent.append(blob)
+
+        def close(self):
+            pass
+
+    pipe = Pipe()
+    run_worker(pipe, {
+        "queries": [("single", FLOWS_QUERY, None, None)],
+        "subscribe": [("flows", False)],
+        "engine": {"seed": 7, "heartbeat_interval": 0.5},
+        "nshards": 1, "barrier_interval": 0.5, "pump_every": 128,
+    }, 0, zipf_packets())
+    decoded = [transport.decode_frame(blob) for blob in pipe.sent]
+    return [payload for kind, _seq, payload in decoded
+            if kind == transport.STATE]
+
+
+@pytest.fixture(scope="module",
+                params=[shipper_frames, supervisor_frames, worker_frames],
+                ids=["shipper", "supervisor", "worker"])
+def shipped_frames(request):
+    """One writer's frame log (full + deltas)."""
+    frames = request.param()
     assert len(frames) >= 4, "corpus needs a full epoch and several deltas"
     return frames
 
@@ -214,7 +272,7 @@ class TestCorruptionCorpus:
         for damaged in mutate(frame):
             with pytest.raises(expect_error) as excinfo:
                 replica.apply(damaged)
-            assert "replication frame" in str(excinfo.value)
+            assert "state frame" in str(excinfo.value)
             errors += 1
         assert errors > 0
         assert engine_states(replica.engine) == before, \
@@ -282,6 +340,32 @@ class TestCorruptionCorpus:
             rebuilt["nodes"] = {"not_a_query": blob}
             yield encode_snapshot(rebuilt)
         self._attack(shipped_frames, rename, FrameCorruptError)
+
+    def test_raising_restore_state_is_rolled_back(self, shipped_frames):
+        # Every check passes -- the second node's blob decodes -- but
+        # its state lacks "stats", so restore_state raises only after
+        # the first node was already overwritten.
+        log = StateLog()
+        for frame in shipped_frames[:3]:
+            log.fold(frame)
+        (first, _), (second, blob) = list(log.nodes.items())[:2]
+        envelope = decode_snapshot(blob)
+        del envelope["state"]["stats"]
+        rebuilt = decode_frame(shipped_frames[2])
+        rebuilt["nodes"] = dict(log.nodes,
+                                **{second: encode_snapshot(envelope)})
+        replica = primed_replica(shipped_frames, upto=2)
+        before = engine_states(replica.engine)
+        counters = replica.engine.rts.counters_state()
+        assert before[first] != encode_snapshot(
+            decode_snapshot(log.nodes[first])["state"])  # it would move
+        with pytest.raises(FrameCorruptError,
+                           match=f"state frame 2: node {second!r}"):
+            replica.apply(encode_snapshot(rebuilt))
+        assert engine_states(replica.engine) == before
+        assert replica.engine.rts.counters_state() == counters
+        assert replica.applied_seq == 1
+        assert replica.apply(shipped_frames[2])["seq"] == 2
 
     def test_duplicate_seq_refused(self, shipped_frames):
         self._attack(shipped_frames,
@@ -354,7 +438,7 @@ class TestReplicationIdentity:
         assert report["promoted"] is True
         # The torn write was refused typed...
         assert report["apply_errors"] == 1
-        assert any("replication frame 2" in line
+        assert any("state frame 2" in line
                    for line in report["apply_error_log"])
         # ...so promotion resumed from frame 1's cursor.
         assert report["applied_seq"] == 1
@@ -388,6 +472,42 @@ class TestReplicationIdentity:
             replica.apply(frame)
         assert replica.applied_seq == len(frames) - 1
         assert frames[0][:4] == MAGIC
+
+    def test_raising_deliver_never_unwinds_the_pump(self):
+        # The first delta's delivery fails (a full disk under
+        # --replicate-log): the pump carries on, and the next boundary
+        # re-cuts the same seq with the union of the changes.
+        replica = fresh_standby()
+        delivered, failures = [], []
+
+        def deliver(frame):
+            if len(delivered) == 1 and not failures:
+                failures.append(frame)
+                raise OSError("No space left on device")
+            delivered.append(frame)
+            replica.apply(frame)
+
+        primary = Gigascope(seed=7, heartbeat_interval=0.5, metrics=False)
+        primary.add_query(FLOWS_QUERY)
+        shipper = primary.rts.replicator = ReplicationShipper(
+            primary.rts, 0.5, deliver)
+        primary.start()
+        primary.feed(zipf_packets(), pump_every=128)
+        report = shipper.report()
+        assert report["deliver_errors"] == 1
+        assert "No space left" in report["last_deliver_error"]
+        lost, recut = decode_frame(failures[0]), decode_frame(delivered[1])
+        assert lost["seq"] == recut["seq"] == 1
+        assert set(recut["nodes"]) >= set(lost["nodes"])
+        assert recut["cursor"] > lost["cursor"]
+        assert [decode_frame(f)["seq"] for f in delivered] == list(
+            range(len(delivered)))
+        assert replica.apply_errors == 0
+        assert replica.applied_seq == len(delivered) - 1 >= 2
+        # The standby is the primary as of the last frame.
+        assert engine_states(replica.engine) == {
+            name: encode_snapshot(decode_snapshot(blob)["state"])
+            for name, blob in replica.log.nodes.items()}
 
     def test_default_cadence_is_exported(self):
         assert DEFAULT_CADENCE == 1.0

@@ -253,11 +253,24 @@ class TestShardedRuntime:
         packets = zipf_packets()
         base = run_single(packets)
         monkeypatch.setenv(CRASH_ENV, "1:700")
-        rows, gs = run_sharded(packets, 2)
+        # What the parent had folded when the worker died: the full
+        # epoch plus at least one delta, so the respawn is from a fold
+        # and not from a single frame.
+        folded_at_kill = []
+        recover = ShardedGigascope._recover
+
+        def spy(self, ctx, state, spec, packets):
+            folded_at_kill.append(state.log.seq)
+            return recover(self, ctx, state, spec, packets)
+
+        monkeypatch.setattr(ShardedGigascope, "_recover", spy)
+        rows, gs = run_sharded(packets, 2, barrier_interval=0.2)
         assert rows == base
         report = gs.shard_report()
         assert report["restarts"] == [0, 1]
-        assert report["snapshots"][1] > 0
+        assert len(folded_at_kill) == 1 and folded_at_kill[0] >= 1
+        assert gs.shard_delta_frames[1] > 0
+        assert report["snapshots"][1] == report["delta_frames"][1] + 1
         assert sum(report["dropped_packets"]) == 0
         assert not report["quarantined"]
 

@@ -9,6 +9,11 @@ further input, same next snapshot, byte for byte.  A golden-bytes test
 *property*, and -- via subclass discovery -- fails by name when a new
 operator class ships without a round-trip case, so the contract cannot
 silently rot as the operator zoo grows.
+
+The same walk pins the state log (``repro.recovery.statelog``, DESIGN
+section 11.1) on every operator: the fold of a full frame and its
+deltas is byte for byte a fresh full cut, an idle boundary ships no
+node, and a restore from the fold continues like the uninterrupted run.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import pkgutil
 
 import pytest
 
+from repro.recovery.statelog import StateLog, decode_frame
 from repro.recovery.wire import decode_snapshot, encode_snapshot
 from tests.conftest import tcp_packet
 
@@ -366,6 +372,16 @@ def _sink_round_trip(sink_cls):
             == encode_snapshot(original.snapshot_state()))
 
 
+def _in_rts(case):
+    """A case's fresh node registered with an RTS of its own (what the
+    state log cuts from and restores into), plus its output channel."""
+    from repro.core.stream_manager import RuntimeSystem
+    rts = RuntimeSystem(metrics=False)
+    node = case["make"]()
+    rts.register_node(node)
+    return rts, node, node.subscribe()
+
+
 def _case_name(case):
     return case if isinstance(case, str) else case.__name__
 
@@ -416,6 +432,45 @@ class TestSnapshotContract:
         assert (encode_snapshot(restored.snapshot_state())
                 == encode_snapshot(original.snapshot_state())), \
             f"{name}: snapshots diverged after more input"
+
+    @pytest.mark.parametrize("node_cls", _case_ids(), ids=_case_name)
+    def test_fold_of_deltas_equals_a_full_cut(self, node_cls):
+        case = _cases()[node_cls]
+        name = _case_name(node_cls)
+        rts, node, out = _in_rts(case)
+        log = StateLog()
+
+        def cut_and_fold(boundary):
+            at = (float(boundary), boundary, {"boundary": boundary})
+            frame = log.cut(rts, *at)
+            log.fold(frame)
+            # state is the integral of its deltas: the fold re-emits
+            # the frame a fresh log cuts here, blobs, counters, cursor
+            # and all
+            assert log.full_frame() == StateLog().cut(rts, *at), \
+                f"{name}: fold diverged from a full cut at {boundary}"
+            return decode_frame(frame)
+
+        assert cut_and_fold(0)["kind"] == "full"
+        case["prefix"](node)
+        out.drain()
+        delta = cut_and_fold(1)
+        assert delta["kind"] == "delta" and set(delta["nodes"]) == {node.name}
+        assert cut_and_fold(2)["nodes"] == {}, \
+            f"{name}: an idle boundary shipped state"
+
+        # A mid-run restore from the fold, then the rest of the input.
+        twin_rts, twin, twin_out = _in_rts(case)
+        log.restore(twin_rts)
+        case["suffix"](node)
+        case["suffix"](twin)
+        assert ([repr(item) for item in twin_out.drain()]
+                == [repr(item) for item in out.drain()]), \
+            f"{name}: node restored from the fold diverged"
+        cut_and_fold(3)
+        assert StateLog().cut(twin_rts, 3.0, 3, {"boundary": 3}) \
+            == log.full_frame(), \
+            f"{name}: state diverged after a restore from the fold"
 
     def test_join_index_is_not_on_the_wire(self):
         """The keyed join's buckets are derived state: the snapshot is
