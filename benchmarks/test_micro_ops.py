@@ -96,8 +96,9 @@ def selection_rows(packets):
         builtin_registry(), functions)
     plan = plan_query(analyzed, functions)
     lfta_plan = plan.lftas[0]
-    lfta = LftaNode(lfta_plan, analyzed, ExprCompiler(analyzed, functions))
-    rows = [row for packet in packets for row in lfta._interpret(packet)]
+    interpret = lfta_plan.protocol.sparse_interpreter(
+        lfta_plan.needed_fields(analyzed))
+    rows = [row for packet in packets for row in interpret(packet)]
     fused = ExprCompiler(analyzed, functions).batch_select_fn(
         lfta_plan.predicates, lfta_plan.project_exprs, (None, None))
     chained = ExprCompiler(analyzed, functions, None, "interpreted"
@@ -140,24 +141,39 @@ def flow_keys():
             for _ in range(10_000)]
 
 
-def test_bench_key_hash_generated(benchmark, flow_keys):
-    """Slot placement through the per-plan format (DESIGN section 18).
-    CI gates the ratio of this to ``_stable`` below, measured in the
-    same run; the numbers must be the same numbers."""
-    from repro.determinism import int_key_format, stable_hash, stable_slots
+def _placement(fmt):
+    """``f(keys, size) -> slots`` around the lines the LFTA's generated
+    probe places a key with (``_place_key``; DESIGN section 18)."""
+    import zlib
 
-    fmt = int_key_format(6)
-    slots, error = benchmark(stable_slots, flow_keys, 4096, fmt)
-    assert error is None
+    from repro.determinism import key_hasher
+    from repro.gsql.codegen import _place_key
+
+    env = {"_crc32": zlib.crc32, "hash_key": key_hasher(fmt)}
+    exec("def place(keys, size):\n"
+         "    slots = []\n"
+         "    for k in keys:\n"
+         + "".join(f"        {line}\n" for line in _place_key(fmt))
+         + "        slots.append(i)\n"
+         "    return slots\n", env)
+    return env["place"]
+
+
+def test_bench_key_hash_generated(benchmark, flow_keys):
+    """Slot placement through the per-plan format (DESIGN section 18),
+    as the fused LFTA loop inlines it.  CI gates the ratio of this to
+    ``_stable`` below, measured in the same run; the numbers must be
+    the same numbers."""
+    from repro.determinism import int_key_format, stable_hash
+
+    slots = benchmark(_placement(int_key_format(6)), flow_keys, 4096)
     assert slots == [stable_hash(key) % 4096 for key in flow_keys]
 
 
 def test_bench_key_hash_stable(benchmark, flow_keys):
     """The same placement through ``stable_hash``'s ``repr`` walk."""
-    from repro.determinism import stable_slots
-
-    slots, error = benchmark(stable_slots, flow_keys, 4096, None)
-    assert error is None and len(slots) == len(flow_keys)
+    slots = benchmark(_placement(None), flow_keys, 4096)
+    assert len(slots) == len(flow_keys)
 
 
 @pytest.fixture(scope="module")
@@ -176,46 +192,136 @@ def syn_blocks():
     return [packets[i:i + 256] for i in range(0, len(packets), 256)]
 
 
-def _syn_front_end(pushed: bool):
-    """``syn``'s decode + select, with its conjunct inside the decode
-    loop (the lean form: what the node picks for this input) or left in
-    the select kernel behind the plain decoder."""
+SYN = ("DEFINE query_name syn; Select time, timestamp, srcIP, destIP, "
+       "srcPort, destPort From tcp Where tcpflags & 18 = 2")
+#: the Section 5 per-link LFTA (``bench/workloads.py``'s ``link0``)
+LINK0 = ("DEFINE query_name link0; Select time, destIP, len From tcp "
+         "Where destPort = 80")
+
+
+def _lfta(text, frozen=False, lean=False):
+    """An LFTA of ``text`` with a tap: the engine's fused loop, or the
+    decode-then-select passes it replaced
+    (``tests/frozen_decode_select.py``).  ``lean`` pins the lean form
+    of either (the node would pick it from its counters)."""
+    from tests.frozen_decode_select import FrozenCompiler, FrozenLfta
+
     functions = builtin_functions()
-    analyzed = analyze(parse_query(
-        "DEFINE query_name syn; Select time, timestamp, srcIP, destIP, "
-        "srcPort, destPort From tcp Where tcpflags & 18 = 2"),
-        builtin_registry(), functions)
-    lfta = plan_query(analyzed, functions).lftas[0]
-    compiler = ExprCompiler(analyzed, functions, None, "compiled")
-    needed = lfta.needed_fields(analyzed)
-    prefix = lfta.predicates[:lfta.prefix] if pushed else []
-    assert len(prefix) == pushed
-    decode = compiler.block_decoder_fn(
-        lfta.protocol, needed, compiler.prefilter(prefix), lean=pushed)
-    select = compiler.columnar_select_fn(
-        lfta.predicates[len(prefix):], lfta.project_exprs, (None, None))
+    analyzed = analyze(parse_query(text), builtin_registry(), functions)
+    plan = plan_query(analyzed, functions).lftas[0]
+    base, compiler = ((FrozenLfta, FrozenCompiler) if frozen
+                      else (LftaNode, ExprCompiler))
+    cls = type("Pinned", (base,), {
+        "prefers_lean": property(lambda self: lean)})
+    node = cls(plan, analyzed, compiler(analyzed, functions))
+    tap = node.subscribe()
 
     def run(blocks):
-        out = []
         for packets in blocks:
-            block = decode(packets)
-            select(block, range(block.n), out.append)
-        return out
+            node.accept_batch(packets)
+        return tap.drain()
     return run
 
 
 def test_bench_prefilter_pushed(benchmark, syn_blocks):
-    """The prefix tested inside the generated decode loop (DESIGN
-    section 14).  CI gates the ratio of ``_unpushed`` below to this,
-    measured in the same run; the rows must be the same rows."""
-    rows = benchmark(_syn_front_end(True), syn_blocks)
-    assert rows == _syn_front_end(False)(syn_blocks)
+    """The prefix tested inside the generated decode loop, lean form
+    (DESIGN section 14).  CI gates the ratio of ``_unpushed`` below to
+    this, measured in the same run; the rows must be the same rows."""
+    rows = benchmark(_lfta(SYN, lean=True), syn_blocks)
+    assert rows == _unpushed_syn()(syn_blocks)
     assert 0 < len(rows) < 0.06 * sum(map(len, syn_blocks))
 
 
+def _unpushed_syn():
+    from repro.gsql import planner
+
+    marked = planner._mark_prefix
+    planner._mark_prefix = lambda lfta, analyzed: None
+    try:
+        return _lfta(SYN)
+    finally:
+        planner._mark_prefix = marked
+
+
 def test_bench_prefilter_unpushed(benchmark, syn_blocks):
-    """Decode every guard-passer into a row, then filter column-wise."""
-    assert benchmark(_syn_front_end(False), syn_blocks)
+    """The engine's own loop with no prefix marked: every guard-passer
+    is unpacked in full and the conjunct runs first in its row action,
+    so the ratio is the prefix push alone (``-k fused`` gates fusion)."""
+    assert benchmark(_unpushed_syn(), syn_blocks)
+
+
+# -- the row-fused kernels (DESIGN sections 14 and 18) ----------------------
+#
+# CI's bench-smoke job gates two ratios out of this group (-k fused),
+# each of two arms measured in the same run that produce the same rows.
+
+@pytest.fixture(scope="module")
+def link_blocks(packets):
+    return [packets[i:i + 256] for i in range(0, len(packets), 256)]
+
+
+def test_bench_fused_link0(benchmark, link_blocks):
+    """One generated loop from packet bytes to the output block."""
+    rows = benchmark(_lfta(LINK0), link_blocks)
+    assert rows == _lfta(LINK0, frozen=True)(link_blocks)
+    assert len(rows) == sum(map(len, link_blocks))  # pool is all port 80
+
+
+def test_bench_fused_link0_decode_then_select(benchmark, link_blocks):
+    """The same plan as decode -> gather -> select over a block."""
+    assert benchmark(_lfta(LINK0, frozen=True), link_blocks)
+
+
+def _appmon(frozen):
+    """``appmon`` of the Section 5 plan over ``both``'s rows."""
+    from repro.gsql.ordering import Ordering
+    from repro.gsql.schema import Attribute, StreamSchema
+    from repro.gsql.types import IP, UINT
+    from repro.operators.aggregation import AggregationNode
+    from tests.frozen_decode_select import FrozenAggregation, FrozenCompiler
+
+    both = StreamSchema("both", [
+        Attribute("time", UINT, Ordering.increasing()),
+        Attribute("destIP", IP), Attribute("len", UINT)])
+    functions = builtin_functions()
+    analyzed = analyze(parse_query(
+        "DEFINE query_name appmon; Select tb, count(*), sum(len) From both "
+        "Group by time/10 as tb"), builtin_registry(), functions,
+        stream_resolver={"both": both}.get)
+    plan = plan_query(analyzed, functions).hfta
+    cls, compiler = ((FrozenAggregation, FrozenCompiler) if frozen
+                     else (AggregationNode, ExprCompiler))
+    node = cls(plan, analyzed, compiler(analyzed, functions))
+    tap = node.subscribe()
+
+    def run(blocks):
+        for rows in blocks:
+            node.dispatch_batch(rows, 0)
+        node.flush()
+        return [item for item in tap.drain() if type(item) is tuple]
+    return run
+
+
+@pytest.fixture(scope="module")
+def one_window_rows():
+    """Pump-chunk blocks of ``(time, destIP, len)`` whose ``time/10``
+    is one value throughout: the ordered group key at its best."""
+    rng = random.Random(3)
+    rows = [(100 + i // 2000, rng.randrange(1 << 32), rng.randrange(40, 1500))
+            for i in range(16_384)]
+    return [rows[i:i + 1024] for i in range(0, len(rows), 1024)]
+
+
+def test_bench_fused_key_run_cache(benchmark, one_window_rows):
+    """Predicate, key and fold in one loop behind the key-run cache."""
+    rows = benchmark(_appmon(False), one_window_rows)
+    assert rows == _appmon(True)(one_window_rows) and len(rows) == 1
+
+
+def test_bench_fused_probe_per_row(benchmark, one_window_rows):
+    """``batch_key_fn`` into key and row lists, then a window check and
+    a dict probe per row."""
+    assert benchmark(_appmon(True), one_window_rows)
 
 
 def test_bench_channel_push_scalar(benchmark):

@@ -85,7 +85,7 @@ class _DecodeGroup(NamedTuple):
                 f"prefilters=[{tests}]")
         if self.lean is not None:
             text += f" lean=[{describe_formats(self.lean.lean_formats)}]"
-        return text
+        return text + " kernel=shared-block rows"
 
 
 class RegistryError(RuntimeError):
@@ -398,11 +398,15 @@ class RuntimeSystem:
                     union = set().union(*(node.decode_fields
                                           for node in members))
                     prefilters = [node.prefilter for node in members]
+                    decoder = protocol.block_decoder(union, prefilters)
                     for slot, node in enumerate(members):
                         group_of[node] = (len(decoders), slot)
+                        # each member's own row action, over the rows
+                        # of this decoder's blocks (the lean form
+                        # returns the same blocks)
+                        node.bind_shared_decode(decoder)
                     decoders.append(_DecodeGroup(
-                        protocol.columnar_decoder,
-                        protocol.block_decoder(union, prefilters),
+                        protocol.columnar_decoder, decoder,
                         protocol.block_decoder(union, prefilters, lean=True),
                         tuple(members)))
             entries = tuple(

@@ -14,8 +14,8 @@ Three tools enforce that contract:
   primitive values.  Python's builtin ``hash()`` of str/bytes is
   randomized per process; every data-path placement decision (the
   LFTA's direct-mapped table slots) routes through this instead.
-  :func:`int_key_format` / :func:`stable_slots` compute the same number
-  for a block of all-integer group keys without the ``repr`` walk.
+  :func:`int_key_format` / :func:`key_hasher` compute the same number
+  for all-integer group keys without the ``repr`` walk.
 * :func:`rng_for` / :func:`derive_seed` -- the seeded RNG registry.
   Every data-path consumer of randomness (``DEFINE sample`` gates, the
   overload-control shed gate, workload generators) derives its own
@@ -69,7 +69,7 @@ import sys
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 _NAMESPACE = zlib.crc32(b"repro.determinism")
 
@@ -111,7 +111,8 @@ def int_key_format(width: int) -> bytes:
     ``float``, so a plan may use the format only when every key slot
     is statically an integer (``ExprCompiler.key_hash_format``);
     ``None``/``bytes``/``str`` make ``%d`` raise ``TypeError``, which
-    :func:`stable_slots` turns into the :func:`stable_hash` fallback.
+    :func:`key_hasher` (and the LFTA's generated probe) turns into
+    the :func:`stable_hash` fallback.
     """
     return b"(" + b",".join([b"%d"] * width) + b")"
 
@@ -130,32 +131,6 @@ def key_hasher(fmt: Optional[bytes]) -> Callable[[Any], int]:
         except TypeError:
             return stable_hash(key)
     return hash_key
-
-
-def stable_slots(keys: Sequence[Any], size: int, fmt: Optional[bytes] = None
-                 ) -> Tuple[List[int], Optional[TypeError]]:
-    """``stable_hash(key) % size`` for a block of keys, in one pass.
-
-    Returns ``(slots, error)``.  ``error`` is ``None`` when every key
-    hashed; otherwise it is the ``TypeError`` :func:`stable_hash`
-    raised for the first key it does not cover and ``slots`` stops
-    before that key, so a caller can finish the hashable prefix (what
-    key-at-a-time placement would have done) and then raise it.
-    """
-    if fmt is not None:
-        crc32 = zlib.crc32
-        try:
-            return [crc32(fmt % key) % size for key in keys], None
-        except TypeError:
-            pass  # some key needs the fallback: place the block per key
-    hash_key = key_hasher(fmt)
-    slots: List[int] = []
-    try:
-        for key in keys:
-            slots.append(hash_key(key) % size)
-    except TypeError as error:
-        return slots, error
-    return slots, None
 
 
 def derive_seed(seed: int, *names: Any) -> int:

@@ -25,8 +25,10 @@ and every generated entry point catches it and discards the tuple --
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
+from zlib import crc32
 
 from repro.determinism import int_key_format
 from repro.gsql.ast_nodes import (
@@ -40,10 +42,11 @@ from repro.gsql.ast_nodes import (
     UnaryOp,
 )
 from repro.gsql.functions import FunctionRegistry, FunctionSpec
+from repro.gsql.planner import column_slots
 from repro.gsql.semantic import AggRef, AnalyzedQuery, KeyRef
 from repro.gsql.types import BOOL, FLOAT, GSQLType
 from repro.gsql.unparse import conjunction_to_gsql
-from repro.net.columnar import Prefilter
+from repro.net.columnar import ActionSource, Prefilter, RowAction
 
 
 class DiscardTuple(Exception):
@@ -102,11 +105,12 @@ class ExprCompiler:
         self.params: Dict[str, Any] = dict(params or {})
         self.mode = mode
         self.generated_sources: List[str] = []
-        self._env: Dict[str, Any] = {"P": self.params, "DiscardTuple": DiscardTuple}
+        self._env: Dict[str, Any] = {"P": self.params, "_crc32": crc32,
+                                     "DiscardTuple": DiscardTuple}
         self._counter = 0
         #: when set, column references compile to something other than
-        #: tuple indexing: (slot -> source, used-slot set)
-        self._column_ref: Optional[Tuple[Callable[[int], str], set]] = None
+        #: tuple indexing: slot -> source (see :meth:`_reading`)
+        self._column_ref: Optional[Callable[[int], str]] = None
         #: the name generated code reads the parameter dict under
         self._params_ref = "P"
         self._handle_cache: Dict[Tuple[str, Any], str] = {}
@@ -167,11 +171,13 @@ class ExprCompiler:
     # The scalar API compiles the predicate and the tuple builder into
     # *separate* callables and the operator chains them per tuple; the
     # fused variants emit ONE generated function that runs the whole
-    # interpret->predicate->project (or ->key) pipeline over a list of
-    # rows, hoisting the call chain out of the inner loop (MonetDB/X100
-    # style vectorized execution; DESIGN section 10).  Per-row semantics
-    # are byte-identical to the scalar chain: conjuncts short-circuit in
-    # the same order and DiscardTuple counts the row as discarded.
+    # predicate->project (or ->key->fold) pipeline over a block of rows,
+    # hoisting the call chain out of the inner loop (MonetDB/X100 style
+    # vectorized execution; DESIGN section 10).  Per-row semantics are
+    # byte-identical to the scalar chain: conjuncts short-circuit in the
+    # same order and DiscardTuple counts the row as discarded
+    # (_row_source).  Interpreted mode runs the same loops, calling its
+    # tree-walking closures per row.
 
     def batch_select_fn(
         self,
@@ -185,86 +191,40 @@ class ExprCompiler:
         is handed to ``append``; the return value counts rows dropped
         by the predicate or by a partial function with no result.
         """
-        if self.mode == "interpreted":
-            predicate = self.predicate_fn(conjuncts, slot_maps)
-            project = self.tuple_fn(exprs, slot_maps)
-            return _chained_batch_select(predicate, project)
-        pred_src = " and ".join(
-            "(" + self._compile(c, slot_maps, 1) + ")" for c in conjuncts
-        )
-        parts = [self._compile(e, slot_maps, 1) for e in exprs]
-        build = _tuple_src(parts)
-        return self._finalize_batch(pred_src, f"append({build})")
-
-    def batch_key_fn(
-        self,
-        conjuncts: Sequence[Expr],
-        group_exprs: Sequence[Expr],
-        slot_maps: Sequence[SlotMap] = (None,),
-    ) -> Callable[[Sequence[tuple]], Tuple[int, List[tuple], List[tuple]]]:
-        """One fused ``f(rows) -> (discarded, keys, rows_out)`` for
-        aggregation -- the row-decoded twin of :meth:`columnar_key_fn`.
-
-        ``keys`` are the group keys of the rows that pass the predicate
-        and build a key, ``rows_out`` those rows; the aggregation
-        kernel (:meth:`lfta_aggregate_fn` / :meth:`hfta_aggregate_fn`)
-        takes the pair of lists from either.
-        """
-        if self.mode == "interpreted":
-            predicate = self.predicate_fn(conjuncts, slot_maps)
-            key_fn = self.tuple_fn(group_exprs, slot_maps)
-            return _chained_batch_key(predicate, key_fn)
-        pred_src = " and ".join(
-            "(" + self._compile(c, slot_maps, 1) + ")" for c in conjuncts
-        )
-        guard = [f"if not ({pred_src}):",
-                 "    d += 1",
-                 "    continue"] if pred_src else []
-        parts = [self._compile(e, slot_maps, 1) for e in group_exprs]
-        return self._link("rows", [
-            "d = 0",
-            "keys = []",
-            "out = []",
-            "_ka = keys.append",
-            "_oa = out.append",
+        row = self._row_source(conjuncts, exprs, slot_maps)
+        return self._link("rows, append", [
+            "dropped = 0",
             "for t in rows:",
-            "    try:",
-        ] + _indent(guard + [f"_k = {_tuple_src(parts)}"], 2) + [
-            "    except DiscardTuple:",
-            "        d += 1",
-            "        continue",
-            "    _ka(_k)",
-            "    _oa(t)",
-            "return d, keys, out",
+        ] + _indent(row.lines + [f"append({row.key})"]) + [
+            "return dropped",
         ])
 
-    # -- columnar (block) entry points --------------------------------------
+    # -- the capture front end (DESIGN section 14) ---------------------------
     #
-    # The batched entry points above still loop tuple-at-a-time over a
-    # list of row tuples (the row adapter's output).  The columnar
-    # variants run over a ColumnarBlock instead -- decoded by the plan's
-    # generated block decoder (block_decoder_fn), or handed over by the
-    # RTS when LFTAs on one interface share a decode: predicate conjuncts
-    # are evaluated column-wise over a shrinking survivor index list
-    # (short-circuiting across conjuncts exactly like the scalar `and`
-    # chain), and only the final survivors' output columns are gathered
-    # -- the lazy-decode rule of DESIGN section 14.  Per-row semantics
-    # stay byte-identical: a row evaluates conjunct k iff it passed
-    # conjuncts 1..k-1, DiscardTuple counts the row discarded once, and
-    # expressions are pure so regrouping the evaluation order per
-    # conjunct is unobservable.
+    # A plan's per-row work is rendered once, as a RowAction, and spliced
+    # under whichever loop header owns its rows: the plan's own generated
+    # decode loop (block_decoder_fn), a decode group's shared block
+    # (repro.net.columnar.shared_rows_kernel) or the row adapter's tuples
+    # (lfta_adapter_fn).  Nothing is materialized between decode and
+    # operator state, so the semantics are row-at-a-time by construction:
+    # conjuncts short-circuit in order, DiscardTuple discards the row
+    # whole, and an error at row k leaves counters, state and output as k
+    # single-row steps would.
 
     def block_decoder_fn(self, protocol, needed: Sequence[int],
                          pushed: Optional[Prefilter] = None,
-                         lean: bool = False) -> Optional[Callable]:
-        """The generated block decoder ``f(packets) -> ColumnarBlock``
-        covering attribute positions ``needed`` of ``protocol``
-        (:mod:`repro.net.columnar`: the protocol guard plus one struct
-        over only the bytes those attributes and the guard read), with
-        the prefix ``pushed`` (:meth:`prefilter`) tested inside its
-        loop: a packet it kills never becomes a row.  ``lean`` asks for
-        the form that unpacks the fields only survivors need after the
-        test.
+                         lean: bool = False,
+                         action: Optional[RowAction] = None
+                         ) -> Optional[Callable]:
+        """The generated block decoder ``f(packets)`` covering attribute
+        positions ``needed`` of ``protocol`` (:mod:`repro.net.columnar`:
+        the protocol guard plus one struct over only the bytes those
+        attributes and the guard read), with the prefix ``pushed``
+        (:meth:`prefilter`) tested inside its loop -- a packet it kills
+        never becomes a row -- and ``action`` (:meth:`lfta_action`) run
+        on every row that does; without one the rows come back as a
+        ``ColumnarBlock``.  ``lean`` asks for the form that unpacks the
+        fields only survivors need after the test.
 
         None in interpreted mode, for a protocol without a layout --
         the caller keeps the row adapter -- and for a lean form that
@@ -275,7 +235,7 @@ class ExprCompiler:
         if self.mode == "interpreted":
             return None
         decoder = protocol.block_decoder(
-            needed, () if pushed is None else (pushed,), lean)
+            needed, () if pushed is None else (pushed,), lean, action)
         if decoder is None:
             return None
         self.generated_sources.append(decoder.source)
@@ -296,168 +256,185 @@ class ExprCompiler:
             return None
 
         def render(columns, params: str) -> str:
-            self._params_ref = params
-            try:
-                return " and ".join(
-                    self._compile_columnar(
-                        conjunct, (None,), columns.__getitem__, set())
-                    for conjunct in conjuncts)
-            finally:
-                self._params_ref = "P"
+            with self._reading(columns, params):
+                return self._conjunction(conjuncts, (None,))
 
-        nodes = [node for conjunct in conjuncts for node in conjunct.walk()]
-        slots = frozenset(self.analyzed.binding_of(node).attr_index
-                          for node in nodes if isinstance(node, Column))
-        reads_params = any(isinstance(node, Param) for node in nodes)
-        return Prefilter(slots, render,
+        reads_params = any(isinstance(node, Param) for conjunct in conjuncts
+                           for node in conjunct.walk())
+        return Prefilter(frozenset(column_slots(self.analyzed, conjuncts)),
+                         render,
                          self.params if reads_params else None,
                          conjunction_to_gsql(conjuncts))
 
-    def columnar_select_fn(
+    def lfta_action(self, plan, node, skip: int = 0) -> RowAction:
+        """What the LFTA ``node`` of ``plan`` (an ``LftaPlan``) does
+        with a row once a loop header has it, after the first ``skip``
+        conjuncts (the pushed prefix, when the header's loop tested
+        it): the ``DEFINE sample`` draw, the remaining conjuncts in
+        order, then
+
+        * projection: build the output tuple onto a block-local list;
+        * partial aggregation: build the group key, evaluate the
+          aggregate arguments (no result => the row is discarded,
+          nothing touched), check the window high-water mark, place
+          the key (``crc32(fmt % k) % size``, :meth:`key_hash_format`),
+          probe the direct-mapped table and fold with the shed gate's
+          Horvitz-Thompson weight.  An ejected group's
+          ``key + partials`` row joins the block-local list, which
+          leaves ahead of any window flush.
+
+        The ``finally`` of the loop the lines are spliced under moves
+        the node's counters and emits the list, so an exception at row
+        *k* leaves table, counters and output as *k* single-row blocks
+        would.  In interpreted mode the lines call the tree-walking
+        closures instead; there the only header is the row adapter's.
+        """
+        conjuncts = plan.predicates[skip:]
+        maps = (None, None)
+        sampled = plan.sample_rate is not None
+        projection = plan.mode == "projection"
+        exprs = plan.project_exprs if projection else plan.group_exprs
+        arguments = [agg.arg for agg in plan.aggregates
+                     if agg.arg is not None]
+
+        def render(columns=None) -> ActionSource:
+            setup = ["dropped = 0"]
+            body: List[str] = []
+            finish = ["node.stats.discarded += dropped"]
+            if sampled:
+                setup += ["sampled = 0"] + _SAMPLE_SETUP
+                body += _sample_gate("sampled")
+                finish.append("node.sampled_out += sampled")
+            with self._reading(columns):
+                if projection:
+                    row = self._row_source(conjuncts, exprs, maps)
+                    setup += ["out = []", "emit = out.append"]
+                    body += row.lines + [f"emit({row.key})"]
+                else:
+                    src = self._aggregate_source(plan.aggregates, maps)
+                    row = self._row_source(conjuncts, exprs, maps, src.args,
+                                           target="k")
+                    setup += src.bind + _TABLE_SETUP
+                    body += row.lines
+                    if plan.window_key_index >= 0:
+                        setup += _WINDOW_SETUP
+                        body += _window_check("k[index]", _EMIT_EJECTED)
+                    body += _place_key(self.key_hash_format(exprs))
+                    body += _table_probe(src)
+                    finish.append(
+                        "table.close_block(lookups, occupied, collisions)")
+            finish.append("node.emit_many(out)")
+            return ActionSource(setup, body, finish,
+                                dict(self._env, node=node))
+
+        return RowAction(frozenset(column_slots(
+            self.analyzed, conjuncts + exprs + arguments)), render)
+
+    def lfta_adapter_fn(self, action: RowAction) -> Callable:
+        """``f(packets, views)``: the row adapter's loop header around
+        ``action`` -- every tuple the node's sparse interpreter makes
+        of a packet (``node._interpret``; an expander may make several)
+        goes through the action before the next packet is touched."""
+        spliced = action.render()
+        return self._link("packets, views", [
+            "interpret = node._interpret",
+            "m = 0",
+        ] + spliced.setup + [
+            "try:",
+            "    for p, view in zip(packets, views):",
+            "        for t in interpret(p, view):",
+            "            m += 1",
+        ] + _indent(spliced.body, 3) + [
+            "finally:",
+            "    node.stats.tuples_in += m",
+        ] + _indent(spliced.finish), spliced.env)
+
+    # -- row sources ----------------------------------------------------------
+
+    @contextmanager
+    def _reading(self, columns=None, params: str = "P"):
+        """Compile column references as ``columns[slot]`` (None: tuple
+        indexing, ``t[slot]``) and ``$param`` reads off the dict named
+        ``params`` for the length of the block."""
+        previous = self._column_ref, self._params_ref
+        self._column_ref = None if columns is None else columns.__getitem__
+        self._params_ref = params
+        try:
+            yield
+        finally:
+            self._column_ref, self._params_ref = previous
+
+    def _conjunction(self, conjuncts: Sequence[Expr],
+                     slot_maps: Sequence[SlotMap]) -> str:
+        return " and ".join(
+            "(" + self._compile(c, slot_maps, 1) + ")" for c in conjuncts)
+
+    def _bind_value(self, value: Any) -> str:
+        """``value`` under a fresh name in the generated code's globals."""
+        name = f"_i{self._counter}"
+        self._counter += 1
+        self._env[name] = value
+        return name
+
+    def _row_source(
         self,
         conjuncts: Sequence[Expr],
         exprs: Sequence[Expr],
-        slot_maps: Sequence[SlotMap] = (None,),
-    ) -> Optional[Callable]:
-        """One fused ``f(block, rows, append) -> discarded`` for select
-        plans over a ColumnarBlock; ``rows`` is the initial survivor
-        index list.  Returns None in interpreted mode (there is no
-        chained fallback over blocks -- the caller keeps the row
-        adapter)."""
-        if self.mode == "interpreted":
-            return None
-        filter_src = self._columnar_filter_src(conjuncts, slot_maps)
-        build_slots: set = set()
-        parts = [
-            self._compile_columnar(e, slot_maps, "_o{}[j]".format, build_slots)
-            for e in exprs
-        ]
-        build = _tuple_src(parts)
-        gathers = "".join(
-            f"    _o{slot} = B.gather({slot}, rows)\n"
-            for slot in sorted(build_slots)
-        )
-        name = f"_g{self._counter}"
-        self._counter += 1
-        source = (
-            f"def {name}(B, rows, append):\n"
-            f"    d = 0\n"
-            f"{filter_src}"
-            f"{gathers}"
-            f"    for j in range(len(rows)):\n"
-            f"        try:\n"
-            f"            append({build})\n"
-            f"        except DiscardTuple:\n"
-            f"            d += 1\n"
-            f"    return d\n"
-        )
-        return self._finalize_source(name, source)
-
-    def columnar_key_fn(
-        self,
-        conjuncts: Sequence[Expr],
-        group_exprs: Sequence[Expr],
-        row_slots: Sequence[int],
-        width: int,
-        slot_maps: Sequence[SlotMap] = (None,),
-    ) -> Optional[Callable]:
-        """One fused ``f(block, rows) -> (discarded, keys, rows_out)``
-        for partial aggregation over a ColumnarBlock.
-
-        ``keys`` are the group-key tuples of the surviving rows and
-        ``rows_out`` their schema-width row tuples with only
-        ``row_slots`` (the slots the aggregate argument expressions
-        read) materialized -- the aggregate update keeps evaluating its
-        arguments per row, preserving partial-function semantics.
+        slot_maps: Sequence[SlotMap],
+        then: Sequence[str] = (),
+        target: Optional[str] = "x",
+        parts: bool = False,
+    ) -> "_RowSource":
+        """The lines that test ``conjuncts`` in order, build ``exprs``
+        into the tuple ``target`` (``parts``: into one local per
+        element instead, ``target0`` ...; no ``exprs`` bind the empty
+        tuple, the one group of an aggregate without GROUP BY; a None
+        ``target`` builds nothing) and run ``then`` (aggregate
+        arguments) -- everything about a row that can have no result,
+        ahead of anything that touches state.  No result counts the row
+        into ``dropped`` and ``continue``s.  In interpreted mode the
+        lines call the tree-walking closures.
         """
+        drop = ["    dropped += 1", "    continue"]
         if self.mode == "interpreted":
-            return None
-        filter_src = self._columnar_filter_src(conjuncts, slot_maps)
-        gather_slots: set = set(row_slots)
-        key_parts = [
-            self._compile_columnar(e, slot_maps, "_o{}[j]".format, gather_slots)
-            for e in group_exprs
-        ]
-        key = _tuple_src(key_parts)
-        row_set = set(row_slots)
-        row_parts = [
-            (f"_o{slot}[j]" if slot in row_set else "None")
-            for slot in range(width)
-        ]
-        row = _tuple_src(row_parts)
-        gathers = "".join(
-            f"    _o{slot} = B.gather({slot}, rows)\n"
-            for slot in sorted(gather_slots)
-        )
-        name = f"_g{self._counter}"
-        self._counter += 1
-        source = (
-            f"def {name}(B, rows):\n"
-            f"    d = 0\n"
-            f"{filter_src}"
-            f"{gathers}"
-            f"    keys = []\n"
-            f"    out = []\n"
-            f"    _ka = keys.append\n"
-            f"    _oa = out.append\n"
-            f"    for j in range(len(rows)):\n"
-            f"        try:\n"
-            f"            _k = {key}\n"
-            f"        except DiscardTuple:\n"
-            f"            d += 1\n"
-            f"            continue\n"
-            f"        _ka(_k)\n"
-            f"        _oa({row})\n"
-            f"    return d, keys, out\n"
-        )
-        return self._finalize_source(name, source)
+            lines: List[str] = []
+            if conjuncts:
+                test = self._bind_value(self.predicate_fn(conjuncts, slot_maps))
+                lines += [f"if not {test}(t):"] + drop
+            if exprs:
+                build = self._bind_value(self.tuple_fn(exprs, slot_maps))
+                lines += [f"{target} = {build}(t)", f"if {target} is None:"] + drop
+            elif target is not None:
+                lines.append(f"{target} = ()")
+            if then:
+                lines += ["try:"] + _indent(then) + ["except DiscardTuple:"] + drop
+            return _RowSource(lines, target, None)
+        inner: List[str] = []
+        if conjuncts:
+            inner += [f"if not ({self._conjunction(conjuncts, slot_maps)}):"] + drop
+        built = [self._compile(e, slot_maps, 1) for e in exprs]
+        names = None
+        if parts:
+            names = [f"{target}{i}" for i in range(len(built))]
+            inner += [f"{name} = {src}" for name, src in zip(names, built)]
+            target = _tuple_src(names)
+        elif target is not None:
+            inner.append(f"{target} = {_tuple_src(built)}")
+        inner += then
+        if inner:
+            inner = (["try:"] + _indent(inner)
+                     + ["except DiscardTuple:"] + drop)
+        return _RowSource(inner, target, names)
 
-    def _columnar_filter_src(
-        self, conjuncts: Sequence[Expr], slot_maps: Sequence[SlotMap]
-    ) -> str:
-        """Per-conjunct survivor-list filter loops (shared preamble)."""
-        lines: List[str] = []
-        declared: set = set()
-        for conjunct in conjuncts:
-            used: set = set()
-            src = self._compile_columnar(
-                conjunct, slot_maps, "_c{}[i]".format, used)
-            for slot in sorted(used - declared):
-                lines.append(f"    _c{slot} = B.col({slot})\n")
-            declared |= used
-            lines.append(
-                "    keep = []\n"
-                "    _ka = keep.append\n"
-                "    for i in rows:\n"
-                "        try:\n"
-                f"            if ({src}):\n"
-                "                _ka(i)\n"
-                "            else:\n"
-                "                d += 1\n"
-                "        except DiscardTuple:\n"
-                "            d += 1\n"
-                "    rows = keep\n"
-            )
-        return "".join(lines)
-
-    def _compile_columnar(
-        self, expr: Expr, slot_maps: Sequence[SlotMap],
-        ref: Callable[[int], str], used: set,
-    ) -> str:
-        """Compile ``expr`` with each column reference rewritten to
-        ``ref(slot)`` (a columnar array read, a position in a decoder's
-        unpack tuple); collects slots."""
-        self._column_ref = (ref, used)
-        try:
-            return self._compile(expr, slot_maps, 1)
-        finally:
-            self._column_ref = None
-
-    def _finalize_source(self, name: str, source: str) -> Callable:
+    def _finalize_source(self, name: str, source: str,
+                         env: Optional[Dict[str, Any]] = None) -> Callable:
+        """Record ``source`` and link it against ``env`` (default: this
+        compiler's own globals)."""
+        env = self._env if env is None else env
         self.generated_sources.append(source)
         code = compile(source, f"<gsql:{self.analyzed.name or 'anonymous'}>", "exec")
-        exec(code, self._env)
-        return self._env[name]
+        exec(code, env)
+        return env[name]
 
     # -- aggregate kernels --------------------------------------------------
     #
@@ -466,12 +443,12 @@ class ExprCompiler:
     # loop unrolls into straight-line statements with the argument
     # expressions inlined (_aggregate_source).  Those statements are
     # linked twice: as the stand-alone AggregateOps methods
-    # (aggregate_kernels) and inside the per-plan block kernels that run
-    # a whole block's probe/fold/eject loop (lfta_aggregate_fn,
-    # hfta_aggregate_fn; DESIGN section 18).  Every argument is
-    # evaluated before any state is touched, so a DiscardTuple discards
-    # the tuple whole; an error raised by a fold leaves the slots before
-    # it folded, exactly as the generic loop does.
+    # (aggregate_kernels) and inside the per-plan loops that probe, fold
+    # and eject per row (lfta_action, hfta_aggregate_fn; DESIGN section
+    # 18).  Every argument is evaluated before any state is touched, so
+    # a DiscardTuple discards the tuple whole; an error raised by a fold
+    # leaves the slots before it folded, exactly as the generic loop
+    # does.
 
     def key_hash_format(self, group_exprs: Sequence[Expr]) -> Optional[bytes]:
         """The ``%d`` format that hashes this plan's group keys
@@ -594,13 +571,14 @@ class ExprCompiler:
             fold=fold, fold_weighted=weighted, combine=combine,
             partials=_tuple_src(partials), final_values=_tuple_src(finals))
 
-    def _link(self, signature: str, body: Sequence[str]) -> Callable:
+    def _link(self, signature: str, body: Sequence[str],
+              env: Optional[Dict[str, Any]] = None) -> Callable:
         """Compile ``def _gN(signature):`` over ``body`` lines."""
         name = f"_g{self._counter}"
         self._counter += 1
         return self._finalize_source(
             name, f"def {name}({signature}):\n" + "".join(
-                line + "\n" for line in _indent(body or ["pass"])))
+                line + "\n" for line in _indent(body or ["pass"])), env)
 
     def aggregate_kernels(
         self,
@@ -640,145 +618,87 @@ class ExprCompiler:
     # ``node._groups``, ``node._high_water``, ``node._window_index`` /
     # ``_window_band``, ``node.stats``) and call back into it for what
     # stays per window, not per row (``node._flush_below``,
-    # ``node.emit_many``).
+    # ``node.emit_many``).  The LFTA's is its row action
+    # (:meth:`lfta_action`); the HFTA's follows.
 
-    def lfta_aggregate_fn(
-        self,
-        aggregates: Sequence[AggCall],
-        slot_maps: Sequence[SlotMap],
-        windowed: bool,
-    ) -> Callable:
-        """The LFTA's ``f(node, keys, rows, w)``: one block of group
-        keys and their rows through the direct-mapped table.
+    def hfta_aggregate_fn(self, plan) -> Callable:
+        """The HFTA's ``f(node, rows)`` for ``plan`` (an aggregation
+        ``HftaPlan``): one block into the group dict, one loop.
 
-        Slot indices for the whole block first, then per row: the
-        aggregate arguments (no result => the row is discarded, nothing
-        touched), the window high-water check (``windowed`` plans only),
-        the probe, and the fold with weight ``w`` (1.0 = unweighted).
-        An ejected group's ``key + partials`` row joins a block-local
-        list that is emitted before any window flush and at block end,
-        so the output order is the row-at-a-time order; the table's
-        counters move once per block.  An exception at row *k* leaves
-        table, counters and output as *k* row-at-a-time steps would.
+        Raw tuples: per row the ``DEFINE sample`` draw, the predicate,
+        the group expressions into locals and the aggregate arguments
+        (no result from any of them discards the row, nothing
+        touched); then the *key-run cache*: the key's parts are
+        compared with the previous row's, and an unchanged key folds
+        straight into the state already in hand -- no key tuple, no
+        window check, no dict probe -- which is what an ordered group
+        key makes the common case (paper Section 2.1).  A changed key
+        builds the tuple, checks the window high-water mark and
+        probes.  The cache lives for one block and is refilled by the
+        probe that follows any ``_flush_below``, which only a changed
+        key can reach.  Equality is the dict's own: parts that compare
+        equal (``1``, ``1.0``, ``True``) share a group there too, and a
+        NaN part never equals itself, so it probes every row.
+
+        Partial aggregates (``plan.final_from_partials``): the key is
+        the first slots of the row and the rest is combined into the
+        group, after the predicate; no cache (an LFTA emits a group
+        once per window).
         """
-        src = self._aggregate_source(aggregates, slot_maps)
-        setup = [
-            "table = node.table",
-            "slots, indices, error = table.open_block(keys)",
-            "weighted = w != 1.0",
-            "out = []",
-            "eject = out.append",
-            "lookups = occupied = collisions = discarded = 0",
-        ] + src.bind
-        loop = _guarded_args(src)
-        if windowed:
-            setup += _WINDOW_SETUP
-            loop += _window_check([
-                "if out:",
-                "    closed, out = out, []",
-                "    eject = out.append",
-                "    node.emit_many(closed)",
-            ])
-        loop += [
-            "lookups += 1",
-            "e = slots[i]",
-            "if e is not None and e[0] == k:",
-            "    s = e[1]",
-            "else:",
-            f"    s = {src.new_state}",
-            "    slots[i] = (k, s)",
-            "    if e is None:",
-            "        occupied += 1",
-            "    else:",
-            "        collisions += 1",
-            "        q = e[1]",
-            "        eject(e[0] + " + src.partials.format(s="q") + ")",
-            "if weighted:",
-        ] + _indent(src.fold_weighted or ["pass"]) + [
-            "else:",
-        ] + _indent(src.fold or ["pass"])
-        return self._link("node, keys, rows, w", setup + [
-            "try:",
-            "    for i, k, t in zip(indices, keys, rows):",
-        ] + _indent(loop, 2) + [
-            "finally:",
-            "    table.close_block(lookups, occupied, collisions)",
-            "    node.stats.discarded += discarded",
-            "    node.emit_many(out)",
-            "if error is not None:",
-            "    raise error",
-        ])
-
-    def hfta_aggregate_fn(
-        self,
-        aggregates: Sequence[AggCall],
-        slot_maps: Optional[Sequence[SlotMap]],
-        windowed: bool,
-        key_width: int,
-        filtered: bool = False,
-    ) -> Callable:
-        """The HFTA's ``f(node, keys, rows)``: one block into the
-        group dict.
-
-        With ``slot_maps`` the rows are raw tuples, ``keys`` their group
-        keys (:meth:`batch_key_fn`), and each row's arguments are
-        evaluated, then folded.  With ``slot_maps=None`` the rows are
-        partial aggregates (``keys`` is unused): the key is the first
-        ``key_width`` slots and the rest is combined into the group --
-        after ``node._predicate`` when the plan is ``filtered``.
-        """
-        partials = slot_maps is None
-        src = self._aggregate_source(
-            aggregates, slot_maps, key_width if partials else None)
-        setup = ["groups = node._groups", "discarded = 0"] + src.bind
+        partials = plan.final_from_partials
+        slot_maps = tuple(plan.slot_maps)
+        setup = ["groups = node._groups", "dropped = 0"]
+        loop: List[str] = []
         if partials:
-            header = "for t in rows:"
-            loop = [f"k = t[:{key_width}]"]
-            if filtered:
-                setup.append("predicate = node._predicate")
-                loop = ["if not predicate(t):",
-                        "    discarded += 1",
-                        "    continue"] + loop
+            key_width = len(self.analyzed.group_exprs)
+            src = self._aggregate_source(plan.aggregates, None, key_width)
+            row = self._row_source(plan.predicates, (), slot_maps,
+                                   target=None)
+            loop += row.lines + [f"k = t[:{key_width}]"]
+            window = "k[index]"
         else:
-            header = "for k, t in zip(keys, rows):"
-            loop = _guarded_args(src)
-        if windowed:
-            setup += _WINDOW_SETUP
-            loop += _window_check()
-        loop += [
+            src = self._aggregate_source(plan.aggregates, slot_maps)
+            row = self._row_source(plan.predicates, plan.group_exprs,
+                                   slot_maps, src.args, target="g",
+                                   parts=True)
+            if plan.sample_rate is not None:
+                setup += _SAMPLE_SETUP
+                loop += _sample_gate("dropped")
+            loop += row.lines
+            if row.parts is None:  # interpreted: the key arrives whole
+                cached = ["k"]
+                window = "k[index]"
+            else:
+                cached = [f"k{i}" for i in range(len(row.parts))]
+                window = f"g{plan.window_key_index}"
+            setup.append(" = ".join(["s"] + cached + ["None"]))
+        setup += src.bind
+        probe = [
             "s = groups.get(k)",
             "if s is None:",
             f"    s = groups[k] = {src.new_state}",
-        ] + (src.combine if partials else src.fold)
-        return self._link("node, keys, rows", setup + [
+        ]
+        if plan.window_key_index >= 0:
+            setup += _WINDOW_SETUP
+            probe = _window_check(window) + probe
+        if partials:
+            loop += probe + src.combine
+        else:
+            parts = [row.key] if row.parts is None else row.parts
+            changed = " or ".join(
+                ["s is None"] + [f"{new} != {old}"
+                                 for new, old in zip(parts, cached)])
+            commit = [f"{old} = {new}" for new, old in zip(parts, cached)]
+            if row.parts is not None:
+                commit.append(f"k = {row.key}")
+            loop += [f"if {changed}:"] + _indent(commit + probe) + src.fold
+        return self._link("node, rows", setup + [
             "try:",
-            "    " + header,
+            "    for t in rows:",
         ] + _indent(loop, 2) + [
             "finally:",
-            "    node.stats.discarded += discarded",
+            "    node.stats.discarded += dropped",
         ])
-
-    def _finalize_batch(self, pred_src: str, action: str) -> Callable:
-        name = f"_g{self._counter}"
-        self._counter += 1
-        guard = (f"            if not ({pred_src}):\n"
-                 f"                d += 1\n"
-                 f"                continue\n") if pred_src else ""
-        source = (
-            f"def {name}(rows, append):\n"
-            f"    d = 0\n"
-            f"    for t in rows:\n"
-            f"        try:\n"
-            f"{guard}"
-            f"            {action}\n"
-            f"        except DiscardTuple:\n"
-            f"            d += 1\n"
-            f"    return d\n"
-        )
-        self.generated_sources.append(source)
-        code = compile(source, f"<gsql:{self.analyzed.name or 'anonymous'}>", "exec")
-        exec(code, self._env)
-        return self._env[name]
 
     def post_tuple_fn(self, exprs: Sequence[Expr]) -> Callable[[tuple, tuple], Optional[tuple]]:
         """Post-aggregation tuple builder over (key, agg-values)."""
@@ -870,9 +790,7 @@ class ExprCompiler:
         slot_map = slot_maps[bound.source_index] if bound.source_index < len(slot_maps) else None
         slot = bound.attr_index if slot_map is None else slot_map[bound.attr_index]
         if self._column_ref is not None:
-            ref, used = self._column_ref
-            used.add(slot)
-            return ref(slot)
+            return self._column_ref(slot)
         names = _ARG_NAMES[arity]
         var = names[bound.source_index] if arity == 2 else names[0]
         return f"{var}[{slot}]"
@@ -1044,15 +962,27 @@ def _indent(lines: Sequence[str], levels: int = 1) -> List[str]:
     return ["    " * levels + line for line in lines]
 
 
-def _guarded_args(src: _AggregateSource) -> List[str]:
-    """Evaluate the aggregate arguments; no result discards the row."""
-    if not src.args:
-        return []
-    return ["try:"] + _indent(src.args) + [
-        "except DiscardTuple:",
-        "    discarded += 1",
-        "    continue",
-    ]
+class _RowSource(NamedTuple):
+    """What :meth:`ExprCompiler._row_source` rendered."""
+
+    #: per row; no result => ``dropped += 1`` and ``continue``
+    lines: List[str]
+    #: expression: the tuple the expressions built
+    key: str
+    #: its elements as locals when asked for by parts; None when the
+    #: tuple arrives whole (not asked for, or interpreted mode)
+    parts: Optional[List[str]]
+
+
+_SAMPLE_SETUP = [
+    "rate = node._sample_rate",
+    "draw = node._sample_rng.random",
+]
+
+
+def _sample_gate(counter: str) -> List[str]:
+    """The ``DEFINE sample`` draw, once per row in arrival order."""
+    return ["if draw() >= rate:", f"    {counter} += 1", "    continue"]
 
 
 _WINDOW_SETUP = [
@@ -1062,11 +992,12 @@ _WINDOW_SETUP = [
 ]
 
 
-def _window_check(before_flush: Sequence[str] = ()) -> List[str]:
-    """A key past the window high-water mark closes the groups below
-    it -- after ``before_flush``, what must leave the node first."""
+def _window_check(value: str, before_flush: Sequence[str] = ()) -> List[str]:
+    """A window key (``value``) past the high-water mark closes the
+    groups below it -- after ``before_flush``, what must leave the node
+    first."""
     return [
-        "x = k[index]",
+        f"x = {value}",
         "if high is None or x > high:",
         "    high = node._high_water = x",
     ] + _indent(before_flush) + [
@@ -1074,41 +1005,67 @@ def _window_check(before_flush: Sequence[str] = ()) -> List[str]:
     ]
 
 
-def _chained_batch_select(predicate, project):
-    """Interpreted-mode batch select: loop the scalar call chain."""
-    def run(rows, append):
-        d = 0
-        for t in rows:
-            if not predicate(t):
-                d += 1
-                continue
-            out = project(t)
-            if out is None:
-                d += 1
-                continue
-            append(out)
-        return d
-    return run
+# The LFTA's direct-mapped table, probed in place: the slot array stays
+# valid across ``evict_if`` (a window flush clears slots in place), and
+# the counters move once per block (``close_block``).
+_TABLE_SETUP = [
+    "table = node.table",
+    "slots = table._slots",
+    "size = table.size",
+    "hash_key = table._hash",
+    "shed = node.shed_rate",
+    "weighted = shed < 1.0",
+    "w = 1.0 / shed",
+    "out = []",
+    "eject = out.append",
+    "lookups = occupied = collisions = 0",
+]
+
+#: ejected groups leave ahead of the groups a window flush closes
+_EMIT_EJECTED = [
+    "if out:",
+    "    closed, out = out, []",
+    "    eject = out.append",
+    "    node.emit_many(closed)",
+]
 
 
-def _chained_batch_key(predicate, key_fn):
-    """Interpreted-mode batch keying: loop the scalar call chain."""
-    def run(rows):
-        d = 0
-        keys = []
-        out = []
-        for t in rows:
-            if not predicate(t):
-                d += 1
-                continue
-            key = key_fn(t)
-            if key is None:
-                d += 1
-                continue
-            keys.append(key)
-            out.append(t)
-        return d, keys, out
-    return run
+def _place_key(fmt: Optional[bytes]) -> List[str]:
+    """``i``: the slot of key ``k``, ``stable_hash(k) % size`` -- through
+    the plan's ``%d`` format when it has one, a key the format does not
+    render (``None`` in it) falling back per key.  A key no hash covers
+    raises here, before the probe is counted."""
+    if fmt is None:
+        return ["i = hash_key(k) % size"]
+    return [
+        "try:",
+        f"    i = _crc32({fmt!r} % k) % size",
+        "except TypeError:",
+        "    i = hash_key(k) % size",
+    ]
+
+
+def _table_probe(src: _AggregateSource) -> List[str]:
+    """Probe slot ``i`` for ``k``, ejecting a resident stranger, and
+    fold the evaluated arguments with the shed gate's weight."""
+    return [
+        "lookups += 1",
+        "e = slots[i]",
+        "if e is not None and e[0] == k:",
+        "    s = e[1]",
+        "else:",
+        f"    s = {src.new_state}",
+        "    slots[i] = (k, s)",
+        "    if e is None:",
+        "        occupied += 1",
+        "    else:",
+        "        collisions += 1",
+        "        q = e[1]",
+        "        eject(e[0] + " + src.partials.format(s="q") + ")",
+        "if weighted:",
+    ] + _indent(src.fold_weighted or ["pass"]) + [
+        "else:",
+    ] + _indent(src.fold or ["pass"])
 
 
 def _tuple_src(parts: Sequence[str]) -> str:

@@ -43,7 +43,7 @@ from repro.gsql.semantic import (
 )
 from repro.gsql.schema import Attribute, ProtocolSchema, StreamSchema
 from repro.gsql.types import FLOAT, ULLONG
-from repro.gsql.unparse import conjunction_to_gsql
+from repro.gsql.unparse import conjunction_to_gsql, expr_to_gsql
 from repro.net.columnar import HEADER_REACH, describe_formats
 
 # Fields a commodity NIC's BPF engine can test (paper: "Other NICs allow
@@ -120,6 +120,23 @@ class LftaPlan:
         exprs = self.predicates + self.project_exprs + self.group_exprs
         exprs += [agg.arg for agg in self.aggregates if agg.arg is not None]
         return column_slots(analyzed, exprs)
+
+    def kernel_stages(self, decoded: bool) -> List[str]:
+        """What this LFTA's one generated loop does to a packet, in
+        order, for EXPLAIN: the protocol guard and the pushed prefix of
+        a block decoder (``decoded``) or the row adapter's interpreter,
+        then the row action -- sample draw, the conjuncts left over,
+        and the projection or the key and the table update."""
+        pushed = self.prefix if decoded else 0
+        stages = ["guard"] if decoded else ["adapter"]
+        if pushed:
+            stages.append("prefix")
+        if self.sample_rate is not None:
+            stages.append("sample")
+        if len(self.predicates) > pushed:
+            stages.append("filter")
+        return stages + (["select"] if self.mode == "projection"
+                         else ["key", "table"])
 
 
 def column_slots(analyzed: AnalyzedQuery, exprs: Sequence[Expr]) -> List[int]:
@@ -207,6 +224,8 @@ class QueryPlan:
                     front_end += f" lean=[{describe_formats(lean)}]"
             else:
                 front_end += f" prefilter=none ({lfta.prefix_note})"
+            stages = lfta.kernel_stages(decoder is not None)
+            front_end += f" kernel=[{', '.join(stages)}]"
             lines.append(
                 f"  LFTA {lfta.name} on {lfta.interface}.{lfta.protocol.name} "
                 f"[{lfta.mode}] preds={len(lfta.predicates)} "
@@ -226,6 +245,13 @@ class QueryPlan:
                     f" keys={'[' + keys + ']' if keys else 'none (window scan)'}"
                     f" residual={len(hfta.predicates) - len(hfta.join_keys)}"
                 )
+            elif hfta.kind == "aggregation":
+                # the key-run cache of the generated fold loop (DESIGN
+                # section 18) compares these with the previous row's
+                line += (" run-cache=none (combines partials)"
+                         if hfta.final_from_partials else
+                         " run-cache=[" + ", ".join(
+                             map(expr_to_gsql, hfta.group_exprs)) + "]")
             lines.append(line)
         return "\n".join(lines)
 

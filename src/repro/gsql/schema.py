@@ -41,7 +41,7 @@ from repro.gsql.types import (
     parse_type,
 )
 from repro.net.bgp import BGPUpdate
-from repro.net.columnar import (Decoder, Prefilter, decode_block,
+from repro.net.columnar import (Decoder, Prefilter, RowAction, decode_block,
                                 generated_decoder, has_layout, lean_formats,
                                 prefix_readable)
 from repro.net.ethernet import ETHERTYPE_IPV4, EthernetHeader
@@ -296,19 +296,23 @@ class ProtocolSchema(_BaseSchema):
 
     def block_decoder(self, needed_indices: Iterable[int],
                       prefilters: Sequence[Optional[Prefilter]] = (),
-                      lean: bool = False) -> Optional[Decoder]:
+                      lean: bool = False,
+                      action: Optional[RowAction] = None
+                      ) -> Optional[Decoder]:
         """The generated block decoder covering ``needed_indices``: it
         unpacks only the header bytes those attributes (and the guard)
         read, and its rows are exactly the packets the guard admits --
         or, with ``prefilters`` (one entry per consumer: its pushed
-        prefix, or None), those some consumer keeps.  ``lean`` asks for
-        the two-struct form.  None for a protocol without a layout and
-        for a lean form that does not exist."""
+        prefix, or None), those some consumer keeps.  A lone consumer's
+        ``action`` runs on each row inside the loop; without one the
+        rows come back as a block.  ``lean`` asks for the two-struct
+        form.  None for a protocol without a layout and for a lean form
+        that does not exist."""
         if self._layout is None:
             return None
         return generated_decoder(
             self._layout, self._layout_names(),
-            frozenset(needed_indices), prefilters, lean)
+            frozenset(needed_indices), prefilters, lean, action)
 
     def _layout_names(self) -> Tuple[str, ...]:
         """Attribute names as :mod:`repro.net.columnar` spells them."""

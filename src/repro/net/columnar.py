@@ -1,16 +1,19 @@
-"""The generated capture front end: per-plan block decoders (DESIGN section 14).
+"""The generated capture front end: per-plan decode loops (DESIGN section 14).
 
 The paper's compiler derives from each LFTA's plan *which bytes* of a
-frame matter and links the LFTAs into the run-time system so several of
-them read one captured packet.  This module is that front end for the
-eth/IPv4/TCP/UDP family: one declarative layout table, and one code
-generator that turns ``(protocol, needed attributes, pushed prefixes)``
-into a block decoder -- a single loop that applies the protocol guard
-to every packet of a block, unpacks, with one ``struct`` whose pad
-bytes skip everything else, only the header fields the guard and the
-plan read, tests the plan's pushed prefix on the unpacked values, and
-appends a row for the survivors only.  Nothing here is written by hand
-per protocol.
+frame matter and links the LFTAs into the run-time system so that one
+pass over a captured packet filters, projects and partially aggregates
+it.  This module is that front end for the eth/IPv4/TCP/UDP family:
+one declarative layout table, and one code generator that turns
+``(protocol, needed attributes, pushed prefixes, row action)`` into a
+single loop that applies the protocol guard to every packet of a block,
+unpacks, with one ``struct`` whose pad bytes skip everything else, only
+the header fields the guard and the plan read, tests the plan's pushed
+prefix on the unpacked values, and runs the plan's own *row action* --
+sample draw, remaining conjuncts, projection or key, table probe and
+fold -- on the survivors, right there.  Nothing here is written by hand
+per protocol, and nothing is materialized between the bytes and the
+operator's state.
 
 Guard, then prefix
 ------------------
@@ -18,43 +21,57 @@ Guard, then prefix
 For ``ip``/``tcp``/``udp`` a packet is a *tuple* if and only if the
 protocol guard passes (``v.ip``/``v.tcp``/``v.udp`` not None), and
 under the guard every field function is total -- none can return
-``None``.  A tuple becomes a *row* of the block iff, in addition, some
-consumer's pushed prefix keeps it (:class:`Prefilter`: the leading
-predicate conjuncts that are total over header fields and scalar
-capture metadata); with nothing pushed, every tuple is a row.  The
-block reports both counts -- ``passed`` tuples, ``n`` rows -- so the
-consumer's ``tuples_in`` and ``discarded`` are those of decoding every
-tuple and filtering afterwards.  When the prefix leaves two or more
-header fields that only survivors need, the generator also emits a
-*lean* form: a first struct over the guard's and the prefix's fields,
-the rest unpacked after the test and the tuple re-assembled in the
-same layout, so both forms return equal blocks.  A
-generated decoder makes exactly the checks of
+``None``.  A tuple becomes a *row* iff, in addition, some consumer's
+pushed prefix keeps it (:class:`Prefilter`: the leading predicate
+conjuncts that are total over header fields and scalar capture
+metadata); with nothing pushed, every tuple is a row.  Both counts are
+reported -- ``passed`` tuples, ``n`` rows -- so the consumer's
+``tuples_in`` and ``discarded`` are those of decoding every tuple and
+filtering afterwards.  When the prefix leaves two or more header fields
+that only survivors need, the generator also emits a *lean* form: a
+first struct over the guard's and the prefix's fields, the rest
+unpacked after the test and the tuple re-assembled in the same layout,
+so both forms hand the row action the same ``v``.  A generated loop
+makes exactly the checks of
 :meth:`~repro.gsql.schema.PacketView._parse` plus the header ``parse``
 classmethods, one definition per layer (:func:`_generate`): frame long
 enough for the fixed headers, ethertype IPv4, IHL >= 5 and inside the
 capture, fragment offset 0 for an L4 protocol (an MF first fragment
 still parses), IP protocol number, TCP data offset >= 20 and inside the
 capture.  IHL == 5 is the fast path (one unpack); IP options take a
-second unpack of the L4 fields at the shifted offset.  So a block
-decode keeps exactly the packets the row-at-a-time interpreter would,
-in the same order, whatever subset of fields it was generated for.
-Protocols outside the family (DDL-declared views, the expanders, ipv6,
-icmp, ethernet) have no layout and stay on the row adapter.
+second unpack of the L4 fields at the shifted offset.  So a decode
+keeps exactly the packets the row-at-a-time interpreter would, in the
+same order, whatever subset of fields it was generated for.  Protocols
+outside the family (DDL-declared views, the expanders, ipv6, icmp,
+ethernet) have no layout and stay on the row adapter.
 
-Lazy decode
------------
+The row, and who owns it
+------------------------
 
-Decoding fills three parallel arrays per surviving row -- the unpack
-tuple, the packet reference, and (only when the plan reads ``data``)
-the payload offset.  Field columns are materialized on first use:
-eagerly for the columns the conjuncts left to the kernel touch
-(``col``), for the post-filter survivors only for everything else
-(``gather``).  The
-per-decoder column specs map an attribute index to its position in
-*that* decoder's unpack tuple, so LFTAs handed one shared block (the
-union of their fields, decoded once by the RTS) read it by the same
-attribute indices as a block they decoded themselves.
+A row is five names -- ``v`` the unpack tuple, ``p`` the packet, ``d``
+its captured bytes, ``n`` their length, ``o`` the payload offset
+(:data:`ROW_NAMES`) -- and a decoder's ``columns`` say how each covered
+attribute reads off them (``v[5]``, ``int(p.timestamp)``, ``d[o:]``).
+A consumer's :class:`RowAction` is rendered against that map and
+spliced under whichever loop header owns the rows:
+
+* a lone LFTA's own decode loop (every LFTA that decodes its own list:
+  alone on its interface, or because the shed gate kept a subset, a
+  fault delivered a prefix, journal replay handed packets over): the
+  action runs on the row as soon as the prefix has passed it, the
+  loop's ``finally`` moves the node's counters, and a :class:`Tally`
+  comes back;
+* a decode group's shared block: LFTAs of one protocol on one interface
+  share one decode of the union of their fields, whose action is
+  "append the row" -- three parallel arrays in a :class:`ColumnarBlock`
+  plus, when the members' prefixes differ, one row-index list each --
+  and each member then runs the *same action source* under a header
+  that reads the row's names back off the block
+  (:func:`shared_rows_kernel`).
+
+Either way the semantics are row-at-a-time by construction: an
+exception at row *k* leaves state, counters and emitted rows as *k*
+single-row steps would.
 """
 
 from __future__ import annotations
@@ -69,7 +86,7 @@ from repro.net.packet import CapturedPacket
 
 
 class ColumnarBlock:
-    """One decoded packet block: parallel arrays plus lazy field columns.
+    """One shared decode of a packet block: parallel row arrays.
 
     ``passed`` packets passed the protocol guard and ``n`` of them
     became rows: all of them, unless the decoder's consumers pushed a
@@ -80,17 +97,16 @@ class ColumnarBlock:
     ``rows`` is None when every consumer keeps every row; otherwise it
     holds, per consumer in the order the decoder was generated for, the
     ascending indices of the rows that consumer keeps (None: all of
-    them).  ``columns`` caches materialized field columns by attribute
-    index.  ``packets`` is the very list that was decoded: a consumer
-    handed this block uses it only for that list (identity, not
-    equality -- DESIGN section 14, "sharing").
+    them).  How a consumer reads an attribute off a row is the
+    decoder's ``columns``, not the block's business.  ``packets`` is
+    the very list that was decoded: a consumer handed this block uses
+    it only for that list (identity, not equality -- DESIGN section 14,
+    "sharing").
     """
 
-    __slots__ = ("n", "passed", "rows", "vals", "pkts", "pay", "columns",
-                 "packets", "_specs")
+    __slots__ = ("n", "passed", "rows", "vals", "pkts", "pay", "packets")
 
     def __init__(self, vals: list, pkts: list, pay: array,
-                 specs: Dict[int, tuple],
                  packets: Sequence[CapturedPacket],
                  passed: Optional[int] = None,
                  rows: Optional[tuple] = None) -> None:
@@ -100,64 +116,19 @@ class ColumnarBlock:
         self.vals = vals
         self.pkts = pkts
         self.pay = pay
-        self.columns: Dict[int, list] = {}
         self.packets = packets
-        self._specs = specs
 
-    def col(self, index: int) -> list:
-        """The full column for attribute ``index`` (cached)."""
-        column = self.columns.get(index)
-        if column is None:
-            column = self._materialize(index, None)
-            self.columns[index] = column
-        return column
 
-    def gather(self, index: int, rows: Sequence[int]) -> list:
-        """Attribute ``index`` for just ``rows``, aligned with ``rows``.
+class Tally(NamedTuple):
+    """What a fused kernel reports for one block: ``passed`` packets
+    passed the protocol guard and ``n`` of them got past the pushed
+    prefix into the plan's row action -- a shared decode's
+    :class:`ColumnarBlock` counts under the same two names.  The
+    kernel has already moved its node's counters; this is for whoever
+    watches the block entry (:func:`decode_block`)."""
 
-        This is the lazy-decode entry point: columns untouched by the
-        prefilter are built here, for survivors only.  An already-cached
-        full column is sliced instead of re-decoded.
-        """
-        column = self.columns.get(index)
-        if column is not None:
-            return [column[i] for i in rows]
-        return self._materialize(index, rows)
-
-    def _materialize(self, index: int, rows: Optional[Sequence[int]]) -> list:
-        kind, j, shift, mask = self._specs[index]
-        vals = self.vals
-        pkts = self.pkts
-        if kind == "pick":  # a header field as unpacked
-            if rows is None:
-                return [v[j] for v in vals]
-            return [vals[i][j] for i in rows]
-        if kind == "bits":  # a bit field inside an unpacked header field
-            if rows is None:
-                return [(v[j] >> shift) & mask for v in vals]
-            return [(vals[i][j] >> shift) & mask for i in rows]
-        if kind == "time":
-            if rows is None:
-                return [int(p.timestamp) for p in pkts]
-            return [int(pkts[i].timestamp) for i in rows]
-        if kind == "timestamp":
-            if rows is None:
-                return [p.timestamp for p in pkts]
-            return [pkts[i].timestamp for i in rows]
-        if kind == "len":
-            if rows is None:
-                return [p.orig_len for p in pkts]
-            return [pkts[i].orig_len for i in rows]
-        if kind == "caplen":
-            if rows is None:
-                return [len(p.data) for p in pkts]
-            return [len(pkts[i].data) for i in rows]
-        if kind == "data":
-            pay = self.pay
-            if rows is None:
-                return [p.data[o:] for p, o in zip(pkts, pay)]
-            return [pkts[i].data[pay[i]:] for i in rows]
-        raise KeyError(f"unknown column kind {kind!r}")
+    passed: int
+    n: int
 
 
 # -- the layout table ----------------------------------------------------------
@@ -286,11 +257,40 @@ class Prefilter(NamedTuple):
     text: str
 
 
+class ActionSource(NamedTuple):
+    """A row action rendered against one loop header's names: lines
+    for before the loop, per row (``continue`` ends the row) and for
+    the loop's ``finally``, plus the globals they read."""
+
+    setup: List[str]
+    body: List[str]
+    finish: List[str]
+    env: Dict[str, object]
+
+
+class RowAction(NamedTuple):
+    """What one consumer does with each of its rows -- sample draw, the
+    conjuncts its prefix left over, then project-and-emit or key,
+    window check, table probe and fold
+    (``ExprCompiler.lfta_action``) -- as source to splice under
+    whichever loop header owns the rows: the decode loop itself
+    (:func:`generated_decoder`), a shared block's row list
+    (:func:`shared_rows_kernel`) or the row adapter's tuples."""
+
+    #: attribute positions the action reads
+    slots: FrozenSet[int]
+    #: ``render(columns) -> ActionSource``, reading attribute position
+    #: *i* as ``columns[i]``
+    render: Callable[[Mapping[int, str]], ActionSource]
+
+
 class Decoder(NamedTuple):
     """One generated block decoder and what it was generated from."""
 
-    #: ``decode(packets) -> ColumnarBlock``
-    decode: Callable[[Sequence[CapturedPacket]], ColumnarBlock]
+    #: ``decode(packets)``: a :class:`ColumnarBlock` of the rows, or --
+    #: generated around a :class:`RowAction` -- the :class:`Tally` of
+    #: the rows it ran the action on
+    decode: Callable[[Sequence[CapturedPacket]], object]
     source: str
     #: the fast-path (IHL == 5) struct; its size is how far into a
     #: frame the decoder's one unpack reads
@@ -298,7 +298,10 @@ class Decoder(NamedTuple):
     #: the L4-only struct of the IP-options path ("" when none)
     l4_format: str
     #: the pushed prefixes as GSQL, one per distinct test
-    prefilters: Tuple[str, ...] = ()
+    prefilters: Tuple[str, ...]
+    #: how a row action reads each covered attribute off a row, given
+    #: the header's names (:data:`ROW_NAMES`)
+    columns: Dict[int, str]
     #: lean form only: the struct unpacked before the prefix test (guard
     #: and prefix fields) and the one unpacked for survivors (the rest)
     lean_formats: Tuple[str, ...] = ()
@@ -324,7 +327,8 @@ def _compiled(source: str, protocol: str):
 def generated_decoder(protocol: str, attributes: Tuple[str, ...],
                       needed: FrozenSet[int],
                       prefilters: Sequence[Optional[Prefilter]] = (),
-                      lean: bool = False) -> Optional[Decoder]:
+                      lean: bool = False,
+                      action: Optional[RowAction] = None) -> Optional[Decoder]:
     """The block decoder of ``protocol`` (``ip``/``tcp``/``udp``)
     covering the attribute positions ``needed`` of a schema whose
     attribute names, lower case and in order, are ``attributes``.
@@ -332,17 +336,21 @@ def generated_decoder(protocol: str, attributes: Tuple[str, ...],
     ``prefilters`` names the decoder's consumers, one entry each: the
     prefix that consumer pushed into the loop, or None when it keeps
     every guard-passing packet.  A row then exists iff the guard passes
-    and some consumer keeps it (:func:`_generate`).  ``lean`` asks for
-    the two-struct form, and the answer is None when there is none:
-    some consumer keeps everything, or fewer than two header fields are
-    left for survivors only.
+    and some consumer keeps it (:func:`_generate`).  What happens to a
+    row is ``action``: by default it is appended to the block the
+    consumers share; a lone consumer passes its own, and the loop runs
+    it on the spot -- no block.  ``lean`` asks for the two-struct form,
+    and the answer is None when there is none: some consumer keeps
+    everything, or fewer than two header fields are left for survivors
+    only.
 
     The code object is cached by generated source, so ``setup_s`` pays
     one ``compile()`` per distinct loop; what the loop reads -- structs,
-    column specs, the consumers' parameter dicts -- is bound per call,
-    so no two callers share a closure.
+    the consumers' parameter dicts, the action's node -- is bound per
+    call, so no two callers share a closure.
     """
-    generated = _generate(protocol, attributes, needed, prefilters, lean)
+    generated = _generate(protocol, attributes, needed, prefilters, lean,
+                          action)
     if generated is None:
         return None
     source, env, described = generated
@@ -364,6 +372,13 @@ class _View(NamedTuple):
 #: (``p`` the packet, ``n`` its captured length)
 _META_SOURCES = {"time": "int(p.timestamp)", "timestamp": "p.timestamp",
                  "len": "p.orig_len", "caplen": "n"}
+#: the payload, for a row action only: ``d`` the captured bytes, ``o``
+#: the offset behind the L4 header
+_DATA_SOURCE = "d[o:]"
+#: the names a row's header binds before a row action runs: the unpack
+#: tuple and the packet always; the captured bytes, their length and
+#: the payload offset for an action that reads ``caplen`` or ``data``
+ROW_NAMES = ("v", "p", "d", "n", "o")
 
 
 def _place(protocol: str, attributes: Sequence[str],
@@ -442,18 +457,22 @@ def lean_formats(protocol: str, attributes: Sequence[str],
 def _generate(protocol: str, attributes: Sequence[str],
               needed: FrozenSet[int],
               prefilters: Sequence[Optional[Prefilter]] = (),
-              lean: bool = False):
+              lean: bool = False, action: Optional[RowAction] = None):
     """Source, environment and description (the :class:`Decoder` fields
     after ``source``) of one block decoder; None for a lean form that
     does not exist.
 
-    Guard, then prefix: after the guard the loop evaluates each
-    consumer's pushed prefix on the unpacked values -- identical
-    sources once -- and appends the row only when some consumer keeps
-    it.  The block reports the guard-passers (``passed``: survivors
-    plus the rows every consumer killed) and, when consumers differ,
-    one row-index list per consumer.  With nothing pushed the source is
-    the plain guard-and-append loop.
+    Guard, then prefix, then the row: after the guard the loop
+    evaluates each consumer's pushed prefix on the unpacked values --
+    identical sources once -- and a packet some consumer keeps is a
+    row.  Without an ``action`` the row is appended to a block that
+    reports the guard-passers (``passed``: survivors plus the rows
+    every consumer killed) and, when consumers differ, one row-index
+    list per consumer.  With one -- a lone consumer's -- its lines run
+    right there on ``v``, ``p``, ``d``, ``n`` and ``o``, the loop moves
+    the consumer's ``tuples_in``/``discarded`` in its ``finally`` by
+    exactly the packets it got through, and a :class:`Tally` comes
+    back.
     """
     family, sources, head, tail, guard_fields = _place(
         protocol, attributes, needed)
@@ -466,20 +485,12 @@ def _generate(protocol: str, attributes: Sequence[str],
     # one name -> tuple-position map serves a whole unpack.
     full = _View("v", {name: j for j, (_, _, name) in enumerate(fast)})
     shifted = _View("t", {name: j for j, (_, _, name) in enumerate(tail)})
-
-    specs: Dict[int, tuple] = {}
-    for index, src in sources.items():
-        if src.layer == "meta":
-            specs[index] = (src.field, 0, 0, 0)
-        else:
-            specs[index] = ("bits" if src.mask else "pick",
-                            full.pos[src.field], src.shift, src.mask)
     env = {
         "unpack": struct.Struct(fmt).unpack_from,
         "unpack_l4": struct.Struct(l4_fmt or "!").unpack_from,
         "array": array,
         "ColumnarBlock": ColumnarBlock,
-        "specs": specs,
+        "Tally": Tally,
     }
 
     # -- the pushed prefixes ----------------------------------------------
@@ -530,6 +541,12 @@ def _generate(protocol: str, attributes: Sequence[str],
     keeps_all = None in test_of
     #: consumers differ: each gets its own row-index list
     listed = bool(tests) and (keeps_all or len(tests) > 1)
+    if action is not None and len(prefilters) > 1:
+        raise ValueError("a row action belongs to one consumer")
+    #: what a row action reads: the prefix's sources plus the payload
+    row_columns = {index: _DATA_SOURCE for index, src in sources.items()
+                   if src.field == "data"}
+    row_columns.update(reads)
 
     def accept(view: _View) -> List[str]:
         """Test the prefixes against ``view``; a packet no consumer
@@ -576,7 +593,8 @@ def _generate(protocol: str, attributes: Sequence[str],
         or a variable name) ends inside the capture; ``view`` holds its
         fields.  Notes the payload offset when the plan reads ``data``:
         appended here when nothing after this guard can reject the
-        packet, kept in ``o`` for the row append when a prefix can."""
+        packet, kept in ``o`` for the row when a prefix can or an
+        action reads it."""
         def past(offset) -> str:
             if isinstance(start, int) and isinstance(offset, int):
                 return str(start + offset)
@@ -591,7 +609,7 @@ def _generate(protocol: str, attributes: Sequence[str],
             ]
             end = past("doff")
         if wants_pay:
-            lines.append(f"o = {end}" if tests else f"oa({end})")
+            lines.append(f"o = {end}" if tests or action else f"oa({end})")
         return lines
 
     def options_path() -> List[str]:
@@ -612,7 +630,8 @@ def _generate(protocol: str, attributes: Sequence[str],
             lines.append(f"v = v[:{len(head)}] + t")
         return lines
 
-    described = (fmt, l4_fmt, tuple(member.text for member in tests))
+    described = (fmt, l4_fmt, tuple(member.text for member in tests),
+                 row_columns)
     if not lean:
         body = fixed_guard(full, "unpack")
         if family.l4 is None:
@@ -659,6 +678,24 @@ def _generate(protocol: str, attributes: Sequence[str],
                 + ["else:"]
                 + _indent(["v = unpack(d)"] + options_path() + accept(full)))
         described += (formats,)
+    header = ["for p in packets:", "    d = p.data", "    n = len(d)"]
+    if action is not None:
+        # The consumer's own loop: run its action on the row right here.
+        spliced = action.render(row_columns)
+        env.update(spliced.env)
+        passed = "m + killed" if tests else "m"
+        lines = ["def decode(packets):"] + _indent(
+            (["killed = 0"] if tests else []) + ["m = 0"] + spliced.setup + [
+                "try:",
+            ] + _indent(header) + _indent(
+                body + ["m += 1"] + spliced.body, 2) + [
+                "finally:",
+                f"    node.stats.tuples_in += {passed}",
+            ] + (["    node.stats.discarded += killed"] if tests else [])
+            + _indent(spliced.finish) + [
+                f"return Tally({passed}, m)",
+            ])
+        return "\n".join(lines) + "\n", env, described
     body += ["va(v)", "pa(p)"]
     setup = [
         "vals = []",
@@ -668,7 +705,7 @@ def _generate(protocol: str, attributes: Sequence[str],
         "pa = pkts.append",
         "oa = pay.append",
     ]
-    result = "vals, pkts, pay, specs, packets"
+    result = "vals, pkts, pay, packets"
     if tests:
         if wants_pay:
             body.append("oa(o)")
@@ -681,14 +718,48 @@ def _generate(protocol: str, attributes: Sequence[str],
             setup += [f"rows{j} = []", f"r{j} = rows{j}.append"]
         result += ", (" + ", ".join(
             "None" if j is None else f"rows{j}" for j in test_of) + ")"
-    lines = ["def decode(packets):"] + _indent(setup + [
-        "for p in packets:",
-        "    d = p.data",
-        "    n = len(d)",
-    ]) + _indent(body, 2) + [
-        f"    return ColumnarBlock({result})",
-    ]
+    lines = ["def decode(packets):"] + _indent(setup + header) + _indent(
+        body, 2) + [f"    return ColumnarBlock({result})"]
     return "\n".join(lines) + "\n", env, described
+
+
+def shared_rows_kernel(decoder: Decoder, action: RowAction,
+                       protocol: str) -> Tuple[Callable, str]:
+    """``(run, source)`` with ``run(block, rows)`` taking one member of
+    a decode group through the rows ``rows`` (ascending indices) of a
+    block that ``decoder`` -- the group's -- produced: the member's own
+    action, the very lines its lone decoder would run, under a header
+    that reads the row's names back off the block.
+
+    The guard and the pushed prefixes ran in the shared loop, over the
+    whole block, before any member's action: the member's
+    ``tuples_in`` and its prefix's ``discarded`` move by the block's
+    tallies up front, everything the action does moves per row.
+    """
+    spliced = action.render(decoder.columns)
+    reads = {decoder.columns[index] for index in action.slots}
+    names = ["v = vals[j]", "p = pkts[j]"]
+    if reads & {_DATA_SOURCE, _META_SOURCES["caplen"]}:
+        names.append("d = p.data")
+    if _META_SOURCES["caplen"] in reads:
+        names.append("n = len(d)")
+    if _DATA_SOURCE in reads:
+        names.append("o = pay[j]")
+    lines = ["def run(block, rows):"] + _indent([
+        "vals = block.vals",
+        "pkts = block.pkts",
+        "pay = block.pay",
+        "node.stats.tuples_in += block.passed",
+        "node.stats.discarded += block.passed - len(rows)",
+    ] + spliced.setup + [
+        "try:",
+        "    for j in rows:",
+    ] + _indent(names + spliced.body, 2) + [
+        "finally:",
+    ] + _indent(spliced.finish))
+    source = "\n".join(lines) + "\n"
+    exec(_compiled(source, protocol), spliced.env)
+    return spliced.env["run"], source
 
 
 def _indent(lines: Sequence[str], levels: int = 1) -> List[str]:
@@ -710,15 +781,16 @@ def prefix_readable(attribute: str) -> bool:
         source.layer != "meta" or source.field in _META_SOURCES)
 
 
-def decode_block(packets: Sequence[CapturedPacket],
-                 decode: Callable) -> ColumnarBlock:
+def decode_block(packets: Sequence[CapturedPacket], decode: Callable):
     """The one per-block decode entry (``ProtocolSchema.columnar_decoder``).
 
     Every block decode of a run -- the RTS's shared decode and an
-    LFTA's own -- goes through the schema attribute holding this
-    function, so whoever replaces that attribute (the benchmark's
+    LFTA's own fused loop -- goes through the schema attribute holding
+    this function, so whoever replaces that attribute (the benchmark's
     outside-in ``net.decode`` span) sees each block decode exactly once.
-    ``decode`` is the generated decoder to run.
+    ``decode`` is the generated loop to run; what comes back counts the
+    block under ``passed`` and ``n`` (a :class:`ColumnarBlock` or a
+    :class:`Tally`).
     """
     return decode(packets)
 

@@ -16,7 +16,7 @@ The loops below are the definition, and the ``interpreted`` mode's
 interpreter.  Compiled plans replace every method with a straight-line
 kernel generated for their aggregate list, and the engine's block
 loops inline the same statements (``ExprCompiler.aggregate_kernels``,
-``lfta_aggregate_fn`` / ``hfta_aggregate_fn``; DESIGN section 18).
+``lfta_action`` / ``hfta_aggregate_fn``; DESIGN section 18).
 """
 
 from __future__ import annotations

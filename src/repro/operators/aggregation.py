@@ -43,21 +43,13 @@ class AggregationNode(QueryNode):
         else:
             self._sample_rate = None
             self._sample_rng = None
-        if self.from_partials:
-            key_width = len(analyzed.group_exprs)
-            self._predicate = compiler.predicate_fn(plan.predicates, slot_maps)
-        else:
-            key_width = len(plan.group_exprs)
-            self._batch_key = compiler.batch_key_fn(
-                plan.predicates, plan.group_exprs, slot_maps)
-        argument_maps = None if self.from_partials else slot_maps
         self.aggregate_ops = AggregateOps.for_plan(
-            compiler, plan.aggregates, argument_maps)
+            compiler, plan.aggregates,
+            None if self.from_partials else slot_maps)
         # The one group-table loop (DESIGN section 18), generated per
-        # plan: folds raw tuples or combines LFTA partials.
-        self._aggregate = compiler.hfta_aggregate_fn(
-            plan.aggregates, argument_maps, plan.window_key_index >= 0,
-            key_width, filtered=bool(plan.predicates))
+        # plan: sample draw, predicate, key and fold of raw tuples
+        # behind a key-run cache, or the combine of LFTA partials.
+        self._aggregate = compiler.hfta_aggregate_fn(plan)
         self._post_select = compiler.post_tuple_fn(plan.post_select_exprs)
         self._having = compiler.post_predicate_fn(plan.having)
         self._window_index = plan.window_key_index
@@ -109,25 +101,14 @@ class AggregationNode(QueryNode):
         self.on_tuple_batch((row,), input_index)
 
     def on_tuple_batch(self, rows, input_index: int) -> None:
-        """Sample gate, predicate/keying, then the group-table update.
-
-        Raw tuples are filtered and keyed by one fused generated
-        function; partial aggregates carry their key as a plain slice.
-        Either way the generated kernel updates the groups in row
-        order, so a window flush fires at the same row however the
-        stream was cut.
-        """
-        if self._sample_rate is not None:
-            rate = self._sample_rate
-            rng = self._sample_rng.random
-            kept = [row for row in rows if rng() < rate]
-            self.stats.discarded += len(rows) - len(kept)
-            rows = kept
-        keys = None
-        if not self.from_partials:
-            dropped, keys, rows = self._batch_key(rows)
-            self.stats.discarded += dropped
-        self._aggregate(self, keys, rows)
+        """One block through the plan's generated loop: per row the
+        sample gate, the predicate, the group key and the fold (raw
+        tuples), or the predicate and the combine of a partial
+        aggregate whose key is a plain slice.  Groups are updated in
+        row order, so a window flush fires at the same row however the
+        stream was cut, and an error at row *k* leaves the groups and
+        ``discarded`` as the *k* rows before it made them."""
+        self._aggregate(self, rows)
 
     def _flush_below(self, low_water) -> None:
         index = self._window_index

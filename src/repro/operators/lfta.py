@@ -9,38 +9,44 @@ direct-mapped hash table, greatly reducing the data traffic to the
 HFTAs.
 
 ``accept_batch`` is the only packet entry; one packet is a block of one
-(:meth:`LftaNode.accept_packet`).  Inside it a block is decoded once,
-one of two ways fixed when the node is built (DESIGN section 14):
+(:meth:`LftaNode.accept_packet`).  Inside it *one generated loop* takes
+each packet from its bytes to this node's state, built one of two ways
+when the node is built (DESIGN section 14):
 
 * a built-in ip/tcp/udp protocol under compiled codegen gets a
-  *generated block decoder* covering exactly the attributes this plan
+  *generated decode loop* covering exactly the attributes this plan
   reads (``ExprCompiler.block_decoder_fn``), with the plan's pushed
   prefix (``LftaPlan.prefix``: the leading conjuncts that are total
-  over header fields) tested inside its loop -- a packet they kill is
-  counted into ``tuples_in`` and ``discarded`` but never becomes a row
-  -- and, when most tuples die there, its lean form
-  (:attr:`LftaNode.prefers_lean`).  The RTS may hand the block
-  over already decoded -- LFTAs on one interface share one decode of the
+  over header fields) tested on the unpacked values -- a packet they
+  kill is counted into ``tuples_in`` and ``discarded`` and goes no
+  further -- and the plan's *row action* (``ExprCompiler.lfta_action``)
+  spliced in right behind: sample draw, remaining conjuncts, then the
+  projection or key, window check, table probe and fold.  When most
+  tuples die on the prefix the lean form of the same loop runs
+  (:attr:`LftaNode.prefers_lean`).  The RTS may hand the block over
+  already decoded -- LFTAs on one interface share one decode of the
   union of their fields, with each member's own rows of it -- and the
-  node uses it only when it is about to
-  decode that very list (``block.packets is packets``); whenever its own
-  list differs (the shed gate kept a subset, an injected fault delivered
-  a prefix, journal replay or the NIC runtime handed packets over
-  directly) it runs its own decoder on its own list, through the same
-  call site;
-* every other protocol, and ``interpreted`` mode, goes through the
-  generic row adapter (``ProtocolSchema.sparse_interpreter``).
+  node runs the same action over those rows
+  (:meth:`LftaNode.bind_shared_decode`), but only when the block decoded
+  the very list it is about to process (``block.packets is packets``);
+  whenever its own list differs (the shed gate kept a subset, an
+  injected fault delivered a prefix, journal replay or the NIC runtime
+  handed packets over directly) it runs its own loop on its own list,
+  through the same call site;
+* every other protocol, and ``interpreted`` mode, runs the action under
+  the generic row adapter's header (``ExprCompiler.lfta_adapter_fn``
+  around ``ProtocolSchema.sparse_interpreter``).
 
-Partial aggregation is one loop whichever front end ran: both hand the
-surviving rows and their group keys to the plan's generated kernel
-(``ExprCompiler.lfta_aggregate_fn``, DESIGN section 18), which places
-the whole block's keys, then per row evaluates the aggregate arguments,
-checks the window high-water mark, probes the direct-mapped table and
-folds -- ejected groups leave as one block ahead of any window flush.
-What stays here is what happens per window, not per row: closing the
-groups below a bound (:meth:`LftaNode._flush_below`) and the end-of-
-stream flush, each one ``emit_many``.  ``tests/test_lfta_block_kernel.py``
-holds the kernel to the row-at-a-time loop it replaced.
+The action's lines are the same whichever header they sit under, so
+partial aggregation is one loop body (DESIGN section 18): per row the
+aggregate arguments, the window high-water check, the slot of the key,
+the probe of the direct-mapped table and the fold -- ejected groups
+leave as one block ahead of any window flush.  What stays here is what
+happens per window, not per row: closing the groups below a bound
+(:meth:`LftaNode._flush_below`) and the end-of-stream flush, each one
+``emit_many``.  ``tests/test_fused_kernels.py`` holds the loops to the
+decode-then-select/key passes they replaced, ``tests/test_lfta_block_kernel.py``
+to the row-at-a-time aggregation before those.
 """
 
 from __future__ import annotations
@@ -51,9 +57,10 @@ from typing import List, Optional
 from repro.core.heartbeat import Punctuation
 from repro.determinism import rng_for
 from repro.core.query_node import QueryNode
-from repro.gsql.codegen import DiscardTuple, ExprCompiler
-from repro.gsql.planner import LftaPlan, column_slots
+from repro.gsql.codegen import ExprCompiler
+from repro.gsql.planner import LftaPlan
 from repro.gsql.semantic import AnalyzedQuery
+from repro.net.columnar import shared_rows_kernel
 from repro.net.packet import CapturedPacket
 from repro.operators.aggregates import AggregateOps
 from repro.operators.base import apply_transforms, key_bound_fn, output_bound_transforms
@@ -103,23 +110,29 @@ class LftaNode(QueryNode):
         self._clock_bounds = self.protocol.clock_bounds
         # The front end (DESIGN section 14): a generated block decoder
         # where the protocol has a layout and codegen is compiled, the
-        # row adapter everywhere else.
+        # row adapter everywhere else -- either way one loop with this
+        # plan's row action inside it.
         needed = plan.needed_fields(analyzed)
         #: the conjuncts this node's decoder tests in its own loop, as a
         #: shared decoder must be generated with them (None: this node
         #: keeps every guard-passing packet, or is on the row adapter)
         self.prefilter = compiler.prefilter(plan.predicates[:plan.prefix])
+        #: what this node does with a row that passed the prefix
+        self._action = compiler.lfta_action(
+            plan, self, plan.prefix if self.prefilter is not None else 0)
         self._decoder = compiler.block_decoder_fn(
-            self.protocol, needed, self.prefilter)
+            self.protocol, needed, self.prefilter, action=self._action)
         #: attribute positions a shared decode must cover for this node
         #: (read by the RTS when it groups an interface's LFTAs); None
         #: on the row adapter
         self.decode_fields: Optional[List[int]] = (
             needed if self._decoder is not None else None)
         self._lean_decoder = None
+        #: ``f(block, rows)`` over a decode group's shared block
+        #: (:meth:`bind_shared_decode`); its source joins the decoders'
+        self._shared_rows = None
+        self._sources = compiler.generated_sources
         self.columnar_blocks = 0
-        #: what the select/key kernel still has to test
-        predicates = plan.predicates
         if self._decoder is not None:
             self._decode_block = self.protocol.columnar_decoder
             # The block decoder reads raw bytes; a shared PacketView
@@ -127,38 +140,21 @@ class LftaNode(QueryNode):
             self.accepts_view = False
             if self.prefilter is not None:
                 self._lean_decoder = compiler.block_decoder_fn(
-                    self.protocol, needed, self.prefilter, lean=True)
-                predicates = predicates[plan.prefix:]
+                    self.protocol, needed, self.prefilter, lean=True,
+                    action=self._action)
         else:
             self._interpret = self.protocol.sparse_interpreter(needed)
+            self._adapter = compiler.lfta_adapter_fn(self._action)
 
         if plan.mode == "projection":
-            select_fn = (compiler.batch_select_fn if self._decoder is None
-                         else compiler.columnar_select_fn)
-            self._select = select_fn(
-                predicates, plan.project_exprs, (None, None))
             self._transforms = output_bound_transforms(
                 plan.project_exprs, analyzed, plan.output_schema, (None, None),
                 functions=compiler.functions,
             )
             self.table: Optional[DirectMappedTable] = None
         elif plan.mode == "partial_aggregation":
-            if self._decoder is None:
-                self._key = compiler.batch_key_fn(
-                    predicates, plan.group_exprs, (None, None))
-            else:
-                arg_slots = column_slots(
-                    analyzed,
-                    [agg.arg for agg in plan.aggregates if agg.arg is not None])
-                self._key = compiler.columnar_key_fn(
-                    predicates, plan.group_exprs, arg_slots,
-                    len(self.protocol.attributes), (None, None))
             self.aggregate_ops = AggregateOps.for_plan(
                 compiler, plan.aggregates, (None, None))
-            # The one aggregation loop (DESIGN section 18): generated
-            # per plan, fed (keys, rows) by either front end.
-            self._aggregate = compiler.lfta_aggregate_fn(
-                plan.aggregates, (None, None), plan.window_key_index >= 0)
             self.table = DirectMappedTable(
                 table_size, compiler.key_hash_format(plan.group_exprs))
             self._window_index = plan.window_key_index
@@ -199,6 +195,17 @@ class LftaNode(QueryNode):
         return (self._lean_decoder is not None
                 and 2 * stats.discarded > stats.tuples_in)
 
+    def bind_shared_decode(self, decoder) -> None:
+        """Generate this node's loop over the rows of blocks that
+        ``decoder`` -- a decode group's, covering this node's fields --
+        produces: the same row action as its own decoder runs, under a
+        header that reads a row back off the block.  The RTS calls
+        this when it forms the group."""
+        self._shared_rows, source = shared_rows_kernel(
+            decoder, self._action, self.protocol.name)
+        if source not in self._sources:
+            self._sources.append(source)
+
     def accept_batch(self, packets, views=None, block=None, rows=None) -> None:
         """One block of packets through the LFTA (DESIGN section 10).
 
@@ -211,71 +218,39 @@ class LftaNode(QueryNode):
         The result does not depend on how the packet stream was cut
         into blocks, nor on which front end runs, nor on who decoded:
         the shed gate draws once per packet in arrival order *before*
-        decoding; every decode sees exactly the guard-passing packets,
-        in order, counts them into ``tuples_in`` and hands on the rows
-        that pass the pushed prefix (all of them for a sampled plan, so
-        the per-row sample draws line up), counting the others
-        ``discarded``; the fused select/key function runs the remaining
-        conjuncts in order per row; and every counter advances by the
-        per-packet amounts.
+        decoding; then one generated loop takes each packet from its
+        bytes to this node's state -- the protocol guard (counted into
+        ``tuples_in``), the pushed prefix (a kill is counted
+        ``discarded``; none for a sampled plan, so the per-row sample
+        draws line up), the sample draw, the remaining conjuncts in
+        order, and the projection or the table update -- before it
+        touches the next, and moves every counter in its ``finally``.
+        An exception at packet *k* therefore leaves counters, table
+        and emitted rows as *k* blocks of one would.  (On a shared
+        block the guard and the prefix ran for the whole block before
+        any member's row: those two tallies move per block, pinned by
+        ``tests/test_row_exactness.py::TestDecodeGroupMember``.)
         """
         self.packets_seen += len(packets)
-        weight = 1.0
         if self.shed_rate < 1.0:
             rate = self.shed_rate
             rng = self._shed_rng.random
-            weight = 1.0 / rate
             keep = [rng() < rate for _ in packets]
             self.shed_packets += keep.count(False)
             packets = list(compress(packets, keep))
             if views is not None:
                 views = list(compress(views, keep))
-        stats = self.stats
-        if self._decoder is not None:
-            # Rows are indices into the decoded block.
-            if block is None or block.packets is not packets:
-                block = self._decode_block(
-                    packets, self._lean_decoder if self.prefers_lean
-                    else self._decoder)
-                rows = None
-            self.columnar_blocks += 1
-            if rows is None:
-                rows = range(block.n)
-            stats.tuples_in += block.passed
-            stats.discarded += block.passed - len(rows)
-        else:
-            block = None
-            rows = []
-            extend = rows.extend
-            interpret = self._interpret
-            for packet, view in zip(
-                    packets, repeat(None) if views is None else views):
-                extend(interpret(packet, view))
-            stats.tuples_in += len(rows)
-        if self._sample_rate is not None and rows:
-            rate = self._sample_rate
-            rng = self._sample_rng.random
-            kept = [row for row in rows if rng() < rate]
-            self.sampled_out += len(rows) - len(kept)
-            rows = kept
-        if not rows:
+        if self._decoder is None:
+            self._adapter(packets, repeat(None) if views is None else views)
             return
-        if self.mode == "projection":
-            out: List[tuple] = []
-            if block is not None:
-                dropped = self._select(block, rows, out.append)
-            else:
-                dropped = self._select(rows, out.append)
-            stats.discarded += dropped
-            self.emit_many(out)
+        self.columnar_blocks += 1
+        if block is not None and block.packets is packets:
+            self._shared_rows(
+                block, range(block.n) if rows is None else rows)
         else:
-            if block is not None:
-                dropped, keys, key_rows = self._key(block, rows)
-            else:
-                dropped, keys, key_rows = self._key(rows)
-            stats.discarded += dropped
-            if keys:
-                self._aggregate(self, keys, key_rows, weight)
+            self._decode_block(
+                packets, self._lean_decoder if self.prefers_lean
+                else self._decoder)
 
     def _flush_below(self, low_water) -> None:
         """Close every group whose window key is below ``low_water``."""

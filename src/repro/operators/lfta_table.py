@@ -12,23 +12,22 @@ Benchmark E4 sweeps the table size against workload locality.
 
 Two ways in.  The per-key methods (:meth:`DirectMappedTable.upsert`
 and friends) are the table's definition and what its unit tests and
-the tracing wraps hold on to.  The engine goes through
-:meth:`DirectMappedTable.open_block` / :meth:`~DirectMappedTable.close_block`:
-the LFTA's generated aggregation kernel (DESIGN section 18) gets the
-slot array and every key's slot index for a whole block, probes and
-replaces entries inline, and hands the counter deltas back once.  Both
-place a key in the same slot -- ``stable_hash(key) % size`` -- and a
-plan whose group key is statically all-integer computes that number
-through a ``%d`` format instead of ``repr`` (``key_format``; see
+the tracing wraps hold on to.  The engine's is the LFTA's generated row
+action (``ExprCompiler.lfta_action``, DESIGN section 18): linked
+against the table, it places each row's key, probes and replaces
+entries in the slot array inline, and hands the counter deltas back
+once per block (:meth:`DirectMappedTable.close_block`).  Both place a
+key in the same slot -- ``stable_hash(key) % size`` -- and a plan whose
+group key is statically all-integer computes that number through a
+``%d`` format instead of ``repr`` (``key_format``; see
 :func:`repro.determinism.int_key_format`).
 """
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
-from repro.determinism import key_hasher, stable_slots
+from repro.determinism import key_hasher
 
 
 class DirectMappedTable:
@@ -43,14 +42,13 @@ class DirectMappedTable:
     """
 
     __slots__ = ("size", "_slots", "occupied", "collisions", "lookups",
-                 "_key_format", "_hash")
+                 "_hash")
 
     def __init__(self, size: int = 4096,
                  key_format: Optional[bytes] = None) -> None:
         if size <= 0:
             raise ValueError("table size must be positive")
         self.size = size
-        self._key_format = key_format
         self._hash = key_hasher(key_format)
         self._slots: List[Optional[Tuple[Any, Any]]] = [None] * size
         self.occupied = 0
@@ -133,24 +131,13 @@ class DirectMappedTable:
             yield state, entry
 
     # -- block access (the generated LFTA kernel, DESIGN section 18) ------
-    def open_block(self, keys: Sequence[Any]
-                   ) -> Tuple[list, List[int], Optional[TypeError]]:
-        """``(slot array, slot index per key, hash error)`` for a block.
-
-        The caller probes ``slots[index]`` and installs ``(key, state)``
-        entries itself, in key order, and reports what it did through
-        :meth:`close_block`.  ``error`` is the ``TypeError`` of the
-        first key :func:`~repro.determinism.stable_hash` does not
-        cover; the index list stops before it (see
-        :func:`~repro.determinism.stable_slots`).  The slot array stays
-        valid across :meth:`evict_if`, which clears slots in place.
-        """
-        indices, error = stable_slots(keys, self.size, self._key_format)
-        return self._slots, indices, error
-
     def close_block(self, lookups: int, occupied: int, collisions: int) -> None:
         """Add a block's counter deltas: probes made, empty slots
-        filled, resident groups ejected."""
+        filled, resident groups ejected.  The kernel reads the slot
+        array (``_slots``, valid across :meth:`evict_if`, which clears
+        slots in place) and the key hash (``_hash``) once per block,
+        probes and installs ``(key, state)`` entries itself in row
+        order, and reports what it did here."""
         self.lookups += lookups
         self.occupied += occupied
         self.collisions += collisions

@@ -20,6 +20,8 @@ from repro.gsql.schema import builtin_registry
 from repro.net import columnar
 from repro.net.build import build_tcp_frame, build_udp_frame, capture
 
+from tests.frozen_decode_select import col, gather
+
 REGISTRY = builtin_registry()
 PROTOCOLS = ("ip", "tcp", "udp")
 
@@ -90,19 +92,25 @@ def _corpus():
     return packets
 
 
-def _decode(protocol, packets, subset=None):
+def _decoder(protocol, subset=None):
     if subset is None:
         subset = range(len(protocol.attributes))
-    return protocol.block_decoder(subset).decode(packets)
+    return protocol.block_decoder(subset)
+
+
+def _decode(protocol, packets, subset=None):
+    return _decoder(protocol, subset).decode(packets)
 
 
 def _decoded_rows(protocol, packets, subset=None):
     """Schema-width rows off a decoded block, ``None`` outside ``subset``
-    -- the shape ``sparse_interpreter`` produces."""
+    -- the shape ``sparse_interpreter`` produces.  Every attribute is
+    read the way a row action reads it: off the decoder's ``columns``."""
     width = len(protocol.attributes)
     subset = range(width) if subset is None else subset
-    block = _decode(protocol, packets, subset)
-    cols = {i: block.col(i) for i in subset}
+    decoder = _decoder(protocol, subset)
+    block = decoder.decode(packets)
+    cols = {i: col(decoder, block, i) for i in subset}
     return [tuple(cols[i][j] if i in cols else None for i in range(width))
             for j in range(block.n)]
 
@@ -131,9 +139,8 @@ class TestGuardEquivalence:
     def test_empty_block(self, name):
         protocol = REGISTRY.get(name)
         block = _decode(protocol, [])
-        assert block.n == 0
-        assert block.col(0) == []
-        assert block.gather(0, []) == []
+        assert block.n == block.passed == 0
+        assert block.vals == block.pkts == [] and block.rows is None
 
     def test_block_remembers_the_list_it_decoded(self, name):
         protocol = REGISTRY.get(name)
@@ -215,31 +222,42 @@ def test_decoders_are_total_over_bytes(name, data):
     packets = [capture(frame, 10.0 + i) for i, frame in enumerate(frames)]
     assert (_decoded_rows(protocol, packets, subset)
             == _interpreted_rows(protocol, packets, subset))
-    block = _decode(protocol, packets, subset)
-    for index in subset:
-        assert block.gather(index, range(block.n)) == \
-            _decode(protocol, packets, subset).col(index)
 
 
-class TestLazyGather:
-    def test_gather_matches_col_slices(self):
+class TestColumns:
+    """``Decoder.columns``: how a row action reads an attribute, given
+    the names a row's header binds."""
+
+    def test_a_subset_of_rows_reads_like_the_whole_block(self):
         protocol = REGISTRY.get("tcp")
         packets = _corpus()
-        full = _decode(protocol, packets)
-        rows = list(range(0, full.n, 2))
+        decoder = _decoder(protocol)
+        block = decoder.decode(packets)
+        rows = list(range(0, block.n, 2))
         for index in range(len(protocol.attributes)):
-            # A fresh block per attribute so gather() takes the
-            # lazy (uncached) path rather than slicing col()'s cache.
-            fresh = _decode(protocol, packets)
-            assert fresh.gather(index, rows) == \
-                [full.col(index)[j] for j in rows]
+            assert gather(decoder, block, index, rows) == \
+                [col(decoder, block, index)[j] for j in rows]
 
-    def test_gather_after_col_slices_the_cache(self):
-        protocol = REGISTRY.get("udp")
-        block = _decode(protocol, _corpus())
-        column = block.col(13)  # destPort
-        rows = [0, 2]
-        assert block.gather(13, rows) == [column[j] for j in rows]
+    @pytest.mark.parametrize("name", PROTOCOLS)
+    def test_sources_read_only_the_headers_names(self, name):
+        import ast
+        protocol = REGISTRY.get(name)
+        columns = _decoder(protocol).columns
+        assert sorted(columns) == list(range(len(protocol.attributes)))
+        for source in columns.values():
+            names = {node.id for node in ast.walk(ast.parse(source))
+                     if isinstance(node, ast.Name)}
+            assert names <= set(columnar.ROW_NAMES) | {"int"}, source
+
+    def test_a_shared_decoder_maps_the_union(self):
+        tcp = REGISTRY.get("tcp")
+        narrow, wide = tcp.block_decoder([0, 13]), tcp.block_decoder(
+            [0, 9, 13, 18])
+        assert set(narrow.columns) == {0, 13}
+        assert set(wide.columns) == {0, 9, 13, 18}
+        # destPort sits further along the wider unpack
+        assert narrow.columns[13] != wide.columns[13]
+        assert wide.columns[18] == "d[o:]"
 
 
 class TestLayout:
@@ -256,8 +274,8 @@ class TestLayout:
         from repro.gsql.schema import PacketView
         for index, attribute in enumerate(protocol.attributes):
             function = protocol.field_function(attribute.name)
-            block = _decode(protocol, packets, [index])
-            assert block.col(index) == \
+            decoder = _decoder(protocol, [index])
+            assert col(decoder, decoder.decode(packets), index) == \
                 [function(PacketView(p)) for p in admitted], attribute.name
 
     def test_builtin_ip_family_has_the_block_entry(self):

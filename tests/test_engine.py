@@ -344,9 +344,10 @@ class TestModes:
         gs.add_query("DEFINE query_name q; Select time From tcp "
                      "Where destPort = 80")
         source = gs.generated_code("q")
-        assert "def _g" in source
-        # the front end is generated like every other kernel
+        # the front end is generated like every other kernel, and for a
+        # lone LFTA the plan's row action sits inside its loop
         assert "def decode(packets):" in source
+        assert "emit(x)" in source and "node.emit_many(out)" in source
         assert "decode=[time,destPort] struct=47B" in gs.explain("q")
 
     def test_interpreted_mode_generates_no_decoder(self):

@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import zlib
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,9 +24,8 @@ from repro.determinism import (
     int_key_format,
     key_hasher,
     stable_hash,
-    stable_slots,
 )
-from repro.gsql.codegen import ExprCompiler
+from repro.gsql.codegen import ExprCompiler, _place_key
 from repro.gsql.functions import builtin_functions
 from repro.gsql.parser import parse_query
 from repro.gsql.planner import plan_query
@@ -35,6 +35,26 @@ from repro.gsql.types import BOOL, FLOAT, INT, IP, IP6, STRING, UINT, ULLONG
 from repro.operators.lfta_table import DirectMappedTable
 
 SRC_ROOT = os.path.join(os.path.dirname(__file__), "..", "src")
+
+
+def stable_slots(keys, size, fmt=None):
+    """``(slots, error)``: where the LFTA's generated probe places
+    ``keys`` -- the very lines ``ExprCompiler.lfta_action`` splices in
+    (``_place_key``), run key by key as its loop runs them -- stopping
+    before the first key ``stable_hash`` does not cover, with its
+    ``TypeError``."""
+    env = {"_crc32": zlib.crc32}
+    exec("def place(k, size, hash_key):\n"
+         + "".join(f"    {line}\n" for line in _place_key(fmt))
+         + "    return i\n", env)
+    hash_key = key_hasher(fmt)
+    slots = []
+    try:
+        for key in keys:
+            slots.append(env["place"](key, size, hash_key))
+    except TypeError as error:
+        return slots, error
+    return slots, None
 
 #: column name -> (declared type, run-time values of that type)
 COLUMNS = {
@@ -156,8 +176,8 @@ class TestRuntimeFallback:
         keys = [(1, 2, 3), (4, stray, 6), (7, 8, 9)]
         expected = [stable_hash(key) for key in keys]
         assert [key_hasher(fmt)(key) for key in keys] == expected
-        # One stray key sends the whole block through the per-key path;
-        # the integer keys around it keep their slots.
+        # The stray key falls back to ``stable_hash`` on its own; the
+        # integer keys around it keep their slots.
         assert stable_slots(keys, 4096, fmt) == (
             [value % 4096 for value in expected], None)
 

@@ -4,11 +4,13 @@ A plan's leading run of total conjuncts is tested by its block decoder
 before a row exists.  None of that may show.  Three arms run the same
 packets:
 
-* *pushed* -- the default: prefix in the decode loop, the rest in the
-  select/key kernel;
-* *decode-then-filter* -- the path this replaced, kept here as the
-  reference: the planner marks no prefix, so the plain guard-and-append
-  decoder runs and every conjunct sits in the kernel;
+* *pushed* -- the default: prefix in the decode loop ahead of the row,
+  the rest in the row's action;
+* *unpushed* (``decode_then_filter``) -- the planner marks no prefix,
+  so the loop is the plain guard and every conjunct sits in the row's
+  action (until PR 19 fused the action into the loop this was the
+  decode-then-filter path, pass for pass; that one is frozen in
+  ``tests/frozen_decode_select.py`` now);
 * ``interpreted`` -- the row adapter.
 
 Rows in emit order, ``tuples_in``, ``discarded``, ``tuples_out`` and
@@ -40,6 +42,7 @@ from repro.nic import Nic
 from repro.operators.lfta import LftaNode
 from repro.recovery.wire import decode_snapshot, encode_snapshot
 
+from tests.frozen_decode_select import col, gather
 from tests.test_columnar import _corpus, _with_ip_options
 from tests.test_shared_decode import assert_same_as_alone, shed
 
@@ -246,10 +249,11 @@ class TestWhatIsPushed:
         gs = Gigascope()
         gs.add_query("DEFINE query_name q; Select time From tcp Where "
                      "destPort = 80 and str_len(data) > 3 and srcPort > 1024")
-        decoder, kernel = gs.generated_code("q").split("\ndef ")[:2]
-        # one test in the loop; srcPort stays behind str_len in the kernel
-        assert decoder.count("killed += 1") == 1 and "1024" not in decoder
-        assert kernel.index("_f_str_len") < kernel.index("1024")
+        loop, action = gs.generated_code("q").split("m += 1\n")
+        # one test ahead of the row; srcPort stays behind str_len in
+        # the row's action
+        assert loop.count("killed += 1") == 1 and "1024" not in loop
+        assert action.index("_f_str_len") < action.index("1024")
 
     @pytest.mark.parametrize("where, reason", [
         ("str_match_regex(data, 'x') and destPort = 80", None),  # HFTA's
@@ -402,16 +406,17 @@ class TestGroupMembersSeeOnlyTheirRows:
                 assert block.n == block.passed
             kept = set()
             for slot, (fields, prefilter) in enumerate(parts):
-                own = tcp.block_decoder(
-                    fields, () if prefilter is None else (prefilter,)
-                ).decode(packets)
+                alone = tcp.block_decoder(
+                    fields, () if prefilter is None else (prefilter,))
+                own = alone.decode(packets)
                 assert own.passed == block.passed
                 rows = block.rows[slot]
                 if rows is None:
                     rows = range(block.n)
                 assert [block.pkts[i] for i in rows] == own.pkts
                 for index in fields:
-                    assert block.gather(index, rows) == own.col(index)
+                    assert gather(shared, block, index, rows) == col(
+                        alone, own, index)
                 kept.update(rows)
             # a row exists iff some member keeps it
             assert kept == set(range(block.n))
@@ -515,9 +520,11 @@ class TestDecoderCacheIsKeyedOnItsSource:
         for name, port in (("p80", 80), ("p443", 443)):
             rows = subs[name].poll()
             assert len(rows) == 32 and {row[2] for row in rows} == {port}
-        # ... and the lone decoders hold their own dict as well
-        for decode, port in zip(own, (80, 443)):
-            assert set(decode(packets).col(13)) == {port}  # destPort
+        # ... and the lone decoders hold their own dict as well: a
+        # second pass through each delivers its own port's rows again
+        for name, decode, port in zip(subs, own, (80, 443)):
+            assert decode(packets) == (64, 32)  # (passed the guard, rows)
+            assert {row[2] for row in subs[name].poll()} == {port}
 
     @pytest.mark.parametrize("grouped", [False, True])
     def test_set_param_between_two_blocks_of_one_feed(self, grouped):

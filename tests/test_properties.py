@@ -12,6 +12,7 @@ These exercise the central correctness claims of the system:
 """
 
 import random
+from itertools import repeat
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -54,8 +55,9 @@ class TestSplitAggregationProperty:
         channel = lfta.subscribe()
         tap = hfta.subscribe()
 
-        # Drive the LFTA with synthetic protocol rows via its aggregation
-        # internals: emulate interpretation by injecting rows directly.
+        # Drive the LFTA with synthetic protocol rows: its row action
+        # under the row adapter's loop header, with an interpreter that
+        # hands the injected rows through.
         tcp = plan.lftas[0].protocol
         width = len(tcp)
         t_slot = tcp.index_of("time")
@@ -68,12 +70,10 @@ class TestSplitAggregationProperty:
             row[p_slot] = key
             row[l_slot] = value
             rows.append(tuple(row))
-        lfta.stats.tuples_in += len(rows)
-        lfta_plan = plan.lftas[0]
-        dropped, keys, keyed_rows = compiler.batch_key_fn(
-            lfta_plan.predicates, lfta_plan.group_exprs, (None, None))(rows)
-        assert dropped == 0
-        lfta._aggregate(lfta, keys, keyed_rows, 1.0)
+        lfta._interpret = lambda row, view: (row,)
+        compiler.lfta_adapter_fn(
+            compiler.lfta_action(plan.lftas[0], lfta))(rows, repeat(None))
+        assert lfta.stats.discarded == 0
         lfta.flush()
         lfta.emit_flush()
         for item in channel.drain():
