@@ -9,7 +9,7 @@ watched query's output (index 0) and the clock (index 1) -- so both
 rows and ticks flow through journaled channels: under the recovery
 supervisor the entire evaluation is a pure function of journaled input
 items, which is what makes a crash/restore byte-identical to the clean
-run (``replay verify-alerts``).
+run (``replay verify --scenario alerts_syn_flood alerts_port_scan``).
 
 A tick at stream time ``t`` closes every epoch with index below
 ``floor(t / epoch)``, oldest first; epochs a quiet period skipped

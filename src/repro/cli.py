@@ -118,14 +118,13 @@ def _build_parser() -> argparse.ArgumentParser:
                              "punctuation; drops are accounted)")
     parser.add_argument("--batch-size", type=int, metavar="N",
                         help="packets per block on the data path (1 runs "
-                             "blocks of one; default from GS_BATCH_SIZE, "
-                             "else 256)")
+                             "blocks of one; default 256)")
     parser.add_argument("--shards", type=int, metavar="N",
                         help="hash-partition packets by flow key across N "
                              "worker processes, each running an independent "
                              "LFTA shard, with superaggregate shard-merge in "
-                             "the parent (default from GS_SHARDS, else "
-                             "single-process); prints the shard report "
+                             "the parent (default: single-process); "
+                             "prints the shard report "
                              "after the run")
     parser.add_argument("--standby", action="store_true",
                         help="run a warm-standby pair: the primary streams "
@@ -136,8 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--replicate", metavar="SECS",
                         help="virtual-time seconds between replication "
                              "delta frames (implies --standby; 0 ships a "
-                             "frame at every pump boundary; default from "
-                             "GS_REPLICATE, else 1.0)")
+                             "frame at every pump boundary; default 1.0)")
     parser.add_argument("--promote-after", type=float, metavar="SECS",
                         help="promote the standby once heartbeat silence "
                              "exceeds the heartbeat interval by SECS "
@@ -302,19 +300,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                or args.max_restarts is not None)
     if args.shards is not None and args.shards <= 0:
         parser.error(f"--shards must be positive, got {args.shards}")
-    try:
-        from repro.core.engine import resolve_shards
-        shards = resolve_shards(args.shards)
-    except ValueError as error:
-        # A malformed GS_SHARDS is a usage error (exit 2), same as a
-        # bad --shards on the command line -- not a crash.
-        parser.error(str(error))
+    shards = args.shards or 0
     try:
         from repro.replication import resolve_replicate_cadence
         cadence = resolve_replicate_cadence(args.replicate)
     except ValueError as error:
-        # Same convention: a malformed GS_REPLICATE or --replicate is
-        # exit 2, and the message names whichever knob was malformed.
+        # A malformed --replicate is a usage error (exit 2).
         parser.error(str(error))
     if args.promote_after is not None and args.promote_after < 0:
         parser.error(f"--promote-after must be >= 0, "
@@ -394,9 +385,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                                seed=args.seed,
                                batch_size=args.batch_size)
     except ValueError as error:
-        # A malformed GS_BATCH_SIZE in the environment is a usage
-        # error (exit 2), same as a bad --batch-size on the command
-        # line -- not a crash.
+        # A non-positive --batch-size is a usage error (exit 2), not
+        # a crash.
         parser.error(str(error))
     tracer = None
     if args.trace_sample is not None:

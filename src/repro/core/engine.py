@@ -25,7 +25,6 @@ reading other queries' streams -- can be added at any time.
 from __future__ import annotations
 
 import itertools
-import os
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.core.params import QueryInstance
@@ -36,59 +35,6 @@ from repro.core.stream_manager import (
     RuntimeSystem,
     Subscription,
 )
-
-
-def resolve_batch_size(batch_size: Optional[int] = None) -> int:
-    """The effective block length in packets (DESIGN section 10).
-
-    Explicit argument wins; otherwise ``GS_BATCH_SIZE`` overrides the
-    default.  A block holds at least one packet: a non-positive
-    ``batch_size`` or a malformed or non-positive ``GS_BATCH_SIZE``
-    raises ``ValueError`` naming the offender -- silently running some
-    other block length than the operator asked for would hide the typo
-    (the CLI turns this into a usage error).
-    """
-    if batch_size is not None:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
-        return batch_size
-    raw = os.environ.get("GS_BATCH_SIZE")
-    if raw is None:
-        return DEFAULT_BATCH_SIZE
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"GS_BATCH_SIZE must be a positive integer, got {raw!r}"
-        ) from None
-    if value <= 0:
-        raise ValueError(f"GS_BATCH_SIZE must be >= 1, got {raw!r}")
-    return value
-
-
-def resolve_shards(shards: Optional[int] = None) -> int:
-    """How many worker processes to shard across (DESIGN section 15).
-
-    Explicit argument wins; otherwise ``GS_SHARDS`` selects the sharded
-    runtime (``repro.shard``), and the default ``0`` means single-
-    process.  Malformed or negative values raise ``ValueError`` for the
-    same reason as :func:`resolve_batch_size`: a typo must not silently
-    run a different runtime than the operator asked for.
-    """
-    if shards is not None:
-        return shards
-    raw = os.environ.get("GS_SHARDS")
-    if raw is None:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"GS_SHARDS must be a non-negative integer, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ValueError(f"GS_SHARDS must be >= 0, got {raw!r}")
-    return value
 from repro.gsql.codegen import ExprCompiler
 from repro.gsql.functions import FunctionRegistry, FunctionSpec, builtin_functions
 from repro.gsql.parser import parse_queries, parse_query
@@ -107,6 +53,18 @@ from repro.operators.join import JoinNode
 from repro.operators.lfta import LftaNode
 from repro.operators.merge import MergeNode
 from repro.operators.selection import SelectionNode
+
+
+def resolve_batch_size(batch_size: Optional[int] = None) -> int:
+    """The effective block length in packets (DESIGN section 10): the
+    argument, else the default.  A block holds at least one packet: a
+    non-positive ``batch_size`` raises ``ValueError`` naming the
+    offender (the CLI turns this into a usage error)."""
+    if batch_size is None:
+        return DEFAULT_BATCH_SIZE
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
+    return batch_size
 
 
 class Gigascope:
@@ -401,7 +359,8 @@ class Gigascope:
         queries and alert triggers subscribe to them exactly like packet
         streams.  Samples are cut at pump boundaries every ``interval``
         seconds of virtual time and carry only deterministic values, so
-        they replay byte-identically (``replay verify-telemetry``).
+        they replay byte-identically (``replay verify --scenario
+        telemetry_meta``).
         ``profile_every`` sets the sampling pump profiler's period (1 =
         profile every cycle).  Enable *before* adding queries that read
         the ``_gs_*`` streams.

@@ -21,53 +21,37 @@ Three tools enforce that contract:
   overload-control shed gate, workload generators) derives its own
   named, independent ``random.Random`` stream from one engine seed, so
   adding a consumer never perturbs the draws of another.
-* :func:`verify_replay` -- runs a scenario twice in subprocesses with
-  *different* ``PYTHONHASHSEED`` values and diffs the sink rows, the
-  drop ledger, the node statistics, and the metrics snapshot.  Any
-  surviving use of process-randomized ``hash()`` on the data path shows
-  up as a diff.
+* :func:`verify` (public name ``repro.verify_replay``) -- runs a
+  scenario in subprocesses, once per *arm*, and diffs the snapshots.
+  An :class:`Arm` is one way of executing the same query over the same
+  packets: a ``PYTHONHASHSEED``, a block size, a topology (``single``,
+  ``shards:N``, ``standby:CADENCE``) and a crash point.  A stream query
+  is a function of its input sequence, so every arm must agree with the
+  reference arm (default block size, single process, no crash) on
+  everything :func:`comparable` keeps for the fields they differ in --
+  DESIGN section 9 has the table.  Each ``@scenario`` declares the axes
+  it really has; asking for any other is an :class:`ArmError`, never a
+  pass.
 
 Command line (via the :mod:`repro.replay` shim)::
 
-    python -m repro.replay run    --scenario mixed --seed 7
-    python -m repro.replay verify --scenario mixed --seed 7
-    python -m repro.replay verify-recovery --scenario recovery_agg
-    python -m repro.replay verify-alerts
-    python -m repro.replay verify-telemetry
-    python -m repro.replay verify-shard --shards 4
-    python -m repro.replay verify-failover
+    python -m repro.replay run --scenario shard_e2 --arm topology=shards:4
+    python -m repro.replay verify --scenario mixed e4 --seed 7
+    python -m repro.replay verify --scenario e4 --arm block=1 block=7
 
-``verify-recovery`` is the recovery plane's acceptance gate: a run
-that crashes an operator mid-stream and recovers it (checkpoint
-restore + journal replay, see :mod:`repro.recovery`) must be
-byte-identical to the run without the crash.  ``verify-alerts`` is the
-alert plane's: the SYN-flood and port-scan alert streams must be
-byte-identical across ``PYTHONHASHSEED`` values *and* across a
-crash/restore of the trigger node itself.  ``verify-telemetry`` is the
-self-telemetry plane's: the ``_gs_*`` streams (and the meta-query and
-meta-alert outputs computed from them) must be byte-identical across
-``PYTHONHASHSEED`` values and across a mid-run crash/restore of the
-meta-query node.  ``verify-shard`` is the sharded runtime's: the
-hash-partitioned multi-process run (``repro.shard``) must match the
-single-process run byte-for-byte, per hash seed, including an arm
-where one worker is killed mid-stream and respawned from the parent's
-fold of its state frames.  ``verify-failover`` is the replication
-plane's (DESIGN section 16): a primary killed at a snapshot epoch,
-after a delta frame, mid-frame (torn write), or mid-delta-interval
-must -- after the warm standby is promoted, replays its journal tail,
-and resumes the feed from the recorded cursor -- produce output
-byte-identical to the uninterrupted run, per hash seed.
+``verify`` without ``--arm`` diffs the arms each scenario declares.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import random
 import subprocess
 import sys
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -152,19 +136,188 @@ def rng_for(seed: int, *names: Any) -> random.Random:
 
 
 # ---------------------------------------------------------------------------
+# Arms: the ways one scenario can be executed
+# ---------------------------------------------------------------------------
+
+class ArmError(ValueError):
+    """A malformed arm, or an axis the scenario does not declare."""
+
+
+#: ``--arm`` key -> :class:`Arm` field (``hash_seed`` has no key: it is
+#: the child's ``PYTHONHASHSEED``, fixed before the interpreter starts)
+_ARM_KEYS = {"block": "block_size", "topology": "topology", "crash": "crash"}
+
+
+@dataclass(frozen=True)
+class Arm:
+    """One way of executing a scenario; the default is the reference.
+
+    Written ``block=7,topology=shards:4,crash=1:600`` (the ``key=value``
+    grammar of ``--fault``).  ``crash`` is the spec its topology already
+    understands: for ``single`` the node the scenario declares a
+    transient ``at_tuple`` fault for, for ``shards:N`` a
+    ``SHARD:PACKET_INDEX`` (``ShardedGigascope(crash=)``), for
+    ``standby:CADENCE`` a ``packet:K | frame:N[:torn]``
+    (``ReplicatedGigascope(crash=)``).  Every field is validated here,
+    by the validator of the constructor it ends up in, so a malformed
+    arm never reaches a child process.
+    """
+
+    hash_seed: Optional[str] = None
+    block_size: Optional[int] = None
+    topology: str = "single"
+    crash: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        from repro.core.engine import resolve_batch_size
+        from repro.replication import (parse_crash_spec,
+                                       resolve_replicate_cadence)
+        from repro.shard.runtime import parse_crash
+        kind, _, param = self.topology.partition(":")
+        try:
+            resolve_batch_size(self.block_size)
+            if kind == "shards":
+                if not param.isdigit() or int(param) < 1:
+                    raise ValueError("shards:N needs an integer N >= 1")
+                parse_crash(self.crash, int(param))
+            elif kind == "standby":
+                resolve_replicate_cadence(param)
+                if self.crash:
+                    parse_crash_spec(self.crash)
+            elif self.topology != "single":
+                raise ValueError("use single, shards:N or standby:CADENCE")
+            elif self.crash is not None and not self.crash.isidentifier():
+                raise ValueError(f"crash {self.crash!r} does not fit "
+                                 f"topology=single (a node name)")
+        except ValueError as error:
+            raise ArmError(f"bad arm {self.spec()!r}: {error}") from None
+
+    @classmethod
+    def parse(cls, spec: str) -> "Arm":
+        fields: Dict[str, Any] = {}
+        for part in filter(None, spec.split(",")):
+            key, _, value = (text.strip() for text in part.partition("="))
+            if key not in _ARM_KEYS or not value:
+                raise ArmError(
+                    f"bad arm {spec!r}: {part!r} is not one of block=N, "
+                    f"topology=single|shards:N|standby:CADENCE, crash=SPEC")
+            fields[_ARM_KEYS[key]] = value
+        if "block_size" in fields:
+            try:
+                fields["block_size"] = int(fields["block_size"])
+            except ValueError:
+                raise ArmError(f"bad arm {spec!r}: block must be an "
+                               f"integer") from None
+        return cls(**fields)
+
+    def spec(self) -> str:
+        """The ``--arm`` text that parses back to this arm."""
+        parts = [f"{key}={getattr(self, name)}"
+                 for key, name in _ARM_KEYS.items()
+                 if getattr(self, name) not in (None, "single")]
+        return ",".join(parts) or "topology=single"
+
+    def describe(self) -> str:
+        seed = f"PYTHONHASHSEED={self.hash_seed} " if self.hash_seed else ""
+        return f"{seed}--arm {self.spec()}"
+
+    def differs(self, other: "Arm") -> Tuple[str, ...]:
+        """The fields (``hash`` or an ``--arm`` key) two arms differ in."""
+        names = dict(_ARM_KEYS, hash="hash_seed")
+        return tuple(sorted(key for key, name in names.items()
+                            if getattr(self, name) != getattr(other, name)))
+
+
+@dataclass(frozen=True)
+class Axes:
+    """What a scenario declares it can vary (see :func:`scenario`)."""
+
+    #: ``(node, at_tuple)``: the transient crash ``crash=NODE`` arms
+    #: under ``topology=single``; None: no crash to ask for
+    crash: Optional[Tuple[str, int]] = None
+    #: topology kinds the scenario builds (``single``/``shards``/``standby``)
+    topologies: Tuple[str, ...] = ("single",)
+    #: what ``verify`` diffs against the reference when given no ``--arm``
+    arms: Tuple[str, ...] = ()
+
+    def check(self, name: str, arm: Arm) -> None:
+        """Refuse an arm asking for an axis ``name`` did not declare."""
+        kind = arm.topology.partition(":")[0]
+        asked = f"asked for --arm {arm.spec()}"
+        if kind not in self.topologies:
+            raise ArmError(f"scenario {name!r} declares no topology={kind} "
+                           f"axis ({asked}; it builds "
+                           f"{', '.join(self.topologies)})")
+        if kind == "single" and arm.crash is not None:
+            if self.crash is None:
+                raise ArmError(f"scenario {name!r} declares no crash axis "
+                               f"({asked})")
+            if arm.crash != self.crash[0]:
+                raise ArmError(f"scenario {name!r} declares crash="
+                               f"{self.crash[0]}, not crash={arm.crash}")
+
+
+class LastRun:
+    """The scenario in flight and the last engine it built:
+    :func:`run_scenario` sets ``axes``, :func:`engine_for` reads the
+    declared crash target off it and records ``engine`` (CI's failure
+    artifacts read ``.engine.rts.supervisor`` / ``.engine.log_frames``)."""
+
+    axes = Axes()
+    engine = None
+
+
+def engine_for(arm: Arm, seed: int, **kwargs):
+    """The engine ``arm`` asks for: its topology, block size and crash."""
+    kwargs.update(seed=seed, batch_size=arm.block_size)
+    kind, _, param = arm.topology.partition(":")
+    if kind == "shards":
+        from repro.shard import ShardedGigascope
+        gs = ShardedGigascope(int(param), crash=arm.crash,
+                              barrier_interval=0.25, **kwargs)
+    elif kind == "standby":
+        from repro.replication import ReplicatedGigascope
+        gs = ReplicatedGigascope(cadence=float(param), crash=arm.crash,
+                                 **kwargs)
+    else:
+        from repro.core.engine import Gigascope
+        gs = Gigascope(**kwargs)
+        if arm.crash is not None:
+            # An operator fault can only arm once its node exists, and
+            # the engine is built before the queries are added: arm it
+            # on the way out of start().
+            node, at_tuple = LastRun.axes.crash or (None, 0)
+            if node != arm.crash:
+                raise ArmError(f"crash={arm.crash} is not what the scenario "
+                               f"in flight declares; use run_scenario()")
+            start = gs.start
+
+            def start_then_crash() -> None:
+                start()
+                gs.inject_faults([f"operator_error:node={node},"
+                                  f"at_tuple={at_tuple},times=1"])
+            gs.start = start_then_crash
+    LastRun.engine = gs
+    return gs
+
+
+# ---------------------------------------------------------------------------
 # Replay scenarios
 # ---------------------------------------------------------------------------
 
-#: name -> callable(seed) returning a JSON-serializable snapshot dict
-SCENARIOS: Dict[str, Callable[[int], Dict[str, Any]]] = {}
+#: name -> callable(seed, arm) returning a JSON-serializable snapshot
+SCENARIOS: Dict[str, Callable[[int, Arm], Dict[str, Any]]] = {}
 
 
-def scenario(name: str):
-    """Register a replay scenario under ``name``."""
-    def register(fn):
-        SCENARIOS[name] = fn
+def scenario(name: Optional[str] = None, **axes):
+    """Declare a scenario callable's :class:`Axes` and register it under
+    ``name`` (None: declare only, for a ``module:callable`` scenario)."""
+    def declare(fn):
+        fn.axes = Axes(**axes)
+        if name is not None:
+            SCENARIOS[name] = fn
         return fn
-    return register
+    return declare
 
 
 def snapshot_engine(gs, subscriptions: Dict[str, Any]) -> Dict[str, Any]:
@@ -176,19 +329,48 @@ def snapshot_engine(gs, subscriptions: Dict[str, Any]) -> Dict[str, Any]:
     (= group ejection) counts; ``metrics`` is the full registry
     exposition.
     """
-    snapshot: Dict[str, Any] = {
-        "rows": {name: [repr(row) for row in sub.poll()]
-                 for name, sub in sorted(subscriptions.items())},
-        "drops": gs.overload_report(),
-        "stats": gs.stats(),
-    }
+    snapshot = dict(_rows(gs, subscriptions), drops=gs.overload_report(),
+                    stats=gs.stats())
     if gs.metrics is not None:
         snapshot["metrics"] = json.loads(gs.metrics.to_json())
     return snapshot
 
 
-@scenario("mixed")
-def _mixed_scenario(seed: int) -> Dict[str, Any]:
+def _rows(gs, subscriptions: Dict[str, Any]) -> Dict[str, Any]:
+    """The rows-only snapshot of a scenario that changes topology: node
+    names and metric families differ structurally between the runtimes
+    (``shardN/`` prefixes, ``gs_shard_*``), the rows must not at all."""
+    return {"rows": {name: [repr(row) for row in sub.poll()]
+                     for name, sub in sorted(subscriptions.items())}}
+
+
+_FLOWS = """
+    DEFINE query_name flows;
+    Select tb, srcIP, srcPort, count(*), sum(len)
+    From tcp
+    Group by time/5 as tb, srcIP, srcPort
+"""
+
+
+def _zipf(seed: int, flows: int = 400, alpha: float = 1.1,
+          count: int = 4000) -> List[Any]:
+    from repro.workloads.flows import ZipfFlowWorkload
+    workload = ZipfFlowWorkload(num_flows=flows, alpha=alpha,
+                                seed=derive_seed(seed, "workload.zipf"))
+    return list(workload.packets(count, pps=2000.0))
+
+
+def _drive(gs, subs, packets, pump_every: int = 256,
+           snapshot=snapshot_engine) -> Dict[str, Any]:
+    """Start, feed, flush, snapshot: the back half of every scenario."""
+    gs.start()
+    gs.feed(packets, pump_every=pump_every)
+    gs.flush()
+    return snapshot(gs, subs)
+
+
+@scenario("mixed", arms=("block=1",))
+def _mixed_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """Sampling + shedding + LFTA aggregation, all drawing randomness.
 
     A deliberately hostile replay target: a ``DEFINE sample`` query
@@ -197,17 +379,9 @@ def _mixed_scenario(seed: int) -> Dict[str, Any]:
     and ejections), bounded channels (overflow drops), over a Zipf flow
     workload (generator RNG).
     """
-    from repro.core.engine import Gigascope
-    from repro.workloads.flows import ZipfFlowWorkload
-
-    gs = Gigascope(seed=seed, lfta_table_size=64, channel_capacity=256,
-                   heartbeat_interval=0.5)
-    gs.add_query("""
-        DEFINE query_name flows;
-        Select tb, srcIP, srcPort, count(*), sum(len)
-        From tcp
-        Group by time/5 as tb, srcIP, srcPort
-    """)
+    gs = engine_for(arm, seed, lfta_table_size=64, channel_capacity=256,
+                    heartbeat_interval=0.5)
+    gs.add_query(_FLOWS)
     gs.add_query("""
         DEFINE { query_name sampled; sample 0.25; }
         Select srcIP, destIP, destPort, time
@@ -216,25 +390,17 @@ def _mixed_scenario(seed: int) -> Dict[str, Any]:
     """)
     gs.enable_shedding("static:0.6")
     subs = {name: gs.subscribe(name) for name in ("flows", "sampled")}
-    gs.start()
-    workload = ZipfFlowWorkload(num_flows=400, alpha=1.1,
-                                seed=derive_seed(seed, "workload.zipf"))
-    gs.feed(workload.packets(4000, pps=2000.0), pump_every=128)
-    gs.flush()
-    return snapshot_engine(gs, subs)
+    return _drive(gs, subs, _zipf(seed), pump_every=128)
 
 
-@scenario("e4")
-def _e4_scenario(seed: int) -> Dict[str, Any]:
+@scenario("e4", arms=("block=1", "block=7"))
+def _e4_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """E4-style aggregation sweep step: small table, skewed flows.
 
     Group ejections from the direct-mapped table dominate the output,
     so any instability in slot placement is immediately visible.
     """
-    from repro.core.engine import Gigascope
-    from repro.workloads.flows import ZipfFlowWorkload
-
-    gs = Gigascope(seed=seed, lfta_table_size=128)
+    gs = engine_for(arm, seed, lfta_table_size=128)
     gs.add_query("""
         DEFINE query_name flows;
         Select tb, srcIP, srcPort, count(*), sum(len)
@@ -242,89 +408,42 @@ def _e4_scenario(seed: int) -> Dict[str, Any]:
         Group by time/30 as tb, srcIP, srcPort
     """)
     subs = {"flows": gs.subscribe("flows")}
-    gs.start()
-    workload = ZipfFlowWorkload(num_flows=2000, alpha=0.8,
-                                seed=derive_seed(seed, "workload.zipf"))
-    gs.feed(workload.packets(6000, pps=2000.0))
-    gs.flush()
-    return snapshot_engine(gs, subs)
+    return _drive(gs, subs, _zipf(seed, flows=2000, alpha=0.8, count=6000))
 
 
 # -- recovery scenarios ------------------------------------------------------
 #
-# Each runs in two arms, selected by the GS_RECOVERY_CRASH environment
-# variable: "1" arms a transient OperatorFault (raises once, then
-# heals) against the named node; anything else runs clean.  Both arms
-# enable the recovery supervisor with identical settings, so the
-# checkpoint cadence -- and therefore everything the supervisor does on
-# the clean path -- is the same; the only difference is the crash and
-# the restore/replay that repairs it.  ``verify_recovery`` diffs the
-# two arms: recovery is correct exactly when they are byte-identical.
-# Both run at the engine's default block size, so the crash lands
-# inside a block on the path production runs.
+# Each declares one transient OperatorFault (raises once, then heals)
+# against a named node; ``crash=NODE`` arms it.  Both arms run the
+# recovery supervisor with identical settings, so the only difference
+# is the crash and the restore/replay that repairs it: recovery is
+# correct exactly when the two arms are byte-identical.  The reference
+# runs at the default block size, so the crash lands inside a block.
 
-_RECOVERY_CRASH_ENV = "GS_RECOVERY_CRASH"
-
-# The most recent recovery scenario's supervisor, kept for post-mortem
-# artifact dumps (CI writes its checkpoint blobs on a verify failure).
-_LAST_SUPERVISOR: Dict[str, Any] = {}
-
-
-def _crash_arm() -> bool:
-    return os.environ.get(_RECOVERY_CRASH_ENV) == "1"
-
-
-def _arm_transient_crash(gs, node: str, at_tuple: int) -> None:
-    from repro.faults.injectors import OperatorFault
-    gs.inject_faults([OperatorFault(node, at_tuple=at_tuple, times=1)])
-
-
-@scenario("recovery_agg")
-def _recovery_agg_scenario(seed: int) -> Dict[str, Any]:
+@scenario("recovery_agg", crash=("flows", 400), arms=("crash=flows",))
+def _recovery_agg_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """Aggregation crash mid-stream: HFTA group state restored+replayed."""
-    from repro.core.engine import Gigascope
-    from repro.workloads.flows import ZipfFlowWorkload
-
-    gs = Gigascope(seed=seed, lfta_table_size=64, channel_capacity=256,
-                   heartbeat_interval=0.5)
-    gs.add_query("""
-        DEFINE query_name flows;
-        Select tb, srcIP, srcPort, count(*), sum(len)
-        From tcp
-        Group by time/5 as tb, srcIP, srcPort
-    """)
+    gs = engine_for(arm, seed, lfta_table_size=64, channel_capacity=256,
+                    heartbeat_interval=0.5)
+    gs.add_query(_FLOWS)
     subs = {"flows": gs.subscribe("flows")}
-    _LAST_SUPERVISOR["supervisor"] = gs.enable_recovery(
-        checkpoint_interval=0.4)
-    gs.start()
-    if _crash_arm():
-        _arm_transient_crash(gs, "flows", at_tuple=400)
-    workload = ZipfFlowWorkload(num_flows=400, alpha=1.1,
-                                seed=derive_seed(seed, "workload.zipf"))
-    gs.feed(workload.packets(4000, pps=2000.0), pump_every=64)
-    gs.flush()
-    return snapshot_engine(gs, subs)
+    gs.enable_recovery(checkpoint_interval=0.4)
+    return _drive(gs, subs, _zipf(seed), pump_every=64)
 
 
-@scenario("recovery_join")
-def _recovery_join_scenario(seed: int) -> Dict[str, Any]:
+@scenario("recovery_join", crash=("j", 150), arms=("crash=j",))
+def _recovery_join_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """Join crash mid-stream: window buffers restored, pairs replayed."""
-    from repro.core.engine import Gigascope
     from repro.net.build import build_tcp_frame, capture
 
-    gs = Gigascope(seed=seed, channel_capacity=512,
-                   heartbeat_interval=0.5)
+    gs = engine_for(arm, seed, channel_capacity=512, heartbeat_interval=0.5)
     gs.add_query("""
         DEFINE query_name j;
         Select B.time, B.destPort From eth0.tcp B, eth1.tcp C
         Where B.time = C.time and B.destPort = C.destPort
     """)
     subs = {"j": gs.subscribe("j")}
-    _LAST_SUPERVISOR["supervisor"] = gs.enable_recovery(
-        checkpoint_interval=0.5)
-    gs.start()
-    if _crash_arm():
-        _arm_transient_crash(gs, "j", at_tuple=150)
+    gs.enable_recovery(checkpoint_interval=0.5)
     rng = rng_for(seed, "recovery_join.workload")
     ports = (25, 80, 443, 8080)
     packets = []
@@ -336,32 +455,25 @@ def _recovery_join_scenario(seed: int) -> Dict[str, Any]:
         packets.append(capture(build_tcp_frame(
             "10.1.0.1", "10.1.0.2", 2000 + i % 50, rng.choice(ports)),
             t, "eth1"))
-    gs.feed(packets, pump_every=32)
-    gs.flush()
-    return snapshot_engine(gs, subs)
+    return _drive(gs, subs, packets, pump_every=32)
 
 
-@scenario("recovery_tcp")
-def _recovery_tcp_scenario(seed: int) -> Dict[str, Any]:
+@scenario("recovery_tcp", crash=("tcpre0", 300), arms=("crash=tcpre0",))
+def _recovery_tcp_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """TCP-reassembly crash: flow tables and out-of-order buffers survive.
 
     A packet consumer, so the repair replays the *global packet
     journal* -- the path exercised when the crashing node sits on the
     card side of the split rather than behind a channel.
     """
-    from repro.core.engine import Gigascope
     from repro.net.build import build_tcp_frame, capture
     from repro.net.tcp import FLAG_ACK, FLAG_SYN
     from repro.operators.tcp_reassembly import TcpReassemblyNode
 
-    gs = Gigascope(seed=seed, heartbeat_interval=0.5)
+    gs = engine_for(arm, seed, heartbeat_interval=0.5)
     gs.add_node(TcpReassemblyNode("tcpre0"), interface="eth0")
     subs = {"tcpre0": gs.subscribe("tcpre0")}
-    _LAST_SUPERVISOR["supervisor"] = gs.enable_recovery(
-        checkpoint_interval=0.5)
-    gs.start()
-    if _crash_arm():
-        _arm_transient_crash(gs, "tcpre0", at_tuple=300)
+    gs.enable_recovery(checkpoint_interval=0.5)
     rng = rng_for(seed, "recovery_tcp.workload")
     packets = []
     t = 0.0
@@ -386,9 +498,7 @@ def _recovery_tcp_scenario(seed: int) -> Dict[str, Any]:
             packets.insert(len(packets) - 1, segment)
         else:
             packets.append(segment)
-    gs.feed(packets, pump_every=32)
-    gs.flush()
-    return snapshot_engine(gs, subs)
+    return _drive(gs, subs, packets, pump_every=32)
 
 
 # -- alert scenarios ---------------------------------------------------------
@@ -396,80 +506,61 @@ def _recovery_tcp_scenario(seed: int) -> Dict[str, Any]:
 # The alert plane's determinism contract (DESIGN section 12): trigger
 # evaluation is a pure function of journaled channel items (query rows
 # and EpochTicks both travel through the trigger's input channels), so
-# the emitted alert stream must be byte-identical across hash seeds
-# (verify) and across a crash/restore of the trigger node itself
-# (verify-recovery, crashing ``alert_<trigger>``).
+# the emitted alert stream must be byte-identical across hash seeds and
+# across a crash/restore of the trigger node itself (``alert_<trigger>``
+# is each scenario's declared crash target).
 
-@scenario("alerts_syn_flood")
-def _alerts_syn_flood_scenario(seed: int) -> Dict[str, Any]:
-    """SYN-flood detection through the trigger layer, crash-restartable."""
-    from repro.core.engine import Gigascope
+def _alert_scenario(seed: int, arm: Arm, query: str, trigger: str,
+                    packets) -> Dict[str, Any]:
+    gs = engine_for(arm, seed, heartbeat_interval=0.5, channel_capacity=512)
+    watch = gs.add_query(query)
+    # 8s between checkpoints puts the first RAISE (stream time ~25)
+    # inside the journal gap of a crash at the trigger's second row
+    # (~30), so the repair must re-evaluate the raising epoch and the
+    # emit gate must suppress the already-delivered alert row
+    # (exactly-once).
+    gs.enable_recovery(checkpoint_interval=8.0)
+    gs.enable_alerts([trigger])
+    subs = {watch: gs.subscribe(watch), "alerts": gs.subscribe("alerts")}
+    return _drive(gs, subs, packets, pump_every=64)
+
+
+@scenario("alerts_syn_flood", crash=("alert_synflood", 2),
+          arms=("crash=alert_synflood",))
+def _alerts_syn_flood_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
+    """SYN-flood detection through the trigger layer, crash-restartable.
+
+    The crash lands on the second row the trigger sees: after the first
+    RAISE-able epoch closed, with live hysteresis/raised state to
+    restore."""
     from repro.workloads.scenarios import syn_flood
 
-    gs = Gigascope(seed=seed, heartbeat_interval=0.5, channel_capacity=512)
-    gs.add_query("""
+    attack = syn_flood(seed=derive_seed(seed, "alerts.synflood"),
+                       duration_s=40.0, background_mbps=6.0, pps=800.0)
+    return _alert_scenario(seed, arm, """
         DEFINE query_name syn_watch;
         Select tb, destIP, count(*) as syns
         From tcp Where tcpflags & 18 = 2
         Group by time/5 as tb, destIP
-    """)
-    # 8s between checkpoints puts the first RAISE (stream time ~25)
-    # inside the journal gap of a crash at the second row (~30), so the
-    # repair must re-evaluate the raising epoch and the emit gate must
-    # suppress the already-delivered alert row (exactly-once).
-    _LAST_SUPERVISOR["supervisor"] = gs.enable_recovery(
-        checkpoint_interval=8.0)
-    gs.enable_alerts([
-        "synflood:on=syn_watch,key=destIP,when=sum(syns) > 400,epoch=5,"
-        "raise_for=1,clear_for=2,severity=critical",
-    ])
-    subs = {"syn_watch": gs.subscribe("syn_watch"),
-            "alerts": gs.subscribe("alerts")}
-    gs.start()
-    if _crash_arm():
-        # The second row the trigger sees: after the first RAISE-able
-        # epoch closed, with live hysteresis/raised state to restore.
-        _arm_transient_crash(gs, "alert_synflood", at_tuple=2)
-    attack = syn_flood(seed=derive_seed(seed, "alerts.synflood"),
-                       duration_s=40.0, background_mbps=6.0, pps=800.0)
-    gs.feed(attack.packets, pump_every=64)
-    gs.flush()
-    return snapshot_engine(gs, subs)
+    """, "synflood:on=syn_watch,key=destIP,when=sum(syns) > 400,epoch=5,"
+         "raise_for=1,clear_for=2,severity=critical", attack.packets)
 
 
-@scenario("alerts_port_scan")
-def _alerts_port_scan_scenario(seed: int) -> Dict[str, Any]:
+@scenario("alerts_port_scan", crash=("alert_portscan", 2),
+          arms=("crash=alert_portscan",))
+def _alerts_port_scan_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """Port-scan detection through the trigger layer, crash-restartable."""
-    from repro.core.engine import Gigascope
     from repro.workloads.scenarios import port_scan
 
-    gs = Gigascope(seed=seed, heartbeat_interval=0.5, channel_capacity=512)
-    gs.add_query("""
+    attack = port_scan(seed=derive_seed(seed, "alerts.portscan"),
+                       duration_s=40.0, background_mbps=6.0)
+    return _alert_scenario(seed, arm, """
         DEFINE query_name scan_watch;
         Select tb, srcIP, count(*) as probes
         From tcp Where tcpflags & 18 = 2
         Group by time/5 as tb, srcIP
-    """)
-    _LAST_SUPERVISOR["supervisor"] = gs.enable_recovery(
-        checkpoint_interval=8.0)
-    gs.enable_alerts([
-        "portscan:on=scan_watch,key=srcIP,when=sum(probes) > 150,epoch=5,"
-        "raise_for=1,clear_for=2,severity=warning",
-    ])
-    subs = {"scan_watch": gs.subscribe("scan_watch"),
-            "alerts": gs.subscribe("alerts")}
-    gs.start()
-    if _crash_arm():
-        _arm_transient_crash(gs, "alert_portscan", at_tuple=2)
-    attack = port_scan(seed=derive_seed(seed, "alerts.portscan"),
-                       duration_s=40.0, background_mbps=6.0)
-    gs.feed(attack.packets, pump_every=64)
-    gs.flush()
-    return snapshot_engine(gs, subs)
-
-
-#: the scenarios ``verify-alerts`` gates on
-ALERT_SCENARIOS = ("alerts_syn_flood", "alerts_port_scan")
+    """, "portscan:on=scan_watch,key=srcIP,when=sum(probes) > 150,epoch=5,"
+         "raise_for=1,clear_for=2,severity=warning", attack.packets)
 
 
 # -- telemetry scenarios -----------------------------------------------------
@@ -479,45 +570,23 @@ ALERT_SCENARIOS = ("alerts_syn_flood", "alerts_port_scan")
 # per-sample deltas) and travel through the same journaled channels as
 # every other stream item, so the streams -- and any GSQL meta-query or
 # meta-alert computed from them -- replay byte-identically across hash
-# seeds and across a crash/restore, with zero telemetry-specific
-# recovery code.  Wall-clock cost lives only in the profiler report and
-# the ``gs_telemetry_profile_wall*`` metric family, which
-# :func:`strip_wall_clock_metrics` removes before diffing.
+# seeds and across a crash/restore.  Wall-clock cost lives only in the
+# ``gs_telemetry_profile_wall*`` families, which :func:`comparable`
+# always removes.
 
-def _drop_metric_families(snapshot: Dict[str, Any],
-                          prefix: str) -> Dict[str, Any]:
-    """Remove the metric families named ``prefix*`` from a snapshot."""
-    metrics = snapshot.get("metrics")
-    if isinstance(metrics, dict) and isinstance(metrics.get("metrics"), list):
-        metrics["metrics"] = [
-            family for family in metrics["metrics"]
-            if not str(family.get("name", "")).startswith(prefix)
-        ]
-    return snapshot
-
-
-def strip_wall_clock_metrics(snapshot: Dict[str, Any]) -> Dict[str, Any]:
-    """Drop wall-clock profiler families from a scenario snapshot.
-
-    ``gs_telemetry_profile_wall*`` accumulates ``perf_counter`` spans
-    and so differs between any two runs *by nature*; every other
-    telemetry surface is virtual-time-deterministic and must not.
-    """
-    return _drop_metric_families(snapshot, "gs_telemetry_profile_wall")
-
-
-def _telemetry_engine(seed: int, subscribe_streams: Tuple[str, ...]):
-    """The shared telemetry-scenario topology.
+def _telemetry_scenario(seed: int, arm: Arm, streams: Tuple[str, ...],
+                        faults: Tuple[str, ...] = ()) -> Dict[str, Any]:
+    """The shared telemetry topology, fed and snapshotted.
 
     A selection query keeps per-packet pressure on its subscription
-    channel (so the injected storm produces real overflow drops), a
+    channel (so an injected storm produces real overflow drops), a
     GSQL meta-query and a meta-alert trigger both read ``_gs_channel``
     unmodified, and the recovery supervisor runs so ``_gs_recovery``
-    carries live counters.  Returns ``(gs, subs)`` ready to feed.
+    carries live counters.
     """
-    from repro.core.engine import Gigascope
+    from repro.workloads.generators import http_port80_pool, packet_stream
 
-    gs = Gigascope(seed=seed, heartbeat_interval=0.5, channel_capacity=256)
+    gs = engine_for(arm, seed, heartbeat_interval=0.5, channel_capacity=256)
     gs.enable_telemetry(interval=0.5)
     gs.add_query("""
         DEFINE query_name pkts;
@@ -529,125 +598,87 @@ def _telemetry_engine(seed: int, subscribe_streams: Tuple[str, ...]):
         From _gs_channel
         Group by floor(time/2) as tb
     """, name="chan_drops")
-    _LAST_SUPERVISOR["supervisor"] = gs.enable_recovery(
-        checkpoint_interval=8.0)
+    gs.enable_recovery(checkpoint_interval=8.0)
     gs.enable_alerts([
         "chanstorm:on=_gs_channel,key=channel,when=sum(dropped_delta) > 40,"
         "epoch=2,raise_for=1,clear_for=2,severity=warning",
     ])
     subs = {name: gs.subscribe(name)
-            for name in ("pkts", "chan_drops", "alerts")}
-    for stream in subscribe_streams:
-        subs[stream] = gs.subscribe(stream)
+            for name in ("pkts", "chan_drops", "alerts") + streams}
     gs.start()
-    return gs, subs
-
-
-def _feed_telemetry(gs, seed: int) -> None:
-    from repro.workloads.generators import http_port80_pool, packet_stream
+    gs.inject_faults(faults)
     pool = http_port80_pool(seed=derive_seed(seed, "telemetry.pool") & 0xFFFF)
     gs.feed(packet_stream(pool, rate_mbps=2.0, duration_s=10.0,
                           seed=derive_seed(seed, "telemetry.stream")),
             pump_every=64)
     gs.flush()
+    return comparable(snapshot_engine(gs, subs))
 
 
 @scenario("telemetry_meta")
-def _telemetry_meta_scenario(seed: int) -> Dict[str, Any]:
+def _telemetry_meta_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """Every ``_gs_*`` stream plus meta-query and meta-alert, under an
     injected channel storm.  The hash-seed replay target: all five
     telemetry streams are subscribed and snapshotted byte-for-byte."""
     from repro.obs.telemetry import TELEMETRY_STREAMS
 
-    gs, subs = _telemetry_engine(seed, TELEMETRY_STREAMS)
-    gs.inject_faults(["channel_storm:at=3.0,duration=2.0,capacity=4"])
-    _feed_telemetry(gs, seed)
-    return strip_wall_clock_metrics(snapshot_engine(gs, subs))
+    return _telemetry_scenario(
+        seed, arm, TELEMETRY_STREAMS,
+        faults=("channel_storm:at=3.0,duration=2.0,capacity=4",))
 
 
-@scenario("telemetry_crash")
-def _telemetry_crash_scenario(seed: int) -> Dict[str, Any]:
-    """Meta-query crash mid-stream: telemetry rows are journaled channel
-    items like any other, so restore + replay must reconstruct the
-    clean run.  ``_gs_recovery`` is left unsubscribed -- its rows count
-    the repair itself, the one stream that differs across arms by
-    design (the same exclusion :func:`strip_recovery_artifacts` makes
-    for the ``gs_recovery*`` metric families)."""
-    gs, subs = _telemetry_engine(
-        seed, ("_gs_channel", "_gs_operator", "_gs_shed", "_gs_alert"))
-    if _crash_arm():
-        # Mid-run: chan_drops has seen ~half the telemetry rows and
-        # holds an open epoch of drop sums at the crash.
-        _arm_transient_crash(gs, "chan_drops", at_tuple=40)
-    _feed_telemetry(gs, seed)
-    return strip_wall_clock_metrics(snapshot_engine(gs, subs))
-
-
-#: the scenarios ``verify-telemetry`` gates on
-TELEMETRY_SCENARIOS = ("telemetry_meta", "telemetry_crash")
+@scenario("telemetry_crash", crash=("chan_drops", 40),
+          arms=("crash=chan_drops",))
+def _telemetry_crash_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
+    """Meta-query crash mid-stream (``chan_drops`` has seen ~half the
+    telemetry rows and holds an open epoch of drop sums): telemetry
+    rows are journaled channel items like any other, so restore +
+    replay must reconstruct the clean run.  ``_gs_recovery`` is left
+    unsubscribed -- its rows count the repair itself, the one stream
+    that differs across arms by design (the same exclusion
+    :func:`comparable` makes for the ``gs_recovery*`` families)."""
+    return _telemetry_scenario(
+        seed, arm, ("_gs_channel", "_gs_operator", "_gs_shed", "_gs_alert"))
 
 
 # -- sharded-runtime scenarios -----------------------------------------------
 #
-# Each builds the engine from the GS_SHARDS environment variable: 0 (or
-# unset) runs the ordinary single-process Gigascope, N >= 1 runs the
-# multi-process ShardedGigascope.  ``verify_shard`` diffs the two arms'
-# sink rows -- the sharded runtime's whole contract is that flow-hash
-# partitioning plus superaggregate shard-merge is *invisible* in the
-# output.  Snapshots carry rows only: per-node statistics and metrics
-# families differ structurally between the runtimes by construction
-# (shardN/-prefixed names, gs_shard_* families), while the rows must
-# not differ at all.  A worker crash is armed through GS_SHARD_CRASH
-# ("SHARD:PACKET_INDEX"), which the parent runtime consumes on its own.
+# ``topology=shards:N`` runs the multi-process ShardedGigascope instead
+# of the single-process engine.  The sharded runtime's whole contract
+# is that flow-hash partitioning plus superaggregate shard-merge is
+# *invisible* in the output, including when ``crash=SHARD:INDEX`` kills
+# a worker mid-stream and the parent respawns it from its fold of the
+# worker's state frames.
 
-def _shard_engine(seed: int, **kwargs):
-    shards = int(os.environ.get("GS_SHARDS", "0") or "0")
-    if shards:
-        from repro.shard import ShardedGigascope
-        return ShardedGigascope(shards, seed=seed, metrics=False,
-                                barrier_interval=0.25, **kwargs)
-    from repro.core.engine import Gigascope
-    return Gigascope(seed=seed, metrics=False, **kwargs)
+_SHARD_ARMS = ("topology=shards:4", "topology=shards:4,crash=1:600")
 
 
-@scenario("shard_flows")
-def _shard_flows_scenario(seed: int) -> Dict[str, Any]:
+@scenario("shard_flows", topologies=("single", "shards"), arms=_SHARD_ARMS)
+def _shard_flows_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """Zipf flow aggregation, single-process vs hash-partitioned shards.
 
     Many groups (three-part key), several barrier crossings, skewed
     flow sizes -- the canonical workload for checking that shard-merge
     reproduces the global (window, key)-ordered output byte-for-byte.
     """
-    from repro.workloads.flows import ZipfFlowWorkload
-
-    gs = _shard_engine(seed, heartbeat_interval=0.5)
-    gs.add_query("""
-        DEFINE query_name flows;
-        Select tb, srcIP, srcPort, count(*), sum(len)
-        From tcp
-        Group by time/5 as tb, srcIP, srcPort
-    """)
-    sub = gs.subscribe("flows")
-    gs.start()
-    workload = ZipfFlowWorkload(num_flows=400, alpha=1.1,
-                                seed=derive_seed(seed, "workload.zipf"))
-    gs.feed(list(workload.packets(4000, pps=2000.0)), pump_every=128)
-    gs.flush()
-    return {"rows": {"flows": [repr(row) for row in sub.poll()]}}
+    gs = engine_for(arm, seed, metrics=False, heartbeat_interval=0.5)
+    gs.add_query(_FLOWS)
+    subs = {"flows": gs.subscribe("flows")}
+    return _drive(gs, subs, _zipf(seed), pump_every=128, snapshot=_rows)
 
 
-@scenario("shard_e2")
-def _shard_e2_scenario(seed: int) -> Dict[str, Any]:
+@scenario("shard_e2", topologies=("single", "shards"), arms=_SHARD_ARMS)
+def _shard_e2_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """The E2 deployment shape: two merged links feeding an aggregation.
 
     Exercises the full worker pipeline -- per-interface LFTAs, the
     merge operator, then the terminal aggregation flipped to partials --
-    so verify-shard gates exactly what the E16 benchmark measures.
+    exactly what the E16 benchmark measures.
     """
     from repro.workloads.generators import (http_port80_pool, merge_streams,
                                             packet_stream)
 
-    gs = _shard_engine(seed, heartbeat_interval=1.0)
+    gs = engine_for(arm, seed, metrics=False, heartbeat_interval=1.0)
     gs.add_queries("""
         DEFINE query_name link0;
         Select time, destIP, len From eth0.tcp Where destPort = 80;
@@ -662,263 +693,119 @@ def _shard_e2_scenario(seed: int) -> Dict[str, Any]:
         Select tb, destIP, count(*), sum(len)
         From both Group by time/10 as tb, destIP
     """)
-    sub = gs.subscribe("appmon")
-    gs.start()
+    subs = {"appmon": gs.subscribe("appmon")}
     a = packet_stream(http_port80_pool(seed=1), rate_mbps=25.0,
                       duration_s=10.0, interface="eth0",
                       seed=derive_seed(seed, "shard_e2.eth0"))
     b = packet_stream(http_port80_pool(seed=2), rate_mbps=25.0,
                       duration_s=10.0, interface="eth1",
                       seed=derive_seed(seed, "shard_e2.eth1"))
-    packets = []
-    for packet in merge_streams(a, b):
-        packets.append(packet)
-        if len(packets) >= 4000:
-            break
-    gs.feed(packets, pump_every=256)
-    gs.flush()
-    return {"rows": {"appmon": [repr(row) for row in sub.poll()]}}
-
-
-SHARD_SCENARIOS = ("shard_flows", "shard_e2")
+    packets = list(itertools.islice(merge_streams(a, b), 4000))
+    return _drive(gs, subs, packets, snapshot=_rows)
 
 
 # -- failover scenarios ------------------------------------------------------
 #
 # The replication plane's contract (DESIGN section 16): a warm standby
-# promoted after the primary dies -- at any of the crash points the
-# GS_FAILOVER_CRASH grammar can name -- must produce output
-# byte-identical to the uninterrupted run.  GS_FAILOVER=1 builds the
-# primary+standby pair (ReplicatedGigascope); 0 (or unset) runs the
-# plain single engine the crashed arm is diffed against.  Snapshots
-# carry rows plus a ``failover`` metadata block (promotion flags, RPO
-# counters, the frame ledger) that the verifier strips before diffing
-# and then asserts on separately: the crash arms must actually have
-# promoted, the clean arm must not.
+# promoted after the primary dies -- mid-delta-interval, at the
+# snapshot epoch, after a delta frame, or on a torn write (the standby
+# must refuse the torn frame and promote from the one before) -- must
+# produce output byte-identical to the uninterrupted run.  The
+# ``standby`` arms' snapshots carry a ``failover`` metadata block that
+# is never diffed, only asserted on: a crash arm must actually have
+# promoted, a clean arm must not.
 
-_FAILOVER_ENV = "GS_FAILOVER"
-_FAILOVER_CRASH_ENV = "GS_FAILOVER_CRASH"
-_FAILOVER_CADENCE_ENV = "GS_FAILOVER_CADENCE"
-
-#: the crash points ``verify-failover`` gates on: mid-delta-interval
-#: (hard death between frames), at the snapshot epoch, after a delta
-#: frame, and a torn write truncating a delta frame mid-stream (the
-#: standby must refuse the torn frame and promote from the one before)
-FAILOVER_CRASHES = ("packet:700", "frame:0", "frame:2", "frame:2:torn")
-
-#: the most recent replicated pair a failover scenario built in this
-#: process, kept for post-mortem artifact dumps (CI writes its frame
-#: log on a verify failure, as it does the supervisor's above)
-_LAST_FAILOVER: Dict[str, Any] = {}
-
-
-def _failover_engine(seed: int, **kwargs):
-    if os.environ.get(_FAILOVER_ENV) == "1":
-        from repro.replication import ReplicatedGigascope
-        cadence = float(os.environ.get(_FAILOVER_CADENCE_ENV, "0.5"))
-        crash = os.environ.get(_FAILOVER_CRASH_ENV) or None
-        pair = _LAST_FAILOVER["pair"] = ReplicatedGigascope(
-            cadence=cadence, crash=crash, seed=seed, metrics=False, **kwargs)
-        return pair
-    from repro.core.engine import Gigascope
-    return Gigascope(seed=seed, metrics=False, **kwargs)
-
-
-@scenario("failover_agg")
-def _failover_agg_scenario(seed: int) -> Dict[str, Any]:
+@scenario("failover_agg", topologies=("single", "standby"),
+          arms=("topology=standby:0.5",) + tuple(
+              f"topology=standby:0.5,crash={crash}" for crash in
+              ("packet:700", "frame:0", "frame:2", "frame:2:torn")))
+def _failover_agg_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """Flow aggregation plus a per-packet selection, primary vs promoted
     standby.  The aggregation carries open-group state across every
     crash point; the selection keeps per-packet pressure on the
     exactly-once skip gate (hundreds of delivered rows to suppress on
     replay)."""
-    from repro.workloads.flows import ZipfFlowWorkload
-
-    gs = _failover_engine(seed, heartbeat_interval=0.5, lfta_table_size=64)
-    gs.add_query("""
-        DEFINE query_name flows;
-        Select tb, srcIP, srcPort, count(*), sum(len)
-        From tcp
-        Group by time/5 as tb, srcIP, srcPort
-    """)
+    gs = engine_for(arm, seed, metrics=False, heartbeat_interval=0.5,
+                    lfta_table_size=64)
+    gs.add_query(_FLOWS)
     gs.add_query("""
         DEFINE query_name web;
         Select time, srcIP, destPort From tcp Where destPort = 80
     """)
     subs = {name: gs.subscribe(name) for name in ("flows", "web")}
-    gs.start()
-    workload = ZipfFlowWorkload(num_flows=400, alpha=1.1,
-                                seed=derive_seed(seed, "workload.zipf"))
-    gs.feed(list(workload.packets(4000, pps=2000.0)), pump_every=128)
-    gs.flush()
-    snapshot: Dict[str, Any] = {
-        "rows": {name: [repr(row) for row in sub.poll()]
-                 for name, sub in sorted(subs.items())},
-    }
+    snapshot = _drive(gs, subs, _zipf(seed), pump_every=128, snapshot=_rows)
     if hasattr(gs, "replication_report"):
         snapshot["failover"] = gs.replication_report()
     return snapshot
 
 
-def resolve_scenario(name: str) -> Callable[[int], Dict[str, Any]]:
+def resolve_scenario(name: str) -> Callable[[int, Arm], Dict[str, Any]]:
     """A registered scenario, or a ``module:callable`` dotted path."""
     if name in SCENARIOS:
         return SCENARIOS[name]
     if ":" in name:
         module_name, _, attr = name.partition(":")
         import importlib
-        module = importlib.import_module(module_name)
-        return getattr(module, attr)
+        try:
+            return getattr(importlib.import_module(module_name), attr)
+        except (ImportError, AttributeError) as error:
+            raise KeyError(f"unknown scenario {name!r}: {error}") from None
     raise KeyError(
         f"unknown scenario {name!r}; registered: {sorted(SCENARIOS)} "
         f"(or use a 'module:callable' path)"
     )
 
 
-def run_scenario(name: str, seed: int = 0) -> Dict[str, Any]:
-    """Run a scenario in this process and return its snapshot."""
-    return resolve_scenario(name)(seed)
+def axes_of(name: str) -> Axes:
+    """The axes scenario ``name`` declares (none declared: none to ask)."""
+    return getattr(resolve_scenario(name), "axes", Axes())
+
+
+def run_scenario(name: str, seed: int = 0, arm: Optional[Arm] = None
+                 ) -> Dict[str, Any]:
+    """Run one arm of a scenario (None: the reference) in this process
+    and return its snapshot; ``arm.hash_seed`` cannot be applied here."""
+    arm = arm or Arm()
+    LastRun.axes = axes_of(name)
+    LastRun.axes.check(name, arm)
+    return resolve_scenario(name)(seed, arm)
 
 
 # ---------------------------------------------------------------------------
 # The replay verifier
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ReplayReport:
-    """The verdict of one :func:`verify_replay` run."""
+def comparable(snapshot: Dict[str, Any],
+               differ: Tuple[str, ...] = ()) -> Dict[str, Any]:
+    """What two runs whose arms differ in the ``differ`` fields must
+    agree on (DESIGN section 9's table; the snapshot is not modified).
 
-    scenario: str
-    seed: int
-    hash_seeds: Tuple[str, str]
-    ok: bool
-    diffs: List[str] = field(default_factory=list)
-    snapshots: Optional[Tuple[Dict[str, Any], Dict[str, Any]]] = None
-    #: what varied between the two runs (for the report text)
-    axis: str = "PYTHONHASHSEED"
-
-    def describe(self) -> str:
-        if self.ok:
-            return (f"replay OK: scenario {self.scenario!r} seed "
-                    f"{self.seed} identical under {self.axis} "
-                    f"{self.hash_seeds[0]} and {self.hash_seeds[1]}")
-        lines = [f"replay FAILED: scenario {self.scenario!r} seed "
-                 f"{self.seed} diverges between {self.axis} "
-                 f"{self.hash_seeds[0]} and {self.hash_seeds[1]}:"]
-        lines.extend(f"  - {diff}" for diff in self.diffs)
-        return "\n".join(lines)
-
-
-def _subprocess_snapshot(name: str, seed: int, hash_seed: str,
-                         extra_env: Optional[Dict[str, str]] = None
-                         ) -> Dict[str, Any]:
-    env = dict(os.environ)
-    env["PYTHONHASHSEED"] = hash_seed
-    if extra_env:
-        env.update(extra_env)
-    src_root = str(Path(__file__).resolve().parents[1])
-    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-    result = subprocess.run(
-        [sys.executable, "-m", "repro.replay", "run",
-         "--scenario", name, "--seed", str(seed)],
-        env=env, capture_output=True, text=True,
-    )
-    if result.returncode != 0:
-        raise RuntimeError(
-            f"scenario {name!r} failed under PYTHONHASHSEED={hash_seed} "
-            f"{extra_env or {}}:\n" + result.stderr
-        )
-    return json.loads(result.stdout)
-
-
-def strip_batch_metrics(snapshot: Dict[str, Any]) -> Dict[str, Any]:
-    """Drop ``gs_batch*`` metric families from a scenario snapshot.
-
-    The block counters (blocks fed, configured block size) differ
-    between block sizes *by construction*; everything else in the
-    snapshot must not.
+    Always dropped: the ``gs_telemetry_profile_wall*`` families
+    (``perf_counter`` spans differ between any two runs by nature) and
+    the ``failover`` block (:func:`compare` asserts on it instead).
+    ``block``: the ``gs_batch*`` families count blocks fed and the
+    configured size.  ``crash``: the ``gs_recovery*`` families count
+    restarts and replay work, and the ``faults`` entry of the drop
+    ledger describes the injected crash itself.  ``topology``: only the
+    rows survive.  ``hash`` excuses nothing.
     """
-    return _drop_metric_families(snapshot, "gs_batch")
-
-
-def strip_recovery_artifacts(snapshot: Dict[str, Any]) -> Dict[str, Any]:
-    """Drop the crash arm's instrumentation from a scenario snapshot.
-
-    ``gs_recovery*`` metric families count checkpoints, restarts, and
-    replay work -- the crash arm restarts a node and the clean arm does
-    not, so they differ *by design*.  The ``faults`` entry of the drop
-    ledger describes the injected crash itself (the experiment's
-    instrument, absent from the clean arm).  Everything else -- rows,
-    drop ledger, statistics, metrics -- must be byte-identical.
-    """
-    _drop_metric_families(snapshot, "gs_recovery")
-    drops = snapshot.get("drops")
-    if isinstance(drops, dict):
-        drops.pop("faults", None)
-    return snapshot
-
-
-def verify_recovery(scenario_name: str, seed: int = 0,
-                    hash_seeds: Tuple[str, ...] = ("1", "2")
-                    ) -> List[ReplayReport]:
-    """Crash-vs-clean differential: run a recovery scenario with and
-    without its transient crash (in subprocesses) and diff everything
-    but the recovery instrumentation, under each ``PYTHONHASHSEED``.
-
-    A passing report means restore + journal replay + exactly-once
-    re-emission reconstructed the uninterrupted run byte-for-byte:
-    same sink rows, same drop ledger, same per-node statistics, same
-    channel counters, same metrics.
-    """
-    reports = []
-    for hash_seed in hash_seeds:
-        clean = strip_recovery_artifacts(
-            _subprocess_snapshot(scenario_name, seed, hash_seed,
-                                 {_RECOVERY_CRASH_ENV: "0"}))
-        crashed = strip_recovery_artifacts(
-            _subprocess_snapshot(scenario_name, seed, hash_seed,
-                                 {_RECOVERY_CRASH_ENV: "1"}))
-        diffs: List[str] = []
-        _diff_paths(clean, crashed, "$", diffs)
-        reports.append(ReplayReport(
-            scenario=scenario_name, seed=seed,
-            hash_seeds=(f"clean (PYTHONHASHSEED={hash_seed})",
-                        f"crash+recover (PYTHONHASHSEED={hash_seed})"),
-            ok=not diffs, diffs=diffs, snapshots=(clean, crashed),
-            axis="crash recovery",
-        ))
-    return reports
-
-
-def verify_batch_equivalence(scenario_name: str, seed: int = 0,
-                             batch_size: Optional[int] = None,
-                             hash_seed: str = "0") -> ReplayReport:
-    """Run a scenario in blocks of one (``GS_BATCH_SIZE=1``) and at
-    ``batch_size`` (None: the engine default) in subprocesses and diff
-    the snapshots after stripping the ``gs_batch*`` counters: where the
-    stream is cut into blocks must not show in rows, drop ledger,
-    statistics, or any other metric.
-
-    Both arms run under the same ``hash_seed`` so the diff isolates
-    the block size -- CI sweeps it to cross the differential with the
-    hash-seed matrix.
-    """
-    blocked_env: Dict[str, str] = {}
-    blocked_label = "the default block size"
-    if batch_size is not None:
-        blocked_env["GS_BATCH_SIZE"] = str(batch_size)
-        blocked_label = f"GS_BATCH_SIZE={batch_size}"
-    ones = strip_batch_metrics(_subprocess_snapshot(
-        scenario_name, seed, hash_seed, {"GS_BATCH_SIZE": "1"}))
-    blocked = strip_batch_metrics(
-        _subprocess_snapshot(scenario_name, seed, hash_seed, blocked_env))
-    diffs: List[str] = []
-    _diff_paths(ones, blocked, "$", diffs)
-    return ReplayReport(
-        scenario=scenario_name, seed=seed,
-        hash_seeds=("GS_BATCH_SIZE=1", blocked_label),
-        ok=not diffs, diffs=diffs, snapshots=(ones, blocked),
-        axis="block size",
-    )
+    if "topology" in differ:
+        return {"rows": snapshot["rows"]}
+    out = {key: value for key, value in snapshot.items() if key != "failover"}
+    dropped = ["gs_telemetry_profile_wall"]
+    if "block" in differ:
+        dropped.append("gs_batch")
+    if "crash" in differ:
+        dropped.append("gs_recovery")
+    metrics = out.get("metrics")
+    if isinstance(metrics, dict) and isinstance(metrics.get("metrics"), list):
+        out["metrics"] = dict(metrics, metrics=[
+            family for family in metrics["metrics"]
+            if not str(family.get("name", "")).startswith(tuple(dropped))])
+    if "crash" in differ and isinstance(out.get("drops"), dict):
+        out["drops"] = {key: value for key, value in out["drops"].items()
+                        if key != "faults"}
+    return out
 
 
 def _diff_paths(a: Any, b: Any, path: str, out: List[str],
@@ -943,182 +830,120 @@ def _diff_paths(a: Any, b: Any, path: str, out: List[str],
         out.append(f"{path}: {a!r} != {b!r}")
 
 
-def verify_alerts(seed: int = 0, hash_seeds: Tuple[str, ...] = ("1", "2"),
-                  scenarios: Tuple[str, ...] = ALERT_SCENARIOS
-                  ) -> List[ReplayReport]:
-    """The alert plane's acceptance gate.
-
-    For each alert scenario, check the emitted alert stream (and the
-    whole engine snapshot around it) is byte-identical (a) across two
-    ``PYTHONHASHSEED`` values and (b) across a crash/restore of the
-    trigger node under the RecoverySupervisor, per hash seed.
-    """
-    reports: List[ReplayReport] = []
-    for name in scenarios:
-        reports.append(verify_replay(name, seed, hash_seeds=hash_seeds[:2]))
-        reports.extend(verify_recovery(name, seed, hash_seeds=hash_seeds))
-    return reports
-
-
-def verify_telemetry(seed: int = 0, hash_seeds: Tuple[str, ...] = ("1", "2")
-                     ) -> List[ReplayReport]:
-    """The self-telemetry plane's acceptance gate.
-
-    (a) ``telemetry_meta``: all five ``_gs_*`` streams, the meta-query,
-    and the meta-alert stream are byte-identical across two
-    ``PYTHONHASHSEED`` values, storm included.  (b) ``telemetry_crash``:
-    the crash-invariant telemetry streams and everything computed from
-    them are byte-identical across a mid-run crash/restore of the
-    meta-query node, per hash seed.
-    """
-    reports: List[ReplayReport] = [
-        verify_replay("telemetry_meta", seed, hash_seeds=hash_seeds[:2])]
-    reports.extend(verify_recovery("telemetry_crash", seed,
-                                   hash_seeds=hash_seeds))
-    return reports
-
-
-def verify_shard(scenario_name: str, seed: int = 0, shards: int = 4,
-                 hash_seeds: Tuple[str, ...] = ("1", "2"),
-                 crash: Optional[str] = "1:600") -> List[ReplayReport]:
-    """The sharded runtime's acceptance gate.
-
-    Per ``PYTHONHASHSEED``: (a) the single-process run (``GS_SHARDS=0``)
-    and the ``shards``-way sharded run must produce byte-identical sink
-    rows, and (b) so must a sharded run whose worker ``crash`` names
-    ("SHARD:PACKET_INDEX") is killed mid-stream and respawned from the
-    parent's fold of its state frames.  Finally the sharded arms from
-    the two hash seeds are diffed against each other, pinning the flow
-    partitioner itself (not just each arm's engine) as hash-seed
-    independent.
-    """
-    reports: List[ReplayReport] = []
-    sharded_arms: List[Dict[str, Any]] = []
-    for hash_seed in hash_seeds:
-        single = _subprocess_snapshot(scenario_name, seed, hash_seed,
-                                      {"GS_SHARDS": "0"})
-        sharded = _subprocess_snapshot(scenario_name, seed, hash_seed,
-                                       {"GS_SHARDS": str(shards)})
-        sharded_arms.append(sharded)
-        diffs: List[str] = []
-        _diff_paths(single, sharded, "$", diffs)
-        reports.append(ReplayReport(
-            scenario=scenario_name, seed=seed,
-            hash_seeds=(f"GS_SHARDS=0 (PYTHONHASHSEED={hash_seed})",
-                        f"GS_SHARDS={shards} (PYTHONHASHSEED={hash_seed})"),
-            ok=not diffs, diffs=diffs, snapshots=(single, sharded),
-            axis="sharded runtime",
-        ))
-        if crash:
-            crashed = _subprocess_snapshot(
-                scenario_name, seed, hash_seed,
-                {"GS_SHARDS": str(shards), "GS_SHARD_CRASH": crash})
-            diffs = []
-            _diff_paths(single, crashed, "$", diffs)
-            reports.append(ReplayReport(
-                scenario=scenario_name, seed=seed,
-                hash_seeds=(
-                    f"GS_SHARDS=0 (PYTHONHASHSEED={hash_seed})",
-                    f"GS_SHARDS={shards} crash@{crash} "
-                    f"(PYTHONHASHSEED={hash_seed})"),
-                ok=not diffs, diffs=diffs, snapshots=(single, crashed),
-                axis="shard crash recovery",
-            ))
-    if len(sharded_arms) >= 2:
-        diffs = []
-        _diff_paths(sharded_arms[0], sharded_arms[1], "$", diffs)
-        reports.append(ReplayReport(
-            scenario=scenario_name, seed=seed,
-            hash_seeds=(f"GS_SHARDS={shards} "
-                        f"(PYTHONHASHSEED={hash_seeds[0]})",
-                        f"GS_SHARDS={shards} "
-                        f"(PYTHONHASHSEED={hash_seeds[1]})"),
-            ok=not diffs, diffs=diffs,
-            snapshots=(sharded_arms[0], sharded_arms[1]),
-        ))
-    return reports
-
-
-def _strip_failover(snapshot: Dict[str, Any]) -> Dict[str, Any]:
-    """The diffable part of a failover snapshot: everything but the
-    ``failover`` metadata block (promotion flags, RPO/RTO counters,
-    wall-clock latencies -- asserted on separately, never diffed)."""
-    return {key: value for key, value in snapshot.items()
-            if key != "failover"}
-
-
-def verify_failover(seed: int = 0,
-                    hash_seeds: Tuple[str, ...] = ("1", "2"),
-                    cadence: float = 0.5,
-                    crashes: Tuple[str, ...] = FAILOVER_CRASHES
-                    ) -> List[ReplayReport]:
-    """The replication plane's acceptance gate.
-
-    Per ``PYTHONHASHSEED``: (a) the replicated pair running clean must
-    match the plain single engine byte-for-byte (replication is
-    invisible in steady state, and must not have promoted); (b) for
-    each crash point -- mid-delta-interval, at the snapshot epoch,
-    after a delta frame, and a torn mid-frame write -- the promoted
-    standby's output must match the uninterrupted run byte-for-byte,
-    and the metadata must show the promotion actually happened.
-    """
-    reports: List[ReplayReport] = []
-    for hash_seed in hash_seeds:
-        plain = _subprocess_snapshot("failover_agg", seed, hash_seed,
-                                     {_FAILOVER_ENV: "0"})
-        base_env = {_FAILOVER_ENV: "1",
-                    _FAILOVER_CADENCE_ENV: str(cadence),
-                    _FAILOVER_CRASH_ENV: ""}
-        clean = _subprocess_snapshot("failover_agg", seed, hash_seed,
-                                     base_env)
-        diffs: List[str] = []
-        _diff_paths(plain, _strip_failover(clean), "$", diffs)
-        if clean.get("failover", {}).get("promoted"):
-            diffs.append("$.failover.promoted: clean replicated arm "
-                         "promoted its standby")
-        reports.append(ReplayReport(
-            scenario="failover_agg", seed=seed,
-            hash_seeds=(f"plain (PYTHONHASHSEED={hash_seed})",
-                        f"replicated cadence={cadence} "
-                        f"(PYTHONHASHSEED={hash_seed})"),
-            ok=not diffs, diffs=diffs, snapshots=(plain, clean),
-            axis="steady-state replication",
-        ))
-        for crash in crashes:
-            env = dict(base_env)
-            env[_FAILOVER_CRASH_ENV] = crash
-            crashed = _subprocess_snapshot("failover_agg", seed,
-                                           hash_seed, env)
-            diffs = []
-            _diff_paths(plain, _strip_failover(crashed), "$", diffs)
-            if not crashed.get("failover", {}).get("promoted"):
-                diffs.append("$.failover.promoted: crash arm never "
-                             "promoted the standby")
-            reports.append(ReplayReport(
-                scenario="failover_agg", seed=seed,
-                hash_seeds=(f"plain (PYTHONHASHSEED={hash_seed})",
-                            f"promoted standby crash@{crash} "
-                            f"(PYTHONHASHSEED={hash_seed})"),
-                ok=not diffs, diffs=diffs, snapshots=(plain, crashed),
-                axis="warm-standby failover",
-            ))
-    return reports
-
-
-def verify_replay(scenario_name: str, seed: int = 0,
-                  hash_seeds: Tuple[str, str] = ("1", "2")) -> ReplayReport:
-    """Run ``scenario_name`` twice under different ``PYTHONHASHSEED``
-    values (in subprocesses) and diff everything replay must preserve:
-    sink rows, drop ledger, node statistics, metrics snapshot.
-    """
-    first = _subprocess_snapshot(scenario_name, seed, hash_seeds[0])
-    second = _subprocess_snapshot(scenario_name, seed, hash_seeds[1])
+def compare(left: Arm, first: Dict[str, Any],
+            right: Arm, second: Dict[str, Any]) -> List[str]:
+    """The paths where two arms' snapshots disagree on what they must
+    agree on, plus a line for each arm whose standby promoted when it
+    should not have (no crash) or did not when it should (a crash)."""
+    differ = left.differs(right)
     diffs: List[str] = []
-    _diff_paths(first, second, "$", diffs)
-    return ReplayReport(
-        scenario=scenario_name, seed=seed, hash_seeds=hash_seeds,
-        ok=not diffs, diffs=diffs, snapshots=(first, second),
+    _diff_paths(comparable(first, differ), comparable(second, differ),
+                "$", diffs)
+    for arm, snapshot in ((left, first), (right, second)):
+        promoted = bool(snapshot.get("failover", {}).get("promoted"))
+        expected = arm.topology.startswith("standby") and arm.crash is not None
+        if promoted != expected:
+            diffs.append(f"$.failover.promoted: {promoted} under "
+                         f"{arm.describe()}, must be {expected}")
+    return diffs
+
+
+@dataclass
+class ReplayReport:
+    """One comparison of :func:`verify`: two arms and where they differ."""
+
+    scenario: str
+    seed: int
+    arms: Tuple[Arm, Arm]
+    diffs: List[str]
+    snapshots: Optional[Tuple[Dict[str, Any], Dict[str, Any]]] = None
+
+    @property
+    def ok(self) -> bool:
+        return not self.diffs
+
+    @property
+    def axis(self) -> str:
+        """The fields the two arms differ in, e.g. ``crash+topology``."""
+        return "+".join(self.arms[0].differs(self.arms[1]))
+
+    def describe(self) -> str:
+        """One line whose pieces paste back (``replay run --scenario S
+        --seed N --arm SPEC`` reruns either side), then the diverging
+        paths."""
+        left, right = (arm.describe() for arm in self.arms)
+        head = (f"--scenario {self.scenario} --seed {self.seed} "
+                f"[{self.axis}]: {left}")
+        if self.ok:
+            return f"replay OK: {head} == {right}"
+        return "\n".join([f"replay FAILED: {head} != {right}:"]
+                         + [f"  - {diff}" for diff in self.diffs])
+
+
+def _subprocess_snapshot(name: str, seed: int, arm: Arm) -> Dict[str, Any]:
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = arm.hash_seed
+    src_root = str(Path(__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.replay", "run", "--scenario", name,
+         "--seed", str(seed), "--arm", arm.spec()],
+        env=env, capture_output=True, text=True,
     )
+    if result.returncode != 0:
+        raise RuntimeError(f"scenario {name!r} failed under "
+                           f"{arm.describe()}:\n" + result.stderr)
+    return json.loads(result.stdout)
+
+
+def plan(scenario_name: str, hash_seeds: Tuple[str, ...] = ("1", "2"),
+         arms: Optional[Tuple[Any, ...]] = None) -> List[Tuple[Arm, Arm]]:
+    """The comparisons :func:`verify` makes, as ``(left, right)`` arms:
+    the first hash seed's reference against every other seed's, then
+    each arm (``--arm`` texts or :class:`Arm` values; None: the ones the
+    scenario declares) against the reference *of its own hash seed*.
+    An arm the scenario did not declare, a malformed one, or nothing to
+    compare is an :class:`ArmError`."""
+    axes = axes_of(scenario_name)
+    arms = [Arm.parse(arm) if isinstance(arm, str) else arm
+            for arm in (axes.arms if arms is None else arms)]
+    for arm in arms:
+        axes.check(scenario_name, arm)
+        if arm == Arm():
+            raise ArmError(f"arm {arm.spec()!r} is the reference arm")
+    references = [Arm(hash_seed=str(hash_seed))
+                  for hash_seed in dict.fromkeys(hash_seeds)]
+    pairs = [(references[0], other) for other in references[1:]]
+    pairs += [(reference, replace(arm, hash_seed=reference.hash_seed))
+              for reference in references for arm in arms]
+    if not pairs:
+        raise ArmError(f"nothing to compare: scenario {scenario_name!r} "
+                       f"with one hash seed and no arm")
+    return pairs
+
+
+def verify(scenario_name: str, seed: int = 0,
+           hash_seeds: Tuple[str, ...] = ("1", "2"),
+           arms: Optional[Tuple[Any, ...]] = None) -> List[ReplayReport]:
+    """Run each arm of :func:`plan` once, in a subprocess, and diff the
+    pairs.  A passing report means its two arms agree on everything
+    :func:`comparable` keeps for the fields they differ in."""
+    snapshots: Dict[Arm, Dict[str, Any]] = {}
+    reports = []
+    for pair in plan(scenario_name, hash_seeds, arms):
+        for arm in pair:
+            if arm not in snapshots:
+                snapshots[arm] = _subprocess_snapshot(scenario_name, seed, arm)
+        left, right = pair
+        reports.append(ReplayReport(
+            scenario_name, seed, pair,
+            compare(left, snapshots[left], right, snapshots[right]),
+            snapshots=(snapshots[left], snapshots[right])))
+    return reports
+
+
+#: the name ``repro`` exports
+verify_replay = verify
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1129,121 +954,44 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     commands = parser.add_subparsers(dest="command", required=True)
     run_cmd = commands.add_parser(
-        "run", help="run a scenario, print its snapshot as JSON")
-    verify_cmd = commands.add_parser(
-        "verify", help="run a scenario under two PYTHONHASHSEEDs and diff")
-    batch_cmd = commands.add_parser(
-        "verify-batch",
-        help="run a scenario in blocks of one and at the default (or "
-             "--batch-size) block size and diff")
-    recovery_cmd = commands.add_parser(
-        "verify-recovery",
-        help="run a recovery scenario clean and crashed+recovered and diff")
-    alerts_cmd = commands.add_parser(
-        "verify-alerts",
-        help="verify alert streams across hash seeds and across a "
-             "crash/restore of the trigger node")
-    alerts_cmd.add_argument("--seed", type=int, default=0)
-    alerts_cmd.add_argument("--hash-seeds", nargs=2, default=("1", "2"),
-                            metavar=("A", "B"))
-    alerts_cmd.add_argument("--scenarios", nargs="+",
-                            default=list(ALERT_SCENARIOS),
-                            help=f"alert scenarios to gate on "
-                                 f"(default: {' '.join(ALERT_SCENARIOS)})")
-    telemetry_cmd = commands.add_parser(
-        "verify-telemetry",
-        help="verify the _gs_* telemetry streams (and meta-query/"
-             "meta-alert outputs) across hash seeds and across a "
-             "crash/restore of the meta-query node")
-    telemetry_cmd.add_argument("--seed", type=int, default=0)
-    telemetry_cmd.add_argument("--hash-seeds", nargs=2, default=("1", "2"),
-                               metavar=("A", "B"))
-    shard_cmd = commands.add_parser(
-        "verify-shard",
-        help="verify the sharded runtime: single-process vs N-way "
-             "hash-partitioned output (including a mid-run worker "
-             "crash/restart) must be byte-identical per hash seed")
-    shard_cmd.add_argument("--seed", type=int, default=0)
-    shard_cmd.add_argument("--shards", type=int, default=4)
-    shard_cmd.add_argument("--hash-seeds", nargs=2, default=("1", "2"),
-                           metavar=("A", "B"))
-    shard_cmd.add_argument("--scenarios", nargs="+",
-                           default=list(SHARD_SCENARIOS),
-                           help=f"shard scenarios to gate on "
-                                f"(default: {' '.join(SHARD_SCENARIOS)})")
-    shard_cmd.add_argument("--crash", default="1:600",
-                           metavar="SHARD:PACKET_INDEX",
-                           help="worker to kill mid-run in the crash arm "
-                                "('none' disables; default 1:600)")
-    failover_cmd = commands.add_parser(
-        "verify-failover",
-        help="verify warm-standby failover: the promoted standby's "
-             "output must be byte-identical to the uninterrupted run, "
-             "per hash seed, across snapshot/delta/torn-frame/"
-             "mid-interval crash points")
-    failover_cmd.add_argument("--seed", type=int, default=0)
-    failover_cmd.add_argument("--hash-seeds", nargs=2, default=("1", "2"),
-                              metavar=("A", "B"))
-    failover_cmd.add_argument("--cadence", type=float, default=0.5,
-                              help="replication cadence in virtual "
-                                   "seconds (default 0.5)")
-    failover_cmd.add_argument("--crashes", nargs="+",
-                              default=list(FAILOVER_CRASHES),
-                              metavar="SPEC",
-                              help="crash specs (packet:K | frame:N | "
-                                   "frame:N:torn) for the failover arms "
-                                   f"(default: {' '.join(FAILOVER_CRASHES)})")
-    for sub in (run_cmd, verify_cmd, batch_cmd, recovery_cmd):
-        sub.add_argument("--scenario", default="mixed",
+        "run", help="run one arm of a scenario, print its snapshot as JSON")
+    run_cmd.add_argument("--scenario", default="mixed",
                          help=f"one of {sorted(SCENARIOS)} or module:callable")
+    run_cmd.add_argument("--arm", default="", metavar="SPEC",
+                         help="block=N,topology=single|shards:N|"
+                              "standby:CADENCE,crash=SPEC (default: the "
+                              "reference arm)")
+    verify_cmd = commands.add_parser(
+        "verify", help="run each scenario's arms under each "
+                       "PYTHONHASHSEED and diff them against the reference")
+    verify_cmd.add_argument("--scenario", nargs="+", default=["mixed"],
+                            metavar="S")
+    verify_cmd.add_argument("--hash-seeds", nargs="+", default=["1", "2"],
+                            metavar="H")
+    verify_cmd.add_argument("--arm", nargs="+", action="extend",
+                            metavar="SPEC",
+                            help="arms to diff against the reference "
+                                 "(default: the ones each scenario declares)")
+    for sub in (run_cmd, verify_cmd):
         sub.add_argument("--seed", type=int, default=0)
-    for sub in (verify_cmd, recovery_cmd):
-        sub.add_argument("--hash-seeds", nargs=2, default=("1", "2"),
-                         metavar=("A", "B"))
-    recovery_cmd.set_defaults(scenario="recovery_agg")
-    batch_cmd.add_argument("--batch-size", type=int, default=None,
-                           help="block size for the second arm "
-                                "(default: engine default)")
-    batch_cmd.add_argument("--hash-seed", default="0", metavar="S",
-                           help="PYTHONHASHSEED for both arms (default 0)")
     args = parser.parse_args(argv)
+    try:  # every refusal happens here, before anything runs
+        if args.command == "run":
+            arm = Arm.parse(args.arm)
+            axes_of(args.scenario).check(args.scenario, arm)
+        else:
+            for name in args.scenario:
+                plan(name, args.hash_seeds, args.arm)
+    except (ArmError, KeyError) as error:
+        parser.error(str(error.args[0]))
     if args.command == "run":
-        snapshot = run_scenario(args.scenario, args.seed)
-        json.dump(snapshot, sys.stdout, sort_keys=True)
+        json.dump(run_scenario(args.scenario, args.seed, arm), sys.stdout,
+                  sort_keys=True)
         sys.stdout.write("\n")
         return 0
-    if args.command == "verify-recovery":
-        reports = verify_recovery(args.scenario, args.seed,
-                                  hash_seeds=tuple(args.hash_seeds))
-    elif args.command == "verify-alerts":
-        reports = verify_alerts(args.seed,
-                                hash_seeds=tuple(args.hash_seeds),
-                                scenarios=tuple(args.scenarios))
-    elif args.command == "verify-telemetry":
-        reports = verify_telemetry(args.seed,
-                                   hash_seeds=tuple(args.hash_seeds))
-    elif args.command == "verify-shard":
-        reports = []
-        for name in args.scenarios:
-            reports.extend(verify_shard(
-                name, args.seed, shards=args.shards,
-                hash_seeds=tuple(args.hash_seeds),
-                crash=(None if args.crash == "none" else args.crash)))
-    elif args.command == "verify-failover":
-        reports = verify_failover(
-            args.seed, hash_seeds=tuple(args.hash_seeds),
-            cadence=args.cadence, crashes=tuple(args.crashes))
-    elif args.command == "verify-batch":
-        reports = [verify_batch_equivalence(
-            args.scenario, args.seed, batch_size=args.batch_size,
-            hash_seed=args.hash_seed)]
-    else:
-        reports = [verify_replay(args.scenario, args.seed,
-                                 hash_seeds=tuple(args.hash_seeds))]
-    for report in reports:
-        print(report.describe())
-    return 0 if all(report.ok for report in reports) else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    ok = True
+    for name in args.scenario:
+        for report in verify(name, args.seed, args.hash_seeds, args.arm):
+            print(report.describe(), flush=True)
+            ok = ok and report.ok
+    return 0 if ok else 1

@@ -192,10 +192,11 @@ def install_engine_metrics(registry: MetricsRegistry, rts) -> None:
 def install_recovery_metrics(registry: MetricsRegistry, supervisor) -> None:
     """Export the recovery supervisor's ledger through ``registry``.
 
-    All families carry the distinctive ``gs_recovery`` prefix: the
-    crash/clean differential harness (``replay verify-recovery``) strips
-    ``gs_recovery*`` before diffing snapshots, since a crash run restarts
-    nodes and a clean run does not (these counters differ by design).
+    All families carry the distinctive ``gs_recovery`` prefix: ``replay
+    verify`` drops ``gs_recovery*`` before diffing two arms that differ
+    in their crash (``repro.determinism.comparable``), since a crash run
+    restarts nodes and a clean run does not (these counters differ by
+    design).
     """
     checkpoints = registry.counter(
         "gs_recovery_checkpoints_total",
@@ -327,10 +328,10 @@ def install_replication_metrics(registry: MetricsRegistry, pair) -> None:
     """Export the replication plane's ledger through ``registry``.
 
     ``pair`` is a :class:`repro.replication.ReplicatedGigascope`.  All
-    families carry the distinctive ``gs_repl`` prefix: the failover
-    differential harness (``replay verify-failover``) compares rows
-    only, but any snapshot-diffing caller can strip ``gs_repl*`` the
-    way ``gs_recovery*`` is stripped.
+    families carry the distinctive ``gs_repl`` prefix: ``replay verify``
+    compares rows only across a topology change, but any
+    snapshot-diffing caller can strip ``gs_repl*`` the way
+    ``gs_recovery*`` is stripped.
     """
     frames = registry.counter(
         "gs_repl_frames_total",

@@ -25,9 +25,10 @@ Rows are emitted at pump boundaries *in virtual time* -- the hub's
 rows travel through the same (journaled) channels as every other
 stream item.  That inheritance is the whole determinism argument:
 row values are derived exclusively from deterministic counters (never
-wall clocks), so ``replay verify-telemetry`` can prove telemetry
-streams byte-identical across ``PYTHONHASHSEED`` values and across a
-mid-run crash/restore, with zero telemetry-specific recovery code.
+wall clocks), so ``replay verify --scenario telemetry_meta
+telemetry_crash`` can prove telemetry streams byte-identical across
+``PYTHONHASHSEED`` values and across a mid-run crash/restore, with zero
+telemetry-specific recovery code.
 
 The no-feedback rule: telemetry streams observe only non-telemetry
 nodes and channels (names starting with ``_gs_`` are skipped), so each
@@ -239,7 +240,7 @@ class TelemetryHub:
 
         Runs *before* the drain so the emitted rows flow through
         (journaled) channels this same cycle, exactly like alert epoch
-        ticks -- the property ``replay verify-telemetry`` gates on.
+        ticks -- the property the ``telemetry_*`` replay scenarios hold.
         """
         if math.isinf(stream_time) or stream_time <= self._last_sample:
             return

@@ -22,7 +22,7 @@ bounded-retry restart (DESIGN section 11):
   instead of quarantining.  The first attempt is inline: restore the
   last checkpoint, replay the node's journal segment, and return to
   normal scheduling -- deterministic operators land byte-identical to
-  a run without the crash (enforced by ``replay verify-recovery``).
+  a run without the crash (enforced by ``replay verify``'s crash arms).
   Rows the node emitted between the checkpoint and the crash were
   already delivered downstream, so an emit gate suppresses exactly
   that many re-emissions (counting them in the node's statistics), and

@@ -19,8 +19,8 @@ re-exported here.
 * :mod:`repro.replication.failover` -- :class:`ReplicatedGigascope`,
   the primary+standby pair with heartbeat-silence detection,
   promote-on-failure, journal-tail replay, and exactly-once delivery
-  gating; byte-identical to an uninterrupted run (``replay
-  verify-failover``).
+  gating; byte-identical to an uninterrupted run (``replay verify
+  --scenario failover_agg``).
 """
 
 from repro.recovery.statelog import (

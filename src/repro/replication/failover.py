@@ -30,15 +30,14 @@ Because a run is a pure function of (queries, packets, seed) and a
 subscription's row sequence after K packets is a deterministic prefix
 of the canonical sequence regardless of pump timing, the promoted
 standby's output is byte-identical to an uninterrupted primary --
-enforced by ``replay verify-failover`` across hash seeds and crash
-points (including a crash mid-frame: a torn frame is refused by the
-applier, typed and total, and promotion falls back one frame).
+enforced by ``replay verify --scenario failover_agg`` across hash seeds
+and crash points (including a crash mid-frame: a torn frame is refused
+by the applier, typed and total, and promotion falls back one frame).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from time import perf_counter
 from typing import Any, Dict, List, Optional
 
@@ -52,25 +51,21 @@ DEFAULT_CADENCE = 1.0
 
 
 def resolve_replicate_cadence(value: Optional[Any] = None) -> Optional[float]:
-    """Resolve the replication cadence knob (arg beats ``GS_REPLICATE``).
+    """Validate the ``--replicate`` cadence (None: not requested).
 
-    Returns None when replication is not requested anywhere.  Raises
-    ``ValueError`` on a malformed or negative cadence -- the CLI turns
-    that into a usage error (exit 2), same as every other knob.
+    Raises ``ValueError`` on a malformed or negative cadence -- the CLI
+    turns that into a usage error (exit 2), same as every other knob.
     """
-    source = "--replicate"
     if value is None:
-        raw = os.environ.get("GS_REPLICATE", "").strip()
-        if not raw:
-            return None
-        value, source = raw, "GS_REPLICATE"
+        return None
     try:
         cadence = float(value)
     except (TypeError, ValueError):
-        raise ValueError(f"{source} must be a number of virtual seconds, "
-                         f"got {value!r}")
+        raise ValueError(f"--replicate must be a number of virtual "
+                         f"seconds, got {value!r}") from None
     if cadence < 0 or math.isnan(cadence) or math.isinf(cadence):
-        raise ValueError(f"{source} must be >= 0 and finite, got {value!r}")
+        raise ValueError(f"--replicate must be >= 0 and finite, "
+                         f"got {value!r}")
     return cadence
 
 

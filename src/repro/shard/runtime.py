@@ -29,7 +29,6 @@ running.
 from __future__ import annotations
 
 import dataclasses
-import os
 from multiprocessing import connection, get_context
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -43,7 +42,7 @@ from repro.operators.aggregation import AggregationNode
 from repro.recovery.statelog import StateLog
 from repro.shard.partition import assign_shards
 from repro.shard.transport import END, ROWS, STATE, decode_frame, unpack_rows
-from repro.shard.worker import CRASH_ENV, run_worker
+from repro.shard.worker import run_worker
 
 
 class _MergeSink:
@@ -87,6 +86,24 @@ class _ShardState:
         self.eof = False
 
 
+def parse_crash(text: Optional[str],
+                shards: int) -> Optional[Tuple[int, int]]:
+    """``"SHARD:PACKET_INDEX"`` -> ``(shard, index)``: the worker to
+    kill just before it feeds that packet of its partition."""
+    if not text:
+        return None
+    try:
+        shard_text, _, at_text = text.partition(":")
+        crash = (int(shard_text), int(at_text))
+    except ValueError:
+        raise ValueError(
+            f"crash must be 'SHARD:PACKET_INDEX', got {text!r}") from None
+    if not 0 <= crash[0] < shards:
+        raise ValueError(f"crash {text!r} names shard {crash[0]}, but "
+                         f"there are only {shards}")
+    return crash
+
+
 def _worker_entry(recv, conn, spec, shard, packets, resume, crash_at):
     recv.close()
     run_worker(conn, spec, shard, packets,
@@ -109,6 +126,7 @@ class ShardedGigascope:
         batch_size: Optional[int] = None,
         barrier_interval: float = 1.0,
         max_restarts: int = 1,
+        crash: Optional[str] = None,
     ) -> None:
         if shards <= 0:
             raise ValueError(f"shards must be >= 1, got {shards}")
@@ -119,7 +137,7 @@ class ShardedGigascope:
         self.barrier_interval = barrier_interval
         #: respawn budget per shard before quarantine
         self.max_restarts = max_restarts
-        # Env knobs resolve once, here, so every worker runs the exact
+        # Knobs resolve once, here, so every worker runs the exact
         # same configuration the parent validated.
         self._engine_kwargs: Dict[str, Any] = dict(
             mode=mode, heartbeat_interval=heartbeat_interval,
@@ -133,9 +151,10 @@ class ShardedGigascope:
         self._queries: List[Tuple[str, str, Optional[dict], Optional[str]]] = []
         self._sinks: Dict[str, _MergeSink] = {}
         self._started = False
-        # The fault-injection knob is consumed by the first feed() only:
-        # a respawned worker must not re-crash at the same index.
-        self._crash_armed = True
+        # Fault injection ("SHARD:PACKET_INDEX"), consumed by the first
+        # feed() only: a respawned worker must not re-crash at the
+        # same index.
+        self._crash = parse_crash(crash, shards)
         # -- ledgers (the gs_shard_* metric families read these) -------
         self.generations = 0
         self.shard_packets = [0] * shards
@@ -265,26 +284,8 @@ class ShardedGigascope:
             "barrier_interval": self.barrier_interval,
             "pump_every": pump_every,
         }
-        crash = self._parse_crash() if self._crash_armed else None
-        self._crash_armed = False
+        crash, self._crash = self._crash, None
         self._run(packets, spec, crash)
-
-    def _parse_crash(self) -> Optional[Tuple[int, int]]:
-        raw = os.environ.get(CRASH_ENV)
-        if not raw:
-            return None
-        try:
-            shard_text, _, at_text = raw.partition(":")
-            crash = (int(shard_text), int(at_text))
-        except ValueError:
-            raise ValueError(
-                f"{CRASH_ENV} must be 'SHARD:PACKET_INDEX', got {raw!r}"
-            ) from None
-        if not 0 <= crash[0] < self.shards:
-            raise ValueError(
-                f"{CRASH_ENV} names shard {crash[0]}, but there are "
-                f"only {self.shards}")
-        return crash
 
     def _spawn(self, ctx, shard: int, spec, packets,
                resume: Optional[bytes],

@@ -38,11 +38,6 @@ from repro.recovery.statelog import StateLog
 from repro.shard.partition import partition_filter
 from repro.shard.transport import END, ROWS, STATE, encode_frame, pack_rows
 
-#: env var arming a mid-run worker crash: ``"SHARD:PACKET_INDEX"``
-#: (the worker dies with os._exit just before feeding that packet of
-#: its partition; respawned workers never re-arm)
-CRASH_ENV = "GS_SHARD_CRASH"
-
 
 def _build_engine(spec: Dict[str, Any]):
     """The worker's engine + subscriptions, per the parent's spec."""

@@ -21,9 +21,9 @@ import pytest
 from repro import Gigascope
 from repro.determinism import (
     _diff_paths,
+    comparable,
     derive_seed,
     snapshot_engine,
-    strip_batch_metrics,
 )
 from repro.faults import (
     ChannelOverflowStorm,
@@ -240,7 +240,7 @@ def run_case(name, batch_size):
     else:
         gs.feed(make_packets(), pump_every=96)
     gs.flush()
-    snapshot = strip_batch_metrics(snapshot_engine(gs, subs))
+    snapshot = comparable(snapshot_engine(gs, subs), ("block",))
     if gs.rts.tracer is not None:
         snapshot["spans"] = gs.rts.tracer.to_dict()
     dead = {name: [channel_snapshot(channel) for channel in node.inputs]

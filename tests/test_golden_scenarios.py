@@ -33,40 +33,36 @@ BLOCK_SIZES = (1, 7, 256)
 HASH_SEEDS = ("1", "2")
 SEED = 0
 
-#: scenarios with a second arm behind GS_RECOVERY_CRASH=1
-CRASH_SCENARIOS = ("recovery_agg", "recovery_join", "recovery_tcp",
-                   "alerts_syn_flood", "alerts_port_scan", "telemetry_crash")
-
-
 def _sha(snapshot) -> str:
     text = json.dumps(snapshot, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def crash_nodes() -> dict:
+    """``{scenario: the node its declared crash arm kills}``."""
+    from repro.determinism import SCENARIOS
+    return {name: fn.axes.crash[0]
+            for name, fn in SCENARIOS.items() if fn.axes.crash}
+
+
 def compute_digests(block_size: int) -> dict:
     """Every golden run at one block size, in this process."""
-    from repro.determinism import (SCENARIOS, run_scenario,
-                                   strip_batch_metrics,
-                                   strip_recovery_artifacts)
+    from repro.determinism import SCENARIOS, Arm, comparable, run_scenario
     from tests.test_batch_differential import CASES, run_case
 
-    os.environ["GS_BATCH_SIZE"] = str(block_size)
-    for name in ("GS_SHARDS", "GS_FAILOVER"):
-        os.environ.pop(name, None)
+    crashes = crash_nodes()
     digests = {}
     for name in sorted(SCENARIOS):
-        os.environ["GS_RECOVERY_CRASH"] = "0"
-        snapshot = strip_batch_metrics(run_scenario(name, SEED))
-        if name in CRASH_SCENARIOS:
-            # Both arms lose the recovery instrumentation, exactly as
-            # ``replay verify-recovery`` diffs them.
-            digests[f"scenario/{name}"] = _sha(
-                strip_recovery_artifacts(snapshot))
-            os.environ["GS_RECOVERY_CRASH"] = "1"
-            digests[f"scenario/{name}+crash"] = _sha(strip_recovery_artifacts(
-                strip_batch_metrics(run_scenario(name, SEED))))
-        else:
-            digests[f"scenario/{name}"] = _sha(snapshot)
+        # A scenario with a crash arm loses the recovery
+        # instrumentation in both arms, exactly as ``replay verify``
+        # diffs them.
+        differ = ("block", "crash") if name in crashes else ("block",)
+        digests[f"scenario/{name}"] = _sha(comparable(
+            run_scenario(name, SEED, Arm(block_size=block_size)), differ))
+        if name in crashes:
+            arm = Arm(block_size=block_size, crash=crashes[name])
+            digests[f"scenario/{name}+crash"] = _sha(comparable(
+                run_scenario(name, SEED, arm), differ))
     for name in CASES:
         digests[f"case/{name}"] = _sha(run_case(name, block_size)[0])
     return digests
@@ -109,7 +105,9 @@ def test_crash_arm_equals_clean_arm():
     """Recovery is invisible in the reference, so (by the test above)
     it is invisible at every block size."""
     golden = json.loads(GOLDEN.read_text())["digests"]
-    for name in CRASH_SCENARIOS:
+    crashes = crash_nodes()
+    assert len(crashes) == 6
+    for name in crashes:
         assert (golden[f"scenario/{name}+crash"]
                 == golden[f"scenario/{name}"]), name
 
@@ -128,7 +126,7 @@ def main(argv) -> int:
               file=sys.stderr)
         return 1
     GOLDEN.write_text(json.dumps({
-        "reference": "blocks of one (GS_BATCH_SIZE=1), seed 0, identical "
+        "reference": "blocks of one (--arm block=1), seed 0, identical "
                      "under PYTHONHASHSEED=1 and 2",
         "regenerate": "PYTHONPATH=src python -m tests.test_golden_scenarios "
                       "--write",

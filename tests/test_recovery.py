@@ -488,22 +488,16 @@ class TestSinkExactlyOnce:
 class TestVerifyRecoveryScenarios:
     @pytest.mark.parametrize("name", ["recovery_agg", "recovery_join",
                                       "recovery_tcp"])
-    def test_crash_arm_is_byte_identical(self, name, monkeypatch):
-        from repro.determinism import (
-            SCENARIOS,
-            _diff_paths,
-            strip_recovery_artifacts,
-        )
-        monkeypatch.setenv("GS_RECOVERY_CRASH", "0")
-        clean = strip_recovery_artifacts(SCENARIOS[name](7))
-        monkeypatch.setenv("GS_RECOVERY_CRASH", "1")
-        crashed = SCENARIOS[name](7)
+    def test_crash_arm_is_byte_identical(self, name):
+        from repro.determinism import Arm, axes_of, compare, run_scenario
+        clean_arm = Arm()
+        crash_arm = Arm(crash=axes_of(name).crash[0])
+        clean = run_scenario(name, 7, clean_arm)
+        crashed = run_scenario(name, 7, crash_arm)
         # The crash must actually have happened for the diff to prove
         # anything about recovery.
         assert crashed["drops"]["faults"][0]["triggered"] == 1
-        diffs = []
-        _diff_paths(clean, strip_recovery_artifacts(crashed), "$", diffs)
-        assert diffs == []
+        assert compare(clean_arm, clean, crash_arm, crashed) == []
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.engine import Gigascope, resolve_shards
+from repro.core.engine import Gigascope
 from repro.core.stream_manager import RegistryError
 from repro.determinism import derive_seed
 from repro.net.build import build_tcp_frame, build_udp_frame, capture
 from repro.shard import ShardedGigascope, flow_hash, shard_of
 from repro.shard.partition import assign_shards, partition_filter
-from repro.shard.worker import CRASH_ENV
 from repro.workloads.flows import ZipfFlowWorkload
 from repro.workloads.generators import (background_pool, http_port80_pool,
                                         packet_stream)
@@ -252,7 +251,6 @@ class TestShardedRuntime:
     def test_crash_restart_resumes_from_snapshot(self, monkeypatch):
         packets = zipf_packets()
         base = run_single(packets)
-        monkeypatch.setenv(CRASH_ENV, "1:700")
         # What the parent had folded when the worker died: the full
         # epoch plus at least one delta, so the respawn is from a fold
         # and not from a single frame.
@@ -264,7 +262,8 @@ class TestShardedRuntime:
             return recover(self, ctx, state, spec, packets)
 
         monkeypatch.setattr(ShardedGigascope, "_recover", spy)
-        rows, gs = run_sharded(packets, 2, barrier_interval=0.2)
+        rows, gs = run_sharded(packets, 2, barrier_interval=0.2,
+                               crash="1:700")
         assert rows == base
         report = gs.shard_report()
         assert report["restarts"] == [0, 1]
@@ -274,20 +273,17 @@ class TestShardedRuntime:
         assert sum(report["dropped_packets"]) == 0
         assert not report["quarantined"]
 
-    def test_crash_before_first_barrier_restarts_from_scratch(
-            self, monkeypatch):
+    def test_crash_before_first_barrier_restarts_from_scratch(self):
         packets = zipf_packets()
         base = run_single(packets)
-        monkeypatch.setenv(CRASH_ENV, "0:3")
-        rows, gs = run_sharded(packets, 2)
+        rows, gs = run_sharded(packets, 2, crash="0:3")
         assert rows == base
         assert gs.shard_report()["restarts"] == [1, 0]
 
-    def test_quarantine_leaves_siblings_untouched(self, monkeypatch):
+    def test_quarantine_leaves_siblings_untouched(self):
         packets = zipf_packets()
         assignments = assign_shards(packets, 2)
-        monkeypatch.setenv(CRASH_ENV, "1:700")
-        rows, gs = run_sharded(packets, 2, max_restarts=0)
+        rows, gs = run_sharded(packets, 2, max_restarts=0, crash="1:700")
         report = gs.shard_report()
         assert report["quarantined"] == {
             "1": "worker exited with code 3 before its end frame"}
@@ -299,12 +295,10 @@ class TestShardedRuntime:
         assert report["dropped_packets"][1] == assignments.count(1)
         assert report["packets"] == [assignments.count(0), 0]
 
-    def test_quarantined_shard_stays_dead_across_generations(
-            self, monkeypatch):
+    def test_quarantined_shard_stays_dead_across_generations(self):
         packets = zipf_packets()
-        monkeypatch.setenv(CRASH_ENV, "1:700")
         gs = ShardedGigascope(2, seed=7, heartbeat_interval=0.5,
-                              metrics=False, max_restarts=0)
+                              metrics=False, max_restarts=0, crash="1:700")
         gs.add_query(FLOWS_QUERY)
         gs.subscribe("flows")
         gs.start()
@@ -350,31 +344,13 @@ class TestValidation:
             with pytest.raises(ValueError):
                 ShardedGigascope(bad)
 
-    def test_resolve_shards(self, monkeypatch):
-        monkeypatch.delenv("GS_SHARDS", raising=False)
-        assert resolve_shards() == 0
-        assert resolve_shards(3) == 3
-        monkeypatch.setenv("GS_SHARDS", "4")
-        assert resolve_shards() == 4
-        assert resolve_shards(2) == 2  # explicit argument wins
-        monkeypatch.setenv("GS_SHARDS", "banana")
-        with pytest.raises(ValueError):
-            resolve_shards()
-        monkeypatch.setenv("GS_SHARDS", "-2")
-        with pytest.raises(ValueError):
-            resolve_shards()
-
-    def test_malformed_crash_spec_raises(self, monkeypatch):
-        gs = ShardedGigascope(2, metrics=False)
-        gs.add_query(FLOWS_QUERY)
-        gs.subscribe("flows")
-        gs.start()
-        monkeypatch.setenv(CRASH_ENV, "nonsense")
-        with pytest.raises(ValueError):
-            gs.feed(zipf_packets(100))
-        monkeypatch.setenv(CRASH_ENV, "9:10")  # no shard 9
-        with pytest.raises(ValueError):
-            gs.feed(zipf_packets(100))
+    @pytest.mark.parametrize("bad", ["nonsense", "1", "x:3", "1:y",
+                                     "9:10", "-1:10"])
+    def test_malformed_crash_spec_refused_at_construction(self, bad):
+        """Not on the first feed(): a typo fails before any worker
+        forks, naming the offender."""
+        with pytest.raises(ValueError, match=bad):
+            ShardedGigascope(2, metrics=False, crash=bad)
 
     def test_feed_requires_start(self):
         gs = ShardedGigascope(2, metrics=False)
@@ -409,11 +385,8 @@ class TestValidation:
 
 
 class TestCliValidation:
-    def run_cli(self, argv, env_extra=None):
+    def run_cli(self, argv):
         env = dict(os.environ, PYTHONPATH=SRC_ROOT)
-        env.pop("GS_SHARDS", None)
-        if env_extra:
-            env.update(env_extra)
         return subprocess.run(
             [sys.executable, "-m", "repro.cli", *argv],
             env=env, capture_output=True, text=True)
@@ -425,11 +398,6 @@ class TestCliValidation:
             result = self.run_cli(["--shards", bad, *self.BASE])
             assert result.returncode == 2
             assert "--shards" in result.stderr
-
-    def test_malformed_gs_shards_exits_2(self):
-        result = self.run_cli(self.BASE, env_extra={"GS_SHARDS": "many"})
-        assert result.returncode == 2
-        assert "GS_SHARDS" in result.stderr
 
     def test_scalar_forcing_flags_refused(self):
         for extra in (["--fault", "ring_burst:at=0.1,duration=0.1"],
