@@ -121,8 +121,7 @@ def run_arm(scenario, queries, triggers, shed):
     gs.start()
     gs.feed(scenario.packets, pump_every=256)
     gs.flush()
-    overload = gs.overload_report()
-    return alerts.poll(), overload.get("shed_fraction", 0.0)
+    return alerts.poll(), gs
 
 
 def score(rows, trigger_name, scenario):
@@ -154,7 +153,8 @@ def test_e14_alert_detection():
                  "subject": int_to_ip(scenario.subject_ip),
                  "packets": len(scenario.packets)}
         for arm, shed in (("baseline", False), ("shed", True)):
-            rows, shed_fraction = run_arm(scenario, queries, triggers, shed)
+            rows, gs = run_arm(scenario, queries, triggers, shed)
+            shed_fraction = gs.overload_report().get("shed_fraction", 0.0)
             trigger_names = [spec.split(":", 1)[0] for spec in triggers]
             scores = {name: score(rows, name, scenario)
                       for name in trigger_names}

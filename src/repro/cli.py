@@ -319,55 +319,40 @@ def main(argv: Optional[List[str]] = None) -> int:
                      "engine; a sharded run already respawns a dead "
                      "worker from the parent's fold of its state "
                      "frames, and has no second parent to promote)")
+    # The control planes below run in one process on one engine.  The
+    # warm-standby pair does not mirror them to the replica (running
+    # them on the primary would diverge after a promotion) and a sharded
+    # run would hold N divergent copies, fault clocks included -- a
+    # usage error, not a silent behavior change.
+    single_process = (("--shed", args.shed),
+                      ("--alert", args.alert),
+                      ("--recover", args.recover),
+                      ("--checkpoint-interval", args.checkpoint_interval),
+                      ("--max-restarts", args.max_restarts),
+                      ("--telemetry", args.telemetry),
+                      ("--telemetry-interval", args.telemetry_interval),
+                      ("--trace-sample", args.trace_sample))
     if standby:
-        # The warm-standby pair mirrors the bare query engine; the
-        # single-process control planes below are not replicated to
-        # the standby, so running them on the primary would diverge
-        # after a promotion -- a usage error, not a silent one.
-        for flag, value in (("--shed", args.shed),
-                            ("--alert", args.alert),
-                            ("--recover", args.recover),
-                            ("--checkpoint-interval",
-                             args.checkpoint_interval),
-                            ("--max-restarts", args.max_restarts),
-                            ("--telemetry", args.telemetry),
-                            ("--telemetry-interval",
-                             args.telemetry_interval),
-                            ("--trace-sample", args.trace_sample)):
+        for flag, value in single_process:
             if value:
                 parser.error(f"{flag} cannot be combined with --standby "
                              f"(control planes other than fault "
                              f"injection are not mirrored to the "
                              f"replica)")
     if shards:
-        # The sharded runtime replicates the whole engine per worker;
-        # flags that arm single-process control planes (fault clocks,
-        # shedding, trigger state, in-process recovery, tracing,
-        # telemetry sampling) would run N divergent copies, so they
-        # are a usage error rather than a silent behavior change.
-        for flag, value in (("--fault", args.fault),
-                            ("--shed", args.shed),
-                            ("--alert", args.alert),
-                            ("--recover", args.recover),
-                            ("--checkpoint-interval",
-                             args.checkpoint_interval),
-                            ("--max-restarts", args.max_restarts),
-                            ("--telemetry", args.telemetry),
-                            ("--telemetry-interval",
-                             args.telemetry_interval),
-                            ("--trace-sample", args.trace_sample)):
+        for flag, value in (("--fault", args.fault),) + single_process:
             if value:
                 parser.error(f"{flag} cannot be combined with --shards "
                              f"(worker crash recovery is built into the "
                              f"sharded runtime; the other control planes "
                              f"are single-process)")
+    # The three facades take the same engine configuration.
+    config = dict(mode=args.mode, channel_capacity=args.channel_capacity,
+                  seed=args.seed, batch_size=args.batch_size)
     try:
         if shards:
             from repro.shard import ShardedGigascope
-            engine = ShardedGigascope(
-                shards, mode=args.mode,
-                channel_capacity=args.channel_capacity,
-                seed=args.seed, batch_size=args.batch_size)
+            engine = ShardedGigascope(shards, **config)
         elif standby:
             from repro.replication import (DEFAULT_CADENCE,
                                            ReplicatedGigascope)
@@ -375,15 +360,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 cadence=(cadence if cadence is not None
                          else DEFAULT_CADENCE),
                 promote_after=args.promote_after,
-                log_path=args.replicate_log,
-                mode=args.mode,
-                channel_capacity=args.channel_capacity,
-                seed=args.seed, batch_size=args.batch_size)
+                log_path=args.replicate_log, **config)
         else:
-            engine = Gigascope(mode=args.mode,
-                               channel_capacity=args.channel_capacity,
-                               seed=args.seed,
-                               batch_size=args.batch_size)
+            engine = Gigascope(**config)
     except ValueError as error:
         # A non-positive --batch-size is a usage error (exit 2), not
         # a crash.
@@ -496,115 +475,35 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("# fault ledger", file=sys.stderr)
         for entry in engine.fault_report():
             print(f"#  {entry}", file=sys.stderr)
-        if engine.rts.quarantined:
-            for node_name, reason in sorted(engine.rts.quarantined.items()):
-                print(f"#  quarantined {node_name}: {reason}",
-                      file=sys.stderr)
-    if recover:
-        report = engine.recovery_report()
-        print("# recovery report", file=sys.stderr)
-        print(f"#  checkpoints={report['checkpoints_taken']} "
-              f"({report['checkpoint_bytes']} bytes, "
-              f"{report['checkpoint_nodes']} nodes) "
-              f"restarts={report['restarts_total']} "
-              f"replayed={report['replayed_items']} "
-              f"suppressed={report['suppressed_rows']} "
-              f"exhausted={report['retries_exhausted']}", file=sys.stderr)
-        for node_name, count in report["restarts"].items():
-            print(f"#  restarted {node_name}: {count} attempt(s)",
-                  file=sys.stderr)
-    if args.alert:
-        report = engine.alert_report()
-        print("# alert report", file=sys.stderr)
-        print(f"#  bus={report['bus']} ticks={report['ticks_sent']} "
-              f"active={report['active_total']} "
-              f"raised={report['raised_total']} "
-              f"cleared={report['cleared_total']} "
-              f"suppressed={report['suppressed_total']}", file=sys.stderr)
-        for trigger_name, entry in report["triggers"].items():
-            print(f"#  trigger {trigger_name}: on={entry['on']} "
-                  f"when=[{entry['condition']}] "
-                  f"severity={entry['severity']} "
-                  f"active={entry['active']} raised={entry['raised']} "
-                  f"cleared={entry['cleared']} "
-                  f"suppressed={entry['suppressed']}", file=sys.stderr)
-        if alert_file is not None:
-            alert_file.close()
-            print(f"#  alert stream -> {args.alert_out}", file=sys.stderr)
-    if telemetry:
-        report = engine.telemetry_report()
-        print("# telemetry report", file=sys.stderr)
-        print(f"#  interval={report['interval']} "
-              f"samples={report['samples']} "
-              f"last_sample={report['last_sample_time']}", file=sys.stderr)
-        print(f"#  rows: " + " ".join(
-            f"{stream}={count}"
-            for stream, count in report["rows"].items()), file=sys.stderr)
-        profiler = report["profiler"]
-        print(f"#  profiler: cycles={profiler['cycles']} "
-              f"profiled={profiler['profiled_cycles']} "
-              f"(every {profiler['sample_every']})", file=sys.stderr)
-        for operator in profiler["virtual_us"]:
-            print(f"#  operator {operator}: "
-                  f"virtual_us={profiler['virtual_us'][operator]} "
-                  f"wall_us={profiler['wall_us'].get(operator, 0.0)}",
-                  file=sys.stderr)
-        if args.telemetry_out:
-            import json as json_module
-            with open(args.telemetry_out, "w") as handle:
-                for stream, subscription in telemetry_subs.items():
-                    schema = engine.schema_of(stream)
-                    for row in subscription.poll():
-                        record = {"stream": stream}
-                        for key, value in zip(schema.names, row):
-                            if isinstance(value, bytes):
-                                value = value.decode("utf-8", "replace")
-                            record[key] = value
-                        json_module.dump(record, handle)
-                        handle.write("\n")
-            print(f"#  telemetry streams -> {args.telemetry_out}",
-                  file=sys.stderr)
-    if shards:
-        report = engine.shard_report()
-        print("# shard report", file=sys.stderr)
-        print(f"#  shards={report['count']} "
-              f"generations={report['generations']} "
-              f"restarts={sum(report['restarts'])} "
-              f"snapshots={sum(report['snapshots'])} "
-              f"dropped={sum(report['dropped_packets'])}", file=sys.stderr)
-        for shard in range(report["count"]):
-            status = report["quarantined"].get(str(shard), "ok")
-            print(f"#  shard {shard}: packets={report['packets'][shard]} "
-                  f"rows={report['rows'][shard]} "
-                  f"restarts={report['restarts'][shard]} [{status}]",
-                  file=sys.stderr)
-    if standby:
-        report = engine.replication_report()
-        print("# replication report", file=sys.stderr)
-        print(f"#  cadence={report['cadence']} frames: "
-              f"full={report['frames_full']} "
-              f"delta={report['frames_delta']} "
-              f"bytes={report['bytes_total']} "
-              f"nodes={report['nodes_shipped']} "
-              f"skipped={report['skipped_unquiescent']} "
-              f"deliver_errors={report['deliver_errors']}", file=sys.stderr)
-        print(f"#  standby: applied_seq={report['applied_seq']} "
-              f"frames_applied={report['frames_applied']} "
-              f"apply_errors={report['apply_errors']}", file=sys.stderr)
-        print(f"#  promoted={report['promoted']} "
-              f"promotions={report['promotions']} "
-              f"replayed_packets={report['replayed_packets']} "
-              f"suppressed_rows={report['suppressed_rows']}",
+        for node_name, reason in sorted(engine.rts.quarantined.items()):
+            print(f"#  quarantined {node_name}: {reason}", file=sys.stderr)
+    # One section per enabled plane: its report(), rendered by the same
+    # function repro.report.engine_report uses.
+    from repro.obs.ledger import text_sections
+    for title, lines in text_sections(engine.planes.values()):
+        print(f"# {title} report", file=sys.stderr)
+        for line in lines:
+            print(f"#  {line}", file=sys.stderr)
+    if alert_file is not None:
+        alert_file.close()
+        print(f"# alert stream -> {args.alert_out}", file=sys.stderr)
+    if args.telemetry_out:
+        import json as json_module
+        with open(args.telemetry_out, "w") as handle:
+            for stream, subscription in telemetry_subs.items():
+                schema = engine.schema_of(stream)
+                for row in subscription.poll():
+                    record = {"stream": stream}
+                    for key, value in zip(schema.names, row):
+                        if isinstance(value, bytes):
+                            value = value.decode("utf-8", "replace")
+                        record[key] = value
+                    json_module.dump(record, handle)
+                    handle.write("\n")
+        print(f"# telemetry streams -> {args.telemetry_out}",
               file=sys.stderr)
-        if report["promoted"]:
-            print(f"#  failure: {report['failure_reason']}; "
-                  f"rpo_packets={report['rpo_packets']} "
-                  f"rpo_virtual_s={report['rpo_virtual_s']:.3f} "
-                  f"rto_wall_s={report['promote_wall_s']:.6f}",
-                  file=sys.stderr)
-        if args.replicate_log:
-            print(f"#  replication log -> {args.replicate_log}",
-                  file=sys.stderr)
+    if args.replicate_log:
+        print(f"# replication log -> {args.replicate_log}", file=sys.stderr)
     if args.stats:
         # The same canonical snapshot the metrics exposition exports
         # (repro.obs.collectors), rendered one node per line.
@@ -628,23 +527,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             print(f"# {tracer.started} sampled traces recorded "
                   f"(use --trace-out to dump them)", file=sys.stderr)
-    if args.shed:
-        report = engine.overload_report()
-        print("# overload report", file=sys.stderr)
-        print(f"#  policy={report['policy_state']} "
-              f"shed_rate={report['shed_rate']:.3f} "
-              f"min={report['min_shed_rate']:.3f} "
-              f"cycles={report['cycles']} "
-              f"pressured={report['pressured_cycles']}", file=sys.stderr)
-        print(f"#  packets: seen={report['packets_seen']} "
-              f"shed={report['packets_shed']} "
-              f"({report['shed_fraction']:.1%}); "
-              f"channel_dropped={report['channel_dropped']}",
-              file=sys.stderr)
-        for channel_name, info in sorted(report["channels"].items()):
-            print(f"#  channel {channel_name}: depth={info['depth']} "
-                  f"max={info['max_depth']} cap={info['capacity']} "
-                  f"dropped={info['dropped']}", file=sys.stderr)
     return 0
 
 

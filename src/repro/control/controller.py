@@ -22,7 +22,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.control.shedding import AimdShedding, SheddingPolicy, make_policy
-from repro.control.signals import PressureSample, SignalsBus, publish_sample
+from repro.control.signals import PressureSample, SignalsBus
+from repro.obs.ledger import Field, Ledger
 from repro.sim.cost_model import CostModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -62,25 +63,13 @@ def _shed_report(rts: "RuntimeSystem") -> Dict[str, Dict[str, Any]]:
     return out
 
 
-def _containment_report(rts: "RuntimeSystem") -> Dict[str, Any]:
-    """Quarantine and fault-injection accounting, shared by both ledgers.
-
-    Losses the control plane did not *choose* still have to be in the
-    ledger: packets dropped by injected faults, heartbeats an injected
-    silence withheld, and nodes the RTS quarantined after a failure.
-    """
-    out: Dict[str, Any] = {
-        "quarantined": dict(rts.quarantined),
-        "fault_dropped": rts.fault_dropped,
-        "heartbeats_suppressed": rts.heartbeats_suppressed,
-    }
-    if rts.faults:
-        out["faults"] = [fault.report() for fault in rts.faults]
-    return out
-
-
 def overload_snapshot(rts: "RuntimeSystem") -> Dict[str, Any]:
-    """Drop accounting without a controller: what was lost, uncorrected."""
+    """Drop accounting without a controller: what was lost, uncorrected.
+
+    Losses the control plane did not *choose* are in the ledger too:
+    packets dropped by injected faults, heartbeats an injected silence
+    withheld, and nodes the RTS quarantined after a failure.
+    """
     channels = _channel_report(rts)
     lftas = _shed_report(rts)
     snapshot = {
@@ -91,13 +80,69 @@ def overload_snapshot(rts: "RuntimeSystem") -> Dict[str, Any]:
         "lftas": lftas,
         "packets_shed": sum(l["packets_shed"] for l in lftas.values()),
         "shed_fraction": 0.0,
+        "quarantined": dict(rts.quarantined),
+        "fault_dropped": rts.fault_dropped,
+        "heartbeats_suppressed": rts.heartbeats_suppressed,
     }
-    snapshot.update(_containment_report(rts))
+    if rts.faults:
+        snapshot["faults"] = [fault.report() for fault in rts.faults]
     return snapshot
+
+
+def _signal(name: str, before_first: Any = None):
+    """Read one signal off the latest :class:`PressureSample`."""
+    return lambda controller: (getattr(controller.last_sample, name)
+                               if controller.last_sample else before_first)
+
+
+#: The shed plane's counters, then every signal its policy saw last
+#: cycle (exported only: a key of None is in no report).
+#: ``packets_shed``, ``shed_delta`` and ``channel_dropped`` are sums
+#: over nodes and channels: the telemetry sampler passes them to ``row``
+#: from the walk it makes anyway (and a delta exists only between two
+#: of its samples).
+LEDGER = Ledger("shed", (
+    Field("shed_rate", "gs_shed_rate", "gauge",
+          "keep-rate installed on the LFTA sampling gates (1.0 = no shedding)",
+          column="shed_rate", off=1.0),
+    Field("packets_shed", column="packets_shed", read=lambda controller: sum(
+        getattr(node, "shed_packets", 0) or 0
+        for _, node in controller.rts.iter_nodes())),
+    Field("packets_shed", column="shed_delta", read=lambda controller: 0),
+    Field("channel_dropped", column="channel_dropped", read=lambda controller:
+          sum(channel.stats.dropped for channel in controller.rts.channels())),
+    Field("pressured_cycles", "gs_control_pressured_cycles_total", "counter",
+          "cycles with drops or utilization > 1", column="pressured_cycles"),
+    Field("cycles", "gs_control_cycles_total", "counter",
+          "control-loop cycles run", column="cycles"),
+    Field("min_shed_rate", "gs_shed_min_rate", "gauge",
+          "lowest keep-rate seen", read=lambda controller: controller.min_rate_seen),
+    Field("utilization", "gs_pressure_utilization", "gauge",
+          "estimated host CPU utilization in virtual time (1.0 = saturated)",
+          read=_signal("utilization")),
+    Field(None, "gs_pressure_max_fill", "gauge",
+          "worst channel depth/capacity this cycle", read=_signal("max_fill")),
+    Field(None, "gs_pressure_packet_rate", "gauge",
+          "packets/second of stream time since the last cycle",
+          read=_signal("packet_rate")),
+    Field(None, "gs_pressure_drops_delta", "gauge",
+          "new losses anywhere in the stack this cycle",
+          read=_signal("drops_delta")),
+    Field("channel_dropped", "gs_pressure_channel_drops_total", "counter",
+          "cumulative channel overflow drops",
+          read=_signal("channel_drops_total")),
+    Field(None, "gs_pressure_nic_drops_total", "counter",
+          "cumulative NIC ring drops", read=_signal("nic_drops_total")),
+    Field(None, "gs_node_rate", "gauge",
+          "per-node output tuples/second of stream time", "node",
+          read=_signal("node_rates", {})),
+), title="overload", attr="controller", stream="_gs_shed")
 
 
 class OverloadController:
     """The control loop between the signals bus and the LFTA gates."""
+
+    ledger = LEDGER
 
     def __init__(
         self,
@@ -119,7 +164,7 @@ class OverloadController:
         #: alert depends on them (AlertEngine.shed_exempt_nodes)
         self.exempt_nodes: frozenset = frozenset()
         self.exempt_cycles = 0
-        rts.controller = self
+        rts.attach_plane(self)
 
     def watch_nic(self, nic: "Nic") -> None:
         self.bus.watch_nic(nic)
@@ -149,11 +194,6 @@ class OverloadController:
         if rate < self.min_rate_seen:
             self.min_rate_seen = rate
         self.last_sample = sample
-        registry = getattr(self.rts, "metrics", None)
-        if registry is not None:
-            # Pressure and shed-rate signals double as scrapeable gauges
-            # instead of living only in the private report dict.
-            publish_sample(registry, sample, controller=self)
         return sample
 
     def _install(self, rate: float,
@@ -165,34 +205,28 @@ class OverloadController:
 
     # -- telemetry ----------------------------------------------------------
     def report(self) -> Dict[str, Any]:
-        """The end-to-end overload ledger (see ``Gigascope.overload_report``)."""
-        channels = _channel_report(self.rts)
-        lftas = _shed_report(self.rts)
-        seen = sum(l["packets_seen"] for l in lftas.values())
-        shed = sum(l["packets_shed"] for l in lftas.values())
-        report: Dict[str, Any] = {
-            "policy": self.policy.name,
-            "policy_state": self.policy.describe(),
-            "shed_rate": self.shed_rate,
-            "min_shed_rate": self.min_rate_seen,
-            "cycles": self.cycles,
-            "pressured_cycles": self.pressured_cycles,
-            "packets_seen": seen,
-            "packets_shed": shed,
-            "shed_fraction": (shed / seen) if seen else 0.0,
-            "exempt_nodes": sorted(self.exempt_nodes),
-            "exempt_cycles": self.exempt_cycles,
-            "lftas": lftas,
-            "channels": channels,
-            "channel_dropped": sum(c["dropped"] for c in channels.values()),
-            "utilization": {
+        """The end-to-end overload ledger (see ``Gigascope.overload_report``):
+        the drop snapshot plus what the controller was doing about it."""
+        report = overload_snapshot(self.rts)
+        seen = sum(l["packets_seen"] for l in report["lftas"].values())
+        report.update(
+            policy=self.policy.name,
+            policy_state=self.policy.describe(),
+            shed_rate=self.shed_rate,
+            min_shed_rate=self.min_rate_seen,
+            cycles=self.cycles,
+            pressured_cycles=self.pressured_cycles,
+            packets_seen=seen,
+            shed_fraction=(report["packets_shed"] / seen) if seen else 0.0,
+            exempt_nodes=sorted(self.exempt_nodes),
+            exempt_cycles=self.exempt_cycles,
+            utilization={
                 "last": (self.last_sample.utilization
                          if self.last_sample else 0.0),
                 "peak": self.bus.peak_utilization,
             },
-            "peak_fill": self.bus.peak_fill,
-        }
-        report.update(_containment_report(self.rts))
+            peak_fill=self.bus.peak_fill,
+        )
         if self.bus.nics:
             report["nic"] = {
                 "received": sum(n.stats.received for n in self.bus.nics),

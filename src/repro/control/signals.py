@@ -65,52 +65,6 @@ class PressureSample:
         return self.channel_drops_delta + self.nic_drops_delta
 
 
-def publish_sample(registry, sample: PressureSample,
-                   controller=None) -> None:
-    """Re-export one cycle's pressure signals as registry gauges.
-
-    The control plane used to be observable only through the private
-    dict of ``overload_report``; with a metrics registry on the RTS
-    every signal a policy sees is also a scrapeable gauge
-    (``gs_pressure_*``, ``gs_shed_rate``, ``gs_node_rate``).
-    """
-    registry.gauge("gs_pressure_utilization",
-                   "estimated host CPU utilization in virtual time "
-                   "(1.0 = saturated)").set(sample.utilization)
-    registry.gauge("gs_pressure_max_fill",
-                   "worst channel depth/capacity this cycle"
-                   ).set(sample.max_fill)
-    registry.gauge("gs_pressure_packet_rate",
-                   "packets/second of stream time since the last cycle"
-                   ).set(sample.packet_rate)
-    registry.gauge("gs_pressure_drops_delta",
-                   "new losses anywhere in the stack this cycle"
-                   ).set(sample.drops_delta)
-    registry.counter("gs_pressure_channel_drops_total",
-                     "cumulative channel overflow drops"
-                     ).set(sample.channel_drops_total)
-    registry.counter("gs_pressure_nic_drops_total",
-                     "cumulative NIC ring drops"
-                     ).set(sample.nic_drops_total)
-    rates = registry.gauge("gs_node_rate",
-                           "per-node output tuples/second of stream time",
-                           labels=("node",))
-    rates.clear()
-    for name, rate in sample.node_rates.items():
-        rates.labels(node=name).set(rate)
-    if controller is not None:
-        registry.gauge("gs_shed_rate",
-                       "keep-rate installed on the LFTA sampling gates "
-                       "(1.0 = no shedding)").set(controller.shed_rate)
-        registry.gauge("gs_shed_min_rate",
-                       "lowest keep-rate seen").set(controller.min_rate_seen)
-        registry.counter("gs_control_cycles_total",
-                         "control-loop cycles run").set(controller.cycles)
-        registry.counter("gs_control_pressured_cycles_total",
-                         "cycles with drops or utilization > 1"
-                         ).set(controller.pressured_cycles)
-
-
 class SignalsBus:
     """Collects :class:`PressureSample` snapshots from a running RTS."""
 

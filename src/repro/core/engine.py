@@ -313,9 +313,7 @@ class Gigascope:
     def recovery_report(self) -> Optional[Dict[str, Any]]:
         """The supervisor's ledger (checkpoints, restarts, replay),
         or None when recovery is not enabled."""
-        if self.rts.supervisor is None:
-            return None
-        return self.rts.supervisor.report()
+        return self._plane_report("recovery")
 
     # -- alerting (repro.alerts) ---------------------------------------------
     def enable_alerts(self, triggers: Iterable[Any] = (),
@@ -333,8 +331,6 @@ class Gigascope:
         as long as the watched queries exist.
         """
         from repro.alerts.engine import AlertEngine
-        if self.rts.alert_engine is not None:
-            raise RegistryError("alerts already enabled")
         alert_engine = AlertEngine(self, bus_name=bus_name)
         for trigger in triggers:
             alert_engine.add_trigger(trigger)
@@ -343,9 +339,7 @@ class Gigascope:
     def alert_report(self) -> Optional[Dict[str, Any]]:
         """The alert plane's ledger (triggers, raised/cleared/suppressed
         counts), or None when alerting is not enabled."""
-        if self.rts.alert_engine is None:
-            return None
-        return self.rts.alert_engine.report()
+        return self._plane_report("alerts")
 
     # -- self-telemetry (repro.obs.telemetry) --------------------------------
     def enable_telemetry(self, interval: float = 1.0,
@@ -366,17 +360,13 @@ class Gigascope:
         the ``_gs_*`` streams.
         """
         from repro.obs.telemetry import TelemetryHub
-        if self.rts.telemetry is not None:
-            raise RegistryError("telemetry already enabled")
         return TelemetryHub(self, interval=interval, streams=streams,
                             profile_every=profile_every)
 
     def telemetry_report(self) -> Optional[Dict[str, Any]]:
         """The telemetry hub's ledger (samples, per-stream row counts,
         profiler attribution), or None when telemetry is not enabled."""
-        if self.rts.telemetry is None:
-            return None
-        return self.rts.telemetry.report()
+        return self._plane_report("telemetry")
 
     # -- fault injection (repro.faults) --------------------------------------
     def inject_faults(self, faults: Iterable[Any],
@@ -406,6 +396,16 @@ class Gigascope:
         return fault_reports(self.rts.faults)
 
     # -- observability (repro.obs) ------------------------------------------------
+    @property
+    def planes(self) -> Dict[str, Any]:
+        """The enabled control planes by name, in the order they were
+        enabled (each carries its ``ledger`` and a ``report()``)."""
+        return self.rts.planes
+
+    def _plane_report(self, name: str) -> Optional[Dict[str, Any]]:
+        plane = self.rts.planes.get(name)
+        return plane.report() if plane is not None else None
+
     @property
     def metrics(self):
         """The engine's :class:`~repro.obs.registry.MetricsRegistry`

@@ -41,6 +41,7 @@ from repro.gsql.schema import PacketView
 from repro.net.columnar import describe_formats
 from repro.net.packet import CapturedPacket
 from repro.obs.collectors import engine_snapshot, install_engine_metrics
+from repro.obs.ledger import install as install_ledger
 from repro.obs.registry import MetricsRegistry
 
 #: default number of packets per block
@@ -162,6 +163,8 @@ class RuntimeSystem:
         #: node name -> error string, for every node quarantined so far
         self.quarantined: Dict[str, str] = {}
         self.nodes_quarantined = 0
+        #: plane name -> plane, in the order :meth:`attach_plane` saw them
+        self.planes: Dict[str, Any] = {}
         #: the overload control plane, if enabled (see repro.control)
         self.controller = None
         #: the recovery supervisor, if enabled (see repro.recovery)
@@ -194,6 +197,29 @@ class RuntimeSystem:
     @property
     def started(self) -> bool:
         return self._started
+
+    @property
+    def last_heartbeat(self) -> float:
+        """Stream time of the latest heartbeat (``-inf`` before the first)."""
+        return self._last_heartbeat
+
+    def attach_plane(self, plane) -> None:
+        """Attach a control plane: the one way a plane joins the RTS.
+
+        Refuses a second plane of the same name, sets the attribute the
+        hot path reads it from (``plane.ledger.attr``) and installs the
+        ledger's metric families.  A plane calls this from its
+        constructor before it registers nodes or cuts a checkpoint, so
+        a refused plane leaves nothing behind.
+        """
+        ledger = plane.ledger
+        if ledger.name in self.planes:
+            raise RegistryError(f"{ledger.name} already enabled")
+        self.planes[ledger.name] = plane
+        if ledger.attr is not None:
+            setattr(self, ledger.attr, plane)
+        if self.metrics is not None:
+            install_ledger(self.metrics, ledger, plane)
 
     def node(self, name: str) -> QueryNode:
         try:

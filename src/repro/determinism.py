@@ -261,7 +261,7 @@ class LastRun:
     """The scenario in flight and the last engine it built:
     :func:`run_scenario` sets ``axes``, :func:`engine_for` reads the
     declared crash target off it and records ``engine`` (CI's failure
-    artifacts read ``.engine.rts.supervisor`` / ``.engine.log_frames``)."""
+    artifacts hand it to :func:`repro.report.plane_reports`)."""
 
     axes = Axes()
     engine = None

@@ -4,6 +4,8 @@
   fixed-bucket histograms) with Prometheus-text and JSON exposition.
 * :mod:`repro.obs.collectors` -- the canonical node/channel/NIC
   statistics snapshot every reporting surface is built on.
+* :mod:`repro.obs.ledger` -- one declared ledger per control plane,
+  rendered as metric families, ``_gs_*`` rows and report text.
 * :mod:`repro.obs.tracing` -- sampled tuple-lineage tracing through the
   NIC -> LFTA -> channel -> HFTA -> sink path.
 * :mod:`repro.obs.telemetry` -- self-telemetry: the engine's internals
@@ -15,9 +17,7 @@ from repro.obs.collectors import (
     NODE_EXTRA_ATTRS,
     bind_nic,
     engine_snapshot,
-    install_alert_metrics,
     install_engine_metrics,
-    install_telemetry_metrics,
     node_snapshot,
 )
 from repro.obs.telemetry import (
@@ -51,9 +51,7 @@ __all__ = [
     "TelemetryStreamNode",
     "bind_nic",
     "engine_snapshot",
-    "install_alert_metrics",
     "install_engine_metrics",
-    "install_telemetry_metrics",
     "node_snapshot",
     "telemetry_schema",
 ]

@@ -4,21 +4,14 @@ Gigascope's defining observability move is that it monitors itself with
 its own query language -- internal performance data is exposed as
 ordinary streams that GSQL queries (and PR 6 alert triggers) consume
 exactly like packet streams.  The :class:`TelemetryHub` turns the
-canonical observability snapshot (:mod:`repro.obs.collectors`) into
-five typed streams, registered in the engine's schema like any query
-output:
-
-* ``_gs_channel``  -- per-channel depth, high-water mark, and overflow
-  drops (cumulative and per-sample delta);
-* ``_gs_operator`` -- per-operator input/output counters, per-sample
-  deltas, the Section 4 virtual-time cost of the work done since the
-  last sample, and the quarantine flag;
-* ``_gs_shed``     -- the overload control plane's shed rate and drop
-  ledger;
-* ``_gs_recovery`` -- checkpoint/restart/replay counters from the
-  recovery supervisor;
-* ``_gs_alert``    -- RAISE/CLEAR/suppression totals from the alert
-  plane.
+engine's counters into five typed streams, registered in the engine's
+schema like any query output.  Two carry one row per object the
+sampler walks, with per-sample deltas: ``_gs_channel`` (depth,
+high-water mark, overflow drops) and ``_gs_operator`` (tuple counters,
+the Section 4 virtual-time cost since the last sample, the quarantine
+flag).  Three are projections of a control plane's ledger
+(:mod:`repro.obs.ledger`), one row of plane-wide counters each:
+``_gs_shed``, ``_gs_recovery``, ``_gs_alert``.
 
 Rows are emitted at pump boundaries *in virtual time* -- the hub's
 :meth:`~TelemetryHub.on_cycle` runs before the drain, so telemetry
@@ -50,7 +43,6 @@ must stay replayable.
 from __future__ import annotations
 
 import math
-from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.heartbeat import Punctuation
@@ -58,10 +50,37 @@ from repro.core.query_node import QueryNode
 from repro.gsql.ordering import Ordering
 from repro.gsql.schema import Attribute, StreamSchema
 from repro.gsql.types import FLOAT, STRING, UINT
+from repro.obs.ledger import Field, Ledger, columns, row
 
 #: every stream the hub can publish, in emission order
 TELEMETRY_STREAMS = ("_gs_channel", "_gs_operator", "_gs_shed",
                      "_gs_recovery", "_gs_alert")
+
+
+def plane_ledgers() -> Dict[str, Ledger]:
+    """``stream -> ledger`` of the planes whose ledger projects one.
+
+    Imported on use: the plane modules import :mod:`repro.obs.ledger`,
+    and with it this package.
+    """
+    from repro.alerts.engine import LEDGER as alerts
+    from repro.control.controller import LEDGER as shed
+    from repro.recovery.supervisor import LEDGER as recovery
+    return {ledger.stream: ledger for ledger in (shed, recovery, alerts)}
+
+
+#: the per-object streams' columns after ``time``; the plane streams'
+#: come from their ledgers
+_OBJECT_COLUMNS = {
+    "_gs_channel": (
+        ("channel", STRING), ("depth", UINT), ("max_depth", UINT),
+        ("pushed", UINT), ("popped", UINT), ("dropped", UINT),
+        ("dropped_delta", UINT)),
+    "_gs_operator": (
+        ("operator", STRING), ("tuples_in", UINT), ("tuples_out", UINT),
+        ("discarded", UINT), ("in_delta", UINT), ("out_delta", UINT),
+        ("cost_us", FLOAT), ("quarantined", UINT)),
+}
 
 
 def telemetry_schema(stream: str) -> StreamSchema:
@@ -71,63 +90,17 @@ def telemetry_schema(stream: str) -> StreamSchema:
     times are strictly advancing virtual time, which is what admits
     windowed meta-queries (``Group by time/5``) as bounded-memory.
     """
-    time_attr = Attribute("time", FLOAT, Ordering.increasing())
-    if stream == "_gs_channel":
-        return StreamSchema(stream, [
-            time_attr,
-            Attribute("channel", STRING),
-            Attribute("depth", UINT),
-            Attribute("max_depth", UINT),
-            Attribute("pushed", UINT),
-            Attribute("popped", UINT),
-            Attribute("dropped", UINT),
-            Attribute("dropped_delta", UINT),
-        ])
-    if stream == "_gs_operator":
-        return StreamSchema(stream, [
-            time_attr,
-            Attribute("operator", STRING),
-            Attribute("tuples_in", UINT),
-            Attribute("tuples_out", UINT),
-            Attribute("discarded", UINT),
-            Attribute("in_delta", UINT),
-            Attribute("out_delta", UINT),
-            Attribute("cost_us", FLOAT),
-            Attribute("quarantined", UINT),
-        ])
-    if stream == "_gs_shed":
-        return StreamSchema(stream, [
-            time_attr,
-            Attribute("shed_rate", FLOAT),
-            Attribute("packets_shed", UINT),
-            Attribute("shed_delta", UINT),
-            Attribute("channel_dropped", UINT),
-            Attribute("pressured_cycles", UINT),
-            Attribute("cycles", UINT),
-        ])
-    if stream == "_gs_recovery":
-        return StreamSchema(stream, [
-            time_attr,
-            Attribute("checkpoints", UINT),
-            Attribute("checkpoint_bytes", UINT),
-            Attribute("restarts", UINT),
-            Attribute("replayed", UINT),
-            Attribute("suppressed", UINT),
-            Attribute("suspended", UINT),
-            Attribute("journal_len", UINT),
-        ])
-    if stream == "_gs_alert":
-        return StreamSchema(stream, [
-            time_attr,
-            Attribute("triggers", UINT),
-            Attribute("ticks", UINT),
-            Attribute("raised", UINT),
-            Attribute("cleared", UINT),
-            Attribute("suppressed", UINT),
-            Attribute("active", UINT),
-        ])
-    raise KeyError(f"unknown telemetry stream {stream!r}; "
-                   f"known: {TELEMETRY_STREAMS}")
+    typed = _OBJECT_COLUMNS.get(stream)
+    if typed is None:
+        ledger = plane_ledgers().get(stream)
+        if ledger is None:
+            raise KeyError(f"unknown telemetry stream {stream!r}; "
+                           f"known: {TELEMETRY_STREAMS}")
+        typed = [(name, FLOAT if kind is float else UINT)
+                 for name, kind in columns(ledger)]
+    return StreamSchema(
+        stream, [Attribute("time", FLOAT, Ordering.increasing())]
+        + [Attribute(name, gsql_type) for name, gsql_type in typed])
 
 
 class TelemetryStreamNode(QueryNode):
@@ -190,6 +163,30 @@ class PumpProfiler:
         return {name: self.wall_s[name] * 1e6 for name in sorted(self.wall_s)}
 
 
+#: What the hub adds on top of its stream nodes (ordinary nodes, under
+#: ``gs_node_*{node="_gs_channel"}``): cadence, rows per stream and the
+#: profile -- wall clock is observability-only, never in a stream.
+LEDGER = Ledger("telemetry", (
+    Field("samples", "gs_telemetry_samples_total", "counter",
+          "telemetry samples taken at pump boundaries",
+          read=lambda hub: hub.samples_taken),
+    Field("last_sample_time", "gs_telemetry_last_sample_time_seconds",
+          "gauge", "virtual time of the latest telemetry sample"),
+    Field("rows", "gs_telemetry_rows_total", "counter",
+          "rows emitted per telemetry stream", "stream"),
+    Field("profiler", "gs_telemetry_profile_cycles_total", "counter",
+          "pump cycles the sampling profiler timed",
+          read=lambda hub: hub.profiler.profiled_cycles),
+    Field("profiler", "gs_telemetry_profile_wall_us_total", "counter",
+          "wall-clock microseconds of pump-drain work attributed per "
+          "operator (sampled cycles only)", "operator",
+          read=lambda hub: hub.profiler.wall_us()),
+    Field("profiler", "gs_telemetry_profile_virtual_us_total", "counter",
+          "Section 4 virtual-time microseconds attributed per operator",
+          "operator", read=lambda hub: hub.virtual_us),
+), attr="telemetry")
+
+
 class TelemetryHub:
     """Owns the ``_gs_*`` stream nodes, the sampler, and the profiler.
 
@@ -199,6 +196,8 @@ class TelemetryHub:
     from ``flush_all`` so subscribers of telemetry streams terminate
     like any other stream's.
     """
+
+    ledger = LEDGER
 
     def __init__(self, engine, interval: float = 1.0,
                  streams: Optional[Tuple[str, ...]] = None,
@@ -213,6 +212,7 @@ class TelemetryHub:
         self.rts = engine.rts
         self.interval = interval
         self.nodes: Dict[str, TelemetryStreamNode] = {}
+        self.rts.attach_plane(self)
         for stream in TELEMETRY_STREAMS:
             if streams is not None and stream not in streams:
                 continue
@@ -229,10 +229,10 @@ class TelemetryHub:
         self._prev_shed = 0
         #: cumulative Section 4 virtual cost attributed per operator
         self.virtual_us: Dict[str, float] = {}
-        self.rts.telemetry = self
-        if self.rts.metrics is not None:
-            from repro.obs.collectors import install_telemetry_metrics
-            install_telemetry_metrics(self.rts.metrics, self)
+        #: the plane-ledger streams this hub publishes
+        self._plane_ledgers = {stream: ledger for stream, ledger
+                               in plane_ledgers().items()
+                               if stream in self.nodes}
 
     # -- sampling -------------------------------------------------------------
     def on_cycle(self, stream_time: float) -> None:
@@ -264,12 +264,6 @@ class TelemetryHub:
                 node.flush()
                 node.emit_flush()
 
-    def _observed_nodes(self):
-        """(name, node) pairs telemetry reports on: everything non-``_gs_``."""
-        for name, node in self.rts.iter_nodes():
-            if not name.startswith("_gs_"):
-                yield name, node
-
     def _sample(self, stream_time: float) -> None:
         self._last_sample = stream_time
         self.samples_taken += 1
@@ -280,7 +274,9 @@ class TelemetryHub:
         dropped_total = 0
         cost_model = self.rts.cost_model
         tuple_us = cost_model.hfta_tuple_us if cost_model is not None else 0.0
-        for name, node in self._observed_nodes():
+        for name, node in self.rts.iter_nodes():
+            if name.startswith("_gs_"):
+                continue  # the no-feedback rule
             stats = node.stats
             packets_seen = getattr(node, "packets_seen", 0) or 0
             shed_total += getattr(node, "shed_packets", 0) or 0
@@ -325,52 +321,15 @@ class TelemetryHub:
                 ))
         self._publish("_gs_channel", channel_rows, stream_time)
         self._publish("_gs_operator", operator_rows, stream_time)
-        if "_gs_shed" in self.nodes:
-            controller = self.rts.controller
-            shed_delta = shed_total - self._prev_shed
-            self._prev_shed = shed_total
-            self._publish("_gs_shed", [(
-                time_value,
-                float(controller.shed_rate) if controller is not None else 1.0,
-                int(shed_total),
-                int(max(shed_delta, 0)),
-                int(dropped_total),
-                int(controller.pressured_cycles) if controller is not None
-                else 0,
-                int(controller.cycles) if controller is not None else 0,
-            )], stream_time)
-        if "_gs_recovery" in self.nodes:
-            supervisor = self.rts.supervisor
-            if supervisor is None:
-                row = (time_value, 0, 0, 0, 0, 0, 0, 0)
-            else:
-                row = (
-                    time_value,
-                    int(supervisor.checkpoints_taken),
-                    int(supervisor.checkpoint_bytes),
-                    int(supervisor.restarts_total),
-                    int(supervisor.replayed_items),
-                    int(supervisor.suppressed_rows),
-                    int(len(supervisor._suspended)),
-                    int(supervisor.journal_len),
-                )
-            self._publish("_gs_recovery", [row], stream_time)
-        if "_gs_alert" in self.nodes:
-            alert_engine = self.rts.alert_engine
-            if alert_engine is None:
-                row = (time_value, 0, 0, 0, 0, 0, 0)
-            else:
-                triggers = alert_engine.triggers.values()
-                row = (
-                    time_value,
-                    int(len(alert_engine.triggers)),
-                    int(alert_engine.ticks_sent),
-                    int(sum(t.alerts_raised for t in triggers)),
-                    int(sum(t.alerts_cleared for t in triggers)),
-                    int(sum(t.alerts_suppressed for t in triggers)),
-                    int(sum(t.alerts_active for t in triggers)),
-                )
-            self._publish("_gs_alert", [row], stream_time)
+        known = {"_gs_shed": {
+            "packets_shed": shed_total,
+            "shed_delta": max(shed_total - self._prev_shed, 0),
+            "channel_dropped": dropped_total}}
+        self._prev_shed = shed_total
+        for stream, ledger in self._plane_ledgers.items():
+            self._publish(stream, [row(
+                ledger, getattr(self.rts, ledger.attr), time_value,
+                **known.get(stream, {}))], stream_time)
 
     def _publish(self, stream: str, rows: List[tuple],
                  stream_time: float) -> None:
@@ -379,6 +338,17 @@ class TelemetryHub:
             node.publish(rows, stream_time)
 
     # -- reporting ------------------------------------------------------------
+    @property
+    def last_sample_time(self) -> Optional[float]:
+        """Virtual time of the latest sample (None before the first)."""
+        return None if math.isinf(self._last_sample) else self._last_sample
+
+    @property
+    def rows(self) -> Dict[str, int]:
+        """Rows emitted so far, per stream."""
+        return {stream: node.stats.tuples_out
+                for stream, node in sorted(self.nodes.items())}
+
     def report(self) -> Dict[str, Any]:
         """The hub's ledger (the ``# telemetry report`` source)."""
         profiler = self.profiler
@@ -386,11 +356,8 @@ class TelemetryHub:
             "interval": self.interval,
             "streams": sorted(self.nodes),
             "samples": self.samples_taken,
-            "last_sample_time": (self._last_sample
-                                 if not math.isinf(self._last_sample)
-                                 else None),
-            "rows": {stream: node.stats.tuples_out
-                     for stream, node in sorted(self.nodes.items())},
+            "last_sample_time": self.last_sample_time,
+            "rows": self.rows,
             "profiler": {
                 "sample_every": profiler.sample_every,
                 "cycles": profiler.cycles,
@@ -404,6 +371,7 @@ class TelemetryHub:
 
 
 __all__ = [
+    "LEDGER",
     "TELEMETRY_STREAMS",
     "PumpProfiler",
     "TelemetryHub",

@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs.ledger import Field, Ledger
 from repro.recovery.statelog import FrameError, StateLog
 
 
@@ -107,8 +108,40 @@ class _EmitGate:
             self.node.__dict__.pop(attr, None)
 
 
+#: All ``gs_recovery``-prefixed: ``repro.determinism.comparable`` drops
+#: the prefix before diffing two arms that differ in their crash (a
+#: crash run restarts nodes, a clean run does not).
+LEDGER = Ledger("recovery", (
+    Field("checkpoints_taken", "gs_recovery_checkpoints_total", "counter",
+          "crash-consistent checkpoints cut at pump boundaries",
+          column="checkpoints"),
+    Field("checkpoint_bytes", "gs_recovery_checkpoint_bytes", "gauge",
+          "encoded size of the latest full checkpoint",
+          column="checkpoint_bytes"),
+    Field("restarts_total", "gs_recovery_restarts_total", "counter",
+          "restore-and-replay attempts across all nodes", column="restarts"),
+    Field("replayed_items", "gs_recovery_replayed_items_total", "counter",
+          "journal entries re-dispatched during gap repair",
+          column="replayed"),
+    Field("suppressed_rows", "gs_recovery_suppressed_rows_total", "counter",
+          "already-delivered rows suppressed during replay (exactly-once)",
+          column="suppressed"),
+    Field("suspended", "gs_recovery_nodes_suspended", "gauge",
+          "nodes awaiting a backoff retry", column="suspended",
+          read=lambda supervisor: len(supervisor.suspended)),
+    Field("journal_len", "gs_recovery_journal_len", "gauge",
+          "journal entries retained since the last checkpoint",
+          column="journal_len"),
+    Field("retries_exhausted", "gs_recovery_retries_exhausted_total",
+          "counter",
+          "nodes degraded to permanent quarantine after the retry budget"),
+), attr="supervisor", stream="_gs_recovery")
+
+
 class RecoverySupervisor:
     """Checkpoint/restore supervisor attached to one :class:`RuntimeSystem`."""
+
+    ledger = LEDGER
 
     def __init__(self, rts, checkpoint_interval: float = 1.0,
                  max_restarts: int = 3, backoff_base: float = 0.25,
@@ -140,10 +173,7 @@ class RecoverySupervisor:
         self._packet_journal: List[Tuple[str, Any]] = []
         self._item_journals: Dict[str, List[Tuple[Any, int]]] = {}
         self._suspended: Dict[str, _Suspension] = {}
-        rts.supervisor = self
-        if rts.metrics is not None:
-            from repro.obs.collectors import install_recovery_metrics
-            install_recovery_metrics(rts.metrics, self)
+        rts.attach_plane(self)
         if rts.started:
             self.on_start()
 

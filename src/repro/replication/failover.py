@@ -42,6 +42,7 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional
 
 from repro.core.engine import Gigascope
+from repro.obs.ledger import Field, Ledger
 from repro.recovery.statelog import FrameError, StateLogError, append_frame
 from repro.replication.replica import StandbyReplica
 from repro.replication.shipper import ReplicationShipper
@@ -151,8 +152,55 @@ class FailoverSubscription:
         self.ended = False
 
 
+def _finite(value: float) -> Optional[float]:
+    return value if math.isfinite(value) else None
+
+
+#: Read off the pair; all ``gs_repl``-prefixed, so a snapshot-diffing
+#: caller can strip them the way ``gs_recovery*`` is stripped.
+LEDGER = Ledger("replication", (
+    Field("frames_delta", "gs_repl_frames_total", "counter",
+          "replication frames cut at quiescent pump boundaries", "kind",
+          read=lambda pair: pair.shipper.frames),
+    Field("bytes_total", "gs_repl_bytes_total", "counter",
+          "encoded replication frame bytes shipped",
+          read=lambda pair: pair.shipper.bytes_total),
+    Field("nodes_shipped", "gs_repl_nodes_shipped_total", "counter",
+          "per-node state blobs carried by frames (delta frames carry "
+          "only the nodes whose state changed)",
+          read=lambda pair: pair.shipper.nodes_shipped),
+    Field("skipped_unquiescent", "gs_repl_skipped_unquiescent_total",
+          "counter",
+          "frame cuts deferred because a channel held in-flight items",
+          read=lambda pair: pair.shipper.skipped_unquiescent),
+    Field("applied_seq", "gs_repl_last_frame_seq", "gauge",
+          "sequence number of the latest frame "
+          "applied by the standby (-1 before the full epoch)",
+          read=lambda pair: pair.replica.applied_seq),
+    Field("applied_time", "gs_repl_last_frame_time_seconds", "gauge",
+          "virtual time of the latest applied frame",
+          read=lambda pair: _finite(pair.replica.applied_time)),
+    Field("standby_lag_s", "gs_repl_standby_lag_seconds", "gauge",
+          "primary stream time minus the latest applied frame's time "
+          "(the recovery-point exposure right now)"),
+    Field("apply_errors", "gs_repl_apply_errors_total", "counter",
+          "frames the standby refused (corrupt, stale-version, or "
+          "out-of-order; never applied partially)",
+          read=lambda pair: len(pair.apply_errors)),
+    Field("promotions", "gs_repl_promotions_total", "counter",
+          "standby promotions after a detected primary failure"),
+    Field("replayed_packets", "gs_repl_replayed_packets_total", "counter",
+          "journal-tail packets re-fed through the promoted standby"),
+    Field("suppressed_rows", "gs_repl_suppressed_rows_total", "counter",
+          "already-delivered rows dropped by the promotion skip gates "
+          "(exactly-once output)"),
+))
+
+
 class ReplicatedGigascope:
     """A primary/warm-standby engine pair behind the Gigascope API."""
+
+    ledger = LEDGER
 
     def __init__(self, cadence: float = DEFAULT_CADENCE,
                  promote_after: Optional[float] = None,
@@ -174,7 +222,8 @@ class ReplicatedGigascope:
         #: every frame as shipped (torn bytes included), for artifacts
         self.log_frames: List[bytes] = []
         self.apply_errors: List[str] = []
-        self._subs: Dict[str, FailoverSubscription] = {}
+        #: every subscription handed out, several per name included
+        self._subs: List[FailoverSubscription] = []
         self._packets: List[Any] = []
         self._fed = 0
         self.promoted = False
@@ -187,10 +236,10 @@ class ReplicatedGigascope:
         #: minus the last applied frame's time): the recovery point
         self.rpo_virtual_s = 0.0
         self.rpo_packets = 0
-        for registry in (self.primary.metrics, self.standby.metrics):
-            if registry is not None:
-                from repro.obs.collectors import install_replication_metrics
-                install_replication_metrics(registry, self)
+        # Both engines carry the pair as their replication plane: the
+        # standby's registry and report serve after a promotion.
+        self.primary.rts.attach_plane(self)
+        self.standby.rts.attach_plane(self)
 
     # -- engine facade -------------------------------------------------------
     @property
@@ -205,6 +254,10 @@ class ReplicatedGigascope:
     @property
     def metrics(self):
         return self.engine.metrics
+
+    @property
+    def planes(self):
+        return self.engine.planes
 
     def add_query(self, text: str, params: Optional[Dict] = None,
                   name: Optional[str] = None) -> str:
@@ -230,7 +283,7 @@ class ReplicatedGigascope:
                   capacity: Optional[int] = None) -> FailoverSubscription:
         sub = FailoverSubscription(
             name, self.primary.subscribe(name, capacity=capacity))
-        self._subs[name] = sub
+        self._subs.append(sub)
         return sub
 
     def inject_faults(self, faults) -> None:
@@ -299,7 +352,7 @@ class ReplicatedGigascope:
                     rts = self.primary.rts
                     self._promote(
                         f"heartbeat silence: no heartbeat since "
-                        f"t={rts._last_heartbeat:.3f} at "
+                        f"t={rts.last_heartbeat:.3f} at "
                         f"t={rts.stream_time:.3f}")
 
     def feed_packet(self, packet) -> None:
@@ -312,7 +365,7 @@ class ReplicatedGigascope:
         interval = rts.heartbeat_interval
         if interval is None:
             return False
-        now, last = rts.stream_time, rts._last_heartbeat
+        now, last = rts.stream_time, rts.last_heartbeat
         if math.isinf(now) or math.isinf(last):
             return False
         return now - last > interval + self.promote_after
@@ -329,9 +382,9 @@ class ReplicatedGigascope:
         self.rpo_packets = self._fed - cursor
         self.replayed_packets = self.rpo_packets
         standby = self.standby
-        for name, sub in self._subs.items():
-            inner = standby.subscribe(name)
-            regenerated = standby.rts.node(name).stats.tuples_out
+        for sub in self._subs:
+            inner = standby.subscribe(sub.name)
+            regenerated = standby.rts.node(sub.name).stats.tuples_out
             sub._promote(inner, regenerated)
         self.promoted = True
         self.promotions += 1
@@ -341,7 +394,7 @@ class ReplicatedGigascope:
     # -- end of stream -------------------------------------------------------
     def flush(self) -> None:
         self.engine.flush()
-        for sub in self._subs.values():
+        for sub in self._subs:
             sub._drain()
         if self._log_file is not None:
             self._log_file.close()
@@ -350,12 +403,20 @@ class ReplicatedGigascope:
     # -- reporting -----------------------------------------------------------
     @property
     def suppressed_rows(self) -> int:
-        return sum(sub.suppressed for sub in self._subs.values())
+        return sum(sub.suppressed for sub in self._subs)
+
+    @property
+    def standby_lag_s(self) -> Optional[float]:
+        """Primary stream time minus the latest applied frame's time
+        (None until both clocks have started)."""
+        return _finite(self.primary.rts.stream_time
+                       - self.replica.applied_time)
 
     def replication_report(self) -> Dict[str, Any]:
         report = self.shipper.report()
         report.update(self.replica.report())
         report.update(
+            standby_lag_s=self.standby_lag_s,
             promoted=self.promoted,
             promotions=self.promotions,
             failure_reason=self.failure_reason,
@@ -368,14 +429,8 @@ class ReplicatedGigascope:
         )
         return report
 
-    def recovery_report(self):
-        return self.engine.recovery_report()
-
-    def alert_report(self):
-        return self.engine.alert_report()
-
-    def telemetry_report(self):
-        return self.engine.telemetry_report()
+    #: as the ``replication`` plane (``planes``), this is the report
+    report = replication_report
 
     def overload_report(self):
         return self.engine.overload_report()

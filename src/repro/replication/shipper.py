@@ -76,12 +76,19 @@ class ReplicationShipper:
         self.nodes_shipped += len(self.log.fold(frame)["nodes"])
         self.bytes_total += len(frame)
 
+    @property
+    def frames(self) -> Dict[str, int]:
+        """Frames delivered so far by kind: frame 0 is the full epoch,
+        every later one a delta."""
+        return {"full": min(self.log.seq + 1, 1),
+                "delta": max(self.log.seq, 0)}
+
     def report(self) -> Dict[str, Any]:
+        frames = self.frames
         return {
             "cadence": self.cadence,
-            # frame 0 is the full epoch, every later one a delta
-            "frames_full": min(self.log.seq + 1, 1),
-            "frames_delta": max(self.log.seq, 0),
+            "frames_full": frames["full"],
+            "frames_delta": frames["delta"],
             "bytes_total": self.bytes_total,
             "nodes_shipped": self.nodes_shipped,
             "skipped_unquiescent": self.skipped_unquiescent,

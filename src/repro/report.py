@@ -6,14 +6,15 @@ discarded, and which buffers are filling.  :func:`engine_report`
 renders exactly that from the canonical observability snapshot
 (:func:`repro.obs.collectors.engine_snapshot` -- the same single source
 of truth behind ``RuntimeSystem.stats()`` and the metrics exposition),
-plus the overload control plane's drop ledger.
+plus every enabled control plane's ledger.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Any, Dict, List
 
 from repro.obs.collectors import NODE_EXTRA_ATTRS
+from repro.obs.ledger import render, text_sections
 
 
 def _format_row(columns, widths) -> str:
@@ -53,117 +54,46 @@ def _node_table(stats, lines: List[str]) -> None:
         lines.extend(pending)
 
 
-def _overload_section(overload, lines: List[str]) -> None:
-    lines.append("")
-    lines.append("overload")
-    lines.append(f"  policy: {overload.get('policy_state', overload['policy'])}"
-                 f"  shed_rate={overload['shed_rate']:.3f}")
-    if "cycles" in overload:
-        lines.append(f"  pressured cycles: {overload['pressured_cycles']}"
-                     f"/{overload['cycles']}")
-    lines.append(f"  packets shed: {overload['packets_shed']}"
-                 f"  channel drops: {overload['channel_dropped']}")
-    dropped = [(name, info) for name, info in
-               sorted(overload["channels"].items()) if info["dropped"]]
-    for name, info in dropped:
-        lines.append(f"  channel {name}: dropped={info['dropped']} "
-                     f"max_depth={info['max_depth']} cap={info['capacity']}")
+def engine_report(engine) -> str:
+    """A multi-section plain-text report of the engine's state.
 
-
-def _sharded_report(engine) -> str:
-    """The report for a :class:`~repro.shard.runtime.ShardedGigascope`.
-
-    Same node table and overload ledger as the single-process report
-    (the worker statistics travel in their ``end`` frames, namespaced
+    ``engine`` is any of the three facades: the header and the node
+    table, then one section per enabled control plane -- each plane's
+    ``report()`` rendered by :func:`repro.obs.ledger.render`, the same
+    lines the ``gsq`` epilogue prints.  A sharded engine's worker
+    statistics arrive in their ``end`` frames, namespaced
     ``shardN/...``; the parent's combine operators appear as
-    ``merge/...``), plus a per-shard lifecycle section.
+    ``merge/...``.
     """
     lines: List[str] = []
-    report = engine.shard_report()
-    lines.append("gigascope status (sharded)")
-    lines.append(f"  shards: {report['count']}")
-    lines.append(f"  generations: {report['generations']}")
-    lines.append(f"  packets fed: {sum(report['packets'])}")
-    lines.append(f"  started: {engine.started}")
+    rts = getattr(engine, "rts", None)
+    if rts is None:
+        lines.append("gigascope status (sharded)")
+        lines.append(f"  started: {engine.started}")
+    else:
+        lines.append("gigascope status")
+        lines.append(f"  stream time: {rts.stream_time:.3f} s"
+                     if rts.stream_time > float("-inf")
+                     else "  stream time: -")
+        lines.append(f"  packets fed: {rts.packets_fed}")
+        lines.append(f"  heartbeats sent: {rts.heartbeats_sent}")
+        lines.append(f"  started: {rts.started}")
     lines.append("")
     _node_table(engine.stats(), lines)
-    lines.append("")
-    lines.append("shards")
-    for shard in range(report["count"]):
-        status = report["quarantined"].get(str(shard), "ok")
-        lines.append(f"  shard {shard}: packets={report['packets'][shard]} "
-                     f"rows={report['rows'][shard]} "
-                     f"restarts={report['restarts'][shard]} "
-                     f"snapshots={report['snapshots'][shard]} "
-                     f"dropped={report['dropped_packets'][shard]} "
-                     f"[{status}]")
-    _overload_section(engine.overload_report(), lines)
+    planes = engine.planes
+    sections = text_sections(planes.values())
+    if "shed" not in planes:
+        # Without a controller the uncorrected drop snapshot still
+        # belongs in a status report.
+        sections.insert(0, ("overload", render(engine.overload_report())))
+    for title, body in sections:
+        lines += ["", title] + [f"  {line}" for line in body]
     return "\n".join(lines)
 
 
-def engine_report(engine) -> str:
-    """A multi-section plain-text report of the engine's state."""
-    if hasattr(engine, "shard_report"):
-        return _sharded_report(engine)
-    lines: List[str] = []
-    rts = engine.rts
-    stats = engine.stats()
-    lines.append("gigascope status")
-    lines.append(f"  stream time: {rts.stream_time:.3f} s"
-                 if rts.stream_time > float("-inf") else "  stream time: -")
-    lines.append(f"  packets fed: {rts.packets_fed}")
-    lines.append(f"  heartbeats sent: {rts.heartbeats_sent}")
-    lines.append(f"  started: {rts.started}")
-    lines.append("")
-    _node_table(stats, lines)
-    _overload_section(engine.overload_report(), lines)
-
-    # Alerts section: per-trigger counters come out of the same stats
-    # snapshot as the node table above, so the two can never disagree
-    # about what the trigger nodes did; the alert engine only supplies
-    # the static trigger metadata (watched query, condition).
-    alert_engine = rts.alert_engine
-    if alert_engine is not None:
-        lines.append("")
-        lines.append("alerts")
-        lines.append(f"  bus: {alert_engine.bus.name}"
-                     f"  triggers: {len(alert_engine.triggers)}"
-                     f"  ticks: {alert_engine.ticks_sent}")
-        for trigger_name, node in alert_engine.triggers.items():
-            entry = stats.get(node.name, {})
-            lines.append(
-                f"  {trigger_name}: on={node.spec.on} "
-                f"when=[{node.spec.condition}] "
-                f"severity={node.spec.severity} "
-                f"active={entry.get('alerts_active', 0)} "
-                f"raised={entry.get('alerts_raised', 0)} "
-                f"cleared={entry.get('alerts_cleared', 0)} "
-                f"suppressed={entry.get('alerts_suppressed', 0)} "
-                f"epochs={entry.get('epochs_evaluated', 0)}")
-
-    # Telemetry section: sampler cadence, per-stream row counts, and
-    # the profiler's per-operator cost attribution (virtual time is
-    # replayable; wall time is measured and advisory).
-    telemetry = rts.telemetry
-    if telemetry is not None:
-        report = telemetry.report()
-        lines.append("")
-        lines.append("telemetry")
-        last = report["last_sample_time"]
-        lines.append(f"  interval: {report['interval']}s"
-                     f"  samples: {report['samples']}"
-                     f"  last: "
-                     + (f"{last:.3f} s" if last is not None else "-"))
-        lines.append("  rows: " + "  ".join(
-            f"{stream}={count}"
-            for stream, count in report["rows"].items()))
-        profiler = report["profiler"]
-        lines.append(f"  profiler: {profiler['profiled_cycles']}"
-                     f"/{profiler['cycles']} cycles "
-                     f"(every {profiler['sample_every']})")
-        for operator in profiler["virtual_us"]:
-            lines.append(
-                f"  operator {operator}: "
-                f"virtual_us={profiler['virtual_us'][operator]} "
-                f"wall_us={profiler['wall_us'].get(operator, 0.0)}")
-    return "\n".join(lines)
+def plane_reports(engine) -> Dict[str, Any]:
+    """The rendered report plus every enabled plane's ``report()``:
+    the one JSON-shaped dump CI's failure artifacts write."""
+    return {"report": engine_report(engine).splitlines(),
+            "planes": {name: plane.report()
+                       for name, plane in engine.planes.items()}}

@@ -38,6 +38,8 @@ from repro.core.engine import Gigascope, resolve_batch_size
 from repro.core.heartbeat import FLUSH
 from repro.core.stream_manager import RegistryError, Subscription
 from repro.obs.collectors import node_snapshot
+from repro.obs.ledger import Field, Ledger, install
+from repro.obs.registry import MetricsRegistry
 from repro.operators.aggregation import AggregationNode
 from repro.recovery.statelog import StateLog
 from repro.shard.partition import assign_shards
@@ -110,8 +112,46 @@ def _worker_entry(recv, conn, spec, shard, packets, resume, crash_at):
                resume_blob=resume, crash_at=crash_at)
 
 
+def _per_shard(key: str, family: str, help_text: str) -> Field:
+    return Field(key, family, "counter", help_text, "shard",
+                 read=lambda runtime: dict(enumerate(
+                     getattr(runtime, f"shard_{key}"))))
+
+
+#: What only the parent can see, all ``gs_shard``-prefixed.  The
+#: statistics *inside* a worker travel in its ``end`` frame and surface
+#: through ``stats()`` (a worker's registry dies with its process).
+LEDGER = Ledger("shard", (
+    Field("count", "gs_shard_count", "gauge",
+          "worker processes the runtime partitions across",
+          read=lambda runtime: runtime.shards),
+    Field("generations", "gs_shard_generations_total", "counter",
+          "feed() generations dispatched"),
+    _per_shard("packets", "gs_shard_packets_total",
+               "packets processed per worker shard"),
+    _per_shard("rows", "gs_shard_partial_rows_total",
+               "partial-aggregate rows shipped to the parent"),
+    _per_shard("restarts", "gs_shard_restarts_total",
+               "worker respawns from a shard snapshot"),
+    _per_shard("snapshots", "gs_shard_snapshots_total",
+               "shard checkpoints cut at barrier crossings"),
+    _per_shard("channel_dropped", "gs_shard_channel_dropped_total",
+               "worker-side channel overflow drops"),
+    _per_shard("dropped_packets", "gs_shard_dropped_packets_total",
+               "packets lost to a quarantined shard (accounted, not silent)"),
+    Field("quarantined", "gs_shard_quarantined", "gauge",
+          "shards permanently quarantined after the restart budget",
+          read=lambda runtime: len(runtime.quarantined)),
+    Field("merge_rows", "gs_shard_merge_rows_total", "counter",
+          "finalized rows emitted by the parent's combine operators",
+          "query"),
+))
+
+
 class ShardedGigascope:
     """N hash-partitioned worker engines under one merging parent."""
+
+    ledger = LEDGER
 
     def __init__(
         self,
@@ -155,7 +195,7 @@ class ShardedGigascope:
         # feed() only: a respawned worker must not re-crash at the
         # same index.
         self._crash = parse_crash(crash, shards)
-        # -- ledgers (the gs_shard_* metric families read these) -------
+        # -- counters (LEDGER's fields read these) ---------------------
         self.generations = 0
         self.shard_packets = [0] * shards
         self.shard_rows = [0] * shards
@@ -174,10 +214,8 @@ class ShardedGigascope:
         self.pressure: Dict[int, PressureSample] = {}
         self.metrics = None
         if metrics:
-            from repro.obs.collectors import install_shard_metrics
-            from repro.obs.registry import MetricsRegistry
             self.metrics = MetricsRegistry()
-            install_shard_metrics(self.metrics, self)
+            install(self.metrics, LEDGER, self)
 
     # -- queries (delegated to the template, recorded for workers) --------
     def add_query(self, text: str, params: Optional[Dict[str, Any]] = None,
@@ -459,6 +497,16 @@ class ShardedGigascope:
                     channel.push(FLUSH)
 
     # -- introspection ----------------------------------------------------
+    @property
+    def planes(self) -> Dict[str, Any]:
+        return {LEDGER.name: self}
+
+    @property
+    def merge_rows(self) -> Dict[str, int]:
+        """Finalized rows each combine operator has emitted, by query."""
+        return {name: sink.node.stats.tuples_out
+                for name, sink in self._sinks.items() if sink.partial}
+
     def stats(self) -> Dict[str, Dict[str, Any]]:
         """Per-shard worker node snapshots plus the parent merge nodes."""
         out: Dict[str, Dict[str, Any]] = {}
@@ -503,7 +551,11 @@ class ShardedGigascope:
         """The per-shard ledger on its own (what E16 and the report use)."""
         report = self.overload_report()["shards"]
         report["generations"] = self.generations
+        report["merge_rows"] = self.merge_rows
         report["worker_quarantined"] = {
             str(shard): dict(nodes) for shard, nodes
             in sorted(self._worker_quarantined.items())}
         return report
+
+    #: as the ``shard`` plane (``planes``), this is the report
+    report = shard_report

@@ -114,7 +114,7 @@ class TestBasicRuns:
             capsys)
         assert code == 0
         assert "# overload report" in err
-        assert "shed_rate=0.500" in err
+        assert " shed_rate=0.5 " in err
         # COUNT stays statistically correct: each kept packet carries
         # weight 1/rate, so the estimate lands near the 20 true packets.
         body = out.split("# q\n")[1].strip().splitlines()
@@ -128,7 +128,7 @@ class TestBasicRuns:
             capsys)
         assert code == 0
         assert "# overload report" in err
-        assert "shed_rate=1.000" in err  # 20 packets: never pressured
+        assert " shed_rate=1 " in err  # 20 packets: never pressured
 
 
 class TestObservabilityFlags:
@@ -333,8 +333,8 @@ class TestAlertFlags:
             capsys)
         assert code == 0
         assert "# alert report" in err
-        assert "trigger burst" in err
-        assert "when=[sum(hits) > 1]" in err
+        assert "triggers burst:" in err
+        assert "condition=sum(hits) > 1" in err
         assert "RAISE" in out
 
     def test_alert_out_writes_jsonl(self, trace, tmp_path, capsys):
@@ -398,7 +398,7 @@ class TestRecoveryFlags:
             capsys)
         assert code == 0
         assert "# recovery report" in err
-        assert "restarted q: 1 attempt(s)" in err
+        assert "restarts: q=1" in err
         # Output identical to an undisturbed run.
         clean_code, clean_out, _ = run_cli(
             ["--pcap", trace, "--query", self.QUERY], capsys)
@@ -586,7 +586,7 @@ class TestReplicationFlags:
         assert code == 0
         assert "promoted=True" in err
         assert "heartbeat silence" in err
-        assert "rto_wall_s=" in err
+        assert "promote_wall_s=" in err
         assert f"replication log -> {log}" in err
         assert log.read_bytes()[4:8] == b"GSCK"
         clean_code, clean_out, _ = run_cli(

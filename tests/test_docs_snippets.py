@@ -54,7 +54,8 @@ def test_docs_mention_every_experiment():
 def test_readme_documents_every_metric_family():
     """The README metrics-family table covers every family the engine
     can register, across every plane (engine, NIC, shedding, batching,
-    recovery, alerts, telemetry)."""
+    recovery, alerts, telemetry), and states each one's kind; every
+    plane's ledger is held to its table row as well."""
     from repro.faults.injectors import OperatorFault
     from repro.nic.nic import Nic
 
@@ -78,7 +79,7 @@ def test_readme_documents_every_metric_family():
         if i % 8 == 7:
             gs.rts.pump()
     gs.flush()
-    families = [family.name for family in gs.metrics.families()]
+    families = {family.name: family.kind for family in gs.metrics.families()}
     assert families, "no metric families registered"
 
     # The sharded runtime registers its own plane of families.
@@ -90,7 +91,8 @@ def test_readme_documents_every_metric_family():
         From tcp Group by time/2 as tb
     """)
     sharded.subscribe("flows")
-    families += [family.name for family in sharded.metrics.families()]
+    families.update((family.name, family.kind)
+                    for family in sharded.metrics.families())
 
     # The warm-standby pair registers the gs_repl_* plane on both
     # engines' registries.
@@ -101,10 +103,19 @@ def test_readme_documents_every_metric_family():
         Select tb, count(*) as pkts
         From tcp Group by time/2 as tb
     """)
-    families += [family.name for family in pair.metrics.families()]
+    families.update((family.name, family.kind)
+                    for family in pair.metrics.families())
+    ledgers = (gs.planes["shed"], gs.planes["recovery"], gs.planes["alerts"],
+               gs.planes["telemetry"], sharded, pair)
+    declared = {field.family: field.kind for plane in ledgers
+                for field in plane.ledger.fields if field.family}
+    assert declared.items() <= families.items()
 
     readme = (ROOT / "README.md").read_text()
-    undocumented = [name for name in sorted(set(families))
-                    if f"`{name}`" not in readme]
-    assert not undocumented, (
-        f"metric families missing from the README table: {undocumented}")
+    table = dict(re.findall(r"^\| `(gs_\w+)` \| (\w+) \|", readme, re.M))
+    wrong = {name: (kind, table.get(name))
+             for name, kind in sorted(families.items())
+             if table.get(name) != kind}
+    assert not wrong, (
+        f"metric families missing from the README table, or listed "
+        f"under the wrong kind (family: (actual, README)): {wrong}")

@@ -438,6 +438,26 @@ class TestReplicationIdentity:
         # ...so promotion resumed from frame 1's cursor.
         assert report["applied_seq"] == 1
 
+    @pytest.mark.parametrize("crash", ["packet:700", "frame:2",
+                                       "frame:2:torn"])
+    def test_two_subscriptions_to_one_query_both_survive(self, crash):
+        """A second ``subscribe(name)`` used to overwrite the first in
+        the pair's table: the first was never promoted, kept polling
+        the dead primary and lost every row after the crash."""
+        packets = zipf_packets()
+        gs = ReplicatedGigascope(cadence=0.5, crash=crash, seed=7,
+                                 heartbeat_interval=0.5, metrics=False)
+        gs.add_query(FLOWS_QUERY)
+        first, second = gs.subscribe("flows"), gs.subscribe("flows")
+        gs.start()
+        gs.feed(packets, pump_every=128)
+        gs.flush()
+        clean = run_plain(packets)
+        assert gs.replication_report()["promoted"] is True
+        assert first.poll() == clean
+        assert second.poll() == clean
+        assert first.ended and second.ended
+
     def test_heartbeat_silence_promotes(self):
         packets = zipf_packets()
         rows, gs = run_replicated(

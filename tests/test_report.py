@@ -55,8 +55,7 @@ class TestEngineReport:
         gs.feed_packet(tcp_packet(ts=1.0, dport=80))
         text = engine_report(gs)
         assert "overload" in text
-        assert "policy: disabled" in text
-        assert "shed_rate=1.000" in text
+        assert "policy=disabled shed_rate=1 " in text
 
     def test_overload_section_with_shedding(self):
         gs = Gigascope(channel_capacity=4, heartbeat_interval=None)
@@ -73,11 +72,14 @@ class TestEngineReport:
             gs.feed_packet(tcp_packet(ts=float(i)))
         gs.pump()
         text = engine_report(gs)
-        assert "policy: static(rate=0.5)" in text or "static" in text
-        assert "pressured cycles:" in text
-        assert "packets shed:" in text
+        assert "policy=static shed_rate=0.5 " in text
+        assert " policy_state=static:0.5 " in text
+        assert " pressured_cycles=" in text
+        assert " packets_shed=" in text
         # the overflowing channel shows up with its drop count
-        assert "channel pkts->counts: dropped=" in text
+        channel = [line for line in text.splitlines()
+                   if line.startswith("  channels pkts->counts:")]
+        assert channel and " dropped=46" in channel[0]
 
     def test_report_and_stats_share_extras(self):
         """The drift bug: stats() and the report now read one tuple."""
@@ -103,3 +105,84 @@ class TestEngineReport:
         gs.pump()
         text = engine_report(gs)
         assert "buffered=1" in text  # merge holding back for eth1
+
+
+class TestPlaneSections:
+    """Every enabled plane gets a section, the ones the report used to
+    lack (recovery, replication) included."""
+
+    def feed(self, gs):
+        gs.start()
+        gs.feed([tcp_packet(ts=0.2 * i, dport=80) for i in range(40)],
+                pump_every=8)
+        gs.flush()
+
+    def test_recovery_section(self):
+        gs = build_engine()
+        assert "\nrecovery\n" not in engine_report(gs)
+        gs.enable_recovery(checkpoint_interval=1.0)
+        self.feed(gs)
+        text = engine_report(gs)
+        taken = gs.recovery_report()["checkpoints_taken"]
+        assert taken >= 2
+        assert f"\nrecovery\n  checkpoint_interval=1 max_restarts=3 " \
+            f"checkpoints_taken={taken} " in text
+        assert "  restarts: -" in text
+
+    def test_replication_section_before_and_after_promotion(self):
+        from repro.replication import ReplicatedGigascope
+        for crash, promoted in ((None, False), ("packet:20", True)):
+            gs = ReplicatedGigascope(cadence=1.0, crash=crash)
+            gs.add_queries("""
+                DEFINE query_name base;
+                Select time, destPort, len From tcp Where destPort = 80
+            """)
+            self.feed(gs)
+            text = engine_report(gs)
+            section = text.split("\nreplication\n")[1]
+            assert section.startswith("  cadence=1 frames_full=1 ")
+            assert f" promoted={promoted} promotions={int(promoted)} " \
+                in section
+            assert "packets fed:" in text and "policy=disabled" in text
+
+    def test_sharded_report_uses_the_same_sections(self):
+        from repro.shard import ShardedGigascope
+        gs = ShardedGigascope(2)
+        gs.add_queries("""
+            DEFINE query_name counts;
+            Select tb, count(*) From tcp Group by time/10 as tb
+        """)
+        gs.subscribe("counts")
+        self.feed(gs)
+        text = engine_report(gs)
+        assert text.startswith("gigascope status (sharded)")
+        assert "\nshard\n  count=2 generations=1\n" in text
+        assert "  merge_rows: counts=" in text
+        assert "\noverload\n  policy=sharded " in text
+        assert "merge/counts" in text and "shard0/" in text
+
+    def test_plane_reports_is_json_shaped(self):
+        import json
+        from repro.report import plane_reports
+        gs = build_engine()
+        gs.enable_recovery()
+        gs.enable_shedding("none")
+        self.feed(gs)
+        dump = json.loads(json.dumps(plane_reports(gs)))
+        assert dump["report"] == engine_report(gs).splitlines()
+        assert list(dump["planes"]) == ["recovery", "shed"]
+        assert dump["planes"]["recovery"]["checkpoints_taken"] >= 1
+
+    def test_cli_epilogue_is_the_same_rendering(self, capsys):
+        """``gsq`` prints each plane's section body line for line."""
+        from repro.cli import main
+        main(["--synthetic", "20x1", "--recover", "--shed", "none",
+              "--query", "DEFINE query_name q; Select time From tcp"])
+        err = capsys.readouterr().err.splitlines()
+        for heading in ("# overload report", "# recovery report"):
+            assert heading in err
+        start = err.index("# recovery report")
+        body = [line[3:] for line in err[start + 1:]
+                if line.startswith("#  ")]
+        assert body[0].startswith("checkpoint_interval=1 max_restarts=3 ")
+        assert body[1:] == ["restarts: -", "suspended: -"]
