@@ -2,107 +2,127 @@
 
 The paper's headline rate (1.2 M packets/s, Section 5) came from
 generated C; E2 measures what one Python process sustains on the same
-query shape.  E16 measures how that number scales when the stream is
-hash-partitioned by flow across N forked LFTA workers whose partial
+query shape.  E16 measures how that number scales when the packet list
+is striped by position across N forked workers whose partial
 aggregates are merged by an HFTA combine in the parent
 (:class:`repro.shard.ShardedGigascope`).
 
-The sweep runs the identical E2 query set and packet trace at 1, 2, and
-4 shards and records packets/second, scaling efficiency (speedup / N),
-and the merge overhead (the 1-shard sharded run against the in-process
-E2 columnar baseline: partition + pipe + combine cost with zero
-parallelism to hide it).  Results land in ``BENCH_E16.json``.
+The sweep runs the identical E2 query set and packet trace at 1, 2 and
+4 shards.  The trace is sized the way ``BENCH_RECOVERY.json``'s is:
+calibrated on this box so the single-process arm takes at least a
+second (a 40 000-packet run is 30 ms of engine time; its ratio reads
+the fork, not the scale-out), the arms run turn and turn about, and
+the medians land in ``BENCH_E16.json`` with the box and the run
+length.  Recorded per shard count: packets/second, speedup over the
+single-process arm, scaling efficiency (speedup / N); and the merge
+overhead (the single-process arm against the 1-shard run: fork + pipe
++ combine cost with zero parallelism to hide it).
 
-The 2x-at-4-shards acceptance floor only means anything with cores to
-run on, so it is gated on ``os.cpu_count()``; the merge-identity
-contract (sharded rows == single-process rows, byte for byte) is
-asserted unconditionally.
+The floors (``FLOORS``) only mean anything with cores to run on: 2
+shards must reach 1.15x the single-process rate where there are two
+cores, 4 shards 2x where there are four (recorded, not failed, on a
+smaller box).  The merge-identity contract (sharded rows
+== single-process rows, byte for byte) is asserted unconditionally.
 """
 
+import gc
 import json
 import os
+import platform
+import statistics
+import subprocess
 import time
 from pathlib import Path
 
 from repro import Gigascope
 from repro.shard import ShardedGigascope
 
-from benchmarks.test_e2_headline_throughput import make_packets
+from test_e2_headline_throughput import QUERIES
+from test_e2_recovery_overhead import sized_packets
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-QUERIES = """
-    DEFINE query_name link0;
-    Select time, destIP, len From eth0.tcp Where destPort = 80;
-
-    DEFINE query_name link1;
-    Select time, destIP, len From eth1.tcp Where destPort = 80;
-
-    DEFINE query_name both;
-    Merge link0.time : link1.time From link0, link1;
-
-    DEFINE query_name appmon;
-    Select tb, count(*), sum(len) From both Group by time/10 as tb
-"""
-
 SHARD_SWEEP = (1, 2, 4)
-ROUNDS = 3
+#: interleaved rounds behind every median
+ROUNDS = 5
+#: the single-process arm must take at least this long
+MIN_SINGLE_S = 1.0
+#: shards -> speedup over single-process it must reach, gated where
+#: cpu_count >= shards
+FLOORS = {2: 1.15, 4: 2.0}
 
 
-def run_single(packets):
-    elapsed = []
-    rows = None
-    for _ in range(ROUNDS):
-        gs = Gigascope(heartbeat_interval=1.0, metrics=False)
-        gs.add_queries(QUERIES)
-        sub = gs.subscribe("appmon")
-        gs.start()
-        start = time.perf_counter()
-        gs.feed(packets, pump_every=1024)
-        gs.flush()
-        elapsed.append(time.perf_counter() - start)
-        rows = sub.poll()
-    return len(packets) / min(elapsed), rows
-
-
-def run_sharded(packets, shards):
-    elapsed = []
-    rows = None
-    merge_rows = 0
-    for _ in range(ROUNDS):
+def run_once(shards, packets):
+    """``(seconds, rows)`` for one feed+flush; ``shards=0`` is the
+    single-process engine."""
+    if shards:
         gs = ShardedGigascope(shards, heartbeat_interval=1.0, metrics=False)
-        gs.add_queries(QUERIES)
-        sub = gs.subscribe("appmon")
-        gs.start()
-        start = time.perf_counter()
-        gs.feed(packets, pump_every=1024)
-        gs.flush()
-        elapsed.append(time.perf_counter() - start)
-        rows = sub.poll()
-        merge_rows = gs.stats()["merge/appmon"]["tuples_out"]
-    return len(packets) / min(elapsed), rows, merge_rows
+    else:
+        gs = Gigascope(heartbeat_interval=1.0, metrics=False)
+    gs.add_queries(QUERIES)
+    sub = gs.subscribe("appmon")
+    gs.start()
+    start = time.perf_counter()
+    gs.feed(packets, pump_every=1024)
+    gs.flush()
+    elapsed = time.perf_counter() - start
+    rows = sub.poll()
+    if shards:
+        assert gs.stats()["merge/appmon"]["tuples_out"] == len(rows)
+        assert gs.shard_report()["restarts"] == [0] * shards
+    return elapsed, rows
+
+
+def commit():
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty"], cwd=REPO_ROOT,
+            capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
 
 
 def test_e16_sharded_throughput():
-    packets = make_packets()
     cores = os.cpu_count() or 1
+    # Calibrated on the metrics-on engine and a box that drifts: aim
+    # half again over the second the run must last.
+    packets = sized_packets(headroom=1.5)
+    # The trace goes to the permanent generation: no collection walks
+    # it, in the parent or (copy-on-write) in any worker.
+    gc.collect()
+    gc.freeze()
+    try:
+        times = {arm: [] for arm in (0, *SHARD_SWEEP)}
+        single_rows = None
+        for _ in range(ROUNDS):
+            for arm in times:
+                elapsed, rows = run_once(arm, packets)
+                times[arm].append(elapsed)
+                if arm == 0:
+                    single_rows = rows
+                else:
+                    # Byte-identity is what makes the speedup count.
+                    assert rows == single_rows, f"{arm}-shard rows diverged"
+    finally:
+        gc.unfreeze()
 
-    single_pps, single_rows = run_single(packets)
+    single_s = statistics.median(times[0])
+    single_pps = len(packets) / single_s
     results = {}
     for shards in SHARD_SWEEP:
-        pps, rows, merge_rows = run_sharded(packets, shards)
-        # Byte-identity is the contract that makes the speedup count.
-        assert rows == single_rows, f"{shards}-shard output diverged"
-        assert merge_rows == len(rows)
+        run_s = statistics.median(times[shards])
         results[shards] = {
-            "pps": pps,
-            "speedup": pps / single_pps,
-            "scaling_efficiency": pps / single_pps / shards,
+            "run_s": run_s,
+            "pps": len(packets) / run_s,
+            "speedup": single_s / run_s,
+            "scaling_efficiency": single_s / run_s / shards,
         }
+    merge_overhead = results[1]["run_s"] / single_s
+    gated = {shards: cores >= shards for shards in FLOORS}
 
-    merge_overhead = single_pps / results[1]["pps"]
-    print(f"\nE16 sharded scale-out ({cores} cores): "
-          f"single-process {single_pps:,.0f} pps")
+    print(f"\nE16 sharded scale-out ({cores} cores, {len(packets):,} "
+          f"packets, medians of {ROUNDS} interleaved rounds): "
+          f"single-process {single_pps:,.0f} pps in {single_s:.2f} s")
     for shards in SHARD_SWEEP:
         entry = results[shards]
         print(f"   {shards} shard(s): {entry['pps']:,.0f} pps "
@@ -110,25 +130,32 @@ def test_e16_sharded_throughput():
               f"efficiency {entry['scaling_efficiency']:.2f})")
     print(f"   merge overhead (1-shard vs in-process): "
           f"{merge_overhead:.2f}x")
+    for shards, floor in FLOORS.items():
+        if not gated[shards]:
+            print(f"   ({cores} cores < {shards}: {floor}x floor recorded, "
+                  "not enforced)")
 
     (REPO_ROOT / "BENCH_E16.json").write_text(json.dumps({
         "experiment": "E16 sharded scale-out",
         "packets": len(packets),
         "rounds": ROUNDS,
-        "cpu_count": cores,
+        "statistic": "median of interleaved rounds",
+        "single_process_run_s": single_s,
         "single_process_pps": single_pps,
         "shards": {str(s): results[s] for s in SHARD_SWEEP},
         "merge_overhead": merge_overhead,
-    }, indent=2))
+        "floors": FLOORS,
+        "floors_gated": gated,
+        "box": {"cpu_count": cores, "machine": platform.machine(),
+                "python": platform.python_version(), "commit": commit()},
+    }, indent=2) + "\n")
 
-    # Acceptance floor: 4 shards must double the single-process rate --
-    # but only where 4 workers actually get cores (CI runners do; a
-    # 1-core dev container cannot parallelize anything).
-    if cores >= max(SHARD_SWEEP):
-        assert results[4]["pps"] >= 2.0 * single_pps, (
-            f"4-shard run only {results[4]['speedup']:.2f}x "
-            f"of single-process ({results[4]['pps']:,.0f} vs "
-            f"{single_pps:,.0f} pps)")
-    else:
-        print(f"   ({cores} cores < {max(SHARD_SWEEP)}: "
-              "2.0x floor not enforced)")
+    assert single_s >= MIN_SINGLE_S, (
+        f"the single-process arm took {single_s:.2f} s: too short to "
+        "read a speedup off")
+    for shards, floor in FLOORS.items():
+        if gated[shards]:
+            assert results[shards]["speedup"] >= floor, (
+                f"{shards}-shard run only {results[shards]['speedup']:.2f}x "
+                f"of single-process ({results[shards]['pps']:,.0f} vs "
+                f"{single_pps:,.0f} pps; floor {floor}x)")

@@ -31,21 +31,25 @@ PAPER_PPS = 1_200_000
 PRE_BATCH_BASELINE_PPS = 38_527
 
 
+#: the Section 5 plan: two links, merged, then aggregated (E16 shards it)
+QUERIES = """
+    DEFINE query_name link0;
+    Select time, destIP, len From eth0.tcp Where destPort = 80;
+
+    DEFINE query_name link1;
+    Select time, destIP, len From eth1.tcp Where destPort = 80;
+
+    DEFINE query_name both;
+    Merge link0.time : link1.time From link0, link1;
+
+    DEFINE query_name appmon;
+    Select tb, count(*), sum(len) From both Group by time/10 as tb
+"""
+
+
 def build_engine(batch_size=None):
     gs = Gigascope(heartbeat_interval=1.0, batch_size=batch_size)
-    gs.add_queries("""
-        DEFINE query_name link0;
-        Select time, destIP, len From eth0.tcp Where destPort = 80;
-
-        DEFINE query_name link1;
-        Select time, destIP, len From eth1.tcp Where destPort = 80;
-
-        DEFINE query_name both;
-        Merge link0.time : link1.time From link0, link1;
-
-        DEFINE query_name appmon;
-        Select tb, count(*), sum(len) From both Group by time/10 as tb
-    """)
+    gs.add_queries(QUERIES)
     gs.subscribe("appmon")
     gs.start()
     return gs

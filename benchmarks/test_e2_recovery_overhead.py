@@ -75,13 +75,13 @@ def _feed_time(recover, packets, batch_size=DEFAULT_BATCH_SIZE):
     return elapsed, gs
 
 
-def _sized_packets():
+def sized_packets(headroom=1.25):
     """E2's two links over ``STREAM_SECONDS``, at the rate that makes
-    the plain arm take about 1.25 s on this box (calibrated on
-    ``make_packets()``'s 40 000)."""
+    the plain arm take about ``headroom`` x ``MIN_PLAIN_S`` on this box
+    (calibrated on ``make_packets()``'s 40 000)."""
     sample = make_packets()
     calibration = min(_feed_time(False, sample)[0] for _ in range(3))
-    count = int(1.25 * MIN_PLAIN_S * len(sample) / calibration)
+    count = int(headroom * MIN_PLAIN_S * len(sample) / calibration)
     pools = http_port80_pool(seed=1), http_port80_pool(seed=2)
     per_link_mbps = (count / 2 / STREAM_SECONDS) * pools[0].mean_size * 8e-6
     return list(merge_streams(*(
@@ -117,7 +117,7 @@ def test_e2_recovery_checkpoint_overhead():
     # runs do not walk it.
     gc.disable()
     try:
-        packets = _sized_packets()
+        packets = sized_packets()
         gc.collect()
         gc.freeze()
         plain_s, supervised_s, checkpoints = _interleaved(packets, ROUNDS)

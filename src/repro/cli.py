@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Iterable, List, Optional
 
 from repro.core.engine import Gigascope
+from repro.core.stream_manager import RegistryError
 from repro.gsql.lexer import GSQLSyntaxError
 from repro.gsql.semantic import SemanticError
 from repro.net.packet import CapturedPacket, int_to_ip
@@ -120,10 +121,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="packets per block on the data path (1 runs "
                              "blocks of one; default 256)")
     parser.add_argument("--shards", type=int, metavar="N",
-                        help="hash-partition packets by flow key across N "
+                        help="stripe the packet list by position across N "
                              "worker processes, each running an independent "
-                             "LFTA shard, with superaggregate shard-merge in "
-                             "the parent (default: single-process); "
+                             "engine, with superaggregate shard-merge in "
+                             "the parent (default: single-process; joins "
+                             "and aggregations read by another query are "
+                             "refused); "
                              "prints the shard report "
                              "after the run")
     parser.add_argument("--standby", action="store_true",
@@ -418,14 +421,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.fault:
         # Arm after the queries exist (operator_error names a node) and
         # before any packet flows.
-        from repro.core.stream_manager import RegistryError
         try:
             engine.inject_faults(args.fault)
         except (ValueError, KeyError, RegistryError) as error:
             parser.error(f"bad --fault: {error}")
 
     watched = args.subscribe or [n for n in names if not n.startswith("_")]
-    subscriptions = {name: engine.subscribe(name) for name in watched}
+    try:
+        subscriptions = {name: engine.subscribe(name) for name in watched}
+    except RegistryError as error:
+        print(f"query error: {error}", file=sys.stderr)
+        return 1
     telemetry_subs = {}
     if args.telemetry_out:
         telemetry_subs = {stream: engine.subscribe(stream)

@@ -645,7 +645,7 @@ def _telemetry_crash_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
 #
 # ``topology=shards:N`` runs the multi-process ShardedGigascope instead
 # of the single-process engine.  The sharded runtime's whole contract
-# is that flow-hash partitioning plus superaggregate shard-merge is
+# is that stripe partitioning plus superaggregate shard-merge is
 # *invisible* in the output, including when ``crash=SHARD:INDEX`` kills
 # a worker mid-stream and the parent respawns it from its fold of the
 # worker's state frames.
@@ -655,7 +655,7 @@ _SHARD_ARMS = ("topology=shards:4", "topology=shards:4,crash=1:600")
 
 @scenario("shard_flows", topologies=("single", "shards"), arms=_SHARD_ARMS)
 def _shard_flows_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
-    """Zipf flow aggregation, single-process vs hash-partitioned shards.
+    """Zipf flow aggregation, single-process vs stripe-partitioned shards.
 
     Many groups (three-part key), several barrier crossings, skewed
     flow sizes -- the canonical workload for checking that shard-merge

@@ -1108,56 +1108,3 @@ def _apply_binop(expr: BinaryOp, left: Any, right: Any, is_float_division) -> An
     if op == ">>":
         return left >> right
     raise CodegenError(f"unknown operator {op!r}")
-
-
-# -- shard partition kernels (DESIGN section 15) -----------------------------
-#
-# The sharded runtime hash-partitions raw packets by flow key before any
-# LFTA sees them.  Like the fused batch kernels above, the hot loop is
-# generated and exec-compiled once per configuration: the shard count
-# and shard index are baked in as constants and the IPv4/TCP-or-UDP
-# fast-path guard is inlined, so the per-packet cost is one slice, one
-# crc32, and one modulo.  The generated sources are recorded in
-# :data:`PARTITION_SOURCES` for inspection, mirroring
-# ``ExprCompiler.generated_sources``.
-
-#: generated partition-kernel sources, for inspection and tests
-PARTITION_SOURCES: List[str] = []
-
-_PARTITION_TEMPLATE = '''\
-def {name}(packets, append):
-    crc = _crc32
-    slow = _slow_hash
-    for p in packets:
-        d = p.data
-        if (len(d) >= 38 and d[12] == 8 and d[13] == 0 and d[14] == 69
-                and (d[20] & 31) == 0 and d[21] == 0
-                and (d[23] == 6 or d[23] == 17)):
-            h = crc(d[26:38]) ^ d[23]
-        else:
-            h = slow(d)
-        if h % {nshards} == {shard}:
-            append(p)
-'''
-
-
-def make_partition_filter(nshards: int, shard: int,
-                          slow_hash: Callable[[bytes], int]) -> Callable:
-    """A fused ``f(packets, append)`` keeping one shard's packets.
-
-    ``append`` receives every packet whose flow hash lands on ``shard``
-    under ``nshards``-way partitioning.  The inlined fast path must
-    compute exactly :func:`repro.shard.partition.flow_hash` (the
-    property test in ``tests/test_shard.py`` holds the two together);
-    everything off the fast path defers to ``slow_hash``, which is that
-    same canonical function.
-    """
-    import zlib as _zlib
-    name = f"_partition_{nshards}_{shard}"
-    source = _PARTITION_TEMPLATE.format(
-        name=name, nshards=nshards, shard=shard)
-    PARTITION_SOURCES.append(source)
-    env = {"_crc32": _zlib.crc32, "_slow_hash": slow_hash}
-    code = compile(source, f"<gsql:partition/{nshards}:{shard}>", "exec")
-    exec(code, env)
-    return env[name]

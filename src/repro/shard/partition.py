@@ -1,67 +1,49 @@
-"""The canonical flow-key partitioner (DESIGN section 15).
+"""The positional stripe partitioner (DESIGN section 15).
 
-Sharding is only sound if every process, on every run, under every
-``PYTHONHASHSEED``, sends a given packet to the same shard.  Python's
-builtin ``hash()`` of bytes is process-randomized, so the partitioner
-is built on ``zlib.crc32`` -- the same process-stable digest behind
-:func:`repro.determinism.stable_hash`.
+Shard *i* of *N* owns stripes *i, i+N, i+2N, ...* of the materialized
+packet list, a stripe being :data:`STRIPE` consecutive packets.  The
+partition is therefore a function of packet *position* alone:
 
-The hash key is the IPv4 flow 5-tuple when it is cheap to find:
+* assembled from C-level list slices, in stream order -- no per-packet
+  Python work, no hash;
+* balanced to within one stripe by construction;
+* the same in every process under every ``PYTHONHASHSEED``, because
+  nothing is hashed.
 
-* IPv4, IHL=5, not fragmented, TCP or UDP -- source address, destination
-  address, and both ports lie in one contiguous slice (bytes 26..38 of
-  the Ethernet frame), so the key is one crc32 over that slice, mixed
-  with the protocol number.
-* IPv4 with options or fragments -- addresses + protocol only (ports
-  may be absent or displaced).  A flow whose packets mix the two shapes
-  can split across shards; that is harmless for aggregation, because
-  shard partials combine per *group key*, not per flow.
-* everything else -- crc32 over the whole frame, so non-IP packets
-  still spread deterministically.
-
-:func:`repro.gsql.codegen.make_partition_filter` generates the fused
-hot-loop form of this function with the fast-path guard inlined; the
-property test in ``tests/test_shard.py`` holds the generated kernel and
-this reference implementation together.
+Position suffices because nothing downstream needs affinity: shard
+partials combine per *group key* in the parent, and selections,
+projections and merges are per tuple.  The operators that would need
+their inputs co-located (joins, an aggregation read by another query)
+are refused at ``ShardedGigascope.subscribe``.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
-from zlib import crc32
+from typing import List
 
-from repro.gsql.codegen import make_partition_filter
+from repro.core.stream_manager import DEFAULT_BATCH_SIZE
 
-
-def flow_hash(data: bytes) -> int:
-    """A process-stable 32-bit hash of one raw Ethernet frame."""
-    if (len(data) >= 38 and data[12] == 8 and data[13] == 0
-            and data[14] == 69 and (data[20] & 31) == 0 and data[21] == 0
-            and data[23] in (6, 17)):
-        # IPv4, IHL=5, non-fragment, TCP/UDP: src+dst+ports contiguous.
-        return crc32(data[26:38]) ^ data[23]
-    if (len(data) >= 34 and data[12] == 8 and data[13] == 0
-            and (data[14] >> 4) == 4):
-        # IPv4 with options or a fragment: addresses + protocol only.
-        return crc32(data[26:34]) ^ data[23]
-    return crc32(data)
+#: packets per stripe: one default block, so a 2 000-packet input
+#: already spreads over eight stripes
+STRIPE = DEFAULT_BATCH_SIZE
 
 
-def shard_of(data: bytes, nshards: int) -> int:
-    """Which of ``nshards`` shards this frame belongs to."""
-    return flow_hash(data) % nshards
+def shard_size(npackets: int, nshards: int, shard: int) -> int:
+    """How many of ``npackets`` land on ``shard``: whole rounds of
+    ``nshards`` stripes, plus this shard's cut of the last, partial
+    round."""
+    rounds, rest = divmod(npackets, STRIPE * nshards)
+    return rounds * STRIPE + min(max(rest - shard * STRIPE, 0), STRIPE)
 
 
-def partition_filter(nshards: int, shard: int):
-    """A generated ``f(packets, append)`` keeping one shard's packets.
+def shard_packets(packets: List, nshards: int, shard: int) -> List:
+    """``shard``'s stripes of ``packets``, concatenated in stream order.
 
-    The fused kernel each worker runs over the fork-inherited packet
-    list -- partitioning happens *inside* the parallel region, one pass,
-    no parent-side scan.
+    A shard that owns every stripe gets the list itself, not a copy.
     """
-    return make_partition_filter(nshards, shard, flow_hash)
-
-
-def assign_shards(packets: Sequence, nshards: int) -> List[int]:
-    """Shard assignment per packet (reference path, for tests/accounting)."""
-    return [flow_hash(packet.data) % nshards for packet in packets]
+    if nshards == 1 or (shard == 0 and len(packets) <= STRIPE):
+        return packets
+    kept: List = []
+    for start in range(shard * STRIPE, len(packets), STRIPE * nshards):
+        kept += packets[start:start + STRIPE]
+    return kept

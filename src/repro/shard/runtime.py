@@ -3,9 +3,9 @@
 :class:`ShardedGigascope` mirrors the :class:`~repro.core.engine.Gigascope`
 facade (add queries, subscribe, start, feed, flush, stats) but runs the
 packet path across N forked worker processes.  The parent never touches
-a packet: it materializes the list, forks the workers (each filters the
-inherited list down to its partition with the generated flow-hash
-kernel), then sits on the pipes collecting frames.
+a packet: it materializes the list, forks the workers (each slices its
+own stripes out of the inherited list), then sits on the pipes
+collecting frames.
 
 Merging is deterministic by construction.  Partial-aggregate rows are
 buffered with a ``(window value, shard index, frame seq, arrival)``
@@ -15,7 +15,8 @@ the same superaggregate combine an HFTA applies to LFTA partials, one
 level up the hierarchy.  Window order makes the combine's group-closing
 walk the same global (window, key) sweep the single-process engine
 performs; shard-then-seq order fixes every remaining tie.  Output of
-non-aggregation subscriptions is concatenated in shard order.
+non-aggregation subscriptions is concatenated in shard order (stream
+order within a shard).
 
 Failure policy (per shard): a worker that dies before its ``end`` frame
 is respawned from the parent's fold of its ``state`` frames
@@ -42,7 +43,7 @@ from repro.obs.ledger import Field, Ledger, install
 from repro.obs.registry import MetricsRegistry
 from repro.operators.aggregation import AggregationNode
 from repro.recovery.statelog import StateLog
-from repro.shard.partition import assign_shards
+from repro.shard.partition import shard_size
 from repro.shard.transport import END, ROWS, STATE, decode_frame, unpack_rows
 from repro.shard.worker import run_worker
 
@@ -149,7 +150,7 @@ LEDGER = Ledger("shard", (
 
 
 class ShardedGigascope:
-    """N hash-partitioned worker engines under one merging parent."""
+    """N stripe-partitioned worker engines under one merging parent."""
 
     ledger = LEDGER
 
@@ -241,7 +242,37 @@ class ShardedGigascope:
         return self.template.schema_of(name)
 
     # -- subscriptions ----------------------------------------------------
+    def _refuse_colocation(self, name: str) -> None:
+        """Refuse a subscription whose worker-side plan -- the query and
+        every query it reads -- holds an operator that stripes break.
+
+        A join pairs tuples and an aggregation folds a group's tuples
+        wherever they sit in the stream; a stripe worker sees only its
+        own positions, so either would answer per partition, silently.
+        The one aggregation that may stay is the subscribed terminal
+        itself: its partials are combined in the parent.
+        """
+        instances = self.template._instances
+        pending = [name]
+        while pending:
+            query = pending.pop()
+            instance = instances.get(query)
+            if instance is None or instance.plan.hfta is None:
+                continue  # an LFTA stream: per tuple
+            hfta = instance.plan.hfta
+            if hfta.kind == "join" or (hfta.kind == "aggregation"
+                                       and query != name):
+                raise RegistryError(
+                    f"cannot shard-subscribe {name!r}: {hfta.kind} "
+                    f"{query!r} in its worker-side plan needs every tuple "
+                    f"of a {'pair' if hfta.kind == 'join' else 'group'} "
+                    "co-located in one process, and stripe workers each "
+                    "see only their own positions of the stream"
+                )
+            pending.extend(hfta.inputs)
+
     def _make_sink(self, name: str) -> _MergeSink:
+        self._refuse_colocation(name)
         instance = self.template._instances.get(name)
         terminal = instance.nodes[-1] if instance else None
         if isinstance(terminal, AggregationNode):
@@ -258,8 +289,7 @@ class ShardedGigascope:
                         f"cannot shard-subscribe aggregation {name!r}: "
                         f"query {other_name!r} reads {sorted(used)} "
                         "downstream (the worker-side partial flip would "
-                        "feed it superaggregates); subscribe the "
-                        "downstream query instead"
+                        "feed it superaggregates)"
                     )
             plan = dataclasses.replace(
                 instance.plan.hfta, final_from_partials=True,
@@ -347,8 +377,8 @@ class ShardedGigascope:
             if shard in self.quarantined:
                 # Dead shards stay dead across generations; keep the
                 # drop ledger honest for the new packets too.
-                self.shard_dropped_packets[shard] += (
-                    assign_shards(packets, self.shards).count(shard))
+                self.shard_dropped_packets[shard] += shard_size(
+                    len(packets), self.shards, shard)
                 continue
             crash_at = crash[1] if crash and crash[0] == shard else None
             live[shard] = self._spawn(ctx, shard, spec, packets,
@@ -465,9 +495,8 @@ class ShardedGigascope:
             return replacement
         # Quarantine: siblings keep running; the undone packets are
         # counted, not silently lost (accountable loss, Section 1).
-        assigned = assign_shards(packets, self.shards).count(state.index)
-        self.shard_dropped_packets[state.index] += (
-            assigned - state.log.cursor)
+        self.shard_dropped_packets[state.index] += shard_size(
+            len(packets), self.shards, state.index) - state.log.cursor
         self.quarantined[state.index] = reason
         return None
 

@@ -8,12 +8,13 @@ packet list and compiled queries for free) by
    from the same query batch as its siblings, with every *subscribed
    terminal aggregation* flipped into superaggregate-producer mode
    (:meth:`~repro.operators.aggregation.AggregationNode.enable_partial_output`),
-2. filters the inherited packet list down to its own partition with a
-   fused generated kernel (partitioning runs inside the parallel
-   region -- there is no parent-side scan to serialize on),
-3. feeds the partition in chunks cut at a *global barrier grid* --
+2. slices its own stripes out of the inherited packet list
+   (:func:`~repro.shard.partition.shard_packets`; partitioning runs
+   inside the parallel region and touches no packet),
+3. feeds the partition in runs cut at a *global barrier grid* --
    multiples of ``barrier_interval`` in virtual time, the same
-   thresholds on every shard -- draining its subscriptions into a
+   thresholds on every shard, found a chunk of timestamps at a time
+   (:func:`barrier_cuts`) -- draining its subscriptions into a
    ``rows`` frame and cutting a state-log frame
    (:mod:`repro.recovery.statelog`) into a ``state`` frame at each
    crossing,
@@ -30,12 +31,12 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.engine import Gigascope
 from repro.obs.collectors import channel_snapshot, engine_snapshot
 from repro.recovery.statelog import StateLog
-from repro.shard.partition import partition_filter
+from repro.shard.partition import STRIPE, shard_packets
 from repro.shard.transport import END, ROWS, STATE, encode_frame, pack_rows
 
 
@@ -74,14 +75,44 @@ def _cut_barrier(conn, gs, subs, log: StateLog, seq: int,
     return seq
 
 
+def barrier_cuts(packets: List, start: int, stop: int, interval: float,
+                 next_barrier: Optional[float]
+                 ) -> Iterator[Tuple[int, float]]:
+    """Barrier crossings in ``packets[start:stop]``, in stream order.
+
+    Yields ``(index, barrier)``: a cut lands before ``packets[index]``,
+    the first packet at or past the pending barrier, and ``barrier`` is
+    the grid point the cursor advances to -- the first one beyond that
+    packet.  Found the way ``RuntimeSystem.feed`` finds heartbeat
+    crossings: one timestamp pass per chunk, and an index search only
+    inside a chunk whose newest packet crosses.
+
+    With no pending barrier the first packet pins the position on the
+    *global* grid (multiples of the interval in absolute virtual time,
+    the same thresholds every sibling shard uses) and is not itself
+    tested against it.
+    """
+    for lo in range(start, stop, STRIPE):
+        stamps = [packet.timestamp
+                  for packet in packets[lo:min(lo + STRIPE, stop)]]
+        at = 0
+        if next_barrier is None:
+            next_barrier = (math.floor(stamps[0] / interval) + 1) * interval
+            at = 1
+        while at < len(stamps) and max(stamps[at:]) >= next_barrier:
+            at = next(i for i in range(at, len(stamps))
+                      if stamps[i] >= next_barrier)
+            while stamps[at] >= next_barrier:
+                next_barrier += interval
+            yield lo + at, next_barrier
+
+
 def run_worker(conn, spec: Dict[str, Any], shard: int,
                packets: List, resume_blob: Optional[bytes] = None,
                crash_at: Optional[int] = None) -> None:
     """The fork target: run one shard start to finish (or to a crash)."""
     gs, subs = _build_engine(spec)
-    keep = partition_filter(spec["nshards"], shard)
-    kept: List = []
-    keep(packets, kept.append)
+    kept = shard_packets(packets, spec["nshards"], shard)
     gs.start()
     seq = 0
     offset = 0
@@ -96,37 +127,26 @@ def run_worker(conn, spec: Dict[str, Any], shard: int,
         seq = log.extra["seq"]
         offset = log.cursor
         next_barrier = log.extra["next_barrier"]
-    interval = spec["barrier_interval"]
     pump_every = spec["pump_every"]
-    buffer: List = []
-    for index in range(offset, len(kept)):
-        packet = kept[index]
-        if crash_at is not None and index == crash_at:
-            # Simulated hard worker death: no teardown, no flush, the
-            # pipe just goes quiet mid-stream.
-            os._exit(3)
-        if next_barrier is None:
-            # First packet pins the position on the *global* grid
-            # (multiples of the interval in absolute virtual time, the
-            # same thresholds every sibling shard uses).
-            next_barrier = (math.floor(packet.timestamp / interval) + 1
-                            ) * interval
-        elif packet.timestamp >= next_barrier:
-            if buffer:
-                gs.feed(buffer, pump_every=pump_every)
-                buffer = []
-            advanced = next_barrier
-            while packet.timestamp >= advanced:
-                advanced += interval
-            # The stored cursor must be the *advanced* barrier: a
-            # restored worker re-examines this very packet and must not
-            # cut (and re-number) a second barrier here.
-            seq = _cut_barrier(conn, gs, subs, log, seq,
-                               packets_done=index, next_barrier=advanced)
-            next_barrier = advanced
-        buffer.append(packet)
-    if buffer:
-        gs.feed(buffer, pump_every=pump_every)
+    crashing = crash_at is not None and offset <= crash_at < len(kept)
+    stop = crash_at if crashing else len(kept)
+    fed = offset
+    # The cursor a state frame stores is the *advanced* barrier: a
+    # restored worker re-examines the packet the cut landed before and
+    # must not cut (and re-number) a second barrier there.
+    for cut, advanced in barrier_cuts(
+            kept, offset, stop, spec["barrier_interval"], next_barrier):
+        if cut > fed:
+            gs.feed(kept[fed:cut], pump_every=pump_every)
+            fed = cut
+        seq = _cut_barrier(conn, gs, subs, log, seq,
+                           packets_done=cut, next_barrier=advanced)
+    if crashing:
+        # Simulated hard worker death just before packet ``crash_at``:
+        # no teardown, no flush, the pipe just goes quiet mid-stream.
+        os._exit(3)
+    if fed < len(kept):
+        gs.feed(kept[fed:] if fed else kept, pump_every=pump_every)
     gs.flush()
     rows = {name: sub.poll() for name, sub in subs.items()}
     seq += 1

@@ -2,36 +2,41 @@
 
 Three contracts under test:
 
-* the flow partitioner: process-stable (PYTHONHASHSEED-independent),
-  balanced (chi-square over realistic packet pools), and the generated
-  fused kernel agrees with the reference ``flow_hash`` on every packet
-  shape, including the ugly ones;
+* the stripe layout: every packet position belongs to exactly one
+  shard, a shard's packets keep stream order, sizes differ by at most
+  one stripe, and the ledger's arithmetic (``shard_size``) equals a
+  direct count -- nothing is hashed, so nothing can move with
+  ``PYTHONHASHSEED`` (CI runs this file under two seeds anyway);
 * the runtime: sharded output is byte-identical to single-process --
-  clean, across a worker crash/restart (checkpoint resume and
-  restart-from-scratch), and with sibling shards unaffected by a
-  quarantined one;
+  clean, for any input length and shard count, across a worker
+  crash/restart (checkpoint resume and restart-from-scratch), and with
+  sibling shards unaffected by a quarantined one; a barrier cut found
+  a chunk at a time lands where the per-packet walk put it;
 * the accounting: worker-side channel overflow and quarantine packet
   loss survive the process boundary into the parent's ledgers.
 """
 
+import itertools
+import math
 import os
-import struct
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import Gigascope
 from repro.core.stream_manager import RegistryError
 from repro.determinism import derive_seed
-from repro.net.build import build_tcp_frame, build_udp_frame, capture
-from repro.shard import ShardedGigascope, flow_hash, shard_of
-from repro.shard.partition import assign_shards, partition_filter
+from repro.shard import ShardedGigascope
+from repro.shard.partition import STRIPE, shard_packets, shard_size
+from repro.shard.worker import barrier_cuts
 from repro.workloads.flows import ZipfFlowWorkload
-from repro.workloads.generators import (background_pool, http_port80_pool,
+from repro.workloads.generators import (http_port80_pool, merge_streams,
                                         packet_stream)
-from tests.conftest import tcp_packet, udp_packet
 
 SRC_ROOT = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -42,6 +47,22 @@ FLOWS_QUERY = """
     Group by time/5 as tb, srcIP, srcPort
 """
 
+#: the E2 deployment shape: two links, a merge, a terminal aggregation
+APPMON_QUERIES = """
+    DEFINE query_name link0;
+    Select time, destIP, len From eth0.tcp Where destPort = 80;
+
+    DEFINE query_name link1;
+    Select time, destIP, len From eth1.tcp Where destPort = 80;
+
+    DEFINE query_name both;
+    Merge link0.time : link1.time From link0, link1;
+
+    DEFINE query_name appmon;
+    Select tb, destIP, count(*), sum(len)
+    From both Group by time/2 as tb, destIP
+"""
+
 
 def zipf_packets(count=3000, seed=7):
     workload = ZipfFlowWorkload(num_flows=300, alpha=1.1,
@@ -49,9 +70,16 @@ def zipf_packets(count=3000, seed=7):
     return list(workload.packets(count, pps=2000.0))
 
 
+def two_link_packets(count=1500):
+    links = [packet_stream(http_port80_pool(seed=1 + link), rate_mbps=2.0,
+                           duration_s=10.0, interface=f"eth{link}",
+                           seed=11 + link) for link in (0, 1)]
+    return list(itertools.islice(merge_streams(*links), count))
+
+
 def run_single(packets, query=FLOWS_QUERY, name="flows", **kwargs):
     gs = Gigascope(seed=7, heartbeat_interval=0.5, metrics=False, **kwargs)
-    gs.add_query(query)
+    gs.add_queries(query)
     sub = gs.subscribe(name)
     gs.start()
     gs.feed(packets, pump_every=128)
@@ -63,7 +91,7 @@ def run_sharded(packets, shards, query=FLOWS_QUERY, name="flows",
                 engine_kwargs=None, **kwargs):
     gs = ShardedGigascope(shards, seed=7, heartbeat_interval=0.5,
                           metrics=False, **(engine_kwargs or {}), **kwargs)
-    gs.add_query(query)
+    gs.add_queries(query)
     sub = gs.subscribe(name)
     gs.start()
     gs.feed(packets, pump_every=128)
@@ -72,142 +100,138 @@ def run_sharded(packets, shards, query=FLOWS_QUERY, name="flows",
 
 
 # ---------------------------------------------------------------------------
-# The flow partitioner
+# The stripe layout
 # ---------------------------------------------------------------------------
 
-class TestFlowHash:
-    def test_fast_path_uses_the_five_tuple(self):
-        # Same 5-tuple, different payload/seq -> same hash (flow
-        # affinity); different port -> different shard assignment
-        # possible (the key actually covers the tuple).
-        a = build_tcp_frame("10.0.0.1", "192.168.1.1", 1234, 80,
-                            payload=b"x", seq=1)
-        b = build_tcp_frame("10.0.0.1", "192.168.1.1", 1234, 80,
-                            payload=b"yyyy", seq=999)
-        assert flow_hash(a) == flow_hash(b)
-        c = build_tcp_frame("10.0.0.1", "192.168.1.1", 1235, 80)
-        assert flow_hash(a) != flow_hash(c)
+LENGTHS = (0, 1, STRIPE - 1, STRIPE, STRIPE + 1, 2000, 3000,
+           4 * STRIPE, 4 * STRIPE + 1)
 
-    def test_tcp_and_udp_with_same_ports_differ(self):
-        t = build_tcp_frame("10.0.0.1", "192.168.1.1", 53, 5353)
-        u = build_udp_frame("10.0.0.1", "192.168.1.1", 53, 5353)
-        assert flow_hash(t) != flow_hash(u)
 
-    def test_fragment_falls_back_to_addresses(self):
-        frame = bytearray(build_tcp_frame("10.0.0.1", "192.168.1.1",
-                                          1234, 80))
-        # Set a nonzero fragment offset: ports are no longer trustworthy.
-        frame[20] = 0x00
-        frame[21] = 0x10
-        whole = build_tcp_frame("10.0.0.1", "192.168.1.1", 9999, 443)
-        fragged = bytearray(whole)
-        fragged[20] = 0x00
-        fragged[21] = 0x10
-        # Different ports, same addresses+protocol: fragments collapse
-        # onto the address key, so both land on one shard.
-        assert flow_hash(bytes(frame)) == flow_hash(bytes(fragged))
+class TestStripeLayout:
+    @pytest.mark.parametrize("nshards", (1, 2, 3, 4, 7))
+    def test_partition_is_exact_ordered_and_balanced(self, nshards):
+        for length in LENGTHS:
+            positions = list(range(length))
+            parts = [shard_packets(positions, nshards, shard)
+                     for shard in range(nshards)]
+            # Every position belongs to exactly one shard ...
+            assert sorted(itertools.chain(*parts)) == positions
+            for shard, part in enumerate(parts):
+                # ... each shard keeps stream order ...
+                assert part == sorted(part)
+                # ... whole stripes, dealt round-robin ...
+                assert all(p // STRIPE % nshards == shard for p in part)
+                # ... and the ledger's arithmetic is a direct count.
+                assert shard_size(length, nshards, shard) == len(part)
+            sizes = [len(part) for part in parts]
+            assert max(sizes) - min(sizes) <= STRIPE
 
-    def test_non_ip_and_short_frames_hash_whole_frame(self):
-        arp = b"\x02" * 12 + b"\x08\x06" + b"\x00" * 28
-        assert isinstance(flow_hash(arp), int)
-        assert flow_hash(arp) != flow_hash(arp[:-1])
-        assert isinstance(flow_hash(b""), int)
-        assert isinstance(flow_hash(b"\x08"), int)
+    def test_enough_stripes_give_every_shard_work(self):
+        for nshards in (2, 3, 4):
+            shortest = (nshards - 1) * STRIPE + 1
+            assert all(shard_size(shortest, nshards, shard) > 0
+                       for shard in range(nshards))
+            assert shard_size(shortest - 1, nshards, nshards - 1) == 0
+        # The smoke-test size still reaches every one of four shards.
+        assert [shard_size(2000, 4, shard) for shard in range(4)] == [
+            512, 512, 512, 464]
 
-    def test_shard_of_is_mod_nshards(self):
-        frame = build_tcp_frame("10.0.0.1", "192.168.1.1", 1234, 80)
-        for nshards in (1, 2, 4, 7):
-            assert shard_of(frame, nshards) == flow_hash(frame) % nshards
+    def test_sole_owner_takes_the_list_itself(self):
+        packets = list(range(3 * STRIPE))
+        assert shard_packets(packets, 1, 0) is packets
+        one_stripe = packets[:STRIPE]
+        assert shard_packets(one_stripe, 4, 0) is one_stripe
+        assert shard_packets(one_stripe, 4, 1) == []
+        assert shard_packets(packets, 2, 0) is not packets
 
-    def test_cross_process_stability(self):
-        # The partitioner must not move with PYTHONHASHSEED: same
-        # packets, same assignments, in any process.
-        script = (
-            "from repro.shard import flow_hash\n"
-            "from repro.net.build import build_tcp_frame\n"
-            "frames = [build_tcp_frame('10.0.0.%d' % i, '192.168.1.1',"
-            " 1000 + i, 80) for i in range(32)]\n"
-            "print([flow_hash(f) % 4 for f in frames])\n"
-        )
-        outputs = set()
-        for hash_seed in ("0", "1", "31337"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                       PYTHONPATH=SRC_ROOT)
-            result = subprocess.run([sys.executable, "-c", script],
-                                    env=env, capture_output=True,
-                                    text=True, check=True)
-            outputs.add(result.stdout.strip())
-        assert len(outputs) == 1
+    def test_one_shard_equals_single_process(self):
+        packets = zipf_packets()
+        rows, gs = run_sharded(packets, 1)
+        assert rows == run_single(packets)
+        assert gs.shard_report()["packets"] == [len(packets)]
 
-    def test_generated_kernel_agrees_with_reference(self):
-        # The fused worker kernel and the reference implementation must
-        # partition identically -- fast path, options, fragments,
-        # non-IP, truncated, everything.
-        packets = zipf_packets(800)
-        packets.append(udp_packet(ts=0.1))
-        packets.append(tcp_packet(ts=0.2, payload=b"z" * 64))
-        # IPv4 with options (IHL=6): 4 extra header bytes after byte 33.
-        with_options = bytearray(
-            build_tcp_frame("10.0.0.9", "192.168.1.9", 4321, 80))
-        with_options[14] = 0x46
-        packets.append(capture(bytes(with_options), 0.3))
-        # A fragment.
-        frag = bytearray(build_tcp_frame("10.0.0.8", "192.168.1.8",
-                                         1111, 80))
-        frag[21] = 0x08
-        packets.append(capture(bytes(frag), 0.4))
-        # Non-IP and short frames.
-        packets.append(capture(b"\x02" * 12 + b"\x08\x06" + b"\x00" * 28,
-                               0.5))
-        packets.append(capture(b"\x01\x02\x03", 0.6))
-        nshards = 4
-        reference = assign_shards(packets, nshards)
-        for shard in range(nshards):
-            kept = []
-            partition_filter(nshards, shard)(packets, kept.append)
-            expected = [p for p, s in zip(packets, reference) if s == shard]
-            assert kept == expected
-        # Partitions are disjoint and exhaustive by construction of the
-        # comparison above; spot-check total coverage anyway.
-        assert sum(reference.count(s) for s in range(nshards)) == len(packets)
+    def test_short_input_leaves_trailing_shards_idle(self):
+        packets = zipf_packets(STRIPE + 44)
+        rows, gs = run_sharded(packets, 4)
+        assert rows == run_single(packets)
+        report = gs.shard_report()
+        # The idle shards ran, delivered their end frame and were
+        # neither restarted nor quarantined.
+        assert report["packets"] == [STRIPE, 44, 0, 0]
+        assert report["restarts"] == [0, 0, 0, 0]
+        assert not report["quarantined"]
+        assert any(name.startswith("shard3/") for name in gs.stats())
 
-    def test_balance_chi_square(self):
-        # Hash balance over realistic traffic: chi-square against the
-        # uniform hypothesis across 4 shards, df=3; 16.27 is the 99.9th
-        # percentile, so an unbalanced partitioner fails loudly.
-        packets = list(packet_stream(http_port80_pool(seed=1),
-                                     rate_mbps=20.0, duration_s=3.0,
-                                     seed=5))
-        packets += list(packet_stream(background_pool(seed=2),
-                                      rate_mbps=20.0, duration_s=3.0,
-                                      seed=6))
-        nshards = 4
-        assignments = assign_shards(packets, nshards)
-        assert len(packets) > 2000
-        # Chi-square applies to the independent trials -- the distinct
-        # flows, not the packets (pools repeat a finite flow set, so
-        # per-packet counts are not i.i.d. and would inflate chi2).
-        flow_shards = {flow_hash(p.data): s
-                       for p, s in zip(packets, assignments)}
-        flow_counts = [0] * nshards
-        for shard in flow_shards.values():
-            flow_counts[shard] += 1
-        expected = len(flow_shards) / nshards
-        chi2 = sum((c - expected) ** 2 / expected for c in flow_counts)
-        assert len(flow_shards) > 200
-        assert chi2 < 16.27, (
-            f"unbalanced flows: {flow_counts} (chi2={chi2:.1f})")
-        # Packet-level load stays within 25% of even despite skewed
-        # per-flow packet counts.
-        packet_counts = [assignments.count(s) for s in range(nshards)]
-        per_shard = len(packets) / nshards
-        assert max(packet_counts) < 1.25 * per_shard, packet_counts
-        assert min(packet_counts) > 0.75 * per_shard, packet_counts
+    def test_one_packet_input_runs(self):
+        packets = zipf_packets(1)
+        rows, gs = run_sharded(packets, 2)
+        assert rows == run_single(packets)
+        assert gs.shard_report()["packets"] == [1, 0]
+
+    @pytest.mark.parametrize("empty", ([], iter(())), ids=("list", "iter"))
+    def test_empty_feed_forks_nothing(self, empty, monkeypatch):
+        def no_fork(*args, **kwargs):
+            raise AssertionError("an empty feed must not fork a worker")
+
+        monkeypatch.setattr(ShardedGigascope, "_spawn", no_fork)
+        gs = ShardedGigascope(2, metrics=False)
+        gs.add_query(FLOWS_QUERY)
+        sub = gs.subscribe("flows")
+        gs.start()
+        gs.feed(empty)
+        gs.flush()
+        assert gs.generations == 0
+        assert sub.poll() == []
+
+
+def reference_cuts(packets, start, stop, interval, next_barrier):
+    """The per-packet walk ``run_worker`` made before ``barrier_cuts``."""
+    cuts = []
+    for index in range(start, stop):
+        stamp = packets[index].timestamp
+        if next_barrier is None:
+            next_barrier = (math.floor(stamp / interval) + 1) * interval
+        elif stamp >= next_barrier:
+            while stamp >= next_barrier:
+                next_barrier += interval
+            cuts.append((index, next_barrier))
+    return cuts
+
+
+class TestBarrierCuts:
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(st.floats(-0.3, 0.9), max_size=3 * STRIPE),
+           origin=st.floats(0.0, 1e6),
+           interval=st.sampled_from((0.2, 0.25, 1.0, 3.0)),
+           pinned=st.booleans(), data=st.data())
+    def test_chunkwise_cuts_land_where_the_walk_put_them(
+            self, steps, origin, interval, pinned, data):
+        # Mostly-forward virtual time with out-of-order packets mixed
+        # in, long enough to span several chunks.
+        stamps = list(itertools.accumulate(steps, initial=origin))
+        packets = [SimpleNamespace(timestamp=stamp) for stamp in stamps]
+        start = data.draw(st.integers(0, len(packets)))
+        stop = data.draw(st.integers(start, len(packets)))
+        # A resumed worker arrives with its barrier already pinned.
+        barrier = ((math.floor(origin / interval) + 1) * interval
+                   if pinned else None)
+        assert (list(barrier_cuts(packets, start, stop, interval, barrier))
+                == reference_cuts(packets, start, stop, interval, barrier))
+
+    def test_a_gap_advances_past_every_skipped_barrier(self):
+        packets = [SimpleNamespace(timestamp=stamp)
+                   for stamp in (0.1, 0.2, 5.3, 5.4, 6.0)]
+        assert list(barrier_cuts(packets, 0, 5, 1.0, None)) == [
+            (2, 6.0), (4, 7.0)]
 
 
 # ---------------------------------------------------------------------------
 # The runtime: merge identity
 # ---------------------------------------------------------------------------
+
+ZIPF_POOL = zipf_packets(1500)
+TWO_LINK_POOL = two_link_packets(1500)
+
 
 class TestShardedRuntime:
     def test_sharded_output_is_byte_identical(self):
@@ -220,6 +244,21 @@ class TestShardedRuntime:
             report = gs.shard_report()
             assert sum(report["packets"]) == len(packets)
 
+    @settings(max_examples=30, deadline=None)
+    @given(shards=st.integers(1, 4), length=st.integers(0, 1500),
+           shape=st.sampled_from(("flows", "appmon")))
+    def test_any_length_any_shard_count_is_byte_identical(
+            self, shards, length, shape):
+        if shape == "flows":
+            packets, query = ZIPF_POOL[:length], FLOWS_QUERY
+        else:
+            packets, query = TWO_LINK_POOL[:length], APPMON_QUERIES
+        rows, gs = run_sharded(packets, shards, query=query, name=shape,
+                               barrier_interval=0.25)
+        assert rows == run_single(packets, query=query, name=shape)
+        assert gs.shard_report()["packets"] == [
+            shard_size(length, shards, shard) for shard in range(shards)]
+
     def test_selection_concat_matches_single_process_multiset(self):
         query = """
             DEFINE query_name picks;
@@ -228,10 +267,12 @@ class TestShardedRuntime:
         packets = zipf_packets(1500)
         base = run_single(packets, query=query, name="picks")
         rows, _ = run_sharded(packets, 2, query=query, name="picks")
-        # Concatenation is shard-ordered, not globally ordered: same
-        # rows, possibly different order.
+        # Concatenation is shard-ordered, not globally ordered: the
+        # same rows, shard 0's stripes in stream order and then shard
+        # 1's.
         assert sorted(rows) == sorted(base)
-        assert len(rows) == len(base)
+        assert rows == [row for shard in (0, 1) for row in run_single(
+            shard_packets(packets, 2, shard), query=query, name="picks")]
 
     def test_multiple_generations_accumulate(self):
         packets = zipf_packets()
@@ -282,18 +323,19 @@ class TestShardedRuntime:
 
     def test_quarantine_leaves_siblings_untouched(self):
         packets = zipf_packets()
-        assignments = assign_shards(packets, 2)
         rows, gs = run_sharded(packets, 2, max_restarts=0, crash="1:700")
         report = gs.shard_report()
         assert report["quarantined"] == {
             "1": "worker exited with code 3 before its end frame"}
         # Shard 0's groups are complete and exact: identical to running
         # shard 0's partition through a single-process engine.
-        shard0_packets = [p for p, s in zip(packets, assignments) if s == 0]
-        assert rows == run_single(shard0_packets)
-        # The lost packets are accounted, not silent.
-        assert report["dropped_packets"][1] == assignments.count(1)
-        assert report["packets"] == [assignments.count(0), 0]
+        assert rows == run_single(shard_packets(packets, 2, 0))
+        # The lost packets are accounted, not silent: the ledger's
+        # arithmetic on the layout equals a direct count.
+        lost = len(shard_packets(packets, 2, 1))
+        assert lost > 700
+        assert report["dropped_packets"] == [0, lost]
+        assert report["packets"] == [len(packets) - lost, 0]
 
     def test_quarantined_shard_stays_dead_across_generations(self):
         packets = zipf_packets()
@@ -303,10 +345,16 @@ class TestShardedRuntime:
         gs.subscribe("flows")
         gs.start()
         gs.feed(packets, pump_every=128)
-        dropped_first = gs.shard_report()["dropped_packets"][1]
-        gs.feed(packets, pump_every=128)
+        lost = len(shard_packets(packets, 2, 1))
+        assert gs.shard_report()["dropped_packets"] == [0, lost]
+        # The next generation is a different length, so a different
+        # layout: the dead shard's share of *it* is what is added.
+        gs.feed(packets[:1000], pump_every=128)
         report = gs.shard_report()
-        assert report["dropped_packets"][1] == 2 * dropped_first
+        assert report["dropped_packets"] == [
+            0, lost + len(shard_packets(packets[:1000], 2, 1))]
+        assert report["packets"] == [
+            len(packets) - lost + shard_size(1000, 2, 0), 0]
         assert report["restarts"] == [0, 0]
 
     def test_worker_channel_drops_reach_the_parent_ledger(self):
@@ -373,9 +421,65 @@ class TestValidation:
         """)
         # Workers would flip 'flows' into partial output, feeding
         # 'heavy' superaggregates instead of finalized rows.
-        with pytest.raises(RegistryError):
+        with pytest.raises(RegistryError, match="'heavy' reads"):
             gs.subscribe("flows")
-        gs.subscribe("heavy")  # the downstream query itself is fine
+
+    def test_reader_of_an_aggregation_refused(self):
+        # Each worker would threshold its *own* partition's counts,
+        # and say nothing.
+        gs = ShardedGigascope(2, metrics=False)
+        gs.add_queries("""
+            DEFINE query_name per_dst;
+            Select tb, destIP, count(*) as cnt From eth0.tcp
+            Group by time/5 as tb, destIP;
+
+            DEFINE query_name busy;
+            Select tb, destIP, cnt From per_dst Where cnt > 20
+        """)
+        with pytest.raises(RegistryError) as refusal:
+            gs.subscribe("busy")
+        assert "'busy'" in str(refusal.value)
+        assert "aggregation 'per_dst'" in str(refusal.value)
+
+    def test_join_refused_wherever_it_sits_in_the_plan(self):
+        # A SYN and its SYN-ACK land on different stripes: each worker
+        # would pair only what it holds (about half of the handshakes).
+        gs = ShardedGigascope(2, metrics=False)
+        gs.add_queries("""
+            DEFINE query_name syn;
+            Select time, timestamp, srcIP, destIP, srcPort, destPort
+            From eth0.tcp Where tcpflags & 18 = 2;
+
+            DEFINE query_name synack;
+            Select time, timestamp, srcIP, destIP, srcPort, destPort
+            From eth1.tcp Where tcpflags & 18 = 18;
+
+            DEFINE query_name rtt;
+            Select S.time, S.destIP, A.timestamp - S.timestamp as rtt
+            From syn S, synack A
+            Where A.time >= S.time and A.time <= S.time + 1
+              and S.srcIP = A.destIP and S.destIP = A.srcIP
+              and S.srcPort = A.destPort and S.destPort = A.srcPort;
+
+            DEFINE query_name rtt_stats;
+            Select tb, destIP, count(*), max(rtt) From rtt
+            Group by time/5 as tb, destIP
+        """)
+        for name in ("rtt", "rtt_stats"):
+            with pytest.raises(RegistryError) as refusal:
+                gs.subscribe(name)
+            assert repr(name) in str(refusal.value)
+            assert "join 'rtt'" in str(refusal.value)
+        # Its per-tuple inputs stay subscribable.
+        gs.subscribe("syn")
+        gs.subscribe("synack")
+
+    def test_per_tuple_plans_and_a_terminal_aggregation_accepted(self):
+        gs = ShardedGigascope(2, metrics=False)
+        gs.add_queries(APPMON_QUERIES)
+        # selection/projection, merge, and the terminal aggregation
+        for name in ("link0", "both", "appmon"):
+            gs.subscribe(name)
 
     def test_schema_and_explain_delegate_to_template(self):
         gs = ShardedGigascope(2, metrics=False)
@@ -408,6 +512,18 @@ class TestCliValidation:
             result = self.run_cli(["--shards", "2", *extra, *self.BASE])
             assert result.returncode == 2, extra
             assert "--shards" in result.stderr
+
+    def test_refused_plan_is_a_query_error(self):
+        query = ("DEFINE query_name per_dst; Select tb, destIP, count(*) "
+                 "as cnt From tcp Group by time/1 as tb, destIP; "
+                 "DEFINE query_name busy; "
+                 "Select tb, destIP From per_dst Where cnt > 2")
+        result = self.run_cli(["--shards", "2", "--subscribe", "busy",
+                               "--query", query, "--synthetic", "1x1"])
+        assert result.returncode == 1
+        assert "query error" in result.stderr
+        assert "aggregation 'per_dst'" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_sharded_cli_run_matches_single(self):
         query = ("DEFINE query_name c; Select tb, destPort, count(*) "
