@@ -81,7 +81,7 @@ def time_shipping(packets, cadence):
     gs.add_query(QUERY)
     gs.subscribe("flows")
     log = []
-    gs.rts.replicator = ReplicationShipper(gs.rts, cadence, log.append)
+    ReplicationShipper(gs.rts, cadence, log.append)
     gs.start()
     start = time.perf_counter()
     gs.feed(packets, pump_every=1024)

@@ -393,7 +393,7 @@ LEDGER = Ledger("alerts", (
                  "keys currently raised", "active"),
     _per_trigger("triggers", "gs_alert_epochs_evaluated_total", "counter",
                  "evaluation epochs closed", counter="epochs_evaluated"),
-), title="alert", attr="alert_engine", stream="_gs_alert")
+), title="alert", stream="_gs_alert")
 
 
 class AlertEngine:

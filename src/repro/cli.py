@@ -13,7 +13,9 @@ The workflow the paper's network analysts follow, minus the cluster:
     # show the compiled plans without running anything
     python -m repro.cli --query-file queries.gsql --explain
 
-Exit status is 0 on success, 2 on bad usage, 1 on query errors.
+Exit status is 0 on success, 1 on query errors, 2 on bad usage (a
+malformed flag value, an unreadable input file, a plane the chosen engine
+refuses): one ``gsq: error:`` line naming flag and offender, no traceback.
 """
 
 from __future__ import annotations
@@ -188,7 +190,8 @@ def _parse_params(entries: List[str]):
             key, value = entry.split("=", 1)
             query_name, param_name = key.split(".", 1)
         except ValueError:
-            raise SystemExit(f"bad --param {entry!r}; use QUERY.NAME=VALUE")
+            raise ValueError(f"bad --param {entry!r}; use "
+                             f"QUERY.NAME=VALUE") from None
         for cast in (int, float):
             try:
                 value = cast(value)
@@ -212,17 +215,22 @@ def _open_capture(path: str, interface: str):
 
 
 def _packets_from_pcaps(specs: List[str]) -> Iterable[CapturedPacket]:
+    """Every capture opened now (a missing one is a usage error, not a
+    traceback out of ``feed``), merged by timestamp as it is read."""
     import heapq
     readers = []
     for index, spec in enumerate(specs):
         path, _, interface = spec.partition(":")
         interface = interface or f"eth{index}"
         readers.append(_open_capture(path, interface))
-    try:
-        yield from heapq.merge(*readers, key=lambda p: p.timestamp)
-    finally:
-        for reader in readers:
-            reader.close()
+
+    def merged():
+        try:
+            yield from heapq.merge(*readers, key=lambda p: p.timestamp)
+        finally:
+            for reader in readers:
+                reader.close()
+    return merged()
 
 
 def _synthetic_packets(spec: str) -> Iterable[CapturedPacket]:
@@ -232,7 +240,8 @@ def _synthetic_packets(spec: str) -> Iterable[CapturedPacket]:
         mbps = float(mbps_text)
         seconds = float(seconds_text)
     except ValueError:
-        raise SystemExit(f"bad --synthetic {spec!r}; use MBPSxSECONDS")
+        raise ValueError(f"bad --synthetic {spec!r}; use "
+                         f"MBPSxSECONDS") from None
     return section4_stream(background_mbps=max(0.0, mbps - 60.0),
                            duration_s=seconds)
 
@@ -257,27 +266,33 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     query_texts = list(args.query)
-    for path in args.query_file:
-        query_texts.append(Path(path).read_text())
+    try:
+        query_texts += [Path(path).read_text() for path in args.query_file]
+        params = _parse_params(args.param)
+    except OSError as error:
+        parser.error(f"--query-file {error.filename!r}: {error.strerror}")
+    except ValueError as error:
+        parser.error(str(error))
     if not query_texts:
         parser.error("no queries given (use --query or --query-file)")
-
-    params = _parse_params(args.param)
-    if args.channel_capacity is not None and args.channel_capacity <= 0:
-        parser.error(f"--channel-capacity must be positive, "
-                     f"got {args.channel_capacity}")
+    for flag, value, least in (
+            ("--channel-capacity", args.channel_capacity, "positive"),
+            ("--batch-size", args.batch_size, "positive"),
+            ("--shards", args.shards, "positive"),
+            ("--checkpoint-interval", args.checkpoint_interval, "positive"),
+            ("--max-restarts", args.max_restarts, ">= 0"),
+            ("--telemetry-interval", args.telemetry_interval, ">= 0"),
+            ("--promote-after", args.promote_after, ">= 0")):
+        if value is not None and (value <= 0 if least == "positive"
+                                  else value < 0):
+            parser.error(f"{flag} must be {least}, got {value}")
     if args.trace_out and args.trace_sample is None:
         parser.error("--trace-out requires --trace-sample")
-    if args.batch_size is not None and args.batch_size <= 0:
-        parser.error(f"--batch-size must be positive, got {args.batch_size}")
     if args.alert_out and not args.alert:
         parser.error("--alert-out requires --alert")
     telemetry = (args.telemetry or args.telemetry_interval is not None)
     if args.telemetry_out and not telemetry:
         parser.error("--telemetry-out requires --telemetry")
-    if args.telemetry_interval is not None and args.telemetry_interval < 0:
-        parser.error(f"--telemetry-interval must be >= 0, "
-                     f"got {args.telemetry_interval}")
     # Distinct artifacts must go to distinct files: writing two streams
     # to one path silently clobbers the first, so it is a usage error.
     seen_outputs: dict = {}
@@ -294,78 +309,50 @@ def main(argv: Optional[List[str]] = None) -> int:
                          f"write to {value!r}; give each output its "
                          f"own path")
         seen_outputs[resolved] = flag
-    if args.checkpoint_interval is not None and args.checkpoint_interval <= 0:
-        parser.error(f"--checkpoint-interval must be positive, "
-                     f"got {args.checkpoint_interval}")
-    if args.max_restarts is not None and args.max_restarts < 0:
-        parser.error(f"--max-restarts must be >= 0, got {args.max_restarts}")
     recover = (args.recover or args.checkpoint_interval is not None
                or args.max_restarts is not None)
-    if args.shards is not None and args.shards <= 0:
-        parser.error(f"--shards must be positive, got {args.shards}")
-    shards = args.shards or 0
     try:
         from repro.replication import resolve_replicate_cadence
         cadence = resolve_replicate_cadence(args.replicate)
     except ValueError as error:
         # A malformed --replicate is a usage error (exit 2).
         parser.error(str(error))
-    if args.promote_after is not None and args.promote_after < 0:
-        parser.error(f"--promote-after must be >= 0, "
-                     f"got {args.promote_after}")
     standby = (args.standby or cadence is not None
                or args.promote_after is not None
                or args.replicate_log is not None)
-    if standby and shards:
-        parser.error("--standby cannot be combined with --shards (the "
-                     "warm-standby pair replicates one single-process "
-                     "engine; a sharded run already respawns a dead "
-                     "worker from the parent's fold of its state "
-                     "frames, and has no second parent to promote)")
-    # The control planes below run in one process on one engine.  The
-    # warm-standby pair does not mirror them to the replica (running
-    # them on the primary would diverge after a promotion) and a sharded
-    # run would hold N divergent copies, fault clocks included -- a
-    # usage error, not a silent behavior change.
-    single_process = (("--shed", args.shed),
-                      ("--alert", args.alert),
-                      ("--recover", args.recover),
-                      ("--checkpoint-interval", args.checkpoint_interval),
-                      ("--max-restarts", args.max_restarts),
-                      ("--telemetry", args.telemetry),
-                      ("--telemetry-interval", args.telemetry_interval),
-                      ("--trace-sample", args.trace_sample))
-    if standby:
-        for flag, value in single_process:
-            if value:
-                parser.error(f"{flag} cannot be combined with --standby "
-                             f"(control planes other than fault "
-                             f"injection are not mirrored to the "
-                             f"replica)")
-    if shards:
-        for flag, value in (("--fault", args.fault),) + single_process:
-            if value:
-                parser.error(f"{flag} cannot be combined with --shards "
-                             f"(worker crash recovery is built into the "
-                             f"sharded runtime; the other control planes "
-                             f"are single-process)")
-    # The three facades take the same engine configuration.
-    config = dict(mode=args.mode, channel_capacity=args.channel_capacity,
-                  seed=args.seed, batch_size=args.batch_size)
+    # One engine facade per topology, all taking the same engine
+    # configuration.  Each declares, next to its class, the planes it
+    # cannot run and why (``refusals``); asking for one is a usage
+    # error here, in the words the API raises.
+    topology, facade, build = "", Gigascope, {}
+    if args.shards:
+        from repro.shard import ShardedGigascope as facade
+        topology, build = "--shards", dict(shards=args.shards)
+    elif standby:
+        from repro.replication import DEFAULT_CADENCE
+        from repro.replication import ReplicatedGigascope as facade
+        topology, build = "--standby", dict(
+            cadence=DEFAULT_CADENCE if cadence is None else cadence,
+            promote_after=args.promote_after, log_path=args.replicate_log)
+    for flag, value, plane in (
+            ("--shed", args.shed, "shed"),
+            ("--alert", args.alert, "alerts"),
+            ("--recover", args.recover, "recovery"),
+            ("--checkpoint-interval", args.checkpoint_interval, "recovery"),
+            ("--max-restarts", args.max_restarts, "recovery"),
+            ("--telemetry", args.telemetry, "telemetry"),
+            ("--telemetry-interval", args.telemetry_interval, "telemetry"),
+            ("--trace-sample", args.trace_sample, "tracing"),
+            ("--fault", args.fault, "faults"),
+            ("--standby", standby, "replication")):
+        given = value is not None and value is not False and value != []
+        if given and plane in facade.refusals:
+            parser.error(f"{flag} cannot be combined with {topology}: "
+                         f"{facade.refusals[plane]}")
     try:
-        if shards:
-            from repro.shard import ShardedGigascope
-            engine = ShardedGigascope(shards, **config)
-        elif standby:
-            from repro.replication import (DEFAULT_CADENCE,
-                                           ReplicatedGigascope)
-            engine = ReplicatedGigascope(
-                cadence=(cadence if cadence is not None
-                         else DEFAULT_CADENCE),
-                promote_after=args.promote_after,
-                log_path=args.replicate_log, **config)
-        else:
-            engine = Gigascope(**config)
+        engine = facade(mode=args.mode, seed=args.seed,
+                        channel_capacity=args.channel_capacity,
+                        batch_size=args.batch_size, **build)
     except ValueError as error:
         # A non-positive --batch-size is a usage error (exit 2), not
         # a crash.
@@ -380,7 +367,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         try:
             engine.enable_shedding(args.shed)
         except ValueError as error:
-            raise SystemExit(f"bad --shed {args.shed!r}: {error}")
+            parser.error(f"bad --shed {args.shed!r}: {error}")
     telemetry_hub = None
     if telemetry:
         # Before the queries compile, so "From _gs_channel" resolves
@@ -437,12 +424,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         telemetry_subs = {stream: engine.subscribe(stream)
                           for stream in sorted(telemetry_hub.nodes)}
 
-    if args.pcap:
-        packets = _packets_from_pcaps(args.pcap)
-    elif args.synthetic:
-        packets = _synthetic_packets(args.synthetic)
-    else:
-        parser.error("no packet source (use --pcap or --synthetic)")
+    try:
+        if args.pcap:
+            packets = _packets_from_pcaps(args.pcap)
+        elif args.synthetic:
+            packets = _synthetic_packets(args.synthetic)
+        else:
+            parser.error("no packet source (use --pcap or --synthetic)")
+    except OSError as error:
+        parser.error(f"--pcap {error.filename!r}: {error.strerror}")
+    except ValueError as error:
+        parser.error(str(error))
 
     if recover:
         engine.enable_recovery(

@@ -1,8 +1,9 @@
 """The overload controller: collect, decide, install, account.
 
-Wired into :meth:`RuntimeSystem.pump`, the controller runs once per
-pump cycle *before* the channels drain, so depth readings reflect the
-backlog the cycle actually accumulated.  Each cycle it
+Attached to the RTS as the ``shed`` plane, the controller's
+``on_cycle`` runs once per pump cycle *before* the channels drain, so
+depth readings reflect the backlog the cycle actually accumulated.
+Each cycle it
 
 1. collects a :class:`~repro.control.signals.PressureSample` from the
    signals bus,
@@ -136,7 +137,7 @@ LEDGER = Ledger("shed", (
     Field(None, "gs_node_rate", "gauge",
           "per-node output tuples/second of stream time", "node",
           read=_signal("node_rates", {})),
-), title="overload", attr="controller", stream="_gs_shed")
+), title="overload", stream="_gs_shed")
 
 
 class OverloadController:
@@ -169,7 +170,7 @@ class OverloadController:
     def watch_nic(self, nic: "Nic") -> None:
         self.bus.watch_nic(nic)
 
-    # -- the control loop (called by RuntimeSystem.pump) -------------------
+    # -- the control loop (the RTS's on_cycle event) -----------------------
     def on_cycle(self, stream_time: float) -> PressureSample:
         sample = self.bus.collect(stream_time)
         self.cycles += 1
@@ -182,7 +183,7 @@ class OverloadController:
         # incident, the evidence for it is not thinned.  Exemption takes
         # effect the cycle after the RAISE (triggers evaluate during the
         # drain, after this hook ran).
-        alert_engine = getattr(self.rts, "alert_engine", None)
+        alert_engine = self.rts.planes.get("alerts")
         exempt = (frozenset(alert_engine.shed_exempt_nodes())
                   if alert_engine is not None else frozenset())
         if exempt:

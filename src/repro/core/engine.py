@@ -67,8 +67,42 @@ def resolve_batch_size(batch_size: Optional[int] = None) -> int:
     return batch_size
 
 
+#: plane -> the facade method that switches it on
+_SWITCHES = {"shed": "enable_shedding", "alerts": "enable_alerts",
+             "recovery": "enable_recovery", "telemetry": "enable_telemetry",
+             "tracing": "enable_tracing", "faults": "inject_faults"}
+
+
+def _refusal(text: str):
+    def refuse(self, *args, **kwargs):
+        raise RegistryError(text)
+    return refuse
+
+
+def refuses(reasons: Dict[str, str]):
+    """Class decorator: an engine facade declares, once and next to its
+    class, the planes it cannot run and why (kept as ``cls.refusals``).
+
+    The facade's switch for each raises :class:`RegistryError` with the
+    reason, and ``gsq`` makes the same entry a usage error before it
+    builds the engine; a name with no switch (``replication``: the
+    standby is a facade, not a method) is for ``gsq`` only.
+    """
+    def declare(cls):
+        cls.refusals = reasons
+        for plane, reason in reasons.items():
+            if plane in _SWITCHES:
+                setattr(cls, _SWITCHES[plane], _refusal(
+                    f"{cls.__name__} refuses {plane}: {reason}"))
+        return cls
+    return declare
+
+
 class Gigascope:
     """A complete Gigascope instance: schemas, functions, queries, RTS."""
+
+    #: planes this facade refuses (see :func:`refuses`): none
+    refusals: Dict[str, str] = {}
 
     def __init__(
         self,
@@ -279,10 +313,8 @@ class Gigascope:
         (policy state, shed fractions, channel watermarks, utilization);
         without it, a raw snapshot of what overflowed, uncorrected.
         """
-        if self.rts.controller is not None:
-            return self.rts.controller.report()
         from repro.control.controller import overload_snapshot
-        return overload_snapshot(self.rts)
+        return self._plane_report("shed") or overload_snapshot(self.rts)
 
     # -- recovery (repro.recovery) -------------------------------------------
     def enable_recovery(self, checkpoint_interval: float = 1.0,
@@ -392,8 +424,7 @@ class Gigascope:
 
     def fault_report(self) -> List[Dict[str, Any]]:
         """Every armed injector's ledger (drops, triggers, windows)."""
-        from repro.faults.injectors import fault_reports
-        return fault_reports(self.rts.faults)
+        return [fault.report() for fault in self.rts.faults]
 
     # -- observability (repro.obs) ------------------------------------------------
     @property

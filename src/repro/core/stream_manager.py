@@ -47,6 +47,22 @@ from repro.obs.registry import MetricsRegistry
 #: default number of packets per block
 DEFAULT_BATCH_SIZE = 256
 
+#: Every event the RTS fires, in the order a run meets them; an object
+#: given to :meth:`RuntimeSystem.attach_plane` hooks the ones it has a
+#: method for.
+EVENTS = ("on_start", "on_packet", "journal_packets", "journal_heartbeat",
+          "silences_heartbeat", "on_cycle", "on_pump_begin", "cut_for",
+          "journal_items", "on_failure", "on_pump_end", "finalize",
+          "on_stream_end")
+
+#: Who hears an event first, by ledger name (``phase`` on a hook object
+#: without one); anything else follows in attach order.  Declared, not
+#: registration order: fault windows open before anyone samples, the
+#: controller reads channel depths before telemetry and the epoch clock
+#: push rows into those channels, and a checkpoint is folded before the
+#: same boundary is shipped (DESIGN section 8.1).
+PHASES = ("faults", "shed", "telemetry", "alerts", "recovery", "replication")
+
 
 class _DispatchPlan(NamedTuple):
     """One interface's cached dispatch plan (``RuntimeSystem._plan_for``)."""
@@ -158,25 +174,21 @@ class RuntimeSystem:
         self.heartbeats_suppressed = 0
         #: packets an injected fault dropped before dispatch
         self.fault_dropped = 0
-        #: armed fault injectors (see repro.faults)
+        #: armed fault injectors, for the drop ledger (see repro.faults)
         self.faults: List = []
         #: node name -> error string, for every node quarantined so far
         self.quarantined: Dict[str, str] = {}
         self.nodes_quarantined = 0
         #: plane name -> plane, in the order :meth:`attach_plane` saw them
         self.planes: Dict[str, Any] = {}
-        #: the overload control plane, if enabled (see repro.control)
-        self.controller = None
-        #: the recovery supervisor, if enabled (see repro.recovery)
-        self.supervisor = None
-        #: the replication shipper, if enabled (see repro.replication)
-        self.replicator = None
-        #: the alert evaluation plane, if enabled (see repro.alerts)
-        self.alert_engine = None
-        #: the self-telemetry hub, if enabled (see repro.obs.telemetry)
-        self.telemetry = None
+        #: ``(phase rank, hook object)`` attached so far, in firing order
+        self._attached: List[Tuple[int, Any]] = []
+        #: event -> the bound methods to call, in firing order
+        self._hooks: Dict[str, tuple] = dict.fromkeys(EVENTS, ())
         #: the sampled-lineage tracer, if enabled (see repro.obs.tracing)
         self.tracer = None
+        #: the pump-drain timer a telemetry hub installs (``PumpProfiler``)
+        self.profiler = None
         #: virtual-time cost model for latency accounting (lazy default)
         self.cost_model = cost_model
         #: the metrics registry (repro.obs); None when metrics disabled
@@ -204,22 +216,32 @@ class RuntimeSystem:
         return self._last_heartbeat
 
     def attach_plane(self, plane) -> None:
-        """Attach a control plane: the one way a plane joins the RTS.
+        """Attach a control plane: the one way anything hooks the RTS.
 
-        Refuses a second plane of the same name, sets the attribute the
-        hot path reads it from (``plane.ledger.attr``) and installs the
-        ledger's metric families.  A plane calls this from its
-        constructor before it registers nodes or cuts a checkpoint, so
-        a refused plane leaves nothing behind.
+        Each :data:`EVENTS` method ``plane`` has fires with the event,
+        in :data:`PHASES` order.  A plane with a ``ledger`` is named: a
+        second one of that name is refused, it is listed in ``planes``
+        and its metric families are installed.  A hook object without
+        one (a fault injector, a bare replication shipper) states its
+        ``phase`` instead.  A plane calls this from its constructor
+        before it registers nodes or cuts a checkpoint, so a refused
+        plane leaves nothing behind.
         """
-        ledger = plane.ledger
-        if ledger.name in self.planes:
-            raise RegistryError(f"{ledger.name} already enabled")
-        self.planes[ledger.name] = plane
-        if ledger.attr is not None:
-            setattr(self, ledger.attr, plane)
-        if self.metrics is not None:
-            install_ledger(self.metrics, ledger, plane)
+        ledger = getattr(plane, "ledger", None)
+        if ledger is not None:
+            if ledger.name in self.planes:
+                raise RegistryError(f"{ledger.name} already enabled")
+            self.planes[ledger.name] = plane
+            if self.metrics is not None:
+                install_ledger(self.metrics, ledger, plane)
+        phase = ledger.name if ledger is not None else plane.phase
+        rank = PHASES.index(phase) if phase in PHASES else len(PHASES)
+        self._attached.append((rank, plane))
+        self._attached.sort(key=lambda entry: entry[0])  # stable
+        for event in EVENTS:
+            self._hooks[event] = tuple(
+                getattr(hooked, event) for _, hooked in self._attached
+                if hasattr(hooked, event))
 
     def node(self, name: str) -> QueryNode:
         try:
@@ -308,14 +330,11 @@ class RuntimeSystem:
 
     # -- fault injection & containment (repro.faults) -----------------------
     def install_fault(self, fault) -> None:
-        """Arm a fault injector's runtime hooks (see :mod:`repro.faults`).
-
-        The cached dispatch plans go: an injector that wraps a node's
-        block entry after the first ``feed()`` must not be bypassed by
-        an ``accept_batch`` looked up before the wrap.
-        """
+        """Arm a fault injector's runtime hooks (see :mod:`repro.faults`);
+        the cached dispatch plans go (:meth:`_plan_for` says why)."""
         self.faults.append(fault)
         self._batch_plans.clear()
+        self.attach_plane(fault)
 
     def _quarantine(self, node: QueryNode, error: Exception) -> None:
         """Contain a failing node instead of unwinding the whole cycle.
@@ -352,31 +371,32 @@ class RuntimeSystem:
             channel.push(FLUSH)
 
     def _contain(self, node: QueryNode, error: Exception) -> bool:
-        """Offer a failing node to the recovery supervisor, else quarantine.
+        """Offer a failing node to whoever recovers nodes, else quarantine.
 
-        True means the caller's loop may continue past the node: it was
-        either recovered in place (restored from the last checkpoint
-        with its journal gap replayed) or suspended for a backoff retry
+        True means the caller's loop may continue past the node: an
+        ``on_failure`` hook (the recovery supervisor's) either
+        recovered it in place (restored from the last checkpoint with
+        its journal gap replayed) or suspended it for a backoff retry
         (its ``quarantined`` marker makes every scheduler skip it until
-        the supervisor resumes it).  False is today's permanent
-        quarantine, with identical containment accounting.
+        it is resumed).  False is the permanent quarantine, with
+        identical containment accounting.
         """
-        supervisor = self.supervisor
-        if supervisor is not None and supervisor.on_failure(node, error):
-            tracer = self.tracer
-            if (tracer is not None and tracer.current is not None
-                    and node.quarantined is None):
-                tracer.event(tracer.current, "recovered", node.name,
-                             self._stream_time)
-            return True
+        for recover in self._hooks["on_failure"]:
+            if recover(node, error):
+                tracer = self.tracer
+                if (tracer is not None and tracer.current is not None
+                        and node.quarantined is None):
+                    tracer.event(tracer.current, "recovered", node.name,
+                                 self._stream_time)
+                return True
         self._quarantine(node, error)
         return False
 
     # -- lifecycle ---------------------------------------------------------------
     def start(self) -> None:
         self._started = True
-        if self.supervisor is not None:
-            self.supervisor.on_start()
+        for hook in self._hooks["on_start"]:
+            hook()
 
     def stop(self) -> None:
         """Stop so the LFTA set can change ("we can change the RTS in seconds")."""
@@ -460,12 +480,12 @@ class RuntimeSystem:
         return None
 
     def _admit(self, packet: CapturedPacket) -> Optional[CapturedPacket]:
-        """Run the armed injectors' per-packet hooks (clock skew, ring
-        loss) while a block is being built; None means dropped before
-        it reached the host path -- the injector's ledger has the count
-        too."""
-        for fault in self.faults:
-            packet = fault.on_packet(packet, self)
+        """Run the per-packet hooks (an armed injector's clock skew or
+        ring loss) while a block is being built; None means dropped
+        before it reached the host path -- the injector's ledger has
+        the count too."""
+        for hook in self._hooks["on_packet"]:
+            packet = hook(packet)
             if packet is None:
                 self.fault_dropped += 1
                 return None
@@ -506,10 +526,10 @@ class RuntimeSystem:
         self.packets_fed += len(packets)
         self.bytes_fed += total_bytes
         self.batches_fed += 1
-        if self.supervisor is not None:
-            # Journal-before-dispatch: the journal must cover the very
-            # packet a consumer crashes on (DESIGN section 11).
-            self.supervisor.journal_packets(packets)
+        # Journal-before-dispatch: the journal must cover the very
+        # packet a consumer crashes on (DESIGN section 11).
+        for hook in self._hooks["journal_packets"]:
+            hook(packets)
         tracer = self.tracer
         trace = None
         if tracer is not None and len(packets) == 1:
@@ -655,12 +675,12 @@ class RuntimeSystem:
         indices inside the chunk.  Those passes are comprehensions, not
         ``map(attrgetter(...))``: CPython 3.11 specialises the
         attribute read inside one and runs it in under half the time.
-        Only an armed injector or an attached tracer adds a call per
-        packet.
+        Only an ``on_packet`` hook or an attached tracer adds a call
+        per packet.
         """
         if not self._started:
             raise RegistryError("RTS not started; call start() first")
-        faults = self.faults
+        hooks = self._hooks
         tracer = self.tracer
         interval = self.heartbeat_interval
         batch_size = self.batch_size
@@ -685,7 +705,7 @@ class RuntimeSystem:
             if not pulled:
                 break
             count += len(pulled)
-            if faults:
+            if hooks["on_packet"]:
                 pulled = [packet for packet in map(self._admit, pulled)
                           if packet is not None]
             scanned = len(pending)
@@ -757,8 +777,9 @@ class RuntimeSystem:
 
     # -- heartbeats --------------------------------------------------------------------
     def _send_heartbeats(self, stream_time: float) -> None:
-        for fault in self.faults:
-            if fault.silences_heartbeat(stream_time):
+        hooks = self._hooks
+        for silences in hooks["silences_heartbeat"]:
+            if silences(stream_time):
                 # The token is withheld but _last_heartbeat is not
                 # advanced, so the first beat after the silence window
                 # catches blocked operators up immediately.
@@ -766,8 +787,8 @@ class RuntimeSystem:
                 return
         self._last_heartbeat = stream_time
         self.heartbeats_sent += 1
-        if self.supervisor is not None:
-            self.supervisor.journal_heartbeat(stream_time)
+        for hook in hooks["journal_heartbeat"]:
+            hook(stream_time)
         for node in list(self._all_consumers):
             # A supervisor-suspended node stays in _all_consumers but
             # must not see live heartbeats: it catches up from the
@@ -789,34 +810,20 @@ class RuntimeSystem:
     # -- scheduling -----------------------------------------------------------------------
     def pump(self) -> int:
         """Drain HFTA input channels until quiescent; returns items processed."""
-        # Windowed fault injectors activate/deactivate on the virtual
-        # clock, then the overload control plane samples pressure
-        # *before* draining, when channel depths reflect the backlog
-        # this cycle built up.
-        for fault in self.faults:
-            fault.on_cycle(self._stream_time, self)
-        if self.controller is not None:
-            self.controller.on_cycle(self._stream_time)
-        telemetry = self.telemetry
-        if telemetry is not None:
-            # Telemetry samples the engine *before* the drain so the
-            # emitted _gs_* rows travel through (journaled) channels
-            # this same cycle, exactly like alert epoch ticks below --
-            # which is what makes the streams replay byte-identically.
-            telemetry.on_cycle(self._stream_time)
-        if self.alert_engine is not None:
-            # The epoch clock ticks at pump boundaries in virtual time;
-            # ticks travel through (journaled) channels so the drain
-            # below delivers them like any other stream item.
-            self.alert_engine.on_cycle(self._stream_time)
-        supervisor = self.supervisor
-        if supervisor is not None:
-            # Retry suspended nodes whose backoff expired (virtual time).
-            supervisor.on_pump_begin(self._stream_time)
+        # Before the drain, while channel depths still show the backlog
+        # this cycle built up; what a hook pushes (telemetry rows, epoch
+        # ticks) travels through (journaled) channels and is delivered
+        # below this same cycle, which is what makes it replayable.
+        hooks = self._hooks
+        for hook in hooks["on_cycle"]:
+            hook(self._stream_time)
+        for hook in hooks["on_pump_begin"]:
+            hook(self._stream_time)
+        journal_items, cut_for = hooks["journal_items"], hooks["cut_for"]
         tracer = self.tracer
         # The sampling wall-clock profiler brackets each operator's
         # share of the drain; it decides per cycle whether to time.
-        profiler = telemetry.profiler if telemetry is not None else None
+        profiler = self.profiler
         if profiler is not None and not profiler.begin_cycle():
             profiler = None
         processed = 0
@@ -837,9 +844,13 @@ class RuntimeSystem:
                         # token is one run of data tuples; with a tracer
                         # attached any of them may be a tagged item.
                         whole = tracer is None and not channel.control_queued
-                        items = channel.pop_many(self._cut_limit(node))
-                        if supervisor is not None:
-                            supervisor.journal_items(node, items, input_index)
+                        # A block never extends past the tuple an
+                        # armed ``OperatorFault`` is about to fail on.
+                        cuts = [hook(node) for hook in cut_for]
+                        items = channel.pop_many(min(
+                            filter(None, cuts), default=None))
+                        for hook in journal_items:
+                            hook(node, items, input_index)
                         progress = True
                         try:
                             if whole:
@@ -875,28 +886,12 @@ class RuntimeSystem:
         if self._pump_cycle_hist is not None and processed:
             self._pump_cycle_hist.observe(
                 processed * self.cost_model.hfta_tuple_us)
-        if supervisor is not None:
-            # The pump boundary is the crash-consistent cut point: every
-            # channel is quiescent here, so operator state alone
-            # describes the computation.
-            supervisor.on_pump_end(self._stream_time)
-        if self.replicator is not None:
-            # The same quiescent boundary the supervisor checkpoints
-            # at is where replication frames are cut.
-            self.replicator.on_pump_end(self._stream_time)
+        # The pump boundary is the crash-consistent cut point: every
+        # channel is quiescent here, so operator state alone describes
+        # the computation (checkpoints, then replication frames).
+        for hook in hooks["on_pump_end"]:
+            hook(self._stream_time)
         return processed
-
-    def _cut_limit(self, node: QueryNode) -> Optional[int]:
-        """How many items the next block popped for ``node`` may hold:
-        up to the nearest armed injector's cut (an ``OperatorFault``
-        about to fire on it), so a block never extends past an injected
-        failure.  None when nothing is armed against the node."""
-        limit = None
-        for fault in self.faults:
-            cut = fault.cut_for(node)
-            if cut is not None and (limit is None or cut < limit):
-                limit = cut
-        return limit
 
     def _deliver(self, node: QueryNode, items: List[Any],
                  input_index: int) -> None:
@@ -965,12 +960,13 @@ class RuntimeSystem:
         A node that fails *while flushing* is quarantined like any
         other failure (its downstream still receives FLUSH), so one bad
         operator cannot abort teardown for the rest.  Flush events are
-        not journaled, so the supervisor first forces every pending
+        not journaled, so ``finalize`` hooks first force every pending
         retry (a node must not end the run suspended), and flush-time
         crashes keep permanent quarantine semantics.
         """
-        if self.supervisor is not None:
-            self.supervisor.finalize()
+        hooks = self._hooks
+        for hook in hooks["finalize"]:
+            hook()
         for node in list(self._all_consumers):
             if not node.flushed and node.quarantined is None:
                 node.flushed = True
@@ -980,10 +976,10 @@ class RuntimeSystem:
                     self._quarantine(node, error)
                 else:
                     node.emit_flush()
-        if self.telemetry is not None:
-            # Final sample + FLUSH on the _gs_* streams, so meta-query
-            # subscribers terminate like any packet-stream subscriber.
-            self.telemetry.on_stream_end(self._stream_time)
+        # Final sample + FLUSH on streams no packet consumer feeds (the
+        # _gs_* ones), so their subscribers terminate like any other.
+        for hook in hooks["on_stream_end"]:
+            hook(self._stream_time)
         self.pump()
 
     # -- introspection ----------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """The fault injectors: seeded, windowed in virtual (stream) time.
 
-Each injector implements a small hook surface the runtime consults:
+Each injector defines the run-time events it needs and no others
+(``RuntimeSystem.attach_plane`` hooks exactly the methods a class has,
+in the ``faults`` phase, ahead of every control plane):
 
-* ``on_packet(packet, rts)`` -- called by ``RuntimeSystem.feed`` on
-  every packet while a block is being built; may transform the packet
-  (clock skew), drop it (ring-loss burst armed without a NIC), or pass
-  it through.
-* ``on_cycle(stream_time, rts)`` -- called once per pump cycle; used by
-  the channel-overflow storm to squeeze and release capacities.
+* ``on_packet(packet)`` -- called by ``RuntimeSystem.feed`` on every
+  packet while a block is being built; may transform the packet (clock
+  skew), drop it by returning None (ring-loss burst armed without a
+  NIC), or pass it through.
+* ``on_cycle(stream_time)`` -- called once per pump cycle; used by the
+  channel-overflow storm to squeeze and release capacities.
 * ``silences_heartbeat(stream_time)`` -- consulted by the heartbeat
   source.
 * ``cut_for(node)`` -- consulted by the pump drain before it pops a
@@ -25,7 +27,7 @@ run is as replayable as a healthy one.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.determinism import rng_for
 
@@ -34,40 +36,24 @@ class FaultInjector:
     """Base class: an inert fault with a stream-time activation window."""
 
     kind = "fault"
+    #: where an injector's hooks fire among the planes' (it has no ledger)
+    phase = "faults"
 
     def __init__(self, at: float = 0.0, duration: float = math.inf) -> None:
         if duration < 0:
             raise ValueError("duration must be non-negative")
         self.at = at
         self.duration = duration
-        self.armed = False
+        #: the run-time the injector is armed on (None: not armed)
+        self.rts = None
 
     def active(self, stream_time: float) -> bool:
         return self.at <= stream_time < self.at + self.duration
 
-    # -- hook surface (defaults are no-ops) --------------------------------
     def arm(self, rts, nics=()) -> None:
         """Attach to a runtime system (and optionally simulated NICs)."""
-        self.armed = True
+        self.rts = rts
         rts.install_fault(self)
-
-    def on_packet(self, packet, rts):
-        """Transform/drop a packet pre-dispatch; None means dropped."""
-        return packet
-
-    def on_cycle(self, stream_time: float, rts) -> None:
-        """Called once per pump cycle."""
-
-    def silences_heartbeat(self, stream_time: float) -> bool:
-        return False
-
-    def cut_for(self, node) -> Optional[int]:
-        """The longest block the drain may pop for ``node`` (None: any)."""
-        return None
-
-    def drops_packet(self, stream_time: float) -> bool:
-        """Card-side hook: should the NIC ring-drop this arrival?"""
-        return False
 
     def report(self) -> Dict[str, Any]:
         return {"kind": self.kind, "at": self.at, "duration": self.duration}
@@ -110,7 +96,7 @@ class RingLossBurst(FaultInjector):
         self.dropped += 1
         return True
 
-    def on_packet(self, packet, rts):
+    def on_packet(self, packet):
         # With a NIC armed, the card already took the loss; don't double-drop.
         if self._card_armed:
             return packet
@@ -147,14 +133,15 @@ class ChannelOverflowStorm(FaultInjector):
         self._squeezing = False
         self._drops_at_onset = 0
 
-    def _total_drops(self, rts) -> int:
-        return sum(channel.stats.dropped for channel in rts.channels())
+    def _total_drops(self) -> int:
+        return sum(channel.stats.dropped for channel in self.rts.channels())
 
-    def on_cycle(self, stream_time: float, rts) -> None:
+    def on_cycle(self, stream_time: float) -> None:
+        rts = self.rts
         active = self.active(stream_time)
         if active and not self._squeezing:
             self._squeezing = True
-            self._drops_at_onset = self._total_drops(rts)
+            self._drops_at_onset = self._total_drops()
             for channel in rts.channels():
                 channel.fault_capacity = self.capacity
         elif active:
@@ -164,7 +151,7 @@ class ChannelOverflowStorm(FaultInjector):
                     channel.fault_capacity = self.capacity
         elif self._squeezing:
             self._squeezing = False
-            self.dropped_during += self._total_drops(rts) - self._drops_at_onset
+            self.dropped_during += self._total_drops() - self._drops_at_onset
             for channel in rts.channels():
                 channel.fault_capacity = None
         if active:
@@ -195,7 +182,7 @@ class ClockSkew(FaultInjector):
         self.skew_s = skew_s
         self.skewed = 0
 
-    def on_packet(self, packet, rts):
+    def on_packet(self, packet):
         if packet.interface != self.interface:
             return packet
         if not self.active(packet.timestamp):
@@ -345,8 +332,3 @@ class OperatorFault(FaultInjector):
         out.update(node=self.node, at_tuple=self.at_tuple,
                    times=self.times, triggered=self.triggered)
         return out
-
-
-def fault_reports(faults: List[FaultInjector]) -> List[Dict[str, Any]]:
-    """The ledgers of every armed injector, in arming order."""
-    return [fault.report() for fault in faults]

@@ -54,13 +54,12 @@ class Ledger(NamedTuple):
     """A plane's declaration: its name and its fields.  The plane object
     carries it as ``ledger`` beside its ``report()``."""
 
-    #: what ``attach_plane`` refuses a second one of
+    #: what ``attach_plane`` refuses a second one of, lists the plane
+    #: under in ``rts.planes`` and orders its hooks by
     name: str
     fields: Tuple[Field, ...]
     #: heading of the text section (default: the name)
     title: Optional[str] = None
-    #: the ``RuntimeSystem`` attribute the hot path reads the plane from
-    attr: Optional[str] = None
     #: the ``_gs_*`` stream projected from the fields with a column
     stream: Optional[str] = None
 

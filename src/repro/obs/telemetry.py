@@ -184,7 +184,7 @@ LEDGER = Ledger("telemetry", (
     Field("profiler", "gs_telemetry_profile_virtual_us_total", "counter",
           "Section 4 virtual-time microseconds attributed per operator",
           "operator", read=lambda hub: hub.virtual_us),
-), attr="telemetry")
+))
 
 
 class TelemetryHub:
@@ -219,7 +219,9 @@ class TelemetryHub:
             node = TelemetryStreamNode(stream)
             engine.add_node(node)
             self.nodes[stream] = node
-        self.profiler = PumpProfiler(sample_every=profile_every)
+        #: the RTS brackets each operator's share of the drain with it
+        self.profiler = self.rts.profiler = PumpProfiler(
+            sample_every=profile_every)
         self.samples_taken = 0
         self._last_sample = -math.inf
         #: per-channel previous (pushed, dropped), keyed by channel object
@@ -328,7 +330,7 @@ class TelemetryHub:
         self._prev_shed = shed_total
         for stream, ledger in self._plane_ledgers.items():
             self._publish(stream, [row(
-                ledger, getattr(self.rts, ledger.attr), time_value,
+                ledger, self.rts.planes.get(ledger.name), time_value,
                 **known.get(stream, {}))], stream_time)
 
     def _publish(self, stream: str, rows: List[tuple],

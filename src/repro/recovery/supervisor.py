@@ -135,7 +135,7 @@ LEDGER = Ledger("recovery", (
     Field("retries_exhausted", "gs_recovery_retries_exhausted_total",
           "counter",
           "nodes degraded to permanent quarantine after the retry budget"),
-), attr="supervisor", stream="_gs_recovery")
+), stream="_gs_recovery")
 
 
 class RecoverySupervisor:

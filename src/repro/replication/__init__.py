@@ -12,8 +12,8 @@ are refused by name, never applied partially) are the state log's,
 re-exported here.
 
 * :mod:`repro.replication.shipper` -- the primary-side
-  :class:`ReplicationShipper`, hooked on the RTS as ``rts.replicator``
-  and invoked at every pump boundary.
+  :class:`ReplicationShipper`, attached to the RTS in the
+  ``replication`` phase and invoked at every pump boundary.
 * :mod:`repro.replication.replica` -- the :class:`StandbyReplica`
   applier over a live, started engine.
 * :mod:`repro.replication.failover` -- :class:`ReplicatedGigascope`,

@@ -41,7 +41,7 @@ import math
 from time import perf_counter
 from typing import Any, Dict, List, Optional
 
-from repro.core.engine import Gigascope
+from repro.core.engine import Gigascope, refuses
 from repro.obs.ledger import Field, Ledger
 from repro.recovery.statelog import FrameError, StateLogError, append_frame
 from repro.replication.replica import StandbyReplica
@@ -197,6 +197,23 @@ LEDGER = Ledger("replication", (
 ))
 
 
+#: what a promotion would lose: the state log carries operator state only
+_UNTIL_5C = "is not in the state log until ROADMAP 5 (c)"
+
+
+@refuses({
+    "shed": f"the policy's keep-rate {_UNTIL_5C}: a promoted standby would "
+            "restart at rate 1.0 and diverge from the primary's output",
+    "alerts": f"the epoch clock's last tick {_UNTIL_5C}: a promoted "
+              "standby would re-tick epochs the primary already closed",
+    "telemetry": f"the hub's sample cursor {_UNTIL_5C}: a promoted standby "
+                 "would re-emit or skip _gs_* samples",
+    "recovery": f"the supervisor's journal and restart budget {_UNTIL_5C}: "
+                "a standby promoted mid-backoff would not know which nodes "
+                "were suspended",
+    "tracing": "trace ids are sampled and spans kept by the primary's "
+               "tracer; neither survives a promotion",
+})
 class ReplicatedGigascope:
     """A primary/warm-standby engine pair behind the Gigascope API."""
 
@@ -215,7 +232,6 @@ class ReplicatedGigascope:
         self.replica = StandbyReplica(self.standby)
         self.shipper = ReplicationShipper(self.primary.rts, cadence,
                                           self._deliver)
-        self.primary.rts.replicator = self.shipper
         self.promote_after = promote_after
         self._crash = parse_crash_spec(crash) if crash else None
         self._log_file = open(log_path, "wb") if log_path else None

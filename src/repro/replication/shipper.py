@@ -1,9 +1,10 @@
 """The primary-side replication shipper (DESIGN section 16).
 
-Installed on the primary's RTS as ``rts.replicator``; the RTS calls
-:meth:`ReplicationShipper.on_pump_end` at every pump boundary, exactly
-where the recovery supervisor cuts its checkpoints.  When the cadence
-is due the shipper cuts the next frame of its state log
+Attaches itself to the primary's RTS (``attach_plane``, in the
+``replication`` phase); :meth:`ReplicationShipper.on_pump_end` then
+fires at every pump boundary, after the recovery supervisor has cut its
+checkpoint at the same one.  When the cadence is due the shipper cuts
+the next frame of its state log
 (:meth:`repro.recovery.statelog.StateLog.cut` -- the node-granular
 incremental framing the DBSP paper motivates: most frames carry the
 handful of hot operators, not the whole engine).
@@ -28,6 +29,9 @@ from repro.recovery.statelog import StateLog
 class ReplicationShipper:
     """Ships state-log frames from a live RTS on a virtual-time cadence."""
 
+    #: no ledger of its own (a pair is the ``replication`` plane): a phase
+    phase = "replication"
+
     def __init__(self, rts, cadence: float,
                  deliver: Callable[[bytes], None]) -> None:
         if cadence < 0:
@@ -47,6 +51,7 @@ class ReplicationShipper:
         #: cuts whose ``deliver`` raised (re-cut at the next boundary)
         self.deliver_errors = 0
         self.last_deliver_error: Optional[str] = None
+        rts.attach_plane(self)
 
     # -- RTS hook ------------------------------------------------------------
     def on_pump_end(self, stream_time: float) -> None:

@@ -35,7 +35,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.control.signals import ChannelSignal, PressureSample
 from repro.core.channels import Channel, ChannelStats
-from repro.core.engine import Gigascope, resolve_batch_size
+from repro.core.engine import Gigascope, refuses
 from repro.core.heartbeat import FLUSH
 from repro.core.stream_manager import RegistryError, Subscription
 from repro.obs.collectors import node_snapshot
@@ -149,6 +149,26 @@ LEDGER = Ledger("shard", (
 ))
 
 
+@refuses({
+    "shed": "each worker would settle on its own keep-rate from its own "
+            "stripes, and policy state is not in the state frames a "
+            "respawned worker restores from (ROADMAP 5 (c))",
+    "alerts": "a trigger watches a query's finalized rows, and under "
+              "sharding those exist only in the parent, at flush",
+    "recovery": "respawning a dead worker from the parent's fold of its "
+                "state frames is built in (max_restarts)",
+    "telemetry": "the parent runs no pump to sample at, a worker's _gs_* "
+                 "rows would describe one stripe, and the sample cursor is "
+                 "not in its state frames (ROADMAP 5 (c))",
+    "tracing": "lineage spans are recorded in the process that handles "
+               "the packet and would die with the worker",
+    "faults": "a fault window runs on one RTS's clock and packet count; N "
+              "workers would hold N copies of each injector, one per "
+              "stripe (crash='SHARD:INDEX' kills a worker)",
+    "replication": "a sharded run already respawns a dead worker from "
+                   "the parent's fold of its state frames, and has no "
+                   "second parent to promote",
+})
 class ShardedGigascope:
     """N stripe-partitioned worker engines under one merging parent."""
 
@@ -157,38 +177,27 @@ class ShardedGigascope:
     def __init__(
         self,
         shards: int,
-        mode: str = "compiled",
-        heartbeat_interval: Optional[float] = 1.0,
-        default_interface: str = "eth0",
-        lfta_table_size: int = 4096,
-        channel_capacity: Optional[int] = None,
-        metrics: bool = True,
-        seed: int = 0,
-        batch_size: Optional[int] = None,
         barrier_interval: float = 1.0,
         max_restarts: int = 1,
         crash: Optional[str] = None,
+        metrics: bool = True,
+        **engine_kwargs: Any,
     ) -> None:
         if shards <= 0:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.shards = shards
-        self.seed = seed
         #: virtual-time spacing of the global barrier grid every shard
         #: cuts rows/state frames at
         self.barrier_interval = barrier_interval
         #: respawn budget per shard before quarantine
         self.max_restarts = max_restarts
-        # Knobs resolve once, here, so every worker runs the exact
-        # same configuration the parent validated.
-        self._engine_kwargs: Dict[str, Any] = dict(
-            mode=mode, heartbeat_interval=heartbeat_interval,
-            default_interface=default_interface,
-            lfta_table_size=lfta_table_size,
-            channel_capacity=channel_capacity, seed=seed,
-            batch_size=resolve_batch_size(batch_size),
-        )
-        #: plan/schema oracle and combine-node factory; never fed packets
-        self.template = Gigascope(metrics=False, **self._engine_kwargs)
+        #: :class:`Gigascope`'s own arguments, as given: workers are
+        #: forked, so a function or schema registry travels unpickled
+        self._engine_kwargs = engine_kwargs
+        #: plan/schema oracle and combine-node factory; never fed
+        #: packets.  Building it validates the arguments in the parent.
+        self.template = Gigascope(metrics=False, **engine_kwargs)
+        self.seed = self.template.seed
         self._queries: List[Tuple[str, str, Optional[dict], Optional[str]]] = []
         self._sinks: Dict[str, _MergeSink] = {}
         self._started = False

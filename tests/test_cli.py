@@ -213,9 +213,32 @@ class TestErrors:
                   "--param", "nonsense"])
 
     def test_bad_shed_policy(self, trace, capsys):
-        with pytest.raises(SystemExit, match="bad --shed"):
+        with pytest.raises(SystemExit) as excinfo:
             main(["--pcap", trace, "--query", "Select time From tcp",
                   "--shed", "bogus"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "gsq: error: bad --shed 'bogus'" in err
+
+    @pytest.mark.parametrize("argv,named", [
+        (["--pcap", "TRACE", "--param", "x"], "--param 'x'"),
+        (["--synthetic", "abc"], "--synthetic 'abc'"),
+        (["--pcap", "/no/such/trace.pcap"],
+         "--pcap '/no/such/trace.pcap'"),
+        (["--pcap", "TRACE", "--query-file", "/no/such/q.gsql"],
+         "--query-file '/no/such/q.gsql'"),
+    ])
+    def test_malformed_input_is_a_usage_error(self, trace, capsys, argv,
+                                              named):
+        """Exit 1 is for query errors: a bad flag value or an unreadable
+        file is usage (2), one line naming flag and value, no traceback."""
+        argv = [trace if arg == "TRACE" else arg for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--query", "Select time From tcp"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "gsq: error:" in err and named in err
+        assert "Traceback" not in err
 
 
 class TestBatchKnobs:
@@ -641,3 +664,66 @@ class TestReplicationFlags:
                       "--standby"] + extra)
             assert excinfo.value.code == 2
             assert "--standby" in capsys.readouterr().err
+
+
+# plane -> (the flags that ask for it, the API call that does)
+REFUSABLE = {
+    "shed": (["--shed", "adaptive"], lambda gs: gs.enable_shedding()),
+    "alerts": (["--alert", "a:on=q,when=count(*)>1"],
+               lambda gs: gs.enable_alerts()),
+    "recovery": (["--recover"], lambda gs: gs.enable_recovery()),
+    "telemetry": (["--telemetry"], lambda gs: gs.enable_telemetry()),
+    "tracing": (["--trace-sample", "0.5"],
+                lambda gs: gs.enable_tracing(0.5)),
+    "faults": (["--fault", "heartbeat_silence:at=1,duration=1"],
+               lambda gs: gs.inject_faults([])),
+}
+
+
+def _facades():
+    from repro.replication import ReplicatedGigascope
+    from repro.shard import ShardedGigascope
+    return {"--shards": (["--shards", "2"],
+                         lambda: ShardedGigascope(2, metrics=False)),
+            "--standby": (["--standby"],
+                          lambda: ReplicatedGigascope(metrics=False))}
+
+
+class TestRefusals:
+    """Each facade states once which planes it refuses and why; the API
+    raises that reason typed and ``gsq`` prints the same words."""
+
+    QUERY = "DEFINE query_name q; Select time From tcp Where destPort = 80"
+
+    @pytest.mark.parametrize("plane", sorted(REFUSABLE))
+    @pytest.mark.parametrize("topology", ["--shards", "--standby"])
+    def test_api_and_cli_give_the_same_reason(self, trace, capsys,
+                                              topology, plane):
+        from repro.core.stream_manager import RegistryError
+        topology_flags, build = _facades()[topology]
+        plane_flags, enable = REFUSABLE[plane]
+        engine = build()
+        reason = engine.refusals.get(plane)
+        if reason is None:
+            enable(engine)  # faults on a standby pair: allowed
+            return
+        assert "not implemented" not in reason and len(reason) > 40
+        with pytest.raises(RegistryError) as refused:
+            enable(engine)
+        assert str(refused.value) == (
+            f"{type(engine).__name__} refuses {plane}: {reason}")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--pcap", trace, "--query", self.QUERY]
+                 + topology_flags + plane_flags)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert (f"{plane_flags[0]} cannot be combined with {topology}: "
+                f"{reason}") in err
+
+    def test_the_refusal_count(self):
+        """ROADMAP item 5 counts these; (c) is what empties the list."""
+        from repro import Gigascope
+        counts = {flag: len(build().refusals)
+                  for flag, (_, build) in _facades().items()}
+        assert counts == {"--shards": 7, "--standby": 5}
+        assert Gigascope.refusals == {}

@@ -119,3 +119,20 @@ def test_readme_documents_every_metric_family():
     assert not wrong, (
         f"metric families missing from the README table, or listed "
         f"under the wrong kind (family: (actual, README)): {wrong}")
+
+
+def test_readme_refusal_table_is_the_declaration():
+    """The README's "what an engine refuses" rows are the facades' own
+    ``refusals``: same planes, same reasons, word for word."""
+    from repro.replication import ReplicatedGigascope
+    from repro.shard import ShardedGigascope
+
+    readme = (ROOT / "README.md").read_text()
+    table = {(topology, plane): reason for topology, plane, reason
+             in re.findall(r"^\| `(--\w+)` \| [^|]+ \| `(\w+)` \| (.+) \|$",
+                           readme, re.M)}
+    declared = {(flag, plane): reason
+                for flag, facade in (("--shards", ShardedGigascope),
+                                     ("--standby", ReplicatedGigascope))
+                for plane, reason in facade.refusals.items()}
+    assert table == declared

@@ -143,8 +143,8 @@ class TestEveryPlane:
 class TestStreams:
     def test_plane_streams_are_the_declared_ones(self):
         assert tuple(plane_ledgers()) == TELEMETRY_STREAMS[2:]
-        assert [ledger.attr for ledger in plane_ledgers().values()] == \
-            ["controller", "supervisor", "alert_engine"]
+        assert [ledger.name for ledger in plane_ledgers().values()] == \
+            ["shed", "recovery", "alerts"]
 
     def test_off_rows_in_a_running_engine(self):
         gs = Gigascope(heartbeat_interval=0.5)
@@ -188,7 +188,7 @@ class TestAttachPlane:
         with pytest.raises(RegistryError, match=f"{name} already enabled"):
             enable(gs)
         assert gs.planes[name] is first
-        assert getattr(gs.rts, first.ledger.attr) is first
+        assert gs.rts.planes[first.ledger.name] is first
         assert gs.rts.names() == nodes
         assert [f.name for f in gs.metrics.families()] == families
 
@@ -201,7 +201,7 @@ class TestAttachPlane:
         with pytest.raises(RegistryError):
             gs.enable_recovery(checkpoint_interval=1.0)
         drive(gs)
-        assert gs.rts.supervisor is first
+        assert gs.rts.planes["recovery"] is first
         assert first.checkpoints_taken >= 3
         assert gs.recovery_report()["checkpoints_taken"] == \
             first.checkpoints_taken

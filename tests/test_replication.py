@@ -504,8 +504,7 @@ class TestReplicationIdentity:
 
         primary = Gigascope(seed=7, heartbeat_interval=0.5, metrics=False)
         primary.add_query(FLOWS_QUERY)
-        shipper = primary.rts.replicator = ReplicationShipper(
-            primary.rts, 0.5, deliver)
+        shipper = ReplicationShipper(primary.rts, 0.5, deliver)
         primary.start()
         primary.feed(zipf_packets(), pump_every=128)
         report = shipper.report()

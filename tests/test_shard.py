@@ -31,6 +31,9 @@ from hypothesis import strategies as st
 from repro.core.engine import Gigascope
 from repro.core.stream_manager import RegistryError
 from repro.determinism import derive_seed
+from repro.gsql.functions import FunctionSpec, builtin_functions
+from repro.gsql.schema import builtin_registry
+from repro.gsql.types import UINT
 from repro.shard import ShardedGigascope
 from repro.shard.partition import STRIPE, shard_packets, shard_size
 from repro.shard.worker import barrier_cuts
@@ -258,6 +261,29 @@ class TestShardedRuntime:
         assert rows == run_single(packets, query=query, name=shape)
         assert gs.shard_report()["packets"] == [
             shard_size(length, shards, shard) for shard in range(shards)]
+
+    def test_engine_arguments_reach_the_workers(self):
+        """``Gigascope``'s own arguments are forwarded, registries
+        included: workers are forked, so a user-registered function
+        runs in each of them without being pickled."""
+        functions = builtin_functions()
+        functions.register(FunctionSpec(
+            "port_class", lambda port: port % 3, (UINT,), UINT))
+        query = """
+            DEFINE query_name flows;
+            Select tb, cls, count(*), sum(len) From tcp
+            Group by time/5 as tb, port_class(srcPort) as cls
+        """
+        packets = zipf_packets()
+        base = run_single(packets, query=query, functions=functions)
+        assert len({row[1] for row in base}) == 3
+        rows, _ = run_sharded(packets, 2, query=query,
+                              engine_kwargs=dict(functions=functions))
+        assert rows == base
+        ShardedGigascope(2, metrics=False, schema_registry=builtin_registry(),
+                         merge_buffer_capacity=8, on_demand_heartbeats=False)
+        with pytest.raises(TypeError, match="no_such_argument"):
+            ShardedGigascope(2, no_such_argument=1)
 
     def test_selection_concat_matches_single_process_multiset(self):
         query = """

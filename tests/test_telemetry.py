@@ -81,7 +81,7 @@ class TestSchemas:
 class TestRegistration:
     def test_off_by_default(self):
         gs = make_engine()
-        assert gs.rts.telemetry is None
+        assert "telemetry" not in gs.rts.planes
         assert gs.telemetry_report() is None
         from repro.gsql.semantic import SemanticError
         with pytest.raises(SemanticError):
@@ -337,4 +337,4 @@ class TestReporting:
         report = gs.telemetry_report()
         assert report["samples"] == 0
         assert report["last_sample_time"] is None
-        assert math.isinf(gs.rts.telemetry._last_sample)
+        assert math.isinf(gs.rts.planes["telemetry"]._last_sample)
