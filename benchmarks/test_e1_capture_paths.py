@@ -152,7 +152,6 @@ def test_e1_nic_model_cross_validation(section4_pools, port80_qualifier):
     from repro.gsql.planner import plan_query
     from repro.gsql.schema import builtin_registry
     from repro.gsql.semantic import analyze
-    from repro.nic.bpf import compile_pushed_predicates
     from repro.nic.nic import Nic
     from repro.nic.nic_rts import NicRts
     from repro.operators.lfta import LftaNode
@@ -167,7 +166,7 @@ def test_e1_nic_model_cross_validation(section4_pools, port80_qualifier):
     nic = Nic(
         service_us=1.0,
         ring_slots=1 << 20,  # capacity out of the way: semantics only
-        bpf=compile_pushed_predicates(plan.lftas[0].hints.pushed),
+        bpf=lfta.card_filter(),
         rts=NicRts([lfta]),
     )
     packets = list(section4_stream(background_mbps=40.0, duration_s=0.2,

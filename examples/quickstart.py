@@ -25,11 +25,11 @@ def main() -> None:
     """)
 
     # Show what the compiler did with it: a simple query executes
-    # entirely as an LFTA, with predicates pushed toward the NIC.
+    # entirely as an LFTA, and a capture card can run that LFTA's own
+    # guard and prefix (the same generated test the host re-checks).
     print(gs.explain("tcpdest0"))
-    plan = gs.plan_of("tcpdest0")
-    print("NIC prefilter:", [str(p) for p in plan.lftas[0].hints.pushed])
-    print("snap length:", plan.lftas[0].hints.snaplen, "bytes")
+    print("NIC prefilter:", gs.rts.node("tcpdest0").card_filter().description)
+    print("snap length:", gs.plan_of("tcpdest0").lftas[0].snaplen, "bytes")
     print()
 
     subscription = gs.subscribe("tcpdest0")

@@ -14,8 +14,9 @@ The workflow the paper's network analysts follow, minus the cluster:
     python -m repro.cli --query-file queries.gsql --explain
 
 Exit status is 0 on success, 1 on query errors, 2 on bad usage (a
-malformed flag value, an unreadable input file, a plane the chosen engine
-refuses): one ``gsq: error:`` line naming flag and offender, no traceback.
+malformed flag value, an unreadable input file, an unwritable output
+path, a plane the chosen engine refuses): one ``gsq: error:`` line
+naming flag and offender, no traceback.
 """
 
 from __future__ import annotations
@@ -296,13 +297,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     # Distinct artifacts must go to distinct files: writing two streams
     # to one path silently clobbers the first, so it is a usage error.
     seen_outputs: dict = {}
-    for flag, value in (("--trace-out", args.trace_out),
-                        ("--metrics-out", args.metrics_out),
-                        ("--telemetry-out", args.telemetry_out),
-                        ("--alert-out", args.alert_out),
-                        ("--replicate-log", args.replicate_log)):
-        if not value:
-            continue
+    artifacts = [(flag, value) for flag, value in (
+        ("--trace-out", args.trace_out),
+        ("--metrics-out", args.metrics_out),
+        ("--telemetry-out", args.telemetry_out),
+        ("--alert-out", args.alert_out),
+        ("--replicate-log", args.replicate_log)) if value]
+    for flag, value in artifacts:
         resolved = Path(value).resolve()
         if resolved in seen_outputs:
             parser.error(f"{seen_outputs[resolved]} and {flag} both "
@@ -349,6 +350,25 @@ def main(argv: Optional[List[str]] = None) -> int:
         if given and plane in facade.refusals:
             parser.error(f"{flag} cannot be combined with {topology}: "
                          f"{facade.refusals[plane]}")
+    # Every output is opened (the directory made) before the engine is
+    # built: a run whose results cannot be written is a usage error, not
+    # a traceback after the last flush.  These handles are the ones
+    # written -- but for the replication log, which the standby pair
+    # opens itself, by path.
+    outputs: dict = {}
+    out_dir = Path(args.output) if args.output else None
+    if not args.explain:
+        try:
+            if out_dir is not None:
+                flag, value = "--output", args.output
+                out_dir.mkdir(parents=True, exist_ok=True)
+            for flag, value in artifacts:
+                outputs[flag] = open(
+                    value, "wb" if flag == "--replicate-log" else "w")
+        except OSError as error:
+            parser.error(f"{flag} {value!r}: {error.strerror}")
+        if args.replicate_log:
+            outputs.pop("--replicate-log").close()
     try:
         engine = facade(mode=args.mode, seed=args.seed,
                         channel_capacity=args.channel_capacity,
@@ -388,7 +408,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(engine.explain(name))
         return 0
 
-    alert_file = None
+    alert_file = outputs.get("--alert-out")
     if args.alert:
         # Triggers attach after the queries exist (``on=`` names one)
         # and before faults are armed, so operator_error can target an
@@ -400,9 +420,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             # AlertSpecError messages lead with the offending field
             # name ("when: ..."), mirroring the --fault convention.
             parser.error(f"bad --alert: {error}")
-        if args.alert_out:
+        if alert_file is not None:
             from repro.sinks import JsonlSink, attach_sink
-            alert_file = open(args.alert_out, "w")
             attach_sink(engine, alert_engine.bus.name, JsonlSink, alert_file)
 
     if args.fault:
@@ -449,9 +468,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     engine.feed(packets)
     engine.flush()
 
-    out_dir = Path(args.output) if args.output else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
     for name, subscription in subscriptions.items():
         header, fns = _formatters(engine, name, args.pretty_ip)
         rows = subscription.poll()
@@ -487,7 +503,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"# alert stream -> {args.alert_out}", file=sys.stderr)
     if args.telemetry_out:
         import json as json_module
-        with open(args.telemetry_out, "w") as handle:
+        with outputs["--telemetry-out"] as handle:
             for stream, subscription in telemetry_subs.items():
                 schema = engine.schema_of(stream)
                 for row in subscription.poll():
@@ -514,12 +530,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             text = registry.to_json(indent=2)
         else:
             text = registry.to_prometheus()
-        Path(args.metrics_out).write_text(text)
+        with outputs["--metrics-out"] as handle:
+            handle.write(text)
         print(f"# metrics snapshot ({args.metrics_format}) -> "
               f"{args.metrics_out}", file=sys.stderr)
     if tracer is not None:
         if args.trace_out:
-            Path(args.trace_out).write_text(tracer.to_json(indent=2))
+            with outputs["--trace-out"] as handle:
+                handle.write(tracer.to_json(indent=2))
             print(f"# {tracer.started} sampled traces -> {args.trace_out}",
                   file=sys.stderr)
         else:

@@ -24,11 +24,10 @@ from repro.control.shedding import (
     StaticShedding,
     make_policy,
 )
-from repro.control.signals import ChannelSignal, PressureSample, SignalsBus
+from repro.control.signals import PressureSample, SignalsBus
 
 __all__ = [
     "AimdShedding",
-    "ChannelSignal",
     "NoShedding",
     "OverloadController",
     "PressureSample",

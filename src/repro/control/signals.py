@@ -28,25 +28,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 @dataclass
-class ChannelSignal:
-    """One channel's pressure contribution for one cycle."""
-
-    name: str
-    depth: int
-    capacity: Optional[int]
-    fill: float  # depth / capacity; 0.0 for unbounded channels
-    dropped_total: int
-    dropped_delta: int
-    max_depth: int
-
-
-@dataclass
 class PressureSample:
     """Everything a shedding policy gets to look at, one cycle's worth."""
 
     stream_time: float
     cycle: int
-    channels: List[ChannelSignal] = field(default_factory=list)
     max_fill: float = 0.0
     channel_drops_total: int = 0
     channel_drops_delta: int = 0
@@ -97,13 +83,8 @@ class SignalsBus:
             key = id(channel)
             delta = stats.dropped - self._last_channel_drops.get(key, 0)
             self._last_channel_drops[key] = stats.dropped
-            depth = len(channel)
-            fill = depth / channel.capacity if channel.capacity else 0.0
-            sample.channels.append(ChannelSignal(
-                name=channel.name, depth=depth, capacity=channel.capacity,
-                fill=fill, dropped_total=stats.dropped, dropped_delta=delta,
-                max_depth=stats.max_depth,
-            ))
+            fill = (len(channel) / channel.capacity
+                    if channel.capacity else 0.0)
             sample.channel_drops_total += stats.dropped
             sample.channel_drops_delta += delta
             if fill > sample.max_fill:

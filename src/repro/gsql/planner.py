@@ -9,9 +9,11 @@ Gigascope pushes each query as far down the processing stack as it can:
 * **HFTA** (high-level FTA): everything else -- expensive predicates,
   final aggregation (the sub/superaggregate split), joins, and merges.
 
-The planner additionally extracts NIC capture hints: a BPF-style
-prefilter from simple ``field op literal`` conjuncts, and the snap
-length implied by the fields the query actually touches.
+The planner also marks what a capture card may do on an LFTA's behalf:
+the leading conjuncts its generated decode loop tests before a row
+exists (``LftaPlan.prefix`` -- the card runs that same loop,
+``LftaNode.card_filter``) and the snap length the fields it reads allow
+(``LftaPlan.snaplen``).
 
 "To an application LFTAs and HFTAs look identical"; the split is
 invisible except that the LFTA stream carries a mangled name.
@@ -46,43 +48,16 @@ from repro.gsql.types import FLOAT, ULLONG
 from repro.gsql.unparse import conjunction_to_gsql, expr_to_gsql
 from repro.net.columnar import HEADER_REACH, describe_formats
 
-# Fields a commodity NIC's BPF engine can test (paper: "Other NICs allow
-# us to specify a bpf preliminary filter").
-PUSHABLE_FIELDS = frozenset(
-    {"protocol", "srcport", "destport", "srcip", "destip", "ipversion"}
-)
-
-# Snap lengths: headers-only when the payload is never touched -- as
-# many bytes as the longest header stack a block decoder's guard can ask
-# for, so a snapping NIC drops no frame the unsnapped run keeps.
+# Snap lengths: headers-only when the protocol has a header layout and
+# the plan reads nothing behind it -- as many bytes as the longest
+# header stack a block decoder's guard can ask for, so a snapping NIC
+# drops no frame the unsnapped run keeps.
 SNAPLEN_HEADERS = HEADER_REACH
 SNAPLEN_FULL = 65535
-
-PAYLOAD_FIELD = "data"
 
 
 class PlanError(ValueError):
     """Raised when no valid plan exists for a query."""
-
-
-@dataclass
-class PushedPredicate:
-    """One ``field op literal`` conjunct pushable into the NIC's BPF filter."""
-
-    field_name: str
-    op: str  # '=', '<', '<=', '>', '>='
-    value: object
-
-    def __str__(self) -> str:
-        return f"{self.field_name} {self.op} {self.value}"
-
-
-@dataclass
-class CaptureHints:
-    """What the RTS asks the NIC for on behalf of one LFTA."""
-
-    pushed: List[PushedPredicate] = field(default_factory=list)
-    snaplen: int = SNAPLEN_FULL
 
 
 @dataclass
@@ -95,7 +70,6 @@ class LftaPlan:
     predicates: List[Expr]
     mode: str  # 'projection' | 'partial_aggregation'
     output_schema: StreamSchema
-    hints: CaptureHints
     # projection mode
     project_exprs: List[Expr] = field(default_factory=list)
     # partial_aggregation mode
@@ -113,6 +87,8 @@ class LftaPlan:
     prefix: int = 0
     #: why ``prefix`` is 0, for EXPLAIN
     prefix_note: str = ""
+    #: bytes of each frame a capture card has to keep for this LFTA
+    snaplen: int = SNAPLEN_FULL
 
     def needed_fields(self, analyzed: AnalyzedQuery) -> List[int]:
         """Sorted protocol attribute positions this LFTA reads: what
@@ -229,7 +205,7 @@ class QueryPlan:
             lines.append(
                 f"  LFTA {lfta.name} on {lfta.interface}.{lfta.protocol.name} "
                 f"[{lfta.mode}] preds={len(lfta.predicates)} "
-                f"snaplen={lfta.hints.snaplen} pushed={len(lfta.hints.pushed)} "
+                f"snaplen={lfta.snaplen} "
                 f"{front_end}"
             )
         if self.hfta is not None:
@@ -270,6 +246,12 @@ def plan_query(analyzed: AnalyzedQuery, functions: FunctionRegistry,
             plan.hfta.sample_rate = analyzed.sample_rate
     for lfta in plan.lftas:
         _mark_prefix(lfta, analyzed)
+        # Header fields and scalar capture metadata are what a prefix
+        # may read: exactly what survives a header-only snap.
+        header_only = lfta.protocol.prefix_fields()
+        if header_only and header_only.issuperset(
+                lfta.needed_fields(analyzed)):
+            lfta.snaplen = SNAPLEN_HEADERS
     return plan
 
 
@@ -301,29 +283,6 @@ class _Planner:
                     if bound is not None and bound.source_index == source_index:
                         seen.setdefault(bound.attr_index, bound)
         return [seen[index] for index in sorted(seen)]
-
-    def _touches_payload(self, exprs: Sequence[Expr], source: SourceInfo) -> bool:
-        for expr in exprs:
-            for node in expr.walk():
-                if isinstance(node, Column):
-                    bound = self.analyzed.binding_of(node)
-                    if bound is not None and bound.attribute.name.lower() == PAYLOAD_FIELD:
-                        return True
-        return False
-
-    def _capture_hints(self, lfta_predicates: Sequence[Expr],
-                       all_exprs: Sequence[Expr],
-                       source: SourceInfo) -> CaptureHints:
-        pushed = []
-        for conjunct in lfta_predicates:
-            candidate = _pushable(conjunct, self.analyzed)
-            if candidate is not None:
-                pushed.append(candidate)
-        snaplen = (
-            SNAPLEN_FULL if self._touches_payload(all_exprs, source)
-            else SNAPLEN_HEADERS
-        )
-        return CaptureHints(pushed=pushed, snaplen=snaplen)
 
     def _mangled(self, index: int) -> str:
         return f"_fta_{self.name}_{index}"
@@ -365,7 +324,6 @@ class _Planner:
 
         if not unsafe and select_safe:
             # The whole query executes as a single LFTA.
-            hints = self._capture_hints(safe, safe + select_exprs, source)
             lfta = LftaPlan(
                 name=self.name,
                 interface=source.interface,
@@ -374,15 +332,13 @@ class _Planner:
                 mode="projection",
                 project_exprs=select_exprs,
                 output_schema=analyzed.output_schema,
-                hints=hints,
             )
             return QueryPlan(self.name, analyzed, [lfta], None, analyzed.output_schema)
 
         # Split: LFTA does the safe filtering and projects the raw fields
         # the HFTA needs; the HFTA finishes.
         needed = self._columns_of(unsafe + select_exprs, 0)
-        lfta, slot_map = self._projection_lfta(source, safe, needed,
-                                               unsafe + select_exprs, 0)
+        lfta, slot_map = self._projection_lfta(source, safe, needed, 0)
         hfta = HftaPlan(
             name=self.name,
             kind="selection",
@@ -396,7 +352,7 @@ class _Planner:
         return QueryPlan(self.name, analyzed, [lfta], hfta, analyzed.output_schema)
 
     def _projection_lfta(self, source: SourceInfo, predicates: List[Expr],
-                         needed: List[BoundColumn], all_exprs: List[Expr],
+                         needed: List[BoundColumn],
                          index: int) -> Tuple[LftaPlan, Dict[int, int]]:
         """An LFTA that filters and forwards raw protocol fields."""
         if not needed:
@@ -408,7 +364,6 @@ class _Planner:
         project_exprs = [
             _raw_column(self.analyzed, source, bound) for bound in needed
         ]
-        hints = self._capture_hints(predicates, all_exprs + predicates, source)
         lfta = LftaPlan(
             name=self._mangled(index),
             interface=source.interface,
@@ -417,7 +372,6 @@ class _Planner:
             mode="projection",
             project_exprs=project_exprs,
             output_schema=schema,
-            hints=hints,
             field_map=slot_map,
         )
         return lfta, slot_map
@@ -463,9 +417,7 @@ class _Planner:
             + [agg.arg for agg in analyzed.aggregates if agg.arg is not None]
         )
         needed = self._columns_of(needed_exprs, 0)
-        lfta, slot_map = self._projection_lfta(
-            source, safe_where, needed, needed_exprs, 0
-        )
+        lfta, slot_map = self._projection_lfta(source, safe_where, needed, 0)
         hfta = HftaPlan(
             name=self.name,
             kind="aggregation",
@@ -510,11 +462,6 @@ class _Planner:
                 partial_attrs.append(Attribute(base, agg_type))
         lfta_name = self._mangled(0)
         lfta_schema = StreamSchema(lfta_name, key_attrs + partial_attrs)
-        all_exprs = (
-            safe_where + list(analyzed.group_exprs)
-            + [agg.arg for agg in analyzed.aggregates if agg.arg is not None]
-        )
-        hints = self._capture_hints(safe_where, all_exprs, source)
         lfta = LftaPlan(
             name=lfta_name,
             interface=source.interface,
@@ -524,7 +471,6 @@ class _Planner:
             group_exprs=list(analyzed.group_exprs),
             aggregates=list(analyzed.aggregates),
             output_schema=lfta_schema,
-            hints=hints,
             window_key_index=analyzed.window_key_index,
             window_key_band=analyzed.window_key_band,
         )
@@ -570,8 +516,7 @@ class _Planner:
         slot_maps: List[Optional[Dict[int, int]]] = []
         for side, source in enumerate(analyzed.sources):
             if source.is_protocol:
-                needed_exprs = hfta_preds + select_exprs
-                needed = self._columns_of(needed_exprs, side)
+                needed = self._columns_of(hfta_preds + select_exprs, side)
                 # The window columns must flow through as well.
                 for bound in (window.left, window.right):
                     if bound.source_index == side and not any(
@@ -580,8 +525,7 @@ class _Planner:
                         needed.append(bound)
                         needed.sort(key=lambda b: b.attr_index)
                 lfta, slot_map = self._projection_lfta(
-                    source, lfta_preds[side], needed, needed_exprs, side
-                )
+                    source, lfta_preds[side], needed, side)
                 lftas.append(lfta)
                 inputs.append(lfta.name)
                 input_schemas.append(lfta.output_schema)
@@ -763,24 +707,3 @@ def _prefix_obstacle(conjunct: Expr, analyzed: AnalyzedQuery,
             return f"holds {type(node).__name__}"
     return None
 
-
-def _pushable(conjunct: Expr, analyzed: AnalyzedQuery) -> Optional[PushedPredicate]:
-    """Recognize ``column op literal`` over a BPF-testable field."""
-    if not isinstance(conjunct, BinaryOp):
-        return None
-    if conjunct.op not in ("=", "<", "<=", ">", ">="):
-        return None
-    column, literal, op = None, None, conjunct.op
-    if isinstance(conjunct.left, Column) and isinstance(conjunct.right, Literal):
-        column, literal = conjunct.left, conjunct.right
-    elif isinstance(conjunct.right, Column) and isinstance(conjunct.left, Literal):
-        column, literal = conjunct.right, conjunct.left
-        op = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}[op]
-    else:
-        return None
-    name = column.name.lower()
-    if name not in PUSHABLE_FIELDS:
-        return None
-    if not isinstance(literal.value, (int, float)):
-        return None
-    return PushedPredicate(field_name=name, op=op, value=literal.value)

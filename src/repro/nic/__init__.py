@@ -4,8 +4,11 @@ The paper's testbed used a Tigon gigabit Ethernet card -- a programmable
 NIC with its own run-time system.  Gigascope exploits whatever the NIC
 offers (Section 3):
 
-* a **BPF prefilter** plus a **snap length**, pushing a simple
-  selection/projection into the card (:mod:`repro.nic.bpf`);
+* a **bpf-style prefilter** plus a **snap length**, pushing a simple
+  selection/projection into the card: the test is the re-checking
+  LFTA's own generated guard and prefix
+  (:meth:`repro.operators.lfta.LftaNode.card_filter`) and the length
+  is its plan's ``LftaPlan.snaplen``;
 * a full **on-NIC RTS** executing LFTAs on the card itself
   (:mod:`repro.nic.nic_rts`), so the host only sees reduced tuples.
 
@@ -13,13 +16,10 @@ offers (Section 3):
 processing cost, filtering, truncation, and delivery to the host.
 """
 
-from repro.nic.bpf import BpfProgram, compile_pushed_predicates
 from repro.nic.nic import Nic, NicStats
 from repro.nic.nic_rts import NicRts
 
 __all__ = [
-    "BpfProgram",
-    "compile_pushed_predicates",
     "Nic",
     "NicStats",
     "NicRts",

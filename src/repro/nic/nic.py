@@ -1,34 +1,37 @@
 """The simulated NIC: ring buffer, prefilter, snap length, on-card LFTAs.
 
 The card is modeled as a single server with a fixed per-packet
-processing cost and a bounded wire-side ring: packets arriving while
-the ring is full are lost on the card ("the most that our router could
+processing cost and a bounded wire-side ring
+(:class:`repro.sim.capture.RingServer`): packets arriving while the
+ring is full are lost on the card ("the most that our router could
 handle" bounded the paper's NIC experiment before the Tigon itself
 saturated, so the card's capacity is deliberately generous).
 
 Depending on configuration the card
 
-* runs a BPF prefilter and truncates to the snap length, then delivers
-  raw packets to the host (options 2/3 of Section 4), or
+* runs a prefilter -- the guard and prefix of the LFTA that re-checks on
+  the host, ``LftaNode.card_filter()`` -- and truncates to the plan's
+  snap length (``LftaPlan.snaplen``), then delivers raw packets to the
+  host (options 2/3 of Section 4), or
 * executes LFTAs on the card (option 4): the host then receives only
   the LFTAs' output tuples, each far cheaper than a packet interrupt.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.net.packet import CapturedPacket
-from repro.nic.bpf import BpfProgram
 from repro.nic.nic_rts import NicRts
+from repro.operators.lfta import CardFilter
+from repro.sim.capture import RingServer
 
 
 @dataclass
 class NicStats:
     received: int = 0
-    filtered: int = 0  # rejected by the BPF prefilter
+    filtered: int = 0  # rejected by the card filter
     ring_dropped: int = 0  # lost: card too slow for the wire
     delivered_packets: int = 0
     delivered_tuples: int = 0
@@ -41,19 +44,20 @@ class Nic:
         self,
         service_us: float = 1.2,
         ring_slots: int = 512,
-        bpf: Optional[BpfProgram] = None,
+        bpf: Optional[CardFilter] = None,
         snaplen: Optional[int] = None,
         rts: Optional[NicRts] = None,
         lfta_service_us: float = 4.5,
     ) -> None:
         self.service_us = service_us
         self.lfta_service_us = lfta_service_us
-        self.ring_slots = ring_slots
+        self._ring = RingServer(ring_slots)
+        #: the card-side test, handed each arriving packet
+        #: (``LftaNode.card_filter()`` of the LFTA that re-checks)
         self.bpf = bpf
         self.snaplen = snaplen
         self.rts = rts
         self.stats = NicStats()
-        self._completions: Deque[float] = deque()
         #: host deliveries: (timestamp_us, payload) where payload is a
         #: CapturedPacket (raw modes) or a tuple batch (on-NIC LFTA mode)
         self.deliveries: List = []
@@ -63,17 +67,6 @@ class Nic:
         #: injected card fault (repro.faults.RingLossBurst arms itself
         #: here); consulted per arrival, drops count as ring losses
         self.fault = None
-
-    def _server_accept(self, now_us: float, service_us: float) -> bool:
-        """Single-server queue with ``ring_slots`` waiting positions."""
-        completions = self._completions
-        while completions and completions[0] <= now_us:
-            completions.popleft()
-        if len(completions) >= self.ring_slots:
-            return False
-        start = completions[-1] if completions else now_us
-        completions.append(max(start, now_us) + service_us)
-        return True
 
     def receive(self, packet: CapturedPacket, now_us: float) -> None:
         """A packet arrives from the wire at ``now_us`` (microseconds)."""
@@ -95,12 +88,12 @@ class Nic:
                 self.tracer.event(trace, "nic_drop", "nic", now_us / 1e6)
             return
         service = self.lfta_service_us if self.rts is not None else self.service_us
-        if not self._server_accept(now_us, service):
+        if not self._ring.accept(now_us, service):
             self.stats.ring_dropped += 1
             if trace is not None:
                 self.tracer.event(trace, "nic_drop", "nic", now_us / 1e6)
             return
-        if self.bpf is not None and not self.bpf.matches(packet.data):
+        if self.bpf is not None and not self.bpf.matches(packet):
             self.stats.filtered += 1
             # Terminal span event: without it, a prefilter rejection is
             # indistinguishable from a lost packet in trace reconstruction.
@@ -126,7 +119,7 @@ class Nic:
     @property
     def ring_occupancy(self) -> int:
         """Packets currently queued or in service in the card's ring."""
-        return len(self._completions)
+        return len(self._ring)
 
     @property
     def loss_rate(self) -> float:

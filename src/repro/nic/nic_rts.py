@@ -33,47 +33,21 @@ class NicRts:
         self.lftas.append(lfta)
         self._taps.append(tap)
 
+    def _drain(self, step) -> List[tuple]:
+        """``step`` every on-card LFTA; the tuples that left them."""
+        rows: List[tuple] = []
+        for lfta, tap in zip(self.lftas, self._taps):
+            step(lfta)
+            rows.extend(item for item in tap.drain() if type(item) is tuple)
+        return rows
+
     def execute(self, packet: CapturedPacket) -> List[tuple]:
         """Run every on-card LFTA on one packet; return emitted tuples."""
-        rows: List[tuple] = []
-        for lfta, tap in zip(self.lftas, self._taps):
-            lfta.accept_packet(packet)
-            for item in tap.drain():
-                if type(item) is tuple:
-                    rows.append(item)
-        return rows
-
-    def execute_batch(self, packets: List[CapturedPacket]) -> List[tuple]:
-        """Run every on-card LFTA on a block of packets (DESIGN sec 10).
-
-        Each LFTA sees the block in arrival order, so per-LFTA output
-        order matches per-packet :meth:`execute` calls exactly; the
-        returned list groups rows by LFTA rather than interleaving them
-        per packet (card output batches are per-query anyway).
-        """
-        rows: List[tuple] = []
-        for lfta, tap in zip(self.lftas, self._taps):
-            lfta.accept_batch(packets)
-            for item in tap.drain():
-                if type(item) is tuple:
-                    rows.append(item)
-        return rows
+        return self._drain(lambda lfta: lfta.accept_packet(packet))
 
     def heartbeat(self, stream_time: float) -> List[tuple]:
         """Propagate a heartbeat through the on-card LFTAs."""
-        rows: List[tuple] = []
-        for lfta, tap in zip(self.lftas, self._taps):
-            lfta.on_heartbeat(stream_time)
-            for item in tap.drain():
-                if type(item) is tuple:
-                    rows.append(item)
-        return rows
+        return self._drain(lambda lfta: lfta.on_heartbeat(stream_time))
 
     def flush(self) -> List[tuple]:
-        rows: List[tuple] = []
-        for lfta, tap in zip(self.lftas, self._taps):
-            lfta.flush()
-            for item in tap.drain():
-                if type(item) is tuple:
-                    rows.append(item)
-        return rows
+        return self._drain(LftaNode.flush)

@@ -69,6 +69,29 @@ from repro.operators.lfta_table import DirectMappedTable
 DEFAULT_TABLE_SIZE = 4096
 
 
+class CardFilter:
+    """What a capture card runs on behalf of one LFTA (paper Section 3:
+    "a simple selection/projection operator [pushed] into the NIC"):
+    the LFTA's own generated decode loop -- protocol guard, then the
+    plan's prefix -- over only the fields the prefix reads, with no row
+    action.  The card rejects exactly the packets that loop would count
+    and drop, so the LFTA that re-checks on the host loses no row."""
+
+    def __init__(self, decoder) -> None:
+        self._decode = decoder.decode
+        #: the prefix as GSQL ("" when only the guard is tested)
+        self.description = " and ".join(decoder.prefilters)
+        self.evaluated = 0
+        self.matched = 0
+
+    def matches(self, packet: CapturedPacket) -> bool:
+        self.evaluated += 1
+        if not self._decode((packet,)).n:
+            return False
+        self.matched += 1
+        return True
+
+
 class LftaNode(QueryNode):
     """Filtering, Transformation, and Aggregation -- the low level."""
 
@@ -194,6 +217,20 @@ class LftaNode(QueryNode):
         stats = self.stats
         return (self._lean_decoder is not None
                 and 2 * stats.discarded > stats.tuples_in)
+
+    def card_filter(self) -> Optional[CardFilter]:
+        """This node's guard and prefix as a card-side packet test
+        (``Nic(bpf=...)``): one more decoder out of the generator the
+        node's own loop came from, reading the same parameter dict.
+        None on the row adapter, whose protocol says nothing about
+        where in a frame its fields sit: such a node pushes nothing."""
+        if self._decoder is None:
+            return None
+        prefix = self.prefilter
+        if prefix is None:
+            return CardFilter(self.protocol.block_decoder(()))
+        return CardFilter(
+            self.protocol.block_decoder(prefix.slots, (prefix,)))
 
     def bind_shared_decode(self, decoder) -> None:
         """Generate this node's loop over the rows of blocks that

@@ -33,7 +33,6 @@ import dataclasses
 from multiprocessing import connection, get_context
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.control.signals import ChannelSignal, PressureSample
 from repro.core.channels import Channel, ChannelStats
 from repro.core.engine import Gigascope, refuses
 from repro.core.heartbeat import FLUSH
@@ -220,8 +219,6 @@ class ShardedGigascope:
         self.channel_ledgers: Dict[str, ChannelStats] = {}
         self._worker_nodes: Dict[int, Dict[str, Any]] = {}
         self._worker_quarantined: Dict[int, Dict[str, str]] = {}
-        #: one end-of-stream PressureSample per shard (control plane)
-        self.pressure: Dict[int, PressureSample] = {}
         self.metrics = None
         if metrics:
             self.metrics = MetricsRegistry()
@@ -469,21 +466,11 @@ class ShardedGigascope:
     def _absorb_channels(self, shard: int,
                          channels: Dict[str, Dict[str, Any]]) -> None:
         """Satellite 2: worker-side overflow accounting survives the pipe."""
-        sample = PressureSample(stream_time=0.0, cycle=self.generations)
         for name, snapshot in channels.items():
             ledger = self.channel_ledgers.setdefault(
                 f"shard{shard}/{name}", ChannelStats())
             ledger.absorb(snapshot)
             self.shard_channel_dropped[shard] += snapshot.get("dropped", 0)
-            capacity = snapshot.get("capacity")
-            sample.channels.append(ChannelSignal(
-                name=f"shard{shard}/{name}", depth=0, capacity=capacity,
-                fill=0.0, dropped_total=ledger.dropped,
-                dropped_delta=snapshot.get("dropped", 0),
-                max_depth=ledger.max_depth))
-            sample.channel_drops_total += ledger.dropped
-            sample.channel_drops_delta += snapshot.get("dropped", 0)
-        self.pressure[shard] = sample
 
     def _recover(self, ctx, state: _ShardState, spec,
                  packets) -> Optional[_ShardState]:

@@ -12,7 +12,7 @@ Each stack is simulated in virtual time against the
 :class:`~repro.sim.cost_model.CostModel`; the workload's qualifying
 decision (does the packet pass the port-80 LFTA filter, and how many
 payload bytes must the HFTA regex scan) is supplied by a ``qualifier``
-callable so the harness can wire in the *real* BPF/LFTA machinery.
+callable so the harness can wire in the *real* card-filter/LFTA machinery.
 """
 
 from __future__ import annotations
@@ -64,27 +64,30 @@ class CaptureResult:
         return self.offered_bytes * 8 / self.duration_s / 1e6
 
 
-class _NicServer:
-    """Single-server queue (used for the NIC CPU and the second host CPU)."""
+class RingServer:
+    """A single server behind ``ring_slots`` waiting positions, in
+    virtual time: a card's CPU behind its wire-side ring (here and in
+    :class:`repro.nic.Nic`) and the second host CPU."""
 
-    def __init__(self, service_us: float, ring_slots: int) -> None:
-        self.service_us = service_us
+    def __init__(self, ring_slots: int) -> None:
         self.ring_slots = ring_slots
         self._completions: Deque[float] = deque()
-        self.dropped = 0
 
-    def accept(self, now_us: float, service_us: Optional[float] = None) -> bool:
-        if service_us is None:
-            service_us = self.service_us
+    def accept(self, now_us: float, service_us: float) -> bool:
+        """Queue one arrival for ``service_us`` of work; False when
+        every position is taken."""
         completions = self._completions
         while completions and completions[0] <= now_us:
             completions.popleft()
         if len(completions) >= self.ring_slots:
-            self.dropped += 1
             return False
         start = completions[-1] if completions else now_us
         completions.append(max(start, now_us) + service_us)
         return True
+
+    def __len__(self) -> int:
+        """Arrivals queued or in service as of the last ``accept``."""
+        return len(self._completions)
 
 
 class CaptureSimulation:
@@ -108,9 +111,9 @@ class CaptureSimulation:
         host = HostModel(costs.interrupt_us, costs.host_ring_slots)
         disk = DiskModel(costs.disk_packet_us, costs.disk_per_byte_us,
                          costs.disk_stall_us, costs.disk_stall_every_bytes)
-        nic = _NicServer(costs.nic_lfta_us, costs.nic_ring_slots)
+        nic = RingServer(costs.nic_ring_slots)
         # Second host CPU for the HFTA process (dual-CPU ablation).
-        hfta_cpu = _NicServer(1.0, 8192) if self.dual_cpu else None
+        hfta_cpu = RingServer(8192) if self.dual_cpu else None
         result = CaptureResult(config=config)
         first_ts = None
         last_ts = 0.0
@@ -158,7 +161,7 @@ class CaptureSimulation:
                         result.hfta_dropped_tuples += 1
 
             else:  # GIGASCOPE_NIC
-                if not nic.accept(now_us):
+                if not nic.accept(now_us, costs.nic_lfta_us):
                     result.lost_packets += 1
                     continue
                 payload = qualifier(packet)

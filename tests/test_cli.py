@@ -241,6 +241,46 @@ class TestErrors:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("flag,extra", [
+        ("--metrics-out", []),
+        ("--trace-out", ["--trace-sample", "1.0"]),
+        ("--telemetry-out", ["--telemetry"]),
+        ("--alert-out", ["--alert", "big:on=q,when=count(*) > 0"]),
+        ("--replicate-log", []),
+        ("--output", []),
+    ])
+    def test_unwritable_output_is_a_usage_error(self, trace, tmp_path,
+                                                capsys, monkeypatch, flag,
+                                                extra):
+        """An output that cannot be written is refused before the engine
+        is built -- not a traceback after the run, with its results."""
+        from repro.core.engine import Gigascope
+        monkeypatch.setattr(
+            Gigascope, "feed",
+            lambda *args, **kwargs: pytest.fail("a packet was fed"))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        path = str(blocker / "under" / "out")  # a file is in the way
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--pcap", trace, "--query",
+                  "DEFINE query_name q; Select time From tcp",
+                  flag, path] + extra)
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert f"gsq: error: {flag} {path!r}: Not a directory" in err
+        assert "Traceback" not in err and out == ""
+
+    def test_output_dir_that_is_a_file(self, trace, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--pcap", trace, "--query", "Select time From tcp",
+                  "--output", str(blocker)])
+        assert excinfo.value.code == 2
+        assert f"gsq: error: --output {str(blocker)!r}: File exists" in \
+            capsys.readouterr().err
+
+
 class TestBatchKnobs:
     QUERY = "DEFINE query_name q; Select time From tcp Where destPort = 80"
 

@@ -76,32 +76,52 @@ class TestSelectionPlans:
 
 class TestCaptureHints:
     def test_pushdown_of_simple_comparisons(self, registry, functions):
+        """What the card may test is the leading run the decode loop
+        tests, capture metadata included."""
         result = plan(
             "DEFINE query_name q; Select time From tcp "
             "Where destPort = 80 and protocol = 6 and len > 100",
             registry, functions)
-        pushed = result.lftas[0].hints.pushed
-        fields = {p.field_name for p in pushed}
-        # len is not a BPF-testable field; the others are
-        assert fields == {"destport", "protocol"}
+        assert result.lftas[0].prefix == 3
+        assert "pushed" not in result.describe()
 
     def test_reversed_literal_comparison(self, registry, functions):
         result = plan(
             "DEFINE query_name q; Select time From tcp Where 80 = destPort",
             registry, functions)
-        (pushed,) = result.lftas[0].hints.pushed
-        assert pushed.field_name == "destport" and pushed.op == "="
+        assert result.lftas[0].prefix == 1
 
     def test_snaplen_headers_when_no_payload(self, registry, functions):
         result = plan("DEFINE query_name q; Select time, destIP From tcp",
                       registry, functions)
-        assert result.lftas[0].hints.snaplen == SNAPLEN_HEADERS
+        assert result.lftas[0].snaplen == SNAPLEN_HEADERS
 
     def test_snaplen_full_when_payload_touched(self, registry, functions):
         result = plan(
             "DEFINE query_name q; Select time From tcp "
             "Where str_find_substr(data, 'x')", registry, functions)
-        assert result.lftas[0].hints.snaplen == SNAPLEN_FULL
+        assert result.lftas[0].snaplen == SNAPLEN_FULL
+
+    def test_snaplen_full_when_the_hfta_reads_the_payload(
+            self, registry, functions):
+        result = plan(
+            "DEFINE query_name q; Select time From tcp "
+            "Where destPort = 80 and str_match_regex(data, 'HTTP')",
+            registry, functions)
+        assert result.hfta is not None
+        assert result.lftas[0].snaplen == SNAPLEN_FULL
+
+    @pytest.mark.parametrize("protocol,field", [
+        ("ethernet", "time"), ("icmp", "time"), ("tcp6", "time"),
+        ("udp6", "time"), ("netflow", "time_end"), ("dns", "time"),
+        ("bgp", "time")])
+    def test_snaplen_full_without_a_layout(self, protocol, field, registry,
+                                           functions):
+        """Where in the frame a row adapter's fields sit is not the
+        planner's to know: the card keeps every byte."""
+        result = plan(f"DEFINE query_name q; Select {field} From {protocol}",
+                      registry, functions)
+        assert result.lftas[0].snaplen == SNAPLEN_FULL
 
 
 class TestAggregationPlans:
@@ -300,7 +320,7 @@ class TestDescribe:
         assert "decode=[time,destPort,data] struct=47B" in http.describe()
         headers = plan("DEFINE query_name q; Select time, destIP From udp",
                        registry, functions)
-        assert ("snaplen=134 pushed=0 decode=[time,destIP] struct=34B "
+        assert ("snaplen=134 decode=[time,destIP] struct=34B "
                 "prefilter=none (no predicate)" in headers.describe())
         for protocol in ("icmp", "tcp6", "netflow"):
             field = "time_end" if protocol == "netflow" else "time"
@@ -325,7 +345,7 @@ class TestFrontEndStaysInsideTheSnapLength:
                 f"DEFINE query_name q; Select {attribute.name} "
                 f"From {protocol}", registry, functions)
             lfta = result.lftas[0]
-            assert lfta.hints.snaplen == SNAPLEN_HEADERS
+            assert lfta.snaplen == SNAPLEN_HEADERS
             decoder = schema.block_decoder(lfta.needed_fields(result.analyzed))
             # the fast-path struct, and the L4 struct behind a
             # 60-byte IPv4 header

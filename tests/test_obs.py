@@ -326,11 +326,11 @@ class TestTracer:
     def test_bpf_rejection_ends_the_span(self):
         # A prefilter rejection must close its trace with a terminal
         # nic_filtered event, not leave the span dangling at "nic".
-        from repro.gsql.planner import PushedPredicate
-        from repro.nic.bpf import compile_pushed_predicates
-        program = compile_pushed_predicates(
-            [PushedPredicate("destport", "=", 80)])
-        nic = Nic(service_us=1.0, ring_slots=64, bpf=program)
+        gs = Gigascope()
+        gs.add_query("DEFINE query_name q; Select time From tcp "
+                     "Where destPort = 80")
+        nic = Nic(service_us=1.0, ring_slots=64,
+                  bpf=gs.rts.node("q").card_filter())
         nic.tracer = tracer = Tracer(1.0)
         accepted = tcp_packet(ts=1.0, dport=80)
         rejected = tcp_packet(ts=2.0, dport=443)

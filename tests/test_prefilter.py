@@ -240,7 +240,7 @@ class TestWhatIsPushed:
         return compiled(f"DEFINE {{ {define}; }} Select time "
                         f"From {protocol} Where {where}")[1]
 
-    def test_a_pushable_conjunct_after_a_udf_is_not_hoisted(self):
+    def test_a_header_conjunct_after_a_udf_is_not_hoisted(self):
         plan = self.plan("destPort = 80 and str_len(data) > 3 "
                          "and srcPort > 1024 and tcpflags & 2 = 2")
         lfta, = plan.lftas
@@ -307,7 +307,9 @@ class TestWhatIsPushed:
         assert ("c shares its decode: decode group [a,b,c] struct=48B "
                 "prefilters=[destPort = 80; tcpflags & 2 = 2]"
                 in gs.explain("c"))
-        assert "pushed=1" in gs.explain("a")  # the NIC hint, as before
+        # the card's list is the prefilter list: no second count
+        assert "prefilter=[destPort = 80]" in gs.explain("a")
+        assert "pushed" not in gs.explain("a")
 
     def test_interpreted_and_layoutless_sources_are_untouched(self):
         for mode, protocol, where in (("interpreted", "tcp", "destPort = 80"),
@@ -757,12 +759,12 @@ class TestHeaderSnapLengthCoversTheLongestHeaders:
             gs = Gigascope(seed=SEED)
             gs.add_query("DEFINE query_name q; Select time, srcPort, len, "
                          "caplen From tcp Where tcpflags & 2 = 2")
-            hints = gs.plan_of("q").lftas[0].hints
-            assert hints.snaplen == SNAPLEN_HEADERS
+            snaplen = gs.plan_of("q").lftas[0].snaplen
+            assert snaplen == SNAPLEN_HEADERS
             sub = gs.subscribe("q")
             gs.start()
             nic = Nic(service_us=1.0,
-                      snaplen=hints.snaplen if snapping else None)
+                      snaplen=snaplen if snapping else None)
             for packet in packets:
                 nic.receive(packet, packet.timestamp * 1e6)
             gs.feed([packet for _, packet in nic.take_deliveries()])
