@@ -38,7 +38,7 @@ from repro.core.channels import Channel
 from repro.core.heartbeat import FLUSH, FlushToken, Punctuation
 from repro.core.query_node import QueryNode
 from repro.gsql.schema import PacketView
-from repro.net.columnar import describe_formats
+from repro.net.columnar import Branch, block_kernel, describe_formats
 from repro.net.packet import CapturedPacket
 from repro.obs.collectors import engine_snapshot, install_engine_metrics
 from repro.obs.ledger import install as install_ledger
@@ -65,48 +65,61 @@ PHASES = ("faults", "shed", "telemetry", "alerts", "recovery", "replication")
 
 
 class _DispatchPlan(NamedTuple):
-    """One interface's cached dispatch plan (``RuntimeSystem._plan_for``)."""
+    """Consumers a block kernel does not cover, handed their run one
+    consumer at a time (:meth:`RuntimeSystem._dispatch_run`)."""
 
-    #: ``(node, accept_batch or None, wants_view, decode group or -1,
-    #: position among the group's members)`` per consumer bound to the
-    #: interface itself
+    #: ``(node, accept_batch or None, wants_view)`` per consumer
     entries: tuple
     #: build one shared :class:`PacketView` per packet of a run: more
-    #: than one consumer sees the packet -- own plus ``"any"`` -- and at
-    #: least one wants it
+    #: than one such consumer sees the packet -- own plus ``"any"`` --
+    #: and at least one wants it
     share_views: bool
-    #: some consumer bound to the interface itself wants views
+    #: some consumer of ``entries`` wants views
     wants_view: bool
-    #: one :class:`_DecodeGroup` per set of LFTAs of one protocol that
-    #: share the decode of a run
-    decoders: tuple
 
 
-class _DecodeGroup(NamedTuple):
-    """LFTAs of one protocol on one interface, decoded for together."""
+def _consumer_plan(nodes, also_seen=()) -> _DispatchPlan:
+    """The dispatch plan of ``nodes``; ``also_seen`` see their packets
+    too (the ``"any"`` consumers, for an interface's run)."""
+    entries = tuple((node, getattr(node, "accept_batch", None),
+                     getattr(node, "accepts_view", False)) for node in nodes)
+    seen_by = [*nodes, *also_seen]
+    share = len(seen_by) > 1 and any(
+        getattr(node, "accepts_view", False) for node in seen_by)
+    return _DispatchPlan(entries, share, any(entry[2] for entry in entries))
 
-    #: the protocol's ``columnar_decoder`` entry, ``f(packets, decode)``
-    decode_block: Callable
-    #: the generated decoder over the union of the members' fields, with
-    #: every member's pushed prefix tested in its loop
-    decoder: Any
-    #: its lean form; None when there is none
-    lean: Any
+
+class _BlockPlan(NamedTuple):
+    """One cached block kernel and what it leaves to others
+    (:meth:`RuntimeSystem._block_plan`)."""
+
+    #: ``kernel(packets) -> BlockTally`` (:func:`block_kernel`)
+    kernel: Callable
+    #: the per-block entry it runs through, ``entry(packets, kernel)``:
+    #: the first member's protocol's ``columnar_decoder``; None when it
+    #: covers no LFTA
+    entry: Optional[Callable]
+    #: the LFTAs it runs, in its member order
     members: tuple
-
-    def describe(self) -> str:
-        """For EXPLAIN: who shares the decode and which tests it runs."""
-        names = ",".join(node.name for node in self.members)
-        tests = "; ".join(self.decoder.prefilters) or "none"
-        text = (f"decode group [{names}] struct={self.decoder.struct_size}B "
-                f"prefilters=[{tests}]")
-        if self.lean is not None:
-            text += f" lean=[{describe_formats(self.lean.lean_formats)}]"
-        return text + " kernel=shared-block rows"
+    #: ``(interface, _DispatchPlan)`` per run it collects, in order
+    runs: tuple
+    #: the ``"any"`` consumers it does not cover (handed the block)
+    any_plan: _DispatchPlan
+    #: what it was generated from
+    branches: tuple
 
 
 class RegistryError(RuntimeError):
     """Raised for registration and subscription errors."""
+
+
+def check_pump_every(pump_every) -> None:
+    """Refuse a ``feed(pump_every=...)`` that is not a positive integer;
+    every engine facade asks before it feeds or forks anything."""
+    if (not isinstance(pump_every, int) or isinstance(pump_every, bool)
+            or pump_every < 1):
+        raise ValueError(
+            f"pump_every must be a positive integer, got {pump_every!r}")
 
 
 class Subscription:
@@ -156,9 +169,11 @@ class RuntimeSystem:
         #: packets per block (DESIGN section 10), >= 1
         self.batch_size = batch_size
         self.batches_fed = 0
-        #: per-interface dispatch plans, rebuilt lazily after any change
-        #: to the consumer set (registration, removal, quarantine)
-        self._batch_plans: Dict[str, tuple] = {}
+        #: block plans by their members' forms (:meth:`_block_plan`)
+        #: and the LFTAs a kernel can cover, rebuilt lazily after any
+        #: change to the consumer set (:meth:`_replan`)
+        self._batch_plans: Dict[Optional[tuple], _BlockPlan] = {}
+        self._coverable: Optional[tuple] = None
         self._nodes: Dict[str, QueryNode] = {}
         self._packet_consumers: Dict[str, List[QueryNode]] = {}
         self._all_consumers: List[QueryNode] = []
@@ -277,7 +292,7 @@ class RuntimeSystem:
             )
         self._nodes[node.name] = node
         node.manager = self
-        self._batch_plans.clear()
+        self._replan()
         if packet_interface is not None:
             self._packet_consumers.setdefault(packet_interface, []).append(node)
             self._all_consumers.append(node)
@@ -331,10 +346,18 @@ class RuntimeSystem:
     # -- fault injection & containment (repro.faults) -----------------------
     def install_fault(self, fault) -> None:
         """Arm a fault injector's runtime hooks (see :mod:`repro.faults`);
-        the cached dispatch plans go (:meth:`_plan_for` says why)."""
+        the cached block plans go: an injector may wrap a node's
+        ``accept_batch``, which takes the node out of the kernel."""
         self.faults.append(fault)
-        self._batch_plans.clear()
+        self._replan()
         self.attach_plane(fault)
+
+    def _replan(self) -> None:
+        """Forget every cached block plan: the consumer set, or how a
+        consumer takes its packets, changed (registration, removal,
+        quarantine, suspension, an armed injector)."""
+        self._batch_plans.clear()
+        self._coverable = None
 
     def _quarantine(self, node: QueryNode, error: Exception) -> None:
         """Contain a failing node instead of unwinding the whole cycle.
@@ -356,7 +379,7 @@ class RuntimeSystem:
         its producers filling its input channels, and end its output
         streams: whoever still listens (dependents, application
         subscriptions) gets FLUSH, since it will never produce again."""
-        self._batch_plans.clear()
+        self._replan()
         if node in self._hfta_order:
             self._hfta_order.remove(node)
         if node in self._all_consumers:
@@ -407,77 +430,117 @@ class RuntimeSystem:
     def stream_time(self) -> float:
         return self._stream_time
 
-    def _plan_for(self, interface: str) -> _DispatchPlan:
-        """The cached dispatch plan for one interface's *own* consumers
-        (``"any"`` consumers are handed the whole block separately).
+    def _coverable_lftas(self) -> tuple:
+        """The consumers a block kernel can run: every unquarantined
+        LFTA with a kernel member (``LftaNode.kernel_member``), cached
+        until the consumer set changes."""
+        if self._coverable is None:
+            self._coverable = tuple(
+                node for node in self._all_consumers
+                if node.quarantined is None
+                and getattr(node, "kernel_member", None) is not None
+                and node.kernel_member() is not None)
+        return self._coverable
 
-        LFTAs that decode blocks with a generated decoder of the same
-        protocol form a *decode group* (two or more; a lone LFTA decodes
-        for itself): the plan carries one decoder for the union of
-        their fields, run once per run by :meth:`_dispatch_run` --
-        the paper's "several LFTAs share one header parse" for the
-        block path, as ``share_views`` is for the row adapter.
+    def _block_plan(self, traced: bool = False) -> _BlockPlan:
+        """The cached plan for the next block: its block kernel, and
+        the runs it collects for everyone it does not cover.
 
-        ``accept_batch`` is cached as looked up, so anything that
-        rebinds it on a node (a fault injector's wrap) must clear
-        ``_batch_plans``; :meth:`install_fault` does.  So does every
-        change to the consumer set, which is what re-derives the union.
+        Which coverable LFTAs the kernel runs, and in which form, is
+        read per block off each: a shedding one draws its gate in its
+        own ``accept_batch`` and is handed its run; the others are
+        members, in the lean form where the member -- for a decode
+        group, every member -- ``prefers_lean``.  A traced block (a
+        lineage-sampled packet, fed alone) covers nobody, so every
+        consumer is named in the trace as it takes the packet.  Plans
+        are cached by that reading; :meth:`_replan` drops them.
         """
-        plan = self._batch_plans.get(interface)
+        coverable = self._coverable_lftas()
+        key = None if traced else tuple([
+            2 if node.shed_rate < 1.0 else node.prefers_lean
+            for node in coverable])
+        plan = self._batch_plans.get(key)
         if plan is None:
-            own = [node for node in self._packet_consumers.get(interface, ())
-                   if node.quarantined is None]
-            seen_by = list(own)
-            if interface != "any":
-                seen_by += [node
-                            for node in self._packet_consumers.get("any", ())
-                            if node.quarantined is None]
-            families: Dict[Any, List[QueryNode]] = {}
-            for node in own:
-                if getattr(node, "decode_fields", None) is not None:
-                    families.setdefault(node.protocol, []).append(node)
-            decoders = []
-            #: node -> (its decode group, its position among the members)
-            group_of: Dict[QueryNode, Tuple[int, int]] = {}
-            for protocol, members in families.items():
-                if len(members) > 1:
-                    union = set().union(*(node.decode_fields
-                                          for node in members))
-                    prefilters = [node.prefilter for node in members]
-                    decoder = protocol.block_decoder(union, prefilters)
-                    for slot, node in enumerate(members):
-                        group_of[node] = (len(decoders), slot)
-                        # each member's own row action, over the rows
-                        # of this decoder's blocks (the lean form
-                        # returns the same blocks)
-                        node.bind_shared_decode(decoder)
-                    decoders.append(_DecodeGroup(
-                        protocol.columnar_decoder, decoder,
-                        protocol.block_decoder(union, prefilters, lean=True),
-                        tuple(members)))
-            entries = tuple(
-                (node, getattr(node, "accept_batch", None),
-                 getattr(node, "accepts_view", False),
-                 *group_of.get(node, (-1, 0)))
-                for node in own)
-            wants_view = any(entry[2] for entry in entries)
-            share = len(seen_by) > 1 and any(
-                getattr(node, "accepts_view", False) for node in seen_by)
-            plan = _DispatchPlan(entries, share, wants_view, tuple(decoders))
-            self._batch_plans[interface] = plan
+            plan = self._batch_plans[key] = self._new_block_plan(
+                coverable, key)
         return plan
+
+    def _new_block_plan(self, coverable: tuple,
+                        key: Optional[tuple]) -> _BlockPlan:
+        """Generate the block kernel for ``key``'s reading of
+        ``coverable`` (per LFTA: 2 shedding, else whether it prefers the
+        lean form; None: cover nobody).  Per interface -- ``"any"``
+        first, then in registration order -- the members form one
+        section per protocol, and the interface's other consumers get a
+        run; ``"any"``'s others get the whole block."""
+        form = dict(zip(coverable, key or ()))
+        live = {interface: [node for node in nodes if node.quarantined is None]
+                for interface, nodes in self._packet_consumers.items()}
+        spare_any = [node for node in live.get("any", ())
+                     if form.get(node, 2) == 2]
+        members: List[QueryNode] = []
+        branches = []
+        runs = []
+        for interface in sorted(live, key=lambda name: name != "any"):
+            families: Dict[Any, List[QueryNode]] = {}
+            rest = []
+            for node in live[interface]:
+                if form.get(node, 2) == 2:
+                    rest.append(node)
+                else:
+                    families.setdefault(node.protocol, []).append(node)
+            sections = tuple(
+                protocol.kernel_section(
+                    [node.kernel_member() for node in group],
+                    lean=all(form[node] == 1 for node in group))
+                for protocol, group in families.items())
+            for group in families.values():
+                members += group
+            collect = interface != "any" and bool(rest)
+            if sections or collect:
+                branches.append(Branch(None if interface == "any"
+                                       else interface, sections, collect))
+            if collect:
+                runs.append((interface, _consumer_plan(rest, spare_any)))
+        branches = tuple(branches)
+        for known in self._batch_plans.values():
+            if known.branches == branches:
+                # a reading that changes no section (a lone flag in a
+                # group that stays full) runs the same kernel
+                return known
+        kernel, source = block_kernel(branches)
+        for node in members:
+            node.record_source(source)
+        entry = members[0].protocol.columnar_decoder if members else None
+        return _BlockPlan(kernel, entry, tuple(members), tuple(runs),
+                          _consumer_plan(spare_any), branches)
 
     def describe_decode_group(self, name: str) -> Optional[str]:
         """For EXPLAIN: the decode group the LFTA ``name`` is a member
-        of right now, or None when it decodes for itself."""
+        of while none of them sheds -- the kernel runs LFTAs of one
+        protocol on one interface behind one guard, each distinct
+        prefix tested once -- or None when it has its section to
+        itself."""
         node = self._nodes.get(name)
         interface = getattr(node, "interface", None)
-        if interface is None:
+        coverable = self._coverable_lftas()
+        if interface is None or node not in coverable:
             return None
-        for group in self._plan_for(interface).decoders:
-            if node in group.members:
-                return group.describe()
-        return None
+        members = [other for other in self._packet_consumers[interface]
+                   if other in coverable and other.protocol is node.protocol]
+        if len(members) < 2:
+            return None
+        union = set().union(*(member.decode_fields for member in members))
+        prefilters = [member.prefilter for member in members]
+        decoder = node.protocol.block_decoder(union, prefilters)
+        names = ",".join(member.name for member in members)
+        tests = "; ".join(decoder.prefilters) or "none"
+        text = (f"decode group [{names}] struct={decoder.struct_size}B "
+                f"prefilters=[{tests}]")
+        lean = node.protocol.block_decoder(union, prefilters, lean=True)
+        if lean is not None:
+            text += f" lean=[{describe_formats(lean.lean_formats)}]"
+        return text + " kernel=[guard, prefixes, member actions]"
 
     def _admit(self, packet: CapturedPacket) -> Optional[CapturedPacket]:
         """Run the per-packet hooks (an armed injector's clock skew or
@@ -499,22 +562,24 @@ class RuntimeSystem:
         packet = self._admit(packet)
         if packet is None:
             return
-        self._feed_batch([packet], len(packet.data), packet.timestamp)
+        self._feed_batch([packet], packet.timestamp)
         interval = self.heartbeat_interval
         if (interval is not None
                 and self._stream_time >= self._last_heartbeat + interval):
             self._send_heartbeats(self._stream_time)
 
-    def _feed_batch(self, packets: List[CapturedPacket], total_bytes: int,
+    def _feed_batch(self, packets: List[CapturedPacket],
                     newest: float) -> None:
         """Dispatch one block of packets to the consumers linked in.
 
-        ``total_bytes`` is the block's captured bytes and ``newest`` its
-        latest timestamp; the caller has them from the passes it cuts
-        blocks with.  What is left here per packet is one attribute
-        read to see whether the block carries a single interface (its
-        run is then the block itself) and, only when it does not, the
-        split.
+        ``newest`` is the block's latest timestamp, which the caller has
+        from the pass it cuts blocks with.  One generated loop, the
+        current plan's block kernel (:meth:`_block_plan`), then takes
+        every packet once: it counts the block's captured bytes and runs
+        every LFTA it covers, and it collects a run per interface for
+        the consumers it does not cover, which are handed theirs after
+        it -- ``"any"``'s get the block itself.  A member that raised in
+        the kernel is contained once its siblings finished the block.
 
         The caller cuts blocks at heartbeat crossings and pump
         boundaries and hands a lineage-sampled packet over alone, so
@@ -524,7 +589,6 @@ class RuntimeSystem:
         if newest > self._stream_time:
             self._stream_time = newest
         self.packets_fed += len(packets)
-        self.bytes_fed += total_bytes
         self.batches_fed += 1
         # Journal-before-dispatch: the journal must cover the very
         # packet a consumer crashes on (DESIGN section 11).
@@ -537,33 +601,37 @@ class RuntimeSystem:
             if trace is not None and not tracer.begin(
                     trace, packets[0], "feed", packets[0].timestamp):
                 trace = None
+        plan = self._block_plan(trace is not None)
+        try:
+            tally = (plan.kernel(packets) if plan.entry is None
+                     else plan.entry(packets, plan.kernel))
+        except Exception as error:
+            # Every member runs under its own try inside the kernel, so
+            # this is the entry's error, and every member's: each is
+            # contained and skipped for the block (a recovered one has
+            # replayed it from the journal).  The runs still go out.
+            for node in plan.members:
+                if node.quarantined is None:
+                    self._contain(node, error)
+            tally = block_kernel([branch._replace(sections=())
+                                  for branch in plan.branches])[0](packets)
+        self.bytes_fed += tally.nbytes
+        for position, error in tally.failed:
+            self._contain(plan.members[position], error)
         # Several consumers share one header parse per packet -- the
         # zero-extra-transfer property of linking them into the RTS.
         # An "any" consumer sees every packet, so its views cover the
         # whole block and the per-interface runs take theirs from it.
-        any_plan = self._plan_for("any")
+        any_plan = plan.any_plan
         full_views: Optional[List[PacketView]] = (
             list(map(PacketView, packets)) if any_plan.wants_view else None)
-        # Split into per-interface runs, preserving arrival order within
-        # each.  A block from one interface is its own run: the list
-        # (and so a shared decode of it) is handed on as it is.
-        interfaces = {packet.interface for packet in packets}
-        runs: Dict[str, List[CapturedPacket]] = {}
-        if len(interfaces) == 1:
-            runs[interfaces.pop()] = packets
-        else:
-            for packet in packets:
-                run = runs.get(packet.interface)
-                if run is None:
-                    runs[packet.interface] = run = []
-                run.append(packet)
-        for interface, run in runs.items():
-            if interface == "any":
-                # Covered by the full-block any-consumer dispatch below.
+        for (interface, run_plan), run in zip(plan.runs, tally.runs):
+            if not run:
                 continue
-            plan = self._plan_for(interface)
+            if len(run) == len(packets):
+                run = packets  # a block from one interface is its run
             views = None
-            if plan.share_views:
+            if run_plan.share_views:
                 if full_views is None:
                     views = list(map(PacketView, run))
                 elif run is packets:
@@ -571,75 +639,28 @@ class RuntimeSystem:
                 else:
                     views = [view for view in full_views
                              if view.packet.interface == interface]
-            self._dispatch_run(plan, run, views, trace)
+            self._dispatch_run(run_plan, run, views, trace)
         if any_plan.entries:
             self._dispatch_run(any_plan, packets, full_views, trace)
 
-    def _decode_shared(self, decoders, packets) -> Tuple[list, list]:
-        """Decode one run once per decode group, ahead of its members.
-
-        Returns the blocks by group index and the nodes a failing
-        decode was contained against.  The decode runs outside any
-        single node's ``try``, so an error in it is every member's
-        error: each is contained (recovered, suspended or quarantined)
-        exactly as if its own decode had raised, and is skipped for
-        this run -- a recovered node has already replayed it from the
-        journal.  Consumers outside the group are unaffected.  A group
-        whose every member is shedding gets no shared block: each will
-        decode only what its gate keeps.  The lean form runs when every
-        member would pick its own (``LftaNode.prefers_lean``); the two
-        return the same block.
-        """
-        blocks: list = []
-        failed: list = []
-        for decode_block, decoder, lean, members in decoders:
-            block = None
-            if any(node.shed_rate >= 1.0 and node.quarantined is None
-                   for node in members):
-                if lean is not None and all(
-                        node.prefers_lean for node in members):
-                    decoder = lean
-                try:
-                    block = decode_block(packets, decoder.decode)
-                except Exception as error:
-                    for node in members:
-                        if node.quarantined is None:
-                            self._contain(node, error)
-                            failed.append(node)
-            blocks.append(block)
-        return blocks, failed
-
     def _dispatch_run(self, plan: _DispatchPlan, packets, views,
                       trace=None) -> None:
-        """One ordered packet run to one interface's consumers.
+        """One ordered packet run to consumers the kernel does not cover.
 
-        The members of a decode group get the run's shared block and
-        their own rows of it alongside the packets; each uses them only
-        if it is about to decode that very list
-        (``LftaNode.accept_batch``).  Consumers
-        without ``accept_batch`` (user-written packet operators:
-        defrag, sessionize, TCP reassembly) take the run one
-        ``accept_packet`` at a time.  ``trace`` is the lineage trace of
-        a sampled packet fed alone.
+        An LFTA takes it through ``accept_batch``; consumers without
+        one (user-written packet operators: defrag, sessionize, TCP
+        reassembly) take it one ``accept_packet`` at a time.  ``trace``
+        is the lineage trace of a sampled packet fed alone.
         """
         tracer = self.tracer
-        blocks: list = []
-        failed: list = []
-        if plan.decoders:
-            blocks, failed = self._decode_shared(plan.decoders, packets)
-        for node, accept_batch, wants_view, group, slot in plan.entries:
-            if node.quarantined is not None or node in failed:
+        for node, accept_batch, wants_view in plan.entries:
+            if node.quarantined is not None:
                 continue
             if trace is not None:
                 tracer.event(trace, "lfta", node.name, packets[0].timestamp)
                 tracer.current = trace
             try:
-                if group >= 0:
-                    block = blocks[group]
-                    rows = (None if block is None or block.rows is None
-                            else block.rows[slot])
-                    accept_batch(packets, None, block, rows)
-                elif accept_batch is not None:
+                if accept_batch is not None:
                     accept_batch(packets, views if wants_view else None)
                 elif wants_view and views is not None:
                     accept = node.accept_packet
@@ -670,14 +691,16 @@ class RuntimeSystem:
 
         The loop runs per *chunk*, not per packet: up to a block's
         worth of packets is pulled at once (never across a pump
-        boundary), timestamps and captured bytes are taken in one
-        single-attribute pass each, and the cut points are found as
-        indices inside the chunk.  Those passes are comprehensions, not
-        ``map(attrgetter(...))``: CPython 3.11 specialises the
-        attribute read inside one and runs it in under half the time.
-        Only an ``on_packet`` hook or an attached tracer adds a call
-        per packet.
+        boundary), timestamps are taken in one single-attribute pass,
+        and the cut points are found as indices inside the chunk.  That
+        pass is a comprehension, not ``map(attrgetter(...))``: CPython
+        3.11 specialises the attribute read inside one and runs it in
+        under half the time.  The captured bytes are the block
+        kernel's to count, as it reads each packet anyway.  Only an
+        ``on_packet`` hook or an attached tracer adds a call per
+        packet.  ``pump_every`` must be a positive integer.
         """
+        check_pump_every(pump_every)
         if not self._started:
             raise RegistryError("RTS not started; call start() first")
         hooks = self._hooks
@@ -695,9 +718,9 @@ class RuntimeSystem:
                      if interval is not None else math.inf)
 
         def dispatch(lo: int, hi: int, latest: float) -> None:
-            block = pending if hi - lo == len(pending) else pending[lo:hi]
             self._feed_batch(
-                block, sum([len(packet.data) for packet in block]), latest)
+                pending if hi - lo == len(pending) else pending[lo:hi],
+                latest)
 
         while True:
             pulled = list(islice(source, min(

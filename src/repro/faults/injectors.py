@@ -304,17 +304,16 @@ class OperatorFault(FaultInjector):
         accept_batch = getattr(node, "accept_batch", None)
         accept_packet = getattr(node, "accept_packet", None)
         if accept_batch is not None:
-            def failing_accept_batch(packets, views=None, block=None,
-                                     rows=None):
+            def failing_accept_batch(packets, views=None):
                 before = self._prefix(len(packets))
                 if before is None:
-                    return accept_batch(packets, views, block, rows)
+                    return accept_batch(packets, views)
                 if before:
-                    # A prefix is a different list: the node decodes it
-                    # itself rather than use the run's shared block.
                     accept_batch(packets[:before], views and views[:before])
                 self._fire()
 
+            # The wrap takes the node out of the RTS's block kernel: it
+            # is handed its run and runs its own loop.
             node.accept_batch = failing_accept_batch
         elif accept_packet is not None:
             def failing_accept(packet, view=None):

@@ -202,9 +202,10 @@ class ExprCompiler:
     # -- the capture front end (DESIGN section 14) ---------------------------
     #
     # A plan's per-row work is rendered once, as a RowAction, and spliced
-    # under whichever loop header owns its rows: the plan's own generated
-    # decode loop (block_decoder_fn), a decode group's shared block
-    # (repro.net.columnar.shared_rows_kernel) or the row adapter's tuples
+    # under whichever loop header owns its rows: the run-time system's
+    # block kernel (repro.net.columnar.block_kernel; its source joins
+    # this compiler's through record_source), the plan's own generated
+    # decode loop (block_decoder_fn) or the row adapter's tuples
     # (lfta_adapter_fn).  Nothing is materialized between decode and
     # operator state, so the semantics are row-at-a-time by construction:
     # conjuncts short-circuit in order, DiscardTuple discards the row
@@ -241,6 +242,13 @@ class ExprCompiler:
         self.generated_sources.append(decoder.source)
         return decoder.decode
 
+    def record_source(self, source: str) -> None:
+        """Keep ``source`` -- code generated outside this compiler that
+        runs this plan's row action, a block kernel -- with the rest,
+        once however often it is regenerated."""
+        if source not in self.generated_sources:
+            self.generated_sources.append(source)
+
     def prefilter(self, conjuncts: Sequence[Expr]) -> Optional[Prefilter]:
         """``conjuncts`` (a plan's pushed prefix, ``LftaPlan.prefix``)
         as a block-decoder generator takes them; None when empty, and
@@ -248,9 +256,10 @@ class ExprCompiler:
 
         The generator decides where each attribute sits in its unpack
         tuple and calls ``render`` back with that, so the same prefix
-        serves this plan's own decoder, its lean form and a decode
-        group's shared one.  ``$params`` compile to reads of this
-        compiler's dict, so ``set_param`` bites on the next block.
+        serves this plan's own decoder, its lean form and the block
+        kernel's section it shares with other plans.  ``$params``
+        compile to reads of this compiler's dict, so ``set_param``
+        bites on the next block.
         """
         if not conjuncts or self.mode == "interpreted":
             return None

@@ -41,9 +41,9 @@ from repro.gsql.types import (
     parse_type,
 )
 from repro.net.bgp import BGPUpdate
-from repro.net.columnar import (Decoder, Prefilter, RowAction, decode_block,
-                                generated_decoder, has_layout, lean_formats,
-                                prefix_readable)
+from repro.net.columnar import (Decoder, Member, Prefilter, RowAction,
+                                Section, decode_block, generated_decoder,
+                                has_layout, lean_formats, prefix_readable)
 from repro.net.ethernet import ETHERTYPE_IPV4, EthernetHeader
 from repro.net.icmp import ICMPHeader
 from repro.net.ip import IPv4Header, PROTO_ICMP, PROTO_TCP, PROTO_UDP
@@ -313,6 +313,16 @@ class ProtocolSchema(_BaseSchema):
         return generated_decoder(
             self._layout, self._layout_names(),
             frozenset(needed_indices), prefilters, lean, action)
+
+    def kernel_section(self, members: Sequence[Member],
+                       lean: bool = False) -> Section:
+        """``members`` -- LFTAs of this protocol on one interface -- as
+        one section of the RTS's block kernel: the guard once, each
+        distinct pushed prefix once, then each member's row action;
+        ``lean`` asks for the two-struct form.  Only for a protocol
+        with a layout."""
+        return Section(self._layout, self._layout_names(), tuple(members),
+                       lean)
 
     def _layout_names(self) -> Tuple[str, ...]:
         """Attribute names as :mod:`repro.net.columnar` spells them."""

@@ -55,28 +55,32 @@ attribute reads off them (``v[5]``, ``int(p.timestamp)``, ``d[o:]``).
 A consumer's :class:`RowAction` is rendered against that map and
 spliced under whichever loop header owns the rows:
 
-* a lone LFTA's own decode loop (every LFTA that decodes its own list:
-  alone on its interface, or because the shed gate kept a subset, a
-  fault delivered a prefix, journal replay handed packets over): the
-  action runs on the row as soon as the prefix has passed it, the
-  loop's ``finally`` moves the node's counters, and a :class:`Tally`
-  comes back;
-* a decode group's shared block: LFTAs of one protocol on one interface
-  share one decode of the union of their fields, whose action is
-  "append the row" -- three parallel arrays in a :class:`ColumnarBlock`
-  plus, when the members' prefixes differ, one row-index list each --
-  and each member then runs the *same action source* under a header
-  that reads the row's names back off the block
-  (:func:`shared_rows_kernel`).
+* the *block kernel* (:func:`block_kernel`): the run-time system's one
+  loop over a block, which counts its captured bytes, branches on the
+  packet's interface and runs, per protocol on that interface, one
+  :class:`Section` -- the guard once, each distinct pushed prefix once,
+  then each member's action on the rows it keeps.  A member that raises
+  stops there; its siblings finish the block;
+* a lone LFTA's own decode loop (an LFTA the kernel does not cover: the
+  shed gate kept a subset, a fault delivered a prefix, journal replay
+  or the NIC runtime handed packets over): the action runs on the row
+  as soon as the prefix has passed it, the loop's ``finally`` moves the
+  node's counters, and a :class:`Tally` comes back.
 
 Either way the semantics are row-at-a-time by construction: an
 exception at row *k* leaves state, counters and emitted rows as *k*
-single-row steps would.
+single-row steps would.  Without an action the loop appends its rows to
+a :class:`ColumnarBlock` (the planner, the card-side test and the test
+oracle read those).
 """
 
 from __future__ import annotations
 
+import builtins
+import io
+import keyword
 import struct
+import tokenize
 from array import array
 from functools import lru_cache
 from typing import (Callable, Dict, FrozenSet, List, Mapping, NamedTuple,
@@ -86,7 +90,8 @@ from repro.net.packet import CapturedPacket
 
 
 class ColumnarBlock:
-    """One shared decode of a packet block: parallel row arrays.
+    """The rows of one packet block, as parallel arrays: what a decoder
+    generated without a row action returns.
 
     ``passed`` packets passed the protocol guard and ``n`` of them
     became rows: all of them, unless the decoder's consumers pushed a
@@ -94,25 +99,18 @@ class ColumnarBlock:
     some consumer keeps.  ``vals[i]`` is row *i*'s header unpack,
     ``pkts[i]`` the originating packet, and ``pay[i]`` the payload
     offset into its data (empty unless the decoder covers ``data``).
-    ``rows`` is None when every consumer keeps every row; otherwise it
-    holds, per consumer in the order the decoder was generated for, the
-    ascending indices of the rows that consumer keeps (None: all of
-    them).  How a consumer reads an attribute off a row is the
-    decoder's ``columns``, not the block's business.  ``packets`` is
-    the very list that was decoded: a consumer handed this block uses
-    it only for that list (identity, not equality -- DESIGN section 14,
-    "sharing").
+    How a consumer reads an attribute off a row is the decoder's
+    ``columns``, not the block's business.  ``packets`` is the list
+    that was decoded.
     """
 
-    __slots__ = ("n", "passed", "rows", "vals", "pkts", "pay", "packets")
+    __slots__ = ("n", "passed", "vals", "pkts", "pay", "packets")
 
     def __init__(self, vals: list, pkts: list, pay: array,
                  packets: Sequence[CapturedPacket],
-                 passed: Optional[int] = None,
-                 rows: Optional[tuple] = None) -> None:
+                 passed: Optional[int] = None) -> None:
         self.n = len(vals)
         self.passed = self.n if passed is None else passed
-        self.rows = rows
         self.vals = vals
         self.pkts = pkts
         self.pay = pay
@@ -120,15 +118,32 @@ class ColumnarBlock:
 
 
 class Tally(NamedTuple):
-    """What a fused kernel reports for one block: ``passed`` packets
-    passed the protocol guard and ``n`` of them got past the pushed
-    prefix into the plan's row action -- a shared decode's
-    :class:`ColumnarBlock` counts under the same two names.  The
-    kernel has already moved its node's counters; this is for whoever
-    watches the block entry (:func:`decode_block`)."""
+    """What a lone LFTA's fused loop reports for one block: ``passed``
+    packets passed the protocol guard and ``n`` of them got past the
+    pushed prefix into the plan's row action -- a
+    :class:`ColumnarBlock` counts under the same two names.  The loop
+    has already moved its node's counters; this is for whoever watches
+    the block entry (:func:`decode_block`)."""
 
     passed: int
     n: int
+
+
+class BlockTally(NamedTuple):
+    """What a block kernel (:func:`block_kernel`) reports for one block.
+
+    Every member has moved its own counters by the time this comes
+    back; ``n`` is the rows all members' actions got (a packet two
+    members keep counts twice), for whoever watches the block entry.
+    """
+
+    n: int
+    #: the captured bytes of the whole block, every interface included
+    nbytes: int
+    #: per branch that collects one, its interface's packets in order
+    runs: tuple
+    #: ``(member position, error)`` per member that raised, in order
+    failed: list
 
 
 # -- the layout table ----------------------------------------------------------
@@ -273,9 +288,9 @@ class RowAction(NamedTuple):
     conjuncts its prefix left over, then project-and-emit or key,
     window check, table probe and fold
     (``ExprCompiler.lfta_action``) -- as source to splice under
-    whichever loop header owns the rows: the decode loop itself
-    (:func:`generated_decoder`), a shared block's row list
-    (:func:`shared_rows_kernel`) or the row adapter's tuples."""
+    whichever loop header owns the rows: the block kernel
+    (:func:`block_kernel`), the consumer's own decode loop
+    (:func:`generated_decoder`) or the row adapter's tuples."""
 
     #: attribute positions the action reads
     slots: FrozenSet[int]
@@ -288,8 +303,8 @@ class Decoder(NamedTuple):
     """One generated block decoder and what it was generated from."""
 
     #: ``decode(packets)``: a :class:`ColumnarBlock` of the rows, or --
-    #: generated around a :class:`RowAction` -- the :class:`Tally` of
-    #: the rows it ran the action on
+    #: generated around a lone consumer's :class:`RowAction` -- the
+    #: :class:`Tally` of the rows it ran the action on
     decode: Callable[[Sequence[CapturedPacket]], object]
     source: str
     #: the fast-path (IHL == 5) struct; its size is how far into a
@@ -337,12 +352,11 @@ def generated_decoder(protocol: str, attributes: Tuple[str, ...],
     prefix that consumer pushed into the loop, or None when it keeps
     every guard-passing packet.  A row then exists iff the guard passes
     and some consumer keeps it (:func:`_generate`).  What happens to a
-    row is ``action``: by default it is appended to the block the
-    consumers share; a lone consumer passes its own, and the loop runs
-    it on the spot -- no block.  ``lean`` asks for the two-struct form,
-    and the answer is None when there is none: some consumer keeps
-    everything, or fewer than two header fields are left for survivors
-    only.
+    row is ``action``: by default it is appended to a block; a lone
+    consumer passes its own, and the loop runs it on the spot -- no
+    block.  ``lean`` asks for the two-struct form, and the answer is
+    None when there is none: some consumer keeps everything, or fewer
+    than two header fields are left for survivors only.
 
     The code object is cached by generated source, so ``setup_s`` pays
     one ``compile()`` per distinct loop; what the loop reads -- structs,
@@ -454,25 +468,40 @@ def lean_formats(protocol: str, attributes: Sequence[str],
     return tuple(map(_struct_format, split or ()))
 
 
-def _generate(protocol: str, attributes: Sequence[str],
-              needed: FrozenSet[int],
-              prefilters: Sequence[Optional[Prefilter]] = (),
-              lean: bool = False, action: Optional[RowAction] = None):
-    """Source, environment and description (the :class:`Decoder` fields
-    after ``source``) of one block decoder; None for a lean form that
-    does not exist.
+class _Front(NamedTuple):
+    """One decode loop's per-packet lines, from the bytes to the row
+    (:func:`_front`)."""
 
-    Guard, then prefix, then the row: after the guard the loop
-    evaluates each consumer's pushed prefix on the unpacked values --
-    identical sources once -- and a packet some consumer keeps is a
-    row.  Without an ``action`` the row is appended to a block that
-    reports the guard-passers (``passed``: survivors plus the rows
-    every consumer killed) and, when consumers differ, one row-index
-    list per consumer.  With one -- a lone consumer's -- its lines run
-    right there on ``v``, ``p``, ``d``, ``n`` and ``o``, the loop moves
-    the consumer's ``tuples_in``/``discarded`` in its ``finally`` by
-    exactly the packets it got through, and a :class:`Tally` comes
-    back.
+    #: the guard, then the prefix tests; ``continue`` ends a packet
+    #: the loop is done with
+    lines: List[str]
+    #: the globals they read: structs and parameter dicts
+    env: Dict[str, object]
+    #: per consumer, the distinct test it rides on (None: it keeps
+    #: every guard-passer)
+    test_of: List[Optional[int]]
+    #: the :class:`Decoder` fields after ``source``
+    described: tuple
+    #: the plan reads ``data``: the loop notes the payload offset
+    wants_pay: bool
+
+
+def _front(protocol: str, attributes: Sequence[str], needed: FrozenSet[int],
+           prefilters: Sequence[Optional[Prefilter]], lean: bool,
+           accept: Callable[[List[str], List[Optional[int]]], List[str]],
+           tag: str = "", keep_offset: bool = True) -> Optional[_Front]:
+    """Guard, then prefix: the per-packet lines of one decode loop.
+
+    The protocol guard comes first, one definition per layer; where the
+    pushed prefixes are tested go ``accept(texts, test_of)``'s lines --
+    ``texts`` each consumer's prefix rendered against the unpack at
+    hand, identical sources once, ``test_of`` which one each consumer
+    rides on; the lean form unpacks what only survivors need after
+    them.  The lines leave the unpack tuple in ``v`` and, when the
+    fields read ``data``, the payload offset in ``o`` (appended as
+    ``oa(...)`` instead unless ``keep_offset``).  ``tag`` ends every
+    global name they read, so loops of several protocols can share one
+    function.  None for a lean form that does not exist.
     """
     family, sources, head, tail, guard_fields = _place(
         protocol, attributes, needed)
@@ -485,12 +514,10 @@ def _generate(protocol: str, attributes: Sequence[str],
     # one name -> tuple-position map serves a whole unpack.
     full = _View("v", {name: j for j, (_, _, name) in enumerate(fast)})
     shifted = _View("t", {name: j for j, (_, _, name) in enumerate(tail)})
-    env = {
-        "unpack": struct.Struct(fmt).unpack_from,
-        "unpack_l4": struct.Struct(l4_fmt or "!").unpack_from,
-        "array": array,
-        "ColumnarBlock": ColumnarBlock,
-        "Tally": Tally,
+    unpack, unpack_l4 = "unpack" + tag, "unpack_l4" + tag
+    env: Dict[str, object] = {
+        unpack: struct.Struct(fmt).unpack_from,
+        unpack_l4: struct.Struct(l4_fmt or "!").unpack_from,
     }
 
     # -- the pushed prefixes ----------------------------------------------
@@ -512,12 +539,12 @@ def _generate(protocol: str, attributes: Sequence[str],
     for member in prefilters:
         if member is not None and member.params is not None:
             name = param_names.setdefault(
-                id(member.params), f"P{len(param_names) or ''}")
+                id(member.params), f"P{len(param_names) or ''}{tag}")
             env[name] = member.params
 
     def rendered(member: Prefilter, reads: Dict[int, str]) -> str:
         return member.render(
-            reads, param_names.get(id(member.params), "P"))
+            reads, param_names.get(id(member.params), "P" + tag))
 
     #: per consumer, which test it rides on (None: it keeps everything);
     #: ``tests`` holds the first consumer of each distinct test
@@ -538,34 +565,17 @@ def _generate(protocol: str, attributes: Sequence[str],
             seen[text] = len(tests)
             tests.append(member)
         test_of.append(seen[text])
-    keeps_all = None in test_of
-    #: consumers differ: each gets its own row-index list
-    listed = bool(tests) and (keeps_all or len(tests) > 1)
-    if action is not None and len(prefilters) > 1:
-        raise ValueError("a row action belongs to one consumer")
     #: what a row action reads: the prefix's sources plus the payload
     row_columns = {index: _DATA_SOURCE for index, src in sources.items()
                    if src.field == "data"}
     row_columns.update(reads)
 
-    def accept(view: _View) -> List[str]:
-        """Test the prefixes against ``view``; a packet no consumer
-        keeps is counted and goes no further."""
+    def tested(view: _View) -> List[str]:
         reads = columns(view)
-        texts = [rendered(member, reads) for member in tests]
-        if not listed:
-            return [f"if not ({texts[0]}):", "    killed += 1", "    continue"]
-        lines = [] if keeps_all else ["hit = False"]
-        for j, text in enumerate(texts):
-            lines += [f"if {text}:", f"    r{j}(i)"]
-            if not keeps_all:
-                lines.append("    hit = True")
-        if not keeps_all:
-            lines += ["if not hit:", "    killed += 1", "    continue"]
-        return lines
+        return accept([rendered(member, reads) for member in tests], test_of)
 
     # -- the guard, one definition per layer ------------------------------
-    def fixed_guard(view: _View, unpack: str) -> List[str]:
+    def fixed_guard(view: _View, unpacker: str) -> List[str]:
         """The fixed headers fit the capture, the frame is IPv4, and
         for an L4 protocol it carries that protocol and is not a later
         fragment."""
@@ -576,7 +586,7 @@ def _generate(protocol: str, attributes: Sequence[str],
         return [
             f"if n < {l4_at + family.l4_len}:",
             "    continue",
-            f"{view.var} = {unpack}(d)",
+            f"{view.var} = {unpacker}(d)",
             "if " + " or ".join(checks) + ":",
             "    continue",
         ]
@@ -592,9 +602,7 @@ def _generate(protocol: str, attributes: Sequence[str],
         """The L4 header starting at frame offset ``start`` (a number
         or a variable name) ends inside the capture; ``view`` holds its
         fields.  Notes the payload offset when the plan reads ``data``:
-        appended here when nothing after this guard can reject the
-        packet, kept in ``o`` for the row when a prefix can or an
-        action reads it."""
+        kept in ``o`` or appended (``keep_offset``)."""
         def past(offset) -> str:
             if isinstance(start, int) and isinstance(offset, int):
                 return str(start + offset)
@@ -609,7 +617,7 @@ def _generate(protocol: str, attributes: Sequence[str],
             ]
             end = past("doff")
         if wants_pay:
-            lines.append(f"o = {end}" if tests or action else f"oa({end})")
+            lines.append(f"o = {end}" if keep_offset else f"oa({end})")
         return lines
 
     def options_path() -> List[str]:
@@ -624,7 +632,7 @@ def _generate(protocol: str, attributes: Sequence[str],
             "    continue",
         ]
         if tail:
-            lines.append("t = unpack_l4(d, l4)")
+            lines.append(f"t = {unpack_l4}(d, l4)")
         lines += l4_guard(shifted, "l4")
         if tail:
             lines.append(f"v = v[:{len(head)}] + t")
@@ -633,7 +641,7 @@ def _generate(protocol: str, attributes: Sequence[str],
     described = (fmt, l4_fmt, tuple(member.text for member in tests),
                  row_columns)
     if not lean:
-        body = fixed_guard(full, "unpack")
+        body = fixed_guard(full, unpack)
         if family.l4 is None:
             body += ip_guard(full)
         else:
@@ -644,59 +652,97 @@ def _generate(protocol: str, attributes: Sequence[str],
             else:
                 body.append(f"if {ihl} != 5:")
             body += _indent(options_path())
-        if tests:
-            body += accept(full)
+        body += tested(full)
+        return _Front(body, env, test_of, described, wants_pay)
+    # The first struct covers what the guard and the prefixes read; the
+    # rest is unpacked after the test, for survivors only.
+    if not tests or None in test_of:
+        return None
+    split = _lean_split(fast, guard_fields, sources,
+                        frozenset().union(*(member.slots for member in tests)))
+    if split is None:
+        return None
+    first, second = split
+    formats = (_struct_format(first), _struct_format(second))
+    unpack_a, unpack_b = "unpack_a" + tag, "unpack_b" + tag
+    env[unpack_a] = struct.Struct(formats[0]).unpack_from
+    env[unpack_b] = struct.Struct(formats[1]).unpack_from
+    before = _View("a", {name: j for j, (_, _, name) in enumerate(first)})
+    after = _View("b", {name: j for j, (_, _, name) in enumerate(second)})
+    survivor = tested(before) + [
+        f"b = {unpack_b}(d)",
+        "v = (" + ", ".join(
+            (before if name in before.pos else after).ref(name)
+            for _, _, name in fast) + ")",
+    ]
+    body = fixed_guard(before, unpack_a)
+    if family.l4 is None:
+        body += ip_guard(before) + survivor
     else:
-        # The first struct covers what the guard and the prefixes read;
-        # the rest is unpacked after the test, for survivors only.
-        if not tests or keeps_all:
-            return None
-        split = _lean_split(
-            fast, guard_fields, sources,
-            frozenset().union(*(member.slots for member in tests)))
-        if split is None:
-            return None
-        first, second = split
-        formats = (_struct_format(first), _struct_format(second))
-        env["unpack_a"] = struct.Struct(formats[0]).unpack_from
-        env["unpack_b"] = struct.Struct(formats[1]).unpack_from
-        before = _View("a", {name: j for j, (_, _, name) in enumerate(first)})
-        after = _View("b", {name: j for j, (_, _, name) in enumerate(second)})
-        survivor = accept(before) + [
-            "b = unpack_b(d)",
-            "v = (" + ", ".join(
-                (before if name in before.pos else after).ref(name)
-                for _, _, name in fast) + ")",
-        ]
-        body = fixed_guard(before, "unpack_a")
-        if family.l4 is None:
-            body += ip_guard(before) + survivor
-        else:
-            body += (
-                [f"if {before.ref('ver_ihl')} & 15 == 5:"]
-                + _indent(l4_guard(before, l4_at) + survivor)
-                + ["else:"]
-                + _indent(["v = unpack(d)"] + options_path() + accept(full)))
-        described += (formats,)
+        body += (
+            [f"if {before.ref('ver_ihl')} & 15 == 5:"]
+            + _indent(l4_guard(before, l4_at) + survivor)
+            + ["else:"]
+            + _indent([f"v = {unpack}(d)"] + options_path() + tested(full)))
+    return _Front(body, env, test_of, described + (formats,), wants_pay)
+
+
+def _generate(protocol: str, attributes: Sequence[str],
+              needed: FrozenSet[int],
+              prefilters: Sequence[Optional[Prefilter]] = (),
+              lean: bool = False, action: Optional[RowAction] = None):
+    """Source, environment and description (the :class:`Decoder` fields
+    after ``source``) of one block decoder; None for a lean form that
+    does not exist.
+
+    Guard, then prefix, then the row (:func:`_front`): a packet some
+    consumer keeps is a row.  Without an ``action`` the row is appended
+    to a block that reports the guard-passers (``passed``: rows plus
+    the packets every consumer's prefix killed).  With one -- a lone
+    consumer's -- its lines run right there on ``v``, ``p``, ``d``,
+    ``n`` and ``o``, the loop moves the consumer's
+    ``tuples_in``/``discarded`` in its ``finally`` by exactly the
+    packets it got through, and a :class:`Tally` comes back.
+    """
+    if action is not None and len(prefilters) > 1:
+        raise ValueError("a row action belongs to one consumer")
+
+    def accept(texts: List[str], test_of) -> List[str]:
+        """A packet no consumer keeps is counted and goes no further."""
+        if not texts or None in test_of:
+            return []
+        either = " or ".join(texts if len(texts) == 1
+                             else [f"({text})" for text in texts])
+        return [f"if not ({either}):", "    killed += 1", "    continue"]
+
+    testing = any(member is not None for member in prefilters)
+    front = _front(protocol, attributes, needed, prefilters, lean, accept,
+                   keep_offset=testing or action is not None)
+    if front is None:
+        return None
+    kills = testing and None not in front.test_of
+    env = dict(front.env, array=array, ColumnarBlock=ColumnarBlock,
+               Tally=Tally)
+    body = front.lines
     header = ["for p in packets:", "    d = p.data", "    n = len(d)"]
     if action is not None:
         # The consumer's own loop: run its action on the row right here.
-        spliced = action.render(row_columns)
+        spliced = action.render(front.described[3])
         env.update(spliced.env)
-        passed = "m + killed" if tests else "m"
+        passed = "m + killed" if kills else "m"
         lines = ["def decode(packets):"] + _indent(
-            (["killed = 0"] if tests else []) + ["m = 0"] + spliced.setup + [
+            (["killed = 0"] if kills else []) + ["m = 0"] + spliced.setup + [
                 "try:",
             ] + _indent(header) + _indent(
                 body + ["m += 1"] + spliced.body, 2) + [
                 "finally:",
                 f"    node.stats.tuples_in += {passed}",
-            ] + (["    node.stats.discarded += killed"] if tests else [])
+            ] + (["    node.stats.discarded += killed"] if kills else [])
             + _indent(spliced.finish) + [
                 f"return Tally({passed}, m)",
             ])
-        return "\n".join(lines) + "\n", env, described
-    body += ["va(v)", "pa(p)"]
+        return "\n".join(lines) + "\n", env, front.described
+    body = body + ["va(v)", "pa(p)"]
     setup = [
         "vals = []",
         "pkts = []",
@@ -706,60 +752,284 @@ def _generate(protocol: str, attributes: Sequence[str],
         "oa = pay.append",
     ]
     result = "vals, pkts, pay, packets"
-    if tests:
-        if wants_pay:
-            body.append("oa(o)")
+    if testing and front.wants_pay:
+        body.append("oa(o)")
+    if kills:
         setup.append("killed = 0")
         result += ", killed + len(vals)"
-    if listed:
-        body.append("i += 1")
-        setup.append("i = 0")
-        for j in range(len(tests)):
-            setup += [f"rows{j} = []", f"r{j} = rows{j}.append"]
-        result += ", (" + ", ".join(
-            "None" if j is None else f"rows{j}" for j in test_of) + ")"
     lines = ["def decode(packets):"] + _indent(setup + header) + _indent(
         body, 2) + [f"    return ColumnarBlock({result})"]
-    return "\n".join(lines) + "\n", env, described
+    return "\n".join(lines) + "\n", env, front.described
 
 
-def shared_rows_kernel(decoder: Decoder, action: RowAction,
-                       protocol: str) -> Tuple[Callable, str]:
-    """``(run, source)`` with ``run(block, rows)`` taking one member of
-    a decode group through the rows ``rows`` (ascending indices) of a
-    block that ``decoder`` -- the group's -- produced: the member's own
-    action, the very lines its lone decoder would run, under a header
-    that reads the row's names back off the block.
+# -- the block kernel ----------------------------------------------------------
 
-    The guard and the pushed prefixes ran in the shared loop, over the
-    whole block, before any member's action: the member's
-    ``tuples_in`` and its prefix's ``discarded`` move by the block's
-    tallies up front, everything the action does moves per row.
+
+class Member(NamedTuple):
+    """One LFTA as a block kernel takes it (``LftaNode.kernel_member``)."""
+
+    #: the attribute positions it reads
+    needed: FrozenSet[int]
+    #: its pushed prefix; None when it keeps every guard-passer
+    prefilter: Optional[Prefilter]
+    #: what it does with a row; the environment binds ``node``, whose
+    #: ``packets_seen``, ``columnar_blocks`` and counters the kernel
+    #: moves
+    action: RowAction
+
+
+class Section(NamedTuple):
+    """The members of one protocol on one interface, as one part of a
+    block kernel (``ProtocolSchema.kernel_section``): the guard once,
+    each distinct prefix once, then each member's rows."""
+
+    protocol: str
+    attributes: Tuple[str, ...]
+    members: Tuple[Member, ...]
+    #: run the two-struct form (where it exists)
+    lean: bool
+
+
+class Branch(NamedTuple):
+    """What a block kernel does with the packets of one interface."""
+
+    #: None: every packet of the block (the consumers bound to ``any``)
+    interface: Optional[str]
+    sections: Tuple[Section, ...]
+    #: also hand each packet on in the interface's run, for consumers
+    #: no section covers
+    collect: bool
+
+
+def block_kernel(branches: Sequence[Branch]) -> Tuple[Callable, str]:
+    """``(kernel, source)``: the one loop over a block that routes every
+    packet and does every covered member's work on it, ``kernel(packets)
+    -> BlockTally``.
+
+    Per packet it reads ``d`` and ``n`` once and adds ``n`` to the
+    block's captured bytes; runs the sections of the branch without an
+    interface; then, branching on ``p.interface``, appends the packet to
+    its interface's run when that branch collects one and runs the
+    branch's sections in order.  A failed guard ends its section, not
+    the packet.  A lone member's section is its own guard, prefix and
+    action, in the form ``Section.lean`` asks for; a decode group tests
+    its guard and each distinct prefix once and then hands each member
+    the rows it keeps.  Each member runs under its own ``try``: one that
+    raises stops at that row, is listed in ``BlockTally.failed`` and
+    skipped for the rest of the block while its siblings finish it.
+    The loop's ``finally`` moves every member's ``packets_seen``,
+    ``columnar_blocks``, ``tuples_in`` and ``discarded`` exactly as the
+    member's own loop over its interface's run would, then runs the
+    action's own closing lines (which emit its rows).
+
+    Names: member *g*'s action keeps its own with ``_g`` appended
+    (``node_g``, ``out_g``, ...), and so do its counters ``live_g``,
+    ``m_g`` (rows) and ``killed_g`` (lone) or ``passed_g`` (group);
+    section *s*'s structs, parameter dicts and guard-passer count end
+    in ``_s``.
     """
-    spliced = action.render(decoder.columns)
-    reads = {decoder.columns[index] for index in action.slots}
-    names = ["v = vals[j]", "p = pkts[j]"]
-    if reads & {_DATA_SOURCE, _META_SOURCES["caplen"]}:
-        names.append("d = p.data")
-    if _META_SOURCES["caplen"] in reads:
-        names.append("n = len(d)")
-    if _DATA_SOURCE in reads:
-        names.append("o = pay[j]")
-    lines = ["def run(block, rows):"] + _indent([
-        "vals = block.vals",
-        "pkts = block.pkts",
-        "pay = block.pay",
-        "node.stats.tuples_in += block.passed",
-        "node.stats.discarded += block.passed - len(rows)",
-    ] + spliced.setup + [
+    env: Dict[str, object] = {"BlockTally": BlockTally}
+    setup = ["nbytes = 0", "failed = []", "fail = failed.append"]
+    finish: List[str] = []
+    rows: List[str] = []
+    runs: List[str] = []
+    #: the steps every packet takes, then each interface's
+    everywhere: List[List[str]] = []
+    arms: List[Tuple[str, List[List[str]]]] = []
+
+    def closing(g: int, seen: str, lines: List[str]) -> List[str]:
+        """Member *g*'s share of the ``finally``: its own loop's counter
+        moves for a run of ``seen`` packets.  A member is reported
+        once, for the first error it raised."""
+        return ["try:"] + _indent([
+            f"if {seen}:",
+            f"    node_{g}.packets_seen += {seen}",
+            f"    node_{g}.columnar_blocks += 1",
+        ] + lines) + ["except Exception as error:", f"    if live_{g}:",
+                      f"        fail(({g}, error))"]
+
+    def stopped(g: int, passed: Optional[str] = None) -> List[str]:
+        """Member *g* raised: it takes no further row of the block."""
+        return ["except Exception as error:", f"    live_{g} = False"] + (
+            [f"    passed_{g} = {passed}"] if passed else []) + [
+            f"    fail(({g}, error))"]
+
+    def action_of(g: int, member: Member, front: _Front) -> ActionSource:
+        spliced = _renamed(member.action.render(front.described[3]), f"_{g}")
+        if any(line.lstrip().startswith(("for ", "while "))
+               for line in spliced.body):
+            raise ValueError("a row action in a block kernel may not loop")
+        env.update(spliced.env)
+        setup.extend(spliced.setup)
+        rows.append(f"m_{g}")
+        return spliced
+
+    def front_of(section: Section, s: int, needed, prefilters, accept):
+        front = None
+        if section.lean:
+            front = _front(section.protocol, section.attributes, needed,
+                           prefilters, True, accept, f"_s{s}")
+        if front is None:
+            front = _front(section.protocol, section.attributes, needed,
+                           prefilters, False, accept, f"_s{s}")
+        env.update(front.env)
+        return front
+
+    def lone(section: Section, s: int, g: int, seen: str) -> List[str]:
+        member, = section.members
+        testing = member.prefilter is not None
+
+        def accept(texts: List[str], _) -> List[str]:
+            if not texts:
+                return []
+            return [f"if not ({texts[0]}):", f"    killed_{g} += 1",
+                    "    continue"]
+        front = front_of(section, s, member.needed,
+                         (member.prefilter,) if testing else (), accept)
+        setup.extend([f"live_{g} = True", f"m_{g} = 0"]
+                     + ([f"killed_{g} = 0"] if testing else []))
+        spliced = action_of(g, member, front)
+        if testing:
+            counts = [f"node_{g}.stats.tuples_in += m_{g} + killed_{g}",
+                      f"node_{g}.stats.discarded += killed_{g}"]
+        else:
+            counts = [f"node_{g}.stats.tuples_in += m_{g}"]
+        finish.extend(closing(g, seen, counts + spliced.finish))
+        return [f"if live_{g}:"] + _indent(["try:"] + _indent(
+            front.lines + [f"m_{g} += 1"] + spliced.body) + stopped(g))
+
+    def group(section: Section, s: int, first: int, seen: str) -> List[str]:
+        members = section.members
+        passed = f"passed_s{s}"
+
+        def accept(texts: List[str], test_of) -> List[str]:
+            """Counted once the tests ran; ended when nobody keeps it."""
+            if not texts:
+                return [f"{passed} += 1"]
+            if set(test_of) == {0}:
+                return [f"if not ({texts[0]}):", f"    {passed} += 1",
+                        "    continue", f"{passed} += 1"]
+            lines = [f"keep{j} = {text}" for j, text in enumerate(texts)]
+            lines.append(f"{passed} += 1")
+            if None not in test_of:
+                lines += ["if not (" + " or ".join(
+                    f"keep{j}" for j in range(len(texts))) + "):",
+                          "    continue"]
+            return lines
+        front = front_of(
+            section, s, frozenset().union(*(m.needed for m in members)),
+            [member.prefilter for member in members], accept)
+        setup.append(f"{passed} = 0")
+        positions = range(first, first + len(members))
+        lines = ["try:"] + _indent(front.lines) + [
+            "except Exception as error:"] + _indent([
+                line for g in positions for line in [
+                    f"if live_{g}:", f"    live_{g} = False",
+                    f"    passed_{g} = {passed}", f"    fail(({g}, error))"]
+            ] + ["continue"])
+        one_test = set(front.test_of) == {0}
+        for g, member, test in zip(positions, members, front.test_of):
+            setup.extend([f"live_{g} = True", f"m_{g} = 0", f"passed_{g} = 0"])
+            spliced = action_of(g, member, front)
+            finish.extend(closing(g, seen, [
+                f"if live_{g}:",
+                f"    passed_{g} = {passed}",
+                f"node_{g}.stats.tuples_in += passed_{g}",
+                f"node_{g}.stats.discarded += passed_{g} - m_{g}",
+            ] + spliced.finish))
+            keeps = "" if test is None or one_test else f" and keep{test}"
+            lines += _ended([f"if live_{g}{keeps}:"] + _indent(
+                ["try:"] + _indent([f"m_{g} += 1"] + spliced.body)
+                + stopped(g, passed)), g == positions[-1])
+        return lines
+
+    sections = 0
+    for b, branch in enumerate(branches):
+        steps: List[List[str]] = []
+        seen = "len(packets)"
+        if branch.interface is not None and branch.sections:
+            seen = f"seen{b}"
+            setup.append(f"{seen} = 0")
+            steps.append([f"{seen} += 1"])
+        if branch.collect:
+            setup += [f"run{b} = []", f"ra{b} = run{b}.append"]
+            runs.append(f"run{b}")
+            steps.append([f"ra{b}(p)"])
+        for section in branch.sections:
+            steps.append((lone if len(section.members) == 1 else group)(
+                section, sections, len(rows), seen))
+            sections += 1
+        if branch.interface is None:
+            everywhere.extend(steps)
+        elif steps:
+            arms.append((branch.interface, steps))
+
+    body = ["d = p.data", "n = len(d)", "nbytes += n"]
+    for i, step in enumerate(everywhere):
+        body += _ended(step, not arms and i == len(everywhere) - 1)
+    if arms:
+        body.append("where = p.interface")
+        for k, (interface, steps) in enumerate(arms):
+            body.append(f"{'elif' if k else 'if'} where == {interface!r}:")
+            body += _indent([line for i, step in enumerate(steps)
+                             for line in _ended(step, i == len(steps) - 1)])
+    collected = "".join(f"{run}, " for run in runs)
+    lines = ["def kernel(packets):"] + _indent(setup + [
         "try:",
-        "    for j in rows:",
-    ] + _indent(names + spliced.body, 2) + [
-        "finally:",
-    ] + _indent(spliced.finish))
+        "    for p in packets:",
+    ] + _indent(body, 2) + ["finally:"] + _indent(finish or ["pass"]) + [
+        f"return BlockTally({' + '.join(rows) or 0}, nbytes, "
+        f"({collected.rstrip(' ')}), failed)",
+    ])
     source = "\n".join(lines) + "\n"
-    exec(_compiled(source, protocol), spliced.env)
-    return spliced.env["run"], source
+    exec(_compiled(source, "kernel"), env)
+    return env["kernel"], source
+
+
+def _ended(lines: List[str], last: bool) -> List[str]:
+    """``lines`` as one step of a packet's work.  Where they end early
+    (``continue``) they end only themselves: inside a one-pass ``while``
+    their ``continue`` is a ``break`` -- unless nothing follows them in
+    the packet's loop.  The lines hold no loop of their own but such
+    one-pass ones, whose early ends are ``break`` already."""
+    if last or not any(line.strip() == "continue" for line in lines):
+        return lines
+    return ["while True:"] + _indent([
+        line.replace("continue", "break") if line.strip() == "continue"
+        else line for line in lines] + ["break"])
+
+
+#: names a row action reads without owning them: the row's and Python's
+_SHARED_NAMES = frozenset(ROW_NAMES) | frozenset(dir(builtins))
+
+
+def _renamed(spliced: ActionSource, suffix: str) -> ActionSource:
+    """``spliced`` with ``suffix`` on every name it binds or takes from
+    its environment -- all but the row's and the builtins -- so the
+    actions of several members can share one function."""
+    def rename(lines: List[str]) -> List[str]:
+        if not lines:
+            return lines
+        text = "\n".join(lines) + "\n"
+        ends = []
+        previous = ""
+        for token in tokenize.generate_tokens(io.StringIO(text).readline):
+            if (token.type == tokenize.NAME and previous != "."
+                    and not keyword.iskeyword(token.string)
+                    and token.string not in _SHARED_NAMES):
+                ends.append(token.end)
+            if token.type in (tokenize.NAME, tokenize.OP, tokenize.NUMBER,
+                              tokenize.STRING):
+                previous = token.string
+        out = list(lines)
+        for row, col in reversed(ends):
+            out[row - 1] = out[row - 1][:col] + suffix + out[row - 1][col:]
+        return out
+
+    return ActionSource(
+        rename(spliced.setup), rename(spliced.body), rename(spliced.finish),
+        {name + suffix: value for name, value in spliced.env.items()
+         if not name.startswith("__")})
 
 
 def _indent(lines: Sequence[str], levels: int = 1) -> List[str]:
@@ -784,13 +1054,12 @@ def prefix_readable(attribute: str) -> bool:
 def decode_block(packets: Sequence[CapturedPacket], decode: Callable):
     """The one per-block decode entry (``ProtocolSchema.columnar_decoder``).
 
-    Every block decode of a run -- the RTS's shared decode and an
+    Every generated loop of a run -- the RTS's block kernel and an
     LFTA's own fused loop -- goes through the schema attribute holding
     this function, so whoever replaces that attribute (the benchmark's
-    outside-in ``net.decode`` span) sees each block decode exactly once.
-    ``decode`` is the generated loop to run; what comes back counts the
-    block under ``passed`` and ``n`` (a :class:`ColumnarBlock` or a
-    :class:`Tally`).
+    outside-in ``net.decode`` span) sees each exactly once.  ``decode``
+    is the loop to run; what comes back counts its rows under ``n`` (a
+    :class:`BlockTally`, a :class:`Tally` or a :class:`ColumnarBlock`).
     """
     return decode(packets)
 

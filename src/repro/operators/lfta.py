@@ -23,16 +23,15 @@ when the node is built (DESIGN section 14):
   spliced in right behind: sample draw, remaining conjuncts, then the
   projection or key, window check, table probe and fold.  When most
   tuples die on the prefix the lean form of the same loop runs
-  (:attr:`LftaNode.prefers_lean`).  The RTS may hand the block over
-  already decoded -- LFTAs on one interface share one decode of the
-  union of their fields, with each member's own rows of it -- and the
-  node runs the same action over those rows
-  (:meth:`LftaNode.bind_shared_decode`), but only when the block decoded
-  the very list it is about to process (``block.packets is packets``);
-  whenever its own list differs (the shed gate kept a subset, an
-  injected fault delivered a prefix, journal replay or the NIC runtime
-  handed packets over directly) it runs its own loop on its own list,
-  through the same call site;
+  (:attr:`LftaNode.prefers_lean`).  On the RTS's packet path the node
+  does not run that loop at all: it is a member of the RTS's *block
+  kernel* (:meth:`LftaNode.kernel_member`), one generated loop over
+  the whole block in which every LFTA's guard, prefix and action sit,
+  and which moves this node's counters exactly as its own loop would.
+  The node runs its own loop on its own list whenever the kernel does
+  not cover it (the shed gate is on, an injected fault wraps
+  ``accept_batch``, journal replay or the NIC runtime hands packets
+  over directly);
 * every other protocol, and ``interpreted`` mode, runs the action under
   the generic row adapter's header (``ExprCompiler.lfta_adapter_fn``
   around ``ProtocolSchema.sparse_interpreter``).
@@ -60,7 +59,7 @@ from repro.core.query_node import QueryNode
 from repro.gsql.codegen import ExprCompiler
 from repro.gsql.planner import LftaPlan
 from repro.gsql.semantic import AnalyzedQuery
-from repro.net.columnar import shared_rows_kernel
+from repro.net.columnar import Member
 from repro.net.packet import CapturedPacket
 from repro.operators.aggregates import AggregateOps
 from repro.operators.base import apply_transforms, key_bound_fn, output_bound_transforms
@@ -137,24 +136,22 @@ class LftaNode(QueryNode):
         # plan's row action inside it.
         needed = plan.needed_fields(analyzed)
         #: the conjuncts this node's decoder tests in its own loop, as a
-        #: shared decoder must be generated with them (None: this node
-        #: keeps every guard-passing packet, or is on the row adapter)
+        #: block kernel must test them for it (None: this node keeps
+        #: every guard-passing packet, or is on the row adapter)
         self.prefilter = compiler.prefilter(plan.predicates[:plan.prefix])
         #: what this node does with a row that passed the prefix
         self._action = compiler.lfta_action(
             plan, self, plan.prefix if self.prefilter is not None else 0)
         self._decoder = compiler.block_decoder_fn(
             self.protocol, needed, self.prefilter, action=self._action)
-        #: attribute positions a shared decode must cover for this node
-        #: (read by the RTS when it groups an interface's LFTAs); None
-        #: on the row adapter
+        #: attribute positions a block kernel must cover for this node;
+        #: None on the row adapter
         self.decode_fields: Optional[List[int]] = (
             needed if self._decoder is not None else None)
         self._lean_decoder = None
-        #: ``f(block, rows)`` over a decode group's shared block
-        #: (:meth:`bind_shared_decode`); its source joins the decoders'
-        self._shared_rows = None
-        self._sources = compiler.generated_sources
+        #: keeps the source of a block kernel this node runs in with
+        #: the code generated for its query (once)
+        self.record_source = compiler.record_source
         self.columnar_blocks = 0
         if self._decoder is not None:
             self._decode_block = self.protocol.columnar_decoder
@@ -232,41 +229,36 @@ class LftaNode(QueryNode):
         return CardFilter(
             self.protocol.block_decoder(prefix.slots, (prefix,)))
 
-    def bind_shared_decode(self, decoder) -> None:
-        """Generate this node's loop over the rows of blocks that
-        ``decoder`` -- a decode group's, covering this node's fields --
-        produces: the same row action as its own decoder runs, under a
-        header that reads a row back off the block.  The RTS calls
-        this when it forms the group."""
-        self._shared_rows, source = shared_rows_kernel(
-            decoder, self._action, self.protocol.name)
-        if source not in self._sources:
-            self._sources.append(source)
+    def kernel_member(self) -> Optional[Member]:
+        """This node as the RTS's block kernel takes it: the fields it
+        reads, its pushed prefix and its row action, all of which the
+        kernel runs in place of :meth:`accept_batch` -- or None when a
+        kernel cannot: the node is on the row adapter, or its
+        ``accept_batch`` is not this class's own (an injected fault's
+        wrap, a subclass's).  The shed gate is the RTS's to check: a
+        shedding node takes its blocks through :meth:`accept_batch`."""
+        if (self._decoder is None or "accept_batch" in vars(self)
+                or type(self).accept_batch is not LftaNode.accept_batch):
+            return None
+        return Member(frozenset(self.decode_fields), self.prefilter,
+                      self._action)
 
-    def accept_batch(self, packets, views=None, block=None, rows=None) -> None:
+    def accept_batch(self, packets, views=None) -> None:
         """One block of packets through the LFTA (DESIGN section 10).
 
-        ``block`` is the RTS's shared decode of ``packets`` when this
-        node's interface has one, and ``rows`` the indices of the rows
-        in it that passed this node's pushed prefix (None: all of
-        them); they are used only if the block decoded the very list
-        this node is about to decode.
-
         The result does not depend on how the packet stream was cut
-        into blocks, nor on which front end runs, nor on who decoded:
-        the shed gate draws once per packet in arrival order *before*
-        decoding; then one generated loop takes each packet from its
-        bytes to this node's state -- the protocol guard (counted into
-        ``tuples_in``), the pushed prefix (a kill is counted
-        ``discarded``; none for a sampled plan, so the per-row sample
-        draws line up), the sample draw, the remaining conjuncts in
-        order, and the projection or the table update -- before it
-        touches the next, and moves every counter in its ``finally``.
-        An exception at packet *k* therefore leaves counters, table
-        and emitted rows as *k* blocks of one would.  (On a shared
-        block the guard and the prefix ran for the whole block before
-        any member's row: those two tallies move per block, pinned by
-        ``tests/test_row_exactness.py::TestDecodeGroupMember``.)
+        into blocks, nor on which front end runs, nor on whether this
+        loop or the RTS's block kernel runs it: the shed gate draws once
+        per packet in arrival order *before* decoding; then one
+        generated loop takes each packet from its bytes to this node's
+        state -- the protocol guard (counted into ``tuples_in``), the
+        pushed prefix (a kill is counted ``discarded``; none for a
+        sampled plan, so the per-row sample draws line up), the sample
+        draw, the remaining conjuncts in order, and the projection or
+        the table update -- before it touches the next, and moves every
+        counter in its ``finally``.  An exception at packet *k*
+        therefore leaves counters, table and emitted rows as *k* blocks
+        of one would.
         """
         self.packets_seen += len(packets)
         if self.shed_rate < 1.0:
@@ -281,13 +273,9 @@ class LftaNode(QueryNode):
             self._adapter(packets, repeat(None) if views is None else views)
             return
         self.columnar_blocks += 1
-        if block is not None and block.packets is packets:
-            self._shared_rows(
-                block, range(block.n) if rows is None else rows)
-        else:
-            self._decode_block(
-                packets, self._lean_decoder if self.prefers_lean
-                else self._decoder)
+        self._decode_block(
+            packets, self._lean_decoder if self.prefers_lean
+            else self._decoder)
 
     def _flush_below(self, low_water) -> None:
         """Close every group whose window key is below ``low_water``."""

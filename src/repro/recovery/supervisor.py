@@ -337,7 +337,7 @@ class RecoverySupervisor:
         # node stays registered, wired, and uncounted in the
         # containment ledger.
         node.quarantined = f"recovering: {type(error).__name__}: {error}"
-        self.rts._batch_plans.clear()
+        self.rts._replan()
         self._suspended[name] = _Suspension(node, error, retry_at)
         return True
 
@@ -350,7 +350,7 @@ class RecoverySupervisor:
             del self._suspended[name]
             node = suspension.node
             node.quarantined = None
-            self.rts._batch_plans.clear()
+            self.rts._replan()
             if self.restarts.get(name, 0) >= self.max_restarts:
                 self.retries_exhausted += 1
                 self.rts._quarantine(node, suspension.error)

@@ -36,7 +36,8 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.core.channels import Channel, ChannelStats
 from repro.core.engine import Gigascope, refuses
 from repro.core.heartbeat import FLUSH
-from repro.core.stream_manager import RegistryError, Subscription
+from repro.core.stream_manager import (RegistryError, Subscription,
+                                       check_pump_every)
 from repro.obs.collectors import node_snapshot
 from repro.obs.ledger import Field, Ledger, install
 from repro.obs.registry import MetricsRegistry
@@ -340,8 +341,10 @@ class ShardedGigascope:
         Blocks until every live shard has delivered its ``end`` frame
         (restarting or quarantining the ones that die on the way).
         Merged output becomes visible to subscriptions at
-        :meth:`flush`.
+        :meth:`flush`.  ``pump_every`` is refused before any worker is
+        forked unless it is a positive integer.
         """
+        check_pump_every(pump_every)
         if not self._started:
             raise RegistryError("RTS not started; call start() first")
         if not isinstance(packets, list):

@@ -444,10 +444,7 @@ class FrozenLfta(LftaNode):
         return (self._plain_lean is not None
                 and 2 * stats.discarded > stats.tuples_in)
 
-    def accept_batch(self, packets, views=None, block=None, rows=None,
-                     shared=None) -> None:
-        """``shared`` is the decoder that produced ``block`` (the block
-        no longer knows how to read itself)."""
+    def accept_batch(self, packets, views=None) -> None:
         self.packets_seen += len(packets)
         weight = 1.0
         if self.shed_rate < 1.0:
@@ -462,17 +459,13 @@ class FrozenLfta(LftaNode):
         stats = self.stats
         if self._decoder is not None:
             # Rows are indices into the decoded block.
-            if block is None or block.packets is not packets:
-                shared = (self._plain_lean if self.prefers_lean
-                          else self._plain)
-                block = self._decode_block(packets, shared.decode)
-                rows = None
+            decoder = self._plain_lean if self.prefers_lean else self._plain
+            block = self._decode_block(packets, decoder.decode)
             self.columnar_blocks += 1
-            if rows is None:
-                rows = range(block.n)
+            rows = range(block.n)
             stats.tuples_in += block.passed
-            stats.discarded += block.passed - len(rows)
-            block = Columns(shared, block)
+            stats.discarded += block.passed - block.n
+            block = Columns(decoder, block)
         else:
             block = None
             rows = []

@@ -321,6 +321,36 @@ class TestLifecycle:
         with pytest.raises(RegistryError):
             gs.add_query("DEFINE query_name q; Select len From tcp")
 
+    @pytest.mark.parametrize("pump_every", [0, -4, 2.5])
+    @pytest.mark.parametrize("facade", ["single", "shards", "standby"])
+    def test_pump_every_is_refused_before_anything_is_fed(
+            self, monkeypatch, facade, pump_every):
+        """Not a crash deep inside the feed loop, and on the sharded
+        engine not silent data loss: every facade refuses the value
+        before a packet is fed or a worker is forked."""
+        from repro.replication import ReplicatedGigascope
+        from repro.shard import ShardedGigascope
+
+        def fork(*args):
+            raise AssertionError("a worker was started")
+        monkeypatch.setattr(ShardedGigascope, "_spawn", fork)
+        gs = {"single": lambda: Gigascope(metrics=False),
+              "shards": lambda: ShardedGigascope(2, metrics=False),
+              "standby": lambda: ReplicatedGigascope(metrics=False)}[facade]()
+        gs.add_query("DEFINE query_name q; Select time From tcp")
+        sub = gs.subscribe("q")
+        gs.start()
+        with pytest.raises(ValueError, match=(
+                f"pump_every must be a positive integer, got {pump_every}")):
+            gs.feed(make_traffic(40), pump_every=pump_every)
+        gs.flush()
+        assert sub.poll() == []
+        if facade == "shards":
+            assert gs.generations == 0
+        else:
+            engine = gs if facade == "single" else gs.primary
+            assert engine.rts.packets_fed == 0
+
 
 class TestModes:
     def test_interpreted_matches_compiled(self):

@@ -13,13 +13,16 @@ must be equal -- over ``tests/test_prefilter.py``'s corpus (truncations,
 IP options, TCP options, fragments, snapped frames) and its 18 conjunct
 shapes, for header-only and ``data`` payload plans, under shedding with
 the Horvitz-Thompson weight, with a ``DEFINE sample`` draw, through the
-lean form and the full one, as a decode-group member and alone, and
-across a snapshot/restore in the middle of the run.  CI's
+lean form and the full one, as a member of a block kernel's decode
+group and alone, and across a snapshot/restore in the middle of the
+run.  CI's
 ``columnar-smoke`` job runs this file under two hash seeds.
 
 Nothing here raises mid-block: what an exception leaves behind is the
 one place the two differ by design (``tests/test_row_exactness.py``).
 """
+
+import re
 
 import pytest
 
@@ -29,6 +32,7 @@ from repro.gsql.parser import parse_query
 from repro.gsql.planner import plan_query
 from repro.gsql.schema import builtin_registry
 from repro.gsql.semantic import analyze
+from repro.net.columnar import Branch, block_kernel
 from repro.operators.lfta import LftaNode
 from repro.recovery.wire import decode_snapshot, encode_snapshot
 
@@ -56,10 +60,6 @@ def build(cls, compiler, text, params=None, mode="compiled", **kwargs):
     #: the decode loops its compiler generated for it, full then lean
     node.loops = [source for source in compiler.generated_sources
                   if source.startswith("def decode(")]
-    #: ... and, once bound to a shared decoder, its loops over a block
-    node.member_loops = lambda: [
-        source for source in compiler.generated_sources
-        if source.startswith("def run(")]
     return node
 
 
@@ -294,7 +294,7 @@ class TestSampleDrawOrder:
 
 
 class TestGroupMemberEqualsAlone:
-    """The same action source under a shared block's row header."""
+    """The same action source inside the block kernel's section."""
 
     MEMBERS = [
         ("Select time, srcIP, destPort From tcp Where destPort = 80", None),
@@ -311,33 +311,32 @@ class TestGroupMemberEqualsAlone:
         return [build(cls, compiler, "DEFINE query_name q; " + text, params,
                       table_size=7) for text, params in self.MEMBERS]
 
+    @staticmethod
+    def kernel(nodes, lean=False):
+        """One block kernel over ``nodes`` -- one section, as the RTS
+        makes for LFTAs of one protocol on one interface."""
+        section = REGISTRY.get("tcp").kernel_section(
+            [node.kernel_member() for node in nodes], lean)
+        return block_kernel([Branch("eth0", (section,), False)])
+
     @pytest.mark.parametrize("size", BLOCK_SIZES)
     @pytest.mark.parametrize("lean", [False, True])
     def test_member_of_a_shared_block(self, size, lean):
         """Three ways through the same packets: alone (own fused
-        decoder), as a member (shared block, own rows), and the frozen
-        path reading that shared block column by column."""
-        tcp = REGISTRY.get("tcp")
+        decoder), as a member (the kernel's section: one guard, each
+        prefix once, its own action), and the frozen path."""
         alone = self.members(LftaNode, ExprCompiler)
         grouped = self.members(LftaNode, ExprCompiler)
         frozen = self.members(FrozenLfta, FrozenCompiler)
         if lean:  # the member that keeps everything rules a lean form out
             alone, grouped, frozen = alone[:3], grouped[:3], frozen[:3]
-        union = set().union(*(node.decode_fields for node in grouped))
-        prefilters = [node.prefilter for node in grouped]
-        shared = tcp.block_decoder(union, prefilters, lean=lean)
-        assert shared is not None
-        full = tcp.block_decoder(union, prefilters)
-        for node in grouped:
-            node.bind_shared_decode(full)
+        run, source = self.kernel(grouped, lean)
+        assert ("unpack_b_s0" in source) == lean
         for packets in blocks(CORPUS, size):
-            block = shared.decode(packets)
-            for slot, nodes in enumerate(zip(alone, grouped, frozen)):
-                rows = None if block.rows is None else block.rows[slot]
-                nodes[0].accept_batch(packets)
-                nodes[1].accept_batch(packets, None, block, rows)
-                nodes[2].accept_batch(packets, None, block, rows,
-                                      shared=full)
+            run(packets)
+            for nodes in zip(alone, frozen):
+                for node in nodes:
+                    node.accept_batch(packets)
         for nodes in zip(alone, grouped, frozen):
             for node in nodes:
                 node.flush()
@@ -346,49 +345,36 @@ class TestGroupMemberEqualsAlone:
             assert expected[0]
 
     def test_member_source_is_the_lone_decoders_action(self):
-        tcp = REGISTRY.get("tcp")
         grouped = self.members(LftaNode, ExprCompiler)
-        union = set().union(*(node.decode_fields for node in grouped))
-        narrow = tcp.block_decoder(grouped[0].decode_fields,
-                                   [grouped[0].prefilter])
-        for decoder in (narrow,
-                        tcp.block_decoder(union, [node.prefilter
-                                                  for node in grouped])):
-            grouped[0].bind_shared_decode(decoder)
-            source = grouped[0].member_loops()[-1]
-            assert "for j in rows:" in source and "unpack" not in source
-        # over a decoder of exactly its own fields the action is, line
-        # for line, the one inside its own loop
-        grouped[0].bind_shared_decode(narrow)
-        assert len(grouped[0].member_loops()) == 2  # one per decoder
-        member = grouped[0].member_loops()[0].split("p = pkts[j]\n")[1]
-        own = grouped[0].loops[0].split("m += 1\n")[1]
-        strip = lambda text: [line.strip() for line in text.splitlines()
-                              if "tuples_in" not in line
-                              and "killed" not in line
-                              and not line.strip().startswith("return")]
+        _, source = self.kernel(grouped)
+        # one guard for the group, each member's action once
+        assert source.count("unpack_s0(d)") == 1
+        assert all(f"m_{g} += 1" in source for g in range(len(grouped)))
+        # over a section of exactly its own fields the action is, line
+        # for line and but for its names' suffix, the one inside its
+        # own loop
+        _, source = self.kernel(grouped[:1])
+        member = source.split("m_0 += 1\n")[1].split(
+            "except Exception as error:")[0]
+        own = grouped[0].loops[0].split("m += 1\n")[1].split("finally:")[0]
+        strip = lambda text: [re.sub(r"\b(\w+)_0\b", r"\1", line.strip())
+                              for line in text.splitlines()]
         assert strip(member) == strip(own)
 
     def test_a_block_of_another_list_is_not_used(self):
-        """The shed gate kept a subset: the member decodes for itself."""
-        tcp = REGISTRY.get("tcp")
-        alone, member = (self.members(LftaNode, ExprCompiler)[:2]
-                         for _ in range(2))
-        shared = tcp.block_decoder(
-            set().union(*(node.decode_fields for node in member)),
-            [node.prefilter for node in member])
-        for nodes in (alone, member):
-            for node in nodes:
-                node.set_shed_rate(0.5)
-        for node in member:
-            node.bind_shared_decode(shared)
-        for packets in blocks(CORPUS, 7):
-            block = shared.decode(packets)
-            for slot, (one, other) in enumerate(zip(alone, member)):
-                one.accept_batch(packets)
-                other.accept_batch(packets, None, block, block.rows[slot])
-        for one, other in zip(alone, member):
-            assert observe(one) == observe(other)
+        """The shed gate keeps a subset: the kernel does not cover a
+        shedding LFTA, which decodes its own list."""
+        queries = [f"DEFINE query_name m{i}; {text}"
+                   for i, (text, params) in enumerate(self.MEMBERS[:2])]
+
+        def setup(gs):
+            for name in ("m0", "_fta_m1_0"):
+                shed(name)(gs)
+        shared = assert_same_as_alone(queries, CORPUS, setup=setup)
+        plan = shared.rts._block_plan()
+        assert not plan.members
+        (interface, run_plan), = plan.runs
+        assert interface == "eth0" and len(run_plan.entries) == 2
 
     @pytest.mark.parametrize("batch_size", BLOCK_SIZES)
     def test_engine_group_equals_each_query_alone(self, batch_size):
@@ -396,10 +382,12 @@ class TestGroupMemberEqualsAlone:
                    for i, (text, params) in enumerate(self.MEMBERS)
                    if params is None]
         shared = assert_same_as_alone(queries, CORPUS, batch_size=batch_size)
-        group, = shared.rts._plan_for("eth0").decoders
-        assert len(group.members) == 4
-        assert "kernel=shared-block rows" in shared.explain("m0")
-        assert shared.generated_code("m0").count("for j in rows:") == 1
+        branch, = shared.rts._block_plan().branches
+        section, = branch.sections
+        assert len(section.members) == 4
+        assert "kernel=[guard, prefixes, member actions]" in shared.explain(
+            "m0")
+        assert shared.generated_code("m0").count("def kernel(") == 1
 
     def test_engine_group_under_shedding(self):
         queries = [f"DEFINE query_name m{i}; {text}"
@@ -521,7 +509,7 @@ class TestExplainNamesTheKernel:
             "DEFINE query_name a; Select time From tcp Where destPort = 80",
             "DEFINE query_name b; Select time, srcIP From tcp")
         assert "kernel=[guard, prefix, select]" in text   # alone, or shed
-        assert text.count("kernel=shared-block rows") == 1
+        assert text.count("kernel=[guard, prefixes, member actions]") == 1
 
     def test_run_cache_key_per_aggregation(self):
         raw = self.explain(

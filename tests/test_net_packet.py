@@ -1,5 +1,8 @@
 """Tests for address helpers and the captured-packet container."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.net.packet import (
@@ -74,6 +77,19 @@ class TestCapturedPacket:
         packet = CapturedPacket(timestamp=0.0, data=b"ab", orig_len=100)
         assert packet.truncated
         assert packet.orig_len == 100
+
+    def test_slotted(self):
+        packet = CapturedPacket(timestamp=1.5, data=b"abc", interface="eth1")
+        assert not hasattr(packet, "__dict__")
+        with pytest.raises(AttributeError):
+            packet.vlan = 7
+        for twin in (copy.copy(packet), copy.deepcopy(packet),
+                     pickle.loads(pickle.dumps(packet))):
+            assert twin == packet and twin is not packet
+            assert (twin.timestamp, twin.data, twin.interface,
+                    twin.orig_len) == (1.5, b"abc", "eth1", 3)
+        assert packet != CapturedPacket(timestamp=1.5, data=b"abd",
+                                        interface="eth1")
 
 
 class TestReaders:

@@ -28,6 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Gigascope
+from repro.core.query_node import NodeStats
 from repro.faults import OperatorFault
 from repro.gsql import planner
 from repro.gsql.codegen import ExprCompiler
@@ -37,12 +38,14 @@ from repro.gsql.planner import SNAPLEN_HEADERS, plan_query
 from repro.gsql.schema import builtin_registry
 from repro.gsql.semantic import analyze
 from repro.net.build import build_tcp_frame, build_udp_frame
+from repro.net.columnar import (ActionSource, Branch, Member, RowAction,
+                                block_kernel)
 from repro.net.packet import CapturedPacket
 from repro.nic import Nic
 from repro.operators.lfta import LftaNode
 from repro.recovery.wire import decode_snapshot, encode_snapshot
 
-from tests.frozen_decode_select import col, gather
+from tests.frozen_decode_select import col
 from tests.test_columnar import _corpus, _with_ip_options
 from tests.test_shared_decode import assert_same_as_alone, shed
 
@@ -373,6 +376,30 @@ def member(where, params=None, fields="time, srcIP, destPort"):
             compiler.prefilter(lfta.predicates[:lfta.prefix]))
 
 
+class Recorder:
+    """Stands in for an LFTA inside a block kernel: keeps what its row
+    action emitted, and the counters the kernel moves."""
+
+    def __init__(self):
+        self.stats = NodeStats()
+        self.packets_seen = self.columnar_blocks = 0
+        self.rows = []
+
+    def emit_many(self, rows):
+        self.rows.extend(rows)
+
+
+def recording(node, fields, prefilter):
+    """A kernel member whose row action emits ``(p, *fields)``."""
+    def render(columns):
+        values = ", ".join(columns[index] for index in sorted(fields))
+        return ActionSource(["out = []", "emit = out.append"],
+                            [f"emit((p, {values}))"],
+                            ["node.emit_many(out)"], {"node": node})
+    return Member(frozenset(fields), prefilter,
+                  RowAction(frozenset(fields), render))
+
+
 class TestGroupMembersSeeOnlyTheirRows:
     MEMBERS = [
         ("destPort = 80", None),
@@ -389,6 +416,16 @@ class TestGroupMembersSeeOnlyTheirRows:
         prefilters = [prefilter for _, prefilter in parts]
         return tcp, parts, union, prefilters
 
+    def kernel(self, tcp, parts):
+        """The block kernel of one decode group of ``parts``, each
+        member a :class:`Recorder`."""
+        nodes = [Recorder() for _ in parts]
+        section = tcp.kernel_section([
+            recording(node, fields, prefilter)
+            for node, (fields, prefilter) in zip(nodes, parts)])
+        run, source = block_kernel([Branch("eth0", (section,), False)])
+        return run, source, nodes
+
     @pytest.mark.parametrize("size", BLOCK_SIZES)
     @pytest.mark.parametrize("keeps_all", [False, True])
     def test_each_member_gets_what_its_own_decoder_keeps(self, size,
@@ -396,33 +433,41 @@ class TestGroupMembersSeeOnlyTheirRows:
         members = self.MEMBERS + ([(None, None)] if keeps_all else [])
         tcp, parts, union, prefilters = self.group(members)
         shared = tcp.block_decoder(union, prefilters)
-        assert shared.source.count("if ") - shared.source.count("if not") \
-            >= 4  # five members with a prefix, four distinct tests
         assert shared.prefilters == (
             "destPort = 80", "tcpflags & 18 = 2",
             "destPort = $port", "destPort = $port")
+        run, source, nodes = self.kernel(tcp, parts)
+        # five members with a prefix, four distinct tests, each once
+        assert [f"keep{j} = " in source for j in range(5)] == [True] * 4 + [
+            False]
         for packets in blocks(CORPUS, size):
             block = shared.decode(packets)
             assert block.n <= block.passed
             if keeps_all:
                 assert block.n == block.passed
+            before = [(len(node.rows), node.stats.tuples_in,
+                       node.stats.discarded) for node in nodes]
+            assert run(packets).nbytes == sum(len(p.data) for p in packets)
             kept = set()
-            for slot, (fields, prefilter) in enumerate(parts):
+            for node, (fields, prefilter), (rows, tuples_in, discarded) in zip(
+                    nodes, parts, before):
                 alone = tcp.block_decoder(
                     fields, () if prefilter is None else (prefilter,))
                 own = alone.decode(packets)
-                assert own.passed == block.passed
-                rows = block.rows[slot]
-                if rows is None:
-                    rows = range(block.n)
-                assert [block.pkts[i] for i in rows] == own.pkts
-                for index in fields:
-                    assert gather(shared, block, index, rows) == col(
+                assert own.passed == block.passed \
+                    == node.stats.tuples_in - tuples_in
+                assert node.stats.discarded - discarded == own.passed - own.n
+                got = node.rows[rows:]
+                assert [row[0] for row in got] == own.pkts
+                for position, index in enumerate(sorted(fields), 1):
+                    assert [row[position] for row in got] == col(
                         alone, own, index)
-                kept.update(rows)
-            # a row exists iff some member keeps it
-            assert kept == set(range(block.n))
-        assert block.rows[0] is block.rows[2]  # one test, one list
+                kept.update(id(row[0]) for row in got)
+            # a row of the union decode exists iff some member keeps it
+            assert kept == set(map(id, block.pkts))
+        # one test, one condition: the first and third member ride it
+        assert "if live_0 and keep0:" in source
+        assert "if live_2 and keep0:" in source
 
     def test_identical_prefixes_need_no_row_lists(self):
         tcp, parts, union, prefilters = self.group(
@@ -430,7 +475,10 @@ class TestGroupMembersSeeOnlyTheirRows:
         shared = tcp.block_decoder(union, prefilters)
         lone = tcp.block_decoder(union, prefilters[:1])
         assert shared.source == lone.source
-        assert shared.decode(CORPUS).rows is None
+        # in the kernel the one test ends the section for both members
+        _, source, _ = self.kernel(tcp, parts)
+        assert "keep" not in source and source.count("if not (") == 1
+        assert "if live_0:" in source and "if live_1:" in source
 
     def test_a_prefix_may_not_read_past_the_decoders_fields(self):
         tcp = REGISTRY.get("tcp")
@@ -449,10 +497,10 @@ class TestGroupMembersSeeOnlyTheirRows:
             "Where destPort = 80 and str_len(data) > 3",
             "DEFINE query_name d; Select time, len From tcp",
         ], CORPUS, batch_size=batch_size)
-        group, = shared.rts._plan_for("eth0").decoders
-        assert group.decoder.prefilters == ("destPort = 80",
-                                            "tcpflags & 18 = 2")
-        assert group.lean is None  # d keeps every packet
+        group = shared.rts.describe_decode_group("a")
+        assert group.startswith("decode group [a,_fta_b_0,c,d]")
+        assert "prefilters=[destPort = 80; tcpflags & 18 = 2]" in group
+        assert "lean=" not in group  # d keeps every packet
 
 
 class TestOwnListOwnDecoder:
@@ -562,7 +610,7 @@ SYN = ("DEFINE query_name syn; Select time, timestamp, srcIP, destIP, "
 def same_block(one, other):
     return (one.vals == other.vals and one.pkts == other.pkts
             and one.pay == other.pay and one.passed == other.passed
-            and one.rows == other.rows and one.n == other.n)
+            and one.n == other.n)
 
 
 class TestLeanEqualsFull:
@@ -726,19 +774,25 @@ class TestTheNodePicksTheFormFromItsCounters:
             gs.add_query(text)
         gs.start()
         gs.feed(packets)
-        group, = gs.rts._plan_for("eth0").decoders
-        assert group.lean is not None
-        assert set(forms) == {group.decoder.decode}
+
+        def lean(kernel):
+            """Whether that block kernel ran the group's lean form."""
+            plan = next(plan for plan in gs.rts._batch_plans.values()
+                        if plan.kernel is kernel)
+            section, = plan.branches[0].sections
+            return section.lean
+        assert "lean=[" in gs.rts.describe_decode_group("syn")
+        assert not any(map(lean, forms))
         assert gs.rts.node("syn").prefers_lean
         assert not gs.rts.node("ack").prefers_lean
-        # both members killing: the shared decode switches
+        # both members killing: the group's section switches
         del forms[:]
         gs.feed([CapturedPacket(
             timestamp=10 + 0.001 * i, interface="eth0",
             data=build_tcp_frame("10.0.0.1", "10.0.0.2", 1, 80, flags=0x04))
             for i in range(1600)])
-        assert forms[-1] is group.lean.decode
-        assert forms[0] is group.decoder.decode
+        assert lean(forms[-1])
+        assert not lean(forms[0])
 
 
 # -- the snap length covers the guard's reach ---------------------------------------------

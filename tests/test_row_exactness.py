@@ -8,9 +8,11 @@ call delivered 39 rows at ``batch_size=1``, 35 at 7 and **none** at 256
 (``tuples_in`` 40 / 42 / 64).  The fused kernels are row-at-a-time by
 construction -- one loop from packet bytes to operator state, counters
 and output moved in its ``finally`` -- so every block size must now
-give the block-of-one answer, down to the quarantine reason.  The one
-stated exception, a decode-group member's two per-block tallies, is
-pinned at the end (``TestDecodeGroupMember``).
+give the block-of-one answer, down to the quarantine reason.  That
+holds for a decode-group member too (``TestDecodeGroupMember``): in the
+RTS's block kernel its guard, prefix and action run packet by packet
+like its own loop, and a raising member stops at its row while its
+sibling finishes the block.
 """
 
 import pytest
@@ -151,14 +153,10 @@ class TestCountersAtTheRaisingRow:
 
 
 class TestDecodeGroupMember:
-    """The stated exception (``LftaNode.accept_batch``, DESIGN section
-    14): on a decode group's shared block the guard and the pushed
-    prefixes ran for the whole block before any member's first row, so
-    a raising member's ``tuples_in`` and its prefix's share of
-    ``discarded`` count the block that held the raising row in whole.
-    Everything the member *did* -- rows, ``tuples_out``, the quarantine
-    reason -- and everything about its sibling is the block-of-one
-    answer."""
+    """A decode-group member in the block kernel is row-exact: the
+    raising member's ``tuples_in`` and its prefix's ``discarded`` stop
+    at the raising row, exactly as in its own loop at blocks of one, and
+    everything about its sibling is the block-of-one answer too."""
 
     RAISING_PACKET = 117  # the 40th with destPort = 80
     PUMP_EVERY = 64
@@ -173,8 +171,8 @@ class TestDecodeGroupMember:
             "DEFINE query_name r; Select time, len From eth0.tcp")
         raising, sibling = gs.subscribe("q"), gs.subscribe("r")
         gs.start()
-        group, = gs.rts._plan_for("eth0").decoders
-        assert len(group.members) == 2
+        assert gs.rts.describe_decode_group("q").startswith(
+            "decode group [q,r]")
         gs.feed(packets(200), pump_every=self.PUMP_EVERY)
         gs.flush()
         stats = gs.rts.node("q").stats
@@ -183,12 +181,6 @@ class TestDecodeGroupMember:
         assert stats.tuples_out == RAISES_AT - 1
         assert gs.rts.quarantined == {"q": "RuntimeError: boom"}
         assert len(sibling.poll()) == gs.rts.node("r").stats.tuples_in == 200
-        # the shared block holding the raising packet, counted in whole:
-        # feed cuts every PUMP_EVERY packets, then every batch_size
-        chunk = self.RAISING_PACKET // self.PUMP_EVERY * self.PUMP_EVERY
-        within = (self.RAISING_PACKET - chunk) // batch_size + 1
-        end = min(chunk + within * batch_size, chunk + self.PUMP_EVERY)
-        assert stats.tuples_in == end
-        assert stats.discarded == end - len(range(0, end, 3))
-        if batch_size == 1:  # ... which at blocks of one is the lone answer
-            assert (stats.tuples_in, stats.discarded) == (118, 78)
+        # the raising packet is the 118th tuple; 78 died on the prefix
+        # before it -- at every block size
+        assert (stats.tuples_in, stats.discarded) == (118, 78)

@@ -1,12 +1,15 @@
-"""Decode once per block: LFTAs on one interface share one union decode.
+"""One guard per block: LFTAs on one interface share it in the block kernel.
 
-DESIGN section 14's sharing rule.  The RTS groups an interface's LFTAs
-by protocol, generates one decoder for the union of their fields, runs
-it once per run and hands the block to each ``accept_batch``; an LFTA
-uses it only when it is about to decode that very list, and decodes
-its own list otherwise.  None of that may show: every query's rows,
-``stats()`` entry and encoded ``snapshot_state`` must equal the same
-query run alone in its own engine.
+DESIGN sections 10 and 14.  The RTS runs one generated loop per block,
+its *block kernel*: per interface it groups the LFTAs by protocol, and
+each group (a *decode group* when it has two or more members) gets one
+section -- the guard over the union of their fields once, each distinct
+pushed prefix once, then each member's row action on the rows it keeps.
+A consumer the kernel does not cover (a shedding LFTA, one wrapped by an
+injected fault, the row adapter) is handed its interface's run and runs
+its own loop.  None of that may show: every query's rows, ``stats()``
+entry and encoded ``snapshot_state`` must equal the same query run
+alone in its own engine.
 """
 
 import random
@@ -42,6 +45,11 @@ PAYLOAD = """
 DATAGRAMS = """
     DEFINE query_name dgrams;
     Select time, destPort, udplen From udp
+"""
+#: a row-adapter LFTA: no kernel covers it
+FRAMES = """
+    DEFINE query_name frames;
+    Select time, ethertype, len From eth0.ethernet
 """
 #: attribute positions of the tcp schema each query reads
 FIELDS = {
@@ -89,10 +97,11 @@ def engine(queries, prepare=None, batch_size=64, **kwargs):
 
 
 def count_decodes(calls):
-    """A ``prepare`` hook recording ``(loop, packets)`` of every block
-    decode the engine makes, shared or own.  ``loop`` is the generated
-    decoder's code object: compiled once per distinct source, bound
-    afresh for every consumer, so it is what names a decoder here."""
+    """A ``prepare`` hook recording ``(loop, packets)`` of every call of
+    a generated loop through the decode entry: the block kernel's and
+    an LFTA's own.  ``loop`` is the loop's code object: compiled once
+    per distinct source, bound afresh for every engine or consumer, so
+    it is what names a loop here."""
     def prepare(gs):
         registry = gs.schema_registry
         for name in registry.names():
@@ -157,13 +166,31 @@ def own_decoder(gs, query):
     return gs.rts.node(NODES[query])._decoder.__code__
 
 
-def union_decoder(gs, *queries):
-    """The loop a decode group of ``queries``' LFTAs shares: the union
-    of their fields, each member's pushed prefix tested inside it."""
-    tcp = gs.schema_registry.get("tcp")
-    return tcp.block_decoder(
-        set().union(*(FIELDS[q] for q in queries)),
-        [gs.rts.node(NODES[q]).prefilter for q in queries]).decode.__code__
+def kernel(gs):
+    """The block kernel the next block would run through."""
+    return gs.rts._block_plan().kernel.__code__
+
+
+def sections(gs):
+    """``{interface: [[member names] per section]}`` of that kernel."""
+    plan = gs.rts._block_plan()
+    names = iter(node.name for node in plan.members)
+    return {branch.interface: [[next(names) for _ in section.members]
+                               for section in branch.sections]
+            for branch in plan.branches if branch.sections}
+
+
+def struct_of(gs, section=0):
+    """The fast-path struct a kernel section's guard unpacks."""
+    unpack = gs.rts._block_plan().kernel.__globals__[f"unpack_s{section}"]
+    return unpack.__self__.format
+
+
+def union_struct(*queries):
+    """The struct of one decode over the union of ``queries``' fields."""
+    from repro.gsql.schema import builtin_registry
+    return builtin_registry().get("tcp").block_decoder(
+        set().union(*(FIELDS[q] for q in queries))).struct_format
 
 
 class TestSameAsRunningAlone:
@@ -196,10 +223,10 @@ class TestSameAsRunningAlone:
                 == run(queries, packets)[1:])
 
     def test_row_adapter_lftas_share_nothing_and_agree(self):
-        # interpreted codegen: no block decoder, so no decode group
+        # interpreted codegen: no block decoder, so no kernel member
         shared = assert_same_as_alone(
             [PROJECTION, AGGREGATION], traffic(400), mode="interpreted")
-        assert not shared.rts._plan_for("eth0").decoders
+        assert not shared.rts._block_plan().members
 
 
 class TestDecodeOncePerBlock:
@@ -208,8 +235,8 @@ class TestDecodeOncePerBlock:
         gs, _, _ = run([PROJECTION, AGGREGATION, PAYLOAD], traffic(),
                        prepare=count_decodes(calls))
         assert len(calls) == gs.rts.batches_fed > 10
-        union = union_decoder(gs, "proj", "agg", "gets")
-        assert {decode for decode, _ in calls} == {union}
+        assert {decode for decode, _ in calls} == {kernel(gs)}
+        assert sections(gs) == {"eth0": [["proj", "_fta_agg_0", "gets"]]}
         # every LFTA still counts every block it ran column-wise
         for name in ("proj", "_fta_agg_0", "gets"):
             assert gs.rts.node(name).columnar_blocks == gs.rts.batches_fed
@@ -218,24 +245,24 @@ class TestDecodeOncePerBlock:
         calls = []
         gs, _, _ = run([PROJECTION, DATAGRAMS], traffic(),
                        prepare=count_decodes(calls))
-        # tcp and udp are different families: two singletons, no group
-        assert not gs.rts._plan_for("eth0").decoders
-        assert len(calls) == 2 * gs.rts.batches_fed
-        assert {decode for decode, _ in calls} == {
-            own_decoder(gs, "proj"), gs.rts.node("dgrams")._decoder.__code__}
+        # tcp and udp are different families: two lone sections, one
+        # kernel call per block, no decode group
+        assert sections(gs) == {"eth0": [["proj"], ["dgrams"]]}
+        assert gs.rts.describe_decode_group("proj") is None
+        assert len(calls) == gs.rts.batches_fed
+        assert {decode for decode, _ in calls} == {kernel(gs)}
 
     def test_the_shedding_lfta_alone_decodes_again(self):
         calls = []
         gs, _, _ = run([PROJECTION, AGGREGATION, PAYLOAD], traffic(),
                        setup=shed("gets"), prepare=count_decodes(calls))
-        union = union_decoder(gs, "proj", "agg", "gets")
         own = own_decoder(gs, "gets")
-        assert own is not union
+        assert sections(gs) == {"eth0": [["proj", "_fta_agg_0"]]}
         by_decoder = {}
         for decode, packets in calls:
             by_decoder.setdefault(decode, []).append(packets)
-        assert set(by_decoder) == {union, own}
-        assert len(by_decoder[union]) == len(by_decoder[own]) \
+        assert set(by_decoder) == {kernel(gs), own}
+        assert len(by_decoder[kernel(gs)]) == len(by_decoder[own]) \
             == gs.rts.batches_fed
         # the gate's survivors, never the whole run
         assert (sum(map(len, by_decoder[own]))
@@ -249,21 +276,18 @@ class TestDecodeOncePerBlock:
                 shed(name)(gs)
         gs, _, _ = run([PROJECTION, PAYLOAD], traffic(), setup=setup,
                        prepare=count_decodes(calls))
+        # a kernel with no member counts bytes and hands out runs; it
+        # has no decode entry to go through
+        assert not gs.rts._block_plan().members
         assert len(calls) == 2 * gs.rts.batches_fed
-        assert union_decoder(gs, "proj", "gets") not in {
-            decode for decode, _ in calls}
+        assert kernel(gs) not in {decode for decode, _ in calls}
 
     def test_generated_union_source_is_lean(self):
         gs, _ = engine([PROJECTION, AGGREGATION])
         gs.feed(traffic(10))
-        group, = gs.rts._plan_for("eth0").decoders
-        assert group.decoder.decode.__code__ is union_decoder(
-            gs, "proj", "agg")
-        assert [node.name for node in group.members] == [
-            "proj", "_fta_agg_0"]
+        assert sections(gs) == {"eth0": [["proj", "_fta_agg_0"]]}
         # time, srcIP, destIP, len, destPort + the guard's fields
-        tcp = gs.schema_registry.get("tcp")
-        assert tcp.block_decoder({0, 4, 5, 6, 13}).struct_format \
+        assert struct_of(gs) == union_struct("proj", "agg") \
             == "!12xHB5xHxB2xII2xH8xB"
 
 
@@ -273,20 +297,22 @@ class TestUnionFollowsThePlan:
         packets = traffic(900)
         gs, subs = engine([PROJECTION, AGGREGATION], count_decodes(calls))
         gs.feed(packets[:300])
-        assert {d for d, _ in calls} == {union_decoder(gs, "proj", "agg")}
+        assert {d for d, _ in calls} == {kernel(gs)}
+        assert struct_of(gs) == union_struct("proj", "agg")
         del calls[:]
         gs.stop()
         gs.add_queries(PAYLOAD)
         gs.start()
         gs.feed(packets[300:600])
-        assert {d for d, _ in calls} == {
-            union_decoder(gs, "proj", "agg", "gets")}
+        assert {d for d, _ in calls} == {kernel(gs)}
+        assert struct_of(gs) == union_struct("proj", "agg", "gets")
         del calls[:]
         gs.stop()
         gs.remove_query("agg")
         gs.start()
         gs.feed(packets[600:])
-        assert {d for d, _ in calls} == {union_decoder(gs, "proj", "gets")}
+        assert {d for d, _ in calls} == {kernel(gs)}
+        assert struct_of(gs) == union_struct("proj", "gets")
 
     def test_quarantine_narrows_the_group(self):
         calls = []
@@ -297,23 +323,24 @@ class TestUnionFollowsThePlan:
         gs, _, _ = run([PROJECTION, AGGREGATION, PAYLOAD], packets,
                        setup=setup, prepare=count_decodes(calls))
         assert list(gs.rts.quarantined) == ["gets"]
-        wide = union_decoder(gs, "proj", "agg", "gets")
-        narrow = union_decoder(gs, "proj", "agg")
+        assert sections(gs) == {"eth0": [["proj", "_fta_agg_0"]]}
+        narrow, own = kernel(gs), own_decoder(gs, "gets")
         decoders = [decode for decode, _ in calls]
         switch = decoders.index(narrow)
-        # the block the fault lands in is still decoded for all three
-        # (plus the faulted node's own decode of its prefix) ...
-        assert set(decoders[:switch]) == {wide, own_decoder(gs, "gets")}
-        # ... and every block after it for the two survivors only
+        # the wrapped LFTA is handed its run until it fails (its own
+        # decode of what the fault lets through) ...
+        before = set(decoders[:switch])
+        assert own in before and len(before) == 2
+        # ... and every block after it runs one kernel, without a run
         assert set(decoders[switch:]) == {narrow}
 
 
 class TestFaultOnOneSibling:
     @pytest.mark.parametrize("at", [1, 64, 65, 100, 333])
     def test_operator_fault_mid_block_leaves_the_others_intact(self, at):
-        """The faulted LFTA takes a prefix of the block (its own list,
-        its own decode) and stops on exactly the Nth packet; siblings
-        keep using the shared block of the whole run."""
+        """The faulted LFTA takes a prefix of its run (its own list, its
+        own decode) and stops on exactly the Nth packet; its siblings
+        run in the kernel over the whole block."""
         def setup(gs):
             if "gets" in gs.rts.names():
                 gs.inject_faults([OperatorFault("gets", at_tuple=at)])
@@ -322,7 +349,7 @@ class TestFaultOnOneSibling:
         assert list(shared.rts.quarantined) == ["gets"]
         assert shared.rts.node("gets").packets_seen == at - 1
 
-    def test_recovered_sibling_rejoins_the_group(self):
+    def test_recovered_sibling_keeps_its_own_loop(self):
         def setup(gs):
             gs.enable_recovery(checkpoint_interval=0.5)
             if "gets" in gs.rts.names():
@@ -332,12 +359,16 @@ class TestFaultOnOneSibling:
             [PROJECTION, AGGREGATION, PAYLOAD], traffic(), setup=setup)
         assert not shared.rts.quarantined
         assert shared.recovery_report()["restarts_total"] == 1
-        assert len(shared.rts._plan_for("eth0").decoders[0].members) == 3
+        # the spent injector's wrap stays, so the kernel still hands
+        # "gets" its run; the other two share the section
+        assert sections(shared) == {"eth0": [["proj", "_fta_agg_0"]]}
 
 
 class TestSharedDecodeFailureIsContained:
-    """The shared decode runs outside any one node's ``try``: a decoder
-    that raises must take down exactly its group, not ``feed()``."""
+    """The kernel's members each run under their own ``try``; the decode
+    entry it goes through does not: an entry that raises takes down
+    every member -- not ``feed()``, and not the consumers the kernel
+    only hands runs to."""
 
     @staticmethod
     def failing(from_call, until_call=None):
@@ -357,19 +388,20 @@ class TestSharedDecodeFailureIsContained:
 
     def test_every_member_is_quarantined_and_siblings_run_on(self):
         packets = traffic()
-        gs, _, end = run([PROJECTION, AGGREGATION, DATAGRAMS], packets,
+        gs, _, end = run([PROJECTION, AGGREGATION, FRAMES], packets,
                          prepare=self.failing(from_call=5))
         assert sorted(gs.rts.quarantined) == ["_fta_agg_0", "proj"]
         assert all("decoder fell over" in reason
                    for reason in gs.rts.quarantined.values())
         assert gs.rts.packets_fed == len(packets)
+        assert gs.rts.bytes_fed == sum(len(p.data) for p in packets)
         # both members stopped after the same four blocks
         seen = gs.rts.node("proj").packets_seen
         assert 0 < seen == gs.rts.node("_fta_agg_0").packets_seen < 300
-        # udp is another family: its LFTA never noticed
-        _, _, alone = run([DATAGRAMS], packets)
-        assert end[1]["dgrams"] == alone[1]["dgrams"]
-        assert end[0]["dgrams"] == alone[0]["dgrams"]
+        # the row-adapter LFTA is no member: it never noticed
+        _, _, alone = run([FRAMES], packets)
+        assert end[1]["frames"] == alone[1]["frames"]
+        assert end[0]["frames"] == alone[0]["frames"]
 
     def test_a_transient_failure_is_recovered_for_every_member(self):
         packets = traffic()
@@ -397,35 +429,42 @@ class TestEthAndAnyConsumers:
     def test_each_sees_its_own_order(self):
         packets = traffic(1200, interfaces=("eth0", "eth1", "eth2"))
         shared = assert_same_as_alone(self.QUERIES, packets)
-        assert len(shared.rts._plan_for("eth0").decoders) == 1
-        assert len(shared.rts._plan_for("any").decoders) == 1
+        assert sections(shared) == {None: [["everywhere", "_fta_volume_0"]],
+                                    "eth0": [["proj", "_fta_agg_0"]]}
 
-    def test_one_decode_per_run(self):
+    def test_one_kernel_per_block(self):
         calls = []
         packets = traffic(1200, interfaces=("eth0", "eth1", "eth2"))
         gs, mid, end = run(self.QUERIES, packets,
                            prepare=count_decodes(calls))
-        tcp = gs.schema_registry.get("tcp")
-        everywhere = tcp.block_decoder({0, 1, 6, 13}).decode.__code__
-        runs = {everywhere: [], union_decoder(gs, "proj", "agg"): []}
-        for decode, run_ in calls:
-            runs[decode].extend(run_)
-        # the "any" group decodes whole blocks in arrival order, the
-        # eth0 group only its own interface's runs, in theirs
-        assert runs.pop(everywhere) == packets
-        assert runs.popitem()[1] == [
-            p for p in packets if p.interface == "eth0"]
-        assert (sum(decode is everywhere for decode, _ in calls)
-                == gs.rts.batches_fed)
+        # one loop over every block, in arrival order: the "any" group
+        # and the eth0 group both sit inside it
+        assert len(calls) == gs.rts.batches_fed
+        assert {decode for decode, _ in calls} == {kernel(gs)}
+        assert [p for _, block in calls for p in block] == packets
+        eth0 = [p for p in packets if p.interface == "eth0"]
+        assert gs.rts.node("proj").packets_seen == len(eth0)
+        assert gs.rts.node("everywhere").packets_seen == len(packets)
         stamps = [row[0] for part in (mid, end)
                   for row in part[1]["everywhere"]]
         assert stamps == sorted(stamps) and len(stamps) > 900
 
     def test_a_single_interface_block_is_handed_on_as_the_same_list(self):
-        calls = []
+        calls, runs = [], []
+
+        def setup(gs):
+            node = gs.rts.node("frames")
+            accept = node.accept_batch
+
+            def watched(packets, views=None):
+                runs.append(packets)
+                return accept(packets, views)
+            node.accept_batch = watched
+            gs.rts._replan()
         packets = traffic(300)
-        run(self.QUERIES, packets, prepare=count_decodes(calls))
-        # eth0's run *is* the block, so both groups decode the very
-        # list feed() cut -- once each
-        lists = [run_ for _, run_ in calls]
-        assert all(a is b for a, b in zip(lists[0::2], lists[1::2]))
+        run(self.QUERIES + [FRAMES], packets, setup=setup,
+            prepare=count_decodes(calls))
+        # eth0's run *is* the block: the consumer the kernel does not
+        # cover gets the very list the kernel ran over
+        assert len(runs) == len(calls)
+        assert all(a is b for a, (_, b) in zip(runs, calls))
