@@ -99,11 +99,24 @@ def selection_rows(packets):
     interpret = lfta_plan.protocol.sparse_interpreter(
         lfta_plan.needed_fields(analyzed))
     rows = [row for packet in packets for row in interpret(packet)]
-    fused = ExprCompiler(analyzed, functions).batch_select_fn(
+    compiler = ExprCompiler(analyzed, functions)
+    fused = compiler.batch_select_fn(
         lfta_plan.predicates, lfta_plan.project_exprs, (None, None))
-    chained = ExprCompiler(analyzed, functions, None, "interpreted"
-                           ).batch_select_fn(
-        lfta_plan.predicates, lfta_plan.project_exprs, (None, None))
+    predicate = compiler.predicate_fn(lfta_plan.predicates, (None, None))
+    project = compiler.tuple_fn(lfta_plan.project_exprs, (None, None))
+
+    def chained(rows, append):
+        dropped = 0
+        for row in rows:
+            if not predicate(row):
+                dropped += 1
+                continue
+            built = project(row)
+            if built is None:
+                dropped += 1
+                continue
+            append(built)
+        return dropped
     return rows, fused, chained
 
 

@@ -63,8 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--param", action="append", default=[],
                         metavar="QUERY.NAME=VALUE",
                         help="set a query parameter, e.g. watch.port=80")
-    parser.add_argument("--mode", choices=("compiled", "interpreted"),
-                        default="compiled", help="codegen mode")
     parser.add_argument("--explain", action="store_true",
                         help="print the LFTA/HFTA plans and exit")
     parser.add_argument("--stats", action="store_true",
@@ -370,7 +368,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.replicate_log:
             outputs.pop("--replicate-log").close()
     try:
-        engine = facade(mode=args.mode, seed=args.seed,
+        engine = facade(seed=args.seed,
                         channel_capacity=args.channel_capacity,
                         batch_size=args.batch_size, **build)
     except ValueError as error:

@@ -34,6 +34,7 @@ from repro.core.stream_manager import (
     RegistryError,
     RuntimeSystem,
     Subscription,
+    check_positive_int,
 )
 from repro.gsql.codegen import ExprCompiler
 from repro.gsql.functions import FunctionRegistry, FunctionSpec, builtin_functions
@@ -57,13 +58,12 @@ from repro.operators.selection import SelectionNode
 
 def resolve_batch_size(batch_size: Optional[int] = None) -> int:
     """The effective block length in packets (DESIGN section 10): the
-    argument, else the default.  A block holds at least one packet: a
-    non-positive ``batch_size`` raises ``ValueError`` naming the
-    offender (the CLI turns this into a usage error)."""
+    argument, else the default.  A block holds a whole number of
+    packets, at least one: anything else raises ``ValueError`` naming
+    the offender (the CLI turns this into a usage error)."""
     if batch_size is None:
         return DEFAULT_BATCH_SIZE
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
+    check_positive_int("batch_size", batch_size)
     return batch_size
 
 
@@ -106,7 +106,6 @@ class Gigascope:
 
     def __init__(
         self,
-        mode: str = "compiled",
         heartbeat_interval: Optional[float] = 1.0,
         on_demand_heartbeats: bool = True,
         default_interface: str = "eth0",
@@ -119,7 +118,15 @@ class Gigascope:
         seed: int = 0,
         batch_size: Optional[int] = None,
     ) -> None:
-        self.mode = mode
+        # Sizes are refused before anything is built: a table of 2.5
+        # slots or a merge buffer of 0 rows would otherwise fail late,
+        # or drop every row silently.
+        batch_size = resolve_batch_size(batch_size)
+        check_positive_int("lfta_table_size", lfta_table_size)
+        check_positive_int("merge_buffer_capacity", merge_buffer_capacity,
+                           allow_none=True)
+        check_positive_int("channel_capacity", channel_capacity,
+                           allow_none=True)
         #: root of the seeded RNG registry (repro.determinism): every
         #: data-path consumer of randomness (DEFINE-sample gates, shed
         #: gates) derives its own named stream from this, so a run
@@ -136,7 +143,7 @@ class Gigascope:
         self.rts = RuntimeSystem(heartbeat_interval=heartbeat_interval,
                                  on_demand_heartbeats=on_demand_heartbeats,
                                  metrics=metrics,
-                                 batch_size=resolve_batch_size(batch_size))
+                                 batch_size=batch_size)
         self._streams: Dict[str, StreamSchema] = {}
         self._instances: Dict[str, QueryInstance] = {}
         self._observed_nics: List = []
@@ -191,7 +198,7 @@ class Gigascope:
         if query_name in self._instances:
             raise RegistryError(f"query {query_name!r} already exists")
         plan = plan_query(analyzed, self.functions, query_name)
-        compiler = ExprCompiler(analyzed, self.functions, params, self.mode)
+        compiler = ExprCompiler(analyzed, self.functions, params)
 
         nodes: List[QueryNode] = []
         for lfta_plan in plan.lftas:
@@ -481,9 +488,6 @@ class Gigascope:
         plan = self._instances[name].plan
         estimate = estimate_plan_cost(plan, self.functions)
         text = plan.describe()
-        if self.mode == "interpreted" and plan.lftas:
-            text += ("\n  (interpreted codegen: every LFTA decodes through "
-                     "the row adapter)")
         for lfta in plan.lftas:
             group = self.rts.describe_decode_group(lfta.name)
             if group is not None:

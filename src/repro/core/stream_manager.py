@@ -113,13 +113,15 @@ class RegistryError(RuntimeError):
     """Raised for registration and subscription errors."""
 
 
-def check_pump_every(pump_every) -> None:
-    """Refuse a ``feed(pump_every=...)`` that is not a positive integer;
-    every engine facade asks before it feeds or forks anything."""
-    if (not isinstance(pump_every, int) or isinstance(pump_every, bool)
-            or pump_every < 1):
-        raise ValueError(
-            f"pump_every must be a positive integer, got {pump_every!r}")
+def check_positive_int(name: str, value, allow_none: bool = False) -> None:
+    """Refuse a size or count argument ``name`` that is not a positive
+    integer (``allow_none``: None, "unbounded", passes too), with a
+    ``ValueError`` naming it.  Every engine facade asks before it
+    builds, feeds or forks anything."""
+    if value is None and allow_none:
+        return
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 class Subscription:
@@ -700,7 +702,7 @@ class RuntimeSystem:
         ``on_packet`` hook or an attached tracer adds a call per
         packet.  ``pump_every`` must be a positive integer.
         """
-        check_pump_every(pump_every)
+        check_positive_int("pump_every", pump_every)
         if not self._started:
             raise RegistryError("RTS not started; call start() first")
         hooks = self._hooks

@@ -7,9 +7,6 @@ source, compiled with :func:`compile`, and the resulting closures are
 linked into the operator objects.  The generated source is retained on
 the compiler (``generated_sources``) for inspection and tests.
 
-A tree-walking *interpreted* mode is kept alongside so the benefit of
-code generation is measurable (benchmark E6).
-
 Conventions in generated code:
 
 * ``t`` -- the input tuple (or ``l``/``r`` for join inputs)
@@ -44,7 +41,7 @@ from repro.gsql.ast_nodes import (
 from repro.gsql.functions import FunctionRegistry, FunctionSpec
 from repro.gsql.planner import column_slots
 from repro.gsql.semantic import AggRef, AnalyzedQuery, KeyRef
-from repro.gsql.types import BOOL, FLOAT, GSQLType
+from repro.gsql.types import FLOAT
 from repro.gsql.unparse import conjunction_to_gsql
 from repro.net.columnar import ActionSource, Prefilter, RowAction
 
@@ -96,14 +93,10 @@ class ExprCompiler:
         analyzed: AnalyzedQuery,
         functions: FunctionRegistry,
         params: Optional[Dict[str, Any]] = None,
-        mode: str = "compiled",
     ) -> None:
-        if mode not in ("compiled", "interpreted"):
-            raise CodegenError(f"unknown codegen mode {mode!r}")
         self.analyzed = analyzed
         self.functions = functions
         self.params: Dict[str, Any] = dict(params or {})
-        self.mode = mode
         self.generated_sources: List[str] = []
         self._env: Dict[str, Any] = {"P": self.params, "_crc32": crc32,
                                      "DiscardTuple": DiscardTuple}
@@ -129,8 +122,6 @@ class ExprCompiler:
         arity: int = 1,
     ) -> Callable[..., Optional[tuple]]:
         """A callable building the output tuple; ``None`` means discard."""
-        if self.mode == "interpreted":
-            return self._interp_tuple_fn(exprs, slot_maps, arity)
         parts = [self._compile(e, slot_maps, arity) for e in exprs]
         body = _tuple_src(parts)
         return self._finalize(body, arity, on_discard="None")
@@ -146,25 +137,10 @@ class ExprCompiler:
             if arity == 1:
                 return lambda t: True
             return lambda l, r: True
-        if self.mode == "interpreted":
-            return self._interp_predicate_fn(conjuncts, slot_maps, arity)
         body = " and ".join(
             "(" + self._compile(c, slot_maps, arity) + ")" for c in conjuncts
         )
         return self._finalize(body, arity, on_discard="False")
-
-    def scalar_fn(
-        self,
-        expr: Expr,
-        slot_maps: Sequence[SlotMap] = (None,),
-        arity: int = 1,
-    ) -> Callable[..., Any]:
-        """A callable computing one value; DiscardTuple propagates."""
-        if self.mode == "interpreted":
-            evaluator = self._interp_evaluator(slot_maps, arity)
-            return lambda *tuples: evaluator(expr, tuples)
-        body = self._compile(expr, slot_maps, arity)
-        return self._finalize(body, arity, on_discard=None)
 
     # -- batched (fused) entry points ---------------------------------------
     #
@@ -176,8 +152,7 @@ class ExprCompiler:
     # vectorized execution; DESIGN section 10).  Per-row semantics are
     # byte-identical to the scalar chain: conjuncts short-circuit in the
     # same order and DiscardTuple counts the row as discarded
-    # (_row_source).  Interpreted mode runs the same loops, calling its
-    # tree-walking closures per row.
+    # (_row_source).
 
     def batch_select_fn(
         self,
@@ -227,14 +202,12 @@ class ExprCompiler:
         ``ColumnarBlock``.  ``lean`` asks for the form that unpacks the
         fields only survivors need after the test.
 
-        None in interpreted mode, for a protocol without a layout --
-        the caller keeps the row adapter -- and for a lean form that
-        does not exist.  The compiled loop is cached by source across
-        compilers and bound to this compiler's parameter dict; its
-        source is recorded here like every other kernel's.
+        None for a protocol without a layout -- the caller keeps the
+        row adapter -- and for a lean form that does not exist.  The
+        compiled loop is cached by source across compilers and bound to
+        this compiler's parameter dict; its source is recorded here
+        like every other kernel's.
         """
-        if self.mode == "interpreted":
-            return None
         decoder = protocol.block_decoder(
             needed, () if pushed is None else (pushed,), lean, action)
         if decoder is None:
@@ -251,8 +224,7 @@ class ExprCompiler:
 
     def prefilter(self, conjuncts: Sequence[Expr]) -> Optional[Prefilter]:
         """``conjuncts`` (a plan's pushed prefix, ``LftaPlan.prefix``)
-        as a block-decoder generator takes them; None when empty, and
-        in interpreted mode, which has no block decoder to take them.
+        as a block-decoder generator takes them; None when empty.
 
         The generator decides where each attribute sits in its unpack
         tuple and calls ``render`` back with that, so the same prefix
@@ -261,7 +233,7 @@ class ExprCompiler:
         compile to reads of this compiler's dict, so ``set_param``
         bites on the next block.
         """
-        if not conjuncts or self.mode == "interpreted":
+        if not conjuncts:
             return None
 
         def render(columns, params: str) -> str:
@@ -295,8 +267,7 @@ class ExprCompiler:
         The ``finally`` of the loop the lines are spliced under moves
         the node's counters and emits the list, so an exception at row
         *k* leaves table, counters and output as *k* single-row blocks
-        would.  In interpreted mode the lines call the tree-walking
-        closures instead; there the only header is the row adapter's.
+        would.
         """
         conjuncts = plan.predicates[skip:]
         maps = (None, None)
@@ -323,7 +294,7 @@ class ExprCompiler:
                     src = self._aggregate_source(plan.aggregates, maps)
                     row = self._row_source(conjuncts, exprs, maps, src.args,
                                            target="k")
-                    setup += src.bind + _TABLE_SETUP
+                    setup += _TABLE_SETUP
                     body += row.lines
                     if plan.window_key_index >= 0:
                         setup += _WINDOW_SETUP
@@ -378,13 +349,6 @@ class ExprCompiler:
         return " and ".join(
             "(" + self._compile(c, slot_maps, 1) + ")" for c in conjuncts)
 
-    def _bind_value(self, value: Any) -> str:
-        """``value`` under a fresh name in the generated code's globals."""
-        name = f"_i{self._counter}"
-        self._counter += 1
-        self._env[name] = value
-        return name
-
     def _row_source(
         self,
         conjuncts: Sequence[Expr],
@@ -401,23 +365,9 @@ class ExprCompiler:
         ``target`` builds nothing) and run ``then`` (aggregate
         arguments) -- everything about a row that can have no result,
         ahead of anything that touches state.  No result counts the row
-        into ``dropped`` and ``continue``s.  In interpreted mode the
-        lines call the tree-walking closures.
+        into ``dropped`` and ``continue``s.
         """
         drop = ["    dropped += 1", "    continue"]
-        if self.mode == "interpreted":
-            lines: List[str] = []
-            if conjuncts:
-                test = self._bind_value(self.predicate_fn(conjuncts, slot_maps))
-                lines += [f"if not {test}(t):"] + drop
-            if exprs:
-                build = self._bind_value(self.tuple_fn(exprs, slot_maps))
-                lines += [f"{target} = {build}(t)", f"if {target} is None:"] + drop
-            elif target is not None:
-                lines.append(f"{target} = ()")
-            if then:
-                lines += ["try:"] + _indent(then) + ["except DiscardTuple:"] + drop
-            return _RowSource(lines, target, None)
         inner: List[str] = []
         if conjuncts:
             inner += [f"if not ({self._conjunction(conjuncts, slot_maps)}):"] + drop
@@ -464,12 +414,12 @@ class ExprCompiler:
         (:func:`repro.determinism.int_key_format`), or ``None`` when
         :func:`~repro.determinism.stable_hash` must render them.
 
-        Decided from static types, never from the codegen mode, so
-        compiled and interpreted runs place groups identically: every
-        group expression must have an integer GSQL type (UINT, INT,
-        ULLONG, IP, IP6 -- not BOOL, whose values print as
-        ``True``/``False``) and read no query parameter (a ``$param``
-        is typed UINT but carries whatever the caller binds).
+        Decided from static types, never from values, so every run
+        places a given key identically: every group expression must
+        have an integer GSQL type (UINT, INT, ULLONG, IP, IP6 -- not
+        BOOL, whose values print as ``True``/``False``) and read no
+        query parameter (a ``$param`` is typed UINT but carries
+        whatever the caller binds).
         """
         types = self.analyzed.types
         for expr in group_exprs:
@@ -494,26 +444,7 @@ class ExprCompiler:
         ``partial_base`` says where ``combine`` reads the partial
         encoding: ``None`` for a sequence ``p``, else from slot
         ``partial_base`` of the input tuple ``t``.
-
-        In interpreted mode the statements call the generic
-        ``AggregateOps`` interpreter bound off ``node.aggregate_ops``
-        instead: the block kernels are the same loop in both modes.
         """
-        if self.mode == "interpreted":
-            encoded = "p" if partial_base is None else f"t[{partial_base}:]"
-            return _AggregateSource(
-                bind=["ops = node.aggregate_ops", "_args = ops.args",
-                      "_new = ops.new_state", "_fold = ops.fold",
-                      "_foldw = ops.fold_weighted", "_combine = ops.combine",
-                      "_partials = ops.partials"],
-                args=[] if slot_maps is None else ["v = _args(t)"],
-                new_state="_new()",
-                fold=["_fold(s, v)"],
-                fold_weighted=["_foldw(s, v, w)"],
-                combine=[f"_combine(s, {encoded})"],
-                partials="_partials({s})",
-                final_values="ops.final_values({s})",
-            )
         args: List[str] = []
         initial: List[str] = []
         fold: List[str] = []
@@ -576,7 +507,7 @@ class ExprCompiler:
         if slot_maps is None:
             fold, weighted = [], []
         return _AggregateSource(
-            bind=[], args=args, new_state="[" + ", ".join(initial) + "]",
+            args=args, new_state="[" + ", ".join(initial) + "]",
             fold=fold, fold_weighted=weighted, combine=combine,
             partials=_tuple_src(partials), final_values=_tuple_src(finals))
 
@@ -593,8 +524,8 @@ class ExprCompiler:
         self,
         aggregates: Sequence[AggCall],
         slot_maps: Optional[Sequence[SlotMap]] = (None,),
-    ) -> Optional[Tuple[Callable, Optional[Callable], Optional[Callable],
-                        Callable, Callable, Callable]]:
+    ) -> Tuple[Callable, Optional[Callable], Optional[Callable],
+               Callable, Callable, Callable]:
         """Generated ``(new_state, update, update_weighted, combine,
         partials, final_values)`` for a plan.
 
@@ -606,11 +537,8 @@ class ExprCompiler:
         displays of the encoding and of the finished values.
         ``slot_maps=None`` means the input carries partials, not the
         aggregates' arguments: the two update kernels are then
-        ``None``.  Returns ``None`` in interpreted mode, whose
-        interpreter is the generic loop.
+        ``None``.
         """
-        if self.mode == "interpreted":
-            return None
         src = self._aggregate_source(aggregates, slot_maps)
         update = weighted = None
         if slot_maps is not None:
@@ -674,14 +602,9 @@ class ExprCompiler:
                 setup += _SAMPLE_SETUP
                 loop += _sample_gate("dropped")
             loop += row.lines
-            if row.parts is None:  # interpreted: the key arrives whole
-                cached = ["k"]
-                window = "k[index]"
-            else:
-                cached = [f"k{i}" for i in range(len(row.parts))]
-                window = f"g{plan.window_key_index}"
+            cached = [f"k{i}" for i in range(len(row.parts))]
+            window = f"g{plan.window_key_index}"
             setup.append(" = ".join(["s"] + cached + ["None"]))
-        setup += src.bind
         probe = [
             "s = groups.get(k)",
             "if s is None:",
@@ -693,13 +616,11 @@ class ExprCompiler:
         if partials:
             loop += probe + src.combine
         else:
-            parts = [row.key] if row.parts is None else row.parts
             changed = " or ".join(
                 ["s is None"] + [f"{new} != {old}"
-                                 for new, old in zip(parts, cached)])
-            commit = [f"{old} = {new}" for new, old in zip(parts, cached)]
-            if row.parts is not None:
-                commit.append(f"k = {row.key}")
+                                 for new, old in zip(row.parts, cached)])
+            commit = [f"{old} = {new}" for new, old in zip(row.parts, cached)]
+            commit.append(f"k = {row.key}")
             loop += [f"if {changed}:"] + _indent(commit + probe) + src.fold
         return self._link("node, rows", setup + [
             "try:",
@@ -711,14 +632,6 @@ class ExprCompiler:
 
     def post_tuple_fn(self, exprs: Sequence[Expr]) -> Callable[[tuple, tuple], Optional[tuple]]:
         """Post-aggregation tuple builder over (key, agg-values)."""
-        if self.mode == "interpreted":
-            evaluator = self._interp_evaluator((None,), "post")
-            def build(k: tuple, a: tuple) -> Optional[tuple]:
-                try:
-                    return tuple(evaluator(e, (k, a)) for e in exprs)
-                except DiscardTuple:
-                    return None
-            return build
         parts = [self._compile(e, (None,), "post") for e in exprs]
         body = _tuple_src(parts)
         return self._finalize(body, "post", on_discard="None")
@@ -727,36 +640,18 @@ class ExprCompiler:
         """Post-aggregation (HAVING) predicate over (key, agg-values)."""
         if expr is None:
             return lambda k, a: True
-        if self.mode == "interpreted":
-            evaluator = self._interp_evaluator((None,), "post")
-            def check(k: tuple, a: tuple) -> bool:
-                try:
-                    return bool(evaluator(expr, (k, a)))
-                except DiscardTuple:
-                    return False
-            return check
         body = self._compile(expr, (None,), "post")
         return self._finalize(body, "post", on_discard="False")
 
-    # -- compiled mode --------------------------------------------------------
-    def _finalize(self, body: str, arity, on_discard: Optional[str]) -> Callable:
-        args = ", ".join(_ARG_NAMES[arity])
-        name = f"_g{self._counter}"
-        self._counter += 1
-        if on_discard is None:
-            source = f"def {name}({args}):\n    return {body}\n"
-        else:
-            source = (
-                f"def {name}({args}):\n"
-                f"    try:\n"
-                f"        return {body}\n"
-                f"    except DiscardTuple:\n"
-                f"        return {on_discard}\n"
-            )
-        self.generated_sources.append(source)
-        code = compile(source, f"<gsql:{self.analyzed.name or 'anonymous'}>", "exec")
-        exec(code, self._env)
-        return self._env[name]
+    # -- expressions ----------------------------------------------------------
+    def _finalize(self, body: str, arity, on_discard: str) -> Callable:
+        """``def _gN(args): return body``, ``on_discard`` on no result."""
+        return self._link(", ".join(_ARG_NAMES[arity]), [
+            "try:",
+            f"    return {body}",
+            "except DiscardTuple:",
+            f"    return {on_discard}",
+        ])
 
     def _compile(self, expr: Expr, slot_maps: Sequence[SlotMap], arity) -> str:
         if isinstance(expr, Literal):
@@ -857,102 +752,12 @@ class ExprCompiler:
         self._handle_cache[cache_key] = name
         return name
 
-    # -- interpreted mode -------------------------------------------------------
-    def _interp_evaluator(self, slot_maps, arity):
-        analyzed = self.analyzed
-        functions = self.functions
-        params = self.params
-        handle_memo: Dict[int, Any] = {}
-
-        def evaluate(expr: Expr, tuples: Tuple[tuple, ...]) -> Any:
-            if isinstance(expr, Literal):
-                if isinstance(expr.value, str):
-                    return expr.value.encode("latin-1")
-                return expr.value
-            if isinstance(expr, Param):
-                return params[expr.name]
-            if isinstance(expr, KeyRef):
-                return tuples[0][expr.index]
-            if isinstance(expr, AggRef):
-                return tuples[1][expr.index]
-            if isinstance(expr, Column):
-                bound = analyzed.binding_of(expr)
-                slot_map = (
-                    slot_maps[bound.source_index]
-                    if bound.source_index < len(slot_maps) else None
-                )
-                slot = bound.attr_index if slot_map is None else slot_map[bound.attr_index]
-                row = tuples[bound.source_index] if arity == 2 else tuples[0]
-                return row[slot]
-            if isinstance(expr, UnaryOp):
-                value = evaluate(expr.operand, tuples)
-                return (not value) if expr.op == "NOT" else -value
-            if isinstance(expr, BinaryOp):
-                if expr.op == "AND":
-                    return bool(evaluate(expr.left, tuples)) and bool(
-                        evaluate(expr.right, tuples)
-                    )
-                if expr.op == "OR":
-                    return bool(evaluate(expr.left, tuples)) or bool(
-                        evaluate(expr.right, tuples)
-                    )
-                left = evaluate(expr.left, tuples)
-                right = evaluate(expr.right, tuples)
-                return _apply_binop(expr, left, right, self._is_float_division)
-            if isinstance(expr, FuncCall):
-                spec = functions.get(expr.name)
-                args = []
-                for position, arg in enumerate(expr.args):
-                    if position in spec.handle_params:
-                        key = id(arg)
-                        if key not in handle_memo:
-                            if isinstance(arg, Literal):
-                                raw = arg.value
-                            elif isinstance(arg, Param):
-                                raw = params[arg.name]
-                            else:
-                                raise CodegenError(
-                                    f"bad handle argument for {spec.name}"
-                                )
-                            handle_memo[key] = spec.handle_loader(raw)
-                        args.append(handle_memo[key])
-                    else:
-                        args.append(evaluate(arg, tuples))
-                result = spec.implementation(*args)
-                if spec.partial and result is None:
-                    raise DiscardTuple()
-                return result
-            raise CodegenError(f"cannot evaluate {expr!r}")
-
-        return evaluate
-
-    def _interp_tuple_fn(self, exprs, slot_maps, arity):
-        evaluator = self._interp_evaluator(slot_maps, arity)
-        def build(*tuples) -> Optional[tuple]:
-            try:
-                return tuple(evaluator(e, tuples) for e in exprs)
-            except DiscardTuple:
-                return None
-        return build
-
-    def _interp_predicate_fn(self, conjuncts, slot_maps, arity):
-        evaluator = self._interp_evaluator(slot_maps, arity)
-        def check(*tuples) -> bool:
-            try:
-                return all(bool(evaluator(c, tuples)) for c in conjuncts)
-            except DiscardTuple:
-                return False
-        return check
-
-
 
 class _AggregateSource(NamedTuple):
     """One plan's aggregate list as source text, for the stand-alone
     kernels and the block kernels alike.  Statements read the state
     list ``s``, the input tuple ``t`` and the weight ``w``."""
 
-    #: names the statements below need bound first (interpreted mode)
-    bind: List[str]
     #: evaluate every aggregate argument; may raise DiscardTuple
     args: List[str]
     #: expression: the state of an untouched group
@@ -978,8 +783,7 @@ class _RowSource(NamedTuple):
     lines: List[str]
     #: expression: the tuple the expressions built
     key: str
-    #: its elements as locals when asked for by parts; None when the
-    #: tuple arrives whole (not asked for, or interpreted mode)
+    #: its elements as locals when asked for by parts; None otherwise
     parts: Optional[List[str]]
 
 
@@ -1081,39 +885,3 @@ def _tuple_src(parts: Sequence[str]) -> str:
     """Source of the tuple display over ``parts`` (any length)."""
     return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
 
-
-def _apply_binop(expr: BinaryOp, left: Any, right: Any, is_float_division) -> Any:
-    op = expr.op
-    if op == "=":
-        return left == right
-    if op == "<>":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        return left / right if is_float_division(expr) else left // right
-    if op == "%":
-        return left % right
-    if op == "&":
-        return left & right
-    if op == "|":
-        return left | right
-    if op == "^":
-        return left ^ right
-    if op == "<<":
-        return left << right
-    if op == ">>":
-        return left >> right
-    raise CodegenError(f"unknown operator {op!r}")

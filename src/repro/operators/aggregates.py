@@ -12,11 +12,12 @@ HFTA later *combines*.  For each GSQL aggregate this module defines
 COUNT combines by summing counts; SUM by summing; MIN/MAX by min/max;
 AVG carries a (sum, count) pair across the split.
 
-The loops below are the definition, and the ``interpreted`` mode's
-interpreter.  Compiled plans replace every method with a straight-line
-kernel generated for their aggregate list, and the engine's block
-loops inline the same statements (``ExprCompiler.aggregate_kernels``,
-``lfta_action`` / ``hfta_aggregate_fn``; DESIGN section 18).
+The generic loops below are the definition, and the reference the
+generated code is tested against.  A plan replaces every method with a
+straight-line kernel generated for its aggregate list, and the engine's
+block loops inline the same statements
+(``ExprCompiler.aggregate_kernels``, ``lfta_action`` /
+``hfta_aggregate_fn``; DESIGN section 18).
 """
 
 from __future__ import annotations
@@ -50,25 +51,16 @@ class AggregateOps:
     @classmethod
     def for_plan(cls, compiler, aggregates: Sequence[AggCall],
                  slot_maps) -> "AggregateOps":
-        """The ops of one plan's aggregate list, built by its compiler.
-
-        In compiled mode every method is the straight-line kernel
-        generated for exactly this list
-        (``ExprCompiler.aggregate_kernels``); the interpreted mode
-        keeps the generic loops below as its interpreter, over
-        tree-walking argument functions.  ``slot_maps=None`` says the
-        input carries partials: ``update``/``update_weighted`` are not
-        usable then.
+        """The ops of one plan's aggregate list, built by its compiler:
+        every method is the straight-line kernel generated for exactly
+        this list (``ExprCompiler.aggregate_kernels``).
+        ``slot_maps=None`` says the input carries partials:
+        ``update``/``update_weighted`` are not usable then.
         """
-        kernels = compiler.aggregate_kernels(aggregates, slot_maps)
-        if kernels is None:
-            return cls(aggregates, [
-                None if slot_maps is None or agg.arg is None
-                else compiler.scalar_fn(agg.arg, slot_maps)
-                for agg in aggregates])
         ops = cls(aggregates, [None] * len(aggregates))
         (ops.new_state, ops.update, ops.update_weighted, ops.combine,
-         ops.partials, ops.final_values) = kernels
+         ops.partials, ops.final_values) = compiler.aggregate_kernels(
+             aggregates, slot_maps)
         return ops
 
     # -- per-tuple accumulation ------------------------------------------

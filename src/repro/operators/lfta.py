@@ -13,8 +13,7 @@ HFTAs.
 each packet from its bytes to this node's state, built one of two ways
 when the node is built (DESIGN section 14):
 
-* a built-in ip/tcp/udp protocol under compiled codegen gets a
-  *generated decode loop* covering exactly the attributes this plan
+* a built-in ip/tcp/udp protocol gets a *generated decode loop* covering exactly the attributes this plan
   reads (``ExprCompiler.block_decoder_fn``), with the plan's pushed
   prefix (``LftaPlan.prefix``: the leading conjuncts that are total
   over header fields) tested on the unpacked values -- a packet they
@@ -32,8 +31,8 @@ when the node is built (DESIGN section 14):
   not cover it (the shed gate is on, an injected fault wraps
   ``accept_batch``, journal replay or the NIC runtime hands packets
   over directly);
-* every other protocol, and ``interpreted`` mode, runs the action under
-  the generic row adapter's header (``ExprCompiler.lfta_adapter_fn``
+* every other protocol runs the action under the generic row adapter's
+  header (``ExprCompiler.lfta_adapter_fn``
   around ``ProtocolSchema.sparse_interpreter``).
 
 The action's lines are the same whichever header they sit under, so
@@ -131,9 +130,9 @@ class LftaNode(QueryNode):
         self._shed_rng_initial = self._shed_rng.getstate()
         self._clock_bounds = self.protocol.clock_bounds
         # The front end (DESIGN section 14): a generated block decoder
-        # where the protocol has a layout and codegen is compiled, the
-        # row adapter everywhere else -- either way one loop with this
-        # plan's row action inside it.
+        # where the protocol has a layout, the row adapter everywhere
+        # else -- either way one loop with this plan's row action inside
+        # it.
         needed = plan.needed_fields(analyzed)
         #: the conjuncts this node's decoder tests in its own loop, as a
         #: block kernel must test them for it (None: this node keeps

@@ -42,7 +42,7 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional
 
 from repro.core.engine import Gigascope, refuses
-from repro.core.stream_manager import check_pump_every
+from repro.core.stream_manager import check_positive_int
 from repro.obs.ledger import Field, Ledger
 from repro.recovery.statelog import FrameError, StateLogError, append_frame
 from repro.replication.replica import StandbyReplica
@@ -339,7 +339,7 @@ class ReplicatedGigascope:
 
     # -- feeding and failure detection ---------------------------------------
     def feed(self, packets, pump_every: int = 256) -> None:
-        check_pump_every(pump_every)
+        check_positive_int("pump_every", pump_every)
         self._packets.extend(packets)
         total = len(self._packets)
         while self._fed < total:

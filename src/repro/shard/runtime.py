@@ -37,7 +37,7 @@ from repro.core.channels import Channel, ChannelStats
 from repro.core.engine import Gigascope, refuses
 from repro.core.heartbeat import FLUSH
 from repro.core.stream_manager import (RegistryError, Subscription,
-                                       check_pump_every)
+                                       check_positive_int)
 from repro.obs.collectors import node_snapshot
 from repro.obs.ledger import Field, Ledger, install
 from repro.obs.registry import MetricsRegistry
@@ -344,7 +344,7 @@ class ShardedGigascope:
         :meth:`flush`.  ``pump_every`` is refused before any worker is
         forked unless it is a positive integer.
         """
-        check_pump_every(pump_every)
+        check_positive_int("pump_every", pump_every)
         if not self._started:
             raise RegistryError("RTS not started; call start() first")
         if not isinstance(packets, list):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Iterable, List, Optional
 
 from repro.gsql.codegen import ExprCompiler
@@ -53,14 +54,19 @@ def _open_writer(path: str, snaplen: int):
     return PcapWriter(open(path, "wb"), snaplen=snaplen)
 
 
+class UnknownProtocol(ValueError):
+    """The protocol a filter is asked for is not a built-in one."""
+
+
 def build_packet_filter(protocol_name: str, where: Optional[str]):
-    """Compile ``where`` into a packet predicate via the GSQL front end."""
+    """Compile ``where`` into a packet predicate via the GSQL front end;
+    :class:`UnknownProtocol` when ``protocol_name`` names none."""
     registry = builtin_registry()
     functions = builtin_functions()
     protocol = registry.get(protocol_name)
     if protocol is None:
-        raise SystemExit(f"unknown protocol {protocol_name!r}; "
-                         f"one of {', '.join(registry.names())}")
+        raise UnknownProtocol(f"unknown protocol {protocol_name!r}; "
+                              f"one of {', '.join(registry.names())}")
     if where is None:
         return lambda packet: bool(protocol.interpret(packet))
     text = f"Select * From {protocol_name} Where {where}"
@@ -99,6 +105,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="keep packets that do NOT match")
     args = parser.parse_args(argv)
 
+    # Every refusal is a usage error (exit 2) naming the flag, made
+    # before the output file is created.
+    for flag, value in (("--snaplen", args.snaplen), ("--limit", args.limit)):
+        if value is not None and value < 1:
+            parser.error(f"{flag} must be a positive integer, got {value}")
     time_range = None
     if args.time_range:
         try:
@@ -106,16 +117,28 @@ def main(argv: Optional[List[str]] = None) -> int:
             time_range = (float(start_text), float(end_text))
         except ValueError:
             parser.error(f"bad --time-range {args.time_range!r}")
+    if Path(args.output).resolve() == Path(args.input).resolve():
+        # opening the output would truncate the input before it is read
+        parser.error(f"--out {args.output!r} is the --in file")
 
     try:
         keep = build_packet_filter(args.protocol, args.where)
+    except UnknownProtocol as error:
+        parser.error(f"--protocol: {error}")
     except (GSQLSyntaxError, SemanticError) as error:
         print(f"predicate error: {error}", file=sys.stderr)
         return 1
 
+    try:
+        reader = _open_reader(args.input)
+    except OSError as error:
+        parser.error(f"--in {args.input!r}: {error.strerror}")
     read = written = 0
-    with _open_reader(args.input) as reader:
-        writer = _open_writer(args.output, args.snaplen)
+    with reader:
+        try:
+            writer = _open_writer(args.output, args.snaplen)
+        except OSError as error:
+            parser.error(f"--out {args.output!r}: {error.strerror}")
         try:
             for packet in reader:
                 read += 1

@@ -23,14 +23,14 @@ def functions():
 
 @pytest.fixture
 def compile_plan(registry, functions):
-    """compile_plan(text, streams=None, params=None, mode=...) ->
+    """compile_plan(text, streams=None, params=None) ->
     (analyzed, plan, compiler)"""
 
-    def build(text, streams=None, params=None, mode="compiled"):
+    def build(text, streams=None, params=None):
         analyzed = analyze(parse_query(text), registry, functions,
                            stream_resolver=(streams or {}).get)
         plan = plan_query(analyzed, functions)
-        compiler = ExprCompiler(analyzed, functions, params, mode)
+        compiler = ExprCompiler(analyzed, functions, params)
         return analyzed, plan, compiler
 
     return build

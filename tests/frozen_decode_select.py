@@ -154,25 +154,6 @@ def _window_check(before_flush: Sequence[str] = ()) -> List[str]:
     ]
 
 
-def _chained_batch_key(predicate, key_fn):
-    def run(rows):
-        d = 0
-        keys = []
-        out = []
-        for t in rows:
-            if not predicate(t):
-                d += 1
-                continue
-            key = key_fn(t)
-            if key is None:
-                d += 1
-                continue
-            keys.append(key)
-            out.append(t)
-        return d, keys, out
-    return run
-
-
 class FrozenCompiler(ExprCompiler):
     """``ExprCompiler`` with the kernel generators it had at 355ece7."""
 
@@ -192,10 +173,6 @@ class FrozenCompiler(ExprCompiler):
             self._column_ref = previous
 
     def batch_key_fn(self, conjuncts, group_exprs, slot_maps=(None,)):
-        if self.mode == "interpreted":
-            predicate = self.predicate_fn(conjuncts, slot_maps)
-            key_fn = self.tuple_fn(group_exprs, slot_maps)
-            return _chained_batch_key(predicate, key_fn)
         pred_src = " and ".join(
             "(" + self._compile(c, slot_maps, 1) + ")" for c in conjuncts
         )
@@ -324,7 +301,7 @@ class FrozenCompiler(ExprCompiler):
             "out = []",
             "eject = out.append",
             "lookups = occupied = collisions = discarded = 0",
-        ] + src.bind
+        ]
         loop = _guarded_args(src)
         if windowed:
             setup += _WINDOW_SETUP
@@ -369,7 +346,7 @@ class FrozenCompiler(ExprCompiler):
         partials = slot_maps is None
         src = self._aggregate_source(
             aggregates, slot_maps, key_width if partials else None)
-        setup = ["groups = node._groups", "discarded = 0"] + src.bind
+        setup = ["groups = node._groups", "discarded = 0"]
         if partials:
             header = "for t in rows:"
             loop = [f"k = t[:{key_width}]"]

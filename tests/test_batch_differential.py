@@ -73,14 +73,10 @@ def make_packets(seed=SEED, count=1200):
 class Case(NamedTuple):
     """One differential run: ``build(gs)`` registers queries/faults and
     returns the subscription dict, ``feed(gs)`` (default:
-    :func:`make_packets`, a pump every 96 packets) drives the engine,
-    ``mode`` is the codegen mode (``interpreted`` puts every LFTA on
-    the row adapter; compiled ip/tcp/udp LFTAs decode blocks with their
-    generated decoder)."""
+    :func:`make_packets`, a pump every 96 packets) drives the engine."""
 
     build: Callable
     feed: Optional[Callable] = None
-    mode: str = "compiled"
 
 
 def single_query(text):
@@ -188,9 +184,6 @@ CASES.update({
     "shedding_and_sampling": Case(shedding_and_sampling),
     "group_by": Case(single_query(GROUP_BY_SUM)),
     "columnar/on": Case(single_query(GROUP_BY_SUM)),
-    # The same query through the row adapter: the two front ends are
-    # byte-identical by contract, so the digests are the same string.
-    "columnar/off": Case(single_query(GROUP_BY_SUM), mode="interpreted"),
     "columnar/projection": Case(single_query(
         "Select time, srcIP, destPort From tcp Where destPort = 80")),
     "tracer": Case(with_setup(single_query(GROUP_BY),
@@ -231,8 +224,7 @@ def run_case(name, batch_size):
     """
     case = CASES[name]
     gs = Gigascope(seed=SEED, batch_size=batch_size, lfta_table_size=64,
-                   channel_capacity=256, heartbeat_interval=0.5,
-                   mode=case.mode)
+                   channel_capacity=256, heartbeat_interval=0.5)
     subs = case.build(gs)
     gs.start()
     if case.feed is not None:
@@ -295,10 +287,6 @@ class TestBlockSizeDifferential:
         for name in ("columnar/on", "columnar/projection"):
             _, engine = run_case(name, batch_size)
             assert sum(node.columnar_blocks for node in _lftas(engine)) > 0
-
-    def test_row_adapter_when_interpreted(self, batch_size):
-        _, engine = run_case("columnar/off", batch_size)
-        assert all(node.columnar_blocks == 0 for node in _lftas(engine))
 
     @pytest.mark.parametrize("position", sorted(CUT_POINTS))
     def test_operator_fault_position_in_block(self, position, batch_size):

@@ -1,6 +1,7 @@
 """End-to-end tests of the Gigascope engine over real packets."""
 
 import random
+import re
 
 import pytest
 
@@ -154,12 +155,11 @@ class TestAggregation:
         peer_ids = {row[0] for row in rows}
         assert peer_ids <= {7018, 7019}
 
-    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
     @pytest.mark.parametrize("level", ["lfta", "hfta"])
-    def test_partial_function_in_aggregate_argument_discards(self, mode, level):
+    def test_partial_function_in_aggregate_argument_discards(self, level):
         """Section 2.2: no result => the tuple is discarded.  It used to
         quarantine the aggregating node with ``DiscardTuple: ``."""
-        gs = Gigascope(mode=mode)
+        gs = Gigascope()
         aggregate = ("Select tb, count(*), "
                      "sum(getlpmid(destIP, '192.168.0.0/16 5')) From {} "
                      "Group by time/60 as tb")
@@ -351,24 +351,33 @@ class TestLifecycle:
             engine = gs if facade == "single" else gs.primary
             assert engine.rts.packets_fed == 0
 
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, "8", True])
+    @pytest.mark.parametrize("argument", [
+        "batch_size", "lfta_table_size", "merge_buffer_capacity",
+        "channel_capacity"])
+    @pytest.mark.parametrize("facade", ["single", "shards", "standby"])
+    def test_size_arguments_are_refused_at_construction(
+            self, facade, argument, bad):
+        """A size that is not a positive integer is named when the
+        engine is built -- not a TypeError at ``add_query``, an islice
+        error at the first ``feed`` or a merge that silently drops every
+        row."""
+        from repro.replication import ReplicatedGigascope
+        from repro.shard import ShardedGigascope
+        build = {"single": Gigascope,
+                 "shards": lambda **kw: ShardedGigascope(2, **kw),
+                 "standby": ReplicatedGigascope}[facade]
+        with pytest.raises(ValueError, match=re.escape(
+                f"{argument} must be a positive integer, got {bad!r}")):
+            build(metrics=False, **{argument: bad})
 
-class TestModes:
-    def test_interpreted_matches_compiled(self):
-        results = {}
-        for mode in ("compiled", "interpreted"):
-            gs = Gigascope(mode=mode)
-            gs.add_query("""
-                DEFINE query_name q;
-                Select tb, count(*), sum(len) From tcp
-                Where destPort = 80 Group by time/10 as tb
-            """)
-            sub = gs.subscribe("q")
-            gs.start()
-            gs.feed(make_traffic(300))
-            gs.flush()
-            results[mode] = sub.poll()
-        assert results["compiled"] == results["interpreted"]
+    @pytest.mark.parametrize("argument", ["merge_buffer_capacity",
+                                          "channel_capacity"])
+    def test_unbounded_is_none(self, argument):
+        assert getattr(Gigascope(**{argument: None}), argument) is None
 
+
+class TestCodegen:
     def test_generated_code_inspectable(self):
         gs = Gigascope()
         gs.add_query("DEFINE query_name q; Select time From tcp "
@@ -380,12 +389,18 @@ class TestModes:
         assert "emit(x)" in source and "node.emit_many(out)" in source
         assert "decode=[time,destPort] struct=47B" in gs.explain("q")
 
-    def test_interpreted_mode_generates_no_decoder(self):
-        gs = Gigascope(mode="interpreted")
-        gs.add_query("DEFINE query_name q; Select time From tcp "
+    def test_there_is_no_codegen_mode(self):
+        """The GSQL processor is a code generator (Section 3): there is
+        no interpreter to switch to."""
+        with pytest.raises(TypeError):
+            Gigascope(mode="compiled")
+
+    def test_layoutless_protocol_takes_the_row_adapter(self):
+        gs = Gigascope()
+        gs.add_query("DEFINE query_name q; Select time From tcp6 "
                      "Where destPort = 80")
         assert "def decode" not in gs.generated_code("q")
-        assert "row adapter" in gs.explain("q")
+        assert "decode=row-adapter" in gs.explain("q")
         assert gs.rts.node("q").decode_fields is None
 
 

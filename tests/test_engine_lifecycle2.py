@@ -148,33 +148,9 @@ class TestPunctuationThroughSplitQueries:
         assert sum(count for _tb, count in total) == 100
 
 
-class TestInterpretedModeFullPipelines:
-    def test_interpreted_merge_and_join(self):
-        results = {}
-        for mode in ("compiled", "interpreted"):
-            gs = Gigascope(mode=mode)
-            gs.add_queries("""
-                DEFINE query_name a; Select time, destPort From eth0.tcp;
-                DEFINE query_name b; Select time, destPort From eth1.tcp;
-                DEFINE query_name m; Merge a.time : b.time From a, b;
-                DEFINE query_name j;
-                Select A.time, B.destPort From eth0.tcp A, eth1.tcp B
-                Where A.time = B.time
-            """)
-            m_sub = gs.subscribe("m")
-            j_sub = gs.subscribe("j")
-            gs.start()
-            for i in range(40):
-                gs.feed_packet(tcp_packet(ts=float(i), dport=1000 + i,
-                                          interface="eth0"))
-                gs.feed_packet(tcp_packet(ts=float(i), dport=2000 + i,
-                                          interface="eth1"))
-            gs.flush()
-            results[mode] = (m_sub.poll(), j_sub.poll())
-        assert results["compiled"] == results["interpreted"]
-
-    def test_interpreted_partial_functions(self):
-        gs = Gigascope(mode="interpreted")
+class TestPartialFunctionsEndToEnd:
+    def test_no_result_discards_the_tuple(self):
+        gs = Gigascope()
         gs.add_query("DEFINE query_name q; "
                      "Select getlpmid(srcIP, '10.0.0.0/8 1') From tcp")
         sub = gs.subscribe("q")

@@ -38,23 +38,24 @@ from repro.recovery.wire import decode_snapshot, encode_snapshot
 
 from tests.frozen_decode_select import FrozenCompiler, FrozenLfta
 from tests.test_prefilter import (BLOCK_SIZES, CORPUS, FIELDS, SHAPES, blocks,
-                                  decode_then_filter)
+                                  decode_then_filter, without_layouts)
 from tests.test_shared_decode import assert_same_as_alone, shed
 
 SEED = 7
 REGISTRY = builtin_registry()
+#: the same protocols without their layouts: every LFTA on the row adapter
+LAYOUTLESS = without_layouts()
 
 
-def compiled(text, params, mode, compiler):
+def compiled(text, params, registry, compiler):
     functions = builtin_functions()
-    analyzed = analyze(parse_query(text), REGISTRY, functions)
+    analyzed = analyze(parse_query(text), registry, functions)
     plan = plan_query(analyzed, functions)
-    return analyzed, plan.lftas[0], compiler(analyzed, functions, params,
-                                             mode)
+    return analyzed, plan.lftas[0], compiler(analyzed, functions, params)
 
 
-def build(cls, compiler, text, params=None, mode="compiled", **kwargs):
-    analyzed, plan, compiler = compiled(text, params, mode, compiler)
+def build(cls, compiler, text, params=None, registry=REGISTRY, **kwargs):
+    analyzed, plan, compiler = compiled(text, params, registry, compiler)
     node = cls(plan, analyzed, compiler, seed=SEED, **kwargs)
     node.tap = node.subscribe()
     #: the decode loops its compiler generated for it, full then lean
@@ -63,10 +64,11 @@ def build(cls, compiler, text, params=None, mode="compiled", **kwargs):
     return node
 
 
-def pair(text, params=None, mode="compiled", fused=LftaNode, **kwargs):
+def pair(text, params=None, registry=REGISTRY, fused=LftaNode, **kwargs):
     """(frozen, fused) nodes of one plan, each with its own compiler."""
-    return (build(FrozenLfta, FrozenCompiler, text, params, mode, **kwargs),
-            build(fused, ExprCompiler, text, params, mode, **kwargs))
+    return (build(FrozenLfta, FrozenCompiler, text, params, registry,
+                  **kwargs),
+            build(fused, ExprCompiler, text, params, registry, **kwargs))
 
 
 def observe(node):
@@ -147,18 +149,18 @@ class TestFusedEqualsDecodeThenSelect:
             assert_in_step(frozen, fused, CORPUS, 7, text)
             assert_in_step(again, pushed, CORPUS, 7, text)
 
-    def test_interpreted_row_adapter(self, shape):
+    def test_row_adapter(self, shape):
+        """The same plans over the protocol without its layout."""
         params = SHAPES[shape][3]
         for text in plans(shape):
-            frozen, fused = pair(text, params, mode="interpreted",
-                                 table_size=7)
+            frozen, fused = pair(text, params, LAYOUTLESS, table_size=7)
             assert fused._decoder is None
             assert_in_step(frozen, fused, CORPUS, 7, text)
-            # ... and agrees with the compiled loop on what leaves
+            # ... and agrees with the decode loop on what leaves
             compiled_node = build(LftaNode, ExprCompiler, text, params,
                                   table_size=7)
-            again = build(LftaNode, ExprCompiler, text, params,
-                          mode="interpreted", table_size=7)
+            again = build(LftaNode, ExprCompiler, text, params, LAYOUTLESS,
+                          table_size=7)
             for block in blocks(CORPUS, 7):
                 compiled_node.accept_batch(block)
                 again.accept_batch(block)
@@ -279,9 +281,10 @@ class TestSampleDrawOrder:
 
     @pytest.mark.parametrize("text", QUERIES)
     @pytest.mark.parametrize("size", BLOCK_SIZES)
-    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
-    def test_same_draws_same_rows(self, text, size, mode):
-        frozen, fused = pair(text, mode=mode, table_size=7)
+    @pytest.mark.parametrize("registry", [REGISTRY, LAYOUTLESS],
+                             ids=["decoded", "adapter"])
+    def test_same_draws_same_rows(self, text, size, registry):
+        frozen, fused = pair(text, registry=registry, table_size=7)
         assert fused.prefilter is None
         assert_in_step(frozen, fused, CORPUS, size)
         assert 0 < fused.sampled_out < fused.stats.tuples_in
@@ -408,24 +411,26 @@ class TestAggregateWithoutGroupBy:
 
     @pytest.mark.parametrize("text", QUERIES)
     @pytest.mark.parametrize("size", BLOCK_SIZES)
-    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
-    def test_the_one_group_is_the_empty_key(self, text, size, mode):
-        frozen, fused = pair("DEFINE query_name q; " + text, mode=mode,
-                             table_size=7)
-        assert (fused._decoder is None) == (mode == "interpreted")
+    @pytest.mark.parametrize("registry", [REGISTRY, LAYOUTLESS],
+                             ids=["decoded", "adapter"])
+    def test_the_one_group_is_the_empty_key(self, text, size, registry):
+        frozen, fused = pair("DEFINE query_name q; " + text,
+                             registry=registry, table_size=7)
+        assert (fused._decoder is None) == (registry is LAYOUTLESS)
         assert_in_step(frozen, fused, CORPUS, size, text)
         assert fused.table.lookups == fused.stats.tuples_in \
             - fused.stats.discarded > 0
         assert fused.table.collisions == 0
 
     @pytest.mark.parametrize("batch_size", BLOCK_SIZES)
-    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
-    def test_end_to_end_split_and_over_a_stream(self, batch_size, mode):
+    @pytest.mark.parametrize("registry", [builtin_registry, without_layouts],
+                             ids=["decoded", "adapter"])
+    def test_end_to_end_split_and_over_a_stream(self, batch_size, registry):
         """Through the engine: the split plan (LFTA partials, HFTA
         combine) and the same aggregate over a stream source (HFTA raw
         fold, run cache on no parts) count every tcp packet once."""
         from repro import Gigascope
-        gs = Gigascope(mode=mode, batch_size=batch_size)
+        gs = Gigascope(batch_size=batch_size, schema_registry=registry())
         gs.add_queries(
             "DEFINE query_name split; Select count(*), sum(len) From tcp; "
             "DEFINE query_name s; Select time, len From tcp; "
@@ -474,9 +479,9 @@ class TestSnapshotRestoreMidRun:
 
 
 class TestExplainNamesTheKernel:
-    def explain(self, *queries, name=None, mode="compiled"):
+    def explain(self, *queries, name=None):
         from repro import Gigascope
-        gs = Gigascope(mode=mode)
+        gs = Gigascope()
         names = [gs.add_query(text) for text in queries]
         return gs.explain(name or names[0])
 

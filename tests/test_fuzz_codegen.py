@@ -1,9 +1,9 @@
-"""Fuzz the code generator against the interpreter.
+"""Fuzz the code generator against the reference evaluator.
 
 Random well-typed GSQL expressions over the tcp schema must evaluate
-identically in compiled and interpreted mode on random tuples -- the
-two execution paths are independent implementations, so agreement is
-strong evidence both are right.
+identically as generated code and under ``tests/reference/evaluator.py``
+on random tuples -- the two are independent implementations, so
+agreement is strong evidence both are right.
 """
 
 import pytest
@@ -17,6 +17,7 @@ from repro.gsql.parser import parse_query
 from repro.gsql.schema import builtin_registry
 from repro.gsql.semantic import analyze
 from repro.gsql.unparse import expr_to_gsql
+from tests.reference.evaluator import ReferenceEvaluator
 
 NUMERIC_COLUMNS = ["time", "len", "destPort", "srcPort", "ttl"]
 
@@ -83,7 +84,7 @@ def functions():
     return builtin_functions()
 
 
-class TestFuzzModesAgree:
+class TestFuzzAgreesWithReference:
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(expr=numeric_exprs(), data=st.data())
@@ -92,18 +93,11 @@ class TestFuzzModesAgree:
         text = f"Select {expr_to_gsql(expr)} From tcp"
         analyzed = analyze(parse_query(text), registry, functions)
         target = analyzed.output_columns[0].expr
-        results = []
-        for mode in ("compiled", "interpreted"):
-            compiler = ExprCompiler(analyzed, functions, mode=mode)
-            fn = compiler.scalar_fn(target)
-            rows = [random_row(data.draw, registry) for _ in range(3)]
-            results.append([fn(row) for row in rows])
-            if mode == "compiled":
-                shared_rows = rows
-        # evaluate interpreted on the same rows for a fair comparison
-        compiler = ExprCompiler(analyzed, functions, mode="interpreted")
-        fn = compiler.scalar_fn(target)
-        assert results[0] == [fn(row) for row in shared_rows]
+        rows = [random_row(data.draw, registry) for _ in range(3)]
+        generated = ExprCompiler(analyzed, functions).tuple_fn([target])
+        reference = ReferenceEvaluator(analyzed, functions).tuple_fn([target])
+        assert [generated(row) for row in rows] == [
+            reference(row) for row in rows]
 
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -112,12 +106,12 @@ class TestFuzzModesAgree:
         text = f"Select time From tcp Where {expr_to_gsql(expr)}"
         analyzed = analyze(parse_query(text), registry, functions)
         rows = [random_row(data.draw, registry) for _ in range(4)]
-        outcomes = {}
-        for mode in ("compiled", "interpreted"):
-            compiler = ExprCompiler(analyzed, functions, mode=mode)
-            predicate = compiler.predicate_fn(analyzed.where_conjuncts)
-            outcomes[mode] = [predicate(row) for row in rows]
-        assert outcomes["compiled"] == outcomes["interpreted"]
+        conjuncts = analyzed.where_conjuncts
+        generated = ExprCompiler(analyzed, functions).predicate_fn(conjuncts)
+        reference = ReferenceEvaluator(analyzed,
+                                       functions).predicate_fn(conjuncts)
+        assert [generated(row) for row in rows] == [
+            reference(row) for row in rows]
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -1,4 +1,4 @@
-"""Tests for GSQL code generation (compiled and interpreted modes)."""
+"""Tests for GSQL code generation, held to the reference evaluator."""
 
 import pytest
 
@@ -7,6 +7,7 @@ from repro.gsql.functions import builtin_functions
 from repro.gsql.parser import parse_query
 from repro.gsql.schema import builtin_registry
 from repro.gsql.semantic import analyze
+from tests.reference.evaluator import ReferenceEvaluator
 
 
 @pytest.fixture(scope="module")
@@ -19,9 +20,10 @@ def functions():
     return builtin_functions()
 
 
-def compile_query(text, registry, functions, params=None, mode="compiled"):
+def compile_query(text, registry, functions, params=None,
+                  impl=ExprCompiler):
     analyzed = analyze(parse_query(text), registry, functions)
-    return analyzed, ExprCompiler(analyzed, functions, params, mode)
+    return analyzed, impl(analyzed, functions, params)
 
 
 def tcp_row(registry, **overrides):
@@ -34,30 +36,33 @@ def tcp_row(registry, **overrides):
     return tuple(row)
 
 
-@pytest.fixture(params=["compiled", "interpreted"])
-def mode(request):
+@pytest.fixture(params=[ExprCompiler, ReferenceEvaluator],
+                ids=["generated", "reference"])
+def impl(request):
+    """The generated code, and the reference evaluator every test below
+    also pins down: the two answer alike."""
     return request.param
 
 
 class TestPredicates:
-    def test_simple_conjunction(self, registry, functions, mode):
+    def test_simple_conjunction(self, registry, functions, impl):
         analyzed, compiler = compile_query(
             "Select time From tcp Where destPort = 80 and len > 100",
-            registry, functions, mode=mode)
+            registry, functions, impl=impl)
         predicate = compiler.predicate_fn(analyzed.where_conjuncts)
         assert predicate(tcp_row(registry, destPort=80, len=200))
         assert not predicate(tcp_row(registry, destPort=81, len=200))
         assert not predicate(tcp_row(registry, destPort=80, len=50))
 
-    def test_empty_predicate_always_true(self, registry, functions, mode):
+    def test_empty_predicate_always_true(self, registry, functions, impl):
         analyzed, compiler = compile_query("Select time From tcp",
-                                           registry, functions, mode=mode)
+                                           registry, functions, impl=impl)
         assert compiler.predicate_fn([])(tcp_row(registry))
 
-    def test_or_and_not(self, registry, functions, mode):
+    def test_or_and_not(self, registry, functions, impl):
         analyzed, compiler = compile_query(
             "Select time From tcp Where destPort = 80 or not (len > 10)",
-            registry, functions, mode=mode)
+            registry, functions, impl=impl)
         predicate = compiler.predicate_fn(analyzed.where_conjuncts)
         assert predicate(tcp_row(registry, destPort=80, len=100))
         assert predicate(tcp_row(registry, destPort=5, len=5))
@@ -65,18 +70,18 @@ class TestPredicates:
 
 
 class TestProjection:
-    def test_tuple_builder(self, registry, functions, mode):
+    def test_tuple_builder(self, registry, functions, impl):
         analyzed, compiler = compile_query(
             "Select destIP, time/60, len * 8 From tcp",
-            registry, functions, mode=mode)
+            registry, functions, impl=impl)
         build = compiler.tuple_fn([c.expr for c in analyzed.output_columns])
         row = tcp_row(registry, destIP=42, time=125, len=10)
         assert build(row) == (42, 2, 80)
 
-    def test_integer_vs_float_division(self, registry, functions, mode):
+    def test_integer_vs_float_division(self, registry, functions, impl):
         analyzed, compiler = compile_query(
             "Select time/60, timestamp/60 From tcp",
-            registry, functions, mode=mode)
+            registry, functions, impl=impl)
         build = compiler.tuple_fn([c.expr for c in analyzed.output_columns])
         row = tcp_row(registry, time=90, timestamp=90.0)
         time_bucket, timestamp_bucket = build(row)
@@ -85,36 +90,36 @@ class TestProjection:
 
 
 class TestFunctions:
-    def test_scalar_function(self, registry, functions, mode):
+    def test_scalar_function(self, registry, functions, impl):
         analyzed, compiler = compile_query(
             "Select getsubnet(destIP, 8) From tcp",
-            registry, functions, mode=mode)
+            registry, functions, impl=impl)
         build = compiler.tuple_fn([c.expr for c in analyzed.output_columns])
         (subnet,) = build(tcp_row(registry, destIP=0x0A0B0C0D))
         assert subnet == 0x0A000000
 
-    def test_partial_function_discards(self, registry, functions, mode):
+    def test_partial_function_discards(self, registry, functions, impl):
         table = "10.0.0.0/8 7018"
         analyzed, compiler = compile_query(
             f"Select getlpmid(destIP, '{table}') From tcp",
-            registry, functions, mode=mode)
+            registry, functions, impl=impl)
         build = compiler.tuple_fn([c.expr for c in analyzed.output_columns])
         assert build(tcp_row(registry, destIP=0x0A000001)) == (7018,)
         # no matching prefix -> "the tuple being processed is discarded"
         assert build(tcp_row(registry, destIP=0x0B000001)) is None
 
-    def test_partial_function_in_predicate_is_false(self, registry, functions, mode):
+    def test_partial_function_in_predicate_is_false(self, registry, functions, impl):
         analyzed, compiler = compile_query(
             "Select time From tcp Where getlpmid(destIP, '10.0.0.0/8 1') = 1",
-            registry, functions, mode=mode)
+            registry, functions, impl=impl)
         predicate = compiler.predicate_fn(analyzed.where_conjuncts)
         assert predicate(tcp_row(registry, destIP=0x0A000001))
         assert not predicate(tcp_row(registry, destIP=0x0B000001))
 
-    def test_regex_handle_precompiled(self, registry, functions, mode):
+    def test_regex_handle_precompiled(self, registry, functions, impl):
         analyzed, compiler = compile_query(
             r"Select time From tcp Where str_match_regex(data, '^[^\n]*HTTP/1.')",
-            registry, functions, mode=mode)
+            registry, functions, impl=impl)
         predicate = compiler.predicate_fn(analyzed.where_conjuncts)
         assert predicate(tcp_row(registry, data=b"GET / HTTP/1.1\r\n"))
         assert not predicate(tcp_row(registry, data=b"\x00\x01binary"))
@@ -122,18 +127,18 @@ class TestFunctions:
 
 
 class TestParams:
-    def test_param_lookup(self, registry, functions, mode):
+    def test_param_lookup(self, registry, functions, impl):
         analyzed, compiler = compile_query(
             "Select time From tcp Where destPort = $port",
-            registry, functions, params={"port": 80}, mode=mode)
+            registry, functions, params={"port": 80}, impl=impl)
         predicate = compiler.predicate_fn(analyzed.where_conjuncts)
         assert predicate(tcp_row(registry, destPort=80))
         assert not predicate(tcp_row(registry, destPort=443))
 
-    def test_param_change_on_the_fly(self, registry, functions, mode):
+    def test_param_change_on_the_fly(self, registry, functions, impl):
         analyzed, compiler = compile_query(
             "Select time From tcp Where destPort = $port",
-            registry, functions, params={"port": 80}, mode=mode)
+            registry, functions, params={"port": 80}, impl=impl)
         predicate = compiler.predicate_fn(analyzed.where_conjuncts)
         assert predicate(tcp_row(registry, destPort=80))
         compiler.params["port"] = 443
@@ -145,21 +150,21 @@ class TestParams:
             compile_query("Select time From tcp Where destPort = $port",
                           registry, functions, params={})
 
-    def test_handle_via_param(self, registry, functions, mode):
+    def test_handle_via_param(self, registry, functions, impl):
         analyzed, compiler = compile_query(
             "Select getlpmid(destIP, $tbl) From tcp",
             registry, functions,
-            params={"tbl": "10.0.0.0/8 7018"}, mode=mode)
+            params={"tbl": "10.0.0.0/8 7018"}, impl=impl)
         build = compiler.tuple_fn([c.expr for c in analyzed.output_columns])
         assert build(tcp_row(registry, destIP=0x0A000001)) == (7018,)
 
 
 class TestPostAggregation:
-    def test_post_select_and_having(self, registry, functions, mode):
+    def test_post_select_and_having(self, registry, functions, impl):
         analyzed, compiler = compile_query(
             "Select tb, count(*), sum(len) / count(*) From tcp "
             "Group by time/60 as tb Having count(*) > 2",
-            registry, functions, mode=mode)
+            registry, functions, impl=impl)
         build = compiler.post_tuple_fn(
             [c.expr for c in analyzed.output_columns])
         having = compiler.post_predicate_fn(analyzed.having)
@@ -168,14 +173,14 @@ class TestPostAggregation:
         assert having(key, aggs)
         assert not having((7,), (1, 500))
 
-    def test_no_having_always_true(self, registry, functions, mode):
+    def test_no_having_always_true(self, registry, functions, impl):
         analyzed, compiler = compile_query(
             "Select tb, count(*) From tcp Group by time/60 as tb",
-            registry, functions, mode=mode)
+            registry, functions, impl=impl)
         assert compiler.post_predicate_fn(None)((1,), (2,))
 
 
-class TestCompiledSpecifics:
+class TestGeneratedCode:
     def test_generated_source_retained(self, registry, functions):
         analyzed, compiler = compile_query(
             "Select time From tcp Where destPort = 80",
@@ -184,8 +189,9 @@ class TestCompiledSpecifics:
         assert any("def _g" in source for source in compiler.generated_sources)
         assert any("== 80" in source for source in compiler.generated_sources)
 
-    def test_modes_agree(self, registry, functions):
-        """Compiled and interpreted evaluation are observationally equal."""
+    def test_agrees_with_reference(self, registry, functions):
+        """Generated code and the reference evaluator are
+        observationally equal."""
         text = ("Select destIP, time/60, getsubnet(srcIP, 16) From tcp "
                 "Where destPort = 80 and len >= 40")
         rows = [
@@ -194,15 +200,11 @@ class TestCompiledSpecifics:
             for i in range(50)
         ]
         outputs = {}
-        for mode in ("compiled", "interpreted"):
+        for impl in (ExprCompiler, ReferenceEvaluator):
             analyzed, compiler = compile_query(text, registry, functions,
-                                               mode=mode)
+                                               impl=impl)
             predicate = compiler.predicate_fn(analyzed.where_conjuncts)
             build = compiler.tuple_fn([c.expr for c in analyzed.output_columns])
-            outputs[mode] = [build(r) for r in rows if predicate(r)]
-        assert outputs["compiled"] == outputs["interpreted"]
-
-    def test_unknown_mode_rejected(self, registry, functions):
-        with pytest.raises(CodegenError):
-            compile_query("Select time From tcp", registry, functions,
-                          mode="jit")
+            outputs[impl] = [build(r) for r in rows if predicate(r)]
+        assert outputs[ExprCompiler] == outputs[ReferenceEvaluator]
+        assert len(outputs[ExprCompiler]) == 20

@@ -42,19 +42,21 @@ from repro.gsql.types import FLOAT, STRING, UINT
 from repro.operators import join as join_module
 from repro.operators.join import JoinNode
 from repro.recovery.wire import decode_snapshot, encode_snapshot
+from tests.reference.evaluator import ReferenceEvaluator
 from tests.test_merge_equivalence import RecordingManager, feed
 
 #: low enough that a one-sided burst crosses it
 SUSPECT_DEPTH = 12
-#: (block size, codegen mode) of the three nodes held to the reference
-ARMS = ((1, "compiled"), (7, "interpreted"), (256, "compiled"))
+#: block sizes of the three nodes held to the reference
+ARMS = (1, 7, 256)
 
 
 class ReferenceJoin(QueryNode):
-    """The nested-loop window join, verbatim from f96f3e2: the oracle."""
+    """The nested-loop window join, verbatim from f96f3e2 but for its
+    expressions, which the reference evaluator walks: the oracle."""
 
     def __init__(self, plan: HftaPlan, analyzed: AnalyzedQuery,
-                 compiler: ExprCompiler) -> None:
+                 compiler: ReferenceEvaluator) -> None:
         super().__init__(plan.name, plan.output_schema)
         if plan.join_window is None or plan.join_slots is None:
             raise ValueError("join plan is missing its window")
@@ -365,8 +367,10 @@ def join_plan(keys, window, bands, sorted_output):
     assert len(plan.join_keys) == keys
     assert plan.join_sorted_output == sorted_output
 
-    def make(cls, mode="compiled"):
-        node = cls(plan, analyzed, ExprCompiler(analyzed, functions, None, mode))
+    def make(cls):
+        evaluator = (ReferenceEvaluator if cls is ReferenceJoin
+                     else ExprCompiler)(analyzed, functions)
+        node = cls(plan, analyzed, evaluator)
         node.manager = RecordingManager()
         return node, node.subscribe()
     return make
@@ -460,13 +464,13 @@ def check_index(node):
 
 def run(make, bursts, restore_at, seen):
     reference, reference_tap = make(ReferenceJoin)
-    arms = [make(JoinNode, mode) for _, mode in ARMS]
+    arms = [make(JoinNode) for _ in ARMS]
 
     def round_trip():
         wire = encode_snapshot(reference.snapshot_state())
-        for position, ((node, _), (_, mode)) in enumerate(zip(arms, ARMS)):
+        for position, (node, _) in enumerate(arms):
             assert encode_snapshot(node.snapshot_state()) == wire
-            restored, tap = make(JoinNode, mode)
+            restored, tap = make(JoinNode)
             restored.restore_state(decode_snapshot(wire))
             assert encode_snapshot(restored.snapshot_state()) == wire
             check_index(restored)
@@ -479,7 +483,7 @@ def run(make, bursts, restore_at, seen):
         for item in items:
             reference.dispatch(item, side)
         expected = observe(reference, reference_tap)
-        for (node, tap), (block_size, _) in zip(arms, ARMS):
+        for (node, tap), block_size in zip(arms, ARMS):
             feed(node, side, items, block_size)
             assert observe(node, tap) == expected, (
                 f"block={block_size} step={step} input={side} items={items}")

@@ -33,8 +33,11 @@ from repro.gsql.schema import Attribute, ProtocolSchema, SchemaRegistry
 from repro.gsql.semantic import analyze
 from repro.gsql.types import BOOL, FLOAT, INT, IP, IP6, STRING, UINT, ULLONG
 from repro.operators.lfta_table import DirectMappedTable
+from tests.reference.evaluator import ReferenceEvaluator
 
-SRC_ROOT = os.path.join(os.path.dirname(__file__), "..", "src")
+REPO_ROOT = os.path.join(os.path.dirname(__file__), "..")
+#: the package and ``tests.reference``, for the script run below
+PYTHONPATH = os.pathsep.join([os.path.join(REPO_ROOT, "src"), REPO_ROOT])
 
 
 def stable_slots(keys, size, fmt=None):
@@ -87,22 +90,39 @@ def probe_registry():
     return registry
 
 
-def plan_format(columns, extra=""):
-    """The key-hash format the compiler picks for ``Group by columns``."""
+def plan_key(columns, extra=""):
+    """``(fmt, key_of)`` for ``Group by columns``: the key-hash format
+    the compiler picks, and ``key_of(values)``, the group key its
+    generated code builds from a probe row carrying ``values`` in those
+    columns -- held to the reference evaluator's key for the row."""
     functions = builtin_functions()
     group = ", ".join(columns)
+    registry = probe_registry()
     analyzed = analyze(
         parse_query(f"DEFINE query_name q; Select {group}, count(*) "
                     f"From probe Group by {group}{extra}"),
-        probe_registry(), functions)
-    plan = plan_query(analyzed, functions)
-    lfta = plan.lftas[0]
-    compiled, interpreted = (
-        ExprCompiler(analyzed, functions, {"p": 1}, mode)
-        .key_hash_format(lfta.group_exprs)
-        for mode in ("compiled", "interpreted"))
-    assert compiled == interpreted  # types decide, not the codegen mode
-    return compiled
+        registry, functions)
+    exprs = plan_query(analyzed, functions).lftas[0].group_exprs
+    compiler = ExprCompiler(analyzed, functions, {"p": 1})
+    generated = compiler.tuple_fn(exprs)
+    reference = ReferenceEvaluator(analyzed, functions, {"p": 1}).tuple_fn(
+        exprs)
+    probe = registry.get("probe")
+
+    def key_of(values):
+        row = [None] * len(probe)
+        for name, value in zip(columns, values):
+            row[probe.index_of(name)] = value
+        key = generated(tuple(row))
+        assert key == reference(tuple(row))
+        return key
+
+    return compiler.key_hash_format(exprs), key_of
+
+
+def plan_format(columns, extra=""):
+    """The key-hash format the compiler picks for ``Group by columns``."""
+    return plan_key(columns, extra)[0]
 
 
 @st.composite
@@ -118,8 +138,11 @@ class TestGeneratedHasherIsStableHash:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(typed_keys(), st.sampled_from([1, 2, 7, 4096]))
     def test_keys_of_every_declared_type_list(self, drawn, size):
-        columns, keys = drawn
-        fmt = plan_format(columns)
+        columns, values = drawn
+        fmt, key_of = plan_key(columns)
+        # the key the generated group expressions build, value for value
+        keys = [key_of(row) for row in values]
+        assert keys == values
         # The %d format is only ever picked for all-integer keys.
         assert (fmt is not None) == set(columns).issubset(INT_COLUMNS)
         if fmt is not None:
@@ -230,7 +253,7 @@ def placement_digest():
 def test_placement_is_identical_under_two_hash_seeds():
     digests = set()
     for hash_seed in ("1", "31337"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC_ROOT)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=PYTHONPATH)
         out = subprocess.run([sys.executable, __file__], env=env,
                              capture_output=True, text=True, check=True)
         digests.add(out.stdout.strip())

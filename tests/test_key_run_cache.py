@@ -63,7 +63,7 @@ def functions():
     return registry
 
 
-def pair(select, mode="compiled", define="query_name q"):
+def pair(select, define="query_name q"):
     nodes = []
     for cls, compiler in ((FrozenAggregation, FrozenCompiler),
                           (AggregationNode, ExprCompiler)):
@@ -72,8 +72,8 @@ def pair(select, mode="compiled", define="query_name q"):
             parse_query(f"DEFINE {{ {define}; }} {select}"),
             builtin_registry(), registry, stream_resolver={"src": SOURCE}.get)
         plan = plan_query(analyzed, registry)
-        node = cls(plan.hfta, analyzed, compiler(analyzed, registry, None,
-                                                 mode), seed=7)
+        node = cls(plan.hfta, analyzed, compiler(analyzed, registry),
+                   seed=7)
         node.tap = node.subscribe()
         nodes.append(node)
     return nodes
@@ -169,7 +169,6 @@ QUERIES = {
 
 
 @pytest.mark.parametrize("label", sorted(QUERIES))
-@pytest.mark.parametrize("mode", ["compiled", "interpreted"])
 @settings(max_examples=10, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
@@ -182,19 +181,18 @@ QUERIES = {
                 (11, 11, 1, 4), (11, 14, 1, 6), (12, 18, 1, 7)])
 @example(items=[(10, 10, 1, 5), (10, 10, 1, 1), (10, 10, 1, 10),
                 (30, 30, 1, 5), (10, 10, 1, 2), (30, 30, 1, 2)])
-def test_cache_never_shows(label, mode, items):
+def test_cache_never_shows(label, items):
     for size in BLOCK_SIZES:
-        drive(pair(QUERIES[label], mode), items, size)
+        drive(pair(QUERIES[label]), items, size)
 
 
-@pytest.mark.parametrize("mode", ["compiled", "interpreted"])
 @settings(max_examples=10, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
 @given(items=streams())
-def test_sample_gate_draws_once_per_row_in_order(mode, items):
+def test_sample_gate_draws_once_per_row_in_order(items):
     for size in BLOCK_SIZES:
-        nodes = pair(QUERIES["window and key"], mode,
+        nodes = pair(QUERIES["window and key"],
                      define="query_name q; sample 0.5")
         assert nodes[1]._sample_rate == 0.5
         drive(nodes, items, size)

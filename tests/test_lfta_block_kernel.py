@@ -8,7 +8,7 @@ paths exactly as they stood at c83354f -- ``_aggregate_batch`` /
 slots placed by ``stable_hash`` itself -- frozen here as the oracle.
 Generated streams (hits and collisions, a window boundary in the middle
 of a block, late rows, a banded window key, shedding, every aggregate
-name, both decodes, both codegen modes) go through the reference and
+name, both decodes, the row adapter) go through the reference and
 through the real node in blocks of 1, 7 and 256; after every block the
 items on the output channel, the table counters, ``NodeStats`` and the
 encoded ``snapshot_state`` must be equal, including when a fold raises
@@ -16,7 +16,7 @@ in the middle of a block.
 
 One thing is *not* frozen: where a partial function inside an
 aggregate argument has no result.  The reference half-folds the group
-and lets ``DiscardTuple`` escape; the kernels discard the row
+and lets the no-result signal escape; the kernels discard the row
 (``TestDiscardInAggregateArgument``; end to end in ``tests/test_engine.py``).
 """
 
@@ -31,7 +31,7 @@ import pytest
 
 from repro.core.heartbeat import FLUSH, Punctuation
 from repro.determinism import stable_hash
-from repro.gsql.codegen import DiscardTuple, ExprCompiler
+from repro.gsql.codegen import ExprCompiler
 from repro.gsql.functions import builtin_functions
 from repro.gsql.ordering import Ordering
 from repro.gsql.parser import parse_query
@@ -44,6 +44,7 @@ from repro.gsql.schema import (
 )
 from repro.gsql.semantic import analyze
 from repro.gsql.types import FLOAT, STRING, UINT
+from repro.net.build import build_icmp_frame, build_tcp6_frame, capture
 from repro.net.packet import CapturedPacket
 from repro.operators.aggregation import AggregationNode
 from repro.operators.lfta import LftaNode
@@ -53,6 +54,7 @@ from repro.recovery.wire import encode_snapshot
 from tests.conftest import tcp_packet
 from tests.frozen_decode_select import (FrozenAggregation, FrozenCompiler,
                                         FrozenLfta)
+from tests.reference.evaluator import NoResult, ReferenceEvaluator
 
 SRC_ROOT = os.path.join(os.path.dirname(__file__), "..", "src")
 BLOCK_SIZES = (1, 7, 256)
@@ -63,7 +65,8 @@ TABLE_SIZES = (1, 2, 7, 4096)
 
 class ReferenceOps:
     """The generic per-tuple aggregate loops, verbatim from c83354f:
-    each argument is evaluated right before its slot is folded."""
+    each argument is evaluated right before its slot is folded, here by
+    the reference evaluator."""
 
     def __init__(self, aggregates, arg_fns):
         self.aggregates = list(aggregates)
@@ -71,9 +74,12 @@ class ReferenceOps:
 
     @classmethod
     def for_plan(cls, compiler, aggregates, slot_maps):
+        reference = ReferenceEvaluator(compiler.analyzed, compiler.functions,
+                                       compiler.params)
         return cls(aggregates, [
             None if slot_maps is None or agg.arg is None
-            else compiler.scalar_fn(agg.arg, slot_maps)
+            else (lambda row, arg=agg.arg:
+                  reference.value(arg, row, slot_maps=slot_maps))
             for agg in aggregates])
 
     def new_state(self):
@@ -345,22 +351,20 @@ def probe_packet(row):
     return CapturedPacket(timestamp=float(row[0]), data=repr(row).encode())
 
 
-def compile_query(text, mode="compiled", streams=None,
-                  compiler=ExprCompiler):
+def compile_query(text, streams=None, compiler=ExprCompiler):
     functions = builtin_functions()
     analyzed = analyze(parse_query(text), registry_with_probe(), functions,
                        stream_resolver=(streams or {}).get)
     plan = plan_query(analyzed, functions)
-    return analyzed, plan, compiler(analyzed, functions, None, mode)
+    return analyzed, plan, compiler(analyzed, functions)
 
 
-def lfta_pair(text, mode="compiled", **kwargs):
+def lfta_pair(text, **kwargs):
     """(reference, node), each with its own compiler, both tapped."""
     nodes = []
     for cls, compiler in ((ReferenceLfta, FrozenCompiler),
                           (LftaNode, ExprCompiler)):
-        analyzed, plan, compiler = compile_query(text, mode,
-                                                 compiler=compiler)
+        analyzed, plan, compiler = compile_query(text, compiler=compiler)
         node = cls(plan.lftas[0], analyzed, compiler, **kwargs)
         node.tap = node.subscribe()
         nodes.append(node)
@@ -383,6 +387,22 @@ def tcp_stream(rng, count):
             dport=rng.choice((80, 443, 22, 8080, 53)),
             sport=rng.choice((1024, 1025)),
             payload=b"x" * rng.randrange(0, 40)))
+    return packets
+
+
+def tcp6_stream(rng, count):
+    """``tcp_stream``'s flows over IPv6: a protocol without a layout,
+    so the LFTA runs the row adapter."""
+    packets = []
+    now = 10.0
+    for _ in range(count):
+        now += rng.choice((0.0, 0.0, 0.01, 0.05, 0.4, 1.3))
+        late = rng.random() < 0.05
+        packets.append(capture(build_tcp6_frame(
+            f"2001:db8::{rng.randrange(1, 9)}", "2001:db8::ff",
+            rng.choice((1024, 1025)), rng.choice((80, 443, 22, 8080, 53)),
+            payload=b"x" * rng.randrange(0, 40)),
+            now - 5.0 if late else now))
     return packets
 
 
@@ -433,33 +453,33 @@ def observe_hfta(node):
 
 # -- the LFTA corpus -------------------------------------------------------------
 
-#: (label, query, codegen mode, stream, generated block decoder expected)
+#: (label, query, stream, generated block decoder expected)
 LFTA_CONFIGS = [
     ("tcp windowed columnar",
      "Select tb, srcIP, destPort, count(*), sum(len) From tcp "
-     "Group by time/2 as tb, srcIP, destPort", "compiled", tcp_stream, True),
+     "Group by time/2 as tb, srcIP, destPort", tcp_stream, True),
     ("tcp windowless every aggregate",
      "Select srcIP, count(*), sum(len), avg(len), min(len), max(len) "
-     "From tcp Group by srcIP", "compiled", tcp_stream, True),
+     "From tcp Group by srcIP", tcp_stream, True),
     ("tcp predicate + row-only key",
      "Select tb, destPort, count(*), max(len) From tcp Where len > 60 "
-     "Group by time/2 as tb, destPort", "compiled", tcp_stream, True),
-    ("tcp interpreted",
+     "Group by time/2 as tb, destPort", tcp_stream, True),
+    ("tcp6 row adapter",
      "Select tb, destPort, count(*), sum(len), avg(len), min(srcPort), "
-     "max(len) From tcp Group by time/2 as tb, destPort",
-     "interpreted", tcp_stream, False),
+     "max(len) From tcp6 Group by time/2 as tb, destPort",
+     tcp6_stream, False),
     ("probe row decode",
      "Select tb, k, count(*), sum(v), avg(v), min(v), max(f) From probe "
-     "Group by time/2 as tb, k", "compiled", probe_stream, False),
+     "Group by time/2 as tb, k", probe_stream, False),
     ("probe banded window key",
      "Select b, k, count(*), sum(v) From probe Group by bt as b, k",
-     "compiled", probe_stream, False),
+     probe_stream, False),
     ("probe string key (stable_hash fallback)",
      "Select tb, s, count(*), min(f) From probe Where v > 4 "
-     "Group by time/2 as tb, s", "compiled", probe_stream, False),
-    ("probe interpreted float key",
+     "Group by time/2 as tb, s", probe_stream, False),
+    ("probe float key",
      "Select tb, f, count(*), avg(v) From probe Group by time/3 as tb, f",
-     "interpreted", probe_stream, False),
+     probe_stream, False),
 ]
 
 
@@ -469,7 +489,7 @@ def run_lfta_corpus(seeds=range(2), table_sizes=TABLE_SIZES,
     other one; returns a digest of what the reference emitted (stable
     across hash seeds)."""
     digest = hashlib.sha256()
-    for label, query, mode, stream, columnar in LFTA_CONFIGS:
+    for label, query, stream, columnar in LFTA_CONFIGS:
         text = "DEFINE query_name q; " + query
         for seed in seeds:
             packets = stream(random.Random(seed * 7919 + len(label)), 320)
@@ -478,7 +498,7 @@ def run_lfta_corpus(seeds=range(2), table_sizes=TABLE_SIZES,
                     turn += 1
                     for shed_rate in ((1.0, 0.6)[turn % 2],):
                         reference, node = lfta_pair(
-                            text, mode, table_size=table_size, seed=seed)
+                            text, table_size=table_size, seed=seed)
                         assert (node._decoder is not None) == columnar
                         assert reference.table._hash is stable_hash
                         for each in (reference, node):
@@ -558,10 +578,9 @@ class TestLftaKernelEqualsRowAtATime:
         assert node.tap.drain() == reference.tap.drain() == [
             (5, 1, 1), (7, 1, 2)]
 
-    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
     @pytest.mark.parametrize("block_size", BLOCK_SIZES)
     @pytest.mark.parametrize("shed_rate", [1.0, 0.5])
-    def test_fold_raising_at_row_k(self, mode, block_size, shed_rate):
+    def test_fold_raising_at_row_k(self, block_size, shed_rate):
         """``sum(v)`` meets a string at row k: the slots before it are
         folded, the group it displaced has left, the rows after it are
         untouched -- on both sides alike."""
@@ -572,8 +591,8 @@ class TestLftaKernelEqualsRowAtATime:
         packets = [probe_packet(row) for row in rows]
         query = ("DEFINE query_name q; Select tb, k, count(*), sum(v), max(f) "
                  "From probe Group by time/2 as tb, k")
-        reference, node = lfta_pair(query, mode, table_size=7, seed=3)
-        by_one, _ = lfta_pair(query, mode, table_size=7, seed=3)
+        reference, node = lfta_pair(query, table_size=7, seed=3)
+        by_one, _ = lfta_pair(query, table_size=7, seed=3)
         raised = []
         for each, size in ((reference, block_size), (node, block_size),
                            (by_one, 1)):
@@ -626,18 +645,28 @@ class TestDiscardInAggregateArgument:
     """Where the kernels deliberately differ from the frozen loops."""
 
     QUERY = ("DEFINE query_name q; Select tb, count(*), "
-             "sum(getlpmid(destIP, '192.168.0.0/16 5')) From tcp "
+             "sum(getlpmid(destIP, '192.168.0.0/16 5')) From {} "
              "Group by time/60 as tb")
 
-    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+    @staticmethod
+    def packet(protocol, ts, dst):
+        if protocol == "tcp":
+            return tcp_packet(ts=ts, dst=dst)
+        return capture(build_icmp_frame("10.0.0.1", dst), ts)
+
+    @pytest.mark.parametrize("protocol", ["tcp", "icmp"])
     @pytest.mark.parametrize("shed_rate", [1.0, 0.999])
-    def test_row_is_discarded_before_the_table_is_touched(self, mode, shed_rate):
-        reference, node = lfta_pair(self.QUERY, mode, table_size=1)
-        packets = [tcp_packet(ts=1.0, dst="192.168.1.1"),
-                   tcp_packet(ts=2.0, dst="10.9.9.9"),
-                   tcp_packet(ts=3.0, dst="192.168.1.2")]
+    def test_row_is_discarded_before_the_table_is_touched(self, protocol,
+                                                          shed_rate):
+        """On the generated decode loop (tcp) and the row adapter (icmp)."""
+        reference, node = lfta_pair(self.QUERY.format(protocol),
+                                    table_size=1)
+        assert (node._decoder is None) == (protocol == "icmp")
+        packets = [self.packet(protocol, 1.0, "192.168.1.1"),
+                   self.packet(protocol, 2.0, "10.9.9.9"),
+                   self.packet(protocol, 3.0, "192.168.1.2")]
         # The frozen loop lets the exception out, count(*) already bumped.
-        with pytest.raises(DiscardTuple):
+        with pytest.raises(NoResult):
             reference.accept_batch(packets)
         assert reference.table.lookups == 2
         node.set_shed_rate(shed_rate)
@@ -673,42 +702,39 @@ SOURCE = StreamSchema("src", [
     Attribute("v", UINT),
 ])
 
-#: (label, query, codegen mode, what the node reads)
+#: (label, query, what the node reads)
 HFTA_CONFIGS = [
     ("superaggregate",
      "Select tb, k, count(*), sum(v), avg(v), min(v), max(v) From probe "
-     "Group by time/2 as tb, k", "compiled", "partials"),
+     "Group by time/2 as tb, k", "partials"),
     ("superaggregate having",
      "Select tb, count(*), sum(v) From probe Group by time/2 as tb "
-     "Having count(*) > 3", "compiled", "partials"),
+     "Having count(*) > 3", "partials"),
     ("superaggregate window key second",
      "Select k, tb, count(*), sum(v) From probe Group by k, time/2 as tb",
-     "compiled", "partials"),
+     "partials"),
     ("superaggregate banded",
      "Select b, k, count(*), max(v) From probe Group by bt as b, k",
-     "compiled", "partials"),
-    ("superaggregate windowless interpreted",
-     "Select k, count(*), avg(v) From probe Group by k",
-     "interpreted", "partials"),
+     "partials"),
+    ("superaggregate windowless",
+     "Select k, count(*), avg(v) From probe Group by k", "partials"),
     ("full mode",
      "Select tb, k, count(*), sum(v), avg(v), min(v), max(v) From src "
-     "Where v > 10 Group by time/2 as tb, k Having count(*) > 1",
-     "compiled", "raw"),
-    ("full mode interpreted",
-     "Select tb, count(*), max(v) From src Group by time/3 as tb",
-     "interpreted", "raw"),
+     "Where v > 10 Group by time/2 as tb, k Having count(*) > 1", "raw"),
+    ("full mode window only",
+     "Select tb, count(*), max(v) From src Group by time/3 as tb", "raw"),
     ("full mode shard producer",
      "Select tb, k, count(*), avg(v) From src Group by time/2 as tb, k",
-     "compiled", "raw-producer"),
+     "raw-producer"),
 ]
 
 
-def hfta_pair(text, mode, reads):
+def hfta_pair(text, reads):
     nodes = []
     for cls, compiler in ((ReferenceAggregation, FrozenCompiler),
                           (AggregationNode, ExprCompiler)):
         analyzed, plan, compiler = compile_query(
-            "DEFINE query_name q; " + text, mode, streams={"src": SOURCE},
+            "DEFINE query_name q; " + text, streams={"src": SOURCE},
             compiler=compiler)
         node = cls(plan.hfta, analyzed, compiler)
         if reads == "raw-producer":
@@ -772,12 +798,12 @@ def feed(node, items, block_size):
 class TestSuperaggregateLoopEqualsRowAtATime:
     def test_corpus(self):
         flushed_mid_block = 0
-        for label, query, mode, reads in HFTA_CONFIGS:
+        for label, query, reads in HFTA_CONFIGS:
             for seed in range(4):
                 items = hfta_input(random.Random(seed * 104729 + len(label)),
                                    query, reads, 500)
                 for block_size in BLOCK_SIZES:
-                    (reference, node), _plan = hfta_pair(query, mode, reads)
+                    (reference, node), _plan = hfta_pair(query, reads)
                     steps = zip(feed(reference, items, block_size),
                                 feed(node, items, block_size))
                     for step, _ in enumerate(steps):
@@ -792,9 +818,8 @@ class TestSuperaggregateLoopEqualsRowAtATime:
                     assert node.flushed and reference.flushed
         assert flushed_mid_block
 
-    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
     @pytest.mark.parametrize("reads", ["partials", "raw"])
-    def test_fold_raising_at_row_k(self, mode, reads):
+    def test_fold_raising_at_row_k(self, reads):
         if reads == "partials":
             query = ("Select tb, k, count(*), sum(v) From probe "
                      "Group by time/2 as tb, k")
@@ -803,7 +828,7 @@ class TestSuperaggregateLoopEqualsRowAtATime:
             query = ("Select tb, k, count(*), sum(v) From src "
                      "Group by time/2 as tb, k")
             rows = [(10, 1, 20), (11, 2, 7), (12, 1, "boom"), (13, 2, 1)]
-        (reference, node), _plan = hfta_pair(query, mode, reads)
+        (reference, node), _plan = hfta_pair(query, reads)
         for each in (reference, node):
             with pytest.raises(TypeError):
                 each.dispatch_batch(rows, 0)
@@ -813,8 +838,7 @@ class TestSuperaggregateLoopEqualsRowAtATime:
         # count(*) bumped, sum(v) not.
         assert expected[0] and node.open_groups == 1
 
-    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
-    def test_discard_in_an_argument_on_the_hfta(self, mode):
+    def test_discard_in_an_argument_on_the_hfta(self):
         """Full mode evaluates the arguments before the group exists."""
         streams = {"src": StreamSchema("src", [
             Attribute("time", UINT, Ordering.increasing()),
@@ -822,7 +846,7 @@ class TestSuperaggregateLoopEqualsRowAtATime:
         analyzed, plan, compiler = compile_query(
             "DEFINE query_name q; Select tb, count(*), "
             "sum(getlpmid(destIP, '192.168.0.0/16 5')) From src "
-            "Group by time/60 as tb", mode, streams=streams)
+            "Group by time/60 as tb", streams=streams)
         node = AggregationNode(plan.hfta, analyzed, compiler)
         tap = node.subscribe()
         inside, outside = (192 << 24) | (168 << 16) | 1, 10 << 24

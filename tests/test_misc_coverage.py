@@ -1,5 +1,5 @@
 """Coverage for smaller API surfaces: unparse sources, params objects,
-sink flushing, schema helpers, CLI interpreted mode, runtime edges."""
+sink flushing, schema helpers, the CLI's absent mode flag, runtime edges."""
 
 import io
 
@@ -85,16 +85,20 @@ class TestSinkFlushing:
         assert buffer.flushes == 2  # at rows 10 and 20
 
 
-class TestCliInterpretedMode:
-    def test_interpreted_mode_runs(self, tmp_path, capsys):
+class TestCliHasNoCodegenMode:
+    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+    def test_mode_flag_is_a_usage_error(self, tmp_path, capsys, mode):
+        """The GSQL processor is a code generator; there is no mode to
+        pick."""
         from repro.cli import main
         from repro.net.pcap import write_pcap
         path = tmp_path / "t.pcap"
         write_pcap(str(path), [tcp_packet(ts=1.0, dport=80)])
-        code = main(["--pcap", str(path), "--mode", "interpreted",
-                     "--query", "DEFINE query_name q; Select time From tcp"])
-        assert code == 0
-        assert "# q" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--pcap", str(path), "--mode", mode,
+                  "--query", "DEFINE query_name q; Select time From tcp"])
+        assert excinfo.value.code == 2
+        assert "--mode" in capsys.readouterr().err
 
 
 class TestRuntimeEdges:
@@ -148,11 +152,10 @@ class TestStringLiteralCoercion:
     compare equal to them (regression: qname = 'x' silently never
     matched)."""
 
-    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
-    def test_equality_on_payload_fields(self, mode):
+    def test_equality_on_payload_fields(self):
         from repro.net.build import build_udp_frame, capture
         from repro.net.dns import build_query as dns_query
-        gs = Gigascope(mode=mode)
+        gs = Gigascope()
         gs.add_query("DEFINE query_name q; Select time From dns "
                      "Where qname = 'www.example.com'")
         sub = gs.subscribe("q")

@@ -92,10 +92,6 @@ class TestBpf:
             gs = engine_for(text)
             assert gs.rts.node("q").card_filter() is None
             assert gs.plan_of("q").lftas[0].snaplen == 65535
-        interpreted = Gigascope(mode="interpreted")
-        interpreted.add_query("DEFINE query_name q; Select time From tcp "
-                              "Where destPort = 80")
-        assert interpreted.rts.node("q").card_filter() is None
 
 
 def _frames(build, count):

@@ -5,7 +5,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.gsql.ast_nodes import AggCall, Column
+from repro.gsql.codegen import DiscardTuple
 from repro.operators.aggregates import AggregateOps, partial_layout
+from tests.reference.evaluator import NoResult, ReferenceEvaluator
+
+
+def generic_ops(analyzed, functions, aggregates):
+    """The generic loops, over argument values the reference evaluator
+    computes from the input tuple."""
+    reference = ReferenceEvaluator(analyzed, functions)
+    return AggregateOps(aggregates, [
+        None if agg.arg is None
+        else (lambda row, arg=agg.arg:
+              reference.value(arg, row, slot_maps=(None, None)))
+        for agg in aggregates])
 
 
 def make_ops(*names):
@@ -120,23 +133,21 @@ class TestGeneratedKernels:
             out.append(tuple(row))
         return out
 
-    def both(self, compile_plan, mode="compiled"):
-        """(generated-or-interpreted ops, generic ops, compiler)."""
-        _analyzed, plan, compiler = compile_plan(self.QUERY, mode=mode)
+    def both(self, compile_plan, functions):
+        """(generated ops, generic ops, compiler)."""
+        analyzed, plan, compiler = compile_plan(self.QUERY)
         lfta = plan.lftas[0]
         built = AggregateOps.for_plan(compiler, lfta.aggregates, (None, None))
-        generic = AggregateOps(lfta.aggregates, [
-            compiler.scalar_fn(agg.arg, (None, None))
-            if agg.arg is not None else None for agg in lfta.aggregates])
+        generic = generic_ops(analyzed, functions, lfta.aggregates)
         return built, generic, compiler
 
-    def test_every_aggregate_name_is_covered(self, compile_plan):
-        built, _generic, _compiler = self.both(compile_plan)
+    def test_every_aggregate_name_is_covered(self, compile_plan, functions):
+        built, _generic, _compiler = self.both(compile_plan, functions)
         assert {agg.name for agg in built.aggregates} == {
             "COUNT", "SUM", "MIN", "MAX", "AVG"}
 
-    def test_kernels_are_generated_sources(self, compile_plan):
-        built, generic, compiler = self.both(compile_plan)
+    def test_kernels_are_generated_sources(self, compile_plan, functions):
+        built, generic, compiler = self.both(compile_plan, functions)
         for kernel in (built.update, built.update_weighted, built.combine):
             assert kernel.__name__.startswith("_g")
             assert any(source.startswith(f"def {kernel.__name__}(")
@@ -150,21 +161,9 @@ class TestGeneratedKernels:
         # The plain constructor keeps the generic loops.
         assert generic.update.__func__ is AggregateOps.update
 
-    def test_interpreted_mode_keeps_the_generic_loop(self, compile_plan):
-        built, generic, compiler = self.both(compile_plan, mode="interpreted")
-        assert compiler.aggregate_kernels(built.aggregates, (None, None)) is None
-        assert built.update.__func__ is AggregateOps.update
-        assert built.combine.__func__ is AggregateOps.combine
-        compiled, _, _ = self.both(compile_plan)
-        a, b = built.new_state(), compiled.new_state()
-        for row in self.rows():
-            built.update(a, row)
-            compiled.update(b, row)
-        assert a == b
-
     @pytest.mark.parametrize("weight", [1.0, 2.5, 1 / 0.3])
-    def test_update_matches_generic(self, compile_plan, weight):
-        built, generic, _ = self.both(compile_plan)
+    def test_update_matches_generic(self, compile_plan, functions, weight):
+        built, generic, _ = self.both(compile_plan, functions)
         states = [ops.new_state() for ops in (built, generic, built, generic)]
         assert states[0][2] is None and states[0][3] is None  # MIN/MAX unset
         for step, row in enumerate(self.rows()):
@@ -177,8 +176,8 @@ class TestGeneratedKernels:
         assert built.partials(states[0]) == generic.partials(states[1])
         assert built.final_values(states[2]) == generic.final_values(states[3])
 
-    def test_combine_matches_generic(self, compile_plan):
-        built, generic, _ = self.both(compile_plan)
+    def test_combine_matches_generic(self, compile_plan, functions):
+        built, generic, _ = self.both(compile_plan, functions)
         rows = self.rows(60)
         partials = []
         for start in range(0, 60, 7):
@@ -212,27 +211,24 @@ class TestGeneratedKernels:
         assert ops.update is None and ops.update_weighted is None
         assert ops.combine.__name__.startswith("_g")
 
-    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
-    def test_discard_in_an_argument_touches_no_state(self, compile_plan, mode):
+    def test_discard_in_an_argument_touches_no_state(self, compile_plan,
+                                                     functions):
         """Arguments before state: a partial function with no result
         raises before any slot is folded -- ``count(*)``, which comes
         first in the list, must not have been bumped."""
-        from repro.gsql.codegen import DiscardTuple
         # An inline one-prefix table: no row's destIP (< 2000) is in it.
-        _analyzed, plan, compiler = compile_plan(
+        analyzed, plan, compiler = compile_plan(
             "DEFINE query_name q; Select tb, count(*), "
             "sum(getlpmid(destIP, '10.0.0.0/8 1')), max(len) From tcp "
-            "Group by time/10 as tb", mode=mode)
+            "Group by time/10 as tb")
         lfta = plan.lftas[0]
         built = AggregateOps.for_plan(compiler, lfta.aggregates, (None, None))
-        generic = AggregateOps(lfta.aggregates, [
-            compiler.scalar_fn(agg.arg, (None, None))
-            if agg.arg is not None else None for agg in lfta.aggregates])
+        generic = generic_ops(analyzed, functions, lfta.aggregates)
         row = self.rows(1)[0]
-        for ops in (built, generic):
+        for ops, no_result in ((built, DiscardTuple), (generic, NoResult)):
             for fold in (ops.update,
                          lambda s, t: ops.update_weighted(s, t, 2.5)):
                 state = ops.new_state()
-                with pytest.raises(DiscardTuple):
+                with pytest.raises(no_result):
                     fold(state, row)
                 assert state == [0, 0, None]

@@ -1,13 +1,16 @@
 """Tests for the HFTA aggregation node (ordered flush, partial combine)."""
 
+import random
+
 import pytest
 
 from repro.core.heartbeat import FLUSH, Punctuation
 from repro.operators.aggregation import AggregationNode
+from tests.reference.evaluator import ReferenceEvaluator
 
 
-def make_agg(compile_plan, text, streams=None, mode="compiled"):
-    analyzed, plan, compiler = compile_plan(text, streams=streams, mode=mode)
+def make_agg(compile_plan, text, streams=None):
+    analyzed, plan, compiler = compile_plan(text, streams=streams)
     node = AggregationNode(plan.hfta, analyzed, compiler)
     tap = node.subscribe()
     return node, tap
@@ -156,3 +159,29 @@ class TestFromPartials:
         # 2.0 promises future keys >= 1.5: both 1.0 and 1.4 are closed.
         node.dispatch((2.0, 1), 0)
         assert rows_of(tap) == [(1.0, 4), (1.4, 2)]
+
+
+class TestAgreesWithReference:
+    """The node's generated loop against the reference evaluator's
+    dict-of-groups aggregation, over the same rows in window order."""
+
+    QUERIES = [
+        "Select tb, count(*), sum(len), min(len), max(len), avg(len) "
+        "From base Group by time/10 as tb",
+        "Select tb, m, count(*) From base Where len > 20 "
+        "Group by time/10 as tb, len % 3 as m Having count(*) > 4",
+        "Select count(*), sum(len) From base",
+    ]
+
+    @pytest.mark.parametrize("select", QUERIES)
+    def test_same_groups(self, compile_plan, functions, select):
+        streams = base_stream(compile_plan)
+        text = "DEFINE query_name q; " + select
+        node, tap = make_agg(compile_plan, text, streams)
+        rng = random.Random(3)
+        rows = [(i // 7, rng.randrange(100)) for i in range(500)]
+        node.dispatch_batch(rows, 0)
+        node.dispatch(FLUSH, 0)
+        analyzed = compile_plan(text, streams=streams)[0]
+        expected = ReferenceEvaluator(analyzed, functions).aggregate(rows)
+        assert expected and sorted(rows_of(tap)) == sorted(expected)

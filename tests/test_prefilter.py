@@ -11,7 +11,8 @@ packets:
   action (until PR 19 fused the action into the loop this was the
   decode-then-filter path, pass for pass; that one is frozen in
   ``tests/frozen_decode_select.py`` now);
-* ``interpreted`` -- the row adapter.
+* *adapter* -- the same query text over the protocol stripped of its
+  layout (:func:`without_layouts`): no decode loop, the row adapter.
 
 Rows in emit order, ``tuples_in``, ``discarded``, ``tuples_out`` and
 ``sampled_out`` must agree, at block sizes 1/7/256, over
@@ -20,6 +21,7 @@ and enough header variety for every conjunct shape to both keep and
 kill.  CI's ``columnar-smoke`` job runs this file under two hash seeds.
 """
 
+import copy
 import random
 from contextlib import contextmanager
 
@@ -35,7 +37,7 @@ from repro.gsql.codegen import ExprCompiler
 from repro.gsql.functions import builtin_functions
 from repro.gsql.parser import parse_query
 from repro.gsql.planner import SNAPLEN_HEADERS, plan_query
-from repro.gsql.schema import builtin_registry
+from repro.gsql.schema import SchemaRegistry, builtin_registry
 from repro.gsql.semantic import analyze
 from repro.net.build import build_tcp_frame, build_udp_frame
 from repro.net.columnar import (ActionSource, Branch, Member, RowAction,
@@ -134,11 +136,27 @@ def decode_then_filter():
         planner._mark_prefix = marked
 
 
-def run(text, packets, batch_size=256, params=None, mode="compiled",
-        setup=None):
+def without_layouts():
+    """The built-in protocols with ip/tcp/udp stripped of their layouts:
+    same names, fields and guards, so the same query text runs through
+    the row adapter instead of a generated decode loop."""
+    builtin = builtin_registry()
+    registry = SchemaRegistry()
+    for name in builtin.names():
+        schema = builtin.get(name)
+        if schema.columnar_decoder is not None:
+            schema = copy.copy(schema)
+            schema._layout = None
+            schema.columnar_decoder = None
+        registry.add(schema)
+    return registry
+
+
+def run(text, packets, batch_size=256, params=None, setup=None,
+        registry=None):
     """Rows in emit order plus what every LFTA counted."""
-    gs = Gigascope(seed=SEED, batch_size=batch_size, mode=mode,
-                   heartbeat_interval=0.5)
+    gs = Gigascope(seed=SEED, batch_size=batch_size, heartbeat_interval=0.5,
+                   schema_registry=registry)
     name = gs.add_query(text, params=params)
     sub = gs.subscribe(name)
     if setup is not None:
@@ -160,10 +178,13 @@ def three_arms(text, packets, batch_size=256, params=None):
     pushed = run(text, packets, batch_size, params)
     with decode_then_filter():
         frozen = run(text, packets, batch_size, params)
-    interpreted = run(text, packets, batch_size, params, mode="interpreted")
+    adapter = run(text, packets, batch_size, params,
+                  registry=without_layouts())
     assert "killed" not in frozen[0].generated_code(text_name(text))
+    assert all(lfta.decode_fields is None for _, lfta in
+               adapter[0].rts.iter_nodes() if hasattr(lfta, "decode_fields"))
     assert pushed[1:] == frozen[1:]
-    assert pushed[1:] == interpreted[1:]
+    assert pushed[1:] == adapter[1:]
     return pushed
 
 
@@ -314,16 +335,17 @@ class TestWhatIsPushed:
         assert "prefilter=[destPort = 80]" in gs.explain("a")
         assert "pushed" not in gs.explain("a")
 
-    def test_interpreted_and_layoutless_sources_are_untouched(self):
-        for mode, protocol, where in (("interpreted", "tcp", "destPort = 80"),
-                                      ("compiled", "icmp", "icmp_type = 8"),
-                                      ("compiled", "tcp6", "destPort = 80")):
+    def test_layoutless_sources_are_untouched(self):
+        for registry, protocol, where in (
+                (without_layouts, "tcp", "destPort = 80"),
+                (builtin_registry, "icmp", "icmp_type = 8"),
+                (builtin_registry, "tcp6", "destPort = 80")):
             text = (f"DEFINE query_name q; Select time From {protocol} "
                     f"Where {where}")
-            gs = Gigascope(mode=mode)
+            gs = Gigascope(schema_registry=registry())
             gs.add_query(text)
             with decode_then_filter():
-                frozen = Gigascope(mode=mode)
+                frozen = Gigascope(schema_registry=registry())
                 frozen.add_query(text)
             assert gs.generated_code("q") == frozen.generated_code("q")
             assert "killed" not in gs.generated_code("q")
@@ -362,8 +384,7 @@ def compiled(text, params=None):
     functions = builtin_functions()
     analyzed = analyze(parse_query(text), REGISTRY, functions)
     plan = plan_query(analyzed, functions)
-    return analyzed, plan, ExprCompiler(analyzed, functions, params,
-                                        "compiled")
+    return analyzed, plan, ExprCompiler(analyzed, functions, params)
 
 
 def member(where, params=None, fields="time, srcIP, destPort"):

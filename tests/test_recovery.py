@@ -126,7 +126,7 @@ def _compile(text, streams=None):
     analyzed = analyze(parse_query(text), builtin_registry(), functions,
                        stream_resolver=(streams or {}).get)
     plan = plan_query(analyzed, functions)
-    compiler = ExprCompiler(analyzed, functions, None, "compiled")
+    compiler = ExprCompiler(analyzed, functions)
     return analyzed, plan, compiler
 
 

@@ -20,7 +20,7 @@ import pytest
 from repro import Gigascope
 from repro.gsql.functions import FunctionSpec
 from repro.gsql.types import UINT
-from repro.net.build import build_tcp_frame
+from repro.net.build import build_tcp6_frame, build_tcp_frame
 from repro.net.packet import CapturedPacket
 
 BLOCK_SIZES = (1, 7, 256)
@@ -39,22 +39,30 @@ def boom():
     return FunctionSpec("boom", call, (UINT,), UINT)
 
 
-def packets(count=100):
+def packets(count=100, protocol="tcp"):
     # ten packets a second over three ports: window tb=0 closes at
     # packet 20, well before the 40th call
-    return [CapturedPacket(
-        timestamp=0.1 * i, interface="eth0",
-        data=build_tcp_frame("10.0.0.1", "10.0.0.2", 1000 + i, 80 + i % 3))
-        for i in range(count)]
+    build, src, dst = ((build_tcp_frame, "10.0.0.1", "10.0.0.2")
+                       if protocol == "tcp" else
+                       (build_tcp6_frame, "2001:db8::1", "2001:db8::2"))
+    return [CapturedPacket(timestamp=0.1 * i, interface="eth0",
+                           data=build(src, dst, 1000 + i, 80 + i % 3))
+            for i in range(count)]
 
 
-def run(text, node, batch_size, pump_every=64, mode="compiled"):
-    gs = Gigascope(batch_size=batch_size, heartbeat_interval=None, mode=mode)
+def run(text, node, batch_size, pump_every=64, protocol="tcp"):
+    """``text`` over ``protocol``: tcp has a layout, so its LFTAs run
+    generated decode loops; tcp6 has none and takes the row adapter."""
+    gs = Gigascope(batch_size=batch_size, heartbeat_interval=None)
     gs.functions.register(boom())
-    gs.add_queries(text)
+    gs.add_queries(text.replace("eth0.tcp", f"eth0.{protocol}"))
+    lftas = [lfta for _, lfta in gs.rts.iter_nodes()
+             if hasattr(lfta, "decode_fields")]
+    assert lftas and all((lfta.decode_fields is None) == (protocol == "tcp6")
+                         for lfta in lftas)
     sub = gs.subscribe("q")
     gs.start()
-    gs.feed(packets(), pump_every=pump_every)
+    gs.feed(packets(protocol=protocol), pump_every=pump_every)
     gs.flush()
     stats = gs.rts.node(node).stats
     return (sub.poll(), stats.tuples_in, stats.tuples_out, stats.discarded,
@@ -69,28 +77,29 @@ HFTA = ("DEFINE query_name s; Select time, destPort From eth0.tcp; "
         "Group by time/2 as tb, boom(destPort) as p")
 
 
-@pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+@pytest.mark.parametrize("protocol", ["tcp", "tcp6"])
 class TestRaisingExpression:
     @pytest.mark.parametrize("batch_size", BLOCK_SIZES)
-    def test_lfta_projection(self, batch_size, mode):
+    def test_lfta_projection(self, batch_size, protocol):
         rows, tuples_in, tuples_out, discarded, quarantined = run(
-            PROJECTION, "q", batch_size, mode=mode)
+            PROJECTION, "q", batch_size, protocol=protocol)
         assert rows == [(i // 10, 80 + i % 3) for i in range(RAISES_AT - 1)]
         assert (tuples_in, tuples_out, discarded) == (
             RAISES_AT, RAISES_AT - 1, 0)
         assert quarantined == {"q": "RuntimeError: boom"}
 
     @pytest.mark.parametrize("batch_size", BLOCK_SIZES)
-    def test_lfta_partial_aggregation(self, batch_size, mode):
+    def test_lfta_partial_aggregation(self, batch_size, protocol):
         rows, tuples_in, tuples_out, _, quarantined = run(
-            PARTIAL, "_fta_q_0", batch_size, mode=mode)
+            PARTIAL, "_fta_q_0", batch_size, protocol=protocol)
         # the three tb=0 groups closed when packet 20 opened tb=1; the
         # LFTA died holding tb=1, which never reaches the HFTA's output
         assert sorted(rows) == [(0, 80, 7), (0, 81, 7), (0, 82, 6)]
         assert (tuples_in, tuples_out) == (RAISES_AT, 3)
         assert quarantined == {"_fta_q_0": "RuntimeError: boom"}
 
-    def test_hfta_aggregation_differs_only_by_the_legitimate_cut(self, mode):
+    def test_hfta_aggregation_differs_only_by_the_legitimate_cut(
+            self, protocol):
         """The HFTA's block is the pump chunk: ``tuples_in`` counts the
         chunk the scheduler popped, everything the node *did* is the
         39 rows before the raise."""
@@ -98,7 +107,7 @@ class TestRaisingExpression:
         for pump_every in (16, 64):
             for batch_size in BLOCK_SIZES:
                 results[pump_every, batch_size] = run(
-                    HFTA, "q", batch_size, pump_every, mode)
+                    HFTA, "q", batch_size, pump_every, protocol)
         for (pump_every, _), result in results.items():
             rows, tuples_in, tuples_out, discarded, quarantined = result
             # rows 0..19 built tb=0; row 20 closed it

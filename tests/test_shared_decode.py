@@ -18,6 +18,7 @@ import pytest
 
 from repro import Gigascope
 from repro.faults import OperatorFault
+from repro.net.build import build_tcp6_frame, capture
 from repro.recovery.wire import encode_snapshot
 
 from tests.conftest import tcp_packet, udp_packet
@@ -51,6 +52,14 @@ FRAMES = """
     DEFINE query_name frames;
     Select time, ethertype, len From eth0.ethernet
 """
+#: row-adapter LFTAs: tcp6 has no layout, so no kernel covers them
+ADAPTED = [
+    """DEFINE query_name proj6;
+       Select time, srcIP6, destPort From tcp6 Where destPort = 80""",
+    """DEFINE query_name agg6;
+       Select tb, destIP6, count(*), sum(len) From tcp6
+       Group by time/2 as tb, destIP6""",
+]
 #: attribute positions of the tcp schema each query reads
 FIELDS = {
     "proj": {0, 4, 13},
@@ -80,6 +89,21 @@ def traffic(count=1500, interfaces=("eth0",)):
             flags=rng.choice((0x02, 0x10, 0x18, 0x12)),
             interface=interface))
     return packets
+
+
+def with_tcp6(packets):
+    """``packets`` with an IPv6 TCP segment after each, on its clock."""
+    rng = random.Random(13)
+    out = []
+    for packet in packets:
+        out.append(packet)
+        out.append(capture(build_tcp6_frame(
+            f"2001:db8::{rng.randrange(1, 20):x}",
+            f"2001:db8:1::{rng.randrange(1, 8):x}",
+            rng.randrange(1024, 1100), rng.choice((80, 80, 443)),
+            payload=rng.choice((b"", b"GET / HTTP/1.1\r\n"))),
+            packet.timestamp, packet.interface))
+    return out
 
 
 def engine(queries, prepare=None, batch_size=64, **kwargs):
@@ -223,10 +247,13 @@ class TestSameAsRunningAlone:
                 == run(queries, packets)[1:])
 
     def test_row_adapter_lftas_share_nothing_and_agree(self):
-        # interpreted codegen: no block decoder, so no kernel member
-        shared = assert_same_as_alone(
-            [PROJECTION, AGGREGATION], traffic(400), mode="interpreted")
+        packets = with_tcp6(traffic(400))
+        shared = assert_same_as_alone(ADAPTED, packets)
         assert not shared.rts._block_plan().members
+        assert shared.stats()["proj6"]["tuples_out"] > 0
+        # beside a kernel member, each still takes its interface's run
+        shared = assert_same_as_alone([PROJECTION] + ADAPTED, packets)
+        assert sections(shared) == {"eth0": [["proj"]]}
 
 
 class TestDecodeOncePerBlock:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.net.pcap import read_pcap, write_pcap
 from repro.net.pcapng import read_pcapng, write_pcapng
-from repro.trace import build_packet_filter, main
+from repro.trace import UnknownProtocol, build_packet_filter, main
 from tests.conftest import tcp_packet, udp_packet
 
 
@@ -40,7 +40,7 @@ class TestPacketFilter:
         assert not keep(tcp_packet(src="11.5.5.5"))
 
     def test_unknown_protocol(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(UnknownProtocol, match="'smtp'"):
             build_packet_filter("smtp", None)
 
 
@@ -116,3 +116,57 @@ class TestCliRuns:
         code = main(["--in", str(in_path), "--out", str(out)])
         assert code == 0
         assert len(read_pcap(str(out))) == 5
+
+
+class TestRefusals:
+    """Bad input is a usage error (exit 2) naming the flag, and no
+    output file is created."""
+
+    @pytest.mark.parametrize("extra, flag", [
+        (["--limit", "0"], "--limit"),
+        (["--limit", "-2"], "--limit"),
+        (["--snaplen", "0"], "--snaplen"),
+        (["--snaplen", "-1"], "--snaplen"),
+        (["--protocol", "smtp"], "--protocol"),
+        (["--time-range", "a:b"], "--time-range"),
+    ])
+    def test_bad_flag(self, trace, tmp_path, capsys, extra, flag):
+        in_path, _ = trace
+        out = tmp_path / "out.pcap"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--in", in_path, "--out", str(out)] + extra)
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_input(self, tmp_path, capsys):
+        out = tmp_path / "out.pcap"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--in", str(tmp_path / "nope.pcap"), "--out", str(out)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--in" in err and "nope.pcap" in err
+        assert not out.exists()
+
+    def test_unwritable_output(self, trace, tmp_path, capsys):
+        in_path, _ = trace
+        out = tmp_path / "no-such-dir" / "out.pcap"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--in", in_path, "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_output_over_input(self, trace, capsys):
+        in_path, packets = trace
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--in", in_path, "--out", in_path])
+        assert excinfo.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        assert len(read_pcap(in_path)) == len(packets)
+
+    def test_limit_one_writes_one(self, trace, tmp_path):
+        in_path, _ = trace
+        out = tmp_path / "out.pcap"
+        assert main(["--in", in_path, "--out", str(out), "--limit", "1"]) == 0
+        assert len(read_pcap(str(out))) == 1
