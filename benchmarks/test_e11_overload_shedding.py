@@ -22,7 +22,18 @@ Shape: "none" reports large raw channel drops; adaptive keeps the
 channel near its capacity watermark, drops (far) less, reports a
 nonzero shed fraction, and its 1/rate-corrected COUNT/SUM land within
 10% of ground truth.
+
+Cost: shedding is only a pressure valve if a shed packet is cheaper
+than a kept one.  The shed gate draws inside the LFTA's generated loop,
+ahead of its guard, so a shedding LFTA stays in the run-time system's
+block kernel and a packet it sheds costs a draw: on the committed
+benchmark's ``e2_merge`` (Section 5's two-link plan) the CPU per packet
+falls with the keep-rate.
 """
+
+import gc
+import statistics
+import time
 
 import pytest
 
@@ -113,3 +124,77 @@ def test_e11_static_gate_matches_configured_rate(packets):
     _, _, report = run("static:0.25", packets)
     assert report["shed_fraction"] == pytest.approx(0.75, abs=0.03)
     assert report["shed_rate"] == 0.25
+
+
+#: keep-rates of the cost arms; the first is the unshed reference
+COST_RATES = (1.0, 0.9, 0.5, 0.25)
+COST_ROUNDS = 5
+#: CPU seconds each arm takes per round, at least
+ARM_SECONDS = 1.0
+
+
+def cpu_seconds(workload, packets, rate):
+    """CPU seconds of one fresh engine (built off the clock) running
+    ``workload``'s queries under ``static:rate`` over ``packets``."""
+    from bench.workloads import run_once
+
+    engine, subscriptions = workload.build(
+        lambda fresh: fresh.enable_shedding(f"static:{rate}"))
+    began = time.process_time()
+    run_once(engine, subscriptions, packets)
+    spent = time.process_time() - began
+    report = engine.overload_report()
+    assert report["channel_dropped"] == 0
+    assert not report.get("quarantined")
+    assert (report["packets_shed"] > 0) == (rate < 1.0)
+    return spent
+
+
+def cost_round(workload, packets):
+    """CPU microseconds per packet of each arm: the arms take the whole
+    packet list in turn, each until it has taken ``ARM_SECONDS``."""
+    spent = dict.fromkeys(COST_RATES, 0.0)
+    fed = dict.fromkeys(COST_RATES, 0)
+    while min(spent.values()) < ARM_SECONDS:
+        for rate in COST_RATES:
+            if spent[rate] < ARM_SECONDS:
+                spent[rate] += cpu_seconds(workload, packets, rate)
+                fed[rate] += len(packets)
+    return {rate: spent[rate] / fed[rate] * 1e6 for rate in COST_RATES}
+
+
+def test_e11_shed_cost_falls_with_rate():
+    """``e2_merge``'s packets and queries under ``static:R``: the arms
+    interleave inside each round, and the statistic is the median over
+    the rounds -- of each arm's CPU per packet, and of its ratio to the
+    unshed arm of the same round (the box's speed drifts between
+    rounds)."""
+    from bench import loadgen
+    from bench.workloads import WORKLOADS
+
+    workload = WORKLOADS["e2_merge"]
+    packets = workload.generate(1, 1.0).packets
+    # as the committed benchmark does: the collector never walks the
+    # packet list inside a timed region
+    gc.collect()
+    gc.freeze()
+    try:
+        rounds = [cost_round(workload, packets) for _ in range(COST_ROUNDS)]
+    finally:
+        gc.unfreeze()
+    samples = {rate: [each[rate] for each in rounds] for rate in COST_RATES}
+    median = {rate: statistics.median(runs) for rate, runs in samples.items()}
+    ratio = {rate: statistics.median(
+        run / unshed for run, unshed in zip(runs, samples[1.0]))
+        for rate, runs in samples.items()}
+    print(f"\nE11 shed cost over e2_merge's {len(packets):,} packets "
+          f"(loadgen digest {loadgen.digest(packets)[:12]}), CPU us/pkt, "
+          f"median of {COST_ROUNDS} interleaved rounds of >= "
+          f"{ARM_SECONDS:.0f} s per arm")
+    print(f"{'static:R':>10}{'us/pkt':>9}{'vs R=1':>9}")
+    for rate in COST_RATES:
+        print(f"{rate:>10}{median[rate]:>9.3f}{ratio[rate]:>8.2f}x")
+    # Shedding a tenth of the packets may not make the rest dearer, and
+    # shedding half saves at least a fifth.
+    assert ratio[0.9] <= 1.05
+    assert ratio[0.5] <= 0.80

@@ -213,8 +213,9 @@ LINK0 = ("DEFINE query_name link0; Select time, destIP, len From tcp "
 
 
 def _lfta(text, frozen=False, lean=False):
-    """An LFTA of ``text`` with a tap: the engine's fused loop, or the
-    decode-then-select passes it replaced
+    """An LFTA of ``text`` with a tap: the engine's fused loop (what
+    ``accept_batch`` runs, a block kernel with the node as its one
+    member), or the decode-then-select passes it replaced
     (``tests/frozen_decode_select.py``).  ``lean`` pins the lean form
     of either (the node would pick it from its counters)."""
     from tests.frozen_decode_select import FrozenCompiler, FrozenLfta

@@ -10,8 +10,12 @@ operator) are *linked into* the run-time system -- ``feed`` hands them
 packet blocks directly with no queue in between, which is why the LFTA
 set is fixed once the RTS starts ("all queries which generate LFTAs
 must be submitted in a batch"; changing them requires a stop/restart).
-HFTAs are separate query nodes connected by channels and driven by
-:meth:`RuntimeSystem.pump`.
+One generated loop per block, the *block kernel*, runs every LFTA with
+a layout in place -- a shedding one included, its gate drawn inside its
+own section -- and collects a run per interface for the consumers it
+cannot run: row-adapter LFTAs, user-written packet operators, and an
+LFTA an injected fault wraps.  HFTAs are separate query nodes connected
+by channels and driven by :meth:`RuntimeSystem.pump`.
 
 There is one tuple path (DESIGN section 10): packets move in blocks of
 up to ``batch_size`` from ``feed`` through the LFTAs, and ``pump``
@@ -448,19 +452,18 @@ class RuntimeSystem:
         """The cached plan for the next block: its block kernel, and
         the runs it collects for everyone it does not cover.
 
-        Which coverable LFTAs the kernel runs, and in which form, is
-        read per block off each: a shedding one draws its gate in its
-        own ``accept_batch`` and is handed its run; the others are
-        members, in the lean form where the member -- for a decode
-        group, every member -- ``prefers_lean``.  A traced block (a
-        lineage-sampled packet, fed alone) covers nobody, so every
-        consumer is named in the trace as it takes the packet.  Plans
-        are cached by that reading; :meth:`_replan` drops them.
+        Which form each coverable LFTA takes in the kernel is read per
+        block off it: ``(sheds, prefers_lean)`` -- a shedding member
+        draws its gate inside its own section, and a section runs its
+        lean form where its member -- for a decode group, every member
+        -- ``prefers_lean``.  A traced block (a lineage-sampled packet,
+        fed alone) covers nobody, so every consumer is named in the
+        trace as it takes the packet.  Plans are cached by that reading;
+        :meth:`_replan` drops them.
         """
         coverable = self._coverable_lftas()
         key = None if traced else tuple([
-            2 if node.shed_rate < 1.0 else node.prefers_lean
-            for node in coverable])
+            (node.shed_rate < 1.0, node.prefers_lean) for node in coverable])
         plan = self._batch_plans.get(key)
         if plan is None:
             plan = self._batch_plans[key] = self._new_block_plan(
@@ -470,33 +473,35 @@ class RuntimeSystem:
     def _new_block_plan(self, coverable: tuple,
                         key: Optional[tuple]) -> _BlockPlan:
         """Generate the block kernel for ``key``'s reading of
-        ``coverable`` (per LFTA: 2 shedding, else whether it prefers the
-        lean form; None: cover nobody).  Per interface -- ``"any"``
-        first, then in registration order -- the members form one
-        section per protocol, and the interface's other consumers get a
-        run; ``"any"``'s others get the whole block."""
+        ``coverable`` (per LFTA: ``(sheds, prefers_lean)``; None: cover
+        nobody).  Per interface -- ``"any"`` first, then in registration
+        order -- the members that do not shed form one section per
+        protocol, each shedding member a section of its own, and the
+        interface's other consumers get a run; ``"any"``'s others get
+        the whole block."""
         form = dict(zip(coverable, key or ()))
         live = {interface: [node for node in nodes if node.quarantined is None]
                 for interface, nodes in self._packet_consumers.items()}
-        spare_any = [node for node in live.get("any", ())
-                     if form.get(node, 2) == 2]
+        spare_any = [node for node in live.get("any", ()) if node not in form]
         members: List[QueryNode] = []
         branches = []
         runs = []
         for interface in sorted(live, key=lambda name: name != "any"):
-            families: Dict[Any, List[QueryNode]] = {}
+            # a shedding member's draws are its own: it is grouped alone
+            groups: Dict[Any, List[QueryNode]] = {}
             rest = []
             for node in live[interface]:
-                if form.get(node, 2) == 2:
+                if node not in form:
                     rest.append(node)
                 else:
-                    families.setdefault(node.protocol, []).append(node)
+                    groups.setdefault(node if form[node][0] else node.protocol,
+                                      []).append(node)
             sections = tuple(
-                protocol.kernel_section(
-                    [node.kernel_member() for node in group],
-                    lean=all(form[node] == 1 for node in group))
-                for protocol, group in families.items())
-            for group in families.values():
+                group[0].protocol.kernel_section(
+                    [node.kernel_member(form[node][0]) for node in group],
+                    lean=all(form[node][1] for node in group))
+                for group in groups.values())
+            for group in groups.values():
                 members += group
             collect = interface != "any" and bool(rest)
             if sections or collect:

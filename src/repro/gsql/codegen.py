@@ -23,6 +23,7 @@ and every generated entry point catches it and discards the tuple --
 from __future__ import annotations
 
 from contextlib import contextmanager
+from operator import length_hint
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
 from zlib import crc32
@@ -43,7 +44,7 @@ from repro.gsql.planner import column_slots
 from repro.gsql.semantic import AggRef, AnalyzedQuery, KeyRef
 from repro.gsql.types import FLOAT
 from repro.gsql.unparse import conjunction_to_gsql
-from repro.net.columnar import ActionSource, Prefilter, RowAction
+from repro.net.columnar import ActionSource, Prefilter, RowAction, shed_gate
 
 
 class DiscardTuple(Exception):
@@ -177,43 +178,15 @@ class ExprCompiler:
     # -- the capture front end (DESIGN section 14) ---------------------------
     #
     # A plan's per-row work is rendered once, as a RowAction, and spliced
-    # under whichever loop header owns its rows: the run-time system's
-    # block kernel (repro.net.columnar.block_kernel; its source joins
-    # this compiler's through record_source), the plan's own generated
-    # decode loop (block_decoder_fn) or the row adapter's tuples
+    # under whichever loop header owns its rows: a block kernel
+    # (repro.net.columnar.block_kernel -- the run-time system's, or the
+    # LFTA's own with itself as the one member; either source joins this
+    # compiler's through record_source) or the row adapter's tuples
     # (lfta_adapter_fn).  Nothing is materialized between decode and
     # operator state, so the semantics are row-at-a-time by construction:
     # conjuncts short-circuit in order, DiscardTuple discards the row
     # whole, and an error at row k leaves counters, state and output as k
     # single-row steps would.
-
-    def block_decoder_fn(self, protocol, needed: Sequence[int],
-                         pushed: Optional[Prefilter] = None,
-                         lean: bool = False,
-                         action: Optional[RowAction] = None
-                         ) -> Optional[Callable]:
-        """The generated block decoder ``f(packets)`` covering attribute
-        positions ``needed`` of ``protocol`` (:mod:`repro.net.columnar`:
-        the protocol guard plus one struct over only the bytes those
-        attributes and the guard read), with the prefix ``pushed``
-        (:meth:`prefilter`) tested inside its loop -- a packet it kills
-        never becomes a row -- and ``action`` (:meth:`lfta_action`) run
-        on every row that does; without one the rows come back as a
-        ``ColumnarBlock``.  ``lean`` asks for the form that unpacks the
-        fields only survivors need after the test.
-
-        None for a protocol without a layout -- the caller keeps the
-        row adapter -- and for a lean form that does not exist.  The
-        compiled loop is cached by source across compilers and bound to
-        this compiler's parameter dict; its source is recorded here
-        like every other kernel's.
-        """
-        decoder = protocol.block_decoder(
-            needed, () if pushed is None else (pushed,), lean, action)
-        if decoder is None:
-            return None
-        self.generated_sources.append(decoder.source)
-        return decoder.decode
 
     def record_source(self, source: str) -> None:
         """Keep ``source`` -- code generated outside this compiler that
@@ -310,24 +283,34 @@ class ExprCompiler:
         return RowAction(frozenset(column_slots(
             self.analyzed, conjuncts + exprs + arguments)), render)
 
-    def lfta_adapter_fn(self, action: RowAction) -> Callable:
+    def lfta_adapter_fn(self, action: RowAction,
+                        sheds: bool = False) -> Callable:
         """``f(packets, views)``: the row adapter's loop header around
         ``action`` -- every tuple the node's sparse interpreter makes
         of a packet (``node._interpret``; an expander may make several)
-        goes through the action before the next packet is touched."""
+        goes through the action before the next packet is touched.
+        With ``sheds`` the shed gate (:func:`~repro.net.columnar.shed_gate`)
+        draws per packet ahead of the interpreter.  The loop's
+        ``finally`` moves ``packets_seen`` by the packets it took: all
+        of them, or those up to the one that raised."""
         spliced = action.render()
+        gate = shed_gate(sheds)
         return self._link("packets, views", [
             "interpret = node._interpret",
+            "it = iter(packets)",
             "m = 0",
-        ] + spliced.setup + [
+        ] + gate.setup + spliced.setup + [
             "try:",
-            "    for p, view in zip(packets, views):",
+            "    for p, view in zip(it, views):",
+        ] + _indent(gate.body, 2) + [
             "        for t in interpret(p, view):",
             "            m += 1",
         ] + _indent(spliced.body, 3) + [
             "finally:",
+            "    node.packets_seen += len(packets) - length_hint(it)",
             "    node.stats.tuples_in += m",
-        ] + _indent(spliced.finish), spliced.env)
+        ] + _indent(gate.finish + spliced.finish),
+            dict(spliced.env, length_hint=length_hint))
 
     # -- row sources ----------------------------------------------------------
 

@@ -41,8 +41,8 @@ from repro.gsql.types import (
     parse_type,
 )
 from repro.net.bgp import BGPUpdate
-from repro.net.columnar import (Decoder, Member, Prefilter, RowAction,
-                                Section, decode_block, generated_decoder,
+from repro.net.columnar import (Decoder, Member, Prefilter, Section,
+                                decode_block, generated_decoder,
                                 has_layout, lean_formats, prefix_readable)
 from repro.net.ethernet import ETHERTYPE_IPV4, EthernetHeader
 from repro.net.icmp import ICMPHeader
@@ -257,7 +257,7 @@ class ProtocolSchema(_BaseSchema):
         self._layout = layout
         #: the one per-block decode entry ``f(packets, decode)`` every
         #: consumer of this protocol copies at build time and runs its
-        #: generated decoder through (DESIGN section 14); None for a
+        #: block kernels through (DESIGN section 14); None for a
         #: protocol without a layout.
         self.columnar_decoder = decode_block if layout is not None else None
         #: membership test: does this packet belong to the protocol at
@@ -296,31 +296,27 @@ class ProtocolSchema(_BaseSchema):
 
     def block_decoder(self, needed_indices: Iterable[int],
                       prefilters: Sequence[Optional[Prefilter]] = (),
-                      lean: bool = False,
-                      action: Optional[RowAction] = None
-                      ) -> Optional[Decoder]:
+                      lean: bool = False) -> Optional[Decoder]:
         """The generated block decoder covering ``needed_indices``: it
         unpacks only the header bytes those attributes (and the guard)
-        read, and its rows are exactly the packets the guard admits --
-        or, with ``prefilters`` (one entry per consumer: its pushed
-        prefix, or None), those some consumer keeps.  A lone consumer's
-        ``action`` runs on each row inside the loop; without one the
-        rows come back as a block.  ``lean`` asks for the two-struct
-        form.  None for a protocol without a layout and for a lean form
-        that does not exist."""
+        read, and its rows -- exactly the packets the guard admits, or,
+        with ``prefilters`` (one entry per consumer: its pushed prefix,
+        or None), those some consumer keeps -- come back as a block.
+        ``lean`` asks for the two-struct form.  None for a protocol
+        without a layout and for a lean form that does not exist."""
         if self._layout is None:
             return None
         return generated_decoder(
             self._layout, self._layout_names(),
-            frozenset(needed_indices), prefilters, lean, action)
+            frozenset(needed_indices), prefilters, lean)
 
     def kernel_section(self, members: Sequence[Member],
                        lean: bool = False) -> Section:
-        """``members`` -- LFTAs of this protocol on one interface -- as
-        one section of the RTS's block kernel: the guard once, each
-        distinct pushed prefix once, then each member's row action;
-        ``lean`` asks for the two-struct form.  Only for a protocol
-        with a layout."""
+        """``members`` -- LFTAs of this protocol on one interface, or
+        one shedding LFTA -- as one section of a block kernel: the
+        guard once, each distinct pushed prefix once, then each
+        member's row action; ``lean`` asks for the two-struct form.
+        Only for a protocol with a layout."""
         return Section(self._layout, self._layout_names(), tuple(members),
                        lean)
 

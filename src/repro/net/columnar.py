@@ -53,25 +53,23 @@ its captured bytes, ``n`` their length, ``o`` the payload offset
 (:data:`ROW_NAMES`) -- and a decoder's ``columns`` say how each covered
 attribute reads off them (``v[5]``, ``int(p.timestamp)``, ``d[o:]``).
 A consumer's :class:`RowAction` is rendered against that map and
-spliced under whichever loop header owns the rows:
+spliced under the one loop header that owns rows: the *block kernel*
+(:func:`block_kernel`), a loop over a block which counts its captured
+bytes, branches on the packet's interface and runs, per protocol on
+that interface, one :class:`Section` -- the guard once, each distinct
+pushed prefix once, then each member's action on the rows it keeps.  A
+shedding member's section is its own, and draws its shed gate
+(:func:`shed_gate`) ahead of its guard.  The run-time system runs one
+kernel per block for every LFTA it covers; an LFTA handed packets
+directly (a fault's wrap, journal replay, the NIC runtime) runs a
+kernel of its own with itself as the one member.
 
-* the *block kernel* (:func:`block_kernel`): the run-time system's one
-  loop over a block, which counts its captured bytes, branches on the
-  packet's interface and runs, per protocol on that interface, one
-  :class:`Section` -- the guard once, each distinct pushed prefix once,
-  then each member's action on the rows it keeps.  A member that raises
-  stops there; its siblings finish the block;
-* a lone LFTA's own decode loop (an LFTA the kernel does not cover: the
-  shed gate kept a subset, a fault delivered a prefix, journal replay
-  or the NIC runtime handed packets over): the action runs on the row
-  as soon as the prefix has passed it, the loop's ``finally`` moves the
-  node's counters, and a :class:`Tally` comes back.
-
-Either way the semantics are row-at-a-time by construction: an
-exception at row *k* leaves state, counters and emitted rows as *k*
-single-row steps would.  Without an action the loop appends its rows to
-a :class:`ColumnarBlock` (the planner, the card-side test and the test
-oracle read those).
+The semantics are row-at-a-time by construction: an exception at row
+*k* stops that member there -- state, counters, shed draws and emitted
+rows as *k* single-row steps would leave them -- while its siblings
+finish the block.  A loop generated without an action appends its rows
+to a :class:`ColumnarBlock` (the planner, the card-side test and the
+test oracle read those).
 """
 
 from __future__ import annotations
@@ -83,6 +81,7 @@ import struct
 import tokenize
 from array import array
 from functools import lru_cache
+from operator import length_hint
 from typing import (Callable, Dict, FrozenSet, List, Mapping, NamedTuple,
                     Optional, Sequence, Tuple)
 
@@ -115,18 +114,6 @@ class ColumnarBlock:
         self.pkts = pkts
         self.pay = pay
         self.packets = packets
-
-
-class Tally(NamedTuple):
-    """What a lone LFTA's fused loop reports for one block: ``passed``
-    packets passed the protocol guard and ``n`` of them got past the
-    pushed prefix into the plan's row action -- a
-    :class:`ColumnarBlock` counts under the same two names.  The loop
-    has already moved its node's counters; this is for whoever watches
-    the block entry (:func:`decode_block`)."""
-
-    passed: int
-    n: int
 
 
 class BlockTally(NamedTuple):
@@ -289,8 +276,7 @@ class RowAction(NamedTuple):
     window check, table probe and fold
     (``ExprCompiler.lfta_action``) -- as source to splice under
     whichever loop header owns the rows: the block kernel
-    (:func:`block_kernel`), the consumer's own decode loop
-    (:func:`generated_decoder`) or the row adapter's tuples."""
+    (:func:`block_kernel`) or the row adapter's tuples."""
 
     #: attribute positions the action reads
     slots: FrozenSet[int]
@@ -302,10 +288,8 @@ class RowAction(NamedTuple):
 class Decoder(NamedTuple):
     """One generated block decoder and what it was generated from."""
 
-    #: ``decode(packets)``: a :class:`ColumnarBlock` of the rows, or --
-    #: generated around a lone consumer's :class:`RowAction` -- the
-    #: :class:`Tally` of the rows it ran the action on
-    decode: Callable[[Sequence[CapturedPacket]], object]
+    #: ``decode(packets)``: a :class:`ColumnarBlock` of the rows
+    decode: Callable[[Sequence[CapturedPacket]], ColumnarBlock]
     source: str
     #: the fast-path (IHL == 5) struct; its size is how far into a
     #: frame the decoder's one unpack reads
@@ -342,8 +326,7 @@ def _compiled(source: str, protocol: str):
 def generated_decoder(protocol: str, attributes: Tuple[str, ...],
                       needed: FrozenSet[int],
                       prefilters: Sequence[Optional[Prefilter]] = (),
-                      lean: bool = False,
-                      action: Optional[RowAction] = None) -> Optional[Decoder]:
+                      lean: bool = False) -> Optional[Decoder]:
     """The block decoder of ``protocol`` (``ip``/``tcp``/``udp``)
     covering the attribute positions ``needed`` of a schema whose
     attribute names, lower case and in order, are ``attributes``.
@@ -351,20 +334,18 @@ def generated_decoder(protocol: str, attributes: Tuple[str, ...],
     ``prefilters`` names the decoder's consumers, one entry each: the
     prefix that consumer pushed into the loop, or None when it keeps
     every guard-passing packet.  A row then exists iff the guard passes
-    and some consumer keeps it (:func:`_generate`).  What happens to a
-    row is ``action``: by default it is appended to a block; a lone
-    consumer passes its own, and the loop runs it on the spot -- no
-    block.  ``lean`` asks for the two-struct form, and the answer is
-    None when there is none: some consumer keeps everything, or fewer
-    than two header fields are left for survivors only.
+    and some consumer keeps it (:func:`_generate`), and is appended to
+    the block it returns.  ``lean`` asks for the two-struct form, and
+    the answer is None when there is none: some consumer keeps
+    everything, or fewer than two header fields are left for survivors
+    only.
 
     The code object is cached by generated source, so ``setup_s`` pays
-    one ``compile()`` per distinct loop; what the loop reads -- structs,
-    the consumers' parameter dicts, the action's node -- is bound per
-    call, so no two callers share a closure.
+    one ``compile()`` per distinct loop; what the loop reads -- structs
+    and the consumers' parameter dicts -- is bound per call, so no two
+    callers share a closure.
     """
-    generated = _generate(protocol, attributes, needed, prefilters, lean,
-                          action)
+    generated = _generate(protocol, attributes, needed, prefilters, lean)
     if generated is None:
         return None
     source, env, described = generated
@@ -690,23 +671,16 @@ def _front(protocol: str, attributes: Sequence[str], needed: FrozenSet[int],
 def _generate(protocol: str, attributes: Sequence[str],
               needed: FrozenSet[int],
               prefilters: Sequence[Optional[Prefilter]] = (),
-              lean: bool = False, action: Optional[RowAction] = None):
+              lean: bool = False):
     """Source, environment and description (the :class:`Decoder` fields
     after ``source``) of one block decoder; None for a lean form that
     does not exist.
 
     Guard, then prefix, then the row (:func:`_front`): a packet some
-    consumer keeps is a row.  Without an ``action`` the row is appended
-    to a block that reports the guard-passers (``passed``: rows plus
-    the packets every consumer's prefix killed).  With one -- a lone
-    consumer's -- its lines run right there on ``v``, ``p``, ``d``,
-    ``n`` and ``o``, the loop moves the consumer's
-    ``tuples_in``/``discarded`` in its ``finally`` by exactly the
-    packets it got through, and a :class:`Tally` comes back.
+    consumer keeps is a row, appended to a block that reports the
+    guard-passers (``passed``: rows plus the packets every consumer's
+    prefix killed).
     """
-    if action is not None and len(prefilters) > 1:
-        raise ValueError("a row action belongs to one consumer")
-
     def accept(texts: List[str], test_of) -> List[str]:
         """A packet no consumer keeps is counted and goes no further."""
         if not texts or None in test_of:
@@ -717,32 +691,13 @@ def _generate(protocol: str, attributes: Sequence[str],
 
     testing = any(member is not None for member in prefilters)
     front = _front(protocol, attributes, needed, prefilters, lean, accept,
-                   keep_offset=testing or action is not None)
+                   keep_offset=testing)
     if front is None:
         return None
     kills = testing and None not in front.test_of
-    env = dict(front.env, array=array, ColumnarBlock=ColumnarBlock,
-               Tally=Tally)
-    body = front.lines
+    env = dict(front.env, array=array, ColumnarBlock=ColumnarBlock)
     header = ["for p in packets:", "    d = p.data", "    n = len(d)"]
-    if action is not None:
-        # The consumer's own loop: run its action on the row right here.
-        spliced = action.render(front.described[3])
-        env.update(spliced.env)
-        passed = "m + killed" if kills else "m"
-        lines = ["def decode(packets):"] + _indent(
-            (["killed = 0"] if kills else []) + ["m = 0"] + spliced.setup + [
-                "try:",
-            ] + _indent(header) + _indent(
-                body + ["m += 1"] + spliced.body, 2) + [
-                "finally:",
-                f"    node.stats.tuples_in += {passed}",
-            ] + (["    node.stats.discarded += killed"] if kills else [])
-            + _indent(spliced.finish) + [
-                f"return Tally({passed}, m)",
-            ])
-        return "\n".join(lines) + "\n", env, front.described
-    body = body + ["va(v)", "pa(p)"]
+    body = front.lines + ["va(v)", "pa(p)"]
     setup = [
         "vals = []",
         "pkts = []",
@@ -776,6 +731,30 @@ class Member(NamedTuple):
     #: ``packets_seen``, ``columnar_blocks`` and counters the kernel
     #: moves
     action: RowAction
+    #: its shed gate (:func:`shed_gate`) draws ahead of its guard; such
+    #: a member takes a section of its own
+    sheds: bool = False
+
+
+def shed_gate(sheds: bool, suffix: str = "") -> ActionSource:
+    """The overload controller's shed gate (``repro.control``) as a loop
+    header splices it for one LFTA, every name it binds or reads ending
+    in ``suffix`` (``node`` included): one draw per packet of the LFTA's
+    run, in arrival order and ahead of its guard, on the node's own
+    ``rng_for(seed, "lfta.shed", name)`` stream; a draw at or above the
+    rate counts the packet into ``shed_packets`` and ends it.  Both
+    headers that run LFTAs splice it -- a shedding member's section of
+    the block kernel and the row adapter's loop.  No lines when the LFTA
+    does not shed: then nothing draws."""
+    if not sheds:
+        return ActionSource([], [], [], {})
+    rate, draw, count, node = (name + suffix for name in (
+        "shed_rate", "shed_draw", "shed_count", "node"))
+    return ActionSource(
+        [f"{rate} = {node}.shed_rate", f"{draw} = {node}._shed_rng.random",
+         f"{count} = 0"],
+        [f"if {draw}() >= {rate}:", f"    {count} += 1", "    continue"],
+        [f"{node}.shed_packets += {count}"], {})
 
 
 class Section(NamedTuple):
@@ -811,24 +790,27 @@ def block_kernel(branches: Sequence[Branch]) -> Tuple[Callable, str]:
     interface; then, branching on ``p.interface``, appends the packet to
     its interface's run when that branch collects one and runs the
     branch's sections in order.  A failed guard ends its section, not
-    the packet.  A lone member's section is its own guard, prefix and
-    action, in the form ``Section.lean`` asks for; a decode group tests
-    its guard and each distinct prefix once and then hands each member
-    the rows it keeps.  Each member runs under its own ``try``: one that
-    raises stops at that row, is listed in ``BlockTally.failed`` and
-    skipped for the rest of the block while its siblings finish it.
-    The loop's ``finally`` moves every member's ``packets_seen``,
-    ``columnar_blocks``, ``tuples_in`` and ``discarded`` exactly as the
-    member's own loop over its interface's run would, then runs the
-    action's own closing lines (which emit its rows).
+    the packet.  A lone member's section is its shed gate when it sheds,
+    then its own guard, prefix and action, in the form ``Section.lean``
+    asks for; a decode group tests its guard and each distinct prefix
+    once and then hands each member the rows it keeps.  Each member runs
+    under its own ``try``: one that raises stops at that packet, is
+    listed in ``BlockTally.failed`` and skipped for the rest of the
+    block while its siblings finish it.  The loop's ``finally`` moves
+    every member's ``packets_seen`` (the packets of its run up to the
+    one it raised on, if it did), ``columnar_blocks``, ``shed_packets``,
+    ``tuples_in`` and ``discarded`` exactly as blocks of one over its
+    interface's run would, then runs the action's own closing lines
+    (which emit its rows).
 
     Names: member *g*'s action keeps its own with ``_g`` appended
     (``node_g``, ``out_g``, ...), and so do its counters ``live_g``,
-    ``m_g`` (rows) and ``killed_g`` (lone) or ``passed_g`` (group);
-    section *s*'s structs, parameter dicts and guard-passer count end
-    in ``_s``.
+    ``ran_g`` (packets taken), ``m_g`` (rows), ``killed_g`` (lone) or
+    ``passed_g`` (group) and its gate's ``shed_count_g``; section *s*'s
+    structs, parameter dicts and guard-passer count end in ``_s``.
     """
-    env: Dict[str, object] = {"BlockTally": BlockTally}
+    env: Dict[str, object] = {"BlockTally": BlockTally,
+                              "length_hint": length_hint}
     setup = ["nbytes = 0", "failed = []", "fail = failed.append"]
     finish: List[str] = []
     rows: List[str] = []
@@ -838,19 +820,25 @@ def block_kernel(branches: Sequence[Branch]) -> Tuple[Callable, str]:
     arms: List[Tuple[str, List[List[str]]]] = []
 
     def closing(g: int, seen: str, lines: List[str]) -> List[str]:
-        """Member *g*'s share of the ``finally``: its own loop's counter
-        moves for a run of ``seen`` packets.  A member is reported
-        once, for the first error it raised."""
+        """Member *g*'s share of the ``finally``: its counter moves for
+        the ``ran_g`` packets of its run it took -- ``seen``, the whole
+        run, unless it raised, when :func:`stopped` noted how far it
+        got.  A member is reported once, for the first error it
+        raised."""
         return ["try:"] + _indent([
-            f"if {seen}:",
-            f"    node_{g}.packets_seen += {seen}",
+            f"if live_{g}:",
+            f"    ran_{g} = {seen}",
+            f"if ran_{g}:",
+            f"    node_{g}.packets_seen += ran_{g}",
             f"    node_{g}.columnar_blocks += 1",
         ] + lines) + ["except Exception as error:", f"    if live_{g}:",
                       f"        fail(({g}, error))"]
 
-    def stopped(g: int, passed: Optional[str] = None) -> List[str]:
-        """Member *g* raised: it takes no further row of the block."""
-        return ["except Exception as error:", f"    live_{g} = False"] + (
+    def stopped(g: int, seen: str, passed: Optional[str] = None) -> List[str]:
+        """Member *g* raised: it takes no further packet of the block,
+        and its run ends with the one it raised on."""
+        return ["except Exception as error:", f"    live_{g} = False",
+                f"    ran_{g} = {seen}"] + (
             [f"    passed_{g} = {passed}"] if passed else []) + [
             f"    fail(({g}, error))"]
 
@@ -886,20 +874,24 @@ def block_kernel(branches: Sequence[Branch]) -> Tuple[Callable, str]:
                     "    continue"]
         front = front_of(section, s, member.needed,
                          (member.prefilter,) if testing else (), accept)
+        gate = shed_gate(member.sheds, f"_{g}")
         setup.extend([f"live_{g} = True", f"m_{g} = 0"]
-                     + ([f"killed_{g} = 0"] if testing else []))
+                     + ([f"killed_{g} = 0"] if testing else []) + gate.setup)
         spliced = action_of(g, member, front)
         if testing:
             counts = [f"node_{g}.stats.tuples_in += m_{g} + killed_{g}",
                       f"node_{g}.stats.discarded += killed_{g}"]
         else:
             counts = [f"node_{g}.stats.tuples_in += m_{g}"]
-        finish.extend(closing(g, seen, counts + spliced.finish))
+        finish.extend(closing(g, seen, gate.finish + counts + spliced.finish))
         return [f"if live_{g}:"] + _indent(["try:"] + _indent(
-            front.lines + [f"m_{g} += 1"] + spliced.body) + stopped(g))
+            gate.body + front.lines + [f"m_{g} += 1"] + spliced.body)
+            + stopped(g, seen))
 
     def group(section: Section, s: int, first: int, seen: str) -> List[str]:
         members = section.members
+        if any(member.sheds for member in members):
+            raise ValueError("a shedding member takes a section of its own")
         passed = f"passed_s{s}"
 
         def accept(texts: List[str], test_of) -> List[str]:
@@ -925,6 +917,7 @@ def block_kernel(branches: Sequence[Branch]) -> Tuple[Callable, str]:
             "except Exception as error:"] + _indent([
                 line for g in positions for line in [
                     f"if live_{g}:", f"    live_{g} = False",
+                    f"    ran_{g} = {seen}",
                     f"    passed_{g} = {passed}", f"    fail(({g}, error))"]
             ] + ["continue"])
         one_test = set(front.test_of) == {0}
@@ -940,13 +933,15 @@ def block_kernel(branches: Sequence[Branch]) -> Tuple[Callable, str]:
             keeps = "" if test is None or one_test else f" and keep{test}"
             lines += _ended([f"if live_{g}{keeps}:"] + _indent(
                 ["try:"] + _indent([f"m_{g} += 1"] + spliced.body)
-                + stopped(g, passed)), g == positions[-1])
+                + stopped(g, seen, passed)), g == positions[-1])
         return lines
 
     sections = 0
     for b, branch in enumerate(branches):
         steps: List[List[str]] = []
-        seen = "len(packets)"
+        # the packets of the branch's run taken so far: for the whole
+        # block, read off the loop's iterator (no per-packet count)
+        seen = "len(packets) - length_hint(it)"
         if branch.interface is not None and branch.sections:
             seen = f"seen{b}"
             setup.append(f"{seen} = 0")
@@ -975,8 +970,9 @@ def block_kernel(branches: Sequence[Branch]) -> Tuple[Callable, str]:
                              for line in _ended(step, i == len(steps) - 1)])
     collected = "".join(f"{run}, " for run in runs)
     lines = ["def kernel(packets):"] + _indent(setup + [
+        "it = iter(packets)",
         "try:",
-        "    for p in packets:",
+        "    for p in it:",
     ] + _indent(body, 2) + ["finally:"] + _indent(finish or ["pass"]) + [
         f"return BlockTally({' + '.join(rows) or 0}, nbytes, "
         f"({collected.rstrip(' ')}), failed)",
@@ -1054,12 +1050,12 @@ def prefix_readable(attribute: str) -> bool:
 def decode_block(packets: Sequence[CapturedPacket], decode: Callable):
     """The one per-block decode entry (``ProtocolSchema.columnar_decoder``).
 
-    Every generated loop of a run -- the RTS's block kernel and an
-    LFTA's own fused loop -- goes through the schema attribute holding
-    this function, so whoever replaces that attribute (the benchmark's
-    outside-in ``net.decode`` span) sees each exactly once.  ``decode``
-    is the loop to run; what comes back counts its rows under ``n`` (a
-    :class:`BlockTally`, a :class:`Tally` or a :class:`ColumnarBlock`).
+    Every block kernel of a run -- the RTS's and an LFTA's own -- goes
+    through the schema attribute holding this function, so whoever
+    replaces that attribute (the benchmark's outside-in ``net.decode``
+    span) sees each exactly once.  ``decode`` is the loop to run; what
+    comes back counts its rows under ``n`` (a :class:`BlockTally`, or
+    the :class:`ColumnarBlock` of a row-less decoder).
     """
     return decode(packets)
 

@@ -10,27 +10,25 @@ HFTAs.
 
 ``accept_batch`` is the only packet entry; one packet is a block of one
 (:meth:`LftaNode.accept_packet`).  Inside it *one generated loop* takes
-each packet from its bytes to this node's state, built one of two ways
-when the node is built (DESIGN section 14):
+each packet from its bytes to this node's state -- the shed gate's draw
+when the controller sheds (``repro.net.columnar.shed_gate``), then one
+of two headers (DESIGN section 14):
 
-* a built-in ip/tcp/udp protocol gets a *generated decode loop* covering exactly the attributes this plan
-  reads (``ExprCompiler.block_decoder_fn``), with the plan's pushed
-  prefix (``LftaPlan.prefix``: the leading conjuncts that are total
-  over header fields) tested on the unpacked values -- a packet they
-  kill is counted into ``tuples_in`` and ``discarded`` and goes no
-  further -- and the plan's *row action* (``ExprCompiler.lfta_action``)
-  spliced in right behind: sample draw, remaining conjuncts, then the
-  projection or key, window check, table probe and fold.  When most
-  tuples die on the prefix the lean form of the same loop runs
-  (:attr:`LftaNode.prefers_lean`).  On the RTS's packet path the node
-  does not run that loop at all: it is a member of the RTS's *block
-  kernel* (:meth:`LftaNode.kernel_member`), one generated loop over
-  the whole block in which every LFTA's guard, prefix and action sit,
-  and which moves this node's counters exactly as its own loop would.
-  The node runs its own loop on its own list whenever the kernel does
-  not cover it (the shed gate is on, an injected fault wraps
-  ``accept_batch``, journal replay or the NIC runtime hands packets
-  over directly);
+* a built-in ip/tcp/udp protocol runs a *block kernel*
+  (``repro.net.columnar.block_kernel``) covering exactly the attributes
+  this plan reads, with the plan's pushed prefix (``LftaPlan.prefix``:
+  the leading conjuncts that are total over header fields) tested on
+  the unpacked values -- a packet they kill is counted into
+  ``tuples_in`` and ``discarded`` and goes no further -- and the plan's
+  *row action* (``ExprCompiler.lfta_action``) spliced in right behind:
+  sample draw, remaining conjuncts, then the projection or key, window
+  check, table probe and fold.  When most tuples die on the prefix the
+  lean form of the same loop runs (:attr:`LftaNode.prefers_lean`).  On
+  the RTS's packet path the node is a member of the RTS's kernel
+  (:meth:`LftaNode.kernel_member`), one loop over the whole block in
+  which every covered LFTA's gate, guard, prefix and action sit;
+  ``accept_batch`` -- for a fault's wrap, journal replay, the NIC
+  runtime -- runs a kernel with this node as its one member;
 * every other protocol runs the action under the generic row adapter's
   header (``ExprCompiler.lfta_adapter_fn``
   around ``ProtocolSchema.sparse_interpreter``).
@@ -49,8 +47,8 @@ to the row-at-a-time aggregation before those.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
-from typing import List, Optional
+from itertools import repeat
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.heartbeat import Punctuation
 from repro.determinism import rng_for
@@ -58,7 +56,7 @@ from repro.core.query_node import QueryNode
 from repro.gsql.codegen import ExprCompiler
 from repro.gsql.planner import LftaPlan
 from repro.gsql.semantic import AnalyzedQuery
-from repro.net.columnar import Member
+from repro.net.columnar import Branch, Member, block_kernel
 from repro.net.packet import CapturedPacket
 from repro.operators.aggregates import AggregateOps
 from repro.operators.base import apply_transforms, key_bound_fn, output_bound_transforms
@@ -129,41 +127,42 @@ class LftaNode(QueryNode):
         # (replication re-ships this node's state every delta frame).
         self._shed_rng_initial = self._shed_rng.getstate()
         self._clock_bounds = self.protocol.clock_bounds
-        # The front end (DESIGN section 14): a generated block decoder
-        # where the protocol has a layout, the row adapter everywhere
-        # else -- either way one loop with this plan's row action inside
-        # it.
+        # The front end (DESIGN section 14): a block kernel where the
+        # protocol has a layout, the row adapter everywhere else --
+        # either way one loop with this plan's row action inside it.
         needed = plan.needed_fields(analyzed)
-        #: the conjuncts this node's decoder tests in its own loop, as a
-        #: block kernel must test them for it (None: this node keeps
-        #: every guard-passing packet, or is on the row adapter)
+        #: the conjuncts a block kernel tests for this node ahead of its
+        #: row action (None: this node keeps every guard-passing packet,
+        #: or is on the row adapter)
         self.prefilter = compiler.prefilter(plan.predicates[:plan.prefix])
         #: what this node does with a row that passed the prefix
         self._action = compiler.lfta_action(
             plan, self, plan.prefix if self.prefilter is not None else 0)
-        self._decoder = compiler.block_decoder_fn(
-            self.protocol, needed, self.prefilter, action=self._action)
         #: attribute positions a block kernel must cover for this node;
         #: None on the row adapter
         self.decode_fields: Optional[List[int]] = (
-            needed if self._decoder is not None else None)
-        self._lean_decoder = None
+            needed if self.protocol.columnar_decoder is not None else None)
+        #: the prefix leaves two or more header fields for survivors
+        #: only, so the loop has a lean form
+        self._has_lean = self.prefilter is not None and bool(
+            self.protocol.lean_formats(needed, self.prefilter.slots))
         #: keeps the source of a block kernel this node runs in with
         #: the code generated for its query (once)
         self.record_source = compiler.record_source
+        self._compiler = compiler
         self.columnar_blocks = 0
-        if self._decoder is not None:
+        if self.decode_fields is not None:
             self._decode_block = self.protocol.columnar_decoder
-            # The block decoder reads raw bytes; a shared PacketView
+            # The block kernel reads raw bytes; a shared PacketView
             # would go untouched, so tell the RTS not to build one.
             self.accepts_view = False
-            if self.prefilter is not None:
-                self._lean_decoder = compiler.block_decoder_fn(
-                    self.protocol, needed, self.prefilter, lean=True,
-                    action=self._action)
         else:
             self._interpret = self.protocol.sparse_interpreter(needed)
-            self._adapter = compiler.lfta_adapter_fn(self._action)
+        #: this node's own loops by ``(sheds, lean)`` (:meth:`_loop`);
+        #: the starting form is built now, so the query's generated code
+        #: shows it before the first block
+        self._loops: Dict[Tuple[bool, bool], Callable] = {}
+        self._loop(False, False)
 
         if plan.mode == "projection":
             self._transforms = output_bound_transforms(
@@ -203,16 +202,16 @@ class LftaNode(QueryNode):
 
     @property
     def prefers_lean(self) -> bool:
-        """Whether the next block should go through the lean decoder:
-        most tuples so far died in this node, so unpacking the fields
-        only survivors need after the prefix test saves more than the
-        second unpack costs.  Read off the checkpointed counters -- a
-        property of the input, restored with the node -- and
-        unobservable in the output: both forms decode the same block.
+        """Whether the next block should run the lean form of this
+        node's loop: most tuples so far died in this node, so unpacking
+        the fields only survivors need after the prefix test saves more
+        than the second unpack costs.  Read off the checkpointed
+        counters -- a property of the input, restored with the node --
+        and unobservable in the output: both forms hand the action the
+        same rows.
         """
         stats = self.stats
-        return (self._lean_decoder is not None
-                and 2 * stats.discarded > stats.tuples_in)
+        return self._has_lean and 2 * stats.discarded > stats.tuples_in
 
     def card_filter(self) -> Optional[CardFilter]:
         """This node's guard and prefix as a card-side packet test
@@ -220,7 +219,7 @@ class LftaNode(QueryNode):
         node's own loop came from, reading the same parameter dict.
         None on the row adapter, whose protocol says nothing about
         where in a frame its fields sit: such a node pushes nothing."""
-        if self._decoder is None:
+        if self.decode_fields is None:
             return None
         prefix = self.prefilter
         if prefix is None:
@@ -228,53 +227,63 @@ class LftaNode(QueryNode):
         return CardFilter(
             self.protocol.block_decoder(prefix.slots, (prefix,)))
 
-    def kernel_member(self) -> Optional[Member]:
-        """This node as the RTS's block kernel takes it: the fields it
-        reads, its pushed prefix and its row action, all of which the
-        kernel runs in place of :meth:`accept_batch` -- or None when a
+    def kernel_member(self, sheds: bool = False) -> Optional[Member]:
+        """This node as a block kernel takes it: the fields it reads,
+        its pushed prefix and its row action, which the RTS's kernel
+        runs in place of :meth:`accept_batch` -- with its shed gate
+        ahead of the guard when it ``sheds`` -- or None when the RTS's
         kernel cannot: the node is on the row adapter, or its
         ``accept_batch`` is not this class's own (an injected fault's
-        wrap, a subclass's).  The shed gate is the RTS's to check: a
-        shedding node takes its blocks through :meth:`accept_batch`."""
-        if (self._decoder is None or "accept_batch" in vars(self)
+        wrap, a subclass's)."""
+        if (self.decode_fields is None or "accept_batch" in vars(self)
                 or type(self).accept_batch is not LftaNode.accept_batch):
             return None
         return Member(frozenset(self.decode_fields), self.prefilter,
-                      self._action)
+                      self._action, sheds)
+
+    def _loop(self, sheds: bool, lean: bool) -> Callable:
+        """This node's own loop in the form ``(sheds, lean)``, generated
+        on first use: a block kernel with this node as its one member
+        where the protocol has a layout, the row adapter's header
+        everywhere else."""
+        loop = self._loops.get((sheds, lean))
+        if loop is None:
+            if self.decode_fields is None:
+                loop = self._compiler.lfta_adapter_fn(self._action, sheds)
+            else:
+                section = self.protocol.kernel_section([Member(
+                    frozenset(self.decode_fields), self.prefilter,
+                    self._action, sheds)], lean)
+                loop, source = block_kernel([Branch(None, (section,), False)])
+                self.record_source(source)
+            self._loops[sheds, lean] = loop
+        return loop
 
     def accept_batch(self, packets, views=None) -> None:
         """One block of packets through the LFTA (DESIGN section 10).
 
         The result does not depend on how the packet stream was cut
         into blocks, nor on which front end runs, nor on whether this
-        loop or the RTS's block kernel runs it: the shed gate draws once
-        per packet in arrival order *before* decoding; then one
-        generated loop takes each packet from its bytes to this node's
-        state -- the protocol guard (counted into ``tuples_in``), the
-        pushed prefix (a kill is counted ``discarded``; none for a
-        sampled plan, so the per-row sample draws line up), the sample
-        draw, the remaining conjuncts in order, and the projection or
-        the table update -- before it touches the next, and moves every
-        counter in its ``finally``.  An exception at packet *k*
-        therefore leaves counters, table and emitted rows as *k* blocks
-        of one would.
+        node's own kernel or the RTS's runs it: one generated loop takes
+        each packet from its bytes to this node's state -- the shed
+        gate's draw (one per packet in arrival order, while the
+        controller sheds), the protocol guard (counted into
+        ``tuples_in``), the pushed prefix (a kill is counted
+        ``discarded``; none for a sampled plan, so the per-row sample
+        draws line up), the sample draw, the remaining conjuncts in
+        order, and the projection or the table update -- before it
+        touches the next, and moves every counter in its ``finally``.
+        An exception at packet *k* therefore leaves counters, draws,
+        table and emitted rows as *k* blocks of one would, and is
+        raised here.
         """
-        self.packets_seen += len(packets)
-        if self.shed_rate < 1.0:
-            rate = self.shed_rate
-            rng = self._shed_rng.random
-            keep = [rng() < rate for _ in packets]
-            self.shed_packets += keep.count(False)
-            packets = list(compress(packets, keep))
-            if views is not None:
-                views = list(compress(views, keep))
-        if self._decoder is None:
-            self._adapter(packets, repeat(None) if views is None else views)
+        loop = self._loop(self.shed_rate < 1.0, self.prefers_lean)
+        if self.decode_fields is None:
+            loop(packets, repeat(None) if views is None else views)
             return
-        self.columnar_blocks += 1
-        self._decode_block(
-            packets, self._lean_decoder if self.prefers_lean
-            else self._decoder)
+        failed = self._decode_block(packets, loop).failed
+        if failed:
+            raise failed[0][1]
 
     def _flush_below(self, low_water) -> None:
         """Close every group whose window key is below ``low_water``."""

@@ -387,7 +387,9 @@ class FrozenLfta(LftaNode):
         needed = plan.needed_fields(analyzed)
         predicates = plan.predicates
         self._plain = self._plain_lean = None
-        if self._decoder is not None:
+        #: decodes blocks, where the protocol has a layout
+        self._decoding = self.protocol.columnar_decoder is not None
+        if self._decoding:
             pushed = () if self.prefilter is None else (self.prefilter,)
             self._plain = self.protocol.block_decoder(needed, pushed)
             if self.prefilter is not None:
@@ -395,12 +397,12 @@ class FrozenLfta(LftaNode):
                     needed, pushed, lean=True)
                 predicates = predicates[plan.prefix:]
         if plan.mode == "projection":
-            select_fn = (compiler.batch_select_fn if self._decoder is None
-                         else compiler.columnar_select_fn)
+            select_fn = (compiler.columnar_select_fn if self._decoding
+                         else compiler.batch_select_fn)
             self._select = select_fn(
                 predicates, plan.project_exprs, (None, None))
         else:
-            if self._decoder is None:
+            if not self._decoding:
                 self._key = compiler.batch_key_fn(
                     predicates, plan.group_exprs, (None, None))
             else:
@@ -434,7 +436,7 @@ class FrozenLfta(LftaNode):
             if views is not None:
                 views = list(compress(views, keep))
         stats = self.stats
-        if self._decoder is not None:
+        if self._decoding:
             # Rows are indices into the decoded block.
             decoder = self._plain_lean if self.prefers_lean else self._plain
             block = self._decode_block(packets, decoder.decode)

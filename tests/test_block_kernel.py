@@ -2,14 +2,14 @@
 
 DESIGN sections 10 and 14.  The RTS hands each block to one loop that
 counts its captured bytes, branches on each packet's interface and runs
-every LFTA it covers in place -- guard, pushed prefix, row action --
-and collects a run for every consumer it does not cover (the row
-adapter, a user-written packet operator, a shedding LFTA, one an
-injected fault wraps).  A stream query is a function of its input
-sequence, so which loop routes a packet to an LFTA may not show: every
-node of an engine running all the queries below must end exactly as the
-same query in an engine of its own whose LFTA runs its own loop over
-its interface's run -- rows, ``NodeStats``,
+every LFTA it covers in place -- shed gate, guard, pushed prefix, row
+action -- and collects a run for every consumer it does not cover (the
+row adapter, a user-written packet operator, an LFTA an injected fault
+wraps).  A stream query is a function of its input sequence, so which
+loop routes a packet to an LFTA may not show: every node of an engine
+running all the queries below must end exactly as the same query in an
+engine of its own whose LFTA runs its own one-member kernel over its
+interface's run -- rows, ``NodeStats``,
 ``packets_seen``, ``columnar_blocks`` and the encoded snapshot -- while
 Hypothesis moves the traffic (eth0, eth1, an interface nobody reads,
 ``any`` consumers), the block size, the pump cadence, which LFTA sheds,
@@ -228,9 +228,16 @@ def test_every_node_ends_as_it_does_alone(case):
     # the feed counters are the block arithmetic's ...
     assert rts.packets_fed == len(packets)
     assert rts.bytes_fed == sum(len(p.data) for p in packets)
-    # ... and the kernel ran once per block, through the decode entry
-    assert sum(decode.__name__ == "kernel" for decode in calls) \
-        == rts.batches_fed
+    # ... and the RTS's kernel ran once per block, through the decode
+    # entry -- beside it only the one-member kernels of nodes handed a
+    # run (a fault's wrap, journal replay)
+    own = {loop for _, node in rts.iter_nodes() if isinstance(node, LftaNode)
+           for loop in node._loops.values()}
+    assert sum(decode not in own for decode in calls) == rts.batches_fed
+    # the shedding LFTA stays covered, unless a fault wraps it
+    shedding = lfta_of(together, case["shed"])
+    if case["shed"] != case["fault"] and shedding not in rts.quarantined:
+        assert shedding in {node.name for node in rts._block_plan().members}
     raising = lfta_of(together, "boom")
     stats = rts.node(raising).stats
     if case["recover"]:

@@ -383,10 +383,11 @@ class TestCodegen:
         gs.add_query("DEFINE query_name q; Select time From tcp "
                      "Where destPort = 80")
         source = gs.generated_code("q")
-        # the front end is generated like every other kernel, and for a
-        # lone LFTA the plan's row action sits inside its loop
-        assert "def decode(packets):" in source
-        assert "emit(x)" in source and "node.emit_many(out)" in source
+        # the front end is generated like every other kernel: the LFTA's
+        # own block kernel, with the plan's row action inside its loop
+        assert "def kernel(packets):" in source
+        assert "emit_0(x_0)" in source
+        assert "node_0.emit_many(out_0)" in source
         assert "decode=[time,destPort] struct=47B" in gs.explain("q")
 
     def test_there_is_no_codegen_mode(self):
@@ -399,7 +400,7 @@ class TestCodegen:
         gs = Gigascope()
         gs.add_query("DEFINE query_name q; Select time From tcp6 "
                      "Where destPort = 80")
-        assert "def decode" not in gs.generated_code("q")
+        assert "def kernel" not in gs.generated_code("q")
         assert "decode=row-adapter" in gs.explain("q")
         assert gs.rts.node("q").decode_fields is None
 

@@ -4,7 +4,8 @@ path (DESIGN sections 14 and 18).
 ``tests/frozen_decode_select.py`` keeps the multi-pass front end as it
 stood at 355ece7: decode a block, gather columns, select or key, place
 the block's keys, then aggregate.  Here every plan runs through it and
-through the engine's one generated loop, side by side on two nodes, in
+through the engine's one generated loop (``accept_batch``'s one-member
+block kernel, or the row adapter), side by side on two nodes, in
 blocks of 1, 7 and 256: the items on the output channel in order,
 ``NodeStats``, ``sampled_out``, ``packets_seen``, ``shed_packets``,
 ``columnar_blocks``, the table's ``lookups``/``occupied``/``collisions``
@@ -21,8 +22,6 @@ run.  CI's
 Nothing here raises mid-block: what an exception leaves behind is the
 one place the two differ by design (``tests/test_row_exactness.py``).
 """
-
-import re
 
 import pytest
 
@@ -58,10 +57,19 @@ def build(cls, compiler, text, params=None, registry=REGISTRY, **kwargs):
     analyzed, plan, compiler = compiled(text, params, registry, compiler)
     node = cls(plan, analyzed, compiler, seed=SEED, **kwargs)
     node.tap = node.subscribe()
-    #: the decode loops its compiler generated for it, full then lean
-    node.loops = [source for source in compiler.generated_sources
-                  if source.startswith("def decode(")]
+    node.compiler = compiler
     return node
+
+
+def loops(node):
+    """The block kernels the node's compiler recorded, in the order they
+    were generated: its own loop's forms as it met them."""
+    return [source for source in node.compiler.generated_sources
+            if source.startswith("def kernel(")]
+
+
+def has_layout(node):
+    return node.protocol.columnar_decoder is not None
 
 
 def pair(text, params=None, registry=REGISTRY, fused=LftaNode, **kwargs):
@@ -130,7 +138,7 @@ class TestFusedEqualsDecodeThenSelect:
         produced = 0
         for text in plans(shape):
             frozen, fused = pair(text, params, table_size=7)
-            assert fused._decoder is not None
+            assert has_layout(fused)
             produced += assert_in_step(frozen, fused, CORPUS, size, text)
         assert produced or shape == "nothing_passes"
 
@@ -143,7 +151,7 @@ class TestFusedEqualsDecodeThenSelect:
                 frozen, fused = pair(text, params, table_size=7)
                 again = build(LftaNode, ExprCompiler, text, params,
                               table_size=7)
-            assert fused.prefilter is None and fused._lean_decoder is None
+            assert fused.prefilter is None  # and so no lean form
             pushed = build(LftaNode, ExprCompiler, text, params,
                            table_size=7)
             assert_in_step(frozen, fused, CORPUS, 7, text)
@@ -154,7 +162,7 @@ class TestFusedEqualsDecodeThenSelect:
         params = SHAPES[shape][3]
         for text in plans(shape):
             frozen, fused = pair(text, params, LAYOUTLESS, table_size=7)
-            assert fused._decoder is None
+            assert not has_layout(fused)
             assert_in_step(frozen, fused, CORPUS, 7, text)
             # ... and agrees with the decode loop on what leaves
             compiled_node = build(LftaNode, ExprCompiler, text, params,
@@ -169,13 +177,14 @@ class TestFusedEqualsDecodeThenSelect:
 
 
 class Forced(LftaNode):
-    """An LFTA pinned to one form of its decoder."""
+    """An LFTA pinned to one form of its loop (a lean ask without a lean
+    form runs the full one)."""
 
     lean = False
 
     @property
     def prefers_lean(self):
-        return self.lean and self._lean_decoder is not None
+        return self.lean
 
 
 class ForcedLean(Forced):
@@ -208,11 +217,12 @@ class TestLeanEqualsFull:
                 f"Group by time/2 as tb, srcIP, destIP"):
             frozen, lean = pair(text, params, fused=ForcedLean, table_size=7)
             full = build(Forced, ExprCompiler, text, params, table_size=7)
-            # (the aggregation may defer too few fields to have one)
-            assert lean._lean_decoder is not None or "Group by" in text
             for block in blocks(CORPUS, size):
                 for node in (frozen, lean, full):
                     node.accept_batch(block)
+            # (the aggregation may defer too few fields to have one)
+            assert "unpack_b" in loops(lean)[-1] or "Group by" in text
+            assert "unpack_b" not in "".join(loops(full))
             expected = observe(frozen)
             assert observe(lean) == observe(full) == expected
             assert expected[1][2] > 0  # the prefix killed something
@@ -221,18 +231,21 @@ class TestLeanEqualsFull:
         node = build(Forced, ExprCompiler,
                      "DEFINE query_name q; Select time, srcIP, destIP, "
                      "srcPort From tcp Where tcpflags & 18 = 2")
-        full, lean = node._decoder.__code__, node._lean_decoder.__code__
-        assert full is not lean
-        sources = node.loops
+        # the full form is built with the node, the lean one on demand
+        full = node._loop(False, False).__code__
+        assert full is not node._loop(False, True).__code__
+        sources = loops(node)
         assert len(sources) == 2
-        actions = [source.split("m += 1\n")[1] for source in sources]
+        actions = [source.split("m_0 += 1\n")[1] for source in sources]
         assert actions[0] == actions[1]
         assert "unpack_b" in sources[1] and "unpack_b" not in sources[0]
 
 
 class TestShedSubset:
-    """The shed gate keeps a subset: the node decodes its own list, and
-    additive aggregates carry the Horvitz-Thompson weight."""
+    """The shed gate keeps a subset: it draws per packet inside the
+    node's loop, ahead of the guard, as the frozen gate drew over the
+    block before decoding, and additive aggregates carry the
+    Horvitz-Thompson weight."""
 
     @pytest.mark.parametrize("size", BLOCK_SIZES)
     @pytest.mark.parametrize("rate", [0.6, 0.25])
@@ -354,19 +367,18 @@ class TestGroupMemberEqualsAlone:
         assert source.count("unpack_s0(d)") == 1
         assert all(f"m_{g} += 1" in source for g in range(len(grouped)))
         # over a section of exactly its own fields the action is, line
-        # for line and but for its names' suffix, the one inside its
-        # own loop
+        # for line, the one inside its own one-member kernel
         _, source = self.kernel(grouped[:1])
-        member = source.split("m_0 += 1\n")[1].split(
-            "except Exception as error:")[0]
-        own = grouped[0].loops[0].split("m += 1\n")[1].split("finally:")[0]
-        strip = lambda text: [re.sub(r"\b(\w+)_0\b", r"\1", line.strip())
-                              for line in text.splitlines()]
-        assert strip(member) == strip(own)
+
+        def action(source):
+            return [line.strip() for line in source.split("m_0 += 1\n")[1]
+                    .split("except Exception as error:")[0].splitlines()]
+        assert action(source) == action(loops(grouped[0])[0])
 
     def test_a_block_of_another_list_is_not_used(self):
-        """The shed gate keeps a subset: the kernel does not cover a
-        shedding LFTA, which decodes its own list."""
+        """The shed gate keeps a subset, drawn inside each shedding
+        member's own section: both stay in the kernel, one section
+        each, and no run is collected for either."""
         queries = [f"DEFINE query_name m{i}; {text}"
                    for i, (text, params) in enumerate(self.MEMBERS[:2])]
 
@@ -375,9 +387,11 @@ class TestGroupMemberEqualsAlone:
                 shed(name)(gs)
         shared = assert_same_as_alone(queries, CORPUS, setup=setup)
         plan = shared.rts._block_plan()
-        assert not plan.members
-        (interface, run_plan), = plan.runs
-        assert interface == "eth0" and len(run_plan.entries) == 2
+        assert [node.name for node in plan.members] == ["m0", "_fta_m1_0"]
+        branch, = plan.branches
+        assert [len(section.members) for section in branch.sections] \
+            == [1, 1]
+        assert not plan.runs and not branch.collect
 
     @pytest.mark.parametrize("batch_size", BLOCK_SIZES)
     def test_engine_group_equals_each_query_alone(self, batch_size):
@@ -390,7 +404,8 @@ class TestGroupMemberEqualsAlone:
         assert len(section.members) == 4
         assert "kernel=[guard, prefixes, member actions]" in shared.explain(
             "m0")
-        assert shared.generated_code("m0").count("def kernel(") == 1
+        # its own one-member kernel, and the RTS's, once each
+        assert shared.generated_code("m0").count("def kernel(") == 2
 
     def test_engine_group_under_shedding(self):
         queries = [f"DEFINE query_name m{i}; {text}"
@@ -416,7 +431,7 @@ class TestAggregateWithoutGroupBy:
     def test_the_one_group_is_the_empty_key(self, text, size, registry):
         frozen, fused = pair("DEFINE query_name q; " + text,
                              registry=registry, table_size=7)
-        assert (fused._decoder is None) == (registry is LAYOUTLESS)
+        assert has_layout(fused) == (registry is REGISTRY)
         assert_in_step(frozen, fused, CORPUS, size, text)
         assert fused.table.lookups == fused.stats.tuples_in \
             - fused.stats.discarded > 0

@@ -273,10 +273,10 @@ class TestWhatIsPushed:
         gs = Gigascope()
         gs.add_query("DEFINE query_name q; Select time From tcp Where "
                      "destPort = 80 and str_len(data) > 3 and srcPort > 1024")
-        loop, action = gs.generated_code("q").split("m += 1\n")
+        loop, action = gs.generated_code("q").split("m_0 += 1\n")
         # one test ahead of the row; srcPort stays behind str_len in
         # the row's action
-        assert loop.count("killed += 1") == 1 and "1024" not in loop
+        assert loop.count("killed_0 += 1") == 1 and "1024" not in loop
         assert action.index("_f_str_len") < action.index("1024")
 
     @pytest.mark.parametrize("where, reason", [
@@ -525,10 +525,11 @@ class TestGroupMembersSeeOnlyTheirRows:
 
 
 class TestOwnListOwnDecoder:
-    """Whenever a member's list is not the run's -- the shed gate kept
-    a subset, a fault delivered a prefix, journal replay hands packets
-    over singly -- it decodes for itself, prefix included, and agrees
-    with what the shared block would have given it."""
+    """Whenever a member's packets are not the group's -- the shed gate
+    keeps a subset (in a section of its own), a fault delivers a prefix,
+    journal replay hands packets over singly -- it decodes for itself,
+    prefix included, and agrees with what the shared block would have
+    given it."""
 
     QUERIES = [
         "DEFINE query_name syn; Select time, srcIP, destIP, srcPort, "
@@ -581,7 +582,7 @@ class TestDecoderCacheIsKeyedOnItsSource:
         for name, port in (("p80", 80), ("p443", 443)):
             gs.add_query(self.QUERY.format(name=name), params={"port": port})
         subs = {name: gs.subscribe(name) for name in ("p80", "p443")}
-        own = [gs.rts.node(name)._decoder for name in subs]
+        own = [gs.rts.node(name)._loop(False, False) for name in subs]
         assert own[0].__code__ is own[1].__code__  # compiled once
         assert own[0] is not own[1]                # bound twice
         gs.start()
@@ -591,10 +592,13 @@ class TestDecoderCacheIsKeyedOnItsSource:
         for name, port in (("p80", 80), ("p443", 443)):
             rows = subs[name].poll()
             assert len(rows) == 32 and {row[2] for row in rows} == {port}
-        # ... and the lone decoders hold their own dict as well: a
+        # ... and the nodes' own kernels hold their own dict as well: a
         # second pass through each delivers its own port's rows again
-        for name, decode, port in zip(subs, own, (80, 443)):
-            assert decode(packets) == (64, 32)  # (passed the guard, rows)
+        for name, kernel, port in zip(subs, own, (80, 443)):
+            node = gs.rts.node(name)
+            passed = node.stats.tuples_in
+            assert kernel(packets).n == 32
+            assert node.stats.tuples_in - passed == 64  # passed the guard
             assert {row[2] for row in subs[name].poll()} == {port}
 
     @pytest.mark.parametrize("grouped", [False, True])
@@ -732,7 +736,7 @@ class TestTheNodePicksTheFormFromItsCounters:
                     tap.push(item)
 
             def watch(packets_, decode, node=node):
-                used.append("lean" if decode is node._lean_decoder
+                used.append("lean" if decode is node._loop(False, True)
                             else "full")
                 return entry(packets_, decode)
             node._decode_block = watch

@@ -12,7 +12,10 @@ give the block-of-one answer, down to the quarantine reason.  That
 holds for a decode-group member too (``TestDecodeGroupMember``): in the
 RTS's block kernel its guard, prefix and action run packet by packet
 like its own loop, and a raising member stops at its row while its
-sibling finishes the block.
+sibling finishes the block.  And it holds for a shedding LFTA
+(``TestShedDrawsStopAtTheRaisingPacket``): its gate draws inside the
+same loop, so its draws, ``shed_packets`` and ``packets_seen`` stop at
+the raising packet too.
 """
 
 import pytest
@@ -22,6 +25,7 @@ from repro.gsql.functions import FunctionSpec
 from repro.gsql.types import UINT
 from repro.net.build import build_tcp6_frame, build_tcp_frame
 from repro.net.packet import CapturedPacket
+from repro.recovery.wire import encode_snapshot
 
 BLOCK_SIZES = (1, 7, 256)
 RAISES_AT = 40
@@ -193,3 +197,50 @@ class TestDecodeGroupMember:
         # the raising packet is the 118th tuple; 78 died on the prefix
         # before it -- at every block size
         assert (stats.tuples_in, stats.discarded) == (118, 78)
+
+
+@pytest.mark.parametrize("protocol", ["tcp", "tcp6"])
+class TestShedDrawsStopAtTheRaisingPacket:
+    """A shedding LFTA draws its gate packet by packet inside its loop,
+    ahead of the guard, so a member raising at packet *k* has drawn
+    for, and counted into ``packets_seen``, exactly the packets up to
+    *k* -- the shed counters, the shed RNG and the whole snapshot of the
+    quarantined node are the block-of-one answer at every block size."""
+
+    #: a draw at or above it sheds the packet
+    RATE = 0.5
+
+    @staticmethod
+    def web(count=600, protocol="tcp"):
+        build, src, dst = ((build_tcp_frame, "10.0.0.1", "10.0.0.2")
+                           if protocol == "tcp" else
+                           (build_tcp6_frame, "2001:db8::1", "2001:db8::2"))
+        return [CapturedPacket(timestamp=0.1 * i, interface="eth0",
+                               data=build(src, dst, 1000 + i, 80))
+                for i in range(count)]
+
+    def quarantined(self, batch_size, protocol):
+        gs = Gigascope(batch_size=batch_size, heartbeat_interval=None)
+        gs.functions.register(boom())
+        gs.add_queries(PROJECTION.replace("eth0.tcp", f"eth0.{protocol}"))
+        sub = gs.subscribe("q")
+        node = gs.rts.node("q")
+        node.set_shed_rate(self.RATE)
+        gs.start()
+        gs.feed(self.web(protocol=protocol), pump_every=64)
+        gs.flush()
+        assert gs.rts.quarantined == {"q": "RuntimeError: boom"}
+        return (len(sub.poll()), node.stats.tuples_in, node.shed_packets,
+                node.packets_seen, node._shed_rng.random(),
+                encode_snapshot(node.snapshot_state()))
+
+    @pytest.mark.parametrize("batch_size", BLOCK_SIZES)
+    def test_counters_and_draws_are_those_of_blocks_of_one(
+            self, batch_size, protocol):
+        rows, tuples_in, shed, seen, draw, snapshot = self.quarantined(
+            batch_size, protocol)
+        assert (rows, tuples_in) == (RAISES_AT - 1, RAISES_AT)
+        # every packet is a tuple: the raising one is the 40th kept
+        assert seen == shed + RAISES_AT
+        assert (shed, seen, round(draw, 3)) == (34, 74, 0.472)
+        assert (seen, draw, snapshot) == self.quarantined(1, protocol)[3:]

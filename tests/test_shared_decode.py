@@ -5,11 +5,12 @@ its *block kernel*: per interface it groups the LFTAs by protocol, and
 each group (a *decode group* when it has two or more members) gets one
 section -- the guard over the union of their fields once, each distinct
 pushed prefix once, then each member's row action on the rows it keeps.
-A consumer the kernel does not cover (a shedding LFTA, one wrapped by an
-injected fault, the row adapter) is handed its interface's run and runs
-its own loop.  None of that may show: every query's rows, ``stats()``
-entry and encoded ``snapshot_state`` must equal the same query run
-alone in its own engine.
+A shedding LFTA stays in the kernel with a section of its own, its shed
+gate drawn ahead of its guard.  A consumer the kernel does not cover
+(one wrapped by an injected fault, the row adapter) is handed its
+interface's run and runs its own loop.  None of that may show: every
+query's rows, ``stats()`` entry and encoded ``snapshot_state`` must
+equal the same query run alone in its own engine.
 """
 
 import random
@@ -186,8 +187,12 @@ def shed(name, rate=0.5):
 NODES = {"proj": "proj", "agg": "_fta_agg_0", "syns": "syns", "gets": "gets"}
 
 
-def own_decoder(gs, query):
-    return gs.rts.node(NODES[query])._decoder.__code__
+def own_loop(gs, query):
+    """The code of the loop an LFTA runs when it is handed a run: a
+    block kernel with the node as its one member, in the form it would
+    take now."""
+    node = gs.rts.node(NODES[query])
+    return node._loop(node.shed_rate < 1.0, node.prefers_lean).__code__
 
 
 def kernel(gs):
@@ -280,20 +285,25 @@ class TestDecodeOncePerBlock:
         assert {decode for decode, _ in calls} == {kernel(gs)}
 
     def test_the_shedding_lfta_alone_decodes_again(self):
+        """A shedding LFTA stays a member, in a section of its own: its
+        gate draws ahead of its own guard, which unpacks again."""
         calls = []
         gs, _, _ = run([PROJECTION, AGGREGATION, PAYLOAD], traffic(),
                        setup=shed("gets"), prepare=count_decodes(calls))
-        own = own_decoder(gs, "gets")
-        assert sections(gs) == {"eth0": [["proj", "_fta_agg_0"]]}
-        by_decoder = {}
-        for decode, packets in calls:
-            by_decoder.setdefault(decode, []).append(packets)
-        assert set(by_decoder) == {kernel(gs), own}
-        assert len(by_decoder[kernel(gs)]) == len(by_decoder[own]) \
-            == gs.rts.batches_fed
-        # the gate's survivors, never the whole run
-        assert (sum(map(len, by_decoder[own]))
-                == gs.rts.packets_fed - gs.rts.node("gets").shed_packets)
+        plan = gs.rts._block_plan()
+        assert sections(gs) == {"eth0": [["proj", "_fta_agg_0"], ["gets"]]}
+        assert not plan.runs  # no run is collected for it
+        # one kernel call per block, and no loop of the node's own
+        assert len(calls) == gs.rts.batches_fed
+        assert {decode for decode, _ in calls} == {kernel(gs)}
+        # the gate drew for the whole run, and decoded only its keeps
+        source = gs.generated_code("gets").split("def kernel(")[-1]
+        assert source.count("shed_draw_2()") == 1
+        assert source.count("unpack_s0(d)") == source.count("unpack_s1(d)") \
+            == 1
+        node = gs.rts.node("gets")
+        assert node.packets_seen == gs.rts.packets_fed
+        assert 0 < node.shed_packets < node.packets_seen
 
     def test_no_shared_decode_when_every_member_sheds(self):
         calls = []
@@ -303,11 +313,14 @@ class TestDecodeOncePerBlock:
                 shed(name)(gs)
         gs, _, _ = run([PROJECTION, PAYLOAD], traffic(), setup=setup,
                        prepare=count_decodes(calls))
-        # a kernel with no member counts bytes and hands out runs; it
-        # has no decode entry to go through
-        assert not gs.rts._block_plan().members
-        assert len(calls) == 2 * gs.rts.batches_fed
-        assert kernel(gs) not in {decode for decode, _ in calls}
+        # each shedding member is a section of its own, and nobody is
+        # handed a run
+        plan = gs.rts._block_plan()
+        assert [node.name for node in plan.members] == ["proj", "gets"]
+        assert sections(gs) == {"eth0": [["proj"], ["gets"]]}
+        assert not plan.runs
+        assert len(calls) == gs.rts.batches_fed
+        assert {decode for decode, _ in calls} == {kernel(gs)}
 
     def test_generated_union_source_is_lean(self):
         gs, _ = engine([PROJECTION, AGGREGATION])
@@ -351,7 +364,7 @@ class TestUnionFollowsThePlan:
                        setup=setup, prepare=count_decodes(calls))
         assert list(gs.rts.quarantined) == ["gets"]
         assert sections(gs) == {"eth0": [["proj", "_fta_agg_0"]]}
-        narrow, own = kernel(gs), own_decoder(gs, "gets")
+        narrow, own = kernel(gs), own_loop(gs, "gets")
         decoders = [decode for decode, _ in calls]
         switch = decoders.index(narrow)
         # the wrapped LFTA is handed its run until it fails (its own
