@@ -20,6 +20,17 @@ from collections import deque
 from typing import Any, Deque, Iterable, Iterator, List, Optional
 
 
+def check_positive_int(name: str, value, allow_none: bool = False) -> None:
+    """Refuse a size or count argument ``name`` that is not a positive
+    integer (``allow_none``: None, "unbounded", passes too), with a
+    ``ValueError`` naming it.  Every engine facade asks before it
+    builds, feeds or forks anything."""
+    if value is None and allow_none:
+        return
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 class ChannelStats:
     __slots__ = ("pushed", "popped", "dropped", "max_depth", "control_pushed")
 
@@ -68,8 +79,7 @@ class Channel:
                  "control_queued")
 
     def __init__(self, capacity: Optional[int] = None, name: str = "") -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError("capacity must be positive or None")
+        check_positive_int("capacity", capacity, allow_none=True)
         self.capacity = capacity
         self.name = name
         #: temporary bound installed by a fault injector (channel-overflow

@@ -25,6 +25,7 @@ reading other queries' streams -- can be added at any time.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.core.params import QueryInstance
@@ -127,6 +128,14 @@ class Gigascope:
                            allow_none=True)
         check_positive_int("channel_capacity", channel_capacity,
                            allow_none=True)
+        # An interval of 0 would beat on every packet, NaN never.
+        if heartbeat_interval is not None and (
+                isinstance(heartbeat_interval, bool)
+                or not isinstance(heartbeat_interval, (int, float))
+                or not 0 < heartbeat_interval < math.inf):
+            raise ValueError(
+                "heartbeat_interval must be None or a positive finite "
+                f"number, got {heartbeat_interval!r}")
         #: root of the seeded RNG registry (repro.determinism): every
         #: data-path consumer of randomness (DEFINE-sample gates, shed
         #: gates) derives its own named stream from this, so a run
@@ -461,6 +470,7 @@ class Gigascope:
         dump with ``tracer.to_json()``.
         """
         from repro.obs.tracing import Tracer
+        check_positive_int("max_traces", max_traces)
         tracer = Tracer(sample_rate, max_traces=max_traces)
         self.rts.tracer = tracer
         for nic in self._observed_nics:

@@ -33,16 +33,18 @@ operator asks (Section 3, "Unblocking Operators").
 from __future__ import annotations
 
 import math
+import struct
 from itertools import islice
 from time import perf_counter
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Tuple)
 
-from repro.core.channels import Channel
+from repro.core.channels import Channel, check_positive_int
 from repro.core.heartbeat import FLUSH, FlushToken, Punctuation
 from repro.core.query_node import QueryNode
 from repro.gsql.schema import PacketView
-from repro.net.columnar import Branch, block_kernel, describe_formats
+from repro.net.columnar import (Branch, block_kernel, describe_formats,
+                                distinct_tests)
 from repro.net.packet import CapturedPacket
 from repro.obs.collectors import engine_snapshot, install_engine_metrics
 from repro.obs.ledger import install as install_ledger
@@ -93,6 +95,32 @@ def _consumer_plan(nodes, also_seen=()) -> _DispatchPlan:
     return _DispatchPlan(entries, share, any(entry[2] for entry in entries))
 
 
+def _reading(coverable: tuple) -> tuple:
+    """The form each LFTA a block kernel can cover takes in the next
+    block's kernel: ``(sheds, prefers_lean)``, read off the node."""
+    return tuple([(node.shed_rate < 1.0, node.prefers_lean)
+                  for node in coverable])
+
+
+def _sections(nodes, form: dict) -> Tuple[List[List[QueryNode]],
+                                          List[QueryNode]]:
+    """Which of ``nodes`` -- one interface's live consumers -- share a
+    block kernel section, under ``form``'s reading of the coverable
+    ones (``node -> (sheds, prefers_lean)``): one section per protocol
+    for the members that do not shed, one each for those that do (a
+    shedding member's draws are its own); and the consumers no section
+    covers."""
+    groups: Dict[Any, List[QueryNode]] = {}
+    rest = []
+    for node in nodes:
+        if node not in form:
+            rest.append(node)
+        else:
+            groups.setdefault(node if form[node][0] else node.protocol,
+                              []).append(node)
+    return list(groups.values()), rest
+
+
 class _BlockPlan(NamedTuple):
     """One cached block kernel and what it leaves to others
     (:meth:`RuntimeSystem._block_plan`)."""
@@ -115,17 +143,6 @@ class _BlockPlan(NamedTuple):
 
 class RegistryError(RuntimeError):
     """Raised for registration and subscription errors."""
-
-
-def check_positive_int(name: str, value, allow_none: bool = False) -> None:
-    """Refuse a size or count argument ``name`` that is not a positive
-    integer (``allow_none``: None, "unbounded", passes too), with a
-    ``ValueError`` naming it.  Every engine facade asks before it
-    builds, feeds or forks anything."""
-    if value is None and allow_none:
-        return
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 class Subscription:
@@ -462,8 +479,7 @@ class RuntimeSystem:
         :meth:`_replan` drops them.
         """
         coverable = self._coverable_lftas()
-        key = None if traced else tuple([
-            (node.shed_rate < 1.0, node.prefers_lean) for node in coverable])
+        key = None if traced else _reading(coverable)
         plan = self._batch_plans.get(key)
         if plan is None:
             plan = self._batch_plans[key] = self._new_block_plan(
@@ -487,21 +503,13 @@ class RuntimeSystem:
         branches = []
         runs = []
         for interface in sorted(live, key=lambda name: name != "any"):
-            # a shedding member's draws are its own: it is grouped alone
-            groups: Dict[Any, List[QueryNode]] = {}
-            rest = []
-            for node in live[interface]:
-                if node not in form:
-                    rest.append(node)
-                else:
-                    groups.setdefault(node if form[node][0] else node.protocol,
-                                      []).append(node)
+            groups, rest = _sections(live[interface], form)
             sections = tuple(
                 group[0].protocol.kernel_section(
                     [node.kernel_member(form[node][0]) for node in group],
                     lean=all(form[node][1] for node in group))
-                for group in groups.values())
-            for group in groups.values():
+                for group in groups)
+            for group in groups:
                 members += group
             collect = interface != "any" and bool(rest)
             if sections or collect:
@@ -524,29 +532,33 @@ class RuntimeSystem:
 
     def describe_decode_group(self, name: str) -> Optional[str]:
         """For EXPLAIN: the decode group the LFTA ``name`` is a member
-        of while none of them sheds -- the kernel runs LFTAs of one
-        protocol on one interface behind one guard, each distinct
-        prefix tested once -- or None when it has its section to
-        itself."""
+        of in the kernel the next block runs -- LFTAs of one protocol on
+        one interface, none of them shedding, behind one guard, each
+        distinct prefix tested once (:func:`_sections`) -- or None when
+        it has its section to itself."""
         node = self._nodes.get(name)
-        interface = getattr(node, "interface", None)
         coverable = self._coverable_lftas()
-        if interface is None or node not in coverable:
+        if node not in coverable:
             return None
-        members = [other for other in self._packet_consumers[interface]
-                   if other in coverable and other.protocol is node.protocol]
+        groups, _ = _sections(
+            [other for other in self._packet_consumers[node.interface]
+             if other.quarantined is None],
+            dict(zip(coverable, _reading(coverable))))
+        members = next(group for group in groups if node in group)
         if len(members) < 2:
             return None
         union = set().union(*(member.decode_fields for member in members))
         prefilters = [member.prefilter for member in members]
-        decoder = node.protocol.block_decoder(union, prefilters)
+        tests, _ = distinct_tests(prefilters)
         names = ",".join(member.name for member in members)
-        tests = "; ".join(decoder.prefilters) or "none"
-        text = (f"decode group [{names}] struct={decoder.struct_size}B "
-                f"prefilters=[{tests}]")
-        lean = node.protocol.block_decoder(union, prefilters, lean=True)
-        if lean is not None:
-            text += f" lean=[{describe_formats(lean.lean_formats)}]"
+        fast, _ = node.protocol.struct_formats(union)
+        text = (f"decode group [{names}] struct={struct.calcsize(fast)}B "
+                f"prefilters=[{'; '.join(t.text for t in tests) or 'none'}]")
+        if None not in prefilters:
+            lean = node.protocol.lean_formats(
+                union, frozenset().union(*(t.slots for t in tests)))
+            if lean:
+                text += f" lean=[{describe_formats(lean)}]"
         return text + " kernel=[guard, prefixes, member actions]"
 
     def _admit(self, packet: CapturedPacket) -> Optional[CapturedPacket]:

@@ -21,6 +21,7 @@ invisible except that the LFTA stream carries a mangled name.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -50,7 +51,7 @@ from repro.net.columnar import HEADER_REACH, describe_formats
 
 # Snap lengths: headers-only when the protocol has a header layout and
 # the plan reads nothing behind it -- as many bytes as the longest
-# header stack a block decoder's guard can ask for, so a snapping NIC
+# header stack a block kernel's guard can ask for, so a snapping NIC
 # drops no frame the unsnapped run keeps.
 SNAPLEN_HEADERS = HEADER_REACH
 SNAPLEN_FULL = 65535
@@ -81,7 +82,7 @@ class LftaPlan:
     field_map: Dict[int, int] = field(default_factory=dict)
     #: Bernoulli sampling rate (DEFINE sample p); None = keep everything
     sample_rate: Optional[float] = None
-    #: how many leading ``predicates`` a generated block decoder tests
+    #: how many leading ``predicates`` a generated block kernel tests
     #: inside its own loop, so a packet they kill never becomes a row
     #: (:func:`_mark_prefix`); the row adapter ignores it
     prefix: int = 0
@@ -92,7 +93,7 @@ class LftaPlan:
 
     def needed_fields(self, analyzed: AnalyzedQuery) -> List[int]:
         """Sorted protocol attribute positions this LFTA reads: what
-        its block decoder (or row adapter) has to produce."""
+        its block kernel (or row adapter) has to produce."""
         exprs = self.predicates + self.project_exprs + self.group_exprs
         exprs += [agg.arg for agg in self.aggregates if agg.arg is not None]
         return column_slots(analyzed, exprs)
@@ -100,7 +101,7 @@ class LftaPlan:
     def kernel_stages(self, decoded: bool) -> List[str]:
         """What this LFTA's one generated loop does to a packet, in
         order, for EXPLAIN: the protocol guard and the pushed prefix of
-        a block decoder (``decoded``) or the row adapter's interpreter,
+        a block kernel (``decoded``) or the row adapter's interpreter,
         then the row action -- sample draw, the conjuncts left over,
         and the projection or the key and the table update."""
         pushed = self.prefix if decoded else 0
@@ -184,13 +185,14 @@ class QueryPlan:
         lines = [f"plan {self.name}:"]
         for lfta in self.lftas:
             needed = lfta.needed_fields(self.analyzed)
-            decoder = lfta.protocol.block_decoder(needed)
-            if decoder is None:
+            formats = lfta.protocol.struct_formats(needed)
+            if formats is None:
                 front_end = "decode=row-adapter"
             else:
                 names = ",".join(lfta.protocol.attributes[index].name
                                  for index in needed)
-                front_end = f"decode=[{names}] struct={decoder.struct_size}B"
+                front_end = (f"decode=[{names}] "
+                             f"struct={struct.calcsize(formats[0])}B")
             prefix = lfta.predicates[:lfta.prefix]
             if prefix:
                 front_end += f" prefilter=[{conjunction_to_gsql(prefix)}]"
@@ -200,7 +202,7 @@ class QueryPlan:
                     front_end += f" lean=[{describe_formats(lean)}]"
             else:
                 front_end += f" prefilter=none ({lfta.prefix_note})"
-            stages = lfta.kernel_stages(decoder is not None)
+            stages = lfta.kernel_stages(formats is not None)
             front_end += f" kernel=[{', '.join(stages)}]"
             lines.append(
                 f"  LFTA {lfta.name} on {lfta.interface}.{lfta.protocol.name} "
@@ -653,7 +655,7 @@ _TOTAL_OPS = frozenset({"=", "<>", "<", "<=", ">", ">=", "+", "-", "*",
 
 def _mark_prefix(lfta: LftaPlan, analyzed: AnalyzedQuery) -> None:
     """Mark the leading run of ``lfta``'s conjuncts that its generated
-    block decoder can test inside the decode loop, before a row exists
+    block kernel can test inside the decode loop, before a row exists
     (DESIGN section 14).
 
     Only a *leading* run: conjuncts short-circuit in order, so one that

@@ -41,9 +41,8 @@ from repro.gsql.types import (
     parse_type,
 )
 from repro.net.bgp import BGPUpdate
-from repro.net.columnar import (Decoder, Member, Prefilter, Section,
-                                decode_block, generated_decoder,
-                                has_layout, lean_formats, prefix_readable)
+from repro.net.columnar import (Member, Section, decode_block, has_layout,
+                                lean_formats, prefix_readable, struct_formats)
 from repro.net.ethernet import ETHERTYPE_IPV4, EthernetHeader
 from repro.net.icmp import ICMPHeader
 from repro.net.ip import IPv4Header, PROTO_ICMP, PROTO_TCP, PROTO_UDP
@@ -250,8 +249,8 @@ class ProtocolSchema(_BaseSchema):
         self._expander = expander
         #: the protocol's family in :mod:`repro.net.columnar`'s layout
         #: table (built-in ip/tcp/udp only), from which per-plan block
-        #: decoders are generated (:meth:`block_decoder`); None keeps
-        #: the row adapter.
+        #: kernel sections are generated (:meth:`kernel_section`); None
+        #: keeps the row adapter.
         if layout is not None and not has_layout(layout):
             raise SchemaError(f"no block-decoder layout named {layout!r}")
         self._layout = layout
@@ -294,22 +293,6 @@ class ProtocolSchema(_BaseSchema):
             for index, bound_fn in self.clock_fields.items()
         }
 
-    def block_decoder(self, needed_indices: Iterable[int],
-                      prefilters: Sequence[Optional[Prefilter]] = (),
-                      lean: bool = False) -> Optional[Decoder]:
-        """The generated block decoder covering ``needed_indices``: it
-        unpacks only the header bytes those attributes (and the guard)
-        read, and its rows -- exactly the packets the guard admits, or,
-        with ``prefilters`` (one entry per consumer: its pushed prefix,
-        or None), those some consumer keeps -- come back as a block.
-        ``lean`` asks for the two-struct form.  None for a protocol
-        without a layout and for a lean form that does not exist."""
-        if self._layout is None:
-            return None
-        return generated_decoder(
-            self._layout, self._layout_names(),
-            frozenset(needed_indices), prefilters, lean)
-
     def kernel_section(self, members: Sequence[Member],
                        lean: bool = False) -> Section:
         """``members`` -- LFTAs of this protocol on one interface, or
@@ -324,9 +307,19 @@ class ProtocolSchema(_BaseSchema):
         """Attribute names as :mod:`repro.net.columnar` spells them."""
         return tuple(attribute.name.lower() for attribute in self.attributes)
 
+    def struct_formats(self, needed_indices: Iterable[int]
+                       ) -> Optional[Tuple[str, str]]:
+        """The fast-path and IP-options struct formats of the loop
+        covering ``needed_indices`` (:func:`repro.net.columnar.struct_formats`);
+        None for a protocol without a layout."""
+        if self._layout is None:
+            return None
+        return struct_formats(self._layout, self._layout_names(),
+                              frozenset(needed_indices))
+
     def lean_formats(self, needed_indices: Iterable[int],
                      prefix_slots: Iterable[int]) -> Tuple[str, ...]:
-        """The two struct formats of the lean decoder of
+        """The two struct formats of the lean loop covering
         ``needed_indices`` whose pushed prefixes read ``prefix_slots``
         (before the test, for survivors); empty when there is none."""
         if self._layout is None:

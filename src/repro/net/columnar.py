@@ -4,9 +4,10 @@ The paper's compiler derives from each LFTA's plan *which bytes* of a
 frame matter and links the LFTAs into the run-time system so that one
 pass over a captured packet filters, projects and partially aggregates
 it.  This module is that front end for the eth/IPv4/TCP/UDP family:
-one declarative layout table, and one code generator that turns
-``(protocol, needed attributes, pushed prefixes, row action)`` into a
-single loop that applies the protocol guard to every packet of a block,
+one declarative layout table, and one loop emitter (:func:`block_kernel`)
+that turns ``(protocol, needed attributes, pushed prefixes, row
+action)`` into a single loop that applies the protocol guard to every
+packet of a block,
 unpacks, with one ``struct`` whose pad bytes skip everything else, only
 the header fields the guard and the plan read, tests the plan's pushed
 prefix on the unpacked values, and runs the plan's own *row action* --
@@ -34,7 +35,7 @@ unpacked after the test and the tuple re-assembled in the same layout,
 so both forms hand the row action the same ``v``.  A generated loop
 makes exactly the checks of
 :meth:`~repro.gsql.schema.PacketView._parse` plus the header ``parse``
-classmethods, one definition per layer (:func:`_generate`): frame long
+classmethods, one definition per layer (:func:`_front`): frame long
 enough for the fixed headers, ethertype IPv4, IHL >= 5 and inside the
 capture, fragment offset 0 for an L4 protocol (an MF first fragment
 still parses), IP protocol number, TCP data offset >= 20 and inside the
@@ -50,7 +51,7 @@ The row, and who owns it
 
 A row is five names -- ``v`` the unpack tuple, ``p`` the packet, ``d``
 its captured bytes, ``n`` their length, ``o`` the payload offset
-(:data:`ROW_NAMES`) -- and a decoder's ``columns`` say how each covered
+(:data:`ROW_NAMES`) -- and a section's ``columns`` say how each covered
 attribute reads off them (``v[5]``, ``int(p.timestamp)``, ``d[o:]``).
 A consumer's :class:`RowAction` is rendered against that map and
 spliced under the one loop header that owns rows: the *block kernel*
@@ -62,14 +63,15 @@ shedding member's section is its own, and draws its shed gate
 (:func:`shed_gate`) ahead of its guard.  The run-time system runs one
 kernel per block for every LFTA it covers; an LFTA handed packets
 directly (a fault's wrap, journal replay, the NIC runtime) runs a
-kernel of its own with itself as the one member.
+kernel of its own with itself as the one member, and so does the test
+it pushes into a capture card, with an empty row action.  What EXPLAIN
+prints of a loop -- its struct sizes -- is read off the layout table
+(:func:`struct_formats`, :func:`lean_formats`), not off a generated one.
 
 The semantics are row-at-a-time by construction: an exception at row
 *k* stops that member there -- state, counters, shed draws and emitted
 rows as *k* single-row steps would leave them -- while its siblings
-finish the block.  A loop generated without an action appends its rows
-to a :class:`ColumnarBlock` (the planner, the card-side test and the
-test oracle read those).
+finish the block.
 """
 
 from __future__ import annotations
@@ -79,41 +81,12 @@ import io
 import keyword
 import struct
 import tokenize
-from array import array
 from functools import lru_cache
 from operator import length_hint
 from typing import (Callable, Dict, FrozenSet, List, Mapping, NamedTuple,
                     Optional, Sequence, Tuple)
 
 from repro.net.packet import CapturedPacket
-
-
-class ColumnarBlock:
-    """The rows of one packet block, as parallel arrays: what a decoder
-    generated without a row action returns.
-
-    ``passed`` packets passed the protocol guard and ``n`` of them
-    became rows: all of them, unless the decoder's consumers pushed a
-    prefix into its loop, in which case a row exists only for a packet
-    some consumer keeps.  ``vals[i]`` is row *i*'s header unpack,
-    ``pkts[i]`` the originating packet, and ``pay[i]`` the payload
-    offset into its data (empty unless the decoder covers ``data``).
-    How a consumer reads an attribute off a row is the decoder's
-    ``columns``, not the block's business.  ``packets`` is the list
-    that was decoded.
-    """
-
-    __slots__ = ("n", "passed", "vals", "pkts", "pay", "packets")
-
-    def __init__(self, vals: list, pkts: list, pay: array,
-                 packets: Sequence[CapturedPacket],
-                 passed: Optional[int] = None) -> None:
-        self.n = len(vals)
-        self.passed = self.n if passed is None else passed
-        self.vals = vals
-        self.pkts = pkts
-        self.pay = pay
-        self.packets = packets
 
 
 class BlockTally(NamedTuple):
@@ -285,72 +258,12 @@ class RowAction(NamedTuple):
     render: Callable[[Mapping[int, str]], ActionSource]
 
 
-class Decoder(NamedTuple):
-    """One generated block decoder and what it was generated from."""
-
-    #: ``decode(packets)``: a :class:`ColumnarBlock` of the rows
-    decode: Callable[[Sequence[CapturedPacket]], ColumnarBlock]
-    source: str
-    #: the fast-path (IHL == 5) struct; its size is how far into a
-    #: frame the decoder's one unpack reads
-    struct_format: str
-    #: the L4-only struct of the IP-options path ("" when none)
-    l4_format: str
-    #: the pushed prefixes as GSQL, one per distinct test
-    prefilters: Tuple[str, ...]
-    #: how a row action reads each covered attribute off a row, given
-    #: the header's names (:data:`ROW_NAMES`)
-    columns: Dict[int, str]
-    #: lean form only: the struct unpacked before the prefix test (guard
-    #: and prefix fields) and the one unpacked for survivors (the rest)
-    lean_formats: Tuple[str, ...] = ()
-
-    @property
-    def struct_size(self) -> int:
-        return struct.calcsize(self.struct_format)
-
-    @property
-    def reach(self) -> int:
-        """The last frame byte any unpack of this decoder can touch,
-        plus one: the fast-path struct, or the L4 struct behind the
-        longest IPv4 header."""
-        return max(self.struct_size,
-                   _ETH_LEN + _IP_MAX + struct.calcsize(self.l4_format or "!"))
-
-
 @lru_cache(maxsize=256)
-def _compiled(source: str, protocol: str):
-    return compile(source, f"<decoder:{protocol}>", "exec")
-
-
-def generated_decoder(protocol: str, attributes: Tuple[str, ...],
-                      needed: FrozenSet[int],
-                      prefilters: Sequence[Optional[Prefilter]] = (),
-                      lean: bool = False) -> Optional[Decoder]:
-    """The block decoder of ``protocol`` (``ip``/``tcp``/``udp``)
-    covering the attribute positions ``needed`` of a schema whose
-    attribute names, lower case and in order, are ``attributes``.
-
-    ``prefilters`` names the decoder's consumers, one entry each: the
-    prefix that consumer pushed into the loop, or None when it keeps
-    every guard-passing packet.  A row then exists iff the guard passes
-    and some consumer keeps it (:func:`_generate`), and is appended to
-    the block it returns.  ``lean`` asks for the two-struct form, and
-    the answer is None when there is none: some consumer keeps
-    everything, or fewer than two header fields are left for survivors
-    only.
-
-    The code object is cached by generated source, so ``setup_s`` pays
-    one ``compile()`` per distinct loop; what the loop reads -- structs
-    and the consumers' parameter dicts -- is bound per call, so no two
-    callers share a closure.
-    """
-    generated = _generate(protocol, attributes, needed, prefilters, lean)
-    if generated is None:
-        return None
-    source, env, described = generated
-    exec(_compiled(source, protocol), env)
-    return Decoder(env["decode"], source, *described)
+def _compiled(source: str):
+    """One ``compile()`` per distinct generated loop; what the loop
+    reads -- structs, parameter dicts, the members' nodes -- is bound
+    per ``exec``, so no two callers share a closure."""
+    return compile(source, "<kernel>", "exec")
 
 
 class _View(NamedTuple):
@@ -378,7 +291,7 @@ ROW_NAMES = ("v", "p", "d", "n", "o")
 
 def _place(protocol: str, attributes: Sequence[str],
            needed: FrozenSet[int]):
-    """Which header fields a decoder of ``needed`` unpacks, placed:
+    """Which header fields a loop covering ``needed`` unpacks, placed:
     ``(family, attribute sources, head, tail, guard fields)`` with
     ``head`` the eth and ip fields as ``(frame offset, struct code,
     field)`` in frame order, ``tail`` the L4 fields by offset inside
@@ -438,19 +351,54 @@ def describe_formats(formats: Sequence[str]) -> str:
     return " + ".join(f"{fmt} {struct.calcsize(fmt)}B" for fmt in formats)
 
 
+def struct_formats(protocol: str, attributes: Sequence[str],
+                   needed: FrozenSet[int]) -> Tuple[str, str]:
+    """The struct formats of the loop covering ``needed``: the
+    fast-path (IHL == 5) one, whose size is how far into a frame its
+    one unpack reads, and the L4-only one of the IP-options path (""
+    when the loop reads no L4 field) -- read off the layout table, with
+    no loop generated."""
+    _, _, head, tail, _ = _place(protocol, attributes, needed)
+    return (_struct_format(_fast_path(head, tail)),
+            _struct_format(tail) if tail else "")
+
+
 def lean_formats(protocol: str, attributes: Sequence[str],
                  needed: FrozenSet[int],
                  slots: FrozenSet[int]) -> Tuple[str, ...]:
     """The struct formats ``(before the test, for survivors)`` of the
-    lean decoder of ``needed`` whose prefixes read ``slots``; empty
-    when that decoder has no lean form."""
+    lean loop covering ``needed`` whose prefixes read ``slots``; empty
+    when that loop has no lean form."""
     _, sources, head, tail, guard_fields = _place(protocol, attributes, needed)
     split = _lean_split(_fast_path(head, tail), guard_fields, sources, slots)
     return tuple(map(_struct_format, split or ()))
 
 
+def distinct_tests(prefilters: Sequence[Optional[Prefilter]]
+                   ) -> Tuple[List[Prefilter], List[Optional[int]]]:
+    """What a section tests for consumers pushing ``prefilters`` (one
+    entry each; None keeps every guard-passer): the first consumer of
+    each distinct test -- one conjunction over one parameter dict is
+    tested once -- and, per consumer, the test it rides on.  Read off
+    the prefixes alone, so EXPLAIN lists what the kernel tests."""
+    tests: List[Prefilter] = []
+    test_of: List[Optional[int]] = []
+    seen: Dict[tuple, int] = {}
+    for member in prefilters:
+        if member is None:
+            test_of.append(None)
+            continue
+        key = (member.render({index: f"c{index}" for index in member.slots},
+                             "P"), id(member.params))
+        if key not in seen:
+            seen[key] = len(tests)
+            tests.append(member)
+        test_of.append(seen[key])
+    return tests, test_of
+
+
 class _Front(NamedTuple):
-    """One decode loop's per-packet lines, from the bytes to the row
+    """One kernel section's per-packet lines, from the bytes to the row
     (:func:`_front`)."""
 
     #: the guard, then the prefix tests; ``continue`` ends a packet
@@ -461,28 +409,28 @@ class _Front(NamedTuple):
     #: per consumer, the distinct test it rides on (None: it keeps
     #: every guard-passer)
     test_of: List[Optional[int]]
-    #: the :class:`Decoder` fields after ``source``
-    described: tuple
-    #: the plan reads ``data``: the loop notes the payload offset
-    wants_pay: bool
+    #: how a row action reads each covered attribute off a row, given
+    #: the header's names (:data:`ROW_NAMES`)
+    columns: Dict[int, str]
 
 
 def _front(protocol: str, attributes: Sequence[str], needed: FrozenSet[int],
            prefilters: Sequence[Optional[Prefilter]], lean: bool,
            accept: Callable[[List[str], List[Optional[int]]], List[str]],
-           tag: str = "", keep_offset: bool = True) -> Optional[_Front]:
-    """Guard, then prefix: the per-packet lines of one decode loop.
+           tag: str = "") -> Optional[_Front]:
+    """Guard, then prefix: the per-packet lines of one section of a
+    block kernel (:func:`block_kernel`).
 
     The protocol guard comes first, one definition per layer; where the
     pushed prefixes are tested go ``accept(texts, test_of)``'s lines --
     ``texts`` each consumer's prefix rendered against the unpack at
-    hand, identical sources once, ``test_of`` which one each consumer
-    rides on; the lean form unpacks what only survivors need after
-    them.  The lines leave the unpack tuple in ``v`` and, when the
-    fields read ``data``, the payload offset in ``o`` (appended as
-    ``oa(...)`` instead unless ``keep_offset``).  ``tag`` ends every
-    global name they read, so loops of several protocols can share one
-    function.  None for a lean form that does not exist.
+    hand, one per distinct test (:func:`distinct_tests`), ``test_of``
+    which one each consumer rides on; the lean form unpacks what only
+    survivors need after them.  The lines leave the unpack tuple in
+    ``v`` and, when the fields read ``data``, the payload offset in
+    ``o``.  ``tag`` ends every global name they read, so several
+    sections can share one function.  None for a lean form that does
+    not exist.
     """
     family, sources, head, tail, guard_fields = _place(
         protocol, attributes, needed)
@@ -527,25 +475,13 @@ def _front(protocol: str, attributes: Sequence[str], needed: FrozenSet[int],
         return member.render(
             reads, param_names.get(id(member.params), "P" + tag))
 
-    #: per consumer, which test it rides on (None: it keeps everything);
-    #: ``tests`` holds the first consumer of each distinct test
-    test_of: List[Optional[int]] = []
-    tests: List[Prefilter] = []
-    seen: Dict[str, int] = {}
     reads = columns(full)
     for member in prefilters:
-        if member is None:
-            test_of.append(None)
-            continue
-        if not member.slots <= reads.keys():
+        if member is not None and not member.slots <= reads.keys():
             raise ValueError(
                 f"prefilter [{member.text}] reads attributes outside the "
                 "decoder's header fields and capture metadata")
-        text = rendered(member, reads)
-        if text not in seen:
-            seen[text] = len(tests)
-            tests.append(member)
-        test_of.append(seen[text])
+    tests, test_of = distinct_tests(prefilters)
     #: what a row action reads: the prefix's sources plus the payload
     row_columns = {index: _DATA_SOURCE for index, src in sources.items()
                    if src.field == "data"}
@@ -582,8 +518,8 @@ def _front(protocol: str, attributes: Sequence[str], needed: FrozenSet[int],
     def l4_guard(view: _View, start) -> List[str]:
         """The L4 header starting at frame offset ``start`` (a number
         or a variable name) ends inside the capture; ``view`` holds its
-        fields.  Notes the payload offset when the plan reads ``data``:
-        kept in ``o`` or appended (``keep_offset``)."""
+        fields.  Notes the payload offset in ``o`` when the plan reads
+        ``data``."""
         def past(offset) -> str:
             if isinstance(start, int) and isinstance(offset, int):
                 return str(start + offset)
@@ -598,7 +534,7 @@ def _front(protocol: str, attributes: Sequence[str], needed: FrozenSet[int],
             ]
             end = past("doff")
         if wants_pay:
-            lines.append(f"o = {end}" if keep_offset else f"oa({end})")
+            lines.append(f"o = {end}")
         return lines
 
     def options_path() -> List[str]:
@@ -619,8 +555,6 @@ def _front(protocol: str, attributes: Sequence[str], needed: FrozenSet[int],
             lines.append(f"v = v[:{len(head)}] + t")
         return lines
 
-    described = (fmt, l4_fmt, tuple(member.text for member in tests),
-                 row_columns)
     if not lean:
         body = fixed_guard(full, unpack)
         if family.l4 is None:
@@ -634,7 +568,7 @@ def _front(protocol: str, attributes: Sequence[str], needed: FrozenSet[int],
                 body.append(f"if {ihl} != 5:")
             body += _indent(options_path())
         body += tested(full)
-        return _Front(body, env, test_of, described, wants_pay)
+        return _Front(body, env, test_of, row_columns)
     # The first struct covers what the guard and the prefixes read; the
     # rest is unpacked after the test, for survivors only.
     if not tests or None in test_of:
@@ -644,10 +578,9 @@ def _front(protocol: str, attributes: Sequence[str], needed: FrozenSet[int],
     if split is None:
         return None
     first, second = split
-    formats = (_struct_format(first), _struct_format(second))
     unpack_a, unpack_b = "unpack_a" + tag, "unpack_b" + tag
-    env[unpack_a] = struct.Struct(formats[0]).unpack_from
-    env[unpack_b] = struct.Struct(formats[1]).unpack_from
+    env[unpack_a] = struct.Struct(_struct_format(first)).unpack_from
+    env[unpack_b] = struct.Struct(_struct_format(second)).unpack_from
     before = _View("a", {name: j for j, (_, _, name) in enumerate(first)})
     after = _View("b", {name: j for j, (_, _, name) in enumerate(second)})
     survivor = tested(before) + [
@@ -665,56 +598,7 @@ def _front(protocol: str, attributes: Sequence[str], needed: FrozenSet[int],
             + _indent(l4_guard(before, l4_at) + survivor)
             + ["else:"]
             + _indent([f"v = {unpack}(d)"] + options_path() + tested(full)))
-    return _Front(body, env, test_of, described + (formats,), wants_pay)
-
-
-def _generate(protocol: str, attributes: Sequence[str],
-              needed: FrozenSet[int],
-              prefilters: Sequence[Optional[Prefilter]] = (),
-              lean: bool = False):
-    """Source, environment and description (the :class:`Decoder` fields
-    after ``source``) of one block decoder; None for a lean form that
-    does not exist.
-
-    Guard, then prefix, then the row (:func:`_front`): a packet some
-    consumer keeps is a row, appended to a block that reports the
-    guard-passers (``passed``: rows plus the packets every consumer's
-    prefix killed).
-    """
-    def accept(texts: List[str], test_of) -> List[str]:
-        """A packet no consumer keeps is counted and goes no further."""
-        if not texts or None in test_of:
-            return []
-        either = " or ".join(texts if len(texts) == 1
-                             else [f"({text})" for text in texts])
-        return [f"if not ({either}):", "    killed += 1", "    continue"]
-
-    testing = any(member is not None for member in prefilters)
-    front = _front(protocol, attributes, needed, prefilters, lean, accept,
-                   keep_offset=testing)
-    if front is None:
-        return None
-    kills = testing and None not in front.test_of
-    env = dict(front.env, array=array, ColumnarBlock=ColumnarBlock)
-    header = ["for p in packets:", "    d = p.data", "    n = len(d)"]
-    body = front.lines + ["va(v)", "pa(p)"]
-    setup = [
-        "vals = []",
-        "pkts = []",
-        "pay = array('l')",
-        "va = vals.append",
-        "pa = pkts.append",
-        "oa = pay.append",
-    ]
-    result = "vals, pkts, pay, packets"
-    if testing and front.wants_pay:
-        body.append("oa(o)")
-    if kills:
-        setup.append("killed = 0")
-        result += ", killed + len(vals)"
-    lines = ["def decode(packets):"] + _indent(setup + header) + _indent(
-        body, 2) + [f"    return ColumnarBlock({result})"]
-    return "\n".join(lines) + "\n", env, front.described
+    return _Front(body, env, test_of, row_columns)
 
 
 # -- the block kernel ----------------------------------------------------------
@@ -843,7 +727,7 @@ def block_kernel(branches: Sequence[Branch]) -> Tuple[Callable, str]:
             f"    fail(({g}, error))"]
 
     def action_of(g: int, member: Member, front: _Front) -> ActionSource:
-        spliced = _renamed(member.action.render(front.described[3]), f"_{g}")
+        spliced = _renamed(member.action.render(front.columns), f"_{g}")
         if any(line.lstrip().startswith(("for ", "while "))
                for line in spliced.body):
             raise ValueError("a row action in a block kernel may not loop")
@@ -978,7 +862,7 @@ def block_kernel(branches: Sequence[Branch]) -> Tuple[Callable, str]:
         f"({collected.rstrip(' ')}), failed)",
     ])
     source = "\n".join(lines) + "\n"
-    exec(_compiled(source, "kernel"), env)
+    exec(_compiled(source), env)
     return env["kernel"], source
 
 
@@ -1054,8 +938,7 @@ def decode_block(packets: Sequence[CapturedPacket], decode: Callable):
     through the schema attribute holding this function, so whoever
     replaces that attribute (the benchmark's outside-in ``net.decode``
     span) sees each exactly once.  ``decode`` is the loop to run; what
-    comes back counts its rows under ``n`` (a :class:`BlockTally`, or
-    the :class:`ColumnarBlock` of a row-less decoder).
+    comes back counts its rows under ``n`` (a :class:`BlockTally`).
     """
     return decode(packets)
 

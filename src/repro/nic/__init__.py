@@ -6,8 +6,9 @@ offers (Section 3):
 
 * a **bpf-style prefilter** plus a **snap length**, pushing a simple
   selection/projection into the card: the test is the re-checking
-  LFTA's own generated guard and prefix
-  (:meth:`repro.operators.lfta.LftaNode.card_filter`) and the length
+  LFTA's own generated guard and prefix, run as a one-member block
+  kernel with an empty row action
+  (:meth:`repro.operators.lfta.LftaNode.card_filter`), and the length
   is its plan's ``LftaPlan.snaplen``;
 * a full **on-NIC RTS** executing LFTAs on the card itself
   (:mod:`repro.nic.nic_rts`), so the host only sees reduced tuples.

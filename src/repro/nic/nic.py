@@ -10,9 +10,10 @@ saturated, so the card's capacity is deliberately generous).
 Depending on configuration the card
 
 * runs a prefilter -- the guard and prefix of the LFTA that re-checks on
-  the host, ``LftaNode.card_filter()`` -- and truncates to the plan's
-  snap length (``LftaPlan.snaplen``), then delivers raw packets to the
-  host (options 2/3 of Section 4), or
+  the host, ``LftaNode.card_filter()``: that LFTA's front end as a
+  one-member block kernel with no row action -- and truncates to the
+  plan's snap length (``LftaPlan.snaplen``), then delivers raw packets
+  to the host (options 2/3 of Section 4), or
 * executes LFTAs on the card (option 4): the host then receives only
   the LFTAs' output tuples, each far cheaper than a packet interrupt.
 """

@@ -28,7 +28,9 @@ of two headers (DESIGN section 14):
   (:meth:`LftaNode.kernel_member`), one loop over the whole block in
   which every covered LFTA's gate, guard, prefix and action sit;
   ``accept_batch`` -- for a fault's wrap, journal replay, the NIC
-  runtime -- runs a kernel with this node as its one member;
+  runtime -- runs a kernel with this node as its one member, and the
+  test the node pushes into a capture card (:class:`CardFilter`) is its
+  guard and prefix as one more such kernel, with an empty row action;
 * every other protocol runs the action under the generic row adapter's
   header (``ExprCompiler.lfta_adapter_fn``
   around ``ProtocolSchema.sparse_interpreter``).
@@ -52,11 +54,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.heartbeat import Punctuation
 from repro.determinism import rng_for
-from repro.core.query_node import QueryNode
+from repro.core.query_node import NodeStats, QueryNode
 from repro.gsql.codegen import ExprCompiler
 from repro.gsql.planner import LftaPlan
 from repro.gsql.semantic import AnalyzedQuery
-from repro.net.columnar import Branch, Member, block_kernel
+from repro.net.columnar import (ActionSource, Branch, Member, Prefilter,
+                                RowAction, block_kernel)
 from repro.net.packet import CapturedPacket
 from repro.operators.aggregates import AggregateOps
 from repro.operators.base import apply_transforms, key_bound_fn, output_bound_transforms
@@ -68,21 +71,31 @@ DEFAULT_TABLE_SIZE = 4096
 class CardFilter:
     """What a capture card runs on behalf of one LFTA (paper Section 3:
     "a simple selection/projection operator [pushed] into the NIC"):
-    the LFTA's own generated decode loop -- protocol guard, then the
-    plan's prefix -- over only the fields the prefix reads, with no row
-    action.  The card rejects exactly the packets that loop would count
-    and drop, so the LFTA that re-checks on the host loses no row."""
+    the LFTA's own front end -- protocol guard, then the plan's prefix
+    -- as a block kernel whose one member reads only the fields the
+    prefix reads and has an empty row action.  The card rejects exactly
+    the packets that kernel gives no row, which the LFTA re-checking on
+    the host would count and drop, so it loses no row.  The filter is
+    the member's node: the kernel moves its ``packets_seen`` and
+    ``stats`` as it would an LFTA's."""
 
-    def __init__(self, decoder) -> None:
-        self._decode = decoder.decode
+    def __init__(self, protocol, prefilter: Optional[Prefilter]) -> None:
         #: the prefix as GSQL ("" when only the guard is tested)
-        self.description = " and ".join(decoder.prefilters)
+        self.description = "" if prefilter is None else prefilter.text
         self.evaluated = 0
         self.matched = 0
+        self.packets_seen = self.columnar_blocks = 0
+        self.stats = NodeStats()
+        needed = frozenset() if prefilter is None else prefilter.slots
+        section = protocol.kernel_section([Member(
+            needed, prefilter, RowAction(frozenset(), lambda columns:
+                                         ActionSource([], [], [],
+                                                      {"node": self})))])
+        self._kernel, _ = block_kernel([Branch(None, (section,), False)])
 
     def matches(self, packet: CapturedPacket) -> bool:
         self.evaluated += 1
-        if not self._decode((packet,)).n:
+        if not self._kernel((packet,)).n:
             return False
         self.matched += 1
         return True
@@ -215,17 +228,13 @@ class LftaNode(QueryNode):
 
     def card_filter(self) -> Optional[CardFilter]:
         """This node's guard and prefix as a card-side packet test
-        (``Nic(bpf=...)``): one more decoder out of the generator the
-        node's own loop came from, reading the same parameter dict.
+        (``Nic(bpf=...)``): a one-member block kernel out of the emitter
+        the node's own loop came from, reading the same parameter dict.
         None on the row adapter, whose protocol says nothing about
         where in a frame its fields sit: such a node pushes nothing."""
         if self.decode_fields is None:
             return None
-        prefix = self.prefilter
-        if prefix is None:
-            return CardFilter(self.protocol.block_decoder(()))
-        return CardFilter(
-            self.protocol.block_decoder(prefix.slots, (prefix,)))
+        return CardFilter(self.protocol, self.prefilter)
 
     def kernel_member(self, sheds: bool = False) -> Optional[Member]:
         """This node as a block kernel takes it: the fields it reads,

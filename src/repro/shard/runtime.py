@@ -311,6 +311,7 @@ class ShardedGigascope:
 
     def subscribe(self, name: str,
                   capacity: Optional[int] = None) -> Subscription:
+        check_positive_int("capacity", capacity, allow_none=True)
         sink = self._sinks.get(name)
         if sink is None:
             sink = self._make_sink(name)

@@ -1,21 +1,24 @@
 """The decode-then-select/key path, frozen at 355ece7 as the oracle for
 the row-fused kernels (DESIGN sections 14 and 18).
 
-Until PR 19 a block went through four to six passes: ``decode`` into a
-``ColumnarBlock`` (``vals``/``pkts``), one ``gather`` comprehension per
-column, ``columnar_select_fn`` / ``columnar_key_fn`` building row and
-key tuples, ``stable_slots`` placing the block's keys, then
+Before the fused kernels a block went through four to six passes:
+decode into parallel arrays, one ``gather`` comprehension per column,
+``columnar_select_fn`` / ``columnar_key_fn`` building row and key
+tuples, ``stable_slots`` placing the block's keys, then
 ``lfta_aggregate_fn`` zipping three lists -- and in the HFTA
 ``batch_key_fn`` ahead of ``hfta_aggregate_fn``.  The engine now runs
-one generated loop per plan instead; those passes live on here,
-verbatim but for where they hang (a compiler subclass, two node
-subclasses, module functions for what ``ColumnarBlock`` and
+one generated loop per plan instead; the select/key passes and the
+aggregation live on here, verbatim but for where they hang (a compiler
+subclass, two node subclasses, module functions for what
 ``DirectMappedTable`` lost), so ``tests/test_fused_kernels.py`` and
 ``tests/test_key_run_cache.py`` can hold the new loops to them row for
-row and counter for counter.  Nothing under ``src/`` imports this.
+row and counter for counter.  The decode pass itself is the engine's
+one loop emitter: a one-member block kernel recording each row as the
+loop holds it (``tests/kernel_rows.py``), off which the passes read
+one column at a time (:class:`Block`).  Nothing under ``src/``
+imports this.
 """
 
-from functools import lru_cache
 from itertools import compress, repeat
 from typing import List, Sequence
 from zlib import crc32
@@ -26,76 +29,24 @@ from repro.gsql.planner import column_slots
 from repro.operators.aggregation import AggregationNode
 from repro.operators.lfta import LftaNode
 
-
-# -- ColumnarBlock.col / .gather -------------------------------------------------
-#
-# ``ColumnarBlock._materialize`` built a column with one list
-# comprehension picked by the attribute's kind (a header field as
-# unpacked, a bit field of one, a piece of capture metadata, the
-# payload).  The kinds are gone with it; the same comprehensions are
-# regenerated here from how the decoder says a row action reads the
-# attribute (``Decoder.columns``, over the row's names ``v``/``p``/
-# ``d``/``n``/``o``), so the frozen path costs what it cost.
-
-def _comprehensions(source: str):
-    """``(whole column, by rows)`` comprehension sources reading one
-    attribute off ``vals``/``pkts``/``pay``."""
-    if source == "d[o:]":
-        return ("[p.data[o:] for p, o in zip(pkts, pay)]",
-                "[pkts[i].data[pay[i]:] for i in rows]")
-    if source == "n":
-        return ("[len(p.data) for p in pkts]",
-                "[len(pkts[i].data) for i in rows]")
-    if "p." in source:
-        return (f"[{source} for p in pkts]",
-                "[" + source.replace("p.", "pkts[i].") + " for i in rows]")
-    return (f"[{source} for v in vals]",
-            "[" + source.replace("v[", "vals[i][") + " for i in rows]")
+from tests.kernel_rows import KernelRows
 
 
-@lru_cache(maxsize=None)
-def _materializers(source: str):
-    whole, by_rows = _comprehensions(source)
-    return (eval(f"lambda vals, pkts, pay: {whole}"),
-            eval(f"lambda vals, pkts, pay, rows: {by_rows}"))
+class Block:
+    """A decoded block as the frozen passes' source reads it --
+    ``B.col(slot)`` a whole column, ``B.gather(slot, rows)`` the column
+    at ``rows`` -- read off the rows a :class:`KernelRows` recorded."""
 
+    __slots__ = ("tap",)
 
-def gather(decoder, block, index, rows) -> list:
-    """Attribute ``index`` for just ``rows`` of a block ``decoder``
-    produced, aligned with ``rows``."""
-    return _materializers(decoder.columns[index])[1](
-        block.vals, block.pkts, block.pay, rows)
-
-
-def col(decoder, block, index) -> list:
-    """The full column for attribute ``index``."""
-    return _materializers(decoder.columns[index])[0](
-        block.vals, block.pkts, block.pay)
-
-
-class Columns:
-    """A block with the column accessors ``ColumnarBlock`` used to have
-    (``B.col(slot)`` / ``B.gather(slot, rows)`` in the frozen kernels'
-    source), caching full columns as it did."""
-
-    __slots__ = ("decoder", "block", "columns")
-
-    def __init__(self, decoder, block) -> None:
-        self.decoder = decoder
-        self.block = block
-        self.columns = {}
+    def __init__(self, tap) -> None:
+        self.tap = tap
 
     def col(self, index):
-        column = self.columns.get(index)
-        if column is None:
-            column = self.columns[index] = col(self.decoder, self.block, index)
-        return column
+        return self.tap.column(index)
 
     def gather(self, index, rows):
-        column = self.columns.get(index)
-        if column is not None:
-            return [column[i] for i in rows]
-        return gather(self.decoder, self.block, index, rows)
+        return self.tap.column(index, rows)
 
 
 # -- determinism.stable_slots / DirectMappedTable.open_block ------------------------
@@ -386,15 +337,14 @@ class FrozenLfta(LftaNode):
         super().__init__(plan, analyzed, compiler, **kwargs)
         needed = plan.needed_fields(analyzed)
         predicates = plan.predicates
-        self._plain = self._plain_lean = None
-        #: decodes blocks, where the protocol has a layout
+        #: decodes blocks, where the protocol has a layout: the full
+        #: form's tap and the lean form's
         self._decoding = self.protocol.columnar_decoder is not None
         if self._decoding:
-            pushed = () if self.prefilter is None else (self.prefilter,)
-            self._plain = self.protocol.block_decoder(needed, pushed)
+            self._taps = tuple(
+                KernelRows(self.protocol, needed, self.prefilter, lean)
+                for lean in (False, True))
             if self.prefilter is not None:
-                self._plain_lean = self.protocol.block_decoder(
-                    needed, pushed, lean=True)
                 predicates = predicates[plan.prefix:]
         if plan.mode == "projection":
             select_fn = (compiler.columnar_select_fn if self._decoding
@@ -417,11 +367,6 @@ class FrozenLfta(LftaNode):
             #: the format ``open_block`` places this plan's keys with
             self.key_format = compiler.key_hash_format(plan.group_exprs)
 
-    @property
-    def prefers_lean(self) -> bool:
-        stats = self.stats
-        return (self._plain_lean is not None
-                and 2 * stats.discarded > stats.tuples_in)
 
     def accept_batch(self, packets, views=None) -> None:
         self.packets_seen += len(packets)
@@ -438,13 +383,13 @@ class FrozenLfta(LftaNode):
         stats = self.stats
         if self._decoding:
             # Rows are indices into the decoded block.
-            decoder = self._plain_lean if self.prefers_lean else self._plain
-            block = self._decode_block(packets, decoder.decode)
+            tap = self._taps[self.prefers_lean]
+            passed = tap.run(packets)
             self.columnar_blocks += 1
-            rows = range(block.n)
-            stats.tuples_in += block.passed
-            stats.discarded += block.passed - block.n
-            block = Columns(decoder, block)
+            rows = range(len(tap.packets))
+            stats.tuples_in += passed
+            stats.discarded += passed - len(rows)
+            block = Block(tap)
         else:
             block = None
             rows = []
@@ -513,5 +458,5 @@ class FrozenAggregation(AggregationNode):
         self._aggregate(self, keys, rows)
 
 
-__all__ = ["Columns", "FrozenAggregation", "FrozenCompiler", "FrozenLfta",
-           "col", "gather", "open_block", "stable_slots"]
+__all__ = ["Block", "FrozenAggregation", "FrozenCompiler", "FrozenLfta",
+           "open_block", "stable_slots"]

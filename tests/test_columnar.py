@@ -1,16 +1,19 @@
-"""Guard/field equivalence tests for the generated block decoders.
+"""Guard/field equivalence tests for the generated front end.
 
 DESIGN section 14's byte-identity contract at its root: for the
-builtin ``ip``/``tcp``/``udp`` protocols, the block decoder generated
-for *any* subset of a protocol's attributes must keep exactly the rows
-the row-at-a-time interpreter keeps, in the same order, with identical
+builtin ``ip``/``tcp``/``udp`` protocols, a block kernel generated for
+*any* subset of a protocol's attributes must keep exactly the rows the
+row-at-a-time interpreter keeps, in the same order, with identical
 field values -- over an adversarial corpus of truncations, IP options,
-fragments and corrupt headers, and over arbitrary bytes: a decoder is
-total, it never raises on what a capture device hands it.
+fragments and corrupt headers, and over arbitrary bytes: the guard is
+total, it never raises on what a capture device hands it.  The rows are
+read off a one-member kernel whose row action records them
+(``tests/kernel_rows.py``).
 """
 
 import itertools
 import random
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,7 +23,7 @@ from repro.gsql.schema import builtin_registry
 from repro.net import columnar
 from repro.net.build import build_tcp_frame, build_udp_frame, capture
 
-from tests.frozen_decode_select import col, gather
+from tests.kernel_rows import KernelRows, kernel_rows
 
 REGISTRY = builtin_registry()
 PROTOCOLS = ("ip", "tcp", "udp")
@@ -92,29 +95,6 @@ def _corpus():
     return packets
 
 
-def _decoder(protocol, subset=None):
-    if subset is None:
-        subset = range(len(protocol.attributes))
-    return protocol.block_decoder(subset)
-
-
-def _decode(protocol, packets, subset=None):
-    return _decoder(protocol, subset).decode(packets)
-
-
-def _decoded_rows(protocol, packets, subset=None):
-    """Schema-width rows off a decoded block, ``None`` outside ``subset``
-    -- the shape ``sparse_interpreter`` produces.  Every attribute is
-    read the way a row action reads it: off the decoder's ``columns``."""
-    width = len(protocol.attributes)
-    subset = range(width) if subset is None else subset
-    decoder = _decoder(protocol, subset)
-    block = decoder.decode(packets)
-    cols = {i: col(decoder, block, i) for i in subset}
-    return [tuple(cols[i][j] if i in cols else None for i in range(width))
-            for j in range(block.n)]
-
-
 def _interpreted_rows(protocol, packets, subset):
     interpret = protocol.sparse_interpreter(subset)
     return [row for p in packets for row in interpret(p)]
@@ -126,26 +106,21 @@ class TestGuardEquivalence:
         protocol = REGISTRY.get(name)
         packets = _corpus()
         scalar = [row for p in packets for row in protocol.interpret(p)]
-        assert _decoded_rows(protocol, packets) == scalar
+        assert kernel_rows(protocol, packets) == scalar
         assert scalar  # the corpus must exercise surviving rows too
 
     def test_single_packet_blocks_match_one_big_block(self, name):
         protocol = REGISTRY.get(name)
         packets = _corpus()
         per_packet = [row for p in packets
-                      for row in _decoded_rows(protocol, [p])]
-        assert per_packet == _decoded_rows(protocol, packets)
+                      for row in kernel_rows(protocol, [p])]
+        assert per_packet == kernel_rows(protocol, packets)
 
     def test_empty_block(self, name):
         protocol = REGISTRY.get(name)
-        block = _decode(protocol, [])
-        assert block.n == block.passed == 0
-        assert block.vals == block.pkts == []
-
-    def test_block_remembers_the_list_it_decoded(self, name):
-        protocol = REGISTRY.get(name)
-        packets = _corpus()
-        assert _decode(protocol, packets).packets is packets
+        tap = KernelRows(protocol, range(len(protocol.attributes)))
+        assert tap.rows([]) == ([], 0)
+        assert tap.packets_seen == tap.columnar_blocks == 0
 
 
 def _subsets(name):
@@ -179,13 +154,13 @@ class TestEverySubset:
         for subset in _subsets(name):
             expected = [tuple(row[i] if i in subset else None
                               for i in range(width)) for row in full]
-            assert _decoded_rows(protocol, packets, subset) == expected, subset
+            assert kernel_rows(protocol, packets, subset) == expected, subset
 
     def test_truncations_match_the_sparse_interpreter(self, name):
         protocol = REGISTRY.get(name)
         packets = _corpus()
         for subset in _subsets(name)[::17]:
-            assert (_decoded_rows(protocol, packets, subset)
+            assert (kernel_rows(protocol, packets, subset)
                     == _interpreted_rows(protocol, packets, subset)), subset
 
 
@@ -220,29 +195,19 @@ def test_decoders_are_total_over_bytes(name, data):
         st.sets(st.integers(0, width - 1), min_size=1), label="subset"))
     frames = data.draw(st.lists(_frames(), max_size=12), label="frames")
     packets = [capture(frame, 10.0 + i) for i, frame in enumerate(frames)]
-    assert (_decoded_rows(protocol, packets, subset)
+    assert (kernel_rows(protocol, packets, subset)
             == _interpreted_rows(protocol, packets, subset))
 
 
 class TestColumns:
-    """``Decoder.columns``: how a row action reads an attribute, given
-    the names a row's header binds."""
-
-    def test_a_subset_of_rows_reads_like_the_whole_block(self):
-        protocol = REGISTRY.get("tcp")
-        packets = _corpus()
-        decoder = _decoder(protocol)
-        block = decoder.decode(packets)
-        rows = list(range(0, block.n, 2))
-        for index in range(len(protocol.attributes)):
-            assert gather(decoder, block, index, rows) == \
-                [col(decoder, block, index)[j] for j in rows]
+    """How a row action reads an attribute, given the names a row's
+    header binds."""
 
     @pytest.mark.parametrize("name", PROTOCOLS)
     def test_sources_read_only_the_headers_names(self, name):
         import ast
         protocol = REGISTRY.get(name)
-        columns = _decoder(protocol).columns
+        columns = KernelRows(protocol, range(len(protocol.attributes))).columns
         assert sorted(columns) == list(range(len(protocol.attributes)))
         for source in columns.values():
             names = {node.id for node in ast.walk(ast.parse(source))
@@ -251,20 +216,20 @@ class TestColumns:
 
     def test_a_shared_decoder_maps_the_union(self):
         tcp = REGISTRY.get("tcp")
-        narrow, wide = tcp.block_decoder([0, 13]), tcp.block_decoder(
-            [0, 9, 13, 18])
-        assert set(narrow.columns) == {0, 13}
-        assert set(wide.columns) == {0, 9, 13, 18}
+        narrow = KernelRows(tcp, [0, 13]).columns
+        wide = KernelRows(tcp, [0, 9, 13, 18]).columns
+        assert set(narrow) == {0, 13}
+        assert set(wide) == {0, 9, 13, 18}
         # destPort sits further along the wider unpack
-        assert narrow.columns[13] != wide.columns[13]
-        assert wide.columns[18] == "d[o:]"
+        assert narrow[13] != wide[13]
+        assert wide[18] == "d[o:]"
 
 
 class TestLayout:
     @pytest.mark.parametrize("name", PROTOCOLS)
     def test_layout_covers_every_attribute_and_agrees_with_the_schema(
             self, name):
-        """One decoder per attribute: the layout has an entry for each,
+        """One kernel per attribute: the layout has an entry for each,
         and what it reads off the bytes is what the schema's own field
         function reads through ``PacketView``."""
         protocol = REGISTRY.get(name)
@@ -274,48 +239,55 @@ class TestLayout:
         from repro.gsql.schema import PacketView
         for index, attribute in enumerate(protocol.attributes):
             function = protocol.field_function(attribute.name)
-            decoder = _decoder(protocol, [index])
-            assert col(decoder, decoder.decode(packets), index) == \
+            assert [row[index] for row in
+                    kernel_rows(protocol, packets, [index])] == \
                 [function(PacketView(p)) for p in admitted], attribute.name
 
     def test_builtin_ip_family_has_the_block_entry(self):
         for name in PROTOCOLS:
             protocol = REGISTRY.get(name)
             assert protocol.columnar_decoder is columnar.decode_block
-            assert protocol.block_decoder([0]) is not None
+            assert protocol.struct_formats([0]) is not None
 
     def test_other_protocols_stay_on_the_row_adapter(self):
         for name in ("ethernet", "icmp", "tcp6", "udp6", "dns",
                      "netflow", "bgp"):
             protocol = REGISTRY.get(name)
             assert protocol.columnar_decoder is None
-            assert protocol.block_decoder([0]) is None
+            assert protocol.struct_formats([0]) is None
 
     def test_struct_covers_only_guard_and_needed_fields(self):
         tcp = REGISTRY.get("tcp")
         # time, destPort, data: the http-fraction LFTAs' reads.
-        lean = tcp.block_decoder([0, 13, 18])
-        assert lean.struct_format == "!12xHB5xHxB12xH8xB"
-        assert lean.struct_size == 47
-        assert lean.l4_format == "!2xH8xB"
+        fast, l4 = tcp.struct_formats([0, 13, 18])
+        assert fast == "!12xHB5xHxB12xH8xB"
+        assert struct.calcsize(fast) == 47
+        assert l4 == "!2xH8xB"
         # capture metadata alone costs no header bytes past the guard
-        assert (REGISTRY.get("udp").block_decoder([0, 1, 6, 7]).struct_format
-                == "!12xHB5xHxB")
-        assert REGISTRY.get("ip").block_decoder([0]).struct_format == "!12xHB"
+        assert REGISTRY.get("udp").struct_formats([0, 1, 6, 7]) == (
+            "!12xHB5xHxB", "")
+        assert REGISTRY.get("ip").struct_formats([0]) == ("!12xHB", "")
+
+    @pytest.mark.parametrize("name", PROTOCOLS)
+    def test_the_static_formats_are_what_the_kernel_unpacks(self, name):
+        """EXPLAIN's struct sizes are read off the layout table; they
+        are the structs the generated kernel's guard binds."""
+        protocol = REGISTRY.get(name)
+        for subset in _subsets(name)[::7]:
+            kernel = KernelRows(protocol, subset).kernel
+            fast, l4 = protocol.struct_formats(subset)
+            assert kernel.__globals__["unpack_s0"].__self__.format == fast
+            assert kernel.__globals__["unpack_l4_s0"].__self__.format == (
+                l4 or "!")
 
     def test_same_field_set_is_generated_once(self):
         """One ``compile()`` per distinct loop, across registries; what
-        the loop reads is bound per decoder, so no two share a closure
+        the loop reads is bound per kernel, so no two share a closure
         (tests/test_prefilter.py: two parameter dicts, one source)."""
         tcp = REGISTRY.get("tcp")
-        one, other = tcp.block_decoder([13, 0]), tcp.block_decoder((0, 13))
-        assert one.decode.__code__ is other.decode.__code__
-        assert one.decode is not other.decode
-        assert builtin_registry().get("tcp").block_decoder([0, 13]) \
-            .decode.__code__ is one.decode.__code__
-
-    def test_decode_block_runs_the_decoder_it_is_given(self):
-        tcp = REGISTRY.get("tcp")
-        packets = _corpus()
-        decode = tcp.block_decoder([0]).decode
-        assert tcp.columnar_decoder(packets, decode).n == decode(packets).n
+        one = KernelRows(tcp, [13, 0]).kernel
+        other = KernelRows(tcp, (0, 13)).kernel
+        assert one.__code__ is other.__code__
+        assert one is not other
+        assert KernelRows(builtin_registry().get("tcp"), [0, 13]) \
+            .kernel.__code__ is one.__code__

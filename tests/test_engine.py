@@ -351,25 +351,61 @@ class TestLifecycle:
             engine = gs if facade == "single" else gs.primary
             assert engine.rts.packets_fed == 0
 
-    @pytest.mark.parametrize("bad", [0, -3, 2.5, "8", True])
-    @pytest.mark.parametrize("argument", [
-        "batch_size", "lfta_table_size", "merge_buffer_capacity",
-        "channel_capacity"])
+    @pytest.mark.parametrize("argument, bad", [
+        (argument, bad)
+        for argument in ("batch_size", "lfta_table_size",
+                         "merge_buffer_capacity", "channel_capacity")
+        for bad in (0, -3, 2.5, "8", True)] + [
+        ("heartbeat_interval", bad)
+        for bad in (0, -1, "1", float("nan"), float("inf"), True)])
     @pytest.mark.parametrize("facade", ["single", "shards", "standby"])
     def test_size_arguments_are_refused_at_construction(
             self, facade, argument, bad):
-        """A size that is not a positive integer is named when the
-        engine is built -- not a TypeError at ``add_query``, an islice
-        error at the first ``feed`` or a merge that silently drops every
-        row."""
+        """A size that is not a positive integer, or a heartbeat
+        interval that is not None or a positive finite number, is named
+        when the engine is built -- not a TypeError at ``add_query`` or
+        inside ``feed``, an islice error at the first ``feed``, a merge
+        that silently drops every row, or a heartbeat on every packet
+        (0) or never (NaN)."""
         from repro.replication import ReplicatedGigascope
         from repro.shard import ShardedGigascope
         build = {"single": Gigascope,
                  "shards": lambda **kw: ShardedGigascope(2, **kw),
                  "standby": ReplicatedGigascope}[facade]
+        wanted = ("None or a positive finite number"
+                  if argument == "heartbeat_interval" else "a positive integer")
         with pytest.raises(ValueError, match=re.escape(
-                f"{argument} must be a positive integer, got {bad!r}")):
+                f"{argument} must be {wanted}, got {bad!r}")):
             build(metrics=False, **{argument: bad})
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, "8", True])
+    @pytest.mark.parametrize("facade", ["single", "shards", "standby"])
+    def test_subscription_capacity_is_refused_before_anything_is_built(
+            self, facade, bad):
+        """A subscription's channel bound is a size like the engine's
+        own: not 2 rows for 2.5, nor 1 for True."""
+        from repro.replication import ReplicatedGigascope
+        from repro.shard import ShardedGigascope
+        gs = {"single": lambda: Gigascope(metrics=False),
+              "shards": lambda: ShardedGigascope(2, metrics=False),
+              "standby": lambda: ReplicatedGigascope(metrics=False)}[facade]()
+        gs.add_query("DEFINE query_name q; Select time From tcp")
+        with pytest.raises(ValueError, match=re.escape(
+                f"capacity must be a positive integer, got {bad!r}")):
+            gs.subscribe("q", capacity=bad)
+        if facade == "shards":
+            assert not gs._sinks
+        else:
+            engine = gs if facade == "single" else gs.primary
+            assert not engine.rts.node("q").subscribers
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, True])
+    def test_max_traces_is_refused_before_the_tracer_is_built(self, bad):
+        gs = Gigascope(metrics=False)
+        with pytest.raises(ValueError, match=re.escape(
+                f"max_traces must be a positive integer, got {bad!r}")):
+            gs.enable_tracing(0.5, max_traces=bad)
+        assert gs.rts.tracer is None
 
     @pytest.mark.parametrize("argument", ["merge_buffer_capacity",
                                           "channel_capacity"])

@@ -1,5 +1,7 @@
 """Tests for the LFTA/HFTA split planner."""
 
+import struct
+
 import pytest
 
 from repro.gsql.functions import builtin_functions
@@ -329,9 +331,17 @@ class TestDescribe:
             assert "decode=row-adapter" in text
 
 
+def reach(schema, needed):
+    """The last frame byte any unpack of the loop covering ``needed``
+    can touch, plus one: the fast-path struct, or the L4 struct behind
+    the longest (60-byte) IPv4 header."""
+    fast, l4 = schema.struct_formats(needed)
+    return max(struct.calcsize(fast), 14 + 60 + struct.calcsize(l4 or "!"))
+
+
 class TestFrontEndStaysInsideTheSnapLength:
     """The planner tells the NIC how many bytes to keep; the generated
-    decoder must not unpack past them, on either IHL path, or a
+    loop must not unpack past them, on either IHL path, or a
     header-only plan would see no rows behind a snapping card."""
 
     @pytest.mark.parametrize("protocol", ["ip", "tcp", "udp"])
@@ -346,16 +356,15 @@ class TestFrontEndStaysInsideTheSnapLength:
                 f"From {protocol}", registry, functions)
             lfta = result.lftas[0]
             assert lfta.snaplen == SNAPLEN_HEADERS
-            decoder = schema.block_decoder(lfta.needed_fields(result.analyzed))
-            # the fast-path struct, and the L4 struct behind a
-            # 60-byte IPv4 header
-            assert decoder.struct_size <= decoder.reach <= SNAPLEN_HEADERS
+            needed = lfta.needed_fields(result.analyzed)
+            fast, _ = schema.struct_formats(needed)
+            assert struct.calcsize(fast) <= reach(schema, needed) \
+                <= SNAPLEN_HEADERS
 
     def test_every_header_field_at_once(self, registry, functions):
         schema = registry.get("tcp")
         everything = [index for index, attribute in
                       enumerate(schema.attributes) if attribute.name != "data"]
-        decoder = schema.block_decoder(everything)
-        assert decoder.struct_size == 14 + 20 + 16  # through tcpwindow
-        assert decoder.reach == 14 + 60 + 16 <= SNAPLEN_HEADERS
-
+        fast, _ = schema.struct_formats(everything)
+        assert struct.calcsize(fast) == 14 + 20 + 16  # through tcpwindow
+        assert reach(schema, everything) == 14 + 60 + 16 <= SNAPLEN_HEADERS

@@ -1,6 +1,6 @@
 """The prefilter inside the generated decode loop (DESIGN section 14).
 
-A plan's leading run of total conjuncts is tested by its block decoder
+A plan's leading run of total conjuncts is tested by its block kernel
 before a row exists.  None of that may show.  Three arms run the same
 packets:
 
@@ -30,7 +30,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Gigascope
-from repro.core.query_node import NodeStats
 from repro.faults import OperatorFault
 from repro.gsql import planner
 from repro.gsql.codegen import ExprCompiler
@@ -40,14 +39,13 @@ from repro.gsql.planner import SNAPLEN_HEADERS, plan_query
 from repro.gsql.schema import SchemaRegistry, builtin_registry
 from repro.gsql.semantic import analyze
 from repro.net.build import build_tcp_frame, build_udp_frame
-from repro.net.columnar import (ActionSource, Branch, Member, RowAction,
-                                block_kernel)
+from repro.net.columnar import distinct_tests
 from repro.net.packet import CapturedPacket
 from repro.nic import Nic
 from repro.operators.lfta import LftaNode
 from repro.recovery.wire import decode_snapshot, encode_snapshot
 
-from tests.frozen_decode_select import col
+from tests.kernel_rows import KernelRows, group_kernel
 from tests.test_columnar import _corpus, _with_ip_options
 from tests.test_shared_decode import assert_same_as_alone, shed
 
@@ -397,28 +395,10 @@ def member(where, params=None, fields="time, srcIP, destPort"):
             compiler.prefilter(lfta.predicates[:lfta.prefix]))
 
 
-class Recorder:
-    """Stands in for an LFTA inside a block kernel: keeps what its row
-    action emitted, and the counters the kernel moves."""
-
-    def __init__(self):
-        self.stats = NodeStats()
-        self.packets_seen = self.columnar_blocks = 0
-        self.rows = []
-
-    def emit_many(self, rows):
-        self.rows.extend(rows)
-
-
-def recording(node, fields, prefilter):
-    """A kernel member whose row action emits ``(p, *fields)``."""
-    def render(columns):
-        values = ", ".join(columns[index] for index in sorted(fields))
-        return ActionSource(["out = []", "emit = out.append"],
-                            [f"emit((p, {values}))"],
-                            ["node.emit_many(out)"], {"node": node})
-    return Member(frozenset(fields), prefilter,
-                  RowAction(frozenset(fields), render))
+def taps(parts):
+    """A :class:`KernelRows` on ``tcp`` per would-be member."""
+    tcp = REGISTRY.get("tcp")
+    return [KernelRows(tcp, fields, prefilter) for fields, prefilter in parts]
 
 
 class TestGroupMembersSeeOnlyTheirRows:
@@ -437,55 +417,34 @@ class TestGroupMembersSeeOnlyTheirRows:
         prefilters = [prefilter for _, prefilter in parts]
         return tcp, parts, union, prefilters
 
-    def kernel(self, tcp, parts):
-        """The block kernel of one decode group of ``parts``, each
-        member a :class:`Recorder`."""
-        nodes = [Recorder() for _ in parts]
-        section = tcp.kernel_section([
-            recording(node, fields, prefilter)
-            for node, (fields, prefilter) in zip(nodes, parts)])
-        run, source = block_kernel([Branch("eth0", (section,), False)])
-        return run, source, nodes
-
     @pytest.mark.parametrize("size", BLOCK_SIZES)
     @pytest.mark.parametrize("keeps_all", [False, True])
     def test_each_member_gets_what_its_own_decoder_keeps(self, size,
                                                          keeps_all):
         members = self.MEMBERS + ([(None, None)] if keeps_all else [])
         tcp, parts, union, prefilters = self.group(members)
-        shared = tcp.block_decoder(union, prefilters)
-        assert shared.prefilters == (
+        tests, test_of = distinct_tests(prefilters)
+        assert [test.text for test in tests] == [
             "destPort = 80", "tcpflags & 18 = 2",
-            "destPort = $port", "destPort = $port")
-        run, source, nodes = self.kernel(tcp, parts)
+            "destPort = $port", "destPort = $port"]
+        assert test_of == [0, 1, 0, 2, 3] + ([None] if keeps_all else [])
+        nodes = taps(parts)
+        run, source = group_kernel(tcp, nodes)
         # five members with a prefix, four distinct tests, each once
         assert [f"keep{j} = " in source for j in range(5)] == [True] * 4 + [
             False]
+        alone = taps(parts)
         for packets in blocks(CORPUS, size):
-            block = shared.decode(packets)
-            assert block.n <= block.passed
-            if keeps_all:
-                assert block.n == block.passed
-            before = [(len(node.rows), node.stats.tuples_in,
-                       node.stats.discarded) for node in nodes]
+            before = [(node.stats.tuples_in, node.stats.discarded)
+                      for node in nodes]
             assert run(packets).nbytes == sum(len(p.data) for p in packets)
-            kept = set()
-            for node, (fields, prefilter), (rows, tuples_in, discarded) in zip(
-                    nodes, parts, before):
-                alone = tcp.block_decoder(
-                    fields, () if prefilter is None else (prefilter,))
-                own = alone.decode(packets)
-                assert own.passed == block.passed \
-                    == node.stats.tuples_in - tuples_in
-                assert node.stats.discarded - discarded == own.passed - own.n
-                got = node.rows[rows:]
-                assert [row[0] for row in got] == own.pkts
-                for position, index in enumerate(sorted(fields), 1):
-                    assert [row[position] for row in got] == col(
-                        alone, own, index)
-                kept.update(id(row[0]) for row in got)
-            # a row of the union decode exists iff some member keeps it
-            assert kept == set(map(id, block.pkts))
+            for node, own, (tuples_in, discarded) in zip(nodes, alone, before):
+                own_rows, passed = own.rows(packets)
+                assert passed == node.stats.tuples_in - tuples_in
+                assert node.stats.discarded - discarded == \
+                    passed - len(own_rows)
+                # the same packets, not only the same values
+                assert node.take() == own_rows
         # one test, one condition: the first and third member ride it
         assert "if live_0 and keep0:" in source
         assert "if live_2 and keep0:" in source
@@ -493,11 +452,9 @@ class TestGroupMembersSeeOnlyTheirRows:
     def test_identical_prefixes_need_no_row_lists(self):
         tcp, parts, union, prefilters = self.group(
             [("destPort = 80", None), ("destPort = 80", None)])
-        shared = tcp.block_decoder(union, prefilters)
-        lone = tcp.block_decoder(union, prefilters[:1])
-        assert shared.source == lone.source
+        assert distinct_tests(prefilters)[1] == [0, 0]
         # in the kernel the one test ends the section for both members
-        _, source, _ = self.kernel(tcp, parts)
+        _, source = group_kernel(tcp, taps(parts))
         assert "keep" not in source and source.count("if not (") == 1
         assert "if live_0:" in source and "if live_1:" in source
 
@@ -505,7 +462,7 @@ class TestGroupMembersSeeOnlyTheirRows:
         tcp = REGISTRY.get("tcp")
         fields, prefilter = member("tcpflags & 2 = 2")
         with pytest.raises(ValueError, match="tcpflags & 2 = 2"):
-            tcp.block_decoder([0, 13], [prefilter])
+            KernelRows(tcp, [0, 13], prefilter)
 
     @pytest.mark.parametrize("batch_size", BLOCK_SIZES)
     def test_engine_group_equals_each_query_alone(self, batch_size):
@@ -632,12 +589,6 @@ SYN = ("DEFINE query_name syn; Select time, timestamp, srcIP, destIP, "
        "srcPort, destPort From tcp Where tcpflags & 18 = 2")
 
 
-def same_block(one, other):
-    return (one.vals == other.vals and one.pkts == other.pkts
-            and one.pay == other.pay and one.passed == other.passed
-            and one.n == other.n)
-
-
 class TestLeanEqualsFull:
     CASES = [
         ("tcp", "time, srcIP, destIP, srcPort, destPort",
@@ -658,19 +609,23 @@ class TestLeanEqualsFull:
         needed = lfta.needed_fields(analyzed)
         prefilter = compiler.prefilter(lfta.predicates[:lfta.prefix])
         schema = REGISTRY.get(protocol)
-        full = schema.block_decoder(needed, [prefilter])
-        lean = schema.block_decoder(needed, [prefilter], lean=True)
-        assert lean is not None and lean.source != full.source
-        assert lean.lean_formats == schema.lean_formats(
-            needed, prefilter.slots)
-        plain = schema.block_decoder(needed)
+        full = KernelRows(schema, needed, prefilter)
+        lean = KernelRows(schema, needed, prefilter, lean=True)
+        assert "unpack_b_s0(d)" in lean.source
+        assert "unpack_b_s0" not in full.source
+        # EXPLAIN's lean=[...] names the two structs this kernel unpacks
+        unpacks = lean.kernel.__globals__
+        assert tuple(unpacks[f"unpack_{half}_s0"].__self__.format
+                     for half in "ab") == \
+            schema.lean_formats(needed, prefilter.slots)
+        plain = KernelRows(schema, needed)
         kept = 0
         for size in BLOCK_SIZES:
             for packets in blocks(CORPUS, size):
-                one, other = full.decode(packets), lean.decode(packets)
-                assert same_block(one, other)
-                assert one.passed == plain.decode(packets).n
-                kept += one.n
+                one = full.rows(packets)
+                assert one == lean.rows(packets)
+                assert one[1] == plain.rows(packets)[1]
+                kept += len(one[0])
         assert kept
 
     def test_lean_form_of_a_group(self):
@@ -679,20 +634,27 @@ class TestLeanEqualsFull:
                         fields="time, srcIP, destIP, srcPort"),
                  member("destPort = $port", {"port": 80},
                         fields="time, srcIP, destIP, seqno")]
-        union = set().union(*(fields for fields, _ in parts))
-        prefilters = [prefilter for _, prefilter in parts]
-        full = tcp.block_decoder(union, prefilters)
-        lean = tcp.block_decoder(union, prefilters, lean=True)
+        full_nodes, lean_nodes = taps(parts), taps(parts)
+        full, _ = group_kernel(tcp, full_nodes)
+        lean, lean_source = group_kernel(tcp, lean_nodes, lean=True)
+        assert "unpack_b_s0(d)" in lean_source
         for packets in blocks(CORPUS, 7):
-            assert same_block(full.decode(packets), lean.decode(packets))
+            full(packets)
+            lean(packets)
+        for one, other in zip(full_nodes, lean_nodes):
+            assert one.take() == other.take()
+            assert (one.stats.tuples_in, one.stats.discarded) == (
+                other.stats.tuples_in, other.stats.discarded)
         # a member that keeps everything leaves nothing to defer
-        assert tcp.block_decoder(union, prefilters + [None],
-                                 lean=True) is None
+        keeps_all = parts + [member(None)]
+        assert group_kernel(tcp, taps(keeps_all), lean=True)[1] == \
+            group_kernel(tcp, taps(keeps_all))[1]
 
     def test_fewer_than_two_deferred_fields_has_no_lean_form(self):
         tcp = REGISTRY.get("tcp")
         fields, prefilter = member("destPort = 80", fields="time, srcIP")
-        assert tcp.block_decoder(fields, [prefilter], lean=True) is None
+        assert KernelRows(tcp, fields, prefilter, lean=True).source == \
+            KernelRows(tcp, fields, prefilter).source
         assert tcp.lean_formats(fields, prefilter.slots) == ()
 
 

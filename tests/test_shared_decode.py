@@ -216,10 +216,11 @@ def struct_of(gs, section=0):
 
 
 def union_struct(*queries):
-    """The struct of one decode over the union of ``queries``' fields."""
+    """The struct of one decode over the union of ``queries``' fields,
+    read off the layout table."""
     from repro.gsql.schema import builtin_registry
-    return builtin_registry().get("tcp").block_decoder(
-        set().union(*(FIELDS[q] for q in queries))).struct_format
+    return builtin_registry().get("tcp").struct_formats(
+        set().union(*(FIELDS[q] for q in queries)))[0]
 
 
 class TestSameAsRunningAlone:
@@ -329,6 +330,55 @@ class TestDecodeOncePerBlock:
         # time, srcIP, destIP, len, destPort + the guard's fields
         assert struct_of(gs) == union_struct("proj", "agg") \
             == "!12xHB5xHxB2xII2xH8xB"
+
+
+class TestExplainNamesTheKernelsSections:
+    """EXPLAIN's "shares its decode" line and the block kernel read one
+    grouping rule: a decode group is a section of the kernel the next
+    block runs, with or without shedding."""
+
+    QUERIES = [
+        "DEFINE query_name a; Select time, destIP From eth0.tcp "
+        "Where destPort = 80",
+        "DEFINE query_name b; Select time, srcIP From eth0.tcp "
+        "Where destPort = 443",
+    ]
+
+    def shared_line(self, gs, name):
+        lines = [line for line in gs.explain(name).splitlines()
+                 if "shares its decode" in line]
+        return lines[0] if lines else None
+
+    def test_a_group_without_shedding(self):
+        gs, _ = engine(self.QUERIES)
+        gs.feed(traffic(300))
+        assert sections(gs) == {"eth0": [["a", "b"]]}
+        line = self.shared_line(gs, "a")
+        assert line.startswith("  a shares its decode: decode group [a,b]")
+        assert line.endswith("kernel=[guard, prefixes, member actions]")
+        assert self.shared_line(gs, "b").startswith(
+            "  b shares its decode: decode group [a,b]")
+
+    def test_shedding_members_share_no_decode(self):
+        gs, _ = engine(self.QUERIES)
+        gs.enable_shedding("static:0.5")
+        gs.feed(traffic(300))
+        plan = gs.rts._block_plan()
+        assert sections(gs) == {"eth0": [["a"], ["b"]]}
+        assert [member.sheds for branch in plan.branches
+                for section in branch.sections
+                for member in section.members] == [True, True]
+        assert self.shared_line(gs, "a") is None
+        assert self.shared_line(gs, "b") is None
+
+    def test_one_shedding_member_leaves_the_others_grouped(self):
+        gs, _ = engine(self.QUERIES + [PROJECTION])
+        shed("b")(gs)
+        gs.feed(traffic(300))
+        assert sections(gs) == {"eth0": [["a", "proj"], ["b"]]}
+        assert self.shared_line(gs, "a").startswith(
+            "  a shares its decode: decode group [a,proj]")
+        assert self.shared_line(gs, "b") is None
 
 
 class TestUnionFollowsThePlan:
