@@ -77,7 +77,8 @@ def run_join(width, rate_pps=RATE_PPS, duration_s=DURATION_S,
     elapsed = time.perf_counter() - start
     rows = sub.poll() if collect else None
     per_arrival = probes["candidates"] / max(probes["arrivals"], 1)
-    return rows, node.pairs_emitted, peak, elapsed, gs, per_arrival
+    return (rows, node.pairs_emitted, peak, elapsed, gs, per_arrival,
+            probes["arrivals"])
 
 
 def test_e8_state_scales_with_window():
@@ -88,7 +89,7 @@ def test_e8_state_scales_with_window():
     peaks = {}
     pairs = {}
     for width in (0, 1, 2, 4):
-        _, emitted, peak, elapsed, _, _ = run_join(width)
+        _, emitted, peak, elapsed, _, _, _ = run_join(width)
         peaks[width] = peak
         pairs[width] = emitted
         print(f"{width:>10}{emitted:>13}{peak:>14}{elapsed:>9.2f}")
@@ -107,10 +108,15 @@ def test_e8_keys_cut_candidates_not_state():
     print(f"{'window (s)':>10}{'keyless':>10}{'keyed':>9}"
           f"{'peak buffered':>15}{'keyless pairs':>15}{'keyed pairs':>13}")
     for width in (1, 2, 4):
-        _, pairs, peak, _, _, scanned = run_join(width)
-        _, keyed_pairs, keyed_peak, _, _, probed = run_join(width, keyed=True)
+        _, pairs, peak, _, gs, scanned, arrivals = run_join(width)
+        _, keyed_pairs, keyed_peak, _, keyed_gs, probed, keyed_arrivals = \
+            run_join(width, keyed=True)
         print(f"{width:>10}{scanned:>10.2f}{probed:>9.2f}{peak:>15}"
               f"{pairs:>15}{keyed_pairs:>13}")
+        # Every arrival went through the probe entry the counter
+        # patched: a loop that bypassed it would read 0 candidates here.
+        assert arrivals == gs.rts.node("j").stats.tuples_in
+        assert keyed_arrivals == keyed_gs.rts.node("j").stats.tuples_in
         assert keyed_peak == peak
         assert probed <= scanned
         assert 0 < keyed_pairs < pairs
@@ -119,15 +125,15 @@ def test_e8_keys_cut_candidates_not_state():
 def test_e8_output_ordering_matches_imputation():
     """Equality join output is monotone; band join output is banded by
     the window width -- the Section 2.1 imputation, observed."""
-    rows_eq, _, _, _, gs_eq, _ = run_join(0, rate_pps=100, duration_s=20,
-                                          collect=True)
+    rows_eq, _, _, _, gs_eq, _, _ = run_join(0, rate_pps=100, duration_s=20,
+                                             collect=True)
     ordering_eq = gs_eq.schema_of("j").attributes[0].ordering
     times = [r[0] for r in rows_eq]
     assert ordering_eq.is_increasing and ordering_eq.effective_band == 0
     assert times == sorted(times)
 
-    rows_band, _, _, _, gs_band, _ = run_join(2, rate_pps=100, duration_s=20,
-                                              collect=True)
+    rows_band, _, _, _, gs_band, _, _ = run_join(2, rate_pps=100,
+                                                 duration_s=20, collect=True)
     ordering_band = gs_band.schema_of("j").attributes[0].ordering
     assert ordering_band.effective_band == 4  # banded_increasing(2*2)
     times = [r[0] for r in rows_band]

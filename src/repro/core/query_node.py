@@ -140,7 +140,7 @@ class QueryNode:
 
     def on_tuple_batch(self, rows: List[tuple], input_index: int) -> None:
         """Process a run of tuples.  The default loops :meth:`on_tuple`:
-        the adapter for per-row operators (join, sinks, triggers, and
+        the adapter for per-row operators (sinks, triggers, and
         user-written nodes, which only implement ``on_tuple``).
 
         Overrides must not depend on how the stream was cut into runs:

@@ -23,6 +23,7 @@ and every generated entry point catches it and discards the tuple --
 from __future__ import annotations
 
 from contextlib import contextmanager
+from heapq import heappush
 from operator import length_hint
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
@@ -100,6 +101,7 @@ class ExprCompiler:
         self.params: Dict[str, Any] = dict(params or {})
         self.generated_sources: List[str] = []
         self._env: Dict[str, Any] = {"P": self.params, "_crc32": crc32,
+                                     "_heappush": heappush,
                                      "DiscardTuple": DiscardTuple}
         self._counter = 0
         #: when set, column references compile to something other than
@@ -612,6 +614,123 @@ class ExprCompiler:
             "finally:",
             "    node.stats.discarded += dropped",
         ])
+
+    def hfta_join_fn(self, plan, side: int,
+                     sort_slot: Optional[int]) -> Callable:
+        """The join's ``f(node, rows)`` for a block arriving on input
+        ``side`` of ``plan`` (a join ``HftaPlan``; DESIGN section 17).
+
+        Per arrival, in order: an ordered value below the side's
+        low-water mark is late (discarded: it neither probes nor is
+        buffered); one past it advances the mark and purges the other
+        side; the key tuple (bare columns: cannot raise) selects the
+        other side's bucket through ``node._window_candidates``, the
+        one probe entry, bound once per block; each candidate runs the
+        full predicate (no result: not a pair) and the projection (no
+        result: discarded); the arrival is buffered, keyed, unless the
+        other input has ended.  Pairs gather in one list, emitted
+        before any output punctuation and at the end of the block --
+        or, with a ``sort_slot``, pushed on the reorder heap.  The
+        ``finally`` moves the counters and emits the list, so an
+        exception at row *k* leaves output, buffers and counters as *k*
+        single-row blocks would.
+        """
+        other = 1 - side
+        slot_maps = tuple(plan.slot_maps)
+        arrival, candidate = _ARG_NAMES[2][side], _ARG_NAMES[2][other]
+        slot = plan.join_slots[side][1]
+        band = plan.input_schemas[side].attributes[slot].ordering.effective_band
+        low, high = plan.join_window.low, plan.join_window.high
+        # left - right in [low, high]: a left value v probes right in
+        # [v - high, v - low], a right value v left in [v + low, v + high]
+        window = (f"v - {high!r}, v - {low!r}" if side == 0
+                  else f"v + {low!r}, v + {high!r}")
+        key = _tuple_src([self._compile(pair[side], slot_maps, 2)
+                          for pair in plan.join_keys])
+        setup = [
+            "low_water = node._low_water",
+            f"w = low_water[{side}]",
+            f"buffer = node._buffers[{side}]",
+            f"keys = node._keys[{side}]",
+            f"index = node._index[{side}]",
+            "done = node._done",
+            "depth = node._suspect_depth",
+            "probe = node._window_candidates",
+            "stale = node._bounds_stale",
+            "dropped = pairs = 0",
+        ]
+        # v - band, also when band is 0.0: the mark is snapshotted
+        advance = [f"w = low_water[{side}] = v - {band!r}",
+                   "stale = node._bounds_stale = True",
+                   f"node._purge({other})"]
+        pair: List[str] = []
+        if plan.predicates:
+            pair = [
+                "try:",
+                "    if not (" + " and ".join(
+                    "(" + self._compile(c, slot_maps, 2) + ")"
+                    for c in plan.predicates) + "):",
+                "        continue",
+                "except DiscardTuple:",
+                "    continue",
+            ]
+        pair += [
+            "try:",
+            "    x = " + _tuple_src([self._compile(e, slot_maps, 2)
+                                     for e in plan.select_exprs]),
+            "except DiscardTuple:",
+            "    dropped += 1",
+            "    continue",
+            "pairs += 1",
+        ]
+        tail: List[str] = []
+        finish = ["node.stats.discarded += dropped",
+                  "node.pairs_emitted += pairs"]
+        if sort_slot is None:
+            setup += ["out = []", "emit = out.append"]
+            pair.append("emit(x)")
+            flush = ["if out:", "    node.emit_many(out)", "    out = []",
+                     "    emit = out.append"]
+            finish.append("node.emit_many(out)")
+        else:
+            setup.append("reorder = node._reorder")
+            pair += [
+                f"_heappush(reorder, (x[{sort_slot}], node._reorder_seq, x))",
+                "node._reorder_seq += 1",
+                "if len(reorder) > node.reorder_peak:",
+                "    node.reorder_peak = len(reorder)",
+            ]
+            tail = ["if reorder:", "    node._release_sorted()"]
+            flush = []
+        tail += ["if stale:", "    stale = False"] + _indent(
+            flush + ["node._emit_output_punctuation()"])
+        loop = [
+            f"v = {arrival}[{slot}]",
+            "if v < w:",
+            "    dropped += 1",
+            "    continue",
+            f"if v - {band!r} > w:",
+        ] + _indent(advance) + [
+            f"k = {key}",
+            f"for {candidate} in probe({other}, k, {window}):",
+        ] + _indent(pair) + [
+            f"if not done[{other}]:",
+        ] + _indent([
+            f"buffer.append({arrival})",
+            "keys.append(k)",
+            "b = index.get(k)",
+            "if b is None:",
+            f"    index[k] = ([v], [{arrival}])",
+            "else:",
+            "    b[0].append(v)",
+            f"    b[1].append({arrival})",
+            f"if len(buffer) > depth and not node._buffers[{other}]:",
+            "    node.request_heartbeat()",
+        ]) + tail
+        return self._link("node, rows", setup + [
+            "try:",
+            f"    for {arrival} in rows:",
+        ] + _indent(loop, 2) + ["finally:"] + _indent(finish))
 
     def post_tuple_fn(self, exprs: Sequence[Expr]) -> Callable[[tuple, tuple], Optional[tuple]]:
         """Post-aggregation tuple builder over (key, agg-values)."""

@@ -7,17 +7,27 @@ example, B.ts = C.ts, or B.ts >= C.ts - 1 and B.ts <= C.ts + 1."
 The implementation is a symmetric hash band join: each side buffers
 its tuples, probes the other side's buffer on arrival, and purges using
 low-water marks advanced by tuples and by punctuation.  The window
-``left.ts - right.ts in [low, high]`` bounds the state exactly.
+``left.ts - right.ts in [low, high]`` bounds the state exactly.  A row
+below its own side's low-water mark is late: discarded, unprobed,
+unbuffered.
 
 Beside its arrival-ordered buffer each side keeps the same rows in
 buckets keyed on the plan's equality conjuncts (``HftaPlan.join_keys``),
 so an arrival bisects the one bucket that can match instead of the whole
-window.  The index changes which candidates are *examined*, never which
-pairs are emitted: every candidate still passes through the full
-compiled predicate, and ``a == b`` implies ``hash(a) == hash(b)`` for
-every GSQL value type, so only rows an equality conjunct would have
-rejected are skipped.  A join without equality conjuncts has the single
-key ``()`` -- one bucket holding the whole window.
+window, and the key each row was buffered under, so a purge cuts the
+buckets without re-keying.  The index changes which candidates are
+*examined*, never which pairs are emitted: every candidate still passes
+through the full compiled predicate, and ``a == b`` implies
+``hash(a) == hash(b)`` for every GSQL value type, so only rows an
+equality conjunct would have rejected are skipped.  A join without
+equality conjuncts has the single key ``()`` -- one bucket holding the
+whole window.
+
+Arrivals come in blocks: each input has one generated loop
+(``ExprCompiler.hfta_join_fn``) that keys, probes through
+:meth:`JoinNode._window_candidates`, tests, projects and inserts its
+rows in arrival order, and emits the block's pairs ahead of any output
+punctuation (DESIGN section 17).
 """
 
 from __future__ import annotations
@@ -25,8 +35,8 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
-from itertools import islice
+from itertools import compress
+from operator import itemgetter, not_
 from typing import Dict, List, Tuple
 
 from repro.core.heartbeat import Punctuation
@@ -51,25 +61,26 @@ class JoinNode(QueryNode):
             raise ValueError("join plan is missing its window")
         self.plan = plan
         slot_maps = tuple(plan.slot_maps)
-        self._predicate = compiler.predicate_fn(plan.predicates, slot_maps, arity=2)
-        self._project = compiler.tuple_fn(plan.select_exprs, slot_maps, arity=2)
         self.low = plan.join_window.low
         self.high = plan.join_window.high
         (_, self._left_slot), (_, self._right_slot) = plan.join_slots
+        # Per side, the window's rows in arrival order: on a monotone
+        # input that is ordered-value order, so purges bisect it.
         self._buffers: List[List[tuple]] = [[], []]
-        # Parallel ordered-value arrays; monotone inputs append in sorted
-        # order, so purges bisect instead of scanning.
-        self._values: List[List] = [[], []]
-        # Per side, a row's values of the plan's key columns.
+        # Per side, a row's values of the plan's key columns: what a
+        # restore re-keys the buffers with.
         self._key_fns = [
             compiler.tuple_fn([pair[side] for pair in plan.join_keys], slot_maps)
             for side in (0, 1)
         ]
-        # The same rows per side, bucketed: key -> (ordered values, rows),
-        # each bucket in arrival order.  Derived from the buffers (never
-        # snapshotted), purged with them, so it holds the window and no
-        # more; an emptied bucket is deleted.
+        # Each buffered row's key, parallel to the buffer, and the same
+        # rows bucketed: key -> (ordered values, rows), each bucket in
+        # arrival order.  Derived from the buffers (never snapshotted),
+        # purged with them, so they hold the window and no more; an
+        # emptied bucket is deleted.
+        self._keys: List[List[tuple]] = [[], []]
         self._index: List[Dict[tuple, Tuple[list, list]]] = [{}, {}]
+        self._suspect_depth = BLOCK_SUSPECT_DEPTH
         self._low_water = [-math.inf, -math.inf]
         # Set whenever a low-water mark moves: output bounds depend on
         # nothing else, so punctuation is only recomputed when it is.
@@ -96,6 +107,12 @@ class JoinNode(QueryNode):
                     "sorted join output requires a window column in the "
                     "select list")
             self._sort_side, self._sort_slot = self._out_transforms[0]
+        # One generated loop per input (DESIGN section 17).
+        self._arrive = [
+            compiler.hfta_join_fn(
+                plan, side, self._sort_slot if self.sorted_output else None)
+            for side in (0, 1)
+        ]
 
     def _output_column_sides(self, analyzed: AnalyzedQuery, slot_maps):
         """Output slots that directly carry a side's ordered attribute."""
@@ -118,41 +135,16 @@ class JoinNode(QueryNode):
         return len(self._buffers[0]) + len(self._buffers[1])
 
     def on_tuple(self, row: tuple, input_index: int) -> None:
-        side = input_index
-        other = 1 - side
-        value = row[self._left_slot if side == 0 else self._right_slot]
-        advance = value - self._bands[side]
-        if advance > self._low_water[side]:
-            self._low_water[side] = advance
-            self._bounds_stale = True
-            self._purge(other)
-        # Probe the other side's buffer for the window of joinable values.
-        # left - right in [low, high]:
-        #   probing right with left value v: r in [v - high, v - low]
-        #   probing left with right value v: l in [v + low, v + high]
-        if side == 0:
-            lo_value, hi_value = value - self.high, value - self.low
-        else:
-            lo_value, hi_value = value + self.low, value + self.high
-        key = self._key_fns[side](row)
-        for candidate in self._window_candidates(other, key,
-                                                 lo_value, hi_value):
-            if side == 0:
-                self._try_emit(row, candidate)
-            else:
-                self._try_emit(candidate, row)
-        if not self._done[other]:
-            self._buffers[side].append(row)
-            if self._bands[side] == 0:
-                self._values[side].append(value)
-            self._index_row(side, key, value, row)
-            if (len(self._buffers[side]) > BLOCK_SUSPECT_DEPTH
-                    and not self._buffers[other]):
-                self.request_heartbeat()
-        if self._reorder:
-            self._release_sorted()
-        if self._bounds_stale:
-            self._emit_output_punctuation()
+        self.on_tuple_batch((row,), input_index)
+
+    def on_tuple_batch(self, rows, input_index: int) -> None:
+        """One block of arrivals on ``input_index`` through that side's
+        generated loop (:meth:`ExprCompiler.hfta_join_fn`): per row the
+        late check, the low-water advance and purge, the key, the probe,
+        predicate and projection of every candidate, and the insert, in
+        arrival order -- the same pairs, punctuation and counters at
+        every block size."""
+        self._arrive[input_index](self, rows)
 
     def _window_candidates(self, side: int, key: tuple, lo_value, hi_value):
         """Buffered tuples of ``side`` under ``key`` with ordered value
@@ -171,39 +163,16 @@ class JoinNode(QueryNode):
         return [row for value, row in zip(values, rows)
                 if lo_value <= value <= hi_value]
 
-    def _index_row(self, side: int, key: tuple, value, row: tuple) -> None:
-        bucket = self._index[side].get(key)
-        if bucket is None:
-            self._index[side][key] = bucket = ([], [])
-        bucket[0].append(value)
-        bucket[1].append(row)
-
     def _reindex(self, side: int) -> None:
-        """Rebuild ``side``'s buckets from its buffer."""
-        self._index[side] = {}
+        """Rebuild ``side``'s keys and buckets from its buffer."""
         slot = self._left_slot if side == 0 else self._right_slot
-        key_of = self._key_fns[side]
-        for row in self._buffers[side]:
-            self._index_row(side, key_of(row), row[slot], row)
-
-    def _try_emit(self, left: tuple, right: tuple) -> None:
-        if not self._predicate(left, right):
-            return
-        out = self._project(left, right)
-        if out is None:
-            self.stats.discarded += 1
-            return
-        self.pairs_emitted += 1
-        if self.sorted_output:
-            heapq.heappush(
-                self._reorder,
-                (out[self._sort_slot], self._reorder_seq, out),
-            )
-            self._reorder_seq += 1
-            if len(self._reorder) > self.reorder_peak:
-                self.reorder_peak = len(self._reorder)
-        else:
-            self.emit(out)
+        self._keys[side] = keys = list(map(self._key_fns[side],
+                                           self._buffers[side]))
+        self._index[side] = index = {}
+        for key, row in zip(keys, self._buffers[side]):
+            values, rows = index.setdefault(key, ([], []))
+            values.append(row[slot])
+            rows.append(row)
 
     def _release_sorted(self, final: bool = False) -> None:
         """Emit reordered pairs whose sort key is below the watermark."""
@@ -216,9 +185,10 @@ class JoinNode(QueryNode):
             if math.isinf(bound) and bound < 0:
                 return
         heap = self._reorder
+        released = []
         while heap and heap[0][0] <= bound:
-            _value, _seq, out = heapq.heappop(heap)
-            self.emit(out)
+            released.append(heapq.heappop(heap)[2])
+        self.emit_many(released)
 
     def _output_bound(self, side: int) -> float:
         """Lower bound on future output values of ``side``'s column."""
@@ -228,7 +198,12 @@ class JoinNode(QueryNode):
         return min(lw1, lw0 - self.high)
 
     def _purge(self, side: int) -> None:
-        """Drop buffered tuples of ``side`` that can no longer join."""
+        """Drop buffered tuples of ``side`` that can no longer join.
+
+        The purged rows' stored keys name the buckets to cut, so no row
+        is re-keyed: each named bucket loses its rows below the
+        threshold (a prefix, on a monotone input) and leaves the index
+        when none remain."""
         if side == 1:
             # right tuple r joins future left l >= lw0 only if r >= l - high
             threshold = self._low_water[0] - self.high
@@ -239,29 +214,35 @@ class JoinNode(QueryNode):
             slot = self._left_slot
         if math.isinf(threshold) and threshold < 0:
             return
-        buffer = self._buffers[side]
-        if self._bands[side] == 0:
-            values = self._values[side]
-            cut = bisect_left(values, threshold)
-            if cut:
-                # The cut prefix is, per key, a prefix of that bucket.
-                index = self._index[side]
-                cut_keys = Counter(map(self._key_fns[side],
-                                       islice(buffer, cut)))
-                for key, gone in cut_keys.items():
-                    bucket_values, bucket_rows = index[key]
-                    if gone == len(bucket_rows):
-                        del index[key]
-                    else:
-                        del bucket_values[:gone]
-                        del bucket_rows[:gone]
-                self._buffers[side] = buffer[cut:]
-                self._values[side] = values[cut:]
-            return
-        kept = [row for row in buffer if row[slot] >= threshold]
-        if len(kept) != len(buffer):
-            self._buffers[side] = kept
-            self._reindex(side)
+        buffer, keys = self._buffers[side], self._keys[side]
+        monotone = self._bands[side] == 0
+        if monotone:
+            cut = bisect_left(buffer, threshold, key=itemgetter(slot))
+            gone = keys[:cut]
+            del buffer[:cut], keys[:cut]
+        else:
+            live = [row[slot] >= threshold for row in buffer]
+            # once per key: a banded bucket is filtered whole
+            gone = dict.fromkeys(compress(keys, map(not_, live)))
+            if not gone:
+                return
+            buffer[:] = compress(buffer, live)
+            keys[:] = compress(keys, live)
+        index = self._index[side]
+        for key in gone:
+            bucket = index.pop(key, None)
+            if bucket is None:
+                continue  # emptied by an earlier row of its key
+            values, rows = bucket
+            if monotone:
+                cut = bisect_left(values, threshold)
+                del values[:cut], rows[:cut]
+            else:
+                live = [value >= threshold for value in values]
+                values[:] = compress(values, live)
+                rows[:] = compress(rows, live)
+            if rows:
+                index[key] = bucket
 
     def on_punctuation(self, punctuation: Punctuation, input_index: int) -> None:
         slot = self._left_slot if input_index == 0 else self._right_slot
@@ -307,7 +288,12 @@ class JoinNode(QueryNode):
     def snapshot_state(self) -> dict:
         state = super().snapshot_state()
         state["buffers"] = [list(self._buffers[0]), list(self._buffers[1])]
-        state["values"] = [list(self._values[0]), list(self._values[1])]
+        # a monotone side's ordered values, as the wire format has them
+        state["values"] = [
+            [row[slot] for row in buffer] if band == 0 else []
+            for buffer, slot, band in zip(
+                self._buffers, (self._left_slot, self._right_slot),
+                self._bands)]
         state["low_water"] = list(self._low_water)
         state["done"] = list(self._done)
         state["last_bounds"] = dict(self._last_bounds)
@@ -320,8 +306,7 @@ class JoinNode(QueryNode):
     def restore_state(self, state: dict) -> None:
         super().restore_state(state)
         self._buffers = [list(state["buffers"][0]), list(state["buffers"][1])]
-        self._values = [list(state["values"][0]), list(state["values"][1])]
-        # The buckets are derived state: not on the wire, rebuilt here.
+        # Keys and buckets are derived state: not on the wire, rebuilt here.
         self._reindex(0)
         self._reindex(1)
         self._low_water = list(state["low_water"])
@@ -343,7 +328,7 @@ class JoinNode(QueryNode):
         if all(self._done) and not self.flushed:
             self.flushed = True
             self._buffers = [[], []]
-            self._values = [[], []]
+            self._keys = [[], []]
             self._index = [{}, {}]
             self._release_sorted(final=True)
             self.emit_flush()

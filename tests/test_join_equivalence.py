@@ -446,11 +446,13 @@ def observe(node, tap):
 
 def check_index(node):
     """The bounded-state argument as an assertion: per side, the buckets
-    hold the buffered rows, each once, in arrival order, and no bucket
-    outlives its last row."""
+    hold the buffered rows, each once, in arrival order, each under the
+    key it was buffered with, and no bucket outlives its last row."""
     for side in (0, 1):
         buffer = node._buffers[side]
         position = {id(row): at for at, row in enumerate(buffer)}
+        keys = node._keys[side]
+        assert len(keys) == len(buffer)
         slot = node._left_slot if side == 0 else node._right_slot
         held = 0
         for key, (values, rows) in node._index[side].items():
@@ -458,6 +460,7 @@ def check_index(node):
             assert values == [row[slot] for row in rows]
             arrival = [position[id(row)] for row in rows]
             assert arrival == sorted(arrival)
+            assert all(keys[at] is key or keys[at] == key for at in arrival)
             held += len(rows)
         assert held == len(buffer) == len(position)
 
@@ -576,3 +579,34 @@ class TestKeySemantics:
         # left rows below 45 + low can no longer join: 45 buckets go
         assert sorted(node._index[0]) == [(key,) for key in range(45, 50)]
         assert node.buffered == 5
+
+
+class TestLateArrivals:
+    """A row whose ordered value is below its input's low-water mark is
+    late: counted in ``discarded``, it neither probes nor is buffered,
+    so the buckets stay sorted for the probes and purges after it."""
+
+    A_ROWS = [(5, 7, 0.0, b"x", 1), (3, 7, 0.0, b"x", 2), (6, 7, 0.0, b"x", 3)]
+
+    @pytest.mark.parametrize("block_size", ARMS)
+    def test_a_late_row_does_not_hide_in_order_pairs(self, block_size):
+        node, tap = join_plan(1, "eq", (0, 0), False)(JoinNode)
+        feed(node, 0, self.A_ROWS, block_size)
+        node.dispatch((5, 7, 0.0, b"x", 100), 1)
+        assert [row for row in tap.drain() if type(row) is tuple] == [
+            (5, 1, 100)]
+        assert node.stats.discarded == 1
+        assert [row[4] for row in node._buffers[0]] == [1, 3]
+        assert node.snapshot_state()["values"][0] == [5, 6]
+        check_index(node)
+
+    def test_a_late_row_does_not_probe(self):
+        # |A - B| <= 2: the A row at 5 stays buffered past B's mark 6,
+        # so only the late B row's skipped probe keeps (5, 1, 101) out
+        node, tap = join_plan(1, "sym", (0, 0), False)(JoinNode)
+        feed(node, 0, self.A_ROWS[:1], 1)
+        feed(node, 1, [(6, 7, 0.0, b"x", 100), (5, 7, 0.0, b"x", 101)], 2)
+        assert [row for row in tap.drain() if type(row) is tuple] == [
+            (5, 1, 100)]
+        assert node.stats.discarded == 1
+        assert [row[4] for row in node._buffers[1]] == [100]

@@ -306,6 +306,30 @@ class TestTracer:
         for trace in stopped:
             assert tracer.stage_chain(trace) == ["feed", "lfta"]
 
+    def test_a_join_pair_joins_its_arrivals_trace(self):
+        """The join hands a block's pairs to ``emit_many`` at once; a
+        traced arrival travels as a block of one with ``tracer.current``
+        set, and ``emit_many``'s per-row path tags its pair, so the
+        join's emit event is in that trace and in no other."""
+        gs = Gigascope()
+        gs.add_query("DEFINE query_name j; Select A.time, A.destPort, "
+                     "B.destPort From eth0.tcp A, eth1.tcp B "
+                     "Where A.time = B.time")
+        tracer = gs.enable_tracing(1.0)
+        sub = gs.subscribe("j")
+        gs.start()
+        buffered = tcp_packet(ts=1.0, dport=80, interface="eth0")
+        arrival = tcp_packet(ts=1.0, src="10.9.9.9", dport=443,
+                             interface="eth1")
+        gs.feed([buffered, arrival])
+        gs.flush()
+        assert sub.poll() == [(1, 80, 443)]
+        assert tracer.stage_chain(trace_key(arrival)) == [
+            "feed", "lfta", "emit", "hfta", "emit", "app"]
+        assert tracer.traces[trace_key(arrival)][-2]["node"] == "j"
+        assert tracer.stage_chain(trace_key(buffered)) == [
+            "feed", "lfta", "emit", "hfta"]
+
     def test_nic_span_joins_the_chain(self):
         gs = Gigascope()
         gs.add_query("DEFINE query_name q; Select time, destPort From tcp "

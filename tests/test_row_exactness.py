@@ -244,3 +244,64 @@ class TestShedDrawsStopAtTheRaisingPacket:
         assert seen == shed + RAISES_AT
         assert (shed, seen, round(draw, 3)) == (34, 74, 0.472)
         assert (seen, draw, snapshot) == self.quarantined(1, protocol)[3:]
+
+
+class TestRaisingJoinProjection:
+    """The join's generated loop is row-exact too: its pairs gather in
+    one block-local list that the loop's ``finally`` emits, so a select
+    list raising at its 40th pair delivers the 39 pairs before it --
+    including the one its own arrival made first -- and leaves the
+    buffers, ``pairs_emitted`` and the snapshot as blocks of one would.
+    Only ``tuples_in`` counts the popped block the raise was in."""
+
+    JOIN = ("DEFINE query_name q; Select A.time, boom(A.destPort), "
+            "B.destPort From eth0.tcp A, eth1.tcp B Where A.time = B.time")
+    SECONDS = 30
+    #: the 20th eth1 packet, after every eth0 one
+    RAISING_PACKET = 2 * SECONDS + 20
+
+    @classmethod
+    def links(cls):
+        # eth0 first, two packets a second, so every block size delivers
+        # all of its rows before any eth1 row; each eth1 row then pairs
+        # with two of them, and the 40th call is the second pair of the
+        # 20th eth1 row
+        def packet(second, interface, port):
+            return CapturedPacket(
+                timestamp=float(second), interface=interface,
+                data=build_tcp_frame("10.0.0.1", "10.0.0.2", 1000, port))
+        return ([packet(second, "eth0", port)
+                 for second in range(cls.SECONDS) for port in (80, 81)]
+                + [packet(second, "eth1", 443)
+                   for second in range(cls.SECONDS)])
+
+    def quarantined(self, block_size):
+        gs = Gigascope(batch_size=block_size, heartbeat_interval=None)
+        gs.functions.register(boom())
+        gs.add_query(self.JOIN)
+        sub = gs.subscribe("q")
+        gs.start()
+        gs.feed(self.links(), pump_every=block_size)
+        gs.flush()
+        node = gs.rts.node("q")
+        stats = gs.stats()["q"]
+        tuples_in = stats.pop("tuples_in")
+        state = node.snapshot_state()
+        assert state["stats"][0] == tuples_in
+        state["stats"] = state["stats"][1:]
+        return tuples_in, (sub.poll(), stats, node.pairs_emitted,
+                           dict(gs.rts.quarantined), encode_snapshot(state))
+
+    @pytest.mark.parametrize("block_size", BLOCK_SIZES)
+    def test_the_block_of_one_answer(self, block_size):
+        tuples_in, result = self.quarantined(block_size)
+        rows, stats, pairs, quarantined, _ = result
+        assert rows == [(second, port, 443) for second in range(20)
+                        for port in (80, 81)][:RAISES_AT - 1]
+        assert pairs == stats["tuples_out"] == RAISES_AT - 1
+        assert quarantined == {"q": "RuntimeError: boom"}
+        # the popped blocks up to the one holding the raising packet
+        assert tuples_in == min(
+            -(-self.RAISING_PACKET // block_size) * block_size,
+            3 * self.SECONDS)
+        assert result == self.quarantined(1)[1]
