@@ -10,7 +10,7 @@ the compiler (``generated_sources``) for inspection and tests.
 Conventions in generated code:
 
 * ``t`` -- the input tuple (or ``l``/``r`` for join inputs)
-* ``k`` / ``a`` -- group key tuple / aggregate values tuple (post-agg)
+* ``k`` / ``aN`` -- a closing group's key tuple / final aggregate values
 * ``P`` -- the query-parameter dict (mutable; on-the-fly changes)
 * ``_fN`` / ``_hN`` -- resolved function implementations and handles
 
@@ -56,8 +56,8 @@ class CodegenError(ValueError):
     """Raised when an expression cannot be compiled."""
 
 
-# Tuple-argument names by arity: 1 input, 2 join inputs, post-agg pair.
-_ARG_NAMES = {1: ("t",), 2: ("l", "r"), "post": ("k", "a")}
+# Tuple-argument names by arity: 1 input, 2 join inputs.
+_ARG_NAMES = {1: ("t",), 2: ("l", "r")}
 
 _BINOPS = {
     "=": "==",
@@ -494,7 +494,7 @@ class ExprCompiler:
         return _AggregateSource(
             args=args, new_state="[" + ", ".join(initial) + "]",
             fold=fold, fold_weighted=weighted, combine=combine,
-            partials=_tuple_src(partials), final_values=_tuple_src(finals))
+            partials=_tuple_src(partials), finals=finals)
 
     def _link(self, signature: str, body: Sequence[str],
               env: Optional[Dict[str, Any]] = None) -> Callable:
@@ -533,7 +533,8 @@ class ExprCompiler:
                 update, weighted,
                 self._link("s, p", src.combine),
                 self._link("s", ["return " + src.partials.format(s="s")]),
-                self._link("s", ["return " + src.final_values.format(s="s")]))
+                self._link("s", [
+                    "return " + _tuple_src(src.finals).format(s="s")]))
 
     # The block kernels are linked against the operator that runs them:
     # they read and write the node's own attributes (``node.table``,
@@ -732,18 +733,54 @@ class ExprCompiler:
             f"    for {arrival} in rows:",
         ] + _indent(loop, 2) + ["finally:"] + _indent(finish))
 
-    def post_tuple_fn(self, exprs: Sequence[Expr]) -> Callable[[tuple, tuple], Optional[tuple]]:
-        """Post-aggregation tuple builder over (key, agg-values)."""
-        parts = [self._compile(e, (None,), "post") for e in exprs]
-        body = _tuple_src(parts)
-        return self._finalize(body, "post", on_discard="None")
-
-    def post_predicate_fn(self, expr: Optional[Expr]) -> Callable[[tuple, tuple], bool]:
-        """Post-aggregation (HAVING) predicate over (key, agg-values)."""
-        if expr is None:
-            return lambda k, a: True
-        body = self._compile(expr, (None,), "post")
-        return self._finalize(body, "post", on_discard="False")
+    def hfta_close_fn(self, plan, partials: bool = False) -> Callable:
+        """The HFTA's ``f(node, keys)`` for ``plan`` (an aggregation
+        ``HftaPlan``): close the groups of ``keys`` in that order, one
+        loop.  Per key the group leaves ``node._groups``, its final
+        values go into locals ``a0, a1, ...`` in aggregate order, then
+        HAVING (when there is one) and the select list -- ``k + (...)``
+        when it is the key then every aggregate; no result from either
+        counts the group into ``discarded``.  With ``partials`` (a shard
+        worker, ``AggregationNode.enable_partial_output``) the row is
+        ``key + partials`` instead, for whoever combines them.  The
+        ``finally`` moves ``discarded`` and ``groups_emitted`` and emits
+        the rows, so an exception at group *k* leaves the groups before
+        it emitted and those after it open.
+        """
+        src = self._aggregate_source(plan.aggregates, None)
+        if partials:
+            close = [f"emit(k + {src.partials.format(s='s')})"]
+        else:
+            values = [f"a{i}" for i in range(len(src.finals))]
+            close = [f"{value} = {final.format(s='s')}"
+                     for value, final in zip(values, src.finals)]
+            test = [] if plan.having is None else [
+                f"if not ({self._compile(plan.having, (None,), 1)}):",
+                "    dropped += 1", "    continue"]
+            exprs = plan.post_select_exprs
+            width = len(self.analyzed.group_exprs)
+            if exprs == [KeyRef(i) for i in range(width)] + [
+                    AggRef(i) for i in range(len(values))]:
+                row = "k + " + _tuple_src(values)
+            else:
+                row = _tuple_src([self._compile(e, (None,), 1)
+                                  for e in exprs])
+            close += ["try:"] + _indent(test + [f"emit({row})"]) + [
+                "except DiscardTuple:", "    dropped += 1"]
+        return self._link("node, keys", [
+            "pop = node._groups.pop",
+            "out = []",
+            "emit = out.append",
+            "dropped = 0",
+            "try:",
+            "    for k in keys:",
+            "        s = pop(k)",
+        ] + _indent(close, 2) + [
+            "finally:",
+            "    node.stats.discarded += dropped",
+            "    node.groups_emitted += len(out)",
+            "    node.emit_many(out)",
+        ])
 
     # -- expressions ----------------------------------------------------------
     def _finalize(self, body: str, arity, on_discard: str) -> Callable:
@@ -767,7 +804,7 @@ class ExprCompiler:
         if isinstance(expr, KeyRef):
             return f"k[{expr.index}]"
         if isinstance(expr, AggRef):
-            return f"a[{expr.index}]"
+            return f"a{expr.index}"
         if isinstance(expr, Column):
             return self._compile_column(expr, slot_maps, arity)
         if isinstance(expr, UnaryOp):
@@ -869,9 +906,10 @@ class _AggregateSource(NamedTuple):
     fold_weighted: List[str]
     #: fold one partial encoding into ``s``
     combine: List[str]
-    #: expression templates over the state variable ``{s}``
+    #: expression templates over the state variable ``{s}``: the
+    #: partial encoding, and each aggregate's final value
     partials: str
-    final_values: str
+    finals: List[str]
 
 
 def _indent(lines: Sequence[str], levels: int = 1) -> List[str]:

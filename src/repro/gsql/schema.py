@@ -16,6 +16,7 @@ source stream, including the ordering properties."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import trunc
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Tuple)
 
@@ -278,7 +279,7 @@ class ProtocolSchema(_BaseSchema):
         if clock_fields is None:
             clock_fields = {}
             if "time" in self:
-                clock_fields["time"] = int
+                clock_fields["time"] = trunc
             if "timestamp" in self:
                 clock_fields["timestamp"] = lambda ts: ts
         self.clock_fields: Dict[int, Callable[[float], object]] = {
@@ -429,8 +430,9 @@ class SchemaRegistry:
 # ---------------------------------------------------------------------------
 
 def _time_field(view: PacketView) -> object:
-    # The paper's `time` is a 1-second granularity timer.
-    return int(view.packet.timestamp)
+    # The paper's `time` is a 1-second granularity timer; truncated as
+    # the generated loops truncate it (repro.net.columnar._META_SOURCES).
+    return trunc(view.packet.timestamp)
 
 
 def _timestamp_field(view: PacketView) -> object:
@@ -721,7 +723,7 @@ def _dns_expander(packet: CapturedPacket) -> List[tuple]:
         return []
     return [
         (
-            int(packet.timestamp),
+            trunc(packet.timestamp),
             packet.timestamp,
             view.ip.src,
             view.ip.dst,
@@ -761,7 +763,7 @@ def _bgp_expander(packet: CapturedPacket) -> List[tuple]:
         return []
     return [
         (
-            int(packet.timestamp),
+            trunc(packet.timestamp),
             view.ip.src,
             update.origin_as,
             len(update.announced),

@@ -52,7 +52,7 @@ The row, and who owns it
 A row is five names -- ``v`` the unpack tuple, ``p`` the packet, ``d``
 its captured bytes, ``n`` their length, ``o`` the payload offset
 (:data:`ROW_NAMES`) -- and a section's ``columns`` say how each covered
-attribute reads off them (``v[5]``, ``int(p.timestamp)``, ``d[o:]``).
+attribute reads off them (``v[5]``, ``trunc(p.timestamp)``, ``d[o:]``).
 A consumer's :class:`RowAction` is rendered against that map and
 spliced under the one loop header that owns rows: the *block kernel*
 (:func:`block_kernel`), a loop over a block which counts its captured
@@ -82,6 +82,7 @@ import keyword
 import struct
 import tokenize
 from functools import lru_cache
+from math import trunc
 from operator import length_hint
 from typing import (Callable, Dict, FrozenSet, List, Mapping, NamedTuple,
                     Optional, Sequence, Tuple)
@@ -277,8 +278,9 @@ class _View(NamedTuple):
 
 
 #: how a pushed prefix reads scalar capture metadata inside the loop
-#: (``p`` the packet, ``n`` its captured length)
-_META_SOURCES = {"time": "int(p.timestamp)", "timestamp": "p.timestamp",
+#: (``p`` the packet, ``n`` its captured length); ``math.trunc`` is
+#: ``int()``'s result and errors for a third of the call
+_META_SOURCES = {"time": "trunc(p.timestamp)", "timestamp": "p.timestamp",
                  "len": "p.orig_len", "caplen": "n"}
 #: the payload, for a row action only: ``d`` the captured bytes, ``o``
 #: the offset behind the L4 header
@@ -694,7 +696,7 @@ def block_kernel(branches: Sequence[Branch]) -> Tuple[Callable, str]:
     structs, parameter dicts and guard-passer count end in ``_s``.
     """
     env: Dict[str, object] = {"BlockTally": BlockTally,
-                              "length_hint": length_hint}
+                              "length_hint": length_hint, "trunc": trunc}
     setup = ["nbytes = 0", "failed = []", "fail = failed.append"]
     finish: List[str] = []
     rows: List[str] = []
@@ -879,8 +881,9 @@ def _ended(lines: List[str], last: bool) -> List[str]:
         else line for line in lines] + ["break"])
 
 
-#: names a row action reads without owning them: the row's and Python's
-_SHARED_NAMES = frozenset(ROW_NAMES) | frozenset(dir(builtins))
+#: names a row action reads without owning them: the row's, Python's and
+#: the kernel's ``trunc`` (``time``)
+_SHARED_NAMES = frozenset(ROW_NAMES) | frozenset(dir(builtins)) | {"trunc"}
 
 
 def _renamed(spliced: ActionSource, suffix: str) -> ActionSource:

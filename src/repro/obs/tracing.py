@@ -47,8 +47,12 @@ STAGES = ("nic", "nic_drop", "nic_filtered", "feed", "lfta", "emit",
 
 
 def trace_key(packet) -> int:
-    """Deterministic 32-bit trace id for a captured packet."""
-    seed = int(packet.timestamp * 1e6) & 0xFFFFFFFF
+    """Deterministic 32-bit trace id for a captured packet; one fixed
+    seed for every non-finite timestamp, which has no microseconds."""
+    try:
+        seed = int(packet.timestamp * 1e6) & 0xFFFFFFFF
+    except (OverflowError, ValueError):
+        seed = 0xFFFFFFFF
     return zlib.crc32(packet.data[:TRACE_PROBE_BYTES],
                       zlib.crc32(struct.pack("<I", seed)))
 

@@ -10,6 +10,10 @@ Banded-increasing keys keep a slack of the band width before closing.
 The node either aggregates raw tuples (full mode) or combines the
 partial aggregates an LFTA emits (superaggregate mode), completing the
 sub/super-aggregate split of Section 3.
+
+Both loops are generated per plan (DESIGN section 18): the fold of a
+block into the groups and the close of a window, whose final values,
+HAVING and select list are inline -- no call per group.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from repro.core.query_node import QueryNode
 from repro.gsql.codegen import ExprCompiler
 from repro.gsql.planner import HftaPlan
 from repro.gsql.semantic import AnalyzedQuery, KeyRef
-from repro.operators.aggregates import AggregateOps
 from repro.operators.base import key_bound_fn
 
 
@@ -43,15 +46,12 @@ class AggregationNode(QueryNode):
         else:
             self._sample_rate = None
             self._sample_rng = None
-        self.aggregate_ops = AggregateOps.for_plan(
-            compiler, plan.aggregates,
-            None if self.from_partials else slot_maps)
         # The one group-table loop (DESIGN section 18), generated per
         # plan: sample draw, predicate, key and fold of raw tuples
         # behind a key-run cache, or the combine of LFTA partials.
         self._aggregate = compiler.hfta_aggregate_fn(plan)
-        self._post_select = compiler.post_tuple_fn(plan.post_select_exprs)
-        self._having = compiler.post_predicate_fn(plan.having)
+        self._close = compiler.hfta_close_fn(plan)
+        self._compiler = compiler
         self._window_index = plan.window_key_index
         self._window_band = plan.window_key_band
         self._groups: Dict[tuple, list] = {}
@@ -73,9 +73,6 @@ class AggregationNode(QueryNode):
             if isinstance(expr, KeyRef) and expr.index == plan.window_key_index:
                 self._window_out_slot = slot
                 break
-        #: shard-worker mode: emit ``key + partials(state)`` rows instead
-        #: of finalized output (see :meth:`enable_partial_output`)
-        self._emit_partials = False
         self.groups_emitted = 0
 
     def enable_partial_output(self) -> None:
@@ -89,7 +86,7 @@ class AggregationNode(QueryNode):
         *inside the key*, which is where a ``final_from_partials``
         combiner expects its bound.
         """
-        self._emit_partials = True
+        self._close = self._compiler.hfta_close_fn(self.plan, partials=True)
         if self._window_index >= 0:
             self._window_out_slot = self._window_index
 
@@ -114,7 +111,7 @@ class AggregationNode(QueryNode):
         index = self._window_index
         closed = [key for key in self._groups if key[index] < low_water]
         self._sort_closing(closed)
-        self._emit_groups(closed)
+        self._close(self, closed)
         if self._window_out_slot >= 0:
             self.emit_punctuation(Punctuation({self._window_out_slot: low_water}))
 
@@ -130,35 +127,6 @@ class AggregationNode(QueryNode):
             keys.sort()  # the window key leads: tuple order is that order
         else:
             keys.sort(key=lambda key: (key[index], key))
-
-    def _emit_groups(self, keys) -> None:
-        """Close the groups of ``keys``, in that order, and emit what
-        survives HAVING and the post-select as one block."""
-        pop = self._groups.pop
-        out = []
-        try:
-            if self._emit_partials:
-                # Superaggregate-producer mode: ship the combinable state;
-                # HAVING/post-select belong to the combiner of the partials.
-                partials = self.aggregate_ops.partials
-                for key in keys:
-                    out.append(key + partials(pop(key)))
-            else:
-                final_values = self.aggregate_ops.final_values
-                having = self._having
-                post_select = self._post_select
-                for key in keys:
-                    values = final_values(pop(key))
-                    if having(key, values):
-                        row = post_select(key, values)
-                        if row is not None:
-                            out.append(row)
-                            continue
-                    self.stats.discarded += 1
-        finally:
-            # also on an error: the groups closed before it have left
-            self.groups_emitted += len(out)
-            self.emit_many(out)
 
     def on_punctuation(self, punctuation: Punctuation, input_index: int) -> None:
         if self._key_bound is None or self._window_index < 0:
@@ -194,4 +162,4 @@ class AggregationNode(QueryNode):
         keys = list(self._groups)
         if self._window_index >= 0:
             self._sort_closing(keys)
-        self._emit_groups(keys)
+        self._close(self, keys)

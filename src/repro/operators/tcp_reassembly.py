@@ -16,6 +16,7 @@ Output schema::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import trunc
 from typing import Dict, Tuple
 
 from repro.core.query_node import QueryNode
@@ -114,7 +115,7 @@ class TcpReassemblyNode(QueryNode):
         self.chunks_emitted += 1
         self.emit(
             (
-                int(packet.timestamp),
+                trunc(packet.timestamp),
                 src_ip,
                 dst_ip,
                 src_port,

@@ -8,6 +8,7 @@ each row.  Nothing under ``src/`` imports this.
 
 import ast
 from functools import lru_cache
+from math import trunc
 
 from repro.core.query_node import NodeStats
 from repro.net.columnar import (ActionSource, Branch, Member, RowAction,
@@ -99,9 +100,11 @@ class _AtRecordedRow(ast.NodeTransformer):
 @lru_cache(maxsize=None)
 def _reader(source: str):
     """``reader(V, P, O, rows)``: the attribute a row action reads as
-    ``source``, for the recorded rows at ``rows``."""
+    ``source``, for the recorded rows at ``rows`` -- with ``trunc``
+    bound, as the kernel binds it for ``time``."""
     expr = ast.unparse(_AtRecordedRow().visit(ast.parse(source, mode="eval")))
-    return eval(f"lambda V, P, O, rows: [{expr} for i in rows]")
+    return eval(f"lambda V, P, O, rows: [{expr} for i in rows]",
+                {"trunc": trunc})
 
 
 def group_kernel(schema, taps, lean=False):

@@ -212,7 +212,7 @@ class TestColumns:
         for source in columns.values():
             names = {node.id for node in ast.walk(ast.parse(source))
                      if isinstance(node, ast.Name)}
-            assert names <= set(columnar.ROW_NAMES) | {"int"}, source
+            assert names <= set(columnar.ROW_NAMES) | {"trunc"}, source
 
     def test_a_shared_decoder_maps_the_union(self):
         tcp = REGISTRY.get("tcp")

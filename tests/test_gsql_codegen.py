@@ -4,7 +4,9 @@ import pytest
 
 from repro.gsql.codegen import CodegenError, DiscardTuple, ExprCompiler
 from repro.gsql.functions import builtin_functions
+from repro.core.query_node import NodeStats
 from repro.gsql.parser import parse_query
+from repro.gsql.planner import plan_query
 from repro.gsql.schema import builtin_registry
 from repro.gsql.semantic import analyze
 from tests.reference.evaluator import ReferenceEvaluator
@@ -159,25 +161,82 @@ class TestParams:
         assert build(tcp_row(registry, destIP=0x0A000001)) == (7018,)
 
 
-class TestPostAggregation:
-    def test_post_select_and_having(self, registry, functions, impl):
-        analyzed, compiler = compile_query(
-            "Select tb, count(*), sum(len) / count(*) From tcp "
-            "Group by time/60 as tb Having count(*) > 2",
-            registry, functions, impl=impl)
-        build = compiler.post_tuple_fn(
-            [c.expr for c in analyzed.output_columns])
-        having = compiler.post_predicate_fn(analyzed.having)
-        key, aggs = (7,), (10, 500)
-        assert build(key, aggs) == (7, 10, 50)
-        assert having(key, aggs)
-        assert not having((7,), (1, 500))
+class _Closing:
+    """What a window close reads and moves on its node."""
 
-    def test_no_having_always_true(self, registry, functions, impl):
-        analyzed, compiler = compile_query(
+    def __init__(self, groups):
+        self._groups = dict(groups)
+        self.stats = NodeStats()
+        self.groups_emitted = 0
+        self.emitted = []
+
+    def emit_many(self, rows):
+        self.emitted.extend(rows)
+
+
+def close_groups(text, registry, functions, groups, partials=False):
+    """``groups`` (key -> aggregate state list) closed in order by the
+    plan's generated ``hfta_close_fn``; the node it closed them on."""
+    analyzed, compiler = compile_query(text, registry, functions)
+    close = compiler.hfta_close_fn(plan_query(analyzed, functions).hfta,
+                                   partials)
+    node = _Closing(groups)
+    close(node, list(groups))
+    return node, analyzed
+
+
+class TestWindowClose:
+    """Post-aggregation -- HAVING and the select list over a closed
+    group's key and final values -- runs inside the generated window
+    close, and answers as the reference evaluator's post functions do."""
+
+    QUERY = ("Select tb, count(*), sum(len) / count(*) From tcp "
+             "Group by time/60 as tb Having count(*) > 2")
+
+    def test_post_select_and_having(self, registry, functions):
+        node, analyzed = close_groups(
+            self.QUERY, registry, functions,
+            {(7,): [10, 500], (8,): [1, 500]})
+        assert node.emitted == [(7, 10, 50)]
+        assert (node.groups_emitted, node.stats.discarded) == (1, 1)
+        assert node._groups == {}
+        reference = ReferenceEvaluator(analyzed, functions)
+        build = reference.post_tuple_fn(
+            [c.expr for c in analyzed.output_columns])
+        having = reference.post_predicate_fn(analyzed.having)
+        assert build((7,), (10, 500)) == (7, 10, 50)
+        assert having((7,), (10, 500))
+        assert not having((8,), (1, 500))
+
+    def test_no_having_keeps_every_group(self, registry, functions):
+        node, analyzed = close_groups(
             "Select tb, count(*) From tcp Group by time/60 as tb",
-            registry, functions, impl=impl)
-        assert compiler.post_predicate_fn(None)((1,), (2,))
+            registry, functions, {(1,): [2], (2,): [1]})
+        assert node.emitted == [(1, 2), (2, 1)]
+        assert node.stats.discarded == 0
+        assert ReferenceEvaluator(analyzed, functions).post_predicate_fn(
+            None)((1,), (2,))
+
+    def test_keys_then_aggregates_concatenate(self, registry, functions):
+        analyzed, compiler = compile_query(
+            "Select tb, destPort, count(*), avg(len) From tcp "
+            "Group by time/60 as tb, destPort", registry, functions)
+        compiler.hfta_close_fn(plan_query(analyzed, functions).hfta)
+        source = compiler.generated_sources[-1]
+        assert "a1 = (s[1][0] / s[1][1] if s[1][1] else 0.0)" in source
+        assert "emit(k + (a0, a1))" in source
+        node, _ = close_groups(
+            "Select tb, destPort, count(*), avg(len) From tcp "
+            "Group by time/60 as tb, destPort", registry, functions,
+            {(1, 80): [2, [9.0, 2]], (1, 81): [0, [0.0, 0]]})
+        assert node.emitted == [(1, 80, 2, 4.5), (1, 81, 0, 0.0)]
+
+    def test_partials_skip_post_aggregation(self, registry, functions):
+        node, _ = close_groups(self.QUERY, registry, functions,
+                               {(7,): [10, 500], (8,): [1, 500]},
+                               partials=True)
+        assert node.emitted == [(7, 10, 500), (8, 1, 500)]
+        assert (node.groups_emitted, node.stats.discarded) == (2, 0)
 
 
 class TestGeneratedCode:

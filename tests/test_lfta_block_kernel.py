@@ -240,7 +240,8 @@ class ReferenceAggregation(FrozenAggregation):
     """The HFTA aggregation with c83354f's ``on_tuple_batch``: a
     ``(key, row)`` pair list, then ``groups.get`` and the generic
     ``update`` / ``combine`` per pair; closed groups leave one ``emit``
-    at a time."""
+    at a time, HAVING and the select list evaluated per group by the
+    reference evaluator."""
 
     def __init__(self, plan, analyzed, compiler):
         super().__init__(plan, analyzed, compiler)
@@ -249,6 +250,15 @@ class ReferenceAggregation(FrozenAggregation):
             None if self.from_partials else tuple(plan.slot_maps))
         self._key_width = len(analyzed.group_exprs if self.from_partials
                               else plan.group_exprs)
+        evaluator = ReferenceEvaluator(analyzed, compiler.functions,
+                                       compiler.params)
+        self._having = evaluator.post_predicate_fn(plan.having)
+        self._post_select = evaluator.post_tuple_fn(plan.post_select_exprs)
+        self._emit_partials = False
+
+    def enable_partial_output(self):
+        super().enable_partial_output()
+        self._emit_partials = True
 
     def on_tuple_batch(self, rows, input_index):
         pairs = []

@@ -265,6 +265,34 @@ class TestTracer:
         packet = tcp_packet(ts=1.5, payload=b"x" * 400)
         assert trace_key(packet) == trace_key(packet.truncate(68))
 
+    @pytest.mark.parametrize("odd", [float("inf"), float("-inf"),
+                                     float("nan")])
+    def test_non_finite_timestamp_traces_like_the_untraced_run(self, odd):
+        """A timestamp with no microsecond count gets a trace id too:
+        the traced run returns the untraced rows and quarantines what
+        the untraced run quarantines, instead of raising from feed()."""
+        def run(traced):
+            gs = Gigascope()
+            gs.add_query("DEFINE query_name q; Select timestamp, destIP "
+                         "From eth0.tcp Where destPort = 80")
+            if traced:
+                gs.enable_tracing(1.0)
+            sub = gs.subscribe("q")
+            gs.start()
+            gs.feed([tcp_packet(ts=ts) for ts in (1.0, odd, 2.0)])
+            gs.flush()
+            return ([tuple(map(repr, row)) for row in sub.poll()],
+                    dict(gs.rts.quarantined))
+
+        untraced = run(False)
+        assert run(True) == untraced
+        # infinity cannot become the heartbeat's `time` bound; NaN can
+        # never cross a threshold
+        assert len(untraced[0]) == (3 if odd != float("inf") else 2)
+        packet = tcp_packet(ts=odd)
+        assert trace_key(packet) == trace_key(tcp_packet(ts=odd))
+        assert trace_key(tcp_packet(ts=1.5)) != trace_key(packet)
+
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
             Tracer(0.0)

@@ -18,6 +18,8 @@ same loop, so its draws, ``shed_packets`` and ``packets_seen`` stop at
 the raising packet too.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro import Gigascope
@@ -304,4 +306,73 @@ class TestRaisingJoinProjection:
         assert tuples_in == min(
             -(-self.RAISING_PACKET // block_size) * block_size,
             3 * self.SECONDS)
+        assert result == self.quarantined(1)[1]
+
+
+class TestRaisingWindowClose:
+    """The aggregation's window close is one generated loop too: closed
+    groups gather in one list that its ``finally`` emits, so a HAVING
+    raising at its 40th closed group delivers what the 39 groups before
+    it made -- less those the select list has no result for, counted
+    into ``discarded`` -- and leaves the open groups, ``groups_emitted``
+    and the snapshot as blocks of one would.  Only ``tuples_in`` counts
+    the popped block the raise was in."""
+
+    QUERY = ("DEFINE query_name q; Select tb, p, hole(p), count(*) "
+             "From eth0.tcp Group by time as tb, destPort as p "
+             "Having boom(count(*)) > 0")
+    PORTS = 6
+    #: ports whose group the select list has no result for
+    HOLE = 81
+
+    @classmethod
+    def hole(cls):
+        return FunctionSpec(
+            "hole", lambda port: None if port == cls.HOLE else port,
+            (UINT,), UINT, partial=True)
+
+    @classmethod
+    def web(cls):
+        # ten packets a second, every port in every one-second window:
+        # six groups close per window, the 40th is window 6's fourth
+        return [CapturedPacket(
+            timestamp=0.1 * i, interface="eth0",
+            data=build_tcp_frame("10.0.0.1", "10.0.0.2", 1000,
+                                 80 + i % cls.PORTS))
+            for i in range(300)]
+
+    def quarantined(self, block_size):
+        gs = Gigascope(batch_size=block_size)
+        gs.functions.register(boom())
+        gs.functions.register(self.hole())
+        gs.add_query(self.QUERY)
+        sub = gs.subscribe("q")
+        gs.start()
+        gs.feed(self.web(), pump_every=block_size)
+        gs.flush()
+        node = gs.rts.node("q")
+        stats = gs.stats()["q"]
+        tuples_in = stats.pop("tuples_in")
+        state = node.snapshot_state()
+        assert state["stats"][0] == tuples_in
+        state["stats"] = state["stats"][1:]
+        return tuples_in, (sub.poll(), stats, node.groups_emitted,
+                           node.open_groups, dict(gs.rts.quarantined),
+                           encode_snapshot(state))
+
+    @pytest.mark.parametrize("block_size", BLOCK_SIZES)
+    def test_the_block_of_one_answer(self, block_size):
+        _, result = self.quarantined(block_size)
+        rows, stats, emitted, open_groups, quarantined, _ = result
+        counts = Counter((int(packet.timestamp), 80 + i % self.PORTS)
+                         for i, packet in enumerate(self.web()))
+        closed = sorted(counts)[:RAISES_AT - 1]
+        assert closed[-1] == (6, 82)
+        assert rows == [(tb, p, p, counts[tb, p]) for tb, p in closed
+                        if p != self.HOLE]
+        assert emitted == stats["tuples_out"] == len(rows) == 32
+        assert stats["discarded"] == RAISES_AT - 1 - len(rows)
+        # the raising group has left, its window's last two have not
+        assert open_groups == 2
+        assert quarantined == {"q": "RuntimeError: boom"}
         assert result == self.quarantined(1)[1]
