@@ -233,6 +233,7 @@ def _lfta(text, frozen=False, lean=False):
     def run(blocks):
         for packets in blocks:
             node.accept_batch(packets)
+        node.flush()   # an aggregation's groups leave; a projection's did
         return tap.drain()
     return run
 
@@ -266,7 +267,7 @@ def test_bench_prefilter_unpushed(benchmark, syn_blocks):
 
 # -- the row-fused kernels (DESIGN sections 14 and 18) ----------------------
 #
-# CI's bench-smoke job gates two ratios out of this group (-k fused),
+# CI's bench-smoke job gates three ratios out of this group (-k fused),
 # each of two arms measured in the same run that produce the same rows.
 
 @pytest.fixture(scope="module")
@@ -284,6 +285,28 @@ def test_bench_fused_link0(benchmark, link_blocks):
 def test_bench_fused_link0_decode_then_select(benchmark, link_blocks):
     """The same plan as decode -> gather -> select over a block."""
     assert benchmark(_lfta(LINK0, frozen=True), link_blocks)
+
+
+#: link0's packets folded at the LFTA into ``time/10`` windows: one
+#: group for the whole fixture, the ordered key at its best
+LINK0_FOLD = ("DEFINE query_name fold0; Select tb, count(*), sum(len) "
+              "From tcp Where destPort = 80 Group by time/10 as tb")
+
+
+def test_bench_fused_lfta_run_cache(benchmark, link_blocks):
+    """The LFTA's one loop: an unchanged key skips the slot hash, the
+    window check and the probe, and folds into the state in hand."""
+    def rows(items):   # the first window's opening punctuation aside
+        return [item for item in items if type(item) is tuple]
+    fused = rows(benchmark(_lfta(LINK0_FOLD), link_blocks))
+    assert fused == rows(_lfta(LINK0_FOLD, frozen=True)(link_blocks))
+    assert fused == [(0, 2000, sum(len(p.data) for packets in link_blocks
+                                   for p in packets))]
+
+
+def test_bench_fused_lfta_probe_per_row(benchmark, link_blocks):
+    """The same plan as decode -> key -> place -> probe per row."""
+    assert benchmark(_lfta(LINK0_FOLD, frozen=True), link_blocks)
 
 
 def _appmon(frozen):

@@ -771,9 +771,13 @@ class RuntimeSystem:
                 # Heartbeat crossings in pending[scanned:end]: a block
                 # ends with the first packet that takes the stream
                 # clock (everything fed and pending before it is
-                # older than the threshold) up to the threshold.
+                # older than the threshold) up to the threshold --
+                # never without an interval, whatever the stamp.
                 while scanned < end:
                     top = max(stamps[scanned:end])
+                    if interval is None:
+                        newest = max(newest, top)
+                        break
                     if self._stream_time >= threshold:
                         cut = scanned
                     elif top >= threshold:

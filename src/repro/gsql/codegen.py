@@ -230,14 +230,23 @@ class ExprCompiler:
         order, then
 
         * projection: build the output tuple onto a block-local list;
-        * partial aggregation: build the group key, evaluate the
+        * partial aggregation: evaluate the group key's parts and the
           aggregate arguments (no result => the row is discarded,
-          nothing touched), check the window high-water mark, place
-          the key (``crc32(fmt % k) % size``, :meth:`key_hash_format`),
-          probe the direct-mapped table and fold with the shed gate's
-          Horvitz-Thompson weight.  An ejected group's
-          ``key + partials`` row joins the block-local list, which
-          leaves ahead of any window flush.
+          nothing touched), then the HFTA's *key-run cache*
+          (:meth:`hfta_aggregate_fn`): a key equal to the previous
+          row's counts its lookup and folds into the state in hand.
+          Only a changed key builds the key tuple, checks the window
+          high-water mark, places the key (``crc32(fmt % k) % size``,
+          :meth:`key_hash_format`) and probes the direct-mapped table.
+          The fold carries the shed gate's Horvitz-Thompson weight.
+          An ejected group's ``key + partials`` row joins the
+          block-local list, which leaves ahead of any window flush.
+
+        The cache cannot go stale: its group leaves the slot only by a
+        probe of another key or ``_flush_below`` (the changed path,
+        ahead of its own probe) or between blocks (``evict_if``,
+        ``evict_all``, ``restore_state``, ``set_param``), and every
+        block starts it empty.
 
         The ``finally`` of the loop the lines are spliced under moves
         the node's counters and emits the list, so an exception at row
@@ -268,14 +277,16 @@ class ExprCompiler:
                 else:
                     src = self._aggregate_source(plan.aggregates, maps)
                     row = self._row_source(conjuncts, exprs, maps, src.args,
-                                           target="k")
-                    setup += _TABLE_SETUP
-                    body += row.lines
+                                           target="g", parts=True)
+                    empty, changed, rekey = _key_run(row, "c")
+                    setup += _TABLE_SETUP + [empty]
                     if plan.window_key_index >= 0:
                         setup += _WINDOW_SETUP
-                        body += _window_check("k[index]", _EMIT_EJECTED)
-                    body += _place_key(self.key_hash_format(exprs))
-                    body += _table_probe(src)
+                        rekey += _window_check("k[index]", _EMIT_EJECTED)
+                    rekey += _place_key(self.key_hash_format(exprs))
+                    probe, fold = _table_probe(src)
+                    body += row.lines + [changed] + _indent(rekey + probe) + [
+                        "else:", "    lookups += 1"] + fold
                     finish.append(
                         "table.close_block(lookups, occupied, collisions)")
             finish.append("node.emit_many(out)")
@@ -588,9 +599,9 @@ class ExprCompiler:
                 setup += _SAMPLE_SETUP
                 loop += _sample_gate("dropped")
             loop += row.lines
-            cached = [f"k{i}" for i in range(len(row.parts))]
+            empty, changed, commit = _key_run(row, "k")
             window = f"g{plan.window_key_index}"
-            setup.append(" = ".join(["s"] + cached + ["None"]))
+            setup.append(empty)
         probe = [
             "s = groups.get(k)",
             "if s is None:",
@@ -602,12 +613,7 @@ class ExprCompiler:
         if partials:
             loop += probe + src.combine
         else:
-            changed = " or ".join(
-                ["s is None"] + [f"{new} != {old}"
-                                 for new, old in zip(row.parts, cached)])
-            commit = [f"{old} = {new}" for new, old in zip(row.parts, cached)]
-            commit.append(f"k = {row.key}")
-            loop += [f"if {changed}:"] + _indent(commit + probe) + src.fold
+            loop += [changed] + _indent(commit + probe) + src.fold
         return self._link("node, rows", setup + [
             "try:",
             "    for t in rows:",
@@ -998,9 +1004,23 @@ def _place_key(fmt: Optional[bytes]) -> List[str]:
     ]
 
 
-def _table_probe(src: _AggregateSource) -> List[str]:
-    """Probe slot ``i`` for ``k``, ejecting a resident stranger, and
-    fold the evaluated arguments with the shed gate's weight."""
+def _key_run(row: _RowSource, cache: str) -> Tuple[str, List[str], List[str]]:
+    """The key-run cache of ``row``'s parts in ``cache0``, ... beside
+    the state ``s`` (DESIGN section 18): the setup line that empties
+    it, the ``if`` of a changed key and, under it, the commit of the
+    parts and the key tuple ``k``."""
+    cached = [f"{cache}{i}" for i in range(len(row.parts))]
+    changed = " or ".join(["s is None"] + [
+        f"{new} != {old}" for new, old in zip(row.parts, cached)])
+    commit = [f"{old} = {new}" for new, old in zip(row.parts, cached)]
+    return (" = ".join(["s"] + cached + ["None"]), f"if {changed}:",
+            commit + [f"k = {row.key}"])
+
+
+def _table_probe(src: _AggregateSource) -> Tuple[List[str], List[str]]:
+    """Probe slot ``i`` for ``k`` into ``s``, ejecting a resident
+    stranger; and fold the evaluated arguments into ``s`` with the shed
+    gate's weight."""
     return [
         "lookups += 1",
         "e = slots[i]",
@@ -1015,6 +1035,7 @@ def _table_probe(src: _AggregateSource) -> List[str]:
         "        collisions += 1",
         "        q = e[1]",
         "        eject(e[0] + " + src.partials.format(s="q") + ")",
+    ], [
         "if weighted:",
     ] + _indent(src.fold_weighted or ["pass"]) + [
         "else:",

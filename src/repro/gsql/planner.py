@@ -204,6 +204,8 @@ class QueryPlan:
                 front_end += f" prefilter=none ({lfta.prefix_note})"
             stages = lfta.kernel_stages(formats is not None)
             front_end += f" kernel=[{', '.join(stages)}]"
+            if lfta.mode == "partial_aggregation":
+                front_end += _run_cache(lfta.group_exprs)
             lines.append(
                 f"  LFTA {lfta.name} on {lfta.interface}.{lfta.protocol.name} "
                 f"[{lfta.mode}] preds={len(lfta.predicates)} "
@@ -224,14 +226,16 @@ class QueryPlan:
                     f" residual={len(hfta.predicates) - len(hfta.join_keys)}"
                 )
             elif hfta.kind == "aggregation":
-                # the key-run cache of the generated fold loop (DESIGN
-                # section 18) compares these with the previous row's
                 line += (" run-cache=none (combines partials)"
                          if hfta.final_from_partials else
-                         " run-cache=[" + ", ".join(
-                             map(expr_to_gsql, hfta.group_exprs)) + "]")
+                         _run_cache(hfta.group_exprs))
             lines.append(line)
         return "\n".join(lines)
+
+
+def _run_cache(group_exprs: Sequence[Expr]) -> str:
+    """The parts a fold loop's key-run cache compares (DESIGN 18)."""
+    return " run-cache=[" + ", ".join(map(expr_to_gsql, group_exprs)) + "]"
 
 
 def plan_query(analyzed: AnalyzedQuery, functions: FunctionRegistry,

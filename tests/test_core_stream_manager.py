@@ -161,6 +161,36 @@ class TestHeartbeats:
         rts.pump()
         assert producer.heartbeats == [5.0]
 
+    def test_no_interval_never_cuts_on_a_stamp(self):
+        """Without an interval an infinite stamp is one more packet: no
+        block ends on it and no heartbeat goes out, so ``feed()`` does
+        not raise.  The ``time`` reader fails on the packet itself, as
+        it does with an interval; a query that reads no ``time`` keeps
+        all three rows, where with an interval the heartbeat at the
+        infinite stream time (no ``time`` bound) quarantines it."""
+        from repro import Gigascope
+        from tests.conftest import tcp_packet
+
+        def run(interval, select):
+            gs = Gigascope(heartbeat_interval=interval)
+            gs.add_query(f"DEFINE query_name q; Select {select} "
+                         "From eth0.tcp Where destPort = 80")
+            sub = gs.subscribe("q")
+            gs.start()
+            gs.feed([tcp_packet(ts=ts)
+                     for ts in (1.0, float("inf"), 2.0)])
+            gs.flush()
+            return sub.poll(), dict(gs.rts.quarantined), \
+                gs.rts.heartbeats_sent
+
+        timed = run(None, "time, destIP")
+        assert timed[:2] == run(1.0, "time, destIP")[:2]
+        assert "OverflowError" in timed[1]["q"]
+        rows, quarantined, sent = run(None, "destIP")
+        assert len(rows) == 3 and not quarantined and sent == 0
+        beaten = run(1.0, "destIP")
+        assert beaten[0] == rows[:2] and "OverflowError" in beaten[1]["q"]
+
     def test_advance_time_without_packets(self):
         rts = RuntimeSystem(heartbeat_interval=1.0)
         producer = Producer("p")

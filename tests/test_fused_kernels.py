@@ -538,5 +538,11 @@ class TestExplainNamesTheKernel:
             "Group by time/10 as tb, destIP", name="q")
         assert "run-cache=[time / 10, destIP]" in raw
         split = self.explain("DEFINE query_name q; Select tb, count(*) "
-                             "From tcp Group by time/10 as tb")
-        assert "run-cache=none (combines partials)" in split
+                             "From tcp Group by time/5 as tb")
+        lfta, hfta = split.splitlines()[1:3]
+        assert lfta.startswith("  LFTA ")
+        assert lfta.endswith("kernel=[guard, key, table] run-cache=[time / 5]")
+        assert hfta.endswith("run-cache=none (combines partials)")
+        # a projecting LFTA folds nothing
+        assert "run-cache" not in self.explain(
+            "DEFINE query_name s; Select time, destIP, len From tcp")

@@ -1,5 +1,5 @@
-"""The HFTA aggregation's key-run cache against a probe per row
-(DESIGN section 18).
+"""The key-run caches of both aggregation levels against a probe per
+row (DESIGN section 18): the HFTA's here, the LFTA's in the second half.
 
 ``ExprCompiler.hfta_aggregate_fn`` keeps the previous row's key parts
 in locals and, while they do not change, folds into the state it
@@ -33,10 +33,16 @@ from repro.gsql.planner import plan_query
 from repro.gsql.schema import Attribute, StreamSchema, builtin_registry
 from repro.gsql.semantic import analyze
 from repro.gsql.types import FLOAT, UINT
+from repro.net.build import build_tcp_frame
+from repro.net.packet import CapturedPacket
 from repro.operators.aggregation import AggregationNode
+from repro.operators.lfta import LftaNode
 from repro.recovery.wire import encode_snapshot
 
-from tests.frozen_decode_select import FrozenAggregation, FrozenCompiler
+from tests.frozen_decode_select import (FrozenAggregation, FrozenCompiler,
+                                        FrozenLfta)
+from tests.test_fused_kernels import observe as lfta_observe
+from tests.test_prefilter import without_layouts
 
 BLOCK_SIZES = (1, 7, 256)
 
@@ -255,3 +261,264 @@ class TestWhatTheCacheSkips:
                    if "groups.get(k)" in source)
         assert "if s is None or g0 != k0 or g1 != k1:" in kernel
         assert kernel.index("groups.get(k)") > kernel.index("g1 != k1")
+
+
+# -- the LFTA's fold ---------------------------------------------------------------
+#
+# ``ExprCompiler.lfta_action`` keeps the same cache in front of the
+# direct-mapped table: an unchanged key counts its lookup and folds
+# into the state in hand -- no slot hash, no window check, no probe.
+# ``FrozenLfta`` is the loop that probed per row.  Both take packets:
+# through the one-member block kernel where the protocol has a layout,
+# through the row adapter (``lfta_adapter_fn``) where it has none.
+
+LFTA_REGISTRIES = {"kernel": builtin_registry(), "adapter": without_layouts()}
+#: source ports: ``keep`` drops multiples of five
+PORTS = [1, 2, 3, 5, 10, 11]
+#: a frame of this length makes ``boom`` return a string, which the
+#: fold then fails to add
+BOOM_LEN = 60
+
+
+def lfta_functions():
+    """``functions()`` plus ``boom``: a string where an integer is due
+    on frames of ``BOOM_LEN`` bytes."""
+    registry = functions()
+    registry.register(FunctionSpec(
+        "boom", lambda x: "x" if x == BOOM_LEN else x, (UINT,), UINT))
+    return registry
+
+
+def lfta_pair(select, registry, table_size, define="query_name q"):
+    """(frozen, cached) LFTA nodes of ``select``, each with its own
+    compiler; ``$off`` starts at 0."""
+    nodes = []
+    for cls, compiler in ((FrozenLfta, FrozenCompiler),
+                          (LftaNode, ExprCompiler)):
+        udfs = lfta_functions()
+        analyzed = analyze(parse_query(f"DEFINE {{ {define}; }} {select}"),
+                           registry, udfs)
+        lfta, = plan_query(analyzed, udfs).lftas
+        assert lfta.mode == "partial_aggregation"
+        node = cls(lfta, analyzed,
+                   compiler(analyzed, udfs, {"off": 0}),
+                   table_size=table_size, seed=7)
+        node.tap = node.subscribe()
+        node.params = node._compiler.params
+        nodes.append(node)
+    return nodes
+
+
+_FRAMES = {}
+
+
+def frame(sport, dport, length):
+    """A TCP frame of ``length`` payload bytes, built once."""
+    key = sport, dport, length
+    if key not in _FRAMES:
+        _FRAMES[key] = build_tcp_frame("10.0.0.1", "10.0.0.2", sport, dport,
+                                       payload=b"p" * length)
+    return _FRAMES[key]
+
+
+@st.composite
+def packet_runs(draw):
+    """Packets as runs of one source port or two alternating ones; the
+    clock mostly stands still inside a run (``time/4`` moves inside
+    some), a packet is now and then late, and between runs a
+    heartbeat, a new ``$off`` or a new shed rate may fall."""
+    items = []
+    now = draw(st.integers(0, 40))
+    for _ in range(draw(st.integers(1, 6))):
+        ports = draw(st.lists(st.sampled_from(PORTS), min_size=1, max_size=2))
+        dport = draw(st.sampled_from([80, 80, 7]))
+        length = draw(st.sampled_from([1, 2, 3, 9, 40, 260]))
+        advance = draw(st.sampled_from([0, 0, 1, 3]))
+        for position in range(length):
+            if draw(st.integers(0, 19)) == 0:
+                now += advance
+            late = draw(st.integers(0, 29)) == 0
+            items.append(CapturedPacket(
+                timestamp=(max(0, now - 9) if late else now) + 0.25,
+                data=frame(ports[position % len(ports)], dport,
+                           draw(st.sampled_from([0, 0, 1, 5, 6, 7]))),
+                interface="eth0"))
+        between = draw(st.sampled_from([None, None, "heartbeat", "param",
+                                        "shed"]))
+        if between == "heartbeat":
+            items.append(("heartbeat", float(now)))
+        elif between == "param":
+            items.append(("param", draw(st.sampled_from([0, 1, 7]))))
+        elif between == "shed":
+            items.append(("shed", draw(st.sampled_from([1.0, 0.5, 0.8]))))
+        now += advance
+    return items
+
+
+def lfta_drive(nodes, items, size):
+    """Blocks of ``size`` packets to both nodes, what falls between
+    runs to both; compare after every block.  When the cached node
+    raises at packet *k* of a block, the frozen one gets the block's
+    first *k* packets and must raise the same error on the last."""
+    frozen, cached = nodes
+    pending = []
+
+    def deliver():
+        for start in range(0, len(pending), size):
+            block = pending[start:start + size]
+            seen = cached.packets_seen
+            try:
+                cached.accept_batch(block)
+                raised = None
+            except TypeError as error:
+                raised = error
+                block = block[:cached.packets_seen - seen]
+            try:
+                frozen.accept_batch(block)
+                assert raised is None
+            except TypeError as error:
+                assert str(error) == str(raised)
+            assert lfta_observe(cached) == lfta_observe(frozen)
+        del pending[:]
+
+    for item in items:
+        if isinstance(item, CapturedPacket):
+            pending.append(item)
+            continue
+        deliver()
+        what, value = item
+        for node in nodes:
+            if what == "heartbeat":
+                node.on_heartbeat(value)
+            elif what == "param":
+                node.params["off"] = value
+            else:
+                node.set_shed_rate(value)
+        assert lfta_observe(cached) == lfta_observe(frozen)
+    deliver()
+    for node in nodes:
+        node.flush()
+    assert lfta_observe(cached) == lfta_observe(frozen)
+
+
+LFTA_QUERIES = {
+    "window and key": "Select tb, srcPort, count(*), sum(len), min(ttl) "
+                      "From tcp Group by time/4 as tb, srcPort",
+    "key before window": "Select srcPort, tb, count(*), avg(len), "
+                         "max(len) From tcp Group by srcPort, time/4 as tb",
+    "window only": "Select tb, count(*), sum(len) From tcp "
+                   "Group by time/4 as tb",
+    "no window": "Select srcPort, destPort, count(*), sum(len) From tcp "
+                 "Group by srcPort, destPort",
+    "no group by": "Select count(*), sum(len) From tcp Where destPort <> 7",
+    "discard in the key": "Select tb, kp, count(*), sum(len) From tcp "
+                          "Group by time/4 as tb, keep(srcPort) as kp",
+    "discard in an argument": "Select tb, srcPort, count(*), "
+                              "sum(keep(len)) From tcp "
+                              "Group by time/4 as tb, srcPort",
+    "predicate kills": "Select tb, srcPort, count(*) From tcp "
+                       "Where destPort <> 7 and keep(len + 1) > 0 "
+                       "Group by time/4 as tb, srcPort",
+    "parameter in the key": "Select tb, kp, count(*), sum(len) From tcp "
+                            "Group by time/4 as tb, srcPort + $off as kp",
+    "fold raises": "Select tb, srcPort, count(*), sum(boom(len)) From tcp "
+                   "Group by time/4 as tb, srcPort",
+}
+
+LFTA_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True,
+                         suppress_health_check=[HealthCheck.too_slow,
+                                                HealthCheck.data_too_large])
+
+
+def at_every_block_size(select, registry, table_size, items,
+                        define="query_name q"):
+    for size in BLOCK_SIZES:
+        lfta_drive(lfta_pair(select, LFTA_REGISTRIES[registry], table_size,
+                             define), items, size)
+
+
+@pytest.mark.parametrize("registry", sorted(LFTA_REGISTRIES))
+@pytest.mark.parametrize("label", sorted(LFTA_QUERIES))
+@LFTA_SETTINGS
+@given(items=packet_runs(), table_size=st.sampled_from([1, 3, 64]))
+def test_lfta_cache_never_shows(label, registry, items, table_size):
+    at_every_block_size(LFTA_QUERIES[label], registry, table_size, items)
+
+
+def stamped(runs):
+    """``(time, srcPort, payload)`` triples as packets to port 80."""
+    return [CapturedPacket(timestamp=ts + 0.25, data=frame(port, 80, size),
+                           interface="eth0") for ts, port, size in runs]
+
+
+@pytest.mark.parametrize("registry", sorted(LFTA_REGISTRIES))
+@pytest.mark.parametrize("items", [
+    # alternating keys in a one-slot table: every change ejects the
+    # cached group's slot-mate, which then comes back
+    stamped([(8, 1, 0), (8, 2, 0)] * 5 + [(8, 1, 1)] * 3),
+    # the window moves inside a run of one port; a late row reopens
+    stamped([(8, 3, 0), (9, 3, 0), (12, 3, 1), (13, 3, 0), (5, 3, 0),
+             (16, 3, 0)]),
+    # a discarded key mid-run, then the run resumes
+    stamped([(8, 1, 0), (8, 1, 0), (8, 5, 0), (8, 1, 0), (8, 10, 0),
+             (8, 1, 6)]),
+    # the fold raises mid-run, on a run's first row, and after a flush
+    stamped([(8, 1, 0), (8, 1, 6), (8, 1, 0), (8, 2, 6), (8, 2, 0),
+             (13, 2, 0), (13, 2, 6)]),
+], ids=["slot-mates", "window", "discard", "raise"])
+def test_lfta_cache_at_the_edges(registry, items):
+    for label in ("window and key", "discard in the key", "fold raises"):
+        at_every_block_size(LFTA_QUERIES[label], registry, 1, items)
+        at_every_block_size(LFTA_QUERIES[label], registry, 3,
+                            items + [("heartbeat", 30.0)] + items)
+
+
+@pytest.mark.parametrize("registry", sorted(LFTA_REGISTRIES))
+@LFTA_SETTINGS
+@given(items=packet_runs())
+def test_lfta_sample_gate_and_shed_weights(registry, items):
+    """``DEFINE sample`` draws once per row ahead of the cache, the shed
+    gate once per packet, and the Horvitz-Thompson weight rides on
+    both paths of the fold."""
+    items = [("shed", 0.6)] + items
+    at_every_block_size(LFTA_QUERIES["window and key"], registry, 3, items,
+                        define="query_name q; sample 0.5")
+
+
+class TestWhatTheLftaCacheSkips:
+    def test_one_probe_per_run_not_per_row(self):
+        """Counted on the slot array: 1000 packets, two ports, two runs
+        -- two slot reads, 1000 lookups."""
+        _, node = lfta_pair(LFTA_QUERIES["window and key"],
+                            LFTA_REGISTRIES["kernel"], 64)
+
+        class Counting(list):
+            reads = 0
+
+            def __getitem__(self, index):
+                Counting.reads += 1
+                return list.__getitem__(self, index)
+        node.table._slots = Counting(node.table._slots)
+        node.accept_batch(stamped([(8, 1, 0)] * 500 + [(8, 2, 0)] * 500))
+        assert Counting.reads == 2
+        assert node.table.lookups == 1000
+        assert sorted(state for _, state in node.table) == [
+            [500, 27000, 64], [500, 27000, 64]]
+
+    def test_the_probe_is_inside_the_changed_branch(self):
+        _, node = lfta_pair(LFTA_QUERIES["window and key"],
+                            LFTA_REGISTRIES["kernel"], 64)
+        source, = (source for source in node._compiler.generated_sources
+                   if source.startswith("def kernel("))
+        lines = source.splitlines()
+        test = next(i for i, line in enumerate(lines) if line.strip()
+                    == "if s_0 is None or g0_0 != c0_0 or g1_0 != c1_0:")
+        depth = len(lines[test]) - len(lines[test].lstrip())
+        end = next(i for i in range(test + 1, len(lines))
+                   if len(lines[i]) - len(lines[i].lstrip()) <= depth)
+        branch = "\n".join(lines[test:end])
+        for probe in ("_crc32_0(", "node_0._flush_below(",
+                      "e_0 = slots_0[i_0]"):
+            assert source.count(probe) == branch.count(probe) == 1
+        assert lines[end:end + 2] == [" " * depth + "else:",
+                                      " " * depth + "    lookups_0 += 1"]
