@@ -234,12 +234,14 @@ class ExprCompiler:
           aggregate arguments (no result => the row is discarded,
           nothing touched), then the HFTA's *key-run cache*
           (:meth:`hfta_aggregate_fn`): a key equal to the previous
-          row's counts its lookup and folds into the state in hand.
-          Only a changed key builds the key tuple, checks the window
-          high-water mark, places the key (``crc32(fmt % k) % size``,
-          :meth:`key_hash_format`) and probes the direct-mapped table.
-          The fold carries the shed gate's Horvitz-Thompson weight.
-          An ejected group's ``key + partials`` row joins the
+          row's counts its lookup and folds into the slot ``i`` in
+          hand.  Only a changed key builds the key tuple, checks the
+          window high-water mark, places the key (``crc32(fmt % k) %
+          size``, :meth:`key_hash_format`) and probes the table's key
+          array.  The fold writes the table's columns (``c0[i]``, ...)
+          and carries the shed gate's Horvitz-Thompson weight.  An
+          ejected group's ``key + partials`` row, read out of the
+          columns before the new group overwrites them, joins the
           block-local list, which leaves ahead of any window flush.
 
         The cache cannot go stale: its group leaves the slot only by a
@@ -275,11 +277,13 @@ class ExprCompiler:
                     setup += ["out = []", "emit = out.append"]
                     body += row.lines + [f"emit({row.key})"]
                 else:
-                    src = self._aggregate_source(plan.aggregates, maps)
+                    src = self._aggregate_source(plan.aggregates, maps,
+                                                 row="i")
                     row = self._row_source(conjuncts, exprs, maps, src.args,
                                            target="g", parts=True)
-                    empty, changed, rekey = _key_run(row, "c")
-                    setup += _TABLE_SETUP + [empty]
+                    empty, changed, rekey = _key_run(row, "i")
+                    setup += _TABLE_SETUP + _columns(
+                        "table.columns", len(src.columns)) + [empty]
                     if plan.window_key_index >= 0:
                         setup += _WINDOW_SETUP
                         rekey += _window_check("k[index]", _EMIT_EJECTED)
@@ -431,6 +435,7 @@ class ExprCompiler:
         aggregates: Sequence[AggCall],
         slot_maps: Optional[Sequence[SlotMap]],
         partial_base: Optional[int] = None,
+        row: Optional[str] = None,
     ) -> "_AggregateSource":
         """The statements ``aggregates`` unroll into (see
         :class:`_AggregateSource`).
@@ -439,7 +444,10 @@ class ExprCompiler:
         aggregates' arguments: ``args`` and the folds are then empty.
         ``partial_base`` says where ``combine`` reads the partial
         encoding: ``None`` for a sequence ``p``, else from slot
-        ``partial_base`` of the input tuple ``t``.
+        ``partial_base`` of the input tuple ``t``.  ``row`` names the
+        group's row in the columns ``c0, c1, ...`` -- one per partial
+        slot, the engine's layout -- and None renders the statements
+        over a state list ``s`` (AVG's pair a nested list) instead.
         """
         args: List[str] = []
         initial: List[str] = []
@@ -451,61 +459,64 @@ class ExprCompiler:
         cursor = 0
         for index, agg in enumerate(aggregates):
             name = agg.name
-            state = f"s[{index}]"
-            slot = "{s}[%d]" % index
             value = f"v{index}"
             width = 2 if name == "AVG" else 1
+            if row is not None:
+                state = [f"c{cursor + i}[{row}]" for i in range(width)]
+            elif width == 1:
+                state = [f"s[{index}]"]
+            else:
+                state = [f"s[{index}][{i}]" for i in range(width)]
             if partial_base is None:
                 encoded = [f"p[{cursor + i}]" for i in range(width)]
             else:
                 encoded = [f"t[{partial_base + cursor + i}]"
                            for i in range(width)]
             cursor += width
+            partials += state
             if name != "COUNT" and slot_maps is not None:
                 args.append(f"{value} = {self._compile(agg.arg, slot_maps, 1)}")
             if name in ("COUNT", "SUM"):
-                initial.append("0")
-                partials.append(slot)
+                slot, = state
+                initial.append(0)
                 finals.append(slot)
-                combine.append(f"{state} += {encoded[0]}")
+                combine.append(f"{slot} += {encoded[0]}")
                 if name == "COUNT":
-                    fold.append(f"{state} += 1")
-                    weighted.append(f"{state} += w")
+                    fold.append(f"{slot} += 1")
+                    weighted.append(f"{slot} += w")
                 else:
-                    fold.append(f"{state} += {value}")
-                    weighted.append(f"{state} += {value} * w")
+                    fold.append(f"{slot} += {value}")
+                    weighted.append(f"{slot} += {value} * w")
             elif name in ("MIN", "MAX"):
+                slot, = state
                 better = "<" if name == "MIN" else ">"
-                initial.append("None")
-                partials.append(slot)
+                initial.append(None)
                 finals.append(slot)
                 combine += [
                     f"c = {encoded[0]}",
-                    f"if {state} is None or (c is not None and c {better} {state}):",
-                    f"    {state} = c",
+                    f"if {slot} is None or (c is not None and c {better} {slot}):",
+                    f"    {slot} = c",
                 ]
                 # order statistics fold unweighted either way
-                order = [f"if {state} is None or {value} {better} {state}:",
-                         f"    {state} = {value}"]
+                order = [f"if {slot} is None or {value} {better} {slot}:",
+                         f"    {slot} = {value}"]
                 fold += order
                 weighted += order
             elif name == "AVG":
-                initial.append("[0.0, 0]")
-                partials += [slot + "[0]", slot + "[1]"]
-                finals.append(f"({slot}[0] / {slot}[1] if {slot}[1] else 0.0)")
-                combine += [f"a = {state}", f"a[0] += {encoded[0]}",
-                            f"a[1] += {encoded[1]}"]
-                fold += [f"a = {state}", f"a[0] += {value}", "a[1] += 1"]
-                weighted += [f"a = {state}", f"a[0] += {value} * w",
-                             "a[1] += w"]
+                total, count = state
+                initial.append([0.0, 0])
+                finals.append(f"({total} / {count} if {count} else 0.0)")
+                combine += [f"{total} += {encoded[0]}",
+                            f"{count} += {encoded[1]}"]
+                fold += [f"{total} += {value}", f"{count} += 1"]
+                weighted += [f"{total} += {value} * w", f"{count} += w"]
             else:
                 raise CodegenError(f"cannot compile aggregate {name!r}")
         if slot_maps is None:
             fold, weighted = [], []
         return _AggregateSource(
-            args=args, new_state="[" + ", ".join(initial) + "]",
-            fold=fold, fold_weighted=weighted, combine=combine,
-            partials=_tuple_src(partials), finals=finals)
+            args=args, initial=initial, fold=fold, fold_weighted=weighted,
+            combine=combine, partials=_tuple_src(partials), finals=finals)
 
     def _link(self, signature: str, body: Sequence[str],
               env: Optional[Dict[str, Any]] = None) -> Callable:
@@ -540,20 +551,21 @@ class ExprCompiler:
         if slot_maps is not None:
             update = self._link("s, t", src.args + src.fold)
             weighted = self._link("s, t, w", src.args + src.fold_weighted)
-        return (self._link("", [f"return {src.new_state}"]),
+        return (self._link("", [f"return {src.initial!r}"]),
                 update, weighted,
                 self._link("s, p", src.combine),
-                self._link("s", ["return " + src.partials.format(s="s")]),
-                self._link("s", [
-                    "return " + _tuple_src(src.finals).format(s="s")]))
+                self._link("s", ["return " + src.partials]),
+                self._link("s", ["return " + _tuple_src(src.finals)]))
 
     # The block kernels are linked against the operator that runs them:
     # they read and write the node's own attributes (``node.table``,
-    # ``node._groups``, ``node._high_water``, ``node._window_index`` /
-    # ``_window_band``, ``node.stats``) and call back into it for what
-    # stays per window, not per row (``node._flush_below``,
-    # ``node.emit_many``).  The LFTA's is its row action
-    # (:meth:`lfta_action`); the HFTA's follows.
+    # ``node._groups``, ``node._columns``, ``node._high_water``,
+    # ``node._window_index`` / ``_window_band``, ``node.stats``) and call
+    # back into it for what stays per window, not per row
+    # (``node._flush_below``, ``node._compact``, ``node.emit_many``).
+    # Group state is in columns on both levels (DESIGN section 18):
+    # ``c0, c1, ...`` at the group's slot ``i`` or row ``r``.  The LFTA's
+    # is its row action (:meth:`lfta_action`); the HFTA's follows.
 
     def hfta_aggregate_fn(self, plan) -> Callable:
         """The HFTA's ``f(node, rows)`` for ``plan`` (an aggregation
@@ -578,6 +590,13 @@ class ExprCompiler:
         the first slots of the row and the rest is combined into the
         group, after the predicate; no cache (an LFTA emits a group
         once per window).
+
+        The dict maps a key to its row ``r`` in the node's columns
+        (``c0[r]``, ...; a new group appends a row, numbered
+        ``len(groups)``), and the cache holds that row.  A close that
+        compacts the columns (``AggregationNode._compact``) renumbers
+        rows, but it runs only inside ``_flush_below`` -- ahead of the
+        changed path's own probe -- or between blocks.
         """
         partials = plan.final_from_partials
         slot_maps = tuple(plan.slot_maps)
@@ -585,13 +604,15 @@ class ExprCompiler:
         loop: List[str] = []
         if partials:
             key_width = len(self.analyzed.group_exprs)
-            src = self._aggregate_source(plan.aggregates, None, key_width)
+            src = self._aggregate_source(plan.aggregates, None, key_width,
+                                         row="r")
             row = self._row_source(plan.predicates, (), slot_maps,
                                    target=None)
             loop += row.lines + [f"k = t[:{key_width}]"]
             window = "k[index]"
         else:
-            src = self._aggregate_source(plan.aggregates, slot_maps)
+            src = self._aggregate_source(plan.aggregates, slot_maps,
+                                         row="r")
             row = self._row_source(plan.predicates, plan.group_exprs,
                                    slot_maps, src.args, target="g",
                                    parts=True)
@@ -599,14 +620,16 @@ class ExprCompiler:
                 setup += _SAMPLE_SETUP
                 loop += _sample_gate("dropped")
             loop += row.lines
-            empty, changed, commit = _key_run(row, "k")
+            empty, changed, commit = _key_run(row, "r")
             window = f"g{plan.window_key_index}"
             setup.append(empty)
+        setup += _columns("node._columns", len(src.columns))
         probe = [
-            "s = groups.get(k)",
-            "if s is None:",
-            f"    s = groups[k] = {src.new_state}",
-        ]
+            "r = groups.get(k)",
+            "if r is None:",
+            "    r = groups[k] = len(groups)",
+        ] + [f"    c{j}.append({value!r})"
+             for j, value in enumerate(src.columns)]
         if plan.window_key_index >= 0:
             setup += _WINDOW_SETUP
             probe = _window_check(window) + probe
@@ -742,23 +765,25 @@ class ExprCompiler:
     def hfta_close_fn(self, plan, partials: bool = False) -> Callable:
         """The HFTA's ``f(node, keys)`` for ``plan`` (an aggregation
         ``HftaPlan``): close the groups of ``keys`` in that order, one
-        loop.  Per key the group leaves ``node._groups``, its final
-        values go into locals ``a0, a1, ...`` in aggregate order, then
-        HAVING (when there is one) and the select list -- ``k + (...)``
-        when it is the key then every aggregate; no result from either
-        counts the group into ``discarded``.  With ``partials`` (a shard
-        worker, ``AggregationNode.enable_partial_output``) the row is
-        ``key + partials`` instead, for whoever combines them.  The
-        ``finally`` moves ``discarded`` and ``groups_emitted`` and emits
-        the rows, so an exception at group *k* leaves the groups before
-        it emitted and those after it open.
+        loop.  Per key the group leaves ``node._groups`` (its row
+        ``r``), its final values go into locals ``a0, a1, ...`` in
+        aggregate order, read off the columns, then HAVING (when there
+        is one) and the select list -- ``k + (...)`` when it is the key
+        then every aggregate; no result from either counts the group
+        into ``discarded``.  With ``partials`` (a shard worker,
+        ``AggregationNode.enable_partial_output``) the row is ``key +
+        partials`` instead, for whoever combines them.  The ``finally``
+        moves ``discarded`` and ``groups_emitted``, compacts the
+        columns down to the groups still open (``node._compact``) and
+        emits the rows, so an exception at group *k* leaves the groups
+        before it emitted and those after it open.
         """
-        src = self._aggregate_source(plan.aggregates, None)
+        src = self._aggregate_source(plan.aggregates, None, row="r")
         if partials:
-            close = [f"emit(k + {src.partials.format(s='s')})"]
+            close = [f"emit(k + {src.partials})"]
         else:
             values = [f"a{i}" for i in range(len(src.finals))]
-            close = [f"{value} = {final.format(s='s')}"
+            close = [f"{value} = {final}"
                      for value, final in zip(values, src.finals)]
             test = [] if plan.having is None else [
                 f"if not ({self._compile(plan.having, (None,), 1)}):",
@@ -775,16 +800,18 @@ class ExprCompiler:
                 "except DiscardTuple:", "    dropped += 1"]
         return self._link("node, keys", [
             "pop = node._groups.pop",
+        ] + _columns("node._columns", len(src.columns)) + [
             "out = []",
             "emit = out.append",
             "dropped = 0",
             "try:",
             "    for k in keys:",
-            "        s = pop(k)",
+            "        r = pop(k)",
         ] + _indent(close, 2) + [
             "finally:",
             "    node.stats.discarded += dropped",
             "    node.groups_emitted += len(out)",
+            "    node._compact()",
             "    node.emit_many(out)",
         ])
 
@@ -900,22 +927,31 @@ class ExprCompiler:
 
 class _AggregateSource(NamedTuple):
     """One plan's aggregate list as source text, for the stand-alone
-    kernels and the block kernels alike.  Statements read the state
-    list ``s``, the input tuple ``t`` and the weight ``w``."""
+    kernels and the block kernels alike.  Statements read the group's
+    state -- the state list ``s``, or one row of the columns ``c0, c1,
+    ...`` -- the input tuple ``t`` and the weight ``w``."""
 
     #: evaluate every aggregate argument; may raise DiscardTuple
     args: List[str]
-    #: expression: the state of an untouched group
-    new_state: str
-    #: fold the evaluated arguments into ``s`` (plain / weighted by ``w``)
+    #: an untouched group's state list (AVG's entry the list of its
+    #: two columns' values)
+    initial: List[Any]
+    #: fold the evaluated arguments into the state (plain / weighted by
+    #: ``w``)
     fold: List[str]
     fold_weighted: List[str]
-    #: fold one partial encoding into ``s``
+    #: fold one partial encoding into the state
     combine: List[str]
-    #: expression templates over the state variable ``{s}``: the
-    #: partial encoding, and each aggregate's final value
+    #: expressions over the state: the partial encoding, and each
+    #: aggregate's final value
     partials: str
     finals: List[str]
+
+    @property
+    def columns(self) -> List[Any]:
+        """Each column's value in an untouched group."""
+        return [value for entry in self.initial
+                for value in (entry if type(entry) is list else (entry,))]
 
 
 def _indent(lines: Sequence[str], levels: int = 1) -> List[str]:
@@ -964,12 +1000,12 @@ def _window_check(value: str, before_flush: Sequence[str] = ()) -> List[str]:
     ]
 
 
-# The LFTA's direct-mapped table, probed in place: the slot array stays
-# valid across ``evict_if`` (a window flush clears slots in place), and
-# the counters move once per block (``close_block``).
+# The LFTA's direct-mapped table, probed in place: the key array and the
+# columns stay valid across ``evict_if`` (a window flush clears slots in
+# place), and the counters move once per block (``close_block``).
 _TABLE_SETUP = [
     "table = node.table",
-    "slots = table._slots",
+    "keys = table.keys",
     "size = table.size",
     "hash_key = table._hash",
     "shed = node.shed_rate",
@@ -1004,38 +1040,41 @@ def _place_key(fmt: Optional[bytes]) -> List[str]:
     ]
 
 
-def _key_run(row: _RowSource, cache: str) -> Tuple[str, List[str], List[str]]:
-    """The key-run cache of ``row``'s parts in ``cache0``, ... beside
-    the state ``s`` (DESIGN section 18): the setup line that empties
-    it, the ``if`` of a changed key and, under it, the commit of the
-    parts and the key tuple ``k``."""
-    cached = [f"{cache}{i}" for i in range(len(row.parts))]
-    changed = " or ".join(["s is None"] + [
+def _columns(columns: str, width: int) -> List[str]:
+    """Bind the ``width`` state columns of ``columns`` to ``c0, c1,
+    ...``."""
+    return [f"c{j} = {columns}[{j}]" for j in range(width)]
+
+
+def _key_run(row: _RowSource, index: str) -> Tuple[str, List[str], List[str]]:
+    """The key-run cache of ``row``'s parts in ``k0``, ... beside the
+    group's row or slot ``index`` (DESIGN section 18): the setup line
+    that empties it, the ``if`` of a changed key and, under it, the
+    commit of the parts and the key tuple ``k``."""
+    cached = [f"k{i}" for i in range(len(row.parts))]
+    changed = " or ".join([f"{index} is None"] + [
         f"{new} != {old}" for new, old in zip(row.parts, cached)])
     commit = [f"{old} = {new}" for new, old in zip(row.parts, cached)]
-    return (" = ".join(["s"] + cached + ["None"]), f"if {changed}:",
+    return (" = ".join([index] + cached + ["None"]), f"if {changed}:",
             commit + [f"k = {row.key}"])
 
 
 def _table_probe(src: _AggregateSource) -> Tuple[List[str], List[str]]:
-    """Probe slot ``i`` for ``k`` into ``s``, ejecting a resident
-    stranger; and fold the evaluated arguments into ``s`` with the shed
-    gate's weight."""
+    """Probe slot ``i`` for ``k``: a stranger there is ejected -- its
+    partials read out of the columns -- and the slot's key and columns
+    are overwritten with the new group's; and fold the evaluated
+    arguments into the slot with the shed gate's weight."""
     return [
         "lookups += 1",
-        "e = slots[i]",
-        "if e is not None and e[0] == k:",
-        "    s = e[1]",
-        "else:",
-        f"    s = {src.new_state}",
-        "    slots[i] = (k, s)",
+        "e = keys[i]",
+        "if e != k:",
         "    if e is None:",
         "        occupied += 1",
         "    else:",
         "        collisions += 1",
-        "        q = e[1]",
-        "        eject(e[0] + " + src.partials.format(s="q") + ")",
-    ], [
+        f"        eject(e + {src.partials})",
+        "    keys[i] = k",
+    ] + [f"    c{j}[i] = {value!r}" for j, value in enumerate(src.columns)], [
         "if weighted:",
     ] + _indent(src.fold_weighted or ["pass"]) + [
         "else:",

@@ -16,7 +16,7 @@ source stream, including the ordering properties."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import trunc
+from math import isfinite, trunc
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Tuple)
 
@@ -288,7 +288,10 @@ class ProtocolSchema(_BaseSchema):
         }
 
     def clock_bounds(self, stream_time: float) -> Dict[int, object]:
-        """Lower bounds on clock attributes implied by ``stream_time``."""
+        """Lower bounds on clock attributes implied by ``stream_time``;
+        none for a non-finite one (a ``+inf`` stamp has no ``time``)."""
+        if not isfinite(stream_time):
+            return {}
         return {
             index: bound_fn(stream_time)
             for index, bound_fn in self.clock_fields.items()

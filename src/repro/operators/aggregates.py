@@ -32,6 +32,33 @@ def partial_layout(aggregates: Sequence[AggCall]) -> List[int]:
     return [2 if agg.name == "AVG" else 1 for agg in aggregates]
 
 
+# The engine keeps group state in columns, one per partial slot (DESIGN
+# section 18); snapshots keep the state-list shape of the generic loops
+# below (section 11).  These two translate one group between them.
+
+def state_list(values: Sequence[Any], layout: Sequence[int]) -> list:
+    """One group's state list from its column values: an entry per
+    aggregate, a list for one that takes two columns (AVG's pair)."""
+    state: list = []
+    cursor = 0
+    for width in layout:
+        state.append(values[cursor] if width == 1
+                     else list(values[cursor:cursor + width]))
+        cursor += width
+    return state
+
+
+def column_values(state: Sequence[Any], layout: Sequence[int]) -> list:
+    """:func:`state_list` undone: a state list's column values."""
+    values: list = []
+    for width, entry in zip(layout, state, strict=True):
+        if width == 1:
+            values.append(entry)
+        else:
+            values.extend(entry)
+    return values
+
+
 class AggregateOps:
     """Executes a list of aggregates over group state lists.
 

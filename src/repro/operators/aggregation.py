@@ -13,18 +13,22 @@ sub/super-aggregate split of Section 3.
 
 Both loops are generated per plan (DESIGN section 18): the fold of a
 block into the groups and the close of a window, whose final values,
-HAVING and select list are inline -- no call per group.
+HAVING and select list are inline -- no call per group.  Group state
+lives in columns, one list per partial slot (AVG's ``(sum, count)``
+takes two), and the group dict maps a key to its row: an open group is
+a key and a row of plain values, nothing the collector re-scans.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.core.heartbeat import Punctuation
 from repro.core.query_node import QueryNode
 from repro.gsql.codegen import ExprCompiler
 from repro.gsql.planner import HftaPlan
 from repro.gsql.semantic import AnalyzedQuery, KeyRef
+from repro.operators.aggregates import column_values, partial_layout, state_list
 from repro.operators.base import key_bound_fn
 
 
@@ -54,7 +58,13 @@ class AggregationNode(QueryNode):
         self._compiler = compiler
         self._window_index = plan.window_key_index
         self._window_band = plan.window_key_band
-        self._groups: Dict[tuple, list] = {}
+        self._layout = partial_layout(plan.aggregates)
+        #: key -> row of the open group; rows are 0 .. len - 1 in
+        #: insertion order (``_compact`` keeps them so)
+        self._groups: Dict[tuple, int] = {}
+        #: one list per partial slot, indexed by row
+        self._columns: Tuple[list, ...] = tuple(
+            [] for _ in range(sum(self._layout)))
         self._high_water = None
         if self.from_partials:
             identity = (
@@ -115,6 +125,22 @@ class AggregationNode(QueryNode):
         if self._window_out_slot >= 0:
             self.emit_punctuation(Punctuation({self._window_out_slot: low_water}))
 
+    def _compact(self) -> None:
+        """After a close (``hfta_close_fn``'s ``finally``): drop the
+        closed groups' rows, renumbering the open ones in order.  The
+        lists and the dict change in place -- a fold loop that flushed
+        mid-block holds them -- and rows stay in insertion order, so a
+        new group's row is always ``len(groups)``."""
+        groups = self._groups
+        columns = self._columns
+        if columns and len(columns[0]) == len(groups):
+            return  # nothing closed
+        rows = list(groups.values())
+        for column in columns:
+            column[:] = [column[row] for row in rows]
+        for row, key in enumerate(list(groups)):
+            groups[key] = row
+
     def _sort_closing(self, keys: list) -> None:
         """Full-key order, window first: the emitted sequence becomes the
         global (window, key) sort however arrivals were batched, so a
@@ -142,7 +168,7 @@ class AggregationNode(QueryNode):
     # -- checkpoint/restore (DESIGN section 11) ----------------------------
     def snapshot_state(self) -> dict:
         state = super().snapshot_state()
-        state["groups"] = dict(self._groups)
+        state["groups"] = self._snapshot_groups()
         state["high_water"] = self._high_water
         state["groups_emitted"] = self.groups_emitted
         state["sample_rng"] = (self._sample_rng.getstate()
@@ -151,11 +177,26 @@ class AggregationNode(QueryNode):
 
     def restore_state(self, state: dict) -> None:
         super().restore_state(state)
-        self._groups = dict(state["groups"])
+        self._restore_groups(state["groups"])
         self._high_water = state["high_water"]
         self.groups_emitted = state["groups_emitted"]
         if self._sample_rng is not None and state["sample_rng"] is not None:
             self._sample_rng.setstate(state["sample_rng"])
+
+    def _snapshot_groups(self) -> dict:
+        """The open groups as ``{key: state list}`` in insertion order,
+        the shape of the generic aggregate loops' states."""
+        columns = self._columns
+        layout = self._layout
+        return {key: state_list([column[row] for column in columns], layout)
+                for key, row in self._groups.items()}
+
+    def _restore_groups(self, groups: dict) -> None:
+        self._groups = dict(zip(groups, range(len(groups))))
+        rows = [column_values(state, self._layout)
+                for state in groups.values()]
+        for slot, column in enumerate(self._columns):
+            column[:] = [row[slot] for row in rows]
 
     def flush(self) -> None:
         """Emit every remaining group (explicit flush / end of stream)."""

@@ -61,7 +61,7 @@ from repro.gsql.semantic import AnalyzedQuery
 from repro.net.columnar import (ActionSource, Branch, Member, Prefilter,
                                 RowAction, block_kernel)
 from repro.net.packet import CapturedPacket
-from repro.operators.aggregates import AggregateOps
+from repro.operators.aggregates import partial_layout
 from repro.operators.base import apply_transforms, key_bound_fn, output_bound_transforms
 from repro.operators.lfta_table import DirectMappedTable
 
@@ -184,10 +184,9 @@ class LftaNode(QueryNode):
             )
             self.table: Optional[DirectMappedTable] = None
         elif plan.mode == "partial_aggregation":
-            self.aggregate_ops = AggregateOps.for_plan(
-                compiler, plan.aggregates, (None, None))
             self.table = DirectMappedTable(
-                table_size, compiler.key_hash_format(plan.group_exprs))
+                table_size, compiler.key_hash_format(plan.group_exprs),
+                partial_layout(plan.aggregates))
             self._window_index = plan.window_key_index
             self._window_band = plan.window_key_band
             self._high_water = None
@@ -304,10 +303,9 @@ class LftaNode(QueryNode):
             self.emit_punctuation(Punctuation({index: low_water}))
 
     def _emit_groups(self, groups) -> None:
-        """Closed ``(key, state)`` groups leave as one block of
+        """Closed ``(key, partials)`` groups leave as one block of
         ``key + partials`` rows."""
-        partials = self.aggregate_ops.partials
-        self.emit_many([key + partials(state) for key, state in groups])
+        self.emit_many([key + partials for key, partials in groups])
 
     # -- heartbeats from the RTS -------------------------------------------
     def on_heartbeat(self, stream_time: float) -> None:

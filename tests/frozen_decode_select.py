@@ -15,17 +15,23 @@ subclass, two node subclasses, module functions for what
 row and counter for counter.  The decode pass itself is the engine's
 one loop emitter: a one-member block kernel recording each row as the
 loop holds it (``tests/kernel_rows.py``), off which the passes read
-one column at a time (:class:`Block`).  Nothing under ``src/``
-imports this.
+one column at a time (:class:`Block`).  Group state stays where it was
+at 28f7b08: a ``[count, sum]`` list per group, in a ``(key, state)``
+entry per table slot (:class:`FrozenTable`) and in the HFTA's group
+dict, rendered by the aggregate source of that commit
+(``FrozenCompiler._list_aggregate_source``) -- the reference the
+engine's columns are held to.  Nothing under ``src/`` imports this.
 """
 
 from itertools import compress, repeat
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 from zlib import crc32
 
 from repro.determinism import key_hasher
-from repro.gsql.codegen import ExprCompiler, _indent, _tuple_src
+from repro.gsql.codegen import CodegenError, ExprCompiler, _indent, _tuple_src
 from repro.gsql.planner import column_slots
+from repro.gsql.semantic import AggRef, KeyRef
+from repro.operators.aggregates import AggregateOps
 from repro.operators.aggregation import AggregationNode
 from repro.operators.lfta import LftaNode
 
@@ -47,6 +53,67 @@ class Block:
 
     def gather(self, index, rows):
         return self.tap.column(index, rows)
+
+
+# -- the table of (key, state) entries ---------------------------------------------
+
+class FrozenTable:
+    """``DirectMappedTable`` as it stood at 28f7b08, for what the frozen
+    kernels and ``LftaNode``'s window close use of it: a slot array of
+    ``(key, state)`` entries."""
+
+    def __init__(self, size, key_format=None):
+        self.size = size
+        self._hash = key_hasher(key_format)
+        self._slots = [None] * size
+        self.occupied = 0
+        self.collisions = 0
+        self.lookups = 0
+
+    def close_block(self, lookups, occupied, collisions):
+        self.lookups += lookups
+        self.occupied += occupied
+        self.collisions += collisions
+
+    def evict_all(self):
+        groups = [entry for entry in self._slots if entry is not None]
+        self._slots = [None] * self.size
+        self.occupied = 0
+        return groups
+
+    def evict_if(self, should_evict):
+        evicted = []
+        for index, entry in enumerate(self._slots):
+            if entry is not None and should_evict(entry[0]):
+                evicted.append(entry)
+                self._slots[index] = None
+                self.occupied -= 1
+        return evicted
+
+    def snapshot_state(self):
+        return {
+            "size": self.size,
+            "slots": {index: entry
+                      for index, entry in enumerate(self._slots)
+                      if entry is not None},
+            "occupied": self.occupied,
+            "collisions": self.collisions,
+            "lookups": self.lookups,
+        }
+
+    def restore_state(self, state):
+        self._slots = [None] * self.size
+        for index, entry in state["slots"].items():
+            self._slots[index] = entry
+        self.occupied = state["occupied"]
+        self.collisions = state["collisions"]
+        self.lookups = state["lookups"]
+
+    def __len__(self):
+        return self.occupied
+
+    def __iter__(self):
+        return (entry for entry in self._slots if entry is not None)
 
 
 # -- determinism.stable_slots / DirectMappedTable.open_block ------------------------
@@ -78,6 +145,20 @@ def open_block(node, keys):
 
 # -- the kernels -------------------------------------------------------------------
 
+class ListSource(NamedTuple):
+    """An aggregate list as source text over the state list ``s``:
+    ``ExprCompiler._aggregate_source``'s result at 28f7b08."""
+
+    args: List[str]
+    new_state: str
+    fold: List[str]
+    fold_weighted: List[str]
+    combine: List[str]
+    #: templates over the state variable ``{s}``
+    partials: str
+    finals: List[str]
+
+
 def _guarded_args(src) -> List[str]:
     if not src.args:
         return []
@@ -106,11 +187,115 @@ def _window_check(before_flush: Sequence[str] = ()) -> List[str]:
 
 
 class FrozenCompiler(ExprCompiler):
-    """``ExprCompiler`` with the kernel generators it had at 355ece7."""
+    """``ExprCompiler`` with the kernel generators it had at 355ece7,
+    over the state lists of 28f7b08."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._env["open_block"] = open_block
+
+    def _list_aggregate_source(self, aggregates, slot_maps,
+                               partial_base=None):
+        args: List[str] = []
+        initial: List[str] = []
+        fold: List[str] = []
+        weighted: List[str] = []
+        combine: List[str] = []
+        partials: List[str] = []
+        finals: List[str] = []
+        cursor = 0
+        for index, agg in enumerate(aggregates):
+            name = agg.name
+            state = f"s[{index}]"
+            slot = "{s}[%d]" % index
+            value = f"v{index}"
+            width = 2 if name == "AVG" else 1
+            if partial_base is None:
+                encoded = [f"p[{cursor + i}]" for i in range(width)]
+            else:
+                encoded = [f"t[{partial_base + cursor + i}]"
+                           for i in range(width)]
+            cursor += width
+            if name != "COUNT" and slot_maps is not None:
+                args.append(f"{value} = {self._compile(agg.arg, slot_maps, 1)}")
+            if name in ("COUNT", "SUM"):
+                initial.append("0")
+                partials.append(slot)
+                finals.append(slot)
+                combine.append(f"{state} += {encoded[0]}")
+                if name == "COUNT":
+                    fold.append(f"{state} += 1")
+                    weighted.append(f"{state} += w")
+                else:
+                    fold.append(f"{state} += {value}")
+                    weighted.append(f"{state} += {value} * w")
+            elif name in ("MIN", "MAX"):
+                better = "<" if name == "MIN" else ">"
+                initial.append("None")
+                partials.append(slot)
+                finals.append(slot)
+                combine += [
+                    f"c = {encoded[0]}",
+                    f"if {state} is None or (c is not None and c {better} {state}):",
+                    f"    {state} = c",
+                ]
+                order = [f"if {state} is None or {value} {better} {state}:",
+                         f"    {state} = {value}"]
+                fold += order
+                weighted += order
+            elif name == "AVG":
+                initial.append("[0.0, 0]")
+                partials += [slot + "[0]", slot + "[1]"]
+                finals.append(f"({slot}[0] / {slot}[1] if {slot}[1] else 0.0)")
+                combine += [f"a = {state}", f"a[0] += {encoded[0]}",
+                            f"a[1] += {encoded[1]}"]
+                fold += [f"a = {state}", f"a[0] += {value}", "a[1] += 1"]
+                weighted += [f"a = {state}", f"a[0] += {value} * w",
+                             "a[1] += w"]
+            else:
+                raise CodegenError(f"cannot compile aggregate {name!r}")
+        if slot_maps is None:
+            fold, weighted = [], []
+        return ListSource(
+            args=args, new_state="[" + ", ".join(initial) + "]",
+            fold=fold, fold_weighted=weighted, combine=combine,
+            partials=_tuple_src(partials), finals=finals)
+
+    def hfta_close_fn(self, plan, partials=False):
+        src = self._list_aggregate_source(plan.aggregates, None)
+        if partials:
+            close = [f"emit(k + {src.partials.format(s='s')})"]
+        else:
+            values = [f"a{i}" for i in range(len(src.finals))]
+            close = [f"{value} = {final.format(s='s')}"
+                     for value, final in zip(values, src.finals)]
+            test = [] if plan.having is None else [
+                f"if not ({self._compile(plan.having, (None,), 1)}):",
+                "    dropped += 1", "    continue"]
+            exprs = plan.post_select_exprs
+            width = len(self.analyzed.group_exprs)
+            if exprs == [KeyRef(i) for i in range(width)] + [
+                    AggRef(i) for i in range(len(values))]:
+                row = "k + " + _tuple_src(values)
+            else:
+                row = _tuple_src([self._compile(e, (None,), 1)
+                                  for e in exprs])
+            close += ["try:"] + _indent(test + [f"emit({row})"]) + [
+                "except DiscardTuple:", "    dropped += 1"]
+        return self._link("node, keys", [
+            "pop = node._groups.pop",
+            "out = []",
+            "emit = out.append",
+            "dropped = 0",
+            "try:",
+            "    for k in keys:",
+            "        s = pop(k)",
+        ] + _indent(close, 2) + [
+            "finally:",
+            "    node.stats.discarded += dropped",
+            "    node.groups_emitted += len(out)",
+            "    node.emit_many(out)",
+        ])
 
     def _compile_columnar(self, expr, slot_maps, ref, used):
         def read(slot):
@@ -244,7 +429,7 @@ class FrozenCompiler(ExprCompiler):
         return "".join(lines)
 
     def lfta_aggregate_fn(self, aggregates, slot_maps, windowed):
-        src = self._aggregate_source(aggregates, slot_maps)
+        src = self._list_aggregate_source(aggregates, slot_maps)
         setup = [
             "table = node.table",
             "slots, indices, error = open_block(node, keys)",
@@ -295,7 +480,7 @@ class FrozenCompiler(ExprCompiler):
     def frozen_hfta_aggregate_fn(self, aggregates, slot_maps, windowed,
                                  key_width, filtered=False):
         partials = slot_maps is None
-        src = self._aggregate_source(
+        src = self._list_aggregate_source(
             aggregates, slot_maps, key_width if partials else None)
         setup = ["groups = node._groups", "discarded = 0"]
         if partials:
@@ -366,7 +551,13 @@ class FrozenLfta(LftaNode):
                 plan.aggregates, (None, None), plan.window_key_index >= 0)
             #: the format ``open_block`` places this plan's keys with
             self.key_format = compiler.key_hash_format(plan.group_exprs)
+            self.table = FrozenTable(self.table.size, self.key_format)
+            self._partials = AggregateOps(
+                plan.aggregates, [None] * len(plan.aggregates)).partials
 
+    def _emit_groups(self, groups):
+        partials = self._partials
+        self.emit_many([key + partials(state) for key, state in groups])
 
     def accept_batch(self, packets, views=None) -> None:
         self.packets_seen += len(packets)
@@ -444,6 +635,12 @@ class FrozenAggregation(AggregationNode):
             plan.window_key_index >= 0, key_width,
             filtered=bool(plan.predicates))
 
+    def _snapshot_groups(self):
+        return dict(self._groups)
+
+    def _restore_groups(self, groups):
+        self._groups = dict(groups)
+
     def on_tuple_batch(self, rows, input_index: int) -> None:
         if self._sample_rate is not None:
             rate = self._sample_rate
@@ -459,4 +656,4 @@ class FrozenAggregation(AggregationNode):
 
 
 __all__ = ["Block", "FrozenAggregation", "FrozenCompiler", "FrozenLfta",
-           "open_block", "stable_slots"]
+           "FrozenTable", "open_block", "stable_slots"]

@@ -459,6 +459,32 @@ class TestAggregateWithoutGroupBy:
         assert split == raw == [(len(rows), sum(row[1] for row in rows))]
 
 
+class TestColumnarTable:
+    """The engine's table keeps a group as its key plus one column per
+    partial slot, the frozen node's a ``(key, state list)`` entry: every
+    aggregate kind, in a table where every group collides, where most
+    do and where few do, plain and under the shed gate's weight,
+    through the block kernel and the row adapter."""
+
+    TEXT = ("DEFINE query_name q; Select tb, destIP, count(*), sum(len), "
+            "min(ttl), max(len), avg(len) From tcp Where destPort >= 80 "
+            "Group by time/2 as tb, destIP")
+
+    @pytest.mark.parametrize("table_size", [1, 3, 64])
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize("rate", [1.0, 0.6])
+    @pytest.mark.parametrize("registry", [REGISTRY, LAYOUTLESS],
+                             ids=["decoded", "adapter"])
+    def test_every_aggregate_at_every_table_size(self, table_size, size,
+                                                 rate, registry):
+        frozen, fused = pair(self.TEXT, registry=registry,
+                             table_size=table_size)
+        for node in (frozen, fused):
+            node.set_shed_rate(rate)
+        assert_in_step(frozen, fused, CORPUS, size, self.TEXT)
+        assert fused.table.collisions > 0 or table_size == 64
+
+
 class TestSnapshotRestoreMidRun:
     @pytest.mark.parametrize("size", [7, 256])
     @pytest.mark.parametrize("text", [

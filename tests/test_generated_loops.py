@@ -72,6 +72,6 @@ def test_the_walk_sees_the_kernels_and_the_close():
         "Group by time/10 as tb").values())
     assert "def kernel(packets):" in sources
     assert "(trunc(p.timestamp) // 10" in sources
-    assert "def _g" in sources and "s = pop(k)" in sources
+    assert "def _g" in sources and "r = pop(k)" in sources
     assert type_calls_in_loops(
         "for p in it:\n    t = int(p.timestamp)\n") == [(2, "int")]

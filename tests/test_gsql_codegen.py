@@ -9,6 +9,8 @@ from repro.gsql.parser import parse_query
 from repro.gsql.planner import plan_query
 from repro.gsql.schema import builtin_registry
 from repro.gsql.semantic import analyze
+from repro.operators.aggregates import partial_layout
+from repro.operators.aggregation import AggregationNode
 from tests.reference.evaluator import ReferenceEvaluator
 
 
@@ -162,10 +164,16 @@ class TestParams:
 
 
 class _Closing:
-    """What a window close reads and moves on its node."""
+    """What a window close reads and moves on its node: the group dict
+    (key -> row), the state columns and their compaction."""
 
-    def __init__(self, groups):
-        self._groups = dict(groups)
+    _restore_groups = AggregationNode._restore_groups
+    _compact = AggregationNode._compact
+
+    def __init__(self, groups, aggregates):
+        self._layout = partial_layout(aggregates)
+        self._columns = tuple([] for _ in range(sum(self._layout)))
+        self._restore_groups(groups)
         self.stats = NodeStats()
         self.groups_emitted = 0
         self.emitted = []
@@ -178,9 +186,9 @@ def close_groups(text, registry, functions, groups, partials=False):
     """``groups`` (key -> aggregate state list) closed in order by the
     plan's generated ``hfta_close_fn``; the node it closed them on."""
     analyzed, compiler = compile_query(text, registry, functions)
-    close = compiler.hfta_close_fn(plan_query(analyzed, functions).hfta,
-                                   partials)
-    node = _Closing(groups)
+    plan = plan_query(analyzed, functions).hfta
+    close = compiler.hfta_close_fn(plan, partials)
+    node = _Closing(groups, plan.aggregates)
     close(node, list(groups))
     return node, analyzed
 
@@ -223,7 +231,7 @@ class TestWindowClose:
             "Group by time/60 as tb, destPort", registry, functions)
         compiler.hfta_close_fn(plan_query(analyzed, functions).hfta)
         source = compiler.generated_sources[-1]
-        assert "a1 = (s[1][0] / s[1][1] if s[1][1] else 0.0)" in source
+        assert "a1 = (c1[r] / c2[r] if c2[r] else 0.0)" in source
         assert "emit(k + (a0, a1))" in source
         node, _ = close_groups(
             "Select tb, destPort, count(*), avg(len) From tcp "

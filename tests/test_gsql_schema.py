@@ -111,6 +111,13 @@ class TestBuiltinProtocols:
         assert bounds[netflow.index_of("time_end")] == 100.0
         assert bounds[netflow.index_of("time_start")] == 70.0
 
+    def test_a_non_finite_stream_time_bounds_nothing(self, registry):
+        tcp = registry.get("tcp")
+        assert tcp.clock_bounds(2.5) == {tcp.index_of("time"): 2,
+                                         tcp.index_of("timestamp"): 2.5}
+        for odd in (float("inf"), float("-inf"), float("nan")):
+            assert tcp.clock_bounds(odd) == {}
+
     def test_bgp_expander(self, registry):
         from repro.net.bgp import BGPUpdate
         update = BGPUpdate(announced=[(ip_to_int("10.0.0.0"), 8)],

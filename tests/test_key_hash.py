@@ -155,7 +155,8 @@ class TestGeneratedHasherIsStableHash:
         table = DirectMappedTable(size, fmt)
         for key in keys:
             table.upsert(key, list)
-            assert table._slots[stable_hash(key) % size][0] == key
+            slots = table.snapshot_state()["slots"]
+            assert slots[stable_hash(key) % size][0] == key
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(st.integers(-2**70, 2**130), min_size=0, max_size=8))

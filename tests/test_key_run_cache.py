@@ -16,6 +16,14 @@ key or in an aggregate argument mid-run, predicate kills mid-run, a
 ``DEFINE sample`` gate, punctuation between blocks -- cut into blocks
 of 1, 7 and 256.  After every block the output channel, ``NodeStats``
 and the encoded ``snapshot_state`` must match.
+
+The engine keeps group state in columns (a row per group, one list per
+partial slot) and compacts them when a banded window closes only some
+groups; the frozen nodes keep a state list per group.  So the same
+drive also covers every aggregate kind, the superaggregate that
+combines partials, and a HAVING or select list that raises in the
+middle of a close: both nodes raise the same error, and the groups
+after the failing one stay open.
 """
 
 import math
@@ -30,7 +38,8 @@ from repro.gsql.functions import FunctionSpec, builtin_functions
 from repro.gsql.ordering import Ordering
 from repro.gsql.parser import parse_query
 from repro.gsql.planner import plan_query
-from repro.gsql.schema import Attribute, StreamSchema, builtin_registry
+from repro.gsql.schema import (Attribute, ProtocolSchema, StreamSchema,
+                               builtin_registry)
 from repro.gsql.semantic import analyze
 from repro.gsql.types import FLOAT, UINT
 from repro.net.build import build_tcp_frame
@@ -59,13 +68,24 @@ OTHER_NAN = float("nan")
 KEYS = [1, 1.0, True, 2, 0.0, -0.0, 0, False, NAN, OTHER_NAN, 2.5]
 
 
+class Crash(Exception):
+    """What ``crash`` raises."""
+
+
+def crash(value):
+    if value == 3:
+        raise Crash(f"crash({value!r})")
+    return value
+
+
 def functions():
     """The builtins plus ``keep``: a partial function with no result on
-    multiples of five."""
+    multiples of five; and ``crash``, which raises on 3."""
     registry = builtin_functions()
     registry.register(FunctionSpec(
         "keep", lambda x: None if x % 5 == 0 else x, (UINT,), UINT,
         partial=True))
+    registry.register(FunctionSpec("crash", crash, (UINT,), UINT))
     return registry
 
 
@@ -83,6 +103,41 @@ def pair(select, define="query_name q"):
         node.tap = node.subscribe()
         nodes.append(node)
     return nodes
+
+
+def with_source_protocol():
+    """The builtin protocols plus ``probe``, a protocol with ``src``'s
+    attributes: a query over it splits, and its HFTA combines the
+    LFTA's partials."""
+    registry = builtin_registry()
+    registry.add(ProtocolSchema("probe", SOURCE.attributes, {},
+                                expander=lambda packet: []))
+    return registry
+
+
+def superaggregate_pair(select):
+    """(frozen, columnar) superaggregates of ``select`` over ``probe``."""
+    nodes = []
+    for cls, compiler in ((FrozenAggregation, FrozenCompiler),
+                          (AggregationNode, ExprCompiler)):
+        registry = functions()
+        analyzed = analyze(parse_query(f"DEFINE query_name q; {select}"),
+                           with_source_protocol(), registry)
+        plan = plan_query(analyzed, registry).hfta
+        assert plan.final_from_partials
+        node = cls(plan, analyzed, compiler(analyzed, registry), seed=7)
+        node.tap = node.subscribe()
+        nodes.append(node)
+    return nodes
+
+
+def as_partials(items):
+    """Stream items as an LFTA of ``Group by bt as b, k`` with COUNT,
+    SUM, MIN, MAX and AVG would eject them, one row per group: the
+    key, then the partial slots (AVG's sum and count)."""
+    return [(item[1], item[2], 1, item[3], item[3], item[3],
+             item[3] + 0.0, 1) if type(item) is tuple else item
+            for item in items]
 
 
 def observe(node):
@@ -120,24 +175,30 @@ def streams(draw):
     return items
 
 
-def drive(nodes, items, size):
-    """Blocks of ``size`` rows to every node, control items singly;
-    compare after every delivery."""
+def drive(nodes, items, size, end=FLUSH):
+    """Blocks of ``size`` rows to every node, control items singly, then
+    ``end``; compare after every delivery.  A delivery may raise
+    ``Crash`` (a window close failing mid-way): then every node raises
+    it, alike."""
     pending = []
 
     def deliver(item=None):
         for start in range(0, len(pending), size):
             block = pending[start:start + size]
-            for node in nodes:
-                node.dispatch_batch(block, 0)
-            compare()
+            each(lambda node: node.dispatch_batch(block, 0))
         del pending[:]
         if item is not None:
-            for node in nodes:
-                node.dispatch(item, 0)
-            compare()
+            each(lambda node: node.dispatch(item, 0))
 
-    def compare():
+    def each(send):
+        raised = []
+        for node in nodes:
+            try:
+                send(node)
+                raised.append(None)
+            except Crash as error:
+                raised.append(str(error))
+        assert raised == raised[:1] * len(nodes)
         expected = observe(nodes[0])
         for node in nodes[1:]:
             assert observe(node) == expected
@@ -147,7 +208,7 @@ def drive(nodes, items, size):
             pending.append(item)
         else:
             deliver(item)
-    deliver(FLUSH)
+    deliver(end)
 
 
 QUERIES = {
@@ -171,6 +232,26 @@ QUERIES = {
                        "Group by time/10 as tb, k",
     "having": "Select tb, k, count(*) From src Group by time/10 as tb, k "
               "Having count(*) > 2",
+    "every aggregate": "Select tb, k, count(*), sum(v), min(v), max(v), "
+                       "avg(v) From src Group by time/10 as tb, k",
+    "banded, every aggregate": "Select b, k, count(*), sum(v), min(v), "
+                               "max(v), avg(v) From src "
+                               "Group by bt as b, k",
+    "having raises": "Select b, k, count(*), avg(v) From src "
+                     "Group by bt as b, k Having crash(count(*)) > 0",
+    "select list raises": "Select tb, k, crash(sum(v)), min(v), avg(v) "
+                          "From src Group by time/10 as tb, k",
+}
+
+#: superaggregates over ``probe``, fed :func:`as_partials` rows
+SUPERAGGREGATES = {
+    "every aggregate": "Select b, k, count(*), sum(v), min(v), max(v), "
+                       "avg(v) From probe Group by bt as b, k",
+    "having raises": "Select b, k, count(*), sum(v), min(v), max(v), "
+                     "avg(v) From probe Group by bt as b, k "
+                     "Having crash(count(*)) > 0",
+    "select list raises": "Select b, k, count(*), sum(v), min(v), max(v), "
+                          "crash(sum(v) % 7) From probe Group by bt as b, k",
 }
 
 
@@ -190,6 +271,21 @@ QUERIES = {
 def test_cache_never_shows(label, items):
     for size in BLOCK_SIZES:
         drive(pair(QUERIES[label]), items, size)
+
+
+@pytest.mark.parametrize("label", sorted(SUPERAGGREGATES))
+@settings(max_examples=10, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(items=streams())
+@example(items=[(10, 10, 1, 1), (10, 11, 1, 1), (10, 12, 1, 1),
+                (10, 12, 2, 1), (10, 12, 2, 1), (10, 12, 2, 1),
+                (10, 15, 2, 1), (10, 16, 1, 1), (10, 17, 1, 1)])
+def test_superaggregate_columns(label, items):
+    """The combine of partials into columns, and its close."""
+    for size in BLOCK_SIZES:
+        drive(superaggregate_pair(SUPERAGGREGATES[label]),
+              as_partials(items), size)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True,
@@ -222,8 +318,8 @@ class TestWhatTheCacheSkips:
         node._groups = Counting()
         self.rows(node, [(10, 10, 1, 1)] * 500 + [(10, 10, 2, 1)] * 500)
         assert Counting.probes == 2
-        assert dict(node._groups) == {(1, 1): [500, 500, 1],
-                                      (1, 2): [500, 500, 1]}
+        assert node.snapshot_state()["groups"] == {(1, 1): [500, 500, 1],
+                                                   (1, 2): [500, 500, 1]}
 
     def test_cache_does_not_outlive_the_block(self):
         """A punctuation between two blocks closes the group the first
@@ -249,6 +345,31 @@ class TestWhatTheCacheSkips:
             self.rows(each, rows)
         assert observe(node) == observe(frozen)
 
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    def test_a_partial_close_compacts_and_a_raise_leaves_groups_open(
+            self, size):
+        """Banded window (band 3): a new high-water mark closes the
+        groups more than the band below it and keeps the rest, whose
+        rows move down.  The close that meets a group of three rows
+        raises there: the groups after it stay open, in their rows, and
+        the next close emits them."""
+        nodes = pair(QUERIES["having raises"])
+        node = nodes[1]
+        # b = 1, 2, 3 for k = 1, 2; then b = 5 closes b < 2
+        drive(nodes, [(10, b, k, b) for b in (1, 2, 3) for k in (1, 2)]
+              + [(10, 5, 1, 5), (10, 5, 2, 5)], size, end=None)
+        assert node.open_groups == len(node._columns[0]) == 6
+        assert node.groups_emitted == 2
+        # (2, 2) grows to three rows; b = 7 closes b < 4 and raises there
+        drive(nodes, [(10, 2, 2, 7), (10, 2, 2, 8), (10, 7, 3, 1)], size,
+              end=None)
+        assert node.groups_emitted == 3
+        assert list(node._groups) == [(3, 1), (3, 2), (5, 1), (5, 2)]
+        assert list(node._groups.values()) == [0, 1, 2, 3]
+        assert node._columns[0] == [1, 1, 1, 1]
+        drive(nodes, [(10, 9, 1, 4)], size)
+        assert node.groups_emitted == 8 and node.open_groups == 0
+
     def test_generated_source_names_the_cache(self):
         analyzed = analyze(
             parse_query("DEFINE query_name q; " + QUERIES["window and key"]),
@@ -259,7 +380,7 @@ class TestWhatTheCacheSkips:
                         compiler)
         kernel, = (source for source in compiler.generated_sources
                    if "groups.get(k)" in source)
-        assert "if s is None or g0 != k0 or g1 != k1:" in kernel
+        assert "if r is None or g0 != k0 or g1 != k1:" in kernel
         assert kernel.index("groups.get(k)") > kernel.index("g1 != k1")
 
 
@@ -423,6 +544,9 @@ LFTA_QUERIES = {
                             "Group by time/4 as tb, srcPort + $off as kp",
     "fold raises": "Select tb, srcPort, count(*), sum(boom(len)) From tcp "
                    "Group by time/4 as tb, srcPort",
+    "every aggregate": "Select tb, srcPort, count(*), sum(len), min(ttl), "
+                       "max(len), avg(len) From tcp "
+                       "Group by time/4 as tb, srcPort",
 }
 
 LFTA_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True,
@@ -467,7 +591,8 @@ def stamped(runs):
              (13, 2, 0), (13, 2, 6)]),
 ], ids=["slot-mates", "window", "discard", "raise"])
 def test_lfta_cache_at_the_edges(registry, items):
-    for label in ("window and key", "discard in the key", "fold raises"):
+    for label in ("window and key", "discard in the key", "fold raises",
+                  "every aggregate"):
         at_every_block_size(LFTA_QUERIES[label], registry, 1, items)
         at_every_block_size(LFTA_QUERIES[label], registry, 3,
                             items + [("heartbeat", 30.0)] + items)
@@ -487,7 +612,7 @@ def test_lfta_sample_gate_and_shed_weights(registry, items):
 
 class TestWhatTheLftaCacheSkips:
     def test_one_probe_per_run_not_per_row(self):
-        """Counted on the slot array: 1000 packets, two ports, two runs
+        """Counted on the key array: 1000 packets, two ports, two runs
         -- two slot reads, 1000 lookups."""
         _, node = lfta_pair(LFTA_QUERIES["window and key"],
                             LFTA_REGISTRIES["kernel"], 64)
@@ -498,11 +623,12 @@ class TestWhatTheLftaCacheSkips:
             def __getitem__(self, index):
                 Counting.reads += 1
                 return list.__getitem__(self, index)
-        node.table._slots = Counting(node.table._slots)
+        node.table.keys = Counting(node.table.keys)
         node.accept_batch(stamped([(8, 1, 0)] * 500 + [(8, 2, 0)] * 500))
         assert Counting.reads == 2
         assert node.table.lookups == 1000
-        assert sorted(state for _, state in node.table) == [
+        slots = node.table.snapshot_state()["slots"]
+        assert sorted(state for _, state in slots.values()) == [
             [500, 27000, 64], [500, 27000, 64]]
 
     def test_the_probe_is_inside_the_changed_branch(self):
@@ -512,13 +638,13 @@ class TestWhatTheLftaCacheSkips:
                    if source.startswith("def kernel("))
         lines = source.splitlines()
         test = next(i for i, line in enumerate(lines) if line.strip()
-                    == "if s_0 is None or g0_0 != c0_0 or g1_0 != c1_0:")
+                    == "if i_0 is None or g0_0 != k0_0 or g1_0 != k1_0:")
         depth = len(lines[test]) - len(lines[test].lstrip())
         end = next(i for i in range(test + 1, len(lines))
                    if len(lines[i]) - len(lines[i].lstrip()) <= depth)
         branch = "\n".join(lines[test:end])
         for probe in ("_crc32_0(", "node_0._flush_below(",
-                      "e_0 = slots_0[i_0]"):
+                      "e_0 = keys_0[i_0]"):
             assert source.count(probe) == branch.count(probe) == 1
         assert lines[end:end + 2] == [" " * depth + "else:",
                                       " " * depth + "    lookups_0 += 1"]

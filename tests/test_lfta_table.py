@@ -87,7 +87,8 @@ class TestBasics:
         table = DirectMappedTable(8)
         key = (12, 0x0A000001)
         table.insert(key, "state")
-        assert table._slots[stable_hash(key) % 8] == (key, "state")
+        assert table.snapshot_state()["slots"] == {
+            stable_hash(key) % 8: (key, "state")}
 
 
 class TestConservation:

@@ -286,9 +286,9 @@ class TestTracer:
 
         untraced = run(False)
         assert run(True) == untraced
-        # infinity cannot become the heartbeat's `time` bound; NaN can
-        # never cross a threshold
-        assert len(untraced[0]) == (3 if odd != float("inf") else 2)
+        # a heartbeat at an infinite stream time bounds nothing; NaN
+        # can never cross a threshold
+        assert len(untraced[0]) == 3 and not untraced[1]
         packet = tcp_packet(ts=odd)
         assert trace_key(packet) == trace_key(tcp_packet(ts=odd))
         assert trace_key(tcp_packet(ts=1.5)) != trace_key(packet)
