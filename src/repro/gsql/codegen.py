@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from heapq import heappush
-from operator import length_hint
+from itertools import groupby
+from operator import itemgetter, length_hint
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
 from zlib import crc32
@@ -81,6 +82,12 @@ _BINOPS = {
 
 SlotMap = Optional[Dict[int, int]]
 
+#: the shortest block, and the shortest run, an aggregation's run loop
+#: folds: a shorter block (a block of one row above all) takes the row
+#: loop, and a shorter run hands it the rest of its block -- about where
+#: a run's fixed cost (``groupby``, ``[*run]``, ``map``) stops paying
+RUNS_FROM = 16
+
 
 class ExprCompiler:
     """Compiles bound GSQL expressions into Python callables.
@@ -102,6 +109,8 @@ class ExprCompiler:
         self.generated_sources: List[str] = []
         self._env: Dict[str, Any] = {"P": self.params, "_crc32": crc32,
                                      "_heappush": heappush,
+                                     "groupby": groupby,
+                                     "itemgetter": itemgetter,
                                      "DiscardTuple": DiscardTuple}
         self._counter = 0
         #: when set, column references compile to something other than
@@ -277,8 +286,7 @@ class ExprCompiler:
                     setup += ["out = []", "emit = out.append"]
                     body += row.lines + [f"emit({row.key})"]
                 else:
-                    src = self._aggregate_source(plan.aggregates, maps,
-                                                 row="i")
+                    src = self._aggregate_source(plan.aggregates, maps, "i")
                     row = self._row_source(conjuncts, exprs, maps, src.args,
                                            target="g", parts=True)
                     empty, changed, rekey = _key_run(row, "i")
@@ -400,14 +408,13 @@ class ExprCompiler:
     # The generic loops in repro.operators.aggregates walk the aggregate
     # list per tuple and compare names; a plan's list is fixed, so the
     # loop unrolls into straight-line statements with the argument
-    # expressions inlined (_aggregate_source).  Those statements are
-    # linked twice: as the stand-alone AggregateOps methods
-    # (aggregate_kernels) and inside the per-plan loops that probe, fold
-    # and eject per row (lfta_action, hfta_aggregate_fn; DESIGN section
-    # 18).  Every argument is evaluated before any state is touched, so
-    # a DiscardTuple discards the tuple whole; an error raised by a fold
-    # leaves the slots before it folded, exactly as the generic loop
-    # does.
+    # expressions inlined (_aggregate_source), over the group's row of
+    # the state columns, inside the per-plan loops that probe, fold,
+    # eject and close (lfta_action, hfta_aggregate_fn, hfta_close_fn;
+    # DESIGN section 18).  Every argument is evaluated before any state
+    # is touched, so a DiscardTuple discards the tuple whole; an error
+    # raised by a fold leaves the slots before it folded, exactly as
+    # the generic loop does.
 
     def key_hash_format(self, group_exprs: Sequence[Expr]) -> Optional[bytes]:
         """The ``%d`` format that hashes this plan's group keys
@@ -434,20 +441,17 @@ class ExprCompiler:
         self,
         aggregates: Sequence[AggCall],
         slot_maps: Optional[Sequence[SlotMap]],
-        partial_base: Optional[int] = None,
-        row: Optional[str] = None,
+        row: str,
+        partial_base: int = 0,
     ) -> "_AggregateSource":
         """The statements ``aggregates`` unroll into (see
-        :class:`_AggregateSource`).
+        :class:`_AggregateSource`), over the group's row ``row`` of the
+        columns ``c0, c1, ...`` -- one per partial slot.
 
         ``slot_maps=None`` means the input carries partials, not the
         aggregates' arguments: ``args`` and the folds are then empty.
-        ``partial_base`` says where ``combine`` reads the partial
-        encoding: ``None`` for a sequence ``p``, else from slot
-        ``partial_base`` of the input tuple ``t``.  ``row`` names the
-        group's row in the columns ``c0, c1, ...`` -- one per partial
-        slot, the engine's layout -- and None renders the statements
-        over a state list ``s`` (AVG's pair a nested list) instead.
+        ``combine`` reads the partial encoding from slot
+        ``partial_base`` of the input tuple ``t`` on.
         """
         args: List[str] = []
         initial: List[str] = []
@@ -461,17 +465,9 @@ class ExprCompiler:
             name = agg.name
             value = f"v{index}"
             width = 2 if name == "AVG" else 1
-            if row is not None:
-                state = [f"c{cursor + i}[{row}]" for i in range(width)]
-            elif width == 1:
-                state = [f"s[{index}]"]
-            else:
-                state = [f"s[{index}][{i}]" for i in range(width)]
-            if partial_base is None:
-                encoded = [f"p[{cursor + i}]" for i in range(width)]
-            else:
-                encoded = [f"t[{partial_base + cursor + i}]"
-                           for i in range(width)]
+            state = [f"c{cursor + i}[{row}]" for i in range(width)]
+            encoded = [f"t[{partial_base + cursor + i}]"
+                       for i in range(width)]
             cursor += width
             partials += state
             if name != "COUNT" and slot_maps is not None:
@@ -527,36 +523,6 @@ class ExprCompiler:
             name, f"def {name}({signature}):\n" + "".join(
                 line + "\n" for line in _indent(body or ["pass"])), env)
 
-    def aggregate_kernels(
-        self,
-        aggregates: Sequence[AggCall],
-        slot_maps: Optional[Sequence[SlotMap]] = (None,),
-    ) -> Tuple[Callable, Optional[Callable], Optional[Callable],
-               Callable, Callable, Callable]:
-        """Generated ``(new_state, update, update_weighted, combine,
-        partials, final_values)`` for a plan.
-
-        ``new_state()`` is the list literal of an untouched group,
-        ``update(s, t)`` folds input tuple ``t`` into state list ``s``,
-        ``update_weighted(s, t, w)`` does so with Horvitz-Thompson
-        weight ``w``, ``combine(s, p)`` folds the partial encoding
-        ``p``, ``partials(s)`` / ``final_values(s)`` are the tuple
-        displays of the encoding and of the finished values.
-        ``slot_maps=None`` means the input carries partials, not the
-        aggregates' arguments: the two update kernels are then
-        ``None``.
-        """
-        src = self._aggregate_source(aggregates, slot_maps)
-        update = weighted = None
-        if slot_maps is not None:
-            update = self._link("s, t", src.args + src.fold)
-            weighted = self._link("s, t, w", src.args + src.fold_weighted)
-        return (self._link("", [f"return {src.initial!r}"]),
-                update, weighted,
-                self._link("s, p", src.combine),
-                self._link("s", ["return " + src.partials]),
-                self._link("s", ["return " + _tuple_src(src.finals)]))
-
     # The block kernels are linked against the operator that runs them:
     # they read and write the node's own attributes (``node.table``,
     # ``node._groups``, ``node._columns``, ``node._high_water``,
@@ -604,15 +570,14 @@ class ExprCompiler:
         loop: List[str] = []
         if partials:
             key_width = len(self.analyzed.group_exprs)
-            src = self._aggregate_source(plan.aggregates, None, key_width,
-                                         row="r")
+            src = self._aggregate_source(plan.aggregates, None, "r",
+                                         key_width)
             row = self._row_source(plan.predicates, (), slot_maps,
                                    target=None)
             loop += row.lines + [f"k = t[:{key_width}]"]
             window = "k[index]"
         else:
-            src = self._aggregate_source(plan.aggregates, slot_maps,
-                                         row="r")
+            src = self._aggregate_source(plan.aggregates, slot_maps, "r")
             row = self._row_source(plan.predicates, plan.group_exprs,
                                    slot_maps, src.args, target="g",
                                    parts=True)
@@ -637,12 +602,100 @@ class ExprCompiler:
             loop += probe + src.combine
         else:
             loop += [changed] + _indent(commit + probe) + src.fold
-        return self._link("node, rows", setup + [
+        row_loop = self._link("node, rows", setup + [
             "try:",
             "    for t in rows:",
         ] + _indent(loop, 2) + [
             "finally:",
             "    node.stats.discarded += dropped",
+        ])
+        if plan.run_slot is None:
+            return row_loop
+        return self._hfta_runs_fn(plan, row_loop.__name__, probe,
+                                  len(src.columns))
+
+    def _hfta_runs_fn(self, plan, row_loop: str, probe: List[str],
+                      width: int) -> Callable:
+        """The run loop of an aggregation the planner marked
+        (``plan.run_slot``, :func:`repro.gsql.planner._mark_runs`): the
+        same fold as the row loop ``row_loop``, a run at a time.
+
+        ``groupby`` cuts the block into runs of rows whose window
+        column ``s`` is equal.  Equal values give equal keys, so per
+        run the key is evaluated once, on the run's first value, and
+        the key-run test, the window check and the probe run once; the
+        folds become ``c0[r] += n`` (COUNT), ``sum``, ``min`` and
+        ``max`` over the run's column.  Everything that can raise runs
+        before the run touches a column: a ``DiscardTuple`` from the
+        key drops the whole run, as it would each of its rows; any
+        other exception -- from the key, a fold (a ``None`` summed),
+        a MIN/MAX compare or ``groupby`` itself (a short row) -- hands
+        the block, from the run's first row, to ``row_loop``, which
+        raises at the same row with the same state.  The window check
+        and probe the run made are the ones ``row_loop`` makes at that
+        row, and repeat as no-ops; an exception from a window close
+        propagates as the row loop's would.  A block shorter than
+        ``RUNS_FROM`` rows takes the row loop, and a shorter run hands
+        the rest of its block to it the same way.
+        """
+        slot_maps = tuple(plan.slot_maps)
+        with self._reading({plan.run_slot: "s"}):
+            keys = [self._compile(expr, slot_maps, 1)
+                    for expr in plan.group_exprs]
+        parts = [f"g{i}" for i in range(len(keys))]
+        empty, changed, commit = _key_run(
+            _RowSource([], _tuple_src(parts), parts), "r")
+        getters = {plan.run_slot}
+        values = [f"{part} = {key}" for part, key in zip(parts, keys)]
+        merges: List[str] = []
+        writes: List[str] = []
+        for j, agg in enumerate(plan.aggregates):
+            if agg.name == "COUNT":
+                writes.append(f"c{j}[r] += n")
+                continue
+            slot = self._column_slot(agg.arg, slot_maps)
+            getters.add(slot)
+            if agg.name == "SUM":
+                values.append(f"v{j} = sum(map(get{slot}, run))")
+                writes.append(f"c{j}[r] += v{j}")
+            else:
+                better = "<" if agg.name == "MIN" else ">"
+                values.append(f"v{j} = {agg.name.lower()}(map(get{slot}, run))")
+                merges += [f"m{j} = c{j}[r]",
+                           f"if m{j} is None or v{j} {better} m{j}:",
+                           f"    m{j} = v{j}"]
+                writes.append(f"c{j}[r] = m{j}")
+        if merges:
+            merges = ["try:"] + _indent(merges) + [
+                "except Exception:", "    break"]
+        setup = ["groups = node._groups", "dropped = 0", empty] + [
+            f"get{slot} = itemgetter({slot})" for slot in sorted(getters)
+        ] + _columns("node._columns", width) + _WINDOW_SETUP + ["at = 0"]
+        return self._link("node, rows", [
+            f"if len(rows) < {RUNS_FROM}:",
+            f"    return {row_loop}(node, rows)",
+        ] + setup + [
+            "try:",
+            f"    for s, run in groupby(rows, get{plan.run_slot}):",
+            "        try:",
+            "            run = [*run]",
+            "            n = len(run)",
+            f"            if n < {RUNS_FROM}:",
+            "                break",
+        ] + _indent(values, 3) + [
+            "        except DiscardTuple:",
+            "            dropped += n",
+            "            at += n",
+            "            continue",
+            "        except Exception:",
+            "            break",
+        ] + _indent([changed] + _indent(commit + probe) + merges + writes
+                    + ["at += n"], 2) + [
+            "    else:",
+            "        return",
+            "finally:",
+            "    node.stats.discarded += dropped",
+            f"return {row_loop}(node, rows[at:])",
         ])
 
     def hfta_join_fn(self, plan, side: int,
@@ -778,7 +831,7 @@ class ExprCompiler:
         emits the rows, so an exception at group *k* leaves the groups
         before it emitted and those after it open.
         """
-        src = self._aggregate_source(plan.aggregates, None, row="r")
+        src = self._aggregate_source(plan.aggregates, None, "r")
         if partials:
             close = [f"emit(k + {src.partials})"]
         else:
@@ -859,14 +912,19 @@ class ExprCompiler:
             raise CodegenError(f"bare aggregate {expr} reached codegen")
         raise CodegenError(f"cannot compile {expr!r}")
 
-    def _compile_column(self, expr: Column, slot_maps, arity) -> str:
+    def _column_slot(self, expr: Column, slot_maps) -> int:
+        """Where ``expr`` sits in its input's tuples."""
         bound = self.analyzed.binding_of(expr)
         if bound is None:
             raise CodegenError(f"unbound column {expr}")
         slot_map = slot_maps[bound.source_index] if bound.source_index < len(slot_maps) else None
-        slot = bound.attr_index if slot_map is None else slot_map[bound.attr_index]
+        return bound.attr_index if slot_map is None else slot_map[bound.attr_index]
+
+    def _compile_column(self, expr: Column, slot_maps, arity) -> str:
+        slot = self._column_slot(expr, slot_maps)
         if self._column_ref is not None:
             return self._column_ref(slot)
+        bound = self.analyzed.binding_of(expr)
         names = _ARG_NAMES[arity]
         var = names[bound.source_index] if arity == 2 else names[0]
         return f"{var}[{slot}]"
@@ -926,10 +984,9 @@ class ExprCompiler:
 
 
 class _AggregateSource(NamedTuple):
-    """One plan's aggregate list as source text, for the stand-alone
-    kernels and the block kernels alike.  Statements read the group's
-    state -- the state list ``s``, or one row of the columns ``c0, c1,
-    ...`` -- the input tuple ``t`` and the weight ``w``."""
+    """One plan's aggregate list as source text, for the block kernels.
+    Statements read the group's state -- one row of the columns ``c0,
+    c1, ...`` -- the input tuple ``t`` and the weight ``w``."""
 
     #: evaluate every aggregate argument; may raise DiscardTuple
     args: List[str]

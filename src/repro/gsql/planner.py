@@ -163,6 +163,12 @@ class HftaPlan:
     merge_slots: List[Tuple[int, int]] = field(default_factory=list)
     #: Bernoulli sampling rate for stream-input queries with no LFTA
     sample_rate: Optional[float] = None
+    #: an aggregation over raw tuples that folds runs of rows sharing
+    #: its window column's value: that column's input slot
+    #: (:func:`_mark_runs`); None folds row by row
+    run_slot: Optional[int] = None
+    #: why ``run_slot`` is None, for EXPLAIN
+    run_note: str = ""
 
 
 @dataclass
@@ -225,10 +231,14 @@ class QueryPlan:
                     f" keys={'[' + keys + ']' if keys else 'none (window scan)'}"
                     f" residual={len(hfta.predicates) - len(hfta.join_keys)}"
                 )
+            elif hfta.final_from_partials:
+                line += " run-cache=none (combines partials)"
+            elif hfta.run_slot is not None:
+                column = hfta.input_schemas[0].attributes[hfta.run_slot]
+                line += f" fold=runs({column.name})"
             elif hfta.kind == "aggregation":
-                line += (" run-cache=none (combines partials)"
-                         if hfta.final_from_partials else
-                         _run_cache(hfta.group_exprs))
+                line += (_run_cache(hfta.group_exprs)
+                         + f" fold=rows ({hfta.run_note})")
             lines.append(line)
         return "\n".join(lines)
 
@@ -250,6 +260,8 @@ def plan_query(analyzed: AnalyzedQuery, functions: FunctionRegistry,
             plan.lftas[0].sample_rate = analyzed.sample_rate
         elif plan.hfta is not None:
             plan.hfta.sample_rate = analyzed.sample_rate
+    if plan.hfta is not None and plan.hfta.kind == "aggregation":
+        _mark_runs(plan.hfta, analyzed)
     for lfta in plan.lftas:
         _mark_prefix(lfta, analyzed)
         # Header fields and scalar capture metadata are what a prefix
@@ -259,6 +271,61 @@ def plan_query(analyzed: AnalyzedQuery, functions: FunctionRegistry,
                 lfta.needed_fields(analyzed)):
             lfta.snaplen = SNAPLEN_HEADERS
     return plan
+
+
+def _mark_runs(hfta: HftaPlan, analyzed: AnalyzedQuery) -> None:
+    """Decide, from static types only, whether the aggregation ``hfta``
+    folds a run of rows that share its window column's value at once
+    (``ExprCompiler.hfta_aggregate_fn``; DESIGN section 18): set
+    ``run_slot`` or say in ``run_note`` why not.
+
+    Equal values of that column give equal keys, so a run is one group,
+    and the run's folds regroup exactly where the aggregates are COUNT
+    or SUM/MIN/MAX of an integer-typed column (integer addition is
+    associative; AVG's total is a float).  A predicate or a ``DEFINE
+    sample`` decides per row, so it keeps the row loop.
+    """
+    if hfta.final_from_partials:
+        return
+    if hfta.predicates:
+        hfta.run_note = "a predicate"
+        return
+    if hfta.sample_rate is not None:
+        hfta.run_note = "a sample"
+        return
+    if hfta.window_key_index < 0:
+        hfta.run_note = "no window"
+        return
+    read = {(bound.source_index, bound.attr_index): node
+            for expr in hfta.group_exprs for node in expr.walk()
+            if isinstance(node, Column)
+            and (bound := analyzed.binding_of(node)) is not None}
+    if len(read) != 1:
+        hfta.run_note = "a second column"
+        return
+    column, = read.values()
+    if not _integer_column(column, analyzed):
+        hfta.run_note = "a non-integer window column"
+        return
+    for agg in hfta.aggregates:
+        if agg.name == "AVG":
+            hfta.run_note = "a float total"
+            return
+        if agg.name != "COUNT" and not _integer_column(agg.arg, analyzed):
+            what = ("a non-integer column" if isinstance(agg.arg, Column)
+                    else "an expression")
+            hfta.run_note = f"{agg.name.lower()} of {what}"
+            return
+    attr_index = analyzed.binding_of(column).attr_index
+    slot_map = hfta.slot_maps[0]
+    hfta.run_slot = attr_index if slot_map is None else slot_map[attr_index]
+
+
+def _integer_column(expr: Expr, analyzed: AnalyzedQuery) -> bool:
+    """``expr`` is a bare column of an integer GSQL type."""
+    gsql_type = analyzed.types.get(id(expr))
+    return (isinstance(expr, Column) and gsql_type is not None
+            and gsql_type.python_type is int)
 
 
 class _Planner:

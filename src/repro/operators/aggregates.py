@@ -13,11 +13,10 @@ COUNT combines by summing counts; SUM by summing; MIN/MAX by min/max;
 AVG carries a (sum, count) pair across the split.
 
 The generic loops below are the definition, and the reference the
-generated code is tested against.  A plan replaces every method with a
-straight-line kernel generated for its aggregate list, and the engine's
-block loops inline the same statements
-(``ExprCompiler.aggregate_kernels``, ``lfta_action`` /
-``hfta_aggregate_fn``; DESIGN section 18).
+generated code is tested against: the engine's block loops inline
+straight-line statements generated for a plan's aggregate list, over
+columns of group state (``ExprCompiler.lfta_action`` /
+``hfta_aggregate_fn`` / ``hfta_close_fn``; DESIGN section 18).
 """
 
 from __future__ import annotations
@@ -74,21 +73,6 @@ class AggregateOps:
         self.arg_fns = list(arg_fns)
         self.layout = partial_layout(aggregates)
         self.partial_width = sum(self.layout)
-
-    @classmethod
-    def for_plan(cls, compiler, aggregates: Sequence[AggCall],
-                 slot_maps) -> "AggregateOps":
-        """The ops of one plan's aggregate list, built by its compiler:
-        every method is the straight-line kernel generated for exactly
-        this list (``ExprCompiler.aggregate_kernels``).
-        ``slot_maps=None`` says the input carries partials:
-        ``update``/``update_weighted`` are not usable then.
-        """
-        ops = cls(aggregates, [None] * len(aggregates))
-        (ops.new_state, ops.update, ops.update_weighted, ops.combine,
-         ops.partials, ops.final_values) = compiler.aggregate_kernels(
-             aggregates, slot_maps)
-        return ops
 
     # -- per-tuple accumulation ------------------------------------------
     #
