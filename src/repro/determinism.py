@@ -29,17 +29,19 @@ Three tools enforce that contract:
   is a function of its input sequence, so every arm must agree with the
   reference arm (default block size, single process, no crash) on
   everything :func:`comparable` keeps for the fields they differ in --
-  DESIGN section 9 has the table.  Each ``@scenario`` declares the axes
-  it really has; asking for any other is an :class:`ArmError`, never a
-  pass.
+  DESIGN section 9 has the table.  Each ``@scenario`` declares its
+  seed, the axes it really has and the arms ``verify`` runs; asking for
+  any other axis is an :class:`ArmError`, never a pass.
 
 Command line (via the :mod:`repro.replay` shim)::
 
+    python -m repro.replay verify --hash-seeds 1 31337
+    python -m repro.replay verify --scenario e4 --arm block=7
     python -m repro.replay run --scenario shard_e2 --arm topology=shards:4
-    python -m repro.replay verify --scenario mixed e4 --seed 7
-    python -m repro.replay verify --scenario e4 --arm block=1 block=7
 
-``verify`` without ``--arm`` diffs the arms each scenario declares.
+``verify`` without ``--scenario`` runs every registered scenario,
+without ``--arm`` the arms each declares, and without ``--seed`` each
+at the seed it declares: the first line is the whole replay contract.
 """
 
 from __future__ import annotations
@@ -143,6 +145,10 @@ class ArmError(ValueError):
     """A malformed arm, or an axis the scenario does not declare."""
 
 
+#: the largest ``PYTHONHASHSEED`` the interpreter accepts
+_MAX_HASH_SEED = 2**32 - 1
+
+
 #: ``--arm`` key -> :class:`Arm` field (``hash_seed`` has no key: it is
 #: the child's ``PYTHONHASHSEED``, fixed before the interpreter starts)
 _ARM_KEYS = {"block": "block_size", "topology": "topology", "crash": "crash"}
@@ -159,8 +165,9 @@ class Arm:
     ``SHARD:PACKET_INDEX`` (``ShardedGigascope(crash=)``), for
     ``standby:CADENCE`` a ``packet:K | frame:N[:torn]``
     (``ReplicatedGigascope(crash=)``).  Every field is validated here,
-    by the validator of the constructor it ends up in, so a malformed
-    arm never reaches a child process.
+    by the validator of the constructor it ends up in (``hash_seed`` by
+    the interpreter's own range), so a malformed arm never reaches a
+    child process.
     """
 
     hash_seed: Optional[str] = None
@@ -173,6 +180,16 @@ class Arm:
         from repro.replication import (parse_crash_spec,
                                        resolve_replicate_cadence)
         from repro.shard.runtime import parse_crash
+        seed = self.hash_seed
+        if seed == "random":
+            raise ArmError("bad hash seed 'random': a PYTHONHASHSEED=random "
+                           "report line cannot be pasted back to rerun the "
+                           "same arm")
+        if seed is not None and not (
+                isinstance(seed, str) and seed.isascii() and seed.isdigit()
+                and int(seed) <= _MAX_HASH_SEED):
+            raise ArmError(f"bad hash seed {seed!r}: PYTHONHASHSEED takes "
+                           f"an integer 0..{_MAX_HASH_SEED}")
         kind, _, param = self.topology.partition(":")
         try:
             resolve_batch_size(self.block_size)
@@ -232,6 +249,8 @@ class Arm:
 class Axes:
     """What a scenario declares it can vary (see :func:`scenario`)."""
 
+    #: the seed ``run``/``verify`` use when given none
+    seed: Optional[int] = None
     #: ``(node, at_tuple)``: the transient crash ``crash=NODE`` arms
     #: under ``topology=single``; None: no crash to ask for
     crash: Optional[Tuple[str, int]] = None
@@ -260,8 +279,9 @@ class Axes:
 class LastRun:
     """The scenario in flight and the last engine it built:
     :func:`run_scenario` sets ``axes``, :func:`engine_for` reads the
-    declared crash target off it and records ``engine`` (CI's failure
-    artifacts hand it to :func:`repro.report.plane_reports`)."""
+    declared crash target off it and records ``engine``, whose state
+    log and :func:`repro.report.plane_reports` are what a failed
+    ``verify`` is debugged from."""
 
     axes = Axes()
     engine = None
@@ -311,7 +331,9 @@ SCENARIOS: Dict[str, Callable[[int, Arm], Dict[str, Any]]] = {}
 
 def scenario(name: Optional[str] = None, **axes):
     """Declare a scenario callable's :class:`Axes` and register it under
-    ``name`` (None: declare only, for a ``module:callable`` scenario)."""
+    ``name`` (None: declare only, for a ``module:callable`` scenario).
+    The registered scenarios, each at its declared seed with its
+    declared arms, are the table ``verify`` runs by default."""
     def declare(fn):
         fn.axes = Axes(**axes)
         if name is not None:
@@ -369,7 +391,7 @@ def _drive(gs, subs, packets, pump_every: int = 256,
     return snapshot(gs, subs)
 
 
-@scenario("mixed", arms=("block=1",))
+@scenario("mixed", seed=7, arms=("block=1",))
 def _mixed_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """Sampling + shedding + LFTA aggregation, all drawing randomness.
 
@@ -393,7 +415,7 @@ def _mixed_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     return _drive(gs, subs, _zipf(seed), pump_every=128)
 
 
-@scenario("e4", arms=("block=1", "block=7"))
+@scenario("e4", seed=3, arms=("block=1", "block=7"))
 def _e4_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """E4-style aggregation sweep step: small table, skewed flows.
 
@@ -418,9 +440,12 @@ def _e4_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
 # recovery supervisor with identical settings, so the only difference
 # is the crash and the restore/replay that repairs it: recovery is
 # correct exactly when the two arms are byte-identical.  The reference
-# runs at the default block size, so the crash lands inside a block.
+# runs at the default block size, so the crash lands inside a block;
+# ``recovery_agg`` and ``recovery_join`` also declare ``block=1`` and
+# ``block=7`` for their generated window close and join loop.
 
-@scenario("recovery_agg", crash=("flows", 400), arms=("crash=flows",))
+@scenario("recovery_agg", seed=7, crash=("flows", 400),
+          arms=("crash=flows", "block=1", "block=7"))
 def _recovery_agg_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """Aggregation crash mid-stream: HFTA group state restored+replayed."""
     gs = engine_for(arm, seed, lfta_table_size=64, channel_capacity=256,
@@ -431,7 +456,8 @@ def _recovery_agg_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     return _drive(gs, subs, _zipf(seed), pump_every=64)
 
 
-@scenario("recovery_join", crash=("j", 150), arms=("crash=j",))
+@scenario("recovery_join", seed=7, crash=("j", 150),
+          arms=("crash=j", "block=1", "block=7"))
 def _recovery_join_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """Join crash mid-stream: window buffers restored, pairs replayed."""
     from repro.net.build import build_tcp_frame, capture
@@ -458,7 +484,8 @@ def _recovery_join_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     return _drive(gs, subs, packets, pump_every=32)
 
 
-@scenario("recovery_tcp", crash=("tcpre0", 300), arms=("crash=tcpre0",))
+@scenario("recovery_tcp", seed=7, crash=("tcpre0", 300),
+          arms=("crash=tcpre0",))
 def _recovery_tcp_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """TCP-reassembly crash: flow tables and out-of-order buffers survive.
 
@@ -525,7 +552,7 @@ def _alert_scenario(seed: int, arm: Arm, query: str, trigger: str,
     return _drive(gs, subs, packets, pump_every=64)
 
 
-@scenario("alerts_syn_flood", crash=("alert_synflood", 2),
+@scenario("alerts_syn_flood", seed=0, crash=("alert_synflood", 2),
           arms=("crash=alert_synflood",))
 def _alerts_syn_flood_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """SYN-flood detection through the trigger layer, crash-restartable.
@@ -546,7 +573,7 @@ def _alerts_syn_flood_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
          "raise_for=1,clear_for=2,severity=critical", attack.packets)
 
 
-@scenario("alerts_port_scan", crash=("alert_portscan", 2),
+@scenario("alerts_port_scan", seed=0, crash=("alert_portscan", 2),
           arms=("crash=alert_portscan",))
 def _alerts_port_scan_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """Port-scan detection through the trigger layer, crash-restartable."""
@@ -615,7 +642,7 @@ def _telemetry_scenario(seed: int, arm: Arm, streams: Tuple[str, ...],
     return comparable(snapshot_engine(gs, subs))
 
 
-@scenario("telemetry_meta")
+@scenario("telemetry_meta", seed=0)
 def _telemetry_meta_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """Every ``_gs_*`` stream plus meta-query and meta-alert, under an
     injected channel storm.  The hash-seed replay target: all five
@@ -627,7 +654,7 @@ def _telemetry_meta_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
         faults=("channel_storm:at=3.0,duration=2.0,capacity=4",))
 
 
-@scenario("telemetry_crash", crash=("chan_drops", 40),
+@scenario("telemetry_crash", seed=0, crash=("chan_drops", 40),
           arms=("crash=chan_drops",))
 def _telemetry_crash_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """Meta-query crash mid-stream (``chan_drops`` has seen ~half the
@@ -653,7 +680,7 @@ def _telemetry_crash_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
 _SHARD_ARMS = ("topology=shards:4", "topology=shards:4,crash=1:600")
 
 
-@scenario("shard_flows", topologies=("single", "shards"), arms=_SHARD_ARMS)
+@scenario("shard_flows", seed=7, topologies=("single", "shards"), arms=_SHARD_ARMS)
 def _shard_flows_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """Zipf flow aggregation, single-process vs stripe-partitioned shards.
 
@@ -667,7 +694,7 @@ def _shard_flows_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     return _drive(gs, subs, _zipf(seed), pump_every=128, snapshot=_rows)
 
 
-@scenario("shard_e2", topologies=("single", "shards"), arms=_SHARD_ARMS)
+@scenario("shard_e2", seed=7, topologies=("single", "shards"), arms=_SHARD_ARMS)
 def _shard_e2_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """The E2 deployment shape: two merged links feeding an aggregation.
 
@@ -715,7 +742,7 @@ def _shard_e2_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
 # is never diffed, only asserted on: a crash arm must actually have
 # promoted, a clean arm must not.
 
-@scenario("failover_agg", topologies=("single", "standby"),
+@scenario("failover_agg", seed=7, topologies=("single", "standby"),
           arms=("topology=standby:0.5",) + tuple(
               f"topology=standby:0.5,crash={crash}" for crash in
               ("packet:700", "frame:0", "frame:2", "frame:2:torn")))
@@ -761,10 +788,17 @@ def axes_of(name: str) -> Axes:
     return getattr(resolve_scenario(name), "axes", Axes())
 
 
-def run_scenario(name: str, seed: int = 0, arm: Optional[Arm] = None
-                 ) -> Dict[str, Any]:
+def seed_for(name: str, seed: Optional[int] = None) -> int:
+    """``seed``, or (None) the one scenario ``name`` declares (else 0)."""
+    return (axes_of(name).seed or 0) if seed is None else seed
+
+
+def run_scenario(name: str, seed: Optional[int] = None,
+                 arm: Optional[Arm] = None) -> Dict[str, Any]:
     """Run one arm of a scenario (None: the reference) in this process
-    and return its snapshot; ``arm.hash_seed`` cannot be applied here."""
+    at ``seed`` (None: the declared one) and return its snapshot;
+    ``arm.hash_seed`` cannot be applied here."""
+    seed = seed_for(name, seed)
     arm = arm or Arm()
     LastRun.axes = axes_of(name)
     LastRun.axes.check(name, arm)
@@ -922,12 +956,14 @@ def plan(scenario_name: str, hash_seeds: Tuple[str, ...] = ("1", "2"),
     return pairs
 
 
-def verify(scenario_name: str, seed: int = 0,
+def verify(scenario_name: str, seed: Optional[int] = None,
            hash_seeds: Tuple[str, ...] = ("1", "2"),
            arms: Optional[Tuple[Any, ...]] = None) -> List[ReplayReport]:
-    """Run each arm of :func:`plan` once, in a subprocess, and diff the
-    pairs.  A passing report means its two arms agree on everything
-    :func:`comparable` keeps for the fields they differ in."""
+    """Run each arm of :func:`plan` once, in a subprocess, at ``seed``
+    (None: the declared one), and diff the pairs.  A passing report
+    means its two arms agree on everything :func:`comparable` keeps for
+    the fields they differ in."""
+    seed = seed_for(scenario_name, seed)
     snapshots: Dict[Arm, Dict[str, Any]] = {}
     reports = []
     for pair in plan(scenario_name, hash_seeds, arms):
@@ -964,23 +1000,25 @@ def main(argv: Optional[List[str]] = None) -> int:
     verify_cmd = commands.add_parser(
         "verify", help="run each scenario's arms under each "
                        "PYTHONHASHSEED and diff them against the reference")
-    verify_cmd.add_argument("--scenario", nargs="+", default=["mixed"],
-                            metavar="S")
+    verify_cmd.add_argument("--scenario", nargs="+", metavar="S",
+                            help="default: every registered scenario")
     verify_cmd.add_argument("--hash-seeds", nargs="+", default=["1", "2"],
-                            metavar="H")
+                            metavar="H", help="integers 0..4294967295")
     verify_cmd.add_argument("--arm", nargs="+", action="extend",
                             metavar="SPEC",
                             help="arms to diff against the reference "
                                  "(default: the ones each scenario declares)")
     for sub in (run_cmd, verify_cmd):
-        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--seed", type=int,
+                         help="default: the seed each scenario declares")
     args = parser.parse_args(argv)
     try:  # every refusal happens here, before anything runs
         if args.command == "run":
             arm = Arm.parse(args.arm)
             axes_of(args.scenario).check(args.scenario, arm)
         else:
-            for name in args.scenario:
+            names = args.scenario or list(SCENARIOS)
+            for name in names:
                 plan(name, args.hash_seeds, args.arm)
     except (ArmError, KeyError) as error:
         parser.error(str(error.args[0]))
@@ -990,7 +1028,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stdout.write("\n")
         return 0
     ok = True
-    for name in args.scenario:
+    for name in names:
         for report in verify(name, args.seed, args.hash_seeds, args.arm):
             print(report.describe(), flush=True)
             ok = ok and report.ok

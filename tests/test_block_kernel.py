@@ -14,8 +14,8 @@ interface's run -- rows, ``NodeStats``,
 Hypothesis moves the traffic (eth0, eth1, an interface nobody reads,
 ``any`` consumers), the block size, the pump cadence, which LFTA sheds,
 which one an injected fault wraps, and whether a UDF raising mid-block
-gets its LFTA quarantined or recovered.  Derandomized; CI's
-``columnar-smoke`` job runs this file under two hash seeds.
+gets its LFTA quarantined or recovered.  Derandomized; the tier-1
+suite runs under two hash seeds in CI.
 """
 
 import math

@@ -9,6 +9,7 @@ ledgers, and group-ejection counts.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,9 +26,11 @@ from repro.determinism import (
     compare,
     derive_seed,
     main,
+    plan,
     resolve_scenario,
     rng_for,
     run_scenario,
+    seed_for,
     stable_hash,
     verify,
     verify_replay,
@@ -177,26 +180,42 @@ class TestArm:
         with pytest.raises(ArmError, match="9:10"):
             Arm(topology="shards:4", crash="9:10")
 
+    @pytest.mark.parametrize("bad", ["abc", "-1", "+1", " 1", "4294967296",
+                                     "\u0661", 1])
+    def test_hash_seed_is_one_the_interpreter_takes(self, bad):
+        """``PYTHONHASHSEED`` takes an integer 0..2**32-1; a child
+        started with anything else dies before it prints a snapshot."""
+        with pytest.raises(ArmError, match=re.escape(f"bad hash seed {bad!r}")):
+            Arm(hash_seed=bad)
 
-#: every registered scenario's declared axes, literally: dropping an
-#: arm (or a topology, or a crash target) is a diff of this table
+    def test_random_hash_seed_is_refused_with_the_reason(self):
+        assert Arm(hash_seed="0") != Arm(hash_seed="4294967295")
+        with pytest.raises(ArmError, match="cannot be pasted back"):
+            Arm(hash_seed="random")
+
+
+#: every registered scenario's declared seed and axes, literally:
+#: dropping an arm (or a topology, a crash target, or moving a seed)
+#: is a diff of this table -- the one ``replay verify`` runs
 _SHARD_ARMS = ("topology=shards:4", "topology=shards:4,crash=1:600")
+_BLOCKS = ("block=1", "block=7")
 ARM_MATRIX = {
-    "mixed": (None, ("single",), ("block=1",)),
-    "e4": (None, ("single",), ("block=1", "block=7")),
-    "recovery_agg": (("flows", 400), ("single",), ("crash=flows",)),
-    "recovery_join": (("j", 150), ("single",), ("crash=j",)),
-    "recovery_tcp": (("tcpre0", 300), ("single",), ("crash=tcpre0",)),
-    "alerts_syn_flood": (("alert_synflood", 2), ("single",),
+    "mixed": (7, None, ("single",), ("block=1",)),
+    "e4": (3, None, ("single",), _BLOCKS),
+    "recovery_agg": (7, ("flows", 400), ("single",),
+                     ("crash=flows",) + _BLOCKS),
+    "recovery_join": (7, ("j", 150), ("single",), ("crash=j",) + _BLOCKS),
+    "recovery_tcp": (7, ("tcpre0", 300), ("single",), ("crash=tcpre0",)),
+    "alerts_syn_flood": (0, ("alert_synflood", 2), ("single",),
                          ("crash=alert_synflood",)),
-    "alerts_port_scan": (("alert_portscan", 2), ("single",),
+    "alerts_port_scan": (0, ("alert_portscan", 2), ("single",),
                          ("crash=alert_portscan",)),
-    "telemetry_meta": (None, ("single",), ()),
-    "telemetry_crash": (("chan_drops", 40), ("single",),
+    "telemetry_meta": (0, None, ("single",), ()),
+    "telemetry_crash": (0, ("chan_drops", 40), ("single",),
                         ("crash=chan_drops",)),
-    "shard_flows": (None, ("single", "shards"), _SHARD_ARMS),
-    "shard_e2": (None, ("single", "shards"), _SHARD_ARMS),
-    "failover_agg": (None, ("single", "standby"), (
+    "shard_flows": (7, None, ("single", "shards"), _SHARD_ARMS),
+    "shard_e2": (7, None, ("single", "shards"), _SHARD_ARMS),
+    "failover_agg": (7, None, ("single", "standby"), (
         "topology=standby:0.5",
         "topology=standby:0.5,crash=packet:700",
         "topology=standby:0.5,crash=frame:0",
@@ -207,13 +226,44 @@ ARM_MATRIX = {
 
 class TestDeclaredAxes:
     def test_the_arm_matrix(self):
-        assert {name: (fn.axes.crash, fn.axes.topologies, fn.axes.arms)
+        assert {name: (fn.axes.seed, fn.axes.crash, fn.axes.topologies,
+                       fn.axes.arms)
                 for name, fn in SCENARIOS.items()} == ARM_MATRIX
 
-    def test_every_declared_arm_parses_and_is_accepted(self):
-        for name, (_, _, arms) in ARM_MATRIX.items():
-            for text in arms:
-                axes_of(name).check(name, Arm.parse(text))
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_every_scenario_declares_a_seed_and_plannable_arms(self, name):
+        """``verify`` with no ``--scenario`` runs this row: a seed, and
+        every declared arm under each default hash seed."""
+        axes = axes_of(name)
+        assert axes.seed is not None and seed_for(name) == axes.seed
+        planned = {(right.hash_seed, right.spec())
+                   for _, right in plan(name)}
+        assert planned >= {(hash_seed, Arm.parse(text).spec())
+                           for hash_seed in ("1", "2") for text in axes.arms}
+
+    def test_an_explicit_seed_overrides_the_declared_one(self):
+        assert seed_for("e4") == 3 and seed_for("e4", 5) == 5
+        assert seed_for("e4", 0) == 0
+        assert seed_for("tests.leaky_scenarios:hash_in_row") == 0
+
+    @pytest.mark.parametrize("path", [".github/workflows/ci.yml",
+                                      ".claude/skills/verify/SKILL.md"])
+    def test_ci_and_the_verify_recipe_pick_nothing_by_hand(self, path):
+        """Tier-1 is every test file and ``replay verify`` is every
+        scenario, so a change that adds either touches neither file."""
+        text = (REPO / path).read_text()
+        assert re.findall(r"tests/\S*\.py", text) == []
+        assert "--scenario" not in text
+
+    def test_verify_without_a_scenario_runs_the_whole_table(self,
+                                                            monkeypatch):
+        import repro.determinism as determinism
+        calls = []
+        monkeypatch.setattr(determinism, "verify",
+                            lambda *args: calls.append(args) or [])
+        assert main(["verify", "--hash-seeds", "1", "31337"]) == 0
+        assert calls == [(name, None, ["1", "31337"], None)
+                         for name in SCENARIOS]
 
     @pytest.mark.parametrize("name, arm, axis", [
         ("mixed", "crash=flows", "crash"),
@@ -258,6 +308,11 @@ class TestDeclaredAxes:
           "topology=single,crash=frame:2"], ("frame:2",)),
         (["--scenario", "no_such_scenario"], ("no_such_scenario",)),
         (["--scenario", "tests.leaky_scenarios:missing"], ("missing",)),
+        # ``run`` has no --hash-seeds: argparse names the value there
+        (["--hash-seeds", "abc", "1"], ("abc",)),
+        (["--hash-seeds", "-1"], ("-1",)),
+        (["--hash-seeds", "4294967296"], ("4294967296",)),
+        (["--hash-seeds", "random"], ("random",)),
     ])
     @pytest.mark.parametrize("command", ["run", "verify"])
     def test_cli_refusals_exit_2_naming_the_offender(self, command, argv,
@@ -376,6 +431,16 @@ class TestVerify:
         assert sizes and sizes != [
             family for family in first["metrics"]["metrics"]
             if family["name"].startswith("gs_batch")]
+
+    @pytest.mark.parametrize("name", ["mixed", "e4"])
+    def test_declared_row_replays_under_the_default_hash_seeds(self, name):
+        """``verify(name)``: the declared seed and arms under hash seeds
+        1 and 2, the row ``replay verify`` runs under 1 and 31337."""
+        reports = verify(name)
+        assert {report.seed for report in reports} == {seed_for(name)}
+        assert len(reports) == 1 + 2 * len(axes_of(name).arms)
+        for report in reports:
+            assert report.ok, report.describe()
 
     def test_one_hash_seed_runs_each_arm_once(self):
         reports = verify("e4", seed=3, hash_seeds=("4", "4"),

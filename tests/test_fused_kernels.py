@@ -16,8 +16,7 @@ shapes, for header-only and ``data`` payload plans, under shedding with
 the Horvitz-Thompson weight, with a ``DEFINE sample`` draw, through the
 lean form and the full one, as a member of a block kernel's decode
 group and alone, and across a snapshot/restore in the middle of the
-run.  CI's
-``columnar-smoke`` job runs this file under two hash seeds.
+run.  The tier-1 suite runs under two hash seeds in CI.
 
 Nothing here raises mid-block: what an exception leaves behind is the
 one place the two differ by design (``tests/test_row_exactness.py``).

@@ -18,7 +18,7 @@ Rows in emit order, ``tuples_in``, ``discarded``, ``tuples_out`` and
 ``sampled_out`` must agree, at block sizes 1/7/256, over
 ``tests/test_columnar.py``'s truncation corpus widened with TCP options
 and enough header variety for every conjunct shape to both keep and
-kill.  CI's ``columnar-smoke`` job runs this file under two hash seeds.
+kill.  The tier-1 suite runs under two hash seeds in CI.
 """
 
 import copy

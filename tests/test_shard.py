@@ -6,7 +6,7 @@ Three contracts under test:
   shard, a shard's packets keep stream order, sizes differ by at most
   one stripe, and the ledger's arithmetic (``shard_size``) equals a
   direct count -- nothing is hashed, so nothing can move with
-  ``PYTHONHASHSEED`` (CI runs this file under two seeds anyway);
+  ``PYTHONHASHSEED`` (CI runs the tier-1 suite under two seeds anyway);
 * the runtime: sharded output is byte-identical to single-process --
   clean, for any input length and shard count, across a worker
   crash/restart (checkpoint resume and restart-from-scratch), and with
