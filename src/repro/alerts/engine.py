@@ -29,6 +29,7 @@ from repro.alerts.spec import AlertSpecError, TriggerSpec, parse_alert_spec
 from repro.alerts.spec import EpochContext
 from repro.core.channels import Channel
 from repro.core.query_node import QueryNode
+from repro.core.stream_manager import RegistryError
 from repro.gsql.ordering import Ordering
 from repro.gsql.schema import Attribute, StreamSchema
 from repro.gsql.types import FLOAT, IP, STRING, UINT
@@ -424,7 +425,7 @@ class AlertEngine:
                 "name", f"trigger {spec.name!r} already exists")
         try:
             schema = self.engine.schema_of(spec.on)
-        except KeyError:
+        except RegistryError:
             raise AlertSpecError(
                 "on", f"unknown query or stream {spec.on!r}") from None
         spec.validate_fields(schema)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 from typing import Iterable, List, Optional
@@ -282,8 +283,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             ("--max-restarts", args.max_restarts, ">= 0"),
             ("--telemetry-interval", args.telemetry_interval, ">= 0"),
             ("--promote-after", args.promote_after, ">= 0")):
-        if value is not None and (value <= 0 if least == "positive"
-                                  else value < 0):
+        if value is None:
+            continue
+        if not math.isfinite(value):
+            parser.error(f"{flag} must be finite, got {value}")
+        if value <= 0 if least == "positive" else value < 0:
             parser.error(f"{flag} must be {least}, got {value}")
     if args.trace_out and args.trace_sample is None:
         parser.error("--trace-out requires --trace-sample")

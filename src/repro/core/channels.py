@@ -16,6 +16,7 @@ single pushes would.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Any, Deque, Iterable, Iterator, List, Optional
 
@@ -29,6 +30,16 @@ def check_positive_int(name: str, value, allow_none: bool = False) -> None:
         return
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
+def check_finite(name: str, value) -> None:
+    """Refuse a seconds or factor argument ``name`` that is not a finite
+    number, with a ``ValueError`` naming it.  A NaN compares false with
+    everything, so a window or an interval it set would switch its
+    plane off without a word."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 class ChannelStats:

@@ -282,9 +282,7 @@ class Gigascope:
         Application subscriptions to the removed streams simply stop
         receiving.
         """
-        instance = self._instances.get(name)
-        if instance is None:
-            raise RegistryError(f"no query named {name!r}")
+        instance = self._instance(name)
         produced = {node.name for node in instance.nodes}
         for other_name, other in self._instances.items():
             if other_name == name or other.plan.hfta is None:
@@ -489,13 +487,19 @@ class Gigascope:
         nic.tracer = self.rts.tracer
 
     # -- introspection ------------------------------------------------------------
+    def _instance(self, name: str) -> QueryInstance:
+        instance = self._instances.get(name)
+        if instance is None:
+            raise RegistryError(f"no query named {name!r}")
+        return instance
+
     def plan_of(self, name: str) -> QueryPlan:
-        return self._instances[name].plan
+        return self._instance(name).plan
 
     def explain(self, name: str) -> str:
         """The plan plus its static cost estimate (EXPLAIN-style)."""
         from repro.gsql.costing import estimate_plan_cost
-        plan = self._instances[name].plan
+        plan = self._instance(name).plan
         estimate = estimate_plan_cost(plan, self.functions)
         text = plan.describe()
         for lfta in plan.lftas:
@@ -505,27 +509,34 @@ class Gigascope:
         return text + "\n" + estimate.describe()
 
     def schema_of(self, name: str) -> StreamSchema:
-        return self._streams[name]
+        schema = self._streams.get(name)
+        if schema is None:
+            raise RegistryError(f"no stream named {name!r}")
+        return schema
 
     def stats(self) -> Dict[str, Dict[str, int]]:
         return self.rts.stats()
 
     def generated_code(self, name: str) -> str:
         """The Python the code generator produced for this query."""
-        return "\n".join(self._instances[name].compiler.generated_sources)
+        return "\n".join(self._instance(name).compiler.generated_sources)
 
     # -- parameters ------------------------------------------------------------------
     def set_param(self, query_name: str, param: str, value: Any) -> None:
         """Change a query parameter on the fly (Section 3)."""
-        instance = self._instances[query_name]
-        if param not in instance.compiler.params:
+        self._params(query_name, param)[param] = value
+
+    def get_param(self, query_name: str, param: str) -> Any:
+        return self._params(query_name, param)[param]
+
+    def _params(self, query_name: str, param: str) -> Dict[str, Any]:
+        """The parameter dict of ``query_name``, which has ``param``."""
+        params = self._instance(query_name).compiler.params
+        if param not in params:
             raise RegistryError(
                 f"query {query_name!r} has no parameter {param!r}"
             )
-        instance.compiler.params[param] = value
-
-    def get_param(self, query_name: str, param: str) -> Any:
-        return self._instances[query_name].compiler.params[param]
+        return params
 
     # -- run-time delegation -----------------------------------------------------------
     def subscribe(self, name: str, capacity: Optional[int] = None) -> Subscription:

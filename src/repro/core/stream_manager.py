@@ -14,8 +14,11 @@ One generated loop per block, the *block kernel*, runs every LFTA with
 a layout in place -- a shedding one included, its gate drawn inside its
 own section -- and collects a run per interface for the consumers it
 cannot run: row-adapter LFTAs, user-written packet operators, and an
-LFTA an injected fault wraps.  HFTAs are separate query nodes connected
-by channels and driven by :meth:`RuntimeSystem.pump`.
+LFTA an injected fault wraps, each of which parses its packets itself.
+A lineage-sampled packet takes the same kernel as a block of one; its
+trace observes the run, it does not change the plan.  HFTAs are
+separate query nodes connected by channels and driven by
+:meth:`RuntimeSystem.pump`.
 
 There is one tuple path (DESIGN section 10): packets move in blocks of
 up to ``batch_size`` from ``feed`` through the LFTAs, and ``pump``
@@ -42,7 +45,6 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
 from repro.core.channels import Channel, check_positive_int
 from repro.core.heartbeat import FLUSH, FlushToken, Punctuation
 from repro.core.query_node import QueryNode
-from repro.gsql.schema import PacketView
 from repro.net.columnar import (Branch, block_kernel, describe_formats,
                                 distinct_tests)
 from repro.net.packet import CapturedPacket
@@ -68,31 +70,6 @@ EVENTS = ("on_start", "on_packet", "journal_packets", "journal_heartbeat",
 #: push rows into those channels, and a checkpoint is folded before the
 #: same boundary is shipped (DESIGN section 8.1).
 PHASES = ("faults", "shed", "telemetry", "alerts", "recovery", "replication")
-
-
-class _DispatchPlan(NamedTuple):
-    """Consumers a block kernel does not cover, handed their run one
-    consumer at a time (:meth:`RuntimeSystem._dispatch_run`)."""
-
-    #: ``(node, accept_batch or None, wants_view)`` per consumer
-    entries: tuple
-    #: build one shared :class:`PacketView` per packet of a run: more
-    #: than one such consumer sees the packet -- own plus ``"any"`` --
-    #: and at least one wants it
-    share_views: bool
-    #: some consumer of ``entries`` wants views
-    wants_view: bool
-
-
-def _consumer_plan(nodes, also_seen=()) -> _DispatchPlan:
-    """The dispatch plan of ``nodes``; ``also_seen`` see their packets
-    too (the ``"any"`` consumers, for an interface's run)."""
-    entries = tuple((node, getattr(node, "accept_batch", None),
-                     getattr(node, "accepts_view", False)) for node in nodes)
-    seen_by = [*nodes, *also_seen]
-    share = len(seen_by) > 1 and any(
-        getattr(node, "accepts_view", False) for node in seen_by)
-    return _DispatchPlan(entries, share, any(entry[2] for entry in entries))
 
 
 def _reading(coverable: tuple) -> tuple:
@@ -133,10 +110,10 @@ class _BlockPlan(NamedTuple):
     entry: Optional[Callable]
     #: the LFTAs it runs, in its member order
     members: tuple
-    #: ``(interface, _DispatchPlan)`` per run it collects, in order
+    #: the consumers of each run it collects, in order
     runs: tuple
     #: the ``"any"`` consumers it does not cover (handed the block)
-    any_plan: _DispatchPlan
+    spare_any: tuple
     #: what it was generated from
     branches: tuple
 
@@ -195,7 +172,7 @@ class RuntimeSystem:
         #: block plans by their members' forms (:meth:`_block_plan`)
         #: and the LFTAs a kernel can cover, rebuilt lazily after any
         #: change to the consumer set (:meth:`_replan`)
-        self._batch_plans: Dict[Optional[tuple], _BlockPlan] = {}
+        self._batch_plans: Dict[tuple, _BlockPlan] = {}
         self._coverable: Optional[tuple] = None
         self._nodes: Dict[str, QueryNode] = {}
         self._packet_consumers: Dict[str, List[QueryNode]] = {}
@@ -465,7 +442,7 @@ class RuntimeSystem:
                 and node.kernel_member() is not None)
         return self._coverable
 
-    def _block_plan(self, traced: bool = False) -> _BlockPlan:
+    def _block_plan(self) -> _BlockPlan:
         """The cached plan for the next block: its block kernel, and
         the runs it collects for everyone it does not cover.
 
@@ -473,29 +450,25 @@ class RuntimeSystem:
         block off it: ``(sheds, prefers_lean)`` -- a shedding member
         draws its gate inside its own section, and a section runs its
         lean form where its member -- for a decode group, every member
-        -- ``prefers_lean``.  A traced block (a lineage-sampled packet,
-        fed alone) covers nobody, so every consumer is named in the
-        trace as it takes the packet.  Plans are cached by that reading;
+        -- ``prefers_lean``.  Plans are cached by that reading;
         :meth:`_replan` drops them.
         """
         coverable = self._coverable_lftas()
-        key = None if traced else _reading(coverable)
+        key = _reading(coverable)
         plan = self._batch_plans.get(key)
         if plan is None:
             plan = self._batch_plans[key] = self._new_block_plan(
                 coverable, key)
         return plan
 
-    def _new_block_plan(self, coverable: tuple,
-                        key: Optional[tuple]) -> _BlockPlan:
+    def _new_block_plan(self, coverable: tuple, key: tuple) -> _BlockPlan:
         """Generate the block kernel for ``key``'s reading of
-        ``coverable`` (per LFTA: ``(sheds, prefers_lean)``; None: cover
-        nobody).  Per interface -- ``"any"`` first, then in registration
-        order -- the members that do not shed form one section per
-        protocol, each shedding member a section of its own, and the
-        interface's other consumers get a run; ``"any"``'s others get
-        the whole block."""
-        form = dict(zip(coverable, key or ()))
+        ``coverable`` (per LFTA: ``(sheds, prefers_lean)``).  Per
+        interface -- ``"any"`` first, then in registration order -- the
+        members that do not shed form one section per protocol, each
+        shedding member a section of its own, and the interface's other
+        consumers get a run; ``"any"``'s others get the whole block."""
+        form = dict(zip(coverable, key))
         live = {interface: [node for node in nodes if node.quarantined is None]
                 for interface, nodes in self._packet_consumers.items()}
         spare_any = [node for node in live.get("any", ()) if node not in form]
@@ -516,7 +489,7 @@ class RuntimeSystem:
                 branches.append(Branch(None if interface == "any"
                                        else interface, sections, collect))
             if collect:
-                runs.append((interface, _consumer_plan(rest, spare_any)))
+                runs.append(tuple(rest))
         branches = tuple(branches)
         for known in self._batch_plans.values():
             if known.branches == branches:
@@ -528,7 +501,7 @@ class RuntimeSystem:
             node.record_source(source)
         entry = members[0].protocol.columnar_decoder if members else None
         return _BlockPlan(kernel, entry, tuple(members), tuple(runs),
-                          _consumer_plan(spare_any), branches)
+                          tuple(spare_any), branches)
 
     def describe_decode_group(self, name: str) -> Optional[str]:
         """For EXPLAIN: the decode group the LFTA ``name`` is a member
@@ -603,7 +576,10 @@ class RuntimeSystem:
         The caller cuts blocks at heartbeat crossings and pump
         boundaries and hands a lineage-sampled packet over alone, so
         per-node packet order, RNG draw order and counter arithmetic do
-        not depend on the block size.
+        not depend on the block size.  A sampled packet takes the same
+        kernel as any block: its trace names every live consumer of its
+        interface, then of ``"any"``, and ``tracer.current`` is set
+        while they take it, so what they emit is tagged.
         """
         if newest > self._stream_time:
             self._stream_time = newest
@@ -614,13 +590,9 @@ class RuntimeSystem:
         for hook in self._hooks["journal_packets"]:
             hook(packets)
         tracer = self.tracer
-        trace = None
-        if tracer is not None and len(packets) == 1:
-            trace = tracer.wants(packets[0])
-            if trace is not None and not tracer.begin(
-                    trace, packets[0], "feed", packets[0].timestamp):
-                trace = None
-        plan = self._block_plan(trace is not None)
+        traced = (tracer is not None and len(packets) == 1
+                  and self._trace_lfta(tracer, packets[0]))
+        plan = self._block_plan()
         try:
             tally = (plan.kernel(packets) if plan.entry is None
                      else plan.entry(packets, plan.kernel))
@@ -637,66 +609,59 @@ class RuntimeSystem:
         self.bytes_fed += tally.nbytes
         for position, error in tally.failed:
             self._contain(plan.members[position], error)
-        # Several consumers share one header parse per packet -- the
-        # zero-extra-transfer property of linking them into the RTS.
-        # An "any" consumer sees every packet, so its views cover the
-        # whole block and the per-interface runs take theirs from it.
-        any_plan = plan.any_plan
-        full_views: Optional[List[PacketView]] = (
-            list(map(PacketView, packets)) if any_plan.wants_view else None)
-        for (interface, run_plan), run in zip(plan.runs, tally.runs):
-            if not run:
-                continue
-            if len(run) == len(packets):
-                run = packets  # a block from one interface is its run
-            views = None
-            if run_plan.share_views:
-                if full_views is None:
-                    views = list(map(PacketView, run))
-                elif run is packets:
-                    views = full_views
-                else:
-                    views = [view for view in full_views
-                             if view.packet.interface == interface]
-            self._dispatch_run(run_plan, run, views, trace)
-        if any_plan.entries:
-            self._dispatch_run(any_plan, packets, full_views, trace)
+        for nodes, run in zip(plan.runs, tally.runs):
+            if run:
+                # a block from one interface is its run, no copy
+                self._dispatch_run(
+                    nodes, packets if len(run) == len(packets) else run)
+        if plan.spare_any:
+            self._dispatch_run(plan.spare_any, packets)
+        if traced:
+            tracer.current = None
 
-    def _dispatch_run(self, plan: _DispatchPlan, packets, views,
-                      trace=None) -> None:
+    def _trace_lfta(self, tracer, packet: CapturedPacket) -> bool:
+        """Open ``packet``'s trace if it is sampled: the ``"feed"``
+        event, then an ``"lfta"`` event for each live consumer of its
+        interface and of ``"any"``, and make it ``tracer.current``.
+        False when the packet is not traced."""
+        trace = tracer.wants(packet)
+        t = packet.timestamp
+        if trace is None or not tracer.begin(trace, packet, "feed", t):
+            return False
+        consumers = self._packet_consumers
+        # (deduplicated: a packet may come from an interface named "any")
+        for interface in dict.fromkeys((packet.interface, "any")):
+            for node in consumers.get(interface, ()):
+                if node.quarantined is None:
+                    tracer.event(trace, "lfta", node.name, t)
+        tracer.current = trace
+        return True
+
+    def _dispatch_run(self, nodes: tuple, packets) -> None:
         """One ordered packet run to consumers the kernel does not cover.
 
         An LFTA takes it through ``accept_batch``; consumers without
         one (user-written packet operators: defrag, sessionize, TCP
-        reassembly) take it one ``accept_packet`` at a time.  ``trace``
-        is the lineage trace of a sampled packet fed alone.
+        reassembly) take it one ``accept_packet`` at a time, and a
+        row-adapter LFTA parses each packet itself.
         """
-        tracer = self.tracer
-        for node, accept_batch, wants_view in plan.entries:
+        for node in nodes:
             if node.quarantined is not None:
                 continue
-            if trace is not None:
-                tracer.event(trace, "lfta", node.name, packets[0].timestamp)
-                tracer.current = trace
             try:
+                accept_batch = getattr(node, "accept_batch", None)
                 if accept_batch is not None:
-                    accept_batch(packets, views if wants_view else None)
-                elif wants_view and views is not None:
-                    accept = node.accept_packet
-                    for packet, view in zip(packets, views):
-                        accept(packet, view)
+                    accept_batch(packets)
                 else:
                     accept = node.accept_packet
                     for packet in packets:
                         accept(packet)
             except Exception as error:
                 # Containment keeps the rest of the block intact for
-                # sibling consumers (each entry gets its own dispatch of
-                # the same immutable run); a recovered node already
+                # sibling consumers (each gets its own dispatch of the
+                # same immutable run); a recovered node already
                 # re-processed the whole journaled block, tail included.
                 self._contain(node, error)
-        if trace is not None:
-            tracer.current = None
 
     def feed(self, packets: Iterable[CapturedPacket], pump_every: int = 256) -> None:
         """Feed a packet iterable in blocks, pumping HFTAs periodically.

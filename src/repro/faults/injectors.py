@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Optional
 
+from repro.core.channels import check_finite
 from repro.determinism import rng_for
 
 
@@ -40,6 +41,9 @@ class FaultInjector:
     phase = "faults"
 
     def __init__(self, at: float = 0.0, duration: float = math.inf) -> None:
+        check_finite("at", at)
+        if duration != math.inf:  # the default: the window never ends
+            check_finite("duration", duration)
         if duration < 0:
             raise ValueError("duration must be non-negative")
         self.at = at
@@ -178,6 +182,7 @@ class ClockSkew(FaultInjector):
     def __init__(self, interface: str, skew_s: float,
                  at: float = 0.0, duration: float = math.inf) -> None:
         super().__init__(at, duration)
+        check_finite("skew_s", skew_s)
         self.interface = interface
         self.skew_s = skew_s
         self.skewed = 0
@@ -304,25 +309,22 @@ class OperatorFault(FaultInjector):
         accept_batch = getattr(node, "accept_batch", None)
         accept_packet = getattr(node, "accept_packet", None)
         if accept_batch is not None:
-            def failing_accept_batch(packets, views=None):
+            def failing_accept_batch(packets):
                 before = self._prefix(len(packets))
                 if before is None:
-                    return accept_batch(packets, views)
+                    return accept_batch(packets)
                 if before:
-                    accept_batch(packets[:before], views and views[:before])
+                    accept_batch(packets[:before])
                 self._fire()
 
             # The wrap takes the node out of the RTS's block kernel: it
             # is handed its run and runs its own loop.
             node.accept_batch = failing_accept_batch
         elif accept_packet is not None:
-            def failing_accept(packet, view=None):
+            def failing_accept(packet):
                 if self._prefix(1) is not None:
                     self._fire()
-                if view is not None:
-                    accept_packet(packet, view)
-                else:
-                    accept_packet(packet)
+                accept_packet(packet)
 
             node.accept_packet = failing_accept
 

@@ -310,7 +310,7 @@ class ExprCompiler:
 
     def lfta_adapter_fn(self, action: RowAction,
                         sheds: bool = False) -> Callable:
-        """``f(packets, views)``: the row adapter's loop header around
+        """``f(packets)``: the row adapter's loop header around
         ``action`` -- every tuple the node's sparse interpreter makes
         of a packet (``node._interpret``; an expander may make several)
         goes through the action before the next packet is touched.
@@ -320,15 +320,15 @@ class ExprCompiler:
         of them, or those up to the one that raised."""
         spliced = action.render()
         gate = shed_gate(sheds)
-        return self._link("packets, views", [
+        return self._link("packets", [
             "interpret = node._interpret",
             "it = iter(packets)",
             "m = 0",
         ] + gate.setup + spliced.setup + [
             "try:",
-            "    for p, view in zip(it, views):",
+            "    for p in it:",
         ] + _indent(gate.body, 2) + [
-            "        for t in interpret(p, view):",
+            "        for t in interpret(p):",
             "            m += 1",
         ] + _indent(spliced.body, 3) + [
             "finally:",

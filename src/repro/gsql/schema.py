@@ -353,22 +353,13 @@ class ProtocolSchema(_BaseSchema):
         full rows.
         """
         if self._expander is not None:
-            expander = self._expander
-
-            def expand(packet: CapturedPacket, view=None) -> List[tuple]:
-                return expander(packet)
-
-            return expand
+            return self._expander
         width = len(self.attributes)
         pairs = [(index, self._functions[index]) for index in sorted(set(needed_indices))]
         guard = self._guard
 
-        def interpret(packet: CapturedPacket,
-                      view: Optional[PacketView] = None) -> List[tuple]:
-            # A caller-supplied view lets several LFTAs on one interface
-            # share a single header parse per packet.
-            if view is None:
-                view = PacketView(packet)
+        def interpret(packet: CapturedPacket) -> List[tuple]:
+            view = PacketView(packet)
             if guard is not None and not guard(view):
                 return []
             row = [None] * width

@@ -45,6 +45,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.channels import check_finite
 from repro.core.heartbeat import Punctuation
 from repro.core.query_node import QueryNode
 from repro.gsql.ordering import Ordering
@@ -202,6 +203,7 @@ class TelemetryHub:
     def __init__(self, engine, interval: float = 1.0,
                  streams: Optional[Tuple[str, ...]] = None,
                  profile_every: int = 1) -> None:
+        check_finite("interval", interval)
         if interval < 0:
             raise ValueError("telemetry interval must be >= 0")
         unknown = [s for s in (streams or ()) if s not in TELEMETRY_STREAMS]

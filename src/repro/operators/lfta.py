@@ -33,7 +33,9 @@ of two headers (DESIGN section 14):
   guard and prefix as one more such kernel, with an empty row action;
 * every other protocol runs the action under the generic row adapter's
   header (``ExprCompiler.lfta_adapter_fn``
-  around ``ProtocolSchema.sparse_interpreter``).
+  around ``ProtocolSchema.sparse_interpreter``), which parses each
+  packet into a ``PacketView`` of its own; the RTS hands such a node
+  its interface's run.
 
 The action's lines are the same whichever header they sit under, so
 partial aggregation is one loop body (DESIGN section 18): per row the
@@ -49,7 +51,6 @@ to the row-at-a-time aggregation before those.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.heartbeat import Punctuation
@@ -166,9 +167,6 @@ class LftaNode(QueryNode):
         self.columnar_blocks = 0
         if self.decode_fields is not None:
             self._decode_block = self.protocol.columnar_decoder
-            # The block kernel reads raw bytes; a shared PacketView
-            # would go untouched, so tell the RTS not to build one.
-            self.accepts_view = False
         else:
             self._interpret = self.protocol.sparse_interpreter(needed)
         #: this node's own loops by ``(sheds, lean)`` (:meth:`_loop`);
@@ -198,19 +196,16 @@ class LftaNode(QueryNode):
             raise ValueError(f"unknown LFTA mode {plan.mode!r}")
         self.mode = plan.mode
 
-    #: the RTS may pass a shared, pre-parsed PacketView
-    accepts_view = True
-
     # -- overload-control hook (installed by repro.control) ----------------
     def set_shed_rate(self, rate: float) -> None:
         """Install the controller's packet-sampling gate (1.0 = off)."""
         self.shed_rate = min(1.0, max(1e-3, rate))
 
     # -- packet path (called by the RTS, no channel in between) -----------
-    def accept_packet(self, packet: CapturedPacket, view=None) -> None:
+    def accept_packet(self, packet: CapturedPacket) -> None:
         """A block of one (journal replay and the NIC-resident runtime
         hand packets over singly)."""
-        self.accept_batch([packet], None if view is None else [view])
+        self.accept_batch([packet])
 
     @property
     def prefers_lean(self) -> bool:
@@ -267,7 +262,7 @@ class LftaNode(QueryNode):
             self._loops[sheds, lean] = loop
         return loop
 
-    def accept_batch(self, packets, views=None) -> None:
+    def accept_batch(self, packets) -> None:
         """One block of packets through the LFTA (DESIGN section 10).
 
         The result does not depend on how the packet stream was cut
@@ -287,7 +282,7 @@ class LftaNode(QueryNode):
         """
         loop = self._loop(self.shed_rate < 1.0, self.prefers_lean)
         if self.decode_fields is None:
-            loop(packets, repeat(None) if views is None else views)
+            loop(packets)
             return
         failed = self._decode_block(packets, loop).failed
         if failed:

@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.channels import check_finite
 from repro.obs.ledger import Field, Ledger
 from repro.recovery.statelog import FrameError, StateLog
 
@@ -146,6 +147,9 @@ class RecoverySupervisor:
     def __init__(self, rts, checkpoint_interval: float = 1.0,
                  max_restarts: int = 3, backoff_base: float = 0.25,
                  backoff_factor: float = 2.0) -> None:
+        check_finite("checkpoint_interval", checkpoint_interval)
+        check_finite("backoff_base", backoff_base)
+        check_finite("backoff_factor", backoff_factor)
         if checkpoint_interval <= 0:
             raise ValueError("checkpoint_interval must be positive")
         if max_restarts < 0:

@@ -42,6 +42,7 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional
 
 from repro.core.engine import Gigascope, refuses
+from repro.core.channels import check_finite
 from repro.core.stream_manager import check_positive_int
 from repro.obs.ledger import Field, Ledger
 from repro.recovery.statelog import FrameError, StateLogError, append_frame
@@ -225,9 +226,11 @@ class ReplicatedGigascope:
                  crash: Optional[str] = None,
                  log_path: Optional[str] = None,
                  **engine_kwargs: Any) -> None:
-        if promote_after is not None and promote_after < 0:
-            raise ValueError(f"promote_after must be >= 0, "
-                             f"got {promote_after}")
+        if promote_after is not None:
+            check_finite("promote_after", promote_after)
+            if promote_after < 0:
+                raise ValueError(f"promote_after must be >= 0, "
+                                 f"got {promote_after}")
         self.primary = Gigascope(**engine_kwargs)
         self.standby = Gigascope(**engine_kwargs)
         self.replica = StandbyReplica(self.standby)

@@ -23,7 +23,7 @@ dict, rendered by the aggregate source of that commit
 engine's columns are held to.  Nothing under ``src/`` imports this.
 """
 
-from itertools import compress, repeat
+from itertools import compress
 from typing import List, NamedTuple, Sequence
 from zlib import crc32
 
@@ -559,7 +559,7 @@ class FrozenLfta(LftaNode):
         partials = self._partials
         self.emit_many([key + partials(state) for key, state in groups])
 
-    def accept_batch(self, packets, views=None) -> None:
+    def accept_batch(self, packets) -> None:
         self.packets_seen += len(packets)
         weight = 1.0
         if self.shed_rate < 1.0:
@@ -569,8 +569,6 @@ class FrozenLfta(LftaNode):
             keep = [rng() < rate for _ in packets]
             self.shed_packets += keep.count(False)
             packets = list(compress(packets, keep))
-            if views is not None:
-                views = list(compress(views, keep))
         stats = self.stats
         if self._decoding:
             # Rows are indices into the decoded block.
@@ -586,9 +584,8 @@ class FrozenLfta(LftaNode):
             rows = []
             extend = rows.extend
             interpret = self._interpret
-            for packet, view in zip(
-                    packets, repeat(None) if views is None else views):
-                extend(interpret(packet, view))
+            for packet in packets:
+                extend(interpret(packet))
             stats.tuples_in += len(rows)
         if self._sample_rate is not None and rows:
             rate = self._sample_rate

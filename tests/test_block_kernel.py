@@ -300,3 +300,53 @@ def test_a_group_flips_to_its_lean_form_mid_run():
         _, _, alone = run([name], case, packets, own_loops=True)
         assert alone[1][name] == end[1][name]
         assert alone[0][name] == end[0][name]
+
+
+def test_a_traced_run_stays_in_the_kernel():
+    """A lineage-sampled packet is a block of one through the same
+    cached kernel as any other block: at sample rate 1.0 every block is
+    one traced packet, and the RTS's kernel still takes each of them
+    through the decode entry, from one plan, to the untraced run's
+    rows -- the trace observes the run without changing it."""
+    packets = [packet for packet in traffic(11, [0.3, 0.7, 0.5])
+               if packet.interface == "eth0"]
+    queries = {
+        "web": "Select time, srcIP From eth0.tcp Where destPort = 80",
+        "talkers": "Select tb, srcIP, count(*) From eth0.tcp "
+                   "Group by time as tb, srcIP",
+    }
+
+    def run(sample_rate):
+        calls = []
+        gs = Gigascope(seed=SEED, batch_size=64, heartbeat_interval=0.5)
+        entry = gs.schema_registry.get("tcp").columnar_decoder
+
+        def counted(packets, decode):
+            calls.append(decode)
+            return entry(packets, decode)
+
+        gs.schema_registry.get("tcp").columnar_decoder = counted
+        for name, text in queries.items():
+            gs.add_query(f"DEFINE query_name {name}; {text}")
+        subs = {name: gs.subscribe(name) for name in queries}
+        tracer = (gs.enable_tracing(sample_rate, max_traces=len(packets))
+                  if sample_rate else None)
+        gs.start()
+        gs.feed(packets, pump_every=96)
+        gs.flush()
+        return gs, tracer, calls, {name: sub.poll()
+                                   for name, sub in subs.items()}
+
+    gs, tracer, calls, rows = run(1.0)
+    rts = gs.rts
+    assert rts.batches_fed == len(packets) == tracer.started
+    kernels = {plan.kernel for plan in rts._batch_plans.values()}
+    assert len(rts._batch_plans) == 1
+    assert sum(decode in kernels for decode in calls) == rts.batches_fed
+    assert len(calls) == rts.batches_fed
+    assert all(tracer.stage_chain(trace)[:2] == ["feed", "lfta"]
+               for trace in tracer.traces)
+    assert tracer.complete_chains()
+    _, _, _, untraced = run(None)
+    assert rows == untraced
+    assert all(untraced.values())

@@ -484,6 +484,28 @@ class TestRecoveryFlags:
         assert excinfo.value.code == 2
         assert "--checkpoint-interval" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, named", [
+        (["--recover", "--checkpoint-interval", "nan"],
+         "--checkpoint-interval must be finite, got nan"),
+        (["--checkpoint-interval", "inf"],
+         "--checkpoint-interval must be finite, got inf"),
+        (["--telemetry-interval", "nan"],
+         "--telemetry-interval must be finite, got nan"),
+        (["--fault", "clock_skew:iface=eth0,skew=nan"],
+         "bad --fault: skew_s must be a finite number, got nan"),
+        (["--fault", "ring_burst:at=nan,duration=1"],
+         "bad --fault: at must be a finite number, got nan"),
+    ])
+    def test_non_finite_seconds_exit_2_naming_them(self, trace, capsys,
+                                                   args, named):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--pcap", trace, "--query", self.QUERY, *args])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines()
+                if line.startswith("gsq: error:")] == [f"gsq: error: {named}"]
+        assert "Traceback" not in err
+
     def test_bad_max_restarts_exits_2_naming_field(self, trace, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--pcap", trace, "--query", self.QUERY,

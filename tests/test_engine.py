@@ -282,6 +282,31 @@ class TestParameters:
         with pytest.raises(RegistryError):
             gs.set_param("q", "nope", 1)
 
+    def test_get_param_refuses_an_unknown_param_by_name(self):
+        gs = Gigascope()
+        gs.add_query("DEFINE query_name q; Select time From tcp "
+                     "Where destPort = $port", params={"port": 80})
+        assert gs.get_param("q", "port") == 80
+        with pytest.raises(RegistryError,
+                           match="query 'q' has no parameter 'nope'"):
+            gs.get_param("q", "nope")
+
+    @pytest.mark.parametrize("call, named", [
+        (lambda gs: gs.set_param("ghost", "port", 1), "no query named 'ghost'"),
+        (lambda gs: gs.get_param("ghost", "port"), "no query named 'ghost'"),
+        (lambda gs: gs.explain("ghost"), "no query named 'ghost'"),
+        (lambda gs: gs.generated_code("ghost"), "no query named 'ghost'"),
+        (lambda gs: gs.plan_of("ghost"), "no query named 'ghost'"),
+        (lambda gs: gs.schema_of("ghost"), "no stream named 'ghost'"),
+        (lambda gs: gs.remove_query("ghost"), "no query named 'ghost'"),
+    ])
+    def test_an_unknown_query_is_refused_by_name(self, call, named):
+        gs = Gigascope()
+        gs.add_query("DEFINE query_name q; Select time From tcp "
+                     "Where destPort = $port", params={"port": 80})
+        with pytest.raises(RegistryError, match=named):
+            call(gs)
+
 
 class TestLifecycle:
     def test_lfta_after_start_rejected(self):

@@ -260,6 +260,20 @@ class TestFaultSpecs:
             with pytest.raises(ValueError):
                 parse_fault_spec(spec)
 
+    @pytest.mark.parametrize("spec, name", [
+        ("ring_burst:at=nan,duration=1", "at"),
+        ("ring_burst:at=inf,duration=1", "at"),
+        ("ring_burst:at=x,duration=1", "at"),
+        ("heartbeat_silence:at=1,duration=nan", "duration"),
+        ("channel_storm:at=1,duration=-inf", "duration"),
+        ("clock_skew:iface=eth0,skew=nan", "skew_s"),
+        ("clock_skew:iface=eth0,skew=-inf", "skew_s"),
+    ])
+    def test_non_finite_windows_are_refused_by_name(self, spec, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite "
+                                             f"number, got "):
+            parse_fault_spec(spec)
+
     def test_engine_accepts_spec_strings(self):
         gs, subs = build_engine("flows")
         armed = gs.inject_faults(["heartbeat_silence:at=0.1,duration=0.2"])

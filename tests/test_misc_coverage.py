@@ -8,7 +8,9 @@ import pytest
 from repro import Gigascope
 from repro.gsql.parser import parse_query
 from repro.gsql.unparse import query_to_gsql
-from tests.conftest import tcp_packet
+from repro.operators.sessionize import SessionizeNode
+from tests.conftest import tcp_packet, udp_packet
+from tests.test_icmp_sessionize_sinks import icmp_packet
 
 
 class TestUnparseSources:
@@ -179,41 +181,60 @@ class TestStringLiteralCoercion:
         assert sorted(sub.poll()) == [(80,), (443,)]
 
 
-class TestSharedPacketView:
-    """Several LFTAs on one interface share one header parse per packet;
-    the results must be identical to per-LFTA parsing."""
+class TestRowAdapterConsumers:
+    """Consumers the block kernel does not cover -- two row-adapter
+    LFTAs (``icmp`` has no layout) and a user-written packet operator
+    on one interface -- each parse the packets of their run themselves:
+    together they end exactly as each does alone."""
 
-    QUERIES = """
-        DEFINE query_name a; Select time, destIP From eth0.tcp;
-        DEFINE query_name b; Select time, srcIP From eth0.tcp
-        Where destPort = 80;
-        DEFINE query_name c; Select tb, count(*) From eth0.tcp
-        Group by time/10 as tb
-    """
+    QUERIES = {
+        "pings": "Select time, srcIP, icmp_seq From eth0.icmp "
+                 "Where icmp_type = 8",
+        "per_type": "Select tb, icmp_type, count(*) From eth0.icmp "
+                    "Group by time/2 as tb, icmp_type",
+    }
+    SESSIONS = "sessions"
 
-    def _run(self):
-        gs = Gigascope(heartbeat_interval=None)
-        gs.add_queries(self.QUERIES)
-        subs = {n: gs.subscribe(n) for n in ("a", "b", "c")}
+    @staticmethod
+    def packets():
+        out = []
+        for i in range(120):
+            ts = i * 0.1
+            if i % 3 == 0:
+                out.append(tcp_packet(ts=ts, sport=1000 + i % 5))
+            elif i % 3 == 1:
+                out.append(icmp_packet(ts=ts, icmp_type=8 if i % 2 else 0,
+                                       seq=i))
+            else:
+                out.append(udp_packet(ts=ts, sport=40 + i % 4))
+        return out
+
+    def _run(self, names, batch_size):
+        gs = Gigascope(seed=3, batch_size=batch_size, heartbeat_interval=0.5)
+        for name in names:
+            if name == self.SESSIONS:
+                gs.add_node(SessionizeNode(name, idle_timeout=1.0),
+                            interface="eth0")
+            else:
+                gs.add_query(f"DEFINE query_name {name}; "
+                             f"{self.QUERIES[name]}")
+        subs = {name: gs.subscribe(name) for name in names}
         gs.start()
-        for i in range(60):
-            gs.feed_packet(tcp_packet(ts=float(i),
-                                      dport=80 if i % 2 else 443))
+        assert not gs.rts._block_plan().members
+        gs.feed(self.packets(), pump_every=32)
         gs.flush()
-        return {n: s.poll() for n, s in subs.items()}
+        stats = gs.stats()
+        nodes = {name: (stats[name], getattr(node, "packets_seen", None))
+                 for name, node in gs.rts.iter_nodes()}
+        return nodes, {name: sub.poll() for name, sub in subs.items()}
 
-    def test_shared_equals_unshared(self, monkeypatch):
-        from repro.operators.lfta import LftaNode
-        shared = self._run()
-        monkeypatch.setattr(LftaNode, "accepts_view", False)
-        unshared = self._run()
-        assert shared == unshared
-
-    def test_single_consumer_skips_view_construction(self):
-        gs = Gigascope(heartbeat_interval=None)
-        gs.add_query("DEFINE query_name only; Select time From tcp")
-        sub = gs.subscribe("only")
-        gs.start()
-        gs.feed_packet(tcp_packet(ts=1.0))
-        gs.pump()
-        assert sub.poll() == [(1,)]
+    @pytest.mark.parametrize("batch_size", [1, 256])
+    def test_each_ends_as_it_does_alone(self, batch_size):
+        names = [*self.QUERIES, self.SESSIONS]
+        nodes, rows = self._run(names, batch_size)
+        assert all(rows.values())
+        for name in names:
+            alone_nodes, alone_rows = self._run([name], batch_size)
+            assert alone_rows[name] == rows[name]
+            for node, seen in alone_nodes.items():
+                assert nodes[node] == seen, node

@@ -162,7 +162,7 @@ class _Source:
         self.node.flush = lambda: None
         self.node.emit_flush = lambda: None
 
-    def _accept(self, packet, view=None):
+    def _accept(self, packet):
         self.node.emit((packet.timestamp,))
 
 

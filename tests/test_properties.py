@@ -12,7 +12,6 @@ These exercise the central correctness claims of the system:
 """
 
 import random
-from itertools import repeat
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -70,9 +69,9 @@ class TestSplitAggregationProperty:
             row[p_slot] = key
             row[l_slot] = value
             rows.append(tuple(row))
-        lfta._interpret = lambda row, view: (row,)
+        lfta._interpret = lambda row: (row,)
         compiler.lfta_adapter_fn(
-            compiler.lfta_action(plan.lftas[0], lfta))(rows, repeat(None))
+            compiler.lfta_action(plan.lftas[0], lfta))(rows)
         assert lfta.stats.discarded == 0
         lfta.flush()
         lfta.emit_flush()

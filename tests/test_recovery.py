@@ -454,6 +454,17 @@ class TestBackoffAndBudget:
             with pytest.raises(ValueError):
                 gs.enable_recovery(**kwargs)
 
+    @pytest.mark.parametrize("name", ["checkpoint_interval", "backoff_base",
+                                      "backoff_factor"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_supervisor_parameters_are_refused_by_name(
+            self, name, value):
+        gs = Gigascope()
+        with pytest.raises(ValueError, match=f"^{name} must be a finite "
+                                             f"number, got {value}$"):
+            gs.enable_recovery(**{name: value})
+        assert "recovery" not in gs.rts.planes
+
 
 class TestSinkExactlyOnce:
     def test_sink_rows_written_once_across_recovery(self):
@@ -529,7 +540,7 @@ class TestBatchQuarantineIntegrity:
                 self.seen = list(state["seen"])
 
         class CrashingBatch(Recorder):
-            def accept_batch(self, packets, views):
+            def accept_batch(self, packets):
                 for packet in packets:
                     if len(self.seen) == crash_at:
                         raise RuntimeError("mid-batch crash")

@@ -546,9 +546,9 @@ class TestEthAndAnyConsumers:
             node = gs.rts.node("frames")
             accept = node.accept_batch
 
-            def watched(packets, views=None):
+            def watched(packets):
                 runs.append(packets)
-                return accept(packets, views)
+                return accept(packets)
             node.accept_batch = watched
             gs.rts._replan()
         packets = traffic(300)

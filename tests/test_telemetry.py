@@ -108,6 +108,15 @@ class TestRegistration:
         with pytest.raises(ValueError):
             gs.enable_telemetry(interval=-1.0)
 
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_non_finite_interval_is_refused_by_name(self, interval):
+        gs = make_engine()
+        with pytest.raises(ValueError,
+                           match=f"interval must be a finite number, "
+                                 f"got {interval}"):
+            gs.enable_telemetry(interval=interval)
+        assert "telemetry" not in gs.rts.planes
+
 
 class TestGsqlOverTelemetry:
     def test_meta_query_runs_unmodified(self):
