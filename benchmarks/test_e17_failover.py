@@ -1,8 +1,8 @@
 """E17 -- replication cadence vs RPO/RTO, and what steady state costs.
 
-The warm-standby pair (:class:`repro.replication.ReplicatedGigascope`,
-DESIGN section 16) trades a per-cadence frame-shipping cost for a
-bounded recovery point: crash anywhere and the standby replays only
+The replication plane (``Gigascope.enable_replication()``, DESIGN
+section 16) trades a per-cadence frame-shipping cost for a bounded
+recovery point: crash anywhere and the standby replays only
 the packets since the last applied frame.  E17 sweeps the cadence and
 records both sides of that trade on the flow-aggregation workload:
 
@@ -13,9 +13,10 @@ records both sides of that trade on the flow-aggregation workload:
   hardware -- and carries the <= 5% acceptance bar at the default
   cadence.  Rounds interleave the plain and replicated arms and take
   per-arm minima so machine drift cannot masquerade as overhead.
-* **pair overhead** -- the same ratio for the full in-process pair
-  (shipping *plus* the standby's decode/restore), recorded for
-  context: it is what the test harness and the ``--standby`` CLI pay.
+* **pair overhead** -- the same ratio for the primary and standby
+  runtimes in one process (shipping *plus* the standby's
+  decode/restore), recorded for context: it is what the test harness
+  and the ``--standby`` CLI pay.
 * **RPO** -- packets and virtual seconds rolled back when the primary
   is killed mid delta-interval (``packet:K``), straight from the
   replication report: tighter cadence, smaller window.
@@ -26,7 +27,9 @@ records both sides of that trade on the flow-aggregation workload:
 Every crash arm also re-asserts the contract that makes the numbers
 meaningful: the promoted standby's rows are byte-identical to an
 uninterrupted run.  Results land in ``BENCH_E17.json``;
-``GS_E17_SMOKE=1`` shrinks the trace and rounds for the CI gate.
+``GS_E17_SMOKE=1`` shrinks the trace and rounds for the CI gate, which
+runs E17 in a pytest process of its own: the shipping ratio read
+differently after E14-E16 had run in the same process.
 """
 
 import json
@@ -36,7 +39,6 @@ from pathlib import Path
 
 from repro import Gigascope
 from repro.determinism import derive_seed
-from repro.replication import ReplicatedGigascope
 from repro.replication.shipper import ReplicationShipper
 from repro.workloads.flows import ZipfFlowWorkload
 
@@ -89,10 +91,15 @@ def time_shipping(packets, cadence):
     return time.perf_counter() - start
 
 
-def time_pair(packets, cadence):
-    gs = ReplicatedGigascope(cadence=cadence, seed=7,
-                             heartbeat_interval=1.0, metrics=False)
+def replicated(cadence, crash=None):
+    gs = Gigascope(seed=7, heartbeat_interval=1.0, metrics=False)
+    gs.enable_replication(cadence=cadence, crash=crash)
     gs.add_query(QUERY)
+    return gs
+
+
+def time_pair(packets, cadence):
+    gs = replicated(cadence)
     sub = gs.subscribe("flows")
     gs.start()
     start = time.perf_counter()
@@ -102,9 +109,7 @@ def time_pair(packets, cadence):
 
 
 def run_crash(packets, cadence, crash):
-    gs = ReplicatedGigascope(cadence=cadence, crash=crash, seed=7,
-                             heartbeat_interval=1.0, metrics=False)
-    gs.add_query(QUERY)
+    gs = replicated(cadence, crash)
     sub = gs.subscribe("flows")
     gs.start()
     gs.feed(packets, pump_every=1024)

@@ -323,20 +323,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     standby = (args.standby or cadence is not None
                or args.promote_after is not None
                or args.replicate_log is not None)
-    # One engine facade per topology, all taking the same engine
-    # configuration.  Each declares, next to its class, the planes it
-    # cannot run and why (``refusals``); asking for one is a usage
-    # error here, in the words the API raises.
-    topology, facade, build = "", Gigascope, {}
+    # The sharded facade and the replication plane each declare, next
+    # to their class, the planes they cannot run beside and why
+    # (``refusals``): a usage error here, in the words the API raises.
+    topology, facade, build, refused = "", Gigascope, {}, {}
     if args.shards:
         from repro.shard import ShardedGigascope as facade
         topology, build = "--shards", dict(shards=args.shards)
+        refused = facade.refusals
     elif standby:
-        from repro.replication import DEFAULT_CADENCE
-        from repro.replication import ReplicatedGigascope as facade
-        topology, build = "--standby", dict(
-            cadence=DEFAULT_CADENCE if cadence is None else cadence,
-            promote_after=args.promote_after, log_path=args.replicate_log)
+        from repro.replication import ReplicationPlane
+        topology, refused = "--standby", ReplicationPlane.refusals
     for flag, value, plane in (
             ("--shed", args.shed, "shed"),
             ("--alert", args.alert, "alerts"),
@@ -349,14 +346,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             ("--fault", args.fault, "faults"),
             ("--standby", standby, "replication")):
         given = value is not None and value is not False and value != []
-        if given and plane in facade.refusals:
+        if given and plane in refused:
             parser.error(f"{flag} cannot be combined with {topology}: "
-                         f"{facade.refusals[plane]}")
+                         f"{refused[plane]}")
     # Every output is opened (the directory made) before the engine is
     # built: a run whose results cannot be written is a usage error, not
     # a traceback after the last flush.  These handles are the ones
-    # written -- but for the replication log, which the standby pair
-    # opens itself, by path.
+    # written -- but for the replication log, which the replication
+    # plane opens itself, by path.
     outputs: dict = {}
     out_dir = Path(args.output) if args.output else None
     if not args.explain:
@@ -379,6 +376,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         # A non-positive --batch-size is a usage error (exit 2), not
         # a crash.
         parser.error(str(error))
+    if standby:
+        from repro.replication import DEFAULT_CADENCE
+        engine.enable_replication(
+            cadence=DEFAULT_CADENCE if cadence is None else cadence,
+            promote_after=args.promote_after, log_path=args.replicate_log)
     tracer = None
     if args.trace_sample is not None:
         try:

@@ -71,7 +71,8 @@ def resolve_batch_size(batch_size: Optional[int] = None) -> int:
 #: plane -> the facade method that switches it on
 _SWITCHES = {"shed": "enable_shedding", "alerts": "enable_alerts",
              "recovery": "enable_recovery", "telemetry": "enable_telemetry",
-             "tracing": "enable_tracing", "faults": "inject_faults"}
+             "tracing": "enable_tracing", "faults": "inject_faults",
+             "replication": "enable_replication"}
 
 
 def _refusal(text: str):
@@ -86,15 +87,14 @@ def refuses(reasons: Dict[str, str]):
 
     The facade's switch for each raises :class:`RegistryError` with the
     reason, and ``gsq`` makes the same entry a usage error before it
-    builds the engine; a name with no switch (``replication``: the
-    standby is a facade, not a method) is for ``gsq`` only.
+    builds the engine.  (A plane that refuses others declares its own
+    ``refusals``, which ``attach_plane`` checks.)
     """
     def declare(cls):
         cls.refusals = reasons
         for plane, reason in reasons.items():
-            if plane in _SWITCHES:
-                setattr(cls, _SWITCHES[plane], _refusal(
-                    f"{cls.__name__} refuses {plane}: {reason}"))
+            setattr(cls, _SWITCHES[plane], _refusal(
+                f"{cls.__name__} refuses {plane}: {reason}"))
         return cls
     return declare
 
@@ -207,13 +207,27 @@ class Gigascope:
         if query_name in self._instances:
             raise RegistryError(f"query {query_name!r} already exists")
         plan = plan_query(analyzed, self.functions, query_name)
-        compiler = ExprCompiler(analyzed, self.functions, params)
+        instance = QueryInstance(
+            name=query_name, plan=plan, analyzed=analyzed,
+            compiler=ExprCompiler(analyzed, self.functions, params))
+        instance.nodes = self._link_nodes(instance, self.rts)
+        replication = self.rts.planes.get("replication")
+        if replication is not None:
+            replication.copy(instance)
+        self._instances[query_name] = instance
+        return query_name
 
+    def _link_nodes(self, instance: QueryInstance,
+                    rts: RuntimeSystem) -> List[QueryNode]:
+        """Build ``instance``'s nodes -- its LFTAs, then its HFTA --
+        from its plan and compiler, registered and wired in ``rts``."""
+        plan, analyzed, compiler = (instance.plan, instance.analyzed,
+                                    instance.compiler)
         nodes: List[QueryNode] = []
         for lfta_plan in plan.lftas:
             lfta = LftaNode(lfta_plan, analyzed, compiler,
                             table_size=self.lfta_table_size, seed=self.seed)
-            self.rts.register_node(lfta, packet_interface=lfta_plan.interface)
+            rts.register_node(lfta, packet_interface=lfta_plan.interface)
             self._streams[lfta.name] = lfta_plan.output_schema
             nodes.append(lfta)
 
@@ -232,17 +246,12 @@ class Gigascope:
                                  buffer_capacity=self.merge_buffer_capacity)
             else:
                 raise RegistryError(f"unknown HFTA kind {hfta_plan.kind!r}")
-            self.rts.register_node(node)
-            self.rts.connect(node, hfta_plan.inputs,
-                             capacity=self.channel_capacity)
-            self._streams[query_name] = plan.output_schema
+            rts.register_node(node)
+            rts.connect(node, hfta_plan.inputs,
+                        capacity=self.channel_capacity)
+            self._streams[instance.name] = plan.output_schema
             nodes.append(node)
-
-        self._instances[query_name] = QueryInstance(
-            name=query_name, plan=plan, analyzed=analyzed,
-            compiler=compiler, nodes=nodes,
-        )
-        return query_name
+        return nodes
 
     def _lift_subqueries(self, ast, params, name) -> None:
         """Rewrite FROM-clause subqueries into named queries.
@@ -270,6 +279,9 @@ class Gigascope:
     def add_node(self, node: QueryNode,
                  interface: Optional[str] = None) -> str:
         """Register a user-written query node (packet consumer if bound)."""
+        if "replication" in self.rts.planes:
+            raise RegistryError(f"replication cannot copy the user-written "
+                                f"node {node.name!r} onto its standby")
         self.rts.register_node(node, packet_interface=interface)
         self._streams[node.name] = node.output_schema
         return node.name
@@ -293,9 +305,12 @@ class Gigascope:
                     f"query {other_name!r} reads {sorted(used)}; "
                     "remove it first"
                 )
+        replication = self.rts.planes.get("replication")
+        runtimes = [self.rts] if replication is None else replication.runtimes
         # HFTA before its LFTAs, so no node ever has a dangling reader.
         for node in reversed(instance.nodes):
-            self.rts.remove_node(node.name, force=True)
+            for rts in runtimes:
+                rts.remove_node(node.name, force=True)
             self._streams.pop(node.name, None)
         self._streams.pop(name, None)
         del self._instances[name]
@@ -414,6 +429,27 @@ class Gigascope:
         profiler attribution), or None when telemetry is not enabled."""
         return self._plane_report("telemetry")
 
+    # -- replication (repro.replication) -------------------------------------
+    def enable_replication(self, cadence: float = 1.0,
+                           promote_after: Optional[float] = None,
+                           crash: Optional[str] = None,
+                           log_path: Optional[str] = None
+                           ) -> "ReplicationPlane":
+        """Keep a warm standby runtime of this engine's queries, sent
+        a state-log frame every ``cadence`` virtual seconds, and promote
+        it on an injected ``crash`` or ``promote_after`` seconds of
+        heartbeat silence (DESIGN section 16).  ``log_path`` also gets
+        the frames.  Enable before the first packet."""
+        from repro.replication.failover import ReplicationPlane
+        return ReplicationPlane(self, cadence=cadence,
+                                promote_after=promote_after, crash=crash,
+                                log_path=log_path)
+
+    def replication_report(self) -> Optional[Dict[str, Any]]:
+        """The replication plane's ledger (frames, promotion, recovery
+        point), or None when replication is not enabled."""
+        return self._plane_report("replication")
+
     # -- fault injection (repro.faults) --------------------------------------
     def inject_faults(self, faults: Iterable[Any],
                       nics: Iterable = ()) -> List[Any]:
@@ -470,6 +506,7 @@ class Gigascope:
         from repro.obs.tracing import Tracer
         check_positive_int("max_traces", max_traces)
         tracer = Tracer(sample_rate, max_traces=max_traces)
+        self.rts.attach_plane(tracer)
         self.rts.tracer = tracer
         for nic in self._observed_nics:
             nic.tracer = tracer
@@ -525,6 +562,9 @@ class Gigascope:
     def set_param(self, query_name: str, param: str, value: Any) -> None:
         """Change a query parameter on the fly (Section 3)."""
         self._params(query_name, param)[param] = value
+        replication = self.rts.planes.get("replication")
+        if replication is not None:
+            replication.checkpoint()
 
     def get_param(self, query_name: str, param: str) -> Any:
         return self._params(query_name, param)[param]
@@ -549,10 +589,20 @@ class Gigascope:
         self.rts.stop()
 
     def feed_packet(self, packet: CapturedPacket) -> None:
-        self.rts.feed_packet(packet)
+        replication = self.rts.planes.get("replication")
+        if replication is None:
+            self.rts.feed_packet(packet)
+        else:
+            replication.feed([packet], pump_every=1)
 
     def feed(self, packets: Iterable[CapturedPacket], pump_every: int = 256) -> None:
-        self.rts.feed(packets, pump_every=pump_every)
+        """Hand ``packets`` to the RTS -- or, while replication is
+        enabled, to its plane, which keeps the journal tail."""
+        replication = self.rts.planes.get("replication")
+        if replication is None:
+            self.rts.feed(packets, pump_every=pump_every)
+        else:
+            replication.feed(packets, pump_every)
 
     def pump(self) -> int:
         return self.rts.pump()

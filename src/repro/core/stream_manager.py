@@ -131,6 +131,11 @@ class Subscription:
         self.channel = channel
         self.manager = manager
         self.ended = False
+        #: rows drained so far; after a promotion (:meth:`follow`), the
+        #: regenerated rows still to drop and those dropped, and the
+        #: rows drained from the dead primary's channel
+        self.delivered = self.skip = self.suppressed = 0
+        self._held: List[tuple] = []
 
     def poll(self) -> List[tuple]:
         """All data tuples received since the last poll."""
@@ -146,7 +151,27 @@ class Subscription:
                                      self.manager.stream_time)
             elif isinstance(item, FlushToken):
                 self.ended = True
+        if self.skip:
+            gated = min(self.skip, len(rows))
+            del rows[:gated]
+            self.skip -= gated
+            self.suppressed += gated
+        self.delivered += len(rows)
+        if self._held:
+            rows[:0] = self._held
+            self._held = []
         return rows
+
+    def follow(self, channel: Channel, manager: "RuntimeSystem",
+               regenerated: int) -> None:
+        """Read a promoted standby's ``channel``: the rows queued here
+        were delivered and are held for the next poll, and the first
+        ``delivered - regenerated`` (its restored ``tuples_out``) rows
+        the standby emits were delivered already and are dropped."""
+        self._held = self.poll()
+        self.channel, self.manager = channel, manager
+        self.skip = self.delivered - regenerated
+        self.ended = False
 
     def poll_raw(self) -> List[Any]:
         """Everything, including punctuation and flush tokens."""
@@ -154,6 +179,11 @@ class Subscription:
 
     def __len__(self) -> int:
         return len(self.channel)
+
+
+def _plane_name(plane) -> str:
+    ledger = getattr(plane, "ledger", None)
+    return ledger.name if ledger is not None else plane.phase
 
 
 class RuntimeSystem:
@@ -196,6 +226,8 @@ class RuntimeSystem:
         self.nodes_quarantined = 0
         #: plane name -> plane, in the order :meth:`attach_plane` saw them
         self.planes: Dict[str, Any] = {}
+        #: every application subscription handed out, in order
+        self.subscriptions: List[Subscription] = []
         #: ``(phase rank, hook object)`` attached so far, in firing order
         self._attached: List[Tuple[int, Any]] = []
         #: event -> the bound methods to call, in firing order
@@ -237,20 +269,28 @@ class RuntimeSystem:
         in :data:`PHASES` order.  A plane with a ``ledger`` is named: a
         second one of that name is refused, it is listed in ``planes``
         and its metric families are installed.  A hook object without
-        one (a fault injector, a bare replication shipper) states its
-        ``phase`` instead.  A plane calls this from its constructor
-        before it registers nodes or cuts a checkpoint, so a refused
-        plane leaves nothing behind.
+        one (a fault injector, a tracer, a bare replication shipper)
+        states its ``phase`` instead.  ``refusals`` (plane -> reason)
+        refuse either plane next to the other, in either order.  A
+        plane calls this from its constructor before it registers nodes
+        or cuts a checkpoint, so a refused plane leaves nothing behind.
         """
+        name = _plane_name(plane)
+        for _, other in self._attached:
+            for refuser, refused in ((plane, _plane_name(other)),
+                                     (other, name)):
+                reason = getattr(refuser, "refusals", {}).get(refused)
+                if reason is not None:
+                    raise RegistryError(f"{_plane_name(refuser)} refuses "
+                                        f"{refused}: {reason}")
         ledger = getattr(plane, "ledger", None)
         if ledger is not None:
-            if ledger.name in self.planes:
-                raise RegistryError(f"{ledger.name} already enabled")
-            self.planes[ledger.name] = plane
+            if name in self.planes:
+                raise RegistryError(f"{name} already enabled")
+            self.planes[name] = plane
             if self.metrics is not None:
                 install_ledger(self.metrics, ledger, plane)
-        phase = ledger.name if ledger is not None else plane.phase
-        rank = PHASES.index(phase) if phase in PHASES else len(PHASES)
+        rank = PHASES.index(name) if name in PHASES else len(PHASES)
         self._attached.append((rank, plane))
         self._attached.sort(key=lambda entry: entry[0])  # stable
         for event in EVENTS:
@@ -341,7 +381,9 @@ class RuntimeSystem:
         """Application-side subscription to any query's output stream."""
         producer = self.node(name)
         channel = producer.subscribe(capacity=capacity, name=f"{name}->app")
-        return Subscription(name, channel, manager=self)
+        subscription = Subscription(name, channel, manager=self)
+        self.subscriptions.append(subscription)
+        return subscription
 
     # -- fault injection & containment (repro.faults) -----------------------
     def install_fault(self, fault) -> None:

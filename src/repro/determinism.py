@@ -164,10 +164,10 @@ class Arm:
     transient ``at_tuple`` fault for, for ``shards:N`` a
     ``SHARD:PACKET_INDEX`` (``ShardedGigascope(crash=)``), for
     ``standby:CADENCE`` a ``packet:K | frame:N[:torn]``
-    (``ReplicatedGigascope(crash=)``).  Every field is validated here,
-    by the validator of the constructor it ends up in (``hash_seed`` by
-    the interpreter's own range), so a malformed arm never reaches a
-    child process.
+    (``Gigascope.enable_replication(crash=)``).  Every field is
+    validated here, by the validator of the call it ends up in
+    (``hash_seed`` by the interpreter's own range), so a malformed arm
+    never reaches a child process.
     """
 
     hash_seed: Optional[str] = None
@@ -295,14 +295,12 @@ def engine_for(arm: Arm, seed: int, **kwargs):
         from repro.shard import ShardedGigascope
         gs = ShardedGigascope(int(param), crash=arm.crash,
                               barrier_interval=0.25, **kwargs)
-    elif kind == "standby":
-        from repro.replication import ReplicatedGigascope
-        gs = ReplicatedGigascope(cadence=float(param), crash=arm.crash,
-                                 **kwargs)
     else:
         from repro.core.engine import Gigascope
         gs = Gigascope(**kwargs)
-        if arm.crash is not None:
+        if kind == "standby":
+            gs.enable_replication(cadence=float(param), crash=arm.crash)
+        elif arm.crash is not None:
             # An operator fault can only arm once its node exists, and
             # the engine is built before the queries are added: arm it
             # on the way out of start().
@@ -761,7 +759,7 @@ def _failover_agg_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """)
     subs = {name: gs.subscribe(name) for name in ("flows", "web")}
     snapshot = _drive(gs, subs, _zipf(seed), pump_every=128, snapshot=_rows)
-    if hasattr(gs, "replication_report"):
+    if "replication" in gs.planes:
         snapshot["failover"] = gs.replication_report()
     return snapshot
 

@@ -294,7 +294,9 @@ class ExprCompiler:
                         "table.columns", len(src.columns)) + [empty]
                     if plan.window_key_index >= 0:
                         setup += _WINDOW_SETUP
-                        rekey += _window_check("k[index]", _EMIT_EJECTED)
+                        rekey += _window_check("k[index]", [
+                            "i = None", "dropped += 1", "continue"],
+                            _EMIT_EJECTED)
                     rekey += _place_key(self.key_hash_format(exprs))
                     probe, fold = _table_probe(src)
                     body += row.lines + [changed] + _indent(rekey + probe) + [
@@ -595,13 +597,17 @@ class ExprCompiler:
             "    r = groups[k] = len(groups)",
         ] + [f"    c{j}.append({value!r})"
              for j, value in enumerate(src.columns)]
+        checked = probe
         if plan.window_key_index >= 0:
             setup += _WINDOW_SETUP
-            probe = _window_check(window) + probe
+            # Partials need no late branch: their one LFTA dropped its
+            # late rows, and a group it ejects is of a window open here.
+            checked = _window_check(window, () if partials else [
+                "r = None", "dropped += 1", "continue"]) + probe
         if partials:
-            loop += probe + src.combine
+            loop += checked + src.combine
         else:
-            loop += [changed] + _indent(commit + probe) + src.fold
+            loop += [changed] + _indent(commit + checked) + src.fold
         row_loop = self._link("node, rows", setup + [
             "try:",
             "    for t in rows:",
@@ -611,11 +617,11 @@ class ExprCompiler:
         ])
         if plan.run_slot is None:
             return row_loop
-        return self._hfta_runs_fn(plan, row_loop.__name__, probe,
+        return self._hfta_runs_fn(plan, row_loop.__name__, window, probe,
                                   len(src.columns))
 
-    def _hfta_runs_fn(self, plan, row_loop: str, probe: List[str],
-                      width: int) -> Callable:
+    def _hfta_runs_fn(self, plan, row_loop: str, window: str,
+                      probe: List[str], width: int) -> Callable:
         """The run loop of an aggregation the planner marked
         (``plan.run_slot``, :func:`repro.gsql.planner._mark_runs`): the
         same fold as the row loop ``row_loop``, a run at a time.
@@ -627,7 +633,8 @@ class ExprCompiler:
         folds become ``c0[r] += n`` (COUNT), ``sum``, ``min`` and
         ``max`` over the run's column.  Everything that can raise runs
         before the run touches a column: a ``DiscardTuple`` from the
-        key drops the whole run, as it would each of its rows; any
+        key drops the whole run, as it would each of its rows, and so
+        does a window key that is late (every row counts); any
         other exception -- from the key, a fold (a ``None`` summed),
         a MIN/MAX compare or ``groupby`` itself (a short row) -- hands
         the block, from the run's first row, to ``row_loop``, which
@@ -671,6 +678,9 @@ class ExprCompiler:
         setup = ["groups = node._groups", "dropped = 0", empty] + [
             f"get{slot} = itemgetter({slot})" for slot in sorted(getters)
         ] + _columns("node._columns", width) + _WINDOW_SETUP + ["at = 0"]
+        if plan.window_key_index >= 0:
+            probe = _window_check(window, [
+                "r = None", "dropped += n", "at += n", "continue"]) + probe
         return self._link("node, rows", [
             f"if len(rows) < {RUNS_FROM}:",
             f"    return {row_loop}(node, rows)",
@@ -1044,17 +1054,21 @@ _WINDOW_SETUP = [
 ]
 
 
-def _window_check(value: str, before_flush: Sequence[str] = ()) -> List[str]:
+def _window_check(value: str, late: Sequence[str],
+                  before_flush: Sequence[str] = ()) -> List[str]:
     """A window key (``value``) past the high-water mark closes the
     groups below it -- after ``before_flush``, what must leave the node
-    first."""
+    first.  One below the mark by more than the band is late: its
+    window closed already, so ``late`` (if any) drops it -- counts it
+    into ``dropped``, empties the key-run cache and ends the row or
+    run -- instead of re-opening the window."""
     return [
         f"x = {value}",
         "if high is None or x > high:",
         "    high = node._high_water = x",
     ] + _indent(before_flush) + [
         "    node._flush_below(x - band)",
-    ]
+    ] + (["elif x < high - band:"] + _indent(late) if late else [])
 
 
 # The LFTA's direct-mapped table, probed in place: the key array and the

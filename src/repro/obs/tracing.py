@@ -60,6 +60,9 @@ def trace_key(packet) -> int:
 class Tracer:
     """Records span events for a sampled subset of packets."""
 
+    #: hooks nothing; attached so a plane can refuse it by name
+    phase = "tracing"
+
     def __init__(self, sample_rate: float, max_traces: int = 1024,
                  max_tagged: int = 8192) -> None:
         if not 0.0 < sample_rate <= 1.0:

@@ -1,63 +1,54 @@
-"""Primary + warm standby with promote-on-failure (DESIGN section 16).
+"""Warm-standby failover as an engine plane (DESIGN section 16).
 
-:class:`ReplicatedGigascope` runs two identically configured engines.
-The **primary** processes the packet stream; a
-:class:`~repro.replication.shipper.ReplicationShipper` on its RTS cuts
-checksummed, seq-numbered frames at quiescent pump boundaries and the
-**standby** applies each one into live operator state
-(:class:`~repro.replication.replica.StandbyReplica`), so the standby
-is always the primary as of the last good frame.
+``Gigascope.enable_replication()`` attaches a :class:`ReplicationPlane`.
+Its standby is a second :class:`~repro.core.stream_manager.RuntimeSystem`
+built from the engine's own query instances -- the same plans and
+compilers, so ``set_param`` reaches both -- and kept warm: a
+:class:`~repro.replication.shipper.ReplicationShipper` on the primary
+cuts state-log frames at quiescent pump boundaries, and a
+:class:`~repro.replication.replica.StandbyReplica` folds each into the
+standby's operator state.  ``Gigascope.feed`` hands the plane the
+packets; it keeps only the *journal tail*, those from the last applied
+frame's ``cursor`` on.
 
-Promotion -- triggered by an injected hard crash (testing) or by the
-heartbeat-silence detector (``promote_after``) -- follows a fixed
-protocol:
-
-1. the primary is declared dead; its subscription channels are drained
-   one last time (rows already emitted into our process survive the
-   primary's death and count as delivered);
-2. the standby's journal tail is the retained packet list from the
-   last applied frame's ``cursor``: re-feeding it replays exactly the
-   window the frames missed;
-3. exactly-once output: the standby's restored per-node ``tuples_out``
-   says how many rows it will regenerate that were already delivered,
-   so each subscription arms a skip gate for the difference -- the
-   same delivered-minus-restored arithmetic as the recovery
-   supervisor's emit gates, applied at the subscription boundary;
-4. the feed resumes on the standby from the cursor, then continues
-   with the rest of the stream.
-
-Because a run is a pure function of (queries, packets, seed) and a
-subscription's row sequence after K packets is a deterministic prefix
-of the canonical sequence regardless of pump timing, the promoted
-standby's output is byte-identical to an uninterrupted primary --
-enforced by ``replay verify --scenario failover_agg`` across hash seeds
-and crash points (including a crash mid-frame: a torn frame is refused
-by the applier, typed and total, and promotion falls back one frame).
+Promotion -- on an injected crash or ``promote_after`` seconds of
+heartbeat silence -- drains every subscription one last time (those
+rows were delivered), moves it onto the standby's channel with a skip
+gate for the rows the standby will regenerate (delivered minus its
+restored ``tuples_out``), makes the standby the engine's ``rts`` and
+feeds it the journal tail.  A run is a pure function of (queries,
+packets, seed), so the promoted output is byte-identical to an
+uninterrupted run: ``replay verify --scenario failover_agg`` checks it
+across hash seeds and crash points, a torn frame included (refused,
+so promotion falls back one frame).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from time import perf_counter
 from typing import Any, Dict, List, Optional
 
-from repro.core.engine import Gigascope, refuses
-from repro.core.channels import check_finite
-from repro.core.stream_manager import check_positive_int
+from repro.core.stream_manager import (RegistryError, RuntimeSystem,
+                                       check_positive_int)
 from repro.obs.ledger import Field, Ledger
 from repro.recovery.statelog import FrameError, StateLogError, append_frame
 from repro.replication.replica import StandbyReplica
-from repro.replication.shipper import ReplicationShipper
+from repro.replication.shipper import ReplicationShipper, check_cadence
 
 #: Default virtual-time seconds between delta frames.
 DEFAULT_CADENCE = 1.0
+
+_CRASH_SPEC = re.compile(r"(packet|frame):([0-9]+)(:torn)?")
 
 
 def resolve_replicate_cadence(value: Optional[Any] = None) -> Optional[float]:
     """Validate the ``--replicate`` cadence (None: not requested).
 
-    Raises ``ValueError`` on a malformed or negative cadence -- the CLI
-    turns that into a usage error (exit 2), same as every other knob.
+    Raises ``ValueError`` on a malformed, non-finite or negative
+    cadence -- the CLI turns that into a usage error (exit 2), same as
+    every other knob.
     """
     if value is None:
         return None
@@ -66,129 +57,58 @@ def resolve_replicate_cadence(value: Optional[Any] = None) -> Optional[float]:
     except (TypeError, ValueError):
         raise ValueError(f"--replicate must be a number of virtual "
                          f"seconds, got {value!r}") from None
-    if cadence < 0 or math.isnan(cadence) or math.isinf(cadence):
-        raise ValueError(f"--replicate must be >= 0 and finite, "
-                         f"got {value!r}")
+    check_cadence("--replicate", cadence)
     return cadence
 
 
 def parse_crash_spec(text: str) -> Dict[str, Any]:
-    """Parse a failover crash spec.
-
-    ``packet:K``       -- the primary dies right after packet index K
-                          (mid delta-interval);
-    ``frame:N``        -- the primary dies right after shipping frame N
-                          (a snapshot/delta boundary);
-    ``frame:N:torn``   -- frame N is written truncated (a crash
-                          mid-frame), then the primary dies: the
-                          standby refuses the torn frame and promotion
-                          falls back to frame N-1.
-    """
-    parts = text.split(":")
-    if len(parts) < 2 or parts[0] not in ("packet", "frame"):
+    """Parse a failover crash spec: ``packet:K`` (the primary dies
+    right after packet index K), ``frame:N`` (right after shipping
+    frame N) or ``frame:N:torn`` (frame N is written truncated, then
+    the primary dies: the standby refuses it and promotion falls back
+    to frame N-1)."""
+    match = _CRASH_SPEC.fullmatch(text)
+    if match is None or (match[3] and match[1] != "frame"):
         raise ValueError(f"bad crash spec {text!r}; use packet:K, "
                          f"frame:N, or frame:N:torn")
-    torn = False
-    if len(parts) == 3:
-        if parts[0] != "frame" or parts[2] != "torn":
-            raise ValueError(f"bad crash spec {text!r}; only frame:N:torn "
-                             f"takes a third field")
-        torn = True
-    elif len(parts) != 2:
-        raise ValueError(f"bad crash spec {text!r}")
-    try:
-        at = int(parts[1])
-    except ValueError:
-        raise ValueError(f"bad crash spec {text!r}: {parts[1]!r} is not "
-                         f"an integer")
-    if at < 0:
-        raise ValueError(f"bad crash spec {text!r}: index must be >= 0")
-    return {"kind": parts[0], "at": at, "torn": torn}
-
-
-class FailoverSubscription:
-    """A subscription that survives promotion with exactly-once rows."""
-
-    def __init__(self, name: str, inner) -> None:
-        self.name = name
-        self._inner = inner
-        self._pending: List[tuple] = []
-        #: rows drained from an engine so far -- delivered into this
-        #: process, whether or not the application polled them yet
-        self.delivered = 0
-        #: regenerated rows still to drop after a promotion
-        self.skip = 0
-        #: rows actually dropped by the gate (exactly-once accounting)
-        self.suppressed = 0
-        self.ended = False
-
-    def _drain(self) -> None:
-        rows = self._inner.poll()
-        if self.skip:
-            gated = min(self.skip, len(rows))
-            rows = rows[gated:]
-            self.skip -= gated
-            self.suppressed += gated
-        self._pending.extend(rows)
-        self.delivered += len(rows)
-        if self._inner.ended:
-            self.ended = True
-
-    def poll(self) -> List[tuple]:
-        """All data tuples received since the last poll."""
-        self._drain()
-        rows = self._pending
-        self._pending = []
-        return rows
-
-    def _promote(self, inner, regenerated: int) -> None:
-        """Swap to the standby's channel, arming the skip gate."""
-        self._drain()  # final drain: pre-crash rows survive in-process
-        self._inner = inner
-        self.skip = self.delivered - regenerated
-        if self.skip < 0:
-            raise StateLogError(
-                f"subscription {self.name!r}: standby ahead of delivery "
-                f"({regenerated} regenerated vs {self.delivered} "
-                f"delivered)")
-        self.ended = False
+    return {"kind": match[1], "at": int(match[2]), "torn": bool(match[3])}
 
 
 def _finite(value: float) -> Optional[float]:
     return value if math.isfinite(value) else None
 
 
-#: Read off the pair; all ``gs_repl``-prefixed, so a snapshot-diffing
+#: Read off the plane; all ``gs_repl``-prefixed, so a snapshot-diffing
 #: caller can strip them the way ``gs_recovery*`` is stripped.
 LEDGER = Ledger("replication", (
     Field("frames_delta", "gs_repl_frames_total", "counter",
           "replication frames cut at quiescent pump boundaries", "kind",
-          read=lambda pair: pair.shipper.frames),
+          read=lambda plane: plane.shipper.frames),
     Field("bytes_total", "gs_repl_bytes_total", "counter",
           "encoded replication frame bytes shipped",
-          read=lambda pair: pair.shipper.bytes_total),
+          read=lambda plane: plane.shipper.bytes_total),
     Field("nodes_shipped", "gs_repl_nodes_shipped_total", "counter",
           "per-node state blobs carried by frames (delta frames carry "
           "only the nodes whose state changed)",
-          read=lambda pair: pair.shipper.nodes_shipped),
+          read=lambda plane: plane.shipper.nodes_shipped),
     Field("skipped_unquiescent", "gs_repl_skipped_unquiescent_total",
           "counter",
           "frame cuts deferred because a channel held in-flight items",
-          read=lambda pair: pair.shipper.skipped_unquiescent),
+          read=lambda plane: plane.shipper.skipped_unquiescent),
     Field("applied_seq", "gs_repl_last_frame_seq", "gauge",
           "sequence number of the latest frame "
           "applied by the standby (-1 before the full epoch)",
-          read=lambda pair: pair.replica.applied_seq),
+          read=lambda plane: plane.replica.applied_seq),
     Field("applied_time", "gs_repl_last_frame_time_seconds", "gauge",
           "virtual time of the latest applied frame",
-          read=lambda pair: _finite(pair.replica.applied_time)),
+          read=lambda plane: _finite(plane.replica.applied_time)),
     Field("standby_lag_s", "gs_repl_standby_lag_seconds", "gauge",
           "primary stream time minus the latest applied frame's time "
           "(the recovery-point exposure right now)"),
     Field("apply_errors", "gs_repl_apply_errors_total", "counter",
           "frames the standby refused (corrupt, stale-version, or "
           "out-of-order; never applied partially)",
-          read=lambda pair: len(pair.apply_errors)),
+          read=lambda plane: len(plane.apply_errors)),
     Field("promotions", "gs_repl_promotions_total", "counter",
           "standby promotions after a detected primary failure"),
     Field("replayed_packets", "gs_repl_replayed_packets_total", "counter",
@@ -203,126 +123,105 @@ LEDGER = Ledger("replication", (
 _UNTIL_5C = "is not in the state log until ROADMAP 5 (c)"
 
 
-@refuses({
-    "shed": f"the policy's keep-rate {_UNTIL_5C}: a promoted standby would "
-            "restart at rate 1.0 and diverge from the primary's output",
-    "alerts": f"the epoch clock's last tick {_UNTIL_5C}: a promoted "
-              "standby would re-tick epochs the primary already closed",
-    "telemetry": f"the hub's sample cursor {_UNTIL_5C}: a promoted standby "
-                 "would re-emit or skip _gs_* samples",
-    "recovery": f"the supervisor's journal and restart budget {_UNTIL_5C}: "
-                "a standby promoted mid-backoff would not know which nodes "
-                "were suspended",
-    "tracing": "trace ids are sampled and spans kept by the primary's "
-               "tracer; neither survives a promotion",
-})
-class ReplicatedGigascope:
-    """A primary/warm-standby engine pair behind the Gigascope API."""
+class ReplicationPlane:
+    """A warm standby runtime for one engine, and its promotion."""
 
     ledger = LEDGER
+    #: the planes a promotion could not carry over, and why
+    #: (``attach_plane`` refuses them next to this one, either order)
+    refusals = {
+        "shed": f"the policy's keep-rate {_UNTIL_5C}: a promoted standby "
+                "would restart at rate 1.0 and diverge from the primary's "
+                "output",
+        "alerts": f"the epoch clock's last tick {_UNTIL_5C}: a promoted "
+                  "standby would re-tick epochs the primary already closed",
+        "telemetry": f"the hub's sample cursor {_UNTIL_5C}: a promoted "
+                     "standby would re-emit or skip _gs_* samples",
+        "recovery": f"the supervisor's journal and restart budget "
+                    f"{_UNTIL_5C}: a standby promoted mid-backoff would "
+                    "not know which nodes were suspended",
+        "tracing": "trace ids are sampled and spans kept by the primary's "
+                   "tracer; neither survives a promotion",
+    }
 
-    def __init__(self, cadence: float = DEFAULT_CADENCE,
+    def __init__(self, gs, cadence: float = DEFAULT_CADENCE,
                  promote_after: Optional[float] = None,
                  crash: Optional[str] = None,
-                 log_path: Optional[str] = None,
-                 **engine_kwargs: Any) -> None:
+                 log_path: Optional[str] = None) -> None:
+        check_cadence("cadence", cadence)
         if promote_after is not None:
-            check_finite("promote_after", promote_after)
-            if promote_after < 0:
-                raise ValueError(f"promote_after must be >= 0, "
-                                 f"got {promote_after}")
-        self.primary = Gigascope(**engine_kwargs)
-        self.standby = Gigascope(**engine_kwargs)
-        self.replica = StandbyReplica(self.standby)
-        self.shipper = ReplicationShipper(self.primary.rts, cadence,
-                                          self._deliver)
-        self.promote_after = promote_after
+            check_cadence("promote_after", promote_after)
         self._crash = parse_crash_spec(crash) if crash else None
+        primary = gs.rts
+        if primary.packets_fed + primary.fault_dropped:
+            raise RegistryError("enable replication before the first "
+                                "packet: a promotion replays from it")
         self._log_file = open(log_path, "wb") if log_path else None
+        primary.attach_plane(self)
+        self.gs, self.primary, self.promote_after = gs, primary, promote_after
+        # Started at its promotion; listing the plane too, so that its
+        # registry and report serve after it.
+        self.standby = RuntimeSystem(
+            heartbeat_interval=primary.heartbeat_interval,
+            on_demand_heartbeats=primary.on_demand_heartbeats,
+            metrics=primary.metrics is not None,
+            batch_size=primary.batch_size)
+        self.standby.attach_plane(self)
+        self.promoted = False
+        for instance in gs._instances.values():
+            self.copy(instance)
+        self.replica = StandbyReplica(self.standby)
+        self.shipper = ReplicationShipper(primary, cadence, self._deliver)
         #: every frame as shipped (torn bytes included), for artifacts
         self.log_frames: List[bytes] = []
         self.apply_errors: List[str] = []
-        #: every subscription handed out, several per name included
-        self._subs: List[FailoverSubscription] = []
-        self._packets: List[Any] = []
-        self._fed = 0
-        self.promoted = False
+        #: the journal tail, from packet ``_base`` (the last applied
+        #: frame's cursor; after a promotion, the next to feed) on, and
+        #: the packets handed to the serving runtime
+        self.tail: List[Any] = []
+        self._base = self._fed = 0
         self.failure_reason: Optional[str] = None
         self._pending_failure: Optional[str] = None
-        self.promotions = 0
-        self.replayed_packets = 0
-        self.promote_wall_s = 0.0
-        #: virtual-time window the promotion rolled back (crash time
-        #: minus the last applied frame's time): the recovery point
-        self.rpo_virtual_s = 0.0
-        self.rpo_packets = 0
-        # Both engines carry the pair as their replication plane: the
-        # standby's registry and report serve after a promotion.
-        self.primary.rts.attach_plane(self)
-        self.standby.rts.attach_plane(self)
-
-    # -- engine facade -------------------------------------------------------
-    @property
-    def engine(self) -> Gigascope:
-        """The engine currently serving the feed."""
-        return self.standby if self.promoted else self.primary
+        self.promotions = self.replayed_packets = self.rpo_packets = 0
+        #: the promotion's wall time, and the virtual-time window it
+        #: rolled back (crash time minus the last applied frame's time)
+        self.promote_wall_s = self.rpo_virtual_s = 0.0
 
     @property
-    def rts(self):
-        return self.engine.rts
+    def runtimes(self) -> List[RuntimeSystem]:
+        """Where a query lives: the primary and the standby, or the
+        promoted standby alone."""
+        return [self.standby] if self.promoted else [self.primary,
+                                                     self.standby]
 
-    @property
-    def metrics(self):
-        return self.engine.metrics
+    def copy(self, instance) -> None:
+        """Build ``instance``'s nodes in the standby too, from the same
+        plan and compiler; the compiler's listing keeps the primary's
+        loops, once."""
+        if self.promoted:
+            return
+        compiler = instance.compiler
+        listing, compiler.generated_sources = compiler.generated_sources, []
+        try:
+            self.gs._link_nodes(instance, self.standby)
+        finally:
+            compiler.generated_sources = listing
 
-    @property
-    def planes(self):
-        return self.engine.planes
-
-    def add_query(self, text: str, params: Optional[Dict] = None,
-                  name: Optional[str] = None) -> str:
-        result = self.primary.add_query(text, params=params, name=name)
-        self.standby.add_query(text, params=params, name=name)
-        return result
-
-    def add_queries(self, text: str, params: Optional[Dict] = None):
-        names = self.primary.add_queries(text, params=params)
-        self.standby.add_queries(text, params=params)
-        return names
-
-    def explain(self, name: str) -> str:
-        return self.primary.explain(name)
-
-    def schema_of(self, name: str):
-        return self.engine.schema_of(name)
-
-    def stats(self):
-        return self.engine.stats()
-
-    def subscribe(self, name: str,
-                  capacity: Optional[int] = None) -> FailoverSubscription:
-        sub = FailoverSubscription(
-            name, self.primary.subscribe(name, capacity=capacity))
-        self._subs.append(sub)
-        return sub
-
-    def inject_faults(self, faults) -> None:
-        """Faults arm on the primary only: they are the failure source."""
-        self.primary.inject_faults(faults)
-
-    def fault_report(self):
-        return self.primary.fault_report()
-
-    def start(self) -> None:
-        self.primary.start()
-        self.standby.start()
+    def checkpoint(self) -> None:
+        """Pump and ship a frame now (a parameter just changed): a
+        replay then never runs a packet fed before the change under
+        the value set after it."""
+        primary = self.primary
+        if not self.promoted and not math.isinf(primary.stream_time):
+            primary.pump()
+            self.shipper.ship(primary.stream_time)
 
     # -- the replication stream ---------------------------------------------
     def _deliver(self, frame: bytes) -> None:
         seq = self.shipper.log.seq + 1  # the frame being delivered
-        crash = self._crash
-        if (crash is not None and crash["kind"] == "frame"
-                and crash["torn"] and seq == crash["at"]):
+        crash = self._crash or {}
+        crashes = crash.get("kind") == "frame" and seq == crash["at"]
+        if crashes and crash["torn"]:
             # A crash mid-frame: the log ends in a truncated write.
             frame = frame[: max(1, len(frame) // 2)]
         if self._log_file is not None:
@@ -334,89 +233,91 @@ class ReplicatedGigascope:
             # A refused frame is recorded, never half-applied; the
             # standby stays at the previous frame.
             self.apply_errors.append(str(error))
-        if (crash is not None and crash["kind"] == "frame"
-                and seq == crash["at"]):
+        if crashes:
             self._pending_failure = (
                 f"crash injected after frame {seq}"
                 + (" (torn mid-write)" if crash["torn"] else ""))
 
     # -- feeding and failure detection ---------------------------------------
-    def feed(self, packets, pump_every: int = 256) -> None:
+    def feed(self, packets, pump_every: int) -> None:
+        """Feed the serving runtime, keeping the journal tail and
+        promoting the standby on a failure."""
         check_positive_int("pump_every", pump_every)
-        self._packets.extend(packets)
-        total = len(self._packets)
+        tail = self.tail
+        tail.extend(packets)
+        total = self._base + len(tail)
+        crash = self._crash or {}
         while self._fed < total:
-            engine = self.engine
             # Slices end on the canonical pump_every grid so batch
             # blocks and pump boundaries land on the same packets as
             # one uninterrupted feed would put them.
             end = min((self._fed // pump_every + 1) * pump_every, total)
-            if not self.promoted and self._crash is not None \
-                    and self._crash["kind"] == "packet" \
-                    and self._fed <= self._crash["at"] < end:
-                end = self._crash["at"]
-                if end > self._fed:
-                    engine.feed(self._packets[self._fed:end],
-                                pump_every=pump_every)
-                self._fed = end
-                self._promote(f"crash injected at packet {end}")
+            if (crash.get("kind") == "packet" and not self.promoted
+                    and self._fed <= crash["at"] < end):
+                self._feed_to(crash["at"], pump_every)
+                self._promote(f"crash injected at packet {crash['at']}")
                 continue
-            engine.feed(self._packets[self._fed:end],
-                        pump_every=pump_every)
-            self._fed = end
+            self._feed_to(end, pump_every)
             if not self.promoted:
                 if self._pending_failure is not None:
-                    reason, self._pending_failure = self._pending_failure, \
-                        None
-                    self._promote(reason)
+                    self._promote(self._pending_failure)
                 elif self._silence_detected():
-                    rts = self.primary.rts
                     self._promote(
                         f"heartbeat silence: no heartbeat since "
-                        f"t={rts.last_heartbeat:.3f} at "
-                        f"t={rts.stream_time:.3f}")
+                        f"t={self.primary.last_heartbeat:.3f} at "
+                        f"t={self.primary.stream_time:.3f}")
+            # Nothing below the standby's replay point is needed again.
+            keep = self._fed if self.promoted else self.replica.cursor
+            if keep > self._base:
+                del tail[:keep - self._base]
+                self._base = keep
 
-    def feed_packet(self, packet) -> None:
-        self.feed([packet], pump_every=1)
+    def _feed_to(self, end: int, pump_every: int) -> None:
+        if end > self._fed:
+            self.gs.rts.feed(self.tail[self._fed - self._base:
+                                       end - self._base],
+                             pump_every=pump_every)
+            self._fed = end
 
     def _silence_detected(self) -> bool:
-        if self.promote_after is None:
-            return False
-        rts = self.primary.rts
-        interval = rts.heartbeat_interval
-        if interval is None:
+        rts = self.primary
+        if self.promote_after is None or rts.heartbeat_interval is None:
             return False
         now, last = rts.stream_time, rts.last_heartbeat
-        if math.isinf(now) or math.isinf(last):
-            return False
-        return now - last > interval + self.promote_after
+        return (math.isfinite(now) and math.isfinite(last) and now - last
+                > rts.heartbeat_interval + self.promote_after)
 
     # -- promotion -----------------------------------------------------------
     def _promote(self, reason: str) -> None:
         began = perf_counter()
         self.failure_reason = reason
-        crash_time = self.primary.rts.stream_time
-        if not math.isinf(crash_time) \
-                and not math.isinf(self.replica.applied_time):
-            self.rpo_virtual_s = crash_time - self.replica.applied_time
+        primary, standby = self.primary, self.standby
+        self.rpo_virtual_s = self.standby_lag_s or 0.0
         cursor = self.replica.cursor
-        self.rpo_packets = self._fed - cursor
-        self.replayed_packets = self.rpo_packets
-        standby = self.standby
-        for sub in self._subs:
-            inner = standby.subscribe(sub.name)
-            regenerated = standby.rts.node(sub.name).stats.tuples_out
-            sub._promote(inner, regenerated)
-        self.promoted = True
+        self.rpo_packets = self.replayed_packets = self._fed - cursor
+        for sub in primary.subscriptions:
+            if sub.name not in standby.names():
+                continue  # its query was removed
+            node = standby.node(sub.name)
+            sub.follow(node.subscribe(capacity=sub.channel.capacity,
+                                      name=f"{sub.name}->app"),
+                       standby, node.stats.tuples_out)
+            if sub.skip < 0:
+                raise StateLogError(
+                    f"subscription {sub.name!r}: standby ahead of delivery "
+                    f"({node.stats.tuples_out} regenerated vs "
+                    f"{sub.delivered} delivered)")
+            standby.subscriptions.append(sub)
+        # The injectors that killed the primary stay in the drop ledger.
+        standby.faults = primary.faults
+        standby.start()
+        self.gs.rts, self.promoted, self._fed = standby, True, cursor
         self.promotions += 1
-        self._fed = cursor
         self.promote_wall_s = perf_counter() - began
 
-    # -- end of stream -------------------------------------------------------
-    def flush(self) -> None:
-        self.engine.flush()
-        for sub in self._subs:
-            sub._drain()
+    # -- RTS hook ------------------------------------------------------------
+    def on_stream_end(self, stream_time: float) -> None:
+        """The serving runtime flushed: the frame log is complete."""
         if self._log_file is not None:
             self._log_file.close()
             self._log_file = None
@@ -424,16 +325,15 @@ class ReplicatedGigascope:
     # -- reporting -----------------------------------------------------------
     @property
     def suppressed_rows(self) -> int:
-        return sum(sub.suppressed for sub in self._subs)
+        return sum(sub.suppressed for sub in self.standby.subscriptions)
 
     @property
     def standby_lag_s(self) -> Optional[float]:
         """Primary stream time minus the latest applied frame's time
         (None until both clocks have started)."""
-        return _finite(self.primary.rts.stream_time
-                       - self.replica.applied_time)
+        return _finite(self.primary.stream_time - self.replica.applied_time)
 
-    def replication_report(self) -> Dict[str, Any]:
+    def report(self) -> Dict[str, Any]:
         report = self.shipper.report()
         report.update(self.replica.report())
         report.update(
@@ -449,9 +349,3 @@ class ReplicatedGigascope:
             apply_error_log=list(self.apply_errors),
         )
         return report
-
-    #: as the ``replication`` plane (``planes``), this is the report
-    report = replication_report
-
-    def overload_report(self):
-        return self.engine.overload_report()

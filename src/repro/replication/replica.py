@@ -1,6 +1,6 @@
 """The warm-standby applier (DESIGN section 16).
 
-A :class:`StandbyReplica` wraps a live, started engine whose query set
+A :class:`StandbyReplica` wraps a live runtime whose query set
 matches the primary's, and folds state-log frames
 (:class:`repro.recovery.statelog.StateLog`) *into* its operator state
 -- keeping the standby *warm*: at any moment its state equals the
@@ -21,10 +21,10 @@ from repro.recovery.statelog import FrameError, StateLog
 
 
 class StandbyReplica:
-    """Applies a state log into a live engine's operator state."""
+    """Applies a state log into a live runtime's operator state."""
 
-    def __init__(self, engine) -> None:
-        self.engine = engine
+    def __init__(self, rts) -> None:
+        self.rts = rts
         self.log = StateLog()
         self.apply_errors = 0
 
@@ -49,7 +49,7 @@ class StandbyReplica:
         and leaves the standby untouched -- on any refusal.
         """
         try:
-            return self.log.fold(blob, into=self.engine.rts)
+            return self.log.fold(blob, into=self.rts)
         except FrameError:
             self.apply_errors += 1
             raise

@@ -1,21 +1,14 @@
 """The primary-side replication shipper (DESIGN section 16).
 
-Attaches itself to the primary's RTS (``attach_plane``, in the
-``replication`` phase); :meth:`ReplicationShipper.on_pump_end` then
-fires at every pump boundary, after the recovery supervisor has cut its
-checkpoint at the same one.  When the cadence is due the shipper cuts
-the next frame of its state log
-(:meth:`repro.recovery.statelog.StateLog.cut` -- the node-granular
-incremental framing the DBSP paper motivates: most frames carry the
-handful of hot operators, not the whole engine).
-
-Frames go to a ``deliver(frame_bytes)`` callable -- in-process that is
-the standby's applier, on disk a log file, over a pipe a standby
-process.  Delivery failures never unwind the pump: a frame is folded
-into the shipper's own log only after ``deliver`` returns, so one that
-was not delivered is cut again at the next quiescent boundary under
-the same ``seq`` (with the union of the changes) and the standby never
-sees a gap.
+Attached to the primary's RTS in the ``replication`` phase, it cuts the
+next frame of its state log (:meth:`repro.recovery.statelog.StateLog.cut`:
+node-granular, so most frames carry a few hot operators) at the first
+pump boundary the cadence allows, after the recovery supervisor's
+checkpoint at the same one.  Frames go to ``deliver(frame_bytes)``: the
+standby's applier, a log file or a pipe.  A failed delivery never
+unwinds the pump: a frame joins the shipper's log only once delivered,
+so the next boundary cuts the same ``seq`` again with the union of the
+changes, and the standby never sees a gap.
 """
 
 from __future__ import annotations
@@ -23,20 +16,28 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Dict, Optional
 
+from repro.core.channels import check_finite
 from repro.recovery.statelog import StateLog
+
+
+def check_cadence(name: str, value) -> None:
+    """Refuse a cadence or grace period in virtual seconds that is not
+    a finite number >= 0, naming it: a NaN cadence would cut a frame at
+    every pump boundary, an infinite one never after the epoch."""
+    check_finite(name, value)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
 class ReplicationShipper:
     """Ships state-log frames from a live RTS on a virtual-time cadence."""
 
-    #: no ledger of its own (a pair is the ``replication`` plane): a phase
+    #: no ledger of its own (``ReplicationPlane`` has it): a phase
     phase = "replication"
 
     def __init__(self, rts, cadence: float,
                  deliver: Callable[[bytes], None]) -> None:
-        if cadence < 0:
-            raise ValueError(f"replication cadence must be >= 0, "
-                             f"got {cadence}")
+        check_cadence("cadence", cadence)
         self.rts = rts
         #: virtual-time seconds between delta frames; 0.0 means a frame
         #: at every pump boundary
@@ -58,9 +59,12 @@ class ReplicationShipper:
         """Maybe cut and deliver a frame at this pump boundary."""
         # The first pump with a real stream clock opens the epoch; the
         # cadence then runs from the last frame that was delivered.
-        if (math.isinf(stream_time)
-                or stream_time < self.log.time + self.cadence):
-            return
+        if (not math.isinf(stream_time)
+                and stream_time >= self.log.time + self.cadence):
+            self.ship(stream_time)
+
+    def ship(self, stream_time: float) -> None:
+        """Cut and deliver the next frame now, at a pump boundary."""
         rts = self.rts
         # The cursor is how many packets the primary has been handed so
         # far: the dispatch counter plus the ones injected faults

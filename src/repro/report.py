@@ -57,8 +57,8 @@ def _node_table(stats, lines: List[str]) -> None:
 def engine_report(engine) -> str:
     """A multi-section plain-text report of the engine's state.
 
-    ``engine`` is any of the three facades: the header and the node
-    table, then one section per enabled control plane -- each plane's
+    ``engine`` is either facade, replicated or not: the header and the
+    node table, then one section per enabled control plane -- each plane's
     ``report()`` rendered by :func:`repro.obs.ledger.render`, the same
     lines the ``gsq`` epilogue prints.  A sharded engine's worker
     statistics arrive in their ``end`` frames, namespaced

@@ -176,14 +176,19 @@ _WINDOW_SETUP = [
 ]
 
 
-def _window_check(before_flush: Sequence[str] = ()) -> List[str]:
+def _window_check(before_flush: Sequence[str] = (),
+                  late: bool = True) -> List[str]:
+    # Frozen but for the late branch the engine has since gained (not
+    # on partials): a key below the band drops its row, so both loops
+    # agree on a closed window.
     return [
         "x = k[index]",
         "if high is None or x > high:",
         "    high = node._high_water = x",
     ] + _indent(before_flush) + [
         "    node._flush_below(x - band)",
-    ]
+    ] + (["elif x < high - band:", "    discarded += 1", "    continue"]
+         if late else [])
 
 
 class FrozenCompiler(ExprCompiler):
@@ -496,7 +501,7 @@ class FrozenCompiler(ExprCompiler):
             loop = _guarded_args(src)
         if windowed:
             setup += _WINDOW_SETUP
-            loop += _window_check()
+            loop += _window_check(late=not partials)
         loop += [
             "s = groups.get(k)",
             "if s is None:",

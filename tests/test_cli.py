@@ -742,18 +742,28 @@ REFUSABLE = {
 }
 
 
-def _facades():
-    from repro.replication import ReplicatedGigascope
+def _sharded():
+    """``(engine, its refusals, who the API says refuses)``."""
     from repro.shard import ShardedGigascope
-    return {"--shards": (["--shards", "2"],
-                         lambda: ShardedGigascope(2, metrics=False)),
-            "--standby": (["--standby"],
-                          lambda: ReplicatedGigascope(metrics=False))}
+    engine = ShardedGigascope(2, metrics=False)
+    return engine, engine.refusals, "ShardedGigascope"
+
+
+def _replicated():
+    from repro import Gigascope
+    engine = Gigascope(metrics=False)
+    return engine, engine.enable_replication().refusals, "replication"
+
+
+def _facades():
+    return {"--shards": (["--shards", "2"], _sharded),
+            "--standby": (["--standby"], _replicated)}
 
 
 class TestRefusals:
-    """Each facade states once which planes it refuses and why; the API
-    raises that reason typed and ``gsq`` prints the same words."""
+    """The sharded facade and the replication plane each state once
+    which planes they refuse and why; the API raises that reason typed
+    and ``gsq`` prints the same words."""
 
     QUERY = "DEFINE query_name q; Select time From tcp Where destPort = 80"
 
@@ -764,16 +774,15 @@ class TestRefusals:
         from repro.core.stream_manager import RegistryError
         topology_flags, build = _facades()[topology]
         plane_flags, enable = REFUSABLE[plane]
-        engine = build()
-        reason = engine.refusals.get(plane)
+        engine, refusals, refuser = build()
+        reason = refusals.get(plane)
         if reason is None:
-            enable(engine)  # faults on a standby pair: allowed
+            enable(engine)  # faults on a replicated engine: allowed
             return
         assert "not implemented" not in reason and len(reason) > 40
         with pytest.raises(RegistryError) as refused:
             enable(engine)
-        assert str(refused.value) == (
-            f"{type(engine).__name__} refuses {plane}: {reason}")
+        assert str(refused.value) == f"{refuser} refuses {plane}: {reason}"
         with pytest.raises(SystemExit) as excinfo:
             main(["--pcap", trace, "--query", self.QUERY]
                  + topology_flags + plane_flags)
@@ -785,7 +794,30 @@ class TestRefusals:
     def test_the_refusal_count(self):
         """ROADMAP item 5 counts these; (c) is what empties the list."""
         from repro import Gigascope
-        counts = {flag: len(build().refusals)
+        counts = {flag: len(build()[1])
                   for flag, (_, build) in _facades().items()}
         assert counts == {"--shards": 7, "--standby": 5}
         assert Gigascope.refusals == {}
+
+    @pytest.mark.parametrize("plane", sorted(set(REFUSABLE) - {"faults"}))
+    def test_replication_is_refused_next_to_a_plane_it_refuses(self, plane):
+        """``attach_plane`` checks a refusal both ways: a plane enabled
+        first refuses replication with the reason replication gives."""
+        from repro import Gigascope
+        from repro.core.stream_manager import RegistryError
+        from repro.replication import ReplicationPlane
+        engine = Gigascope(metrics=False)
+        REFUSABLE[plane][1](engine)
+        with pytest.raises(RegistryError) as refused:
+            engine.enable_replication()
+        assert str(refused.value) == (f"replication refuses {plane}: "
+                                      f"{ReplicationPlane.refusals[plane]}")
+        assert "replication" not in engine.planes
+
+    def test_sharded_refuses_replication_by_its_declared_reason(self):
+        from repro.core.stream_manager import RegistryError
+        engine, refusals, _ = _sharded()
+        with pytest.raises(RegistryError) as refused:
+            engine.enable_replication()
+        assert str(refused.value) == ("ShardedGigascope refuses replication: "
+                                      f"{refusals['replication']}")

@@ -94,19 +94,19 @@ def test_readme_documents_every_metric_family():
     families.update((family.name, family.kind)
                     for family in sharded.metrics.families())
 
-    # The warm-standby pair registers the gs_repl_* plane on both
-    # engines' registries.
-    from repro.replication import ReplicatedGigascope
-    pair = ReplicatedGigascope(cadence=0.5, seed=3)
-    pair.add_query("""
+    # The replication plane registers the gs_repl_* families on both
+    # runtimes' registries.
+    replicated = Gigascope(seed=3)
+    plane = replicated.enable_replication(cadence=0.5)
+    replicated.add_query("""
         DEFINE query_name flows;
         Select tb, count(*) as pkts
         From tcp Group by time/2 as tb
     """)
     families.update((family.name, family.kind)
-                    for family in pair.metrics.families())
+                    for family in replicated.metrics.families())
     ledgers = (gs.planes["shed"], gs.planes["recovery"], gs.planes["alerts"],
-               gs.planes["telemetry"], sharded, pair)
+               gs.planes["telemetry"], sharded, plane)
     declared = {field.family: field.kind for plane in ledgers
                 for field in plane.ledger.fields if field.family}
     assert declared.items() <= families.items()
@@ -122,9 +122,10 @@ def test_readme_documents_every_metric_family():
 
 
 def test_readme_refusal_table_is_the_declaration():
-    """The README's "what an engine refuses" rows are the facades' own
-    ``refusals``: same planes, same reasons, word for word."""
-    from repro.replication import ReplicatedGigascope
+    """The README's "what an engine refuses" rows are the declared
+    ``refusals`` of the sharded facade and the replication plane: same
+    planes, same reasons, word for word."""
+    from repro.replication import ReplicationPlane
     from repro.shard import ShardedGigascope
 
     readme = (ROOT / "README.md").read_text()
@@ -132,7 +133,7 @@ def test_readme_refusal_table_is_the_declaration():
              in re.findall(r"^\| `(--\w+)` \| [^|]+ \| `(\w+)` \| (.+) \|$",
                            readme, re.M)}
     declared = {(flag, plane): reason
-                for flag, facade in (("--shards", ShardedGigascope),
-                                     ("--standby", ReplicatedGigascope))
-                for plane, reason in facade.refusals.items()}
+                for flag, declarer in (("--shards", ShardedGigascope),
+                                       ("--standby", ReplicationPlane))
+                for plane, reason in declarer.refusals.items()}
     assert table == declared

@@ -13,6 +13,13 @@ from repro.operators.defrag import DefragNode
 from tests.conftest import tcp_packet, udp_packet
 
 
+def replicated(**kwargs):
+    """A single-process engine with the replication plane enabled."""
+    gs = Gigascope(**kwargs)
+    gs.enable_replication()
+    return gs
+
+
 def make_traffic(count=600, seed=3, interface="eth0"):
     """TCP traffic: mixed ports, half the port-80 payloads are HTTP."""
     rng = random.Random(seed)
@@ -180,6 +187,54 @@ class TestAggregation:
         assert sub.poll() == [(0, 2, 10)]
         assert gs.overload_report()["quarantined"] == {}
         assert gs.stats()[aggregator]["discarded"] == 1
+
+
+class TestLateTuples:
+    """A window key below the high-water mark by more than its band
+    belongs to a window that closed: the row is dropped and counted in
+    ``discarded``, not re-opened as a second group of that window."""
+
+    @pytest.mark.parametrize("batch_size", [1, 256])
+    def test_a_closed_window_is_not_reopened(self, batch_size):
+        """The LFTA drops the late packets (4 and 5): its partial never
+        reaches the HFTA.  Before, this returned a second (0, 2)."""
+        gs = Gigascope(batch_size=batch_size, metrics=False)
+        gs.add_query("DEFINE query_name q; Select tb, count(*) "
+                      "From eth0.tcp Group by time/10 as tb")
+        sub = gs.subscribe("q")
+        gs.start()
+        gs.feed([tcp_packet(ts=float(t))
+                 for t in (1, 2, 3, 11, 12, 25, 4, 5, 26, 35)])
+        gs.flush()
+        assert sub.poll() == [(0, 3), (1, 2), (2, 2), (3, 1)]
+        stats = gs.stats()
+        assert sum(stats[node]["discarded"] for node in ("_fta_q_0", "q")) == 2
+
+    @pytest.mark.parametrize("pump_every", [1, 8, 256])
+    def test_the_hfta_drops_a_late_row_and_a_late_run_whole(self, pump_every):
+        """Over raw tuples the HFTA decides: row by row when a pump
+        drains fewer than ``RUNS_FROM`` rows (a late row empties the
+        key-run cache, so the next one is checked too), a run at a time
+        when it drains 256 -- and the late run counts every row."""
+        gs = Gigascope(metrics=False)
+        gs.add_queries("""
+            DEFINE query_name base;
+            Select time, len From tcp;
+
+            DEFINE query_name counts;
+            Select tb, count(*), sum(len) From base Group by time/10 as tb
+        """)
+        sub = gs.subscribe("counts")
+        gs.start()
+        gs.feed([tcp_packet(ts=t + i / 100, payload=b"x" * i)
+                 for t in (1, 11, 25, 4, 26, 35) for i in range(20)],
+                pump_every=pump_every)
+        gs.flush()
+        rows = sub.poll()
+        total = rows[0][2]  # twenty packets' lengths
+        assert rows == [(0, 20, total), (1, 20, total), (2, 40, 2 * total),
+                        (3, 20, total)]
+        assert gs.stats()["counts"]["discarded"] == 20
 
 
 class TestComposition:
@@ -353,7 +408,6 @@ class TestLifecycle:
         """Not a crash deep inside the feed loop, and on the sharded
         engine not silent data loss: every facade refuses the value
         before a packet is fed or a worker is forked."""
-        from repro.replication import ReplicatedGigascope
         from repro.shard import ShardedGigascope
 
         def fork(*args):
@@ -361,7 +415,7 @@ class TestLifecycle:
         monkeypatch.setattr(ShardedGigascope, "_spawn", fork)
         gs = {"single": lambda: Gigascope(metrics=False),
               "shards": lambda: ShardedGigascope(2, metrics=False),
-              "standby": lambda: ReplicatedGigascope(metrics=False)}[facade]()
+              "standby": lambda: replicated(metrics=False)}[facade]()
         gs.add_query("DEFINE query_name q; Select time From tcp")
         sub = gs.subscribe("q")
         gs.start()
@@ -373,8 +427,7 @@ class TestLifecycle:
         if facade == "shards":
             assert gs.generations == 0
         else:
-            engine = gs if facade == "single" else gs.primary
-            assert engine.rts.packets_fed == 0
+            assert gs.rts.packets_fed == 0
 
     @pytest.mark.parametrize("argument, bad", [
         (argument, bad)
@@ -392,11 +445,10 @@ class TestLifecycle:
         inside ``feed``, an islice error at the first ``feed``, a merge
         that silently drops every row, or a heartbeat on every packet
         (0) or never (NaN)."""
-        from repro.replication import ReplicatedGigascope
         from repro.shard import ShardedGigascope
         build = {"single": Gigascope,
                  "shards": lambda **kw: ShardedGigascope(2, **kw),
-                 "standby": ReplicatedGigascope}[facade]
+                 "standby": replicated}[facade]
         wanted = ("None or a positive finite number"
                   if argument == "heartbeat_interval" else "a positive integer")
         with pytest.raises(ValueError, match=re.escape(
@@ -409,11 +461,10 @@ class TestLifecycle:
             self, facade, bad):
         """A subscription's channel bound is a size like the engine's
         own: not 2 rows for 2.5, nor 1 for True."""
-        from repro.replication import ReplicatedGigascope
         from repro.shard import ShardedGigascope
         gs = {"single": lambda: Gigascope(metrics=False),
               "shards": lambda: ShardedGigascope(2, metrics=False),
-              "standby": lambda: ReplicatedGigascope(metrics=False)}[facade]()
+              "standby": lambda: replicated(metrics=False)}[facade]()
         gs.add_query("DEFINE query_name q; Select time From tcp")
         with pytest.raises(ValueError, match=re.escape(
                 f"capacity must be a positive integer, got {bad!r}")):
@@ -421,8 +472,7 @@ class TestLifecycle:
         if facade == "shards":
             assert not gs._sinks
         else:
-            engine = gs if facade == "single" else gs.primary
-            assert not engine.rts.node("q").subscribers
+            assert not gs.rts.node("q").subscribers
 
     @pytest.mark.parametrize("bad", [0, -1, 2.5, True])
     def test_max_traces_is_refused_before_the_tracer_is_built(self, bad):

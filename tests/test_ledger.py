@@ -18,7 +18,6 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.telemetry import LEDGER as TELEMETRY
 from repro.obs.telemetry import TELEMETRY_STREAMS, plane_ledgers, telemetry_schema
 from repro.recovery.supervisor import LEDGER as RECOVERY
-from repro.replication import ReplicatedGigascope
 from repro.replication.failover import LEDGER as REPLICATION
 from repro.shard import ShardedGigascope
 from repro.shard.runtime import LEDGER as SHARD
@@ -63,10 +62,11 @@ def live():
     sharded.add_query(FLOWS)
     drive(sharded)
     out["shard"] = (sharded, sharded.metrics)
-    pair = ReplicatedGigascope(cadence=0.5, seed=3, crash="packet:40")
-    pair.add_query(FLOWS)
-    drive(pair)
-    out["replication"] = (pair, pair.metrics)
+    replicated = Gigascope(seed=3)
+    plane = replicated.enable_replication(cadence=0.5, crash="packet:40")
+    replicated.add_query(FLOWS)
+    drive(replicated)
+    out["replication"] = (plane, replicated.metrics)
     return out
 
 

@@ -207,6 +207,11 @@ class ReferenceLfta(FrozenLfta):
                 if high_water is None or window_value > high_water:
                     self._high_water = window_value
                     self._flush_below(window_value - band)
+                elif window_value < high_water - band:
+                    # late: its window closed.  Not c83354f's rule but
+                    # the engine's now, held here so the two agree.
+                    self.stats.discarded += 1
+                    continue
             state, ejected = upsert(key, new_state)
             if ejected is not None:
                 self._emit_group(*ejected)
@@ -293,6 +298,9 @@ class ReferenceAggregation(FrozenAggregation):
                 if high_water is None or window_value > high_water:
                     self._high_water = window_value
                     self._flush_below(window_value - band)
+                elif window_value < high_water - band and not from_partials:
+                    self.stats.discarded += 1  # late, as above
+                    continue
             state = groups.get(key)
             if state is None:
                 state = new_state()
@@ -570,9 +578,11 @@ class TestLftaKernelEqualsRowAtATime:
             digests.add(out.stdout.strip())
         assert len(digests) == 1 and all(digests)
 
-    def test_late_rows_rejoin_their_group(self):
-        """A row below the high-water mark is neither dropped nor a
-        reason to flush: it lands in a fresh slot for its old window."""
+    def test_late_rows_are_dropped_not_reopened(self):
+        """A row below the high-water mark by more than the band is no
+        reason to flush, and its window closed: it is dropped into
+        ``discarded``, not put in a fresh slot that would emit that
+        window a second time."""
         reference, node = lfta_pair(
             "DEFINE query_name q; Select tb, k, count(*) From probe "
             "Group by time/2 as tb, k")
@@ -584,10 +594,10 @@ class TestLftaKernelEqualsRowAtATime:
         assert observe_lfta(node) == expected
         assert expected[0] == [Punctuation({0: 5.0}), (5, 1, 1),
                                Punctuation({0: 7.0})]
+        assert node.stats.discarded == reference.stats.discarded == 1
         for each in (reference, node):
             each.flush()
-        assert node.tap.drain() == reference.tap.drain() == [
-            (5, 1, 1), (7, 1, 2)]
+        assert node.tap.drain() == reference.tap.drain() == [(7, 1, 2)]
 
     @pytest.mark.parametrize("block_size", BLOCK_SIZES)
     @pytest.mark.parametrize("shed_rate", [1.0, 0.5])

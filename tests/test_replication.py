@@ -28,6 +28,7 @@ import struct
 import pytest
 
 from repro.core.engine import Gigascope
+from repro.core.stream_manager import RegistryError
 from repro.determinism import derive_seed
 from repro.recovery.statelog import StateLog
 from repro.recovery.wire import MAGIC, decode_snapshot, encode_snapshot
@@ -38,7 +39,6 @@ from repro.replication import (
     FrameSequenceError,
     FrameVersionError,
     REPLICATION_VERSION,
-    ReplicatedGigascope,
     ReplicationError,
     ReplicationShipper,
     StandbyReplica,
@@ -73,12 +73,18 @@ def run_plain(packets):
     return sub.poll()
 
 
+def replicated(cadence=0.5, crash=None, promote_after=None, log_path=None):
+    """An engine with the replication plane; returns both."""
+    gs = Gigascope(seed=7, heartbeat_interval=0.5, metrics=False)
+    plane = gs.enable_replication(cadence=cadence, crash=crash,
+                                  promote_after=promote_after,
+                                  log_path=log_path)
+    return gs, plane
+
+
 def run_replicated(packets, cadence=0.5, crash=None, promote_after=None,
                    faults=None, log_path=None):
-    gs = ReplicatedGigascope(cadence=cadence, crash=crash,
-                             promote_after=promote_after,
-                             log_path=log_path, seed=7,
-                             heartbeat_interval=0.5, metrics=False)
+    gs, plane = replicated(cadence, crash, promote_after, log_path)
     gs.add_query(FLOWS_QUERY)
     sub = gs.subscribe("flows")
     if faults:
@@ -86,26 +92,26 @@ def run_replicated(packets, cadence=0.5, crash=None, promote_after=None,
     gs.start()
     gs.feed(packets, pump_every=128)
     gs.flush()
-    return sub.poll(), gs
+    return sub.poll(), plane
 
 
 def fresh_standby():
     engine = Gigascope(seed=7, heartbeat_interval=0.5, metrics=False)
     engine.add_query(FLOWS_QUERY)
     engine.start()
-    return StandbyReplica(engine)
+    return StandbyReplica(engine.rts)
 
 
-def engine_states(engine):
+def engine_states(rts):
     """Every node's state, independently encoded: the tamper canary."""
     return {name: encode_snapshot(node.snapshot_state())
-            for name, node in engine.rts.iter_nodes()}
+            for name, node in rts.iter_nodes()}
 
 
 def shipper_frames():
     """The frame log of one clean replicated run."""
-    _, gs = run_replicated(zipf_packets(), cadence=0.5)
-    return gs.log_frames
+    _, plane = run_replicated(zipf_packets(), cadence=0.5)
+    return plane.log_frames
 
 
 def supervisor_frames():
@@ -204,7 +210,7 @@ class TestKnobs:
 
     def test_negative_promote_after_refused(self):
         with pytest.raises(ValueError, match="promote_after"):
-            ReplicatedGigascope(promote_after=-1.0, metrics=False)
+            Gigascope(metrics=False).enable_replication(promote_after=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +266,7 @@ class TestCorruptionCorpus:
         frame, and prove the refusal is typed, names the frame, and
         left every node's state byte-for-byte untouched."""
         replica = primed_replica(shipped_frames, upto=2)
-        before = engine_states(replica.engine)
+        before = engine_states(replica.rts)
         report_before = replica.report()
         frame = shipped_frames[2]
         errors = 0
@@ -270,7 +276,7 @@ class TestCorruptionCorpus:
             assert "state frame" in str(excinfo.value)
             errors += 1
         assert errors > 0
-        assert engine_states(replica.engine) == before, \
+        assert engine_states(replica.rts) == before, \
             "a refused frame must never be applied partially"
         after = replica.report()
         assert after["applied_seq"] == report_before["applied_seq"]
@@ -322,11 +328,11 @@ class TestCorruptionCorpus:
             rebuilt["nodes"] = dict(rebuilt["nodes"], **{name: blob[:-1]})
             yield encode_snapshot(rebuilt)
         replica = primed_replica(shipped_frames, upto=2)
-        before = engine_states(replica.engine)
+        before = engine_states(replica.rts)
         name = next(iter(decode_frame(shipped_frames[2])["nodes"]))
         with pytest.raises(FrameCorruptError, match=repr(name)):
             replica.apply(next(poison(shipped_frames[2])))
-        assert engine_states(replica.engine) == before
+        assert engine_states(replica.rts) == before
 
     def test_unknown_node_refused(self, shipped_frames):
         def rename(frame):
@@ -350,15 +356,15 @@ class TestCorruptionCorpus:
         rebuilt["nodes"] = dict(log.nodes,
                                 **{second: encode_snapshot(envelope)})
         replica = primed_replica(shipped_frames, upto=2)
-        before = engine_states(replica.engine)
-        counters = replica.engine.rts.counters_state()
+        before = engine_states(replica.rts)
+        counters = replica.rts.counters_state()
         assert before[first] != encode_snapshot(
             decode_snapshot(log.nodes[first])["state"])  # it would move
         with pytest.raises(FrameCorruptError,
                            match=f"state frame 2: node {second!r}"):
             replica.apply(encode_snapshot(rebuilt))
-        assert engine_states(replica.engine) == before
-        assert replica.engine.rts.counters_state() == counters
+        assert engine_states(replica.rts) == before
+        assert replica.rts.counters_state() == counters
         assert replica.applied_seq == 1
         assert replica.apply(shipped_frames[2])["seq"] == 2
 
@@ -379,13 +385,13 @@ class TestCorruptionCorpus:
 
     def test_delta_before_full_refused(self, shipped_frames):
         replica = fresh_standby()
-        before = engine_states(replica.engine)
+        before = engine_states(replica.rts)
         with pytest.raises(FrameSequenceError):
             # Reseq the delta to 0 so only kind-ordering can refuse it.
             rebuilt = decode_frame(shipped_frames[1])
             rebuilt["seq"] = 0
             replica.apply(encode_snapshot(rebuilt))
-        assert engine_states(replica.engine) == before
+        assert engine_states(replica.rts) == before
 
     def test_clean_log_applies_end_to_end(self, shipped_frames):
         replica = fresh_standby()
@@ -403,9 +409,9 @@ class TestCorruptionCorpus:
 class TestReplicationIdentity:
     def test_steady_state_is_invisible(self):
         packets = zipf_packets()
-        rows, gs = run_replicated(packets, cadence=0.5)
+        rows, plane = run_replicated(packets, cadence=0.5)
         assert rows == run_plain(packets)
-        report = gs.replication_report()
+        report = plane.report()
         assert report["promoted"] is False
         assert report["frames_full"] == 1
         assert report["frames_delta"] >= 2
@@ -417,9 +423,9 @@ class TestReplicationIdentity:
                                        "frame:0", "frame:2"])
     def test_promoted_output_is_byte_identical(self, crash):
         packets = zipf_packets()
-        rows, gs = run_replicated(packets, cadence=0.5, crash=crash)
+        rows, plane = run_replicated(packets, cadence=0.5, crash=crash)
         assert rows == run_plain(packets)
-        report = gs.replication_report()
+        report = plane.report()
         assert report["promoted"] is True
         assert report["promotions"] == 1
         assert report["rpo_packets"] == report["replayed_packets"]
@@ -427,9 +433,9 @@ class TestReplicationIdentity:
 
     def test_torn_frame_falls_back_one_frame(self):
         packets = zipf_packets()
-        rows, gs = run_replicated(packets, cadence=0.5, crash="frame:2:torn")
+        rows, plane = run_replicated(packets, cadence=0.5, crash="frame:2:torn")
         assert rows == run_plain(packets)
-        report = gs.replication_report()
+        report = plane.report()
         assert report["promoted"] is True
         # The torn write was refused typed...
         assert report["apply_errors"] == 1
@@ -445,26 +451,25 @@ class TestReplicationIdentity:
         the pair's table: the first was never promoted, kept polling
         the dead primary and lost every row after the crash."""
         packets = zipf_packets()
-        gs = ReplicatedGigascope(cadence=0.5, crash=crash, seed=7,
-                                 heartbeat_interval=0.5, metrics=False)
+        gs, plane = replicated(cadence=0.5, crash=crash)
         gs.add_query(FLOWS_QUERY)
         first, second = gs.subscribe("flows"), gs.subscribe("flows")
         gs.start()
         gs.feed(packets, pump_every=128)
         gs.flush()
         clean = run_plain(packets)
-        assert gs.replication_report()["promoted"] is True
+        assert plane.report()["promoted"] is True
         assert first.poll() == clean
         assert second.poll() == clean
         assert first.ended and second.ended
 
     def test_heartbeat_silence_promotes(self):
         packets = zipf_packets()
-        rows, gs = run_replicated(
+        rows, plane = run_replicated(
             packets, cadence=0.5, promote_after=0.2,
             faults=["heartbeat_silence:at=1.5,duration=30"])
         assert rows == run_plain(packets)
-        report = gs.replication_report()
+        report = plane.report()
         assert report["promoted"] is True
         assert "heartbeat silence" in report["failure_reason"]
         assert report["rpo_virtual_s"] >= 0.0
@@ -473,7 +478,7 @@ class TestReplicationIdentity:
     def test_replication_log_file_round_trips(self, tmp_path):
         path = tmp_path / "repl.log"
         packets = zipf_packets(count=800)
-        _, gs = run_replicated(packets, cadence=0.5, log_path=str(path))
+        _, plane = run_replicated(packets, cadence=0.5, log_path=str(path))
         blob = path.read_bytes()
         frames, offset = [], 0
         while offset < len(blob):
@@ -481,7 +486,7 @@ class TestReplicationIdentity:
             offset += 4
             frames.append(blob[offset:offset + length])
             offset += length
-        assert frames == gs.log_frames
+        assert frames == plane.log_frames
         replica = fresh_standby()
         for frame in frames:
             replica.apply(frame)
@@ -519,10 +524,117 @@ class TestReplicationIdentity:
         assert replica.apply_errors == 0
         assert replica.applied_seq == len(delivered) - 1 >= 2
         # The standby is the primary as of the last frame.
-        assert engine_states(replica.engine) == {
+        assert engine_states(replica.rts) == {
             name: encode_snapshot(decode_snapshot(blob)["state"])
             for name, blob in replica.log.nodes.items()}
 
     def test_default_cadence_is_exported(self):
         assert DEFAULT_CADENCE == 1.0
         assert resolve_replicate_cadence(DEFAULT_CADENCE) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Replication is a plane of the one engine
+# ---------------------------------------------------------------------------
+
+class TestThePlane:
+    BIG = """
+        DEFINE query_name big;
+        Select time, srcIP From tcp Where srcIP >= $least
+    """
+    #: about the median source address of the Zipf workload
+    LEAST = 177_000_000
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf"), -1.0, True, "0.5", None])
+    def test_a_bad_cadence_is_refused_by_name(self, bad):
+        """NaN used to cut a frame at every pump boundary, inf the epoch
+        and nothing after, True passed as 1.0 and "0.5" raised a bare
+        TypeError from ``<``."""
+        gs = Gigascope(metrics=False)
+        with pytest.raises(ValueError, match=r"^cadence must be (a finite "
+                                             r"number|>= 0), got "):
+            gs.enable_replication(cadence=bad)
+        assert gs.planes == {}
+        with pytest.raises(ValueError, match=r"^cadence must be"):
+            ReplicationShipper(gs.rts, bad, list.append)
+
+    def test_the_journal_tail_holds_only_what_a_promotion_replays(self):
+        """At most the packets fed since the last applied frame are
+        kept: before the plane, the pair kept every packet it was fed."""
+        gs, plane = replicated(cadence=0.5)
+        gs.add_query(FLOWS_QUERY)
+        gs.start()
+        packets = zipf_packets(count=5000)
+        for start in range(0, len(packets), 250):
+            gs.feed(packets[start:start + 250], pump_every=128)
+            assert len(plane.tail) <= start + 250 - plane.replica.cursor
+        assert plane.replica.applied_seq >= 19  # 20 frames applied
+        assert len(plane.tail) < 250
+
+    def run_big(self, packets, replicate, crash=None):
+        """``big`` with ``$least`` raised after 500 packets, between
+        two frames."""
+        gs = Gigascope(seed=7, heartbeat_interval=0.5, metrics=False)
+        plane = (gs.enable_replication(cadence=0.5, crash=crash)
+                 if replicate else None)
+        gs.add_query(FLOWS_QUERY)
+        gs.add_query(self.BIG, params={"least": 0})
+        subs = [gs.subscribe("flows"), gs.subscribe("big")]
+        gs.start()
+        gs.feed(packets[:500], pump_every=128)
+        gs.set_param("big", "least", self.LEAST)
+        assert gs.get_param("big", "least") == self.LEAST
+        gs.feed(packets[500:], pump_every=128)
+        gs.flush()
+        return [sub.poll() for sub in subs], gs, plane
+
+    @pytest.mark.parametrize("crash", [None, "packet:550", "packet:1100"])
+    def test_a_parameter_set_before_a_crash_governs_the_standby(self, crash):
+        packets = zipf_packets()
+        clean, plain, _ = self.run_big(packets, replicate=False)
+        rows, gs, plane = self.run_big(packets, replicate=True, crash=crash)
+        assert rows == clean
+        assert plane.report()["promoted"] is (crash is not None)
+        late = clean[1][500:]
+        assert 350 < len(late) < 700  # the raised bound filters
+        assert all(row[1] >= self.LEAST for row in late)
+        assert gs.generated_code("big") == plain.generated_code("big")
+        assert gs.plan_of("big").describe() == plain.plan_of("big").describe()
+
+    def test_remove_query_leaves_both_runtimes(self):
+        gs, plane = replicated(crash="packet:450")
+        gs.add_query(FLOWS_QUERY)
+        gs.add_query(self.BIG, params={"least": 0})
+        gs.start()
+        packets = zipf_packets(count=600)
+        gs.feed(packets[:300], pump_every=128)
+        gs.stop()
+        gs.remove_query("big")
+        for rts in (plane.primary, plane.standby):
+            assert "big" not in rts.names() and "flows" in rts.names()
+        gs.start()
+        gs.feed(packets[300:], pump_every=128)
+        report = plane.report()
+        assert report["promoted"] and report["apply_errors"] == 0
+        assert gs.rts is plane.standby and plane.standby.started
+        with pytest.raises(RegistryError, match="no query named 'big'"):
+            gs.plan_of("big")
+
+    def test_a_user_written_node_is_refused_by_name(self):
+        from repro.operators.defrag import DefragNode
+        gs, _ = replicated()
+        with pytest.raises(RegistryError, match="user-written node 'defrag'"):
+            gs.add_node(DefragNode("defrag", gs.schema_registry.get("udp")),
+                        interface="eth0")
+
+    def test_replication_is_listed_and_imported_lazily(self):
+        import subprocess
+        import sys
+        code = ("import sys, repro; g = repro.Gigascope(); "
+                "print('repro.replication' in sys.modules); "
+                "g.enable_replication(); print(list(g.planes))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ)).stdout.split("\n")
+        assert out[:2] == ["False", "['replication']"]

@@ -130,9 +130,9 @@ class TestPlaneSections:
         assert "  restarts: -" in text
 
     def test_replication_section_before_and_after_promotion(self):
-        from repro.replication import ReplicatedGigascope
         for crash, promoted in ((None, False), ("packet:20", True)):
-            gs = ReplicatedGigascope(cadence=1.0, crash=crash)
+            gs = Gigascope()
+            gs.enable_replication(cadence=1.0, crash=crash)
             gs.add_queries("""
                 DEFINE query_name base;
                 Select time, destPort, len From tcp Where destPort = 80

@@ -281,18 +281,20 @@ class TestWhatQualifies:
 
 
 #: sha256 of ``Gigascope.generated_code(name)`` for every bench query,
-#: as the code generator wrote them before the run loop existed -- for
-#: ``appmon``, which qualifies, of its first function, the row loop
+#: as the code generator wrote them before the run loop existed, plus
+#: the late branch the window check gained since (``elif x < high -
+#: band:``, four lines) -- for ``appmon``, which qualifies, of its first
+#: function, the row loop
 PARENT_SOURCES = {
-    "appmon": "a0795c5b10c592d2fc8f929199f7f6840d61ed80f46c9fdf8093c7a581e32dd5",
+    "appmon": "b78a279a318bf7f5ae3b6fadaa22d196cffc06ab3a27a861ac0667c7e92c1ccc",
     "both": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "flows": "feefb42c7d1e9934bb5f731bb19fac3119733614640c8b8e5056ee441be3bf3f",
-    "http_genuine": "76616c4dbfa2dffc4aa8bd0c9311a2cb8ed5a9f511d0c1028c227e73f88f8e81",
-    "http_port80": "b7f442bd7c1babf0c02fbb6b1911b570303e95519df520598e6314343d99ec07",
+    "flows": "68a9cfa02e7106312bee730ac5480a2dea2a2eb29b1dae41f42cc8e25c8eca9f",
+    "http_genuine": "5c39b3ae811bf20329f4211f5ef73eca67830d56337fbb22a97d689abbbdf49d",
+    "http_port80": "a83727c17623968b12c48a9efeeb21e721d7823890fe527402ab987928395eb2",
     "link0": "b0c14c20782da6305b2ad9fbf42ca4c624401089da4336594efff5434fe6d18e",
     "link1": "b0c14c20782da6305b2ad9fbf42ca4c624401089da4336594efff5434fe6d18e",
     "rtt": "d802519fff77528fdd2c2a3aabc28e97514051a39efa7f7ee19fb52f76a67a96",
-    "rtt_stats": "2e8b8afbe2c7e4c6daed11b5de71e1d1c4ebc7a2507a34df82fdf0d89bcfe14e",
+    "rtt_stats": "5e9118141cb3e7338a550074ebd644171e12a7268ad31457e238b965fffbc00f",
     "syn": "42259601058272311cd822ab0679fc3e476bb08218f109520aa7c529fb0fbeb3",
     "synack": "5f38acbde2458fc2a3884a9d093284ae6a6d1f06ea7d8b6ec5691f45e9a6af2e",
 }
