@@ -39,7 +39,6 @@ from pathlib import Path
 
 from repro import Gigascope
 from repro.determinism import derive_seed
-from repro.replication.shipper import ReplicationShipper
 from repro.workloads.flows import ZipfFlowWorkload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -78,12 +77,13 @@ def time_plain(packets):
 
 
 def time_shipping(packets, cadence):
-    """A primary cutting frames into a log, no standby attached."""
+    """A primary cutting frames into a log, no standby attached: the
+    replication plane with its standby detached, so ``ship`` folds each
+    frame into the plane's log alone."""
     gs = Gigascope(seed=7, heartbeat_interval=1.0, metrics=False)
     gs.add_query(QUERY)
     gs.subscribe("flows")
-    log = []
-    ReplicationShipper(gs.rts, cadence, log.append)
+    gs.enable_replication(cadence=cadence).standby = None
     gs.start()
     start = time.perf_counter()
     gs.feed(packets, pump_every=1024)

@@ -439,8 +439,10 @@ class Gigascope:
         a state-log frame every ``cadence`` virtual seconds, and promote
         it on an injected ``crash`` or ``promote_after`` seconds of
         heartbeat silence (DESIGN section 16).  ``log_path`` also gets
-        the frames.  Enable before the first packet."""
-        from repro.replication.failover import ReplicationPlane
+        the frames.  Enable before the first packet, and on an engine
+        without a user-written node (``add_node``): the standby could
+        not copy it."""
+        from repro.replication import ReplicationPlane
         return ReplicationPlane(self, cadence=cadence,
                                 promote_after=promote_after, crash=crash,
                                 log_path=log_path)
@@ -593,7 +595,7 @@ class Gigascope:
         if replication is None:
             self.rts.feed_packet(packet)
         else:
-            replication.feed([packet], pump_every=1)
+            replication.feed([packet], pump_every=None)
 
     def feed(self, packets: Iterable[CapturedPacket], pump_every: int = 256) -> None:
         """Hand ``packets`` to the RTS -- or, while replication is

@@ -40,7 +40,7 @@ import struct
 from itertools import islice
 from time import perf_counter
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
-                    Optional, Tuple)
+                    Optional, Tuple, Union)
 
 from repro.core.channels import Channel, check_positive_int
 from repro.core.heartbeat import FLUSH, FlushToken, Punctuation
@@ -269,20 +269,15 @@ class RuntimeSystem:
         in :data:`PHASES` order.  A plane with a ``ledger`` is named: a
         second one of that name is refused, it is listed in ``planes``
         and its metric families are installed.  A hook object without
-        one (a fault injector, a tracer, a bare replication shipper)
-        states its ``phase`` instead.  ``refusals`` (plane -> reason)
-        refuse either plane next to the other, in either order.  A
-        plane calls this from its constructor before it registers nodes
-        or cuts a checkpoint, so a refused plane leaves nothing behind.
+        one (a fault injector, a tracer) states its ``phase`` instead.
+        :meth:`refusal` is checked first.  A plane calls this from its
+        constructor before it registers nodes or cuts a checkpoint, so
+        a refused plane leaves nothing behind.
         """
+        refused = self.refusal(plane)
+        if refused is not None:
+            raise RegistryError(refused)
         name = _plane_name(plane)
-        for _, other in self._attached:
-            for refuser, refused in ((plane, _plane_name(other)),
-                                     (other, name)):
-                reason = getattr(refuser, "refusals", {}).get(refused)
-                if reason is not None:
-                    raise RegistryError(f"{_plane_name(refuser)} refuses "
-                                        f"{refused}: {reason}")
         ledger = getattr(plane, "ledger", None)
         if ledger is not None:
             if name in self.planes:
@@ -297,6 +292,20 @@ class RuntimeSystem:
             self._hooks[event] = tuple(
                 getattr(hooked, event) for _, hooked in self._attached
                 if hasattr(hooked, event))
+
+    def refusal(self, plane) -> Optional[str]:
+        """Why ``plane`` cannot run next to a plane already attached, or
+        None: ``refusals`` (plane -> reason) refuse either plane next to
+        the other, in either order."""
+        name = _plane_name(plane)
+        for _, other in self._attached:
+            for refuser, refused in ((plane, _plane_name(other)),
+                                     (other, name)):
+                reason = getattr(refuser, "refusals", {}).get(refused)
+                if reason is not None:
+                    return (f"{_plane_name(refuser)} refuses {refused}: "
+                            f"{reason}")
+        return None
 
     def node(self, name: str) -> QueryNode:
         try:
@@ -401,7 +410,8 @@ class RuntimeSystem:
         self._batch_plans.clear()
         self._coverable = None
 
-    def _quarantine(self, node: QueryNode, error: Exception) -> None:
+    def _quarantine(self, node: QueryNode,
+                    error: Union[Exception, str]) -> None:
         """Contain a failing node instead of unwinding the whole cycle.
 
         The node is counted, detached from the packet path and the HFTA
@@ -409,9 +419,11 @@ class RuntimeSystem:
         application subscriptions terminate cleanly -- every sibling
         keeps running and keeps being accounted.  The node stays in the
         registry so its statistics (and the quarantine reason) remain
-        visible.
+        visible.  A promoted standby passes the primary's reason string
+        instead of the error.
         """
-        node.quarantined = f"{type(error).__name__}: {error}"
+        node.quarantined = (error if isinstance(error, str)
+                            else f"{type(error).__name__}: {error}")
         self.quarantined[node.name] = node.quarantined
         self.nodes_quarantined += 1
         self._detach(node)

@@ -24,8 +24,10 @@ checksummed payload) whose payload is a dict:
 * ``nodes`` -- ``{node_name: gsck_blob}``: each node's ``{"node",
   "type", "state"}`` envelope independently GSCK-encoded, so every node
   state carries its own checksum and a corrupt node names itself.
-* ``dropped`` -- names earlier frames shipped that this cut left out
-  (the recovery supervisor stops cutting a quarantined node).
+* ``dropped`` -- names the nodes this cut left out that the fold
+  would otherwise hold: those earlier frames shipped, and for a full
+  epoch every one of the engine's (a ``live_only`` cut skips a
+  quarantined node).
 * ``extra`` -- opaque to the log; the shard worker keeps its barrier
   position there.
 
@@ -154,8 +156,11 @@ def append_frame(handle: BinaryIO, frame: bytes) -> None:
 
 
 def _apply(rts, label: Any, nodes: Dict[str, bytes],
-           counters: Optional[Dict[str, Any]], complete: bool) -> None:
-    """Restore ``nodes`` (and ``counters``) into ``rts``, all-or-nothing.
+           counters: Optional[Dict[str, Any]], complete: bool,
+           dropped: Iterable[str] = ()) -> None:
+    """Restore ``nodes`` (and ``counters``) into ``rts``, all-or-nothing;
+    ``complete`` refuses an ``rts`` node neither in ``nodes`` nor
+    ``dropped``.
 
     Everything is resolved and decoded before the first
     ``restore_state``; the touched nodes' current state is encoded
@@ -176,7 +181,7 @@ def _apply(rts, label: Any, nodes: Dict[str, bytes],
             raise FrameCorruptError(
                 label, f"node {name!r}: {error!r}") from error
     if complete:
-        missing = sorted(set(known) - set(states))
+        missing = sorted(set(known) - set(states) - set(dropped))
         if missing:
             raise FrameCorruptError(
                 label, f"full epoch missing node(s) {missing}")
@@ -229,14 +234,17 @@ class StateLog:
         frame is folded in, so a frame that never reached its reader is
         simply cut again at the next boundary: same ``seq``, the union
         of the changes.  ``live_only`` leaves quarantined nodes out
-        (the recovery supervisor's rule: a node it gave up on has no
-        checkpoint to go back to).
+        (a node the recovery supervisor gave up on has no checkpoint
+        to go back to; a promoted standby quarantines it again).
         """
-        # Quiescence covers the node-to-node channels only: an item in
-        # flight there is state the frame would miss.  Application
-        # subscription channels are delivery, not computation -- they
-        # drain at the subscriber's leisure.
-        internal = (channel for node in rts._nodes.values()
+        cut = {name: node for name, node in rts.iter_nodes()
+               if not (live_only and node.quarantined is not None)}
+        # Quiescence covers the channels into the nodes cut only: an
+        # item in flight there is state the frame would miss (what a
+        # quarantined node left in its inputs is never popped).
+        # Application subscription channels are delivery, not
+        # computation -- they drain at the subscriber's leisure.
+        internal = (channel for node in cut.values()
                     for _producer, channel in node.input_links)
         if not all_quiescent(internal):
             return None
@@ -246,8 +254,7 @@ class StateLog:
             name: encode_snapshot({"node": name,
                                    "type": type(node).__name__,
                                    "state": node.snapshot_state()})
-            for name, node in rts.iter_nodes()
-            if not (live_only and node.quarantined is not None)
+            for name, node in cut.items()
         }
         shipped = self.nodes
         return encode_frame(
@@ -255,7 +262,8 @@ class StateLog:
             cursor, rts.counters_state(),
             {name: blob for name, blob in current.items()
              if shipped.get(name) != blob},
-            [name for name in shipped if name not in current], extra)
+            [name for name in (shipped if self.seq >= 0 else rts._nodes)
+             if name not in current], extra)
 
     def fold(self, blob: bytes, into=None) -> Dict[str, Any]:
         """Validate one frame and fold it in; returns the decoded frame.
@@ -279,7 +287,7 @@ class StateLog:
             raise FrameSequenceError(seq, "delta before any full epoch")
         if into is not None:
             _apply(into, seq, frame["nodes"], frame["counters"],
-                   complete=kind == "full")
+                   complete=kind == "full", dropped=frame["dropped"])
         self.nodes.update(frame["nodes"])
         for name in frame["dropped"]:
             self.nodes.pop(name, None)

@@ -134,6 +134,6 @@ def attach_sink(engine, query_name: str, sink_cls, fileobj: IO[str],
     """Create a sink for ``query_name``'s output and wire it in."""
     schema = engine.schema_of(query_name)
     sink = sink_cls(f"{query_name}_sink", schema, fileobj, **kwargs)
-    engine.rts.register_node(sink)
+    engine.add_node(sink)
     engine.rts.connect(sink, [query_name])
     return sink

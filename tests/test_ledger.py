@@ -18,7 +18,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.telemetry import LEDGER as TELEMETRY
 from repro.obs.telemetry import TELEMETRY_STREAMS, plane_ledgers, telemetry_schema
 from repro.recovery.supervisor import LEDGER as RECOVERY
-from repro.replication.failover import LEDGER as REPLICATION
+from repro.replication import LEDGER as REPLICATION
 from repro.shard import ShardedGigascope
 from repro.shard.runtime import LEDGER as SHARD
 from tests.conftest import tcp_packet

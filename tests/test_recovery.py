@@ -426,18 +426,20 @@ class TestBackoffAndBudget:
         sub.poll()
         assert sub.ended  # FLUSH propagated, no hang
 
-    def test_quarantined_node_leaves_the_checkpoints(self):
-        # An LFTA has no input channel to hold leftovers, so checkpoints
-        # go on after its quarantine: the cut leaves the node out and
-        # the fold drops its stale blob.
-        gs, _sub, supervisor = _run(crash=("_fta_flows_0", 300), times=None,
-                                    max_restarts=1)
-        assert list(gs.rts.quarantined) == ["_fta_flows_0"]
-        assert sorted(supervisor.checkpoints) == ["flows"]
+    @pytest.mark.parametrize("crash, kept", [
+        (("_fta_flows_0", 300), "flows"), (("flows", 80), "_fta_flows_0")],
+        ids=["lfta", "hfta"])
+    def test_quarantined_node_leaves_the_checkpoints(self, crash, kept):
+        # Checkpoints go on after a quarantine: the cut leaves the node
+        # out, the fold drops its stale blob, and what the node left in
+        # its input channel (an HFTA's) defers no later cut.
+        gs, _sub, supervisor = _run(crash=crash, times=None, max_restarts=1)
+        assert list(gs.rts.quarantined) == [crash[0]]
+        assert sorted(supervisor.checkpoints) == [kept]
         report = supervisor.report()
         assert report["checkpoint_nodes"] == 1
         assert report["checkpoint_bytes"] == len(
-            supervisor.checkpoints["flows"])
+            supervisor.checkpoints[kept])
 
     def test_zero_budget_is_immediate_quarantine(self):
         gs, _sub, supervisor = _run(crash=("flows", 80), max_restarts=0)

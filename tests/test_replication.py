@@ -11,7 +11,7 @@ Four contracts under test:
   the offending frame, with the standby's operator state byte-for-byte
   untouched afterwards (never applied partially).  The corpus runs
   over the frames each of the three writers cuts: the replication
-  shipper, the recovery supervisor, and a shard worker;
+  plane, the recovery supervisor, and a shard worker;
 * steady-state replication is invisible: a replicated run's output is
   byte-identical to a plain engine's;
 * promotion is exact: after a hard crash (mid delta-interval, at a
@@ -21,6 +21,7 @@ Four contracts under test:
 * the knobs parse strictly (crash specs, cadence resolution).
 """
 
+import io
 import math
 import os
 import struct
@@ -28,25 +29,27 @@ import struct
 import pytest
 
 from repro.core.engine import Gigascope
-from repro.core.stream_manager import RegistryError
-from repro.determinism import derive_seed
-from repro.recovery.statelog import StateLog
-from repro.recovery.wire import MAGIC, decode_snapshot, encode_snapshot
-from repro.replication import (
-    DEFAULT_CADENCE,
+from repro.core.stream_manager import RegistryError, _plane_name
+from repro.determinism import _FLOWS, _zipf, derive_seed
+from repro.recovery.statelog import (
+    REPLICATION_VERSION,
     FrameCorruptError,
     FrameError,
     FrameSequenceError,
     FrameVersionError,
-    REPLICATION_VERSION,
-    ReplicationError,
-    ReplicationShipper,
-    StandbyReplica,
+    StateLog,
+    StateLogError,
     decode_frame,
     encode_frame,
+)
+from repro.recovery.wire import MAGIC, decode_snapshot, encode_snapshot
+from repro.replication import (
+    DEFAULT_CADENCE,
+    ReplicationPlane,
     parse_crash_spec,
     resolve_replicate_cadence,
 )
+from repro.sinks import JsonlSink, attach_sink
 from repro.workloads.flows import ZipfFlowWorkload
 
 FLOWS_QUERY = """
@@ -96,10 +99,12 @@ def run_replicated(packets, cadence=0.5, crash=None, promote_after=None,
 
 
 def fresh_standby():
+    """An empty state log and the started runtime it folds into: what
+    the plane's standby starts as."""
     engine = Gigascope(seed=7, heartbeat_interval=0.5, metrics=False)
     engine.add_query(FLOWS_QUERY)
     engine.start()
-    return StandbyReplica(engine.rts)
+    return StateLog(), engine.rts
 
 
 def engine_states(rts):
@@ -108,7 +113,7 @@ def engine_states(rts):
             for name, node in rts.iter_nodes()}
 
 
-def shipper_frames():
+def plane_frames():
     """The frame log of one clean replicated run."""
     _, plane = run_replicated(zipf_packets(), cadence=0.5)
     return plane.log_frames
@@ -161,8 +166,8 @@ def worker_frames():
 
 
 @pytest.fixture(scope="module",
-                params=[shipper_frames, supervisor_frames, worker_frames],
-                ids=["shipper", "supervisor", "worker"])
+                params=[plane_frames, supervisor_frames, worker_frames],
+                ids=["plane", "supervisor", "worker"])
 def shipped_frames(request):
     """One writer's frame log (full + deltas)."""
     frames = request.param()
@@ -170,11 +175,11 @@ def shipped_frames(request):
     return frames
 
 
-def primed_replica(shipped_frames, upto):
-    replica = fresh_standby()
+def primed_standby(shipped_frames, upto):
+    log, rts = fresh_standby()
     for frame in shipped_frames[:upto]:
-        replica.apply(frame)
-    return replica
+        log.fold(frame, into=rts)
+    return log, rts
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +233,7 @@ class TestFrameCodec:
         assert frame["cursor"] == 700
 
     def test_unknown_kind_refused_at_encode(self):
-        with pytest.raises(ReplicationError, match="unknown frame kind"):
+        with pytest.raises(StateLogError, match="unknown frame kind"):
             encode_frame("diff", 0, 0.0, 0, {}, {})
 
     def test_missing_fields_refused(self):
@@ -265,24 +270,22 @@ class TestCorruptionCorpus:
         """Prime a standby past two frames, hit it with a damaged third
         frame, and prove the refusal is typed, names the frame, and
         left every node's state byte-for-byte untouched."""
-        replica = primed_replica(shipped_frames, upto=2)
-        before = engine_states(replica.rts)
-        report_before = replica.report()
+        log, rts = primed_standby(shipped_frames, upto=2)
+        before = engine_states(rts)
+        fold_before = (log.seq, log.cursor, dict(log.nodes))
         frame = shipped_frames[2]
         errors = 0
         for damaged in mutate(frame):
             with pytest.raises(expect_error) as excinfo:
-                replica.apply(damaged)
+                log.fold(damaged, into=rts)
             assert "state frame" in str(excinfo.value)
             errors += 1
         assert errors > 0
-        assert engine_states(replica.rts) == before, \
+        assert engine_states(rts) == before, \
             "a refused frame must never be applied partially"
-        after = replica.report()
-        assert after["applied_seq"] == report_before["applied_seq"]
-        assert after["apply_errors"] == report_before["apply_errors"] + errors
+        assert (log.seq, log.cursor, log.nodes) == fold_before
         # ...and the standby still accepts the undamaged frame.
-        applied = replica.apply(frame)
+        applied = log.fold(frame, into=rts)
         assert applied["seq"] == 2
 
     def test_truncation_at_every_byte_boundary(self, shipped_frames):
@@ -327,12 +330,12 @@ class TestCorruptionCorpus:
             name, blob = next(iter(rebuilt["nodes"].items()))
             rebuilt["nodes"] = dict(rebuilt["nodes"], **{name: blob[:-1]})
             yield encode_snapshot(rebuilt)
-        replica = primed_replica(shipped_frames, upto=2)
-        before = engine_states(replica.rts)
+        log, rts = primed_standby(shipped_frames, upto=2)
+        before = engine_states(rts)
         name = next(iter(decode_frame(shipped_frames[2])["nodes"]))
         with pytest.raises(FrameCorruptError, match=repr(name)):
-            replica.apply(next(poison(shipped_frames[2])))
-        assert engine_states(replica.rts) == before
+            log.fold(next(poison(shipped_frames[2])), into=rts)
+        assert engine_states(rts) == before
 
     def test_unknown_node_refused(self, shipped_frames):
         def rename(frame):
@@ -355,18 +358,18 @@ class TestCorruptionCorpus:
         rebuilt = decode_frame(shipped_frames[2])
         rebuilt["nodes"] = dict(log.nodes,
                                 **{second: encode_snapshot(envelope)})
-        replica = primed_replica(shipped_frames, upto=2)
-        before = engine_states(replica.rts)
-        counters = replica.rts.counters_state()
+        standby, rts = primed_standby(shipped_frames, upto=2)
+        before = engine_states(rts)
+        counters = rts.counters_state()
         assert before[first] != encode_snapshot(
             decode_snapshot(log.nodes[first])["state"])  # it would move
         with pytest.raises(FrameCorruptError,
                            match=f"state frame 2: node {second!r}"):
-            replica.apply(encode_snapshot(rebuilt))
-        assert engine_states(replica.rts) == before
-        assert replica.rts.counters_state() == counters
-        assert replica.applied_seq == 1
-        assert replica.apply(shipped_frames[2])["seq"] == 2
+            standby.fold(encode_snapshot(rebuilt), into=rts)
+        assert engine_states(rts) == before
+        assert rts.counters_state() == counters
+        assert standby.seq == 1
+        assert standby.fold(shipped_frames[2], into=rts)["seq"] == 2
 
     def test_duplicate_seq_refused(self, shipped_frames):
         self._attack(shipped_frames,
@@ -384,22 +387,20 @@ class TestCorruptionCorpus:
                      FrameSequenceError)
 
     def test_delta_before_full_refused(self, shipped_frames):
-        replica = fresh_standby()
-        before = engine_states(replica.rts)
+        log, rts = fresh_standby()
+        before = engine_states(rts)
         with pytest.raises(FrameSequenceError):
             # Reseq the delta to 0 so only kind-ordering can refuse it.
             rebuilt = decode_frame(shipped_frames[1])
             rebuilt["seq"] = 0
-            replica.apply(encode_snapshot(rebuilt))
-        assert engine_states(replica.rts) == before
+            log.fold(encode_snapshot(rebuilt), into=rts)
+        assert engine_states(rts) == before
 
     def test_clean_log_applies_end_to_end(self, shipped_frames):
-        replica = fresh_standby()
+        log, rts = fresh_standby()
         for frame in shipped_frames:
-            replica.apply(frame)
-        report = replica.report()
-        assert report["applied_seq"] == len(shipped_frames) - 1
-        assert report["apply_errors"] == 0
+            log.fold(frame, into=rts)  # a refusal raises
+        assert log.seq == len(shipped_frames) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -487,46 +488,59 @@ class TestReplicationIdentity:
             frames.append(blob[offset:offset + length])
             offset += length
         assert frames == plane.log_frames
-        replica = fresh_standby()
+        log, rts = fresh_standby()
         for frame in frames:
-            replica.apply(frame)
-        assert replica.applied_seq == len(frames) - 1
+            log.fold(frame, into=rts)
+        assert log.seq == len(frames) - 1
         assert frames[0][:4] == MAGIC
 
-    def test_raising_deliver_never_unwinds_the_pump(self):
-        # The first delta's delivery fails (a full disk under
+    def test_raising_deliver_never_unwinds_the_pump(self, tmp_path,
+                                                     monkeypatch):
+        # The first delta's write fails (a full disk under
         # --replicate-log): the pump carries on, and the next boundary
         # re-cuts the same seq with the union of the changes.
-        replica = fresh_standby()
-        delivered, failures = [], []
+        import repro.replication as replication
+        path = tmp_path / "repl.log"
+        gs, plane = replicated(cadence=0.5, log_path=str(path))
+        lost = []
+        append = replication.append_frame
 
-        def deliver(frame):
-            if len(delivered) == 1 and not failures:
-                failures.append(frame)
+        def full_disk(handle, frame):
+            if len(plane.log_frames) == 1 and not lost:
+                lost.append(frame)
                 raise OSError("No space left on device")
-            delivered.append(frame)
-            replica.apply(frame)
+            append(handle, frame)
 
-        primary = Gigascope(seed=7, heartbeat_interval=0.5, metrics=False)
-        primary.add_query(FLOWS_QUERY)
-        shipper = ReplicationShipper(primary.rts, 0.5, deliver)
-        primary.start()
-        primary.feed(zipf_packets(), pump_every=128)
-        report = shipper.report()
+        monkeypatch.setattr(replication, "append_frame", full_disk)
+        gs.add_query(FLOWS_QUERY)
+        sub = gs.subscribe("flows")
+        gs.start()
+        packets = zipf_packets()
+        gs.feed(packets, pump_every=128)
+        gs.flush()
+        assert sub.poll() == run_plain(packets)
+        report = plane.report()
         assert report["deliver_errors"] == 1
         assert "No space left" in report["last_deliver_error"]
-        lost, recut = decode_frame(failures[0]), decode_frame(delivered[1])
+        delivered = plane.log_frames
+        lost, recut = decode_frame(lost[0]), decode_frame(delivered[1])
         assert lost["seq"] == recut["seq"] == 1
         assert set(recut["nodes"]) >= set(lost["nodes"])
         assert recut["cursor"] > lost["cursor"]
         assert [decode_frame(f)["seq"] for f in delivered] == list(
             range(len(delivered)))
-        assert replica.apply_errors == 0
-        assert replica.applied_seq == len(delivered) - 1 >= 2
+        # The log file holds the frames written, the failed one not.
+        written, offset = path.read_bytes(), 0
+        for frame in delivered:
+            assert written[offset + 4:offset + 4 + len(frame)] == frame
+            offset += 4 + len(frame)
+        assert offset == len(written)
+        assert report["apply_errors"] == 0
+        assert report["applied_seq"] == len(delivered) - 1 >= 2
         # The standby is the primary as of the last frame.
-        assert engine_states(replica.rts) == {
+        assert engine_states(plane.standby) == {
             name: encode_snapshot(decode_snapshot(blob)["state"])
-            for name, blob in replica.log.nodes.items()}
+            for name, blob in plane.log.nodes.items()}
 
     def test_default_cadence_is_exported(self):
         assert DEFAULT_CADENCE == 1.0
@@ -555,9 +569,9 @@ class TestThePlane:
         with pytest.raises(ValueError, match=r"^cadence must be (a finite "
                                              r"number|>= 0), got "):
             gs.enable_replication(cadence=bad)
-        assert gs.planes == {}
         with pytest.raises(ValueError, match=r"^cadence must be"):
-            ReplicationShipper(gs.rts, bad, list.append)
+            ReplicationPlane(gs, cadence=bad)
+        assert gs.planes == {}
 
     def test_the_journal_tail_holds_only_what_a_promotion_replays(self):
         """At most the packets fed since the last applied frame are
@@ -568,8 +582,8 @@ class TestThePlane:
         packets = zipf_packets(count=5000)
         for start in range(0, len(packets), 250):
             gs.feed(packets[start:start + 250], pump_every=128)
-            assert len(plane.tail) <= start + 250 - plane.replica.cursor
-        assert plane.replica.applied_seq >= 19  # 20 frames applied
+            assert len(plane.tail) <= start + 250 - plane.log.cursor
+        assert plane.log.seq >= 19  # 20 frames applied
         assert len(plane.tail) < 250
 
     def run_big(self, packets, replicate, crash=None):
@@ -628,6 +642,95 @@ class TestThePlane:
             gs.add_node(DefragNode("defrag", gs.schema_registry.get("udp")),
                         interface="eth0")
 
+    @pytest.mark.parametrize("order", ["sink_first", "replication_first"])
+    def test_a_sink_is_a_user_written_node(self, order):
+        """A sink used to be registered past ``add_node``'s refusal:
+        every frame then named a node the standby lacked, none applied,
+        and the journal tail kept every packet."""
+        gs = Gigascope(seed=7, heartbeat_interval=0.5, metrics=False)
+        gs.add_query(FLOWS_QUERY)
+        refused = pytest.raises(RegistryError,
+                                match="user-written node 'flows_sink'")
+        if order == "sink_first":
+            attach_sink(gs, "flows", JsonlSink, io.StringIO())
+            with refused:
+                gs.enable_replication(cadence=0.5)
+            assert gs.planes == {}
+        else:
+            plane = gs.enable_replication(cadence=0.5)
+            with refused:
+                attach_sink(gs, "flows", JsonlSink, io.StringIO())
+            for rts in plane.runtimes:
+                assert rts.names() == ["_fta_flows_0", "flows"]
+
+    def test_the_plane_is_the_one_replication_hook(self):
+        gs, plane = replicated(crash="packet:300")
+        gs.add_query(FLOWS_QUERY)
+        gs.start()
+        gs.feed(zipf_packets(count=600), pump_every=128)
+        assert plane.promoted
+        for rts in (plane.primary, plane.standby):
+            hooks = [hook for _, hook in rts._attached
+                     if _plane_name(hook) == "replication"]
+            assert len(hooks) == 1 and hooks[0] is plane
+
+    @pytest.mark.parametrize("crash", [None, "packet:40"])
+    def test_feed_packet_pumps_as_on_a_plain_engine(self, crash):
+        """A replicated ``feed_packet`` used to pump twice per packet."""
+        packets = zipf_packets(count=100)
+
+        def run(replicate):
+            gs = Gigascope(seed=7, heartbeat_interval=0.5, metrics=False)
+            plane = (gs.enable_replication(cadence=0.5, crash=crash)
+                     if replicate else None)
+            gs.add_query(FLOWS_QUERY)
+            sub = gs.subscribe("flows")
+            gs.start()
+            pumps = []
+            for rts in plane.runtimes if plane else [gs.rts]:
+                rts.pump = lambda pump=rts.pump: pumps.append(1) or pump()
+            for packet in packets:
+                gs.feed_packet(packet)
+            fed_pumps = len(pumps)
+            gs.flush()
+            return sub.poll(), fed_pumps, plane
+
+        clean, plain_pumps, _ = run(False)
+        rows, pumps, plane = run(True)
+        assert plain_pumps == pumps == 0
+        assert rows == clean and len(clean) > 10
+        report = plane.report()
+        assert report["promoted"] is (crash is not None)
+        if crash:
+            assert report["failure_reason"] == "crash injected at packet 40"
+            assert report["replayed_packets"] == 40
+            assert report["apply_errors"] == 0
+
+    def test_feed_pumps_once_per_boundary(self):
+        """A replicated ``feed`` used to pump twice per ``pump_every``
+        slice, and cadence 0 cut a frame at each of the two."""
+        packets = zipf_packets(count=1280)
+
+        def run(replicate):
+            gs = Gigascope(seed=7, heartbeat_interval=0.5, metrics=False)
+            plane = gs.enable_replication(cadence=0) if replicate else None
+            gs.add_query(FLOWS_QUERY)
+            sub = gs.subscribe("flows")
+            gs.start()
+            pumps = []
+            for rts in plane.runtimes if plane else [gs.rts]:
+                rts.pump = lambda pump=rts.pump: pumps.append(1) or pump()
+            gs.feed(packets, pump_every=128)
+            fed = len(pumps), plane and plane.log.seq + 1
+            gs.flush()
+            return sub.poll(), fed
+
+        clean, (plain_pumps, _) = run(False)
+        rows, (pumps, frames) = run(True)
+        # Ten boundaries; a plain feed pumps once more as it returns.
+        assert (plain_pumps, pumps, frames) == (11, 10, 10)
+        assert rows == clean
+
     def test_replication_is_listed_and_imported_lazily(self):
         import subprocess
         import sys
@@ -638,3 +741,54 @@ class TestThePlane:
                              capture_output=True, text=True,
                              env=dict(os.environ)).stdout.split("\n")
         assert out[:2] == ["False", "['replication']"]
+
+
+# ---------------------------------------------------------------------------
+# A quarantined node across a promotion
+# ---------------------------------------------------------------------------
+
+class TestQuarantine:
+    """``flows`` fails once at its ``at_tuple``-th tuple and is
+    quarantined: the primary stops updating it.  A promoted standby used
+    to resume it from the last frame's state and emit rows the
+    uninterrupted run never did."""
+
+    @staticmethod
+    def run(at_tuple, replicate=True, crash=None):
+        gs = Gigascope(seed=7, heartbeat_interval=0.5, lfta_table_size=64,
+                       metrics=False)
+        plane = (gs.enable_replication(cadence=0.5, crash=crash)
+                 if replicate else None)
+        gs.add_query(_FLOWS)
+        sub = gs.subscribe("flows")
+        gs.inject_faults([f"operator_error:node=flows,at_tuple={at_tuple},"
+                          f"times=1"])
+        gs.start()
+        gs.feed(_zipf(7), pump_every=128)
+        gs.flush()
+        return sub.poll(), gs, plane
+
+    # at_tuple=1 fails inside the first pump, before the full epoch is
+    # cut; at_tuple=50 a pump after it.
+    @pytest.mark.parametrize("at_tuple", [1, 50])
+    @pytest.mark.parametrize("crash", [None, "packet:700", "packet:2500"])
+    def test_a_quarantined_node_stays_quarantined(self, at_tuple, crash):
+        clean, plain, _ = self.run(at_tuple, replicate=False)
+        assert "flows" in plain.rts.quarantined
+        rows, gs, plane = self.run(at_tuple, crash=crash)
+        assert rows == clean
+        report = plane.report()
+        assert report["promoted"] is (crash is not None)
+        assert report["apply_errors"] == 0
+        assert gs.rts.quarantined == plain.rts.quarantined
+        assert gs.rts.nodes_quarantined == 1
+        # Frames cut after the quarantine leave the node out, as
+        # checkpoints do.
+        if at_tuple == 1 or plane.log.seq >= 1:
+            assert "flows" not in plane.log.nodes
+
+    def test_a_node_quarantined_before_the_epoch_is_dropped_by_it(self):
+        _, _, plane = self.run(at_tuple=1)
+        epoch = decode_frame(plane.log_frames[0])
+        assert epoch["kind"] == "full" and epoch["dropped"] == ["flows"]
+        assert "flows" not in epoch["nodes"]
