@@ -435,7 +435,7 @@ class AlertEngine:
         clock = Channel(name=f"epoch->{node.name}")
         node.tick_channel = clock
         node.attach_input(clock)                   # input 1: the clock
-        bus_channel = node.subscribe(name=f"{node.name}->{self.bus.name}")
+        bus_channel = self.rts.open_channel(node.name, self.bus.name)
         self.bus.attach_input(bus_channel)
         self.bus.input_links.append((node, bus_channel))
         self.triggers[spec.name] = node

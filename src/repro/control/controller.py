@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.control.shedding import AimdShedding, SheddingPolicy, make_policy
 from repro.control.signals import PressureSample, SignalsBus
+from repro.obs.collectors import engine_snapshot
 from repro.obs.ledger import Field, Ledger
 from repro.sim.cost_model import CostModel
 
@@ -32,52 +33,38 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.nic.nic import Nic
 
 
-def _channel_report(rts: "RuntimeSystem") -> Dict[str, Dict[str, Any]]:
-    out: Dict[str, Dict[str, Any]] = {}
-    for channel in rts.channels():
-        stats = channel.stats
-        capacity = channel.capacity
-        out[channel.name] = {
-            "depth": len(channel),
-            "capacity": capacity,
-            "max_depth": stats.max_depth,
-            "watermark": (stats.max_depth / capacity) if capacity else 0.0,
-            "pushed": stats.pushed,
-            "dropped": stats.dropped,
-        }
-    return out
-
-
-def _shed_report(rts: "RuntimeSystem") -> Dict[str, Dict[str, Any]]:
-    out: Dict[str, Dict[str, Any]] = {}
-    for name, node in rts.iter_nodes():
-        seen = getattr(node, "packets_seen", None)
-        shed = getattr(node, "shed_packets", None)
-        if seen is None or shed is None:
-            continue
-        out[name] = {
-            "packets_seen": seen,
-            "packets_shed": shed,
-            "shed_fraction": (shed / seen) if seen else 0.0,
-            "shed_rate": getattr(node, "shed_rate", 1.0),
-        }
-    return out
-
-
 def overload_snapshot(rts: "RuntimeSystem") -> Dict[str, Any]:
     """Drop accounting without a controller: what was lost, uncorrected.
 
-    Losses the control plane did not *choose* are in the ledger too:
-    packets dropped by injected faults, heartbeats an injected silence
-    withheld, and nodes the RTS quarantined after a failure.
+    A rendering of :func:`~repro.obs.collectors.engine_snapshot`: every
+    channel, and every packet consumer with a shedding gate;
+    ``channel_dropped`` counts the drops of channels since detached too
+    (``rts.retired_dropped``).  Losses the control plane did not
+    *choose* are in the ledger too: packets dropped by injected faults,
+    heartbeats an injected silence withheld, and nodes the RTS
+    quarantined after a failure.
     """
-    channels = _channel_report(rts)
-    lftas = _shed_report(rts)
+    channels: Dict[str, Dict[str, Any]] = {}
+    lftas: Dict[str, Dict[str, Any]] = {}
+    for name, entry in engine_snapshot(rts).items():
+        if "packets_seen" in entry and "shed_packets" in entry:
+            seen, shed = entry["packets_seen"], entry["shed_packets"]
+            lftas[name] = dict(  # shed_rate: the gate's setting
+                packets_seen=seen, packets_shed=shed,
+                shed_fraction=shed / seen if seen else 0.0,
+                shed_rate=getattr(rts.node(name), "shed_rate", 1.0))
+        for channel, stats in entry.get("channels", {}).items():
+            peak, capacity = stats["max_depth"], stats["capacity"]
+            channels[channel] = dict(
+                depth=stats["depth"], capacity=capacity, max_depth=peak,
+                watermark=peak / capacity if capacity else 0.0,
+                pushed=stats["pushed"], dropped=stats["dropped"])
     snapshot = {
         "policy": "disabled",
         "shed_rate": 1.0,
         "channels": channels,
-        "channel_dropped": sum(c["dropped"] for c in channels.values()),
+        "channel_dropped": rts.retired_dropped + sum(
+            c["dropped"] for c in channels.values()),
         "lftas": lftas,
         "packets_shed": sum(l["packets_shed"] for l in lftas.values()),
         "shed_fraction": 0.0,
@@ -99,19 +86,20 @@ def _signal(name: str, before_first: Any = None):
 #: The shed plane's counters, then every signal its policy saw last
 #: cycle (exported only: a key of None is in no report).
 #: ``packets_shed``, ``shed_delta`` and ``channel_dropped`` are sums
-#: over nodes and channels: the telemetry sampler passes them to ``row``
-#: from the walk it makes anyway (and a delta exists only between two
-#: of its samples).
+#: over the engine snapshot.  The telemetry sampler, their only stream,
+#: passes its own to ``row`` (a delta exists only between two of its
+#: samples, and its sums skip ``_gs_*`` objects); the reads below serve
+#: a caller outside a sample, so every field still reads its report
+#: entry, and run on no per-cycle path.
 LEDGER = Ledger("shed", (
     Field("shed_rate", "gs_shed_rate", "gauge",
           "keep-rate installed on the LFTA sampling gates (1.0 = no shedding)",
           column="shed_rate", off=1.0),
-    Field("packets_shed", column="packets_shed", read=lambda controller: sum(
-        getattr(node, "shed_packets", 0) or 0
-        for _, node in controller.rts.iter_nodes())),
+    Field("packets_shed", column="packets_shed", read=lambda controller:
+          overload_snapshot(controller.rts)["packets_shed"]),
     Field("packets_shed", column="shed_delta", read=lambda controller: 0),
     Field("channel_dropped", column="channel_dropped", read=lambda controller:
-          sum(channel.stats.dropped for channel in controller.rts.channels())),
+          overload_snapshot(controller.rts)["channel_dropped"]),
     Field("pressured_cycles", "gs_control_pressured_cycles_total", "counter",
           "cycles with drops or utilization > 1", column="pressured_cycles"),
     Field("cycles", "gs_control_cycles_total", "counter",

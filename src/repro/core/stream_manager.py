@@ -219,6 +219,10 @@ class RuntimeSystem:
         self.heartbeats_suppressed = 0
         #: packets an injected fault dropped before dispatch
         self.fault_dropped = 0
+        #: overflow drops of every channel detached so far (a removed or
+        #: quarantined consumer's inputs, a removed node's outputs), so
+        #: a drop total over the live channels plus this never falls
+        self.retired_dropped = 0
         #: armed fault injectors, for the drop ledger (see repro.faults)
         self.faults: List = []
         #: node name -> error string, for every node quarantined so far
@@ -236,8 +240,13 @@ class RuntimeSystem:
         self.tracer = None
         #: the pump-drain timer a telemetry hub installs (``PumpProfiler``)
         self.profiler = None
-        #: virtual-time cost model for latency accounting (lazy default)
+        if cost_model is None:
+            from repro.sim.cost_model import CostModel
+            cost_model = CostModel()
+        #: virtual-time cost model (latency accounting, telemetry costs)
         self.cost_model = cost_model
+        #: uses of each channel name so far (:meth:`open_channel`)
+        self._channel_names: Dict[str, int] = {}
         #: the metrics registry (repro.obs); None when metrics disabled
         self.metrics: Optional[MetricsRegistry] = None
         self._pump_cycle_hist = None
@@ -248,9 +257,6 @@ class RuntimeSystem:
                 "gs_pump_cycle_virtual_us",
                 "estimated virtual-time microseconds of HFTA work per "
                 "pump cycle (Section 4 cost model)")
-            if self.cost_model is None:
-                from repro.sim.cost_model import CostModel
-                self.cost_model = CostModel()
 
     # -- registry -------------------------------------------------------------
     @property
@@ -352,12 +358,21 @@ class RuntimeSystem:
                 capacity: Optional[int] = None) -> None:
         """Wire ``consumer``'s inputs to the named producers' outputs."""
         for name in input_names:
-            producer = self.node(name)
-            channel = producer.subscribe(
-                capacity=capacity, name=f"{name}->{consumer.name}"
-            )
+            channel = self.open_channel(name, consumer.name, capacity)
             consumer.attach_input(channel)
-            consumer.input_links.append((producer, channel))
+            consumer.input_links.append((self.node(name), channel))
+
+    def open_channel(self, producer: str, consumer: str,
+                     capacity: Optional[int] = None) -> Channel:
+        """A new output channel of ``producer`` named ``producer->consumer``,
+        or ``producer->consumer#N`` for the Nth use of that name: a name
+        identifies its channel for the RTS's whole life."""
+        name = f"{producer}->{consumer}"
+        uses = self._channel_names.get(name, 0) + 1
+        channel = self.node(producer).subscribe(
+            capacity=capacity, name=name if uses == 1 else f"{name}#{uses}")
+        self._channel_names[name] = uses
+        return channel
 
     def remove_node(self, name: str, force: bool = False) -> None:
         """Deregister a node and detach its channels.
@@ -381,6 +396,8 @@ class RuntimeSystem:
                 "remove the dependents first"
             )
         self._detach(node)
+        self.retired_dropped += sum(channel.stats.dropped
+                                    for channel in node.subscribers)
         # Detach from the manager so stray on-demand heartbeat requests
         # from the removed node no longer mutate this RTS.
         node.manager = None
@@ -388,8 +405,7 @@ class RuntimeSystem:
 
     def subscribe(self, name: str, capacity: Optional[int] = None) -> Subscription:
         """Application-side subscription to any query's output stream."""
-        producer = self.node(name)
-        channel = producer.subscribe(capacity=capacity, name=f"{name}->app")
+        channel = self.open_channel(name, "app", capacity)
         subscription = Subscription(name, channel, manager=self)
         self.subscriptions.append(subscription)
         return subscription
@@ -444,6 +460,7 @@ class RuntimeSystem:
         for producer, channel in node.input_links:
             if channel in producer.subscribers:
                 producer.subscribers.remove(channel)
+                self.retired_dropped += channel.stats.dropped
         for channel in node.subscribers:
             channel.push(FLUSH)
 
@@ -991,14 +1008,15 @@ class RuntimeSystem:
         if run:
             dispatch_batch(run, input_index)
 
-    # -- shard-worker checkpoint support (DESIGN section 15) -----------------
+    # -- state-log support (DESIGN section 11.1) ------------------------------
     def counters_state(self) -> Dict[str, Any]:
-        """The RTS-level counters a shard worker's GSCK snapshot carries.
+        """The RTS-level counters every state-log frame carries (recovery
+        checkpoints, replication frames, a shard worker's GSCK snapshot).
 
-        Node state alone does not describe a worker engine: the stream
-        clock and heartbeat threshold decide when future heartbeats
-        fire, and the feed counters must survive a restore for the
-        regenerated run to count like the uninterrupted one.
+        Node state alone does not describe an engine: the stream clock
+        and heartbeat threshold decide when future heartbeats fire, and
+        the feed counters must survive a restore for the regenerated
+        run to count like the uninterrupted one.
         """
         return {
             "stream_time": self._stream_time,
@@ -1051,6 +1069,6 @@ class RuntimeSystem:
     def stats(self) -> Dict[str, Dict[str, Any]]:
         """Per-node statistics; per-channel overflow accounting (exactly
         the losses the overload control plane watches) nests under each
-        producing node.  Built on the canonical obs-layer snapshot, the
-        same source the metrics exposition and ``engine_report`` use."""
+        producing node: :func:`repro.obs.collectors.engine_snapshot`,
+        which every counter surface renders."""
         return engine_snapshot(self)

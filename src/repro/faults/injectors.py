@@ -138,7 +138,8 @@ class ChannelOverflowStorm(FaultInjector):
         self._drops_at_onset = 0
 
     def _total_drops(self) -> int:
-        return sum(channel.stats.dropped for channel in self.rts.channels())
+        return self.rts.retired_dropped + sum(
+            channel.stats.dropped for channel in self.rts.channels())
 
     def on_cycle(self, stream_time: float) -> None:
         rts = self.rts

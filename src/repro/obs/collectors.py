@@ -1,30 +1,27 @@
-"""Collectors: the one place runtime statistics are gathered.
+"""Collectors: the one walk of the engine every counter surface renders.
 
-``RuntimeSystem.stats()``, :func:`repro.report.engine_report`, and the
-metrics registry exposition previously each walked the node/channel
-objects themselves and had drifted apart (``stats()`` omitted
-``reorder_peak``, ``open_groups``, and ``sessions_emitted`` that the
-report showed).  This module defines the canonical snapshot --
-:data:`NODE_EXTRA_ATTRS` and :func:`node_snapshot` -- and every other
-surface is built on top of it.
+:func:`engine_snapshot` is the only code that reads node and channel
+counters for reporting: ``RuntimeSystem.stats()``, the metrics, the
+overload ledger, :func:`repro.report.engine_report` and the
+``_gs_channel``/``_gs_operator``/``_gs_shed`` rows render it.  Channel
+names are unique for the RTS's life (``RuntimeSystem.open_channel``),
+and a per-sample delta is :func:`delta` between two snapshots.
 
 :func:`install_engine_metrics` registers a lazy collector on a
-:class:`~repro.obs.registry.MetricsRegistry` that re-exports the
-snapshot as typed metric families; it runs only when a metrics snapshot
-is taken, so the packet path pays nothing for it.  The control planes'
-families are not here: each plane declares a ledger next to its
-``report()`` and :mod:`repro.obs.ledger` renders it.
+:class:`~repro.obs.registry.MetricsRegistry`; it runs only when a
+metrics snapshot is taken, so the packet path pays nothing for it.  The
+control planes' families are not here: each plane declares a ledger
+next to its ``report()`` and :mod:`repro.obs.ledger` renders it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Mapping, Optional
 
 from repro.obs.registry import MetricsRegistry
 
-#: Operator-specific counters, beyond the NodeStats five, that both
-#: ``RuntimeSystem.stats()`` and ``report.engine_report`` surface.
-#: Defined once so the two can never drift again.
+#: Operator-specific counters, beyond the NodeStats five, that every
+#: rendering of :func:`node_snapshot` carries.
 NODE_EXTRA_ATTRS = (
     "packets_seen",      # LFTA/defrag: packets examined
     "dropped",           # defrag/merge: fragments or late tuples dropped
@@ -58,7 +55,8 @@ def channel_snapshot(channel) -> Dict[str, Any]:
 
 
 def node_snapshot(node) -> Dict[str, Any]:
-    """The canonical per-node statistics dict (single source of truth)."""
+    """The canonical per-node statistics dict, its output channels
+    nested under ``channels`` by name."""
     stats = node.stats
     entry: Dict[str, Any] = {
         "tuples_in": stats.tuples_in,
@@ -89,6 +87,15 @@ def node_snapshot(node) -> Dict[str, Any]:
 def engine_snapshot(rts) -> Dict[str, Dict[str, Any]]:
     """Per-node snapshots for every registered node."""
     return {name: node_snapshot(node) for name, node in rts.iter_nodes()}
+
+
+def delta(current: Mapping[str, Any], previous: Optional[Mapping[str, Any]],
+          stat: str) -> int:
+    """How far ``stat`` grew since ``previous``, the same object's entry
+    in an earlier snapshot (None: a new object, which starts at zero).
+    DBSP's D of I: never a private copy of a counter, so a delta can
+    neither read a removed object's counters nor lose a new one's."""
+    return current.get(stat, 0) - (previous or {}).get(stat, 0)
 
 
 def install_engine_metrics(registry: MetricsRegistry, rts) -> None:

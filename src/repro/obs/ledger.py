@@ -14,8 +14,9 @@ operator can read is a rendering of that declaration:
   the status report and the ``gsq`` epilogue.
 
 Per-object streams (``_gs_channel``, ``_gs_operator``) are not ledger
-projections: they carry one row per channel or operator and per-sample
-deltas the sampler keeps, not one row of plane-wide counters.
+projections: they carry one row per channel or node of
+:func:`repro.obs.collectors.engine_snapshot`, with per-sample deltas
+between two of its snapshots, not one row of plane-wide counters.
 """
 
 from __future__ import annotations

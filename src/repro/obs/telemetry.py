@@ -5,13 +5,14 @@ its own query language -- internal performance data is exposed as
 ordinary streams that GSQL queries (and PR 6 alert triggers) consume
 exactly like packet streams.  The :class:`TelemetryHub` turns the
 engine's counters into five typed streams, registered in the engine's
-schema like any query output.  Two carry one row per object the
-sampler walks, with per-sample deltas: ``_gs_channel`` (depth,
-high-water mark, overflow drops) and ``_gs_operator`` (tuple counters,
-the Section 4 virtual-time cost since the last sample, the quarantine
-flag).  Three are projections of a control plane's ledger
-(:mod:`repro.obs.ledger`), one row of plane-wide counters each:
-``_gs_shed``, ``_gs_recovery``, ``_gs_alert``.
+schema like any query output.  Two render
+:func:`~repro.obs.collectors.engine_snapshot`, one row per channel or
+node, each delta this sample's snapshot minus the last one:
+``_gs_channel`` (depth, high-water mark, overflow drops) and
+``_gs_operator`` (tuple counters, the Section 4 virtual-time cost since
+the last sample, the quarantine flag).  Three are projections of a
+control plane's ledger (:mod:`repro.obs.ledger`), one row of
+plane-wide counters each: ``_gs_shed``, ``_gs_recovery``, ``_gs_alert``.
 
 Rows are emitted at pump boundaries *in virtual time* -- the hub's
 :meth:`~TelemetryHub.on_cycle` runs before the drain, so telemetry
@@ -51,6 +52,7 @@ from repro.core.query_node import QueryNode
 from repro.gsql.ordering import Ordering
 from repro.gsql.schema import Attribute, StreamSchema
 from repro.gsql.types import FLOAT, STRING, UINT
+from repro.obs.collectors import delta, engine_snapshot
 from repro.obs.ledger import Field, Ledger, columns, row
 
 #: every stream the hub can publish, in emission order
@@ -226,11 +228,9 @@ class TelemetryHub:
             sample_every=profile_every)
         self.samples_taken = 0
         self._last_sample = -math.inf
-        #: per-channel previous (pushed, dropped), keyed by channel object
-        self._prev_channel: Dict[int, Tuple[int, int]] = {}
-        #: per-operator previous (tuples_in, tuples_out, packets_seen)
-        self._prev_node: Dict[str, Tuple[int, int, int]] = {}
-        self._prev_shed = 0
+        #: the last sample's snapshot entries, keyed by node object so a
+        #: namesake re-added since then starts at zero
+        self._last: Dict[QueryNode, Dict[str, Any]] = {}
         #: cumulative Section 4 virtual cost attributed per operator
         self.virtual_us: Dict[str, float] = {}
         #: the plane-ledger streams this hub publishes
@@ -274,62 +274,54 @@ class TelemetryHub:
         time_value = float(stream_time)
         channel_rows: List[tuple] = []
         operator_rows: List[tuple] = []
-        shed_total = 0
-        dropped_total = 0
-        cost_model = self.rts.cost_model
-        tuple_us = cost_model.hfta_tuple_us if cost_model is not None else 0.0
-        for name, node in self.rts.iter_nodes():
+        shed_total = shed_delta = 0
+        dropped_total = self.rts.retired_dropped  # detached channels' drops
+        tuple_us = self.rts.cost_model.hfta_tuple_us
+        last, now = self._last, {}
+        for name, entry in engine_snapshot(self.rts).items():
             if name.startswith("_gs_"):
                 continue  # the no-feedback rule
-            stats = node.stats
-            packets_seen = getattr(node, "packets_seen", 0) or 0
-            shed_total += getattr(node, "shed_packets", 0) or 0
-            prev_in, prev_out, prev_seen = self._prev_node.get(name, (0, 0, 0))
-            in_delta = stats.tuples_in - prev_in
-            out_delta = stats.tuples_out - prev_out
-            seen_delta = packets_seen - prev_seen
-            self._prev_node[name] = (stats.tuples_in, stats.tuples_out,
-                                     packets_seen)
+            node = self.rts.node(name)
+            before = last.get(node)  # None: new since the last sample
+            now[node] = entry
+            in_delta = delta(entry, before, "tuples_in")
             # Section 4 cost of the work done since the last sample:
             # channel items for HFTAs, examined packets for consumers.
+            seen_delta = delta(entry, before, "packets_seen")
             cost_us = float(max(in_delta, seen_delta, 0) * tuple_us)
             self.virtual_us[name] = self.virtual_us.get(name, 0.0) + cost_us
+            shed_total += entry.get("shed_packets", 0)
+            shed_delta += max(delta(entry, before, "shed_packets"), 0)
             operator_rows.append((
                 time_value,
                 name.encode("utf-8", "backslashreplace"),
-                int(stats.tuples_in),
-                int(stats.tuples_out),
-                int(stats.discarded),
-                int(max(in_delta, 0)),
-                int(max(out_delta, 0)),
+                entry["tuples_in"],
+                entry["tuples_out"],
+                entry["discarded"],
+                max(in_delta, 0),
+                max(delta(entry, before, "tuples_out"), 0),
                 cost_us,
-                int(node.quarantined is not None),
+                int("quarantined" in entry),
             ))
-            for channel in node.subscribers:
-                cstats = channel.stats
-                prev_pushed, prev_dropped = self._prev_channel.get(
-                    id(channel), (0, 0))
-                dropped_delta = cstats.dropped - prev_dropped
-                self._prev_channel[id(channel)] = (cstats.pushed,
-                                                   cstats.dropped)
-                dropped_total += cstats.dropped
+            earlier = before.get("channels", {}) if before else {}
+            for channel, stats in entry.get("channels", {}).items():
+                dropped_total += stats["dropped"]
                 channel_rows.append((
                     time_value,
-                    channel.name.encode("utf-8", "backslashreplace"),
-                    int(len(channel)),
-                    int(cstats.max_depth),
-                    int(cstats.pushed),
-                    int(cstats.popped),
-                    int(cstats.dropped),
-                    int(max(dropped_delta, 0)),
+                    channel.encode("utf-8", "backslashreplace"),
+                    stats["depth"],
+                    stats["max_depth"],
+                    stats["pushed"],
+                    stats["popped"],
+                    stats["dropped"],
+                    max(delta(stats, earlier.get(channel), "dropped"), 0),
                 ))
+        self._last = now
         self._publish("_gs_channel", channel_rows, stream_time)
         self._publish("_gs_operator", operator_rows, stream_time)
-        known = {"_gs_shed": {
-            "packets_shed": shed_total,
-            "shed_delta": max(shed_total - self._prev_shed, 0),
-            "channel_dropped": dropped_total}}
-        self._prev_shed = shed_total
+        known = {"_gs_shed": {"packets_shed": shed_total,
+                              "shed_delta": shed_delta,
+                              "channel_dropped": dropped_total}}
         for stream, ledger in self._plane_ledgers.items():
             self._publish(stream, [row(
                 ledger, self.rts.planes.get(ledger.name), time_value,

@@ -382,8 +382,8 @@ class ReplicationPlane:
             if sub.name not in standby.names():
                 continue  # its query was removed
             node = standby.node(sub.name)
-            sub.follow(node.subscribe(capacity=sub.channel.capacity,
-                                      name=f"{sub.name}->app"),
+            sub.follow(standby.open_channel(sub.name, "app",
+                                            sub.channel.capacity),
                        standby, node.stats.tuples_out)
             if sub.skip < 0:
                 raise StateLogError(

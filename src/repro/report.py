@@ -3,9 +3,8 @@
 Seven AT&T installations ran "three months nonstop"; operators of a
 long-running monitor need to see where tuples flow, where they are
 discarded, and which buffers are filling.  :func:`engine_report`
-renders exactly that from the canonical observability snapshot
-(:func:`repro.obs.collectors.engine_snapshot` -- the same single source
-of truth behind ``RuntimeSystem.stats()`` and the metrics exposition),
+renders exactly that from :func:`repro.obs.collectors.engine_snapshot`
+(through ``stats()``; the overload section is a rendering of it too),
 plus every enabled control plane's ledger.
 """
 

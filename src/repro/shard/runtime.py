@@ -465,16 +465,18 @@ class ShardedGigascope:
             self._worker_nodes[state.index] = payload["nodes"]
             if payload["quarantined"]:
                 self._worker_quarantined[state.index] = payload["quarantined"]
-            self._absorb_channels(state.index, payload["channels"])
+            self._absorb_channels(state.index, payload["nodes"])
 
     def _absorb_channels(self, shard: int,
-                         channels: Dict[str, Dict[str, Any]]) -> None:
-        """Satellite 2: worker-side overflow accounting survives the pipe."""
-        for name, snapshot in channels.items():
-            ledger = self.channel_ledgers.setdefault(
-                f"shard{shard}/{name}", ChannelStats())
-            ledger.absorb(snapshot)
-            self.shard_channel_dropped[shard] += snapshot.get("dropped", 0)
+                         nodes: Dict[str, Dict[str, Any]]) -> None:
+        """Worker-side overflow accounting survives the pipe: the
+        channels nested under the END frame's node snapshots."""
+        for entry in nodes.values():
+            for name, snapshot in entry.get("channels", {}).items():
+                ledger = self.channel_ledgers.setdefault(
+                    f"shard{shard}/{name}", ChannelStats())
+                ledger.absorb(snapshot)
+                self.shard_channel_dropped[shard] += snapshot.get("dropped", 0)
 
     def _recover(self, ctx, state: _ShardState, spec,
                  packets) -> Optional[_ShardState]:

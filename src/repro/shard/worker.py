@@ -34,7 +34,7 @@ import os
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.engine import Gigascope
-from repro.obs.collectors import channel_snapshot, engine_snapshot
+from repro.obs.collectors import engine_snapshot
 from repro.recovery.statelog import StateLog
 from repro.shard.partition import STRIPE, shard_packets
 from repro.shard.transport import END, ROWS, STATE, encode_frame, pack_rows
@@ -154,9 +154,7 @@ def run_worker(conn, spec: Dict[str, Any], shard: int,
     seq += 1
     conn.send_bytes(encode_frame(END, seq, {
         "packets": len(kept),
-        "nodes": engine_snapshot(gs.rts),
-        "channels": {channel.name: channel_snapshot(channel)
-                     for channel in gs.rts.channels()},
+        "nodes": engine_snapshot(gs.rts),    # channels nest under each node
         "quarantined": dict(gs.rts.quarantined),
     }))
     conn.close()

@@ -15,6 +15,7 @@ from repro.faults import (
 )
 from repro.nic.nic import Nic
 from repro.workloads.flows import ZipfFlowWorkload
+from tests.conftest import tcp_packet
 
 AGG_QUERY = """
     DEFINE query_name {name};
@@ -202,6 +203,24 @@ class TestChannelOverflowStorm:
         assert report["channel_dropped"] >= storm.dropped_during
         # After the storm every channel is unbounded again.
         assert all(c.fault_capacity is None for c in gs.rts.channels())
+
+    def test_a_consumer_removed_mid_storm_keeps_its_drops(self):
+        gs = Gigascope()
+        gs.add_queries("DEFINE query_name a; Select time, destIP From eth0.tcp")
+        gs.add_query("DEFINE query_name h; Select time, destIP From a")
+        gs.start()
+        storm = ChannelOverflowStorm(at=0.5, duration=3.0, capacity=2)
+        gs.inject_faults([storm])
+        stream = [tcp_packet(ts=i * 0.01, sport=1000 + i % 50)
+                  for i in range(500)]
+        gs.feed(stream[:200], pump_every=50)
+        lost = gs.rts.node("a").subscribers[0].stats.dropped
+        assert lost > 0
+        gs.remove_query("h")             # a->h leaves mid-storm
+        gs.feed(stream[200:], pump_every=50)
+        gs.flush()
+        assert storm.dropped_during == lost
+        assert gs.overload_report()["channel_dropped"] == lost
 
 
 class TestClockSkew:

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from repro import Gigascope
+from repro.core.stream_manager import RegistryError
 from repro.nic.nic import Nic
 from repro.obs import (
     NODE_EXTRA_ATTRS,
@@ -14,6 +15,7 @@ from repro.obs import (
     Tracer,
     trace_key,
 )
+from repro.report import engine_report
 from tests.conftest import tcp_packet
 
 _LABEL = r'[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"'
@@ -220,6 +222,155 @@ class TestEngineMetrics:
             nic.stats.ring_dropped > 0
         assert values['gs_nic_ring_occupancy{nic="card0"}'] == \
             nic.ring_occupancy
+
+
+def report_table(text):
+    """``engine_report``'s node table: node -> (in, out, discard, drops)."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.split()[:1] == ["node"])
+    table = {}
+    for line in lines[start + 1:]:
+        if not line.strip():
+            break
+        name, *numbers = line.split()[:5]
+        table[name] = tuple(map(int, numbers))
+    return table
+
+
+def samples(values, family, label):
+    """``{label value: value}`` of one labelled family, from
+    :func:`parse_prometheus`."""
+    pattern = re.compile(r'^%s\{%s="(.*)"\}$' % (family, label))
+    return {match.group(1): value for key, value in values.items()
+            for match in [pattern.match(key)] if match}
+
+
+LFTA_QUERY = "DEFINE query_name a; Select time, destIP From eth0.tcp"
+
+
+def reader_of_a(name):
+    return f"DEFINE query_name {name}; Select time, destIP From a"
+
+
+def packets(count, start):
+    return [tcp_packet(ts=start + i * 0.01, sport=1000 + i % 50)
+            for i in range(count)]
+
+
+class TestOneSnapshot:
+    """Every counter surface renders ``engine_snapshot``: ``stats()``,
+    ``overload_report()``, the metrics, ``engine_report``'s table and
+    the ``_gs_*`` rows state the same drops and counters."""
+
+    def test_duplicate_subscriptions_keep_their_own_entries(self):
+        gs = Gigascope()
+        gs.add_query("DEFINE query_name q; Select time, destIP From eth0.tcp")
+        bounded = gs.subscribe("q", capacity=5)
+        gs.subscribe("q")
+        gs.start()
+        gs.feed(packets(50, 0.0))
+        gs.flush()
+        dropped = bounded.channel.stats.dropped
+        assert dropped == 46
+        channels = gs.stats()["q"]["channels"]
+        assert {name: entry["dropped"] for name, entry in channels.items()} \
+            == {"q->app": dropped, "q->app#2": 0}
+        assert gs.overload_report()["channel_dropped"] == dropped
+        values = parse_prometheus(gs.metrics.to_prometheus())
+        assert samples(values, "gs_channel_dropped_total", "channel") == \
+            {"q->app": dropped, "q->app#2": 0}
+        assert report_table(engine_report(gs))["q"][3] == dropped
+
+    def test_a_failed_subscription_uses_up_no_name(self):
+        gs = Gigascope()
+        with pytest.raises(RegistryError):
+            gs.subscribe("q")
+        gs.add_query("DEFINE query_name q; Select time, destIP From eth0.tcp")
+        assert gs.subscribe("q").channel.name == "q->app"
+
+    def test_every_surface_agrees(self):
+        """A bounded duplicate subscription, shedding, telemetry, a
+        quarantined node, and a consumer removed and re-added under its
+        name: each surface reports the same per-channel drops and
+        per-node counters."""
+        gs = Gigascope(channel_capacity=4, seed=3)
+        gs.enable_telemetry(interval=1.0)
+        gs.add_queries(LFTA_QUERY)
+        gs.add_query(reader_of_a("h"))
+        gs.add_query(reader_of_a("bad"))
+        gs.enable_shedding("static:0.5")
+        gs.subscribe("a", capacity=5)
+        gs.subscribe("a")
+        streams = {name: gs.subscribe(name)
+                   for name in ("_gs_channel", "_gs_operator", "_gs_shed")}
+        gs.start()
+        gs.inject_faults(["operator_error:node=bad,at_tuple=3,times=1"])
+        gs.feed(packets(300, 0.0), pump_every=100)
+        gs.remove_query("h")
+        gs.add_query(reader_of_a("h"))
+        gs.feed(packets(300, 3.0), pump_every=100)
+        gs.advance_time(10.0)      # a last sample, with nothing in flight
+        rows = {name: sub.poll() for name, sub in streams.items()}
+
+        stats = gs.stats()
+        overload = gs.overload_report()
+        values = parse_prometheus(gs.metrics.to_prometheus())
+        table = report_table(engine_report(gs))
+
+        drops = {channel: entry["dropped"] for node in stats.values()
+                 for channel, entry in node.get("channels", {}).items()}
+        assert drops["a->app"] > 0 and drops["a->h#2"] > 0
+        assert {name: entry["dropped"]
+                for name, entry in overload["channels"].items()} == drops
+        # a->bad (quarantined) and a->h (removed) left the live
+        # channels; their drops stay in every cumulative total.
+        retired = gs.rts.retired_dropped
+        assert retired > 0
+        assert overload["channel_dropped"] == sum(drops.values()) + retired
+        assert values["gs_pressure_channel_drops_total"] == \
+            overload["channel_dropped"]
+        assert samples(values, "gs_channel_dropped_total", "channel") == drops
+        observed = {name: sum(entry["dropped"]
+                              for entry in stats[name].get("channels",
+                                                           {}).values())
+                    for name in stats}
+        assert {name: row[3] for name, row in table.items()} == observed
+        streamed = {}
+        for row in rows["_gs_channel"]:
+            name = row[1].decode()
+            streamed[name] = streamed.get(name, 0) + row[7]
+        for name, dropped in drops.items():
+            if not name.startswith("_gs_"):
+                assert streamed[name] == dropped, name
+        last_shed = rows["_gs_shed"][-1]
+        assert last_shed[2] == overload["packets_shed"] > 0
+        assert last_shed[4] == retired + sum(
+            dropped for name, dropped in drops.items()
+            if not name.startswith("_gs_"))
+
+        assert "bad" in overload["quarantined"]
+        assert "quarantined" in stats["bad"]
+        for stat, column in (("tuples_in", 0), ("tuples_out", 1),
+                             ("discarded", 2)):
+            assert samples(values, f"gs_node_{stat}_total", "node") == \
+                {name: entry[stat] for name, entry in stats.items()}
+            assert {name: row[column] for name, row in table.items()} == \
+                {name: entry[stat] for name, entry in stats.items()}
+        # h's second instance streams from its first sample after 3.0.
+        operators = {}
+        for row in rows["_gs_operator"]:
+            name = row[1].decode()
+            if name != "h" or row[0] > 3.0:
+                operators.setdefault(name, []).append(row)
+        assert set(operators) == {name for name in stats
+                                  if not name.startswith("_gs_")}
+        for name, entries in operators.items():
+            assert sum(row[5] for row in entries) == \
+                stats[name]["tuples_in"], name
+            assert sum(row[6] for row in entries) == \
+                stats[name]["tuples_out"], name
+            assert entries[-1][8] == int("quarantined" in stats[name])
 
 
 class TestControlPlaneGauges:

@@ -216,6 +216,38 @@ class TestSignalsBus:
         assert bus.peak_utilization == s.utilization
 
 
+    def test_signals_follow_instances_through_a_readd(self):
+        """Previous values are kept per channel and node object: a
+        consumer re-added under its old name neither inherits the old
+        node's output count nor takes the old channel's drops out of
+        the cumulative total."""
+        lfta = "DEFINE query_name a; Select time, destIP From eth0.tcp"
+        reader = "DEFINE query_name h; Select time, destIP From a"
+        gs = Gigascope(channel_capacity=4)
+        gs.add_queries(lfta)
+        gs.add_query(reader)
+        gs.start()
+        bus = SignalsBus(gs.rts)
+        packets = [tcp_packet(ts=i * 0.01, sport=1000 + i % 50)
+                   for i in range(400)]
+        gs.feed(packets[:300], pump_every=50)
+        first = bus.collect(gs.rts.stream_time)
+        old_channel = gs.rts.node("a").subscribers[0]
+        assert first.channel_drops_total == old_channel.stats.dropped > 0
+        gs.remove_query("h")
+        gs.add_query(reader)
+        gs.feed(packets[300:], pump_every=100)
+        second = bus.collect(gs.rts.stream_time)
+        new_channel, = gs.rts.node("a").subscribers
+        assert second.channel_drops_delta == new_channel.stats.dropped > 0
+        assert second.channel_drops_total == \
+            first.channel_drops_total + second.channel_drops_delta
+        elapsed = second.stream_time - first.stream_time
+        assert second.node_rates["h"] == pytest.approx(
+            gs.rts.node("h").stats.tuples_out / elapsed)
+        assert second.node_rates["h"] > 0
+
+
 class TestControllerThroughEngine:
     def test_static_gate_sheds_and_accounts(self):
         gs = Gigascope()

@@ -21,6 +21,7 @@ from repro.obs.telemetry import (
 )
 from repro.report import engine_report
 from repro.workloads.generators import http_port80_pool, packet_stream
+from tests.conftest import tcp_packet
 
 
 FLOWS_QUERY = """
@@ -272,6 +273,101 @@ class TestOperatorStreamInvariants:
         assert clean_restarts == 0 and crash_restarts == 1
         assert_monotone_and_gap_free(crash_rows)
         assert crash_rows == clean_rows
+
+
+LFTA_QUERY = "DEFINE query_name a; Select time, destIP From eth0.tcp"
+
+
+def reader_of_a(name):
+    return f"DEFINE query_name {name}; Select time, destIP From a"
+
+
+def packets(count, start):
+    return [tcp_packet(ts=start + i * 0.01, sport=1000 + i % 50)
+            for i in range(count)]
+
+
+class TestDeltasAreSnapshotDifferences:
+    """A per-sample delta is this sample's snapshot minus the last
+    one's for the same object, a new object starting at zero: summed
+    over the samples of one channel or node it is that object's
+    counter, through removals and re-adds under a new and the same
+    name."""
+
+    def run(self):
+        gs = Gigascope(channel_capacity=4)
+        gs.enable_telemetry(interval=1.0)
+        gs.add_query(LFTA_QUERY)
+        gs.add_query(reader_of_a("h"))
+        chans = gs.subscribe("_gs_channel")
+        ops = gs.subscribe("_gs_operator")
+        gs.start()
+        gs.feed(packets(300, 0.0), pump_every=100)   # samples 0.99 .. 2.99
+        gs.remove_query("h")
+        gs.add_query(reader_of_a("h2"))               # a new name
+        gs.feed(packets(300, 3.0), pump_every=100)   # samples 3.99 .. 5.99
+        gs.remove_query("h2")
+        gs.add_query(reader_of_a("h"))                # the same name again
+        # The new h drains a block before its first sample (6.49 is no
+        # sample time), so that sample's delta is not zero.
+        gs.feed(packets(50, 6.0), pump_every=50)
+        gs.feed(packets(250, 6.5), pump_every=100)   # samples 7.49 .. 8.49
+        gs.advance_time(10.0)      # a last sample, with nothing in flight
+        return gs, chans.poll(), ops.poll()
+
+    def test_sums_of_deltas_are_the_counters(self):
+        gs, chans, ops = self.run()
+        stats = gs.stats()
+        channels = {}
+        for row in chans:
+            channels.setdefault(row[1].decode(), []).append(row)
+        assert {"a->h", "a->h2", "a->h#2"} <= set(channels)
+        for name, rows in channels.items():
+            assert sum(row[7] for row in rows) == rows[-1][6], name
+        live = stats["a"]["channels"]
+        assert set(live) == {"a->h#2"}
+        assert sum(row[7] for row in channels["a->h#2"]) == \
+            live["a->h#2"]["dropped"] > 0
+        # One instance of h before 3.0, another from 6.0 on.
+        instances = {
+            "a": [row for row in ops if row[1] == b"a"],
+            "h": [row for row in ops if row[1] == b"h" and row[0] < 3.0],
+            "h2": [row for row in ops if row[1] == b"h2"],
+            "h again": [row for row in ops if row[1] == b"h"
+                        and row[0] > 6.0],
+        }
+        for name, rows in instances.items():
+            assert rows, name
+            assert sum(row[5] for row in rows) == rows[-1][2], name
+            assert sum(row[6] for row in rows) == rows[-1][3], name
+        for name, rows in (("a", instances["a"]),
+                           ("h", instances["h again"])):
+            assert sum(row[5] for row in rows) == \
+                stats[name]["tuples_in"] > 0
+            assert sum(row[6] for row in rows) == stats[name]["tuples_out"]
+
+    def test_a_new_channel_streams_its_first_drops(self):
+        _, chans, _ = self.run()
+        first = next(row for row in chans if row[1] == b"a->h2")
+        assert first[6] > 0 and first[7] == first[6]
+
+
+class TestCostIsIndependentOfMetrics:
+    def test_operator_cost_with_and_without_metrics(self):
+        rows, virtual = {}, {}
+        for metrics in (True, False):
+            gs = Gigascope(metrics=metrics)
+            gs.enable_telemetry()
+            gs.add_query(LFTA_QUERY)
+            ops = gs.subscribe("_gs_operator")
+            gs.start()
+            gs.feed(packets(300, 0.0))
+            gs.flush()
+            rows[metrics] = ops.poll()
+            virtual[metrics] = gs.telemetry_report()["profiler"]["virtual_us"]
+        assert rows[True] == rows[False]
+        assert rows[False][-1][7] > 0
+        assert virtual[True] == virtual[False]
 
 
 class TestProfiler:
