@@ -17,10 +17,10 @@ BENCH_RECOVERY.json next to BENCH_E2.json):
   interleaved rounds.  The 5% this file used to assert is not met at
   any run length that measures overhead (+11% over ten rounds); the
   budget is the highest reading plus stated headroom (``BUDGET``).  The rest is the collector
-  walking a stream-second of journaled rows it can never free; that
-  part moves with whatever else the process holds (+18 to +39% read
-  with the collector on, the highest at the end of the whole
-  bench-smoke selection), so it is *recorded* from three more rounds
+  walking what the process holds (the journal keeps only the fed
+  blocks, lists of packets the caller holds anyway, until the next
+  checkpoint); that part moves with whatever else the process holds, so
+  it is *recorded* from three more rounds
   (``collector_on_overhead_pct``), not asserted.  ROADMAP item 1 moves
   the measurement into ``bench/`` as an arm of ``planes_on`` and
   retires this one.

@@ -6,9 +6,9 @@ Evaluation is *periodic in virtual time at pump boundaries*: every
 stream time into each trigger's dedicated clock channel.  A
 :class:`TriggerNode` is an ordinary HFTA node with two inputs -- the
 watched query's output (index 0) and the clock (index 1) -- so both
-rows and ticks flow through journaled channels: under the recovery
-supervisor the entire evaluation is a pure function of journaled input
-items, which is what makes a crash/restore byte-identical to the clean
+rows and ticks flow through channels: the evaluation is a pure function
+of its input items, and a recovery rollback restores the clock with the
+engine, which is what makes a crash/restore byte-identical to the clean
 run (``replay verify --scenario alerts_syn_flood alerts_port_scan``).
 
 A tick at stream time ``t`` closes every epoch with index below
@@ -41,8 +41,8 @@ class EpochTick:
     """Control token: the epoch clock observed stream time ``time``.
 
     Flows through a trigger's clock channel (never dropped -- bounded
-    channels only shed data tuples) and is journaled like any other
-    channel item, so recovery replay re-drives epoch evaluation.
+    channels only shed data tuples); a recovery rollback's replayed
+    pump cycles push it again and re-drive epoch evaluation.
     """
 
     __slots__ = ("time",)
@@ -451,10 +451,17 @@ class AlertEngine:
         tick = EpochTick(stream_time)
         self.ticks_sent += 1
         for node in self.triggers.values():
-            # Push unconditionally: a supervisor-suspended node catches
-            # up from its channel backlog on resume, keeping the crash
-            # arm's tick sequence identical to the clean arm's.
+            # Push unconditionally: a supervisor-suspended node's
+            # retry rolls back and re-feeds, keeping the crash arm's
+            # tick sequence identical to the clean arm's.
             node.tick_channel.push(tick)
+
+    def snapshot_state(self) -> tuple:
+        """The epoch clock: its last tick and the ticks sent."""
+        return self._last_tick, self.ticks_sent
+
+    def restore_state(self, state: tuple) -> None:
+        self._last_tick, self.ticks_sent = state
 
     def shed_exempt_nodes(self) -> set:
         """Node names pinned exempt from adaptive shedding.

@@ -100,10 +100,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write the merged alert stream as JSON lines "
                              "to PATH (requires --alert)")
     parser.add_argument("--recover", action="store_true",
-                        help="enable checkpoint/restore recovery: crashed "
-                             "operators restart from the last checkpoint "
-                             "with their input-journal gap replayed instead "
-                             "of being permanently quarantined")
+                        help="enable checkpoint/restore recovery: a crash "
+                             "rolls the engine back to the last checkpoint "
+                             "and re-feeds its input journal instead of "
+                             "quarantining the operator for good")
     parser.add_argument("--checkpoint-interval", type=float, metavar="SECS",
                         help="virtual-time seconds between crash-consistent "
                              "checkpoints (implies --recover; default 1.0)")

@@ -185,6 +185,24 @@ class OverloadController:
         self.last_sample = sample
         return sample
 
+    # -- rollback (DESIGN section 11) ----------------------------------------
+    def snapshot_state(self) -> Dict[str, Any]:
+        """The loop's counters, last sample, policy and bus state."""
+        return {"loop": (self.shed_rate, self.min_rate_seen, self.cycles,
+                         self.pressured_cycles, self.exempt_cycles,
+                         sorted(self.exempt_nodes)),
+                "sample": self.last_sample and vars(self.last_sample),
+                "policy": vars(self.policy), "bus": self.bus.snapshot_state()}
+
+    def restore_state(self, state: Dict[str, Any]) -> None:
+        (self.shed_rate, self.min_rate_seen, self.cycles,
+         self.pressured_cycles, self.exempt_cycles, exempt) = state["loop"]
+        self.exempt_nodes = frozenset(exempt)
+        sample = state["sample"]
+        self.last_sample = sample and PressureSample(**sample)
+        vars(self.policy).update(state["policy"])
+        self.bus.restore_state(state["bus"])
+
     def _install(self, rate: float,
                  exempt: frozenset = frozenset()) -> None:
         for name, node in self.rts.iter_nodes():

@@ -80,6 +80,21 @@ class SignalsBus:
         """Include a simulated NIC's ring drops in the pressure signal."""
         self.nics.append(nic)
 
+    def snapshot_state(self) -> Dict[str, object]:
+        """Peaks and last cycle's readings (a node's by name): all but
+        what the bus is wired to."""
+        state = {key: value for key, value in vars(self).items()
+                 if key not in ("rts", "cost_model", "nics")}
+        state["_last_node_out"] = {node.name: out for node, out
+                                   in self._last_node_out.items()}
+        return state
+
+    def restore_state(self, state: Dict[str, object]) -> None:
+        nodes = dict(self.rts.iter_nodes())
+        vars(self).update(state, _last_node_out={
+            nodes[name]: out for name, out in state["_last_node_out"].items()
+            if name in nodes})
+
     def collect(self, stream_time: float) -> PressureSample:
         """Snapshot all signals and difference them against last cycle."""
         self.cycle += 1

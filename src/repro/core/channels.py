@@ -199,6 +199,22 @@ class Channel:
             stats.max_depth = len(queue)
         return accepted
 
+    def ledger(self) -> tuple:
+        """The channel's counters, for :meth:`rewind`."""
+        stats = self.stats
+        return (stats.pushed, stats.popped, stats.dropped, stats.max_depth,
+                stats.control_pushed)
+
+    def rewind(self, ledger: tuple, queued: Iterable[Any] = ()) -> None:
+        """Back to a :meth:`ledger`: its counters, and ``queued`` (the
+        items it held then) in the queue."""
+        stats = self.stats
+        (stats.pushed, stats.popped, stats.dropped, stats.max_depth,
+         stats.control_pushed) = ledger
+        self._queue = deque(queued)
+        self.control_queued = sum(type(item) is not tuple
+                                  for item in self._queue)
+
     def pop(self) -> Any:
         """Remove and return the oldest item; raises IndexError when empty."""
         item = self._queue.popleft()

@@ -215,6 +215,7 @@ class Gigascope:
         if replication is not None:
             replication.copy(instance)
         self._instances[query_name] = instance
+        self.rts.checkpoint()
         return query_name
 
     def _link_nodes(self, instance: QueryInstance,
@@ -284,6 +285,7 @@ class Gigascope:
                                 f"node {node.name!r} onto its standby")
         self.rts.register_node(node, packet_interface=interface)
         self._streams[node.name] = node.output_schema
+        self.rts.checkpoint()
         return node.name
 
     def remove_query(self, name: str) -> None:
@@ -314,6 +316,7 @@ class Gigascope:
             self._streams.pop(node.name, None)
         self._streams.pop(name, None)
         del self._instances[name]
+        self.rts.checkpoint()
 
     # -- overload control (repro.control) -----------------------------------------
     def enable_shedding(self, policy: Any = "adaptive", cost_model=None,
@@ -354,13 +357,13 @@ class Gigascope:
         The supervisor cuts a crash-consistent snapshot of every
         operator's state each ``checkpoint_interval`` seconds of
         virtual time (at pump boundaries, where channels are
-        quiescent), journals inputs between checkpoints, and upgrades
-        permanent quarantine into bounded-retry restart: restore the
-        last checkpoint, replay the journal gap, suppress re-emission
-        of already-delivered rows.  After ``max_restarts`` failed
-        attempts (retried with exponential backoff in virtual time) the
-        node degrades to the permanent quarantine of
-        :meth:`overload_report`'s containment ledger.
+        quiescent), journals the RTS's inputs between checkpoints, and
+        upgrades permanent quarantine into bounded-retry restart: roll
+        the whole RTS back to the last checkpoint, re-feed the journal,
+        skip re-delivering rows the application has.  After
+        ``max_restarts`` failed attempts (retried with exponential
+        backoff in virtual time) the node degrades to the permanent
+        quarantine of :meth:`overload_report`'s containment ledger.
         """
         from repro.recovery.supervisor import RecoverySupervisor
         return RecoverySupervisor(
@@ -564,9 +567,7 @@ class Gigascope:
     def set_param(self, query_name: str, param: str, value: Any) -> None:
         """Change a query parameter on the fly (Section 3)."""
         self._params(query_name, param)[param] = value
-        replication = self.rts.planes.get("replication")
-        if replication is not None:
-            replication.checkpoint()
+        self.rts.checkpoint()
 
     def get_param(self, query_name: str, param: str) -> Any:
         return self._params(query_name, param)[param]

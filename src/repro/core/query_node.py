@@ -146,8 +146,8 @@ class QueryNode:
         Overrides must not depend on how the stream was cut into runs:
         same outputs in the same order, same statistics at every block
         size (tests/test_golden_scenarios.py holds them to it).
-        ``rows`` may be the very block the scheduler popped (and
-        journaled): read it, never mutate it.
+        ``rows`` may be the very block the scheduler popped: read it,
+        never mutate it.
         """
         on_tuple = self.on_tuple
         for row in rows:
@@ -191,21 +191,6 @@ class QueryNode:
         (stats.tuples_in, stats.tuples_out, stats.punctuations_in,
          stats.punctuations_out, stats.discarded) = state["stats"]
         self.flushed = state["flushed"]
-
-    def recovery_marks(self) -> dict:
-        """Output counters the supervisor uses to size emit suppression."""
-        return {
-            "tuples_out": self.stats.tuples_out,
-            "punctuations_out": self.stats.punctuations_out,
-        }
-
-    def begin_replay(self, crash_marks: dict) -> None:
-        """Hook called after restore, before journal replay.
-
-        ``crash_marks`` is :meth:`recovery_marks` captured at the moment
-        of the crash.  Sinks use it to suppress re-writing rows that
-        already reached the output (exactly-once re-emission).
-        """
 
     # -- blocked-operator support ----------------------------------------------
     def request_heartbeat(self) -> None:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import struct
+from copy import deepcopy
 from itertools import islice
 from time import perf_counter
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
@@ -59,9 +60,13 @@ DEFAULT_BATCH_SIZE = 256
 #: given to :meth:`RuntimeSystem.attach_plane` hooks the ones it has a
 #: method for.
 EVENTS = ("on_start", "on_packet", "journal_packets", "journal_heartbeat",
-          "silences_heartbeat", "on_cycle", "on_pump_begin", "cut_for",
-          "journal_items", "on_failure", "on_pump_end", "finalize",
-          "on_stream_end")
+          "journal_drain", "silences_heartbeat", "on_pump_begin", "on_cycle",
+          "cut_for", "on_failure", "on_pump_end", "finalize", "on_stream_end")
+
+#: The RTS's own counters in a state-log frame
+#: (:meth:`RuntimeSystem.counters_state`)
+_COUNTERS = ("_stream_time", "_last_heartbeat", "packets_fed", "bytes_fed",
+             "batches_fed", "heartbeats_sent", "heartbeats_suppressed")
 
 #: Who hears an event first, by ledger name (``phase`` on a hook object
 #: without one); anything else follows in attach order.  Declared, not
@@ -139,18 +144,7 @@ class Subscription:
 
     def poll(self) -> List[tuple]:
         """All data tuples received since the last poll."""
-        rows = []
-        tracer = self.manager.tracer if self.manager is not None else None
-        for item in self.channel.drain():
-            if type(item) is tuple:
-                rows.append(item)
-                if tracer is not None:
-                    trace = tracer.lookup(item)
-                    if trace is not None:
-                        tracer.event(trace, "app", self.name,
-                                     self.manager.stream_time)
-            elif isinstance(item, FlushToken):
-                self.ended = True
+        rows = self._take()
         if self.skip:
             gated = min(self.skip, len(rows))
             del rows[:gated]
@@ -175,7 +169,34 @@ class Subscription:
 
     def poll_raw(self) -> List[Any]:
         """Everything, including punctuation and flush tokens."""
-        return self.channel.drain()
+        return self._take(raw=True)
+
+    def _take(self, raw: bool = False) -> List[Any]:
+        """Drain the channel into the application: its data tuples (all
+        items if ``raw``), a flush token ending the subscription, each
+        traced row's ``app`` span.  Journaled first (``journal_drain``):
+        a recovery rollback takes them again at the same point."""
+        manager = self.manager
+        tracer = None
+        if manager is not None:
+            for hook in manager._hooks["journal_drain"]:
+                hook(self, raw)
+            tracer = manager.tracer
+        items = self.channel.drain()
+        if raw:
+            return items
+        rows = []
+        for item in items:
+            if type(item) is tuple:
+                rows.append(item)
+                if tracer is not None:
+                    trace = tracer.lookup(item)
+                    if trace is not None:
+                        tracer.event(trace, "app", self.name,
+                                     manager.stream_time)
+            elif isinstance(item, FlushToken):
+                self.ended = True
+        return rows
 
     def __len__(self) -> int:
         return len(self.channel)
@@ -408,7 +429,17 @@ class RuntimeSystem:
         channel = self.open_channel(name, "app", capacity)
         subscription = Subscription(name, channel, manager=self)
         self.subscriptions.append(subscription)
+        self.checkpoint()
         return subscription
+
+    def checkpoint(self) -> None:
+        """The node or subscription set, or a parameter, changed: every
+        plane that replays the input from a cut (recovery, replication)
+        cuts now, so that no replay runs a packet fed before the change
+        on the engine after it."""
+        for plane in list(self.planes.values()):
+            if hasattr(plane, "checkpoint"):
+                plane.checkpoint()
 
     # -- fault injection & containment (repro.faults) -----------------------
     def install_fault(self, fault) -> None:
@@ -467,23 +498,18 @@ class RuntimeSystem:
     def _contain(self, node: QueryNode, error: Exception) -> bool:
         """Offer a failing node to whoever recovers nodes, else quarantine.
 
-        True means the caller's loop may continue past the node: an
-        ``on_failure`` hook (the recovery supervisor's) either
-        recovered it in place (restored from the last checkpoint with
-        its journal gap replayed) or suspended it for a backoff retry
-        (its ``quarantined`` marker makes every scheduler skip it until
-        it is resumed).  False is the permanent quarantine, with
-        identical containment accounting.
+        True: an ``on_failure`` hook (the recovery supervisor's) rolled
+        the RTS back and re-fed its journal, the operation in progress
+        included, so the caller returns at once.  False: the caller
+        carries on past the node, suspended for a backoff retry (its
+        ``quarantined`` marker makes every scheduler skip it) or
+        quarantined for good, with identical containment accounting.
         """
         for recover in self._hooks["on_failure"]:
             if recover(node, error):
-                tracer = self.tracer
-                if (tracer is not None and tracer.current is not None
-                        and node.quarantined is None):
-                    tracer.event(tracer.current, "recovered", node.name,
-                                 self._stream_time)
                 return True
-        self._quarantine(node, error)
+        if node.quarantined is None:  # no hook suspended it
+            self._quarantine(node, error)
         return False
 
     # -- lifecycle ---------------------------------------------------------------
@@ -629,7 +655,7 @@ class RuntimeSystem:
         interval = self.heartbeat_interval
         if (interval is not None
                 and self._stream_time >= self._last_heartbeat + interval):
-            self._send_heartbeats(self._stream_time)
+            self._heartbeat(self._stream_time)
 
     def _feed_batch(self, packets: List[CapturedPacket],
                     newest: float) -> None:
@@ -656,10 +682,10 @@ class RuntimeSystem:
             self._stream_time = newest
         self.packets_fed += len(packets)
         self.batches_fed += 1
-        # Journal-before-dispatch: the journal must cover the very
-        # packet a consumer crashes on (DESIGN section 11).
+        # Journal-before-dispatch: a rollback re-feeds the very block a
+        # consumer crashes on (DESIGN section 11).
         for hook in self._hooks["journal_packets"]:
-            hook(packets)
+            hook(packets, newest)
         tracer = self.tracer
         traced = (tracer is not None and len(packets) == 1
                   and self._trace_lfta(tracer, packets[0]))
@@ -670,23 +696,24 @@ class RuntimeSystem:
         except Exception as error:
             # Every member runs under its own try inside the kernel, so
             # this is the entry's error, and every member's: each is
-            # contained and skipped for the block (a recovered one has
-            # replayed it from the journal).  The runs still go out.
+            # contained and skipped for the block (a rollback re-feeds
+            # the block, and this call is over).  The runs still go out.
             for node in plan.members:
-                if node.quarantined is None:
-                    self._contain(node, error)
+                if node.quarantined is None and self._contain(node, error):
+                    return
             tally = block_kernel([branch._replace(sections=())
                                   for branch in plan.branches])[0](packets)
         self.bytes_fed += tally.nbytes
         for position, error in tally.failed:
-            self._contain(plan.members[position], error)
+            if self._contain(plan.members[position], error):
+                return
         for nodes, run in zip(plan.runs, tally.runs):
-            if run:
-                # a block from one interface is its run, no copy
-                self._dispatch_run(
-                    nodes, packets if len(run) == len(packets) else run)
-        if plan.spare_any:
-            self._dispatch_run(plan.spare_any, packets)
+            # a block from one interface is its run, no copy
+            if run and self._dispatch_run(
+                    nodes, packets if len(run) == len(packets) else run):
+                return
+        if plan.spare_any and self._dispatch_run(plan.spare_any, packets):
+            return
         if traced:
             tracer.current = None
 
@@ -708,8 +735,9 @@ class RuntimeSystem:
         tracer.current = trace
         return True
 
-    def _dispatch_run(self, nodes: tuple, packets) -> None:
-        """One ordered packet run to consumers the kernel does not cover.
+    def _dispatch_run(self, nodes: tuple, packets) -> bool:
+        """One ordered packet run to consumers the kernel does not cover;
+        True when a failure rolled the RTS back.
 
         An LFTA takes it through ``accept_batch``; consumers without
         one (user-written packet operators: defrag, sessionize, TCP
@@ -730,9 +758,10 @@ class RuntimeSystem:
             except Exception as error:
                 # Containment keeps the rest of the block intact for
                 # sibling consumers (each gets its own dispatch of the
-                # same immutable run); a recovered node already
-                # re-processed the whole journaled block, tail included.
-                self._contain(node, error)
+                # same immutable run); a rollback re-fed the whole block.
+                if self._contain(node, error):
+                    return True
+        return False
 
     def feed(self, packets: Iterable[CapturedPacket], pump_every: int = 256) -> None:
         """Feed a packet iterable in blocks, pumping HFTAs periodically.
@@ -823,7 +852,7 @@ class RuntimeSystem:
                         newest = max(newest, top)
                         break
                     dispatch(lo, cut + 1, stamps[cut])
-                    self._send_heartbeats(self._stream_time)
+                    self._heartbeat(self._stream_time)
                     threshold = self._last_heartbeat + interval
                     lo = scanned = cut + 1
                     newest = -math.inf
@@ -852,13 +881,22 @@ class RuntimeSystem:
 
     def advance_time(self, stream_time: float) -> None:
         """Declare stream time without a packet (quiet period)."""
-        if stream_time > self._stream_time:
-            self._stream_time = stream_time
-        self._send_heartbeats(self._stream_time)
+        self._heartbeat(max(stream_time, self._stream_time))
         self.pump()
 
     # -- heartbeats --------------------------------------------------------------------
-    def _send_heartbeats(self, stream_time: float) -> None:
+    def _heartbeat(self, stream_time: float) -> None:
+        """A heartbeat a feed or ``advance_time`` sends, journaled first
+        like a block (the pump's on-demand ones a replay derives)."""
+        for hook in self._hooks["journal_heartbeat"]:
+            hook(stream_time)
+        if stream_time > self._stream_time:
+            self._stream_time = stream_time
+        self._send_heartbeats(stream_time)
+
+    def _send_heartbeats(self, stream_time: float) -> bool:
+        """Serve a heartbeat to every packet consumer; True when a
+        failure rolled the RTS back."""
         hooks = self._hooks
         for silences in hooks["silences_heartbeat"]:
             if silences(stream_time):
@@ -866,15 +904,12 @@ class RuntimeSystem:
                 # advanced, so the first beat after the silence window
                 # catches blocked operators up immediately.
                 self.heartbeats_suppressed += 1
-                return
+                return False
         self._last_heartbeat = stream_time
         self.heartbeats_sent += 1
-        for hook in hooks["journal_heartbeat"]:
-            hook(stream_time)
         for node in list(self._all_consumers):
             # A supervisor-suspended node stays in _all_consumers but
-            # must not see live heartbeats: it catches up from the
-            # journal when it resumes.
+            # must not see live heartbeats: its retry re-feeds them.
             if node.quarantined is not None:
                 continue
             on_heartbeat = getattr(node, "on_heartbeat", None)
@@ -882,7 +917,9 @@ class RuntimeSystem:
                 try:
                     on_heartbeat(stream_time)
                 except Exception as error:
-                    self._contain(node, error)
+                    if self._contain(node, error):
+                        return True
+        return False
 
     def heartbeat_requested(self, node: QueryNode) -> None:
         """An operator suspects it is blocked: serve a token at next pump."""
@@ -892,16 +929,18 @@ class RuntimeSystem:
     # -- scheduling -----------------------------------------------------------------------
     def pump(self) -> int:
         """Drain HFTA input channels until quiescent; returns items processed."""
-        # Before the drain, while channel depths still show the backlog
-        # this cycle built up; what a hook pushes (telemetry rows, epoch
-        # ticks) travels through (journaled) channels and is delivered
-        # below this same cycle, which is what makes it replayable.
         hooks = self._hooks
-        for hook in hooks["on_cycle"]:
-            hook(self._stream_time)
+        # First of all: a due retry rolls the RTS back and re-feeds the
+        # journal before this cycle begins, then the cycle is journaled.
         for hook in hooks["on_pump_begin"]:
             hook(self._stream_time)
-        journal_items, cut_for = hooks["journal_items"], hooks["cut_for"]
+        # Before the drain, while channel depths still show the backlog
+        # this cycle built up; what a hook pushes (telemetry rows, epoch
+        # ticks) travels through channels and is delivered below this
+        # same cycle, so a replayed cycle pushes it again.
+        for hook in hooks["on_cycle"]:
+            hook(self._stream_time)
+        cut_for = hooks["cut_for"]
         tracer = self.tracer
         # The sampling wall-clock profiler brackets each operator's
         # share of the drain; it decides per cycle whether to time.
@@ -912,8 +951,9 @@ class RuntimeSystem:
         while True:
             if self._heartbeat_wanted:
                 self._heartbeat_wanted = False
-                if not math.isinf(self._stream_time):
-                    self._send_heartbeats(self._stream_time)
+                if (not math.isinf(self._stream_time)
+                        and self._send_heartbeats(self._stream_time)):
+                    return processed  # the replay ran this cycle
             progress = False
             # _quarantine edits _hfta_order, so iterate a snapshot.
             for node in list(self._hfta_order):
@@ -931,8 +971,6 @@ class RuntimeSystem:
                         cuts = [hook(node) for hook in cut_for]
                         items = channel.pop_many(min(
                             filter(None, cuts), default=None))
-                        for hook in journal_items:
-                            hook(node, items, input_index)
                         progress = True
                         try:
                             if whole:
@@ -940,21 +978,18 @@ class RuntimeSystem:
                             else:
                                 self._deliver(node, items, input_index)
                         except Exception as error:
-                            # A failing node is contained -- recovered by
-                            # the supervisor (the whole journaled block,
-                            # tail included, was replayed), or suspended
-                            # or quarantined (counted, detached,
-                            # downstream flushed; the rest of the popped
-                            # block waits in the journal / dies with the
-                            # node) -- instead of unwinding pump() and
-                            # starving its siblings.
-                            contained = self._contain(node, error)
+                            # A failing node is contained instead of
+                            # unwinding pump() and starving its siblings:
+                            # rolled back (the replay finished this
+                            # cycle), or suspended or quarantined (the
+                            # rest of the popped block dies with it).
                             if tracer is not None:
                                 tracer.current = None
-                            if not contained or node.quarantined is not None:
-                                # Everything popped but the item that raised.
-                                processed += len(items) - 1
-                                break
+                            if self._contain(node, error):
+                                return processed
+                            # Everything popped but the item that raised.
+                            processed += len(items) - 1
+                            break
                         processed += len(items)
                     if node.quarantined is not None:
                         break
@@ -1009,47 +1044,89 @@ class RuntimeSystem:
             dispatch_batch(run, input_index)
 
     # -- state-log support (DESIGN section 11.1) ------------------------------
+    def _stateful(self) -> Dict[str, Any]:
+        """The planes and injectors with state a replay moves again."""
+        hooks = {**self.planes, "tracer": self.tracer,
+                 **{f"fault#{i}": fault
+                    for i, fault in enumerate(self.faults)}}
+        return {key: hook for key, hook in hooks.items()
+                if hasattr(hook, "snapshot_state")}
+
     def counters_state(self) -> Dict[str, Any]:
-        """The RTS-level counters every state-log frame carries (recovery
+        """The RTS-level state every state-log frame carries (recovery
         checkpoints, replication frames, a shard worker's GSCK snapshot).
 
         Node state alone does not describe an engine: the stream clock
         and heartbeat threshold decide when future heartbeats fire, and
-        the feed counters must survive a restore for the regenerated
-        run to count like the uninterrupted one.
+        all else a replay moves again must come back with the nodes for
+        the regenerated run to count like the uninterrupted one: the
+        feed counters, the ledger of each channel a node reads, each
+        LFTA's decoded blocks, the pump-cycle histogram, plane state.
         """
+        cycles = dict(self._pump_cycle_hist.samples()
+                      if self._pump_cycle_hist is not None else ()).get(())
         return {
-            "stream_time": self._stream_time,
-            "last_heartbeat": self._last_heartbeat,
-            "packets_fed": self.packets_fed,
-            "bytes_fed": self.bytes_fed,
-            "batches_fed": self.batches_fed,
-            "heartbeats_sent": self.heartbeats_sent,
+            **{name: getattr(self, name) for name in _COUNTERS},
+            "channels": {channel.name: channel.ledger()
+                         for node in self._nodes.values()
+                         for channel in node.inputs},
+            "columnar_blocks": {name: node.columnar_blocks
+                                for name, node in self._nodes.items()
+                                if hasattr(node, "columnar_blocks")},
+            "pump_cycles": cycles and (list(cycles.counts), cycles.sum,
+                                       cycles.count),
+            "planes": {key: hook.snapshot_state()
+                       for key, hook in self._stateful().items()},
         }
 
     def restore_counters(self, state: Dict[str, Any]) -> None:
-        """Reset the RTS-level counters from :meth:`counters_state`."""
-        self._stream_time = state["stream_time"]
-        self._last_heartbeat = state["last_heartbeat"]
-        self.packets_fed = state["packets_fed"]
-        self.bytes_fed = state["bytes_fed"]
-        self.batches_fed = state["batches_fed"]
-        self.heartbeats_sent = state["heartbeats_sent"]
+        """Reset the RTS-level state from :meth:`counters_state`.
+
+        A channel a node reads goes back with it; an application's is
+        delivery, not computation, and stays out of the frame (the
+        recovery supervisor has it skip what it took).  Plane state is
+        copied in: a fold restores from the same frame again.
+        """
+        for name in _COUNTERS:
+            setattr(self, name, state[name])
+        self._heartbeat_wanted = False  # a cut ends a pump
+        for name, node in self._nodes.items():
+            for channel in node.inputs:
+                # empty at the cut, as it is quiescent
+                if name not in self.quarantined and (
+                        channel.name in state["channels"]):
+                    channel.rewind(state["channels"][channel.name])
+        for name, blocks in state["columnar_blocks"].items():
+            if name in self._nodes:
+                self._nodes[name].columnar_blocks = blocks
+        if self._pump_cycle_hist is not None:
+            self._pump_cycle_hist.clear()  # no sample before the first cycle
+            if state["pump_cycles"]:
+                cycles = self._pump_cycle_hist.unlabeled
+                counts, cycles.sum, cycles.count = state["pump_cycles"]
+                cycles.counts = list(counts)
+        for key, hook in self._stateful().items():
+            if key in state["planes"]:
+                hook.restore_state(deepcopy(state["planes"][key]))
 
     # -- end of stream -------------------------------------------------------------------------
     def flush_all(self) -> None:
         """End every stream: flush packet consumers, propagate FLUSH, pump.
 
-        A node that fails *while flushing* is quarantined like any
-        other failure (its downstream still receives FLUSH), so one bad
-        operator cannot abort teardown for the rest.  Flush events are
-        not journaled, so ``finalize`` hooks first force every pending
-        retry (a node must not end the run suspended), and flush-time
-        crashes keep permanent quarantine semantics.
+        A packet consumer that fails *while flushing* is quarantined
+        (its downstream still receives FLUSH), so one bad operator
+        cannot abort teardown for the rest.  ``finalize`` hooks run
+        first: the recovery supervisor forces every pending retry (a
+        node must not end the run suspended); it journals the end of
+        the streams, which a rollback in the final drain re-feeds.
         """
-        hooks = self._hooks
-        for hook in hooks["finalize"]:
+        for hook in self._hooks["finalize"]:
             hook()
+        self._end_streams()
+        self.pump()
+
+    def _end_streams(self) -> None:
+        """Flush every packet consumer, then the streams none feeds."""
         for node in list(self._all_consumers):
             if not node.flushed and node.quarantined is None:
                 node.flushed = True
@@ -1061,9 +1138,8 @@ class RuntimeSystem:
                     node.emit_flush()
         # Final sample + FLUSH on streams no packet consumer feeds (the
         # _gs_* ones), so their subscribers terminate like any other.
-        for hook in hooks["on_stream_end"]:
+        for hook in self._hooks["on_stream_end"]:
             hook(self._stream_time)
-        self.pump()
 
     # -- introspection ----------------------------------------------------------------------------
     def stats(self) -> Dict[str, Dict[str, Any]]:

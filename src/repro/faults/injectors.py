@@ -162,6 +162,17 @@ class ChannelOverflowStorm(FaultInjector):
         if active:
             self.cycles_active += 1
 
+    def snapshot_state(self) -> tuple:
+        return (self._squeezing, self._drops_at_onset, self.dropped_during,
+                self.cycles_active)
+
+    def restore_state(self, state: tuple) -> None:
+        """The squeeze, on the channels too."""
+        (self._squeezing, self._drops_at_onset, self.dropped_during,
+         self.cycles_active) = state
+        for channel in self.rts.channels():
+            channel.fault_capacity = self.capacity if self._squeezing else None
+
     def report(self) -> Dict[str, Any]:
         out = super().report()
         out.update(capacity=self.capacity, cycles_active=self.cycles_active,
@@ -225,6 +236,12 @@ class HeartbeatSilence(FaultInjector):
             return True
         return False
 
+    def snapshot_state(self) -> int:
+        return self.suppressed
+
+    def restore_state(self, suppressed: int) -> None:
+        self.suppressed = suppressed
+
     def report(self) -> Dict[str, Any]:
         out = super().report()
         out.update(suppressed=self.suppressed)
@@ -245,8 +262,8 @@ class OperatorFault(FaultInjector):
 
     ``times`` bounds how often the fault fires (default: forever once
     tripped).  A transient crash -- ``times=1`` -- is what the recovery
-    supervisor is built for: the restart's journal replay passes the
-    already-spent injector and completes the gap repair.
+    supervisor is built for: the rollback re-feeds its journal past the
+    already-spent injector (its trigger count is never rolled back).
     """
 
     kind = "operator_error"

@@ -62,7 +62,7 @@ pushed prefix once, then each member's action on the rows it keeps.  A
 shedding member's section is its own, and draws its shed gate
 (:func:`shed_gate`) ahead of its guard.  The run-time system runs one
 kernel per block for every LFTA it covers; an LFTA handed packets
-directly (a fault's wrap, journal replay, the NIC runtime) runs a
+directly (a fault's wrap, the NIC runtime) runs a
 kernel of its own with itself as the one member, and so does the test
 it pushes into a capture card, with an empty row action.  What EXPLAIN
 prints of a loop -- its struct sizes -- is read off the layout table

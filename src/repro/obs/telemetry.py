@@ -16,13 +16,13 @@ plane-wide counters each: ``_gs_shed``, ``_gs_recovery``, ``_gs_alert``.
 
 Rows are emitted at pump boundaries *in virtual time* -- the hub's
 :meth:`~TelemetryHub.on_cycle` runs before the drain, so telemetry
-rows travel through the same (journaled) channels as every other
-stream item.  That inheritance is the whole determinism argument:
-row values are derived exclusively from deterministic counters (never
-wall clocks), so ``replay verify --scenario telemetry_meta
-telemetry_crash`` can prove telemetry streams byte-identical across
-``PYTHONHASHSEED`` values and across a mid-run crash/restore, with zero
-telemetry-specific recovery code.
+rows travel through the same channels as every other stream item.
+Row values are derived exclusively from deterministic counters (never
+wall clocks), and a recovery rollback restores the hub's sample cursor
+with the engine (:meth:`TelemetryHub.snapshot_state`), so ``replay
+verify --scenario telemetry_meta telemetry_crash`` can prove telemetry
+streams byte-identical across ``PYTHONHASHSEED`` values and across a
+mid-run crash/restore.
 
 The no-feedback rule: telemetry streams observe only non-telemetry
 nodes and channels (names starting with ``_gs_`` are skipped), so each
@@ -243,8 +243,9 @@ class TelemetryHub:
         """Pump-boundary hook: sample the engine if the interval elapsed.
 
         Runs *before* the drain so the emitted rows flow through
-        (journaled) channels this same cycle, exactly like alert epoch
-        ticks -- the property the ``telemetry_*`` replay scenarios hold.
+        channels this same cycle, exactly like alert epoch ticks -- a
+        replayed cycle samples again, the property the ``telemetry_*``
+        replay scenarios hold.
         """
         if math.isinf(stream_time) or stream_time <= self._last_sample:
             return
@@ -326,6 +327,25 @@ class TelemetryHub:
             self._publish(stream, [row(
                 ledger, self.rts.planes.get(ledger.name), time_value,
                 **known.get(stream, {}))], stream_time)
+
+    # -- rollback (DESIGN section 11) -----------------------------------------
+    def snapshot_state(self) -> Dict[str, Any]:
+        """The sample cursor, last sample (by node name), attributed cost
+        and profiled cycles; the profiler's wall times stay."""
+        profiler = self.profiler
+        return {"cursor": (self.samples_taken, self._last_sample,
+                           profiler.cycles, profiler.profiled_cycles),
+                "last": {node.name: entry
+                         for node, entry in self._last.items()},
+                "virtual_us": self.virtual_us}
+
+    def restore_state(self, state: Dict[str, Any]) -> None:
+        (self.samples_taken, self._last_sample, self.profiler.cycles,
+         self.profiler.profiled_cycles) = state["cursor"]
+        nodes = dict(self.rts.iter_nodes())
+        self._last = {nodes[name]: entry for name, entry
+                      in state["last"].items() if name in nodes}
+        self.virtual_us = dict(state["virtual_us"])
 
     def _publish(self, stream: str, rows: List[tuple],
                  stream_time: float) -> None:

@@ -129,6 +129,16 @@ class Tracer:
         entry = self._tagged.get(id(obj))
         return entry[0] if entry is not None and entry[1] is obj else None
 
+    # -- rollback (DESIGN section 11) ---------------------------------------
+    def snapshot_state(self) -> tuple:
+        """The spans and their counters; the tags follow live objects
+        and stay."""
+        return self.traces, self.started, self.truncated, self._seq
+
+    def restore_state(self, state: tuple) -> None:
+        self.traces, self.started, self.truncated, self._seq = state
+        self.current = None
+
     # -- inspection --------------------------------------------------------
     def spans(self, trace: int) -> List[Dict[str, Any]]:
         return list(self.traces.get(trace, ()))

@@ -27,10 +27,10 @@ of two headers (DESIGN section 14):
   the RTS's packet path the node is a member of the RTS's kernel
   (:meth:`LftaNode.kernel_member`), one loop over the whole block in
   which every covered LFTA's gate, guard, prefix and action sit;
-  ``accept_batch`` -- for a fault's wrap, journal replay, the NIC
-  runtime -- runs a kernel with this node as its one member, and the
-  test the node pushes into a capture card (:class:`CardFilter`) is its
-  guard and prefix as one more such kernel, with an empty row action;
+  ``accept_batch`` -- for a fault's wrap or the NIC runtime -- runs a
+  kernel with this node as its one member, and the test the node
+  pushes into a capture card (:class:`CardFilter`) is its guard and
+  prefix as one more such kernel, with an empty row action;
 * every other protocol runs the action under the generic row adapter's
   header (``ExprCompiler.lfta_adapter_fn``
   around ``ProtocolSchema.sparse_interpreter``), which parses each
@@ -203,8 +203,8 @@ class LftaNode(QueryNode):
 
     # -- packet path (called by the RTS, no channel in between) -----------
     def accept_packet(self, packet: CapturedPacket) -> None:
-        """A block of one (journal replay and the NIC-resident runtime
-        hand packets over singly)."""
+        """A block of one (the NIC-resident runtime hands packets over
+        singly)."""
         self.accept_batch([packet])
 
     @property

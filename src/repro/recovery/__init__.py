@@ -5,8 +5,8 @@
 * :mod:`repro.recovery.statelog` -- the state log: the one cut, fold and
   apply behind checkpoints, shard respawn and replication frames.
 * :mod:`repro.recovery.supervisor` -- crash-consistent periodic
-  checkpoints, input journaling, bounded-retry restart with journal
-  replay and exactly-once re-emission.
+  checkpoints, one input journal, bounded-retry restart by rolling the
+  whole RTS back and re-feeding the journal, exactly-once delivery.
 
 Enable via :meth:`repro.core.engine.Gigascope.enable_recovery` or the
 CLI's ``--recover`` / ``--checkpoint-interval`` / ``--max-restarts``.

@@ -26,8 +26,7 @@ checksummed payload) whose payload is a dict:
   state carries its own checksum and a corrupt node names itself.
 * ``dropped`` -- names the nodes this cut left out that the fold
   would otherwise hold: those earlier frames shipped, and for a full
-  epoch every one of the engine's (a ``live_only`` cut skips a
-  quarantined node).
+  epoch every one of the engine's (a cut skips a quarantined node).
 * ``extra`` -- opaque to the log; the shard worker keeps its barrier
   position there.
 
@@ -49,7 +48,7 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Any, BinaryIO, Dict, Iterable, List, Optional
+from typing import Any, BinaryIO, Dict, Iterable, Optional
 
 from repro.core.channels import all_quiescent
 from repro.recovery.wire import (
@@ -162,15 +161,19 @@ def _apply(rts, label: Any, nodes: Dict[str, bytes],
     ``complete`` refuses an ``rts`` node neither in ``nodes`` nor
     ``dropped``.
 
+    A node ``rts`` quarantined is left as it is: it never runs again.
     Everything is resolved and decoded before the first
     ``restore_state``; the touched nodes' current state is encoded
     first too, so that a ``restore_state`` that raises half-way (a
     decodable blob missing a key) is rolled back before the typed
     error -- naming frame ``label`` and the node -- is raised.
     """
-    known = dict(rts.iter_nodes())
+    known = {name: node for name, node in rts.iter_nodes()
+             if name not in rts.quarantined}
     states: Dict[str, Any] = {}
     for name, blob in nodes.items():
+        if name in rts.quarantined:
+            continue
         if name not in known:
             raise FrameCorruptError(
                 label, f"unknown node {name!r} (the query set does not "
@@ -224,8 +227,8 @@ class StateLog:
         self.counters: Optional[Dict[str, Any]] = None
         self.extra: Any = None
 
-    def cut(self, rts, stream_time: float, cursor: int, extra: Any = None,
-            live_only: bool = False) -> Optional[bytes]:
+    def cut(self, rts, stream_time: float, cursor: int,
+            extra: Any = None) -> Optional[bytes]:
         """The frame that extends this log with ``rts``'s state now, or
         None when a channel holds in-flight items.
 
@@ -233,12 +236,11 @@ class StateLog:
         bytes differ from the fold.  The log does not move until the
         frame is folded in, so a frame that never reached its reader is
         simply cut again at the next boundary: same ``seq``, the union
-        of the changes.  ``live_only`` leaves quarantined nodes out
-        (a node the recovery supervisor gave up on has no checkpoint
-        to go back to; a promoted standby quarantines it again).
+        of the changes.  A quarantined node is left out: it never runs
+        again, and a promoted standby quarantines it again.
         """
         cut = {name: node for name, node in rts.iter_nodes()
-               if not (live_only and node.quarantined is not None)}
+               if node.quarantined is None}
         # Quiescence covers the channels into the nodes cut only: an
         # item in flight there is state the frame would miss (what a
         # quarantined node left in its inputs is never popped).
@@ -304,11 +306,7 @@ class StateLog:
         return encode_frame("full", 0, self.time, self.cursor,
                             self.counters, self.nodes, (), self.extra)
 
-    def restore(self, rts, names: Optional[List[str]] = None) -> None:
-        """Apply the fold to a live RTS, all-or-nothing: every node and
-        the counters, or only the nodes in ``names``."""
-        if names is None:
-            _apply(rts, self.seq, self.nodes, self.counters, complete=True)
-        else:
-            _apply(rts, self.seq, {name: self.nodes[name] for name in names},
-                   None, complete=False)
+    def restore(self, rts) -> None:
+        """Apply the fold to a live RTS, all-or-nothing: every node it
+        has not quarantined, and the counters."""
+        _apply(rts, self.seq, self.nodes, self.counters, complete=True)

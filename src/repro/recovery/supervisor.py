@@ -1,113 +1,58 @@
-"""Supervised node recovery: checkpoints, journal replay, retry budget.
+"""Supervised recovery: checkpoints, one input journal, rollback, retry budget.
 
-PR 3's quarantine contains a failing node permanently: it is detached
-and all accumulated state (aggregate groups, join windows, reassembly
-buffers) is lost for the rest of the run -- the opposite of what a
-long-running link monitor needs.  The supervisor upgrades that into
-bounded-retry restart (DESIGN section 11):
+A quarantine contains a failing node for good: it is detached and its
+state (aggregate groups, join windows, reassembly buffers) is lost for
+the rest of the run -- the opposite of what a long-running link monitor
+needs.  The supervisor upgrades that into bounded-retry restart
+(DESIGN section 11):
 
-* **Checkpoints.**  Periodically in virtual time, and only at pump
-  boundaries where every channel is quiescent, the supervisor cuts a
-  state-log frame (:mod:`repro.recovery.statelog`) and folds it
-  in-process: ``checkpoints`` is the fold, every live node's latest
-  encoded state.
+* **Checkpoints.**  Periodically in virtual time, at pump boundaries
+  where every channel a node reads is quiescent, it cuts a state-log
+  frame (:mod:`repro.recovery.statelog`) and folds it in-process: every
+  live node's state and the RTS's counters, channels and plane state.
 
-* **Journals.**  Between checkpoints, the RTS journals its inputs
-  *before* dispatching them: captured packets and heartbeat times on
-  the packet path, popped channel items per HFTA node on the pump
-  path.  The journal is exactly the gap between the last checkpoint
-  and a crash.
+* **One journal.**  Between checkpoints the RTS journals its inputs
+  before acting on them: each block as it was cut, each heartbeat a
+  feed or ``advance_time`` sent, each pump cycle and the end of the
+  streams -- nothing a pump derives, which a replayed pump derives again.
 
-* **Recovery.**  When a node raises, the RTS offers the failure here
-  instead of quarantining.  The first attempt is inline: restore the
-  last checkpoint, replay the node's journal segment, and return to
-  normal scheduling -- deterministic operators land byte-identical to
-  a run without the crash (enforced by ``replay verify``'s crash arms).
-  Rows the node emitted between the checkpoint and the crash were
-  already delivered downstream, so an emit gate suppresses exactly
-  that many re-emissions (counting them in the node's statistics), and
-  sinks skip re-writing rows that already reached the file -- output
-  stays exactly-once.
+* **Rollback.**  When a node raises, the RTS offers the failure here
+  instead of quarantining.  The supervisor restores the whole RTS to
+  the last checkpoint and re-feeds the journal, the operation in
+  progress included; the interrupted caller returns.  State is the
+  integral of the inputs, so the run lands byte-identical to one
+  without the crash (``replay verify``'s crash arms).  The
+  application's takes from its subscriptions are journaled inputs too:
+  the replay takes again and drops what it is handed, as the
+  application has it; a file sink skips the rows already in its file
+  -- exactly-once.
 
-* **Backoff and the budget.**  A failed attempt suspends the node
-  (marked, skipped by schedulers, producers keep it wired) and retries
-  after an exponential backoff in virtual time.  When the retry budget
-  is exhausted the node degrades to today's permanent quarantine with
-  identical containment accounting.
+* **Backoff and the budget.**  A node that fails again while the
+  journal is re-fed is suspended (marked, skipped by schedulers,
+  producers keep it wired); its retry after an exponential backoff in
+  virtual time is the same rollback.  An exhausted budget degrades it
+  to permanent quarantine with identical containment accounting.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Tuple
 
 from repro.core.channels import check_finite
 from repro.obs.ledger import Field, Ledger
 from repro.recovery.statelog import FrameError, StateLog
 
-
-class _Suspension:
-    """A node waiting out its backoff before the next restart attempt."""
-
-    __slots__ = ("node", "error", "retry_at")
-
-    def __init__(self, node, error: Exception, retry_at: float) -> None:
-        self.node = node
-        self.error = error
-        self.retry_at = retry_at
+#: journal entries besides a block ``(packets, newest)``, a heartbeat's
+#: stream time and a :class:`_Drain`
+_PUMP, _END = "pump", "end of streams"
 
 
-class _EmitGate:
-    """Suppress re-emission of rows already produced before the crash.
+class _Drain(NamedTuple):
+    """The application took what a subscription's channel held."""
 
-    Journal replay regenerates every row from the checkpoint up to the
-    crash point; those up to the crash were already pushed downstream
-    (and possibly consumed), so the first ``skip_rows`` emissions are
-    swallowed -- still counted in the node's output statistics, never
-    pushed again.  Rows past the crash point emit normally: they are
-    genuinely new.  Punctuation gets the same treatment, mirroring
-    ``emit_punctuation``'s skip-empty check so counters line up.
-    """
-
-    def __init__(self, node, skip_rows: int, skip_punctuations: int,
-                 supervisor: "RecoverySupervisor") -> None:
-        self.node = node
-        self.skip_rows = skip_rows
-        self.skip_punctuations = skip_punctuations
-        self.supervisor = supervisor
-        cls = type(node)
-        self._emit = cls.emit.__get__(node)
-        self._emit_punctuation = cls.emit_punctuation.__get__(node)
-        node.emit = self.emit
-        node.emit_many = self.emit_many
-        node.emit_punctuation = self.emit_punctuation
-
-    def emit(self, row: tuple) -> None:
-        if self.skip_rows > 0:
-            self.skip_rows -= 1
-            self.node.stats.tuples_out += 1
-            self.supervisor.suppressed_rows += 1
-            return
-        self._emit(row)
-
-    def emit_many(self, rows) -> None:
-        for row in rows:
-            self.emit(row)
-
-    def emit_punctuation(self, punctuation) -> None:
-        if not punctuation:
-            return
-        if self.skip_punctuations > 0:
-            self.skip_punctuations -= 1
-            self.node.stats.punctuations_out += 1
-            self.supervisor.suppressed_punctuations += 1
-            return
-        self._emit_punctuation(punctuation)
-
-    def remove(self) -> None:
-        for attr in ("emit", "emit_many", "emit_punctuation"):
-            self.node.__dict__.pop(attr, None)
-
+    subscription: Any
+    raw: bool
 
 #: All ``gs_recovery``-prefixed: ``repro.determinism.comparable`` drops
 #: the prefix before diffing two arms that differ in their crash (a
@@ -120,18 +65,17 @@ LEDGER = Ledger("recovery", (
           "encoded size of the latest full checkpoint",
           column="checkpoint_bytes"),
     Field("restarts_total", "gs_recovery_restarts_total", "counter",
-          "restore-and-replay attempts across all nodes", column="restarts"),
+          "rollback attempts across all nodes", column="restarts"),
     Field("replayed_items", "gs_recovery_replayed_items_total", "counter",
-          "journal entries re-dispatched during gap repair",
-          column="replayed"),
+          "journal entries re-fed by rollbacks", column="replayed"),
     Field("suppressed_rows", "gs_recovery_suppressed_rows_total", "counter",
-          "already-delivered rows suppressed during replay (exactly-once)",
-          column="suppressed"),
+          "already-delivered rows a rollback's replayed takes dropped "
+          "(exactly-once)", column="suppressed"),
     Field("suspended", "gs_recovery_nodes_suspended", "gauge",
           "nodes awaiting a backoff retry", column="suspended",
           read=lambda supervisor: len(supervisor.suspended)),
     Field("journal_len", "gs_recovery_journal_len", "gauge",
-          "journal entries retained since the last checkpoint",
+          "journaled packets and other inputs since the last checkpoint",
           column="journal_len"),
     Field("retries_exhausted", "gs_recovery_retries_exhausted_total",
           "counter",
@@ -140,7 +84,7 @@ LEDGER = Ledger("recovery", (
 
 
 class RecoverySupervisor:
-    """Checkpoint/restore supervisor attached to one :class:`RuntimeSystem`."""
+    """Checkpoint and rollback supervisor of one :class:`RuntimeSystem`."""
 
     ledger = LEDGER
 
@@ -169,81 +113,98 @@ class RecoverySupervisor:
         self.checkpoint_bytes = 0
         #: node name -> restart attempts consumed so far
         self.restarts: Dict[str, int] = {}
-        self.restarts_total = 0
-        self.replayed_items = 0
-        self.suppressed_rows = 0
-        self.suppressed_punctuations = 0
+        self.restarts_total = self.replayed_items = self.suppressed_rows = 0
         self.retries_exhausted = 0
-        self._packet_journal: List[Tuple[str, Any]] = []
-        self._item_journals: Dict[str, List[Tuple[Any, int]]] = {}
-        self._suspended: Dict[str, _Suspension] = {}
+        #: the RTS's inputs since the last checkpoint, in order (the
+        #: packets themselves, no copy), and its packets and other
+        #: entries: a count no block size moves
+        self.journal: List[Any] = []
+        self.journal_len = 0
+        #: node name -> (node, error, retry_at) while it waits to retry
+        self._suspended: Dict[str, Tuple[Any, Exception, float]] = {}
+        #: each channel no node reads (an application's): its ledger at
+        #: the last checkpoint, and the items it held then once the
+        #: application took them
+        self._delivery: Dict[Any, tuple] = {}
+        self._taken: Dict[Any, list] = {}
+        #: the last checkpoint predates a change to the query set or a
+        #: subscription: nothing is rolled back until the next one
+        self._stale = False
+        self._replaying = False
         rts.attach_plane(self)
         if rts.started:
-            self.on_start()
+            self.checkpoint()
 
-    # -- journals (appended by the RTS before dispatch) --------------------
-    #
-    # Journaling sits on the per-packet hot path, so entries are kept
-    # allocation-free: the packet journal stores the captured packets
-    # themselves with heartbeats as bare floats (the two are told apart
-    # by type at replay time, which is rare), and the item journals
-    # store whole dispatched blocks, one append per block.
-
-    def journal_packets(self, packets) -> None:
-        self._packet_journal.extend(packets)
+    # -- the journal (appended by the RTS before it acts) ------------------
+    def journal_packets(self, packets, newest: float) -> None:
+        self.journal.append((packets, newest))
+        self.journal_len += len(packets)
 
     def journal_heartbeat(self, stream_time: float) -> None:
-        self._packet_journal.append(stream_time)
+        self._journal(stream_time)
 
-    def journal_items(self, node, items, input_index: int) -> None:
-        journal = self._item_journals.get(node.name)
-        if journal is None:
-            journal = self._item_journals[node.name] = []
-        journal.append((items, input_index))
+    def journal_drain(self, subscription, raw: bool) -> None:
+        channel = subscription.channel
+        ledger = self._delivery.get(channel)
+        if ledger is not None and channel.stats.popped == ledger[1]:
+            # the first take since the checkpoint: keep what the
+            # channel held at it for a rollback to put back
+            self._taken[channel] = list(channel)[:ledger[0] - ledger[1]]
+        self._journal(_Drain(subscription, raw))
 
-    @property
-    def journal_len(self) -> int:
-        return (len(self._packet_journal)
-                + sum(len(items) for journal in self._item_journals.values()
-                      for items, _ in journal))
+    def _journal(self, entry) -> None:
+        self.journal.append(entry)
+        self.journal_len += 1
 
     # -- checkpointing ------------------------------------------------------
-    def on_start(self) -> None:
-        """Cut the baseline checkpoint (empty state, empty journal)."""
-        self.take_checkpoint(self.rts.stream_time)
-
-    def checkpoint_due(self, stream_time: float) -> bool:
-        # A suspension defers checkpoints: truncating the journal would
-        # orphan the replay data the suspended node needs to resume.
-        if self._suspended or math.isinf(stream_time):
-            return False
-        if math.isinf(self.log.time):
-            return True
-        return stream_time >= self.log.time + self.checkpoint_interval
-
     def take_checkpoint(self, stream_time: float) -> bool:
-        """Snapshot every live node and truncate the journals."""
+        """Snapshot every live node and the RTS; empty the journal."""
         rts = self.rts
-        # A node the supervisor gave up on is left out of every cut.
         frame = self.log.cut(rts, stream_time,
-                             rts.packets_fed + rts.fault_dropped,
-                             live_only=True)
+                             rts.packets_fed + rts.fault_dropped)
         if frame is None:
             return False
         self.log.fold(frame)
+        reads = {channel for _, node in rts.iter_nodes()
+                 for channel in node.inputs}
+        self._delivery = {channel: channel.ledger()
+                          for channel in rts.channels()
+                          if channel not in reads}
+        self._taken.clear()
         self.checkpoints_taken += 1
         self.checkpoint_bytes = sum(map(len, self.checkpoints.values()))
-        self._packet_journal.clear()
-        self._item_journals.clear()
+        self.journal.clear()
+        self.journal_len = 0
+        self._stale = False
         return True
+
+    def on_start(self) -> None:
+        """Cut the baseline checkpoint."""
+        self.take_checkpoint(self.rts.stream_time)
+
+    def checkpoint(self) -> None:
+        """Cut a checkpoint now: the query set, a subscription or a
+        parameter changed, and a rollback past the change would re-feed
+        what was fed before it to the engine after it.  Where none can
+        be cut (a node waits for its retry, or a channel holds items in
+        flight), a failure is quarantined until the next checkpoint."""
+        if self.rts.started and (
+                self._suspended
+                or not self.take_checkpoint(self.rts.stream_time)):
+            self._stale = True
 
     # -- scheduler hooks ----------------------------------------------------
     def on_pump_begin(self, stream_time: float) -> None:
-        if self._suspended:
+        if self._suspended and not self._replaying:
             self.resume_due(stream_time)
+        self._journal(_PUMP)
 
     def on_pump_end(self, stream_time: float) -> None:
-        if self.checkpoint_due(stream_time):
+        # A suspension defers checkpoints: the suspended node's retry
+        # rolls back to the one before it failed.
+        if not (self._suspended or math.isinf(stream_time)) and (
+                self._stale
+                or stream_time >= self.log.time + self.checkpoint_interval):
             self.take_checkpoint(stream_time)
 
     def finalize(self) -> None:
@@ -256,116 +217,126 @@ class RecoverySupervisor:
         while self._suspended:
             self.resume_due(self.rts.stream_time, force=True)
 
+    def on_stream_end(self, stream_time: float) -> None:
+        # Flushing cannot fail into a rollback (a consumer that fails
+        # while flushing is quarantined), so journaling it last is safe.
+        self._journal(_END)
+
     # -- failure handling ---------------------------------------------------
     def on_failure(self, node, error: Exception) -> bool:
-        """Offer a crashing node recovery; False sends it to quarantine."""
-        name = node.name
-        if name not in self.checkpoints:
+        """Offer a failing node recovery.  True: the RTS was rolled back
+        (the journal re-fed).  False: the node was suspended -- it
+        failed again while the journal was re-fed, or the rollback was
+        refused -- or, left unmarked, goes to quarantine."""
+        if self._replaying:
+            self._suspend(node, error)
             return False
-        if self.restarts.get(name, 0) >= self.max_restarts:
+        if self._stale:
+            return False
+        if self.restarts.get(node.name, 0) >= self.max_restarts:
             self.retries_exhausted += 1
             return False
-        self.restarts[name] = self.restarts.get(name, 0) + 1
+        return self._restart(node, error)
+
+    def _restart(self, node, error: Exception) -> bool:
+        """Spend one of ``node``'s restarts on a rollback; suspend it
+        when the fold does not apply (the RTS is then untouched)."""
+        self.restarts[node.name] = self.restarts.get(node.name, 0) + 1
         self.restarts_total += 1
-        ok, replay_error = self._attempt(node)
-        if ok:
-            return True
-        return self._suspend(node, replay_error or error)
+        try:
+            self._rollback()
+        except FrameError as refused:
+            self._suspend(node, refused)
+            return False
+        return True
 
-    def _attempt(self, node) -> Tuple[bool, Optional[Exception]]:
-        """Restore the last checkpoint and replay the journal gap."""
-        crash_marks = node.recovery_marks()
+    def _rollback(self) -> None:
+        """Restore the whole RTS to the last checkpoint and re-feed the
+        journal.
+
+        The application's takes are inputs too: a channel no node reads
+        (a subscription's) goes back to the checkpoint with the RTS, the
+        items it held then put back, and each journaled take drains it
+        again; what that hands over is dropped, as the application has
+        it.  A node quarantined since regenerates nothing, and its
+        channels and their takes stay as they are.
+        """
+        rts = self.rts
+        self.log.restore(rts)
+        for node, _, _ in self._suspended.values():
+            node.quarantined = None
+        self._suspended.clear()
+        rts._replan()
+        rewound = set()
+        for name, node in rts.iter_nodes():
+            for channel in node.subscribers:
+                ledger = self._delivery.get(channel)
+                if ledger is not None and name not in rts.quarantined:
+                    held = self._taken.get(channel)
+                    if held is None:  # untouched since the checkpoint
+                        held = list(channel)[:ledger[0] - ledger[1]]
+                    channel.rewind(ledger, held)
+                    rewound.add(channel)
+        entries, self.journal = self.journal, []
+        self.replayed_items += self.journal_len
+        self.journal_len = 0
+        self._replaying = True
         try:
-            self.log.restore(self.rts, names=[node.name])
-        except FrameError as error:
-            return False, error
-        node.begin_replay(crash_marks)
-        gate = _EmitGate(
-            node,
-            crash_marks["tuples_out"] - node.stats.tuples_out,
-            crash_marks["punctuations_out"] - node.stats.punctuations_out,
-            self,
-        )
-        try:
-            replayed = self._replay(node)
-        except Exception as error:
-            return False, error
+            for entry in entries:
+                if entry is _PUMP:
+                    rts.pump()
+                elif entry is _END:
+                    rts._end_streams()
+                elif type(entry) is _Drain:
+                    if entry.subscription.channel in rewound:
+                        self.suppressed_rows += len(
+                            entry.subscription._take(entry.raw))
+                elif type(entry) is tuple:
+                    rts._feed_batch(*entry)
+                else:
+                    rts._heartbeat(entry)
         finally:
-            gate.remove()
-        self.replayed_items += replayed
-        return True, None
-
-    def _interface_of(self, node) -> Optional[str]:
-        for interface, consumers in self.rts._packet_consumers.items():
-            if node in consumers:
-                return interface
-        return None
-
-    def _replay(self, node) -> int:
-        """Re-deliver the node's journaled inputs since the checkpoint."""
-        count = 0
-        interface = self._interface_of(node)
-        if interface is not None:
-            # Packet consumer: its slice of the global packet journal
-            # (an "any" consumer sees every packet), with heartbeats at
-            # their original positions.
-            wants_any = interface == "any"
-            on_heartbeat = getattr(node, "on_heartbeat", None)
-            for entry in list(self._packet_journal):
-                if type(entry) is float:  # a heartbeat marker
-                    if on_heartbeat is not None:
-                        on_heartbeat(entry)
-                elif wants_any or entry.interface == interface:
-                    node.accept_packet(entry)
-                    count += 1
-        else:
-            for items, input_index in list(self._item_journals.get(node.name, ())):
-                for item in items:
-                    node.dispatch(item, input_index)
-                    count += 1
-        return count
+            self._replaying = False
 
     # -- backoff / suspension ------------------------------------------------
-    def _suspend(self, node, error: Exception) -> bool:
-        """Park the node until its backoff expires; False = budget gone."""
-        name = node.name
-        used = self.restarts.get(name, 0)
+    def _suspend(self, node, error: Exception) -> None:
+        """Park the node until its backoff expires; left unmarked (for
+        quarantine) when its budget is gone."""
+        used = self.restarts.get(node.name, 0)
         if used >= self.max_restarts:
             self.retries_exhausted += 1
-            return False
+            if self._suspended.pop(node.name, None) is not None:
+                node.quarantined = None
+            return
         delay = self.backoff_base * self.backoff_factor ** max(0, used - 1)
         stream_time = self.rts.stream_time
-        retry_at = stream_time + delay if not math.isinf(stream_time) else delay
         # The quarantined marker buys the existing skip behavior in
         # every scheduler loop for free; unlike a real quarantine the
         # node stays registered, wired, and uncounted in the
         # containment ledger.
         node.quarantined = f"recovering: {type(error).__name__}: {error}"
         self.rts._replan()
-        self._suspended[name] = _Suspension(node, error, retry_at)
-        return True
+        self._suspended[node.name] = (
+            node, error, delay + (0 if math.isinf(stream_time)
+                                  else stream_time))
 
     def resume_due(self, stream_time: float, force: bool = False) -> None:
-        """Retry suspended nodes whose backoff has expired."""
+        """Retry suspended nodes whose backoff has expired: each retry
+        is a rollback, which resumes every suspended node at once (a
+        stale checkpoint quarantines them instead)."""
         for name in list(self._suspended):
-            suspension = self._suspended[name]
-            if not force and stream_time < suspension.retry_at:
+            if name not in self._suspended:
                 continue
-            del self._suspended[name]
-            node = suspension.node
-            node.quarantined = None
-            self.rts._replan()
-            if self.restarts.get(name, 0) >= self.max_restarts:
-                self.retries_exhausted += 1
-                self.rts._quarantine(node, suspension.error)
+            node, error, retry_at = self._suspended[name]
+            if not force and stream_time < retry_at:
                 continue
-            self.restarts[name] = self.restarts.get(name, 0) + 1
-            self.restarts_total += 1
-            ok, replay_error = self._attempt(node)
-            if ok:
+            if self._stale or self.restarts.get(name, 0) >= self.max_restarts:
+                del self._suspended[name]
+                node.quarantined = None
+                self.retries_exhausted += not self._stale
+            elif self._restart(node, error) or node.quarantined is not None:
                 continue
-            if not self._suspend(node, replay_error or suspension.error):
-                self.rts._quarantine(node, replay_error or suspension.error)
+            self.rts._quarantine(node, error)
 
     # -- introspection -------------------------------------------------------
     @property
@@ -384,7 +355,6 @@ class RecoverySupervisor:
             "restarts_total": self.restarts_total,
             "replayed_items": self.replayed_items,
             "suppressed_rows": self.suppressed_rows,
-            "suppressed_punctuations": self.suppressed_punctuations,
             "retries_exhausted": self.retries_exhausted,
             "suspended": self.suspended,
             "journal_len": self.journal_len,

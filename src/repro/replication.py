@@ -126,8 +126,9 @@ LEDGER = Ledger("replication", (
 ))
 
 
-#: what a promotion would lose: the state log carries operator state only
-_UNTIL_5C = "is not in the state log until ROADMAP 5 (c)"
+#: what a promotion would lose: a plane's state would ride every frame
+#: (``RuntimeSystem.counters_state``), but a standby runs no plane
+_UNTIL_5C = "runs on the primary only until ROADMAP 5 (c)"
 
 
 class ReplicationPlane:
@@ -138,16 +139,16 @@ class ReplicationPlane:
     #: the planes a promotion could not carry over, and why
     #: (``attach_plane`` refuses them next to this one, either order)
     refusals = {
-        "shed": f"the policy's keep-rate {_UNTIL_5C}: a promoted standby "
-                "would restart at rate 1.0 and diverge from the primary's "
-                "output",
-        "alerts": f"the epoch clock's last tick {_UNTIL_5C}: a promoted "
-                  "standby would re-tick epochs the primary already closed",
-        "telemetry": f"the hub's sample cursor {_UNTIL_5C}: a promoted "
-                     "standby would re-emit or skip _gs_* samples",
-        "recovery": f"the supervisor's journal and restart budget "
-                    f"{_UNTIL_5C}: a standby promoted mid-backoff would "
-                    "not know which nodes were suspended",
+        "shed": f"the controller {_UNTIL_5C}: a promoted standby would hold "
+                "the last frame's keep-rate for good and diverge from the "
+                "primary's output",
+        "alerts": f"the epoch clock {_UNTIL_5C}: a promoted standby's "
+                  "triggers would close no epoch after the promotion",
+        "telemetry": f"the hub {_UNTIL_5C}: a promoted standby would "
+                     "publish no _gs_* sample after the promotion",
+        "recovery": f"the supervisor {_UNTIL_5C}: its restart budget and "
+                    "suspensions are in no frame, so a standby promoted "
+                    "mid-backoff would not know which nodes were suspended",
         "tracing": "trace ids are sampled and spans kept by the primary's "
                    "tracer; neither survives a promotion",
     }
@@ -265,11 +266,8 @@ class ReplicationPlane:
         # The cursor is how many packets the primary has been handed so
         # far: the dispatch counter plus the ones injected faults
         # dropped pre-dispatch (both consumed an input-stream position).
-        # A node the primary quarantined is left out, as the recovery
-        # supervisor leaves it out; the promotion quarantines it again.
         frame = self.log.cut(primary, stream_time,
-                             primary.packets_fed + primary.fault_dropped,
-                             live_only=True)
+                             primary.packets_fed + primary.fault_dropped)
         if frame is None:
             # The next boundary will be quiescent (the pump drains to a
             # fixpoint unless a node was suspended mid-drain).
@@ -398,8 +396,15 @@ class ReplicationPlane:
         for name, error in primary.quarantined.items():
             if name in standby.names():
                 standby._quarantine(standby.node(name), error)
-        # The injectors that killed the primary stay in the drop ledger.
-        standby.faults = primary.faults
+        # Every injector stays in the drop ledger, and those on the
+        # packet path go on dropping or skewing the packets the standby
+        # is fed, the tail first; its dropped ones are the cursor's rest.
+        standby.faults = list(primary.faults)
+        for fault in primary.faults:
+            if hasattr(fault, "on_packet"):
+                fault.rts = standby
+                standby.attach_plane(fault)
+        standby.fault_dropped = cursor - standby.packets_fed
         standby.start()
         self.gs.rts, self.promoted, self._fed = standby, True, cursor
         self.promotions += 1

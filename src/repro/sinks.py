@@ -25,24 +25,24 @@ class _RecoverableSink(QueryNode):
     """Recovery support shared by the file sinks (DESIGN section 11).
 
     A sink's side effect (the written line) cannot be rolled back by a
-    checkpoint restore, so recovery replay must not re-write rows that
-    already reached the file.  The supervisor calls
-    :meth:`begin_replay` with the counters captured at the crash; the
-    sink skips exactly the rows the journal re-delivers that were
-    already written, keeping output exactly-once.
+    checkpoint restore, so the rows a rollback's replay hands it again
+    must not be written again: ``rows_written`` is restored with the
+    sink, and a row is written only once it passes the count of rows
+    already in the file -- output stays exactly-once.
     """
 
     def __init__(self, name: str, schema: StreamSchema) -> None:
         super().__init__(name, schema)
         self.rows_written = 0
-        self._replay_skip = 0
+        #: rows in the file (never rolled back)
+        self._in_file = 0
 
-    def _skip_replayed(self) -> bool:
-        """True if this row was already written before the crash."""
-        if self._replay_skip:
-            self._replay_skip -= 1
-            self.rows_written += 1
+    def _replayed(self) -> bool:
+        """Count a row in; True if it was written before a rollback."""
+        self.rows_written += 1
+        if self.rows_written <= self._in_file:
             return True
+        self._in_file = self.rows_written
         return False
 
     def snapshot_state(self) -> dict:
@@ -53,15 +53,6 @@ class _RecoverableSink(QueryNode):
     def restore_state(self, state: dict) -> None:
         super().restore_state(state)
         self.rows_written = state["rows_written"]
-        self._replay_skip = 0
-
-    def recovery_marks(self) -> dict:
-        marks = super().recovery_marks()
-        marks["rows_written"] = self.rows_written
-        return marks
-
-    def begin_replay(self, crash_marks: dict) -> None:
-        self._replay_skip = crash_marks["rows_written"] - self.rows_written
 
 
 class CsvSink(_RecoverableSink):
@@ -87,14 +78,13 @@ class CsvSink(_RecoverableSink):
                 self._formatters.append(None)
 
     def on_tuple(self, row: tuple, input_index: int) -> None:
-        if self._skip_replayed():
+        if self._replayed():
             return
         rendered = [
             fn(value) if fn is not None else value
             for fn, value in zip(self._formatters, row)
         ]
         self._writer.writerow(rendered)
-        self.rows_written += 1
         if self.rows_written % self.flush_every == 0:
             self._file.flush()
 
@@ -113,7 +103,7 @@ class JsonlSink(_RecoverableSink):
         self.flush_every = flush_every
 
     def on_tuple(self, row: tuple, input_index: int) -> None:
-        if self._skip_replayed():
+        if self._replayed():
             return
         record = {}
         for name, value in zip(self._names, row):
@@ -121,7 +111,6 @@ class JsonlSink(_RecoverableSink):
                 value = value.decode("latin-1", "replace")
             record[name] = value
         self._file.write(json.dumps(record) + "\n")
-        self.rows_written += 1
         if self.rows_written % self.flush_every == 0:
             self._file.flush()
 
@@ -136,4 +125,5 @@ def attach_sink(engine, query_name: str, sink_cls, fileobj: IO[str],
     sink = sink_cls(f"{query_name}_sink", schema, fileobj, **kwargs)
     engine.add_node(sink)
     engine.rts.connect(sink, [query_name])
+    engine.rts.checkpoint()
     return sink

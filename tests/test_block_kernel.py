@@ -139,10 +139,11 @@ def lfta_of(gs, name):
 def engine(names, case, calls=None, own_loops=False):
     """A started engine over the consumers ``names`` set up as ``case``
     says; ``calls`` collects the loop of every call through a decode
-    entry.  ``own_loops``: every LFTA's ``accept_batch`` is rebound on
-    the node, which keeps it out of the block kernel -- each is handed
-    its interface's run and runs its own loop, the reference the
-    kernel's members are held to."""
+    entry, and ``gs.blocks`` every block the RTS dispatches (a
+    rollback re-feeds some).  ``own_loops``: every LFTA's
+    ``accept_batch`` is rebound on the node, which keeps it out of the
+    block kernel -- each is handed its interface's run and runs its own
+    loop, the reference the kernel's members are held to."""
     gs = Gigascope(seed=SEED, batch_size=case["batch_size"],
                    heartbeat_interval=0.5)
     if calls is not None:
@@ -153,6 +154,12 @@ def engine(names, case, calls=None, own_loops=False):
                     calls.append(decode)
                     return entry(packets, decode)
                 schema.columnar_decoder = counted
+        gs.blocks, feed_batch = [], gs.rts._feed_batch
+
+        def dispatched(packets, newest):
+            gs.blocks.append(len(packets))
+            feed_batch(packets, newest)
+        gs.rts._feed_batch = dispatched
     gs.functions.register(boom(case["raises_at"], case["recover"]))
     subs = {}
     for name in names:
@@ -230,10 +237,13 @@ def test_every_node_ends_as_it_does_alone(case):
     assert rts.bytes_fed == sum(len(p.data) for p in packets)
     # ... and the RTS's kernel ran once per block, through the decode
     # entry -- beside it only the one-member kernels of nodes handed a
-    # run (a fault's wrap, journal replay)
+    # run (a fault's wrap); a rollback re-feeds the blocks since its
+    # checkpoint, and each runs the kernel once more
     own = {loop for _, node in rts.iter_nodes() if isinstance(node, LftaNode)
            for loop in node._loops.values()}
-    assert sum(decode not in own for decode in calls) == rts.batches_fed
+    assert sum(decode not in own for decode in calls) == len(together.blocks)
+    if not (case["recover"] and together.recovery_report()["restarts_total"]):
+        assert len(together.blocks) == rts.batches_fed
     # the shedding LFTA stays covered, unless a fault wraps it
     shedding = lfta_of(together, case["shed"])
     if case["shed"] != case["fault"] and shedding not in rts.quarantined:

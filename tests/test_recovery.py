@@ -19,6 +19,7 @@ from repro.recovery import (
     decode_snapshot,
     encode_snapshot,
 )
+from repro.determinism import comparable, snapshot_engine
 from repro.workloads.flows import ZipfFlowWorkload
 from tests.conftest import tcp_packet
 
@@ -542,9 +543,12 @@ class TestBatchQuarantineIntegrity:
                 self.seen = list(state["seen"])
 
         class CrashingBatch(Recorder):
+            crashed = False  # not state: a transient fault fires once
+
             def accept_batch(self, packets):
                 for packet in packets:
-                    if len(self.seen) == crash_at:
+                    if len(self.seen) == crash_at and not self.crashed:
+                        self.crashed = True
                         raise RuntimeError("mid-batch crash")
                     self.seen.append(packet.timestamp)
 
@@ -576,7 +580,301 @@ class TestBatchQuarantineIntegrity:
         gs.feed(stream, pump_every=64)
         gs.flush()
         assert gs.rts.quarantined == {}
-        # Replay from the packet journal re-delivered the whole stream:
+        # The rollback re-fed the journaled blocks to every consumer:
         # the crash consumed none of it durably, recovery all of it.
         assert bad.seen == [float(i) for i in range(32)]
         assert good.seen == [float(i) for i in range(32)]
+
+
+# ---------------------------------------------------------------------------
+# Rollback: the whole engine goes back to the checkpoint, once
+# ---------------------------------------------------------------------------
+
+def _lfta(gs):
+    return next(node for name, node in gs.rts.iter_nodes()
+                if name.startswith("_fta_"))
+
+
+def _flows_packets(count=1500):
+    workload = ZipfFlowWorkload(num_flows=150, alpha=1.0, seed=11)
+    return list(workload.packets(count, pps=1000.0))
+
+
+E11_QUERIES = """
+    DEFINE query_name heavy;
+    Select time, len From tcp Where str_match_regex(data, '.*');
+
+    DEFINE query_name totals;
+    Select tb, count(*), sum(len) From tcp Group by time/1 as tb
+"""
+
+
+class TestWholeSnapshotAfterRollback:
+    """A crash arm equals its clean arm on everything ``replay verify``
+    compares between them: rows, statistics, the drop ledger and every
+    metric family but ``gs_recovery*``."""
+
+    def test_lfta_crash(self):
+        def run(crash):
+            gs = Gigascope(seed=11, lfta_table_size=32,
+                           channel_capacity=256, heartbeat_interval=0.25)
+            gs.add_query(AGG_QUERY)
+            subs = {"flows": gs.subscribe("flows")}
+            supervisor = gs.enable_recovery(checkpoint_interval=0.4)
+            gs.start()
+            if crash:
+                gs.inject_faults([OperatorFault(_lfta(gs).name, at_tuple=500,
+                                                times=1)])
+            gs.feed(_flows_packets(), pump_every=64)
+            gs.flush()
+            return comparable(snapshot_engine(gs, subs), ("crash",)), \
+                supervisor
+
+        clean, _ = run(crash=False)
+        crashed, supervisor = run(crash=True)
+        assert supervisor.restarts_total == 1
+        # The re-fed blocks are the blocks as cut: the LFTA's decoded
+        # block count is the clean run's, not one block per packet.
+        assert crashed == clean
+
+    def test_hfta_crash_under_every_plane(self):
+        streams = ("_gs_channel", "_gs_operator", "_gs_shed", "_gs_alert")
+
+        def run(crash):
+            gs = Gigascope(seed=3, channel_capacity=64,
+                           heartbeat_interval=0.25)
+            gs.enable_telemetry(interval=0.5)
+            gs.add_queries(E11_QUERIES)
+            gs.enable_alerts([
+                "chanstorm:on=_gs_channel,key=channel,"
+                "when=sum(dropped_delta) > 40,epoch=1,raise_for=1,"
+                "clear_for=2,severity=warning"])
+            gs.enable_shedding("adaptive")
+            supervisor = gs.enable_recovery(checkpoint_interval=1.0)
+            subs = {name: gs.subscribe(name)
+                    for name in ("heavy", "totals", "alerts") + streams}
+            gs.start()
+            faults = ["channel_storm:at=2.5,duration=1.5,capacity=4"]
+            if crash:
+                faults.append("operator_error:node=totals,at_tuple=4,times=1")
+            gs.inject_faults(faults)
+            cuts = []
+            rollback = supervisor._rollback
+
+            def recorded():
+                cuts.append(supervisor.log.time)
+                rollback()
+            supervisor._rollback = recorded
+            gs.feed([tcp_packet(ts=i * 0.001, payload=b"x" * 100)
+                     for i in range(6000)], pump_every=64)
+            gs.flush()
+            return (comparable(snapshot_engine(gs, subs), ("crash",)),
+                    supervisor, cuts)
+
+        clean, _, _ = run(crash=False)
+        crashed, supervisor, cuts = run(crash=True)
+        assert supervisor.restarts_total == 1
+        # The checkpoint rolled back to was cut inside the storm, and
+        # the replay crosses the storm's end.
+        assert len(cuts) == 1 and 2.5 <= cuts[0] < 4.0
+        assert crashed["drops"]["channel_dropped"] > 0
+        assert crashed["rows"]["alerts"]
+        assert crashed == clean
+
+
+class TestExactlyOnce:
+    """The application polls between the checkpoint and the crash: a
+    subscription and a CSV sink each get every row once, in the clean
+    run's order, wherever the failure lands, and the engine's snapshot
+    (channel counters, the pump-cycle histogram and the ``_gs_channel``
+    samples the replay takes of the application's channel included) is
+    the clean run's.  The crashes follow the first window's rows out:
+    delivered at 1.0 s, polled at 1.1 s."""
+
+    ADVANCE = 1.15
+
+    @classmethod
+    def run(cls, arm, crash, capacity=None):
+        from repro.gsql.functions import FunctionSpec
+        from repro.gsql.types import UINT
+        from repro.sinks import CsvSink, attach_sink
+
+        failed = set()
+
+        def fail_once(name, when):
+            if crash and when and name not in failed:
+                failed.add(name)
+                raise RuntimeError(f"{name} fails once")
+
+        calls = [0]
+        #: the kernel arms' failing UDF calls: "twice" fails at 1.2 s and
+        #: again at 2.6 s, two checkpoint intervals later
+        kernel_calls = {"kernel": (1180,), "twice": (1180, 2600)}.get(arm, ())
+
+        def boom(value):  # a UDF the LFTA's kernel section calls
+            calls[0] += 1
+            fail_once(calls[0], calls[0] in kernel_calls)
+            return value
+
+        gs = Gigascope(seed=11, lfta_table_size=32, channel_capacity=256,
+                       heartbeat_interval=0.25)
+        gs.functions.register(FunctionSpec("boom", boom, (UINT,), UINT))
+        gs.add_query(AGG_QUERY.replace("From tcp",
+                                       "From tcp Where boom(destPort) > 0"))
+        buffer = io.StringIO()
+        attach_sink(gs, "flows", CsvSink, buffer)
+        sub = gs.subscribe("flows", capacity=capacity)
+        # samples the application's channel while the replay runs
+        gs.enable_telemetry(interval=0.05)
+        channels = gs.subscribe("_gs_channel")
+        supervisor = gs.enable_recovery(checkpoint_interval=0.4)
+        gs.start()
+        lfta = _lfta(gs)
+        assert lfta in gs.rts._block_plan().members
+        if arm == "hfta" and crash:
+            gs.inject_faults([OperatorFault("flows", at_tuple=560, times=1)])
+        on_heartbeat = lfta.on_heartbeat
+
+        def heartbeat(stream_time):
+            # no fed heartbeat falls between 1.1 s and 1.2 s, only the
+            # ones the HFTA asks for below
+            fail_once(arm, arm == "heartbeat" and stream_time >= 1.25
+                      or arm == "advance" and stream_time == cls.ADVANCE
+                      or arm == "request" and 1.1 <= stream_time < 1.2)
+            on_heartbeat(stream_time)
+        lfta.on_heartbeat = heartbeat
+        hfta = gs.rts.node("flows")
+        dispatch_batch = hfta.dispatch_batch
+
+        def dispatch(rows, input_index):
+            # the pump serves the request on demand, mid-drain
+            if arm == "request" and 1.1 <= gs.rts.stream_time < 1.2:
+                hfta.request_heartbeat()
+            dispatch_batch(rows, input_index)
+        hfta.dispatch_batch = dispatch
+        rows = []
+        packets = _flows_packets(3000)
+        for lo in range(0, len(packets), 100):
+            gs.feed(packets[lo:lo + 100], pump_every=64)
+            rows += sub.poll()
+            if lo == 1000 and arm == "advance":
+                gs.advance_time(cls.ADVANCE)
+        gs.flush()
+        rows += sub.poll()
+        snapshot = comparable(snapshot_engine(
+            gs, {"flows": sub, "_gs_channel": channels}), ("crash",))
+        return rows, buffer.getvalue(), supervisor, snapshot
+
+    @pytest.mark.parametrize("arm, restarts", [
+        ("kernel", 1), ("hfta", 1), ("heartbeat", 1), ("advance", 1),
+        ("request", 1), ("twice", 2)])
+    def test_every_row_once(self, arm, restarts):
+        rows, text, _, snapshot = self.run(arm, crash=False)
+        crash_rows, crash_text, supervisor, crash_snapshot = self.run(
+            arm, crash=True)
+        assert supervisor.restarts_total == restarts
+        assert supervisor.rts.quarantined == {}
+        # the application had drained rows the rollback regenerated
+        assert supervisor.suppressed_rows > 0
+        assert crash_rows == rows
+        assert crash_text == text
+        assert crash_snapshot == snapshot
+
+    def test_bounded_subscription(self):
+        # Each window's rows overflow the subscription: what it drops,
+        # and what it delivers, are the clean run's.
+        rows, _, _, snapshot = self.run("twice", crash=False, capacity=40)
+        crash_rows, _, supervisor, crash_snapshot = self.run(
+            "twice", crash=True, capacity=40)
+        assert supervisor.restarts_total == 2
+        channel = snapshot["stats"]["flows"]["channels"]["flows->app"]
+        assert channel["dropped"] > 0
+        assert crash_rows == rows
+        assert crash_snapshot == snapshot
+
+
+class TestTopologyChange:
+    """A query added mid-run, or a subscription opened, cuts a
+    checkpoint: a rollback never re-feeds a block fed before the change
+    to the engine after it."""
+
+    TOTALS = """
+        DEFINE query_name totals;
+        Select tb, count(*) From flows Group by tb
+    """
+
+    def run(self, crash, subscribe="engine"):
+        gs = Gigascope(seed=11, lfta_table_size=32, channel_capacity=256,
+                       heartbeat_interval=0.25)
+        gs.add_query(AGG_QUERY)
+        subs = {"flows": gs.subscribe("flows")}
+        supervisor = gs.enable_recovery(checkpoint_interval=5.0)
+        gs.start()
+        packets = _flows_packets()
+        gs.feed(packets[:700], pump_every=64)
+        gs.add_query(self.TOTALS)
+        # the RTS's own subscribe cuts too (a sink, a user plane)
+        engine = gs.rts if subscribe == "rts" else gs
+        subs["totals"] = engine.subscribe("totals")
+        if crash:
+            gs.inject_faults([OperatorFault("flows", at_tuple=200, times=1)])
+        gs.feed(packets[700:], pump_every=64)
+        gs.flush()
+        return comparable(snapshot_engine(gs, subs), ("crash",)), supervisor
+
+    @pytest.mark.parametrize("subscribe", ["engine", "rts"])
+    def test_add_query_then_crash(self, subscribe):
+        clean, _ = self.run(crash=False, subscribe=subscribe)
+        crashed, supervisor = self.run(crash=True, subscribe=subscribe)
+        assert supervisor.restarts_total == 1
+        assert supervisor.checkpoints_taken >= 3  # baseline, query, sub
+        assert crashed["rows"]["totals"]
+        assert crashed == clean
+
+
+    def test_a_change_no_checkpoint_covers_quarantines(self):
+        # Packets fed one by one leave rows in flight, so subscribing
+        # cuts nothing: a failure before the next pump boundary's
+        # checkpoint has nothing to roll back to.
+        gs = Gigascope(seed=11, lfta_table_size=32, channel_capacity=256,
+                       heartbeat_interval=0.25)
+        gs.add_query(AGG_QUERY)
+        supervisor = gs.enable_recovery(checkpoint_interval=5.0)
+        gs.start()
+        packets = _flows_packets()
+        for packet in packets[:300]:
+            gs.feed_packet(packet)
+        assert any(gs.rts.channels())
+        taken = supervisor.checkpoints_taken
+        gs.subscribe("flows")
+        assert supervisor.checkpoints_taken == taken
+        gs.inject_faults([OperatorFault("flows", at_tuple=1, times=1)])
+        gs.feed(packets[300:], pump_every=64)
+        assert supervisor.restarts_total == 0
+        assert list(gs.rts.quarantined) == ["flows"]
+        assert supervisor.checkpoints_taken > taken  # cut at the pump
+
+
+class TestTracingAcrossRollback:
+    def test_spans_are_the_clean_runs(self):
+        def run(crash):
+            gs = Gigascope(seed=11, lfta_table_size=32,
+                           channel_capacity=256, heartbeat_interval=0.25)
+            gs.add_query(AGG_QUERY)
+            sub = gs.subscribe("flows")
+            tracer = gs.enable_tracing(0.05)
+            supervisor = gs.enable_recovery(checkpoint_interval=0.4)
+            gs.start()
+            if crash:
+                gs.inject_faults([OperatorFault("flows", at_tuple=200,
+                                                times=1)])
+            gs.feed(_flows_packets(), pump_every=64)
+            gs.flush()
+            return tracer.to_dict(), sub.poll(), supervisor
+
+        clean, clean_rows, _ = run(crash=False)
+        crashed, rows, supervisor = run(crash=True)
+        assert supervisor.restarts_total == 1
+        assert clean["traces"]
+        assert rows == clean_rows
+        assert crashed == clean

@@ -792,3 +792,29 @@ class TestQuarantine:
         epoch = decode_frame(plane.log_frames[0])
         assert epoch["kind"] == "full" and epoch["dropped"] == ["flows"]
         assert "flows" not in epoch["nodes"]
+
+
+class TestInjectorsOutliveThePrimary:
+    """A ring-loss burst armed before the crash and open after it keeps
+    dropping on the promoted standby: the promotion re-arms the
+    packet-path injectors there."""
+
+    @staticmethod
+    def run(crash):
+        gs = Gigascope(seed=7, heartbeat_interval=0.5, lfta_table_size=64,
+                       metrics=False)
+        gs.enable_replication(cadence=0.5, crash=crash)
+        gs.add_query(_FLOWS)
+        sub = gs.subscribe("flows")
+        gs.start()
+        gs.inject_faults(["ring_burst:at=1.0,duration=0.5"])
+        gs.feed(_zipf(7), pump_every=128)
+        gs.flush()
+        return sub.poll(), gs
+
+    def test_a_burst_after_the_crash_still_drops(self):
+        clean, plain = self.run(None)
+        rows, gs = self.run("packet:700")
+        assert gs.replication_report()["promoted"]
+        assert plain.rts.fault_dropped == gs.rts.fault_dropped == 1000
+        assert rows == clean
