@@ -147,46 +147,47 @@ def test_bench_batch_select_chained(benchmark, selection_rows):
 @pytest.fixture(scope="module")
 def flow_keys():
     """5-tuple-per-window group keys, the shape ``flows_highcard``
-    places: all integer, so the plan gets the ``%d`` format."""
+    places: all integer and decoded off the header, so the plan takes
+    the tuple hash with no part checked."""
     rng = random.Random(5)
     return [(rng.randrange(100), rng.randrange(1 << 32), rng.randrange(1 << 32),
              rng.randrange(1 << 16), rng.randrange(1 << 16), 6)
             for _ in range(10_000)]
 
 
-def _placement(fmt):
+def _placement(checks, hash_key):
     """``f(keys, size) -> slots`` around the lines the LFTA's generated
     probe places a key with (``_place_key``; DESIGN section 18)."""
-    import zlib
-
-    from repro.determinism import key_hasher
     from repro.gsql.codegen import _place_key
 
-    env = {"_crc32": zlib.crc32, "hash_key": key_hasher(fmt)}
+    env = {"hash_key": hash_key}
     exec("def place(keys, size):\n"
          "    slots = []\n"
          "    for k in keys:\n"
-         + "".join(f"        {line}\n" for line in _place_key(fmt))
+         + "".join(f"        {line}\n" for line in _place_key(checks))
          + "        slots.append(i)\n"
          "    return slots\n", env)
     return env["place"]
 
 
 def test_bench_key_hash_generated(benchmark, flow_keys):
-    """Slot placement through the per-plan format (DESIGN section 18),
-    as the fused LFTA loop inlines it.  CI gates the ratio of this to
-    ``_stable`` below, measured in the same run; the numbers must be
-    the same numbers."""
-    from repro.determinism import int_key_format, stable_hash
+    """Slot placement by the tuple hash (DESIGN section 18), as the
+    fused LFTA loop inlines it for ``flows_highcard``'s plan.  CI gates
+    the ratio of this to ``_stable`` below, measured in the same run;
+    each arm places every key where its table would."""
+    from repro.determinism import tuple_hash
 
-    slots = benchmark(_placement(int_key_format(6)), flow_keys, 4096)
-    assert slots == [stable_hash(key) % 4096 for key in flow_keys]
+    slots = benchmark(_placement([], tuple_hash), flow_keys, 4096)
+    assert slots == [tuple_hash(key) % 4096 for key in flow_keys]
 
 
 def test_bench_key_hash_stable(benchmark, flow_keys):
-    """The same placement through ``stable_hash``'s ``repr`` walk."""
-    slots = benchmark(_placement(None), flow_keys, 4096)
-    assert len(slots) == len(flow_keys)
+    """The same keys placed through ``stable_hash``'s ``repr`` walk, as
+    a plan whose key is not all-integer places them."""
+    from repro.determinism import stable_hash
+
+    slots = benchmark(_placement(None, stable_hash), flow_keys, 4096)
+    assert slots == [stable_hash(key) % 4096 for key in flow_keys]
 
 
 @pytest.fixture(scope="module")

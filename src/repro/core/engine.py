@@ -548,6 +548,9 @@ class Gigascope:
             group = self.rts.describe_decode_group(lfta.name)
             if group is not None:
                 text += f"\n  {lfta.name} shares its decode: {group}"
+            placement = getattr(self.rts.node(lfta.name), "placement", None)
+            if placement is not None:
+                text += f"\n  {lfta.name} places groups {placement}"
         return text + "\n" + estimate.describe()
 
     def schema_of(self, name: str) -> StreamSchema:

@@ -12,10 +12,11 @@ Three tools enforce that contract:
 
 * :func:`stable_hash` -- a crc32 over a canonical encoding of (nested)
   primitive values.  Python's builtin ``hash()`` of str/bytes is
-  randomized per process; every data-path placement decision (the
-  LFTA's direct-mapped table slots) routes through this instead.
-  :func:`int_key_format` / :func:`key_hasher` compute the same number
-  for all-integer group keys without the ``repr`` walk.
+  randomized per process, and of ``None`` follows its address on 3.11;
+  every data-path placement decision (the LFTA's direct-mapped table
+  slots) routes through this, or through :func:`tuple_hash`, which
+  takes builtin ``hash()`` only for a tuple of integers -- a function
+  of the values alone.
 * :func:`rng_for` / :func:`derive_seed` -- the seeded RNG registry.
   Every data-path consumer of randomness (``DEFINE sample`` gates, the
   overload-control shed gate, workload generators) derives its own
@@ -54,6 +55,7 @@ import subprocess
 import sys
 import zlib
 from dataclasses import dataclass, replace
+from operator import index as _index
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -86,37 +88,28 @@ def stable_hash(obj: Any) -> int:
     return zlib.crc32(_canonical(obj))
 
 
-def int_key_format(width: int) -> bytes:
-    """The ``%``-format that renders a ``width``-tuple of ints exactly
-    as :func:`_canonical` does: ``fmt % key == _canonical(key)``.
+def tuple_hash(key: Any) -> int:
+    """The LFTA's slot hash for a plan whose group key is all-integer
+    (``ExprCompiler.stable_hash_reason`` is None; DESIGN section 18):
+    builtin ``hash(key)`` when every part is an integer, else
+    :func:`stable_hash`.
 
-    ``repr`` of an ``int`` is its decimal digits, which is what ``%d``
-    prints, so for such keys ``crc32(fmt % key)`` *is*
-    ``stable_hash(key)`` at a fifth of the cost.  The identity holds
-    for ``int`` only: ``%d`` prints ``True`` as ``1`` and truncates a
-    ``float``, so a plan may use the format only when every key slot
-    is statically an integer (``ExprCompiler.key_hash_format``);
-    ``None``/``bytes``/``str`` make ``%d`` raise ``TypeError``, which
-    :func:`key_hasher` (and the LFTA's generated probe) turns into
-    the :func:`stable_hash` fallback.
+    An integer tuple's ``hash`` is a function of its values alone on a
+    64-bit build (``sys.hash_info.width``), in every process and under
+    every ``PYTHONHASHSEED``.  Nothing else may reach it: ``hash()`` of
+    ``bytes``/``str`` follows ``PYTHONHASHSEED``, of ``None`` (on 3.11)
+    the object's address, of a NaN its identity.  ``operator.index``
+    admits exactly the integers (``bool`` among them, which hashes as
+    its value) and raises ``TypeError`` on ``None``, ``bytes``,
+    ``str`` and ``float`` -- the check the LFTA's generated probe runs
+    on every part that is not an integer by construction.
     """
-    return b"(" + b",".join([b"%d"] * width) + b")"
-
-
-def key_hasher(fmt: Optional[bytes]) -> Callable[[Any], int]:
-    """:func:`stable_hash` for the keys of one plan: through ``fmt``
-    (an :func:`int_key_format`) where it renders the key, through
-    :func:`_canonical` otherwise.  ``fmt=None`` is ``stable_hash``."""
-    if fmt is None:
-        return stable_hash
-    crc32 = zlib.crc32
-
-    def hash_key(key: Any) -> int:
-        try:
-            return crc32(fmt % key)
-        except TypeError:
-            return stable_hash(key)
-    return hash_key
+    try:
+        for part in key:
+            _index(part)
+    except TypeError:
+        return stable_hash(key)
+    return hash(key)
 
 
 def derive_seed(seed: int, *names: Any) -> int:

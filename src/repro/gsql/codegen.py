@@ -13,6 +13,9 @@ Conventions in generated code:
 * ``k`` / ``aN`` -- a closing group's key tuple / final aggregate values
 * ``P`` -- the query-parameter dict (mutable; on-the-fly changes)
 * ``_fN`` / ``_hN`` -- resolved function implementations and handles
+* ``_index`` -- ``operator.index``: an LFTA's probe checks with it that
+  a key part which is not an integer by construction is one before the
+  key reaches ``hash()`` (the tuple hash, :func:`_place_key`)
 
 Partial functions signal "no result" by raising :class:`DiscardTuple`;
 the wrappers installed here convert a ``None`` return into that raise,
@@ -25,12 +28,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from heapq import heappush
 from itertools import groupby
-from operator import itemgetter, length_hint
+from operator import index, itemgetter, length_hint
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
-from zlib import crc32
 
-from repro.determinism import int_key_format
 from repro.gsql.ast_nodes import (
     AggCall,
     BinaryOp,
@@ -45,7 +46,7 @@ from repro.gsql.functions import FunctionRegistry, FunctionSpec
 from repro.gsql.planner import column_slots
 from repro.gsql.semantic import AggRef, AnalyzedQuery, KeyRef
 from repro.gsql.types import FLOAT
-from repro.gsql.unparse import conjunction_to_gsql
+from repro.gsql.unparse import conjunction_to_gsql, expr_to_gsql
 from repro.net.columnar import ActionSource, Prefilter, RowAction, shed_gate
 
 
@@ -82,6 +83,10 @@ _BINOPS = {
 
 SlotMap = Optional[Dict[int, int]]
 
+#: operators that take two integers to an integer (``/`` compiles to
+#: ``//`` between integers)
+_INTEGER_OPS = frozenset("+ - * / % & | ^ << >>".split())
+
 #: the shortest block, and the shortest run, an aggregation's run loop
 #: folds: a shorter block (a block of one row above all) takes the row
 #: loop, and a shorter run hands it the rest of its block -- about where
@@ -107,7 +112,7 @@ class ExprCompiler:
         self.functions = functions
         self.params: Dict[str, Any] = dict(params or {})
         self.generated_sources: List[str] = []
-        self._env: Dict[str, Any] = {"P": self.params, "_crc32": crc32,
+        self._env: Dict[str, Any] = {"P": self.params, "_index": index,
                                      "_heappush": heappush,
                                      "groupby": groupby,
                                      "itemgetter": itemgetter,
@@ -245,13 +250,14 @@ class ExprCompiler:
           (:meth:`hfta_aggregate_fn`): a key equal to the previous
           row's counts its lookup and folds into the slot ``i`` in
           hand.  Only a changed key builds the key tuple, checks the
-          window high-water mark, places the key (``crc32(fmt % k) %
-          size``, :meth:`key_hash_format`) and probes the table's key
-          array.  The fold writes the table's columns (``c0[i]``, ...)
-          and carries the shed gate's Horvitz-Thompson weight.  An
-          ejected group's ``key + partials`` row, read out of the
-          columns before the new group overwrites them, joins the
-          block-local list, which leaves ahead of any window flush.
+          window high-water mark, places the key (``hash(k) % size``
+          where :meth:`stable_hash_reason` is None, :func:`_place_key`)
+          and probes the table's key array.  The fold writes the
+          table's columns (``c0[i]``, ...) and carries the shed gate's
+          Horvitz-Thompson weight.  An ejected group's ``key +
+          partials`` row, read out of the columns before the new group
+          overwrites them, joins the block-local list, which leaves
+          ahead of any window flush.
 
         The cache cannot go stale: its group leaves the slot only by a
         probe of another key or ``_flush_below`` (the changed path,
@@ -297,7 +303,8 @@ class ExprCompiler:
                         rekey += _window_check("k[index]", [
                             "i = None", "dropped += 1", "continue"],
                             _EMIT_EJECTED)
-                    rekey += _place_key(self.key_hash_format(exprs))
+                    rekey += _place_key(self._checked_parts(
+                        exprs, row.parts, columns is not None))
                     probe, fold = _table_probe(src)
                     body += row.lines + [changed] + _indent(rekey + probe) + [
                         "else:", "    lookups += 1"] + fold
@@ -418,26 +425,60 @@ class ExprCompiler:
     # raised by a fold leaves the slots before it folded, exactly as
     # the generic loop does.
 
-    def key_hash_format(self, group_exprs: Sequence[Expr]) -> Optional[bytes]:
-        """The ``%d`` format that hashes this plan's group keys
-        (:func:`repro.determinism.int_key_format`), or ``None`` when
-        :func:`~repro.determinism.stable_hash` must render them.
+    def stable_hash_reason(self, group_exprs: Sequence[Expr]
+                           ) -> Optional[str]:
+        """Why this plan's group keys are placed by
+        :func:`~repro.determinism.stable_hash`, or None when they take
+        the tuple hash (:func:`~repro.determinism.tuple_hash`).
 
         Decided from static types, never from values, so every run
         places a given key identically: every group expression must
         have an integer GSQL type (UINT, INT, ULLONG, IP, IP6 -- not
-        BOOL, whose values print as ``True``/``False``) and read no
-        query parameter (a ``$param`` is typed UINT but carries
-        whatever the caller binds).
+        BOOL) and read no query parameter (a ``$param`` is typed UINT
+        but carries whatever the caller binds).
         """
         types = self.analyzed.types
         for expr in group_exprs:
             gsql_type = types.get(id(expr))
             if gsql_type is None or gsql_type.python_type is not int:
-                return None
-            if any(isinstance(node, Param) for node in expr.walk()):
-                return None
-        return int_key_format(len(group_exprs))
+                kind = "untyped" if gsql_type is None else gsql_type.name
+                return f"group key {expr_to_gsql(expr)} is {kind}"
+            params = [node.name for node in expr.walk()
+                      if isinstance(node, Param)]
+            if params:
+                return f"group key {expr_to_gsql(expr)} reads ${params[0]}"
+        return None
+
+    def _checked_parts(self, exprs: Sequence[Expr], parts: Sequence[str],
+                       decoded: bool) -> Optional[List[str]]:
+        """The parts (named ``parts``) of a group key the tuple hash
+        must check on each row, or None when the plan's keys take
+        :func:`~repro.determinism.stable_hash`.  A part is an integer by
+        construction -- no check -- when it is an integer literal, a
+        column a block kernel decodes (``decoded``: header fields,
+        ``time`` and ``len``; a row adapter's fields are whatever its
+        protocol's functions return) or integer arithmetic over those;
+        anything else, a function's result above all, is checked."""
+        if self.stable_hash_reason(exprs) is not None:
+            return None
+        return [part for part, expr in zip(parts, exprs)
+                if not self._integral(expr, decoded)]
+
+    def _integral(self, expr: Expr, decoded: bool) -> bool:
+        """Whether ``expr`` evaluates to an ``int`` on every row."""
+        if isinstance(expr, Literal):
+            return type(expr.value) is int
+        if isinstance(expr, Column):
+            gsql_type = self.analyzed.types.get(id(expr))
+            return (decoded and gsql_type is not None
+                    and gsql_type.python_type is int)
+        if isinstance(expr, UnaryOp):
+            return expr.op == "-" and self._integral(expr.operand, decoded)
+        if isinstance(expr, BinaryOp):
+            return (expr.op in _INTEGER_OPS
+                    and self._integral(expr.left, decoded)
+                    and self._integral(expr.right, decoded))
+        return False
 
     def _aggregate_source(
         self,
@@ -1096,16 +1137,23 @@ _EMIT_EJECTED = [
 ]
 
 
-def _place_key(fmt: Optional[bytes]) -> List[str]:
-    """``i``: the slot of key ``k``, ``stable_hash(k) % size`` -- through
-    the plan's ``%d`` format when it has one, a key the format does not
-    render (``None`` in it) falling back per key.  A key no hash covers
-    raises here, before the probe is counted."""
-    if fmt is None:
+def _place_key(checks: Optional[Sequence[str]]) -> List[str]:
+    """``i``: the slot of key ``k``, ``hash_key(k) % size`` -- the
+    table's own placement (:attr:`DirectMappedTable._hash`).  For a
+    plan on the tuple hash (``checks`` not None) that is ``hash(k) %
+    size`` once every part in ``checks``, those that are not integers
+    by construction, passed ``_index`` (``operator.index``); one that
+    does not (``None``, ``bytes``, ``str``, ``float``) sends the key to
+    ``hash_key``, which places it by ``stable_hash``.  A key no hash
+    covers raises here, before the probe is counted."""
+    if checks is None:
         return ["i = hash_key(k) % size"]
+    if not checks:
+        return ["i = hash(k) % size"]
     return [
         "try:",
-        f"    i = _crc32({fmt!r} % k) % size",
+        "    " + ", ".join(f"_index({part})" for part in checks),
+        "    i = hash(k) % size",
         "except TypeError:",
         "    i = hash_key(k) % size",
     ]

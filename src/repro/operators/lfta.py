@@ -54,7 +54,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.heartbeat import Punctuation
-from repro.determinism import rng_for
+from repro.determinism import rng_for, stable_hash, tuple_hash
 from repro.core.query_node import NodeStats, QueryNode
 from repro.gsql.codegen import ExprCompiler
 from repro.gsql.planner import LftaPlan
@@ -182,9 +182,14 @@ class LftaNode(QueryNode):
             )
             self.table: Optional[DirectMappedTable] = None
         elif plan.mode == "partial_aggregation":
+            reason = compiler.stable_hash_reason(plan.group_exprs)
             self.table = DirectMappedTable(
-                table_size, compiler.key_hash_format(plan.group_exprs),
+                table_size, tuple_hash if reason is None else stable_hash,
                 partial_layout(plan.aggregates))
+            #: how the table places groups, as EXPLAIN prints it
+            self.placement = (
+                f"by tuple hash in {table_size} slots" if reason is None
+                else f"by stable_hash in {table_size} slots: {reason}")
             self._window_index = plan.window_key_index
             self._window_band = plan.window_key_band
             self._high_water = None

@@ -29,10 +29,11 @@ action (``ExprCompiler.lfta_action``): linked against the table, it
 places each row's key, probes the key array and folds into the columns
 inline, and hands the counter deltas back once per block
 (:meth:`DirectMappedTable.close_block`).  Both place a key in the same
-slot -- ``stable_hash(key) % size`` -- and a plan whose group key is
-statically all-integer computes that number through a ``%d`` format
-instead of ``repr`` (``key_format``; see
-:func:`repro.determinism.int_key_format`).
+slot, ``hash_key(key) % size``: for a plan whose group key is
+statically all-integer ``hash_key`` is
+:func:`repro.determinism.tuple_hash` -- builtin ``hash(key)``, with
+any key that is not all-integer at run time taken by ``stable_hash``
+-- and :func:`repro.determinism.stable_hash` for every other plan.
 """
 
 from __future__ import annotations
@@ -40,19 +41,19 @@ from __future__ import annotations
 from typing import (Any, Callable, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
-from repro.determinism import key_hasher
+from repro.determinism import stable_hash
 from repro.operators.aggregates import column_values, state_list
 
 
 class DirectMappedTable:
     """A fixed-size direct-mapped map from group keys to states.
 
-    Slots are placed with :func:`repro.determinism.stable_hash`, not
-    builtin ``hash()``: slot choice decides which groups collide and
-    get ejected, so with a process-randomized hash two runs of the same
-    workload emit different partials (and different E4 numbers).
-    ``key_format`` is the plan's :func:`~repro.determinism.int_key_format`
-    when its keys are all-integer: the same number, computed faster.
+    Slots are placed by ``hash_key``: :func:`repro.determinism.stable_hash`
+    by default, :func:`~repro.determinism.tuple_hash` for a plan whose
+    keys are all-integer.  Never by a process-randomized hash: slot
+    choice decides which groups collide and get ejected, so with one
+    two runs of the same workload would emit different partials (and
+    different E4 numbers).
     ``layout`` (:func:`~repro.operators.aggregates.partial_layout`)
     makes the table columnar.  ``None`` is not a key: it marks an
     empty slot.
@@ -62,12 +63,12 @@ class DirectMappedTable:
                  "collisions", "lookups", "_hash")
 
     def __init__(self, size: int = 4096,
-                 key_format: Optional[bytes] = None,
+                 hash_key: Callable[[Any], int] = stable_hash,
                  layout: Optional[Sequence[int]] = None) -> None:
         if size <= 0:
             raise ValueError("table size must be positive")
         self.size = size
-        self._hash = key_hasher(key_format)
+        self._hash = hash_key
         self.layout = None if layout is None else tuple(layout)
         width = 1 if layout is None else sum(layout)
         #: the resident group's key per slot; None: empty

@@ -34,9 +34,11 @@ from typing import Any, List, Tuple
 from repro.determinism import stable_hash
 
 MAGIC = b"GSCK"
-#: bump when the payload encoding or any operator's state layout changes
-#: (v2: sparse LFTA table slots, elided untouched shed-RNG state)
-SNAPSHOT_VERSION = 2
+#: bump when the payload encoding, any operator's state layout or the
+#: meaning of a stored value changes (v2: sparse LFTA table slots,
+#: elided untouched shed-RNG state; v3: an all-integer key's LFTA slot
+#: is its tuple hash, so a v2 slot index would misplace its group)
+SNAPSHOT_VERSION = 3
 
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")

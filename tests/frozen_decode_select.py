@@ -25,9 +25,7 @@ engine's columns are held to.  Nothing under ``src/`` imports this.
 
 from itertools import compress
 from typing import List, NamedTuple, Sequence
-from zlib import crc32
 
-from repro.determinism import key_hasher
 from repro.gsql.codegen import CodegenError, ExprCompiler, _indent, _tuple_src
 from repro.gsql.planner import column_slots
 from repro.gsql.semantic import AggRef, KeyRef
@@ -60,11 +58,12 @@ class Block:
 class FrozenTable:
     """``DirectMappedTable`` as it stood at 28f7b08, for what the frozen
     kernels and ``LftaNode``'s window close use of it: a slot array of
-    ``(key, state)`` entries."""
+    ``(key, state)`` entries, placed by the engine's placement function
+    for the plan (``hash_key``, the ``DirectMappedTable``'s own)."""
 
-    def __init__(self, size, key_format=None):
+    def __init__(self, size, hash_key):
         self.size = size
-        self._hash = key_hasher(key_format)
+        self._hash = hash_key
         self._slots = [None] * size
         self.occupied = 0
         self.collisions = 0
@@ -118,16 +117,10 @@ class FrozenTable:
 
 # -- determinism.stable_slots / DirectMappedTable.open_block ------------------------
 
-def stable_slots(keys, size, fmt=None):
-    """``stable_hash(key) % size`` for a block of keys, in one pass:
+def stable_slots(keys, size, hash_key):
+    """``hash_key(key) % size`` for a block of keys, in one pass:
     ``(slots, error)``, ``slots`` stopping before the first key
-    ``stable_hash`` does not cover and ``error`` its ``TypeError``."""
-    if fmt is not None:
-        try:
-            return [crc32(fmt % key) % size for key in keys], None
-        except TypeError:
-            pass  # some key needs the fallback: place the block per key
-    hash_key = key_hasher(fmt)
+    ``hash_key`` does not cover and ``error`` its ``TypeError``."""
     slots: List[int] = []
     try:
         for key in keys:
@@ -139,7 +132,7 @@ def stable_slots(keys, size, fmt=None):
 
 def open_block(node, keys):
     table = node.table
-    indices, error = stable_slots(keys, table.size, node.key_format)
+    indices, error = stable_slots(keys, table.size, table._hash)
     return table._slots, indices, error
 
 
@@ -554,9 +547,7 @@ class FrozenLfta(LftaNode):
                     len(self.protocol.attributes), (None, None))
             self._aggregate = compiler.lfta_aggregate_fn(
                 plan.aggregates, (None, None), plan.window_key_index >= 0)
-            #: the format ``open_block`` places this plan's keys with
-            self.key_format = compiler.key_hash_format(plan.group_exprs)
-            self.table = FrozenTable(self.table.size, self.key_format)
+            self.table = FrozenTable(self.table.size, self.table._hash)
             self._partials = AggregateOps(
                 plan.aggregates, [None] * len(plan.aggregates)).partials
 

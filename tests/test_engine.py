@@ -515,6 +515,26 @@ class TestCodegen:
         assert "decode=row-adapter" in gs.explain("q")
         assert gs.rts.node("q").decode_fields is None
 
+    def test_explain_names_each_lftas_placement(self):
+        from bench.workloads import WORKLOADS
+        gs = Gigascope(lfta_table_size=512)
+        names = gs.add_queries(
+            WORKLOADS["flows_highcard"].gsql
+            + "; DEFINE query_name f; Select tb, net, count(*) From tcp "
+              "Group by time/2 as tb, getsubnet(srcIP, 24) as net"
+            + "; DEFINE query_name s; Select tb, data, count(*) From tcp "
+              "Group by time/2 as tb, data"
+            + "; DEFINE query_name p; Select time, srcPort From tcp")
+        placements = [[line.strip() for line in gs.explain(name).splitlines()
+                       if " places groups " in line] for name in names]
+        assert placements == [
+            ["_fta_flows_0 places groups by tuple hash in 512 slots"],
+            ["_fta_f_0 places groups by tuple hash in 512 slots"],
+            ["_fta_s_0 places groups by stable_hash in 512 slots: "
+             "group key data is STRING"],
+            [],   # a projection LFTA has no table
+        ]
+
 
 class TestUserNodes:
     def test_defrag_feeds_gsql_query(self):

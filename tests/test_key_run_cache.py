@@ -643,7 +643,7 @@ class TestWhatTheLftaCacheSkips:
         end = next(i for i in range(test + 1, len(lines))
                    if len(lines[i]) - len(lines[i].lstrip()) <= depth)
         branch = "\n".join(lines[test:end])
-        for probe in ("_crc32_0(", "node_0._flush_below(",
+        for probe in ("hash(k_0)", "node_0._flush_below(",
                       "e_0 = keys_0[i_0]"):
             assert source.count(probe) == branch.count(probe) == 1
         assert lines[end:end + 2] == [" " * depth + "else:",

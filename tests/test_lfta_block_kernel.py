@@ -5,7 +5,8 @@ loops they replaced (DESIGN section 18).
 paths exactly as they stood at c83354f -- ``_aggregate_batch`` /
 ``on_tuple_batch`` looping ``upsert`` / ``groups.get`` and the generic
 ``AggregateOps`` per row, closed groups emitted one ``emit`` at a time,
-slots placed by ``stable_hash`` itself -- frozen here as the oracle.
+slots placed per key by ``DirectMappedTable`` with the engine's placement
+function for the plan -- frozen here as the oracle.
 Generated streams (hits and collisions, a window boundary in the middle
 of a block, late rows, a banded window key, shedding, every aggregate
 name, both decodes, the row adapter) go through the reference and
@@ -30,7 +31,7 @@ import sys
 import pytest
 
 from repro.core.heartbeat import FLUSH, Punctuation
-from repro.determinism import stable_hash
+from repro.determinism import stable_hash, tuple_hash
 from repro.gsql.codegen import ExprCompiler
 from repro.gsql.functions import builtin_functions
 from repro.gsql.ordering import Ordering
@@ -180,14 +181,15 @@ class ReferenceOps:
 
 class ReferenceLfta(FrozenLfta):
     """The LFTA with c83354f's per-row aggregation: ``upsert`` on a
-    table placed by ``stable_hash``, one ``emit`` per ejected or closed
+    table placed by the engine's placement function (``tuple_hash`` or
+    ``stable_hash``, the node's own), one ``emit`` per ejected or closed
     group -- behind the decode-then-key front end of its day
     (``tests/frozen_decode_select.py``), which hands ``_aggregate`` the
     block's keys and rows."""
 
     def __init__(self, plan, analyzed, compiler, **kwargs):
         super().__init__(plan, analyzed, compiler, **kwargs)
-        self.table = DirectMappedTable(self.table.size)
+        self.table = DirectMappedTable(self.table.size, self.table._hash)
         self.reference_ops = ReferenceOps.for_plan(
             compiler, plan.aggregates, (None, None))
         self._aggregate = ReferenceLfta._aggregate_batch
@@ -519,7 +521,7 @@ def run_lfta_corpus(seeds=range(2), table_sizes=TABLE_SIZES,
                             text, table_size=table_size, seed=seed)
                         assert (node.protocol.columnar_decoder
                                 is not None) == columnar
-                        assert reference.table._hash is stable_hash
+                        assert reference.table._hash is node.table._hash
                         for each in (reference, node):
                             each.set_shed_rate(shed_rate)
                         where = (f"{label} seed={seed} table={table_size} "
@@ -546,7 +548,7 @@ def note_lfta(seen, node, items, block_size):
     """Which hard cases the corpus reached."""
     seen["collisions"] += node.table.collisions > 0
     seen["fallback_hash"] += node.table._hash is stable_hash
-    seen["format_hash"] += node.table._hash is not stable_hash
+    seen["tuple_hash"] += node.table._hash is tuple_hash
     seen["banded"] += node._window_band > 0
     seen["windowless"] += node._window_index < 0
     seen["shed"] += node.shed_packets > 0
@@ -561,7 +563,7 @@ def note_lfta(seen, node, items, block_size):
 class TestLftaKernelEqualsRowAtATime:
     def test_corpus(self):
         seen = dict.fromkeys(
-            ("collisions", "fallback_hash", "format_hash", "banded",
+            ("collisions", "fallback_hash", "tuple_hash", "banded",
              "windowless", "shed", "flush_mid_block"), 0)
         run_lfta_corpus(seen=seen)
         # The corpus is only an oracle if it reaches the hard cases.

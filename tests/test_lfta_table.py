@@ -90,6 +90,16 @@ class TestBasics:
         assert table.snapshot_state()["slots"] == {
             stable_hash(key) % 8: (key, "state")}
 
+    def test_an_all_integer_plan_places_by_the_tuple_hash(self):
+        from repro.determinism import stable_hash, tuple_hash
+        table = DirectMappedTable(64, tuple_hash)
+        key, stray = (12, 0x0A000001), (12, None)
+        table.insert(key, "state")
+        table.insert(stray, "other")
+        assert table.snapshot_state()["slots"] == {
+            hash(key) % 64: (key, "state"),
+            stable_hash(stray) % 64: (stray, "other")}
+
 
 class TestConservation:
     @given(st.lists(st.integers(0, 50), min_size=1, max_size=300),

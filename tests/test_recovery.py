@@ -104,6 +104,51 @@ class TestWireFormat:
             decode_snapshot(bytes(blob))
 
 
+class TestPreviousVersionRefused:
+    """A slot index only means something under the placement that chose
+    it: an LFTA table snapshot taken by the previous build (version
+    ``SNAPSHOT_VERSION - 1``, slots by ``stable_hash``) must be refused
+    by version, never restored into misplaced slots."""
+
+    @staticmethod
+    def previous(encode, *args):
+        """``encode(*args)`` as the previous build wrote it."""
+        from repro.recovery import wire
+        current = wire.SNAPSHOT_VERSION
+        wire.SNAPSHOT_VERSION = current - 1
+        try:
+            return encode(*args)
+        finally:
+            wire.SNAPSHOT_VERSION = current
+
+    def test_checkpoint_blob(self):
+        node = _build_lfta()
+        blob = self.previous(encode_snapshot, node.snapshot_state())
+        with pytest.raises(SnapshotVersionError, match=(
+                f"version {SNAPSHOT_VERSION - 1} is not supported")):
+            decode_snapshot(blob)
+
+    def test_state_log_frame(self):
+        from repro.recovery.statelog import FrameVersionError, StateLog
+        gs = Gigascope(seed=3, lfta_table_size=16)
+        gs.add_query("DEFINE query_name q; Select tb, srcPort, count(*) "
+                     "From tcp Group by time/5 as tb, srcPort")
+        gs.start()
+        gs.feed(_fixed_packets())
+        assert gs.rts.node("_fta_q_0").table.lookups > 0
+        frame = self.previous(StateLog().cut, gs.rts, 10.0, 40)
+        assert frame is not None
+        standby = Gigascope(seed=3, lfta_table_size=16)
+        standby.add_query("DEFINE query_name q; Select tb, srcPort, "
+                          "count(*) From tcp Group by time/5 as tb, srcPort")
+        standby.start()
+        log = StateLog()
+        with pytest.raises(FrameVersionError, match=str(SNAPSHOT_VERSION)):
+            log.fold(frame, into=standby.rts)
+        assert log.seq == -1
+        assert standby.rts.node("_fta_q_0").table.lookups == 0
+
+
 # ---------------------------------------------------------------------------
 # Operator snapshot format stability (golden bytes)
 # ---------------------------------------------------------------------------
@@ -266,23 +311,26 @@ _GOLDEN_BUILDERS = {
 }
 
 # sha256 of each operator's encoded snapshot under the fixed inputs
-# above, for wire format version 2 (sparse LFTA table slots, elided
-# untouched shed-RNG state).  A mismatch means the snapshot layout
-# changed: bump SNAPSHOT_VERSION and regenerate these.
+# above, for wire format version 3 (sparse LFTA table slots, elided
+# untouched shed-RNG state; an all-integer key's LFTA slot is its tuple
+# hash).  A mismatch means the snapshot layout changed: bump
+# SNAPSHOT_VERSION and regenerate these -- each is
+# ``hashlib.sha256(encode_snapshot(_GOLDEN_BUILDERS[name]()
+# .snapshot_state())).hexdigest()``.
 _GOLDEN_SHA256 = {
-    "table": "d97041644e71c28b5720626c2c603200832e84fa4247b95b6c59d76a0673a047",
-    "lfta": "0709919f71ffb0d510d1d30da358fd680b48a43747fa6405634375caa2e9b4f2",
+    "table": "54fb41f7efc7ef47cf77eece7226096e81f5ed0f89f5bd61b4f9f896eb38f8e9",
+    "lfta": "67b14961b0271ee7f8398312982dd3efa7acc7f3f5f7f3f82d0df1af4894d6ce",
     "aggregation":
-        "3f6969efd5fdc97b18f0b557d92b2c0d9b0d66ff8af9c58971ddc19ba378f717",
-    "join": "3571311041dc0cac529c977422d7f197afda11bafec35c390ec3e424913caa77",
-    "merge": "05ebfa7bcc7ff0eedf315b6e8d0503f952c933745b85d73ca01d0bae176a03b5",
+        "9c320983241ec5f9059c97bc6669b85147c73a125d8ab6343086869de8af0d68",
+    "join": "7316b1d66cdd0861451abf34ec14d928698f938b195d49f640895d9bffbb1ac0",
+    "merge": "513249f5c46fcd5c394b4ae95ec199d3951119a0e63d9894fc8c4b31e3f6fc29",
     "sessionize":
-        "f679288b3375974021b6216244326c28d92756bb9a95dc7ac9d5b26475740074",
+        "e171547e7f52327b3dd3b2f464ca74c1accd796406edf587636e197f84ac480f",
     "tcp_reassembly":
-        "bf8679f5c711c4b60d458408b01d79c035eeaa6b8c89e9871a742b37e602f1ca",
-    "defrag": "4280f27cc58c22753a9184350a5e765b76bd057d3671ac05af0a124f5460b2d1",
+        "f3be447a8a643ca3de15a9488913725a2fc91654e1602f5fdaf5d3f70cf54118",
+    "defrag": "c6cf9d89df05c5f0ac1cb3987a411af9e86a5e443af7569e0811f78763bd92ef",
     "csv_sink":
-        "7cc9ca2db4bfa9a0214f95e722e76e431eadad9e6f27e3a09fb89f682022d833",
+        "2ef48770cf7c5480a0b8e64ae1ee7f4b8108671b92fad2e1e54cea3a7ae69e00",
 }
 
 

@@ -21,7 +21,9 @@ the row loop; every drive also runs with ``RUNS_FROM`` at 1, so that
 the run loop takes every block and every run.
 
 The bench's plans that do not qualify must generate exactly the source
-they did before the run loop existed: their sha256 is pinned below.
+they did before the run loop existed, but for the LFTA's slot placement
+(``codegen._place_key``'s lines, which changed on their own): their
+sha256 is pinned below.
 """
 
 import dataclasses
@@ -280,17 +282,33 @@ class TestWhatQualifies:
         assert observe(node) == observe(rows_node)
 
 
-#: sha256 of ``Gigascope.generated_code(name)`` for every bench query,
-#: as the code generator wrote them before the run loop existed, plus
-#: the late branch the window check gained since (``elif x < high -
-#: band:``, four lines) -- for ``appmon``, which qualifies, of its first
-#: function, the row loop
+#: an LFTA's slot placement in generated source (``_place_key``): the
+#: one assignment to ``i``, or the ``try`` that falls back to
+#: ``hash_key``
+PLACEMENT = re.compile(
+    r"^(?P<pad> *)(?:try:\n(?:(?P=pad)    .*\n)+?(?P=pad)except TypeError:\n"
+    r"(?P=pad)    i\w* = hash_key\w*\(k\w*\) % size\w*\n"
+    r"|i\w* = hash(?:_key\w*)?\(k\w*\) % size\w*\n)", re.M)
+
+
+def without_placement(source):
+    """``source`` with every slot placement replaced by one marker."""
+    return PLACEMENT.sub(r"\g<pad><place k>\n", source)
+
+
+#: sha256 of ``without_placement(Gigascope.generated_code(name))`` for
+#: every bench query, as the code generator wrote them before the run
+#: loop existed, plus the late branch the window check gained since
+#: (``elif x < high - band:``, four lines) -- for ``appmon``, which
+#: qualifies, of its first function, the row loop.  The placement the
+#: marker stands for was ``crc32`` over a ``%d`` format then, as it was
+#: when these were recorded; it is the tuple hash now.
 PARENT_SOURCES = {
     "appmon": "b78a279a318bf7f5ae3b6fadaa22d196cffc06ab3a27a861ac0667c7e92c1ccc",
     "both": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "flows": "68a9cfa02e7106312bee730ac5480a2dea2a2eb29b1dae41f42cc8e25c8eca9f",
+    "flows": "ecdf0b95f190266ba2af6a1266daacfcab32f410e90d4edf82f1ddc1c175e94f",
     "http_genuine": "5c39b3ae811bf20329f4211f5ef73eca67830d56337fbb22a97d689abbbdf49d",
-    "http_port80": "a83727c17623968b12c48a9efeeb21e721d7823890fe527402ab987928395eb2",
+    "http_port80": "f9b62b6b5e54237f9e2bad49d2a321a366d18ac7a66b571b93f02d740aa40a73",
     "link0": "b0c14c20782da6305b2ad9fbf42ca4c624401089da4336594efff5434fe6d18e",
     "link1": "b0c14c20782da6305b2ad9fbf42ca4c624401089da4336594efff5434fe6d18e",
     "rtt": "d802519fff77528fdd2c2a3aabc28e97514051a39efa7f7ee19fb52f76a67a96",
@@ -310,5 +328,5 @@ def test_plans_that_do_not_qualify_generate_the_parent_source():
     assert runs == ["appmon"]
     sources["appmon"] = sources["appmon"].split("\n\n")[0]
     assert "groupby(" not in sources["appmon"]
-    assert {name: hashlib.sha256(source.encode()).hexdigest()
+    assert {name: hashlib.sha256(without_placement(source).encode()).hexdigest()
             for name, source in sources.items()} == PARENT_SOURCES

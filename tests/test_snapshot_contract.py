@@ -22,18 +22,23 @@ import hashlib
 import importlib
 import io
 import pkgutil
+import struct
 
 import pytest
 
 from repro.recovery.statelog import StateLog, decode_frame
-from repro.recovery.wire import decode_snapshot, encode_snapshot
+from repro.recovery.wire import MAGIC, decode_snapshot, encode_snapshot
 from tests.conftest import tcp_packet
 
 
 #: sha256 of the snapshot ``test_join_index_is_not_on_the_wire`` takes,
-#: as encoded at f96f3e2: the last commit whose join scanned its window
+#: as encoded at f96f3e2: the last commit whose join scanned its window.
+#: Its wire format was version 2; the join's payload has not changed
+#: since, so the blob is hashed with its version field (outside the
+#: checksum) set back to 2.
 NESTED_LOOP_JOIN_SNAPSHOT = (
     "987ed898d21282bd69e7266caf37c55244e2b77157bb72833843be2641a905aa")
+NESTED_LOOP_JOIN_VERSION = 2
 
 
 def _all_node_classes():
@@ -485,7 +490,9 @@ class TestSnapshotContract:
         for i in range(12):   # several rows per key inside the open window
             original.dispatch((9, 80 + i % 3), i % 2)
         blob = encode_snapshot(original.snapshot_state())
-        assert hashlib.sha256(blob).hexdigest() == NESTED_LOOP_JOIN_SNAPSHOT
+        as_written = (MAGIC + struct.pack(">H", NESTED_LOOP_JOIN_VERSION)
+                      + blob[len(MAGIC) + 2:])
+        assert hashlib.sha256(as_written).hexdigest() == NESTED_LOOP_JOIN_SNAPSHOT
         restored = case["make"]()
         restored.restore_state(decode_snapshot(blob))
         assert original.buffered and restored.buffered == original.buffered
