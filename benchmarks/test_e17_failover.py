@@ -20,9 +20,9 @@ records both sides of that trade on the flow-aggregation workload:
 * **RPO** -- packets and virtual seconds rolled back when the primary
   is killed mid delta-interval (``packet:K``), straight from the
   replication report: tighter cadence, smaller window.
-* **RTO** -- the promotion wall time (final drain + skip-gate arming
-  + cursor rewind), excluding the replay itself, which is work the
-  primary would have done anyway.
+* **RTO** -- the promotion wall time: moving the subscriptions and
+  replaying the journal since the last applied frame onto the warm
+  standby, which then serves.
 
 Every crash arm also re-asserts the contract that makes the numbers
 meaningful: the promoted standby's rows are byte-identical to an

@@ -595,20 +595,10 @@ class Gigascope:
         self.rts.stop()
 
     def feed_packet(self, packet: CapturedPacket) -> None:
-        replication = self.rts.planes.get("replication")
-        if replication is None:
-            self.rts.feed_packet(packet)
-        else:
-            replication.feed([packet], pump_every=None)
+        self.rts.feed_packet(packet)
 
     def feed(self, packets: Iterable[CapturedPacket], pump_every: int = 256) -> None:
-        """Hand ``packets`` to the RTS -- or, while replication is
-        enabled, to its plane, which keeps the journal tail."""
-        replication = self.rts.planes.get("replication")
-        if replication is None:
-            self.rts.feed(packets, pump_every=pump_every)
-        else:
-            replication.feed(packets, pump_every)
+        self.rts.feed(packets, pump_every=pump_every)
 
     def pump(self) -> int:
         return self.rts.pump()

@@ -136,36 +136,10 @@ class Subscription:
         self.channel = channel
         self.manager = manager
         self.ended = False
-        #: rows drained so far; after a promotion (:meth:`follow`), the
-        #: regenerated rows still to drop and those dropped, and the
-        #: rows drained from the dead primary's channel
-        self.delivered = self.skip = self.suppressed = 0
-        self._held: List[tuple] = []
 
     def poll(self) -> List[tuple]:
         """All data tuples received since the last poll."""
-        rows = self._take()
-        if self.skip:
-            gated = min(self.skip, len(rows))
-            del rows[:gated]
-            self.skip -= gated
-            self.suppressed += gated
-        self.delivered += len(rows)
-        if self._held:
-            rows[:0] = self._held
-            self._held = []
-        return rows
-
-    def follow(self, channel: Channel, manager: "RuntimeSystem",
-               regenerated: int) -> None:
-        """Read a promoted standby's ``channel``: the rows queued here
-        were delivered and are held for the next poll, and the first
-        ``delivered - regenerated`` (its restored ``tuples_out``) rows
-        the standby emits were delivered already and are dropped."""
-        self._held = self.poll()
-        self.channel, self.manager = channel, manager
-        self.skip = self.delivered - regenerated
-        self.ended = False
+        return self._take()
 
     def poll_raw(self) -> List[Any]:
         """Everything, including punctuation and flush tokens."""
@@ -175,7 +149,7 @@ class Subscription:
         """Drain the channel into the application: its data tuples (all
         items if ``raw``), a flush token ending the subscription, each
         traced row's ``app`` span.  Journaled first (``journal_drain``):
-        a recovery rollback takes them again at the same point."""
+        a rollback or a promotion takes them again at the same point."""
         manager = self.manager
         tracer = None
         if manager is not None:
@@ -253,6 +227,9 @@ class RuntimeSystem:
         self.planes: Dict[str, Any] = {}
         #: every application subscription handed out, in order
         self.subscriptions: List[Subscription] = []
+        #: the standby a promotion made serve in this runtime's place
+        #: (DESIGN section 16): a feed under way goes on there
+        self.successor: Optional["RuntimeSystem"] = None
         #: ``(phase rank, hook object)`` attached so far, in firing order
         self._attached: List[Tuple[int, Any]] = []
         #: event -> the bound methods to call, in firing order
@@ -782,7 +759,9 @@ class RuntimeSystem:
         under half the time.  The captured bytes are the block
         kernel's to count, as it reads each packet anyway.  Only an
         ``on_packet`` hook or an attached tracer adds a call per
-        packet.  ``pump_every`` must be a positive integer.
+        packet.  ``pump_every`` must be a positive integer.  A standby
+        promoted at one of its pump boundaries (:attr:`successor`) is
+        handed the rest of ``packets`` there.
         """
         check_positive_int("pump_every", pump_every)
         if not self._started:
@@ -807,6 +786,11 @@ class RuntimeSystem:
                 latest)
 
         while True:
+            if self.successor is not None:
+                # Promoted at the boundary just pumped: the rest of the
+                # input is the standby's, its first pump on this grid.
+                self.successor.feed(source, pump_every)
+                return
             pulled = list(islice(source, min(
                 batch_size - len(pending), pump_every - count % pump_every)))
             if not pulled:
@@ -1084,8 +1068,9 @@ class RuntimeSystem:
 
         A channel a node reads goes back with it; an application's is
         delivery, not computation, and stays out of the frame (the
-        recovery supervisor has it skip what it took).  Plane state is
-        copied in: a fold restores from the same frame again.
+        input journal puts it back and replays the application's
+        takes).  Plane state is copied in: a fold restores from the
+        same frame again.
         """
         for name in _COUNTERS:
             setattr(self, name, state[name])

@@ -4,9 +4,13 @@
   snapshot wire format every stateful operator serializes into.
 * :mod:`repro.recovery.statelog` -- the state log: the one cut, fold and
   apply behind checkpoints, shard respawn and replication frames.
+* :mod:`repro.recovery.journal` -- the one input journal: what an RTS
+  was handed since a cut, the application's takes included, and its
+  replay onto a restored RTS -- a rollback in place, or a promoted
+  standby (:mod:`repro.replication`), exactly-once either way.
 * :mod:`repro.recovery.supervisor` -- crash-consistent periodic
-  checkpoints, one input journal, bounded-retry restart by rolling the
-  whole RTS back and re-feeding the journal, exactly-once delivery.
+  checkpoints, bounded-retry restart by rolling the whole RTS back and
+  replaying the journal.
 
 Enable via :meth:`repro.core.engine.Gigascope.enable_recovery` or the
 CLI's ``--recover`` / ``--checkpoint-interval`` / ``--max-restarts``.

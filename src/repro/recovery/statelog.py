@@ -35,8 +35,11 @@ implementation of each verb: :meth:`~StateLog.cut` (the next frame,
 from a live RTS), :meth:`~StateLog.fold` (validate, then a
 ``dict.update`` -- state is the integral of its deltas, and no node
 blob is decoded to fold it) and :meth:`~StateLog.restore` (apply to a
-live RTS).  The readers -- recovery supervisor, shard parent, warm
-standby -- keep only their journals, barriers, cadence and promotion.
+live RTS).  The readers keep only what is theirs: the recovery
+supervisor its budget and backoff, the shard parent its barriers, the
+replication plane its cadence and failure detection.  The first and
+the last restore the same way, a fold and then one
+:class:`~repro.recovery.journal.Journal` replayed onto the target.
 
 Failure is typed and total: a frame that cannot be fully decoded and
 validated raises one of the :class:`FrameError` subclasses below --

@@ -12,20 +12,17 @@ needs.  The supervisor upgrades that into bounded-retry restart
   live node's state and the RTS's counters, channels and plane state.
 
 * **One journal.**  Between checkpoints the RTS journals its inputs
-  before acting on them: each block as it was cut, each heartbeat a
-  feed or ``advance_time`` sent, each pump cycle and the end of the
-  streams -- nothing a pump derives, which a replayed pump derives again.
+  into a :class:`~repro.recovery.journal.Journal`, the one the
+  replication plane keeps for its standby too; a checkpoint cuts it.
 
 * **Rollback.**  When a node raises, the RTS offers the failure here
   instead of quarantining.  The supervisor restores the whole RTS to
-  the last checkpoint and re-feeds the journal, the operation in
-  progress included; the interrupted caller returns.  State is the
-  integral of the inputs, so the run lands byte-identical to one
-  without the crash (``replay verify``'s crash arms).  The
-  application's takes from its subscriptions are journaled inputs too:
-  the replay takes again and drops what it is handed, as the
-  application has it; a file sink skips the rows already in its file
-  -- exactly-once.
+  the last checkpoint (``StateLog.restore``) and replays the journal
+  onto it, the operation in progress included; the interrupted caller
+  returns.  State is the integral of the inputs, so the run lands
+  byte-identical to one without the crash (``replay verify``'s crash
+  arms).  The application's takes are journaled inputs too, so its
+  rows arrive once; a file sink skips the rows already in its file.
 
 * **Backoff and the budget.**  A node that fails again while the
   journal is re-fed is suspended (marked, skipped by schedulers,
@@ -37,22 +34,12 @@ needs.  The supervisor upgrades that into bounded-retry restart
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, NamedTuple, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.core.channels import check_finite
 from repro.obs.ledger import Field, Ledger
+from repro.recovery.journal import Journal
 from repro.recovery.statelog import FrameError, StateLog
-
-#: journal entries besides a block ``(packets, newest)``, a heartbeat's
-#: stream time and a :class:`_Drain`
-_PUMP, _END = "pump", "end of streams"
-
-
-class _Drain(NamedTuple):
-    """The application took what a subscription's channel held."""
-
-    subscription: Any
-    raw: bool
 
 #: All ``gs_recovery``-prefixed: ``repro.determinism.comparable`` drops
 #: the prefix before diffing two arms that differ in their crash (a
@@ -76,7 +63,8 @@ LEDGER = Ledger("recovery", (
           read=lambda supervisor: len(supervisor.suspended)),
     Field("journal_len", "gs_recovery_journal_len", "gauge",
           "journaled packets and other inputs since the last checkpoint",
-          column="journal_len"),
+          column="journal_len",
+          read=lambda supervisor: supervisor.journal.len),
     Field("retries_exhausted", "gs_recovery_retries_exhausted_total",
           "counter",
           "nodes degraded to permanent quarantine after the retry budget"),
@@ -115,46 +103,17 @@ class RecoverySupervisor:
         self.restarts: Dict[str, int] = {}
         self.restarts_total = self.replayed_items = self.suppressed_rows = 0
         self.retries_exhausted = 0
-        #: the RTS's inputs since the last checkpoint, in order (the
-        #: packets themselves, no copy), and its packets and other
-        #: entries: a count no block size moves
-        self.journal: List[Any] = []
-        self.journal_len = 0
         #: node name -> (node, error, retry_at) while it waits to retry
         self._suspended: Dict[str, Tuple[Any, Exception, float]] = {}
-        #: each channel no node reads (an application's): its ledger at
-        #: the last checkpoint, and the items it held then once the
-        #: application took them
-        self._delivery: Dict[Any, tuple] = {}
-        self._taken: Dict[Any, list] = {}
         #: the last checkpoint predates a change to the query set or a
         #: subscription: nothing is rolled back until the next one
         self._stale = False
         self._replaying = False
         rts.attach_plane(self)
+        #: the RTS's inputs since the last checkpoint
+        self.journal = Journal(rts)
         if rts.started:
             self.checkpoint()
-
-    # -- the journal (appended by the RTS before it acts) ------------------
-    def journal_packets(self, packets, newest: float) -> None:
-        self.journal.append((packets, newest))
-        self.journal_len += len(packets)
-
-    def journal_heartbeat(self, stream_time: float) -> None:
-        self._journal(stream_time)
-
-    def journal_drain(self, subscription, raw: bool) -> None:
-        channel = subscription.channel
-        ledger = self._delivery.get(channel)
-        if ledger is not None and channel.stats.popped == ledger[1]:
-            # the first take since the checkpoint: keep what the
-            # channel held at it for a rollback to put back
-            self._taken[channel] = list(channel)[:ledger[0] - ledger[1]]
-        self._journal(_Drain(subscription, raw))
-
-    def _journal(self, entry) -> None:
-        self.journal.append(entry)
-        self.journal_len += 1
 
     # -- checkpointing ------------------------------------------------------
     def take_checkpoint(self, stream_time: float) -> bool:
@@ -165,16 +124,9 @@ class RecoverySupervisor:
         if frame is None:
             return False
         self.log.fold(frame)
-        reads = {channel for _, node in rts.iter_nodes()
-                 for channel in node.inputs}
-        self._delivery = {channel: channel.ledger()
-                          for channel in rts.channels()
-                          if channel not in reads}
-        self._taken.clear()
+        self.journal.cut(rts)
         self.checkpoints_taken += 1
         self.checkpoint_bytes = sum(map(len, self.checkpoints.values()))
-        self.journal.clear()
-        self.journal_len = 0
         self._stale = False
         return True
 
@@ -195,9 +147,10 @@ class RecoverySupervisor:
 
     # -- scheduler hooks ----------------------------------------------------
     def on_pump_begin(self, stream_time: float) -> None:
+        # before the journal takes the cycle down: a due retry replays
+        # the journal as it stands
         if self._suspended and not self._replaying:
             self.resume_due(stream_time)
-        self._journal(_PUMP)
 
     def on_pump_end(self, stream_time: float) -> None:
         # A suspension defers checkpoints: the suspended node's retry
@@ -216,11 +169,6 @@ class RecoverySupervisor:
         """
         while self._suspended:
             self.resume_due(self.rts.stream_time, force=True)
-
-    def on_stream_end(self, stream_time: float) -> None:
-        # Flushing cannot fail into a rollback (a consumer that fails
-        # while flushing is quarantined), so journaling it last is safe.
-        self._journal(_END)
 
     # -- failure handling ---------------------------------------------------
     def on_failure(self, node, error: Exception) -> bool:
@@ -251,50 +199,20 @@ class RecoverySupervisor:
         return True
 
     def _rollback(self) -> None:
-        """Restore the whole RTS to the last checkpoint and re-feed the
-        journal.
-
-        The application's takes are inputs too: a channel no node reads
-        (a subscription's) goes back to the checkpoint with the RTS, the
-        items it held then put back, and each journaled take drains it
-        again; what that hands over is dropped, as the application has
-        it.  A node quarantined since regenerates nothing, and its
-        channels and their takes stay as they are.
-        """
+        """Restore the whole RTS to the last checkpoint and replay the
+        journal onto it (:meth:`Journal.replay`): the application's
+        channels go back with it and its takes are replayed, dropping
+        what they hand over, as the application has it."""
         rts = self.rts
         self.log.restore(rts)
         for node, _, _ in self._suspended.values():
             node.quarantined = None
         self._suspended.clear()
         rts._replan()
-        rewound = set()
-        for name, node in rts.iter_nodes():
-            for channel in node.subscribers:
-                ledger = self._delivery.get(channel)
-                if ledger is not None and name not in rts.quarantined:
-                    held = self._taken.get(channel)
-                    if held is None:  # untouched since the checkpoint
-                        held = list(channel)[:ledger[0] - ledger[1]]
-                    channel.rewind(ledger, held)
-                    rewound.add(channel)
-        entries, self.journal = self.journal, []
-        self.replayed_items += self.journal_len
-        self.journal_len = 0
+        self.replayed_items += self.journal.len
         self._replaying = True
         try:
-            for entry in entries:
-                if entry is _PUMP:
-                    rts.pump()
-                elif entry is _END:
-                    rts._end_streams()
-                elif type(entry) is _Drain:
-                    if entry.subscription.channel in rewound:
-                        self.suppressed_rows += len(
-                            entry.subscription._take(entry.raw))
-                elif type(entry) is tuple:
-                    rts._feed_batch(*entry)
-                else:
-                    rts._heartbeat(entry)
+            self.suppressed_rows += self.journal.replay(rts)
         finally:
             self._replaying = False
 
@@ -357,5 +275,5 @@ class RecoverySupervisor:
             "suppressed_rows": self.suppressed_rows,
             "retries_exhausted": self.retries_exhausted,
             "suspended": self.suspended,
-            "journal_len": self.journal_len,
+            "journal_len": self.journal.len,
         }

@@ -7,20 +7,19 @@ compilers, so ``set_param`` reaches both -- and kept warm: at a
 quiescent pump boundary on the cadence the plane cuts the next frame
 of its state log (:class:`repro.recovery.statelog.StateLog`) from the
 primary and folds it into the standby's operator state.
-``Gigascope.feed`` hands the plane the packets; it keeps only the
-*journal tail*, those from the last applied frame's ``cursor`` on.
+Applying a frame cuts the primary's input journal
+(:class:`~repro.recovery.journal.Journal`, the recovery supervisor's).
 
 Promotion -- on an injected crash or ``promote_after`` seconds of
-heartbeat silence -- drains every subscription one last time (those
-rows were delivered), moves it onto the standby's channel with a skip
-gate for the rows the standby will regenerate (delivered minus its
-restored ``tuples_out``), quarantines what the primary quarantined,
-makes the standby the engine's ``rts`` and feeds it the journal tail.
-A run is a pure function of (queries, packets, seed), so the promoted
-output is byte-identical to an uninterrupted run: ``replay verify
---scenario failover_agg`` checks it across hash seeds and crash
-points, a torn frame included (refused, so promotion falls back one
-frame).
+heartbeat silence, found at a pump boundary of the primary -- is the
+supervisor's rollback with the standby as target: the subscriptions
+move onto the standby's channels of their names, the journal is
+replayed onto it, and it becomes the engine's ``rts`` (a feed under
+way goes on there).  A run is a pure function of (queries, packets,
+seed), so the promoted run ends where an uninterrupted one does:
+``replay verify --scenario failover_agg`` checks it across hash seeds
+and crash points, a torn frame included (refused, so promotion falls
+back one frame).
 """
 
 from __future__ import annotations
@@ -31,11 +30,10 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional
 
 from repro.core.channels import check_finite
-from repro.core.stream_manager import (RegistryError, RuntimeSystem,
-                                       check_positive_int)
+from repro.core.stream_manager import RegistryError, RuntimeSystem
 from repro.obs.ledger import Field, Ledger
-from repro.recovery.statelog import (FrameError, StateLog, StateLogError,
-                                     append_frame)
+from repro.recovery.journal import Journal
+from repro.recovery.statelog import FrameError, StateLog, append_frame
 
 #: Default virtual-time seconds between delta frames.
 DEFAULT_CADENCE = 1.0
@@ -71,11 +69,12 @@ def resolve_replicate_cadence(value: Optional[Any] = None) -> Optional[float]:
 
 
 def parse_crash_spec(text: str) -> Dict[str, Any]:
-    """Parse a failover crash spec: ``packet:K`` (the primary dies
-    right after packet index K), ``frame:N`` (right after shipping
-    frame N) or ``frame:N:torn`` (frame N is written truncated, then
-    the primary dies: the standby refuses it and promotion falls back
-    to frame N-1)."""
+    """Parse a failover crash spec: ``packet:K`` (the primary dies once
+    it was handed K packets, and is found dead at the next pump
+    boundary), ``frame:N`` (right after shipping frame N) or
+    ``frame:N:torn`` (frame N is written truncated, then the primary
+    dies: the standby refuses it and promotion falls back to frame
+    N-1)."""
     match = _CRASH_SPEC.fullmatch(text)
     if match is None or (match[3] and match[1] != "frame"):
         raise ValueError(f"bad crash spec {text!r}; use packet:K, "
@@ -101,7 +100,8 @@ LEDGER = Ledger("replication", (
           "changed)"),
     Field("skipped_unquiescent", "gs_repl_skipped_unquiescent_total",
           "counter",
-          "frame cuts deferred because a channel held in-flight items"),
+          "frame cuts deferred because a channel held in-flight items",
+          read=lambda plane: plane.deferred_cuts),
     Field("applied_seq", "gs_repl_last_frame_seq", "gauge",
           "sequence number of the latest frame "
           "applied by the standby (-1 before the full epoch)",
@@ -119,9 +119,9 @@ LEDGER = Ledger("replication", (
     Field("promotions", "gs_repl_promotions_total", "counter",
           "standby promotions after a detected primary failure"),
     Field("replayed_packets", "gs_repl_replayed_packets_total", "counter",
-          "journal-tail packets re-fed through the promoted standby"),
+          "journaled packets the promotion replayed onto the standby"),
     Field("suppressed_rows", "gs_repl_suppressed_rows_total", "counter",
-          "already-delivered rows dropped by the promotion skip gates "
+          "already-delivered rows the promotion's replayed takes dropped "
           "(exactly-once output)"),
 ))
 
@@ -199,16 +199,13 @@ class ReplicationPlane:
         self.bytes_total = self.nodes_shipped = 0
         #: cuts deferred because a channel held in-flight items, and
         #: frames the log file refused (both cut at the next boundary)
-        self.skipped_unquiescent = self.deliver_errors = 0
+        self.deferred_cuts = self.deliver_errors = 0
         self.last_deliver_error: Optional[str] = None
-        #: the journal tail, from packet ``_base`` (the last applied
-        #: frame's cursor; after a promotion, the next to feed) on, and
-        #: the packets handed to the serving runtime
-        self.tail: List[Any] = []
-        self._base = self._fed = 0
+        #: the primary's inputs since the last applied frame
+        self.journal = Journal(primary)
         self.failure_reason: Optional[str] = None
-        self._pending_failure: Optional[str] = None
         self.promotions = self.replayed_packets = self.rpo_packets = 0
+        self.suppressed_rows = 0
         #: the promotion's wall time, and the virtual-time window it
         #: rolled back (crash time minus the last applied frame's time)
         self.promote_wall_s = self.rpo_virtual_s = 0.0
@@ -240,18 +237,34 @@ class ReplicationPlane:
         primary = self.primary
         if not self.promoted and not math.isinf(primary.stream_time):
             primary.pump()
-            self.ship(primary.stream_time)
+            if not self.promoted:
+                self.ship(primary.stream_time)
 
     # -- the replication stream ---------------------------------------------
     def on_pump_end(self, stream_time: float) -> None:
-        """Maybe ship a frame at this pump boundary of the primary."""
+        """At a pump boundary of the primary: promote the standby if the
+        primary died, else maybe ship a frame, then listen for its
+        heartbeats."""
+        if self.promoted:
+            return  # the standby serves, and cuts nothing
+        rts, crash = self.primary, self._crash or {}
+        if (crash.get("kind") == "packet"
+                and rts.packets_fed + rts.fault_dropped >= crash["at"]):
+            self._promote(f"crash injected at packet {crash['at']}")
+            return
         # The first pump with a real stream clock opens the epoch; the
-        # cadence then runs from the last applied frame.  A dead
-        # primary (or, after a promotion, the standby) cuts nothing.
-        if (not self.promoted and self._pending_failure is None
-                and not math.isinf(stream_time)
+        # cadence then runs from the last applied frame.
+        if (not math.isinf(stream_time)
                 and stream_time >= self.log.time + self.cadence):
             self.ship(stream_time)
+        last = rts.last_heartbeat
+        if (not self.promoted and self.promote_after is not None
+                and rts.heartbeat_interval is not None
+                and math.isfinite(stream_time) and math.isfinite(last)
+                and stream_time - last
+                > rts.heartbeat_interval + self.promote_after):
+            self._promote(f"heartbeat silence: no heartbeat since "
+                          f"t={last:.3f} at t={stream_time:.3f}")
 
     def ship(self, stream_time: float) -> None:
         """Cut the primary's next frame now, at a pump boundary, write
@@ -271,7 +284,7 @@ class ReplicationPlane:
         if frame is None:
             # The next boundary will be quiescent (the pump drains to a
             # fixpoint unless a node was suspended mid-drain).
-            self.skipped_unquiescent += 1
+            self.deferred_cuts += 1
             return
         seq = self.log.seq + 1
         crash = self._crash or {}
@@ -296,10 +309,10 @@ class ReplicationPlane:
         else:
             self.nodes_shipped += len(applied["nodes"])
             self.bytes_total += len(frame)
+            self.journal.cut(primary)
         if crashes:
-            self._pending_failure = (
-                f"crash injected after frame {seq}"
-                + (" (torn mid-write)" if crash["torn"] else ""))
+            self._promote(f"crash injected after frame {seq}"
+                          + (" (torn mid-write)" if crash["torn"] else ""))
 
     @property
     def frames(self) -> Dict[str, int]:
@@ -308,105 +321,51 @@ class ReplicationPlane:
         return {"full": min(self.log.seq + 1, 1),
                 "delta": max(self.log.seq, 0)}
 
-    # -- feeding and failure detection ---------------------------------------
-    def feed(self, packets, pump_every: Optional[int]) -> None:
-        """Feed the serving runtime, keeping the journal tail and
-        promoting the standby on a failure.  ``pump_every`` None feeds
-        packet by packet without a pump, as ``feed_packet`` does."""
-        if pump_every is not None:
-            check_positive_int("pump_every", pump_every)
-        grid = pump_every or 1
-        tail = self.tail
-        tail.extend(packets)
-        total = self._base + len(tail)
-        crash = self._crash or {}
-        while self._fed < total:
-            # Slices end on the canonical pump_every grid so batch
-            # blocks and pump boundaries land on the same packets as
-            # one uninterrupted feed would put them.
-            end = min((self._fed // grid + 1) * grid, total)
-            if (crash.get("kind") == "packet" and not self.promoted
-                    and self._fed <= crash["at"] < end):
-                self._feed_to(crash["at"], pump_every)
-                self._promote(f"crash injected at packet {crash['at']}")
-                continue
-            self._feed_to(end, pump_every)
-            if not self.promoted:
-                if self._pending_failure is not None:
-                    self._promote(self._pending_failure)
-                elif self._silence_detected():
-                    self._promote(
-                        f"heartbeat silence: no heartbeat since "
-                        f"t={self.primary.last_heartbeat:.3f} at "
-                        f"t={self.primary.stream_time:.3f}")
-            # Nothing below the standby's replay point is needed again.
-            keep = self._fed if self.promoted else self.log.cursor
-            if keep > self._base:
-                del tail[:keep - self._base]
-                self._base = keep
-
-    def _feed_to(self, end: int, pump_every: Optional[int]) -> None:
-        if end > self._fed:
-            packets = self.tail[self._fed - self._base:end - self._base]
-            rts = self.gs.rts
-            if pump_every is None:
-                for packet in packets:
-                    rts.feed_packet(packet)
-            else:
-                # The slice ends on the pump grid (or where the packets
-                # handed in end), so the pump ``rts.feed`` ends with is
-                # that boundary's; a ``pump_every`` past the slice keeps
-                # it from pumping a second time there.
-                rts.feed(packets, pump_every=len(packets) + 1)
-            self._fed = end
-
-    def _silence_detected(self) -> bool:
-        rts = self.primary
-        if self.promote_after is None or rts.heartbeat_interval is None:
-            return False
-        now, last = rts.stream_time, rts.last_heartbeat
-        return (math.isfinite(now) and math.isfinite(last) and now - last
-                > rts.heartbeat_interval + self.promote_after)
-
     # -- promotion -----------------------------------------------------------
     def _promote(self, reason: str) -> None:
+        """Roll the dead primary's run forward onto the standby: move
+        the subscriptions, replay the journal, serve from the standby."""
         began = perf_counter()
-        self.failure_reason = reason
+        self.failure_reason, self.promoted = reason, True
         primary, standby = self.primary, self.standby
         self.rpo_virtual_s = self.standby_lag_s or 0.0
-        cursor = self.log.cursor
-        self.rpo_packets = self.replayed_packets = self._fed - cursor
-        for sub in primary.subscriptions:
-            if sub.name not in standby.names():
-                continue  # its query was removed
-            node = standby.node(sub.name)
-            sub.follow(standby.open_channel(sub.name, "app",
-                                            sub.channel.capacity),
-                       standby, node.stats.tuples_out)
-            if sub.skip < 0:
-                raise StateLogError(
-                    f"subscription {sub.name!r}: standby ahead of delivery "
-                    f"({node.stats.tuples_out} regenerated vs "
-                    f"{sub.delivered} delivered)")
-            standby.subscriptions.append(sub)
+        crash = self._crash or {}
+        died = (crash["at"] if crash.get("kind") == "packet"
+                else primary.packets_fed + primary.fault_dropped)
+        self.rpo_packets = died - self.log.cursor
         # A node the primary quarantined stays quarantined, for the
         # primary's reason: the fold left it out, or holds the state it
-        # had before it failed.  Its FLUSH ends the subscriptions just
-        # moved onto it, which were handed every row it emitted.
+        # had before it failed.
         for name, error in primary.quarantined.items():
             if name in standby.names():
                 standby._quarantine(standby.node(name), error)
+        # Each subscription reads the standby's channel of its name.  A
+        # quarantined producer regenerates nothing, so its channel is
+        # the one the application held, as it stands.
+        standby._channel_names.update(primary._channel_names)
+        for sub in primary.subscriptions:
+            if sub.name not in standby.names():
+                continue  # its query was removed
+            held = sub.channel
+            channel = standby.node(sub.name).subscribe(
+                capacity=held.capacity, name=held.name)
+            if sub.name in standby.quarantined:
+                channel.rewind(held.ledger(), held)
+            sub.channel, sub.manager = channel, standby
+            standby.subscriptions.append(sub)
         # Every injector stays in the drop ledger, and those on the
-        # packet path go on dropping or skewing the packets the standby
-        # is fed, the tail first; its dropped ones are the cursor's rest.
+        # packet path go on dropping or skewing what the standby is
+        # fed; the journal holds the packets they let through.
         standby.faults = list(primary.faults)
         for fault in primary.faults:
             if hasattr(fault, "on_packet"):
                 fault.rts = standby
                 standby.attach_plane(fault)
-        standby.fault_dropped = cursor - standby.packets_fed
+        standby.fault_dropped = primary.fault_dropped
         standby.start()
-        self.gs.rts, self.promoted, self._fed = standby, True, cursor
+        self.replayed_packets = self.journal.packets
+        self.suppressed_rows = self.journal.replay(standby)
+        self.gs.rts = primary.successor = standby
         self.promotions += 1
         self.promote_wall_s = perf_counter() - began
 
@@ -418,10 +377,6 @@ class ReplicationPlane:
             self._log_file = None
 
     # -- reporting -----------------------------------------------------------
-    @property
-    def suppressed_rows(self) -> int:
-        return sum(sub.suppressed for sub in self.standby.subscriptions)
-
     @property
     def standby_lag_s(self) -> Optional[float]:
         """Primary stream time minus the latest applied frame's time
@@ -436,7 +391,7 @@ class ReplicationPlane:
             "frames_delta": frames["delta"],
             "bytes_total": self.bytes_total,
             "nodes_shipped": self.nodes_shipped,
-            "skipped_unquiescent": self.skipped_unquiescent,
+            "skipped_unquiescent": self.deferred_cuts,
             "deliver_errors": self.deliver_errors,
             "last_deliver_error": self.last_deliver_error,
             "last_frame_time": log.time,

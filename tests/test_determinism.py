@@ -385,13 +385,31 @@ class TestComparable:
                         crashed, _snapshot(families=[("gs_batch_size", 2)]))
         assert diffs and "$.metrics" in diffs[0]
 
-    def test_topology_compares_rows_and_nothing_else(self):
-        sharded = Arm(hash_seed="1", topology="shards:4")
+    @pytest.mark.parametrize("topology", ["shards:4", "standby:0.5"])
+    def test_topology_excuses_its_structural_families_only(self, topology):
+        """A standby renames nothing, so its arms compare everything but
+        the ``gs_repl*`` families; a sharded scenario, whose node names
+        differ, snapshots its rows alone (``_rows``)."""
+        other = Arm(hash_seed="1", topology=topology)
+        assert compare(self.H1, _snapshot(),
+                       other, _snapshot(families=[("gs_repl_bytes_total", 9),
+                                                  ("gs_shard_rows_total", 9)])
+                       ) == []
         assert compare(self.H1, _snapshot(stats=3),
-                       sharded, _snapshot(stats=99)) == []
-        assert compare(self.H1, _snapshot(), sharded,
+                       other, _snapshot(stats=99)) == [
+            "$.stats.q.tuples_in: 3 != 99"]
+        assert compare(self.H1, _snapshot(), other,
                        _snapshot(rows=("(1, 3)",))) == [
             "$.rows.q[0]: '(1, 2)' != '(1, 3)'"]
+
+    def test_a_standby_crash_excuses_replication_instrumentation(self):
+        crashed = Arm(hash_seed="1", topology="standby:0.5", crash="frame:2")
+        promoted = _snapshot(families=[("gs_repl_promotions_total", 1)],
+                             failover={"promoted": True})
+        assert compare(self.H1, _snapshot(), crashed, promoted) == []
+        promoted["stats"]["q"]["tuples_in"] = 4
+        assert compare(self.H1, _snapshot(), crashed, promoted) == [
+            "$.stats.q.tuples_in: 3 != 4"]
 
     def test_promotion_must_equal_standby_and_crash(self):
         clean = Arm(hash_seed="1", topology="standby:0.5")

@@ -167,7 +167,7 @@ class TestStreams:
                           supervisor.restarts_total,
                           supervisor.replayed_items,
                           supervisor.suppressed_rows,
-                          len(supervisor.suspended), supervisor.journal_len)
+                          len(supervisor.suspended), supervisor.journal.len)
         controller, _ = live["shed"]
         assert row(SHED, controller, 9.0, packets_shed=7, shed_delta=3,
                    channel_dropped=2)[2:5] == (7, 3, 2)

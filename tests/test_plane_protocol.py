@@ -229,11 +229,9 @@ class TestFaultHooks:
         assert Counting.seen == gs.rts.admitted == 64
 
 
-def test_every_event_has_an_implementer():
-    """Each name in ``EVENTS`` is a method of some plane (a class with a
-    ``ledger``) or hook object (one stating its ``phase``) under
-    ``src/``: a mechanism removed without its event would leave a dead
-    lookup on the hot path."""
+def implementers():
+    """Event -> the planes (classes with a ``ledger``) and hook objects
+    (classes stating a ``phase``) under ``src/`` that implement it."""
     import importlib
     import inspect
     import pkgutil
@@ -241,12 +239,31 @@ def test_every_event_has_an_implementer():
     import repro
     from repro.core.stream_manager import EVENTS
 
-    hooked = set()
+    found = {event: set() for event in EVENTS}
     for module in pkgutil.walk_packages(repro.__path__, "repro."):
         for _, cls in inspect.getmembers(importlib.import_module(module.name),
                                          inspect.isclass):
             if cls.__module__ == module.name and (
                     hasattr(cls, "ledger") or hasattr(cls, "phase")):
-                hooked.update(event for event in EVENTS
-                              if callable(getattr(cls, event, None)))
-    assert [event for event in EVENTS if event not in hooked] == []
+                for event in EVENTS:
+                    if callable(getattr(cls, event, None)):
+                        found[event].add(cls.__qualname__)
+    return found
+
+
+def test_every_event_has_an_implementer():
+    """Each name in ``EVENTS`` is a method of some plane or hook object
+    under ``src/``: a mechanism removed without its event would leave a
+    dead lookup on the hot path."""
+    assert [event for event, classes in implementers().items()
+            if not classes] == []
+
+
+def test_one_journal_serves_recovery_and_replication():
+    """The recovery supervisor and the replication plane each kept a
+    journal of their own; each ``journal_*`` event now has one
+    implementer, the journal both own."""
+    journaled = {event: classes for event, classes in implementers().items()
+                 if event.startswith("journal_")}
+    assert journaled and all(classes == {"Journal"}
+                             for classes in journaled.values()), journaled

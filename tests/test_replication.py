@@ -30,7 +30,7 @@ import pytest
 
 from repro.core.engine import Gigascope
 from repro.core.stream_manager import RegistryError, _plane_name
-from repro.determinism import _FLOWS, _zipf, derive_seed
+from repro.determinism import _FLOWS, _zipf, derive_seed, snapshot_engine
 from repro.recovery.statelog import (
     REPLICATION_VERSION,
     FrameCorruptError,
@@ -407,7 +407,65 @@ class TestCorruptionCorpus:
 # Identity and failover
 # ---------------------------------------------------------------------------
 
+WEB_QUERY = """
+    DEFINE query_name web;
+    Select time, srcIP, destPort From tcp Where destPort = 80
+"""
+
+
+def full_run(replicate, crash=None, between=False):
+    """``_FLOWS`` and ``web`` over 600 and then 3 400 packets, off the
+    ``pump_every`` grid, with metrics; ``between`` polls both
+    subscriptions and declares 0.2 s of quiet between the two feeds,
+    after the epoch and before the next frame.  Returns the snapshot
+    but the ``gs_repl*`` families, the rows polled along the way
+    included, and the plane."""
+    gs = Gigascope(seed=7, heartbeat_interval=0.5, lfta_table_size=64)
+    plane = (gs.enable_replication(cadence=0.5, crash=crash)
+             if replicate else None)
+    gs.add_query(_FLOWS)
+    gs.add_query(WEB_QUERY)
+    subs = {name: gs.subscribe(name) for name in ("flows", "web")}
+    gs.start()
+    packets = _zipf(7)
+    gs.feed(packets[:600], pump_every=128)
+    early = {name: [] for name in subs}
+    if between:
+        early = {name: sub.poll() for name, sub in subs.items()}
+        gs.advance_time(gs.rts.stream_time + 0.2)
+    gs.feed(packets[600:], pump_every=128)
+    gs.flush()
+    snapshot = snapshot_engine(gs, subs)
+    for name, rows in early.items():
+        snapshot["rows"][name][:0] = map(repr, rows)
+    snapshot["metrics"]["metrics"] = [
+        family for family in snapshot["metrics"]["metrics"]
+        if not family["name"].startswith("gs_repl")]
+    return snapshot, plane
+
+
 class TestReplicationIdentity:
+    def test_replicated_equals_plain(self):
+        """Replication with no crash used to change the primary's
+        schedule: its feed loop cut blocks on a grid of its own, and
+        ``gs_batch_blocks_fed_total`` read 37 against a plain run's 36."""
+        replicated_run, plane = full_run(True)
+        plain, _ = full_run(False)
+        assert not plane.promoted and plane.log.seq >= 2
+        assert replicated_run == plain
+        assert plain["stats"] and plain["metrics"]["metrics"]
+
+    @pytest.mark.parametrize("crash", ["packet:700", "frame:2",
+                                       "frame:2:torn"])
+    def test_a_promotion_ends_where_the_uninterrupted_run_does(self, crash):
+        """The whole snapshot -- rows, drop ledger, stats and every
+        metric family but ``gs_repl*`` -- not the rows alone.  The skip
+        gate left ``web->app``'s ``max_depth`` at 451, 214 and 333
+        against the uninterrupted run's 396."""
+        promoted, plane = full_run(True, crash=crash, between=True)
+        assert plane.promoted
+        assert promoted == full_run(False, between=True)[0]
+
     def test_steady_state_is_invisible(self):
         packets = zipf_packets()
         rows, plane = run_replicated(packets, cadence=0.5)
@@ -429,7 +487,10 @@ class TestReplicationIdentity:
         report = plane.report()
         assert report["promoted"] is True
         assert report["promotions"] == 1
-        assert report["rpo_packets"] == report["replayed_packets"]
+        # The primary dies after packet K and is found dead at the next
+        # pump boundary: the journal replayed runs up to it.
+        assert (0 <= report["rpo_packets"] <= report["replayed_packets"]
+                <= report["rpo_packets"] + 128)
         assert report["promote_wall_s"] >= 0.0
 
     def test_torn_frame_falls_back_one_frame(self):
@@ -463,6 +524,11 @@ class TestReplicationIdentity:
         assert first.poll() == clean
         assert second.poll() == clean
         assert first.ended and second.ended
+        # the promoted standby goes on naming channels where the
+        # primary stopped
+        third = gs.subscribe("flows")
+        assert len({sub.channel.name
+                    for sub in (first, second, third)}) == 3
 
     def test_heartbeat_silence_promotes(self):
         packets = zipf_packets()
@@ -573,18 +639,26 @@ class TestThePlane:
             ReplicationPlane(gs, cadence=bad)
         assert gs.planes == {}
 
-    def test_the_journal_tail_holds_only_what_a_promotion_replays(self):
-        """At most the packets fed since the last applied frame are
-        kept: before the plane, the pair kept every packet it was fed."""
-        gs, plane = replicated(cadence=0.5)
+    @pytest.mark.parametrize("crash", [None, "packet:2600"])
+    def test_the_journal_holds_only_what_a_promotion_replays(self, crash):
+        """The plane's journal is the supervisor's: the packets fed
+        since the last applied frame and nothing older, and after a
+        promotion nothing at all -- the standby journals nothing."""
+        gs, plane = replicated(cadence=0.5, crash=crash)
         gs.add_query(FLOWS_QUERY)
         gs.start()
         packets = zipf_packets(count=5000)
         for start in range(0, len(packets), 250):
             gs.feed(packets[start:start + 250], pump_every=128)
-            assert len(plane.tail) <= start + 250 - plane.log.cursor
-        assert plane.log.seq >= 19  # 20 frames applied
-        assert len(plane.tail) < 250
+            journal = plane.journal
+            assert journal.packets == (
+                0 if plane.promoted
+                else plane.primary.packets_fed - plane.log.cursor)
+            assert journal.packets < 250 + 128
+        assert plane.log.seq >= (9 if crash else 19)
+        assert plane.promoted is (crash is not None)
+        if crash:
+            assert plane.journal.entries == []
 
     def run_big(self, packets, replicate, crash=None):
         """``big`` with ``$least`` raised after 500 packets, between
@@ -702,13 +776,17 @@ class TestThePlane:
         report = plane.report()
         assert report["promoted"] is (crash is not None)
         if crash:
+            # found dead at the flush's pump, the first boundary: every
+            # packet since the epoch is replayed
             assert report["failure_reason"] == "crash injected at packet 40"
-            assert report["replayed_packets"] == 40
+            assert (report["rpo_packets"], report["replayed_packets"]) == (
+                40, 100)
             assert report["apply_errors"] == 0
 
     def test_feed_pumps_once_per_boundary(self):
         """A replicated ``feed`` used to pump twice per ``pump_every``
-        slice, and cadence 0 cut a frame at each of the two."""
+        slice, and cadence 0 cut a frame at each of the two; then once
+        per slice, one pump fewer than a plain feed."""
         packets = zipf_packets(count=1280)
 
         def run(replicate):
@@ -727,8 +805,9 @@ class TestThePlane:
 
         clean, (plain_pumps, _) = run(False)
         rows, (pumps, frames) = run(True)
-        # Ten boundaries; a plain feed pumps once more as it returns.
-        assert (plain_pumps, pumps, frames) == (11, 10, 10)
+        # Ten boundaries, and one more pump as the feed returns; cadence
+        # 0 ships a frame at each.
+        assert (plain_pumps, pumps, frames) == (11, 11, 11)
         assert rows == clean
 
     def test_replication_is_listed_and_imported_lazily(self):
@@ -782,6 +861,8 @@ class TestQuarantine:
         assert report["apply_errors"] == 0
         assert gs.rts.quarantined == plain.rts.quarantined
         assert gs.rts.nodes_quarantined == 1
+        # the FLUSH the quarantine pushed reached the application
+        assert [sub.ended for sub in gs.rts.subscriptions] == [True]
         # Frames cut after the quarantine leave the node out, as
         # checkpoints do.
         if at_tuple == 1 or plane.log.seq >= 1:
