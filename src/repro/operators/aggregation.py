@@ -28,7 +28,7 @@ from repro.core.query_node import QueryNode
 from repro.gsql.codegen import ExprCompiler
 from repro.gsql.planner import HftaPlan
 from repro.gsql.semantic import AnalyzedQuery, KeyRef
-from repro.operators.aggregates import column_values, partial_layout, state_list
+from repro.operators.aggregates import partial_layout
 from repro.operators.base import key_bound_fn
 
 
@@ -58,13 +58,12 @@ class AggregationNode(QueryNode):
         self._compiler = compiler
         self._window_index = plan.window_key_index
         self._window_band = plan.window_key_band
-        self._layout = partial_layout(plan.aggregates)
         #: key -> row of the open group; rows are 0 .. len - 1 in
         #: insertion order (``_compact`` keeps them so)
         self._groups: Dict[tuple, int] = {}
         #: one list per partial slot, indexed by row
         self._columns: Tuple[list, ...] = tuple(
-            [] for _ in range(sum(self._layout)))
+            [] for _ in range(sum(partial_layout(plan.aggregates))))
         self._high_water = None
         if self.from_partials:
             identity = (
@@ -168,7 +167,7 @@ class AggregationNode(QueryNode):
     # -- checkpoint/restore (DESIGN section 11) ----------------------------
     def snapshot_state(self) -> dict:
         state = super().snapshot_state()
-        state["groups"] = self._snapshot_groups()
+        state["keys"], state["columns"] = self._snapshot_groups()
         state["high_water"] = self._high_water
         state["groups_emitted"] = self.groups_emitted
         state["sample_rng"] = (self._sample_rng.getstate()
@@ -177,26 +176,24 @@ class AggregationNode(QueryNode):
 
     def restore_state(self, state: dict) -> None:
         super().restore_state(state)
-        self._restore_groups(state["groups"])
+        self._restore_groups(state["keys"], state["columns"])
         self._high_water = state["high_water"]
         self.groups_emitted = state["groups_emitted"]
         if self._sample_rng is not None and state["sample_rng"] is not None:
             self._sample_rng.setstate(state["sample_rng"])
 
-    def _snapshot_groups(self) -> dict:
-        """The open groups as ``{key: state list}`` in insertion order,
-        the shape of the generic aggregate loops' states."""
-        columns = self._columns
-        layout = self._layout
-        return {key: state_list([column[row] for column in columns], layout)
-                for key, row in self._groups.items()}
+    def _snapshot_groups(self) -> Tuple[list, list]:
+        """The open groups' keys in group order, and per column their
+        values read through their rows: a close that raised may have
+        left closed groups' rows behind."""
+        rows = list(self._groups.values())
+        return list(self._groups), [[column[row] for row in rows]
+                                    for column in self._columns]
 
-    def _restore_groups(self, groups: dict) -> None:
-        self._groups = dict(zip(groups, range(len(groups))))
-        rows = [column_values(state, self._layout)
-                for state in groups.values()]
-        for slot, column in enumerate(self._columns):
-            column[:] = [row[slot] for row in rows]
+    def _restore_groups(self, keys: list, columns: list) -> None:
+        self._groups = dict(zip(keys, range(len(keys))))
+        for column, values in zip(self._columns, columns, strict=True):
+            column[:] = values
 
     def flush(self) -> None:
         """Emit every remaining group (explicit flush / end of stream)."""

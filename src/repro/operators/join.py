@@ -288,12 +288,6 @@ class JoinNode(QueryNode):
     def snapshot_state(self) -> dict:
         state = super().snapshot_state()
         state["buffers"] = [list(self._buffers[0]), list(self._buffers[1])]
-        # a monotone side's ordered values, as the wire format has them
-        state["values"] = [
-            [row[slot] for row in buffer] if band == 0 else []
-            for buffer, slot, band in zip(
-                self._buffers, (self._left_slot, self._right_slot),
-                self._bands)]
         state["low_water"] = list(self._low_water)
         state["done"] = list(self._done)
         state["last_bounds"] = dict(self._last_bounds)

@@ -18,7 +18,9 @@ plus ``width`` plain values and costs the collector nothing per group:
 ``size * (1 + width)`` array entries, allocated once.  An ejection
 reads ``key + partials`` out of the columns and the new group
 overwrites the slot in place.  Without a ``layout`` the table has one
-column holding an opaque state object per slot.
+column holding an opaque state object per slot.  A snapshot is the
+table as it is held, less its empty slots: the occupied slot indices
+and, per array, the values at those slots (DESIGN section 11).
 
 Two ways in.  The per-key methods (:meth:`DirectMappedTable.upsert`
 and friends) are the table's definition and what its unit tests and
@@ -42,7 +44,6 @@ from typing import (Any, Callable, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
 from repro.determinism import stable_hash
-from repro.operators.aggregates import column_values, state_list
 
 
 class DirectMappedTable:
@@ -201,23 +202,21 @@ class DirectMappedTable:
     def snapshot_state(self) -> dict:
         """Table contents and accounting as snapshot primitives.
 
-        Slots are stored sparsely (``{index: (key, state)}``): the
-        table is direct-mapped and mostly empty, and replication
-        re-encodes it every delta frame, so empty slots must cost
-        nothing on the wire.  A columnar table renders each state as
-        the state list of the generic aggregate loops
-        (:func:`~repro.operators.aggregates.state_list`), the shape
-        snapshots have always had.  The caller encodes the result
-        immediately (an opaque state aliases the live object until
-        then).
+        The occupied slots' indices (``slots``), and per array -- the
+        keys and each column -- the values at those slots in slot
+        order: the table as it is held, without its empty slots, which
+        replication would otherwise re-encode every delta frame.  The
+        caller encodes the result immediately (an opaque state aliases
+        the live object until then).
         """
-        render = self._state if self.layout is None else (
-            lambda index: state_list(self._state(index), self.layout))
+        keys = self.keys
+        slots = [index for index, key in enumerate(keys) if key is not None]
         return {
             "size": self.size,
-            "slots": {index: (key, render(index))
-                      for index, key in enumerate(self.keys)
-                      if key is not None},
+            "slots": slots,
+            "keys": [keys[index] for index in slots],
+            "columns": [[column[index] for index in slots]
+                        for column in self.columns],
             "occupied": self.occupied,
             "collisions": self.collisions,
             "lookups": self.lookups,
@@ -228,12 +227,13 @@ class DirectMappedTable:
             raise ValueError(
                 f"snapshot is for a table of size {state['size']}, "
                 f"this table has size {self.size}")
-        self.keys[:] = [None] * self.size
-        for column in self.columns:
-            column[:] = [None] * self.size
-        for index, (key, slot_state) in state["slots"].items():
-            self._put(index, key, slot_state if self.layout is None
-                      else column_values(slot_state, self.layout))
+        slots = state["slots"]
+        for array, values in zip((self.keys,) + self.columns,
+                                 [state["keys"]] + state["columns"],
+                                 strict=True):
+            array[:] = [None] * self.size
+            for index, value in zip(slots, values, strict=True):
+                array[index] = value
         self.occupied = state["occupied"]
         self.collisions = state["collisions"]
         self.lookups = state["lookups"]

@@ -1,6 +1,6 @@
 """Checkpoint/restore and supervised node recovery (DESIGN section 11).
 
-* :mod:`repro.recovery.wire` -- the versioned, ``stable_hash``-checksummed
+* :mod:`repro.recovery.wire` -- the versioned, crc32-checksummed
   snapshot wire format every stateful operator serializes into.
 * :mod:`repro.recovery.statelog` -- the state log: the one cut, fold and
   apply behind checkpoints, shard respawn and replication frames.

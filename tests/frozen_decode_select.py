@@ -20,7 +20,10 @@ at 28f7b08: a ``[count, sum]`` list per group, in a ``(key, state)``
 entry per table slot (:class:`FrozenTable`) and in the HFTA's group
 dict, rendered by the aggregate source of that commit
 (``FrozenCompiler._list_aggregate_source``) -- the reference the
-engine's columns are held to.  Nothing under ``src/`` imports this.
+engine's columns are held to.  Snapshots render it as the engine's are
+held, one column per partial slot (:func:`state_columns`), so the
+twins' encoded snapshots equal the engine's byte for byte.  Nothing
+under ``src/`` imports this.
 """
 
 from itertools import compress
@@ -55,15 +58,39 @@ class Block:
 
 # -- the table of (key, state) entries ---------------------------------------------
 
+def state_columns(states, ops):
+    """Group state lists as a snapshot holds the engine's groups: one
+    column per partial slot (``ops.partials``: AVG's pair takes two)."""
+    columns = [[] for _ in range(ops.partial_width)]
+    for state in states:
+        for column, value in zip(columns, ops.partials(state), strict=True):
+            column.append(value)
+    return columns
+
+
+def column_states(columns, ops, count):
+    """:func:`state_columns` undone: ``count`` state lists."""
+    states = []
+    for values in (zip(*columns, strict=True) if columns else [()] * count):
+        state, cursor = [], 0
+        for width in ops.layout:
+            state.append(values[cursor] if width == 1
+                         else list(values[cursor:cursor + width]))
+            cursor += width
+        states.append(state)
+    return states
+
+
 class FrozenTable:
     """``DirectMappedTable`` as it stood at 28f7b08, for what the frozen
     kernels and ``LftaNode``'s window close use of it: a slot array of
     ``(key, state)`` entries, placed by the engine's placement function
     for the plan (``hash_key``, the ``DirectMappedTable``'s own)."""
 
-    def __init__(self, size, hash_key):
+    def __init__(self, size, hash_key, ops):
         self.size = size
         self._hash = hash_key
+        self._ops = ops
         self._slots = [None] * size
         self.occupied = 0
         self.collisions = 0
@@ -90,11 +117,15 @@ class FrozenTable:
         return evicted
 
     def snapshot_state(self):
+        slots = [index for index, entry in enumerate(self._slots)
+                 if entry is not None]
+        entries = [self._slots[index] for index in slots]
         return {
             "size": self.size,
-            "slots": {index: entry
-                      for index, entry in enumerate(self._slots)
-                      if entry is not None},
+            "slots": slots,
+            "keys": [key for key, _ in entries],
+            "columns": state_columns([state for _, state in entries],
+                                     self._ops),
             "occupied": self.occupied,
             "collisions": self.collisions,
             "lookups": self.lookups,
@@ -102,8 +133,11 @@ class FrozenTable:
 
     def restore_state(self, state):
         self._slots = [None] * self.size
-        for index, entry in state["slots"].items():
-            self._slots[index] = entry
+        states = column_states(state["columns"], self._ops,
+                               len(state["keys"]))
+        for index, key, slot_state in zip(state["slots"], state["keys"],
+                                          states, strict=True):
+            self._slots[index] = (key, slot_state)
         self.occupied = state["occupied"]
         self.collisions = state["collisions"]
         self.lookups = state["lookups"]
@@ -547,9 +581,9 @@ class FrozenLfta(LftaNode):
                     len(self.protocol.attributes), (None, None))
             self._aggregate = compiler.lfta_aggregate_fn(
                 plan.aggregates, (None, None), plan.window_key_index >= 0)
-            self.table = FrozenTable(self.table.size, self.table._hash)
-            self._partials = AggregateOps(
-                plan.aggregates, [None] * len(plan.aggregates)).partials
+            ops = AggregateOps(plan.aggregates, [None] * len(plan.aggregates))
+            self.table = FrozenTable(self.table.size, self.table._hash, ops)
+            self._partials = ops.partials
 
     def _emit_groups(self, groups):
         partials = self._partials
@@ -627,12 +661,16 @@ class FrozenAggregation(AggregationNode):
             plan.aggregates, None if self.from_partials else slot_maps,
             plan.window_key_index >= 0, key_width,
             filtered=bool(plan.predicates))
+        self._ops = AggregateOps(plan.aggregates,
+                                 [None] * len(plan.aggregates))
 
     def _snapshot_groups(self):
-        return dict(self._groups)
+        return list(self._groups), state_columns(self._groups.values(),
+                                                 self._ops)
 
-    def _restore_groups(self, groups):
-        self._groups = dict(groups)
+    def _restore_groups(self, keys, columns):
+        self._groups = dict(zip(
+            keys, column_states(columns, self._ops, len(keys)), strict=True))
 
     def on_tuple_batch(self, rows, input_index: int) -> None:
         if self._sample_rate is not None:
@@ -649,4 +687,5 @@ class FrozenAggregation(AggregationNode):
 
 
 __all__ = ["Block", "FrozenAggregation", "FrozenCompiler", "FrozenLfta",
-           "FrozenTable", "open_block", "stable_slots"]
+           "FrozenTable", "column_states", "open_block", "stable_slots",
+           "state_columns"]

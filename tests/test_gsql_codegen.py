@@ -9,8 +9,9 @@ from repro.gsql.parser import parse_query
 from repro.gsql.planner import plan_query
 from repro.gsql.schema import builtin_registry
 from repro.gsql.semantic import analyze
-from repro.operators.aggregates import partial_layout
+from repro.operators.aggregates import AggregateOps
 from repro.operators.aggregation import AggregationNode
+from tests.frozen_decode_select import state_columns
 from tests.reference.evaluator import ReferenceEvaluator
 
 
@@ -171,9 +172,10 @@ class _Closing:
     _compact = AggregationNode._compact
 
     def __init__(self, groups, aggregates):
-        self._layout = partial_layout(aggregates)
-        self._columns = tuple([] for _ in range(sum(self._layout)))
-        self._restore_groups(groups)
+        ops = AggregateOps(aggregates, [None] * len(aggregates))
+        self._columns = tuple([] for _ in range(ops.partial_width))
+        self._restore_groups(list(groups),
+                             state_columns(groups.values(), ops))
         self.stats = NodeStats()
         self.groups_emitted = 0
         self.emitted = []

@@ -53,7 +53,10 @@ ARMS = (1, 7, 256)
 
 class ReferenceJoin(QueryNode):
     """The nested-loop window join, verbatim from f96f3e2 but for its
-    expressions, which the reference evaluator walks: the oracle."""
+    expressions, which the reference evaluator walks, and for its
+    snapshot, which holds no ordered-value arrays (a restore derives
+    them from the buffers, as the engine's derives its index): the
+    oracle."""
 
     def __init__(self, plan: HftaPlan, analyzed: AnalyzedQuery,
                  compiler: ReferenceEvaluator) -> None:
@@ -273,7 +276,6 @@ class ReferenceJoin(QueryNode):
     def snapshot_state(self) -> dict:
         state = super().snapshot_state()
         state["buffers"] = [list(self._buffers[0]), list(self._buffers[1])]
-        state["values"] = [list(self._values[0]), list(self._values[1])]
         state["low_water"] = list(self._low_water)
         state["done"] = list(self._done)
         state["last_bounds"] = dict(self._last_bounds)
@@ -286,7 +288,12 @@ class ReferenceJoin(QueryNode):
     def restore_state(self, state: dict) -> None:
         super().restore_state(state)
         self._buffers = [list(state["buffers"][0]), list(state["buffers"][1])]
-        self._values = [list(state["values"][0]), list(state["values"][1])]
+        # a monotone side's ordered values are derived from its buffer
+        self._values = [
+            [row[slot] for row in buffer] if band == 0 else []
+            for buffer, slot, band in zip(
+                self._buffers, (self._left_slot, self._right_slot),
+                self._bands)]
         self._low_water = list(state["low_water"])
         self._done = list(state["done"])
         self._last_bounds = dict(state["last_bounds"])
@@ -597,7 +604,8 @@ class TestLateArrivals:
             (5, 1, 100)]
         assert node.stats.discarded == 1
         assert [row[4] for row in node._buffers[0]] == [1, 3]
-        assert node.snapshot_state()["values"][0] == [5, 6]
+        assert [row[0] for row in node.snapshot_state()["buffers"][0]] == [
+            5, 6]
         check_index(node)
 
     def test_a_late_row_does_not_probe(self):

@@ -318,8 +318,9 @@ class TestWhatTheCacheSkips:
         node._groups = Counting()
         self.rows(node, [(10, 10, 1, 1)] * 500 + [(10, 10, 2, 1)] * 500)
         assert Counting.probes == 2
-        assert node.snapshot_state()["groups"] == {(1, 1): [500, 500, 1],
-                                                   (1, 2): [500, 500, 1]}
+        state = node.snapshot_state()
+        assert (state["keys"], state["columns"]) == (
+            [(1, 1), (1, 2)], [[500, 500], [500, 500], [1, 1]])
 
     def test_cache_does_not_outlive_the_block(self):
         """A punctuation between two blocks closes the group the first
@@ -627,9 +628,8 @@ class TestWhatTheLftaCacheSkips:
         node.accept_batch(stamped([(8, 1, 0)] * 500 + [(8, 2, 0)] * 500))
         assert Counting.reads == 2
         assert node.table.lookups == 1000
-        slots = node.table.snapshot_state()["slots"]
-        assert sorted(state for _, state in slots.values()) == [
-            [500, 27000, 64], [500, 27000, 64]]
+        assert node.table.snapshot_state()["columns"] == [
+            [500, 500], [27000, 27000], [64, 64]]
 
     def test_the_probe_is_inside_the_changed_branch(self):
         _, node = lfta_pair(LFTA_QUERIES["window and key"],

@@ -54,7 +54,8 @@ from repro.recovery.wire import encode_snapshot
 
 from tests.conftest import tcp_packet
 from tests.frozen_decode_select import (FrozenAggregation, FrozenCompiler,
-                                        FrozenLfta)
+                                        FrozenLfta, column_states,
+                                        state_columns)
 from tests.reference.evaluator import NoResult, ReferenceEvaluator
 
 SRC_ROOT = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -179,6 +180,24 @@ class ReferenceOps:
         return tuple(out)
 
 
+class ReferenceTable(DirectMappedTable):
+    """c83354f's table: one opaque state list per slot, snapshotted as
+    the engine's columnar table is, one column per partial slot."""
+
+    def __init__(self, size, hash_key, ops):
+        super().__init__(size, hash_key)
+        self.ops = ops
+
+    def snapshot_state(self):
+        state = super().snapshot_state()
+        state["columns"] = state_columns(state["columns"][0], self.ops)
+        return state
+
+    def restore_state(self, state):
+        states = column_states(state["columns"], self.ops, len(state["keys"]))
+        super().restore_state(dict(state, columns=[states]))
+
+
 class ReferenceLfta(FrozenLfta):
     """The LFTA with c83354f's per-row aggregation: ``upsert`` on a
     table placed by the engine's placement function (``tuple_hash`` or
@@ -189,7 +208,8 @@ class ReferenceLfta(FrozenLfta):
 
     def __init__(self, plan, analyzed, compiler, **kwargs):
         super().__init__(plan, analyzed, compiler, **kwargs)
-        self.table = DirectMappedTable(self.table.size, self.table._hash)
+        self.table = ReferenceTable(self.table.size, self.table._hash,
+                                    self.table._ops)
         self.reference_ops = ReferenceOps.for_plan(
             compiler, plan.aggregates, (None, None))
         self._aggregate = ReferenceLfta._aggregate_batch

@@ -7,6 +7,12 @@ from hypothesis import strategies as st
 from repro.operators.lfta_table import DirectMappedTable
 
 
+def residents(table):
+    """``{slot: (key, *column values)}`` read off the table's snapshot."""
+    state = table.snapshot_state()
+    return dict(zip(state["slots"], zip(state["keys"], *state["columns"])))
+
+
 class TestBasics:
     def test_insert_and_find(self):
         table = DirectMappedTable(16)
@@ -87,8 +93,7 @@ class TestBasics:
         table = DirectMappedTable(8)
         key = (12, 0x0A000001)
         table.insert(key, "state")
-        assert table.snapshot_state()["slots"] == {
-            stable_hash(key) % 8: (key, "state")}
+        assert residents(table) == {stable_hash(key) % 8: (key, "state")}
 
     def test_an_all_integer_plan_places_by_the_tuple_hash(self):
         from repro.determinism import stable_hash, tuple_hash
@@ -96,9 +101,28 @@ class TestBasics:
         key, stray = (12, 0x0A000001), (12, None)
         table.insert(key, "state")
         table.insert(stray, "other")
-        assert table.snapshot_state()["slots"] == {
+        assert residents(table) == {
             hash(key) % 64: (key, "state"),
             stable_hash(stray) % 64: (stray, "other")}
+
+    def test_a_snapshot_is_the_columns_at_the_occupied_slots(self):
+        """Slot order, one list per array; a restore writes the values
+        back into the arrays the generated kernel holds."""
+        table = DirectMappedTable(8, lambda key: key, layout=[1, 2])
+        table.insert(6, (1, 2.5, 3))
+        table.insert(3, (4, -0.0, 5))
+        state = table.snapshot_state()
+        assert (state["slots"], state["keys"], state["columns"]) == (
+            [3, 6], [3, 6], [[4, 1], [-0.0, 2.5], [5, 3]])
+        restored = DirectMappedTable(8, lambda key: key, layout=[1, 2])
+        arrays = (restored.keys,) + restored.columns
+        restored.insert(5, (7, 7.0, 7))
+        restored.restore_state(state)
+        assert all(held is was for held, was in
+                   zip((restored.keys,) + restored.columns, arrays))
+        assert list(restored) == list(table) == [(3, (4, -0.0, 5)),
+                                                 (6, (1, 2.5, 3))]
+        assert restored.snapshot_state() == state
 
 
 class TestConservation:

@@ -28,6 +28,18 @@ def generic_ops(analyzed, functions, aggregates):
         for agg in aggregates])
 
 
+def groups_of(state):
+    """``{key: column values}`` of a snapshot's groups (an aggregation
+    node's or an LFTA table's)."""
+    return dict(zip(state["keys"], zip(*state["columns"]), strict=True))
+
+
+def partials_of(generic, states):
+    """The generic loops' ``{key: state list}`` as the columns hold
+    them: one value per partial slot."""
+    return {key: generic.partials(state) for key, state in states.items()}
+
+
 def rows_of(items):
     """The data rows among drained stream items."""
     return [item for item in items if type(item) is tuple]
@@ -130,8 +142,9 @@ class TestGeneratedKernels:
     generic loops over the same aggregates: the HFTA's row loop and run
     loop over raw tuples, the LFTA's fold plain and under the shed
     gate's Horvitz-Thompson weight, and the superaggregate's combine of
-    partials.  Group state is compared as the generic loops' state
-    lists (``snapshot_state``) after every block."""
+    partials.  After every block the groups ``snapshot_state`` holds,
+    one column per partial slot, are compared with the generic loops'
+    state lists flattened by ``AggregateOps.partials``."""
 
     AGGREGATES = ("count(*), sum(len), min(len), max(len), avg(len), "
                   "min(destPort), sum(destPort)")
@@ -235,7 +248,8 @@ class TestGeneratedKernels:
                     states[key] = generic.new_state()
                     assert states[key][2] is None    # MIN unset
                 generic.update(states[key], row)
-            assert node.snapshot_state()["groups"] == states, start
+            assert (groups_of(node.snapshot_state())
+                    == partials_of(generic, states)), start
             assert rows_of(node.tap.drain()) == closed
             closed = []
         node.flush()
@@ -275,8 +289,8 @@ class TestGeneratedKernels:
                 generic.update(state, t)
             else:
                 generic.update_weighted(state, t, weight)
-            slots = lfta.table.snapshot_state()["slots"]
-            assert {tuple(k): s for k, s in slots.values()} == states, index
+            assert (groups_of(lfta.table.snapshot_state())
+                    == partials_of(generic, states)), index
         assert lfta.table.collisions == 0
         lfta.flush()
         assert sorted(rows_of(lfta.tap.drain())) == sorted(
@@ -305,15 +319,17 @@ class TestGeneratedKernels:
             for partial in sequence:
                 node.dispatch_batch([(3,) + partial], 0)
                 generic.combine(state, partial)
-                assert node.snapshot_state()["groups"] == {(3,): state}
+                assert groups_of(node.snapshot_state()) == {
+                    (3,): generic.partials(state)}
         # AVG folds its two partial slots (sum, count), not one.
         width = generic.partial_width
         assert width == len(generic.aggregates) + 1
         _lfta, node, _generic = self.split(compile_plan, functions)
         node.dispatch_batch([(3,) + tuple(range(1, width + 1))], 0)
-        state, = node.snapshot_state()["groups"].values()
+        values, = groups_of(node.snapshot_state()).values()
         avg_index = [agg.name for agg in generic.aggregates].index("AVG")
-        assert state[avg_index] == [5.0, 6]
+        slot = sum(generic.layout[:avg_index])
+        assert values[slot:slot + 2] == (5.0, 6)
 
     def test_superaggregate_plan_generates_only_combine(self, compile_plan,
                                                         functions):
@@ -345,7 +361,7 @@ class TestGeneratedKernels:
             "Group by time/10 as tb")
         lfta.accept_batch([tcp_packet(ts=1.0 + i) for i in range(10)])
         assert lfta.stats.discarded == 10
-        assert lfta.table.snapshot_state()["slots"] == {}
+        assert lfta.table.snapshot_state()["slots"] == []
         analyzed, plan, _compiler = compile_plan(
             f"DEFINE query_name q; Select tb, {aggregates} From s "
             "Group by time/10 as tb", streams={"s": self.SOURCE})

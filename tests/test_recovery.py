@@ -2,9 +2,13 @@
 
 import hashlib
 import io
+import marshal
 import math
 import os
 import struct
+import subprocess
+import sys
+import zlib
 
 import pytest
 
@@ -85,6 +89,12 @@ class TestWireFormat:
         with pytest.raises(SnapshotError, match="set"):
             encode_snapshot({"bad": {1, 2}})
 
+    def test_self_containing_value_rejected(self):
+        cycle = [1]
+        cycle.append({"again": cycle})
+        with pytest.raises(SnapshotError, match="contains itself"):
+            encode_snapshot(cycle)
+
     def test_old_version_rejected_with_clear_error(self):
         # The version field sits outside the checksummed payload, so a
         # stale version N-1 blob is otherwise intact -- it must still
@@ -147,6 +157,143 @@ class TestPreviousVersionRefused:
             log.fold(frame, into=standby.rts)
         assert log.seq == -1
         assert standby.rts.node("_fta_q_0").table.lookups == 0
+
+
+class TestCodecDeterminism:
+    """The payload is marshal format 2 because its bytes are a function
+    of the value alone: format 3 added interned-string codes and a
+    reference table, which would make them follow object identity."""
+
+    def test_equal_values_built_differently_encode_equal(self):
+        interned = sys.intern("flows_highcard")
+        fresh = "".join(["flows_", "highcard"])
+        assert fresh == interned and fresh is not interned
+        row = (7, "10.0.0.1", 2.5)
+        shared = [row, -0.0, b"x"]
+        aliased = {interned: [shared, shared], "rows": (row, row),
+                   (interned, 1): shared}
+        copied = {fresh: [[tuple([7, "10.0.0.1", 2.5]), -0.0, b"x"],
+                          list(shared)],
+                  "rows": (tuple(list(row)), tuple(list(row))),
+                  (fresh, 1): list(shared)}
+        assert aliased == copied
+        assert encode_snapshot(aliased) == encode_snapshot(copied)
+
+    def test_distinct_values_stay_distinct(self):
+        nan, other_nan = (struct.unpack(">d", bytes.fromhex(bits))[0]
+                          for bits in ("7ff8000000000000",
+                                       "7ff8000000000001"))
+        for one, two in ((True, 1), (False, 0), (0.0, -0.0),
+                         (nan, other_nan), ((1,), [1]), (b"x", "x")):
+            assert encode_snapshot(one) != encode_snapshot(two), (one, two)
+        for value in (-0.0, nan, other_nan):
+            decoded = decode_snapshot(encode_snapshot(value))
+            assert struct.pack(">d", decoded) == struct.pack(">d", value)
+        assert decode_snapshot(encode_snapshot([True, 1])) == [True, 1]
+        assert [type(v) for v in decode_snapshot(
+            encode_snapshot([True, 1]))] == [bool, int]
+
+    def test_bytes_do_not_follow_the_hash_seed(self):
+        """Two fresh interpreters, ``PYTHONHASHSEED`` 1 and 2: the same
+        checkpoint frame of the same run, byte for byte."""
+        script = (
+            "import hashlib\n"
+            "from repro import Gigascope\n"
+            "from repro.recovery.statelog import StateLog\n"
+            "from tests.test_recovery import _fixed_packets\n"
+            "gs = Gigascope(seed=3, lfta_table_size=16)\n"
+            "gs.add_query('DEFINE query_name q; Select tb, srcIP, "
+            "count(*), avg(len) From tcp Group by time/5 as tb, srcIP')\n"
+            "gs.start()\n"
+            "gs.feed(_fixed_packets())\n"
+            "frame = StateLog().cut(gs.rts, 10.0, 40)\n"
+            "print(len(frame), hashlib.sha256(frame).hexdigest())\n")
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(
+                           [os.path.join(repo, "src"), repo]))
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, cwd=repo,
+                capture_output=True, text=True, check=True).stdout)
+        assert outputs[0] == outputs[1] and outputs[0].strip()
+
+
+def _framed(payload):
+    """``payload`` in a GSCK frame of this version with a correct crc32."""
+    return (MAGIC + struct.pack(">H", SNAPSHOT_VERSION) + payload
+            + struct.pack(">I", zlib.crc32(payload)))
+
+
+#: values marshal writes that the snapshot format refuses
+_FOREIGN = {
+    "set": {"a", "b"},
+    "frozenset": frozenset({1, 2}),
+    "complex": 1j,
+    "nested set": {"state": [1, (2, {3})]},
+}
+
+
+class TestForeignPayloadsRefused:
+    """A frame whose checksum holds but whose payload marshal decodes
+    to a type outside the nine snapshot types, or that carries bytes
+    after its value, is corrupt -- and through the state log names its
+    node and moves nothing."""
+
+    CASES = sorted(_FOREIGN) + ["self-containing", "trailing bytes"]
+
+    @staticmethod
+    def payload(case, envelope):
+        """``envelope`` with trailing bytes, or with a foreign state."""
+        if case == "trailing bytes":
+            return marshal.dumps(envelope, 2) + b"\x00"
+        if case == "self-containing":
+            # format 3's reference code lets marshal.loads build a cycle
+            cycle = []
+            cycle.append(cycle)
+            return marshal.dumps(dict(envelope, state=cycle), 3)
+        return marshal.dumps(dict(envelope, state=_FOREIGN[case]), 2)
+
+    def test_framing_is_the_encoders(self):
+        assert _framed(marshal.dumps({"k": 1}, 2)) == encode_snapshot(
+            {"k": 1})
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_decode_refuses(self, case):
+        with pytest.raises(SnapshotCorruptError):
+            decode_snapshot(_framed(self.payload(case, {"k": 1})))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_the_state_log_names_the_node_and_moves_nothing(self, case):
+        from repro.recovery.statelog import (FrameCorruptError, StateLog,
+                                             decode_frame, encode_frame)
+
+        def engine():
+            gs = Gigascope(seed=3, lfta_table_size=16)
+            gs.add_query("DEFINE query_name q; Select tb, srcPort, count(*) "
+                         "From tcp Group by time/5 as tb, srcPort")
+            gs.start()
+            return gs
+
+        primary = engine()
+        primary.feed(_fixed_packets())
+        good = StateLog().cut(primary.rts, 10.0, 40)
+        frame = decode_frame(good)
+        name = "_fta_q_0"
+        nodes = dict(frame["nodes"], **{name: _framed(self.payload(
+            case, decode_snapshot(frame["nodes"][name])))})
+        bad = encode_frame("full", 0, frame["time"], frame["cursor"],
+                           frame["counters"], nodes)
+        standby = engine()
+        before = StateLog().cut(standby.rts, 0.0, 0)
+        log = StateLog()
+        with pytest.raises(FrameCorruptError, match=repr(name)):
+            log.fold(bad, into=standby.rts)
+        assert (log.seq, log.nodes) == (-1, {})
+        assert StateLog().cut(standby.rts, 0.0, 0) == before
+        log.fold(good, into=standby.rts)
+        assert StateLog().cut(standby.rts, 10.0, 40) == good
 
 
 # ---------------------------------------------------------------------------
@@ -311,26 +458,26 @@ _GOLDEN_BUILDERS = {
 }
 
 # sha256 of each operator's encoded snapshot under the fixed inputs
-# above, for wire format version 3 (sparse LFTA table slots, elided
-# untouched shed-RNG state; an all-integer key's LFTA slot is its tuple
-# hash).  A mismatch means the snapshot layout changed: bump
+# above, for wire format version 4 (a marshal format 2 payload; the
+# LFTA table's occupied slots and the aggregation's open groups as
+# columns).  A mismatch means the snapshot layout changed: bump
 # SNAPSHOT_VERSION and regenerate these -- each is
 # ``hashlib.sha256(encode_snapshot(_GOLDEN_BUILDERS[name]()
 # .snapshot_state())).hexdigest()``.
 _GOLDEN_SHA256 = {
-    "table": "54fb41f7efc7ef47cf77eece7226096e81f5ed0f89f5bd61b4f9f896eb38f8e9",
-    "lfta": "67b14961b0271ee7f8398312982dd3efa7acc7f3f5f7f3f82d0df1af4894d6ce",
+    "table": "6433f182471e1541f745cec12b6353b864c102e43f0d3fabad5761b9cd217352",
+    "lfta": "045b514ff323fc7391b510c16d760c17343efd7a4447e43db228ff0bfda6489a",
     "aggregation":
-        "9c320983241ec5f9059c97bc6669b85147c73a125d8ab6343086869de8af0d68",
-    "join": "7316b1d66cdd0861451abf34ec14d928698f938b195d49f640895d9bffbb1ac0",
-    "merge": "513249f5c46fcd5c394b4ae95ec199d3951119a0e63d9894fc8c4b31e3f6fc29",
+        "25096e5f97a66d3273ef000ac44e7af4141345300b08b040e04c010893ce32f9",
+    "join": "79724bfdecae314d3f1c2f240413db1f639b4dc4cf34cc0861e4513d0e7221d5",
+    "merge": "d10422a39cd997ec980c505758fddf5b24a497b45a27b2cc844b5812612e3655",
     "sessionize":
-        "e171547e7f52327b3dd3b2f464ca74c1accd796406edf587636e197f84ac480f",
+        "7774f7ef1e70b9f2966d9747b6505c9a1cf12745b9f58e41368be82629a2515e",
     "tcp_reassembly":
-        "f3be447a8a643ca3de15a9488913725a2fc91654e1602f5fdaf5d3f70cf54118",
-    "defrag": "c6cf9d89df05c5f0ac1cb3987a411af9e86a5e443af7569e0811f78763bd92ef",
+        "4da113fdadc431b17ceabfb0584a43875b79066f36981ff0fead840cc4cc2741",
+    "defrag": "57727a8ff9eafcc2a3d85c5744113977bb587cd4786625af561ff2d91c3e3077",
     "csv_sink":
-        "2ef48770cf7c5480a0b8e64ae1ee7f4b8108671b92fad2e1e54cea3a7ae69e00",
+        "e0d4ac7e8dced03e4e3df54a15c6465e67e625d62502b6abc71f50d57d1904eb",
 }
 
 
