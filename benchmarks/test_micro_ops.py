@@ -213,22 +213,17 @@ LINK0 = ("DEFINE query_name link0; Select time, destIP, len From tcp "
          "Where destPort = 80")
 
 
-def _lfta(text, frozen=False, lean=False):
-    """An LFTA of ``text`` with a tap: the engine's fused loop (what
-    ``accept_batch`` runs, a block kernel with the node as its one
-    member), or the decode-then-select passes it replaced
-    (``tests/frozen_decode_select.py``).  ``lean`` pins the lean form
-    of either (the node would pick it from its counters)."""
-    from tests.frozen_decode_select import FrozenCompiler, FrozenLfta
-
+def _lfta(text, lean=False):
+    """An LFTA of ``text`` with a tap, running the engine's fused loop
+    (what ``accept_batch`` runs, a block kernel with the node as its
+    one member).  ``lean`` pins the lean form (the node would pick it
+    from its counters)."""
     functions = builtin_functions()
     analyzed = analyze(parse_query(text), builtin_registry(), functions)
     plan = plan_query(analyzed, functions).lftas[0]
-    base, compiler = ((FrozenLfta, FrozenCompiler) if frozen
-                      else (LftaNode, ExprCompiler))
-    cls = type("Pinned", (base,), {
+    cls = type("Pinned", (LftaNode,), {
         "prefers_lean": property(lambda self: lean)})
-    node = cls(plan, analyzed, compiler(analyzed, functions))
+    node = cls(plan, analyzed, ExprCompiler(analyzed, functions))
     tap = node.subscribe()
 
     def run(blocks):
@@ -267,9 +262,6 @@ def test_bench_prefilter_unpushed(benchmark, syn_blocks):
 
 
 # -- the row-fused kernels (DESIGN sections 14 and 18) ----------------------
-#
-# CI's bench-smoke job gates three ratios out of this group (-k fused),
-# each of two arms measured in the same run that produce the same rows.
 
 @pytest.fixture(scope="module")
 def link_blocks(packets):
@@ -279,13 +271,7 @@ def link_blocks(packets):
 def test_bench_fused_link0(benchmark, link_blocks):
     """One generated loop from packet bytes to the output block."""
     rows = benchmark(_lfta(LINK0), link_blocks)
-    assert rows == _lfta(LINK0, frozen=True)(link_blocks)
     assert len(rows) == sum(map(len, link_blocks))  # pool is all port 80
-
-
-def test_bench_fused_link0_decode_then_select(benchmark, link_blocks):
-    """The same plan as decode -> gather -> select over a block."""
-    assert benchmark(_lfta(LINK0, frozen=True), link_blocks)
 
 
 #: link0's packets folded at the LFTA into ``time/10`` windows: one
@@ -297,26 +283,18 @@ LINK0_FOLD = ("DEFINE query_name fold0; Select tb, count(*), sum(len) "
 def test_bench_fused_lfta_run_cache(benchmark, link_blocks):
     """The LFTA's one loop: an unchanged key skips the slot hash, the
     window check and the probe, and folds into the state in hand."""
-    def rows(items):   # the first window's opening punctuation aside
-        return [item for item in items if type(item) is tuple]
-    fused = rows(benchmark(_lfta(LINK0_FOLD), link_blocks))
-    assert fused == rows(_lfta(LINK0_FOLD, frozen=True)(link_blocks))
-    assert fused == [(0, 2000, sum(len(p.data) for packets in link_blocks
-                                   for p in packets))]
+    rows = [item for item in benchmark(_lfta(LINK0_FOLD), link_blocks)
+            if type(item) is tuple]   # the window's punctuation aside
+    assert rows == [(0, 2000, sum(len(p.data) for packets in link_blocks
+                                  for p in packets))]
 
 
-def test_bench_fused_lfta_probe_per_row(benchmark, link_blocks):
-    """The same plan as decode -> key -> place -> probe per row."""
-    assert benchmark(_lfta(LINK0_FOLD, frozen=True), link_blocks)
-
-
-def _appmon(frozen):
+def _appmon():
     """``appmon`` of the Section 5 plan over ``both``'s rows."""
     from repro.gsql.ordering import Ordering
     from repro.gsql.schema import Attribute, StreamSchema
     from repro.gsql.types import IP, UINT
     from repro.operators.aggregation import AggregationNode
-    from tests.frozen_decode_select import FrozenAggregation, FrozenCompiler
 
     both = StreamSchema("both", [
         Attribute("time", UINT, Ordering.increasing()),
@@ -327,9 +305,7 @@ def _appmon(frozen):
         "Group by time/10 as tb"), builtin_registry(), functions,
         stream_resolver={"both": both}.get)
     plan = plan_query(analyzed, functions).hfta
-    cls, compiler = ((FrozenAggregation, FrozenCompiler) if frozen
-                     else (AggregationNode, ExprCompiler))
-    node = cls(plan, analyzed, compiler(analyzed, functions))
+    node = AggregationNode(plan, analyzed, ExprCompiler(analyzed, functions))
     tap = node.subscribe()
 
     def run(blocks):
@@ -352,14 +328,9 @@ def one_window_rows():
 
 def test_bench_fused_key_run_cache(benchmark, one_window_rows):
     """Predicate, key and fold in one loop behind the key-run cache."""
-    rows = benchmark(_appmon(False), one_window_rows)
-    assert rows == _appmon(True)(one_window_rows) and len(rows) == 1
-
-
-def test_bench_fused_probe_per_row(benchmark, one_window_rows):
-    """``batch_key_fn`` into key and row lists, then a window check and
-    a dict probe per row."""
-    assert benchmark(_appmon(True), one_window_rows)
+    rows = benchmark(_appmon(), one_window_rows)
+    assert rows == [(10, 16_384, sum(row[2] for block in one_window_rows
+                                     for row in block))]
 
 
 def test_bench_channel_push_scalar(benchmark):

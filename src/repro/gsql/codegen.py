@@ -414,16 +414,15 @@ class ExprCompiler:
 
     # -- aggregate kernels --------------------------------------------------
     #
-    # The generic loops in repro.operators.aggregates walk the aggregate
-    # list per tuple and compare names; a plan's list is fixed, so the
-    # loop unrolls into straight-line statements with the argument
-    # expressions inlined (_aggregate_source), over the group's row of
-    # the state columns, inside the per-plan loops that probe, fold,
-    # eject and close (lfta_action, hfta_aggregate_fn, hfta_close_fn;
-    # DESIGN section 18).  Every argument is evaluated before any state
-    # is touched, so a DiscardTuple discards the tuple whole; an error
-    # raised by a fold leaves the slots before it folded, exactly as
-    # the generic loop does.
+    # A plan's aggregate list is fixed, so its fold is straight-line
+    # statements with the argument expressions inlined
+    # (_aggregate_source), over the group's row of the state columns,
+    # inside the per-plan loops that probe, fold, eject and close
+    # (lfta_action, hfta_aggregate_fn, hfta_close_fn; DESIGN section
+    # 18).  Every argument is evaluated before any state is touched, so
+    # a DiscardTuple discards the tuple whole; an error raised by a fold
+    # leaves the slots before it folded, as a fold one aggregate at a
+    # time does (tests/reference/aggregation.py).
 
     def stable_hash_reason(self, group_exprs: Sequence[Expr]
                            ) -> Optional[str]:

@@ -19,7 +19,7 @@ User-written nodes (the paper's escape hatch):
 * :mod:`repro.operators.tcp_reassembly` -- TCP stream reassembly
 """
 
-from repro.operators.aggregates import AggregateOps, partial_layout
+from repro.operators.aggregates import partial_layout
 from repro.operators.lfta_table import DirectMappedTable
 from repro.operators.lfta import LftaNode
 from repro.operators.selection import SelectionNode
@@ -30,7 +30,6 @@ from repro.operators.defrag import DefragNode
 from repro.operators.tcp_reassembly import TcpReassemblyNode
 
 __all__ = [
-    "AggregateOps",
     "partial_layout",
     "DirectMappedTable",
     "LftaNode",

@@ -44,9 +44,9 @@ the probe of the direct-mapped table and the fold -- ejected groups
 leave as one block ahead of any window flush.  What stays here is what
 happens per window, not per row: closing the groups below a bound
 (:meth:`LftaNode._flush_below`) and the end-of-stream flush, each one
-``emit_many``.  ``tests/test_fused_kernels.py`` holds the loops to the
-decode-then-select/key passes they replaced, ``tests/test_lfta_block_kernel.py``
-to the row-at-a-time aggregation before those.
+``emit_many``.  ``tests/test_aggregation_reference.py`` holds the
+loops, and the HFTA's, to one row-at-a-time reference of both levels
+(``tests/reference/aggregation.py``).
 """
 
 from __future__ import annotations

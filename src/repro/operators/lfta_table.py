@@ -23,15 +23,16 @@ table as it is held, less its empty slots: the occupied slot indices
 and, per array, the values at those slots (DESIGN section 11).
 
 Two ways in.  The per-key methods (:meth:`DirectMappedTable.upsert`
-and friends) are the table's definition and what its unit tests and
-the tracing wraps hold on to: a state is the opaque object, or on a
-columnar table the tuple of the slot's column values (reads copy it
-out, writes copy it in).  The engine's is the LFTA's generated row
-action (``ExprCompiler.lfta_action``): linked against the table, it
-places each row's key, probes the key array and folds into the columns
-inline, and hands the counter deltas back once per block
-(:meth:`DirectMappedTable.close_block`).  Both place a key in the same
-slot, ``hash_key(key) % size``: for a plan whose group key is
+and friends) are the table's definition: a state is the opaque
+object, or on a columnar table the tuple of the slot's column values
+(reads copy it out, writes copy it in).  The tests' row-at-a-time
+reference places its groups through them
+(``tests/reference/aggregation.py``).  The engine's is the LFTA's
+generated row action (``ExprCompiler.lfta_action``): linked against
+the table, it places each row's key, probes the key array and folds
+into the columns inline, and hands the counter deltas back once per
+block (:meth:`DirectMappedTable.close_block`).  Both place a key in
+the same slot, ``hash_key(key) % size``: for a plan whose group key is
 statically all-integer ``hash_key`` is
 :func:`repro.determinism.tuple_hash` -- builtin ``hash(key)``, with
 any key that is not all-integer at run time taken by ``stable_hash``
@@ -40,8 +41,7 @@ any key that is not all-integer at run time taken by ``stable_hash``
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.determinism import stable_hash
 
@@ -140,24 +140,6 @@ class DirectMappedTable:
             return resident[1], None
         self._install(index, key, make_state(), resident)
         return self._state(index), resident
-
-    #: :meth:`upsert` as defined here, whatever wraps the class attribute
-    _upsert = upsert
-
-    def upsert_slices(self, keys: Iterable[Any],
-                      make_state: Callable[[], Any]
-                      ) -> Iterator[Tuple[Any, Optional[Tuple[Any, Any]]]]:
-        """Upsert a block of group keys, lazily.
-
-        A generator yielding ``(state, ejected)`` per key, in order.
-        Consumption drives the table mutation: each key's lookup,
-        insertion, and accounting happen exactly when its result is
-        pulled, so a consumer interleaving ejection emission with state
-        updates observes the same table trajectory as per-row
-        :meth:`upsert` calls.
-        """
-        for key in keys:
-            yield self._upsert(key, make_state)
 
     # -- block access (the generated LFTA kernel, DESIGN section 18) ------
     def close_block(self, lookups: int, occupied: int, collisions: int) -> None:

@@ -159,17 +159,23 @@ def append_frame(handle: BinaryIO, frame: bytes) -> None:
 
 def _apply(rts, label: Any, nodes: Dict[str, bytes],
            counters: Optional[Dict[str, Any]], complete: bool,
-           dropped: Iterable[str] = ()) -> None:
+           dropped: Iterable[str] = (),
+           held: Optional[Dict[str, bytes]] = None,
+           held_counters: Optional[Dict[str, Any]] = None) -> None:
     """Restore ``nodes`` (and ``counters``) into ``rts``, all-or-nothing;
     ``complete`` refuses an ``rts`` node neither in ``nodes`` nor
     ``dropped``.
 
     A node ``rts`` quarantined is left as it is: it never runs again.
     Everything is resolved and decoded before the first
-    ``restore_state``; the touched nodes' current state is encoded
-    first too, so that a ``restore_state`` that raises half-way (a
-    decodable blob missing a key) is rolled back before the typed
-    error -- naming frame ``label`` and the node -- is raised.
+    ``restore_state``, so that only a ``restore_state`` that raises
+    half-way (a decodable blob missing a key) is left to undo: the
+    touched nodes and the counters are rolled back before the typed
+    error -- naming frame ``label`` and the node -- is raised.  The
+    undo is ``held``, the node blobs of a fold ``rts`` is kept equal
+    to, and ``held_counters``, its counters; a node ``held`` lacks (a
+    query added after the epoch), and the counters when it holds none,
+    are snapshotted before anything is touched.
     """
     known = {name: node for name, node in rts.iter_nodes()
              if name not in rts.quarantined}
@@ -192,9 +198,12 @@ def _apply(rts, label: Any, nodes: Dict[str, bytes],
             raise FrameCorruptError(
                 label, f"full epoch missing node(s) {missing}")
     # Everything decoded and validated; only now touch live state.
-    undo = {name: encode_snapshot(known[name].snapshot_state())
+    held = held or {}
+    undo = {name: held.get(name) or encode_snapshot(
+                {"state": known[name].snapshot_state()})
             for name in states}
-    undo_counters = rts.counters_state()
+    undo_counters = (rts.counters_state() if held_counters is None
+                     else held_counters)
     at = "counters"
     try:
         for at, state in states.items():
@@ -204,7 +213,7 @@ def _apply(rts, label: Any, nodes: Dict[str, bytes],
             rts.restore_counters(counters)
     except Exception as error:
         for name, blob in undo.items():
-            known[name].restore_state(decode_snapshot(blob))
+            known[name].restore_state(decode_snapshot(blob)["state"])
         rts.restore_counters(undo_counters)
         raise FrameCorruptError(
             label, f"node {at!r}: restore failed and was rolled back: "
@@ -275,7 +284,8 @@ class StateLog:
 
         ``into`` is a live RTS kept equal to the fold (the warm
         standby): the frame's nodes are applied to it first, and a
-        frame that does not apply is not folded either.  Any refusal
+        frame that does not apply is not folded either -- the fold's
+        own blobs and counters are what it is rolled back to.  Any refusal
         is a typed :class:`FrameError` and leaves log and RTS where the
         previous frame left them.
         """
@@ -292,7 +302,8 @@ class StateLog:
             raise FrameSequenceError(seq, "delta before any full epoch")
         if into is not None:
             _apply(into, seq, frame["nodes"], frame["counters"],
-                   complete=kind == "full", dropped=frame["dropped"])
+                   complete=kind == "full", dropped=frame["dropped"],
+                   held=self.nodes, held_counters=self.counters)
         self.nodes.update(frame["nodes"])
         for name in frame["dropped"]:
             self.nodes.pop(name, None)

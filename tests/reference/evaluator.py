@@ -12,12 +12,18 @@ no result, a predicate returns ``False``; ``slot_maps`` and ``arity``
 (1, 2 for a join's ``(l, r)``, ``"post"`` for a ``(key, aggregates)``
 pair) mean what they mean there.  :meth:`ReferenceEvaluator.aggregate`
 evaluates a whole one-source aggregation query the same way: rows in,
-rows out, one dict of groups.
+rows out, one dict of groups.  What each aggregate means -- its empty
+state, its fold (with the shed gate's Horvitz-Thompson weight), the
+partial encoding an LFTA emits, the combine of two of them and the
+finished value -- is :data:`AGGREGATES`, the one fold table every
+reference reads (``tests/reference/aggregation.py`` runs both levels
+of a split plan on it).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (Any, Callable, Dict, Iterable, List, NamedTuple,
+                    Optional, Sequence)
 
 from repro.gsql.ast_nodes import (
     BinaryOp,
@@ -36,23 +42,65 @@ class NoResult(Exception):
     """A partial function had no result: the tuple is discarded."""
 
 
-def _same(value):
-    return value
+class Aggregate(NamedTuple):
+    """What one aggregate means, over its partial encoding: the tuple of
+    slots an LFTA emits for it and an HFTA combines (AVG's is ``(sum,
+    count)``; every other aggregate's is one slot)."""
+
+    #: an empty group's slots
+    start: tuple
+    #: ``fold(slots, value, w)``: one value folded in with the
+    #: Horvitz-Thompson weight ``w`` (1 when nothing is shed); MIN and
+    #: MAX are order statistics and fold unweighted
+    fold: Callable[[tuple, Any, Any], tuple]
+    #: ``combine(slots, partial)``: another group's slots folded in
+    combine: Callable[[tuple, tuple], tuple]
+    #: ``finish(slots)``: the finished value
+    finish: Callable[[tuple], Any]
 
 
-#: per aggregate: the state of an empty group, one value folded in, the
-#: finished value (MIN/MAX keep the first of equal values)
-_START = {"COUNT": 0, "SUM": 0, "MIN": None, "MAX": None, "AVG": (0.0, 0)}
-_FOLD = {
-    "COUNT": lambda state, _: state + 1,
-    "SUM": lambda state, value: state + value,
-    "MIN": lambda state, value: (value if state is None or value < state
-                                 else state),
-    "MAX": lambda state, value: (value if state is None or value > state
-                                 else state),
-    "AVG": lambda state, value: (state[0] + value, state[1] + 1),
+def _first(slots):
+    return slots[0]
+
+
+def _least(state, value):
+    """MIN: the first of equal values stays; None is no value yet."""
+    return value if state is None or value < state else state
+
+
+def _greatest(state, value):
+    return value if state is None or value > state else state
+
+
+def _order(better):
+    return Aggregate(
+        (None,),
+        lambda slots, value, _: (better(slots[0], value),),
+        lambda slots, partial: (slots[0] if partial[0] is None
+                                else better(slots[0], partial[0]),),
+        _first)
+
+
+def _additive(folded):
+    return Aggregate(
+        (0,),
+        lambda slots, value, w: (slots[0] + folded(value, w),),
+        lambda slots, partial: (slots[0] + partial[0],),
+        _first)
+
+
+#: the one fold table: every aggregate GSQL has, by name
+AGGREGATES: Dict[str, Aggregate] = {
+    "COUNT": _additive(lambda _, w: w),
+    "SUM": _additive(lambda value, w: value * w),
+    "MIN": _order(_least),
+    "MAX": _order(_greatest),
+    "AVG": Aggregate(
+        (0.0, 0),
+        lambda slots, value, w: (slots[0] + value * w, slots[1] + w),
+        lambda slots, partial: (slots[0] + partial[0], slots[1] + partial[1]),
+        lambda slots: slots[0] / slots[1] if slots[1] else 0.0),
 }
-_FINISH = {"AVG": lambda state: state[0] / state[1] if state[1] else 0.0}
 
 
 class ReferenceEvaluator:
@@ -116,7 +164,8 @@ class ReferenceEvaluator:
         analyzed = self.analyzed
         where = self.predicate_fn(analyzed.where_conjuncts)
         key_of = self.tuple_fn(analyzed.group_exprs)
-        aggregates = [(agg.name, agg.arg) for agg in analyzed.aggregates]
+        aggregates = [(AGGREGATES[agg.name], agg.arg)
+                      for agg in analyzed.aggregates]
         groups: Dict[tuple, list] = {}
         for row in rows:
             if not where(row):
@@ -131,17 +180,18 @@ class ReferenceEvaluator:
                 continue
             state = groups.get(key)
             if state is None:
-                state = groups[key] = [_START[name] for name, _ in aggregates]
-            for index, ((name, _), value) in enumerate(zip(aggregates,
-                                                           values)):
-                state[index] = _FOLD[name](state[index], value)
+                state = groups[key] = [meaning.start
+                                       for meaning, _ in aggregates]
+            for index, ((meaning, _), value) in enumerate(zip(aggregates,
+                                                              values)):
+                state[index] = meaning.fold(state[index], value, 1)
         having = self.post_predicate_fn(analyzed.having)
         select = self.post_tuple_fn(
             [column.expr for column in analyzed.output_columns])
         out = []
         for key, state in groups.items():
-            finals = tuple(_FINISH.get(name, _same)(value)
-                           for (name, _), value in zip(aggregates, state))
+            finals = tuple(meaning.finish(slots)
+                           for (meaning, _), slots in zip(aggregates, state))
             if having(key, finals):
                 built = select(key, finals)
                 if built is not None:

@@ -9,9 +9,7 @@ from repro.gsql.parser import parse_query
 from repro.gsql.planner import plan_query
 from repro.gsql.schema import builtin_registry
 from repro.gsql.semantic import analyze
-from repro.operators.aggregates import AggregateOps
 from repro.operators.aggregation import AggregationNode
-from tests.frozen_decode_select import state_columns
 from tests.reference.evaluator import ReferenceEvaluator
 
 
@@ -171,11 +169,11 @@ class _Closing:
     _restore_groups = AggregationNode._restore_groups
     _compact = AggregationNode._compact
 
-    def __init__(self, groups, aggregates):
-        ops = AggregateOps(aggregates, [None] * len(aggregates))
-        self._columns = tuple([] for _ in range(ops.partial_width))
+    def __init__(self, groups):
+        partials = list(groups.values())
+        self._columns = tuple([] for _ in partials[0])
         self._restore_groups(list(groups),
-                             state_columns(groups.values(), ops))
+                             [list(column) for column in zip(*partials)])
         self.stats = NodeStats()
         self.groups_emitted = 0
         self.emitted = []
@@ -185,12 +183,13 @@ class _Closing:
 
 
 def close_groups(text, registry, functions, groups, partials=False):
-    """``groups`` (key -> aggregate state list) closed in order by the
-    plan's generated ``hfta_close_fn``; the node it closed them on."""
+    """``groups`` (key -> partial slots, AVG's two) closed in order by
+    the plan's generated ``hfta_close_fn``; the node it closed them
+    on."""
     analyzed, compiler = compile_query(text, registry, functions)
     plan = plan_query(analyzed, functions).hfta
     close = compiler.hfta_close_fn(plan, partials)
-    node = _Closing(groups, plan.aggregates)
+    node = _Closing(groups)
     close(node, list(groups))
     return node, analyzed
 
@@ -206,7 +205,7 @@ class TestWindowClose:
     def test_post_select_and_having(self, registry, functions):
         node, analyzed = close_groups(
             self.QUERY, registry, functions,
-            {(7,): [10, 500], (8,): [1, 500]})
+            {(7,): (10, 500), (8,): (1, 500)})
         assert node.emitted == [(7, 10, 50)]
         assert (node.groups_emitted, node.stats.discarded) == (1, 1)
         assert node._groups == {}
@@ -221,7 +220,7 @@ class TestWindowClose:
     def test_no_having_keeps_every_group(self, registry, functions):
         node, analyzed = close_groups(
             "Select tb, count(*) From tcp Group by time/60 as tb",
-            registry, functions, {(1,): [2], (2,): [1]})
+            registry, functions, {(1,): (2,), (2,): (1,)})
         assert node.emitted == [(1, 2), (2, 1)]
         assert node.stats.discarded == 0
         assert ReferenceEvaluator(analyzed, functions).post_predicate_fn(
@@ -238,12 +237,12 @@ class TestWindowClose:
         node, _ = close_groups(
             "Select tb, destPort, count(*), avg(len) From tcp "
             "Group by time/60 as tb, destPort", registry, functions,
-            {(1, 80): [2, [9.0, 2]], (1, 81): [0, [0.0, 0]]})
+            {(1, 80): (2, 9.0, 2), (1, 81): (0, 0.0, 0)})
         assert node.emitted == [(1, 80, 2, 4.5), (1, 81, 0, 0.0)]
 
     def test_partials_skip_post_aggregation(self, registry, functions):
         node, _ = close_groups(self.QUERY, registry, functions,
-                               {(7,): [10, 500], (8,): [1, 500]},
+                               {(7,): (10, 500), (8,): (1, 500)},
                                partials=True)
         assert node.emitted == [(7, 10, 500), (8, 1, 500)]
         assert (node.groups_emitted, node.stats.discarded) == (2, 0)

@@ -22,9 +22,7 @@ from repro.control import (
     overload_snapshot,
 )
 from repro.core.stream_manager import RuntimeSystem
-from repro.gsql.ast_nodes import AggCall, Column
 from repro.nic.nic import Nic
-from repro.operators.aggregates import AggregateOps
 from repro.sim.cost_model import CostModel
 from tests.conftest import tcp_packet
 
@@ -118,32 +116,45 @@ class TestPolicies:
 
 
 class TestWeightedAggregates:
-    def _ops(self):
-        aggs = [
-            AggCall(name="COUNT", arg=None),
-            AggCall(name="SUM", arg=Column(name="v")),
-            AggCall(name="AVG", arg=Column(name="v")),
-            AggCall(name="MIN", arg=Column(name="v")),
-            AggCall(name="MAX", arg=Column(name="v")),
-        ]
-        value = lambda row: row[0]
-        return AggregateOps(aggs, [None, value, value, value, value])
+    """The Horvitz-Thompson weight on the engine's split plan: at shed
+    rate 0.5 each packet the gate keeps stands for two."""
 
-    def test_weight_one_matches_plain_update(self):
-        ops = self._ops()
-        plain, weighted = ops.new_state(), ops.new_state()
-        for row in [(4,), (6,)]:
-            ops.update(plain, row)
-            ops.update_weighted(weighted, row, 1.0)
-        assert ops.final_values(plain) == ops.final_values(weighted)
+    QUERY = ("DEFINE query_name w; Select count(*), sum(destPort), "
+             "avg(destPort), min(destPort), max(destPort) From tcp")
+
+    def _run(self, rate):
+        from repro.core.heartbeat import FLUSH
+        from repro.gsql.codegen import ExprCompiler
+        from repro.gsql.functions import builtin_functions
+        from repro.gsql.parser import parse_query
+        from repro.gsql.planner import plan_query
+        from repro.gsql.schema import builtin_registry
+        from repro.gsql.semantic import analyze
+        from repro.operators.aggregation import AggregationNode
+        from repro.operators.lfta import LftaNode
+
+        functions = builtin_functions()
+        analyzed = analyze(parse_query(self.QUERY), builtin_registry(),
+                           functions)
+        plan = plan_query(analyzed, functions)
+        compiler = ExprCompiler(analyzed, functions)
+        lfta = LftaNode(plan.lftas[0], analyzed, compiler)
+        hfta = AggregationNode(plan.hfta, analyzed, compiler)
+        partials, out = lfta.subscribe(), hfta.subscribe()
+        lfta.set_shed_rate(rate)
+        lfta._shed_rng.random = lambda: 0.0   # the gate keeps both
+        lfta.accept_batch([tcp_packet(dport=4), tcp_packet(dport=6)])
+        lfta.flush()
+        hfta.dispatch_batch(partials.drain(), 0)
+        hfta.dispatch(FLUSH, 0)
+        (row,) = [item for item in out.drain() if type(item) is tuple]
+        return row
+
+    def test_rate_one_is_the_plain_fold(self):
+        assert self._run(1.0) == (2, 10, 5.0, 4, 6)
 
     def test_horvitz_thompson_scaling(self):
-        ops = self._ops()
-        state = ops.new_state()
-        # Two tuples kept at rate 0.5: each stands for 2.
-        ops.update_weighted(state, (4,), 2.0)
-        ops.update_weighted(state, (6,), 2.0)
-        count, total, avg, lo, hi = ops.final_values(state)
+        count, total, avg, lo, hi = self._run(0.5)
         assert count == 4.0
         assert total == 20.0
         assert avg == pytest.approx(5.0)  # weighted mean, not inflated

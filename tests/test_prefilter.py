@@ -9,8 +9,7 @@ packets:
 * *unpushed* (``decode_then_filter``) -- the planner marks no prefix,
   so the loop is the plain guard and every conjunct sits in the row's
   action (until PR 19 fused the action into the loop this was the
-  decode-then-filter path, pass for pass; that one is frozen in
-  ``tests/frozen_decode_select.py`` now);
+  decode-then-filter path, pass for pass);
 * *adapter* -- the same query text over the protocol stripped of its
   layout (:func:`without_layouts`): no decode loop, the row adapter.
 

@@ -60,6 +60,13 @@ FLOWS_QUERY = """
 """
 
 
+#: a query over ``flows``'s output: an HFTA a running engine can gain
+LATE_QUERY = """
+    DEFINE query_name busy;
+    Select tb, count(*) From flows Group by tb
+"""
+
+
 def zipf_packets(count=1500, seed=3):
     workload = ZipfFlowWorkload(num_flows=200, alpha=1.1,
                                 seed=derive_seed(seed, "workload.zipf"))
@@ -370,6 +377,59 @@ class TestCorruptionCorpus:
         assert rts.counters_state() == counters
         assert standby.seq == 1
         assert standby.fold(shipped_frames[2], into=rts)["seq"] == 2
+
+    def test_a_node_added_after_the_epoch_is_rolled_back_too(
+            self, shipped_frames):
+        """The undo is the fold's own blobs; a node the fold lacks -- a
+        query the standby gained after the epoch -- is snapshotted
+        instead.  A frame that restores it and a node of the fold, then
+        raises on the next, leaves every one where it was."""
+        primary = Gigascope(seed=7, heartbeat_interval=0.5, metrics=False)
+        primary.add_query(FLOWS_QUERY)
+        primary.start()
+        primary.add_query(LATE_QUERY)
+        primary.feed(zipf_packets(), pump_every=128)
+        busy = encode_snapshot({"node": "busy", "type": "AggregationNode",
+                                "state": primary.rts.node("busy")
+                                .snapshot_state()})
+        standby = Gigascope(seed=7, heartbeat_interval=0.5, metrics=False)
+        standby.add_query(FLOWS_QUERY)
+        standby.start()
+        log = StateLog()
+        for frame in shipped_frames[:2]:
+            log.fold(frame, into=standby.rts)
+        standby.add_query(LATE_QUERY)
+        assert "busy" not in log.nodes
+        rebuilt = decode_frame(shipped_frames[2])
+        *moved, (last, blob) = rebuilt["nodes"].items()
+        assert moved   # a node of the fold is restored before the raise
+        envelope = decode_snapshot(blob)
+        del envelope["state"]["stats"]
+        rebuilt["nodes"] = dict([("busy", busy), *moved,
+                                 (last, encode_snapshot(envelope))])
+        before = engine_states(standby.rts)
+        counters = standby.rts.counters_state()
+        assert before["busy"] != encode_snapshot(
+            decode_snapshot(busy)["state"])  # it would move
+        with pytest.raises(FrameCorruptError,
+                           match=f"state frame 2: node {last!r}"):
+            log.fold(encode_snapshot(rebuilt), into=standby.rts)
+        assert engine_states(standby.rts) == before
+        assert standby.rts.counters_state() == counters
+        assert log.seq == 1
+
+    def test_an_applied_frame_snapshots_no_node_the_fold_holds(
+            self, shipped_frames):
+        log, rts = primed_standby(shipped_frames, upto=2)
+        snapshotted = []
+        for name, node in rts.iter_nodes():
+            node.snapshot_state = (
+                lambda name=name, take=node.snapshot_state:
+                snapshotted.append(name) or take())
+        assert set(dict(rts.iter_nodes())) <= set(log.nodes)
+        for frame in shipped_frames[2:]:
+            log.fold(frame, into=rts)
+        assert snapshotted == []
 
     def test_duplicate_seq_refused(self, shipped_frames):
         self._attack(shipped_frames,
