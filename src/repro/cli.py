@@ -323,17 +323,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     standby = (args.standby or cadence is not None
                or args.promote_after is not None
                or args.replicate_log is not None)
-    # The sharded facade and the replication plane each declare, next
-    # to their class, the planes they cannot run beside and why
-    # (``refusals``): a usage error here, in the words the API raises.
+    # The sharded facade and the durability plane's standby each
+    # declare the planes they cannot run beside and why: a usage error
+    # here, in the words the API raises.
     topology, facade, build, refused = "", Gigascope, {}, {}
     if args.shards:
         from repro.shard import ShardedGigascope as facade
         topology, build = "--shards", dict(shards=args.shards)
         refused = facade.refusals
     elif standby:
-        from repro.replication import ReplicationPlane
-        topology, refused = "--standby", ReplicationPlane.refusals
+        from repro.recovery.supervisor import STANDBY_REFUSALS
+        topology, refused = "--standby", STANDBY_REFUSALS
     for flag, value, plane in (
             ("--shed", args.shed, "shed"),
             ("--alert", args.alert, "alerts"),
@@ -498,7 +498,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # One section per enabled plane: its report(), rendered by the same
     # function repro.report.engine_report uses.
     from repro.obs.ledger import text_sections
-    for title, lines in text_sections(engine.planes.values()):
+    for title, lines in text_sections(engine.planes):
         print(f"# {title} report", file=sys.stderr)
         for line in lines:
             print(f"#  {line}", file=sys.stderr)

@@ -50,6 +50,7 @@ from repro.gsql.schema import (
 )
 from repro.gsql.semantic import analyze
 from repro.net.packet import CapturedPacket
+from repro.obs.ledger import view
 from repro.operators.aggregation import AggregationNode
 from repro.operators.join import JoinNode
 from repro.operators.lfta import LftaNode
@@ -348,13 +349,22 @@ class Gigascope:
         from repro.control.controller import overload_snapshot
         return self._plane_report("shed") or overload_snapshot(self.rts)
 
-    # -- recovery (repro.recovery) -------------------------------------------
+    # -- durability (repro.recovery.supervisor) ----------------------------
+    def _durability(self) -> "RecoverySupervisor":
+        """The one durability plane both switches configure."""
+        planes = self.rts.planes
+        plane = planes.get("recovery") or planes.get("replication")
+        if plane is None:
+            from repro.recovery.supervisor import RecoverySupervisor
+            plane = RecoverySupervisor(self)
+        return plane
+
     def enable_recovery(self, checkpoint_interval: float = 1.0,
                         max_restarts: int = 3, backoff_base: float = 0.25,
                         backoff_factor: float = 2.0) -> "RecoverySupervisor":
         """Switch on checkpoint/restore and supervised node recovery.
 
-        The supervisor cuts a crash-consistent snapshot of every
+        The durability plane cuts a crash-consistent snapshot of every
         operator's state each ``checkpoint_interval`` seconds of
         virtual time (at pump boundaries, where channels are
         quiescent), journals the RTS's inputs between checkpoints, and
@@ -365,14 +375,8 @@ class Gigascope:
         backoff in virtual time) the node degrades to the permanent
         quarantine of :meth:`overload_report`'s containment ledger.
         """
-        from repro.recovery.supervisor import RecoverySupervisor
-        return RecoverySupervisor(
-            self.rts,
-            checkpoint_interval=checkpoint_interval,
-            max_restarts=max_restarts,
-            backoff_base=backoff_base,
-            backoff_factor=backoff_factor,
-        )
+        return self._durability().recover(checkpoint_interval, max_restarts,
+                                          backoff_base, backoff_factor)
 
     def recovery_report(self) -> Optional[Dict[str, Any]]:
         """The supervisor's ledger (checkpoints, restarts, replay),
@@ -432,27 +436,25 @@ class Gigascope:
         profiler attribution), or None when telemetry is not enabled."""
         return self._plane_report("telemetry")
 
-    # -- replication (repro.replication) -------------------------------------
     def enable_replication(self, cadence: float = 1.0,
                            promote_after: Optional[float] = None,
                            crash: Optional[str] = None,
                            log_path: Optional[str] = None
-                           ) -> "ReplicationPlane":
+                           ) -> "RecoverySupervisor":
         """Keep a warm standby runtime of this engine's queries, sent
-        a state-log frame every ``cadence`` virtual seconds, and promote
-        it on an injected ``crash`` or ``promote_after`` seconds of
-        heartbeat silence (DESIGN section 16).  ``log_path`` also gets
-        the frames.  Enable before the first packet, and on an engine
-        without a user-written node (``add_node``): the standby could
-        not copy it."""
-        from repro.replication import ReplicationPlane
-        return ReplicationPlane(self, cadence=cadence,
-                                promote_after=promote_after, crash=crash,
-                                log_path=log_path)
+        a state-log frame every ``cadence`` virtual seconds (or the
+        recovery interval, if tighter), and promote it on an injected
+        ``crash`` or ``promote_after`` seconds of heartbeat silence
+        (DESIGN section 16).  ``log_path`` also gets the frames.
+        Enable before the first packet, and on an engine without a
+        user-written node (``add_node``): the standby could not copy
+        it."""
+        return self._durability().replicate(cadence, promote_after, crash,
+                                            log_path)
 
     def replication_report(self) -> Optional[Dict[str, Any]]:
-        """The replication plane's ledger (frames, promotion, recovery
-        point), or None when replication is not enabled."""
+        """The durability plane's standby ledger (frames, promotion,
+        recovery point), or None when replication is not enabled."""
         return self._plane_report("replication")
 
     # -- fault injection (repro.faults) --------------------------------------
@@ -490,7 +492,7 @@ class Gigascope:
 
     def _plane_report(self, name: str) -> Optional[Dict[str, Any]]:
         plane = self.rts.planes.get(name)
-        return plane.report() if plane is not None else None
+        return view(name, plane)[1]() if plane is not None else None
 
     @property
     def metrics(self):

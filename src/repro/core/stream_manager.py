@@ -266,7 +266,7 @@ class RuntimeSystem:
         """Stream time of the latest heartbeat (``-inf`` before the first)."""
         return self._last_heartbeat
 
-    def attach_plane(self, plane) -> None:
+    def attach_plane(self, plane, ledger=None) -> None:
         """Attach a control plane: the one way anything hooks the RTS.
 
         Each :data:`EVENTS` method ``plane`` has fires with the event,
@@ -276,19 +276,23 @@ class RuntimeSystem:
         one (a fault injector, a tracer) states its ``phase`` instead.
         :meth:`refusal` is checked first.  A plane calls this from its
         constructor before it registers nodes or cuts a checkpoint, so
-        a refused plane leaves nothing behind.
+        a refused plane leaves nothing behind.  The durability plane
+        is listed once per switch, under the ``ledger`` it passes, and
+        hooked once.
         """
         refused = self.refusal(plane)
         if refused is not None:
             raise RegistryError(refused)
-        name = _plane_name(plane)
-        ledger = getattr(plane, "ledger", None)
+        ledger = ledger or getattr(plane, "ledger", None)
+        name = ledger.name if ledger is not None else plane.phase
         if ledger is not None:
             if name in self.planes:
                 raise RegistryError(f"{name} already enabled")
             self.planes[name] = plane
             if self.metrics is not None:
                 install_ledger(self.metrics, ledger, plane)
+        if any(hooked is plane for _, hooked in self._attached):
+            return
         rank = PHASES.index(name) if name in PHASES else len(PHASES)
         self._attached.append((rank, plane))
         self._attached.sort(key=lambda entry: entry[0])  # stable
@@ -411,10 +415,11 @@ class RuntimeSystem:
 
     def checkpoint(self) -> None:
         """The node or subscription set, or a parameter, changed: every
-        plane that replays the input from a cut (recovery, replication)
+        plane that replays the input from a cut (the durability plane)
         cuts now, so that no replay runs a packet fed before the change
         on the engine after it."""
-        for plane in list(self.planes.values()):
+        for plane in {id(plane): plane
+                      for plane in self.planes.values()}.values():
             if hasattr(plane, "checkpoint"):
                 plane.checkpoint()
 

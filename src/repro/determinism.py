@@ -142,6 +142,11 @@ class ArmError(ValueError):
 _MAX_HASH_SEED = 2**32 - 1
 
 
+#: ``crash=*``: every point of the scenario's declared sweep, each run
+#: in one process against the arm without the crash (:func:`run_scenario`)
+SWEEP = "*"
+
+
 #: ``--arm`` key -> :class:`Arm` field (``hash_seed`` has no key: it is
 #: the child's ``PYTHONHASHSEED``, fixed before the interpreter starts)
 _ARM_KEYS = {"block": "block_size", "topology": "topology", "crash": "crash"}
@@ -154,10 +159,11 @@ class Arm:
     Written ``block=7,topology=shards:4,crash=1:600`` (the ``key=value``
     grammar of ``--fault``).  ``crash`` is the spec its topology already
     understands: for ``single`` the node the scenario declares a
-    transient ``at_tuple`` fault for, for ``shards:N`` a
-    ``SHARD:PACKET_INDEX`` (``ShardedGigascope(crash=)``), for
-    ``standby:CADENCE`` a ``packet:K | frame:N[:torn]``
-    (``Gigascope.enable_replication(crash=)``).  Every field is
+    transient ``at_tuple`` fault for, ``NODE@N`` at its Nth item, for
+    ``shards:N`` a ``SHARD:PACKET_INDEX`` (``ShardedGigascope(crash=)``),
+    for ``standby:CADENCE`` a ``packet:K | frame:N[:torn]``
+    (``Gigascope.enable_replication(crash=)``); ``*`` is every point of
+    the scenario's declared sweep (:data:`SWEEP`).  Every field is
     validated here, by the validator of the call it ends up in
     (``hash_seed`` by the interpreter's own range), so a malformed arm
     never reaches a child process.
@@ -192,13 +198,17 @@ class Arm:
                 parse_crash(self.crash, int(param))
             elif kind == "standby":
                 resolve_replicate_cadence(param)
-                if self.crash:
+                if self.crash not in (None, SWEEP):
                     parse_crash_spec(self.crash)
             elif self.topology != "single":
                 raise ValueError("use single, shards:N or standby:CADENCE")
-            elif self.crash is not None and not self.crash.isidentifier():
-                raise ValueError(f"crash {self.crash!r} does not fit "
-                                 f"topology=single (a node name)")
+            elif self.crash not in (None, SWEEP):
+                node, at, at_tuple = self.crash.partition("@")
+                if not node.isidentifier() or at and not (
+                        at_tuple.isascii() and at_tuple.isdigit()
+                        and int(at_tuple) >= 1):
+                    raise ValueError(f"crash {self.crash!r} does not fit "
+                                     f"topology=single (NODE or NODE@N)")
         except ValueError as error:
             raise ArmError(f"bad arm {self.spec()!r}: {error}") from None
 
@@ -251,6 +261,8 @@ class Axes:
     topologies: Tuple[str, ...] = ("single",)
     #: what ``verify`` diffs against the reference when given no ``--arm``
     arms: Tuple[str, ...] = ()
+    #: the crash specs ``crash=*`` runs (:data:`SWEEP`)
+    sweep: Tuple[str, ...] = ()
 
     def check(self, name: str, arm: Arm) -> None:
         """Refuse an arm asking for an axis ``name`` did not declare."""
@@ -260,11 +272,17 @@ class Axes:
             raise ArmError(f"scenario {name!r} declares no topology={kind} "
                            f"axis ({asked}; it builds "
                            f"{', '.join(self.topologies)})")
-        if kind == "single" and arm.crash is not None:
+        if arm.crash == SWEEP:
+            if not self.sweep:
+                raise ArmError(f"scenario {name!r} declares no crash sweep "
+                               f"({asked})")
+            for point in self.sweep:
+                self.check(name, replace(arm, crash=point))
+        elif kind == "single" and arm.crash is not None:
             if self.crash is None:
                 raise ArmError(f"scenario {name!r} declares no crash axis "
                                f"({asked})")
-            if arm.crash != self.crash[0]:
+            if arm.crash.partition("@")[0] != self.crash[0]:
                 raise ArmError(f"scenario {name!r} declares crash="
                                f"{self.crash[0]}, not crash={arm.crash}")
 
@@ -298,9 +316,11 @@ def engine_for(arm: Arm, seed: int, **kwargs):
             # the engine is built before the queries are added: arm it
             # on the way out of start().
             node, at_tuple = LastRun.axes.crash or (None, 0)
-            if node != arm.crash:
+            target, _, at = arm.crash.partition("@")
+            if node != target:
                 raise ArmError(f"crash={arm.crash} is not what the scenario "
                                f"in flight declares; use run_scenario()")
+            at_tuple = int(at or at_tuple)
             start = gs.start
 
             def start_then_crash() -> None:
@@ -434,8 +454,22 @@ def _e4_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
 # ``recovery_agg`` and ``recovery_join`` also declare ``block=1`` and
 # ``block=7`` for their generated window close and join loop.
 
+def _sweep(node: str, inputs: int, points: int = 55) -> Tuple[str, ...]:
+    """A crash sweep's grid: ``points`` transient crashes of ``node``
+    spread evenly over the ``inputs`` items it sees (each one, when it
+    sees fewer)."""
+    points = min(points, inputs)
+    return tuple(f"{node}@{at}" for at in sorted(
+        {1 + i * (inputs - 1) // max(1, points - 1) for i in range(points)}))
+
+
+#: each crash-sweep scenario runs it at the default block and at 7
+_SWEEPS = ("crash=*", "block=7,crash=*")
+
+
 @scenario("recovery_agg", seed=7, crash=("flows", 400),
-          arms=("crash=flows", "block=1", "block=7"))
+          arms=("crash=flows", "block=1", "block=7") + _SWEEPS,
+          sweep=_sweep("flows", 1580))
 def _recovery_agg_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """Aggregation crash mid-stream: HFTA group state restored+replayed."""
     gs = engine_for(arm, seed, lfta_table_size=64, channel_capacity=256,
@@ -447,7 +481,8 @@ def _recovery_agg_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
 
 
 @scenario("recovery_join", seed=7, crash=("j", 150),
-          arms=("crash=j", "block=1", "block=7"))
+          arms=("crash=j", "block=1", "block=7") + _SWEEPS,
+          sweep=_sweep("j", 1200))
 def _recovery_join_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """Join crash mid-stream: window buffers restored, pairs replayed."""
     from repro.net.build import build_tcp_frame, capture
@@ -475,7 +510,7 @@ def _recovery_join_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
 
 
 @scenario("recovery_tcp", seed=7, crash=("tcpre0", 300),
-          arms=("crash=tcpre0",))
+          arms=("crash=tcpre0",) + _SWEEPS, sweep=_sweep("tcpre0", 700))
 def _recovery_tcp_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """TCP-reassembly crash: flow tables and out-of-order buffers survive.
 
@@ -543,7 +578,8 @@ def _alert_scenario(seed: int, arm: Arm, query: str, trigger: str,
 
 
 @scenario("alerts_syn_flood", seed=0, crash=("alert_synflood", 2),
-          arms=("crash=alert_synflood",))
+          arms=("crash=alert_synflood",) + _SWEEPS,
+          sweep=_sweep("alert_synflood", 3))
 def _alerts_syn_flood_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """SYN-flood detection through the trigger layer, crash-restartable.
 
@@ -564,7 +600,8 @@ def _alerts_syn_flood_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
 
 
 @scenario("alerts_port_scan", seed=0, crash=("alert_portscan", 2),
-          arms=("crash=alert_portscan",))
+          arms=("crash=alert_portscan",) + _SWEEPS,
+          sweep=_sweep("alert_portscan", 4))
 def _alerts_port_scan_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """Port-scan detection through the trigger layer, crash-restartable."""
     from repro.workloads.scenarios import port_scan
@@ -645,7 +682,7 @@ def _telemetry_meta_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
 
 
 @scenario("telemetry_crash", seed=0, crash=("chan_drops", 40),
-          arms=("crash=chan_drops",))
+          arms=("crash=chan_drops",) + _SWEEPS, sweep=_sweep("chan_drops", 80))
 def _telemetry_crash_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """Meta-query crash mid-stream (``chan_drops`` has seen ~half the
     telemetry rows and holds an open epoch of drop sums): telemetry
@@ -735,7 +772,10 @@ def _shard_e2_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
 @scenario("failover_agg", seed=7, topologies=("single", "standby"),
           arms=("topology=standby:0.5",) + tuple(
               f"topology=standby:0.5,crash={crash}" for crash in
-              ("packet:700", "frame:0", "frame:2", "frame:2:torn")))
+              ("packet:700", "frame:0", "frame:2", "frame:2:torn", "*"))
+          + ("block=7,topology=standby:0.5,crash=*",),
+          sweep=tuple(f"packet:{k}" for k in range(50, 4000, 97)) + tuple(
+              f"frame:{n}{torn}" for n in range(4) for torn in ("", ":torn")))
 def _failover_agg_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
     """Flow aggregation plus a per-packet selection, primary vs promoted
     standby.  The aggregation carries open-group state across every
@@ -749,6 +789,31 @@ def _failover_agg_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
         Select time, srcIP, destPort From tcp Where destPort = 80
     """)
     subs = {name: gs.subscribe(name) for name in ("flows", "web")}
+    snapshot = _drive(gs, subs, _zipf(seed), pump_every=128)
+    if "replication" in gs.planes:
+        snapshot["failover"] = gs.replication_report()
+    return snapshot
+
+
+@scenario("failover_recovery", seed=7, topologies=("single", "standby"),
+          arms=tuple(f"topology=standby:0.5{crash}" for crash in
+                     ("", ",crash=packet:1500", ",crash=packet:2900")))
+def _failover_recovery_scenario(seed: int, arm: Arm) -> Dict[str, Any]:
+    """Both switches of the durability plane: ``flows`` fails, and the
+    rollback's replay fails it again, so it waits out a backoff before
+    its retry recovers it.  The standby arms promote while it waits
+    (``packet:1500``) and after it recovered (``packet:2900``); each
+    must end where the run without a standby does."""
+    gs = engine_for(arm, seed, metrics=False, heartbeat_interval=0.5,
+                    lfta_table_size=64)
+    gs.add_query(_FLOWS)
+    gs.add_query("""
+        DEFINE query_name web;
+        Select time, srcIP, destPort From tcp Where destPort = 80
+    """)
+    subs = {name: gs.subscribe(name) for name in ("flows", "web")}
+    gs.enable_recovery(checkpoint_interval=0.4)
+    gs.inject_faults(["operator_error:node=flows,at_tuple=400,times=2"])
     snapshot = _drive(gs, subs, _zipf(seed), pump_every=128)
     if "replication" in gs.planes:
         snapshot["failover"] = gs.replication_report()
@@ -789,9 +854,26 @@ def run_scenario(name: str, seed: Optional[int] = None,
     ``arm.hash_seed`` cannot be applied here."""
     seed = seed_for(name, seed)
     arm = arm or Arm()
-    LastRun.axes = axes_of(name)
-    LastRun.axes.check(name, arm)
-    return resolve_scenario(name)(seed, arm)
+    axes = LastRun.axes = axes_of(name)
+    axes.check(name, arm)
+    run = resolve_scenario(name)
+    if arm.crash != SWEEP:
+        return run(seed, arm)
+    # The sweep: the arm without the crash, then each declared point
+    # against it; the snapshot is the uncrashed one, plus what differed.
+    clean = replace(arm, crash=None)
+    snapshot = run(seed, clean)
+    failed = {}
+    for point in axes.sweep:
+        crashed = replace(arm, crash=point)
+        diffs = compare(clean, snapshot, crashed, run(seed, crashed))
+        if crashed.topology == "single" and not any(
+                fault["triggered"] for fault in LastRun.engine.fault_report()
+                if fault["kind"] == "operator_error"):
+            diffs.append("the crash never fired")
+        if diffs:
+            failed[crashed.spec()] = diffs
+    return dict(snapshot, sweep=failed) if failed else snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -804,8 +886,9 @@ def comparable(snapshot: Dict[str, Any],
     agree on (DESIGN section 9's table; the snapshot is not modified).
 
     Always dropped: the ``gs_telemetry_profile_wall*`` families
-    (``perf_counter`` spans differ between any two runs by nature) and
-    the ``failover`` block (:func:`compare` asserts on it instead).
+    (``perf_counter`` spans differ between any two runs by nature), and
+    the ``failover`` and ``sweep`` blocks (:func:`compare` asserts on
+    them instead).
     ``block``: the ``gs_batch*`` families count blocks fed and the
     configured size.  ``crash``: the ``gs_recovery*`` and ``gs_repl*``
     families count restarts, promotions and replay work, and the
@@ -814,7 +897,8 @@ def comparable(snapshot: Dict[str, Any],
     are structural (a scenario whose topology renames nodes snapshots
     its rows alone, :func:`_rows`).  ``hash`` excuses nothing.
     """
-    out = {key: value for key, value in snapshot.items() if key != "failover"}
+    out = {key: value for key, value in snapshot.items()
+           if key not in ("failover", "sweep")}
     dropped = ["gs_telemetry_profile_wall"]
     if "block" in differ:
         dropped.append("gs_batch")
@@ -859,14 +943,19 @@ def compare(left: Arm, first: Dict[str, Any],
             right: Arm, second: Dict[str, Any]) -> List[str]:
     """The paths where two arms' snapshots disagree on what they must
     agree on, plus a line for each arm whose standby promoted when it
-    should not have (no crash) or did not when it should (a crash)."""
+    should not have (no crash) or did not when it should (a crash), and
+    each line of a crash sweep's points that differed."""
     differ = left.differs(right)
     diffs: List[str] = []
     _diff_paths(comparable(first, differ), comparable(second, differ),
                 "$", diffs)
     for arm, snapshot in ((left, first), (right, second)):
+        diffs += [f"$.sweep[{point}]: {line}"
+                  for point, lines in snapshot.get("sweep", {}).items()
+                  for line in lines]
         promoted = bool(snapshot.get("failover", {}).get("promoted"))
-        expected = arm.topology.startswith("standby") and arm.crash is not None
+        expected = (arm.topology.startswith("standby")
+                    and arm.crash not in (None, SWEEP))
         if promoted != expected:
             diffs.append(f"$.failover.promoted: {promoted} under "
                          f"{arm.describe()}, must be {expected}")

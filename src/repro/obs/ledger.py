@@ -21,8 +21,8 @@ between two of its snapshots, not one row of plane-wide counters.
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Iterable, List, Mapping, NamedTuple,
-                    Optional, Tuple)
+from typing import (Any, Callable, List, Mapping, NamedTuple, Optional,
+                    Tuple)
 
 
 class Field(NamedTuple):
@@ -137,7 +137,17 @@ def render(report: Mapping[str, Any], path: str = "") -> List[str]:
     return lines
 
 
-def text_sections(planes: Iterable) -> List[Tuple[str, List[str]]]:
-    """``(title, lines)`` for every plane: its ``report()``, rendered."""
-    return [(plane.ledger.title or plane.ledger.name, render(plane.report()))
-            for plane in planes]
+def view(name: str, plane) -> Tuple[Ledger, Callable[[], Mapping[str, Any]]]:
+    """The ledger and the report function of ``plane`` listed as
+    ``name``: its ``ledger`` and ``report``, or for the durability plane,
+    listed once per switch, that switch's (``views``)."""
+    views = getattr(plane, "views", None)
+    return views[name] if views else (plane.ledger, plane.report)
+
+
+def text_sections(planes: Mapping[str, Any]) -> List[Tuple[str, List[str]]]:
+    """``(title, lines)`` for every plane of ``planes`` (name -> plane):
+    its report, rendered."""
+    return [(ledger.title or ledger.name, render(report()))
+            for ledger, report in (view(name, plane)
+                                   for name, plane in planes.items())]

@@ -68,7 +68,7 @@ def plane_ledgers() -> Dict[str, Ledger]:
     """
     from repro.alerts.engine import LEDGER as alerts
     from repro.control.controller import LEDGER as shed
-    from repro.recovery.supervisor import LEDGER as recovery
+    from repro.recovery.supervisor import RECOVERY as recovery
     return {ledger.stream: ledger for ledger in (shed, recovery, alerts)}
 
 

@@ -96,9 +96,11 @@ class DirectMappedTable:
 
     def _place(self, key: Any) -> Tuple[int, Optional[Tuple[Any, Any]]]:
         """Count a lookup; the slot of ``key`` and the resident group
-        there as ``(key, state)``, None when the slot is empty."""
-        self.lookups += 1
+        there as ``(key, state)``, None when the slot is empty.  A key
+        no hash covers raises before it counts, as in the generated
+        probe (``codegen._place_key``)."""
         index = self._hash(key) % self.size
+        self.lookups += 1
         resident = self.keys[index]
         if resident is None:
             return index, None

@@ -7,13 +7,15 @@
 * :mod:`repro.recovery.journal` -- the one input journal: what an RTS
   was handed since a cut, the application's takes included, and its
   replay onto a restored RTS -- a rollback in place, or a promoted
-  standby (:mod:`repro.replication`), exactly-once either way.
-* :mod:`repro.recovery.supervisor` -- crash-consistent periodic
-  checkpoints, bounded-retry restart by rolling the whole RTS back and
-  replaying the journal.
+  standby, exactly-once either way.
+* :mod:`repro.recovery.supervisor` -- the one durability plane: one
+  state log, one journal and one cadence, put back onto the RTS itself
+  (bounded-retry rollback of a failed node) or onto a warm standby
+  promoted when the primary dies.
 
-Enable via :meth:`repro.core.engine.Gigascope.enable_recovery` or the
-CLI's ``--recover`` / ``--checkpoint-interval`` / ``--max-restarts``.
+Its two switches are :meth:`repro.core.engine.Gigascope.enable_recovery`
+(``--recover`` / ``--checkpoint-interval`` / ``--max-restarts``) and
+``enable_replication`` (``--standby`` and the flags that imply it).
 """
 
 from repro.recovery.supervisor import RecoverySupervisor

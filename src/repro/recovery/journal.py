@@ -1,14 +1,14 @@
 """The input journal: what an RTS was handed since a cut (DESIGN section 11).
 
 State is the integral of the inputs, so one rule restores an engine:
-put a cut's state back, then re-feed the inputs since.  The recovery
-supervisor applies it to the RTS it watches (a rollback in place), the
-replication plane to its standby (a promotion); each owns a
-:class:`Journal`.  The application's takes are inputs too: a channel
-no node reads is delivery, in no frame, so the journal keeps its
-ledger at the cut and, from the first take since, the items it held
-then; a replay puts both back and drops what each replayed take hands
-over, as the application has it.
+put a cut's state back, then re-feed the inputs since.  The durability
+plane owns one :class:`Journal` and applies the rule to the RTS it
+serves (a rollback in place) or to its standby (a promotion).  The
+application's takes are inputs too: a channel no node reads is
+delivery, in no frame, so the journal keeps its ledger at the cut and,
+from the first take since, the items it held then; a replay puts both
+back and drops what each replayed take hands over, as the application
+has it.
 """
 
 from __future__ import annotations

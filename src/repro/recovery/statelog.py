@@ -28,17 +28,17 @@ checksummed payload) whose payload is a dict:
   would otherwise hold: those earlier frames shipped, and for a full
   epoch every one of the engine's (a cut skips a quarantined node).
 * ``extra`` -- opaque to the log; the shard worker keeps its barrier
-  position there.
+  position there, the durability plane its restart budget.
 
 :class:`StateLog` is the fold of such a sequence and has the only
 implementation of each verb: :meth:`~StateLog.cut` (the next frame,
 from a live RTS), :meth:`~StateLog.fold` (validate, then a
 ``dict.update`` -- state is the integral of its deltas, and no node
 blob is decoded to fold it) and :meth:`~StateLog.restore` (apply to a
-live RTS).  The readers keep only what is theirs: the recovery
-supervisor its budget and backoff, the shard parent its barriers, the
-replication plane its cadence and failure detection.  The first and
-the last restore the same way, a fold and then one
+live RTS).  The readers keep only what is theirs: the durability
+plane its cadence, budget, backoff and failure detection, the shard
+parent its barriers.  The plane restores one way onto either of its
+targets, the RTS itself or its standby: a fold and then one
 :class:`~repro.recovery.journal.Journal` replayed onto the target.
 
 Failure is typed and total: a frame that cannot be fully decoded and
@@ -231,7 +231,7 @@ class StateLog:
 
     def __init__(self) -> None:
         #: node name -> encoded state blob; updated in place, never
-        #: rebound (the recovery supervisor exposes it as ``checkpoints``)
+        #: rebound (the durability plane exposes it as ``checkpoints``)
         self.nodes: Dict[str, bytes] = {}
         self.seq = -1
         self.time = -math.inf

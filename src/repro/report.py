@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from repro.obs.collectors import NODE_EXTRA_ATTRS
-from repro.obs.ledger import render, text_sections
+from repro.obs.ledger import render, text_sections, view
 
 
 def _format_row(columns, widths) -> str:
@@ -80,7 +80,7 @@ def engine_report(engine) -> str:
     lines.append("")
     _node_table(engine.stats(), lines)
     planes = engine.planes
-    sections = text_sections(planes.values())
+    sections = text_sections(planes)
     if "shed" not in planes:
         # Without a controller the uncorrected drop snapshot still
         # belongs in a status report.
@@ -94,5 +94,5 @@ def plane_reports(engine) -> Dict[str, Any]:
     """The rendered report plus every enabled plane's ``report()``:
     the one JSON-shaped dump CI's failure artifacts write."""
     return {"report": engine_report(engine).splitlines(),
-            "planes": {name: plane.report()
+            "planes": {name: view(name, plane)[1]()
                        for name, plane in engine.planes.items()}}

@@ -823,18 +823,22 @@ class TestStreams:
         assert pair.node.table.lookups > 0
 
     def test_unhashable_key_finishes_the_rows_before_it(self):
+        """A key no hash covers raises from its placement, before its
+        lookup counts: the engine's generated probe and ``upsert`` per
+        row, the reference's, agree on the rows before it."""
         pair = LftaPair("DEFINE query_name q; Select tb, s, count(*) "
                         "From probe Group by time/2 as tb, s", PROBE_REGISTRY)
-        node = pair.node
         rows = [(10, 10, 1, 0, 0.0, b"a"), (10, 10, 1, 0, 0.0, b"b"),
                 (10, 10, 1, 0, 0.0, {"not": "a primitive"}),
                 (10, 10, 1, 0, 0.0, b"c")]
+        packets = [probe_packet(row) for row in rows]
         with pytest.raises(TypeError, match="stable_hash only covers"):
-            node.accept_batch([probe_packet(row) for row in rows])
-        # the key is placed before its probe counts
-        assert node.table.lookups == 2 and len(node.table) == 2
-        node.flush()
-        assert sorted(item for item in node.tap.drain()
+            pair.reference.table.upsert((5, {"not": "a primitive"}), tuple)
+        assert pair.reference.table.lookups == 0
+        assert pair.both(lambda each: each.accept_batch(packets)) is TypeError
+        assert pair.node.table.lookups == 2 and len(pair.node.table) == 2
+        pair.flush()
+        assert sorted(item for item in pair.emitted
                       if type(item) is tuple) == [(5, b"a", 1), (5, b"b", 1)]
 
 

@@ -679,6 +679,24 @@ class TestReplicationFlags:
         assert clean_code == 0
         assert out == clean_out
 
+    def test_recover_and_standby_run_together(self, trace, capsys):
+        """One durability plane: a node failure rolls back in place, the
+        heartbeat silence promotes the standby, and the rows are the
+        clean run's."""
+        code, out, err = run_cli(
+            ["--pcap", trace, "--query", self.QUERY, "--recover",
+             "--standby", "--promote-after", "0.5",
+             "--fault", "operator_error:node=q,at_tuple=2,times=1",
+             "--fault", "heartbeat_silence:at=5,duration=60"],
+            capsys)
+        assert code == 0
+        assert "# recovery report" in err and "restarts_total=1" in err
+        assert "# replication report" in err and "promoted=True" in err
+        clean_code, clean_out, _ = run_cli(
+            ["--pcap", trace, "--query", self.QUERY], capsys)
+        assert clean_code == 0
+        assert out == clean_out
+
     def test_replicate_implies_standby(self, trace, capsys):
         code, _out, err = run_cli(
             ["--pcap", trace, "--query", self.QUERY, "--replicate", "0"],
@@ -719,8 +737,8 @@ class TestReplicationFlags:
         assert "same.out" in capsys.readouterr().err
 
     def test_standby_refuses_control_plane_flags(self, trace, capsys):
-        for extra in (["--shed", "static:0.5"], ["--recover"],
-                      ["--telemetry"], ["--alert", "a:on=q,when=count(*)>1"]):
+        for extra in (["--shed", "static:0.5"], ["--telemetry"],
+                      ["--alert", "a:on=q,when=count(*)>1"]):
             with pytest.raises(SystemExit) as excinfo:
                 main(["--pcap", trace, "--query", self.QUERY,
                       "--standby"] + extra)
@@ -796,22 +814,23 @@ class TestRefusals:
         from repro import Gigascope
         counts = {flag: len(build()[1])
                   for flag, (_, build) in _facades().items()}
-        assert counts == {"--shards": 7, "--standby": 5}
+        assert counts == {"--shards": 7, "--standby": 4}
         assert Gigascope.refusals == {}
 
-    @pytest.mark.parametrize("plane", sorted(set(REFUSABLE) - {"faults"}))
+    @pytest.mark.parametrize("plane", sorted(set(REFUSABLE)
+                                             - {"faults", "recovery"}))
     def test_replication_is_refused_next_to_a_plane_it_refuses(self, plane):
         """``attach_plane`` checks a refusal both ways: a plane enabled
         first refuses replication with the reason replication gives."""
         from repro import Gigascope
         from repro.core.stream_manager import RegistryError
-        from repro.replication import ReplicationPlane
+        from repro.recovery.supervisor import STANDBY_REFUSALS
         engine = Gigascope(metrics=False)
         REFUSABLE[plane][1](engine)
         with pytest.raises(RegistryError) as refused:
             engine.enable_replication()
         assert str(refused.value) == (f"replication refuses {plane}: "
-                                      f"{ReplicationPlane.refusals[plane]}")
+                                      f"{STANDBY_REFUSALS[plane]}")
         assert "replication" not in engine.planes
 
     def test_sharded_refuses_replication_by_its_declared_reason(self):

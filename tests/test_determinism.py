@@ -142,8 +142,10 @@ class TestArm:
         assert arm.spec() == "block=7,topology=shards:4,crash=1:600"
         assert Arm.parse("") == Arm.parse("topology=single") == Arm()
         assert Arm().spec() == "topology=single"
-        for text in ("block=1", "crash=flows", "topology=standby:0.5",
-                     "topology=standby:0.5,crash=frame:2:torn"):
+        for text in ("block=1", "crash=flows", "crash=flows@80", "crash=*",
+                     "topology=standby:0.5",
+                     "topology=standby:0.5,crash=frame:2:torn",
+                     "block=7,topology=standby:0.5,crash=*"):
             assert Arm.parse(text).spec() == text
 
     def test_differs_names_the_fields(self):
@@ -168,6 +170,9 @@ class TestArm:
         ("topology=shards:4,crash=9:10", "9:10"),
         ("topology=shards:4,crash=frame:2", "frame:2"),
         ("topology=standby:0.5,crash=1:600", "1:600"),
+        ("crash=flows@0", "flows@0"),
+        ("crash=flows@x", "flows@x"),
+        ("topology=shards:4,crash=*", "'\\*'"),
     ])
     def test_malformed_arm_is_refused_naming_the_offender(self, bad,
                                                           offender):
@@ -199,20 +204,23 @@ class TestArm:
 #: is a diff of this table -- the one ``replay verify`` runs
 _SHARD_ARMS = ("topology=shards:4", "topology=shards:4,crash=1:600")
 _BLOCKS = ("block=1", "block=7")
+_SWEEPS = ("crash=*", "block=7,crash=*")
 ARM_MATRIX = {
     "mixed": (7, None, ("single",), ("block=1",)),
     "e4": (3, None, ("single",), _BLOCKS),
     "recovery_agg": (7, ("flows", 400), ("single",),
-                     ("crash=flows",) + _BLOCKS),
-    "recovery_join": (7, ("j", 150), ("single",), ("crash=j",) + _BLOCKS),
-    "recovery_tcp": (7, ("tcpre0", 300), ("single",), ("crash=tcpre0",)),
+                     ("crash=flows",) + _BLOCKS + _SWEEPS),
+    "recovery_join": (7, ("j", 150), ("single",),
+                      ("crash=j",) + _BLOCKS + _SWEEPS),
+    "recovery_tcp": (7, ("tcpre0", 300), ("single",),
+                     ("crash=tcpre0",) + _SWEEPS),
     "alerts_syn_flood": (0, ("alert_synflood", 2), ("single",),
-                         ("crash=alert_synflood",)),
+                         ("crash=alert_synflood",) + _SWEEPS),
     "alerts_port_scan": (0, ("alert_portscan", 2), ("single",),
-                         ("crash=alert_portscan",)),
+                         ("crash=alert_portscan",) + _SWEEPS),
     "telemetry_meta": (0, None, ("single",), ()),
     "telemetry_crash": (0, ("chan_drops", 40), ("single",),
-                        ("crash=chan_drops",)),
+                        ("crash=chan_drops",) + _SWEEPS),
     "shard_flows": (7, None, ("single", "shards"), _SHARD_ARMS),
     "shard_e2": (7, None, ("single", "shards"), _SHARD_ARMS),
     "failover_agg": (7, None, ("single", "standby"), (
@@ -220,8 +228,21 @@ ARM_MATRIX = {
         "topology=standby:0.5,crash=packet:700",
         "topology=standby:0.5,crash=frame:0",
         "topology=standby:0.5,crash=frame:2",
-        "topology=standby:0.5,crash=frame:2:torn")),
+        "topology=standby:0.5,crash=frame:2:torn",
+        "topology=standby:0.5,crash=*",
+        "block=7,topology=standby:0.5,crash=*")),
+    "failover_recovery": (7, None, ("single", "standby"), (
+        "topology=standby:0.5",
+        "topology=standby:0.5,crash=packet:1500",
+        "topology=standby:0.5,crash=packet:2900")),
 }
+
+#: each sweep's points: ~55 spread over the declared node's inputs (the
+#: alert triggers see 3 and 4 rows), and on ``failover_agg`` 41 pump
+#: boundaries plus frames 0-3, whole and torn
+SWEEP_POINTS = {"recovery_agg": 55, "recovery_join": 55, "recovery_tcp": 55,
+                "alerts_syn_flood": 3, "alerts_port_scan": 4,
+                "telemetry_crash": 55, "failover_agg": 49}
 
 
 class TestDeclaredAxes:
@@ -229,6 +250,8 @@ class TestDeclaredAxes:
         assert {name: (fn.axes.seed, fn.axes.crash, fn.axes.topologies,
                        fn.axes.arms)
                 for name, fn in SCENARIOS.items()} == ARM_MATRIX
+        assert {name: len(fn.axes.sweep) for name, fn in SCENARIOS.items()
+                if fn.axes.sweep} == SWEEP_POINTS
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_every_scenario_declares_a_seed_and_plannable_arms(self, name):
@@ -271,6 +294,8 @@ class TestDeclaredAxes:
         ("shard_e2", "topology=standby:0.5", "topology=standby"),
         ("failover_agg", "crash=flows", "crash"),
         ("recovery_agg", "crash=j", "crash=flows"),
+        ("recovery_agg", "crash=j@3", "crash=flows"),
+        ("e4", "crash=*", "sweep"),
     ])
     def test_an_undeclared_axis_is_refused_not_passed(self, name, arm, axis):
         """HEAD printed ``replay OK ... crash+recover`` for a scenario
@@ -281,6 +306,27 @@ class TestDeclaredAxes:
                 call()
             assert repr(name) in str(excinfo.value)
             assert axis in str(excinfo.value)
+
+    def test_a_sweep_reports_every_point_that_differs(self, monkeypatch):
+        """``crash=*`` runs the uncrashed arm, then each declared point
+        against it, in one process; without the rollback every crash
+        quarantines its node, and each point says so."""
+        from dataclasses import replace
+
+        from repro.recovery.supervisor import RecoverySupervisor
+        fn = SCENARIOS["recovery_agg"]
+        points = fn.axes.sweep[20:22]
+        monkeypatch.setattr(fn, "axes", replace(fn.axes, sweep=points))
+        clean = run_scenario("recovery_agg")
+        assert run_scenario("recovery_agg", arm=Arm(crash="*")) == clean
+        monkeypatch.setattr(RecoverySupervisor, "on_failure",
+                            lambda self, node, error: False)
+        swept = run_scenario("recovery_agg", arm=Arm(crash="*"))
+        assert sorted(swept["sweep"]) == [f"crash={point}"
+                                          for point in points]
+        diffs = compare(Arm(), clean, Arm(crash="*"), swept)
+        assert diffs and all(line.startswith("$.sweep[crash=flows@")
+                             for line in diffs)
 
     def test_crash_arm_needs_the_declaration_in_flight(self):
         """A scenario called past ``run_scenario`` cannot pick up the

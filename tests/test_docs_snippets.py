@@ -123,9 +123,9 @@ def test_readme_documents_every_metric_family():
 
 def test_readme_refusal_table_is_the_declaration():
     """The README's "what an engine refuses" rows are the declared
-    ``refusals`` of the sharded facade and the replication plane: same
-    planes, same reasons, word for word."""
-    from repro.replication import ReplicationPlane
+    refusals of the sharded facade and the durability plane's standby:
+    same planes, same reasons, word for word."""
+    from repro.recovery.supervisor import STANDBY_REFUSALS
     from repro.shard import ShardedGigascope
 
     readme = (ROOT / "README.md").read_text()
@@ -133,7 +133,7 @@ def test_readme_refusal_table_is_the_declaration():
              in re.findall(r"^\| `(--\w+)` \| [^|]+ \| `(\w+)` \| (.+) \|$",
                            readme, re.M)}
     declared = {(flag, plane): reason
-                for flag, declarer in (("--shards", ShardedGigascope),
-                                       ("--standby", ReplicationPlane))
-                for plane, reason in declarer.refusals.items()}
+                for flag, refusals in (("--shards", ShardedGigascope.refusals),
+                                       ("--standby", STANDBY_REFUSALS))
+                for plane, reason in refusals.items()}
     assert table == declared

@@ -13,12 +13,12 @@ from repro import Gigascope
 from repro.alerts.engine import LEDGER as ALERTS
 from repro.control.controller import LEDGER as SHED
 from repro.core.stream_manager import RegistryError
-from repro.obs.ledger import Field, Ledger, columns, install, render, row
+from repro.obs.ledger import (Field, Ledger, columns, install, render, row,
+                              view)
 from repro.obs.registry import MetricsRegistry
 from repro.obs.telemetry import LEDGER as TELEMETRY
 from repro.obs.telemetry import TELEMETRY_STREAMS, plane_ledgers, telemetry_schema
-from repro.recovery.supervisor import LEDGER as RECOVERY
-from repro.replication import LEDGER as REPLICATION
+from repro.recovery.supervisor import RECOVERY, REPLICATION
 from repro.shard import ShardedGigascope
 from repro.shard.runtime import LEDGER as SHARD
 from tests.conftest import tcp_packet
@@ -74,13 +74,13 @@ def live():
 class TestEveryPlane:
     def test_plane_carries_its_ledger(self, ledger, live):
         plane, _ = live[ledger.name]
-        assert plane.ledger is ledger
+        assert view(ledger.name, plane)[0] is ledger
         assert len({f.family for f in ledger.fields if f.family}) == \
             len([f for f in ledger.fields if f.family])
 
     def test_report_keys_exist(self, ledger, live):
         plane, _ = live[ledger.name]
-        report = plane.report()
+        report = view(ledger.name, plane)[1]()
         assert {f.key for f in ledger.fields if f.key is not None} \
             <= set(report)
 
@@ -108,7 +108,7 @@ class TestEveryPlane:
         ``gs_repl_frames_total{kind}`` carries ``frames_full`` and
         ``frames_delta`` in one family."""
         plane, _ = live[ledger.name]
-        report = plane.report()
+        report = view(ledger.name, plane)[1]()
         for field in ledger.fields:
             entry = report.get(field.key)
             if field.column == "shed_delta" \

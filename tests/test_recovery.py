@@ -632,7 +632,7 @@ class TestBackoffAndBudget:
         gs, _sub, supervisor = _run(crash=crash, times=None, max_restarts=1)
         assert list(gs.rts.quarantined) == [crash[0]]
         assert sorted(supervisor.checkpoints) == [kept]
-        report = supervisor.report()
+        report = supervisor.recovery_report()
         assert report["checkpoint_nodes"] == 1
         assert report["checkpoint_bytes"] == len(
             supervisor.checkpoints[kept])
@@ -651,6 +651,18 @@ class TestBackoffAndBudget:
                        {"backoff_factor": 0.5}):
             with pytest.raises(ValueError):
                 gs.enable_recovery(**kwargs)
+
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), 2.5,
+                                        True, -1, "3", None])
+    def test_a_budget_that_cannot_run_out_is_refused(self, budget):
+        """``used >= max_restarts`` is never true under NaN: a permanent
+        fault was retried until ``backoff_factor ** used`` raised
+        ``OverflowError`` out of ``flush``."""
+        gs = Gigascope()
+        with pytest.raises(ValueError, match=r"^max_restarts must be an "
+                                             r"int >= 0, got "):
+            gs.enable_recovery(max_restarts=budget)
+        assert "recovery" not in gs.rts.planes
 
     @pytest.mark.parametrize("name", ["checkpoint_interval", "backoff_base",
                                       "backoff_factor"])

@@ -43,9 +43,10 @@ from repro.recovery.statelog import (
     encode_frame,
 )
 from repro.recovery.wire import MAGIC, decode_snapshot, encode_snapshot
+from repro.recovery.journal import Journal
+from repro.recovery.supervisor import check
 from repro.replication import (
     DEFAULT_CADENCE,
-    ReplicationPlane,
     parse_crash_spec,
     resolve_replicate_cadence,
 )
@@ -133,9 +134,9 @@ def supervisor_frames():
     supervisor = gs.enable_recovery(checkpoint_interval=0.5)
     frames, fold = [], supervisor.log.fold
 
-    def recording_fold(blob):
+    def recording_fold(blob, into=None):
         frames.append(blob)
-        return fold(blob)
+        return fold(blob, into=into)
 
     supervisor.log.fold = recording_fold
     gs.start()
@@ -530,7 +531,7 @@ class TestReplicationIdentity:
         packets = zipf_packets()
         rows, plane = run_replicated(packets, cadence=0.5)
         assert rows == run_plain(packets)
-        report = plane.report()
+        report = plane.replication_report()
         assert report["promoted"] is False
         assert report["frames_full"] == 1
         assert report["frames_delta"] >= 2
@@ -544,7 +545,7 @@ class TestReplicationIdentity:
         packets = zipf_packets()
         rows, plane = run_replicated(packets, cadence=0.5, crash=crash)
         assert rows == run_plain(packets)
-        report = plane.report()
+        report = plane.replication_report()
         assert report["promoted"] is True
         assert report["promotions"] == 1
         # The primary dies after packet K and is found dead at the next
@@ -557,7 +558,7 @@ class TestReplicationIdentity:
         packets = zipf_packets()
         rows, plane = run_replicated(packets, cadence=0.5, crash="frame:2:torn")
         assert rows == run_plain(packets)
-        report = plane.report()
+        report = plane.replication_report()
         assert report["promoted"] is True
         # The torn write was refused typed...
         assert report["apply_errors"] == 1
@@ -580,7 +581,7 @@ class TestReplicationIdentity:
         gs.feed(packets, pump_every=128)
         gs.flush()
         clean = run_plain(packets)
-        assert plane.report()["promoted"] is True
+        assert plane.replication_report()["promoted"] is True
         assert first.poll() == clean
         assert second.poll() == clean
         assert first.ended and second.ended
@@ -596,7 +597,7 @@ class TestReplicationIdentity:
             packets, cadence=0.5, promote_after=0.2,
             faults=["heartbeat_silence:at=1.5,duration=30"])
         assert rows == run_plain(packets)
-        report = plane.report()
+        report = plane.replication_report()
         assert report["promoted"] is True
         assert "heartbeat silence" in report["failure_reason"]
         assert report["rpo_virtual_s"] >= 0.0
@@ -625,11 +626,11 @@ class TestReplicationIdentity:
         # The first delta's write fails (a full disk under
         # --replicate-log): the pump carries on, and the next boundary
         # re-cuts the same seq with the union of the changes.
-        import repro.replication as replication
+        import repro.recovery.supervisor as supervisor
         path = tmp_path / "repl.log"
         gs, plane = replicated(cadence=0.5, log_path=str(path))
         lost = []
-        append = replication.append_frame
+        append = supervisor.append_frame
 
         def full_disk(handle, frame):
             if len(plane.log_frames) == 1 and not lost:
@@ -637,7 +638,7 @@ class TestReplicationIdentity:
                 raise OSError("No space left on device")
             append(handle, frame)
 
-        monkeypatch.setattr(replication, "append_frame", full_disk)
+        monkeypatch.setattr(supervisor, "append_frame", full_disk)
         gs.add_query(FLOWS_QUERY)
         sub = gs.subscribe("flows")
         gs.start()
@@ -645,7 +646,7 @@ class TestReplicationIdentity:
         gs.feed(packets, pump_every=128)
         gs.flush()
         assert sub.poll() == run_plain(packets)
-        report = plane.report()
+        report = plane.replication_report()
         assert report["deliver_errors"] == 1
         assert "No space left" in report["last_deliver_error"]
         delivered = plane.log_frames
@@ -696,7 +697,7 @@ class TestThePlane:
                                              r"number|>= 0), got "):
             gs.enable_replication(cadence=bad)
         with pytest.raises(ValueError, match=r"^cadence must be"):
-            ReplicationPlane(gs, cadence=bad)
+            check("cadence", bad)
         assert gs.planes == {}
 
     @pytest.mark.parametrize("crash", [None, "packet:2600"])
@@ -743,7 +744,7 @@ class TestThePlane:
         clean, plain, _ = self.run_big(packets, replicate=False)
         rows, gs, plane = self.run_big(packets, replicate=True, crash=crash)
         assert rows == clean
-        assert plane.report()["promoted"] is (crash is not None)
+        assert plane.replication_report()["promoted"] is (crash is not None)
         late = clean[1][500:]
         assert 350 < len(late) < 700  # the raised bound filters
         assert all(row[1] >= self.LEAST for row in late)
@@ -763,7 +764,7 @@ class TestThePlane:
             assert "big" not in rts.names() and "flows" in rts.names()
         gs.start()
         gs.feed(packets[300:], pump_every=128)
-        report = plane.report()
+        report = plane.replication_report()
         assert report["promoted"] and report["apply_errors"] == 0
         assert gs.rts is plane.standby and plane.standby.started
         with pytest.raises(RegistryError, match="no query named 'big'"):
@@ -833,7 +834,7 @@ class TestThePlane:
         rows, pumps, plane = run(True)
         assert plain_pumps == pumps == 0
         assert rows == clean and len(clean) > 10
-        report = plane.report()
+        report = plane.replication_report()
         assert report["promoted"] is (crash is not None)
         if crash:
             # found dead at the flush's pump, the first boundary: every
@@ -916,7 +917,7 @@ class TestQuarantine:
         assert "flows" in plain.rts.quarantined
         rows, gs, plane = self.run(at_tuple, crash=crash)
         assert rows == clean
-        report = plane.report()
+        report = plane.replication_report()
         assert report["promoted"] is (crash is not None)
         assert report["apply_errors"] == 0
         assert gs.rts.quarantined == plain.rts.quarantined
@@ -959,3 +960,87 @@ class TestInjectorsOutliveThePrimary:
         assert gs.replication_report()["promoted"]
         assert plain.rts.fault_dropped == gs.rts.fault_dropped == 1000
         assert rows == clean
+
+
+# ---------------------------------------------------------------------------
+# Recovery and replication are the two switches of one plane
+# ---------------------------------------------------------------------------
+
+class TestOneDurabilityPlane:
+    def run(self, recover=None, replicate=None, crash=None, fault=None):
+        """The flows query over ``zipf_packets(3000)``; returns the
+        engine, its plane, the rows and the time of every frame folded."""
+        gs = Gigascope(seed=7, heartbeat_interval=0.5, metrics=False)
+        plane = None
+        if replicate is not None:
+            plane = gs.enable_replication(cadence=replicate, crash=crash)
+        gs.add_query(FLOWS_QUERY)
+        sub = gs.subscribe("flows")
+        if recover is not None:
+            plane = gs.enable_recovery(checkpoint_interval=recover)
+        if fault:
+            gs.inject_faults([fault])
+        times, fold = [], plane.log.fold
+
+        def timed_fold(blob, into=None):
+            frame = fold(blob, into=into)
+            times.append(frame["time"])
+            return frame
+
+        plane.log.fold = timed_fold
+        gs.start()
+        gs.feed(zipf_packets(count=3000), pump_every=128)
+        gs.flush()
+        return gs, plane, sub.poll(), times
+
+    @pytest.mark.parametrize("first", ["recovery", "replication"])
+    def test_both_switches_list_one_plane_with_one_log_and_journal(self,
+                                                                   first):
+        gs = Gigascope(metrics=False)
+        switches = {"recovery": gs.enable_recovery,
+                    "replication": gs.enable_replication}
+        plane = switches[first]()
+        assert list(gs.planes) == [first]
+        second = "replication" if first == "recovery" else "recovery"
+        assert switches[second]() is plane
+        assert list(gs.planes) == [first, second]
+        assert gs.planes[second] is plane
+        for rts in plane.runtimes:
+            hooked = [hook for _, hook in rts._attached]
+            assert hooked.count(plane) == 1
+        assert [hook for _, hook in gs.rts._attached
+                if isinstance(hook, Journal)] == [plane.journal]
+        with pytest.raises(RegistryError, match=f"{first} already enabled"):
+            switches[first]()
+
+    @pytest.mark.parametrize("recover, replicate", [(2.0, 0.7), (0.7, 2.0)])
+    def test_one_frame_per_cadence_of_the_tighter_setting(self, recover,
+                                                          replicate):
+        """Pump boundaries are 0.32 s apart (128 packets at 400 pps):
+        a frame at the first one 0.7 s past the last."""
+        _, plane, rows, times = self.run(recover=recover,
+                                         replicate=replicate)
+        _, _, alone, tighter = self.run(recover=0.7)
+        assert times == tighter and rows == alone
+        assert plane.interval == 0.7
+        assert plane.checkpoints_taken == len(times) == plane.log.seq + 1
+        finite = times[1:]  # the baseline is cut as the engine starts
+        assert len(finite) >= 7 and all(
+            0.7 <= later - earlier < 0.7 + 0.33
+            for earlier, later in zip(finite, finite[1:]))
+
+    def test_a_promotion_hands_over_the_budget_of_the_fold(self):
+        """``flows`` fails, fails again in the rollback's replay and
+        waits out its backoff; the primary dies meanwhile.  The standby
+        holds the frame before the failure, so its budget is unspent."""
+        fault = "operator_error:node=flows,at_tuple=150,times=2"
+        gs, _, clean, _ = self.run(recover=0.4, fault=fault)
+        assert gs.recovery_report()["restarts"] == {"flows": 2}
+        # flows fails in the pump that ends at packet 2048
+        gs, plane, rows, _ = self.run(recover=0.4, replicate=0.5,
+                                      crash="packet:2000", fault=fault)
+        assert rows == clean
+        assert plane.promoted and gs.rts is plane.standby
+        assert plane.primary.node("flows").quarantined.startswith(
+            "recovering: ")
+        assert plane.restarts == {} and plane.suspended == []
