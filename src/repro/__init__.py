@@ -17,61 +17,32 @@ Quick start::
     gs.feed(packets)
     gs.flush()
     rows = sub.poll()
+
+``import repro`` loads the engine -- :class:`Gigascope` and the modules
+a plain build runs -- and nothing else: every other public name is
+imported on first access (:mod:`repro._lazy`), and a plane's modules
+load in the ``enable_*`` call that switches it on.
 """
 
-from repro.alerts import AlertEngine, AlertSpecError, TriggerSpec, parse_alert_spec
-from repro.control import (
-    AimdShedding,
-    NoShedding,
-    OverloadController,
-    StaticShedding,
-)
+from repro._lazy import exports
 from repro.core.engine import Gigascope
-from repro.core.stream_manager import RuntimeSystem, Subscription
-from repro.determinism import rng_for, stable_hash, verify_replay
-from repro.faults import (
-    ChannelOverflowStorm,
-    ClockSkew,
-    HeartbeatSilence,
-    OperatorFault,
-    RingLossBurst,
-)
-from repro.core.query_node import QueryNode, UserNode
-from repro.gsql.functions import FunctionSpec
-from repro.gsql.schema import Attribute, ProtocolSchema, StreamSchema
-from repro.net.packet import CapturedPacket
-from repro.obs import MetricsRegistry, Tracer
 
 __version__ = "1.3.0"
 
-__all__ = [
-    "Gigascope",
-    "AlertEngine",
-    "AlertSpecError",
-    "TriggerSpec",
-    "parse_alert_spec",
-    "RuntimeSystem",
-    "Subscription",
-    "QueryNode",
-    "UserNode",
-    "FunctionSpec",
-    "Attribute",
-    "ProtocolSchema",
-    "StreamSchema",
-    "CapturedPacket",
-    "MetricsRegistry",
-    "Tracer",
-    "OverloadController",
-    "AimdShedding",
-    "NoShedding",
-    "StaticShedding",
-    "stable_hash",
-    "rng_for",
-    "verify_replay",
-    "RingLossBurst",
-    "ChannelOverflowStorm",
-    "ClockSkew",
-    "HeartbeatSilence",
-    "OperatorFault",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = exports(globals(), {
+    "repro.alerts": ("AlertEngine", "AlertSpecError", "TriggerSpec",
+                     "parse_alert_spec"),
+    "repro.core.stream_manager": ("RuntimeSystem", "Subscription"),
+    "repro.core.query_node": ("QueryNode", "UserNode"),
+    "repro.gsql.functions": ("FunctionSpec",),
+    "repro.gsql.schema": ("Attribute", "ProtocolSchema", "StreamSchema"),
+    "repro.net.packet": ("CapturedPacket",),
+    "repro.obs": ("MetricsRegistry", "Tracer"),
+    "repro.control": ("OverloadController", "AimdShedding", "NoShedding",
+                      "StaticShedding"),
+    "repro.stable": ("stable_hash", "rng_for"),
+    "repro.determinism": ("verify_replay",),
+    "repro.faults": ("RingLossBurst", "ChannelOverflowStorm", "ClockSkew",
+                     "HeartbeatSilence", "OperatorFault"),
+})
+__all__ += ["Gigascope", "__version__"]

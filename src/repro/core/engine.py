@@ -137,7 +137,7 @@ class Gigascope:
             raise ValueError(
                 "heartbeat_interval must be None or a positive finite "
                 f"number, got {heartbeat_interval!r}")
-        #: root of the seeded RNG registry (repro.determinism): every
+        #: root of the seeded RNG registry (repro.stable): every
         #: data-path consumer of randomness (DEFINE-sample gates, shed
         #: gates) derives its own named stream from this, so a run
         #: replays exactly for a given (queries, packets, seed) triple

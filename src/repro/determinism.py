@@ -8,7 +8,9 @@ must produce the same samples, the same shed packets, the same
 direct-mapped-table ejections, and therefore the same sink rows and
 drop ledger -- in *any* process, regardless of ``PYTHONHASHSEED``.
 
-Three tools enforce that contract:
+Three tools enforce that contract; the first two are the data path's
+and live in :mod:`repro.stable`, which a plain engine loads without
+this harness (they are re-exported here):
 
 * :func:`stable_hash` -- a crc32 over a canonical encoding of (nested)
   primitive values.  Python's builtin ``hash()`` of str/bytes is
@@ -50,84 +52,16 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import random
 import subprocess
 import sys
-import zlib
 from dataclasses import dataclass, replace
-from operator import index as _index
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-_NAMESPACE = zlib.crc32(b"repro.determinism")
-
-#: value types :func:`stable_hash` accepts; their ``repr`` is defined by
-#: the language, not by the process (no addresses, no hash ordering)
-_STABLE_TYPES = (type(None), bool, int, float, str, bytes)
-
-
-def _canonical(obj: Any) -> bytes:
-    """A process-stable byte encoding of a nested primitive value."""
-    if isinstance(obj, _STABLE_TYPES):
-        return repr(obj).encode("utf-8", "backslashreplace")
-    if isinstance(obj, (tuple, list)):
-        return b"(" + b",".join(_canonical(item) for item in obj) + b")"
-    raise TypeError(
-        f"stable_hash only covers primitives and tuples of them, "
-        f"got {type(obj).__name__}"
-    )
-
-
-def stable_hash(obj: Any) -> int:
-    """Process-stable 32-bit hash of a group key (or any primitive nest).
-
-    Unlike builtin ``hash()``, the result does not depend on
-    ``PYTHONHASHSEED``, so hash-table placement -- and therefore
-    collision/ejection behavior -- replays identically across runs.
-    """
-    return zlib.crc32(_canonical(obj))
-
-
-def tuple_hash(key: Any) -> int:
-    """The LFTA's slot hash for a plan whose group key is all-integer
-    (``ExprCompiler.stable_hash_reason`` is None; DESIGN section 18):
-    builtin ``hash(key)`` when every part is an integer, else
-    :func:`stable_hash`.
-
-    An integer tuple's ``hash`` is a function of its values alone on a
-    64-bit build (``sys.hash_info.width``), in every process and under
-    every ``PYTHONHASHSEED``.  Nothing else may reach it: ``hash()`` of
-    ``bytes``/``str`` follows ``PYTHONHASHSEED``, of ``None`` (on 3.11)
-    the object's address, of a NaN its identity.  ``operator.index``
-    admits exactly the integers (``bool`` among them, which hashes as
-    its value) and raises ``TypeError`` on ``None``, ``bytes``,
-    ``str`` and ``float`` -- the check the LFTA's generated probe runs
-    on every part that is not an integer by construction.
-    """
-    try:
-        for part in key:
-            _index(part)
-    except TypeError:
-        return stable_hash(key)
-    return hash(key)
-
-
-def derive_seed(seed: int, *names: Any) -> int:
-    """Derive an independent 32-bit stream seed from ``seed`` and names.
-
-    Chained crc32 over the engine seed and the consumer's name path,
-    e.g. ``derive_seed(7, "lfta.sample", "_fta_q_eth0")``.  Stable
-    across processes and insensitive to registration order.
-    """
-    acc = _NAMESPACE ^ (seed & 0xFFFFFFFF)
-    for name in names:
-        acc = zlib.crc32(str(name).encode("utf-8"), acc)
-    return acc
-
-
-def rng_for(seed: int, *names: Any) -> random.Random:
-    """A named, independent RNG stream from the seeded registry."""
-    return random.Random(derive_seed(seed, *names))
+# The data path's primitives live in repro.stable, which a plain engine
+# imports without this harness; they are re-exported here unchanged.
+from repro.stable import (_canonical, derive_seed, rng_for,  # noqa: F401
+                          stable_hash, tuple_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +223,14 @@ class Axes:
 
 class LastRun:
     """The scenario in flight and the last engine it built:
-    :func:`run_scenario` sets ``axes``, :func:`engine_for` reads the
-    declared crash target off it and records ``engine``, whose state
-    log and :func:`repro.report.plane_reports` are what a failed
-    ``verify`` is debugged from."""
+    :func:`run_scenario` sets ``axes`` and, for one run, ``log_path``;
+    :func:`engine_for` reads the declared crash target and the path a
+    standby's frames are written to off it and records ``engine``,
+    whose state log and :func:`repro.report.plane_reports` are what a
+    failed ``verify`` is debugged from."""
 
     axes = Axes()
+    log_path: Optional[str] = None
     engine = None
 
 
@@ -310,7 +246,8 @@ def engine_for(arm: Arm, seed: int, **kwargs):
         from repro.core.engine import Gigascope
         gs = Gigascope(**kwargs)
         if kind == "standby":
-            gs.enable_replication(cadence=float(param), crash=arm.crash)
+            gs.enable_replication(cadence=float(param), crash=arm.crash,
+                                  log_path=LastRun.log_path)
         elif arm.crash is not None:
             # An operator fault can only arm once its node exists, and
             # the engine is built before the queries are added: arm it
@@ -848,17 +785,24 @@ def seed_for(name: str, seed: Optional[int] = None) -> int:
 
 
 def run_scenario(name: str, seed: Optional[int] = None,
-                 arm: Optional[Arm] = None) -> Dict[str, Any]:
+                 arm: Optional[Arm] = None,
+                 log_path: Optional[str] = None) -> Dict[str, Any]:
     """Run one arm of a scenario (None: the reference) in this process
     at ``seed`` (None: the declared one) and return its snapshot;
-    ``arm.hash_seed`` cannot be applied here."""
+    ``arm.hash_seed`` cannot be applied here.  A ``standby`` arm other
+    than a sweep writes its frames to ``log_path``, as
+    ``--replicate-log`` does."""
     seed = seed_for(name, seed)
     arm = arm or Arm()
     axes = LastRun.axes = axes_of(name)
     axes.check(name, arm)
     run = resolve_scenario(name)
     if arm.crash != SWEEP:
-        return run(seed, arm)
+        LastRun.log_path = log_path
+        try:
+            return run(seed, arm)
+        finally:
+            LastRun.log_path = None
     # The sweep: the arm without the crash, then each declared point
     # against it; the snapshot is the uncrashed one, plus what differed.
     clean = replace(arm, crash=None)

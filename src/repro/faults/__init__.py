@@ -2,7 +2,7 @@
 
 Stream monitors are expected to give deterministic, specifiable
 behavior under faults; this package injects the faults.  Every injector
-is seeded (through :mod:`repro.determinism`) and keyed to *stream time*
+is seeded (through :mod:`repro.stable`) and keyed to *stream time*
 -- the virtual clock the packets carry -- so a faulty run replays
 exactly like a healthy one.
 

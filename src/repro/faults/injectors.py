@@ -20,17 +20,18 @@ in the ``faults`` phase, ahead of every control plane):
 
 Nothing here uses wall-clock time or process-randomized hashing: a
 window is ``[at, at + duration)`` in stream seconds, and probabilistic
-drops draw from a :func:`repro.determinism.rng_for` stream, so a faulty
+drops draw from a :func:`repro.stable.rng_for` stream, so a faulty
 run is as replayable as a healthy one.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Any, Dict, Optional
 
 from repro.core.channels import check_finite
-from repro.determinism import rng_for
+from repro.stable import rng_for
 
 
 class FaultInjector:
@@ -205,7 +206,6 @@ class ClockSkew(FaultInjector):
         if not self.active(packet.timestamp):
             return packet
         self.skewed += 1
-        from dataclasses import replace
         return replace(packet, timestamp=packet.timestamp + self.skew_s)
 
     def report(self) -> Dict[str, Any]:

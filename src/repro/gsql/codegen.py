@@ -427,8 +427,8 @@ class ExprCompiler:
     def stable_hash_reason(self, group_exprs: Sequence[Expr]
                            ) -> Optional[str]:
         """Why this plan's group keys are placed by
-        :func:`~repro.determinism.stable_hash`, or None when they take
-        the tuple hash (:func:`~repro.determinism.tuple_hash`).
+        :func:`~repro.stable.stable_hash`, or None when they take
+        the tuple hash (:func:`~repro.stable.tuple_hash`).
 
         Decided from static types, never from values, so every run
         places a given key identically: every group expression must
@@ -452,7 +452,7 @@ class ExprCompiler:
                        decoded: bool) -> Optional[List[str]]:
         """The parts (named ``parts``) of a group key the tuple hash
         must check on each row, or None when the plan's keys take
-        :func:`~repro.determinism.stable_hash`.  A part is an integer by
+        :func:`~repro.stable.stable_hash`.  A part is an integer by
         construction -- no check -- when it is an integer literal, a
         column a block kernel decodes (``decoded``: header fields,
         ``time`` and ``len``; a row adapter's fields are whatever its

@@ -10,39 +10,22 @@ from scratch (no scapy/dpkt):
 * :mod:`repro.net.netflow` -- Netflow v5-style records and router export
 * :mod:`repro.net.bgp` -- simplified BGP UPDATE messages
 * :mod:`repro.net.lpm` -- longest-prefix-match trie (used by ``getlpmid``)
+
+The names below are imported on first access (:mod:`repro._lazy`).
 """
 
-from repro.net.packet import CapturedPacket, ip_to_int, int_to_ip, mac_to_bytes, bytes_to_mac
-from repro.net.ethernet import EthernetHeader, ETHERTYPE_IPV4
-from repro.net.ip import IPv4Header, PROTO_TCP, PROTO_UDP, PROTO_ICMP
-from repro.net.tcp import TCPHeader
-from repro.net.udp import UDPHeader
-from repro.net.pcap import CaptureTruncated, PcapReader, PcapWriter
-from repro.net.netflow import NetflowRecord, NetflowExporter, pack_netflow_v5, unpack_netflow_v5
-from repro.net.bgp import BGPUpdate
-from repro.net.lpm import PrefixTable
+from repro._lazy import exports
 
-__all__ = [
-    "CapturedPacket",
-    "ip_to_int",
-    "int_to_ip",
-    "mac_to_bytes",
-    "bytes_to_mac",
-    "EthernetHeader",
-    "ETHERTYPE_IPV4",
-    "IPv4Header",
-    "PROTO_TCP",
-    "PROTO_UDP",
-    "PROTO_ICMP",
-    "TCPHeader",
-    "UDPHeader",
-    "CaptureTruncated",
-    "PcapReader",
-    "PcapWriter",
-    "NetflowRecord",
-    "NetflowExporter",
-    "pack_netflow_v5",
-    "unpack_netflow_v5",
-    "BGPUpdate",
-    "PrefixTable",
-]
+__all__, __getattr__, __dir__ = exports(globals(), {
+    "repro.net.packet": ("CapturedPacket", "ip_to_int", "int_to_ip",
+                         "mac_to_bytes", "bytes_to_mac"),
+    "repro.net.ethernet": ("EthernetHeader", "ETHERTYPE_IPV4"),
+    "repro.net.ip": ("IPv4Header", "PROTO_TCP", "PROTO_UDP", "PROTO_ICMP"),
+    "repro.net.tcp": ("TCPHeader",),
+    "repro.net.udp": ("UDPHeader",),
+    "repro.net.pcap": ("CaptureTruncated", "PcapReader", "PcapWriter"),
+    "repro.net.netflow": ("NetflowRecord", "NetflowExporter",
+                          "pack_netflow_v5", "unpack_netflow_v5"),
+    "repro.net.bgp": ("BGPUpdate",),
+    "repro.net.lpm": ("PrefixTable",),
+})

@@ -11,47 +11,22 @@
 * :mod:`repro.obs.telemetry` -- self-telemetry: the engine's internals
   published as first-class ``_gs_*`` GSQL streams, plus the sampling
   pump profiler.
+
+The names below are imported on first access (:mod:`repro._lazy`): the
+engine loads the registry, the collectors and the ledger; tracing and
+telemetry load in ``enable_tracing`` and ``enable_telemetry``.
 """
 
-from repro.obs.collectors import (
-    NODE_EXTRA_ATTRS,
-    bind_nic,
-    engine_snapshot,
-    install_engine_metrics,
-    node_snapshot,
-)
-from repro.obs.telemetry import (
-    TELEMETRY_STREAMS,
-    PumpProfiler,
-    TelemetryHub,
-    TelemetryStreamNode,
-    telemetry_schema,
-)
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricError,
-    MetricsRegistry,
-)
-from repro.obs.tracing import Tracer, trace_key
+from repro._lazy import exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricError",
-    "MetricsRegistry",
-    "Tracer",
-    "trace_key",
-    "NODE_EXTRA_ATTRS",
-    "TELEMETRY_STREAMS",
-    "PumpProfiler",
-    "TelemetryHub",
-    "TelemetryStreamNode",
-    "bind_nic",
-    "engine_snapshot",
-    "install_engine_metrics",
-    "node_snapshot",
-    "telemetry_schema",
-]
+__all__, __getattr__, __dir__ = exports(globals(), {
+    "repro.obs.registry": ("Counter", "Gauge", "Histogram", "MetricError",
+                           "MetricsRegistry"),
+    "repro.obs.tracing": ("Tracer", "trace_key"),
+    "repro.obs.collectors": ("NODE_EXTRA_ATTRS", "bind_nic",
+                             "engine_snapshot", "install_engine_metrics",
+                             "node_snapshot"),
+    "repro.obs.telemetry": ("TELEMETRY_STREAMS", "PumpProfiler",
+                            "TelemetryHub", "TelemetryStreamNode",
+                            "telemetry_schema"),
+})

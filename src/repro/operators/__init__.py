@@ -17,26 +17,21 @@ User-written nodes (the paper's escape hatch):
 
 * :mod:`repro.operators.defrag` -- IP defragmentation
 * :mod:`repro.operators.tcp_reassembly` -- TCP stream reassembly
+
+The names below are imported on first access (:mod:`repro._lazy`), so
+the user-written nodes load only for a query set that uses them.
 """
 
-from repro.operators.aggregates import partial_layout
-from repro.operators.lfta_table import DirectMappedTable
-from repro.operators.lfta import LftaNode
-from repro.operators.selection import SelectionNode
-from repro.operators.aggregation import AggregationNode
-from repro.operators.join import JoinNode
-from repro.operators.merge import MergeNode
-from repro.operators.defrag import DefragNode
-from repro.operators.tcp_reassembly import TcpReassemblyNode
+from repro._lazy import exports
 
-__all__ = [
-    "partial_layout",
-    "DirectMappedTable",
-    "LftaNode",
-    "SelectionNode",
-    "AggregationNode",
-    "JoinNode",
-    "MergeNode",
-    "DefragNode",
-    "TcpReassemblyNode",
-]
+__all__, __getattr__, __dir__ = exports(globals(), {
+    "repro.operators.aggregates": ("partial_layout",),
+    "repro.operators.lfta_table": ("DirectMappedTable",),
+    "repro.operators.lfta": ("LftaNode",),
+    "repro.operators.selection": ("SelectionNode",),
+    "repro.operators.aggregation": ("AggregationNode",),
+    "repro.operators.join": ("JoinNode",),
+    "repro.operators.merge": ("MergeNode",),
+    "repro.operators.defrag": ("DefragNode",),
+    "repro.operators.tcp_reassembly": ("TcpReassemblyNode",),
+})

@@ -30,6 +30,7 @@ from repro.gsql.planner import HftaPlan
 from repro.gsql.semantic import AnalyzedQuery, KeyRef
 from repro.operators.aggregates import partial_layout
 from repro.operators.base import key_bound_fn
+from repro.stable import rng_for
 
 
 class AggregationNode(QueryNode):
@@ -44,7 +45,6 @@ class AggregationNode(QueryNode):
         if plan.sample_rate is not None and not self.from_partials:
             # Seeded registry stream, not hash(name): str hash() is
             # process-randomized and breaks deterministic replay.
-            from repro.determinism import rng_for
             self._sample_rate = plan.sample_rate
             self._sample_rng = rng_for(seed, "hfta.sample", plan.name)
         else:

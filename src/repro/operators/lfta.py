@@ -54,7 +54,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.heartbeat import Punctuation
-from repro.determinism import rng_for, stable_hash, tuple_hash
+from repro.stable import rng_for, stable_hash, tuple_hash
 from repro.core.query_node import NodeStats, QueryNode
 from repro.gsql.codegen import ExprCompiler
 from repro.gsql.planner import LftaPlan
@@ -120,7 +120,7 @@ class LftaNode(QueryNode):
         self.packets_seen = 0
         self.sampled_out = 0
         # Every RNG on the packet path comes from the seeded registry
-        # (repro.determinism): str hash() is randomized per process and
+        # (repro.stable): str hash() is randomized per process and
         # would make runs unreplayable.
         if plan.sample_rate is not None:
             self._sample_rate = plan.sample_rate

@@ -34,23 +34,23 @@ into the columns inline, and hands the counter deltas back once per
 block (:meth:`DirectMappedTable.close_block`).  Both place a key in
 the same slot, ``hash_key(key) % size``: for a plan whose group key is
 statically all-integer ``hash_key`` is
-:func:`repro.determinism.tuple_hash` -- builtin ``hash(key)``, with
+:func:`repro.stable.tuple_hash` -- builtin ``hash(key)``, with
 any key that is not all-integer at run time taken by ``stable_hash``
--- and :func:`repro.determinism.stable_hash` for every other plan.
+-- and :func:`repro.stable.stable_hash` for every other plan.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.determinism import stable_hash
+from repro.stable import stable_hash
 
 
 class DirectMappedTable:
     """A fixed-size direct-mapped map from group keys to states.
 
-    Slots are placed by ``hash_key``: :func:`repro.determinism.stable_hash`
-    by default, :func:`~repro.determinism.tuple_hash` for a plan whose
+    Slots are placed by ``hash_key``: :func:`repro.stable.stable_hash`
+    by default, :func:`~repro.stable.tuple_hash` for a plan whose
     keys are all-integer.  Never by a process-randomized hash: slot
     choice decides which groups collide and get ejected, so with one
     two runs of the same workload would emit different partials (and

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.core.heartbeat import Punctuation
 from repro.core.query_node import QueryNode
-from repro.determinism import rng_for
+from repro.stable import rng_for
 from repro.gsql.codegen import ExprCompiler
 from repro.gsql.planner import HftaPlan
 from repro.gsql.semantic import AnalyzedQuery

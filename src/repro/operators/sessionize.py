@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.core.heartbeat import Punctuation
 from repro.core.query_node import QueryNode
 from repro.gsql.ordering import Ordering
 from repro.gsql.schema import Attribute, PacketView, StreamSchema
@@ -138,7 +139,6 @@ class SessionizeNode(QueryNode):
             self._close(key, session)
 
     def on_heartbeat(self, stream_time: float) -> None:
-        from repro.core.heartbeat import Punctuation
         self._sweep(stream_time)
         # All future sessions end no earlier than the idle horizon.
         self.emit_punctuation(

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Any, BinaryIO, Dict, Iterable, Optional
+from typing import Any, BinaryIO, Dict, Iterable, List, Optional
 
 from repro.core.channels import all_quiescent
 from repro.recovery.wire import (
@@ -155,6 +155,16 @@ def append_frame(handle: BinaryIO, frame: bytes) -> None:
     ``--replicate-log`` format, and what CI's failure artifacts use."""
     handle.write(struct.pack(">I", len(frame)))
     handle.write(frame)
+
+
+def read_frames(handle: BinaryIO) -> List[bytes]:
+    """Every frame of a log file :func:`append_frame` wrote, in order,
+    torn ones included: a frame cut short mid-write comes back as the
+    bytes that reached the file, for :meth:`StateLog.fold` to refuse."""
+    frames = []
+    while len(prefix := handle.read(4)) == 4:
+        frames.append(handle.read(struct.unpack(">I", prefix)[0]))
+    return frames
 
 
 def _apply(rts, label: Any, nodes: Dict[str, bytes],

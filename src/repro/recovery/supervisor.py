@@ -107,11 +107,10 @@ REPLICATION = Ledger("replication", (
           read=lambda plane: plane.deferred_cuts),
     Field("applied_seq", "gs_repl_last_frame_seq", "gauge",
           "sequence number of the latest frame "
-          "applied by the standby (-1 before the full epoch)",
-          read=lambda plane: plane.log.seq),
+          "applied by the standby (-1 before the full epoch)"),
     Field("applied_time", "gs_repl_last_frame_time_seconds", "gauge",
           "virtual time of the latest applied frame",
-          read=lambda plane: _finite(plane.log.time)),
+          read=lambda plane: _finite(plane.applied_time)),
     Field("standby_lag_s", "gs_repl_standby_lag_seconds", "gauge",
           "primary stream time minus the latest applied frame's time "
           "(the recovery-point exposure right now)"),
@@ -171,9 +170,7 @@ class RecoverySupervisor:
         self.standby: Optional[RuntimeSystem] = None
         self._crash: Optional[Dict[str, Any]] = None
         self._log_file = None
-        #: every frame shipped to a standby (torn bytes included), and
         #: what the standby refused
-        self.log_frames: List[bytes] = []
         self.apply_errors: List[str] = []
         #: node name -> restart attempts consumed; node name -> (node,
         #: error, retry_at) while it waits out its backoff
@@ -184,6 +181,11 @@ class RecoverySupervisor:
         self.promoted = self._stale = self._replaying = False
         #: ``deferred_cuts``: a channel held items in flight
         self.bytes_total = self.nodes_shipped = self.deferred_cuts = 0
+        #: the ``seq``/``time``/``cursor`` of the last frame a standby
+        #: folded: a promotion freezes them (and ``bytes_total`` and
+        #: ``nodes_shipped``), though recovery goes on cutting
+        self.applied_seq, self.applied_time = self.log.seq, self.log.time
+        self.applied_cursor = self.log.cursor
         self.deliver_errors = self.restarts_total = self.replayed_items = 0
         self.retries_exhausted = self.suppressed_rows = self.promotions = 0
         self.replayed_packets = self.rpo_packets = 0
@@ -324,18 +326,19 @@ class RecoverySupervisor:
             self.deliver_errors += 1
             self.last_deliver_error = f"{type(error).__name__}: {error}"
             return False
-        if self.cadence is not None:
-            self.log_frames.append(shipped)
+        log, standby = self.log, None if self.promoted else self.standby
         try:
-            applied = self.log.fold(
-                shipped, into=None if self.promoted else self.standby)
+            applied = log.fold(shipped, into=standby)
         except FrameError as error:
             # never half-applied: the standby stays at the previous frame
             self.apply_errors.append(str(error))
             applied = None
         else:
-            self.nodes_shipped += len(applied["nodes"])
-            self.bytes_total += len(frame)
+            if standby is not None:
+                self.nodes_shipped += len(applied["nodes"])
+                self.bytes_total += len(frame)
+                self.applied_seq, self.applied_time = log.seq, log.time
+                self.applied_cursor = log.cursor
             self.journal.cut(rts)
             self._stale = False
         if crashes:
@@ -371,9 +374,9 @@ class RecoverySupervisor:
 
     @property
     def frames(self) -> Dict[str, int]:
-        """Frames folded by kind: frame 0 is the full epoch."""
-        return {"full": min(self.log.seq + 1, 1),
-                "delta": max(self.log.seq, 0)}
+        """Frames a standby folded, by kind: frame 0 is the full epoch."""
+        return {"full": min(self.applied_seq + 1, 1),
+                "delta": max(self.applied_seq, 0)}
 
     # -- scheduler hooks -----------------------------------------------------
     def on_start(self) -> None:
@@ -534,7 +537,7 @@ class RecoverySupervisor:
         crash = self._crash or {}
         died = (crash["at"] if crash.get("kind") == "packet"
                 else primary.packets_fed + primary.fault_dropped)
-        self.rpo_packets = died - self.log.cursor
+        self.rpo_packets = died - self.applied_cursor
         # A node the primary quarantined stays quarantined, for the
         # primary's reason: the fold left it out, or holds the state it
         # had before it failed.
@@ -583,7 +586,7 @@ class RecoverySupervisor:
         (None until both clocks have started), frozen at a promotion."""
         if self.promoted:
             return self._lag
-        return _finite(self.primary.stream_time - self.log.time)
+        return _finite(self.primary.stream_time - self.applied_time)
 
     # -- the reports ---------------------------------------------------------
     def recovery_report(self) -> Dict[str, Any]:
@@ -603,7 +606,6 @@ class RecoverySupervisor:
         }
 
     def replication_report(self) -> Dict[str, Any]:
-        log = self.log
         return {
             "cadence": self.cadence,
             "frames_full": self.frames["full"],
@@ -613,11 +615,11 @@ class RecoverySupervisor:
             "skipped_unquiescent": self.deferred_cuts,
             "deliver_errors": self.deliver_errors,
             "last_deliver_error": self.last_deliver_error,
-            "last_frame_time": log.time,
-            "applied_seq": log.seq,
-            "applied_time": log.time,
-            "cursor": log.cursor,
-            "frames_applied": log.seq + 1,
+            "last_frame_time": self.applied_time,
+            "applied_seq": self.applied_seq,
+            "applied_time": self.applied_time,
+            "cursor": self.applied_cursor,
+            "frames_applied": self.applied_seq + 1,
             "apply_errors": len(self.apply_errors),
             "standby_lag_s": self.standby_lag_s,
             "promoted": self.promoted,

@@ -13,24 +13,17 @@ on any machine:
   unpredictable flush stalls
 * :mod:`repro.sim.capture` -- the four capture stacks of Section 4 and
   the loss-knee search harness
+
+The names below are imported on first access (:mod:`repro._lazy`): the
+run-time system reads only the cost model.
 """
 
-from repro.sim.cost_model import CostModel
-from repro.sim.host import HostModel
-from repro.sim.disk import DiskModel
-from repro.sim.capture import (
-    CaptureConfig,
-    CaptureResult,
-    CaptureSimulation,
-    find_loss_knee,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "CostModel",
-    "HostModel",
-    "DiskModel",
-    "CaptureConfig",
-    "CaptureResult",
-    "CaptureSimulation",
-    "find_loss_knee",
-]
+__all__, __getattr__, __dir__ = exports(globals(), {
+    "repro.sim.cost_model": ("CostModel",),
+    "repro.sim.host": ("HostModel",),
+    "repro.sim.disk": ("DiskModel",),
+    "repro.sim.capture": ("CaptureConfig", "CaptureResult",
+                          "CaptureSimulation", "find_loss_knee"),
+})

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, List, Tuple
 
-from repro.determinism import rng_for
+from repro.stable import rng_for
 from repro.net.build import (
     build_icmp_frame,
     build_tcp_frame,

@@ -25,6 +25,7 @@ import io
 import math
 import os
 import struct
+import tempfile
 
 import pytest
 
@@ -41,6 +42,7 @@ from repro.recovery.statelog import (
     StateLogError,
     decode_frame,
     encode_frame,
+    read_frames,
 )
 from repro.recovery.wire import MAGIC, decode_snapshot, encode_snapshot
 from repro.recovery.journal import Journal
@@ -121,10 +123,18 @@ def engine_states(rts):
             for name, node in rts.iter_nodes()}
 
 
+def logged_frames(path):
+    """The frames a plane wrote to its ``log_path``, torn ones included."""
+    with open(path, "rb") as handle:
+        return read_frames(handle)
+
+
 def plane_frames():
     """The frame log of one clean replicated run."""
-    _, plane = run_replicated(zipf_packets(), cadence=0.5)
-    return plane.log_frames
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "repl.log")
+        run_replicated(zipf_packets(), cadence=0.5, log_path=path)
+        return logged_frames(path)
 
 
 def supervisor_frames():
@@ -554,9 +564,11 @@ class TestReplicationIdentity:
                 <= report["rpo_packets"] + 128)
         assert report["promote_wall_s"] >= 0.0
 
-    def test_torn_frame_falls_back_one_frame(self):
+    def test_torn_frame_falls_back_one_frame(self, tmp_path):
         packets = zipf_packets()
-        rows, plane = run_replicated(packets, cadence=0.5, crash="frame:2:torn")
+        path = tmp_path / "repl.log"
+        rows, plane = run_replicated(packets, cadence=0.5,
+                                     crash="frame:2:torn", log_path=str(path))
         assert rows == run_plain(packets)
         report = plane.replication_report()
         assert report["promoted"] is True
@@ -566,6 +578,15 @@ class TestReplicationIdentity:
                    for line in report["apply_error_log"])
         # ...so promotion resumed from frame 1's cursor.
         assert report["applied_seq"] == 1
+        # The log file ends in the torn write, which a reader refuses
+        # the same way.
+        *whole, torn = logged_frames(path)
+        log, rts = fresh_standby()
+        for frame in whole:
+            log.fold(frame, into=rts)
+        assert log.seq == 1
+        with pytest.raises(FrameCorruptError):
+            log.fold(torn, into=rts)
 
     @pytest.mark.parametrize("crash", ["packet:700", "frame:2",
                                        "frame:2:torn"])
@@ -614,11 +635,12 @@ class TestReplicationIdentity:
             offset += 4
             frames.append(blob[offset:offset + length])
             offset += length
-        assert frames == plane.log_frames
+        assert frames == logged_frames(path)
         log, rts = fresh_standby()
         for frame in frames:
             log.fold(frame, into=rts)
-        assert log.seq == len(frames) - 1
+        assert log.seq == len(frames) - 1 == plane.applied_seq
+        assert log.nodes == plane.log.nodes
         assert frames[0][:4] == MAGIC
 
     def test_raising_deliver_never_unwinds_the_pump(self, tmp_path,
@@ -629,14 +651,15 @@ class TestReplicationIdentity:
         import repro.recovery.supervisor as supervisor
         path = tmp_path / "repl.log"
         gs, plane = replicated(cadence=0.5, log_path=str(path))
-        lost = []
+        lost, appended = [], []
         append = supervisor.append_frame
 
         def full_disk(handle, frame):
-            if len(plane.log_frames) == 1 and not lost:
+            if len(appended) == 1 and not lost:
                 lost.append(frame)
                 raise OSError("No space left on device")
             append(handle, frame)
+            appended.append(frame)
 
         monkeypatch.setattr(supervisor, "append_frame", full_disk)
         gs.add_query(FLOWS_QUERY)
@@ -649,7 +672,8 @@ class TestReplicationIdentity:
         report = plane.replication_report()
         assert report["deliver_errors"] == 1
         assert "No space left" in report["last_deliver_error"]
-        delivered = plane.log_frames
+        delivered = logged_frames(path)
+        assert delivered == appended
         lost, recut = decode_frame(lost[0]), decode_frame(delivered[1])
         assert lost["seq"] == recut["seq"] == 1
         assert set(recut["nodes"]) >= set(lost["nodes"])
@@ -894,10 +918,11 @@ class TestQuarantine:
     uninterrupted run never did."""
 
     @staticmethod
-    def run(at_tuple, replicate=True, crash=None):
+    def run(at_tuple, replicate=True, crash=None, log_path=None):
         gs = Gigascope(seed=7, heartbeat_interval=0.5, lfta_table_size=64,
                        metrics=False)
-        plane = (gs.enable_replication(cadence=0.5, crash=crash)
+        plane = (gs.enable_replication(cadence=0.5, crash=crash,
+                                       log_path=log_path)
                  if replicate else None)
         gs.add_query(_FLOWS)
         sub = gs.subscribe("flows")
@@ -929,9 +954,11 @@ class TestQuarantine:
         if at_tuple == 1 or plane.log.seq >= 1:
             assert "flows" not in plane.log.nodes
 
-    def test_a_node_quarantined_before_the_epoch_is_dropped_by_it(self):
-        _, _, plane = self.run(at_tuple=1)
-        epoch = decode_frame(plane.log_frames[0])
+    def test_a_node_quarantined_before_the_epoch_is_dropped_by_it(
+            self, tmp_path):
+        path = tmp_path / "repl.log"
+        self.run(at_tuple=1, log_path=str(path))
+        epoch = decode_frame(logged_frames(path)[0])
         assert epoch["kind"] == "full" and epoch["dropped"] == ["flows"]
         assert "flows" not in epoch["nodes"]
 
@@ -1044,3 +1071,28 @@ class TestOneDurabilityPlane:
         assert plane.primary.node("flows").quarantined.startswith(
             "recovering: ")
         assert plane.restarts == {} and plane.suspended == []
+
+    def test_the_frame_counters_freeze_at_a_promotion(self, monkeypatch):
+        """The promoted runtime goes on cutting frames for its own
+        rollbacks; no standby folds them, so what the replication
+        switch reports of its frames keeps the promotion's values."""
+        from repro.determinism import Arm, LastRun, run_scenario
+        from repro.recovery.supervisor import RecoverySupervisor
+        promote, at_promotion = RecoverySupervisor._promote, []
+
+        def recorded(plane, reason):
+            promote(plane, reason)
+            at_promotion.append(plane.replication_report())
+
+        monkeypatch.setattr(RecoverySupervisor, "_promote", recorded)
+        final = run_scenario("failover_recovery", arm=Arm.parse(
+            "topology=standby:0.5,crash=packet:1500"))["failover"]
+        frozen = ("frames_full", "frames_delta", "bytes_total",
+                  "nodes_shipped", "last_frame_time", "applied_seq",
+                  "applied_time", "cursor", "frames_applied")
+        [promoted] = at_promotion
+        assert {key: final[key] for key in frozen} == {
+            key: promoted[key] for key in frozen}
+        assert (final["applied_seq"], final["bytes_total"]) == (2, 13452)
+        plane = LastRun.engine.planes["replication"]
+        assert plane.checkpoints_taken > final["frames_applied"]
