@@ -34,7 +34,7 @@ from repro.gsql.ordering import Ordering
 from repro.gsql.schema import Attribute, StreamSchema
 from repro.gsql.types import FLOAT, IP, STRING, UINT
 from repro.net.packet import int_to_ip
-from repro.obs.ledger import Field, Ledger
+from repro.obs.plane_ledgers import ALERTS
 
 
 class EpochTick:
@@ -369,34 +369,6 @@ class AlertBusNode(QueryNode):
         self._flushed_inputs = list(state["flushed_inputs"])
 
 
-def _per_trigger(key, family, kind, help_text, column=None, counter=None):
-    counter = counter or f"alerts_{column}"
-    return Field(key, family, kind, help_text, "trigger", column,
-                 read=lambda engine: {name: getattr(node, counter) for name,
-                                      node in engine.triggers.items()})
-
-
-#: The alert plane's counters: per-trigger families, and the
-#: ``_gs_alert`` columns their sums.
-LEDGER = Ledger("alerts", (
-    Field("triggers", "gs_alert_triggers", "gauge",
-          "trigger definitions installed", column="triggers",
-          read=lambda engine: len(engine.triggers)),
-    Field("ticks_sent", "gs_alert_ticks_total", "counter",
-          "epoch-clock ticks sent at pump boundaries", column="ticks"),
-    _per_trigger("raised_total", "gs_alert_raised_total", "counter",
-                 "RAISE events emitted", "raised"),
-    _per_trigger("cleared_total", "gs_alert_cleared_total", "counter",
-                 "CLEAR events emitted", "cleared"),
-    _per_trigger("suppressed_total", "gs_alert_suppressed_total", "counter",
-                 "raises withheld by per-trigger rate limiting", "suppressed"),
-    _per_trigger("active_total", "gs_alert_active", "gauge",
-                 "keys currently raised", "active"),
-    _per_trigger("triggers", "gs_alert_epochs_evaluated_total", "counter",
-                 "evaluation epochs closed", counter="epochs_evaluated"),
-), title="alert", stream="_gs_alert")
-
-
 class AlertEngine:
     """Owns the triggers, the bus, and the epoch clock.
 
@@ -404,7 +376,8 @@ class AlertEngine:
     RTS calls :meth:`on_cycle` at every pump boundary.
     """
 
-    ledger = LEDGER
+    #: in repro.obs.plane_ledgers, which telemetry reads without this plane
+    ledger = ALERTS
 
     def __init__(self, engine, bus_name: str = "alerts") -> None:
         self.engine = engine

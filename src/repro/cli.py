@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from pathlib import Path
 from typing import Iterable, List, Optional
@@ -34,6 +33,20 @@ from repro.gsql.lexer import GSQLSyntaxError
 from repro.gsql.semantic import SemanticError
 from repro.net.packet import CapturedPacket, int_to_ip
 from repro.net.pcap import PcapReader
+from repro.options import KNOBS, Knob, flag_type, plane_flags
+
+
+def _knob(parser, switch: str, name: str, **kwargs) -> None:
+    """Add the flag of a knob, checked at parse time by its entry."""
+    knob = KNOBS[switch, name]
+    parser.add_argument(knob.flag, type=flag_type(knob), **kwargs)
+
+
+def _values(args, switch: str) -> dict:
+    """The knobs of ``switch`` given on the command line, by API name."""
+    given = {knob.name: getattr(args, knob.flag[2:].replace("-", "_"))
+             for knob in KNOBS.values() if knob.switch == switch and knob.flag}
+    return {name: value for name, value in given.items() if value is not None}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,12 +82,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--stats", action="store_true",
                         help="print per-node statistics (including "
                              "per-channel overflow counters) after the run")
-    parser.add_argument("--seed", type=int, default=0, metavar="N",
-                        help="root seed for every data-path RNG (DEFINE-"
-                             "sample gates, shed gates, fault coin flips); "
-                             "the same queries, packets, and seed replay "
-                             "byte-identically regardless of "
-                             "PYTHONHASHSEED (default 0)")
+    _knob(parser, "Gigascope", "seed", default=0, metavar="N",
+          help="root seed for every data-path RNG (DEFINE-sample gates, shed "
+               "gates, fault coin flips); the same queries, packets, and "
+               "seed replay byte-identically regardless of PYTHONHASHSEED "
+               "(default 0)")
     parser.add_argument("--fault", action="append", default=[],
                         metavar="SPEC",
                         help="inject a seeded, virtual-time fault "
@@ -104,48 +116,42 @@ def _build_parser() -> argparse.ArgumentParser:
                              "rolls the engine back to the last checkpoint "
                              "and re-feeds its input journal instead of "
                              "quarantining the operator for good")
-    parser.add_argument("--checkpoint-interval", type=float, metavar="SECS",
-                        help="virtual-time seconds between crash-consistent "
-                             "checkpoints (implies --recover; default 1.0)")
-    parser.add_argument("--max-restarts", type=int, metavar="N",
-                        help="restart attempts per node before degrading to "
-                             "permanent quarantine (implies --recover; "
-                             "default 3)")
+    _knob(parser, "enable_recovery", "checkpoint_interval", metavar="SECS",
+          help="virtual-time seconds between crash-consistent checkpoints "
+               "(implies --recover; default 1.0)")
+    _knob(parser, "enable_recovery", "max_restarts", metavar="N",
+          help="restart attempts per node before degrading to permanent "
+               "quarantine (implies --recover; default 3)")
     parser.add_argument("--shed", metavar="POLICY",
                         help="enable the overload control plane with this "
                              "shedding policy: none | static:RATE | adaptive; "
                              "prints the overload report after the run")
-    parser.add_argument("--channel-capacity", type=int, metavar="N",
-                        help="bound inter-node channels at N tuples "
-                             "(overflow drops data tuples, never "
-                             "punctuation; drops are accounted)")
-    parser.add_argument("--batch-size", type=int, metavar="N",
-                        help="packets per block on the data path (1 runs "
-                             "blocks of one; default 256)")
-    parser.add_argument("--shards", type=int, metavar="N",
-                        help="stripe the packet list by position across N "
-                             "worker processes, each running an independent "
-                             "engine, with superaggregate shard-merge in "
-                             "the parent (default: single-process; joins "
-                             "and aggregations read by another query are "
-                             "refused); "
-                             "prints the shard report "
-                             "after the run")
+    _knob(parser, "Gigascope", "channel_capacity", metavar="N",
+          help="bound inter-node channels at N tuples (overflow drops data "
+               "tuples, never punctuation; drops are accounted)")
+    _knob(parser, "Gigascope", "batch_size", metavar="N",
+          help="packets per block on the data path (1 runs blocks of one; "
+               "default 256)")
+    _knob(parser, "ShardedGigascope", "shards", metavar="N",
+          help="stripe the packet list by position across N worker "
+               "processes, each running an independent engine, with "
+               "superaggregate shard-merge in the parent (default: "
+               "single-process; joins and aggregations read by another query "
+               "are refused); prints the shard report after the run")
     parser.add_argument("--standby", action="store_true",
                         help="run a warm-standby pair: the primary streams "
                              "checksummed snapshot/delta frames to an "
                              "in-process replica, which is promoted on "
                              "primary failure with exactly-once output; "
                              "prints the replication report after the run")
-    parser.add_argument("--replicate", metavar="SECS",
-                        help="virtual-time seconds between replication "
-                             "delta frames (implies --standby; 0 ships a "
-                             "frame at every pump boundary; default 1.0)")
-    parser.add_argument("--promote-after", type=float, metavar="SECS",
-                        help="promote the standby once heartbeat silence "
-                             "exceeds the heartbeat interval by SECS "
-                             "(implies --standby); pair with --fault "
-                             "heartbeat_silence:... to rehearse a failover")
+    _knob(parser, "enable_replication", "cadence", metavar="SECS",
+          help="virtual-time seconds between replication delta frames "
+               "(implies --standby; 0 ships a frame at every pump boundary; "
+               "default 1.0)")
+    _knob(parser, "enable_replication", "promote_after", metavar="SECS",
+          help="promote the standby once heartbeat silence exceeds the "
+               "heartbeat interval by SECS (implies --standby); pair with "
+               "--fault heartbeat_silence:... to rehearse a failover")
     parser.add_argument("--replicate-log", metavar="PATH",
                         help="write every replication frame to PATH as "
                              "length-prefixed GSCK bytes (implies "
@@ -158,9 +164,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              "streams; prints the telemetry report (samples, "
                              "per-stream rows, profiler attribution) after "
                              "the run")
-    parser.add_argument("--telemetry-interval", type=float, metavar="SECS",
-                        help="virtual-time seconds between telemetry samples "
-                             "(implies --telemetry; default 1.0)")
+    _knob(parser, "enable_telemetry", "interval", metavar="SECS",
+          help="virtual-time seconds between telemetry samples (implies "
+               "--telemetry; default 1.0)")
     parser.add_argument("--telemetry-out", metavar="PATH",
                         help="write every telemetry stream row as JSON lines "
                              "to PATH (requires --telemetry)")
@@ -171,10 +177,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="prom",
                         help="metrics snapshot format: Prometheus text or "
                              "JSON (default: prom)")
-    parser.add_argument("--trace-sample", type=float, metavar="RATE",
-                        help="trace roughly RATE (0 < RATE <= 1) of packets "
-                             "through the LFTA/HFTA split (sampled lineage "
-                             "spans with virtual-time timestamps)")
+    _knob(parser, "enable_tracing", "sample_rate", metavar="RATE",
+          help="trace roughly RATE (0 < RATE <= 1) of packets through the "
+               "LFTA/HFTA split (sampled lineage spans with virtual-time "
+               "timestamps)")
     parser.add_argument("--trace-out", metavar="PATH",
                         help="write the sampled trace spans as JSON to PATH "
                              "(requires --trace-sample)")
@@ -237,8 +243,9 @@ def _synthetic_packets(spec: str) -> Iterable[CapturedPacket]:
     from repro.workloads.generators import section4_stream
     try:
         mbps_text, _, seconds_text = spec.partition("x")
-        mbps = float(mbps_text)
-        seconds = float(seconds_text)
+        mbps = Knob("mbps", "gsq", float, 0).check(float(mbps_text))
+        seconds = Knob("seconds", "gsq", float, 0, False).check(
+            float(seconds_text))
     except ValueError:
         raise ValueError(f"bad --synthetic {spec!r}; use "
                          f"MBPSxSECONDS") from None
@@ -275,26 +282,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(str(error))
     if not query_texts:
         parser.error("no queries given (use --query or --query-file)")
-    for flag, value, least in (
-            ("--channel-capacity", args.channel_capacity, "positive"),
-            ("--batch-size", args.batch_size, "positive"),
-            ("--shards", args.shards, "positive"),
-            ("--checkpoint-interval", args.checkpoint_interval, "positive"),
-            ("--max-restarts", args.max_restarts, ">= 0"),
-            ("--telemetry-interval", args.telemetry_interval, ">= 0"),
-            ("--promote-after", args.promote_after, ">= 0")):
-        if value is None:
-            continue
-        if not math.isfinite(value):
-            parser.error(f"{flag} must be finite, got {value}")
-        if value <= 0 if least == "positive" else value < 0:
-            parser.error(f"{flag} must be {least}, got {value}")
     if args.trace_out and args.trace_sample is None:
         parser.error("--trace-out requires --trace-sample")
     if args.alert_out and not args.alert:
         parser.error("--alert-out requires --alert")
-    telemetry = (args.telemetry or args.telemetry_interval is not None)
-    if args.telemetry_out and not telemetry:
+    # Each plane asked for, by the first flag that asks (repro.options:
+    # a knob's flag asks for its switch's plane).
+    asked: dict = {}
+    for flag, plane in plane_flags():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not False and value not in (None, []):
+            asked.setdefault(plane, flag)
+    if args.telemetry_out and "telemetry" not in asked:
         parser.error("--telemetry-out requires --telemetry")
     # Distinct artifacts must go to distinct files: writing two streams
     # to one path silently clobbers the first, so it is a usage error.
@@ -312,41 +311,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                          f"write to {value!r}; give each output its "
                          f"own path")
         seen_outputs[resolved] = flag
-    recover = (args.recover or args.checkpoint_interval is not None
-               or args.max_restarts is not None)
-    try:
-        from repro.replication import resolve_replicate_cadence
-        cadence = resolve_replicate_cadence(args.replicate)
-    except ValueError as error:
-        # A malformed --replicate is a usage error (exit 2).
-        parser.error(str(error))
-    standby = (args.standby or cadence is not None
-               or args.promote_after is not None
-               or args.replicate_log is not None)
     # The sharded facade and the durability plane's standby each
     # declare the planes they cannot run beside and why: a usage error
     # here, in the words the API raises.
-    topology, facade, build, refused = "", Gigascope, {}, {}
-    if args.shards:
+    topology, facade, refused = "", Gigascope, {}
+    if args.shards is not None:
         from repro.shard import ShardedGigascope as facade
-        topology, build = "--shards", dict(shards=args.shards)
-        refused = facade.refusals
-    elif standby:
+        topology, refused = "--shards", facade.refusals
+    elif "replication" in asked:
         from repro.recovery.supervisor import STANDBY_REFUSALS
-        topology, refused = "--standby", STANDBY_REFUSALS
-    for flag, value, plane in (
-            ("--shed", args.shed, "shed"),
-            ("--alert", args.alert, "alerts"),
-            ("--recover", args.recover, "recovery"),
-            ("--checkpoint-interval", args.checkpoint_interval, "recovery"),
-            ("--max-restarts", args.max_restarts, "recovery"),
-            ("--telemetry", args.telemetry, "telemetry"),
-            ("--telemetry-interval", args.telemetry_interval, "telemetry"),
-            ("--trace-sample", args.trace_sample, "tracing"),
-            ("--fault", args.fault, "faults"),
-            ("--standby", standby, "replication")):
-        given = value is not None and value is not False and value != []
-        if given and plane in refused:
+        topology, refused = asked["replication"], STANDBY_REFUSALS
+    for plane, flag in asked.items():
+        if plane in refused:
             parser.error(f"{flag} cannot be combined with {topology}: "
                          f"{refused[plane]}")
     # Every output is opened (the directory made) before the engine is
@@ -368,37 +344,25 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"{flag} {value!r}: {error.strerror}")
         if args.replicate_log:
             outputs.pop("--replicate-log").close()
-    try:
-        engine = facade(seed=args.seed,
-                        channel_capacity=args.channel_capacity,
-                        batch_size=args.batch_size, **build)
-    except ValueError as error:
-        # A non-positive --batch-size is a usage error (exit 2), not
-        # a crash.
-        parser.error(str(error))
-    if standby:
-        from repro.replication import DEFAULT_CADENCE
-        engine.enable_replication(
-            cadence=DEFAULT_CADENCE if cadence is None else cadence,
-            promote_after=args.promote_after, log_path=args.replicate_log)
+    engine = facade(**_values(args, "Gigascope"),
+                    **_values(args, "ShardedGigascope"))
+    if "replication" in asked:
+        engine.enable_replication(log_path=args.replicate_log,
+                                  **_values(args, "enable_replication"))
     tracer = None
-    if args.trace_sample is not None:
-        try:
-            tracer = engine.enable_tracing(args.trace_sample)
-        except ValueError as error:
-            parser.error(f"bad --trace-sample: {error}")
+    if "tracing" in asked:
+        tracer = engine.enable_tracing(**_values(args, "enable_tracing"))
     if args.shed:
         try:
             engine.enable_shedding(args.shed)
         except ValueError as error:
             parser.error(f"bad --shed {args.shed!r}: {error}")
     telemetry_hub = None
-    if telemetry:
+    if "telemetry" in asked:
         # Before the queries compile, so "From _gs_channel" resolves
         # like any packet protocol.
         telemetry_hub = engine.enable_telemetry(
-            interval=(args.telemetry_interval
-                      if args.telemetry_interval is not None else 1.0))
+            **_values(args, "enable_telemetry"))
     names: List[str] = []
     try:
         for text in query_texts:
@@ -459,14 +423,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as error:
         parser.error(str(error))
 
-    if recover:
-        engine.enable_recovery(
-            checkpoint_interval=(args.checkpoint_interval
-                                 if args.checkpoint_interval is not None
-                                 else 1.0),
-            max_restarts=(args.max_restarts
-                          if args.max_restarts is not None else 3),
-        )
+    if "recovery" in asked:
+        engine.enable_recovery(**_values(args, "enable_recovery"))
 
     engine.start()
     engine.feed(packets)

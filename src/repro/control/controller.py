@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional
 from repro.control.shedding import AimdShedding, SheddingPolicy, make_policy
 from repro.control.signals import PressureSample, SignalsBus
 from repro.obs.collectors import engine_snapshot
-from repro.obs.ledger import Field, Ledger
+from repro.obs.plane_ledgers import SHED
 from repro.sim.cost_model import CostModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -77,61 +77,11 @@ def overload_snapshot(rts: "RuntimeSystem") -> Dict[str, Any]:
     return snapshot
 
 
-def _signal(name: str, before_first: Any = None):
-    """Read one signal off the latest :class:`PressureSample`."""
-    return lambda controller: (getattr(controller.last_sample, name)
-                               if controller.last_sample else before_first)
-
-
-#: The shed plane's counters, then every signal its policy saw last
-#: cycle (exported only: a key of None is in no report).
-#: ``packets_shed``, ``shed_delta`` and ``channel_dropped`` are sums
-#: over the engine snapshot.  The telemetry sampler, their only stream,
-#: passes its own to ``row`` (a delta exists only between two of its
-#: samples, and its sums skip ``_gs_*`` objects); the reads below serve
-#: a caller outside a sample, so every field still reads its report
-#: entry, and run on no per-cycle path.
-LEDGER = Ledger("shed", (
-    Field("shed_rate", "gs_shed_rate", "gauge",
-          "keep-rate installed on the LFTA sampling gates (1.0 = no shedding)",
-          column="shed_rate", off=1.0),
-    Field("packets_shed", column="packets_shed", read=lambda controller:
-          overload_snapshot(controller.rts)["packets_shed"]),
-    Field("packets_shed", column="shed_delta", read=lambda controller: 0),
-    Field("channel_dropped", column="channel_dropped", read=lambda controller:
-          overload_snapshot(controller.rts)["channel_dropped"]),
-    Field("pressured_cycles", "gs_control_pressured_cycles_total", "counter",
-          "cycles with drops or utilization > 1", column="pressured_cycles"),
-    Field("cycles", "gs_control_cycles_total", "counter",
-          "control-loop cycles run", column="cycles"),
-    Field("min_shed_rate", "gs_shed_min_rate", "gauge",
-          "lowest keep-rate seen", read=lambda controller: controller.min_rate_seen),
-    Field("utilization", "gs_pressure_utilization", "gauge",
-          "estimated host CPU utilization in virtual time (1.0 = saturated)",
-          read=_signal("utilization")),
-    Field(None, "gs_pressure_max_fill", "gauge",
-          "worst channel depth/capacity this cycle", read=_signal("max_fill")),
-    Field(None, "gs_pressure_packet_rate", "gauge",
-          "packets/second of stream time since the last cycle",
-          read=_signal("packet_rate")),
-    Field(None, "gs_pressure_drops_delta", "gauge",
-          "new losses anywhere in the stack this cycle",
-          read=_signal("drops_delta")),
-    Field("channel_dropped", "gs_pressure_channel_drops_total", "counter",
-          "cumulative channel overflow drops",
-          read=_signal("channel_drops_total")),
-    Field(None, "gs_pressure_nic_drops_total", "counter",
-          "cumulative NIC ring drops", read=_signal("nic_drops_total")),
-    Field(None, "gs_node_rate", "gauge",
-          "per-node output tuples/second of stream time", "node",
-          read=_signal("node_rates", {})),
-), title="overload", stream="_gs_shed")
-
-
 class OverloadController:
     """The control loop between the signals bus and the LFTA gates."""
 
-    ledger = LEDGER
+    #: in repro.obs.plane_ledgers, which telemetry reads without this plane
+    ledger = SHED
 
     def __init__(
         self,

@@ -16,30 +16,10 @@ single pushes would.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Any, Deque, Iterable, Iterator, List, Optional
 
-
-def check_positive_int(name: str, value, allow_none: bool = False) -> None:
-    """Refuse a size or count argument ``name`` that is not a positive
-    integer (``allow_none``: None, "unbounded", passes too), with a
-    ``ValueError`` naming it.  Every engine facade asks before it
-    builds, feeds or forks anything."""
-    if value is None and allow_none:
-        return
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
-def check_finite(name: str, value) -> None:
-    """Refuse a seconds or factor argument ``name`` that is not a finite
-    number, with a ``ValueError`` naming it.  A NaN compares false with
-    everything, so a window or an interval it set would switch its
-    plane off without a word."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+from repro.options import KNOBS
 
 
 class ChannelStats:
@@ -90,7 +70,7 @@ class Channel:
                  "control_queued")
 
     def __init__(self, capacity: Optional[int] = None, name: str = "") -> None:
-        check_positive_int("capacity", capacity, allow_none=True)
+        KNOBS["subscribe", "capacity"].check(capacity)
         self.capacity = capacity
         self.name = name
         #: temporary bound installed by a fault injector (channel-overflow

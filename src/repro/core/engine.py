@@ -25,7 +25,6 @@ reading other queries' streams -- can be added at any time.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.core.params import QueryInstance
@@ -35,7 +34,6 @@ from repro.core.stream_manager import (
     RegistryError,
     RuntimeSystem,
     Subscription,
-    check_positive_int,
 )
 from repro.gsql.codegen import ExprCompiler
 from repro.gsql.functions import FunctionRegistry, FunctionSpec, builtin_functions
@@ -56,24 +54,7 @@ from repro.operators.join import JoinNode
 from repro.operators.lfta import LftaNode
 from repro.operators.merge import MergeNode
 from repro.operators.selection import SelectionNode
-
-
-def resolve_batch_size(batch_size: Optional[int] = None) -> int:
-    """The effective block length in packets (DESIGN section 10): the
-    argument, else the default.  A block holds a whole number of
-    packets, at least one: anything else raises ``ValueError`` naming
-    the offender (the CLI turns this into a usage error)."""
-    if batch_size is None:
-        return DEFAULT_BATCH_SIZE
-    check_positive_int("batch_size", batch_size)
-    return batch_size
-
-
-#: plane -> the facade method that switches it on
-_SWITCHES = {"shed": "enable_shedding", "alerts": "enable_alerts",
-             "recovery": "enable_recovery", "telemetry": "enable_telemetry",
-             "tracing": "enable_tracing", "faults": "inject_faults",
-             "replication": "enable_replication"}
+from repro.options import SWITCHES, check
 
 
 def _refusal(text: str):
@@ -94,7 +75,7 @@ def refuses(reasons: Dict[str, str]):
     def declare(cls):
         cls.refusals = reasons
         for plane, reason in reasons.items():
-            setattr(cls, _SWITCHES[plane], _refusal(
+            setattr(cls, SWITCHES[plane][0], _refusal(
                 f"{cls.__name__} refuses {plane}: {reason}"))
         return cls
     return declare
@@ -120,23 +101,11 @@ class Gigascope:
         seed: int = 0,
         batch_size: Optional[int] = None,
     ) -> None:
-        # Sizes are refused before anything is built: a table of 2.5
-        # slots or a merge buffer of 0 rows would otherwise fail late,
-        # or drop every row silently.
-        batch_size = resolve_batch_size(batch_size)
-        check_positive_int("lfta_table_size", lfta_table_size)
-        check_positive_int("merge_buffer_capacity", merge_buffer_capacity,
-                           allow_none=True)
-        check_positive_int("channel_capacity", channel_capacity,
-                           allow_none=True)
-        # An interval of 0 would beat on every packet, NaN never.
-        if heartbeat_interval is not None and (
-                isinstance(heartbeat_interval, bool)
-                or not isinstance(heartbeat_interval, (int, float))
-                or not 0 < heartbeat_interval < math.inf):
-            raise ValueError(
-                "heartbeat_interval must be None or a positive finite "
-                f"number, got {heartbeat_interval!r}")
+        check("Gigascope", heartbeat_interval=heartbeat_interval,
+              lfta_table_size=lfta_table_size,
+              merge_buffer_capacity=merge_buffer_capacity,
+              channel_capacity=channel_capacity, seed=seed,
+              batch_size=batch_size)
         #: root of the seeded RNG registry (repro.stable): every
         #: data-path consumer of randomness (DEFINE-sample gates, shed
         #: gates) derives its own named stream from this, so a run
@@ -153,7 +122,7 @@ class Gigascope:
         self.rts = RuntimeSystem(heartbeat_interval=heartbeat_interval,
                                  on_demand_heartbeats=on_demand_heartbeats,
                                  metrics=metrics,
-                                 batch_size=batch_size)
+                                 batch_size=batch_size or DEFAULT_BATCH_SIZE)
         self._streams: Dict[str, StreamSchema] = {}
         self._instances: Dict[str, QueryInstance] = {}
         self._observed_nics: List = []
@@ -511,7 +480,6 @@ class Gigascope:
         dump with ``tracer.to_json()``.
         """
         from repro.obs.tracing import Tracer
-        check_positive_int("max_traces", max_traces)
         tracer = Tracer(sample_rate, max_traces=max_traces)
         self.rts.attach_plane(tracer)
         self.rts.tracer = tracer

@@ -43,7 +43,7 @@ from time import perf_counter
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Tuple, Union)
 
-from repro.core.channels import Channel, check_positive_int
+from repro.core.channels import Channel
 from repro.core.heartbeat import FLUSH, FlushToken, Punctuation
 from repro.core.query_node import QueryNode
 from repro.net.columnar import (Branch, block_kernel, describe_formats,
@@ -52,9 +52,12 @@ from repro.net.packet import CapturedPacket
 from repro.obs.collectors import engine_snapshot, install_engine_metrics
 from repro.obs.ledger import install as install_ledger
 from repro.obs.registry import MetricsRegistry
+from repro.options import KNOBS
 
 #: default number of packets per block
 DEFAULT_BATCH_SIZE = 256
+
+_PUMP_EVERY = KNOBS["feed", "pump_every"]
 
 #: Every event the RTS fires, in the order a run meets them; an object
 #: given to :meth:`RuntimeSystem.attach_plane` hooks the ones it has a
@@ -764,11 +767,11 @@ class RuntimeSystem:
         under half the time.  The captured bytes are the block
         kernel's to count, as it reads each packet anyway.  Only an
         ``on_packet`` hook or an attached tracer adds a call per
-        packet.  ``pump_every`` must be a positive integer.  A standby
-        promoted at one of its pump boundaries (:attr:`successor`) is
-        handed the rest of ``packets`` there.
+        packet.  ``pump_every`` is checked by its :mod:`repro.options`
+        entry.  A standby promoted at one of its pump boundaries
+        (:attr:`successor`) is handed the rest of ``packets`` there.
         """
-        check_positive_int("pump_every", pump_every)
+        _PUMP_EVERY.check(pump_every)
         if not self._started:
             raise RegistryError("RTS not started; call start() first")
         hooks = self._hooks

@@ -58,6 +58,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.options import KNOBS, flag_type
+
 # The data path's primitives live in repro.stable, which a plain engine
 # imports without this harness; they are re-exported here unchanged.
 from repro.stable import (_canonical, derive_seed, rng_for,  # noqa: F401
@@ -98,9 +100,10 @@ class Arm:
     for ``standby:CADENCE`` a ``packet:K | frame:N[:torn]``
     (``Gigascope.enable_replication(crash=)``); ``*`` is every point of
     the scenario's declared sweep (:data:`SWEEP`).  Every field is
-    validated here, by the validator of the call it ends up in
-    (``hash_seed`` by the interpreter's own range), so a malformed arm
-    never reaches a child process.
+    validated here, by the entry of :mod:`repro.options` for the knob it
+    sets or the parser of the spec it is (``hash_seed`` by the
+    interpreter's own range), so a malformed arm never reaches a child
+    process.
     """
 
     hash_seed: Optional[str] = None
@@ -109,9 +112,7 @@ class Arm:
     crash: Optional[str] = None
 
     def __post_init__(self) -> None:
-        from repro.core.engine import resolve_batch_size
-        from repro.replication import (parse_crash_spec,
-                                       resolve_replicate_cadence)
+        from repro.recovery.supervisor import parse_crash_spec
         from repro.shard.runtime import parse_crash
         seed = self.hash_seed
         if seed == "random":
@@ -125,13 +126,12 @@ class Arm:
                            f"an integer 0..{_MAX_HASH_SEED}")
         kind, _, param = self.topology.partition(":")
         try:
-            resolve_batch_size(self.block_size)
+            KNOBS["Gigascope", "batch_size"].check(self.block_size)
             if kind == "shards":
-                if not param.isdigit() or int(param) < 1:
-                    raise ValueError("shards:N needs an integer N >= 1")
-                parse_crash(self.crash, int(param))
+                parse_crash(self.crash,
+                            KNOBS["ShardedGigascope", "shards"].parse(param))
             elif kind == "standby":
-                resolve_replicate_cadence(param)
+                KNOBS["enable_replication", "cadence"].parse(param)
                 if self.crash not in (None, SWEEP):
                     parse_crash_spec(self.crash)
             elif self.topology != "single":
@@ -1033,7 +1033,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                             help="arms to diff against the reference "
                                  "(default: the ones each scenario declares)")
     for sub in (run_cmd, verify_cmd):
-        sub.add_argument("--seed", type=int,
+        sub.add_argument("--seed", type=flag_type(KNOBS["Gigascope", "seed"]),
                          help="default: the seed each scenario declares")
     args = parser.parse_args(argv)
     try:  # every refusal happens here, before anything runs

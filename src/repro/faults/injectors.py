@@ -30,7 +30,7 @@ import math
 from dataclasses import replace
 from typing import Any, Dict, Optional
 
-from repro.core.channels import check_finite
+from repro.options import Knob
 from repro.stable import rng_for
 
 
@@ -42,11 +42,9 @@ class FaultInjector:
     phase = "faults"
 
     def __init__(self, at: float = 0.0, duration: float = math.inf) -> None:
-        check_finite("at", at)
+        Knob("at", "spec", float).check(at)
         if duration != math.inf:  # the default: the window never ends
-            check_finite("duration", duration)
-        if duration < 0:
-            raise ValueError("duration must be non-negative")
+            Knob("duration", "spec", float, 0).check(duration)
         self.at = at
         self.duration = duration
         #: the run-time the injector is armed on (None: not armed)
@@ -195,7 +193,7 @@ class ClockSkew(FaultInjector):
     def __init__(self, interface: str, skew_s: float,
                  at: float = 0.0, duration: float = math.inf) -> None:
         super().__init__(at, duration)
-        check_finite("skew_s", skew_s)
+        Knob("skew_s", "spec", float).check(skew_s)
         self.interface = interface
         self.skew_s = skew_s
         self.skewed = 0
@@ -272,10 +270,8 @@ class OperatorFault(FaultInjector):
                  message: Optional[str] = None,
                  times: Optional[int] = None) -> None:
         super().__init__(0.0, math.inf)
-        if at_tuple < 1:
-            raise ValueError("at_tuple must be >= 1")
-        if times is not None and times < 1:
-            raise ValueError("times must be >= 1")
+        Knob("at_tuple", "spec", int, 1).check(at_tuple)
+        Knob("times", "spec", int, 1, none_ok=True).check(times)
         self.node = node
         self.at_tuple = at_tuple
         self.times = times

@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.channels import check_finite
 from repro.core.heartbeat import Punctuation
 from repro.core.query_node import QueryNode
 from repro.gsql.ordering import Ordering
@@ -54,22 +53,12 @@ from repro.gsql.schema import Attribute, StreamSchema
 from repro.gsql.types import FLOAT, STRING, UINT
 from repro.obs.collectors import delta, engine_snapshot
 from repro.obs.ledger import Field, Ledger, columns, row
+from repro.obs.plane_ledgers import BY_STREAM
+from repro.options import check
 
 #: every stream the hub can publish, in emission order
 TELEMETRY_STREAMS = ("_gs_channel", "_gs_operator", "_gs_shed",
                      "_gs_recovery", "_gs_alert")
-
-
-def plane_ledgers() -> Dict[str, Ledger]:
-    """``stream -> ledger`` of the planes whose ledger projects one.
-
-    Imported on use: the plane modules import :mod:`repro.obs.ledger`,
-    and with it this package.
-    """
-    from repro.alerts.engine import LEDGER as alerts
-    from repro.control.controller import LEDGER as shed
-    from repro.recovery.supervisor import RECOVERY as recovery
-    return {ledger.stream: ledger for ledger in (shed, recovery, alerts)}
 
 
 #: the per-object streams' columns after ``time``; the plane streams'
@@ -95,7 +84,7 @@ def telemetry_schema(stream: str) -> StreamSchema:
     """
     typed = _OBJECT_COLUMNS.get(stream)
     if typed is None:
-        ledger = plane_ledgers().get(stream)
+        ledger = BY_STREAM.get(stream)
         if ledger is None:
             raise KeyError(f"unknown telemetry stream {stream!r}; "
                            f"known: {TELEMETRY_STREAMS}")
@@ -143,8 +132,6 @@ class PumpProfiler:
     __slots__ = ("sample_every", "cycles", "profiled_cycles", "wall_s")
 
     def __init__(self, sample_every: int = 1) -> None:
-        if sample_every < 1:
-            raise ValueError("profile_every must be >= 1")
         self.sample_every = sample_every
         self.cycles = 0
         self.profiled_cycles = 0
@@ -205,9 +192,8 @@ class TelemetryHub:
     def __init__(self, engine, interval: float = 1.0,
                  streams: Optional[Tuple[str, ...]] = None,
                  profile_every: int = 1) -> None:
-        check_finite("interval", interval)
-        if interval < 0:
-            raise ValueError("telemetry interval must be >= 0")
+        check("enable_telemetry", interval=interval,
+              profile_every=profile_every)
         unknown = [s for s in (streams or ()) if s not in TELEMETRY_STREAMS]
         if unknown:
             raise KeyError(f"unknown telemetry streams {unknown}; "
@@ -235,7 +221,7 @@ class TelemetryHub:
         self.virtual_us: Dict[str, float] = {}
         #: the plane-ledger streams this hub publishes
         self._plane_ledgers = {stream: ledger for stream, ledger
-                               in plane_ledgers().items()
+                               in BY_STREAM.items()
                                if stream in self.nodes}
 
     # -- sampling -------------------------------------------------------------

@@ -34,6 +34,8 @@ import struct
 import zlib
 from typing import Any, Dict, List, Optional
 
+from repro.options import check
+
 #: bytes of packet payload hashed into the trace key; keep below any
 #: realistic snap length so NIC-side truncation cannot change the key
 TRACE_PROBE_BYTES = 32
@@ -65,9 +67,7 @@ class Tracer:
 
     def __init__(self, sample_rate: float, max_traces: int = 1024,
                  max_tagged: int = 8192) -> None:
-        if not 0.0 < sample_rate <= 1.0:
-            raise ValueError(f"sample rate must be in (0, 1], "
-                             f"got {sample_rate}")
+        check("enable_tracing", sample_rate=sample_rate, max_traces=max_traces)
         self.sample_rate = sample_rate
         self.max_traces = max_traces
         self.max_tagged = max_tagged

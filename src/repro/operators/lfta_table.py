@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.options import KNOBS
 from repro.stable import stable_hash
 
 
@@ -66,8 +67,7 @@ class DirectMappedTable:
     def __init__(self, size: int = 4096,
                  hash_key: Callable[[Any], int] = stable_hash,
                  layout: Optional[Sequence[int]] = None) -> None:
-        if size <= 0:
-            raise ValueError("table size must be positive")
+        KNOBS["Gigascope", "lfta_table_size"].check(size)
         self.size = size
         self._hash = hash_key
         self.layout = None if layout is None else tuple(layout)

@@ -24,70 +24,36 @@ a node for ever, so it comes back on a promotion only.
 from __future__ import annotations
 
 import math
+import re
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.channels import check_finite
 from repro.core.stream_manager import RegistryError, RuntimeSystem
 from repro.obs.ledger import Field, Ledger
+from repro.obs.plane_ledgers import RECOVERY
+from repro.options import check
 from repro.recovery.journal import Journal
 from repro.recovery.statelog import FrameError, StateLog, append_frame
 
-#: each number the switches take in virtual seconds or as a factor ->
-#: the least it may be, and whether the least itself is allowed
-_LEAST = {"checkpoint_interval": (0, False), "backoff_base": (0, False),
-          "backoff_factor": (1, True), "cadence": (0, True),
-          "promote_after": (0, True)}
+
+_CRASH_SPEC = re.compile(r"(packet|frame):([0-9]+)(:torn)?")
 
 
-def check(name: str, value: Any, label: Optional[str] = None) -> None:
-    """Refuse a value of the plane's argument ``name`` with a
-    ``ValueError`` naming it (``label``: as the caller spells it).  A
-    NaN interval would cut at every boundary and an infinite one never;
-    a NaN, infinite or fractional budget never runs out."""
-    label = label or name
-    if name == "max_restarts":
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise ValueError(f"{label} must be an int >= 0, got {value!r}")
-        return
-    check_finite(label, value)
-    least, allowed = _LEAST[name]
-    if value < least or value == least and not allowed:
-        raise ValueError(f"{label} must be {'>=' if allowed else '>'} "
-                         f"{least}, got {value!r}")
+def parse_crash_spec(text: str) -> Dict[str, Any]:
+    """A failover crash: ``packet:K`` (the primary dies once handed K
+    packets, found dead at the next pump boundary), ``frame:N`` (right
+    after shipping frame N) or ``frame:N:torn`` (frame N is written
+    truncated: the standby refuses it, promotion falls back to N-1)."""
+    match = _CRASH_SPEC.fullmatch(text)
+    if match is None or (match[3] and match[1] != "frame"):
+        raise ValueError(f"bad crash spec {text!r}; use packet:K, "
+                         f"frame:N, or frame:N:torn")
+    return {"kind": match[1], "at": int(match[2]), "torn": bool(match[3])}
 
 
 def _finite(value: float) -> Optional[float]:
     return value if math.isfinite(value) else None
 
-
-#: All ``gs_recovery``-prefixed: ``repro.determinism.comparable`` drops
-#: the prefix before diffing two arms that differ in their crash (a
-#: crash run restarts nodes, a clean run does not).
-RECOVERY = Ledger("recovery", (
-    Field("checkpoints_taken", "gs_recovery_checkpoints_total", "counter",
-          "crash-consistent checkpoints cut at pump boundaries",
-          column="checkpoints"),
-    Field("checkpoint_bytes", "gs_recovery_checkpoint_bytes", "gauge",
-          "encoded size of the latest full checkpoint",
-          column="checkpoint_bytes"),
-    Field("restarts_total", "gs_recovery_restarts_total", "counter",
-          "rollback attempts across all nodes", column="restarts"),
-    Field("replayed_items", "gs_recovery_replayed_items_total", "counter",
-          "journal entries re-fed by rollbacks", column="replayed"),
-    Field("suppressed_rows", "gs_recovery_suppressed_rows_total", "counter",
-          "already-delivered rows a rollback's replayed takes dropped "
-          "(exactly-once)", column="suppressed"),
-    Field("suspended", "gs_recovery_nodes_suspended", "gauge",
-          "nodes awaiting a backoff retry", column="suspended",
-          read=lambda plane: len(plane.suspended)),
-    Field("journal_len", "gs_recovery_journal_len", "gauge",
-          "journaled packets and other inputs since the last checkpoint",
-          column="journal_len", read=lambda plane: plane.journal.len),
-    Field("retries_exhausted", "gs_recovery_retries_exhausted_total",
-          "counter",
-          "nodes degraded to permanent quarantine after the retry budget"),
-), stream="_gs_recovery")
 
 #: All ``gs_repl``-prefixed, so a snapshot-diffing caller can strip
 #: them the way ``gs_recovery*`` is stripped.
@@ -226,10 +192,9 @@ class RecoverySupervisor:
                 backoff_base: float, backoff_factor: float
                 ) -> "RecoverySupervisor":
         """Switch on the rollback in place (``enable_recovery``)."""
-        check("checkpoint_interval", checkpoint_interval)
-        check("max_restarts", max_restarts)
-        check("backoff_base", backoff_base)
-        check("backoff_factor", backoff_factor)
+        check("enable_recovery", checkpoint_interval=checkpoint_interval,
+              max_restarts=max_restarts, backoff_base=backoff_base,
+              backoff_factor=backoff_factor)
         self._switch(RECOVERY, self.recovery_report, checkpoint_interval)
         self.checkpoint_interval, self.max_restarts = (checkpoint_interval,
                                                        max_restarts)
@@ -244,10 +209,8 @@ class RecoverySupervisor:
                   crash: Optional[str], log_path: Optional[str]
                   ) -> "RecoverySupervisor":
         """Switch on the warm standby (``enable_replication``)."""
-        from repro.replication import parse_crash_spec
-        check("cadence", cadence)
-        if promote_after is not None:
-            check("promote_after", promote_after)
+        check("enable_replication", cadence=cadence,
+              promote_after=promote_after)
         parsed = parse_crash_spec(crash) if crash else None
         gs, primary = self.gs, self.rts
         if primary.packets_fed + primary.fault_dropped:

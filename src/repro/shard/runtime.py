@@ -36,12 +36,12 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.core.channels import Channel, ChannelStats
 from repro.core.engine import Gigascope, refuses
 from repro.core.heartbeat import FLUSH
-from repro.core.stream_manager import (RegistryError, Subscription,
-                                       check_positive_int)
+from repro.core.stream_manager import RegistryError, Subscription
 from repro.obs.collectors import node_snapshot
 from repro.obs.ledger import Field, Ledger, install
 from repro.obs.registry import MetricsRegistry
 from repro.operators.aggregation import AggregationNode
+from repro.options import check
 from repro.recovery.statelog import StateLog
 from repro.shard.partition import shard_size
 from repro.shard.transport import END, ROWS, STATE, decode_frame, unpack_rows
@@ -183,8 +183,8 @@ class ShardedGigascope:
         metrics: bool = True,
         **engine_kwargs: Any,
     ) -> None:
-        if shards <= 0:
-            raise ValueError(f"shards must be >= 1, got {shards}")
+        check("ShardedGigascope", shards=shards,
+              barrier_interval=barrier_interval, max_restarts=max_restarts)
         self.shards = shards
         #: virtual-time spacing of the global barrier grid every shard
         #: cuts rows/state frames at
@@ -311,7 +311,7 @@ class ShardedGigascope:
 
     def subscribe(self, name: str,
                   capacity: Optional[int] = None) -> Subscription:
-        check_positive_int("capacity", capacity, allow_none=True)
+        check("subscribe", capacity=capacity)
         sink = self._sinks.get(name)
         if sink is None:
             sink = self._make_sink(name)
@@ -342,10 +342,9 @@ class ShardedGigascope:
         Blocks until every live shard has delivered its ``end`` frame
         (restarting or quarantining the ones that die on the way).
         Merged output becomes visible to subscriptions at
-        :meth:`flush`.  ``pump_every`` is refused before any worker is
-        forked unless it is a positive integer.
+        :meth:`flush`.  A bad ``pump_every`` is refused before a fork.
         """
-        check_positive_int("pump_every", pump_every)
+        check("feed", pump_every=pump_every)
         if not self._started:
             raise RegistryError("RTS not started; call start() first")
         if not isinstance(packets, list):

@@ -36,6 +36,7 @@ from repro.gsql.semantic import SemanticError, analyze
 from repro.net.packet import CapturedPacket
 from repro.net.pcap import PcapReader, PcapWriter
 from repro.net.pcapng import PcapngReader, PcapngWriter, SHB_TYPE
+from repro.options import Knob, flag_type
 
 
 def _open_reader(path: str):
@@ -97,9 +98,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                                         "protocol interprets")
     parser.add_argument("--time-range", metavar="START:END",
                         help="keep packets with START <= timestamp < END")
-    parser.add_argument("--snaplen", type=int, default=65535,
+    parser.add_argument("--snaplen", default=65535,
+                        type=flag_type(Knob("snaplen", "gsq-trace", int, 1)),
                         help="truncate written packets (default: full)")
-    parser.add_argument("--limit", type=int,
+    parser.add_argument("--limit",
+                        type=flag_type(Knob("limit", "gsq-trace", int, 1)),
                         help="stop after writing this many packets")
     parser.add_argument("--invert", action="store_true",
                         help="keep packets that do NOT match")
@@ -107,9 +110,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     # Every refusal is a usage error (exit 2) naming the flag, made
     # before the output file is created.
-    for flag, value in (("--snaplen", args.snaplen), ("--limit", args.limit)):
-        if value is not None and value < 1:
-            parser.error(f"{flag} must be a positive integer, got {value}")
     time_range = None
     if args.time_range:
         try:

@@ -223,6 +223,11 @@ class TestErrors:
     @pytest.mark.parametrize("argv,named", [
         (["--pcap", "TRACE", "--param", "x"], "--param 'x'"),
         (["--synthetic", "abc"], "--synthetic 'abc'"),
+        # an infinite trace never ended, an empty one ran on nothing and
+        # a NaN rate was read as 60 Mbit/s
+        (["--synthetic", "1xinf"], "--synthetic '1xinf'"),
+        (["--synthetic", "1x0"], "--synthetic '1x0'"),
+        (["--synthetic", "nanx1"], "--synthetic 'nanx1'"),
         (["--pcap", "/no/such/trace.pcap"],
          "--pcap '/no/such/trace.pcap'"),
         (["--pcap", "TRACE", "--query-file", "/no/such/q.gsql"],
@@ -486,11 +491,14 @@ class TestRecoveryFlags:
 
     @pytest.mark.parametrize("args, named", [
         (["--recover", "--checkpoint-interval", "nan"],
-         "--checkpoint-interval must be finite, got nan"),
+         "argument --checkpoint-interval: checkpoint_interval must be a "
+         "positive finite number, got nan"),
         (["--checkpoint-interval", "inf"],
-         "--checkpoint-interval must be finite, got inf"),
+         "argument --checkpoint-interval: checkpoint_interval must be a "
+         "positive finite number, got inf"),
         (["--telemetry-interval", "nan"],
-         "--telemetry-interval must be finite, got nan"),
+         "argument --telemetry-interval: interval must be a finite number "
+         ">= 0, got nan"),
         (["--fault", "clock_skew:iface=eth0,skew=nan"],
          "bad --fault: skew_s must be a finite number, got nan"),
         (["--fault", "ring_burst:at=nan,duration=1"],

@@ -449,8 +449,9 @@ class TestLifecycle:
         build = {"single": Gigascope,
                  "shards": lambda **kw: ShardedGigascope(2, **kw),
                  "standby": replicated}[facade]
-        wanted = ("None or a positive finite number"
-                  if argument == "heartbeat_interval" else "a positive integer")
+        wanted = {"heartbeat_interval": "None or a positive finite number",
+                  "lfta_table_size": "a positive integer"}.get(
+                      argument, "None or a positive integer")
         with pytest.raises(ValueError, match=re.escape(
                 f"{argument} must be {wanted}, got {bad!r}")):
             build(metrics=False, **{argument: bad})
@@ -467,7 +468,8 @@ class TestLifecycle:
               "standby": lambda: replicated(metrics=False)}[facade]()
         gs.add_query("DEFINE query_name q; Select time From tcp")
         with pytest.raises(ValueError, match=re.escape(
-                f"capacity must be a positive integer, got {bad!r}")):
+                f"capacity must be None or a positive integer, "
+                f"got {bad!r}")):
             gs.subscribe("q", capacity=bad)
         if facade == "shards":
             assert not gs._sinks

@@ -290,7 +290,7 @@ class TestFaultSpecs:
     ])
     def test_non_finite_windows_are_refused_by_name(self, spec, name):
         with pytest.raises(ValueError, match=f"^{name} must be a finite "
-                                             f"number, got "):
+                                             f"number( >= 0)?, got "):
             parse_fault_spec(spec)
 
     def test_engine_accepts_spec_strings(self):

@@ -20,12 +20,12 @@ REPO = Path(__file__).resolve().parents[1]
 
 #: what neither ``import repro`` with a plain build nor ``gsq`` may load
 UNUSED = ("repro.alerts", "repro.control", "repro.faults",
-          "repro.determinism", "repro.recovery", "repro.replication",
+          "repro.determinism", "repro.recovery",
           "repro.shard", "repro.obs.telemetry", "repro.obs.tracing",
           "repro.operators.defrag", "repro.operators.tcp_reassembly")
 
 #: ``import repro`` loaded 67 ``repro`` modules when it compiled every
-#: plane; the engine alone is 48
+#: plane; the engine alone is 49
 IMPORT_BUDGET = 52
 
 #: the packages whose exports resolve on first access
@@ -70,10 +70,11 @@ def fresh(code: str) -> str:
                           cwd=REPO).stdout
 
 
-def unused(modules):
+def unused(modules, packages=UNUSED):
+    """The modules of ``packages`` among ``modules``."""
     return [name for name in modules
             if any(name == prefix or name.startswith(prefix + ".")
-                   for prefix in UNUSED)]
+                   for prefix in packages)]
 
 
 @pytest.fixture(scope="module")
@@ -90,25 +91,44 @@ def test_import_repro_stays_within_its_budget(plain):
 
 
 def test_gsq_loads_no_plane():
-    code = ("import json, sys, repro.cli; print(json.dumps(sorted("
-            "name for name in sys.modules if name.startswith('repro'))))")
-    assert unused(json.loads(fresh(code))) == []
+    """A ``gsq`` run with no plane flag loads no plane either: its
+    knobs resolve through ``repro.options``, not the planes' modules."""
+    argv = ["--synthetic", "1x1", "--query",
+            "DEFINE query_name q; Select tb, count(*) From tcp "
+            "Group by time/1 as tb"]
+    code = ("import contextlib, io, json, sys, repro.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert repro.cli.main({argv!r}) == 0\n"
+            "print(json.dumps(sorted(name for name in sys.modules\n"
+            "                        if name.startswith('repro'))))")
+    loaded = json.loads(fresh(code))
+    assert unused(loaded) == []
+    assert "repro.workloads.generators" in loaded  # it did run
+
+
+#: switch -> planes it must not load besides its own: telemetry's
+#: _gs_shed/_gs_recovery/_gs_alert columns are those planes' ledgers,
+#: read without the planes
+OTHERS = {"enable_telemetry()": ("repro.alerts", "repro.control",
+                                 "repro.recovery")}
 
 
 @pytest.mark.parametrize("switch, module", [
     ("enable_alerts()", "repro.alerts"),
     ("enable_shedding()", "repro.control"),
     ("enable_recovery()", "repro.recovery"),
-    ("enable_replication()", "repro.replication"),
+    ("enable_replication()", "repro.recovery"),
     ("enable_telemetry()", "repro.obs.telemetry"),
     ("enable_tracing(0.5)", "repro.obs.tracing"),
     ("inject_faults(['ring_burst:at=1.0,duration=0.5'])", "repro.faults"),
 ])
 def test_a_plane_loads_when_it_is_switched_on(switch, module):
-    code = (f"import sys, repro; gs = repro.Gigascope(); "
+    code = (f"import json, sys, repro; gs = repro.Gigascope(); "
             f"before = {module!r} in sys.modules; gs.{switch}; "
-            f"print(before, {module!r} in sys.modules)")
-    assert fresh(code).split() == ["False", "True"]
+            f"print(json.dumps([before, list(sys.modules)]))")
+    before, loaded = json.loads(fresh(code))
+    assert not before and module in loaded
+    assert unused(loaded, OTHERS.get(switch, ())) == []
 
 
 @pytest.mark.parametrize("package", LAZY)

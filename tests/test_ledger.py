@@ -10,15 +10,14 @@ here or in ``tests/test_golden_scenarios.py`` (which hashes the values).
 import pytest
 
 from repro import Gigascope
-from repro.alerts.engine import LEDGER as ALERTS
-from repro.control.controller import LEDGER as SHED
 from repro.core.stream_manager import RegistryError
 from repro.obs.ledger import (Field, Ledger, columns, install, render, row,
                               view)
 from repro.obs.registry import MetricsRegistry
 from repro.obs.telemetry import LEDGER as TELEMETRY
-from repro.obs.telemetry import TELEMETRY_STREAMS, plane_ledgers, telemetry_schema
-from repro.recovery.supervisor import RECOVERY, REPLICATION
+from repro.obs.plane_ledgers import ALERTS, BY_STREAM, RECOVERY, SHED
+from repro.obs.telemetry import TELEMETRY_STREAMS, telemetry_schema
+from repro.recovery.supervisor import REPLICATION
 from repro.shard import ShardedGigascope
 from repro.shard.runtime import LEDGER as SHARD
 from tests.conftest import tcp_packet
@@ -142,8 +141,8 @@ class TestEveryPlane:
 
 class TestStreams:
     def test_plane_streams_are_the_declared_ones(self):
-        assert tuple(plane_ledgers()) == TELEMETRY_STREAMS[2:]
-        assert [ledger.name for ledger in plane_ledgers().values()] == \
+        assert tuple(BY_STREAM) == TELEMETRY_STREAMS[2:]
+        assert [ledger.name for ledger in BY_STREAM.values()] == \
             ["shed", "recovery", "alerts"]
 
     def test_off_rows_in_a_running_engine(self):

@@ -660,7 +660,7 @@ class TestBackoffAndBudget:
         ``OverflowError`` out of ``flush``."""
         gs = Gigascope()
         with pytest.raises(ValueError, match=r"^max_restarts must be an "
-                                             r"int >= 0, got "):
+                                             r"integer >= 0, got "):
             gs.enable_recovery(max_restarts=budget)
         assert "recovery" not in gs.rts.planes
 
@@ -670,8 +670,9 @@ class TestBackoffAndBudget:
     def test_non_finite_supervisor_parameters_are_refused_by_name(
             self, name, value):
         gs = Gigascope()
-        with pytest.raises(ValueError, match=f"^{name} must be a finite "
-                                             f"number, got {value}$"):
+        with pytest.raises(ValueError, match=f"^{name} must be a "
+                                             f"(positive )?finite number"
+                                             f"( >= 1)?, got {value}$"):
             gs.enable_recovery(**{name: value})
         assert "recovery" not in gs.rts.planes
 

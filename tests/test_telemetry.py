@@ -113,7 +113,7 @@ class TestRegistration:
     def test_non_finite_interval_is_refused_by_name(self, interval):
         gs = make_engine()
         with pytest.raises(ValueError,
-                           match=f"interval must be a finite number, "
+                           match=f"interval must be a finite number >= 0, "
                                  f"got {interval}"):
             gs.enable_telemetry(interval=interval)
         assert "telemetry" not in gs.rts.planes
@@ -379,8 +379,10 @@ class TestProfiler:
         assert profiler.profiled_cycles == 3
 
     def test_sample_every_must_be_positive(self):
-        with pytest.raises(ValueError):
-            PumpProfiler(sample_every=0)
+        gs = make_engine()
+        with pytest.raises(ValueError, match="^profile_every must be"):
+            gs.enable_telemetry(profile_every=0)
+        assert "telemetry" not in gs.rts.planes
 
     def test_attribution_covers_only_real_operators(self):
         gs = make_engine()
